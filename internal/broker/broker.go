@@ -368,14 +368,17 @@ func (b *Broker) Submit(req JobRequest) (*Job, error) {
 		}
 	}
 	j.cc = classiccloud.NewClient(j.env, j.ccCfg)
-	if err := j.cc.Setup(); err != nil {
-		return nil, err
+	if err = j.cc.Setup(); err == nil {
+		j.tasks, err = j.cc.SubmitFiles(req.Files)
 	}
-	tasks, err := j.cc.SubmitFiles(req.Files)
 	if err != nil {
+		// Some of the job's queues and buckets, staged inputs and a
+		// prefix of its task messages exist, and no job will ever own
+		// them: tear them down (the journal is not open yet).
+		b.removeJobResources(j.ccCfg)
 		return nil, err
 	}
-	j.tasks = tasks
+	tasks := j.tasks
 
 	// Make the job durable: stage shared data for executor rebuild, then
 	// open the journal with the submission event. A job only exists once

@@ -1,8 +1,10 @@
 package broker
 
 import (
+	"errors"
 	"fmt"
 	"strings"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -394,6 +396,95 @@ func TestSubmitValidation(t *testing.T) {
 	}
 	if _, err := b.Submit(JobRequest{App: "blast", Files: map[string][]byte{"a": nil}}); err == nil {
 		t.Error("no error for blast without a shared database")
+	}
+}
+
+// faultyQueue is a queue.API double that fails the failSendAt-th send
+// (SendMessage or SendMessageBatch, 1-based) and the failCreateAt-th
+// CreateQueue; 0 never fails. Everything else reaches the real service.
+type faultyQueue struct {
+	queue.API
+	failSendAt, failCreateAt int64
+	sends, creates           atomic.Int64
+}
+
+var errInjected = errors.New("injected queue fault")
+
+func (f *faultyQueue) SendMessage(q string, body []byte) (string, error) {
+	if f.sends.Add(1) == f.failSendAt {
+		return "", errInjected
+	}
+	return f.API.SendMessage(q, body)
+}
+
+func (f *faultyQueue) SendMessageBatch(q string, bodies [][]byte) ([]string, error) {
+	if f.sends.Add(1) == f.failSendAt {
+		return nil, errInjected
+	}
+	return f.API.SendMessageBatch(q, bodies)
+}
+
+func (f *faultyQueue) CreateQueue(q string) error {
+	if f.creates.Add(1) == f.failCreateAt {
+		return errInjected
+	}
+	return f.API.CreateQueue(q)
+}
+
+// A submission that fails in Setup or part-way through SubmitFiles must
+// leave nothing behind: no job queues (with their prefix of task
+// messages), no buckets (with their staged inputs), no journal — and
+// the broker keeps accepting jobs.
+func TestFailedSubmissionLeavesNoResources(t *testing.T) {
+	for _, tc := range []struct {
+		name                     string
+		failSendAt, failCreateAt int64
+	}{
+		// 25 files are three send batches: the first lands, the second fails.
+		{name: "second task batch fails", failSendAt: 2},
+		{name: "second queue create fails", failCreateAt: 2},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			env := testEnv()
+			env.Queue = &faultyQueue{API: env.Queue, failSendAt: tc.failSendAt, failCreateAt: tc.failCreateAt}
+			b := New(Config{
+				Env:               env,
+				VisibilityTimeout: 400 * time.Millisecond,
+				TickInterval:      5 * time.Millisecond,
+				MaxReceives:       4, // so the job has a dead-letter queue too
+				Autoscale:         AutoscalePolicy{MinInstances: 1, MaxInstances: 2},
+			})
+			defer b.Close()
+			if _, err := b.Submit(JobRequest{App: "cap3", Files: cap3Files(t, 25)}); !errors.Is(err, errInjected) {
+				t.Fatalf("Submit error = %v, want the injected fault", err)
+			}
+			failed := b.ccConfigFor("job-0001")
+			if qs := env.Queue.ListQueues(); len(qs) != 0 {
+				t.Errorf("queues left behind: %v", qs)
+			}
+			for _, bucket := range []string{failed.InputBucket(), failed.OutputBucket()} {
+				if _, err := env.Blob.List(bucket, ""); !errors.Is(err, blob.ErrNoSuchBucket) {
+					t.Errorf("bucket %s left behind (List error %v)", bucket, err)
+				}
+			}
+			if keys, err := env.Blob.List(b.cfg.JournalBucket, ""); err != nil || len(keys) != 0 {
+				t.Errorf("journal bucket holds %v (err %v), want nothing", keys, err)
+			}
+			if n := len(b.Jobs()); n != 0 {
+				t.Errorf("%d jobs registered after a failed submission", n)
+			}
+
+			j, err := b.Submit(JobRequest{App: "cap3", Files: cap3Files(t, 3)})
+			if err != nil {
+				t.Fatalf("Submit after a failed submission: %v", err)
+			}
+			if err := j.Wait(30 * time.Second); err != nil {
+				t.Fatal(err)
+			}
+			if st := j.Status(); st.Done != 3 {
+				t.Fatalf("done = %d, want 3", st.Done)
+			}
+		})
 	}
 }
 

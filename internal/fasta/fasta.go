@@ -48,7 +48,10 @@ type Reader struct {
 // NewReader returns a Reader consuming from r.
 func NewReader(r io.Reader) *Reader {
 	s := bufio.NewScanner(r)
-	s.Buffer(make([]byte, 0, 64*1024), 16*1024*1024)
+	// No up-front buffer: bufio starts at 4 KB and grows on demand, so
+	// parsing a few-hundred-byte task input allocates little, while
+	// single lines up to 16 MB still parse.
+	s.Buffer(nil, 16*1024*1024)
 	return &Reader{s: s}
 }
 

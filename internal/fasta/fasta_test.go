@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"io"
 	"math/rand"
+	"runtime"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -212,13 +213,36 @@ func TestQuickRoundTrip(t *testing.T) {
 	}
 }
 
+// The scanner starts from bufio's 4 KB default and grows: single lines
+// past that size, past 64 KB, and well beyond must all still parse.
 func TestLongSequenceLine(t *testing.T) {
-	long := strings.Repeat("ACGT", 100000) // 400kB single line
-	recs, err := ReadAll(strings.NewReader(">big\n" + long + "\n"))
-	if err != nil {
-		t.Fatalf("ReadAll: %v", err)
+	for _, n := range []int{5 << 10, 100 << 10, 400000} {
+		long := strings.Repeat("ACGT", n/4)
+		recs, err := ReadAll(strings.NewReader(">big\n" + long + "\n>next\nAC\n"))
+		if err != nil {
+			t.Fatalf("ReadAll(%d-byte line): %v", n, err)
+		}
+		if len(recs) != 2 || string(recs[0].Seq) != long || string(recs[1].Seq) != "AC" {
+			t.Fatalf("%d-byte line: got %d records, first len %d", n, len(recs), recs[0].Len())
+		}
 	}
-	if len(recs) != 1 || recs[0].Len() != 400000 {
-		t.Fatalf("got %d records, len %d", len(recs), recs[0].Len())
+}
+
+// Parsing a small document must not pay for a large fixed scanner
+// buffer: a 64 KB buffer per parse was 59% of all bytes allocated on
+// the small-task benchmark workload.
+func TestSmallParseAllocatesLittle(t *testing.T) {
+	doc := []byte(">read0 a 200-byte document\n" + strings.Repeat("ACGT", 43) + "\n")
+	const runs = 100
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 0; i < runs; i++ {
+		if recs, err := ParseBytes(doc); err != nil || len(recs) != 1 {
+			t.Fatalf("ParseBytes: %d records, %v", len(recs), err)
+		}
+	}
+	runtime.ReadMemStats(&after)
+	if perParse := (after.TotalAlloc - before.TotalAlloc) / runs; perParse >= 8<<10 {
+		t.Errorf("parsing a %d-byte document allocates %d bytes, want < 8 KB", len(doc), perParse)
 	}
 }
