@@ -28,7 +28,6 @@ import (
 	"repro/internal/classiccloud"
 	"repro/internal/cloud"
 	"repro/internal/journal"
-	"repro/internal/metrics"
 	"repro/internal/perfmodel"
 	"repro/internal/queue"
 	"repro/internal/queue/shard"
@@ -254,7 +253,7 @@ func variability() {
 	fmt.Printf("Azure performance CV over a week: %.2f%% (paper: 2.25%%)\n", azure)
 	awsSamples := perfmodel.VariabilitySample(perfmodel.ClassicEC2, 7, 24, 21)
 	fmt.Printf("AWS mean normalized performance: %.4f over %d samples\n",
-		metrics.Mean(awsSamples), len(awsSamples))
+		perfmodel.Mean(awsSamples), len(awsSamples))
 }
 
 func inhomogeneous() {
@@ -1106,7 +1105,7 @@ func queueWire() {
 		}()
 		for i := 0; i < nShards; i++ {
 			svc := queue.NewService(queue.Config{Seed: int64(i + 1)})
-			hs := httptest.NewServer(&queue.HTTPHandler{Service: svc, AdminToken: token})
+			hs := httptest.NewServer(&queue.HTTPHandler{Service: svc, AdminTokens: []string{token}})
 			cleanups = append(cleanups, hs.Close)
 			httpc := &queue.HTTPClient{BaseURL: hs.URL, AdminToken: token}
 			backend := queue.API(httpc)
@@ -1115,7 +1114,7 @@ func queueWire() {
 				if lerr != nil {
 					return 0, nil, lerr
 				}
-				ws := &wire.Server{Service: svc, AdminToken: token}
+				ws := &wire.Server{Service: svc, AdminTokens: []string{token}}
 				go ws.Serve(ln)
 				cleanups = append(cleanups, func() { ws.Close() })
 				wc := wire.Dial(ln.Addr().String(), wire.Options{AdminToken: token, Fallback: httpc})

@@ -250,9 +250,7 @@ func (b *Broker) journalFor(jobID string) *jobJournal {
 // Backends without trace support are used unchanged.
 func (b *Broker) traceEnv(trace string) classiccloud.Env {
 	env := b.cfg.Env
-	if ts, ok := env.Queue.(queue.TraceScoper); ok && trace != "" {
-		env.Queue = ts.WithTrace(trace)
-	}
+	env.Queue = queue.WithTrace(env.Queue, trace)
 	return env
 }
 

@@ -9,7 +9,6 @@ import (
 
 	"repro/internal/classiccloud"
 	"repro/internal/cloud"
-	"repro/internal/metrics"
 	"repro/internal/perfmodel"
 	"repro/internal/queue"
 )
@@ -696,12 +695,39 @@ func (j *Job) CostReport() CostReport {
 		QueueRequests:    queueReq,
 		QueueCost:        queueCost,
 		Elapsed:          elapsed.Round(time.Millisecond).String(),
-		Utilization:      metrics.FleetUtilization(busy, allocated),
-		TasksPerUSD:      metrics.TasksPerDollar(len(j.core.Done), computeCost+queueCost),
+		Utilization:      fleetUtilization(busy, allocated),
+		TasksPerUSD:      tasksPerDollar(len(j.core.Done), computeCost+queueCost),
 		FixedFleet:       j.policy.MaxInstances,
 		FixedHourUnits:   fixedBill.HourUnits,
 		FixedComputeCost: fixedBill.ComputeCost,
 	}
+}
+
+// fleetUtilization is the elastic-fleet counterpart of Equation 1:
+// the fraction of allocated instance time spent inside the task
+// pipeline. Section 4.3's owned-cluster economics hinge on exactly this
+// ratio — a fixed fleet sized for peak load idles between bursts, while
+// an autoscaled fleet keeps it near 1.
+func fleetUtilization(busy, allocated time.Duration) float64 {
+	if allocated <= 0 {
+		return 0
+	}
+	u := float64(busy) / float64(allocated)
+	if u > 1 {
+		// Concurrent workers on one instance can accumulate more busy
+		// time than wall time; clamp to the meaningful range.
+		u = 1
+	}
+	return u
+}
+
+// tasksPerDollar expresses throughput per unit cost, the figure of
+// merit behind the paper's cost-effectiveness tables.
+func tasksPerDollar(tasks int, costUSD float64) float64 {
+	if costUSD <= 0 {
+		return 0
+	}
+	return float64(tasks) / costUSD
 }
 
 // CollectOutputs downloads the outputs of completed tasks.

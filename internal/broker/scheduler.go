@@ -4,8 +4,6 @@ import (
 	"math"
 	"sort"
 	"sync"
-
-	"repro/internal/metrics"
 )
 
 // The fleet scheduler is the multi-tenant arbiter the ROADMAP asked
@@ -71,7 +69,19 @@ func (s *scheduler) shareLocked(tenant string) float64 {
 		// An inactive tenant asking for its hypothetical share.
 		totalWeight += s.weight(tenant)
 	}
-	return metrics.FairShare(s.budget, s.weight(tenant), totalWeight)
+	return fairShare(s.budget, s.weight(tenant), totalWeight)
+}
+
+// fairShare returns a tenant's weighted share of an instance budget:
+// budget × weight / totalWeight. It is the per-tenant generalization of
+// the fixed per-job fleet cap — the multi-tenant broker grants scale-ups
+// against this share when its budget is contended. A non-positive
+// budget or total weight yields 0 (no constraint to express).
+func fairShare(budget, weight, totalWeight int) float64 {
+	if budget <= 0 || totalWeight <= 0 || weight <= 0 {
+		return 0
+	}
+	return float64(budget) * float64(weight) / float64(totalWeight)
 }
 
 func (s *scheduler) totalLocked() int {

@@ -330,3 +330,24 @@ func TestBrokerFairShareAcrossTenants(t *testing.T) {
 		}
 	}
 }
+
+func TestFleetUtilization(t *testing.T) {
+	if got := fleetUtilization(30*time.Minute, time.Hour); got != 0.5 {
+		t.Errorf("FleetUtilization = %v, want 0.5", got)
+	}
+	if got := fleetUtilization(2*time.Hour, time.Hour); got != 1 {
+		t.Errorf("FleetUtilization clamp = %v, want 1", got)
+	}
+	if got := fleetUtilization(time.Hour, 0); got != 0 {
+		t.Errorf("FleetUtilization with zero allocation = %v, want 0", got)
+	}
+}
+
+func TestTasksPerDollar(t *testing.T) {
+	if got := tasksPerDollar(4096, 16.32); got <= 250 || got >= 252 {
+		t.Errorf("TasksPerDollar = %v, want ≈ 251", got)
+	}
+	if got := tasksPerDollar(10, 0); got != 0 {
+		t.Errorf("TasksPerDollar free compute = %v, want 0", got)
+	}
+}

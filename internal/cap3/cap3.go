@@ -15,7 +15,9 @@ package cap3
 
 import (
 	"bytes"
+	"cmp"
 	"fmt"
+	"slices"
 	"sort"
 
 	"repro/internal/bio"
@@ -265,7 +267,8 @@ func Assemble(records []*fasta.Record, opt Options) *Result {
 	// Stage 3+4: layout via union-find, best overlaps first; inconsistent
 	// (false) overlaps are rejected at this stage, as CAP3 rejects
 	// overlaps that contradict the growing layout.
-	sort.Slice(overlaps, func(i, j int) bool { return overlaps[i].score() > overlaps[j].score() })
+	// Stable, so equal scores keep findOverlaps' fixed (a, b, sign) order.
+	slices.SortStableFunc(overlaps, func(x, y overlap) int { return cmp.Compare(y.score(), x.score()) })
 	lay := newLayout(len(reads))
 	for _, ov := range overlaps {
 		if !lay.union(ov.a, ov.b, ov.t) {
@@ -351,15 +354,27 @@ func findOverlaps(reads []*read, opt Options) ([]overlap, overlapStats) {
 		collect(r.rc, -1)
 		stats.SeedCandidates += len(votes)
 
-		// Verify the best-voted diagonal for each (b, sign) pair.
+		// Verify the best-voted diagonal for each (b, sign) pair. Map
+		// iteration order must not reach the output (a redelivered task
+		// has to rewrite the same bytes): equal votes go to the lower
+		// offset, and pairs are verified in (b, sign) order so overlaps
+		// are appended in one fixed order.
 		best := make(map[[2]int32]seedKey)
 		for k, v := range votes {
 			bk := [2]int32{k.b, int32(k.sign)}
-			if cur, ok := best[bk]; !ok || votes[cur] < v {
+			cur, ok := best[bk]
+			if cv := votes[cur]; !ok || cv < v || (cv == v && k.offset < cur.offset) {
 				best[bk] = k
 			}
 		}
+		picked := make([]seedKey, 0, len(best))
 		for _, k := range best {
+			picked = append(picked, k)
+		}
+		slices.SortFunc(picked, func(x, y seedKey) int {
+			return cmp.Or(cmp.Compare(x.b, y.b), cmp.Compare(x.sign, y.sign))
+		})
+		for _, k := range picked {
 			stats.OverlapsTested++
 			ov, ok := verifyOverlap(reads, a, int(k.b), int(k.sign), int(k.offset), opt)
 			if !ok {

@@ -281,6 +281,33 @@ func TestRunProducesFasta(t *testing.T) {
 	}
 }
 
+// TestRunIsDeterministic pins the idempotent-re-execution argument: a
+// task executed twice (a redelivered message) must write the same
+// output, so Run has to be a function of its input alone. The file has
+// the shape of bench/workloads' cap3_fat tasks (120 reads of a 6 kb
+// genome), where tied seed votes and equal overlap scores occur.
+func TestRunIsDeterministic(t *testing.T) {
+	for seed := int64(1); seed <= 3; seed++ {
+		doc, err := workload.Cap3File(seed, 120, 6000)
+		if err != nil {
+			t.Fatal(err)
+		}
+		first, err := Run(doc, Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i := 1; i < 20; i++ {
+			out, err := Run(doc, Options{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !bytes.Equal(out, first) {
+				t.Fatalf("seed %d: run %d differs from run 0 on the same input", seed, i)
+			}
+		}
+	}
+}
+
 func TestRunRejectsGarbage(t *testing.T) {
 	if _, err := Run([]byte("this is not fasta\n"), Options{}); err == nil {
 		t.Error("garbage input should error")

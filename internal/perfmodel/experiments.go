@@ -4,7 +4,6 @@ import (
 	"time"
 
 	"repro/internal/cloud"
-	"repro/internal/metrics"
 )
 
 // InstanceConfig is one bar of the EC2 instance-type studies, labelled
@@ -454,5 +453,5 @@ func AzureLinearityCheck(app AppModel) []AzureLinearityRow {
 func VariabilityStudy() (awsCV, azureCV float64) {
 	aws := VariabilitySample(ClassicEC2, 7, 24, 21)
 	az := VariabilitySample(ClassicAzure, 7, 24, 22)
-	return metrics.CoefficientOfVariation(aws), metrics.CoefficientOfVariation(az)
+	return CoefficientOfVariation(aws), CoefficientOfVariation(az)
 }

@@ -1,4 +1,4 @@
-package metrics
+package perfmodel
 
 import (
 	"math"
@@ -61,15 +61,6 @@ func TestPerCoreTime(t *testing.T) {
 	}
 }
 
-func TestSequentialTimeInvertsPerCore(t *testing.T) {
-	per := 90 * time.Second
-	n := 128
-	t1 := SequentialTime(per, n)
-	if got := PerCoreTime(t1, 1, n); got != per {
-		t.Errorf("round trip = %v, want %v", got, per)
-	}
-}
-
 func TestMeanStdDev(t *testing.T) {
 	xs := []float64{2, 4, 4, 4, 5, 5, 7, 9}
 	if m := Mean(xs); m != 5 {
@@ -90,41 +81,5 @@ func TestCoefficientOfVariation(t *testing.T) {
 	}
 	if CoefficientOfVariation([]float64{0, 0}) != 0 {
 		t.Error("zero mean should give 0")
-	}
-}
-
-func TestDurations(t *testing.T) {
-	ds := []time.Duration{time.Second, 500 * time.Millisecond}
-	xs := Durations(ds)
-	if xs[0] != 1.0 || xs[1] != 0.5 {
-		t.Errorf("Durations = %v", xs)
-	}
-}
-
-func TestSpeedupCurvePointString(t *testing.T) {
-	p := SpeedupCurvePoint{Cores: 16, Tp: 1500 * time.Millisecond, Efficiency: 0.85}
-	if s := p.String(); s == "" {
-		t.Error("empty String")
-	}
-}
-
-func TestFleetUtilization(t *testing.T) {
-	if got := FleetUtilization(30*time.Minute, time.Hour); got != 0.5 {
-		t.Errorf("FleetUtilization = %v, want 0.5", got)
-	}
-	if got := FleetUtilization(2*time.Hour, time.Hour); got != 1 {
-		t.Errorf("FleetUtilization clamp = %v, want 1", got)
-	}
-	if got := FleetUtilization(time.Hour, 0); got != 0 {
-		t.Errorf("FleetUtilization with zero allocation = %v, want 0", got)
-	}
-}
-
-func TestTasksPerDollar(t *testing.T) {
-	if got := TasksPerDollar(4096, 16.32); got <= 250 || got >= 252 {
-		t.Errorf("TasksPerDollar = %v, want ≈ 251", got)
-	}
-	if got := TasksPerDollar(10, 0); got != 0 {
-		t.Errorf("TasksPerDollar free compute = %v, want 0", got)
 	}
 }

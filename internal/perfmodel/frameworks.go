@@ -9,7 +9,6 @@ import (
 
 	"repro/internal/cloud"
 	"repro/internal/des"
-	"repro/internal/metrics"
 )
 
 // Framework identifies an execution style in the simulator.
@@ -222,8 +221,8 @@ func Simulate(spec RunSpec) Outcome {
 		Makespan:   secs(makespan),
 		Sequential: secs(seq),
 	}
-	out.Efficiency = metrics.ParallelEfficiency(out.Sequential, out.Makespan, spec.TotalCores())
-	out.PerCoreTime = metrics.PerCoreTime(out.Makespan, spec.TotalCores(), spec.NFiles)
+	out.Efficiency = ParallelEfficiency(out.Sequential, out.Makespan, spec.TotalCores())
+	out.PerCoreTime = PerCoreTime(out.Makespan, spec.TotalCores(), spec.NFiles)
 	out.Bill = cloud.ComputeBill(spec.Instance, spec.Instances, out.Makespan)
 	if spec.Framework == ClassicEC2 || spec.Framework == ClassicAzure {
 		// send + receive + delete per task, plus monitor messages: the

@@ -10,6 +10,7 @@ import (
 	"log"
 	"net/http"
 	"net/url"
+	"slices"
 	"strconv"
 	"strings"
 	"sync"
@@ -47,25 +48,24 @@ import (
 // ("job-1%2Ftasks").
 //
 // The transfer endpoint is the privileged admin surface: it is served
-// only when AdminToken is configured AND the request carries it as a
-// bearer token; every other caller gets 403 (ErrNotPrivileged on the
-// client side). Everything else is the public client path.
+// only when AdminTokens is configured AND the request carries one of
+// them as a bearer token; every other caller gets 403 (ErrNotPrivileged
+// on the client side). Everything else is the public client path.
 //
 // Service is any queue.API implementation — a local Service or a
 // shard router — so one handler serves both a single queue node and a
 // sharded front.
 type HTTPHandler struct {
 	Service API
-	// AdminToken provisions the privileged transfer endpoint: requests
-	// must present "Authorization: Bearer <AdminToken>". Empty leaves
-	// the endpoint disabled (always 403) — the privileged surface must
-	// be opted into, never open by default.
-	AdminToken string
-	// AdminTokens extends AdminToken with further accepted tokens, the
-	// rotation mechanism: provision old+new everywhere, switch clients
-	// to the new one, then drop the old — no fleet-wide restart window
-	// in which transfers 403. Order does not matter for acceptance;
-	// clients present exactly one token (by convention the newest).
+	// AdminTokens provisions the privileged transfer endpoint: requests
+	// must present "Authorization: Bearer <token>" with any listed token.
+	// Empty leaves the endpoint disabled (always 403) — the privileged
+	// surface must be opted into, never open by default. More than one
+	// entry is the rotation mechanism: provision old+new everywhere,
+	// switch clients to the new one, then drop the old — no fleet-wide
+	// restart window in which transfers 403. Order does not matter for
+	// acceptance; clients present exactly one token (by convention the
+	// newest).
 	AdminTokens []string
 
 	// WireAddr, when set, is advertised at GET /wire: the address of
@@ -92,8 +92,9 @@ type HTTPHandler struct {
 	// a remote client actually experiences.
 	Metrics *telemetry.Registry
 
-	metOnce sync.Once
-	httpNS  *telemetry.Histogram
+	initOnce sync.Once
+	mux      *http.ServeMux
+	httpNS   *telemetry.Histogram
 }
 
 // wireMessage is the receive-response body.
@@ -104,32 +105,51 @@ type wireMessage struct {
 	Receives int    `json:"receives"`
 }
 
+func toWire(m Message) wireMessage {
+	return wireMessage{ID: m.ID, Body: m.Body, Receipt: m.ReceiptHandle, Receives: m.Receives}
+}
+
+func (wm wireMessage) message() Message {
+	return Message{ID: wm.ID, Body: wm.Body, ReceiptHandle: wm.Receipt, Receives: wm.Receives}
+}
+
+// TokenAccepted reports whether the presented token matches any
+// provisioned admin token — the one check behind both the HTTP transfer
+// endpoint and the wire transfer opcode. Every candidate is compared in
+// constant time with no early exit, so timing reveals neither a match
+// nor which entry matched. No provisioned tokens means nothing is
+// accepted.
+func TokenAccepted(provisioned []string, token string) bool {
+	match := 0
+	for _, t := range provisioned {
+		if t == "" {
+			continue
+		}
+		match |= subtle.ConstantTimeCompare([]byte(token), []byte(t))
+	}
+	return match == 1
+}
+
 // ServeHTTP implements http.Handler: it resolves the request's trace
-// ID, echoes it, times the request, and dispatches through a view of
-// the handler whose Service is trace-scoped when the backend supports
-// it (shard.Router, nested HTTPClient) — that is how the ID survives
-// the client → router → shard chain.
+// ID, echoes it, times the request, and dispatches through the route
+// table built by init.
 func (h *HTTPHandler) ServeHTTP(w http.ResponseWriter, r *http.Request) {
+	h.initOnce.Do(h.init)
 	trace := r.Header.Get(telemetry.TraceHeader)
 	if trace == "" {
 		trace = telemetry.NewTraceID()
 	}
 	w.Header().Set(telemetry.TraceHeader, trace)
 	var start time.Time
-	if h.SlowRequest > 0 || h.Metrics != nil {
+	if h.SlowRequest > 0 || h.httpNS != nil {
 		start = time.Now()
 	}
-	svc := h.Service
-	if ts, ok := svc.(TraceScoper); ok {
-		svc = ts.WithTrace(trace)
-	}
-	h.dispatch(w, r, svc)
+	h.mux.ServeHTTP(w, r)
 	if start.IsZero() {
 		return
 	}
 	elapsed := time.Since(start)
-	if h.Metrics != nil {
-		h.metOnce.Do(func() { h.httpNS = h.Metrics.Histogram("queue_http_ns") })
+	if h.httpNS != nil {
 		h.httpNS.Observe(elapsed)
 	}
 	if h.SlowRequest > 0 && elapsed >= h.SlowRequest {
@@ -141,123 +161,88 @@ func (h *HTTPHandler) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 	}
 }
 
-// dispatch routes one request; svc is the (possibly trace-scoped) view
-// of h.Service every operation goes through.
-func (h *HTTPHandler) dispatch(w http.ResponseWriter, r *http.Request, svc API) {
-	if r.URL.Path == "/requests" {
-		if r.Method != http.MethodGet {
-			http.Error(w, "method not allowed", http.StatusMethodNotAllowed)
-			return
-		}
+// init builds the route table. ServeMux matches on the escaped path, so
+// a queue name containing '/' (a placement group key) or a receipt
+// containing '#' travels as one escaped segment and arrives unescaped
+// in PathValue; a known path with the wrong method answers 405.
+func (h *HTTPHandler) init() {
+	if h.Metrics != nil {
+		h.httpNS = h.Metrics.Histogram("queue_http_ns")
+	}
+	h.mux = http.NewServeMux()
+	route := func(pattern string, op func(svc API, w http.ResponseWriter, r *http.Request)) {
+		h.mux.HandleFunc(pattern, func(w http.ResponseWriter, r *http.Request) {
+			// ServeHTTP put the request's trace ID on the response before
+			// dispatching; every operation goes through a view of
+			// h.Service scoped to it when the backend can carry one
+			// (shard.Router, nested HTTPClient) — that is how the ID
+			// survives the client → router → shard chain.
+			op(WithTrace(h.Service, w.Header().Get(telemetry.TraceHeader)), w, r)
+		})
+	}
+	route("GET /q", serveList)
+	route("GET /q/{$}", serveList)
+	route("GET /requests", func(svc API, w http.ResponseWriter, _ *http.Request) {
 		writeJSON(w, map[string]int64{"requests": svc.APIRequests()})
-		return
-	}
-	if r.URL.Path == "/wire" {
-		if r.Method != http.MethodGet {
-			http.Error(w, "method not allowed", http.StatusMethodNotAllowed)
-			return
-		}
-		if h.WireAddr == "" {
-			http.NotFound(w, r)
-			return
-		}
-		writeJSON(w, map[string]string{"addr": h.WireAddr})
-		return
-	}
-	if r.URL.Path == "/q" || r.URL.Path == "/q/" {
-		if r.Method != http.MethodGet {
-			http.Error(w, "method not allowed", http.StatusMethodNotAllowed)
-			return
-		}
-		writeJSON(w, map[string][]string{"queues": svc.ListQueues()})
-		return
-	}
-	// Parse the escaped path: a queue name containing '/' (a placement
-	// group key) travels as one %2F-escaped segment, which the decoded
-	// r.URL.Path cannot distinguish from a path separator.
-	rest, ok := strings.CutPrefix(r.URL.EscapedPath(), "/q/")
-	if !ok || rest == "" {
-		http.Error(w, "queue: missing queue name", http.StatusBadRequest)
-		return
-	}
-	parts := strings.SplitN(rest, "/", 4)
-	name, err := url.PathUnescape(parts[0])
-	if err != nil || name == "" {
-		http.Error(w, "queue: bad queue name", http.StatusBadRequest)
-		return
-	}
-	unescapeReceipt := func(seg string) (string, bool) {
-		receipt, err := url.PathUnescape(seg)
-		if err != nil {
-			http.Error(w, "queue: bad receipt handle", http.StatusBadRequest)
-			return "", false
-		}
-		return receipt, true
-	}
-	switch {
-	case len(parts) == 1:
-		h.serveQueue(w, r, svc, name)
-	case parts[1] == "count" && len(parts) == 2:
-		h.serveCount(w, r, svc, name)
-	case parts[1] == "requests" && len(parts) == 2:
-		if r.Method != http.MethodGet {
-			http.Error(w, "method not allowed", http.StatusMethodNotAllowed)
-			return
-		}
-		writeJSON(w, map[string]int64{"requests": svc.APIRequestsFor(name)})
-	case parts[1] == "purge" && len(parts) == 2:
-		h.servePurge(w, r, svc, name)
-	case parts[1] == "transfer" && len(parts) == 2:
-		h.serveTransfer(w, r, svc, name)
-	case parts[1] == "messages" && len(parts) == 2:
-		h.serveMessages(w, r, svc, name)
-	case parts[1] == "messages" && len(parts) == 3 && parts[2] == "batch":
-		h.serveSendBatch(w, r, svc, name)
-	case parts[1] == "messages" && len(parts) == 3 && parts[2] == "batchdelete":
-		h.serveDeleteBatch(w, r, svc, name)
-	case parts[1] == "messages" && len(parts) == 3:
-		if receipt, ok := unescapeReceipt(parts[2]); ok {
-			h.serveReceipt(w, r, svc, name, receipt)
-		}
-	case parts[1] == "messages" && len(parts) == 4 && parts[3] == "visibility":
-		if receipt, ok := unescapeReceipt(parts[2]); ok {
-			h.serveVisibility(w, r, svc, name, receipt)
-		}
-	default:
+	})
+	route("GET /wire", h.serveWire)
+	route("PUT /q/{name}", serveCreate)
+	route("DELETE /q/{name}", serveDeleteQueue)
+	route("GET /q/{name}/count", serveCount)
+	route("GET /q/{name}/requests", func(svc API, w http.ResponseWriter, r *http.Request) {
+		writeJSON(w, map[string]int64{"requests": svc.APIRequestsFor(r.PathValue("name"))})
+	})
+	route("POST /q/{name}/purge", servePurge)
+	route("POST /q/{name}/transfer", h.serveTransfer)
+	route("POST /q/{name}/messages", serveSend)
+	route("GET /q/{name}/messages", serveReceive)
+	route("POST /q/{name}/messages/batch", serveSendBatch)
+	route("POST /q/{name}/messages/batchdelete", serveDeleteBatch)
+	route("DELETE /q/{name}/messages/{receipt}", serveDelete)
+	route("POST /q/{name}/messages/{receipt}/visibility", serveVisibility)
+}
+
+func serveList(svc API, w http.ResponseWriter, _ *http.Request) {
+	writeJSON(w, map[string][]string{"queues": svc.ListQueues()})
+}
+
+func (h *HTTPHandler) serveWire(_ API, w http.ResponseWriter, r *http.Request) {
+	if h.WireAddr == "" {
 		http.NotFound(w, r)
-	}
-}
-
-func (h *HTTPHandler) serveQueue(w http.ResponseWriter, r *http.Request, svc API, name string) {
-	switch r.Method {
-	case http.MethodPut:
-		err := svc.CreateQueue(name)
-		if errors.Is(err, ErrQueueExists) {
-			w.WriteHeader(http.StatusOK)
-			return
-		}
-		if err != nil {
-			http.Error(w, err.Error(), http.StatusBadRequest)
-			return
-		}
-		w.WriteHeader(http.StatusCreated)
-	case http.MethodDelete:
-		if err := svc.DeleteQueue(name); err != nil {
-			writeQueueError(w, err)
-			return
-		}
-		w.WriteHeader(http.StatusNoContent)
-	default:
-		http.Error(w, "method not allowed", http.StatusMethodNotAllowed)
-	}
-}
-
-func (h *HTTPHandler) serveCount(w http.ResponseWriter, r *http.Request, svc API, name string) {
-	if r.Method != http.MethodGet {
-		http.Error(w, "method not allowed", http.StatusMethodNotAllowed)
 		return
 	}
-	visible, inflight, err := svc.ApproximateCount(name)
+	writeJSON(w, map[string]string{"addr": h.WireAddr})
+}
+
+func serveCreate(svc API, w http.ResponseWriter, r *http.Request) {
+	err := svc.CreateQueue(r.PathValue("name"))
+	if errors.Is(err, ErrQueueExists) {
+		w.WriteHeader(http.StatusOK)
+		return
+	}
+	if err != nil {
+		http.Error(w, err.Error(), http.StatusBadRequest)
+		return
+	}
+	w.WriteHeader(http.StatusCreated)
+}
+
+// noContent answers an operation that returns only an error: 204 on
+// success, the sentinel's status otherwise.
+func noContent(w http.ResponseWriter, err error) {
+	if err != nil {
+		writeQueueError(w, err)
+		return
+	}
+	w.WriteHeader(http.StatusNoContent)
+}
+
+func serveDeleteQueue(svc API, w http.ResponseWriter, r *http.Request) {
+	noContent(w, svc.DeleteQueue(r.PathValue("name")))
+}
+
+func serveCount(svc API, w http.ResponseWriter, r *http.Request) {
+	visible, inflight, err := svc.ApproximateCount(r.PathValue("name"))
 	if err != nil {
 		writeQueueError(w, err)
 		return
@@ -266,29 +251,17 @@ func (h *HTTPHandler) serveCount(w http.ResponseWriter, r *http.Request, svc API
 }
 
 // servePurge drops every message in the queue.
-func (h *HTTPHandler) servePurge(w http.ResponseWriter, r *http.Request, svc API, name string) {
-	if r.Method != http.MethodPost {
-		http.Error(w, "method not allowed", http.StatusMethodNotAllowed)
-		return
-	}
-	if err := svc.Purge(name); err != nil {
-		writeQueueError(w, err)
-		return
-	}
-	w.WriteHeader(http.StatusNoContent)
+func servePurge(svc API, w http.ResponseWriter, r *http.Request) {
+	noContent(w, svc.Purge(r.PathValue("name")))
 }
 
 // serveTransfer is the privileged count-preserving enqueue the shard
-// migration machinery uses. It requires the handler's admin token; the
-// Service must implement Transferrer (every in-tree implementation
-// does).
-func (h *HTTPHandler) serveTransfer(w http.ResponseWriter, r *http.Request, svc API, name string) {
-	if r.Method != http.MethodPost {
-		http.Error(w, "method not allowed", http.StatusMethodNotAllowed)
-		return
-	}
+// migration machinery uses. It requires one of the handler's admin
+// tokens; the Service must implement Transferrer (every in-tree
+// implementation does).
+func (h *HTTPHandler) serveTransfer(svc API, w http.ResponseWriter, r *http.Request) {
 	token, ok := strings.CutPrefix(r.Header.Get("Authorization"), "Bearer ")
-	if !ok || !h.tokenAccepted(token) {
+	if !ok || !TokenAccepted(h.AdminTokens, token) {
 		// One answer for "endpoint not provisioned", "no token", and
 		// "wrong token": the caller learns only that it is not
 		// privileged, not which secret would have worked.
@@ -307,7 +280,12 @@ func (h *HTTPHandler) serveTransfer(w http.ResponseWriter, r *http.Request, svc 
 		http.Error(w, "queue: bad transfer body: "+err.Error(), http.StatusBadRequest)
 		return
 	}
-	ids, err := tr.TransferInBatch(name, in.Items)
+	ids, err := tr.TransferInBatch(r.PathValue("name"), in.Items)
+	writeIDs(w, ids, err)
+}
+
+// writeIDs answers a batch enqueue: 201 with the new message ids.
+func writeIDs(w http.ResponseWriter, ids []string, err error) {
 	if err != nil {
 		writeQueueError(w, err)
 		return
@@ -316,101 +294,83 @@ func (h *HTTPHandler) serveTransfer(w http.ResponseWriter, r *http.Request, svc 
 	writeJSON(w, map[string][]string{"ids": ids})
 }
 
-// tokenAccepted reports whether the presented bearer token matches any
-// provisioned admin token (AdminToken plus the AdminTokens rotation
-// list). Every candidate is compared in constant time with no early
-// exit, so timing reveals neither a match nor which entry matched. No
-// provisioned tokens means nothing is accepted.
-func (h *HTTPHandler) tokenAccepted(token string) bool {
-	match := 0
-	if h.AdminToken != "" {
-		match |= subtle.ConstantTimeCompare([]byte(token), []byte(h.AdminToken))
+func serveSend(svc API, w http.ResponseWriter, r *http.Request) {
+	body, err := io.ReadAll(r.Body)
+	if err != nil {
+		http.Error(w, err.Error(), http.StatusBadRequest)
+		return
 	}
-	for _, t := range h.AdminTokens {
-		if t == "" {
-			continue
-		}
-		match |= subtle.ConstantTimeCompare([]byte(token), []byte(t))
+	id, err := svc.SendMessage(r.PathValue("name"), body)
+	if err != nil {
+		writeQueueError(w, err)
+		return
 	}
-	return match == 1
+	w.WriteHeader(http.StatusCreated)
+	writeJSON(w, map[string]string{"id": id})
 }
 
-func (h *HTTPHandler) serveMessages(w http.ResponseWriter, r *http.Request, svc API, name string) {
-	switch r.Method {
-	case http.MethodPost:
-		body, err := io.ReadAll(r.Body)
+// queryDuration parses an optional duration query parameter (absent = 0),
+// answering 400 itself when it does not parse.
+func queryDuration(w http.ResponseWriter, r *http.Request, key string) (time.Duration, bool) {
+	v := r.URL.Query().Get(key)
+	if v == "" {
+		return 0, true
+	}
+	d, err := time.ParseDuration(v)
+	if err != nil {
+		http.Error(w, "queue: bad "+key+": "+err.Error(), http.StatusBadRequest)
+		return 0, false
+	}
+	return d, true
+}
+
+// serveReceive is the single, long-poll, and (with max) batch receive.
+func serveReceive(svc API, w http.ResponseWriter, r *http.Request) {
+	name := r.PathValue("name")
+	visibility, ok := queryDuration(w, r, "visibility")
+	if !ok {
+		return
+	}
+	wait, ok := queryDuration(w, r, "wait")
+	if !ok {
+		return
+	}
+	if v := r.URL.Query().Get("max"); v != "" {
+		max, err := strconv.Atoi(v)
 		if err != nil {
-			http.Error(w, err.Error(), http.StatusBadRequest)
+			http.Error(w, "queue: bad max: "+err.Error(), http.StatusBadRequest)
 			return
 		}
-		id, err := svc.SendMessage(name, body)
-		if err != nil {
-			writeQueueError(w, err)
-			return
-		}
-		w.WriteHeader(http.StatusCreated)
-		writeJSON(w, map[string]string{"id": id})
-	case http.MethodGet:
-		var visibility, wait time.Duration
-		if v := r.URL.Query().Get("visibility"); v != "" {
-			d, err := time.ParseDuration(v)
-			if err != nil {
-				http.Error(w, "queue: bad visibility: "+err.Error(), http.StatusBadRequest)
-				return
-			}
-			visibility = d
-		}
-		if v := r.URL.Query().Get("wait"); v != "" {
-			d, err := time.ParseDuration(v)
-			if err != nil {
-				http.Error(w, "queue: bad wait: "+err.Error(), http.StatusBadRequest)
-				return
-			}
-			wait = d
-		}
-		if v := r.URL.Query().Get("max"); v != "" {
-			max, err := strconv.Atoi(v)
-			if err != nil {
-				http.Error(w, "queue: bad max: "+err.Error(), http.StatusBadRequest)
-				return
-			}
-			msgs, err := svc.ReceiveMessageBatch(name, visibility, max, wait)
-			if err != nil {
-				writeQueueError(w, err)
-				return
-			}
-			if len(msgs) == 0 {
-				w.WriteHeader(http.StatusNoContent)
-				return
-			}
-			out := make([]wireMessage, len(msgs))
-			for i, m := range msgs {
-				out[i] = wireMessage{ID: m.ID, Body: m.Body, Receipt: m.ReceiptHandle, Receives: m.Receives}
-			}
-			writeJSON(w, map[string][]wireMessage{"messages": out})
-			return
-		}
-		m, ok, err := svc.ReceiveMessageWait(name, visibility, wait)
+		msgs, err := svc.ReceiveMessageBatch(name, visibility, max, wait)
 		if err != nil {
 			writeQueueError(w, err)
 			return
 		}
-		if !ok {
+		if len(msgs) == 0 {
 			w.WriteHeader(http.StatusNoContent)
 			return
 		}
-		writeJSON(w, wireMessage{ID: m.ID, Body: m.Body, Receipt: m.ReceiptHandle, Receives: m.Receives})
-	default:
-		http.Error(w, "method not allowed", http.StatusMethodNotAllowed)
+		out := make([]wireMessage, len(msgs))
+		for i, m := range msgs {
+			out[i] = toWire(m)
+		}
+		writeJSON(w, map[string][]wireMessage{"messages": out})
+		return
 	}
+	m, ok, err := svc.ReceiveMessageWait(name, visibility, wait)
+	if err != nil {
+		writeQueueError(w, err)
+		return
+	}
+	if !ok {
+		w.WriteHeader(http.StatusNoContent)
+		return
+	}
+	writeJSON(w, toWire(m))
 }
 
 // serveSendBatch enqueues up to MaxBatch bodies as one billed request.
-func (h *HTTPHandler) serveSendBatch(w http.ResponseWriter, r *http.Request, svc API, name string) {
-	if r.Method != http.MethodPost {
-		http.Error(w, "method not allowed", http.StatusMethodNotAllowed)
-		return
-	}
+func serveSendBatch(svc API, w http.ResponseWriter, r *http.Request) {
 	var in struct {
 		Bodies [][]byte `json:"bodies"`
 	}
@@ -418,23 +378,14 @@ func (h *HTTPHandler) serveSendBatch(w http.ResponseWriter, r *http.Request, svc
 		http.Error(w, "queue: bad batch body: "+err.Error(), http.StatusBadRequest)
 		return
 	}
-	ids, err := svc.SendMessageBatch(name, in.Bodies)
-	if err != nil {
-		writeQueueError(w, err)
-		return
-	}
-	w.WriteHeader(http.StatusCreated)
-	writeJSON(w, map[string][]string{"ids": ids})
+	ids, err := svc.SendMessageBatch(r.PathValue("name"), in.Bodies)
+	writeIDs(w, ids, err)
 }
 
 // serveDeleteBatch acknowledges up to MaxBatch receipts as one billed
 // request. The response carries one error string per entry ("" = ok) so
 // partial failures are visible without failing the call.
-func (h *HTTPHandler) serveDeleteBatch(w http.ResponseWriter, r *http.Request, svc API, name string) {
-	if r.Method != http.MethodPost {
-		http.Error(w, "method not allowed", http.StatusMethodNotAllowed)
-		return
-	}
+func serveDeleteBatch(svc API, w http.ResponseWriter, r *http.Request) {
 	var in struct {
 		Receipts []string `json:"receipts"`
 	}
@@ -442,7 +393,7 @@ func (h *HTTPHandler) serveDeleteBatch(w http.ResponseWriter, r *http.Request, s
 		http.Error(w, "queue: bad batch body: "+err.Error(), http.StatusBadRequest)
 		return
 	}
-	results, err := svc.DeleteMessageBatch(name, in.Receipts)
+	results, err := svc.DeleteMessageBatch(r.PathValue("name"), in.Receipts)
 	if err != nil {
 		writeQueueError(w, err)
 		return
@@ -466,33 +417,17 @@ func (h *HTTPHandler) serveDeleteBatch(w http.ResponseWriter, r *http.Request, s
 // delete responses.
 const staleReceiptCode = "stale"
 
-func (h *HTTPHandler) serveReceipt(w http.ResponseWriter, r *http.Request, svc API, name, receipt string) {
-	if r.Method != http.MethodDelete {
-		http.Error(w, "method not allowed", http.StatusMethodNotAllowed)
-		return
-	}
-	if err := svc.DeleteMessage(name, receipt); err != nil {
-		writeQueueError(w, err)
-		return
-	}
-	w.WriteHeader(http.StatusNoContent)
+func serveDelete(svc API, w http.ResponseWriter, r *http.Request) {
+	noContent(w, svc.DeleteMessage(r.PathValue("name"), r.PathValue("receipt")))
 }
 
-func (h *HTTPHandler) serveVisibility(w http.ResponseWriter, r *http.Request, svc API, name, receipt string) {
-	if r.Method != http.MethodPost {
-		http.Error(w, "method not allowed", http.StatusMethodNotAllowed)
-		return
-	}
+func serveVisibility(svc API, w http.ResponseWriter, r *http.Request) {
 	d, err := time.ParseDuration(r.URL.Query().Get("d"))
 	if err != nil {
 		http.Error(w, "queue: bad duration: "+err.Error(), http.StatusBadRequest)
 		return
 	}
-	if err := svc.ChangeVisibility(name, receipt, d); err != nil {
-		writeQueueError(w, err)
-		return
-	}
-	w.WriteHeader(http.StatusNoContent)
+	noContent(w, svc.ChangeVisibility(r.PathValue("name"), r.PathValue("receipt"), d))
 }
 
 func writeQueueError(w http.ResponseWriter, err error) {
@@ -557,34 +492,54 @@ func (c *HTTPClient) httpClient() *http.Client {
 	return httpx.Client
 }
 
-// do sends a request, stamping the trace header first. Every outgoing
-// request of the client funnels through here so no hop drops the ID.
-func (c *HTTPClient) do(req *http.Request) (*http.Response, error) {
-	if c.TraceID != "" {
-		req.Header.Set(telemetry.TraceHeader, c.TraceID)
+// call is the client's one request path, so no hop drops the trace ID or
+// the token: it sends body (nil for none, a []byte verbatim, anything
+// else as JSON) stamped with the trace header and the admin bearer
+// token when the client has them, maps a status outside want to the
+// sentinel it encodes (statusErr), and decodes a JSON answer into out
+// when out is non-nil and the response has a body. It returns the
+// status so a caller with two good answers can tell them apart.
+func (c *HTTPClient) call(method, url string, body, out any, want ...int) (int, error) {
+	var rd io.Reader
+	var contentType string
+	switch b := body.(type) {
+	case nil:
+	case []byte:
+		rd, contentType = bytes.NewReader(b), "application/octet-stream"
+	default:
+		payload, err := json.Marshal(b)
+		if err != nil {
+			return 0, err
+		}
+		rd, contentType = bytes.NewReader(payload), "application/json"
 	}
-	return c.httpClient().Do(req)
-}
-
-// get is http.Client.Get through do.
-func (c *HTTPClient) get(url string) (*http.Response, error) {
-	req, err := http.NewRequest(http.MethodGet, url, nil)
+	req, err := http.NewRequest(method, url, rd)
 	if err != nil {
-		return nil, err
-	}
-	return c.do(req)
-}
-
-// post is http.Client.Post through do.
-func (c *HTTPClient) post(url, contentType string, body io.Reader) (*http.Response, error) {
-	req, err := http.NewRequest(http.MethodPost, url, body)
-	if err != nil {
-		return nil, err
+		return 0, err
 	}
 	if contentType != "" {
 		req.Header.Set("Content-Type", contentType)
 	}
-	return c.do(req)
+	if c.TraceID != "" {
+		req.Header.Set(telemetry.TraceHeader, c.TraceID)
+	}
+	if c.AdminToken != "" {
+		req.Header.Set("Authorization", "Bearer "+c.AdminToken)
+	}
+	resp, err := c.httpClient().Do(req)
+	if err != nil {
+		return 0, err
+	}
+	defer resp.Body.Close()
+	if !slices.Contains(want, resp.StatusCode) {
+		return resp.StatusCode, statusErr(method, url, resp)
+	}
+	if out != nil && resp.StatusCode != http.StatusNoContent {
+		if err := json.NewDecoder(resp.Body).Decode(out); err != nil {
+			return resp.StatusCode, err
+		}
+	}
+	return resp.StatusCode, nil
 }
 
 // qURL builds the base URL of one queue, path-escaping the name so a
@@ -593,70 +548,47 @@ func (c *HTTPClient) qURL(name string) string {
 	return c.BaseURL + "/q/" + url.PathEscape(name)
 }
 
+// receiptURL builds the URL of one leased message; the receipt is
+// path-escaped for the same reason the name is (a router-wrapped receipt
+// embeds the queue name and a '#').
+func (c *HTTPClient) receiptURL(name, receipt string) string {
+	return c.qURL(name) + "/messages/" + url.PathEscape(receipt)
+}
+
 // statusErr converts a failed response into an error wrapping the
 // sentinel the status code encodes, so errors.Is(err, ErrNoSuchQueue)
 // and errors.Is(err, ErrStaleReceipt) hold across the HTTP boundary.
-func statusErr(op, name string, resp *http.Response) error {
+func statusErr(method, url string, resp *http.Response) error {
 	switch resp.StatusCode {
 	case http.StatusNotFound:
-		return fmt.Errorf("queue: %s %s: %w", op, name, ErrNoSuchQueue)
+		return fmt.Errorf("queue: %s %s: %w", method, url, ErrNoSuchQueue)
 	case http.StatusConflict:
-		return fmt.Errorf("queue: %s %s: %w", op, name, ErrStaleReceipt)
+		return fmt.Errorf("queue: %s %s: %w", method, url, ErrStaleReceipt)
 	case http.StatusForbidden:
-		return fmt.Errorf("queue: %s %s: %w", op, name, ErrNotPrivileged)
+		return fmt.Errorf("queue: %s %s: %w", method, url, ErrNotPrivileged)
 	}
-	return fmt.Errorf("queue: %s %s: %s", op, name, resp.Status)
+	return fmt.Errorf("queue: %s %s: %s", method, url, resp.Status)
 }
 
 // CreateQueue creates (idempotently) a queue.
 func (c *HTTPClient) CreateQueue(name string) error {
-	req, err := http.NewRequest(http.MethodPut, c.qURL(name), nil)
-	if err != nil {
-		return err
-	}
-	resp, err := c.do(req)
-	if err != nil {
-		return err
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusCreated && resp.StatusCode != http.StatusOK {
-		return statusErr("create", name, resp)
-	}
-	return nil
+	_, err := c.call(http.MethodPut, c.qURL(name), nil, nil, http.StatusCreated, http.StatusOK)
+	return err
 }
 
 // DeleteQueue removes a queue and its messages.
 func (c *HTTPClient) DeleteQueue(name string) error {
-	req, err := http.NewRequest(http.MethodDelete, c.qURL(name), nil)
-	if err != nil {
-		return err
-	}
-	resp, err := c.do(req)
-	if err != nil {
-		return err
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusNoContent {
-		return statusErr("delete queue", name, resp)
-	}
-	return nil
+	_, err := c.call(http.MethodDelete, c.qURL(name), nil, nil, http.StatusNoContent)
+	return err
 }
 
 // ListQueues returns the queue names, or nil when the request fails
 // (the interface carries no error return, matching Service).
 func (c *HTTPClient) ListQueues() []string {
-	resp, err := c.get(c.BaseURL + "/q")
-	if err != nil {
-		return nil
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		return nil
-	}
 	var out struct {
 		Queues []string `json:"queues"`
 	}
-	if err := json.NewDecoder(resp.Body).Decode(&out); err != nil {
+	if _, err := c.call(http.MethodGet, c.BaseURL+"/q", nil, &out, http.StatusOK); err != nil {
 		return nil
 	}
 	return out.Queues
@@ -664,19 +596,11 @@ func (c *HTTPClient) ListQueues() []string {
 
 // ApproximateCount reports visible and in-flight message counts.
 func (c *HTTPClient) ApproximateCount(name string) (visible, inflight int, err error) {
-	resp, err := c.get(c.qURL(name) + "/count")
-	if err != nil {
-		return 0, 0, err
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		return 0, 0, statusErr("count", name, resp)
-	}
 	var out struct {
 		Visible  int `json:"visible"`
 		Inflight int `json:"inflight"`
 	}
-	if err := json.NewDecoder(resp.Body).Decode(&out); err != nil {
+	if _, err := c.call(http.MethodGet, c.qURL(name)+"/count", nil, &out, http.StatusOK); err != nil {
 		return 0, 0, err
 	}
 	return out.Visible, out.Inflight, nil
@@ -684,172 +608,112 @@ func (c *HTTPClient) ApproximateCount(name string) (visible, inflight int, err e
 
 // Purge removes every message from a queue.
 func (c *HTTPClient) Purge(name string) error {
-	resp, err := c.post(c.qURL(name)+"/purge", "", nil)
-	if err != nil {
-		return err
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusNoContent {
-		return statusErr("purge", name, resp)
-	}
-	return nil
+	_, err := c.call(http.MethodPost, c.qURL(name)+"/purge", nil, nil, http.StatusNoContent)
+	return err
 }
 
 // ChangeVisibility extends or shrinks an in-flight message's lease.
 func (c *HTTPClient) ChangeVisibility(name, receipt string, d time.Duration) error {
-	resp, err := c.post(
-		c.qURL(name)+"/messages/"+url.PathEscape(receipt)+"/visibility?d="+url.QueryEscape(d.String()), "", nil)
-	if err != nil {
-		return err
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusNoContent {
-		return statusErr("change visibility", name, resp)
-	}
-	return nil
+	u := c.receiptURL(name, receipt) + "/visibility?d=" + url.QueryEscape(d.String())
+	_, err := c.call(http.MethodPost, u, nil, nil, http.StatusNoContent)
+	return err
 }
 
 // requests reads a billed-request counter endpoint, 0 on any failure
 // (the interface carries no error return, matching Service).
-func (c *HTTPClient) requests(path string) int64 {
-	resp, err := c.get(c.BaseURL + path)
-	if err != nil {
-		return 0
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		return 0
-	}
+func (c *HTTPClient) requests(url string) int64 {
 	var out struct {
 		Requests int64 `json:"requests"`
 	}
-	if err := json.NewDecoder(resp.Body).Decode(&out); err != nil {
+	if _, err := c.call(http.MethodGet, url, nil, &out, http.StatusOK); err != nil {
 		return 0
 	}
 	return out.Requests
 }
 
 // APIRequests returns the remote service's total billed API calls.
-func (c *HTTPClient) APIRequests() int64 { return c.requests("/requests") }
+func (c *HTTPClient) APIRequests() int64 { return c.requests(c.BaseURL + "/requests") }
 
 // APIRequestsFor returns the billed API calls addressed to one queue.
-func (c *HTTPClient) APIRequestsFor(name string) int64 {
-	return c.requests("/q/" + url.PathEscape(name) + "/requests")
-}
+func (c *HTTPClient) APIRequestsFor(name string) int64 { return c.requests(c.qURL(name) + "/requests") }
 
-// Send enqueues a message and returns its id.
-func (c *HTTPClient) Send(name string, body []byte) (string, error) {
-	resp, err := c.post(c.qURL(name)+"/messages", "application/octet-stream",
-		strings.NewReader(string(body)))
-	if err != nil {
-		return "", err
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusCreated {
-		return "", statusErr("send to", name, resp)
-	}
-	var out map[string]string
-	if err := json.NewDecoder(resp.Body).Decode(&out); err != nil {
-		return "", err
-	}
-	return out["id"], nil
-}
-
-// Receive pops a message; ok is false when the queue has nothing visible.
-func (c *HTTPClient) Receive(name string, visibility time.Duration) (Message, bool, error) {
-	return c.ReceiveWait(name, visibility, 0)
-}
-
-// ReceiveWait long-polls for up to wait before returning empty.
-func (c *HTTPClient) ReceiveWait(name string, visibility, wait time.Duration) (Message, bool, error) {
-	q := url.Values{}
-	if visibility > 0 {
-		q.Set("visibility", visibility.String())
-	}
-	if wait > 0 {
-		q.Set("wait", wait.String())
-	}
-	url := c.qURL(name) + "/messages"
-	if enc := q.Encode(); enc != "" {
-		url += "?" + enc
-	}
-	resp, err := c.get(url)
-	if err != nil {
-		return Message{}, false, err
-	}
-	defer resp.Body.Close()
-	switch resp.StatusCode {
-	case http.StatusNoContent:
-		return Message{}, false, nil
-	case http.StatusOK:
-		var wm wireMessage
-		if err := json.NewDecoder(resp.Body).Decode(&wm); err != nil {
-			return Message{}, false, err
-		}
-		return Message{ID: wm.ID, Body: wm.Body, ReceiptHandle: wm.Receipt, Receives: wm.Receives}, true, nil
-	default:
-		return Message{}, false, statusErr("receive from", name, resp)
-	}
-}
-
-// ReceiveBatch receives up to max messages in one request, long-polling
-// up to wait. An empty slice means nothing became visible in time.
-func (c *HTTPClient) ReceiveBatch(name string, visibility time.Duration, max int, wait time.Duration) ([]Message, error) {
-	q := url.Values{}
-	q.Set("max", strconv.Itoa(max))
-	if visibility > 0 {
-		q.Set("visibility", visibility.String())
-	}
-	if wait > 0 {
-		q.Set("wait", wait.String())
-	}
-	resp, err := c.get(c.qURL(name) + "/messages?" + q.Encode())
-	if err != nil {
-		return nil, err
-	}
-	defer resp.Body.Close()
-	switch resp.StatusCode {
-	case http.StatusNoContent:
-		return nil, nil
-	case http.StatusOK:
-		var out struct {
-			Messages []wireMessage `json:"messages"`
-		}
-		if err := json.NewDecoder(resp.Body).Decode(&out); err != nil {
-			return nil, err
-		}
-		msgs := make([]Message, len(out.Messages))
-		for i, wm := range out.Messages {
-			msgs[i] = Message{ID: wm.ID, Body: wm.Body, ReceiptHandle: wm.Receipt, Receives: wm.Receives}
-		}
-		return msgs, nil
-	default:
-		return nil, statusErr("batch receive from", name, resp)
-	}
-}
-
-// SendBatch enqueues up to MaxBatch bodies as one billed request.
-func (c *HTTPClient) SendBatch(name string, bodies [][]byte) ([]string, error) {
-	payload, err := json.Marshal(map[string][][]byte{"bodies": bodies})
-	if err != nil {
-		return nil, err
-	}
-	resp, err := c.post(c.qURL(name)+"/messages/batch",
-		"application/json", bytes.NewReader(payload))
-	if err != nil {
-		return nil, err
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusCreated {
-		return nil, statusErr("batch send to", name, resp)
-	}
+// SendMessage enqueues a message and returns its id.
+func (c *HTTPClient) SendMessage(name string, body []byte) (string, error) {
 	var out struct {
-		IDs []string `json:"ids"`
+		ID string `json:"id"`
 	}
-	if err := json.NewDecoder(resp.Body).Decode(&out); err != nil {
+	if _, err := c.call(http.MethodPost, c.qURL(name)+"/messages", body, &out, http.StatusCreated); err != nil {
+		return "", err
+	}
+	return out.ID, nil
+}
+
+// idsOut is the answer of every batch enqueue.
+type idsOut struct {
+	IDs []string `json:"ids"`
+}
+
+// SendMessageBatch enqueues up to MaxBatch bodies as one billed request.
+func (c *HTTPClient) SendMessageBatch(name string, bodies [][]byte) ([]string, error) {
+	var out idsOut
+	in := map[string][][]byte{"bodies": bodies}
+	if _, err := c.call(http.MethodPost, c.qURL(name)+"/messages/batch", in, &out, http.StatusCreated); err != nil {
 		return nil, err
 	}
 	return out.IDs, nil
+}
+
+// receiveURL builds a receive request: q carries "max" for the batch
+// form and is empty for the single-message one.
+func (c *HTTPClient) receiveURL(name string, q url.Values, visibility, wait time.Duration) string {
+	if visibility > 0 {
+		q.Set("visibility", visibility.String())
+	}
+	if wait > 0 {
+		q.Set("wait", wait.String())
+	}
+	u := c.qURL(name) + "/messages"
+	if enc := q.Encode(); enc != "" {
+		u += "?" + enc
+	}
+	return u
+}
+
+// ReceiveMessage pops a message; ok is false when the queue has nothing
+// visible.
+func (c *HTTPClient) ReceiveMessage(name string, visibility time.Duration) (Message, bool, error) {
+	return c.ReceiveMessageWait(name, visibility, 0)
+}
+
+// ReceiveMessageWait long-polls for up to wait before returning empty.
+func (c *HTTPClient) ReceiveMessageWait(name string, visibility, wait time.Duration) (Message, bool, error) {
+	var wm wireMessage
+	status, err := c.call(http.MethodGet, c.receiveURL(name, url.Values{}, visibility, wait), nil, &wm,
+		http.StatusOK, http.StatusNoContent)
+	if err != nil || status == http.StatusNoContent {
+		return Message{}, false, err
+	}
+	return wm.message(), true, nil
+}
+
+// ReceiveMessageBatch receives up to max messages in one request,
+// long-polling up to wait. An empty slice means nothing became visible
+// in time.
+func (c *HTTPClient) ReceiveMessageBatch(name string, visibility time.Duration, max int, wait time.Duration) ([]Message, error) {
+	var out struct {
+		Messages []wireMessage `json:"messages"`
+	}
+	q := url.Values{"max": {strconv.Itoa(max)}}
+	status, err := c.call(http.MethodGet, c.receiveURL(name, q, visibility, wait), nil, &out,
+		http.StatusOK, http.StatusNoContent)
+	if err != nil || status == http.StatusNoContent {
+		return nil, err
+	}
+	msgs := make([]Message, len(out.Messages))
+	for i, wm := range out.Messages {
+		msgs[i] = wm.message()
+	}
+	return msgs, nil
 }
 
 // TransferIn enqueues one message with its prior delivery count
@@ -879,53 +743,22 @@ func (c *HTTPClient) TransferInBatch(name string, items []TransferItem) ([]strin
 	if c.AdminToken == "" {
 		return nil, fmt.Errorf("queue: transfer into %s: client has no admin token: %w", name, ErrNotPrivileged)
 	}
-	payload, err := json.Marshal(map[string][]TransferItem{"items": items})
-	if err != nil {
-		return nil, err
-	}
-	req, err := http.NewRequest(http.MethodPost, c.qURL(name)+"/transfer", bytes.NewReader(payload))
-	if err != nil {
-		return nil, err
-	}
-	req.Header.Set("Content-Type", "application/json")
-	req.Header.Set("Authorization", "Bearer "+c.AdminToken)
-	resp, err := c.do(req)
-	if err != nil {
-		return nil, err
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusCreated {
-		return nil, statusErr("transfer into", name, resp)
-	}
-	var out struct {
-		IDs []string `json:"ids"`
-	}
-	if err := json.NewDecoder(resp.Body).Decode(&out); err != nil {
+	var out idsOut
+	in := map[string][]TransferItem{"items": items}
+	if _, err := c.call(http.MethodPost, c.qURL(name)+"/transfer", in, &out, http.StatusCreated); err != nil {
 		return nil, err
 	}
 	return out.IDs, nil
 }
 
-// DeleteBatch acknowledges up to MaxBatch receipts as one billed
+// DeleteMessageBatch acknowledges up to MaxBatch receipts as one billed
 // request, returning one error per entry (nil = deleted).
-func (c *HTTPClient) DeleteBatch(name string, receipts []string) ([]error, error) {
-	payload, err := json.Marshal(map[string][]string{"receipts": receipts})
-	if err != nil {
-		return nil, err
-	}
-	resp, err := c.post(c.qURL(name)+"/messages/batchdelete",
-		"application/json", bytes.NewReader(payload))
-	if err != nil {
-		return nil, err
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		return nil, statusErr("batch delete in", name, resp)
-	}
+func (c *HTTPClient) DeleteMessageBatch(name string, receipts []string) ([]error, error) {
 	var out struct {
 		Errors []string `json:"errors"`
 	}
-	if err := json.NewDecoder(resp.Body).Decode(&out); err != nil {
+	in := map[string][]string{"receipts": receipts}
+	if _, err := c.call(http.MethodPost, c.qURL(name)+"/messages/batchdelete", in, &out, http.StatusOK); err != nil {
 		return nil, err
 	}
 	results := make([]error, len(out.Errors))
@@ -941,53 +774,8 @@ func (c *HTTPClient) DeleteBatch(name string, receipts []string) ([]error, error
 	return results, nil
 }
 
-// Delete acknowledges a message by receipt handle.
-func (c *HTTPClient) Delete(name, receipt string) error {
-	req, err := http.NewRequest(http.MethodDelete, c.qURL(name)+"/messages/"+url.PathEscape(receipt), nil)
-	if err != nil {
-		return err
-	}
-	resp, err := c.do(req)
-	if err != nil {
-		return err
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusNoContent {
-		return statusErr("delete in", name, resp)
-	}
-	return nil
-}
-
-// The remaining methods alias the client's historical names onto the
-// queue.API method set, so *HTTPClient is a drop-in queue.API.
-
-// SendMessage is Send under its queue.API name.
-func (c *HTTPClient) SendMessage(name string, body []byte) (string, error) { return c.Send(name, body) }
-
-// SendMessageBatch is SendBatch under its queue.API name.
-func (c *HTTPClient) SendMessageBatch(name string, bodies [][]byte) ([]string, error) {
-	return c.SendBatch(name, bodies)
-}
-
-// ReceiveMessage is Receive under its queue.API name.
-func (c *HTTPClient) ReceiveMessage(name string, visibility time.Duration) (Message, bool, error) {
-	return c.Receive(name, visibility)
-}
-
-// ReceiveMessageWait is ReceiveWait under its queue.API name.
-func (c *HTTPClient) ReceiveMessageWait(name string, visibility, wait time.Duration) (Message, bool, error) {
-	return c.ReceiveWait(name, visibility, wait)
-}
-
-// ReceiveMessageBatch is ReceiveBatch under its queue.API name.
-func (c *HTTPClient) ReceiveMessageBatch(name string, visibility time.Duration, max int, wait time.Duration) ([]Message, error) {
-	return c.ReceiveBatch(name, visibility, max, wait)
-}
-
-// DeleteMessage is Delete under its queue.API name.
-func (c *HTTPClient) DeleteMessage(name, receipt string) error { return c.Delete(name, receipt) }
-
-// DeleteMessageBatch is DeleteBatch under its queue.API name.
-func (c *HTTPClient) DeleteMessageBatch(name string, receipts []string) ([]error, error) {
-	return c.DeleteBatch(name, receipts)
+// DeleteMessage acknowledges a message by receipt handle.
+func (c *HTTPClient) DeleteMessage(name, receipt string) error {
+	_, err := c.call(http.MethodDelete, c.receiptURL(name, receipt), nil, nil, http.StatusNoContent)
+	return err
 }

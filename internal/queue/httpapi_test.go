@@ -25,24 +25,24 @@ func TestHTTPSendReceiveDelete(t *testing.T) {
 	if err := c.CreateQueue("tasks"); err != nil {
 		t.Fatalf("idempotent create: %v", err)
 	}
-	id, err := c.Send("tasks", []byte("payload"))
+	id, err := c.SendMessage("tasks", []byte("payload"))
 	if err != nil {
 		t.Fatal(err)
 	}
 	if id == "" {
 		t.Error("empty id")
 	}
-	m, ok, err := c.Receive("tasks", time.Minute)
+	m, ok, err := c.ReceiveMessage("tasks", time.Minute)
 	if err != nil || !ok {
 		t.Fatalf("receive: %v ok=%v", err, ok)
 	}
 	if string(m.Body) != "payload" {
 		t.Errorf("body = %q", m.Body)
 	}
-	if err := c.Delete("tasks", m.ReceiptHandle); err != nil {
+	if err := c.DeleteMessage("tasks", m.ReceiptHandle); err != nil {
 		t.Fatal(err)
 	}
-	if _, ok, _ := c.Receive("tasks", time.Minute); ok {
+	if _, ok, _ := c.ReceiveMessage("tasks", time.Minute); ok {
 		t.Error("deleted message redelivered")
 	}
 }
@@ -50,7 +50,7 @@ func TestHTTPSendReceiveDelete(t *testing.T) {
 func TestHTTPEmptyReceiveIs204(t *testing.T) {
 	c, _ := newHTTPQueue(t, nil)
 	c.CreateQueue("empty")
-	_, ok, err := c.Receive("empty", 0)
+	_, ok, err := c.ReceiveMessage("empty", 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -63,16 +63,16 @@ func TestHTTPVisibilityTimeoutOverWire(t *testing.T) {
 	clock := NewFakeClock(time.Unix(0, 0))
 	c, _ := newHTTPQueue(t, clock)
 	c.CreateQueue("q")
-	c.Send("q", []byte("task"))
-	m1, ok, _ := c.Receive("q", 10*time.Second)
+	c.SendMessage("q", []byte("task"))
+	m1, ok, _ := c.ReceiveMessage("q", 10*time.Second)
 	if !ok {
 		t.Fatal("first receive failed")
 	}
-	if _, ok, _ := c.Receive("q", 10*time.Second); ok {
+	if _, ok, _ := c.ReceiveMessage("q", 10*time.Second); ok {
 		t.Fatal("message should be hidden")
 	}
 	clock.Advance(11 * time.Second)
-	m2, ok, _ := c.Receive("q", 10*time.Second)
+	m2, ok, _ := c.ReceiveMessage("q", 10*time.Second)
 	if !ok {
 		t.Fatal("message should reappear over HTTP too")
 	}
@@ -80,7 +80,7 @@ func TestHTTPVisibilityTimeoutOverWire(t *testing.T) {
 		t.Errorf("receives = %d", m2.Receives)
 	}
 	// Stale handle → 409 → wraps ErrStaleReceipt.
-	if err := c.Delete("q", m1.ReceiptHandle); !errors.Is(err, ErrStaleReceipt) {
+	if err := c.DeleteMessage("q", m1.ReceiptHandle); !errors.Is(err, ErrStaleReceipt) {
 		t.Errorf("stale delete: %v", err)
 	}
 }
@@ -88,8 +88,8 @@ func TestHTTPVisibilityTimeoutOverWire(t *testing.T) {
 func TestHTTPCountEndpoint(t *testing.T) {
 	c, svc := newHTTPQueue(t, nil)
 	c.CreateQueue("q")
-	c.Send("q", []byte("a"))
-	c.Send("q", []byte("b"))
+	c.SendMessage("q", []byte("a"))
+	c.SendMessage("q", []byte("b"))
 	resp, err := http.Get(c.BaseURL + "/q/q/count")
 	if err != nil {
 		t.Fatal(err)
@@ -108,8 +108,8 @@ func TestHTTPChangeVisibility(t *testing.T) {
 	clock := NewFakeClock(time.Unix(0, 0))
 	c, _ := newHTTPQueue(t, clock)
 	c.CreateQueue("q")
-	c.Send("q", []byte("x"))
-	m, _, _ := c.Receive("q", 5*time.Second)
+	c.SendMessage("q", []byte("x"))
+	m, _, _ := c.ReceiveMessage("q", 5*time.Second)
 	resp, err := http.Post(c.BaseURL+"/q/q/messages/"+url.PathEscape(m.ReceiptHandle)+"/visibility?d=1h", "", nil)
 	if err != nil {
 		t.Fatal(err)
@@ -119,17 +119,17 @@ func TestHTTPChangeVisibility(t *testing.T) {
 		t.Fatalf("change visibility status = %d", resp.StatusCode)
 	}
 	clock.Advance(10 * time.Minute)
-	if _, ok, _ := c.Receive("q", 0); ok {
+	if _, ok, _ := c.ReceiveMessage("q", 0); ok {
 		t.Error("extended message should stay hidden")
 	}
 }
 
 func TestHTTPErrorStatuses(t *testing.T) {
 	c, _ := newHTTPQueue(t, nil)
-	if _, err := c.Send("missing", nil); err == nil {
+	if _, err := c.SendMessage("missing", nil); err == nil {
 		t.Error("send to missing queue should error")
 	}
-	if _, _, err := c.Receive("missing", 0); err == nil {
+	if _, _, err := c.ReceiveMessage("missing", 0); err == nil {
 		t.Error("receive from missing queue should error")
 	}
 	resp, err := http.Get(c.BaseURL + "/q/")
@@ -140,8 +140,17 @@ func TestHTTPErrorStatuses(t *testing.T) {
 	if resp.StatusCode != http.StatusOK {
 		t.Errorf("GET /q/ (list) = %d", resp.StatusCode)
 	}
-	// Bad visibility duration.
+	// A known path with the wrong method.
 	c.CreateQueue("q")
+	resp, err = http.Post(c.BaseURL+"/q/q/count", "", nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusMethodNotAllowed {
+		t.Errorf("POST /q/q/count = %d, want 405", resp.StatusCode)
+	}
+	// Bad visibility duration.
 	resp, err = http.Get(c.BaseURL + "/q/q/messages?visibility=banana")
 	if err != nil {
 		t.Fatal(err)
@@ -159,14 +168,14 @@ func TestHTTPBatchRoundTrip(t *testing.T) {
 	}
 	base := svc.APIRequestsFor("q")
 	bodies := [][]byte{[]byte("a"), []byte("b"), []byte("c")}
-	ids, err := c.SendBatch("q", bodies)
+	ids, err := c.SendMessageBatch("q", bodies)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(ids) != 3 {
 		t.Fatalf("ids = %v", ids)
 	}
-	msgs, err := c.ReceiveBatch("q", time.Minute, 10, 0)
+	msgs, err := c.ReceiveMessageBatch("q", time.Minute, 10, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -182,7 +191,7 @@ func TestHTTPBatchRoundTrip(t *testing.T) {
 	if !seen["a"] || !seen["b"] || !seen["c"] {
 		t.Errorf("bodies lost in transit: %v", seen)
 	}
-	results, err := c.DeleteBatch("q", append(receipts, "bogus"))
+	results, err := c.DeleteMessageBatch("q", append(receipts, "bogus"))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -198,7 +207,7 @@ func TestHTTPBatchRoundTrip(t *testing.T) {
 	if got := svc.APIRequestsFor("q") - base; got != 3 {
 		t.Errorf("batch round trip billed %d requests, want 3", got)
 	}
-	if msgs, err := c.ReceiveBatch("q", time.Minute, 10, 0); err != nil || len(msgs) != 0 {
+	if msgs, err := c.ReceiveMessageBatch("q", time.Minute, 10, 0); err != nil || len(msgs) != 0 {
 		t.Errorf("queue not empty after batch delete: %d msgs, err=%v", len(msgs), err)
 	}
 }
@@ -209,7 +218,7 @@ func TestHTTPLongPollOverWire(t *testing.T) {
 	done := make(chan struct{})
 	go func() {
 		defer close(done)
-		m, ok, err := c.ReceiveWait("q", time.Minute, 5*time.Second)
+		m, ok, err := c.ReceiveMessageWait("q", time.Minute, 5*time.Second)
 		if err != nil || !ok {
 			t.Errorf("long poll over HTTP: ok=%v err=%v", ok, err)
 			return
@@ -237,13 +246,13 @@ func TestHTTPWorkerLoopEndToEnd(t *testing.T) {
 	c.CreateQueue("jobs")
 	const n = 20
 	for i := 0; i < n; i++ {
-		if _, err := c.Send("jobs", []byte{byte(i)}); err != nil {
+		if _, err := c.SendMessage("jobs", []byte{byte(i)}); err != nil {
 			t.Fatal(err)
 		}
 	}
 	seen := map[string]bool{}
 	for {
-		m, ok, err := c.Receive("jobs", time.Minute)
+		m, ok, err := c.ReceiveMessage("jobs", time.Minute)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -251,7 +260,7 @@ func TestHTTPWorkerLoopEndToEnd(t *testing.T) {
 			break
 		}
 		seen[m.ID] = true
-		if err := c.Delete("jobs", m.ReceiptHandle); err != nil {
+		if err := c.DeleteMessage("jobs", m.ReceiptHandle); err != nil {
 			t.Fatal(err)
 		}
 	}

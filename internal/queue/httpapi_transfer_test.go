@@ -14,7 +14,7 @@ import (
 func transferFixture(t *testing.T, serverToken string) (*Service, *httptest.Server) {
 	t.Helper()
 	svc := NewService(Config{Seed: 1})
-	srv := httptest.NewServer(&HTTPHandler{Service: svc, AdminToken: serverToken})
+	srv := httptest.NewServer(&HTTPHandler{Service: svc, AdminTokens: []string{serverToken}})
 	t.Cleanup(srv.Close)
 	return svc, srv
 }
@@ -36,7 +36,7 @@ func TestHTTPTransferRoundTrip(t *testing.T) {
 	}
 	counts := map[string]int{}
 	for i := 0; i < 2; i++ {
-		m, ok, err := c.Receive("q", time.Minute)
+		m, ok, err := c.ReceiveMessage("q", time.Minute)
 		if err != nil || !ok {
 			t.Fatalf("receive %d: ok=%v err=%v", i, ok, err)
 		}
@@ -74,7 +74,7 @@ func TestHTTPTransferPrivilege(t *testing.T) {
 	}
 	// The public path is untouched by privilege checks.
 	c := &HTTPClient{BaseURL: srv.URL}
-	if _, err := c.Send("q", []byte("public")); err != nil {
+	if _, err := c.SendMessage("q", []byte("public")); err != nil {
 		t.Errorf("public send alongside a gated transfer endpoint: %v", err)
 	}
 }
@@ -162,14 +162,20 @@ func TestHTTPGroupedQueueNames(t *testing.T) {
 	if err := c.CreateQueue(qn); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := c.Send(qn, []byte("grouped")); err != nil {
+	if _, err := c.SendMessage(qn, []byte("grouped")); err != nil {
 		t.Fatal(err)
 	}
-	m, ok, err := c.Receive(qn, time.Minute)
+	m, ok, err := c.ReceiveMessage(qn, time.Minute)
 	if err != nil || !ok || string(m.Body) != "grouped" {
 		t.Fatalf("receive on grouped name: ok=%v err=%v body=%q", ok, err, m.Body)
 	}
-	if err := c.Delete(qn, m.ReceiptHandle); err != nil {
+	if !strings.Contains(m.ReceiptHandle, "/") || !strings.Contains(m.ReceiptHandle, "#") {
+		t.Fatalf("receipt %q no longer exercises %%2F and %%23 escaping", m.ReceiptHandle)
+	}
+	if err := c.ChangeVisibility(qn, m.ReceiptHandle, time.Minute); err != nil {
+		t.Fatalf("change visibility on grouped name: %v", err)
+	}
+	if err := c.DeleteMessage(qn, m.ReceiptHandle); err != nil {
 		t.Fatalf("ack on grouped name: %v", err)
 	}
 	if v, inf, err := c.ApproximateCount(qn); err != nil || v != 0 || inf != 0 {

@@ -478,7 +478,7 @@ var (
 // API is the queue-service surface shared by every implementation: the
 // in-process Service, the HTTPClient speaking to a remote service, and
 // shard.Router fanning one namespace across many services. Consumers
-// (classiccloud, broker, twister) program against this interface, so a
+// (classiccloud, broker) program against this interface, so a
 // deployment can swap a single service for a sharded front without
 // touching them.
 type API interface {
@@ -509,6 +509,20 @@ type API interface {
 // hop and does not implement it.
 type TraceScoper interface {
 	WithTrace(traceID string) API
+}
+
+// WithTrace returns api bound to trace when the implementation can carry
+// one (TraceScoper), and api itself for an empty trace or a terminal hop
+// such as the in-process Service. It is the one place a hop decides
+// whether the ID travels further.
+func WithTrace(api API, trace string) API {
+	if trace == "" {
+		return api
+	}
+	if ts, ok := api.(TraceScoper); ok {
+		return ts.WithTrace(trace)
+	}
+	return api
 }
 
 // DepthReporter is an optional unbilled diagnostic surface: one queue's

@@ -526,7 +526,7 @@ func (r *Router) forwardVisible(name string, fromB queue.API) {
 		for i, msg := range msgs {
 			receipts[i] = msg.ReceiptHandle
 		}
-		_, ownerB, err := r.ownerBackend("", name)
+		_, ownerB, err := r.ownerBackend(name)
 		if err != nil {
 			return // queue deleted while forwarding
 		}

@@ -1,7 +1,7 @@
 // Package shard fronts N queue services with one queue.API: a
 // consistent-hash router maps queue names to shards, so a namespace
 // that outgrows one service process spreads across many without the
-// consumers (classiccloud, broker, twister) changing a line.
+// consumers (classiccloud, broker) changing a line.
 //
 // # Ring
 //

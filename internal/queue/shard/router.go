@@ -163,6 +163,11 @@ func (c Config) withDefaults() Config {
 // migration that preserves delivery counts through the privileged
 // transfer API.
 type Router struct {
+	// routerView with an empty trace is the router's own data plane: every
+	// queue.API / Transferrer method of *Router is the view's, promoted,
+	// so each routed op has exactly one body.
+	routerView
+
 	cfg Config
 
 	// topoMu serializes topology changes (AddShard / RemoveShard) and
@@ -293,20 +298,6 @@ func (r *Router) groupRate(g string) float64 {
 	return 0
 }
 
-// scopeTrace binds a trace ID to a backend hop when the backend can
-// carry one (queue.TraceScoper — a remote shard client injects it as
-// the X-Trace-Id header). The in-process Service is a terminal hop and
-// passes through unscoped.
-func scopeTrace(b queue.API, trace string) queue.API {
-	if trace == "" || b == nil {
-		return b
-	}
-	if ts, ok := b.(queue.TraceScoper); ok {
-		return ts.WithTrace(trace)
-	}
-	return b
-}
-
 // route is one queue's placement.
 type route struct {
 	mu sync.Mutex
@@ -327,11 +318,30 @@ type route struct {
 	draining map[string]bool
 }
 
+// routerView is the router's data plane with a trace ID bound: it shares
+// all router state and only pins the ID carried to every backend hop
+// (empty for the view embedded in Router itself).
+type routerView struct {
+	r     *Router
+	trace string
+}
+
 var (
 	_ queue.API         = (*Router)(nil)
 	_ queue.Transferrer = (*Router)(nil)
 	_ queue.TraceScoper = (*Router)(nil)
+	_ queue.API         = (*routerView)(nil)
+	_ queue.Transferrer = (*routerView)(nil)
+	_ queue.TraceScoper = (*routerView)(nil)
 )
+
+// WithTrace returns a view of the router that carries traceID through to
+// every backend hop (queue.TraceScoper): a remote shard client injects
+// it as the X-Trace-Id header, so one logical request stays correlatable
+// from the caller through the router to the shard that served it.
+func (v *routerView) WithTrace(traceID string) queue.API {
+	return &routerView{r: v.r, trace: traceID}
+}
 
 // NewRouter creates an empty router; add shards before creating queues.
 func NewRouter(cfg Config) *Router {
@@ -345,6 +355,7 @@ func NewRouter(cfg Config) *Router {
 		pinned:  make(map[string]bool),
 		closing: make(chan struct{}),
 	}
+	r.routerView.r = r
 	if c.Metrics != nil {
 		r.met = &routerMetrics{
 			reg:        c.Metrics,
@@ -394,16 +405,17 @@ func (r *Router) Close() {
 func (r *Router) count(queueName string) { r.billing.Count(queueName) }
 
 // APIRequests returns the total routed calls billed by the router.
-func (r *Router) APIRequests() int64 { return r.billing.Total() }
+func (v *routerView) APIRequests() int64 { return v.r.billing.Total() }
 
 // APIRequestsFor returns the routed calls addressed to one queue.
-func (r *Router) APIRequestsFor(queueName string) int64 { return r.billing.For(queueName) }
+func (v *routerView) APIRequestsFor(queueName string) int64 { return v.r.billing.For(queueName) }
 
 // ownerBackend resolves the queue's owning shard, waiting out any
 // in-progress migration. The returned backend is trace-scoped and the
 // shard's request rate is bumped — every caller represents one backend
 // hop.
-func (r *Router) ownerBackend(trace, queueName string) (string, queue.API, error) {
+func (v *routerView) ownerBackend(queueName string) (string, queue.API, error) {
+	r := v.r
 	r.mu.RLock()
 	rt := r.routes[queueName]
 	r.mu.RUnlock()
@@ -425,7 +437,7 @@ func (r *Router) ownerBackend(trace, queueName string) (string, queue.API, error
 			if r.met != nil {
 				r.markGroup(effectiveGroup(group, queueName))
 			}
-			return id, scopeTrace(b, trace), nil
+			return id, queue.WithTrace(b, v.trace), nil
 		}
 		ch := rt.frozen
 		rt.mu.Unlock()
@@ -438,9 +450,9 @@ func (r *Router) ownerBackend(trace, queueName string) (string, queue.API, error
 // dispatched (a migration completed underneath it), the call retries on
 // the new owner — the sentinel lets the router tell "wrong shard" from
 // "queue deleted".
-func (r *Router) onOwner(trace, queueName string, fn func(shardID string, b queue.API) error) error {
+func (v *routerView) onOwner(queueName string, fn func(shardID string, b queue.API) error) error {
 	for attempt := 0; ; attempt++ {
-		id, b, err := r.ownerBackend(trace, queueName)
+		id, b, err := v.ownerBackend(queueName)
 		if err != nil {
 			return err
 		}
@@ -448,7 +460,7 @@ func (r *Router) onOwner(trace, queueName string, fn func(shardID string, b queu
 		if err == nil || !errors.Is(err, queue.ErrNoSuchQueue) || attempt >= 2 {
 			return err
 		}
-		newID, _, rerr := r.ownerBackend(trace, queueName)
+		newID, _, rerr := v.ownerBackend(queueName)
 		if rerr != nil || newID == id {
 			return err
 		}
@@ -461,10 +473,11 @@ func (r *Router) onOwner(trace, queueName string, fn func(shardID string, b queu
 // instead of finding a route whose shard has no queue yet — a
 // half-created queue migrated in that window would leave an orphan
 // copy on the old owner.
-func (r *Router) createQueue(trace, name string) error {
+func (v *routerView) CreateQueue(name string) error {
 	if name == "" {
 		return queue.ErrEmptyQueueName
 	}
+	r := v.r
 	defer r.opDone("create_queue", r.opStart())
 	r.count(name)
 	r.mu.Lock()
@@ -485,7 +498,7 @@ func (r *Router) createQueue(trace, name string) error {
 	if r.met != nil {
 		r.markGroup(DeriveGroup(name))
 	}
-	err := scopeTrace(b, trace).CreateQueue(name)
+	err := queue.WithTrace(b, v.trace).CreateQueue(name)
 	if err != nil && !errors.Is(err, queue.ErrQueueExists) {
 		r.mu.Lock()
 		// Only remove our own route: a concurrent DeleteQueue may have
@@ -512,7 +525,8 @@ func (r *Router) createQueue(trace, name string) error {
 
 // DeleteQueue removes a queue from its owner and from every old shard
 // still draining stragglers.
-func (r *Router) deleteQueue(trace, name string) error {
+func (v *routerView) DeleteQueue(name string) error {
+	r := v.r
 	defer r.opDone("delete_queue", r.opStart())
 	r.count(name)
 	r.mu.Lock()
@@ -556,16 +570,17 @@ func (r *Router) deleteQueue(trace, name string) error {
 	var err error
 	if b != nil {
 		r.markShard(owner)
-		err = scopeTrace(b, trace).DeleteQueue(name)
+		err = queue.WithTrace(b, v.trace).DeleteQueue(name)
 	}
 	for _, ob := range oldBs {
-		_ = scopeTrace(ob, trace).DeleteQueue(name) // forwarder may have beaten us to it
+		_ = queue.WithTrace(ob, v.trace).DeleteQueue(name) // forwarder may have beaten us to it
 	}
 	return err
 }
 
 // ListQueues returns every routed queue name, sorted.
-func (r *Router) ListQueues() []string {
+func (v *routerView) ListQueues() []string {
+	r := v.r
 	r.billing.CountUnattributed()
 	r.mu.RLock()
 	names := make([]string, 0, len(r.routes))
@@ -577,11 +592,12 @@ func (r *Router) ListQueues() []string {
 	return names
 }
 
-func (r *Router) sendMessage(trace, queueName string, body []byte) (string, error) {
-	defer r.opDone("send", r.opStart())
-	r.count(queueName)
+// SendMessage enqueues on the owning shard.
+func (v *routerView) SendMessage(queueName string, body []byte) (string, error) {
+	defer v.r.opDone("send", v.r.opStart())
+	v.r.count(queueName)
 	var id string
-	err := r.onOwner(trace, queueName, func(_ string, b queue.API) error {
+	err := v.onOwner(queueName, func(_ string, b queue.API) error {
 		var err error
 		id, err = b.SendMessage(queueName, body)
 		return err
@@ -589,14 +605,15 @@ func (r *Router) sendMessage(trace, queueName string, body []byte) (string, erro
 	return id, err
 }
 
-func (r *Router) sendMessageBatch(trace, queueName string, bodies [][]byte) ([]string, error) {
+// SendMessageBatch enqueues a batch on the owning shard.
+func (v *routerView) SendMessageBatch(queueName string, bodies [][]byte) ([]string, error) {
 	if len(bodies) == 0 || len(bodies) > queue.MaxBatch {
 		return nil, queue.ErrBatchSize
 	}
-	defer r.opDone("send_batch", r.opStart())
-	r.count(queueName)
+	defer v.r.opDone("send_batch", v.r.opStart())
+	v.r.count(queueName)
 	var ids []string
-	err := r.onOwner(trace, queueName, func(_ string, b queue.API) error {
+	err := v.onOwner(queueName, func(_ string, b queue.API) error {
 		var err error
 		ids, err = b.SendMessageBatch(queueName, bodies)
 		return err
@@ -604,10 +621,10 @@ func (r *Router) sendMessageBatch(trace, queueName string, bodies [][]byte) ([]s
 	return ids, err
 }
 
-// transferIn routes a privileged count-preserving enqueue to the
+// TransferIn routes a privileged count-preserving enqueue to the
 // owning shard (queue.Transferrer).
-func (r *Router) transferIn(trace, queueName string, body []byte, receives int) (string, error) {
-	ids, err := r.transferInBatch(trace, queueName, []queue.TransferItem{{Body: body, Receives: receives}})
+func (v *routerView) TransferIn(queueName string, body []byte, receives int) (string, error) {
+	ids, err := v.TransferInBatch(queueName, []queue.TransferItem{{Body: body, Receives: receives}})
 	if err != nil {
 		return "", err
 	}
@@ -623,7 +640,7 @@ func (r *Router) transferIn(trace, queueName string, body []byte, receives int) 
 // call. The backing shard must also implement queue.Transferrer — a
 // remote shard additionally needs its admin token configured, or the
 // call fails with queue.ErrNotPrivileged.
-func (r *Router) transferInBatch(trace, queueName string, items []queue.TransferItem) ([]string, error) {
+func (v *routerView) TransferInBatch(queueName string, items []queue.TransferItem) ([]string, error) {
 	if len(items) == 0 || len(items) > queue.MaxBatch {
 		return nil, queue.ErrBatchSize
 	}
@@ -632,10 +649,10 @@ func (r *Router) transferInBatch(trace, queueName string, items []queue.Transfer
 			return nil, fmt.Errorf("%w: %d", queue.ErrBadTransfer, it.Receives)
 		}
 	}
-	defer r.opDone("transfer", r.opStart())
-	r.count(queueName)
+	defer v.r.opDone("transfer", v.r.opStart())
+	v.r.count(queueName)
 	var ids []string
-	err := r.onOwner(trace, queueName, func(id string, b queue.API) error {
+	err := v.onOwner(queueName, func(id string, b queue.API) error {
 		tr, ok := b.(queue.Transferrer)
 		if !ok {
 			return fmt.Errorf("shard: shard %s cannot accept transfers: %w", id, queue.ErrNotPrivileged)
@@ -647,14 +664,19 @@ func (r *Router) transferInBatch(trace, queueName string, items []queue.Transfer
 	return ids, err
 }
 
-// receiveMessageWait long-polls the owning shard; the wait happens on
+// ReceiveMessage pops one message from the owning shard.
+func (v *routerView) ReceiveMessage(queueName string, visibility time.Duration) (queue.Message, bool, error) {
+	return v.ReceiveMessageWait(queueName, visibility, 0)
+}
+
+// ReceiveMessageWait long-polls the owning shard; the wait happens on
 // the shard so a send through the router wakes the receiver there.
-func (r *Router) receiveMessageWait(trace, queueName string, visibility, wait time.Duration) (queue.Message, bool, error) {
-	defer r.opDone("receive", r.opStart())
-	r.count(queueName)
+func (v *routerView) ReceiveMessageWait(queueName string, visibility, wait time.Duration) (queue.Message, bool, error) {
+	defer v.r.opDone("receive", v.r.opStart())
+	v.r.count(queueName)
 	var m queue.Message
 	var ok bool
-	err := r.onOwner(trace, queueName, func(id string, b queue.API) error {
+	err := v.onOwner(queueName, func(id string, b queue.API) error {
 		var err error
 		m, ok, err = b.ReceiveMessageWait(queueName, visibility, wait)
 		if ok {
@@ -668,15 +690,15 @@ func (r *Router) receiveMessageWait(trace, queueName string, visibility, wait ti
 	return m, ok, nil
 }
 
-// receiveMessageBatch receives up to max messages from the owning shard.
-func (r *Router) receiveMessageBatch(trace, queueName string, visibility time.Duration, max int, wait time.Duration) ([]queue.Message, error) {
+// ReceiveMessageBatch receives up to max messages from the owning shard.
+func (v *routerView) ReceiveMessageBatch(queueName string, visibility time.Duration, max int, wait time.Duration) ([]queue.Message, error) {
 	if max <= 0 || max > queue.MaxBatch {
 		return nil, queue.ErrBatchSize
 	}
-	defer r.opDone("receive", r.opStart())
-	r.count(queueName)
+	defer v.r.opDone("receive", v.r.opStart())
+	v.r.count(queueName)
 	var msgs []queue.Message
-	err := r.onOwner(trace, queueName, func(id string, b queue.API) error {
+	err := v.onOwner(queueName, func(id string, b queue.API) error {
 		var err error
 		msgs, err = b.ReceiveMessageBatch(queueName, visibility, max, wait)
 		for i := range msgs {
@@ -694,7 +716,8 @@ func (r *Router) receiveMessageBatch(trace, queueName string, visibility time.Du
 // must still be routed; a receipt whose shard is gone — or whose shard
 // has since lost the queue to a migration — is stale, not missing: the
 // message was moved and only its next delivery's receipt counts.
-func (r *Router) receiptBackend(trace, queueName, wrapped string) (queue.API, string, error) {
+func (v *routerView) receiptBackend(queueName, wrapped string) (queue.API, string, error) {
+	r := v.r
 	r.mu.RLock()
 	rt := r.routes[queueName]
 	r.mu.RUnlock()
@@ -718,14 +741,14 @@ func (r *Router) receiptBackend(trace, queueName, wrapped string) (queue.API, st
 		rt.mu.Unlock()
 		r.markGroup(effectiveGroup(group, queueName))
 	}
-	return scopeTrace(b, trace), raw, nil
+	return queue.WithTrace(b, v.trace), raw, nil
 }
 
-// deleteMessage acknowledges by receipt, routed to the issuing shard.
-func (r *Router) deleteMessage(trace, queueName, receiptHandle string) error {
-	defer r.opDone("delete", r.opStart())
-	r.count(queueName)
-	b, raw, err := r.receiptBackend(trace, queueName, receiptHandle)
+// DeleteMessage acknowledges by receipt, routed to the issuing shard.
+func (v *routerView) DeleteMessage(queueName, receiptHandle string) error {
+	defer v.r.opDone("delete", v.r.opStart())
+	v.r.count(queueName)
+	b, raw, err := v.receiptBackend(queueName, receiptHandle)
 	if err != nil {
 		return err
 	}
@@ -736,12 +759,13 @@ func (r *Router) deleteMessage(trace, queueName, receiptHandle string) error {
 	return err
 }
 
-// deleteMessageBatch acknowledges a batch, grouping receipts by issuing
+// DeleteMessageBatch acknowledges a batch, grouping receipts by issuing
 // shard; entries keep their per-receipt error positions.
-func (r *Router) deleteMessageBatch(trace, queueName string, receipts []string) ([]error, error) {
+func (v *routerView) DeleteMessageBatch(queueName string, receipts []string) ([]error, error) {
 	if len(receipts) == 0 || len(receipts) > queue.MaxBatch {
 		return nil, queue.ErrBatchSize
 	}
+	r := v.r
 	defer r.opDone("delete_batch", r.opStart())
 	r.count(queueName)
 	r.mu.RLock()
@@ -787,7 +811,7 @@ func (r *Router) deleteMessageBatch(trace, queueName string, receipts []string) 
 			continue
 		}
 		r.markShard(id)
-		res, err := scopeTrace(b, trace).DeleteMessageBatch(queueName, g.raw)
+		res, err := queue.WithTrace(b, v.trace).DeleteMessageBatch(queueName, g.raw)
 		if err != nil {
 			perEntry := err
 			if errors.Is(err, queue.ErrNoSuchQueue) {
@@ -805,11 +829,11 @@ func (r *Router) deleteMessageBatch(trace, queueName string, receipts []string) 
 	return results, nil
 }
 
-// changeVisibility adjusts a lease on the issuing shard.
-func (r *Router) changeVisibility(trace, queueName, receiptHandle string, d time.Duration) error {
-	defer r.opDone("change_visibility", r.opStart())
-	r.count(queueName)
-	b, raw, err := r.receiptBackend(trace, queueName, receiptHandle)
+// ChangeVisibility adjusts a lease on the issuing shard.
+func (v *routerView) ChangeVisibility(queueName, receiptHandle string, d time.Duration) error {
+	defer v.r.opDone("change_visibility", v.r.opStart())
+	v.r.count(queueName)
+	b, raw, err := v.receiptBackend(queueName, receiptHandle)
 	if err != nil {
 		return err
 	}
@@ -820,12 +844,12 @@ func (r *Router) changeVisibility(trace, queueName, receiptHandle string, d time
 	return err
 }
 
-// approximateCount sums the owner's counts with any old shards still
+// ApproximateCount sums the owner's counts with any old shards still
 // holding in-flight stragglers, so totals stay truthful mid-migration.
-func (r *Router) approximateCount(trace, queueName string) (visible, inflight int, err error) {
-	defer r.opDone("count", r.opStart())
-	r.count(queueName)
-	err = r.onOwner(trace, queueName, func(_ string, b queue.API) error {
+func (v *routerView) ApproximateCount(queueName string) (visible, inflight int, err error) {
+	defer v.r.opDone("count", v.r.opStart())
+	v.r.count(queueName)
+	err = v.onOwner(queueName, func(_ string, b queue.API) error {
 		var err error
 		visible, inflight, err = b.ApproximateCount(queueName)
 		return err
@@ -833,173 +857,37 @@ func (r *Router) approximateCount(trace, queueName string) (visible, inflight in
 	if err != nil {
 		return 0, 0, err
 	}
-	for _, ob := range r.drainingBackends(trace, queueName) {
-		if v, inf, derr := ob.ApproximateCount(queueName); derr == nil {
-			visible += v
+	for _, ob := range v.drainingBackends(queueName) {
+		if vis, inf, derr := ob.ApproximateCount(queueName); derr == nil {
+			visible += vis
 			inflight += inf
 		}
 	}
 	return visible, inflight, nil
 }
 
-// purge clears the queue on its owner and on any draining old shards.
-func (r *Router) purge(trace, queueName string) error {
-	defer r.opDone("purge", r.opStart())
-	r.count(queueName)
-	err := r.onOwner(trace, queueName, func(_ string, b queue.API) error {
+// Purge clears the queue on its owner and on any draining old shards.
+func (v *routerView) Purge(queueName string) error {
+	defer v.r.opDone("purge", v.r.opStart())
+	v.r.count(queueName)
+	err := v.onOwner(queueName, func(_ string, b queue.API) error {
 		return b.Purge(queueName)
 	})
 	if err != nil {
 		return err
 	}
-	for _, ob := range r.drainingBackends(trace, queueName) {
+	for _, ob := range v.drainingBackends(queueName) {
 		_ = ob.Purge(queueName)
 	}
 	return nil
 }
 
-// ---- public queue.API surface ----
-//
-// Every public method is a thin trace-less wrapper over its internal
-// traced twin; WithTrace returns a view binding a trace ID to the same
-// router state. Latency histograms and shard rates live on the internal
-// paths, so traced and untraced calls are measured identically.
-
-// CreateQueue places a new queue on its ring owner (see createQueue).
-func (r *Router) CreateQueue(name string) error { return r.createQueue("", name) }
-
-// DeleteQueue removes a queue from its owner and draining old shards.
-func (r *Router) DeleteQueue(name string) error { return r.deleteQueue("", name) }
-
-// SendMessage enqueues on the owning shard.
-func (r *Router) SendMessage(queueName string, body []byte) (string, error) {
-	return r.sendMessage("", queueName, body)
-}
-
-// SendMessageBatch enqueues a batch on the owning shard.
-func (r *Router) SendMessageBatch(queueName string, bodies [][]byte) ([]string, error) {
-	return r.sendMessageBatch("", queueName, bodies)
-}
-
-// ReceiveMessage pops one message from the owning shard.
-func (r *Router) ReceiveMessage(queueName string, visibility time.Duration) (queue.Message, bool, error) {
-	return r.receiveMessageWait("", queueName, visibility, 0)
-}
-
-// ReceiveMessageWait long-polls the owning shard.
-func (r *Router) ReceiveMessageWait(queueName string, visibility, wait time.Duration) (queue.Message, bool, error) {
-	return r.receiveMessageWait("", queueName, visibility, wait)
-}
-
-// ReceiveMessageBatch receives up to max messages from the owning shard.
-func (r *Router) ReceiveMessageBatch(queueName string, visibility time.Duration, max int, wait time.Duration) ([]queue.Message, error) {
-	return r.receiveMessageBatch("", queueName, visibility, max, wait)
-}
-
-// DeleteMessage acknowledges by receipt, routed to the issuing shard.
-func (r *Router) DeleteMessage(queueName, receiptHandle string) error {
-	return r.deleteMessage("", queueName, receiptHandle)
-}
-
-// DeleteMessageBatch acknowledges a batch, grouped by issuing shard.
-func (r *Router) DeleteMessageBatch(queueName string, receipts []string) ([]error, error) {
-	return r.deleteMessageBatch("", queueName, receipts)
-}
-
-// ChangeVisibility adjusts a lease on the issuing shard.
-func (r *Router) ChangeVisibility(queueName, receiptHandle string, d time.Duration) error {
-	return r.changeVisibility("", queueName, receiptHandle, d)
-}
-
-// ApproximateCount sums the owner's counts with any draining old shards.
-func (r *Router) ApproximateCount(queueName string) (visible, inflight int, err error) {
-	return r.approximateCount("", queueName)
-}
-
-// Purge clears the queue on its owner and on any draining old shards.
-func (r *Router) Purge(queueName string) error { return r.purge("", queueName) }
-
-// TransferIn routes a privileged count-preserving enqueue to the owning
-// shard (queue.Transferrer).
-func (r *Router) TransferIn(queueName string, body []byte, receives int) (string, error) {
-	return r.transferIn("", queueName, body, receives)
-}
-
-// TransferInBatch routes a privileged count-preserving batch enqueue to
-// the owning shard (queue.Transferrer).
-func (r *Router) TransferInBatch(queueName string, items []queue.TransferItem) ([]string, error) {
-	return r.transferInBatch("", queueName, items)
-}
-
-// WithTrace returns a view of the router that carries traceID through to
-// every backend hop (queue.TraceScoper): a remote shard client injects
-// it as the X-Trace-Id header, so one logical request stays correlatable
-// from the caller through the router to the shard that served it.
-func (r *Router) WithTrace(traceID string) queue.API {
-	return &routerView{r: r, trace: traceID}
-}
-
-// routerView is a trace-bound view over a Router. It shares all router
-// state — it only pins the trace ID forwarded on backend hops.
-type routerView struct {
-	r     *Router
-	trace string
-}
-
-var (
-	_ queue.API         = (*routerView)(nil)
-	_ queue.Transferrer = (*routerView)(nil)
-	_ queue.TraceScoper = (*routerView)(nil)
-)
-
-func (v *routerView) WithTrace(traceID string) queue.API {
-	return &routerView{r: v.r, trace: traceID}
-}
-func (v *routerView) CreateQueue(name string) error { return v.r.createQueue(v.trace, name) }
-func (v *routerView) DeleteQueue(name string) error { return v.r.deleteQueue(v.trace, name) }
-func (v *routerView) ListQueues() []string          { return v.r.ListQueues() }
-func (v *routerView) SendMessage(queueName string, body []byte) (string, error) {
-	return v.r.sendMessage(v.trace, queueName, body)
-}
-func (v *routerView) SendMessageBatch(queueName string, bodies [][]byte) ([]string, error) {
-	return v.r.sendMessageBatch(v.trace, queueName, bodies)
-}
-func (v *routerView) ReceiveMessage(queueName string, visibility time.Duration) (queue.Message, bool, error) {
-	return v.r.receiveMessageWait(v.trace, queueName, visibility, 0)
-}
-func (v *routerView) ReceiveMessageWait(queueName string, visibility, wait time.Duration) (queue.Message, bool, error) {
-	return v.r.receiveMessageWait(v.trace, queueName, visibility, wait)
-}
-func (v *routerView) ReceiveMessageBatch(queueName string, visibility time.Duration, max int, wait time.Duration) ([]queue.Message, error) {
-	return v.r.receiveMessageBatch(v.trace, queueName, visibility, max, wait)
-}
-func (v *routerView) DeleteMessage(queueName, receiptHandle string) error {
-	return v.r.deleteMessage(v.trace, queueName, receiptHandle)
-}
-func (v *routerView) DeleteMessageBatch(queueName string, receipts []string) ([]error, error) {
-	return v.r.deleteMessageBatch(v.trace, queueName, receipts)
-}
-func (v *routerView) ChangeVisibility(queueName, receiptHandle string, d time.Duration) error {
-	return v.r.changeVisibility(v.trace, queueName, receiptHandle, d)
-}
-func (v *routerView) ApproximateCount(queueName string) (visible, inflight int, err error) {
-	return v.r.approximateCount(v.trace, queueName)
-}
-func (v *routerView) Purge(queueName string) error { return v.r.purge(v.trace, queueName) }
-func (v *routerView) TransferIn(queueName string, body []byte, receives int) (string, error) {
-	return v.r.transferIn(v.trace, queueName, body, receives)
-}
-func (v *routerView) TransferInBatch(queueName string, items []queue.TransferItem) ([]string, error) {
-	return v.r.transferInBatch(v.trace, queueName, items)
-}
-func (v *routerView) APIRequests() int64                    { return v.r.APIRequests() }
-func (v *routerView) APIRequestsFor(queueName string) int64 { return v.r.APIRequestsFor(queueName) }
-
 // drainingBackends snapshots the old shards still forwarding a queue's
 // stragglers. The current owner is excluded even when its forwarder has
 // not exited yet (the queue migrated back onto a watched shard), so
 // callers never count the live copy twice.
-func (r *Router) drainingBackends(trace, queueName string) []queue.API {
+func (v *routerView) drainingBackends(queueName string) []queue.API {
+	r := v.r
 	r.mu.RLock()
 	rt := r.routes[queueName]
 	r.mu.RUnlock()
@@ -1023,7 +911,7 @@ func (r *Router) drainingBackends(trace, queueName string) []queue.API {
 	for _, id := range ids {
 		if b := r.shards[id]; b != nil {
 			r.markShard(id)
-			out = append(out, scopeTrace(b, trace))
+			out = append(out, queue.WithTrace(b, v.trace))
 		}
 	}
 	return out
@@ -1067,7 +955,7 @@ type ShardStat struct {
 	// Backlog is the shard's live message depth: visible plus in-flight,
 	// summed over the queues it currently owns, plus leftover stragglers
 	// it still holds for queues that migrated away. Each message is
-	// attributed to exactly one shard (see backlogByShard).
+	// attributed to exactly one shard (see depthSweep).
 	Backlog int64
 	// RatePerSec is the router-observed request rate to this shard,
 	// averaged over the trailing 10s window. Zero when the router has no
@@ -1114,7 +1002,7 @@ func (r *Router) Stats() []ShardStat {
 	for _, id := range ids {
 		requests[id] = backends[id].APIRequests()
 	}
-	backlog := r.backlogByShard()
+	backlog, _ := r.depthSweep()
 	out := make([]ShardStat, 0, len(ids))
 	for _, id := range ids {
 		out = append(out, ShardStat{
@@ -1250,30 +1138,23 @@ func (r *Router) Splits() map[string]int {
 	return out
 }
 
-// backlogByShard attributes every routed queue's live depth to the
-// shards actually holding its messages: the owner's count to the owner,
-// and each draining old shard's own leftover count to that shard. The
-// current owner is excluded from a route's draining set — the same
-// exclusion drainingBackends applies — so a queue that migrated back
-// onto a still-watched shard is never counted twice. Routes are read
-// without waiting out a freeze (an admin snapshot must not block on a
-// migration), so a queue mid-drain may briefly show its messages split
-// across both shards — which is also where they physically are.
+// depthSweep probes every routed queue's depth once and attributes it
+// along both axes. By shard: to the shards actually holding the
+// messages — the owner's count to the owner, and each draining old
+// shard's own leftover count to that shard. The current owner is
+// excluded from a route's draining set — the same exclusion
+// drainingBackends applies — so a queue that migrated back onto a
+// still-watched shard is never counted twice. By group: to the queue's
+// effective placement group (owner and straggler copies both — the
+// group's messages wherever they sit, which is what the split policy
+// sizes against). Routes are read without waiting out a freeze (an admin
+// snapshot must not block on a migration), so a queue mid-drain may
+// briefly show its messages split across both shards — which is also
+// where they physically are.
 //
 // Depth is read through the unbilled queue.DepthReporter diagnostic
 // when the backend offers it (a local *queue.Service); remote shards
 // fall back to a billed ApproximateCount probe per queue.
-func (r *Router) backlogByShard() map[string]int64 {
-	byShard, _ := r.depthSweep()
-	return byShard
-}
-
-// depthSweep probes every routed queue's depth once and attributes it
-// along both axes: to the shards physically holding the messages
-// (owner + draining old shards, see backlogByShard) and to the queue's
-// effective placement group (owner and straggler copies both — the
-// group's messages wherever they sit, which is what the split policy
-// sizes against).
 func (r *Router) depthSweep() (byShard, byGroup map[string]int64) {
 	r.mu.RLock()
 	routes := make(map[string]*route, len(r.routes))

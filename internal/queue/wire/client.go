@@ -426,16 +426,11 @@ func (c *Client) finish(d *dec, buf *[]byte) error {
 // not be retried: protocol answers stick, only transport failures move
 // to the fallback. The view is trace-scoped when this client is.
 func (c *Client) fallback(err error) queue.API {
-	if c.p.opt.Fallback == nil || !errors.Is(err, ErrUnavailable) {
+	fb := c.p.opt.Fallback
+	if fb == nil || !errors.Is(err, ErrUnavailable) {
 		return nil
 	}
-	fb := c.p.opt.Fallback
-	if c.trace != "" {
-		if ts, ok := fb.(queue.TraceScoper); ok {
-			fb = ts.WithTrace(c.trace)
-		}
-	}
-	return fb
+	return queue.WithTrace(fb, c.trace)
 }
 
 // --- queue.API ---

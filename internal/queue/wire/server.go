@@ -2,7 +2,6 @@ package wire
 
 import (
 	"bufio"
-	"crypto/subtle"
 	"errors"
 	"net"
 	"sync"
@@ -20,11 +19,10 @@ var ErrServerClosed = errors.New("wire: server closed")
 // backends HTTPHandler fronts. One Server may serve many listeners.
 type Server struct {
 	Service queue.API
-	// AdminToken / AdminTokens provision the privileged transfer
-	// opcode with the same semantics as HTTPHandler: requests carry one
-	// token, any provisioned token is accepted (rotation), and no
-	// provisioned tokens means every transfer is rejected.
-	AdminToken  string
+	// AdminTokens provisions the privileged transfer opcode with the
+	// same semantics as HTTPHandler: requests carry one token, any
+	// provisioned token is accepted (rotation), and no provisioned
+	// tokens means every transfer is rejected.
 	AdminTokens []string
 	// Metrics, when set, registers wire_op_ns{op=...} latency
 	// histograms, a wire_conns open-connection gauge, and a
@@ -74,22 +72,6 @@ func (s *Server) init() {
 			s.met = m
 		}
 	})
-}
-
-// tokenAccepted mirrors HTTPHandler.tokenAccepted: constant-time
-// comparison against every provisioned token, no early exit.
-func (s *Server) tokenAccepted(token string) bool {
-	match := 0
-	if s.AdminToken != "" {
-		match |= subtle.ConstantTimeCompare([]byte(token), []byte(s.AdminToken))
-	}
-	for _, t := range s.AdminTokens {
-		if t == "" {
-			continue
-		}
-		match |= subtle.ConstantTimeCompare([]byte(token), []byte(t))
-	}
-	return match == 1
 }
 
 // Serve accepts connections on ln until the listener fails or the
@@ -260,12 +242,7 @@ func (c *srvConn) writer() {
 // OpSend payloads alias it — and releases it before the response is
 // encoded.
 func (c *srvConn) handle(f Frame, reqBuf *[]byte) {
-	svc := c.srv.Service
-	if f.Trace != "" {
-		if ts, ok := svc.(queue.TraceScoper); ok {
-			svc = ts.WithTrace(f.Trace)
-		}
-	}
+	svc := queue.WithTrace(c.srv.Service, f.Trace)
 	var start time.Time
 	if c.srv.met != nil {
 		start = time.Now()
@@ -300,23 +277,24 @@ func fail(e *enc, err error) {
 // ok encodes the success status; the caller appends the result payload.
 func ok(e *enc) { e.byte(statusOK) }
 
+// reply encodes the whole answer of an op that returns only an error.
+func reply(e *enc, err error) {
+	if err != nil {
+		fail(e, err)
+		return
+	}
+	ok(e)
+}
+
 // dispatch decodes the op-specific payload, invokes the service, and
 // encodes the result.
 func (c *srvConn) dispatch(svc queue.API, f Frame, e *enc) {
 	d := dec{b: f.Payload}
 	switch f.Op {
 	case OpCreateQueue:
-		if err := svc.CreateQueue(f.Queue); err != nil {
-			fail(e, err)
-			return
-		}
-		ok(e)
+		reply(e, svc.CreateQueue(f.Queue))
 	case OpDeleteQueue:
-		if err := svc.DeleteQueue(f.Queue); err != nil {
-			fail(e, err)
-			return
-		}
-		ok(e)
+		reply(e, svc.DeleteQueue(f.Queue))
 	case OpListQueues:
 		names := svc.ListQueues()
 		ok(e)
@@ -367,11 +345,7 @@ func (c *srvConn) dispatch(svc queue.API, f Frame, e *enc) {
 			fail(e, ErrCorruptFrame)
 			return
 		}
-		if err := svc.DeleteMessage(f.Queue, receipt); err != nil {
-			fail(e, err)
-			return
-		}
-		ok(e)
+		reply(e, svc.DeleteMessage(f.Queue, receipt))
 	case OpDeleteBatch:
 		receipts := d.strs()
 		if d.err != nil {
@@ -400,11 +374,7 @@ func (c *srvConn) dispatch(svc queue.API, f Frame, e *enc) {
 			fail(e, ErrCorruptFrame)
 			return
 		}
-		if err := svc.ChangeVisibility(f.Queue, receipt, dur); err != nil {
-			fail(e, err)
-			return
-		}
-		ok(e)
+		reply(e, svc.ChangeVisibility(f.Queue, receipt, dur))
 	case OpCount:
 		visible, inflight, err := svc.ApproximateCount(f.Queue)
 		if err != nil {
@@ -415,11 +385,7 @@ func (c *srvConn) dispatch(svc queue.API, f Frame, e *enc) {
 		e.u64(uint64(visible))
 		e.u64(uint64(inflight))
 	case OpPurge:
-		if err := svc.Purge(f.Queue); err != nil {
-			fail(e, err)
-			return
-		}
-		ok(e)
+		reply(e, svc.Purge(f.Queue))
 	case OpRequests:
 		ok(e)
 		e.u64(uint64(svc.APIRequests()))
@@ -439,7 +405,7 @@ func (c *srvConn) dispatch(svc queue.API, f Frame, e *enc) {
 			fail(e, ErrCorruptFrame)
 			return
 		}
-		if !c.srv.tokenAccepted(token) {
+		if !queue.TokenAccepted(c.srv.AdminTokens, token) {
 			// One answer for "not provisioned", "no token", and "wrong
 			// token", exactly like the HTTP transfer endpoint.
 			fail(e, queue.ErrNotPrivileged)
