@@ -57,6 +57,15 @@
 // fails a dead shard over to its caught-up follower automatically
 // (operators can also POST /admin/failover).
 //
+// Journals are binary (internal/queue/durcodec.go). -dump-journal
+// bucket/key prints one as JSON lines — a header, the epoch's snapshot,
+// then one line per record — and exits without starting a router. It
+// only reads, and reads files: ./bucket/key and its snapshot objects
+// ./bucket/key.snap.N, as copied out of the blob service that holds
+// them (this daemon's own journal store lives in its memory and dies
+// with it). A damaged journal is printed up to the damage, then the
+// error with its byte offset, and the exit status is 1.
+//
 // Load-aware operation: -autoscale enables the router-side shard-fleet
 // policy (internal/queue/shard.AutoscalePolicy) — it splits hot
 // placement groups across sub-arcs past -split-threshold, weights ring
@@ -97,21 +106,54 @@ import (
 	"errors"
 	"flag"
 	"fmt"
+	"io"
+	"io/fs"
 	"log"
 	"net"
 	"net/http"
 	"net/http/pprof"
+	"os"
 	"sort"
 	"strconv"
 	"strings"
 	"time"
 
 	"repro/internal/blob"
+	"repro/internal/journal"
 	"repro/internal/queue"
 	"repro/internal/queue/shard"
 	"repro/internal/queue/wire"
 	"repro/internal/telemetry"
 )
+
+// dumpJournal prints the shard journal ref ("bucket/key") found under
+// fsys as JSON lines: the log object bucket/key and its snapshot objects
+// bucket/key.snap.N are loaded into a scratch store for
+// queue.DumpJournal to read.
+func dumpJournal(w io.Writer, fsys fs.FS, ref string) error {
+	bucket, key, ok := strings.Cut(ref, "/")
+	if !ok || bucket == "" || key == "" {
+		return fmt.Errorf("bad journal %q (want bucket/key)", ref)
+	}
+	names, err := fs.Glob(fsys, ref+".snap.*")
+	if err != nil {
+		return err
+	}
+	store := blob.NewStore(blob.Config{})
+	if err := store.CreateBucket(bucket); err != nil {
+		return err
+	}
+	for _, name := range append(names, ref) {
+		data, err := fs.ReadFile(fsys, name)
+		if err != nil {
+			return err
+		}
+		if err := store.Put(bucket, strings.TrimPrefix(name, bucket+"/"), data); err != nil {
+			return err
+		}
+	}
+	return queue.DumpJournal(w, journal.Log{Store: store, Bucket: bucket, Key: key})
+}
 
 // parseShards decodes "a=http://node1:8080,b=http://node2:8080".
 func parseShards(s string) (map[string]string, error) {
@@ -418,7 +460,16 @@ func main() {
 		"run a warm follower per durable in-process shard, continuously replaying its journal, and register it as the shard's failover standby (requires -durable)")
 	healthInterval := flag.Duration("health-interval", 0,
 		"probe shards that have standbys at this interval and fail dead ones over to their caught-up follower automatically (0 disables; failover stays available via POST /admin/failover)")
+	dump := flag.String("dump-journal", "",
+		"print the shard journal `bucket/key` (files ./bucket/key and ./bucket/key.snap.N) as JSON lines and exit; read-only")
 	flag.Parse()
+
+	if *dump != "" {
+		if err := dumpJournal(os.Stdout, os.DirFS("."), *dump); err != nil {
+			log.Fatalf("queuerouter: -dump-journal %s: %v", *dump, err)
+		}
+		return
+	}
 
 	remotes, err := parseShards(*shardsFlag)
 	if err != nil {

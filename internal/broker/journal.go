@@ -133,12 +133,16 @@ func sharedKey(jobID, name string) string {
 // and the jobRecord snapshot.
 type jobJournal struct {
 	log journal.Log
-	// snapEvery bounds replay: after this many appended events the
-	// folded jobRecord is snapshotted and the log truncated. <= 0
-	// disables compaction. appends counts events since the last
-	// snapshot; both are guarded by the owning Job's mutex.
+	// snapEvery bounds replay: once this many events have been appended
+	// since the last snapshot — and they outweigh it, see maybeCompact —
+	// the folded jobRecord is snapshotted and the log truncated. <= 0
+	// disables compaction. appends and tailBytes count events and their
+	// bytes since the last snapshot, snapBytes is that snapshot's size;
+	// all guarded by the owning Job's mutex.
 	snapEvery int
 	appends   int
+	tailBytes int
+	snapBytes int
 }
 
 // append journals one event. The caller must not act on a state
@@ -154,6 +158,7 @@ func (jl *jobJournal) append(ev Event) error {
 	if err := jl.log.Append(line); err != nil {
 		return fmt.Errorf("broker: journaling %s: %w", jl.log.Key, err)
 	}
+	jl.tailBytes += len(line)
 	return nil
 }
 
@@ -176,21 +181,29 @@ func (jl *jobJournal) create(ev Event) error {
 		}
 		return fmt.Errorf("broker: opening journal %s: %w", jl.log.Key, err)
 	}
+	jl.tailBytes += len(line)
 	return nil
 }
 
 // maybeCompact snapshots the folded record and truncates the journal
-// once snapEvery events have accumulated — the fix for journals that
-// grew one checkpoint per drained monitor batch forever. Compaction is
-// best-effort: a failure leaves the journal longer but complete, and
-// the counter stays up so the next event retries. Caller holds the
-// owning Job's mutex, so no append can race the truncation CAS.
+// once snapEvery events have accumulated AND their bytes have caught up
+// with the previous snapshot's — the fix for journals that grew one
+// checkpoint per drained monitor batch forever, without re-marshalling a
+// record that holds every task of a large job every snapEvery events.
+// The snapshot grows with the job, so waiting for a tail as big as the
+// last one makes the marshalling cost amortised O(1) per event byte
+// (snapshot count grows with the log of the events, not linearly),
+// while replay still reads at most one snapshot plus a tail of that
+// snapshot's size plus snapEvery events. Compaction is best-effort: a
+// failure leaves the journal longer but complete, and the counters stay
+// up so the next event retries. Caller holds the owning Job's mutex, so
+// no append can race the truncation CAS.
 func (jl *jobJournal) maybeCompact(rec *jobRecord) {
 	if jl == nil || jl.snapEvery <= 0 {
 		return
 	}
 	jl.appends++
-	if jl.appends < jl.snapEvery {
+	if jl.appends < jl.snapEvery || jl.tailBytes < jl.snapBytes {
 		return
 	}
 	state, err := json.Marshal(rec)
@@ -200,7 +213,7 @@ func (jl *jobJournal) maybeCompact(rec *jobRecord) {
 	if err := jl.log.Snapshot(state); err != nil {
 		return
 	}
-	jl.appends = 0
+	jl.appends, jl.tailBytes, jl.snapBytes = 0, 0, len(state)
 }
 
 // readJournal loads and decodes the events currently in one job's
@@ -243,7 +256,7 @@ func loadJobRecord(store *blob.Store, bucket, jobID string) (*jobRecord, error) 
 	return rec, nil
 }
 
-// decodeJournal parses JSON-lines journal bytes.
+// decodeJournal parses journal bytes: frames of JSON events.
 func decodeJournal(data []byte) ([]Event, error) {
 	entries, err := journal.SplitEntries(data)
 	if err != nil {
@@ -258,7 +271,7 @@ func decodeEntries(entries [][]byte) ([]Event, error) {
 	for i, line := range entries {
 		var ev Event
 		if err := json.Unmarshal(line, &ev); err != nil {
-			return nil, fmt.Errorf("broker: journal line %d: %w", i+1, err)
+			return nil, fmt.Errorf("broker: journal event %d: %w", i+1, err)
 		}
 		events = append(events, ev)
 	}
@@ -267,10 +280,10 @@ func decodeEntries(entries [][]byte) ([]Event, error) {
 
 // SyntheticJournal renders a completed-job journal document — one
 // submitted event carrying nTasks task IDs, one checkpoint per task,
-// one completed event — in the JSON-lines wire format (the same bytes
-// GET /jobs/{id}/journal serves). Replay benchmarks (the root bench
-// suite, paperbench's brokerrecover experiment) build fixtures through
-// it so the format is encoded in exactly one place.
+// one completed event — exactly as the broker would have journaled it:
+// one internal/journal frame per JSON event. Replay benchmarks (the root
+// bench suite, paperbench's brokerrecover experiment) build fixtures
+// through it so the format is encoded in exactly one place.
 func SyntheticJournal(nTasks int, base time.Time) ([]byte, error) {
 	taskIDs := make([]string, nTasks)
 	for i := range taskIDs {
@@ -296,8 +309,7 @@ func SyntheticJournal(nTasks int, base time.Time) ([]byte, error) {
 		if err != nil {
 			return nil, err
 		}
-		doc = append(doc, line...)
-		doc = append(doc, '\n')
+		doc = journal.AppendFrame(doc, line)
 	}
 	return doc, nil
 }

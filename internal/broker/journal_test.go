@@ -1,6 +1,8 @@
 package broker
 
 import (
+	"errors"
+	"math"
 	"strings"
 	"testing"
 	"time"
@@ -180,61 +182,94 @@ func TestJournalBlobRoundTrip(t *testing.T) {
 	if err != nil || len(ids) != 1 || ids[0] != "job-0042" {
 		t.Errorf("listJournaledJobs = %v (err %v)", ids, err)
 	}
-	if _, err := decodeJournal([]byte("{not json\n")); err == nil ||
-		!strings.Contains(err.Error(), "journal line 1") {
-		t.Errorf("corrupt line error = %v", err)
+	if _, err := decodeJournal(journal.AppendFrame(nil, []byte("{not json"))); err == nil ||
+		!strings.Contains(err.Error(), "journal event 1") {
+		t.Errorf("corrupt event error = %v", err)
+	}
+	if _, err := decodeJournal([]byte("{\"type\":\"submitted\"}\n")); !errors.Is(err, journal.ErrCorrupt) {
+		t.Errorf("JSON-lines journal error = %v, want journal.ErrCorrupt", err)
 	}
 }
 
-// Compaction: once snapEvery events accumulate, the journal is
-// truncated to a snapshot of the folded record, the replay tail stays
-// bounded no matter how many checkpoints a long job writes, and the
-// recovery fold over snapshot + tail matches a fold over the full
-// history.
-func TestJournalCompactionBoundsReplay(t *testing.T) {
+// journalDriver drives a jobJournal exactly as recordLocked does —
+// journal, fold, tick compaction — and counts the snapshots taken.
+type journalDriver struct {
+	t         *testing.T
+	jl        *jobJournal
+	live      *jobRecord
+	snapshots int
+	// maxEvent is the largest event journaled since the first snapshot.
+	maxEvent int
+}
+
+func (d *journalDriver) record(ev Event) {
+	d.t.Helper()
+	var err error
+	tailBefore := d.jl.tailBytes
+	if ev.Type == EvSubmitted {
+		err = d.jl.create(ev)
+	} else {
+		err = d.jl.append(ev)
+	}
+	if err != nil {
+		d.t.Fatal(err)
+	}
+	if err := d.live.apply(ev); err != nil {
+		d.t.Fatal(err)
+	}
+	if d.snapshots > 0 {
+		d.maxEvent = max(d.maxEvent, d.jl.tailBytes-tailBefore)
+	}
+	// maybeCompact counts this event, so appends is zero only when it
+	// has just snapshotted.
+	if d.jl.maybeCompact(d.live); d.jl.appends == 0 {
+		d.snapshots++
+	}
+}
+
+// runJob journals a whole job of nTasks one-task checkpoints.
+func (d *journalDriver) runJob(nTasks int) {
+	taskIDs := make([]string, nTasks)
+	for i := range taskIDs {
+		taskIDs[i] = ts(i).Format("t150405.000")
+	}
+	sub := submittedEvent()
+	sub.TaskIDs = taskIDs
+	d.record(sub)
+	d.record(Event{Type: EvScaledUp, Time: ts(1), InstanceID: 0, Fleet: 1, Reason: "initial fleet"})
+	for i, id := range taskIDs {
+		d.record(Event{Type: EvCheckpoint, Time: ts(2 + i), Done: []string{id}})
+	}
+	d.record(Event{Type: EvScaledDown, Time: ts(2 + nTasks), InstanceID: 0, Reason: "drained"})
+	d.record(Event{Type: EvCompleted, Time: ts(3 + nTasks)})
+}
+
+func newJournalDriver(t *testing.T, snapEvery int) *journalDriver {
 	store := blob.NewStore(blob.Config{})
 	if err := store.CreateBucket("broker-journal"); err != nil {
 		t.Fatal(err)
 	}
-	const snapEvery = 8
-	jl := &jobJournal{
-		log:       journal.Log{Store: store, Bucket: "broker-journal", Key: journalKey("job-0042")},
-		snapEvery: snapEvery,
+	return &journalDriver{
+		t:    t,
+		live: &jobRecord{ID: "job-0042"},
+		jl: &jobJournal{
+			log:       journal.Log{Store: store, Bucket: "broker-journal", Key: journalKey("job-0042")},
+			snapEvery: snapEvery,
+		},
 	}
-	// Drive the journal exactly as recordLocked does: journal, fold,
-	// tick compaction.
-	record := func(rec *jobRecord, ev Event) {
-		t.Helper()
-		var err error
-		if ev.Type == EvSubmitted {
-			err = jl.create(ev)
-		} else {
-			err = jl.append(ev)
-		}
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := rec.apply(ev); err != nil {
-			t.Fatal(err)
-		}
-		jl.maybeCompact(rec)
-	}
+}
 
-	const nTasks = 100
-	taskIDs := make([]string, nTasks)
-	for i := range taskIDs {
-		taskIDs[i] = ts(i).Format("t0405.000")
-	}
-	sub := submittedEvent()
-	sub.TaskIDs = taskIDs
-	live := &jobRecord{ID: "job-0042"}
-	record(live, sub)
-	record(live, Event{Type: EvScaledUp, Time: ts(1), InstanceID: 0, Fleet: 1, Reason: "initial fleet"})
-	for i, id := range taskIDs {
-		record(live, Event{Type: EvCheckpoint, Time: ts(2 + i), Done: []string{id}})
-	}
-	record(live, Event{Type: EvScaledDown, Time: ts(200), InstanceID: 0, Reason: "drained"})
-	record(live, Event{Type: EvCompleted, Time: ts(201)})
+// Compaction: once snapEvery events accumulate and outweigh the last
+// snapshot, the journal is truncated to a snapshot of the folded
+// record; the replay tail stays bounded by that snapshot's size plus
+// snapEvery events no matter how many checkpoints a long job writes,
+// and the recovery fold over snapshot + tail matches a fold over the
+// full history.
+func TestJournalCompactionBoundsReplay(t *testing.T) {
+	const snapEvery, nTasks = 8, 100
+	d := newJournalDriver(t, snapEvery)
+	d.runJob(nTasks)
+	jl, live, store := d.jl, d.live, d.jl.log.Store
 
 	v, err := jl.log.Load()
 	if err != nil {
@@ -243,8 +278,16 @@ func TestJournalCompactionBoundsReplay(t *testing.T) {
 	if v.Snapshot == nil {
 		t.Fatal("no snapshot after 100+ events")
 	}
-	if len(v.Entries) >= snapEvery {
-		t.Errorf("replay tail holds %d events, want < %d — compaction is not bounding replay", len(v.Entries), snapEvery)
+	tail := 0
+	for _, e := range v.Entries {
+		tail += len(e)
+	}
+	if bound := len(v.Snapshot) + snapEvery*d.maxEvent; tail > bound {
+		t.Errorf("replay tail holds %d bytes in %d events, want <= snapshot (%d bytes) + %d events — compaction is not bounding replay",
+			tail, len(v.Entries), len(v.Snapshot), snapEvery)
+	}
+	if d.snapshots < 2 {
+		t.Errorf("%d snapshots over %d events, want the journal compacted repeatedly", d.snapshots, nTasks+4)
 	}
 
 	rec, err := loadJobRecord(store, "broker-journal", "job-0042")
@@ -260,4 +303,32 @@ func TestJournalCompactionBoundsReplay(t *testing.T) {
 	if len(rec.Events) != len(live.Events) {
 		t.Errorf("scaling events: recovered %d, live %d", len(rec.Events), len(live.Events))
 	}
+}
+
+// The folded record holds every task of the job, so snapshotting it
+// every snapEvery events costs O(tasks) per snapshot and O(tasks²) per
+// job. Waiting for the tail to outweigh the last snapshot makes the
+// count grow with the logarithm of the events: eight times the tasks
+// buys a handful more snapshots, not eight times as many.
+func TestJournalCompactionCountIsLogarithmic(t *testing.T) {
+	const snapEvery = 64
+	count := func(nTasks int) int {
+		d := newJournalDriver(t, snapEvery)
+		d.runJob(nTasks)
+		if rec, err := loadJobRecord(d.jl.log.Store, "broker-journal", "job-0042"); err != nil ||
+			rec.State != StateCompleted || len(rec.Done) != nTasks {
+			t.Fatalf("%d tasks: recovered fold lost state (err %v)", nTasks, err)
+		}
+		return d.snapshots
+	}
+	small, large := count(512), count(4096)
+	events := 4096 + 4
+	if limit := 2 * int(math.Log2(float64(events))); large < 1 || large > limit {
+		t.Errorf("%d snapshots over %d events, want between 1 and 2·log2(events) = %d (every %d events would be %d)",
+			large, events, limit, snapEvery, events/snapEvery)
+	}
+	if large > small+6 {
+		t.Errorf("snapshots grew %d -> %d for 8x the events: linear, not logarithmic", small, large)
+	}
+	t.Logf("snapshots: %d over 516 events, %d over %d", small, large, events)
 }

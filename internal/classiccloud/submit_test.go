@@ -1,6 +1,7 @@
 package classiccloud
 
 import (
+	"bytes"
 	"encoding/json"
 	"fmt"
 	"reflect"
@@ -113,22 +114,23 @@ func TestSubmitFilesDurableOneRecordPerBatch(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	view, err := journal.Log{Store: store, Bucket: dur.Bucket, Key: dur.Key}.Load()
-	if err != nil {
+	// The journal is binary; read it the way an operator would.
+	var dump bytes.Buffer
+	if err := queue.DumpJournal(&dump, journal.Log{Store: store, Bucket: dur.Bucket, Key: dur.Key}); err != nil {
 		t.Fatal(err)
 	}
 	var batchSizes []int
 	var ids []string
 	sent := make(map[string]Task, n) // message ID → journaled task
-	for _, entry := range view.Entries {
+	for _, line := range bytes.Split(bytes.TrimSpace(dump.Bytes()), []byte("\n")) {
 		var rec struct {
 			Op     string   `json:"op"`
 			Q      string   `json:"q"`
 			IDs    []string `json:"ids"`
 			Bodies [][]byte `json:"bodies"`
 		}
-		if err := json.Unmarshal(entry, &rec); err != nil {
-			t.Fatalf("journal record %q: %v", entry, err)
+		if err := json.Unmarshal(line, &rec); err != nil {
+			t.Fatalf("journal dump line %q: %v", line, err)
 		}
 		if rec.Op != "send" || rec.Q != cfg.TaskQueue() {
 			continue

@@ -137,59 +137,65 @@ func ParseBytes(b []byte) ([]*Record, error) {
 // Writer emits FASTA records with a configurable line width.
 type Writer struct {
 	w     *bufio.Writer
-	Width int // sequence line width; <=0 means a single unwrapped line
+	line  []byte // scratch for one rendered record
+	Width int    // sequence line width; <=0 means a single unwrapped line
 }
+
+// defaultWidth is the conventional FASTA sequence line width.
+const defaultWidth = 70
 
 // NewWriter returns a Writer emitting to w with the conventional 70-column
 // sequence wrapping.
 func NewWriter(w io.Writer) *Writer {
-	return &Writer{w: bufio.NewWriter(w), Width: 70}
+	return &Writer{w: bufio.NewWriter(w), Width: defaultWidth}
+}
+
+// appendRecord appends one record's FASTA rendering to dst: the single
+// definition of the output format, shared by Writer and MarshalRecords.
+func appendRecord(dst []byte, rec *Record, width int) []byte {
+	dst = append(dst, '>')
+	dst = append(dst, rec.ID...)
+	if rec.Description != "" {
+		dst = append(dst, ' ')
+		dst = append(dst, rec.Description...)
+	}
+	dst = append(dst, '\n')
+	seq := rec.Seq
+	if width <= 0 {
+		return append(append(dst, seq...), '\n')
+	}
+	for len(seq) > 0 {
+		n := min(width, len(seq))
+		dst = append(append(dst, seq[:n]...), '\n')
+		seq = seq[n:]
+	}
+	return dst
 }
 
 // Write emits one record.
 func (w *Writer) Write(rec *Record) error {
-	if _, err := w.w.WriteString(">" + rec.Header() + "\n"); err != nil {
-		return err
-	}
-	seq := rec.Seq
-	if w.Width <= 0 {
-		if _, err := w.w.Write(seq); err != nil {
-			return err
-		}
-		return w.w.WriteByte('\n')
-	}
-	for len(seq) > 0 {
-		n := w.Width
-		if n > len(seq) {
-			n = len(seq)
-		}
-		if _, err := w.w.Write(seq[:n]); err != nil {
-			return err
-		}
-		if err := w.w.WriteByte('\n'); err != nil {
-			return err
-		}
-		seq = seq[n:]
-	}
-	return nil
+	w.line = appendRecord(w.line[:0], rec, w.Width)
+	_, err := w.w.Write(w.line)
+	return err
 }
 
 // Flush commits buffered output.
 func (w *Writer) Flush() error { return w.w.Flush() }
 
-// MarshalRecords renders records to an in-memory FASTA document.
+// MarshalRecords renders records to an in-memory FASTA document (the
+// conventional 70-column wrapping). The document is the buffer, so
+// nothing is staged through a bufio.Writer on the way.
 func MarshalRecords(recs []*Record) ([]byte, error) {
-	var buf bytes.Buffer
-	w := NewWriter(&buf)
+	size := 0
 	for _, rec := range recs {
-		if err := w.Write(rec); err != nil {
-			return nil, err
-		}
+		size += len(">\n") + len(rec.ID) + len(" ") + len(rec.Description) +
+			len(rec.Seq) + (len(rec.Seq)+defaultWidth-1)/defaultWidth
 	}
-	if err := w.Flush(); err != nil {
-		return nil, err
+	doc := make([]byte, 0, size)
+	for _, rec := range recs {
+		doc = appendRecord(doc, rec, defaultWidth)
 	}
-	return buf.Bytes(), nil
+	return doc, nil
 }
 
 // CountRecords counts records in a FASTA document without retaining them.

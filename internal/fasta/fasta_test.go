@@ -246,3 +246,51 @@ func TestSmallParseAllocatesLittle(t *testing.T) {
 		t.Errorf("parsing a %d-byte document allocates %d bytes, want < 8 KB", len(doc), perParse)
 	}
 }
+
+// Rendering a small record set costs about the document: the bytes go
+// straight into the returned buffer, with no 4 KB bufio.Writer staged
+// per call.
+func TestSmallMarshalAllocatesLittle(t *testing.T) {
+	recs := []*Record{{ID: "read0", Description: "a 200-byte record set", Seq: []byte(strings.Repeat("ACGT", 43))}}
+	want := ">read0 a 200-byte record set\n" + strings.Repeat("ACGT", 17) + "AC\n" +
+		"GT" + strings.Repeat("ACGT", 17) + "\n" + strings.Repeat("ACGT", 8) + "\n"
+	const runs = 100
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 0; i < runs; i++ {
+		if doc, err := MarshalRecords(recs); err != nil || string(doc) != want {
+			t.Fatalf("MarshalRecords = %q, %v; want %q", doc, err, want)
+		}
+	}
+	runtime.ReadMemStats(&after)
+	if perCall := (after.TotalAlloc - before.TotalAlloc) / runs; perCall >= 1<<10 {
+		t.Errorf("marshalling a %d-byte document allocates %d bytes, want < 1 KB", len(want), perCall)
+	}
+}
+
+// MarshalRecords and Writer render the same bytes, record for record.
+func TestMarshalMatchesWriter(t *testing.T) {
+	recs := []*Record{
+		{ID: "a", Seq: []byte(strings.Repeat("ACGT", 40))},
+		{ID: "b", Description: "exactly one line", Seq: []byte(strings.Repeat("T", 70))},
+		{ID: "empty"},
+		{ID: "c", Description: "short", Seq: []byte("ACG")},
+	}
+	var buf bytes.Buffer
+	w := NewWriter(&buf)
+	for _, rec := range recs {
+		if err := w.Write(rec); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := w.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	doc, err := MarshalRecords(recs)
+	if err != nil || !bytes.Equal(doc, buf.Bytes()) {
+		t.Fatalf("MarshalRecords = %q (err %v), Writer = %q", doc, err, buf.Bytes())
+	}
+	if cap(doc) != len(doc) && cap(doc) > len(doc)+len(recs) {
+		t.Errorf("document sized %d for %d bytes", cap(doc), len(doc))
+	}
+}

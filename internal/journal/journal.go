@@ -1,6 +1,6 @@
 // Package journal is the shared event-sourcing substrate of the
-// system's durability story: an append-only log of JSON-line records in
-// a blob object, plus snapshot + truncate compaction that bounds how
+// system's durability story: an append-only log of length-framed records
+// in a blob object, plus snapshot + truncate compaction that bounds how
 // much of the log a recovery must replay.
 //
 // The broker proved the pattern out (PR 3): every state transition is a
@@ -13,17 +13,28 @@
 //
 // # On-disk format
 //
-// A Log is one blob object of newline-terminated records. Records are
-// opaque to this package except for one rule: a line starting with '!'
-// is a control line. The only control line today is the epoch header
-// written by Snapshot:
+// A Log is one blob object: an optional epoch header line, then record
+// frames back to back.
 //
-//	!{"seq":N}
+//	log    = [ header ] frame*
+//	header = '!' {"seq":N} '\n'
+//	frame  = tag(1) || uvarint(len(payload)) || payload
+//	tag    = 0x01
 //
-// A log that has been compacted starts with its header; the state as of
-// the truncation lives in a sibling object <key>.snap.N. A log that has
-// never been compacted has no header (epoch 0) — which also keeps
-// journals written before this package existed loadable.
+// Payloads are opaque to this package — any bytes but none at all, so
+// binary records (queue shards) and JSON records (broker, catalog) share
+// the framing. The tag is the format's version byte: it is what tells a
+// frame from a header ('!'), from a log written as JSON lines before
+// frames existed ('{', refused with a message saying so), and from
+// garbage. Every append writes whole frames, so a log that ends inside
+// one (a length prefix promising more bytes than remain, or cut short
+// itself) was torn or truncated after the fact and is ErrCorrupt — as is
+// an unknown tag or a header anywhere but first.
+//
+// The header is written by Snapshot. A log that has been compacted
+// starts with it; the state as of the truncation lives in a sibling
+// object <key>.snap.N. A log that has never been compacted has no header
+// (epoch 0).
 //
 // Snapshots go to per-epoch keys, not one well-known key, so a crash
 // between "write snapshot" and "truncate log" leaves an orphan snapshot
@@ -41,12 +52,14 @@ package journal
 
 import (
 	"bytes"
+	"encoding/binary"
 	"encoding/json"
 	"errors"
 	"fmt"
 	"strings"
 
 	"repro/internal/blob"
+	"repro/internal/codec"
 )
 
 // Errors returned by this package, always wrapped with context; match
@@ -60,9 +73,10 @@ var (
 	// concurrent append. Nothing was truncated; the caller retries once
 	// its appends have quiesced.
 	ErrRaced = errors.New("journal: snapshot raced a concurrent append")
-	// ErrCorrupt reports a log whose control structure cannot be
-	// decoded: an unparsable header, or a header pointing at a snapshot
-	// object that is missing or itself a control-line orphan.
+	// ErrCorrupt reports a log whose structure cannot be decoded: an
+	// unparsable header, a header pointing at a snapshot object that is
+	// missing, or bytes that are not whole record frames. Record owners
+	// wrap it too when a well-framed payload does not decode.
 	ErrCorrupt = errors.New("journal: corrupt log")
 )
 
@@ -70,8 +84,13 @@ var (
 // snapshot objects.
 const snapInfix = ".snap."
 
-// headerPrefix starts every control line.
-const headerPrefix = '!'
+// headerPrefix starts the epoch header line; frameTag starts every
+// record frame. A frame's header is at most frameHeadroom bytes.
+const (
+	headerPrefix  = '!'
+	frameTag      = 0x01
+	frameHeadroom = 1 + binary.MaxVarintLen64
+)
 
 // header is the epoch control line: the log was truncated at version
 // Seq and the pre-truncation state lives in <key>.snap.<Seq>.
@@ -92,33 +111,31 @@ func (l Log) snapKey(seq int64) string {
 	return fmt.Sprintf("%s%s%d", l.Key, snapInfix, seq)
 }
 
-// validateRecord rejects records this package could not read back:
-// control-prefixed or newline-embedding lines would be misparsed as
-// framing.
-func validateRecord(rec []byte) error {
-	if len(rec) == 0 {
-		return errors.New("journal: empty record")
-	}
-	if rec[0] == headerPrefix {
-		return fmt.Errorf("journal: record may not start with %q", headerPrefix)
-	}
-	if bytes.IndexByte(rec, '\n') >= 0 {
-		return errors.New("journal: record may not contain a newline")
-	}
-	return nil
+// A Record encodes itself by appending to dst — what AppendRecord takes
+// so a hot-path writer's record is built directly behind its frame
+// header in a pooled buffer, with no intermediate []byte.
+type Record interface {
+	AppendTo(dst []byte) []byte
 }
+
+// AppendFrame appends rec as one record frame to dst: the bytes Append
+// would write, for callers assembling a whole log document themselves.
+func AppendFrame(dst, rec []byte) []byte {
+	dst = append(dst, frameTag)
+	dst = binary.AppendUvarint(dst, uint64(len(rec)))
+	return append(dst, rec...)
+}
+
+var errEmptyRecord = errors.New("journal: empty record")
 
 // Create opens the log with its first record, using the blob store's
 // compare-and-swap so creation is exclusive: two writers racing to own
 // one key cannot both win. ErrExists reports the loss.
 func (l Log) Create(rec []byte) error {
-	if err := validateRecord(rec); err != nil {
-		return err
+	if len(rec) == 0 {
+		return errEmptyRecord
 	}
-	line := make([]byte, 0, len(rec)+1)
-	line = append(line, rec...)
-	line = append(line, '\n')
-	if _, err := l.Store.PutIf(l.Bucket, l.Key, line, 0); err != nil {
+	if _, err := l.Store.PutIf(l.Bucket, l.Key, AppendFrame(nil, rec), 0); err != nil {
 		if errors.Is(err, blob.ErrPreconditionFailed) {
 			return fmt.Errorf("%w: %s/%s", ErrExists, l.Bucket, l.Key)
 		}
@@ -131,13 +148,36 @@ func (l Log) Create(rec []byte) error {
 // caller must not act on a state transition whose append failed: the
 // journal is the source of truth.
 func (l Log) Append(rec []byte) error {
-	if err := validateRecord(rec); err != nil {
-		return err
+	if len(rec) == 0 {
+		return errEmptyRecord
 	}
-	line := make([]byte, 0, len(rec)+1)
-	line = append(line, rec...)
-	line = append(line, '\n')
-	if _, err := l.Store.Append(l.Bucket, l.Key, line); err != nil {
+	bp := codec.GetBuf()
+	defer codec.PutBuf(bp)
+	*bp = AppendFrame(*bp, rec)
+	return l.appendFrame(*bp)
+}
+
+// AppendRecord is Append for a record that encodes itself. Its length
+// is not known up front, so the payload is encoded behind room for the
+// longest possible frame header and the real header is then written
+// right-justified against it: one contiguous frame, no second copy.
+func (l Log) AppendRecord(r Record) error {
+	bp := codec.GetBuf()
+	defer codec.PutBuf(bp)
+	var room [frameHeadroom]byte
+	*bp = r.AppendTo(append(*bp, room[:]...))
+	n := len(*bp) - frameHeadroom
+	if n == 0 {
+		return errEmptyRecord
+	}
+	room[0] = frameTag
+	start := frameHeadroom - 1 - binary.PutUvarint(room[1:], uint64(n))
+	copy((*bp)[start:], room[:frameHeadroom-start])
+	return l.appendFrame((*bp)[start:])
+}
+
+func (l Log) appendFrame(frame []byte) error {
+	if _, err := l.Store.Append(l.Bucket, l.Key, frame); err != nil {
 		return fmt.Errorf("journal: appending to %s/%s: %w", l.Bucket, l.Key, err)
 	}
 	return nil
@@ -172,7 +212,10 @@ type View struct {
 }
 
 // Load reads and parses the whole log. A log that does not exist
-// returns blob.ErrNoSuchKey (wrapped).
+// returns blob.ErrNoSuchKey (wrapped). When the damage is in the frames
+// (ErrCorrupt naming a byte offset) the View is returned alongside the
+// error and holds the snapshot and every record before that offset, for
+// tools that print what is still readable; a fold must not use it.
 //
 // The log and its epoch snapshot are two objects read with two GETs, so
 // a concurrent Snapshot can delete the snapshot Load's header points at
@@ -205,9 +248,9 @@ func (l Log) loadOnce() (v *View, retry bool, err error) {
 		}
 		rest = data[bytes.IndexByte(data, '\n')+1:]
 	}
-	v.Entries, err = SplitEntries(rest)
+	v.Entries, err = splitFrames(rest, len(data)-len(rest))
 	if err != nil {
-		return nil, false, fmt.Errorf("%w: %s/%s: %v", ErrCorrupt, l.Bucket, l.Key, err)
+		return v, false, fmt.Errorf("%s/%s: %w", l.Bucket, l.Key, err)
 	}
 	return v, false, nil
 }
@@ -231,21 +274,42 @@ func parseHeader(data []byte) (seq int64, ok bool, err error) {
 	return h.Seq, true, nil
 }
 
-// SplitEntries parses journal bytes into records: newline-separated,
-// blank lines skipped. A control line anywhere is an error — headers
-// are only valid as the first line of a log, which Load strips before
-// calling this.
-func SplitEntries(data []byte) ([][]byte, error) {
+// SplitEntries walks journal bytes frame by frame and returns the
+// payloads, which alias data. The bytes must be whole frames: a header
+// is only valid as the first line of a log (Load strips it before
+// walking the rest), and a final frame that runs past the end means the
+// log was torn. Every error wraps ErrCorrupt, names the byte offset of
+// the frame it could not read, and comes with the payloads before it.
+func SplitEntries(data []byte) ([][]byte, error) { return splitFrames(data, 0) }
+
+// splitFrames is SplitEntries for bytes that start base bytes into a
+// log, so that its errors name offsets in the log.
+func splitFrames(data []byte, base int) ([][]byte, error) {
 	var entries [][]byte
-	for i, line := range bytes.Split(data, []byte("\n")) {
-		line = bytes.TrimSpace(line)
-		if len(line) == 0 {
-			continue
+	bad := func(off int, what string) ([][]byte, error) {
+		return entries, fmt.Errorf("%w: %s at offset %d (record %d)", ErrCorrupt, what, base+off, len(entries)+1)
+	}
+	for off := 0; off < len(data); {
+		switch tag := data[off]; tag {
+		case frameTag:
+		case headerPrefix:
+			return bad(off, "control line")
+		case '{':
+			return bad(off, "JSON-lines record (this log predates the framed journal format and cannot be read)")
+		default:
+			return bad(off, fmt.Sprintf("unknown frame tag %#02x", tag))
 		}
-		if line[0] == headerPrefix {
-			return nil, fmt.Errorf("control line at record %d", i+1)
+		n, used := binary.Uvarint(data[off+1:])
+		body := off + 1 + used
+		if used <= 0 || n > uint64(len(data)-body) {
+			return bad(off, "truncated frame")
 		}
-		entries = append(entries, line)
+		if n == 0 {
+			return bad(off, "empty frame")
+		}
+		end := body + int(n)
+		entries = append(entries, data[body:end:end])
+		off = end
 	}
 	return entries, nil
 }
@@ -269,8 +333,8 @@ func (l Log) Head() (seq, size int64, err error) {
 }
 
 // Tail reads the log's bytes from offset off (consistent view) plus its
-// current total size. Appends are whole lines, so a tail that starts at
-// a previously observed size always starts at a record boundary —
+// current total size. Appends are whole frames, so a tail that starts at
+// a previously observed size always starts at a frame boundary —
 // unless the log was truncated underneath the reader, which the
 // returned size (smaller than off) reveals.
 func (l Log) Tail(off int64) (data []byte, size int64, err error) {

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
+	"strings"
 	"testing"
 
 	"repro/internal/blob"
@@ -57,12 +58,84 @@ func TestAppendLoadRoundTrip(t *testing.T) {
 	}
 }
 
-func TestRecordValidation(t *testing.T) {
+// Payloads are opaque: bytes that the line format had to refuse
+// ('!'-leading, newline-carrying) and ones that look like framing (a
+// 33-byte record's length prefix is 0x21 = '!', a payload of frame tags)
+// come back exactly. Only the empty record is rejected.
+func TestOpaquePayloadsRoundTrip(t *testing.T) {
 	l := Log{Store: newStore(t), Bucket: "j", Key: "logs/a"}
-	for _, bad := range [][]byte{nil, []byte("!control"), []byte("a\nb")} {
-		if err := l.Append(bad); err == nil {
-			t.Errorf("Append(%q) accepted", bad)
+	want := [][]byte{
+		[]byte("!control"),
+		[]byte("a\nb\n"),
+		bytes.Repeat([]byte{'x'}, 33),
+		{frameTag, frameTag, 0x00, 0xff},
+		bytes.Repeat([]byte{'!'}, 300), // two-byte length prefix
+		[]byte(`{"n":1}`),
+	}
+	for _, rec := range want {
+		if err := l.Append(rec); err != nil {
+			t.Fatalf("Append(%q): %v", rec, err)
 		}
+	}
+	v, err := l.Load()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(v.Entries) != len(want) {
+		t.Fatalf("entries = %d, want %d", len(v.Entries), len(want))
+	}
+	for i := range want {
+		if !bytes.Equal(v.Entries[i], want[i]) {
+			t.Errorf("entry %d = %q, want %q", i, v.Entries[i], want[i])
+		}
+	}
+	for _, empty := range [][]byte{nil, {}} {
+		if err := l.Append(empty); err == nil {
+			t.Error("Append of an empty record accepted")
+		}
+		if err := (Log{Store: l.Store, Bucket: "j", Key: "logs/b"}).Create(empty); err == nil {
+			t.Error("Create with an empty record accepted")
+		}
+	}
+}
+
+// selfEncoding is a Record that appends its bytes in two steps, as an
+// encoder building a record field by field does.
+type selfEncoding struct{ head, tail string }
+
+func (r selfEncoding) AppendTo(dst []byte) []byte {
+	return append(append(dst, r.head...), r.tail...)
+}
+
+// AppendRecord writes exactly the frame Append writes for the same
+// bytes, whatever the pooled buffer held before.
+func TestAppendRecordMatchesAppend(t *testing.T) {
+	store := newStore(t)
+	a := Log{Store: store, Bucket: "j", Key: "logs/a"}
+	b := Log{Store: store, Bucket: "j", Key: "logs/b"}
+	for _, n := range []int{1, 127, 128, 20_000, 3} {
+		rec := selfEncoding{head: "h", tail: string(bytes.Repeat([]byte{'t'}, n-1))}
+		if err := a.AppendRecord(rec); err != nil {
+			t.Fatal(err)
+		}
+		if err := b.Append(rec.AppendTo(nil)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := a.AppendRecord(selfEncoding{}); err == nil {
+		t.Error("AppendRecord of an empty record accepted")
+	}
+	da, _ := store.GetConsistent("j", "logs/a")
+	db, _ := store.GetConsistent("j", "logs/b")
+	if !bytes.Equal(da, db) || len(da) == 0 {
+		t.Errorf("AppendRecord wrote %d bytes, Append %d; want identical documents", len(da), len(db))
+	}
+	var doc []byte
+	for _, n := range []int{1, 127, 128, 20_000, 3} {
+		doc = AppendFrame(doc, append([]byte("h"), bytes.Repeat([]byte{'t'}, n-1)...))
+	}
+	if !bytes.Equal(da, doc) {
+		t.Error("AppendFrame does not render the bytes Append writes")
 	}
 }
 
@@ -138,7 +211,7 @@ func TestSnapshotRacedByAppend(t *testing.T) {
 	}
 	// Write the snapshot exactly as Snapshot would, but truncate against
 	// a stale version to model the interleaving.
-	if _, err := store.Append("j", "logs/a", []byte("{\"n\":1}\n")); err != nil {
+	if _, err := store.Append("j", "logs/a", AppendFrame(nil, []byte(`{"n":1}`))); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := store.PutIf("j", "logs/a", []byte("!{\"seq\":2}\n"), 1); !errors.Is(err, blob.ErrPreconditionFailed) {
@@ -287,16 +360,60 @@ func TestLoadCorruptHeader(t *testing.T) {
 	}
 }
 
-// FuzzLoad feeds arbitrary bytes through the log parser: garbage,
-// truncated headers, and control lines must surface as errors, never
-// panics, and a successful parse must return only non-control records.
+// Bytes that are not whole frames are ErrCorrupt, with a message that
+// places the damage — and, for a log written as JSON lines before frames
+// existed, says that is what it is.
+func TestLoadCorruptFrames(t *testing.T) {
+	store := newStore(t)
+	l := Log{Store: store, Bucket: "j", Key: "logs/a"}
+	good := AppendFrame(nil, []byte("first"))
+	long := AppendFrame(nil, bytes.Repeat([]byte{'x'}, 200))
+	cases := []struct {
+		name, wantMsg string
+		doc           []byte
+	}{
+		{"torn final frame", "truncated frame at offset 7 (record 2)", append(append([]byte(nil), good...), long[:50]...)},
+		{"cut inside the length prefix", "truncated frame at offset 7", append(append([]byte(nil), good...), long[:2]...)},
+		{"tag alone", "truncated frame at offset 7", append(append([]byte(nil), good...), frameTag)},
+		{"length beyond the log", "truncated frame at offset 0", []byte{frameTag, 0xff, 0xff, 0xff, 0xff, 0x0f, 'x'}},
+		{"length overflowing uvarint", "truncated frame at offset 0", append([]byte{frameTag}, bytes.Repeat([]byte{0xff}, 11)...)},
+		{"empty frame", "empty frame at offset 7", append(append([]byte(nil), good...), frameTag, 0)},
+		{"control line mid-log", "control line at offset 7", append(append([]byte(nil), good...), "!{\"seq\":3}\n"...)},
+		{"unknown tag", "unknown frame tag 0x7f at offset 0", []byte{0x7f, 1, 'x'}},
+		{"pre-frame JSON lines", "predates the framed journal format", []byte("{\"op\":\"genesis\"}\n{\"op\":\"create\",\"q\":\"q\"}\n")},
+		{"pre-frame JSON lines after a header", "predates the framed journal format", []byte("!{\"seq\":2}\n{\"n\":1}\n")},
+	}
+	if err := store.Put("j", l.snapKey(2), []byte("state")); err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range cases {
+		if err := store.Put("j", "logs/a", tc.doc); err != nil {
+			t.Fatal(err)
+		}
+		_, err := l.Load()
+		if !errors.Is(err, ErrCorrupt) || !strings.Contains(err.Error(), tc.wantMsg) {
+			t.Errorf("%s: Load = %v, want ErrCorrupt mentioning %q", tc.name, err, tc.wantMsg)
+		}
+	}
+}
+
+// FuzzLoad feeds arbitrary bytes through the log parser: garbage, torn
+// frames, length bombs, and misplaced control lines must surface as
+// ErrCorrupt — never a panic — and a successful parse must return
+// non-empty records that are disjoint sub-slices of the input, in order
+// (so nothing was allocated on a declared length's say-so).
 func FuzzLoad(f *testing.F) {
-	f.Add([]byte("{\"n\":1}\n{\"n\":2}\n"))
-	f.Add([]byte("!{\"seq\":3}\n{\"n\":1}\n"))
+	two := AppendFrame(AppendFrame(nil, []byte(`{"n":1}`)), []byte{0x01, 0x00, '!', '\n'})
+	f.Add(two)
+	f.Add(append([]byte("!{\"seq\":3}\n"), two...))
+	f.Add(two[:len(two)-1])                                         // truncated final frame
+	f.Add([]byte{frameTag, 0xff, 0xff, 0xff, 0xff, 0xff, 0x7f})     // declared length > remaining
+	f.Add(AppendFrame(nil, bytes.Repeat([]byte{'r'}, 33)))          // length byte 0x21 = '!'
+	f.Add(append(append([]byte(nil), two...), "!{\"seq\":3}\n"...)) // control line mid-log
+	f.Add([]byte("{\"n\":1}\n{\"n\":2}\n"))                         // pre-frame JSON lines
 	f.Add([]byte("!{\"seq\":"))
 	f.Add([]byte("!\n!\n"))
-	f.Add([]byte("\n\n\n"))
-	f.Add([]byte{0xff, 0xfe, '\n', '!'})
+	f.Add([]byte{frameTag, 0})
 	f.Fuzz(func(t *testing.T, doc []byte) {
 		store := blob.NewStore(blob.Config{})
 		if err := store.CreateBucket("j"); err != nil {
@@ -313,12 +430,22 @@ func FuzzLoad(f *testing.F) {
 		l := Log{Store: store, Bucket: "j", Key: "logs/f"}
 		v, err := l.Load()
 		if err != nil {
+			if !errors.Is(err, ErrCorrupt) {
+				t.Fatalf("Load(%q) = %v, want ErrCorrupt", doc, err)
+			}
 			return
 		}
+		cur := 0
 		for _, e := range v.Entries {
-			if len(e) == 0 || e[0] == headerPrefix {
-				t.Fatalf("parsed entry %q from %q", e, doc)
+			if len(e) == 0 {
+				t.Fatalf("parsed an empty entry from %q", doc)
 			}
+			// Each payload sits behind at least a tag and a length byte.
+			at := bytes.Index(doc[min(cur+2, len(doc)):], e)
+			if at < 0 {
+				t.Fatalf("entry %q is not a sub-slice of %q past offset %d", e, doc, cur)
+			}
+			cur += 2 + at + len(e)
 		}
 	})
 }

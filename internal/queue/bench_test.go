@@ -5,6 +5,8 @@ import (
 	"sync"
 	"testing"
 	"time"
+
+	"repro/internal/blob"
 )
 
 // benchStore abstracts the indexed Service and the legacy global-mutex
@@ -392,4 +394,92 @@ func BenchmarkQueueBatchRoundTrip(b *testing.B) {
 		}
 		b.ReportMetric(float64(s.APIRequests())/float64(b.N), "requests/roundtrip")
 	})
+}
+
+// durableBenchService is a recovered durable service over a fresh store
+// with one queue, compacting at the default cadence so the log — and the
+// blob store's cost of growing it — stays bounded as in production.
+func durableBenchService(b *testing.B) (*Service, Config) {
+	b.Helper()
+	cfg := Config{Seed: 1, Durability: &Durability{
+		Store: blob.NewStore(blob.Config{}), Bucket: "j", Key: "bench",
+	}}
+	s := NewService(cfg)
+	if err := s.Recover(); err != nil {
+		b.Fatal(err)
+	}
+	if err := s.CreateQueue("q"); err != nil {
+		b.Fatal(err)
+	}
+	return s, cfg
+}
+
+// benchBodies are MaxBatch task-descriptor-sized message bodies.
+func benchBodies() [][]byte {
+	bodies := make([][]byte, MaxBatch)
+	for i := range bodies {
+		bodies[i] = []byte(fmt.Sprintf(`{"id":"t%04d","input":"in/file-%04d.fa","output":"out/file-%04d.fa"}`, i, i, i))
+	}
+	return bodies
+}
+
+// durableRoundTrip is the benchmarks' unit of work: one 10-message
+// send, receive and delete — three journal records.
+func durableRoundTrip(b *testing.B, s *Service, bodies [][]byte, receipts []string) {
+	if _, err := s.SendMessageBatch("q", bodies); err != nil {
+		b.Fatal(err)
+	}
+	msgs, err := s.ReceiveMessageBatch("q", time.Hour, MaxBatch, 0)
+	if err != nil || len(msgs) != MaxBatch {
+		b.Fatalf("batch receive: %d err=%v", len(msgs), err)
+	}
+	for j, m := range msgs {
+		receipts[j] = m.ReceiptHandle
+	}
+	if _, err := s.DeleteMessageBatch("q", receipts); err != nil {
+		b.Fatal(err)
+	}
+}
+
+// BenchmarkQueueDurableAppend measures the write side of durability:
+// encoding and appending the send/receive/delete records of a
+// 10-message round trip on top of the queue work itself (compare
+// BenchmarkQueueBatchRoundTrip/batch, the same work unjournaled).
+func BenchmarkQueueDurableAppend(b *testing.B) {
+	s, _ := durableBenchService(b)
+	bodies, receipts := benchBodies(), make([]string, MaxBatch)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		durableRoundTrip(b, s, bodies, receipts)
+	}
+	b.StopTimer()
+	in := s.dur.log.Store.Usage()
+	b.ReportMetric(float64(in.BytesIn)/float64(in.PutRequests), "journal_B/append")
+}
+
+// BenchmarkQueueFollowerFold measures the read side: a standby folding
+// the three records of each round trip out of the primary's journal
+// tail (Head poll, range read, frame walk, decode, fold), and once per
+// snapshot epoch rebuilding from the primary's snapshot.
+func BenchmarkQueueFollowerFold(b *testing.B) {
+	s, cfg := durableBenchService(b)
+	f, err := NewFollower(cfg)
+	if err != nil {
+		b.Fatal(err)
+	}
+	if _, err := f.CatchUp(); err != nil {
+		b.Fatal(err)
+	}
+	bodies, receipts := benchBodies(), make([]string, MaxBatch)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		b.StopTimer()
+		durableRoundTrip(b, s, bodies, receipts)
+		b.StartTimer()
+		if _, err := f.CatchUp(); err != nil {
+			b.Fatal(err)
+		}
+	}
 }

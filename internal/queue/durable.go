@@ -2,15 +2,19 @@
 //
 // With Config.Durability set, every mutation a Service accepts —
 // create/delete queue, send, transfer, receive, delete, visibility
-// change, purge — is journaled as one JSON record (one blob append per
-// billed call, batches included) BEFORE the in-memory commit, so an
-// operation acknowledged to a caller is an operation a restarted or
-// replicated service will reproduce. Recovery is a fold: Recover loads
-// the journal's snapshot epoch plus the records appended since and
-// rebuilds exact queue state — depths, delivery counts, live receipt
-// handles, in-flight leases — mirroring Broker.Recover. A Follower runs
-// the same fold continuously against a primary's journal, which is what
-// shard failover promotes.
+// change, purge — is journaled as one binary record in one journal frame
+// (one blob append per billed call, batches included; layout in
+// durcodec.go) BEFORE the in-memory commit, so an operation acknowledged
+// to a caller is an operation a restarted or replicated service will
+// reproduce. Recovery is a fold: Recover loads the journal's snapshot
+// epoch plus the records appended since and rebuilds exact queue state —
+// depths, delivery counts, live receipt handles, in-flight leases to the
+// nanosecond — mirroring Broker.Recover. A Follower runs the same fold
+// continuously against a primary's journal, which is what shard failover
+// promotes. Live appends, Recover, the follower's tail fold and its
+// per-epoch rebuild all go through one encoder, one decoder and one
+// transition function (foldRecord); DumpJournal (`queuerouter
+// -dump-journal`) prints a journal as JSON lines for a human to read.
 //
 // What is NOT journaled: lease expiry (derived from visibleAt and the
 // clock at fold time) and long-poll bookkeeping. Delivery-order
@@ -18,25 +22,30 @@
 // post-recovery shuffle order may differ from an uncrashed run — the
 // queue contract never promised ordering.
 //
-// Costs: the journal append runs under the per-queue lock, so durable
-// throughput is bounded by the blob store's append path; the
-// `queuedurable` paperbench experiment measures the gap. Snapshots
-// (every SnapshotEvery records) briefly quiesce all journaled
-// operations via an RWMutex writer acquisition.
+// Costs: the record is encoded into a pooled buffer and appended under
+// the per-queue lock, so durable throughput is bounded by encoding plus
+// the blob store's append path, and a record is its ids, receipts and
+// raw bodies plus a few bytes of framing; the `queuedurable` paperbench
+// experiment measures the gap to an ephemeral service. Snapshots (every
+// SnapshotEvery records) briefly quiesce all journaled operations via an
+// RWMutex writer acquisition. A record or snapshot that does not decode
+// — damage, or a layout from a newer build — is journal.ErrCorrupt, and
+// a Follower that hits one keeps it (Err) rather than going quiet.
 package queue
 
 import (
 	"container/heap"
 	"container/list"
-	"encoding/json"
 	"errors"
 	"fmt"
+	"log"
 	"math/rand"
 	"sort"
 	"sync"
 	"time"
 
 	"repro/internal/blob"
+	"repro/internal/codec"
 	"repro/internal/journal"
 )
 
@@ -66,29 +75,18 @@ var ErrNotRecovered = errors.New("queue: durable service used before Recover")
 // simulating a killed process.
 var ErrHalted = errors.New("queue: service halted")
 
-// Journal record operations.
-const (
-	opGenesis     = "genesis"
-	opCreateQueue = "create"
-	opDeleteQueue = "delq"
-	opSend        = "send"
-	opReceive     = "recv"
-	opDelete      = "del"
-	opVisibility  = "vis"
-	opPurge       = "purge"
-)
-
 // durRecord is one journal record — one mutating API call, batches
-// included. Unused fields are omitted per op.
+// included. Unused fields stay zero per op and are not encoded. The json
+// tags serve DumpJournal only.
 type durRecord struct {
-	Op string `json:"op"`
+	Op durOp  `json:"op"`
 	Q  string `json:"q,omitempty"`
 	// T is the service clock at the operation, the fold's time base for
 	// lease placement (opReceive, opVisibility).
 	T time.Time `json:"t,omitempty"`
 
 	// opSend: assigned message IDs, bodies, prior delivery counts
-	// (transfers; nil for ordinary sends), and the queue's nextID after
+	// (transfers; empty for ordinary sends), and the queue's nextID after
 	// the batch.
 	IDs    []string `json:"ids,omitempty"`
 	Bodies [][]byte `json:"bodies,omitempty"`
@@ -148,7 +146,7 @@ func (d *durableState) unlock() { d.mu.RUnlock() }
 // whatever state lock covers the mutation the record describes; the
 // commit must only happen if append returns nil.
 func (d *durableState) append(rec *durRecord) error {
-	if err := d.log.AppendJSON(rec); err != nil {
+	if err := d.log.AppendRecord(rec); err != nil {
 		return err
 	}
 	d.countMu.Lock()
@@ -202,11 +200,10 @@ func (s *Service) snapshot() {
 	if pending < s.dur.snapEvery {
 		return // another caller snapshotted first
 	}
-	state, err := json.Marshal(s.captureState())
-	if err != nil {
-		return
-	}
-	if err := s.dur.log.Snapshot(state); err != nil {
+	bp := codec.GetBuf()
+	defer codec.PutBuf(bp)
+	*bp = s.captureState().appendTo(*bp)
+	if err := s.dur.log.Snapshot(*bp); err != nil {
 		return
 	}
 	s.dur.countMu.Lock()
@@ -298,7 +295,7 @@ func (s *Service) Recover() error {
 	}
 	v, err := d.log.Load()
 	if errors.Is(err, blob.ErrNoSuchKey) {
-		if err := d.log.CreateJSON(&durRecord{Op: opGenesis}); err != nil {
+		if err := d.log.Create((&durRecord{Op: opGenesis}).AppendTo(nil)); err != nil {
 			return err
 		}
 		d.ready = true
@@ -324,18 +321,27 @@ func (s *Service) installView(v *journal.View) error {
 	s.queues = make(map[string]*queueState)
 	s.mu.Unlock()
 	if v.Snapshot != nil {
-		var snap durSnapshot
-		if err := json.Unmarshal(v.Snapshot, &snap); err != nil {
-			return fmt.Errorf("queue: decoding journal snapshot: %w", err)
+		snap, err := decodeSnapshot(v.Snapshot)
+		if err != nil {
+			return corrupt(fmt.Sprintf("queue: journal snapshot of epoch %d", v.Seq), err)
 		}
-		if err := s.installSnapshot(&snap); err != nil {
+		if err := s.installSnapshot(snap); err != nil {
 			return err
 		}
 	}
-	for i, line := range v.Entries {
-		var rec durRecord
-		if err := json.Unmarshal(line, &rec); err != nil {
-			return fmt.Errorf("queue: journal record %d: %w", i+1, err)
+	return s.foldEntries(v.Entries)
+}
+
+// foldEntries decodes and applies journal records in order — the one
+// path from journal bytes to state, shared by Recover, the follower's
+// per-epoch rebuild and its tail fold. It stops at the first record
+// that does not decode (journal.ErrCorrupt) or does not fit the state
+// folded so far.
+func (s *Service) foldEntries(entries [][]byte) error {
+	var rec durRecord
+	for i, e := range entries {
+		if err := rec.decode(e); err != nil {
+			return corrupt(fmt.Sprintf("queue: journal record %d", i+1), err)
 		}
 		if err := s.foldRecord(&rec); err != nil {
 			return fmt.Errorf("queue: journal record %d: %w", i+1, err)
@@ -439,7 +445,7 @@ func (s *Service) foldRecord(rec *durRecord) error {
 	defer q.mu.Unlock()
 	switch rec.Op {
 	case opSend:
-		if len(rec.IDs) != len(rec.Bodies) || (rec.Recvs != nil && len(rec.Recvs) != len(rec.IDs)) {
+		if len(rec.IDs) != len(rec.Bodies) || (len(rec.Recvs) != 0 && len(rec.Recvs) != len(rec.IDs)) {
 			return fmt.Errorf("send record shape: %d ids, %d bodies, %d recvs", len(rec.IDs), len(rec.Bodies), len(rec.Recvs))
 		}
 		for i, id := range rec.IDs {
@@ -447,7 +453,7 @@ func (s *Service) foldRecord(rec *durRecord) error {
 				return fmt.Errorf("send of duplicate message %q", id)
 			}
 			m := &message{id: id, body: append([]byte(nil), rec.Bodies[i]...), heapIdx: -1}
-			if rec.Recvs != nil {
+			if len(rec.Recvs) != 0 {
 				m.receives = rec.Recvs[i]
 			}
 			m.elem = q.visible.PushBack(m)
@@ -498,6 +504,9 @@ func (s *Service) foldRecord(rec *durRecord) error {
 		}
 		return nil
 	case opVisibility:
+		if len(rec.Vis) != len(rec.IDs) {
+			return fmt.Errorf("visibility record shape: %d ids, %d vis", len(rec.IDs), len(rec.Vis))
+		}
 		for i, id := range rec.IDs {
 			m, ok := q.byID[id]
 			if !ok {
@@ -510,7 +519,7 @@ func (s *Service) foldRecord(rec *durRecord) error {
 		q.purgeLocked()
 		return nil
 	default:
-		return fmt.Errorf("unknown op %q", rec.Op)
+		return fmt.Errorf("unknown op %v", rec.Op)
 	}
 }
 
@@ -534,7 +543,12 @@ type Follower struct {
 	off int64
 	// records counts journal records folded in the current epoch; it
 	// seeds the promoted service's compaction counter.
-	records  int
+	records int
+	// err is the failure of the latest catch-up (nil once one succeeds)
+	// and fails how many have failed in a row: a standby that cannot read
+	// its primary's journal says so instead of silently falling behind.
+	err      error
+	fails    int
 	promoted bool
 	stop     chan struct{}
 	done     chan struct{}
@@ -549,8 +563,13 @@ func NewFollower(cfg Config) (*Follower, error) {
 	return &Follower{svc: NewService(cfg)}, nil
 }
 
+// staleEpoch is no journal's epoch: a follower whose seq is staleEpoch
+// rebuilds from the full log on its next catch-up.
+const staleEpoch = -1
+
 // CatchUp folds everything the primary has journaled since the last
-// call, returning the number of records applied.
+// call, returning the number of records applied. A failure is also kept
+// for Err.
 func (f *Follower) CatchUp() (int, error) {
 	f.mu.Lock()
 	defer f.mu.Unlock()
@@ -560,7 +579,42 @@ func (f *Follower) CatchUp() (int, error) {
 	return f.catchUpLocked()
 }
 
+// catchUpLocked is one catch-up attempt with its outcome recorded: the
+// first failure of a kind is logged, repeats only counted. Caller holds
+// f.mu.
 func (f *Follower) catchUpLocked() (int, error) {
+	n, err := f.foldNewLocked()
+	if err == nil {
+		f.err, f.fails = nil, 0
+		return n, nil
+	}
+	if f.err == nil || f.err.Error() != err.Error() {
+		d := f.svc.dur.log
+		log.Printf("queue: follower of %s/%s cannot catch up: %v", d.Bucket, d.Key, err)
+	}
+	f.err = err
+	f.fails++
+	return n, err
+}
+
+// Err reports why the follower is not advancing: the latest catch-up's
+// failure, wrapped with how many have failed in a row, or nil when the
+// latest one succeeded. A journal the follower cannot decode surfaces
+// here as journal.ErrCorrupt.
+func (f *Follower) Err() error {
+	f.mu.Lock()
+	defer f.mu.Unlock()
+	return f.errLocked()
+}
+
+func (f *Follower) errLocked() error {
+	if f.err == nil {
+		return nil
+	}
+	return fmt.Errorf("queue: follower stalled (%d catch-ups failed): %w", f.fails, f.err)
+}
+
+func (f *Follower) foldNewLocked() (int, error) {
 	d := f.svc.dur
 	seq, size, err := d.log.Head()
 	if errors.Is(err, blob.ErrNoSuchKey) || errors.Is(err, blob.ErrNoSuchBucket) {
@@ -598,14 +652,11 @@ func (f *Follower) catchUpLocked() (int, error) {
 	if err != nil {
 		return 0, err
 	}
-	for _, line := range entries {
-		var rec durRecord
-		if err := json.Unmarshal(line, &rec); err != nil {
-			return 0, err
-		}
-		if err := f.svc.foldRecord(&rec); err != nil {
-			return 0, err
-		}
+	if err := f.svc.foldEntries(entries); err != nil {
+		// Records before the bad one are applied but f.off is not past
+		// them: only a rebuild can retry without folding them twice.
+		f.seq = staleEpoch
+		return 0, err
 	}
 	f.off = newSize
 	f.records += len(entries)
@@ -620,6 +671,7 @@ func (f *Follower) rebuildLocked() (int, error) {
 		return 0, err
 	}
 	if err := f.svc.installView(v); err != nil {
+		f.seq = staleEpoch // the standby holds a partial fold
 		return 0, err
 	}
 	f.seq, f.off = v.Seq, v.Size
@@ -627,8 +679,8 @@ func (f *Follower) rebuildLocked() (int, error) {
 	return len(v.Entries), nil
 }
 
-// Start polls CatchUp every interval until Close or Promote. Errors are
-// dropped (the next poll retries); use CatchUp directly to observe them.
+// Start polls CatchUp every interval until Close or Promote. A failed
+// poll is retried by the next one; Err reports it meanwhile.
 func (f *Follower) Start(interval time.Duration) {
 	f.mu.Lock()
 	if f.stop != nil || f.promoted {
@@ -648,7 +700,7 @@ func (f *Follower) Start(interval time.Duration) {
 			case <-stop:
 				return
 			case <-t.C:
-				_, _ = f.CatchUp()
+				_, _ = f.CatchUp() // a failure is kept for Err and logged there
 			}
 		}
 	}()
@@ -667,7 +719,8 @@ func (f *Follower) Close() {
 }
 
 // Lag reports how many journal bytes the primary is ahead of this
-// follower right now (one cheap Head read).
+// follower right now (one cheap Head read). When the latest catch-up
+// failed the lag is not about to shrink, and Err's error comes with it.
 func (f *Follower) Lag() (int64, error) {
 	f.mu.Lock()
 	defer f.mu.Unlock()
@@ -676,9 +729,9 @@ func (f *Follower) Lag() (int64, error) {
 		return 0, err
 	}
 	if seq != f.seq {
-		return size, nil // epoch behind: everything since the snapshot
+		return size, f.errLocked() // epoch behind: everything since the snapshot
 	}
-	return size - f.off, nil
+	return size - f.off, f.errLocked()
 }
 
 // Promote finishes replication and returns the standby as the serving
@@ -693,7 +746,7 @@ func (f *Follower) Promote() (*Service, error) {
 		return nil, errors.New("queue: follower promoted twice")
 	}
 	if _, err := f.catchUpLocked(); err != nil {
-		return nil, err
+		return nil, fmt.Errorf("queue: promote refused: %w", f.errLocked())
 	}
 	f.promoted = true
 	d := f.svc.dur

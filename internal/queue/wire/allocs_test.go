@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"testing"
 
+	"repro/internal/codec"
 	"repro/internal/queue"
 )
 
@@ -28,19 +29,19 @@ func TestReceiveDecodeAllocBudget(t *testing.T) {
 			Receives:      1,
 		}
 	}
-	var e enc
-	e.byte(statusOK)
+	var e codec.Enc
+	e.Byte(statusOK)
 	appendMessages(&e, msgs)
-	payload := e.b
+	payload := e.B
 
 	allocs := testing.AllocsPerRun(200, func() {
-		d := dec{b: payload}
-		if d.byte() != statusOK {
+		d := codec.Dec{B: payload}
+		if d.Byte() != statusOK {
 			t.Fatal("bad status")
 		}
-		got := d.messages()
-		if d.err != nil || len(got) != queue.MaxBatch {
-			t.Fatalf("decode failed: %v, %d messages", d.err, len(got))
+		got := readMessages(&d)
+		if d.Err != nil || len(got) != queue.MaxBatch {
+			t.Fatalf("decode failed: %v, %d messages", d.Err, len(got))
 		}
 	})
 	if allocs > receiveAllocBudget {

@@ -9,6 +9,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"repro/internal/codec"
 	"repro/internal/queue"
 	"repro/internal/telemetry"
 )
@@ -262,12 +263,12 @@ func (g *connGen) writer() {
 		select {
 		case bp := <-g.writeCh:
 			err := writeFrame(bw, *bp)
-			putBuf(bp)
+			codec.PutBuf(bp)
 			for err == nil {
 				select {
 				case bp := <-g.writeCh:
 					err = writeFrame(bw, *bp)
-					putBuf(bp)
+					codec.PutBuf(bp)
 					continue
 				default:
 				}
@@ -299,7 +300,7 @@ func (g *connGen) reader() {
 		}
 		f, err := parseBody(*bp)
 		if err != nil {
-			putBuf(bp)
+			codec.PutBuf(bp)
 			g.fail(err)
 			return
 		}
@@ -310,7 +311,7 @@ func (g *connGen) reader() {
 		}
 		g.mu.Unlock()
 		if !okc {
-			putBuf(bp)
+			codec.PutBuf(bp)
 			continue
 		}
 		cl.ch <- callRes{f: f, buf: bp}
@@ -320,7 +321,7 @@ func (g *connGen) reader() {
 // roundTrip sends one request over the pool and waits for its
 // response. extraWait extends the request timeout by any long-poll
 // time the request itself asks the server to block for.
-func (p *pool) roundTrip(op byte, queueName, trace string, extraWait time.Duration, payload func(*enc)) (callRes, error) {
+func (p *pool) roundTrip(op byte, queueName, trace string, extraWait time.Duration, payload func(*codec.Enc)) (callRes, error) {
 	if p.closed.Load() {
 		return callRes{}, fmt.Errorf("%w: client closed", ErrUnavailable)
 	}
@@ -345,7 +346,7 @@ func (p *pool) roundTrip(op byte, queueName, trace string, extraWait time.Durati
 	select {
 	case g.writeCh <- body:
 	case <-g.done:
-		putBuf(body)
+		codec.PutBuf(body)
 		// The generation failed; fail() either already delivered the
 		// error to cl or is about to — consume it so cl can be reused.
 		res := <-cl.ch
@@ -379,7 +380,7 @@ func (p *pool) roundTrip(op byte, queueName, trace string, extraWait time.Durati
 			// pooled handle is clean.
 			res := <-cl.ch
 			if res.buf != nil {
-				putBuf(res.buf)
+				codec.PutBuf(res.buf)
 			}
 		}
 		callPool.Put(cl)
@@ -390,22 +391,22 @@ func (p *pool) roundTrip(op byte, queueName, trace string, extraWait time.Durati
 // do performs one round trip and hands back a decoder positioned at
 // the OK payload plus the pooled response buffer the decoder reads
 // from. The caller extracts its results and releases the buffer with
-// putBuf; on error there is nothing to release.
-func (c *Client) do(op byte, queueName string, extraWait time.Duration, payload func(*enc)) (dec, *[]byte, error) {
+// codec.PutBuf; on error there is nothing to release.
+func (c *Client) do(op byte, queueName string, extraWait time.Duration, payload func(*codec.Enc)) (codec.Dec, *[]byte, error) {
 	res, err := c.p.roundTrip(op, queueName, c.trace, extraWait, payload)
 	if err != nil {
-		return dec{}, nil, err
+		return codec.Dec{}, nil, err
 	}
-	d := dec{b: res.f.Payload}
-	status := d.byte()
-	if d.err != nil || res.f.Op != op {
-		putBuf(res.buf)
-		return dec{}, nil, fmt.Errorf("%w: %s: corrupt response", ErrUnavailable, c.p.addr)
+	d := codec.Dec{B: res.f.Payload}
+	status := d.Byte()
+	if d.Err != nil || res.f.Op != op {
+		codec.PutBuf(res.buf)
+		return codec.Dec{}, nil, fmt.Errorf("%w: %s: corrupt response", ErrUnavailable, c.p.addr)
 	}
 	if status != statusOK {
-		msg := d.str()
-		putBuf(res.buf)
-		return dec{}, nil, statusErr(status, msg)
+		msg := d.Str()
+		codec.PutBuf(res.buf)
+		return codec.Dec{}, nil, statusErr(status, msg)
 	}
 	return d, res.buf, nil
 }
@@ -413,9 +414,9 @@ func (c *Client) do(op byte, queueName string, extraWait time.Duration, payload 
 // finish releases the response buffer and converts any payload-decode
 // underflow into a transport error (a malformed success payload means
 // the peer is broken, not that the queue answered).
-func (c *Client) finish(d *dec, buf *[]byte) error {
-	err := d.err
-	putBuf(buf)
+func (c *Client) finish(d *codec.Dec, buf *[]byte) error {
+	err := d.Err
+	codec.PutBuf(buf)
 	if err != nil {
 		return fmt.Errorf("%w: %s: corrupt response payload", ErrUnavailable, c.p.addr)
 	}
@@ -469,7 +470,7 @@ func (c *Client) ListQueues() []string {
 		}
 		return nil
 	}
-	names := d.strs()
+	names := readStrings(&d)
 	if c.finish(&d, buf) != nil {
 		return nil
 	}
@@ -478,14 +479,14 @@ func (c *Client) ListQueues() []string {
 
 // SendMessage enqueues one body as a single frame.
 func (c *Client) SendMessage(queueName string, body []byte) (string, error) {
-	d, buf, err := c.do(OpSend, queueName, 0, func(e *enc) { e.b = append(e.b, body...) })
+	d, buf, err := c.do(OpSend, queueName, 0, func(e *codec.Enc) { e.B = append(e.B, body...) })
 	if err != nil {
 		if fb := c.fallback(err); fb != nil {
 			return fb.SendMessage(queueName, body)
 		}
 		return "", err
 	}
-	id := d.str()
+	id := d.Str()
 	if err := c.finish(&d, buf); err != nil {
 		return "", err
 	}
@@ -495,10 +496,10 @@ func (c *Client) SendMessage(queueName string, body []byte) (string, error) {
 // SendMessageBatch enqueues up to queue.MaxBatch bodies in one frame,
 // billed as one request by the remote service.
 func (c *Client) SendMessageBatch(queueName string, bodies [][]byte) ([]string, error) {
-	d, buf, err := c.do(OpSendBatch, queueName, 0, func(e *enc) {
-		e.u64(uint64(len(bodies)))
+	d, buf, err := c.do(OpSendBatch, queueName, 0, func(e *codec.Enc) {
+		e.U64(uint64(len(bodies)))
 		for _, b := range bodies {
-			e.bytes(b)
+			e.Bytes(b)
 		}
 	})
 	if err != nil {
@@ -507,7 +508,7 @@ func (c *Client) SendMessageBatch(queueName string, bodies [][]byte) ([]string, 
 		}
 		return nil, err
 	}
-	ids := d.strs()
+	ids := readStrings(&d)
 	if err := c.finish(&d, buf); err != nil {
 		return nil, err
 	}
@@ -516,15 +517,15 @@ func (c *Client) SendMessageBatch(queueName string, bodies [][]byte) ([]string, 
 
 // receive is the shared receive core mirroring Service.receiveBatchWait.
 func (c *Client) receive(queueName string, visibility time.Duration, max int, wait time.Duration) ([]queue.Message, error) {
-	d, buf, err := c.do(OpReceive, queueName, wait, func(e *enc) {
-		e.i64(int64(visibility))
-		e.i64(int64(wait))
-		e.u64(uint64(max))
+	d, buf, err := c.do(OpReceive, queueName, wait, func(e *codec.Enc) {
+		e.I64(int64(visibility))
+		e.I64(int64(wait))
+		e.U64(uint64(max))
 	})
 	if err != nil {
 		return nil, err
 	}
-	msgs := d.messages()
+	msgs := readMessages(&d)
 	if err := c.finish(&d, buf); err != nil {
 		return nil, err
 	}
@@ -567,7 +568,7 @@ func (c *Client) ReceiveMessageBatch(queueName string, visibility time.Duration,
 
 // DeleteMessage acknowledges one message by receipt handle.
 func (c *Client) DeleteMessage(queueName, receiptHandle string) error {
-	d, buf, err := c.do(OpDelete, queueName, 0, func(e *enc) { e.str(receiptHandle) })
+	d, buf, err := c.do(OpDelete, queueName, 0, func(e *codec.Enc) { e.Str(receiptHandle) })
 	if err != nil {
 		if fb := c.fallback(err); fb != nil {
 			return fb.DeleteMessage(queueName, receiptHandle)
@@ -580,22 +581,22 @@ func (c *Client) DeleteMessage(queueName, receiptHandle string) error {
 // DeleteMessageBatch acknowledges up to queue.MaxBatch messages in one
 // frame; per-receipt verdicts come back positionally, nil for success.
 func (c *Client) DeleteMessageBatch(queueName string, receipts []string) ([]error, error) {
-	d, buf, err := c.do(OpDeleteBatch, queueName, 0, func(e *enc) { appendStrings(e, receipts) })
+	d, buf, err := c.do(OpDeleteBatch, queueName, 0, func(e *codec.Enc) { appendStrings(e, receipts) })
 	if err != nil {
 		if fb := c.fallback(err); fb != nil {
 			return fb.DeleteMessageBatch(queueName, receipts)
 		}
 		return nil, err
 	}
-	n := d.len()
+	n := d.Len()
 	results := make([]error, 0, n)
-	for i := 0; i < n && d.err == nil; i++ {
-		code := d.byte()
+	for i := 0; i < n && d.Err == nil; i++ {
+		code := d.Byte()
 		if code == statusOK {
 			results = append(results, nil)
 			continue
 		}
-		results = append(results, statusErr(code, d.str()))
+		results = append(results, statusErr(code, d.Str()))
 	}
 	if err := c.finish(&d, buf); err != nil {
 		return nil, err
@@ -605,9 +606,9 @@ func (c *Client) DeleteMessageBatch(queueName string, receipts []string) ([]erro
 
 // ChangeVisibility extends or shrinks an in-flight message's lease.
 func (c *Client) ChangeVisibility(queueName, receiptHandle string, dur time.Duration) error {
-	d, buf, err := c.do(OpChangeVisibility, queueName, 0, func(e *enc) {
-		e.str(receiptHandle)
-		e.i64(int64(dur))
+	d, buf, err := c.do(OpChangeVisibility, queueName, 0, func(e *codec.Enc) {
+		e.Str(receiptHandle)
+		e.I64(int64(dur))
 	})
 	if err != nil {
 		if fb := c.fallback(err); fb != nil {
@@ -627,8 +628,8 @@ func (c *Client) ApproximateCount(queueName string) (visible, inflight int, err 
 		}
 		return 0, 0, err
 	}
-	visible = int(d.u64())
-	inflight = int(d.u64())
+	visible = int(d.U64())
+	inflight = int(d.U64())
 	if err := c.finish(&d, buf); err != nil {
 		return 0, 0, err
 	}
@@ -657,7 +658,7 @@ func (c *Client) APIRequests() int64 {
 		}
 		return 0
 	}
-	n := int64(d.u64())
+	n := int64(d.U64())
 	if c.finish(&d, buf) != nil {
 		return 0
 	}
@@ -673,7 +674,7 @@ func (c *Client) APIRequestsFor(queueName string) int64 {
 		}
 		return 0
 	}
-	n := int64(d.u64())
+	n := int64(d.U64())
 	if c.finish(&d, buf) != nil {
 		return 0
 	}
@@ -703,12 +704,12 @@ func (c *Client) TransferInBatch(queueName string, items []queue.TransferItem) (
 	if c.p.opt.AdminToken == "" {
 		return nil, fmt.Errorf("wire: transfer into %s: client has no admin token: %w", queueName, queue.ErrNotPrivileged)
 	}
-	d, buf, err := c.do(OpTransfer, queueName, 0, func(e *enc) {
-		e.str(c.p.opt.AdminToken)
-		e.u64(uint64(len(items)))
+	d, buf, err := c.do(OpTransfer, queueName, 0, func(e *codec.Enc) {
+		e.Str(c.p.opt.AdminToken)
+		e.U64(uint64(len(items)))
 		for _, it := range items {
-			e.bytes(it.Body)
-			e.i64(int64(it.Receives))
+			e.Bytes(it.Body)
+			e.I64(int64(it.Receives))
 		}
 	})
 	if err != nil {
@@ -719,7 +720,7 @@ func (c *Client) TransferInBatch(queueName string, items []queue.TransferItem) (
 		}
 		return nil, err
 	}
-	ids := d.strs()
+	ids := readStrings(&d)
 	if err := c.finish(&d, buf); err != nil {
 		return nil, err
 	}

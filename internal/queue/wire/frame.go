@@ -46,7 +46,8 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
-	"sync"
+
+	"repro/internal/codec"
 )
 
 // Request opcodes. A response frame reuses the opcode of the request it
@@ -125,13 +126,13 @@ func AppendFrame(dst []byte, f *Frame) []byte {
 }
 
 func encodeBody(dst []byte, f *Frame) []byte {
-	e := enc{b: dst}
-	e.byte(f.Op)
-	e.u64(f.CorrID)
-	e.str(f.Queue)
-	e.str(f.Trace)
-	e.b = append(e.b, f.Payload...)
-	return e.b
+	e := codec.Enc{B: dst}
+	e.Byte(f.Op)
+	e.U64(f.CorrID)
+	e.Str(f.Queue)
+	e.Str(f.Trace)
+	e.B = append(e.B, f.Payload...)
+	return e.B
 }
 
 // EncodeFrame returns f's full wire encoding.
@@ -162,130 +163,16 @@ func DecodeFrame(data []byte) (Frame, int, error) {
 
 // parseBody decodes a frame body (everything after the length prefix).
 func parseBody(body []byte) (Frame, error) {
-	d := dec{b: body}
-	f := Frame{Op: d.byte(), CorrID: d.u64()}
-	f.Queue = d.str()
-	f.Trace = d.str()
-	f.Payload = d.rest()
-	if d.err != nil {
-		return Frame{}, d.err
+	d := codec.Dec{B: body}
+	f := Frame{Op: d.Byte(), CorrID: d.U64()}
+	f.Queue = d.Str()
+	f.Trace = d.Str()
+	f.Payload = d.Rest()
+	if d.Err != nil {
+		return Frame{}, ErrCorruptFrame
 	}
 	if f.Op == 0 || f.Op >= opMax {
 		return Frame{}, fmt.Errorf("%w: unknown op %d", ErrCorruptFrame, f.Op)
 	}
 	return f, nil
-}
-
-// enc builds frame payloads. Its buffer comes from the shared pool;
-// callers release it with putBuf after the bytes are on the wire.
-type enc struct{ b []byte }
-
-func (e *enc) byte(c byte)    { e.b = append(e.b, c) }
-func (e *enc) u64(v uint64)   { e.b = binary.AppendUvarint(e.b, v) }
-func (e *enc) i64(v int64)    { e.b = binary.AppendVarint(e.b, v) }
-func (e *enc) bytes(p []byte) { e.u64(uint64(len(p))); e.b = append(e.b, p...) }
-func (e *enc) str(s string)   { e.u64(uint64(len(s))); e.b = append(e.b, s...) }
-
-// dec consumes frame payloads. The first malformed field latches err
-// and every later read returns a zero value, so call sites stay linear
-// and check err once at the end. Declared lengths are validated against
-// the remaining bytes before any slice is taken, so garbage cannot
-// cause an over-read or an allocation bomb.
-type dec struct {
-	b   []byte
-	err error
-}
-
-func (d *dec) fail() {
-	if d.err == nil {
-		d.err = ErrCorruptFrame
-	}
-}
-
-func (d *dec) byte() byte {
-	if d.err != nil || len(d.b) < 1 {
-		d.fail()
-		return 0
-	}
-	c := d.b[0]
-	d.b = d.b[1:]
-	return c
-}
-
-func (d *dec) u64() uint64 {
-	if d.err != nil {
-		return 0
-	}
-	v, n := binary.Uvarint(d.b)
-	if n <= 0 {
-		d.fail()
-		return 0
-	}
-	d.b = d.b[n:]
-	return v
-}
-
-func (d *dec) i64() int64 {
-	if d.err != nil {
-		return 0
-	}
-	v, n := binary.Varint(d.b)
-	if n <= 0 {
-		d.fail()
-		return 0
-	}
-	d.b = d.b[n:]
-	return v
-}
-
-// len reads a collection count and bounds it by the bytes remaining
-// (each element costs at least one byte), rejecting length bombs.
-func (d *dec) len() int {
-	n := d.u64()
-	if d.err == nil && n > uint64(len(d.b)) {
-		d.fail()
-		return 0
-	}
-	return int(n)
-}
-
-// bytes returns the next length-prefixed field aliasing the underlying
-// buffer; callers that outlive the buffer must copy.
-func (d *dec) bytes() []byte {
-	n := d.u64()
-	if d.err != nil {
-		return nil
-	}
-	if n > uint64(len(d.b)) {
-		d.fail()
-		return nil
-	}
-	p := d.b[:n:n]
-	d.b = d.b[n:]
-	return p
-}
-
-func (d *dec) str() string { return string(d.bytes()) }
-
-func (d *dec) rest() []byte {
-	p := d.b
-	d.b = nil
-	return p
-}
-
-// bufPool recycles frame scratch buffers across requests — the
-// low-alloc receive path. Buffers above keepBuf bytes are dropped
-// rather than pooled so one giant frame does not pin memory forever.
-var bufPool = sync.Pool{New: func() any { b := make([]byte, 0, 512); return &b }}
-
-const keepBuf = 1 << 20
-
-func getBuf() *[]byte { return bufPool.Get().(*[]byte) }
-
-func putBuf(b *[]byte) {
-	if cap(*b) > keepBuf {
-		return
-	}
-	*b = (*b)[:0]
-	bufPool.Put(b)
 }

@@ -65,17 +65,6 @@ func TestDecodeFrameGarbage(t *testing.T) {
 	}
 }
 
-// TestDecLengthBomb verifies a declared collection count far beyond the
-// actual bytes is rejected before any allocation is sized by it.
-func TestDecLengthBomb(t *testing.T) {
-	var e enc
-	e.u64(1 << 40) // collection claims 2^40 elements
-	d := dec{b: e.b}
-	if n := d.len(); d.err == nil {
-		t.Fatalf("length bomb accepted: n=%d", n)
-	}
-}
-
 func TestStatusErrMapping(t *testing.T) {
 	for code, sentinel := range statusSentinels {
 		if err := statusErr(code, "remote detail: "+sentinel.Error()); !errors.Is(err, sentinel) {

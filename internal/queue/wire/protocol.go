@@ -6,6 +6,7 @@ import (
 	"errors"
 	"io"
 
+	"repro/internal/codec"
 	"repro/internal/queue"
 )
 
@@ -86,59 +87,59 @@ func statusErr(code byte, msg string) error {
 }
 
 // appendMessages encodes a received-message list.
-func appendMessages(e *enc, msgs []queue.Message) {
-	e.u64(uint64(len(msgs)))
+func appendMessages(e *codec.Enc, msgs []queue.Message) {
+	e.U64(uint64(len(msgs)))
 	for i := range msgs {
-		e.str(msgs[i].ID)
-		e.bytes(msgs[i].Body)
-		e.str(msgs[i].ReceiptHandle)
-		e.u64(uint64(msgs[i].Receives))
+		e.Str(msgs[i].ID)
+		e.Bytes(msgs[i].Body)
+		e.Str(msgs[i].ReceiptHandle)
+		e.U64(uint64(msgs[i].Receives))
 	}
 }
 
-// messages decodes a received-message list. Bodies are copied out of
+// readMessages decodes a received-message list. Bodies are copied out of
 // the frame buffer because the buffer returns to the pool as soon as
 // the caller finishes decoding, while queue.Message.Body may be held
 // for the whole task execution.
-func (d *dec) messages() []queue.Message {
-	n := d.len()
-	if d.err != nil || n == 0 {
+func readMessages(d *codec.Dec) []queue.Message {
+	n := d.Len()
+	if d.Err != nil || n == 0 {
 		return nil
 	}
 	msgs := make([]queue.Message, 0, n)
-	for i := 0; i < n && d.err == nil; i++ {
-		m := queue.Message{ID: d.str()}
-		m.Body = append([]byte(nil), d.bytes()...)
-		m.ReceiptHandle = d.str()
-		m.Receives = int(d.u64())
+	for i := 0; i < n && d.Err == nil; i++ {
+		m := queue.Message{ID: d.Str()}
+		m.Body = append([]byte(nil), d.Bytes()...)
+		m.ReceiptHandle = d.Str()
+		m.Receives = int(d.U64())
 		msgs = append(msgs, m)
 	}
 	return msgs
 }
 
 // appendStrings encodes a string list (message ids, queue names).
-func appendStrings(e *enc, ss []string) {
-	e.u64(uint64(len(ss)))
+func appendStrings(e *codec.Enc, ss []string) {
+	e.U64(uint64(len(ss)))
 	for _, s := range ss {
-		e.str(s)
+		e.Str(s)
 	}
 }
 
-func (d *dec) strs() []string {
-	n := d.len()
-	if d.err != nil || n == 0 {
+func readStrings(d *codec.Dec) []string {
+	n := d.Len()
+	if d.Err != nil || n == 0 {
 		return nil
 	}
 	ss := make([]string, 0, n)
-	for i := 0; i < n && d.err == nil; i++ {
-		ss = append(ss, d.str())
+	for i := 0; i < n && d.Err == nil; i++ {
+		ss = append(ss, d.Str())
 	}
 	return ss
 }
 
 // readFrameBody reads one frame off a stream into a pooled buffer and
 // returns the body (length prefix stripped). The caller owns the
-// buffer and must release it with putBuf.
+// buffer and must release it with codec.PutBuf.
 func readFrameBody(br *bufio.Reader, max int) (*[]byte, error) {
 	n, err := binary.ReadUvarint(br)
 	if err != nil {
@@ -147,14 +148,14 @@ func readFrameBody(br *bufio.Reader, max int) (*[]byte, error) {
 	if n > uint64(max) {
 		return nil, ErrFrameTooBig
 	}
-	bp := getBuf()
+	bp := codec.GetBuf()
 	if cap(*bp) < int(n) {
 		*bp = make([]byte, n)
 	} else {
 		*bp = (*bp)[:n]
 	}
 	if _, err := io.ReadFull(br, *bp); err != nil {
-		putBuf(bp)
+		codec.PutBuf(bp)
 		if err == io.EOF {
 			err = io.ErrUnexpectedEOF
 		}
@@ -177,16 +178,16 @@ func writeFrame(bw *bufio.Writer, body []byte) error {
 }
 
 // encodeRequest assembles a request frame body into a pooled buffer.
-func encodeRequest(op byte, corrID uint64, queueName, trace string, payload func(*enc)) *[]byte {
-	bp := getBuf()
-	e := enc{b: *bp}
-	e.byte(op)
-	e.u64(corrID)
-	e.str(queueName)
-	e.str(trace)
+func encodeRequest(op byte, corrID uint64, queueName, trace string, payload func(*codec.Enc)) *[]byte {
+	bp := codec.GetBuf()
+	e := codec.Enc{B: *bp}
+	e.Byte(op)
+	e.U64(corrID)
+	e.Str(queueName)
+	e.Str(trace)
 	if payload != nil {
 		payload(&e)
 	}
-	*bp = e.b
+	*bp = e.B
 	return bp
 }

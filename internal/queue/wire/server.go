@@ -7,6 +7,7 @@ import (
 	"sync"
 	"time"
 
+	"repro/internal/codec"
 	"repro/internal/queue"
 	"repro/internal/telemetry"
 )
@@ -186,7 +187,7 @@ func (c *srvConn) serve() {
 			// Framing is broken; there is no way to answer (the
 			// correlation id may not have decoded), so drop the conn
 			// and let the client's reconnect discipline take over.
-			putBuf(bp)
+			codec.PutBuf(bp)
 			return
 		}
 		if c.srv.met != nil {
@@ -195,7 +196,7 @@ func (c *srvConn) serve() {
 		select {
 		case c.sem <- struct{}{}:
 		case <-c.done:
-			putBuf(bp)
+			codec.PutBuf(bp)
 			return
 		}
 		go func() {
@@ -213,12 +214,12 @@ func (c *srvConn) writer() {
 		select {
 		case bp := <-c.writeCh:
 			err := writeFrame(c.bw, *bp)
-			putBuf(bp)
+			codec.PutBuf(bp)
 			for err == nil {
 				select {
 				case bp := <-c.writeCh:
 					err = writeFrame(c.bw, *bp)
-					putBuf(bp)
+					codec.PutBuf(bp)
 					continue
 				default:
 				}
@@ -248,15 +249,15 @@ func (c *srvConn) handle(f Frame, reqBuf *[]byte) {
 		start = time.Now()
 	}
 
-	rp := getBuf()
-	e := enc{b: (*rp)[:0]}
-	e.byte(f.Op)
-	e.u64(f.CorrID)
-	e.str("") // queue: responses carry no routing fields
-	e.str("") // trace
+	rp := codec.GetBuf()
+	e := codec.Enc{B: (*rp)[:0]}
+	e.Byte(f.Op)
+	e.U64(f.CorrID)
+	e.Str("") // queue: responses carry no routing fields
+	e.Str("") // trace
 	c.dispatch(svc, f, &e)
-	putBuf(reqBuf)
-	*rp = e.b
+	codec.PutBuf(reqBuf)
+	*rp = e.B
 
 	if c.srv.met != nil {
 		c.srv.met.ops[f.Op].Observe(time.Since(start))
@@ -264,21 +265,21 @@ func (c *srvConn) handle(f Frame, reqBuf *[]byte) {
 	select {
 	case c.writeCh <- rp:
 	case <-c.done:
-		putBuf(rp)
+		codec.PutBuf(rp)
 	}
 }
 
 // fail encodes an error response: status code + message.
-func fail(e *enc, err error) {
-	e.byte(statusFor(err))
-	e.str(err.Error())
+func fail(e *codec.Enc, err error) {
+	e.Byte(statusFor(err))
+	e.Str(err.Error())
 }
 
 // ok encodes the success status; the caller appends the result payload.
-func ok(e *enc) { e.byte(statusOK) }
+func ok(e *codec.Enc) { e.Byte(statusOK) }
 
 // reply encodes the whole answer of an op that returns only an error.
-func reply(e *enc, err error) {
+func reply(e *codec.Enc, err error) {
 	if err != nil {
 		fail(e, err)
 		return
@@ -288,8 +289,8 @@ func reply(e *enc, err error) {
 
 // dispatch decodes the op-specific payload, invokes the service, and
 // encodes the result.
-func (c *srvConn) dispatch(svc queue.API, f Frame, e *enc) {
-	d := dec{b: f.Payload}
+func (c *srvConn) dispatch(svc queue.API, f Frame, e *codec.Enc) {
+	d := codec.Dec{B: f.Payload}
 	switch f.Op {
 	case OpCreateQueue:
 		reply(e, svc.CreateQueue(f.Queue))
@@ -300,20 +301,20 @@ func (c *srvConn) dispatch(svc queue.API, f Frame, e *enc) {
 		ok(e)
 		appendStrings(e, names)
 	case OpSend:
-		id, err := svc.SendMessage(f.Queue, d.rest())
+		id, err := svc.SendMessage(f.Queue, d.Rest())
 		if err != nil {
 			fail(e, err)
 			return
 		}
 		ok(e)
-		e.str(id)
+		e.Str(id)
 	case OpSendBatch:
-		n := d.len()
+		n := d.Len()
 		bodies := make([][]byte, 0, n)
-		for i := 0; i < n && d.err == nil; i++ {
-			bodies = append(bodies, d.bytes())
+		for i := 0; i < n && d.Err == nil; i++ {
+			bodies = append(bodies, d.Bytes())
 		}
-		if d.err != nil {
+		if d.Err != nil {
 			fail(e, ErrCorruptFrame)
 			return
 		}
@@ -325,10 +326,10 @@ func (c *srvConn) dispatch(svc queue.API, f Frame, e *enc) {
 		ok(e)
 		appendStrings(e, ids)
 	case OpReceive:
-		visibility := time.Duration(d.i64())
-		wait := time.Duration(d.i64())
-		max := int(d.u64())
-		if d.err != nil {
+		visibility := time.Duration(d.I64())
+		wait := time.Duration(d.I64())
+		max := int(d.U64())
+		if d.Err != nil {
 			fail(e, ErrCorruptFrame)
 			return
 		}
@@ -340,15 +341,15 @@ func (c *srvConn) dispatch(svc queue.API, f Frame, e *enc) {
 		ok(e)
 		appendMessages(e, msgs)
 	case OpDelete:
-		receipt := d.str()
-		if d.err != nil {
+		receipt := d.Str()
+		if d.Err != nil {
 			fail(e, ErrCorruptFrame)
 			return
 		}
 		reply(e, svc.DeleteMessage(f.Queue, receipt))
 	case OpDeleteBatch:
-		receipts := d.strs()
-		if d.err != nil {
+		receipts := readStrings(&d)
+		if d.Err != nil {
 			fail(e, ErrCorruptFrame)
 			return
 		}
@@ -358,19 +359,19 @@ func (c *srvConn) dispatch(svc queue.API, f Frame, e *enc) {
 			return
 		}
 		ok(e)
-		e.u64(uint64(len(results)))
+		e.U64(uint64(len(results)))
 		for _, res := range results {
 			if res == nil {
-				e.byte(statusOK)
+				e.Byte(statusOK)
 				continue
 			}
-			e.byte(statusFor(res))
-			e.str(res.Error())
+			e.Byte(statusFor(res))
+			e.Str(res.Error())
 		}
 	case OpChangeVisibility:
-		receipt := d.str()
-		dur := time.Duration(d.i64())
-		if d.err != nil {
+		receipt := d.Str()
+		dur := time.Duration(d.I64())
+		if d.Err != nil {
 			fail(e, ErrCorruptFrame)
 			return
 		}
@@ -382,26 +383,26 @@ func (c *srvConn) dispatch(svc queue.API, f Frame, e *enc) {
 			return
 		}
 		ok(e)
-		e.u64(uint64(visible))
-		e.u64(uint64(inflight))
+		e.U64(uint64(visible))
+		e.U64(uint64(inflight))
 	case OpPurge:
 		reply(e, svc.Purge(f.Queue))
 	case OpRequests:
 		ok(e)
-		e.u64(uint64(svc.APIRequests()))
+		e.U64(uint64(svc.APIRequests()))
 	case OpRequestsFor:
 		ok(e)
-		e.u64(uint64(svc.APIRequestsFor(f.Queue)))
+		e.U64(uint64(svc.APIRequestsFor(f.Queue)))
 	case OpTransfer:
-		token := d.str()
-		n := d.len()
+		token := d.Str()
+		n := d.Len()
 		items := make([]queue.TransferItem, 0, n)
-		for i := 0; i < n && d.err == nil; i++ {
-			it := queue.TransferItem{Body: d.bytes()}
-			it.Receives = int(d.i64())
+		for i := 0; i < n && d.Err == nil; i++ {
+			it := queue.TransferItem{Body: d.Bytes()}
+			it.Receives = int(d.I64())
 			items = append(items, it)
 		}
-		if d.err != nil {
+		if d.Err != nil {
 			fail(e, ErrCorruptFrame)
 			return
 		}
