@@ -912,7 +912,6 @@ func queueSkew() {
 			MaxShards:          rep.Shards,
 			TargetRatePerShard: 50_000,
 			SplitRate:          2000,
-			MaxSubgroups:       8,
 			SplitCooldown:      time.Millisecond,
 			Window:             2,
 		}})

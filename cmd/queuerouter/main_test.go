@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/json"
 	"errors"
+	"net"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -221,5 +222,38 @@ func TestDumpJournalFlag(t *testing.T) {
 	}
 	if err := dumpJournal(&out, fsys, "shard-local0"); err == nil {
 		t.Error("a ref without a bucket was accepted")
+	}
+}
+
+// A shard URL whose node accepts and never answers must not stall
+// start-up or PUT /admin/shards/{id}: discovery gives up within the
+// dial timeout and the shard is served over HTTP.
+func TestDialShardFallsBackWhenDiscoveryHangs(t *testing.T) {
+	t.Parallel()
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ln.Close()
+	held := make(chan net.Conn, 1) // the one probe connection
+	go func() {
+		if c, err := ln.Accept(); err == nil {
+			held <- c // kept open, never read, never answered
+		}
+	}()
+	url := "http://" + ln.Addr().String()
+	start := time.Now()
+	api, desc := dialShard(url, "tok", nil)
+	if elapsed := time.Since(start); elapsed > 6*time.Second {
+		t.Errorf("dialShard took %v against a silent node, want the 3s dial timeout", elapsed)
+	}
+	if c, ok := api.(*queue.HTTPClient); !ok || c.BaseURL != url || desc != url+" (http)" {
+		t.Errorf("dialShard = %T %q, want the HTTP client for %s", api, desc, url)
+	}
+	select {
+	case c := <-held:
+		c.Close()
+	default:
+		t.Error("discovery never connected")
 	}
 }

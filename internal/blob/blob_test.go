@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
+	"sort"
 	"sync"
 	"testing"
 	"testing/quick"
@@ -153,8 +154,8 @@ func TestListWithPrefix(t *testing.T) {
 		t.Errorf("List(in/) = %v", keys)
 	}
 	all, _ := s.List("b", "")
-	if len(all) != 4 {
-		t.Errorf("List() = %v", all)
+	if len(all) != 4 || !sort.StringsAreSorted(all) {
+		t.Errorf("List() = %v, want all four keys sorted", all)
 	}
 }
 
@@ -314,5 +315,110 @@ func TestEqualHelper(t *testing.T) {
 	}
 	if s.Equal("b", "missing", nil) {
 		t.Error("Equal on missing key should be false")
+	}
+}
+
+// Stat reports the consistent size and the write count of a key after
+// each kind of write, bills one GET, and transfers nothing.
+func TestStat(t *testing.T) {
+	s := NewStore(Config{ConsistencyWindow: time.Hour, Clock: &fakeClock{now: time.Unix(0, 0)}})
+	s.CreateBucket("b")
+	steps := []struct {
+		name        string
+		write       func() (int64, error)
+		wantVersion int64 // what the write returns (0: not checked)
+		wantErr     error
+		size, ver   int64 // what Stat reports afterwards
+	}{
+		{"put", func() (int64, error) { return 0, s.Put("b", "k", []byte("12345")) }, 0, nil, 5, 1},
+		{"overwrite", func() (int64, error) { return 0, s.Put("b", "k", []byte("123456789")) }, 0, nil, 9, 2},
+		{"append", func() (int64, error) { return s.Append("b", "k", []byte("ab")) }, 3, nil, 11, 3},
+		{"winning PutIf", func() (int64, error) { return s.PutIf("b", "k", []byte("xyz"), 3) }, 4, nil, 3, 4},
+		// The loser learns the version it lost to and changes nothing.
+		{"losing PutIf", func() (int64, error) { return s.PutIf("b", "k", []byte("stale"), 3) }, 4, ErrPreconditionFailed, 3, 4},
+	}
+	for _, st := range steps {
+		v, err := st.write()
+		if !errors.Is(err, st.wantErr) {
+			t.Fatalf("%s: err = %v, want %v", st.name, err, st.wantErr)
+		}
+		if st.wantVersion != 0 && v != st.wantVersion {
+			t.Errorf("%s returned version %d, want %d", st.name, v, st.wantVersion)
+		}
+		before := s.Usage()
+		size, ver, err := s.Stat("b", "k")
+		if err != nil || size != st.size || ver != st.ver {
+			t.Errorf("after %s: Stat = (%d, %d, %v), want (%d, %d)", st.name, size, ver, err, st.size, st.ver)
+		}
+		if u := s.Usage(); u.GetRequests != before.GetRequests+1 || u.BytesOut != before.BytesOut {
+			t.Errorf("after %s: Stat billed %+v -> %+v, want one GET and no egress", st.name, before, u)
+		}
+	}
+	if _, _, err := s.Stat("b", "missing"); !errors.Is(err, ErrNoSuchKey) {
+		t.Errorf("Stat of a missing key: %v, want ErrNoSuchKey", err)
+	}
+	if _, _, err := s.Stat("nope", "k"); !errors.Is(err, ErrNoSuchBucket) {
+		t.Errorf("Stat in a missing bucket: %v, want ErrNoSuchBucket", err)
+	}
+}
+
+// GetRange is the read every journal follower tails with: the bytes
+// from an offset, the object's total size beside them, egress billed
+// for what was returned and nothing more.
+func TestGetRange(t *testing.T) {
+	// Inside the consistency window on purpose: a range read must see
+	// the latest bytes, not the stale view Get would serve.
+	s := NewStore(Config{ConsistencyWindow: time.Hour, Clock: &fakeClock{now: time.Unix(0, 0)}})
+	s.CreateBucket("b")
+	s.Put("b", "k", []byte("0123456789"))
+	for _, tc := range []struct {
+		name   string
+		off, n int64
+		want   string
+	}{
+		{"from the start", 0, 4, "0123"},
+		{"from the middle", 3, 4, "3456"},
+		{"nothing asked for", 3, 0, ""},
+		{"to the end", 6, -1, "6789"},
+		{"whole object", 0, -1, "0123456789"},
+		{"n beyond the end", 8, 100, "89"},
+		{"at the size", 10, -1, ""},
+		{"past the size", 25, 4, ""},
+	} {
+		before := s.Usage()
+		data, size, err := s.GetRange("b", "k", tc.off, tc.n)
+		if err != nil || string(data) != tc.want || size != 10 {
+			t.Errorf("%s: GetRange(%d, %d) = (%q, %d, %v), want (%q, 10)", tc.name, tc.off, tc.n, data, size, err, tc.want)
+		}
+		u := s.Usage()
+		if u.GetRequests != before.GetRequests+1 || u.BytesOut != before.BytesOut+int64(len(tc.want)) {
+			t.Errorf("%s: billed %+v -> %+v, want one GET and %d bytes out", tc.name, before, u, len(tc.want))
+		}
+	}
+
+	before := s.Usage()
+	if _, _, err := s.GetRange("b", "k", -1, 4); err == nil {
+		t.Error("negative offset accepted")
+	}
+	if u := s.Usage(); u != before {
+		t.Errorf("a rejected range was billed: %+v -> %+v", before, u)
+	}
+	if _, _, err := s.GetRange("b", "missing", 0, -1); !errors.Is(err, ErrNoSuchKey) {
+		t.Errorf("range of a missing key: %v, want ErrNoSuchKey", err)
+	}
+	if _, _, err := s.GetRange("nope", "k", 0, -1); !errors.Is(err, ErrNoSuchBucket) {
+		t.Errorf("range in a missing bucket: %v, want ErrNoSuchBucket", err)
+	}
+
+	// The result is the caller's: scribbling on it leaves the object alone.
+	data, _, _ := s.GetRange("b", "k", 0, -1)
+	data[0] = 'X'
+	if !s.Equal("b", "k", []byte("0123456789")) {
+		t.Error("GetRange returned a slice of the stored object")
+	}
+	// A tailing reader sees growth through size, and the new tail at its offset.
+	s.Append("b", "k", []byte("ab"))
+	if data, size, _ := s.GetRange("b", "k", 10, -1); string(data) != "ab" || size != 12 {
+		t.Errorf("tail after append = (%q, %d), want (\"ab\", 12)", data, size)
 	}
 }

@@ -71,8 +71,6 @@ type Config struct {
 	// bounds crash-recovery latency: an abandoned task reappears after
 	// this long.
 	VisibilityTimeout time.Duration
-	// PollInterval is the worker idle poll spacing (default 2ms).
-	PollInterval time.Duration
 	// MaxReceives is the per-task retry cap before dead-lettering
 	// (default 4).
 	MaxReceives int
@@ -133,9 +131,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.VisibilityTimeout <= 0 {
 		c.VisibilityTimeout = time.Minute
-	}
-	if c.PollInterval <= 0 {
-		c.PollInterval = 2 * time.Millisecond
 	}
 	if c.MaxReceives <= 0 {
 		c.MaxReceives = 4
@@ -263,7 +258,6 @@ func (b *Broker) ccConfigFor(jobID string) classiccloud.Config {
 	return classiccloud.Config{
 		JobName:           jobID,
 		VisibilityTimeout: b.cfg.VisibilityTimeout,
-		PollInterval:      b.cfg.PollInterval,
 		MaxReceives:       b.cfg.MaxReceives,
 		DeadLetterQueue:   jobID + "/dead",
 	}

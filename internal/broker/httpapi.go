@@ -14,7 +14,7 @@ import (
 )
 
 // HTTPHandler exposes a Broker through a REST interface, the broker
-// counterpart of blob's and queue's HTTP faces:
+// counterpart of queue's HTTP face:
 //
 //	POST /jobs                     submit a job (JSON JobRequest)
 //	GET  /jobs                     list job statuses

@@ -100,6 +100,25 @@ func TestCatalogRecoversFromJournal(t *testing.T) {
 	if got, want := st.Mean(), 3*time.Second; got != want {
 		t.Errorf("recovered Mean = %v, want %v", got, want)
 	}
+
+	// A second catalog in the same store under its own journal object
+	// shares nothing with the first.
+	other, err := Open(Config{Store: store, Bucket: "calibration-b", Key: "runs"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, ok := other.Stats("blast", "azure/Small"); ok {
+		t.Error("a catalog under another bucket/key replayed the default journal")
+	}
+	if err := other.Record("blast", "azure/Small", []time.Duration{time.Second}); err != nil {
+		t.Fatal(err)
+	}
+	if ok, _ := store.Exists("calibration-b", "runs"); !ok {
+		t.Error("journal not written to the configured bucket/key")
+	}
+	if st, _ := openTest(t, store, 0).Stats("blast", "azure/Small"); st.Count != 5 {
+		t.Errorf("default catalog Count = %d after the other recorded, want 5", st.Count)
+	}
 }
 
 func TestCatalogCompactionPreservesSummaries(t *testing.T) {

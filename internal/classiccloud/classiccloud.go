@@ -14,7 +14,6 @@ import (
 	"errors"
 	"fmt"
 	"sort"
-	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -60,37 +59,41 @@ type Preloader interface {
 	Preload(env Env) error
 }
 
+// A worker's queue discipline is the same in every deployment.
+const (
+	// receiveBatch is how many tasks a worker pulls per receive call.
+	// Task acknowledgements and monitor reports are batched the same
+	// way, so a worker costs 3 requests per receiveBatch tasks instead
+	// of 3 per task. With SubmitFiles sending and WaitForCompletion
+	// draining queue.MaxBatch messages per request, a task's whole
+	// queue bill is about 1/MaxBatch + 3/receiveBatch + 2/MaxBatch
+	// requests: 0.1 + 0.75 + 0.2 = 1.05.
+	receiveBatch = 4
+	// longPollWait is how long an idle worker (or a client waiting for
+	// completion reports) blocks inside the queue's long-poll receive
+	// before re-checking its stop signal: idle workers park on the
+	// queue's wait list and wake the moment a task arrives.
+	longPollWait = 50 * time.Millisecond
+	// receiveBackoff spaces a worker's retries after a failed receive.
+	receiveBackoff = 2 * time.Millisecond
+	// heartbeatsPerLease sets how often a worker renews its task leases
+	// (ChangeVisibility) while processing — every VisibilityTimeout /
+	// heartbeatsPerLease — so tasks slower than the visibility timeout
+	// are not spuriously redelivered: the long-running-worker pattern
+	// the queue API exists to support.
+	heartbeatsPerLease = 3
+)
+
 // Config tunes a deployment.
 type Config struct {
 	JobName           string        // names queues and buckets
 	VisibilityTimeout time.Duration // task lease length (default 1m)
-	PollInterval      time.Duration // error-backoff spacing (default 2ms)
 	DownloadRetries   int           // GET retries for eventual consistency (default 8)
 	RetryBackoff      time.Duration // spacing between download retries (default 2ms)
-	// LongPollWait is how long an idle worker blocks inside the queue's
-	// long-poll receive before re-checking its stop signal. It replaces
-	// the old PollInterval sleep loop: idle workers park on the queue's
-	// wait list and wake the moment a task arrives. Default 50ms;
-	// negative forces non-blocking receives.
-	LongPollWait time.Duration
-	// ReceiveBatch is how many tasks a worker pulls per receive call
-	// (1..queue.MaxBatch, default 4). Task acknowledgements and monitor
-	// reports are batched the same way, so a worker costs 3 requests per
-	// ReceiveBatch tasks instead of 3 per task. With SubmitFiles sending
-	// and WaitForCompletion draining queue.MaxBatch messages per request,
-	// a task's whole queue bill is about 1/MaxBatch + 3/ReceiveBatch +
-	// 2/MaxBatch requests: 1.05 at the default.
-	ReceiveBatch int
 	// CrashBeforeDelete is a fault-injection hook: when it returns true
 	// the worker "dies" after executing but before deleting the task, so
 	// the visibility timeout must recover the work.
 	CrashBeforeDelete func(workerID int, task Task) bool
-	// HeartbeatInterval is how often a worker renews its task lease
-	// (ChangeVisibility) while processing, so tasks slower than the
-	// visibility timeout are not spuriously redelivered — the
-	// long-running-worker pattern the queue API exists to support.
-	// Defaults to VisibilityTimeout/3; negative disables renewal.
-	HeartbeatInterval time.Duration
 	// MaxReceives caps deliveries per task message. A message received
 	// more than MaxReceives times is treated as poison: it is removed
 	// from the task queue and, when DeadLetterQueue is set, parked there
@@ -115,26 +118,11 @@ func (c Config) withDefaults() Config {
 	if c.VisibilityTimeout == 0 {
 		c.VisibilityTimeout = time.Minute
 	}
-	if c.PollInterval == 0 {
-		c.PollInterval = 2 * time.Millisecond
-	}
 	if c.DownloadRetries == 0 {
 		c.DownloadRetries = 8
 	}
 	if c.RetryBackoff == 0 {
 		c.RetryBackoff = 2 * time.Millisecond
-	}
-	if c.HeartbeatInterval == 0 {
-		c.HeartbeatInterval = c.VisibilityTimeout / 3
-	}
-	if c.LongPollWait == 0 {
-		c.LongPollWait = 50 * time.Millisecond
-	}
-	if c.ReceiveBatch <= 0 {
-		c.ReceiveBatch = 4
-	}
-	if c.ReceiveBatch > queue.MaxBatch {
-		c.ReceiveBatch = queue.MaxBatch
 	}
 	return c
 }
@@ -183,16 +171,6 @@ func ParseMonitorReport(body []byte) (MonitorReport, error) {
 		ServiceTime:  time.Duration(mm.ServiceNS),
 		InstanceType: mm.InstanceType,
 	}, nil
-}
-
-// ParseMonitorMessage decodes one monitoring-queue report into its
-// terminal status (StatusDone or StatusDead) and task ID.
-func ParseMonitorMessage(body []byte) (status, taskID string, err error) {
-	r, err := ParseMonitorReport(body)
-	if err != nil {
-		return "", "", err
-	}
-	return r.Status, r.TaskID, nil
 }
 
 // InputBucket returns the job's input bucket name.
@@ -365,7 +343,7 @@ func (c *Client) WaitForCompletion(tasks []Task, timeout time.Duration) (Report,
 		// with one delete call, instead of one receive + one delete per
 		// report plus an idle sleep loop.
 		msgs, err := c.env.Queue.ReceiveMessageBatch(
-			c.cfg.monitorQueue(), time.Minute, queue.MaxBatch, c.cfg.LongPollWait)
+			c.cfg.monitorQueue(), time.Minute, queue.MaxBatch, longPollWait)
 		if err != nil {
 			return Report{}, err
 		}
@@ -420,32 +398,6 @@ func (c *Client) WaitForCompletion(tasks []Task, timeout time.Duration) (Report,
 		Elapsed:       time.Since(start),
 		QueueRequests: c.env.Queue.APIRequests(),
 	}, nil
-}
-
-// Progress is a point-in-time view of a running job, assembled from the
-// monitoring queue's approximate counts — the paper's "monitoring
-// message queue to monitor the progress of the computation".
-type Progress struct {
-	TasksQueued   int // visible task messages (not yet picked up)
-	TasksInFlight int // leased to a worker, not yet acknowledged
-	Reported      int // completion reports waiting in the monitor queue
-}
-
-// Progress samples the job's queues. Counts are approximate in exactly
-// the way the underlying queue service's counts are.
-func (c *Client) Progress() (Progress, error) {
-	var p Progress
-	v, f, err := c.env.Queue.ApproximateCount(c.cfg.taskQueue())
-	if err != nil {
-		return p, err
-	}
-	p.TasksQueued, p.TasksInFlight = v, f
-	v, f, err = c.env.Queue.ApproximateCount(c.cfg.monitorQueue())
-	if err != nil {
-		return p, err
-	}
-	p.Reported = v + f
-	return p, nil
 }
 
 // CollectOutputs downloads every task output.
@@ -539,15 +491,15 @@ func (inst *Instance) workerLoop(workerID int) {
 		}
 		// Long poll: an idle worker parks on the queue's wait list and
 		// wakes when a task arrives or a lease expires, instead of
-		// burning a receive request every PollInterval.
+		// burning a receive request every few milliseconds.
 		msgs, err := inst.env.Queue.ReceiveMessageBatch(
 			inst.cfg.taskQueue(), inst.cfg.VisibilityTimeout,
-			inst.cfg.ReceiveBatch, inst.cfg.LongPollWait)
+			receiveBatch, longPollWait)
 		if err != nil {
 			select {
 			case <-inst.stop:
 				return
-			case <-time.After(inst.cfg.PollInterval):
+			case <-time.After(receiveBackoff):
 			}
 			continue
 		}
@@ -565,12 +517,12 @@ func (inst *Instance) processBatch(workerID int, msgs []queue.Message) {
 	// One lease renewer covers the whole batch: tasks queued behind a
 	// slow one must keep their leases alive too.
 	var renew *leaseRenewer
-	if inst.cfg.HeartbeatInterval > 0 {
+	if heartbeat := inst.cfg.VisibilityTimeout / heartbeatsPerLease; heartbeat > 0 { // a ticker needs ≥ 1ns
 		receipts := make([]string, len(msgs))
 		for i, m := range msgs {
 			receipts[i] = m.ReceiptHandle
 		}
-		renew = inst.startLeaseRenewer(receipts)
+		renew = inst.startLeaseRenewer(receipts, heartbeat)
 		defer renew.stop()
 	}
 	var ackReceipts []string
@@ -719,13 +671,13 @@ func (r *leaseRenewer) remove(receipt string) {
 	r.mu.Unlock()
 }
 
-func (inst *Instance) startLeaseRenewer(receipts []string) *leaseRenewer {
+func (inst *Instance) startLeaseRenewer(receipts []string, heartbeat time.Duration) *leaseRenewer {
 	r := &leaseRenewer{receipts: make(map[string]bool, len(receipts)), done: make(chan struct{})}
 	for _, receipt := range receipts {
 		r.receipts[receipt] = true
 	}
 	go func() {
-		ticker := time.NewTicker(inst.cfg.HeartbeatInterval)
+		ticker := time.NewTicker(heartbeat)
 		defer ticker.Stop()
 		for {
 			select {
@@ -785,14 +737,3 @@ func (f FuncExecutor) Name() string { return f.AppName }
 
 // Execute implements Executor.
 func (f FuncExecutor) Execute(task Task, input []byte) ([]byte, error) { return f.Fn(task, input) }
-
-// Validate sanity-checks a task.
-func (t Task) Validate() error {
-	if t.ID == "" || t.InputKey == "" || t.OutputKey == "" {
-		return errors.New("classiccloud: incomplete task")
-	}
-	if strings.ContainsRune(t.ID, '\n') {
-		return errors.New("classiccloud: task id contains newline")
-	}
-	return nil
-}

@@ -420,21 +420,6 @@ func TestMonitorReportCarriesInstanceType(t *testing.T) {
 	}
 }
 
-func TestTaskValidate(t *testing.T) {
-	good := Task{ID: "a", InputKey: "a", OutputKey: "a.out"}
-	if err := good.Validate(); err != nil {
-		t.Errorf("valid task rejected: %v", err)
-	}
-	bad := Task{}
-	if err := bad.Validate(); err == nil {
-		t.Error("empty task accepted")
-	}
-	evil := Task{ID: "a\nb", InputKey: "x", OutputKey: "y"}
-	if err := evil.Validate(); err == nil {
-		t.Error("newline id accepted")
-	}
-}
-
 func TestStopIsIdempotentAndConcurrent(t *testing.T) {
 	env := testEnv()
 	cfg := Config{JobName: "stop"}
@@ -455,44 +440,6 @@ func TestStopIsIdempotentAndConcurrent(t *testing.T) {
 		}()
 	}
 	wg.Wait()
-}
-
-func TestProgressTracking(t *testing.T) {
-	env := testEnv()
-	cfg := Config{JobName: "progress"}
-	client := NewClient(env, cfg)
-	if err := client.Setup(); err != nil {
-		t.Fatal(err)
-	}
-	tasks, err := client.SubmitFiles(makeFiles(10))
-	if err != nil {
-		t.Fatal(err)
-	}
-	p, err := client.Progress()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if p.TasksQueued != 10 || p.TasksInFlight != 0 || p.Reported != 0 {
-		t.Errorf("before workers: %+v", p)
-	}
-	inst, err := StartInstance(env, cfg, upperExec, 4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer inst.Stop()
-	if _, err := client.WaitForCompletion(tasks, 10*time.Second); err != nil {
-		t.Fatal(err)
-	}
-	p, err = client.Progress()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if p.TasksQueued != 0 || p.TasksInFlight != 0 {
-		t.Errorf("after completion: %+v", p)
-	}
-	if _, err := NewClient(env, Config{JobName: "ghost"}).Progress(); err == nil {
-		t.Error("progress of unknown job should error")
-	}
 }
 
 func TestDeadLetterAfterReceiveCap(t *testing.T) {

@@ -1,6 +1,6 @@
 // Package httpx holds the process-wide tuned HTTP client shared by
-// every JSON-face client in the repo (queue.HTTPClient,
-// blob.HTTPClient, broker.HTTPClient when none is injected).
+// every JSON-face client in the repo (queue.HTTPClient always,
+// broker.HTTPClient when none is injected).
 //
 // The default net/http transport keeps only 2 idle connections per
 // host, so a benchmark or broker deployment running hundreds of

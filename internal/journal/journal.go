@@ -183,15 +183,7 @@ func (l Log) appendFrame(frame []byte) error {
 	return nil
 }
 
-// CreateJSON and AppendJSON marshal v as the record.
-func (l Log) CreateJSON(v any) error {
-	rec, err := json.Marshal(v)
-	if err != nil {
-		return fmt.Errorf("journal: encoding record: %w", err)
-	}
-	return l.Create(rec)
-}
-
+// AppendJSON marshals v as the record.
 func (l Log) AppendJSON(v any) error {
 	rec, err := json.Marshal(v)
 	if err != nil {
@@ -408,11 +400,6 @@ func (l Log) Delete() error {
 		_ = l.Store.Delete(l.Bucket, k)
 	}
 	return nil
-}
-
-// Exists reports whether the log object exists (consistent view).
-func (l Log) Exists() (bool, error) {
-	return l.Store.Exists(l.Bucket, l.Key)
 }
 
 // IsSnapshotKey reports whether a bucket key names some log's snapshot

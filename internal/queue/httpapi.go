@@ -81,12 +81,11 @@ type HTTPHandler struct {
 	// and handed to the Service when it implements TraceScoper, so a
 	// sharded front forwards it to the owning shard.
 
-	// SlowRequest, when > 0, logs any request slower than it, keyed by
-	// trace ID — the "why was this call slow" breadcrumb that works
-	// across hops because every hop logs the same ID.
+	// SlowRequest, when > 0, logs any request slower than it to the
+	// process default logger, keyed by trace ID — the "why was this call
+	// slow" breadcrumb that works across hops because every hop logs the
+	// same ID.
 	SlowRequest time.Duration
-	// Logger receives slow-request lines; nil uses the process default.
-	Logger *log.Logger
 	// Metrics, when set, records whole-request HTTP latency
 	// (queue_http_ns) including JSON marshalling — the server-side view
 	// a remote client actually experiences.
@@ -153,11 +152,7 @@ func (h *HTTPHandler) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 		h.httpNS.Observe(elapsed)
 	}
 	if h.SlowRequest > 0 && elapsed >= h.SlowRequest {
-		logger := h.Logger
-		if logger == nil {
-			logger = log.Default()
-		}
-		logger.Printf("queue: slow request trace=%s %s %s %v", trace, r.Method, r.URL.Path, elapsed)
+		log.Printf("queue: slow request trace=%s %s %s %v", trace, r.Method, r.URL.Path, elapsed)
 	}
 }
 
@@ -454,17 +449,14 @@ func writeJSON(w http.ResponseWriter, v any) {
 // shard behind shard.Router.
 type HTTPClient struct {
 	BaseURL string
-	Client  *http.Client
 	// AdminToken authorizes the privileged transfer endpoint. Leave
 	// empty for a purely public client: TransferIn then fails with
 	// ErrNotPrivileged (and the shard migrator falls back to a public
 	// re-send). When the server rotates tokens (HTTPHandler.AdminTokens)
 	// the client presents exactly one — by convention the newest.
 	AdminToken string
-	// TraceID, when set, is injected as the telemetry.TraceHeader on
-	// every request, tying this client's traffic to one trace across
-	// hops. Use WithTrace for a per-request/per-job scoped view.
-	TraceID string
+
+	trace string // set by WithTrace
 }
 
 var (
@@ -473,23 +465,14 @@ var (
 	_ TraceScoper = (*HTTPClient)(nil)
 )
 
-// WithTrace returns a view of the client whose requests carry traceID.
-// The copy shares the underlying http.Client (and its connection pool);
-// it is cheap enough to create per request.
+// WithTrace returns a view of the client whose requests carry traceID
+// as the telemetry.TraceHeader, tying its traffic to one trace across
+// hops. The copy shares the connection pool; it is cheap enough to
+// create per request.
 func (c *HTTPClient) WithTrace(traceID string) API {
 	scoped := *c
-	scoped.TraceID = traceID
+	scoped.trace = traceID
 	return &scoped
-}
-
-func (c *HTTPClient) httpClient() *http.Client {
-	if c.Client != nil {
-		return c.Client
-	}
-	// The shared tuned client, not http.DefaultClient: the default
-	// transport's 2 idle connections per host starve any deployment
-	// with real worker concurrency (see package httpx).
-	return httpx.Client
 }
 
 // call is the client's one request path, so no hop drops the trace ID or
@@ -520,13 +503,16 @@ func (c *HTTPClient) call(method, url string, body, out any, want ...int) (int, 
 	if contentType != "" {
 		req.Header.Set("Content-Type", contentType)
 	}
-	if c.TraceID != "" {
-		req.Header.Set(telemetry.TraceHeader, c.TraceID)
+	if c.trace != "" {
+		req.Header.Set(telemetry.TraceHeader, c.trace)
 	}
 	if c.AdminToken != "" {
 		req.Header.Set("Authorization", "Bearer "+c.AdminToken)
 	}
-	resp, err := c.httpClient().Do(req)
+	// The shared tuned client, not http.DefaultClient: the default
+	// transport's 2 idle connections per host starve any deployment
+	// with real worker concurrency (see package httpx).
+	resp, err := httpx.Client.Do(req)
 	if err != nil {
 		return 0, err
 	}

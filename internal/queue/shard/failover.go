@@ -116,13 +116,6 @@ func (r *Router) Failover(id string) error {
 	return nil
 }
 
-// HasStandby reports whether a standby is registered for the shard.
-func (r *Router) HasStandby(id string) bool {
-	r.mu.RLock()
-	defer r.mu.RUnlock()
-	return r.standbys[id] != nil
-}
-
 // Standbys lists the shard ids that currently have a registered
 // standby, sorted for stable display.
 func (r *Router) Standbys() []string {

@@ -3,6 +3,7 @@ package shard
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"testing"
 	"time"
 
@@ -51,7 +52,7 @@ func TestFailoverPreservesReceiptsAndMessages(t *testing.T) {
 	if err := r.SetStandby("s0", follower.PromoteAPI); err != nil {
 		t.Fatal(err)
 	}
-	if !r.HasStandby("s0") {
+	if !slices.Contains(r.Standbys(), "s0") {
 		t.Fatal("standby not registered")
 	}
 
@@ -146,13 +147,13 @@ func TestFailoverRetryableAfterPromotionFailure(t *testing.T) {
 	if err := r.Failover("s0"); err == nil {
 		t.Fatal("failover with failing promotion reported success")
 	}
-	if !r.HasStandby("s0") {
+	if !slices.Contains(r.Standbys(), "s0") {
 		t.Fatal("failed promotion consumed the standby registration")
 	}
 	if err := r.Failover("s0"); err != nil {
 		t.Fatalf("retry after transient promotion failure: %v", err)
 	}
-	if r.HasStandby("s0") {
+	if slices.Contains(r.Standbys(), "s0") {
 		t.Error("successful promotion left the registration armed")
 	}
 	if calls != 2 {

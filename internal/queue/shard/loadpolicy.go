@@ -20,7 +20,42 @@ import (
 // the shard fleet from a registry of local-spawn or pre-provisioned
 // backends. Decisions are scored (utilization gain vs migration cost
 // vs fragmentation) rather than instantaneous-threshold triggers, and
-// both cooldowns and hysteresis keep the topology from thrashing.
+// both cooldowns and hysteresis keep the topology from thrashing. What
+// a deployment sizes is a field of AutoscalePolicy; the shape of the
+// response is the constants below, the same for every fleet.
+
+// Fleet sizing is considered above scaleUpAt and below scaleDownAt
+// utilization, and even then only when the scored trade wins. With a
+// fleet of N shards at utilization u:
+//
+//	grow when    (u − 0.8)·1 > 0.5/(N+1)   gain in headroom vs moving ~1/(N+1) of the key space
+//	shrink when  (0.3 − u)·1 > 0.5/N       idle capacity recovered vs moving the retiring shard's whole arc
+//
+// so two shards grow at u > 0.97 and seven at u > 0.86, while four
+// shards shrink only below u = 0.175: a small overshoot does not
+// justify migrating a large backlog.
+const (
+	scaleUpAt           = 0.8
+	scaleDownAt         = 0.3
+	utilizationWeight   = 1.0 // per unit of utilization above scaleUpAt
+	migrationWeight     = 0.5 // per unit of key space moved
+	fragmentationWeight = 1.0 // per unit of utilization below scaleDownAt
+)
+
+// A group is hot above AutoscalePolicy.SplitRate or splitBacklog queued
+// messages: its sub-arc fan-out doubles, up to policyMaxSubgroups and
+// never past its queue count. mergeFraction is the hysteresis band: a
+// split group merges back only when BOTH its rate and its backlog fall
+// below that fraction of the split thresholds, so a group hovering at
+// the threshold does not split/merge every tick.
+const (
+	splitBacklog       = 4096
+	policyMaxSubgroups = 8
+	mergeFraction      = 0.25
+)
+
+// autoscaleInterval is the time between ticks of a started Autoscaler.
+const autoscaleInterval = 2 * time.Second
 
 // ShardFactory creates a backend for a shard the autoscaler decided to
 // add — typically an in-process *queue.Service in tests and benches,
@@ -45,29 +80,14 @@ type AutoscalePolicy struct {
 	// TargetRatePerShard is the request rate one shard is provisioned
 	// for; fleet utilization is totalRate/(shards·target). Default 1000.
 	TargetRatePerShard float64
-	// ScaleUpAt / ScaleDownAt are the utilization watermarks where
-	// growing / shrinking starts being considered (defaults 0.8 / 0.3).
-	// The scored trade-off below the watermarks still applies: a small
-	// overshoot does not justify migrating a large backlog.
-	ScaleUpAt   float64
-	ScaleDownAt float64
 	// UpCooldown / DownCooldown suppress repeat fleet changes (defaults
 	// 10s / 30s). Down is stickier: shrink mistakes cost a migration to
 	// undo, and a recent scale-up also resets the down cooldown.
 	UpCooldown   time.Duration
 	DownCooldown time.Duration
-	// SplitRate / SplitBacklog mark a group hot: request rate above
-	// SplitRate (default TargetRatePerShard/2) or backlog above
-	// SplitBacklog (default 4096) doubles its sub-arc fan-out, up to
-	// MaxSubgroups (default 8) and never past its queue count.
-	SplitRate    float64
-	SplitBacklog int64
-	MaxSubgroups int
-	// MergeFraction is the hysteresis band: a split group merges back
-	// only when BOTH its rate and backlog fall below MergeFraction of
-	// the split thresholds (default 0.25), so a group hovering at the
-	// threshold does not split/merge every tick.
-	MergeFraction float64
+	// SplitRate is the request rate above which a group is hot
+	// (default TargetRatePerShard/2).
+	SplitRate float64
 	// SplitCooldown suppresses further split/merge actions after one
 	// fires (default 10s).
 	SplitCooldown time.Duration
@@ -75,14 +95,6 @@ type AutoscalePolicy struct {
 	// looks back over (default 10). Used by the Autoscaler runner when
 	// building observations; Decide itself sees the finished estimate.
 	Window int
-	// UtilizationWeight, MigrationWeight, and FragmentationWeight score
-	// the fleet-sizing trade-off (defaults 1 / 0.5 / 1): scaling up
-	// must buy more utilization headroom than the migration disruption
-	// costs, and scaling down must recover more idle capacity than the
-	// retiring shard's arc costs to move.
-	UtilizationWeight   float64
-	MigrationWeight     float64
-	FragmentationWeight float64
 }
 
 func (p AutoscalePolicy) withDefaults() AutoscalePolicy {
@@ -98,12 +110,6 @@ func (p AutoscalePolicy) withDefaults() AutoscalePolicy {
 	if p.TargetRatePerShard <= 0 {
 		p.TargetRatePerShard = 1000
 	}
-	if p.ScaleUpAt <= 0 {
-		p.ScaleUpAt = 0.8
-	}
-	if p.ScaleDownAt <= 0 {
-		p.ScaleDownAt = 0.3
-	}
 	if p.UpCooldown <= 0 {
 		p.UpCooldown = 10 * time.Second
 	}
@@ -113,32 +119,11 @@ func (p AutoscalePolicy) withDefaults() AutoscalePolicy {
 	if p.SplitRate <= 0 {
 		p.SplitRate = p.TargetRatePerShard / 2
 	}
-	if p.SplitBacklog <= 0 {
-		p.SplitBacklog = 4096
-	}
-	if p.MaxSubgroups <= 0 {
-		p.MaxSubgroups = 8
-	}
-	if p.MaxSubgroups > maxSubgroups {
-		p.MaxSubgroups = maxSubgroups
-	}
-	if p.MergeFraction <= 0 {
-		p.MergeFraction = 0.25
-	}
 	if p.SplitCooldown <= 0 {
 		p.SplitCooldown = 10 * time.Second
 	}
 	if p.Window <= 0 {
 		p.Window = 10
-	}
-	if p.UtilizationWeight <= 0 {
-		p.UtilizationWeight = 1
-	}
-	if p.MigrationWeight <= 0 {
-		p.MigrationWeight = 0.5
-	}
-	if p.FragmentationWeight <= 0 {
-		p.FragmentationWeight = 1
 	}
 	return p
 }
@@ -223,16 +208,16 @@ func (p AutoscalePolicy) Decide(o FleetObservation) FleetDecision {
 			if sub < 1 {
 				sub = 1
 			}
-			hot := g.RatePerSec > p.SplitRate || g.Backlog > p.SplitBacklog
-			cool := g.RatePerSec < p.SplitRate*p.MergeFraction &&
-				float64(g.Backlog) < float64(p.SplitBacklog)*p.MergeFraction
+			hot := g.RatePerSec > p.SplitRate || g.Backlog > splitBacklog
+			cool := g.RatePerSec < p.SplitRate*mergeFraction &&
+				float64(g.Backlog) < splitBacklog*mergeFraction
 			switch {
-			case hot && sub < p.MaxSubgroups && g.Queues > sub:
+			case hot && sub < policyMaxSubgroups && g.Queues > sub:
 				// Double the fan-out: one decision halves the hot arc's
 				// load instead of creeping up one sub-arc per window.
 				k := sub * 2
-				if k > p.MaxSubgroups {
-					k = p.MaxSubgroups
+				if k > policyMaxSubgroups {
+					k = policyMaxSubgroups
 				}
 				if k > g.Queues {
 					k = g.Queues
@@ -252,22 +237,20 @@ func (p AutoscalePolicy) Decide(o FleetObservation) FleetDecision {
 		sort.Strings(d.Merges)
 	}
 
-	// Fleet sizing: scored, not threshold-triggered. Growing buys
-	// utilization headroom but costs moving ~1/(N+1) of the key space;
-	// shrinking recovers idle capacity but costs moving the retiring
-	// shard's whole arc. Either action must win its trade.
+	// Fleet sizing: scored, not threshold-triggered (see scaleUpAt).
+	// Either action must win its trade.
 	util := totalRate / (float64(fleet) * p.TargetRatePerShard)
-	upGain := (util - p.ScaleUpAt) * p.UtilizationWeight
-	upCost := p.MigrationWeight / float64(fleet+1)
-	downGain := (p.ScaleDownAt - util) * p.FragmentationWeight
-	downCost := p.MigrationWeight / float64(fleet)
+	upGain := (util - scaleUpAt) * utilizationWeight
+	upCost := migrationWeight / float64(fleet+1)
+	downGain := (scaleDownAt - util) * fragmentationWeight
+	downCost := migrationWeight / float64(fleet)
 	switch {
 	case fleet < p.MaxShards && upGain > upCost:
 		if !o.LastScaleUp.IsZero() && o.Now.Sub(o.LastScaleUp) < p.UpCooldown {
 			break // suppressed by cooldown; splits/merges still apply
 		}
 		d.Delta = 1
-		d.Reason = fmt.Sprintf("utilization %.2f above %.2f (gain %.3f > cost %.3f): add shard", util, p.ScaleUpAt, upGain, upCost)
+		d.Reason = fmt.Sprintf("utilization %.2f above %.2f (gain %.3f > cost %.3f): add shard", util, scaleUpAt, upGain, upCost)
 	case fleet > p.MinShards && downGain > downCost:
 		last := o.LastScaleDown
 		if o.LastScaleUp.After(last) {
@@ -277,7 +260,7 @@ func (p AutoscalePolicy) Decide(o FleetObservation) FleetDecision {
 			break
 		}
 		d.Delta = -1
-		d.Reason = fmt.Sprintf("utilization %.2f below %.2f (gain %.3f > cost %.3f): retire shard", util, p.ScaleDownAt, downGain, downCost)
+		d.Reason = fmt.Sprintf("utilization %.2f below %.2f (gain %.3f > cost %.3f): retire shard", util, scaleDownAt, downGain, downCost)
 	}
 
 	// Weights: nudge each shard's arc toward equal LOAD. A shard
@@ -322,8 +305,6 @@ type AutoscalerConfig struct {
 	// once the reserve is exhausted. Nil means the reserve is the whole
 	// supply.
 	Factory ShardFactory
-	// Interval between ticks when Start is used (default 2s).
-	Interval time.Duration
 	// Metrics, when set, receives shard_autoscale_decisions{verdict}
 	// counters and shard_fleet / shard_groups_split gauges.
 	Metrics *telemetry.Registry
@@ -377,9 +358,6 @@ type Autoscaler struct {
 // NewAutoscaler binds a policy to a router. Call Start for the
 // background loop, or Tick directly for deterministic control.
 func NewAutoscaler(r *Router, cfg AutoscalerConfig) *Autoscaler {
-	if cfg.Interval <= 0 {
-		cfg.Interval = 2 * time.Second
-	}
 	return &Autoscaler{
 		r:            r,
 		cfg:          cfg,
@@ -405,7 +383,7 @@ func (a *Autoscaler) Start() {
 	a.loop.Add(1)
 	go func() {
 		defer a.loop.Done()
-		t := time.NewTicker(a.cfg.Interval)
+		t := time.NewTicker(autoscaleInterval)
 		defer t.Stop()
 		for {
 			select {

@@ -184,15 +184,6 @@ func (r *ring) setWeight(id string, w float64) bool {
 	return true
 }
 
-// weight returns a shard's current weight (0 for a shard not on the
-// ring).
-func (r *ring) weight(id string) float64 {
-	if !r.ids[id] {
-		return 0
-	}
-	return r.weights[id]
-}
-
 func (r *ring) appendPoints(id string, n int) {
 	for v := 0; v < n; v++ {
 		r.points = append(r.points, ringPoint{hash64(fmt.Sprintf("%s#%d", id, v)), id, v})

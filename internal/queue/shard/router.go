@@ -114,23 +114,26 @@ func splitReceipt(wrapped string) (shardID, receipt string, ok bool) {
 	return wrapped[:i], wrapped[i+1:], true
 }
 
+const (
+	// drainVisibility is the lease the migrator takes on messages it
+	// streams between shards: long enough to move a batch, short enough
+	// that a crashed migration redelivers quickly.
+	drainVisibility = time.Minute
+	// leaseHorizon bounds how long a forwarder keeps watching the old
+	// shard for expiring in-flight messages. Past it the old queue is
+	// left in place so outstanding receipts stay valid, but nothing is
+	// forwarded any more.
+	leaseHorizon = time.Hour
+)
+
 // Config tunes the router.
 type Config struct {
 	// VirtualNodes per shard on the hash ring (default 64). More nodes
 	// spread queues more evenly at the cost of a larger ring.
 	VirtualNodes int
-	// DrainVisibility is the lease the migrator takes on messages it
-	// streams between shards (default 1m): long enough to move a batch,
-	// short enough that a crashed migration redelivers quickly.
-	DrainVisibility time.Duration
 	// ForwardInterval is how often a straggler forwarder polls the old
 	// shard after a migration (default 10ms).
 	ForwardInterval time.Duration
-	// LeaseHorizon bounds how long a forwarder keeps watching the old
-	// shard for expiring in-flight messages (default 1h). Past it the
-	// old queue is left in place so outstanding receipts stay valid,
-	// but nothing is forwarded any more.
-	LeaseHorizon time.Duration
 	// Metrics, when set, receives the router's instruments: per-op
 	// latency histograms (router_op_ns), per-shard request rates
 	// (shard_requests) and live backlog gauges (shard_backlog). Nil
@@ -142,14 +145,8 @@ func (c Config) withDefaults() Config {
 	if c.VirtualNodes == 0 {
 		c.VirtualNodes = 64
 	}
-	if c.DrainVisibility == 0 {
-		c.DrainVisibility = time.Minute
-	}
 	if c.ForwardInterval == 0 {
 		c.ForwardInterval = 10 * time.Millisecond
-	}
-	if c.LeaseHorizon == 0 {
-		c.LeaseHorizon = time.Hour
 	}
 	return c
 }
@@ -1113,18 +1110,6 @@ func (r *Router) SetShardWeight(id string, w float64) (bool, error) {
 		return false, ErrNoSuchShard
 	}
 	return r.ring.setWeight(id, w), nil
-}
-
-// ShardWeights snapshots the ring-arc weight of every shard on the
-// ring.
-func (r *Router) ShardWeights() map[string]float64 {
-	r.mu.RLock()
-	defer r.mu.RUnlock()
-	out := make(map[string]float64, len(r.ring.weights))
-	for id, w := range r.ring.weights {
-		out[id] = w
-	}
-	return out
 }
 
 // Splits snapshots the sub-arc count of every currently-split group.

@@ -21,7 +21,18 @@ import (
 // are (the remote already answered).
 var ErrUnavailable = errors.New("wire: endpoint unavailable")
 
-// Options tunes a Client.
+const (
+	// requestTimeout bounds one round trip, excluding any long-poll wait
+	// the request itself asks for — receives get requestTimeout plus
+	// their wait.
+	requestTimeout = 30 * time.Second
+	// defaultDialTimeout bounds one connect attempt, and the discovery
+	// probe that precedes the first.
+	defaultDialTimeout = 3 * time.Second
+)
+
+// Options tunes a Client. The frame cap (maxFrame) and requestTimeout
+// are fixed, and a trace is scoped with WithTrace, not configured.
 type Options struct {
 	// Conns is the connection-pool size (default 4). Pipelining means a
 	// few connections carry many in-flight requests; the pool exists to
@@ -30,25 +41,15 @@ type Options struct {
 	Conns int
 	// DialTimeout bounds one connect attempt (default 3s).
 	DialTimeout time.Duration
-	// RequestTimeout bounds one round trip, excluding any long-poll
-	// wait the request itself asks for — receives get RequestTimeout
-	// plus their wait (default 30s).
-	RequestTimeout time.Duration
 	// MaxBackoff caps the reconnect backoff after repeated dial
 	// failures (default 2s; the first retry waits 50ms). While a pool
 	// slot is backing off, calls through it fail fast with
 	// ErrUnavailable instead of queueing behind doomed dials.
 	MaxBackoff time.Duration
-	// MaxFrame caps one response frame (default DefaultMaxFrame).
-	MaxFrame int
 	// AdminToken authorizes the privileged transfer opcode, with the
 	// same client-side contract as queue.HTTPClient: empty fails
 	// transfers locally with ErrNotPrivileged.
 	AdminToken string
-	// TraceID, when set, rides in every request frame's trace field —
-	// the binary equivalent of the X-Trace-Id header. Use WithTrace
-	// for scoped views.
-	TraceID string
 	// Fallback, when set, serves any call that fails at the transport
 	// level (ErrUnavailable) — typically the queue.HTTPClient for the
 	// same node, making "prefer wire, fall back to JSON" a property of
@@ -64,16 +65,10 @@ func (o Options) withDefaults() Options {
 		o.Conns = 4
 	}
 	if o.DialTimeout <= 0 {
-		o.DialTimeout = 3 * time.Second
-	}
-	if o.RequestTimeout <= 0 {
-		o.RequestTimeout = 30 * time.Second
+		o.DialTimeout = defaultDialTimeout
 	}
 	if o.MaxBackoff <= 0 {
 		o.MaxBackoff = 2 * time.Second
-	}
-	if o.MaxFrame <= 0 {
-		o.MaxFrame = DefaultMaxFrame
 	}
 	return o
 }
@@ -107,11 +102,8 @@ func Dial(addr string, opt Options) *Client {
 	if opt.Metrics != nil {
 		p.connGauge = opt.Metrics.Gauge(telemetry.Label("wire_client_conns", "peer", addr))
 	}
-	return &Client{p: p, trace: opt.TraceID}
+	return &Client{p: p}
 }
-
-// Addr returns the endpoint this client dials.
-func (c *Client) Addr() string { return c.p.addr }
 
 // Close tears down every pooled connection. In-flight calls fail with
 // ErrUnavailable.
@@ -128,8 +120,9 @@ func (c *Client) Close() error {
 	return nil
 }
 
-// WithTrace returns a view whose requests carry traceID, sharing the
-// connection pool with the receiver.
+// WithTrace returns a view whose requests carry traceID in every
+// frame's trace field — the binary equivalent of the X-Trace-Id header —
+// sharing the connection pool with the receiver.
 func (c *Client) WithTrace(traceID string) queue.API {
 	return &Client{p: c.p, trace: traceID}
 }
@@ -293,7 +286,7 @@ func (g *connGen) writer() {
 func (g *connGen) reader() {
 	br := bufio.NewReaderSize(g.nc, 64<<10)
 	for {
-		bp, err := readFrameBody(br, g.p.opt.MaxFrame)
+		bp, err := readFrameBody(br)
 		if err != nil {
 			g.fail(err)
 			return
@@ -357,7 +350,7 @@ func (p *pool) roundTrip(op byte, queueName, trace string, extraWait time.Durati
 		return callRes{}, res.err
 	}
 
-	timeout := p.opt.RequestTimeout
+	timeout := requestTimeout
 	if extraWait > 0 {
 		timeout += extraWait
 	}

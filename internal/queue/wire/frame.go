@@ -18,7 +18,8 @@
 // is op-specific (see protocol.go). Response frames echo the request's
 // op and correlation id and carry a status byte first: 0 for success,
 // otherwise an error code that maps back to the queue package's
-// sentinel errors, followed by the error message.
+// sentinel errors, followed by the error message. One cap, maxFrame,
+// bounds a frame body on every reader.
 //
 // # Pipelining model
 //
@@ -29,7 +30,9 @@
 // head-of-line block unrelated traffic on the same connection. The
 // server mirrors the pair — one reader spawning a handler per request,
 // one writer serializing responses — so a slow receive never stalls the
-// pipe.
+// pipe, up to maxConcurrent handlers per connection. A call waits
+// requestTimeout for its response, plus whatever long-poll wait the
+// request itself asked for.
 //
 // # When JSON, when wire
 //
@@ -88,18 +91,18 @@ var opNames = map[byte]string{
 	OpTransfer:         "transfer",
 }
 
-// DefaultMaxFrame caps one frame's body. Queue bodies are task
-// descriptors, not blobs, so 16 MiB leaves two orders of magnitude of
-// headroom while bounding what a corrupt or hostile peer can make the
-// reader allocate.
-const DefaultMaxFrame = 16 << 20
+// maxFrame caps one frame's body, on every reader: client, server and
+// DecodeFrame. Queue bodies are task descriptors, not blobs, so 16 MiB
+// leaves two orders of magnitude of headroom while bounding what a
+// corrupt or hostile peer can make the reader allocate.
+const maxFrame = 16 << 20
 
 // Framing errors. ErrShortFrame reports a frame that declares more
 // bytes than are present — for a stream reader that simply means "read
 // more", for DecodeFrame on a finite buffer it is corruption.
 var (
 	ErrShortFrame   = errors.New("wire: truncated frame")
-	ErrFrameTooBig  = fmt.Errorf("wire: frame exceeds %d bytes", DefaultMaxFrame)
+	ErrFrameTooBig  = fmt.Errorf("wire: frame exceeds %d bytes", maxFrame)
 	ErrCorruptFrame = errors.New("wire: corrupt frame")
 )
 
@@ -148,7 +151,7 @@ func DecodeFrame(data []byte) (Frame, int, error) {
 	if used <= 0 {
 		return Frame{}, 0, ErrShortFrame
 	}
-	if n > DefaultMaxFrame {
+	if n > maxFrame {
 		return Frame{}, 0, ErrFrameTooBig
 	}
 	if uint64(len(data)-used) < n {

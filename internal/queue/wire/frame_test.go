@@ -44,7 +44,7 @@ func TestDecodeFrameTruncated(t *testing.T) {
 }
 
 func TestDecodeFrameOversized(t *testing.T) {
-	data := binary.AppendUvarint(nil, DefaultMaxFrame+1)
+	data := binary.AppendUvarint(nil, maxFrame+1)
 	if _, _, err := DecodeFrame(data); !errors.Is(err, ErrFrameTooBig) {
 		t.Fatalf("oversized declared length: got %v, want ErrFrameTooBig", err)
 	}

@@ -140,12 +140,12 @@ func readStrings(d *codec.Dec) []string {
 // readFrameBody reads one frame off a stream into a pooled buffer and
 // returns the body (length prefix stripped). The caller owns the
 // buffer and must release it with codec.PutBuf.
-func readFrameBody(br *bufio.Reader, max int) (*[]byte, error) {
+func readFrameBody(br *bufio.Reader) (*[]byte, error) {
 	n, err := binary.ReadUvarint(br)
 	if err != nil {
 		return nil, err
 	}
-	if n > uint64(max) {
+	if n > maxFrame {
 		return nil, ErrFrameTooBig
 	}
 	bp := codec.GetBuf()

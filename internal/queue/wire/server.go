@@ -15,6 +15,11 @@ import (
 // ErrServerClosed is returned by Serve after Close.
 var ErrServerClosed = errors.New("wire: server closed")
 
+// maxConcurrent caps in-flight handlers per connection; excess frames
+// wait in the reader, applying backpressure through the transport
+// instead of unbounded goroutine growth.
+const maxConcurrent = 256
+
 // Server serves the wire protocol over a listener, dispatching every
 // frame to a queue.API — a local Service or a shard router, the same
 // backends HTTPHandler fronts. One Server may serve many listeners.
@@ -29,12 +34,6 @@ type Server struct {
 	// histograms, a wire_conns open-connection gauge, and a
 	// wire_frames counter.
 	Metrics *telemetry.Registry
-	// MaxFrame caps one frame body (default DefaultMaxFrame).
-	MaxFrame int
-	// MaxConcurrent caps in-flight handlers per connection (default
-	// 256); excess frames wait in the reader, applying backpressure
-	// through the transport instead of unbounded goroutine growth.
-	MaxConcurrent int
 
 	initOnce sync.Once
 	met      *serverMetrics
@@ -55,12 +54,6 @@ func (s *Server) init() {
 	s.initOnce.Do(func() {
 		s.lns = make(map[net.Listener]struct{})
 		s.conns = make(map[*srvConn]struct{})
-		if s.MaxFrame <= 0 {
-			s.MaxFrame = DefaultMaxFrame
-		}
-		if s.MaxConcurrent <= 0 {
-			s.MaxConcurrent = 256
-		}
 		if s.Metrics != nil {
 			m := &serverMetrics{
 				ops:    make(map[byte]*telemetry.Histogram, len(opNames)),
@@ -105,7 +98,7 @@ func (s *Server) Serve(ln net.Listener) error {
 			bw:      bufio.NewWriterSize(nc, 64<<10),
 			writeCh: make(chan *[]byte, 64),
 			done:    make(chan struct{}),
-			sem:     make(chan struct{}, s.MaxConcurrent),
+			sem:     make(chan struct{}, maxConcurrent),
 		}
 		s.mu.Lock()
 		if s.closed {
@@ -178,7 +171,7 @@ func (c *srvConn) serve() {
 	}()
 	go c.writer()
 	for {
-		bp, err := readFrameBody(c.br, c.srv.MaxFrame)
+		bp, err := readFrameBody(c.br)
 		if err != nil {
 			return
 		}

@@ -478,3 +478,35 @@ func TestWireMetrics(t *testing.T) {
 		time.Sleep(5 * time.Millisecond)
 	}
 }
+
+// A node that accepts the connection and never answers is unreachable
+// as far as discovery is concerned: the probe gives up within its bound
+// instead of waiting out the OS, so the caller stays on HTTP.
+func TestDiscoverAddrGivesUpOnSilentNode(t *testing.T) {
+	t.Parallel()
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ln.Close()
+	held := make(chan net.Conn, 1) // the one probe connection
+	go func() {
+		if c, err := ln.Accept(); err == nil {
+			held <- c // kept open, never read, never answered
+		}
+	}()
+	start := time.Now()
+	addr, ok := DiscoverAddr("http://" + ln.Addr().String())
+	if ok || addr != "" {
+		t.Errorf("DiscoverAddr = %q, %v; want \"\", false", addr, ok)
+	}
+	if elapsed := time.Since(start); elapsed < defaultDialTimeout/2 || elapsed > 2*defaultDialTimeout {
+		t.Errorf("probe took %v, want about %v", elapsed, defaultDialTimeout)
+	}
+	select {
+	case c := <-held:
+		c.Close()
+	default:
+		t.Error("the probe never connected")
+	}
+}
