@@ -1,26 +1,32 @@
 // Durability: opt-in per-shard journaling over internal/journal.
 //
-// With Config.Durability set, every mutation a Service accepts —
-// create/delete queue, send, transfer, receive, delete, visibility
-// change, purge — is journaled as one binary record in one journal frame
-// (one blob append per billed call, batches included; layout in
-// durcodec.go) BEFORE the in-memory commit, so an operation acknowledged
-// to a caller is an operation a restarted or replicated service will
-// reproduce. Recovery is a fold: Recover loads the journal's snapshot
-// epoch plus the records appended since and rebuilds exact queue state —
-// depths, delivery counts, live receipt handles, in-flight leases to the
-// nanosecond — mirroring Broker.Recover. A Follower runs the same fold
-// continuously against a primary's journal, which is what shard failover
-// promotes. Live appends, Recover, the follower's tail fold and its
-// per-epoch rebuild all go through one encoder, one decoder and one
-// transition function (foldRecord); DumpJournal (`queuerouter
-// -dump-journal`) prints a journal as JSON lines for a human to read.
+// A queue shard is one state machine whose transitions are journal
+// records (queue.go: plan → append → apply). This file is what a durable
+// shard adds around that: with Config.Durability set, Service.commit
+// appends each planned record — create/delete queue, send, transfer,
+// receive, delete, visibility change, purge; one binary record in one
+// journal frame and one blob append per billed call, batches included
+// (layout in durcodec.go) — BEFORE applying it, so an operation
+// acknowledged to a caller is an operation a restarted or replicated
+// service will reproduce. Recovery applies the same records read back:
+// Recover loads the journal's snapshot epoch plus the records appended
+// since and rebuilds exact queue state — depths, delivery counts, live
+// receipt handles, in-flight leases to the nanosecond, delivery order —
+// mirroring Broker.Recover. A Follower does that continuously against a
+// primary's journal, which is what shard failover promotes. There is no
+// second transition function to keep equal to the first: the live
+// commit, Recover, the follower's tail fold and its per-epoch rebuild
+// all end in Service.applyLocked, through one encoder and one decoder.
+// DumpJournal (`queuerouter -dump-journal`) prints a journal as JSON
+// lines for a human to read.
 //
-// What is NOT journaled: lease expiry (derived from visibleAt and the
-// clock at fold time) and long-poll bookkeeping. Delivery-order
-// randomness restarts at the configured seed after recovery, so
-// post-recovery shuffle order may differ from an uncrashed run — the
-// queue contract never promised ordering.
+// What is NOT journaled: lease expiry (a record that carries a time
+// releases what has lapsed by then, a live service whenever it looks,
+// and expireLocked lands them identically either way), long-poll
+// wake-ups, and the rng position — delivery-order randomness restarts
+// at the configured seed after recovery, so post-recovery shuffle order
+// may differ from an uncrashed run; the queue contract never promised
+// ordering.
 //
 // Costs: the record is encoded into a pooled buffer and appended under
 // the per-queue lock, so durable throughput is bounded by encoding plus
@@ -35,13 +41,12 @@ package queue
 
 import (
 	"container/heap"
-	"container/list"
 	"errors"
 	"fmt"
 	"log"
-	"math/rand"
 	"sort"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"repro/internal/blob"
@@ -101,6 +106,23 @@ type durRecord struct {
 	Dup      []bool      `json:"dup,omitempty"`
 }
 
+// reset empties r for a record of kind op on queue q, keeping its
+// slices' storage so planning and decoding into it allocate only what
+// they keep. Every field is named: assigning a whole durRecord over the
+// per-queue scratch costs a bulk write barrier on every call.
+func (r *durRecord) reset(op durOp, q string) {
+	r.Op, r.Q, r.T, r.NextID = op, q, time.Time{}, 0
+	r.IDs, r.Bodies, r.Recvs = r.IDs[:0], r.Bodies[:0], r.Recvs[:0]
+	r.Receipts, r.Vis, r.Dup = r.Receipts[:0], r.Vis[:0], r.Dup[:0]
+}
+
+// identity reports a record that would change nothing — a receive that
+// found no message, a batch delete whose receipts were all stale. Such a
+// record is never journaled.
+func (r *durRecord) identity() bool {
+	return (r.Op == opReceive || r.Op == opDelete) && len(r.IDs) == 0
+}
+
 // durableState carries a Service's journaling state.
 type durableState struct {
 	log       journal.Log
@@ -109,11 +131,9 @@ type durableState struct {
 	// + truncation (the writer). Lock order: dur.mu strictly before
 	// s.mu / q.mu.
 	mu sync.RWMutex
-	// appends counts records since the last snapshot; guarded by mu
-	// (writers under RLock use the atomic-free path below guarded by
-	// countMu, since RLock holders run concurrently).
-	countMu sync.Mutex
-	appends int
+	// appends counts records since the last snapshot. Appenders run
+	// concurrently under mu.RLock, hence atomic.
+	appends atomic.Int64
 	// ready is set by Recover; appends before it error.
 	ready bool
 }
@@ -129,8 +149,8 @@ func newDurableState(d *Durability) *durableState {
 	}
 }
 
-// lock takes the append-side lock and checks service liveness; every
-// journaled operation brackets its critical section with lock/unlock.
+// lock takes the append-side lock and checks the journal is claimed;
+// Service.commit brackets every journaled mutation with lock/unlock.
 func (d *durableState) lock() error {
 	d.mu.RLock()
 	if !d.ready {
@@ -144,47 +164,19 @@ func (d *durableState) unlock() { d.mu.RUnlock() }
 
 // append journals one record. Caller holds d.mu.RLock (via lock) and
 // whatever state lock covers the mutation the record describes; the
-// commit must only happen if append returns nil.
+// record must only be applied if append returns nil.
 func (d *durableState) append(rec *durRecord) error {
 	if err := d.log.AppendRecord(rec); err != nil {
 		return err
 	}
-	d.countMu.Lock()
-	d.appends++
-	d.countMu.Unlock()
+	d.appends.Add(1)
 	return nil
 }
 
 // due reports whether a snapshot is due. Checked after unlock so the
 // snapshot (an exclusive acquisition) is never attempted under RLock.
 func (d *durableState) due() bool {
-	if d.snapEvery <= 0 {
-		return false
-	}
-	d.countMu.Lock()
-	defer d.countMu.Unlock()
-	return d.appends >= d.snapEvery
-}
-
-// --- Write-side hooks -------------------------------------------------
-
-// durAppend is the no-op-when-ephemeral bracket used by Service ops:
-// it runs fn (which mutates state and must journal through d.append)
-// between lock and unlock, then triggers a snapshot if one came due.
-// With no Durability configured it just runs fn with a nil state.
-func (s *Service) durAppend(fn func(d *durableState) error) error {
-	if s.dur == nil {
-		return fn(nil)
-	}
-	if err := s.dur.lock(); err != nil {
-		return err
-	}
-	err := fn(s.dur)
-	s.dur.unlock()
-	if err == nil && s.dur.due() {
-		s.snapshot()
-	}
-	return err
+	return d.snapEvery > 0 && d.appends.Load() >= int64(d.snapEvery)
 }
 
 // snapshot captures the whole service state and truncates the journal
@@ -194,10 +186,7 @@ func (s *Service) durAppend(fn func(d *durableState) error) error {
 func (s *Service) snapshot() {
 	s.dur.mu.Lock()
 	defer s.dur.mu.Unlock()
-	s.dur.countMu.Lock()
-	pending := s.dur.appends
-	s.dur.countMu.Unlock()
-	if pending < s.dur.snapEvery {
+	if !s.dur.due() {
 		return // another caller snapshotted first
 	}
 	bp := codec.GetBuf()
@@ -206,9 +195,7 @@ func (s *Service) snapshot() {
 	if err := s.dur.log.Snapshot(*bp); err != nil {
 		return
 	}
-	s.dur.countMu.Lock()
-	s.dur.appends = 0
-	s.dur.countMu.Unlock()
+	s.dur.appends.Store(0)
 }
 
 // --- Snapshot format --------------------------------------------------
@@ -307,9 +294,7 @@ func (s *Service) Recover() error {
 	if err := s.installView(v); err != nil {
 		return err
 	}
-	d.countMu.Lock()
-	d.appends = len(v.Entries)
-	d.countMu.Unlock()
+	d.appends.Store(int64(len(v.Entries)))
 	d.ready = true
 	return nil
 }
@@ -334,34 +319,26 @@ func (s *Service) installView(v *journal.View) error {
 
 // foldEntries decodes and applies journal records in order — the one
 // path from journal bytes to state, shared by Recover, the follower's
-// per-epoch rebuild and its tail fold. It stops at the first record
-// that does not decode (journal.ErrCorrupt) or does not fit the state
-// folded so far.
+// per-epoch rebuild and its tail fold, and ending in the same
+// applyLocked a live commit ends in. It stops at the first record that
+// does not decode (journal.ErrCorrupt) or does not fit the state folded
+// so far.
 func (s *Service) foldEntries(entries [][]byte) error {
 	var rec durRecord
 	for i, e := range entries {
 		if err := rec.decode(e); err != nil {
 			return corrupt(fmt.Sprintf("queue: journal record %d", i+1), err)
 		}
-		if err := s.foldRecord(&rec); err != nil {
-			return fmt.Errorf("queue: journal record %d: %w", i+1, err)
+		if rec.Op == opGenesis {
+			continue
+		}
+		err := s.withQueue(rec.Op, rec.Q, func(q *queueState) error { return s.applyLocked(q, &rec) })
+		if err != nil {
+			// %v: a journal that does not fit is not the API's ErrNoSuchQueue.
+			return fmt.Errorf("queue: journal record %d: %s on queue %q: %v", i+1, rec.Op, rec.Q, err)
 		}
 	}
 	return nil
-}
-
-// newQueueStateLocked builds an empty queue exactly as CreateQueue
-// does. Caller holds s.mu.
-func (s *Service) newQueueStateLocked(name string) *queueState {
-	return &queueState{
-		name:       name,
-		poolBodies: s.cfg.DuplicateProb == 0,
-		rng:        rand.New(rand.NewSource(queueSeed(s.cfg.Seed, name))),
-		visible:    list.New(),
-		byReceipt:  make(map[string]*message),
-		byID:       make(map[string]*message),
-		notify:     make(chan struct{}),
-	}
 }
 
 func (s *Service) installSnapshot(snap *durSnapshot) error {
@@ -371,7 +348,7 @@ func (s *Service) installSnapshot(snap *durSnapshot) error {
 			s.mu.Unlock()
 			return fmt.Errorf("queue: snapshot repeats queue %q", dq.Name)
 		}
-		q := s.newQueueStateLocked(dq.Name)
+		q := s.newQueueState(dq.Name)
 		s.queues[dq.Name] = q
 		s.mu.Unlock()
 		q.mu.Lock()
@@ -409,118 +386,6 @@ func installMsgLocked(q *queueState, dm *durMsg, inflight bool) {
 		q.byReceipt[m.receipt] = m
 	}
 	q.byID[m.id] = m
-}
-
-// foldRecord applies one journal record — the single transition
-// function recovery and followers share. Folding is strict: a record
-// that does not match the folded state (unknown queue, unknown message)
-// reports corruption instead of guessing.
-func (s *Service) foldRecord(rec *durRecord) error {
-	switch rec.Op {
-	case opGenesis:
-		return nil
-	case opCreateQueue:
-		s.mu.Lock()
-		defer s.mu.Unlock()
-		if _, ok := s.queues[rec.Q]; ok {
-			return fmt.Errorf("create of existing queue %q", rec.Q)
-		}
-		s.queues[rec.Q] = s.newQueueStateLocked(rec.Q)
-		return nil
-	case opDeleteQueue:
-		s.mu.Lock()
-		defer s.mu.Unlock()
-		if _, ok := s.queues[rec.Q]; !ok {
-			return fmt.Errorf("delete of unknown queue %q", rec.Q)
-		}
-		delete(s.queues, rec.Q)
-		return nil
-	}
-
-	q, err := s.getQueue(rec.Q)
-	if err != nil {
-		return fmt.Errorf("%s on unknown queue %q", rec.Op, rec.Q)
-	}
-	q.mu.Lock()
-	defer q.mu.Unlock()
-	switch rec.Op {
-	case opSend:
-		if len(rec.IDs) != len(rec.Bodies) || (len(rec.Recvs) != 0 && len(rec.Recvs) != len(rec.IDs)) {
-			return fmt.Errorf("send record shape: %d ids, %d bodies, %d recvs", len(rec.IDs), len(rec.Bodies), len(rec.Recvs))
-		}
-		for i, id := range rec.IDs {
-			if _, ok := q.byID[id]; ok {
-				return fmt.Errorf("send of duplicate message %q", id)
-			}
-			m := &message{id: id, body: append([]byte(nil), rec.Bodies[i]...), heapIdx: -1}
-			if len(rec.Recvs) != 0 {
-				m.receives = rec.Recvs[i]
-			}
-			m.elem = q.visible.PushBack(m)
-			q.byID[id] = m
-		}
-		q.nextID = rec.NextID
-		return nil
-	case opReceive:
-		n := len(rec.IDs)
-		if len(rec.Receipts) != n || len(rec.Vis) != n || len(rec.Dup) != n {
-			return fmt.Errorf("receive record shape: %d ids, %d receipts, %d vis, %d dup",
-				n, len(rec.Receipts), len(rec.Vis), len(rec.Dup))
-		}
-		for i, id := range rec.IDs {
-			m, ok := q.byID[id]
-			if !ok {
-				return fmt.Errorf("receive of unknown message %q", id)
-			}
-			m.receives++
-			if m.receipt != "" {
-				delete(q.byReceipt, m.receipt)
-			}
-			m.receipt = rec.Receipts[i]
-			q.byReceipt[m.receipt] = m
-			if rec.Dup[i] {
-				continue
-			}
-			// The message was visible at append time even if this fold
-			// still holds it in-flight (an expiry, never journaled,
-			// released it in between): re-place it from wherever it is.
-			if m.elem != nil {
-				q.visible.Remove(m.elem)
-				m.elem = nil
-			} else if m.heapIdx >= 0 {
-				heap.Remove(&q.inflight, m.heapIdx)
-			}
-			m.visibleAt = rec.Vis[i]
-			heap.Push(&q.inflight, m)
-		}
-		return nil
-	case opDelete:
-		for _, id := range rec.IDs {
-			m, ok := q.byID[id]
-			if !ok {
-				return fmt.Errorf("delete of unknown message %q", id)
-			}
-			q.removeLocked(m)
-		}
-		return nil
-	case opVisibility:
-		if len(rec.Vis) != len(rec.IDs) {
-			return fmt.Errorf("visibility record shape: %d ids, %d vis", len(rec.IDs), len(rec.Vis))
-		}
-		for i, id := range rec.IDs {
-			m, ok := q.byID[id]
-			if !ok {
-				return fmt.Errorf("visibility change on unknown message %q", id)
-			}
-			q.placeLocked(m, rec.Vis[i], rec.T)
-		}
-		return nil
-	case opPurge:
-		q.purgeLocked()
-		return nil
-	default:
-		return fmt.Errorf("unknown op %v", rec.Op)
-	}
 }
 
 // --- Follower ---------------------------------------------------------
@@ -751,11 +616,9 @@ func (f *Follower) Promote() (*Service, error) {
 	f.promoted = true
 	d := f.svc.dur
 	d.mu.Lock()
-	d.countMu.Lock()
 	// Seed the compaction counter with the journal tail already behind
 	// us so the promoted service snapshots on the primary's cadence.
-	d.appends = f.records
-	d.countMu.Unlock()
+	d.appends.Store(int64(f.records))
 	d.ready = true
 	d.mu.Unlock()
 	return f.svc, nil

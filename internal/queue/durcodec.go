@@ -215,11 +215,7 @@ func count(d *codec.Dec, size int) int {
 func (r *durRecord) decode(b []byte) error {
 	d := codec.Dec{B: b}
 	op, q := durOp(d.Byte()), d.Str()
-	*r = durRecord{
-		Op: op, Q: q,
-		IDs: r.IDs[:0], Bodies: r.Bodies[:0], Recvs: r.Recvs[:0],
-		Receipts: r.Receipts[:0], Vis: r.Vis[:0], Dup: r.Dup[:0],
-	}
+	r.reset(op, q)
 	has := d.Byte()
 	if has&hasT != 0 {
 		r.T = d.Time()

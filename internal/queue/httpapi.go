@@ -2,6 +2,7 @@ package queue
 
 import (
 	"bytes"
+	"context"
 	"crypto/subtle"
 	"encoding/json"
 	"errors"
@@ -475,14 +476,27 @@ func (c *HTTPClient) WithTrace(traceID string) API {
 	return &scoped
 }
 
-// call is the client's one request path, so no hop drops the trace ID or
-// the token: it sends body (nil for none, a []byte verbatim, anything
-// else as JSON) stamped with the trace header and the admin bearer
-// token when the client has them, maps a status outside want to the
-// sentinel it encodes (statusErr), and decodes a JSON answer into out
-// when out is non-nil and the response has a body. It returns the
-// status so a caller with two good answers can tell them apart.
+// httpRequestTimeout bounds one round trip, excluding any long-poll wait
+// the request itself asks for — the rule wire.Client's requestTimeout
+// follows. A shard that accepts a connection and never answers then
+// fails the call instead of hanging it.
+var httpRequestTimeout = 30 * time.Second
+
+// call is a request that asks the server to block for nothing.
 func (c *HTTPClient) call(method, url string, body, out any, want ...int) (int, error) {
+	return c.callWait(0, method, url, body, out, want...)
+}
+
+// callWait is the client's one request path, so no hop drops the trace
+// ID, the token or the deadline: it sends body (nil for none, a []byte
+// verbatim, anything else as JSON) stamped with the trace header and the
+// admin bearer token when the client has them, gives the server
+// httpRequestTimeout plus the long-poll wait the request asks for, maps
+// a status outside want to the sentinel it encodes (statusErr), and
+// decodes a JSON answer into out when out is non-nil and the response
+// has a body. It returns the status so a caller with two good answers
+// can tell them apart.
+func (c *HTTPClient) callWait(wait time.Duration, method, url string, body, out any, want ...int) (int, error) {
 	var rd io.Reader
 	var contentType string
 	switch b := body.(type) {
@@ -496,7 +510,10 @@ func (c *HTTPClient) call(method, url string, body, out any, want ...int) (int, 
 		}
 		rd, contentType = bytes.NewReader(payload), "application/json"
 	}
-	req, err := http.NewRequest(method, url, rd)
+	// queue.API carries no context yet, so the deadline is the only one.
+	ctx, cancel := context.WithTimeout(context.TODO(), httpRequestTimeout+max(wait, 0))
+	defer cancel()
+	req, err := http.NewRequestWithContext(ctx, method, url, rd)
 	if err != nil {
 		return 0, err
 	}
@@ -674,7 +691,7 @@ func (c *HTTPClient) ReceiveMessage(name string, visibility time.Duration) (Mess
 // ReceiveMessageWait long-polls for up to wait before returning empty.
 func (c *HTTPClient) ReceiveMessageWait(name string, visibility, wait time.Duration) (Message, bool, error) {
 	var wm wireMessage
-	status, err := c.call(http.MethodGet, c.receiveURL(name, url.Values{}, visibility, wait), nil, &wm,
+	status, err := c.callWait(wait, http.MethodGet, c.receiveURL(name, url.Values{}, visibility, wait), nil, &wm,
 		http.StatusOK, http.StatusNoContent)
 	if err != nil || status == http.StatusNoContent {
 		return Message{}, false, err
@@ -690,7 +707,7 @@ func (c *HTTPClient) ReceiveMessageBatch(name string, visibility time.Duration, 
 		Messages []wireMessage `json:"messages"`
 	}
 	q := url.Values{"max": {strconv.Itoa(max)}}
-	status, err := c.call(http.MethodGet, c.receiveURL(name, q, visibility, wait), nil, &out,
+	status, err := c.callWait(wait, http.MethodGet, c.receiveURL(name, q, visibility, wait), nil, &out,
 		http.StatusOK, http.StatusNoContent)
 	if err != nil || status == http.StatusNoContent {
 		return nil, err

@@ -1,7 +1,9 @@
 package queue
 
 import (
+	"context"
 	"errors"
+	"net"
 	"testing"
 	"time"
 )
@@ -91,5 +93,67 @@ func TestHTTPClientFullAPI(t *testing.T) {
 	}
 	if names := api.ListQueues(); len(names) != 1 || names[0] != "a" {
 		t.Errorf("ListQueues after delete = %v", names)
+	}
+}
+
+// A shard that accepts connections and never answers fails the call once
+// the request bound (plus the call's own long-poll wait) has passed,
+// instead of hanging a router op or a stats scrape forever; and a long
+// poll a live server holds for its whole wait — here longer than the
+// bound alone — is not cut off, because the wait extends the deadline.
+func TestHTTPClientBoundsEveryRequest(t *testing.T) {
+	const bound, wait = 200 * time.Millisecond, 50 * time.Millisecond
+	setHTTPRequestTimeout(t, bound)
+
+	silent, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var held []net.Conn
+	accepted := make(chan struct{})
+	go func() {
+		defer close(accepted)
+		for {
+			nc, err := silent.Accept()
+			if err != nil {
+				return
+			}
+			held = append(held, nc) // accepted, never read, never answered
+		}
+	}()
+	t.Cleanup(func() {
+		silent.Close()
+		<-accepted
+		for _, nc := range held {
+			nc.Close()
+		}
+	})
+	c := &HTTPClient{BaseURL: "http://" + silent.Addr().String()}
+	start := time.Now()
+	if _, err := c.ReceiveMessageBatch("q", 0, 1, wait); !errors.Is(err, context.DeadlineExceeded) {
+		t.Errorf("receive from a silent shard: %v, want a deadline error", err)
+	}
+	if took := time.Since(start); took < bound+wait || took > bound+wait+2*time.Second {
+		t.Errorf("receive from a silent shard took %v, want about %v", took, bound+wait)
+	}
+	start = time.Now()
+	if _, _, err := c.ApproximateCount("q"); !errors.Is(err, context.DeadlineExceeded) {
+		t.Errorf("count on a silent shard: %v, want a deadline error", err)
+	}
+	if took := time.Since(start); took < bound || took > bound+2*time.Second {
+		t.Errorf("count on a silent shard took %v, want about %v", took, bound)
+	}
+
+	live, _ := newHTTPQueue(t, nil)
+	if err := live.CreateQueue("q"); err != nil {
+		t.Fatal(err)
+	}
+	start = time.Now()
+	msgs, err := live.ReceiveMessageBatch("q", 0, 1, bound+wait)
+	if err != nil || len(msgs) != 0 {
+		t.Errorf("long poll of an empty queue: %d messages, err %v", len(msgs), err)
+	}
+	if took := time.Since(start); took < bound+wait {
+		t.Errorf("long poll returned after %v, before its %v wait", took, bound+wait)
 	}
 }

@@ -45,6 +45,7 @@ import (
 	"fmt"
 	"hash/fnv"
 	"math/rand"
+	"slices"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -235,6 +236,17 @@ func (c *RequestCounter) For(queueName string) int64 {
 
 // Service is a namespace of queues, the moral equivalent of one SQS
 // account endpoint.
+//
+// It is one state machine. A mutating call plans a journal record —
+// reading state under the queue's lock, changing none of it; a durable
+// service appends the record; applyLocked applies it. Recover and
+// Follower apply the same records read back from the journal, so a live
+// service and a fold of its journal are equal by construction, and an
+// ephemeral service runs the same plan and the same applier with the
+// append left out. Three things stay outside the records: lease expiry
+// (released in a fixed order whenever anyone looks, so it does not
+// matter when), long-poll wake-ups, and the position of each queue's
+// rng.
 type Service struct {
 	cfg Config
 	// mu guards only the queue namespace; message operations take the
@@ -430,15 +442,27 @@ type queueState struct {
 	// dead is set when the queue is deleted so blocked receivers fail
 	// with ErrNoSuchQueue instead of waiting forever.
 	dead bool
+	// rec is the scratch record every commit on this queue plans into and
+	// applies from, reused under mu like a fold's decode target.
+	rec durRecord
 }
 
-// inflightHeap is a min-heap of in-flight messages by visibleAt.
+// inflightHeap is a min-heap of in-flight messages by visibleAt. Leases
+// taken by one batch expire together, so ties are broken by id — later
+// ids first, which hands a batch back to the front of the visible list
+// in its original order — making the order total: what pops next never
+// depends on how the heap happens to be laid out.
 type inflightHeap []*message
 
-func (h inflightHeap) Len() int           { return len(h) }
-func (h inflightHeap) Less(i, j int) bool { return h[i].visibleAt.Before(h[j].visibleAt) }
-func (h inflightHeap) Swap(i, j int)      { h[i], h[j] = h[j], h[i]; h[i].heapIdx = i; h[j].heapIdx = j }
-func (h *inflightHeap) Push(x any)        { m := x.(*message); m.heapIdx = len(*h); *h = append(*h, m) }
+func (h inflightHeap) Len() int { return len(h) }
+func (h inflightHeap) Less(i, j int) bool {
+	if c := h[i].visibleAt.Compare(h[j].visibleAt); c != 0 {
+		return c < 0
+	}
+	return h[i].id > h[j].id
+}
+func (h inflightHeap) Swap(i, j int) { h[i], h[j] = h[j], h[i]; h[i].heapIdx = i; h[j].heapIdx = j }
+func (h *inflightHeap) Push(x any)   { m := x.(*message); m.heapIdx = len(*h); *h = append(*h, m) }
 func (h *inflightHeap) Pop() any {
 	old := *h
 	n := len(old)
@@ -695,11 +719,15 @@ func (s *Service) APIRequestsFor(queueName string) int64 {
 	return s.billing.For(queueName)
 }
 
-// count bills one API call addressed to queueName. With ServiceTime set
-// it also charges the simulated request-processing cost, before any
-// lock is taken, so concurrent callers queue on the service's capacity
-// rather than on its state.
-func (s *Service) count(queueName string) {
+// admit is the entry of every billed call: a halted service refuses it,
+// anything else is billed to queueName. With ServiceTime set the bill
+// also charges the simulated request-processing cost, before any lock is
+// taken, so concurrent callers queue on the service's capacity rather
+// than on its state.
+func (s *Service) admit(queueName string) error {
+	if s.halted.Load() {
+		return ErrHalted
+	}
 	s.billing.Count(queueName)
 	if s.met != nil {
 		s.met.markQueue(queueName)
@@ -709,6 +737,7 @@ func (s *Service) count(queueName string) {
 		time.Sleep(s.cfg.ServiceTime)
 		<-s.slots
 	}
+	return nil
 }
 
 // getQueue resolves a live queue by name.
@@ -730,6 +759,286 @@ func queueSeed(seed int64, name string) int64 {
 	return seed ^ int64(h.Sum64())
 }
 
+// newQueueState builds an empty queue, not yet in the namespace.
+func (s *Service) newQueueState(name string) *queueState {
+	return &queueState{
+		name:       name,
+		poolBodies: s.cfg.DuplicateProb == 0,
+		rng:        rand.New(rand.NewSource(queueSeed(s.cfg.Seed, name))),
+		visible:    list.New(),
+		byReceipt:  make(map[string]*message),
+		byID:       make(map[string]*message),
+		notify:     make(chan struct{}),
+	}
+}
+
+// --- The state machine (see Service) ----------------------------------
+
+// withQueue runs fn on the queue a record of kind op names, locked and
+// known live. Create and delete hold the namespace for the whole call —
+// create is handed a fresh queue that is not yet in it — and every other
+// op holds only the queue, so a delete racing it is seen as q.dead.
+func (s *Service) withQueue(op durOp, name string, fn func(q *queueState) error) error {
+	var q *queueState
+	if op == opCreateQueue || op == opDeleteQueue {
+		s.mu.Lock()
+		defer s.mu.Unlock()
+		q = s.queues[name]
+	} else {
+		q, _ = s.getQueue(name)
+	}
+	switch {
+	case op == opCreateQueue && q != nil:
+		return ErrQueueExists
+	case op == opCreateQueue:
+		q = s.newQueueState(name)
+	case q == nil:
+		return ErrNoSuchQueue
+	}
+	q.mu.Lock()
+	defer q.mu.Unlock()
+	if q.dead {
+		// A racing DeleteQueue already journaled its record: one more
+		// record for this queue would poison replay.
+		return ErrNoSuchQueue
+	}
+	return fn(q)
+}
+
+// A planFunc is one op's decision: it reads the locked queue and fills
+// rec with what the op will do — ids, receipts, lease times — and fails
+// the call if it cannot be done. It changes nothing a record describes:
+// the only state it may touch is the rng and leases that have already
+// lapsed (expireLocked), neither of which is journaled. Results the
+// caller returns are taken here too, since everything they hold is known
+// once the record is.
+type planFunc func(q *queueState, rec *durRecord) error
+
+// commit is the mutation bracket, written once: under the journal's
+// append lock and the queue's lock, plan the record, append it when the
+// service is durable, apply it. An op whose record would change nothing
+// (an empty receive, a batch delete of stale receipts) stops after the
+// plan and is neither journaled nor applied. rec is the queue's scratch
+// record, so planning allocates only what the caller keeps.
+func (s *Service) commit(op durOp, queueName string, plan planFunc) error {
+	d := s.dur
+	if d != nil {
+		if err := d.lock(); err != nil {
+			return err
+		}
+	}
+	err := s.withQueue(op, queueName, func(q *queueState) error {
+		rec := &q.rec
+		rec.reset(op, queueName)
+		if plan != nil {
+			if err := plan(q, rec); err != nil {
+				return err
+			}
+		}
+		if rec.identity() {
+			return nil
+		}
+		if d != nil {
+			if err := d.append(rec); err != nil {
+				return err
+			}
+		}
+		err := s.applyLocked(q, rec)
+		clear(rec.Bodies) // the scratch must not pin the caller's buffers
+		return err
+	})
+	if d != nil {
+		d.unlock()
+		if err == nil && d.due() {
+			s.snapshot()
+		}
+	}
+	return err
+}
+
+// mutate is a whole message-path call: latency histogram, admission,
+// commit.
+func (s *Service) mutate(metric string, op durOp, queueName string, plan planFunc) error {
+	defer s.opDone(metric, s.opStart())
+	if err := s.admit(queueName); err != nil {
+		return err
+	}
+	return s.commit(op, queueName, plan)
+}
+
+// applyLocked is the queue's one transition function: the live commit
+// and the journal fold are both this. Caller holds q.mu — and s.mu for
+// create and delete — via withQueue. Applying is strict: a record that
+// does not fit the state (unknown message, repeated id, ragged lists)
+// is an error, never a guess. A record that carries a time first
+// releases every lease lapsed by then, so where a message sits depends
+// on the records alone, not on when a live service happened to look.
+func (s *Service) applyLocked(q *queueState, rec *durRecord) error {
+	switch rec.Op {
+	case opCreateQueue:
+		s.queues[q.name] = q
+	case opDeleteQueue:
+		delete(s.queues, q.name)
+		q.dead = true
+		q.broadcastLocked() // blocked receivers wake to ErrNoSuchQueue
+	case opSend:
+		if len(rec.IDs) != len(rec.Bodies) || (len(rec.Recvs) != 0 && len(rec.Recvs) != len(rec.IDs)) {
+			return fmt.Errorf("send record shape: %d ids, %d bodies, %d recvs", len(rec.IDs), len(rec.Bodies), len(rec.Recvs))
+		}
+		for i, id := range rec.IDs {
+			if _, ok := q.byID[id]; ok {
+				return fmt.Errorf("send of duplicate message %q", id)
+			}
+			m := &message{id: id, heapIdx: -1}
+			if len(rec.Recvs) != 0 {
+				m.receives = rec.Recvs[i]
+			}
+			// The one copy of the body: callers and journal buffers keep
+			// theirs.
+			if body := rec.Bodies[i]; q.poolBodies {
+				m.body = bodyGet(len(body))
+				copy(m.body, body)
+			} else {
+				m.body = append([]byte(nil), body...)
+			}
+			m.elem = q.visible.PushBack(m)
+			q.byID[id] = m
+		}
+		q.nextID = rec.NextID
+		q.broadcastLocked()
+	case opReceive:
+		n := len(rec.IDs)
+		if len(rec.Receipts) != n || len(rec.Vis) != n || len(rec.Dup) != n {
+			return fmt.Errorf("receive record shape: %d ids, %d receipts, %d vis, %d dup",
+				n, len(rec.Receipts), len(rec.Vis), len(rec.Dup))
+		}
+		q.expireLocked(rec.T)
+		for i, id := range rec.IDs {
+			m, ok := q.byID[id]
+			if !ok {
+				return fmt.Errorf("receive of unknown message %q", id)
+			}
+			m.receives++
+			if m.receipt != "" {
+				delete(q.byReceipt, m.receipt)
+			}
+			m.receipt = rec.Receipts[i]
+			q.byReceipt[m.receipt] = m
+			if rec.Dup[i] {
+				continue // a duplicate delivery leaves the message visible
+			}
+			q.detachLocked(m)
+			m.visibleAt = rec.Vis[i]
+			heap.Push(&q.inflight, m)
+		}
+	case opDelete:
+		for _, id := range rec.IDs {
+			m, ok := q.byID[id]
+			if !ok {
+				return fmt.Errorf("delete of unknown message %q", id)
+			}
+			q.removeLocked(m)
+		}
+	case opVisibility:
+		if len(rec.Vis) != len(rec.IDs) {
+			return fmt.Errorf("visibility record shape: %d ids, %d vis", len(rec.IDs), len(rec.Vis))
+		}
+		q.expireLocked(rec.T)
+		for i, id := range rec.IDs {
+			m, ok := q.byID[id]
+			if !ok {
+				return fmt.Errorf("visibility change on unknown message %q", id)
+			}
+			q.placeLocked(m, rec.Vis[i], rec.T)
+		}
+	case opPurge:
+		// Body buffers are left to the garbage collector — see bodyBuckets
+		// for why a purge must not recycle buffers consumers may still read.
+		q.visible.Init()
+		q.inflight = nil
+		q.byReceipt = make(map[string]*message)
+		q.byID = make(map[string]*message)
+	default:
+		return fmt.Errorf("unknown op %v", rec.Op)
+	}
+	return nil
+}
+
+// broadcastLocked wakes every long-poll waiter on the queue. Caller
+// holds q.mu.
+func (q *queueState) broadcastLocked() {
+	close(q.notify)
+	q.notify = make(chan struct{})
+}
+
+// expireLocked releases every in-flight message whose visibility timeout
+// has passed to the front of the visible list, one at a time in the
+// heap's (total) order. Releasing up to t1 and then up to t2 therefore
+// leaves the same list as releasing up to t2 at once, which is what lets
+// expiry stay out of the journal: the fold releases when a record's time
+// says so, a live service whenever it looks, and both end up with the
+// same queue. Caller holds q.mu. O(log n) per expired message.
+func (q *queueState) expireLocked(now time.Time) {
+	for len(q.inflight) > 0 && !q.inflight[0].visibleAt.After(now) {
+		m := heap.Pop(&q.inflight).(*message)
+		m.elem = q.visible.PushFront(m)
+	}
+}
+
+// detachLocked takes a live message out of whichever delivery structure
+// holds it. Caller holds q.mu and puts it back, or drops it.
+func (q *queueState) detachLocked(m *message) {
+	if m.elem != nil {
+		q.visible.Remove(m.elem)
+		m.elem = nil
+	} else if m.heapIdx >= 0 {
+		heap.Remove(&q.inflight, m.heapIdx)
+	}
+}
+
+// removeLocked removes a live message from every index, recycling its
+// body buffer when pooling is on. Caller holds q.mu.
+func (q *queueState) removeLocked(m *message) {
+	q.detachLocked(m)
+	if m.receipt != "" {
+		delete(q.byReceipt, m.receipt)
+	}
+	delete(q.byID, m.id)
+	if q.poolBodies {
+		bodyPut(m.body)
+		m.body = nil
+	}
+}
+
+// placeLocked moves a message to match a new visibleAt relative to now
+// — the ChangeVisibility placement rules. Caller holds q.mu.
+func (q *queueState) placeLocked(m *message, visibleAt, now time.Time) {
+	old := m.visibleAt
+	m.visibleAt = visibleAt
+	switch {
+	case m.visibleAt.After(now) && m.elem != nil:
+		// Re-hide a currently visible message (e.g. its lease expired but
+		// it was not yet redelivered).
+		q.visible.Remove(m.elem)
+		m.elem = nil
+		heap.Push(&q.inflight, m)
+	case m.visibleAt.After(now):
+		heap.Fix(&q.inflight, m.heapIdx)
+	case m.elem == nil:
+		// Released early: make it deliverable now and wake waiters.
+		heap.Remove(&q.inflight, m.heapIdx)
+		m.elem = q.visible.PushFront(m)
+		q.broadcastLocked()
+	}
+	if m.visibleAt.Before(old) && m.heapIdx >= 0 {
+		// The lease shrank but is still in the future: wake waiters so
+		// their expiry timers re-arm against the new, earlier deadline.
+		q.broadcastLocked()
+	}
+}
+
+// --- Operations: argument validation plus a plan ----------------------
+
 // CreateQueue registers a new queue. The name is validated before the
 // call is billed, so a rejected empty name neither counts as a request
 // nor grows the per-queue billing index.
@@ -737,58 +1046,21 @@ func (s *Service) CreateQueue(name string) error {
 	if name == "" {
 		return ErrEmptyQueueName
 	}
-	if s.halted.Load() {
-		return ErrHalted
+	if err := s.admit(name); err != nil {
+		return err
 	}
-	s.count(name)
-	return s.durAppend(func(ds *durableState) error {
-		s.mu.Lock()
-		defer s.mu.Unlock()
-		if _, ok := s.queues[name]; ok {
-			return ErrQueueExists
-		}
-		if ds != nil {
-			if err := ds.append(&durRecord{Op: opCreateQueue, Q: name}); err != nil {
-				return err
-			}
-		}
-		s.queues[name] = s.newQueueStateLocked(name)
-		return nil
-	})
+	return s.commit(opCreateQueue, name, nil)
 }
 
 // DeleteQueue removes a queue and its messages. Receivers blocked in a
-// long poll on the queue wake with ErrNoSuchQueue.
+// long poll on the queue wake with ErrNoSuchQueue. The record is
+// appended under the queue's lock as well as the namespace's, so no
+// message record can land in the journal after its queue's deletion.
 func (s *Service) DeleteQueue(name string) error {
-	if s.halted.Load() {
-		return ErrHalted
+	if err := s.admit(name); err != nil {
+		return err
 	}
-	s.count(name)
-	return s.durAppend(func(ds *durableState) error {
-		s.mu.Lock()
-		q, ok := s.queues[name]
-		if !ok {
-			s.mu.Unlock()
-			return ErrNoSuchQueue
-		}
-		// The delete record is appended under q.mu so it serializes
-		// against in-flight message records on this queue: no send can
-		// land in the journal after the queue's deletion.
-		q.mu.Lock()
-		if ds != nil {
-			if err := ds.append(&durRecord{Op: opDeleteQueue, Q: name}); err != nil {
-				q.mu.Unlock()
-				s.mu.Unlock()
-				return err
-			}
-		}
-		delete(s.queues, name)
-		s.mu.Unlock()
-		q.dead = true
-		q.broadcastLocked()
-		q.mu.Unlock()
-		return nil
-	})
+	return s.commit(opDeleteQueue, name, nil)
 }
 
 // ListQueues returns queue names sorted.
@@ -804,19 +1076,11 @@ func (s *Service) ListQueues() []string {
 	return names
 }
 
-// SendMessage enqueues a message body. The body is copied once here;
-// receivers are handed the stored copy and must not mutate it.
+// SendMessage enqueues a message body. The body is copied once, when the
+// record is applied; receivers are handed the stored copy and must not
+// mutate it.
 func (s *Service) SendMessage(queueName string, body []byte) (string, error) {
-	defer s.opDone("send", s.opStart())
-	if s.halted.Load() {
-		return "", ErrHalted
-	}
-	s.count(queueName)
-	q, err := s.getQueue(queueName)
-	if err != nil {
-		return "", err
-	}
-	ids, err := s.sendBatch(q, [][]byte{body}, nil)
+	ids, err := s.send("send", queueName, [][]byte{body}, nil)
 	if err != nil {
 		return "", err
 	}
@@ -830,16 +1094,7 @@ func (s *Service) SendMessageBatch(queueName string, bodies [][]byte) ([]string,
 	if len(bodies) == 0 || len(bodies) > MaxBatch {
 		return nil, ErrBatchSize
 	}
-	defer s.opDone("send_batch", s.opStart())
-	if s.halted.Load() {
-		return nil, ErrHalted
-	}
-	s.count(queueName)
-	q, err := s.getQueue(queueName)
-	if err != nil {
-		return nil, err
-	}
-	return s.sendBatch(q, bodies, nil)
+	return s.send("send_batch", queueName, bodies, nil)
 }
 
 // TransferIn enqueues a message carrying `receives` prior deliveries —
@@ -861,60 +1116,31 @@ func (s *Service) TransferInBatch(queueName string, items []TransferItem) ([]str
 	if len(items) == 0 || len(items) > MaxBatch {
 		return nil, ErrBatchSize
 	}
-	for _, it := range items {
-		if it.Receives < 0 {
-			return nil, fmt.Errorf("%w: %d", ErrBadTransfer, it.Receives)
-		}
-	}
-	defer s.opDone("transfer", s.opStart())
-	if s.halted.Load() {
-		return nil, ErrHalted
-	}
-	s.count(queueName)
-	q, err := s.getQueue(queueName)
-	if err != nil {
-		return nil, err
-	}
 	bodies := make([][]byte, len(items))
 	recvs := make([]int, len(items))
 	for i, it := range items {
+		if it.Receives < 0 {
+			return nil, fmt.Errorf("%w: %d", ErrBadTransfer, it.Receives)
+		}
 		bodies[i], recvs[i] = it.Body, it.Receives
 	}
-	return s.sendBatch(q, bodies, recvs)
+	return s.send("transfer", queueName, bodies, recvs)
 }
 
-// sendBatch journals (when durable) and enqueues a batch of bodies
-// with prior delivery counts (nil recvs means all zero), returning the
-// assigned message IDs. The journal record carries the IDs the commit
-// will assign — computed from nextID before sendLocked advances it —
-// so a fold reproduces them exactly.
-func (s *Service) sendBatch(q *queueState, bodies [][]byte, recvs []int) ([]string, error) {
-	ids := make([]string, 0, len(bodies))
-	err := s.durAppend(func(ds *durableState) error {
-		q.mu.Lock()
-		defer q.mu.Unlock()
-		if q.dead {
-			return ErrNoSuchQueue
+// send enqueues bodies with prior delivery counts (nil recvs: none — an
+// ordinary send) and returns the ids they were given: the queue's next
+// counter values, named in the record so a fold assigns the same ones.
+func (s *Service) send(metric, queueName string, bodies [][]byte, recvs []int) ([]string, error) {
+	var ids []string
+	err := s.mutate(metric, opSend, queueName, func(q *queueState, rec *durRecord) error {
+		ids = make([]string, len(bodies))
+		for i := range ids {
+			ids[i] = fmt.Sprintf("%s-%d", q.name, q.nextID+i+1)
+			rec.IDs = append(rec.IDs, ids[i])
 		}
-		if ds != nil {
-			rec := &durRecord{Op: opSend, Q: q.name, Recvs: recvs, NextID: q.nextID + len(bodies)}
-			rec.IDs = make([]string, len(bodies))
-			for i := range bodies {
-				rec.IDs[i] = fmt.Sprintf("%s-%d", q.name, q.nextID+i+1)
-			}
-			rec.Bodies = bodies
-			if err := ds.append(rec); err != nil {
-				return err
-			}
-		}
-		for i, body := range bodies {
-			r := 0
-			if recvs != nil {
-				r = recvs[i]
-			}
-			ids = append(ids, q.sendLocked(q.name, body, r))
-		}
-		q.broadcastLocked()
+		rec.Bodies = append(rec.Bodies, bodies...)
+		rec.Recvs = append(rec.Recvs, recvs...)
+		rec.NextID = q.nextID + len(ids)
 		return nil
 	})
 	if err != nil {
@@ -923,85 +1149,27 @@ func (s *Service) sendBatch(q *queueState, bodies [][]byte, recvs []int) ([]stri
 	return ids, nil
 }
 
-// sendLocked appends one message to the visible list with `receives`
-// prior deliveries (0 for ordinary sends). Caller holds q.mu.
-func (q *queueState) sendLocked(queueName string, body []byte, receives int) string {
-	q.nextID++
-	m := &message{
-		id:       fmt.Sprintf("%s-%d", queueName, q.nextID),
-		receives: receives,
-		heapIdx:  -1,
-	}
-	if q.poolBodies {
-		m.body = bodyGet(len(body))
-		copy(m.body, body)
-	} else {
-		m.body = append([]byte(nil), body...)
-	}
-	m.elem = q.visible.PushBack(m)
-	q.byID[m.id] = m
-	return m.id
-}
-
-// broadcastLocked wakes every long-poll waiter on the queue. Caller
-// holds q.mu.
-func (q *queueState) broadcastLocked() {
-	close(q.notify)
-	q.notify = make(chan struct{})
-}
-
-// expireLocked releases every in-flight message whose visibility timeout
-// has passed, re-inserting them at the front of the visible list (the
-// closest analogue of their original arrival position). Caller holds
-// q.mu. Amortized O(log n) per expired message.
-func (q *queueState) expireLocked(now time.Time) {
-	var expired []*message
-	for len(q.inflight) > 0 && !q.inflight[0].visibleAt.After(now) {
-		expired = append(expired, heap.Pop(&q.inflight).(*message))
-	}
-	// Pops arrive in expiry order; push front in reverse so the earliest
-	// expiry ends up closest to the head.
-	for i := len(expired) - 1; i >= 0; i-- {
-		expired[i].elem = q.visible.PushFront(expired[i])
-	}
-}
-
-// delivery is one planned receive: the message, whether it is a
-// duplicate delivery (stays visible), and the delivery count and
-// receipt handle it will carry. Planning is separated from committing
-// so a durable service can journal the whole batch between the two —
-// the plan mutates nothing but the rng.
-type delivery struct {
-	m        *message
-	dup      bool
-	receives int
-	receipt  string
-}
-
-// planReceivesLocked selects up to max deliverable messages without
-// mutating queue state, reproducing receive semantics exactly: each
-// pick is uniform over the first ShuffleWindow still-deliverable
-// visible messages (non-duplicate picks are virtually hidden for later
-// picks in the same batch, duplicates stay eligible), and the rng draw
-// sequence matches what sequential single receives would consume.
-// Caller holds q.mu and has already run expireLocked.
-func (s *Service) planReceivesLocked(q *queueState, max int) []delivery {
-	var plan []delivery
-	var hidden []*message
-	isHidden := func(m *message) bool {
-		for _, h := range hidden {
-			if h == m {
-				return true
-			}
-		}
-		return false
-	}
-	for len(plan) < max {
-		var cands []*message
+// planReceives fills a receive record with up to max deliveries and
+// returns the messages the caller will be handed, reproducing receive
+// semantics exactly: each pick is uniform over the first ShuffleWindow
+// still-deliverable visible messages (a non-duplicate pick is hidden
+// from later picks in the same batch, a duplicate stays eligible), and
+// the rng draw sequence matches what sequential single receives would
+// consume. Caller holds q.mu and has already run expireLocked(now).
+func (s *Service) planReceives(q *queueState, rec *durRecord, now time.Time, visibility time.Duration, max int) []Message {
+	var out []Message
+	var pickBuf [MaxBatch]*message // picks[i] is the message of rec.IDs[i]
+	picks := pickBuf[:0]
+	for len(picks) < max {
+		var window [8]*message
+		cands := window[:0]
+	scan:
 		for e := q.visible.Front(); e != nil && len(cands) < s.cfg.ShuffleWindow; e = e.Next() {
 			m := e.Value.(*message)
-			if isHidden(m) {
-				continue
+			for i, p := range picks {
+				if p == m && !rec.Dup[i] {
+					continue scan
+				}
 			}
 			cands = append(cands, m)
 		}
@@ -1011,71 +1179,37 @@ func (s *Service) planReceivesLocked(q *queueState, max int) []delivery {
 		m := cands[q.rng.Intn(len(cands))]
 		dup := s.cfg.DuplicateProb > 0 && q.rng.Float64() < s.cfg.DuplicateProb
 		recvs := m.receives + 1
-		for i := range plan {
-			if plan[i].m == m {
+		for _, p := range picks {
+			if p == m {
 				recvs++
 			}
 		}
-		plan = append(plan, delivery{
-			m:        m,
-			dup:      dup,
-			receives: recvs,
-			receipt:  fmt.Sprintf("%s#r%d", m.id, recvs),
-		})
+		receipt := fmt.Sprintf("%s#r%d", m.id, recvs)
+		var lease time.Time // zero for a duplicate: it takes no lease
 		if !dup {
-			hidden = append(hidden, m)
+			lease = now.Add(visibility)
 		}
-	}
-	return plan
-}
-
-// commitDeliveriesLocked applies a planned batch: delivery counts,
-// receipt rotation, and lease placement (duplicates stay visible).
-// Caller holds q.mu; on a durable service the batch's journal record
-// has already been appended.
-func (q *queueState) commitDeliveriesLocked(plan []delivery, now time.Time, visibility time.Duration) []Message {
-	out := make([]Message, 0, len(plan))
-	for i := range plan {
-		d := &plan[i]
-		m := d.m
-		m.receives = d.receives
-		if m.receipt != "" {
-			delete(q.byReceipt, m.receipt)
-		}
-		m.receipt = d.receipt
-		q.byReceipt[m.receipt] = m
-		if !d.dup {
-			q.visible.Remove(m.elem)
-			m.elem = nil
-			m.visibleAt = now.Add(visibility)
-			heap.Push(&q.inflight, m)
+		picks = append(picks, m)
+		rec.IDs = append(rec.IDs, m.id)
+		rec.Receipts = append(rec.Receipts, receipt)
+		rec.Vis = append(rec.Vis, lease)
+		rec.Dup = append(rec.Dup, dup)
+		if out == nil {
+			n := max // exact unless duplicates stretch a short queue
+			if s.cfg.DuplicateProb == 0 && q.visible.Len() < n {
+				n = q.visible.Len()
+			}
+			out = make([]Message, 0, n)
 		}
 		out = append(out, Message{
 			ID:            m.id,
 			Body:          m.body, // stored copy; read-only contract
-			ReceiptHandle: m.receipt,
-			Receives:      m.receives,
+			ReceiptHandle: receipt,
+			Receives:      recvs,
 		})
 	}
+	rec.T = now
 	return out
-}
-
-// recvRecord renders a planned batch as its journal record. Vis
-// carries the lease expiry each non-duplicate commit will set.
-func recvRecord(q *queueState, plan []delivery, now time.Time, visibility time.Duration) *durRecord {
-	rec := &durRecord{Op: opReceive, Q: q.name, T: now}
-	for i := range plan {
-		d := &plan[i]
-		rec.IDs = append(rec.IDs, d.m.id)
-		rec.Receipts = append(rec.Receipts, d.receipt)
-		if d.dup {
-			rec.Vis = append(rec.Vis, time.Time{})
-		} else {
-			rec.Vis = append(rec.Vis, now.Add(visibility))
-		}
-		rec.Dup = append(rec.Dup, d.dup)
-	}
-	return rec
 }
 
 // ReceiveMessage pops a visible message, hiding it for the visibility
@@ -1111,27 +1245,13 @@ func (s *Service) ReceiveMessageBatch(queueName string, visibility time.Duration
 	return s.receiveBatchWait(queueName, visibility, max, wait)
 }
 
-// pollState is what one receive attempt reports back to the long-poll
-// loop: the clock reading it used and — when it delivered nothing —
-// the wake channels captured atomically with the emptiness check.
-type pollState struct {
-	now      time.Time
-	notify   chan struct{}
-	expiryIn time.Duration // time to earliest in-flight expiry; 0 = none
-}
-
 // receiveBatchWait is the shared receive core: one billed request, up to
 // max messages, blocking up to wait for the first one. Each attempt is
-// plan → (journal) → commit so a durable service records the batch
-// before any caller can observe it.
+// its own commit, so a durable service records the batch before any
+// caller can observe it and an empty attempt records nothing.
 func (s *Service) receiveBatchWait(queueName string, visibility time.Duration, max int, wait time.Duration) ([]Message, error) {
 	defer s.opDone("receive", s.opStart())
-	if s.halted.Load() {
-		return nil, ErrHalted
-	}
-	s.count(queueName)
-	q, err := s.getQueue(queueName)
-	if err != nil {
+	if err := s.admit(queueName); err != nil {
 		return nil, err
 	}
 	if visibility <= 0 {
@@ -1155,69 +1275,60 @@ func (s *Service) receiveBatchWait(queueName string, visibility time.Duration, m
 		if an, ok := s.cfg.Clock.(AdvanceNotifier); ok {
 			advC = an.AdvanceCh()
 		}
-		if s.halted.Load() {
-			return nil, ErrHalted
-		}
-		var out []Message
-		var ps pollState
-		err := s.durAppend(func(ds *durableState) error {
-			q.mu.Lock()
-			defer q.mu.Unlock()
-			if q.dead {
-				return ErrNoSuchQueue
-			}
-			ps.now = s.cfg.Clock.Now()
-			q.expireLocked(ps.now)
-			plan := s.planReceivesLocked(q, max)
-			if len(plan) > 0 {
-				if ds != nil {
-					if err := ds.append(recvRecord(q, plan, ps.now, visibility)); err != nil {
-						return err
-					}
-				}
-				out = q.commitDeliveriesLocked(plan, ps.now, visibility)
+		// What an attempt that delivered nothing leaves for the wait below,
+		// captured under the queue lock together with the emptiness check so
+		// a send between here and the select cannot slip past unnoticed.
+		var (
+			out      []Message
+			now      time.Time
+			notify   chan struct{}
+			expiryIn time.Duration // time to the earliest in-flight expiry; 0 = none
+		)
+		err := s.commit(opReceive, queueName, func(q *queueState, rec *durRecord) error {
+			now = s.cfg.Clock.Now()
+			q.expireLocked(now)
+			if out = s.planReceives(q, rec, now, visibility, max); len(out) > 0 {
 				return nil
 			}
-			// Nothing deliverable: capture the wake channels while still
-			// holding the lock so a send between here and the select
-			// below cannot slip past unnoticed.
-			ps.notify = q.notify
+			notify = q.notify
 			if len(q.inflight) > 0 {
-				if d := q.inflight[0].visibleAt.Sub(ps.now); d > 0 {
-					ps.expiryIn = d
-				}
+				expiryIn = q.inflight[0].visibleAt.Sub(now)
 			}
 			return nil
 		})
 		if err != nil {
 			return nil, err
 		}
-		if len(out) > 0 || wait <= 0 || !ps.now.Before(deadline) {
+		if len(out) > 0 || wait <= 0 || !now.Before(deadline) {
 			return out, nil
 		}
-		// Wake when the earliest in-flight lease expires.
-		var expiry *time.Timer
-		var expiryC <-chan time.Time
-		if ps.expiryIn > 0 {
-			expiry = time.NewTimer(ps.expiryIn)
-			expiryC = expiry.C
-		}
-		select {
-		case <-ps.notify:
-		case <-advC:
-		case <-expiryC:
-		case <-s.haltCh:
-			// Loop: the halted check at the top fails the poll.
-		case <-overallC:
-			if expiry != nil {
-				expiry.Stop()
-			}
-			return nil, nil
-		}
-		if expiry != nil {
-			expiry.Stop()
+		if woke, err := s.park(notify, advC, expiryIn, overallC); !woke {
+			return nil, err
 		}
 	}
+}
+
+// park blocks a long poll until something may have made a message
+// deliverable — a send or early release (notify), a clock advance, the
+// earliest lease expiring — and reports false when the poll is over
+// instead: its wait ran out, or the service was halted.
+func (s *Service) park(notify <-chan struct{}, advC <-chan struct{}, expiryIn time.Duration, overallC <-chan time.Time) (bool, error) {
+	var expiryC <-chan time.Time
+	if expiryIn > 0 {
+		expiry := time.NewTimer(expiryIn)
+		defer expiry.Stop()
+		expiryC = expiry.C
+	}
+	select {
+	case <-notify:
+	case <-advC:
+	case <-expiryC:
+	case <-s.haltCh:
+		return false, ErrHalted
+	case <-overallC:
+		return false, nil
+	}
+	return true, nil
 }
 
 // DeleteMessage acknowledges a message by its most recent receipt handle.
@@ -1226,33 +1337,12 @@ func (s *Service) receiveBatchWait(queueName string, visibility time.Duration, m
 // is authoritative. The message is removed from every index immediately,
 // so deleted messages occupy no memory and slow no later operation.
 func (s *Service) DeleteMessage(queueName, receiptHandle string) error {
-	defer s.opDone("delete", s.opStart())
-	if s.halted.Load() {
-		return ErrHalted
-	}
-	s.count(queueName)
-	q, err := s.getQueue(queueName)
-	if err != nil {
-		return err
-	}
-	return s.durAppend(func(ds *durableState) error {
-		q.mu.Lock()
-		defer q.mu.Unlock()
-		if q.dead {
-			// Racing DeleteQueue: the delq record is already journaled, so
-			// appending an opDelete for this queue now would poison replay.
-			return ErrNoSuchQueue
-		}
+	return s.mutate("delete", opDelete, queueName, func(q *queueState, rec *durRecord) error {
 		m, ok := q.byReceipt[receiptHandle]
 		if !ok {
 			return ErrStaleReceipt
 		}
-		if ds != nil {
-			if err := ds.append(&durRecord{Op: opDelete, Q: q.name, IDs: []string{m.id}}); err != nil {
-				return err
-			}
-		}
-		q.removeLocked(m)
+		rec.IDs = append(rec.IDs, m.id)
 		return nil
 	})
 }
@@ -1265,52 +1355,16 @@ func (s *Service) DeleteMessageBatch(queueName string, receipts []string) ([]err
 	if len(receipts) == 0 || len(receipts) > MaxBatch {
 		return nil, ErrBatchSize
 	}
-	defer s.opDone("delete_batch", s.opStart())
-	if s.halted.Load() {
-		return nil, ErrHalted
-	}
-	s.count(queueName)
-	q, err := s.getQueue(queueName)
-	if err != nil {
-		return nil, err
-	}
 	results := make([]error, len(receipts))
-	err = s.durAppend(func(ds *durableState) error {
-		q.mu.Lock()
-		defer q.mu.Unlock()
-		if q.dead {
-			return ErrNoSuchQueue
-		}
-		// Claim receipts as they validate so a receipt repeated within
-		// the batch fails its second entry, exactly like sequential
-		// deletes would.
-		var victims []*message
+	err := s.mutate("delete_batch", opDelete, queueName, func(q *queueState, rec *durRecord) error {
 		for i, r := range receipts {
-			m, ok := q.byReceipt[r]
-			if !ok {
+			// A receipt repeated within the batch fails its second entry,
+			// exactly like sequential deletes would.
+			if m, ok := q.byReceipt[r]; ok && !slices.Contains(rec.IDs, m.id) {
+				rec.IDs = append(rec.IDs, m.id)
+			} else {
 				results[i] = ErrStaleReceipt
-				continue
 			}
-			delete(q.byReceipt, r)
-			victims = append(victims, m)
-		}
-		if len(victims) == 0 {
-			return nil
-		}
-		if ds != nil {
-			rec := &durRecord{Op: opDelete, Q: q.name, IDs: make([]string, len(victims))}
-			for i, m := range victims {
-				rec.IDs[i] = m.id
-			}
-			if err := ds.append(rec); err != nil {
-				for _, m := range victims {
-					q.byReceipt[m.receipt] = m
-				}
-				return err
-			}
-		}
-		for _, m := range victims {
-			q.removeLocked(m)
 		}
 		return nil
 	})
@@ -1320,87 +1374,20 @@ func (s *Service) DeleteMessageBatch(queueName string, receipts []string) ([]err
 	return results, nil
 }
 
-// removeLocked removes a live message from every index, recycling its
-// body buffer when pooling is on. Caller holds q.mu.
-func (q *queueState) removeLocked(m *message) {
-	if m.elem != nil {
-		q.visible.Remove(m.elem)
-		m.elem = nil
-	} else if m.heapIdx >= 0 {
-		heap.Remove(&q.inflight, m.heapIdx)
-	}
-	if m.receipt != "" {
-		delete(q.byReceipt, m.receipt)
-	}
-	delete(q.byID, m.id)
-	if q.poolBodies {
-		bodyPut(m.body)
-		m.body = nil
-	}
-}
-
 // ChangeVisibility extends or shrinks the invisibility of an in-flight
 // message (SQS ChangeMessageVisibility), used by long-running workers to
 // keep ownership of a task. O(log n) by receipt handle.
 func (s *Service) ChangeVisibility(queueName, receiptHandle string, d time.Duration) error {
-	defer s.opDone("change_visibility", s.opStart())
-	if s.halted.Load() {
-		return ErrHalted
-	}
-	s.count(queueName)
-	q, err := s.getQueue(queueName)
-	if err != nil {
-		return err
-	}
-	return s.durAppend(func(ds *durableState) error {
-		q.mu.Lock()
-		defer q.mu.Unlock()
-		if q.dead {
-			return ErrNoSuchQueue
-		}
+	return s.mutate("change_visibility", opVisibility, queueName, func(q *queueState, rec *durRecord) error {
 		m, ok := q.byReceipt[receiptHandle]
 		if !ok {
 			return ErrStaleReceipt
 		}
-		now := s.cfg.Clock.Now()
-		visAt := now.Add(d)
-		if ds != nil {
-			rec := &durRecord{Op: opVisibility, Q: q.name, T: now, IDs: []string{m.id}, Vis: []time.Time{visAt}}
-			if err := ds.append(rec); err != nil {
-				return err
-			}
-		}
-		q.placeLocked(m, visAt, now)
+		rec.T = s.cfg.Clock.Now()
+		rec.IDs = append(rec.IDs, m.id)
+		rec.Vis = append(rec.Vis, rec.T.Add(d))
 		return nil
 	})
-}
-
-// placeLocked moves a message to match a new visibleAt relative to now
-// — the ChangeVisibility placement rules, shared with the journal
-// fold. Caller holds q.mu.
-func (q *queueState) placeLocked(m *message, visibleAt, now time.Time) {
-	old := m.visibleAt
-	m.visibleAt = visibleAt
-	switch {
-	case m.visibleAt.After(now) && m.elem != nil:
-		// Re-hide a currently visible message (e.g. its lease expired but
-		// it was not yet redelivered).
-		q.visible.Remove(m.elem)
-		m.elem = nil
-		heap.Push(&q.inflight, m)
-	case m.visibleAt.After(now):
-		heap.Fix(&q.inflight, m.heapIdx)
-	case m.elem == nil:
-		// Released early: make it deliverable now and wake waiters.
-		heap.Remove(&q.inflight, m.heapIdx)
-		m.elem = q.visible.PushFront(m)
-		q.broadcastLocked()
-	}
-	if m.visibleAt.Before(old) && m.heapIdx >= 0 {
-		// The lease shrank but is still in the future: wake waiters so
-		// their expiry timers re-arm against the new, earlier deadline.
-		q.broadcastLocked()
-	}
 }
 
 // ApproximateCount reports visible and in-flight (invisible, undeleted)
@@ -1411,10 +1398,9 @@ func (q *queueState) placeLocked(m *message, visibleAt, now time.Time) {
 // the message history.
 func (s *Service) ApproximateCount(queueName string) (visible, inflight int, err error) {
 	defer s.opDone("count", s.opStart())
-	if s.halted.Load() {
-		return 0, 0, ErrHalted
+	if err := s.admit(queueName); err != nil {
+		return 0, 0, err
 	}
-	s.count(queueName)
 	q, err := s.getQueue(queueName)
 	if err != nil {
 		return 0, 0, err
@@ -1427,39 +1413,7 @@ func (s *Service) ApproximateCount(queueName string) (visible, inflight int, err
 
 // Purge removes every message from a queue.
 func (s *Service) Purge(queueName string) error {
-	defer s.opDone("purge", s.opStart())
-	if s.halted.Load() {
-		return ErrHalted
-	}
-	s.count(queueName)
-	q, err := s.getQueue(queueName)
-	if err != nil {
-		return err
-	}
-	return s.durAppend(func(ds *durableState) error {
-		q.mu.Lock()
-		defer q.mu.Unlock()
-		if q.dead {
-			return ErrNoSuchQueue
-		}
-		if ds != nil {
-			if err := ds.append(&durRecord{Op: opPurge, Q: q.name}); err != nil {
-				return err
-			}
-		}
-		q.purgeLocked()
-		return nil
-	})
-}
-
-// purgeLocked drops every message and index. Caller holds q.mu. Body
-// buffers are left to the garbage collector — see bodyBuckets for why
-// a purge must not recycle buffers consumers may still read.
-func (q *queueState) purgeLocked() {
-	q.visible.Init()
-	q.inflight = nil
-	q.byReceipt = make(map[string]*message)
-	q.byID = make(map[string]*message)
+	return s.mutate("purge", opPurge, queueName, nil)
 }
 
 // Halt kills the service in place: every subsequent operation — and

@@ -427,102 +427,78 @@ func (c *Client) fallback(err error) queue.API {
 	return queue.WithTrace(fb, c.trace)
 }
 
+// invoke is the one call path of every op: a round trip whose request
+// payload enc writes and whose answer dec reads (nil for an op that
+// answers nothing), and — only when the transport itself failed — the
+// same call on the fallback, which is the one place a fallback is
+// consulted. B is the surface the op needs of the fallback: queue.API
+// for the public ops, queue.Transferrer for a transfer, so a fallback
+// that is not a Transferrer leaves the transport error standing.
+func invoke[B, T any](c *Client, op byte, queueName string, extraWait time.Duration, enc func(*codec.Enc), dec func(*codec.Dec) T, same func(B) (T, error)) (T, error) {
+	var zero T
+	d, buf, err := c.do(op, queueName, extraWait, enc)
+	if err != nil {
+		if fb, ok := c.fallback(err).(B); ok {
+			return same(fb)
+		}
+		return zero, err
+	}
+	v := zero
+	if dec != nil {
+		v = dec(&d)
+	}
+	if err := c.finish(&d, buf); err != nil {
+		return zero, err
+	}
+	return v, nil
+}
+
+// invokeErr is invoke for the ops that answer with nothing but success.
+func (c *Client) invokeErr(op byte, queueName string, enc func(*codec.Enc), same func(queue.API) error) error {
+	_, err := invoke(c, op, queueName, 0, enc, nil, func(fb queue.API) (struct{}, error) { return struct{}{}, same(fb) })
+	return err
+}
+
 // --- queue.API ---
 
 // CreateQueue registers a queue on the remote service.
 func (c *Client) CreateQueue(name string) error {
-	d, buf, err := c.do(OpCreateQueue, name, 0, nil)
-	if err != nil {
-		if fb := c.fallback(err); fb != nil {
-			return fb.CreateQueue(name)
-		}
-		return err
-	}
-	return c.finish(&d, buf)
+	return c.invokeErr(OpCreateQueue, name, nil, func(fb queue.API) error { return fb.CreateQueue(name) })
 }
 
 // DeleteQueue removes a queue and its messages.
 func (c *Client) DeleteQueue(name string) error {
-	d, buf, err := c.do(OpDeleteQueue, name, 0, nil)
-	if err != nil {
-		if fb := c.fallback(err); fb != nil {
-			return fb.DeleteQueue(name)
-		}
-		return err
-	}
-	return c.finish(&d, buf)
+	return c.invokeErr(OpDeleteQueue, name, nil, func(fb queue.API) error { return fb.DeleteQueue(name) })
 }
 
 // ListQueues returns the remote queue names, or nil when the request
 // fails (the interface carries no error return, matching Service).
 func (c *Client) ListQueues() []string {
-	d, buf, err := c.do(OpListQueues, "", 0, nil)
-	if err != nil {
-		if fb := c.fallback(err); fb != nil {
-			return fb.ListQueues()
-		}
-		return nil
-	}
-	names := readStrings(&d)
-	if c.finish(&d, buf) != nil {
-		return nil
-	}
+	names, _ := invoke(c, OpListQueues, "", 0, nil, readStrings,
+		func(fb queue.API) ([]string, error) { return fb.ListQueues(), nil })
 	return names
 }
 
 // SendMessage enqueues one body as a single frame.
 func (c *Client) SendMessage(queueName string, body []byte) (string, error) {
-	d, buf, err := c.do(OpSend, queueName, 0, func(e *codec.Enc) { e.B = append(e.B, body...) })
-	if err != nil {
-		if fb := c.fallback(err); fb != nil {
-			return fb.SendMessage(queueName, body)
-		}
-		return "", err
-	}
-	id := d.Str()
-	if err := c.finish(&d, buf); err != nil {
-		return "", err
-	}
-	return id, nil
+	return invoke(c, OpSend, queueName, 0,
+		func(e *codec.Enc) { e.B = append(e.B, body...) },
+		(*codec.Dec).Str,
+		func(fb queue.API) (string, error) { return fb.SendMessage(queueName, body) })
 }
 
 // SendMessageBatch enqueues up to queue.MaxBatch bodies in one frame,
 // billed as one request by the remote service.
 func (c *Client) SendMessageBatch(queueName string, bodies [][]byte) ([]string, error) {
-	d, buf, err := c.do(OpSendBatch, queueName, 0, func(e *codec.Enc) {
-		e.U64(uint64(len(bodies)))
-		for _, b := range bodies {
-			e.Bytes(b)
-		}
-	})
-	if err != nil {
-		if fb := c.fallback(err); fb != nil {
-			return fb.SendMessageBatch(queueName, bodies)
-		}
-		return nil, err
-	}
-	ids := readStrings(&d)
-	if err := c.finish(&d, buf); err != nil {
-		return nil, err
-	}
-	return ids, nil
-}
-
-// receive is the shared receive core mirroring Service.receiveBatchWait.
-func (c *Client) receive(queueName string, visibility time.Duration, max int, wait time.Duration) ([]queue.Message, error) {
-	d, buf, err := c.do(OpReceive, queueName, wait, func(e *codec.Enc) {
-		e.I64(int64(visibility))
-		e.I64(int64(wait))
-		e.U64(uint64(max))
-	})
-	if err != nil {
-		return nil, err
-	}
-	msgs := readMessages(&d)
-	if err := c.finish(&d, buf); err != nil {
-		return nil, err
-	}
-	return msgs, nil
+	return invoke(c, OpSendBatch, queueName, 0,
+		func(e *codec.Enc) {
+			e.U64(uint64(len(bodies)))
+			for _, b := range bodies {
+				e.Bytes(b)
+			}
+		},
+		readStrings,
+		func(fb queue.API) ([]string, error) { return fb.SendMessageBatch(queueName, bodies) })
 }
 
 // ReceiveMessage pops one visible message without waiting.
@@ -530,147 +506,99 @@ func (c *Client) ReceiveMessage(queueName string, visibility time.Duration) (que
 	return c.ReceiveMessageWait(queueName, visibility, 0)
 }
 
-// ReceiveMessageWait pops one message, long-polling up to wait. The
-// request deadline stretches by wait so a long poll is not mistaken
-// for a dead connection.
+// ReceiveMessageWait pops one message, long-polling up to wait.
 func (c *Client) ReceiveMessageWait(queueName string, visibility, wait time.Duration) (queue.Message, bool, error) {
-	msgs, err := c.receive(queueName, visibility, 1, wait)
-	if err != nil {
-		if fb := c.fallback(err); fb != nil {
-			return fb.ReceiveMessageWait(queueName, visibility, wait)
-		}
+	msgs, err := c.ReceiveMessageBatch(queueName, visibility, 1, wait)
+	if err != nil || len(msgs) == 0 {
 		return queue.Message{}, false, err
-	}
-	if len(msgs) == 0 {
-		return queue.Message{}, false, nil
 	}
 	return msgs[0], true, nil
 }
 
-// ReceiveMessageBatch receives up to max messages in one frame.
+// ReceiveMessageBatch receives up to max messages in one frame. The
+// request deadline stretches by wait so a long poll is not mistaken for
+// a dead connection.
 func (c *Client) ReceiveMessageBatch(queueName string, visibility time.Duration, max int, wait time.Duration) ([]queue.Message, error) {
-	msgs, err := c.receive(queueName, visibility, max, wait)
-	if err != nil {
-		if fb := c.fallback(err); fb != nil {
+	return invoke(c, OpReceive, queueName, wait,
+		func(e *codec.Enc) {
+			e.I64(int64(visibility))
+			e.I64(int64(wait))
+			e.U64(uint64(max))
+		},
+		readMessages,
+		func(fb queue.API) ([]queue.Message, error) {
 			return fb.ReceiveMessageBatch(queueName, visibility, max, wait)
-		}
-		return nil, err
-	}
-	return msgs, nil
+		})
 }
 
 // DeleteMessage acknowledges one message by receipt handle.
 func (c *Client) DeleteMessage(queueName, receiptHandle string) error {
-	d, buf, err := c.do(OpDelete, queueName, 0, func(e *codec.Enc) { e.Str(receiptHandle) })
-	if err != nil {
-		if fb := c.fallback(err); fb != nil {
-			return fb.DeleteMessage(queueName, receiptHandle)
-		}
-		return err
-	}
-	return c.finish(&d, buf)
+	return c.invokeErr(OpDelete, queueName,
+		func(e *codec.Enc) { e.Str(receiptHandle) },
+		func(fb queue.API) error { return fb.DeleteMessage(queueName, receiptHandle) })
 }
 
 // DeleteMessageBatch acknowledges up to queue.MaxBatch messages in one
 // frame; per-receipt verdicts come back positionally, nil for success.
 func (c *Client) DeleteMessageBatch(queueName string, receipts []string) ([]error, error) {
-	d, buf, err := c.do(OpDeleteBatch, queueName, 0, func(e *codec.Enc) { appendStrings(e, receipts) })
-	if err != nil {
-		if fb := c.fallback(err); fb != nil {
-			return fb.DeleteMessageBatch(queueName, receipts)
-		}
-		return nil, err
-	}
-	n := d.Len()
-	results := make([]error, 0, n)
-	for i := 0; i < n && d.Err == nil; i++ {
-		code := d.Byte()
-		if code == statusOK {
-			results = append(results, nil)
-			continue
-		}
-		results = append(results, statusErr(code, d.Str()))
-	}
-	if err := c.finish(&d, buf); err != nil {
-		return nil, err
-	}
-	return results, nil
+	return invoke(c, OpDeleteBatch, queueName, 0,
+		func(e *codec.Enc) { appendStrings(e, receipts) },
+		func(d *codec.Dec) []error {
+			n := d.Len()
+			results := make([]error, 0, n)
+			for i := 0; i < n && d.Err == nil; i++ {
+				if code := d.Byte(); code == statusOK {
+					results = append(results, nil)
+				} else {
+					results = append(results, statusErr(code, d.Str()))
+				}
+			}
+			return results
+		},
+		func(fb queue.API) ([]error, error) { return fb.DeleteMessageBatch(queueName, receipts) })
 }
 
 // ChangeVisibility extends or shrinks an in-flight message's lease.
 func (c *Client) ChangeVisibility(queueName, receiptHandle string, dur time.Duration) error {
-	d, buf, err := c.do(OpChangeVisibility, queueName, 0, func(e *codec.Enc) {
-		e.Str(receiptHandle)
-		e.I64(int64(dur))
-	})
-	if err != nil {
-		if fb := c.fallback(err); fb != nil {
-			return fb.ChangeVisibility(queueName, receiptHandle, dur)
-		}
-		return err
-	}
-	return c.finish(&d, buf)
+	return c.invokeErr(OpChangeVisibility, queueName,
+		func(e *codec.Enc) {
+			e.Str(receiptHandle)
+			e.I64(int64(dur))
+		},
+		func(fb queue.API) error { return fb.ChangeVisibility(queueName, receiptHandle, dur) })
 }
 
 // ApproximateCount reports visible and in-flight message counts.
 func (c *Client) ApproximateCount(queueName string) (visible, inflight int, err error) {
-	d, buf, err := c.do(OpCount, queueName, 0, nil)
-	if err != nil {
-		if fb := c.fallback(err); fb != nil {
-			return fb.ApproximateCount(queueName)
-		}
-		return 0, 0, err
-	}
-	visible = int(d.U64())
-	inflight = int(d.U64())
-	if err := c.finish(&d, buf); err != nil {
-		return 0, 0, err
-	}
-	return visible, inflight, nil
+	n, err := invoke(c, OpCount, queueName, 0, nil,
+		func(d *codec.Dec) [2]int { return [2]int{int(d.U64()), int(d.U64())} },
+		func(fb queue.API) ([2]int, error) {
+			v, i, err := fb.ApproximateCount(queueName)
+			return [2]int{v, i}, err
+		})
+	return n[0], n[1], err
 }
 
 // Purge removes every message from a queue.
 func (c *Client) Purge(queueName string) error {
-	d, buf, err := c.do(OpPurge, queueName, 0, nil)
-	if err != nil {
-		if fb := c.fallback(err); fb != nil {
-			return fb.Purge(queueName)
-		}
-		return err
-	}
-	return c.finish(&d, buf)
+	return c.invokeErr(OpPurge, queueName, nil, func(fb queue.API) error { return fb.Purge(queueName) })
 }
+
+// readCount decodes a billed-request counter.
+func readCount(d *codec.Dec) int64 { return int64(d.U64()) }
 
 // APIRequests returns the remote billed-request total, 0 on failure
 // (the interface carries no error return, matching Service).
 func (c *Client) APIRequests() int64 {
-	d, buf, err := c.do(OpRequests, "", 0, nil)
-	if err != nil {
-		if fb := c.fallback(err); fb != nil {
-			return fb.APIRequests()
-		}
-		return 0
-	}
-	n := int64(d.U64())
-	if c.finish(&d, buf) != nil {
-		return 0
-	}
+	n, _ := invoke(c, OpRequests, "", 0, nil, readCount,
+		func(fb queue.API) (int64, error) { return fb.APIRequests(), nil })
 	return n
 }
 
 // APIRequestsFor returns the billed calls addressed to one queue.
 func (c *Client) APIRequestsFor(queueName string) int64 {
-	d, buf, err := c.do(OpRequestsFor, queueName, 0, nil)
-	if err != nil {
-		if fb := c.fallback(err); fb != nil {
-			return fb.APIRequestsFor(queueName)
-		}
-		return 0
-	}
-	n := int64(d.U64())
-	if c.finish(&d, buf) != nil {
-		return 0
-	}
+	n, _ := invoke(c, OpRequestsFor, queueName, 0, nil, readCount,
+		func(fb queue.API) (int64, error) { return fb.APIRequestsFor(queueName), nil })
 	return n
 }
 
@@ -697,25 +625,15 @@ func (c *Client) TransferInBatch(queueName string, items []queue.TransferItem) (
 	if c.p.opt.AdminToken == "" {
 		return nil, fmt.Errorf("wire: transfer into %s: client has no admin token: %w", queueName, queue.ErrNotPrivileged)
 	}
-	d, buf, err := c.do(OpTransfer, queueName, 0, func(e *codec.Enc) {
-		e.Str(c.p.opt.AdminToken)
-		e.U64(uint64(len(items)))
-		for _, it := range items {
-			e.Bytes(it.Body)
-			e.I64(int64(it.Receives))
-		}
-	})
-	if err != nil {
-		if fb := c.fallback(err); fb != nil {
-			if tr, ok := fb.(queue.Transferrer); ok {
-				return tr.TransferInBatch(queueName, items)
+	return invoke(c, OpTransfer, queueName, 0,
+		func(e *codec.Enc) {
+			e.Str(c.p.opt.AdminToken)
+			e.U64(uint64(len(items)))
+			for _, it := range items {
+				e.Bytes(it.Body)
+				e.I64(int64(it.Receives))
 			}
-		}
-		return nil, err
-	}
-	ids := readStrings(&d)
-	if err := c.finish(&d, buf); err != nil {
-		return nil, err
-	}
-	return ids, nil
+		},
+		readStrings,
+		func(fb queue.Transferrer) ([]string, error) { return fb.TransferInBatch(queueName, items) })
 }
