@@ -5,8 +5,8 @@
 package bio
 
 import (
+	"bytes"
 	"fmt"
-	"strings"
 )
 
 // DNAAlphabet is the canonical nucleotide alphabet.
@@ -246,5 +246,5 @@ func HammingDistance(a, b []byte) int {
 
 // Upper returns an upper-cased copy of seq.
 func Upper(seq []byte) []byte {
-	return []byte(strings.ToUpper(string(seq)))
+	return bytes.ToUpper(seq)
 }

@@ -3,6 +3,7 @@ package bio
 import (
 	"bytes"
 	"math/rand"
+	"strings"
 	"testing"
 	"testing/quick"
 )
@@ -232,5 +233,16 @@ func TestHammingDistance(t *testing.T) {
 func TestUpper(t *testing.T) {
 	if got := Upper([]byte("acgT")); string(got) != "ACGT" {
 		t.Errorf("Upper = %q", got)
+	}
+	// Upper went through strings.ToUpper until PR 20; kernels' outputs are
+	// pinned byte for byte, so the two must agree off the ASCII path too.
+	for _, in := range []string{"", "acgtn-*", "ac\xffgt", "stra\u00dfe \u00e9\u01c6", "\xe2\x82"} {
+		src := []byte(in)
+		if got := Upper(src); string(got) != strings.ToUpper(in) {
+			t.Errorf("Upper(%q) = %q, strings.ToUpper gives %q", in, got, strings.ToUpper(in))
+		}
+		if string(src) != in {
+			t.Errorf("Upper(%q) changed its argument to %q", in, src)
+		}
 	}
 }

@@ -16,6 +16,7 @@ import (
 	"fmt"
 	"math"
 	"runtime"
+	"slices"
 	"sort"
 	"strings"
 	"sync"
@@ -237,6 +238,7 @@ func (db *Database) SearchWithStats(query *fasta.Record, opt Options) ([]Hit, Se
 	extendedTo := make(map[diagKey]int32) // diag → query pos already covered by an extension
 	var hsps []Hit
 	neigh := make([]int32, 0, 64)
+	var gapped []int // gappedExtend's matrices, grown once and shared by every extension of this query
 
 	for qp := 0; qp+w <= len(q); qp++ {
 		neigh = neighborhood(q[qp:qp+w], w, opt.Threshold, neigh[:0])
@@ -269,7 +271,7 @@ func (db *Database) SearchWithStats(query *fasta.Record, opt Options) ([]Hit, Se
 					continue
 				}
 				stats.GappedExts++
-				hit := gappedExtend(q, subj, qs, qs+int(dk.diag), qe-qs, opt)
+				hit := gappedExtend(q, subj, qs, qs+int(dk.diag), qe-qs, opt, &gapped)
 				hit.QueryID = query.ID
 				hit.SubjectID = db.Seqs[l.seq].ID
 				hit.EValue = evalue(hit.Score, len(q), db.TotalLen)
@@ -367,8 +369,9 @@ func ungappedExtend(q, s []byte, qp, sp, w, xdrop int) (score, qs, qe int) {
 
 // gappedExtend performs a banded Smith–Waterman alignment of the query
 // window around the seeded region against the subject, anchored on the
-// seed diagonal.
-func gappedExtend(q, s []byte, qAnchor, sAnchor, anchorLen int, opt Options) Hit {
+// seed diagonal. Its three score matrices live in *scratch, which it grows
+// as needed and leaves for the next call to overwrite.
+func gappedExtend(q, s []byte, qAnchor, sAnchor, anchorLen int, opt Options, scratch *[]int) Hit {
 	// Align a generous window around the anchor.
 	margin := opt.Band * 4
 	qLo := max(0, qAnchor-margin-anchorLen)
@@ -384,10 +387,12 @@ func gappedExtend(q, s []byte, qAnchor, sAnchor, anchorLen int, opt Options) Hit
 	// Smith-Waterman with affine gaps restricted to |j - i - diag| ≤ band.
 	negInf := math.MinInt32 / 4
 	width := 2*band + 1
-	H := make([]int, (n+1)*width)
-	E := make([]int, (n+1)*width) // gap in query
-	F := make([]int, (n+1)*width) // gap in subject
-	at := func(i, j int) int {    // banded column index for row i
+	size := (n + 1) * width
+	*scratch = slices.Grow((*scratch)[:0], 3*size)[:3*size]
+	H := (*scratch)[:size]
+	E := (*scratch)[size : 2*size] // gap in query
+	F := (*scratch)[2*size:]       // gap in subject
+	at := func(i, j int) int {     // banded column index for row i
 		return j - (i + diag) + band
 	}
 	for i := range H {

@@ -1,8 +1,11 @@
 package blast
 
 import (
-	"bytes"
+	"crypto/sha256"
+	"encoding/json"
+	"fmt"
 	"math/rand"
+	"os"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -350,4 +353,80 @@ func BenchmarkSearch100Queries(b *testing.B) {
 	}
 }
 
-var _ = bytes.Equal // keep bytes import if unused in some build configs
+// kernelInputs builds bench/workloads' mixed_tenants BLAST shape: n files
+// of 2 queries × 150 aa against 100 sequences of 200–300 aa.
+func kernelInputs(tb testing.TB, n int) (*Database, [][]byte) {
+	tb.Helper()
+	dbRecs, motifs := workload.ProteinDatabase(1, 100, 200, 300, 6, 30)
+	docs := make([][]byte, n)
+	for i := range docs {
+		doc, err := workload.BlastQueryFile(2+int64(i)*17, 2, motifs, 150)
+		if err != nil {
+			tb.Fatal(err)
+		}
+		docs[i] = doc
+	}
+	return NewDatabase(dbRecs), docs
+}
+
+// goldenCase is one line of testdata/golden.json: query file i of
+// kernelInputs.
+type goldenCase struct {
+	File   int
+	SHA256 string      // of Run's output
+	Stats  SearchStats // summed over the file's queries
+}
+
+// TestGoldenRun pins Run's bytes and the search counters on a seeded
+// corpus to what PR 19 produced (testdata/golden.json was recorded at
+// that commit, before gappedExtend reused its matrices): a failure means
+// the search changed its answers, not that the digests want re-recording.
+func TestGoldenRun(t *testing.T) {
+	raw, err := os.ReadFile("testdata/golden.json")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var want []goldenCase
+	if err := json.Unmarshal(raw, &want); err != nil {
+		t.Fatal(err)
+	}
+	db, docs := kernelInputs(t, len(want))
+	for i, doc := range docs {
+		out, err := Run(doc, db, Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		got := goldenCase{File: i, SHA256: fmt.Sprintf("%x", sha256.Sum256(out))}
+		queries, err := fasta.ParseBytes(doc)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, q := range queries {
+			_, st := db.SearchWithStats(q, Options{})
+			got.Stats.SeedHits += st.SeedHits
+			got.Stats.TwoHitTriggers += st.TwoHitTriggers
+			got.Stats.UngappedExts += st.UngappedExts
+			got.Stats.GappedExts += st.GappedExts
+			got.Stats.HSPs += st.HSPs
+		}
+		if got != want[i] {
+			t.Errorf("query file %d:\n got %+v\nwant %+v", i, got, want[i])
+		}
+	}
+}
+
+var kernelSink []byte
+
+// BenchmarkKernelBlast times Run on one mixed_tenants query file per op.
+func BenchmarkKernelBlast(b *testing.B) {
+	db, docs := kernelInputs(b, 8)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		out, err := Run(docs[i%len(docs)], db, Options{})
+		if err != nil {
+			b.Fatal(err)
+		}
+		kernelSink = out
+	}
+}

@@ -11,12 +11,25 @@
 // keeps per-file cost proportional to genuine overlap structure, exactly
 // the "run time depends on the contents of the input file" property the
 // paper highlights.
+//
+// Seeding is where a file's time goes, and it runs on flat arrays sized
+// from the input, allocating nothing per k-mer. The forward k-mers of all
+// reads go into one open-addressing table whose slots head chains through
+// a single arena of (read, pos) occurrences, newest first, so a lookup for
+// read a stops at the first occurrence in a read ≤ a. The hits of a are
+// counted in one cell per (other read b, orientation of a), first diagonal
+// inline; the rare pair hit on several diagonals gets a count per possible
+// diagonal, so a vote is O(1) on repeats too. Cells in use are bits of a
+// bitmap, and reading it in ascending order is (b, orientation) order:
+// overlaps come out in one fixed order without a sort, which is what makes
+// Run a function of its input and a redelivered task harmless.
 package cap3
 
 import (
 	"bytes"
 	"cmp"
 	"fmt"
+	"math/bits"
 	"slices"
 	"sort"
 
@@ -311,77 +324,156 @@ type overlapStats struct {
 	FalseOverlaps  int
 }
 
-// seedHit records a shared k-mer between an oriented read a and forward
-// read b at a specific diagonal.
-type seedKey struct {
-	b      int32
-	sign   int8 // orientation of a relative to its forward sequence
-	offset int32
+// kmerIndex maps each forward k-mer of a file to its occurrences: an
+// open-addressing table of chain heads over one arena of occurrences.
+type kmerIndex struct {
+	slots []kmerSlot // power-of-two length, at most half in use
+	used  int
+	shift uint      // 64 − log2(len(slots))
+	locs  []kmerLoc // locs[0] is unused: link 0 ends a chain
+}
+
+type kmerSlot struct {
+	key  uint64
+	head int32 // the k-mer's newest occurrence in locs; 0 marks a free slot
+}
+
+type kmerLoc struct{ read, pos, next int32 }
+
+// newKmerIndex sizes the arena for n occurrences, and the table for the
+// n/4 distinct k-mers of reads that overlap: most of the kernel's time is
+// cache misses on this table, and one sized for n distinct k-mers costs
+// the cap3_fat shape a third more (add doubles it when a file needs that).
+func newKmerIndex(n int) *kmerIndex {
+	lg := bits.Len(uint(n / 2))
+	return &kmerIndex{slots: make([]kmerSlot, 1<<lg), shift: uint(64 - lg), locs: make([]kmerLoc, 1, n+1)}
+}
+
+// slot returns key's slot, or the free slot where key belongs.
+func (x *kmerIndex) slot(key uint64) *kmerSlot {
+	mask := uint64(len(x.slots) - 1)
+	for h := key * 0x9E3779B97F4A7C15 >> x.shift; ; h = (h + 1) & mask {
+		if s := &x.slots[h]; s.head == 0 || s.key == key {
+			return s
+		}
+	}
+}
+
+// add records an occurrence of key at the head of key's chain.
+func (x *kmerIndex) add(key uint64, read, pos int) {
+	s := x.slot(key)
+	if s.head == 0 {
+		if x.used++; 2*x.used > len(x.slots) {
+			old := x.slots
+			x.slots, x.shift = make([]kmerSlot, 2*len(old)), x.shift-1
+			for _, o := range old {
+				if o.head != 0 {
+					*x.slot(o.key) = o
+				}
+			}
+			s = x.slot(key)
+		}
+	}
+	x.locs = append(x.locs, kmerLoc{read: int32(read), pos: int32(pos), next: s.head})
+	s.key, s.head = key, int32(len(x.locs)-1)
+}
+
+// voteCell counts the current read's seed hits against one (read b,
+// orientation) pair.
+type voteCell struct {
+	votes int32 // hits on diag; 0: the pair has none yet
+	diag  int32 // b's start in oriented-a coordinates at the first hit
+	spill int   // once a second diagonal is hit: where the pair's count per diagonal starts in spill
 }
 
 func findOverlaps(reads []*read, opt Options) ([]overlap, overlapStats) {
 	var stats overlapStats
-	kc := bio.NewKmerCoder(opt.SeedK)
+	k := opt.SeedK
+	kc := bio.NewKmerCoder(k)
 
-	// Index forward k-mers of every read.
-	type loc struct {
-		read int32
-		pos  int32
+	// Index forward k-mers of every read, in read order: a chain then runs
+	// from high read numbers to low.
+	total := 0
+	for _, r := range reads {
+		total += max(0, len(r.seq)-k+1)
 	}
-	index := make(map[uint64][]loc)
+	idx := newKmerIndex(total)
 	for i, r := range reads {
-		kc.EachKmer(r.seq, func(pos int, key uint64) {
-			index[key] = append(index[key], loc{read: int32(i), pos: int32(pos)})
-		})
+		kc.EachKmer(r.seq, func(pos int, key uint64) { idx.add(key, i, pos) })
 	}
 
+	// cells[2b+s] is the pair (b, s), s = 1 for a forward and 0 for a
+	// reverse complemented; live has a bit per cell in use.
 	var overlaps []overlap
-	votes := make(map[seedKey]int)
+	cells := make([]voteCell, 2*len(reads))
+	live := make([]uint64, (len(cells)+63)/64)
+	spill := make([]int32, 1) // spill[0] is unused: voteCell.spill 0 means none
 	for a, r := range reads {
-		clear(votes)
-		collect := func(seq []byte, sign int8) {
+		spill = spill[:1]
+		// The diagonals of a pair are [-(len(b)-k), len(a)-k]; its counts
+		// in spill are in that order.
+		aSpan := len(r.seq) - k + 1
+		collect := func(seq []byte, s int) {
 			kc.EachKmer(seq, func(pos int, key uint64) {
-				for _, l := range index[key] {
-					if int(l.read) <= a { // each unordered pair once; skip self
-						continue
+				// Each unordered pair once; skip self.
+				for l := idx.slot(key).head; l != 0 && int(idx.locs[l].read) > a; l = idx.locs[l].next {
+					b, diag := int(idx.locs[l].read), int32(pos)-idx.locs[l].pos
+					ci := 2*b + s
+					c := &cells[ci]
+					switch {
+					case c.votes == 0:
+						c.votes, c.diag = 1, diag
+						live[ci>>6] |= 1 << (ci & 63)
+					case c.spill == 0 && c.diag == diag:
+						c.votes++
+					default:
+						bMax := len(reads[b].seq) - k
+						if c.spill == 0 {
+							c.spill = len(spill)
+							spill = slices.Grow(spill, bMax+aSpan)[:c.spill+bMax+aSpan]
+							clear(spill[c.spill:])
+							spill[c.spill+bMax+int(c.diag)] = c.votes
+						}
+						spill[c.spill+bMax+int(diag)]++
 					}
-					// b starts at offset (pos - l.pos) in oriented-a coords.
-					votes[seedKey{b: l.read, sign: sign, offset: int32(pos) - l.pos}]++
 				}
 			})
 		}
-		collect(r.seq, +1)
-		collect(r.rc, -1)
-		stats.SeedCandidates += len(votes)
+		collect(r.seq, 1)
+		collect(r.rc, 0)
 
-		// Verify the best-voted diagonal for each (b, sign) pair. Map
-		// iteration order must not reach the output (a redelivered task
-		// has to rewrite the same bytes): equal votes go to the lower
-		// offset, and pairs are verified in (b, sign) order so overlaps
-		// are appended in one fixed order.
-		best := make(map[[2]int32]seedKey)
-		for k, v := range votes {
-			bk := [2]int32{k.b, int32(k.sign)}
-			cur, ok := best[bk]
-			if cv := votes[cur]; !ok || cv < v || (cv == v && k.offset < cur.offset) {
-				best[bk] = k
+		// Verify the best-voted diagonal of each pair, equal votes going to
+		// the lower offset. Ascending cell order is (b, sign) order, so
+		// overlaps are appended in one fixed order with nothing to sort: a
+		// redelivered task has to rewrite the same bytes.
+		for w, word := range live {
+			for ; word != 0; word &= word - 1 {
+				ci := w<<6 | bits.TrailingZeros64(word)
+				c := cells[ci]
+				cells[ci] = voteCell{}
+				b, offset, diagonals := ci>>1, int(c.diag), 1
+				if c.spill != 0 {
+					bMax, best := len(reads[b].seq)-k, int32(0)
+					diagonals = 0
+					for d, v := range spill[c.spill : c.spill+bMax+aSpan] {
+						if v > 0 {
+							diagonals++
+						}
+						if v > best {
+							best, offset = v, d-bMax
+						}
+					}
+				}
+				stats.SeedCandidates += diagonals
+				stats.OverlapsTested++
+				ov, ok := verifyOverlap(reads, a, b, 2*(ci&1)-1, offset, opt)
+				if !ok {
+					stats.FalseOverlaps++
+					continue
+				}
+				overlaps = append(overlaps, ov)
 			}
-		}
-		picked := make([]seedKey, 0, len(best))
-		for _, k := range best {
-			picked = append(picked, k)
-		}
-		slices.SortFunc(picked, func(x, y seedKey) int {
-			return cmp.Or(cmp.Compare(x.b, y.b), cmp.Compare(x.sign, y.sign))
-		})
-		for _, k := range picked {
-			stats.OverlapsTested++
-			ov, ok := verifyOverlap(reads, a, int(k.b), int(k.sign), int(k.offset), opt)
-			if !ok {
-				stats.FalseOverlaps++
-				continue
-			}
-			overlaps = append(overlaps, ov)
+			live[w] = 0
 		}
 	}
 	return overlaps, stats
@@ -530,7 +622,7 @@ func Run(input []byte, opt Options) ([]byte, error) {
 	var buf bytes.Buffer
 	buf.Write(doc)
 	if len(res.Singletons) > 0 {
-		buf.WriteString(fmt.Sprintf("; %d singletons\n", len(res.Singletons)))
+		fmt.Fprintf(&buf, "; %d singletons\n", len(res.Singletons))
 	}
 	return buf.Bytes(), nil
 }

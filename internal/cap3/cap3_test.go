@@ -2,8 +2,13 @@ package cap3
 
 import (
 	"bytes"
+	"cmp"
+	"crypto/sha256"
+	"encoding/json"
 	"fmt"
 	"math/rand"
+	"os"
+	"slices"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -344,4 +349,362 @@ func BenchmarkAssemble200Reads(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		Assemble(recs, Options{})
 	}
+}
+
+// seedKey names one diagonal of the oracle's vote map: a k-mer shared by
+// read a in orientation sign and forward read b, with b starting at
+// offset in oriented-a coordinates.
+type seedKey struct {
+	b      int32
+	sign   int8 // orientation of a relative to its forward sequence
+	offset int32
+}
+
+// findOverlapsMap is findOverlaps as it stood through PR 19, on Go maps
+// with an explicit ordering pass: the reference the flat kernel must
+// reproduce exactly, overlap for overlap and counter for counter.
+func findOverlapsMap(reads []*read, opt Options) ([]overlap, overlapStats) {
+	var stats overlapStats
+	kc := bio.NewKmerCoder(opt.SeedK)
+
+	// Index forward k-mers of every read.
+	type loc struct {
+		read int32
+		pos  int32
+	}
+	index := make(map[uint64][]loc)
+	for i, r := range reads {
+		kc.EachKmer(r.seq, func(pos int, key uint64) {
+			index[key] = append(index[key], loc{read: int32(i), pos: int32(pos)})
+		})
+	}
+
+	var overlaps []overlap
+	votes := make(map[seedKey]int)
+	for a, r := range reads {
+		clear(votes)
+		collect := func(seq []byte, sign int8) {
+			kc.EachKmer(seq, func(pos int, key uint64) {
+				for _, l := range index[key] {
+					if int(l.read) <= a { // each unordered pair once; skip self
+						continue
+					}
+					// b starts at offset (pos - l.pos) in oriented-a coords.
+					votes[seedKey{b: l.read, sign: sign, offset: int32(pos) - l.pos}]++
+				}
+			})
+		}
+		collect(r.seq, +1)
+		collect(r.rc, -1)
+		stats.SeedCandidates += len(votes)
+
+		// Verify the best-voted diagonal for each (b, sign) pair. Map
+		// iteration order must not reach the output (a redelivered task
+		// has to rewrite the same bytes): equal votes go to the lower
+		// offset, and pairs are verified in (b, sign) order so overlaps
+		// are appended in one fixed order.
+		best := make(map[[2]int32]seedKey)
+		for k, v := range votes {
+			bk := [2]int32{k.b, int32(k.sign)}
+			cur, ok := best[bk]
+			if cv := votes[cur]; !ok || cv < v || (cv == v && k.offset < cur.offset) {
+				best[bk] = k
+			}
+		}
+		picked := make([]seedKey, 0, len(best))
+		for _, k := range best {
+			picked = append(picked, k)
+		}
+		slices.SortFunc(picked, func(x, y seedKey) int {
+			return cmp.Or(cmp.Compare(x.b, y.b), cmp.Compare(x.sign, y.sign))
+		})
+		for _, k := range picked {
+			stats.OverlapsTested++
+			ov, ok := verifyOverlap(reads, a, int(k.b), int(k.sign), int(k.offset), opt)
+			if !ok {
+				stats.FalseOverlaps++
+				continue
+			}
+			overlaps = append(overlaps, ov)
+		}
+	}
+	return overlaps, stats
+}
+
+// rawReads wraps sequences as findOverlaps sees them, with none of
+// Assemble's upper-casing, trimming or length filter.
+func rawReads(seqs ...[]byte) []*read {
+	reads := make([]*read, len(seqs))
+	for i, s := range seqs {
+		reads[i] = &read{id: fmt.Sprintf("r%d", i), seq: s, rc: bio.ReverseComplement(s)}
+	}
+	return reads
+}
+
+// checkAgainstOracle fails unless findOverlaps and the map version agree
+// on every overlap, their order, and every counter.
+func checkAgainstOracle(t *testing.T, name string, reads []*read, opt Options) {
+	t.Helper()
+	got, gotStats := findOverlaps(reads, opt)
+	want, wantStats := findOverlapsMap(reads, opt)
+	if gotStats != wantStats {
+		t.Errorf("%s: stats %+v, oracle %+v", name, gotStats, wantStats)
+	}
+	if !slices.Equal(got, want) {
+		t.Errorf("%s: %d overlaps, oracle %d; first difference at %d", name, len(got), len(want), firstDiff(got, want))
+	}
+}
+
+func firstDiff(a, b []overlap) int {
+	for i := range min(len(a), len(b)) {
+		if a[i] != b[i] {
+			return i
+		}
+	}
+	return min(len(a), len(b))
+}
+
+// overlapEdgeCases are hand-made read sets that reach what the seeded
+// corpus does not: the spill path, ties across hundreds of diagonals,
+// reads with no k-mer at all.
+func overlapEdgeCases() map[string][][]byte {
+	g := workload.Genome(77, 400)
+	unit := []byte("ACGGTCATTGC")
+	palindrome := append(append([]byte{}, g[:60]...), bio.ReverseComplement(g[:60])...)
+	withN := append([]byte{}, g[100:300]...)
+	withN[50], withN[51], withN[120] = 'N', 'n', 'X'
+	cases := map[string][][]byte{
+		"none":            nil,
+		"one":             {g[:200]},
+		"shorter than k":  {g[:5], g[:13], g[:200], g[100:300], []byte{}},
+		"duplicates":      {g[:200], g[:200], g[:200], bio.ReverseComplement(g[:200])},
+		"self revcomp":    {palindrome, palindrome, g[:120]},
+		"N and lowercase": {withN, g[150:350], bytes.ToLower(g[120:320]), bio.ReverseComplement(withN)},
+		"poly-A": {
+			bytes.Repeat([]byte("A"), 300), bytes.Repeat([]byte("A"), 90),
+			bytes.Repeat([]byte("T"), 150), bytes.Repeat([]byte("a"), 40),
+		},
+		"tandem, short inside long": {
+			bytes.Repeat(unit, 40), bytes.Repeat(unit, 9), bytes.Repeat(unit, 25)[3:],
+			bio.ReverseComplement(bytes.Repeat(unit, 12)), g[:200],
+		},
+	}
+	var tandem [][]byte
+	for _, rec := range tandemReads(5, 16) {
+		tandem = append(tandem, rec.Seq)
+	}
+	cases["tandem, noisy"] = tandem
+	return cases
+}
+
+func TestFindOverlapsMatchesOracle(t *testing.T) {
+	opt := Options{}.withDefaults()
+	for name, seqs := range overlapEdgeCases() {
+		checkAgainstOracle(t, name, rawReads(seqs...), opt)
+		small := opt
+		small.SeedK, small.MinOverlap = 4, 8
+		checkAgainstOracle(t, name+" (k=4)", rawReads(seqs...), small)
+	}
+	cases, docs := goldenCorpus(t)
+	for i, c := range cases {
+		recs, err := fasta.ParseBytes(docs[i])
+		if err != nil {
+			t.Fatal(err)
+		}
+		var seqs [][]byte
+		for _, rec := range recs {
+			if seq, _ := trimPoorRegions(bio.Upper(rec.Seq), opt); len(seq) >= opt.MinReadLen {
+				seqs = append(seqs, seq)
+			}
+		}
+		checkAgainstOracle(t, fmt.Sprintf("seed %d, %d reads of %d bp", c.Seed, c.Reads, c.Genome), rawReads(seqs...), opt)
+	}
+}
+
+// FuzzFindOverlaps: arbitrary bytes become a handful of reads over ACGTN
+// (two bits of the first byte pick k), and the flat kernel must agree
+// with the map oracle exactly and never panic.
+func FuzzFindOverlaps(f *testing.F) {
+	for _, seqs := range overlapEdgeCases() {
+		f.Add(append([]byte{0}, bytes.Join(seqs, []byte{'\n'})...))
+	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		if len(data) == 0 || len(data) > 4096 {
+			return
+		}
+		opt := Options{}.withDefaults()
+		opt.SeedK = []int{14, 3, 6, 31}[data[0]&3]
+		opt.MinOverlap = 1 + int(data[0]>>2)
+		var seqs [][]byte
+		for _, line := range bytes.Split(data[1:], []byte{'\n'}) {
+			seq := make([]byte, len(line))
+			for i, c := range line {
+				if _, ok := bio.BaseCode(c); ok {
+					seq[i] = c
+				} else {
+					seq[i] = "ACGTN"[c%5]
+				}
+			}
+			seqs = append(seqs, seq)
+		}
+		checkAgainstOracle(t, "fuzz", rawReads(seqs...), opt)
+	})
+}
+
+// TestRunAllocsOnOneRead guards the kernel's fixed cost, which
+// bench/workloads' tiny_durable pays 16 384 times a repetition: the map
+// kernel spent 141 allocations on a one-read file.
+func TestRunAllocsOnOneRead(t *testing.T) {
+	doc, err := workload.Cap3File(1, 1, 120)
+	if err != nil {
+		t.Fatal(err)
+	}
+	allocs := testing.AllocsPerRun(100, func() {
+		if _, err := Run(doc, Options{}); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if allocs > 40 {
+		t.Errorf("Run on a one-read file: %.0f allocations, want ≤ 40", allocs)
+	}
+}
+
+// goldenShapes are the (reads, genome) shapes of the golden corpus:
+// bench/workloads' cap3_fat and tiny_durable task shapes and one between.
+var goldenShapes = [][2]int{{120, 6000}, {1, 120}, {60, 1500}}
+
+const goldenSeeds = 10
+
+// goldenCase is one line of testdata/golden.json.
+type goldenCase struct {
+	Seed          int64
+	Reads, Genome int
+	SHA256        string // of Run's output
+	Stats         Stats
+}
+
+// goldenCorpus returns the corpus's cases, digests and counters unset,
+// and their input files.
+func goldenCorpus(tb testing.TB) (cases []goldenCase, docs [][]byte) {
+	tb.Helper()
+	for _, shape := range goldenShapes {
+		for seed := int64(1); seed <= goldenSeeds; seed++ {
+			doc, err := workload.Cap3File(seed, shape[0], shape[1])
+			if err != nil {
+				tb.Fatal(err)
+			}
+			cases = append(cases, goldenCase{Seed: seed, Reads: shape[0], Genome: shape[1]})
+			docs = append(docs, doc)
+		}
+	}
+	return cases, docs
+}
+
+// TestGoldenRun pins Run's bytes and Assemble's Stats on a seeded corpus
+// to what PR 19's map-based findOverlaps produced (testdata/golden.json
+// was recorded at that commit). Idempotent re-execution rests on Run
+// being a function of its input, and bench/e2e compares every output
+// with a direct kernel call: a failure here means the kernel's output
+// changed, which is never a matter of recording new digests.
+func TestGoldenRun(t *testing.T) {
+	raw, err := os.ReadFile("testdata/golden.json")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var want []goldenCase
+	if err := json.Unmarshal(raw, &want); err != nil {
+		t.Fatal(err)
+	}
+	cases, docs := goldenCorpus(t)
+	if len(cases) != len(want) {
+		t.Fatalf("corpus has %d cases, testdata/golden.json %d", len(cases), len(want))
+	}
+	for i, c := range cases {
+		out, err := Run(docs[i], Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		recs, err := fasta.ParseBytes(docs[i])
+		if err != nil {
+			t.Fatal(err)
+		}
+		c.SHA256 = fmt.Sprintf("%x", sha256.Sum256(out))
+		c.Stats = Assemble(recs, Options{}).Stats
+		if c != want[i] {
+			t.Errorf("seed %d, %d reads of %d bp:\n got %+v\nwant %+v", c.Seed, c.Reads, c.Genome, c, want[i])
+		}
+	}
+}
+
+// kernelFiles is the input set of one kernel benchmark: enough files that
+// no single layout decides the figure.
+func kernelFiles(b *testing.B, reads, genome int) [][]byte {
+	b.Helper()
+	docs := make([][]byte, 8)
+	for i := range docs {
+		doc, err := workload.Cap3File(int64(1000+i), reads, genome)
+		if err != nil {
+			b.Fatal(err)
+		}
+		docs[i] = doc
+	}
+	return docs
+}
+
+var kernelSink []byte
+
+func benchmarkKernel(b *testing.B, docs [][]byte) {
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		out, err := Run(docs[i%len(docs)], Options{})
+		if err != nil {
+			b.Fatal(err)
+		}
+		kernelSink = out
+	}
+}
+
+// The BenchmarkKernel* family times Run on one file per op, in the task
+// shapes bench/workloads gives the frameworks: cap3_fat's, tiny_durable's,
+// and a repeat-rich file no workload has (the worst case for vote
+// counting: every pair of reads shares k-mers on hundreds of diagonals).
+func BenchmarkKernelCap3Fat(b *testing.B)  { benchmarkKernel(b, kernelFiles(b, 120, 6000)) }
+func BenchmarkKernelCap3Tiny(b *testing.B) { benchmarkKernel(b, kernelFiles(b, 1, 120)) }
+func BenchmarkKernelCap3Repeats(b *testing.B) {
+	docs := make([][]byte, 4)
+	for i := range docs {
+		doc, err := fasta.MarshalRecords(tandemReads(int64(i), 24))
+		if err != nil {
+			b.Fatal(err)
+		}
+		docs[i] = doc
+	}
+	benchmarkKernel(b, docs)
+}
+
+// tandemReads draws n reads of 120–260 bases from one long tandem repeat
+// of an 11-base unit with 1 % substitutions, half of them reverse
+// complemented: any two share k-mers on every diagonal that is a
+// multiple of 11, and a short read inside a long one ties the votes of
+// all of them.
+func tandemReads(seed int64, n int) []*fasta.Record {
+	rng := rand.New(rand.NewSource(seed))
+	genome := bytes.Repeat([]byte("ACGGTCATTGC"), 60)
+	recs := make([]*fasta.Record, n)
+	for i := range recs {
+		l := 120 + rng.Intn(141)
+		start := rng.Intn(len(genome) - l + 1)
+		seq := append([]byte{}, genome[start:start+l]...)
+		for j := range seq {
+			if rng.Intn(100) == 0 {
+				seq[j] = bio.DNAAlphabet[rng.Intn(4)]
+			}
+		}
+		if rng.Intn(2) == 0 {
+			seq = bio.ReverseComplement(seq)
+		}
+		recs[i] = &fasta.Record{ID: fmt.Sprintf("t%03d", i), Seq: seq}
+	}
+	return recs
 }
