@@ -9,12 +9,12 @@
 //   - Jobs (CAP3 / BLAST / GTM executors over file sets) are accepted
 //     long-running-service style and fanned into the scheduling queue
 //     and blob store via internal/classiccloud.
-//   - Every job lifecycle transition (submitted, planned, scaled
-//     up/down, task-settlement checkpoints, dead-lettered, completed,
-//     aborted) is an event appended to a per-job journal in the blob
+//   - Every job lifecycle transition (submitted, planned, re-planned,
+//     scaled up/down, task-settlement checkpoints, completed, aborted,
+//     adopted) is an event appended to a per-job journal in the blob
 //     store (journal.go); in-memory job state is a fold over that
-//     journal (lifecycle.go), and a restarted brokerd replays the
-//     journals and re-adopts unfinished work (Recover).
+//     journal and nothing else (lifecycle.go), and a restarted brokerd
+//     replays the journals and re-adopts unfinished work (Recover).
 //   - An autoscaler loop grows and shrinks each job's instance fleet
 //     from observed queue depth and per-task throughput, with
 //     cooldowns and a max-fleet cap (AutoscalePolicy); scale-ups are
@@ -40,7 +40,6 @@ import (
 	"sync"
 	"time"
 
-	"repro/internal/blob"
 	"repro/internal/catalog"
 	"repro/internal/classiccloud"
 	"repro/internal/cloud"
@@ -199,6 +198,10 @@ type Broker struct {
 	sched *scheduler
 	met   *brokerMetrics
 
+	// errLogged holds the broker_errors_total sites already logged once
+	// (Job.swallowed).
+	errLogged sync.Map
+
 	mu     sync.Mutex
 	jobs   map[string]*Job
 	order  []string
@@ -226,47 +229,50 @@ func New(cfg Config) *Broker {
 	return b
 }
 
-// journalFor returns the job's journal handle (nil when disabled).
-func (b *Broker) journalFor(jobID string) *jobJournal {
-	if !b.cfg.journalEnabled() {
-		return nil
+// newJob builds a job's runtime handles: everything about a job that is
+// NOT journaled, and so is made the same way for a submission and for an
+// adoption. The Classic Cloud config is a pure function of the job ID and
+// broker config, so a recovering broker reattaches to exactly the queues
+// the dead one used; all three queue names share the job ID as their
+// placement-group prefix, so a sharded queue deployment keeps the whole
+// job on one shard.
+func (b *Broker) newJob(id string) *Job {
+	j := &Job{
+		ID:     id,
+		trace:  telemetry.NewTraceID(),
+		broker: b,
+		env:    b.cfg.Env,
+		ccCfg: classiccloud.Config{
+			JobName:           id,
+			VisibilityTimeout: b.cfg.VisibilityTimeout,
+			MaxReceives:       b.cfg.MaxReceives,
+			DeadLetterQueue:   id + "/dead",
+		},
+		stop:     make(chan struct{}),
+		finished: make(chan struct{}),
+		insts:    make(map[int]*classiccloud.Instance),
+		core:     jobRecord{ID: id},
 	}
-	return &jobJournal{
-		log:       journal.Log{Store: b.cfg.Env.Blob, Bucket: b.cfg.JournalBucket, Key: journalKey(jobID)},
-		snapEvery: b.cfg.JournalSnapshotEvery,
+	if b.cfg.journalEnabled() {
+		j.jl = &jobJournal{
+			log:       journal.Log{Store: b.cfg.Env.Blob, Bucket: b.cfg.JournalBucket, Key: journalKey(id)},
+			snapEvery: b.cfg.JournalSnapshotEvery,
+		}
 	}
+	// The job's queue client is scoped to its trace ID when the backend
+	// supports it (the HTTP client and the shard router both do; others
+	// are used unchanged): every queue request the control loop and the
+	// worker fleet make then carries X-Trace-Id, so one job's traffic can
+	// be followed across the router to the owning shard.
+	j.env.Queue = queue.WithTrace(j.env.Queue, j.trace)
+	j.cc = classiccloud.NewClient(j.env, j.ccCfg)
+	return j
 }
 
-// traceEnv returns the broker's environment with the queue client
-// scoped to the given trace ID, when the backend supports it (the HTTP
-// client and the shard router both do). Every queue request the job's
-// control loop and worker fleet make then carries X-Trace-Id, so one
-// job's traffic can be followed across the router to the owning shard.
-// Backends without trace support are used unchanged.
-func (b *Broker) traceEnv(trace string) classiccloud.Env {
-	env := b.cfg.Env
-	env.Queue = queue.WithTrace(env.Queue, trace)
-	return env
-}
-
-// ccConfigFor derives a job's Classic Cloud deployment config; it is a
-// pure function of the job ID and broker config, so a recovering broker
-// reattaches to exactly the queues the dead one used. All three queue
-// names share the job ID as their placement-group prefix, so a sharded
-// queue deployment keeps the whole job on one shard.
-func (b *Broker) ccConfigFor(jobID string) classiccloud.Config {
-	return classiccloud.Config{
-		JobName:           jobID,
-		VisibilityTimeout: b.cfg.VisibilityTimeout,
-		MaxReceives:       b.cfg.MaxReceives,
-		DeadLetterQueue:   jobID + "/dead",
-	}
-}
-
-// Submit accepts a job: stages inputs, plans the fleet, journals the
-// submission, launches the initial fleet through the fair-share
-// scheduler, and starts the job's control loop.
-func (b *Broker) Submit(req JobRequest) (*Job, error) {
+// Submit accepts a job: plans the fleet, stages inputs, journals the
+// submission, and hands the job to the same start tail an adoption
+// ends in.
+func (b *Broker) Submit(req JobRequest) (_ *Job, err error) {
 	if len(req.Files) == 0 {
 		return nil, ErrNoFiles
 	}
@@ -278,10 +284,6 @@ func (b *Broker) Submit(req JobRequest) (*Job, error) {
 	if err != nil {
 		return nil, err
 	}
-	tenant := req.Tenant
-	if tenant == "" {
-		tenant = DefaultTenant
-	}
 
 	b.mu.Lock()
 	if b.closed {
@@ -289,176 +291,158 @@ func (b *Broker) Submit(req JobRequest) (*Job, error) {
 		return nil, ErrClosed
 	}
 	b.nextID++
-	id := fmt.Sprintf("job-%04d", b.nextID)
+	j := b.newJob(fmt.Sprintf("job-%04d", b.nextID))
 	b.mu.Unlock()
+	j.App, j.Tenant, j.exec = req.App, req.Tenant, exec
+	if j.Tenant == "" {
+		j.Tenant = DefaultTenant
+	}
+	if req.InjectCrashes > 0 {
+		j.crashBudget.Store(int64(req.InjectCrashes))
+		j.ccCfg.CrashBeforeDelete = func(int, classiccloud.Task) bool {
+			return j.crashBudget.Add(-1) >= 0
+		}
+	}
 
+	// The opening events. Cost-aware instance selection against the
+	// calibrated model rides on EvPlanned, whose fold also clamps the
+	// policy to the planned fleet; PlanCap keeps the pre-clamp cap (the
+	// re-planner's search space) and PlanServiceNS the modeled per-task
+	// service time on the chosen type (its hysteresis baseline).
 	policy := b.cfg.Autoscale
 	if req.Autoscale != nil {
 		policy = *req.Autoscale
 	}
 	policy = policy.withDefaults()
-
-	j := &Job{
-		ID:       id,
-		App:      req.App,
-		Tenant:   tenant,
-		trace:    telemetry.NewTraceID(),
-		broker:   b,
-		exec:     exec,
-		policy:   policy,
-		itype:    b.cfg.DefaultInstance,
-		jl:       b.journalFor(id),
-		stop:     make(chan struct{}),
-		finished: make(chan struct{}),
-		insts:    make(map[int]*classiccloud.Instance),
-	}
-	j.env = b.traceEnv(j.trace)
-	j.crashBudget.Store(int64(req.InjectCrashes))
-
-	// Cost-aware instance selection against the calibrated model.
-	var planned *perfSelection
-	if req.TargetMakespan > 0 {
-		if model, ok := b.planningModelFor(req.App); ok {
-			planCap := policy.MaxInstances
-			sel, ok := PlanFleet(model, len(req.Files), req.TargetMakespan,
-				b.cfg.Catalog, policy.MaxInstances)
-			if ok {
-				j.plan = &sel
-				j.itype = sel.InstanceType()
-				planned = &perfSelection{
-					instances: sel.Instances(), meets: sel.MeetsTarget,
-					cap:       planCap,
-					serviceNS: modeledServiceNS(model, j.itype, b.cfg.WorkersPerInstance),
-				}
-				if n := sel.Instances(); n < j.policy.MaxInstances {
-					// The plan already meets the deadline with n
-					// instances; cap the fleet there and let observed
-					// load fill it.
-					j.policy.MaxInstances = n
-					if j.policy.MinInstances > n {
-						j.policy.MinInstances = n
-					}
-				}
+	itype := b.cfg.DefaultInstance
+	var planned *Event
+	if model, ok := b.planningModelFor(req.App); ok && req.TargetMakespan > 0 {
+		if sel, ok := PlanFleet(model, len(req.Files), req.TargetMakespan, b.cfg.Catalog, policy.MaxInstances); ok {
+			itype = sel.InstanceType()
+			planned = &Event{
+				Type: EvPlanned, PlannedInstances: sel.Instances(), PlanMeetsTarget: sel.MeetsTarget,
+				Provider: string(itype.Provider), Instance: itype.Name,
+				PlanServiceNS: modeledServiceNS(model, itype, b.cfg.WorkersPerInstance),
+				PlanCap:       policy.MaxInstances,
 			}
 		}
 	}
-
-	j.ccCfg = b.ccConfigFor(id)
-	j.ccCfg.InstanceType = j.itype.Key()
-	if req.InjectCrashes > 0 {
-		j.ccCfg.CrashBeforeDelete = func(int, classiccloud.Task) bool {
-			return j.crashBudget.Add(-1) >= 0
-		}
+	submitted := Event{
+		Type: EvSubmitted, App: j.App, Tenant: j.Tenant,
+		Provider: string(itype.Provider), Instance: itype.Name,
+		Policy: &policy, TargetNS: int64(req.TargetMakespan),
 	}
+
 	// Refuse the ID before touching any queue if another broker's
 	// journal already owns it (a restart that skipped Recover): staging
 	// into the dead job's queues would corrupt recoverable state. The
 	// exclusive journal create below closes the remaining race window.
 	if j.jl != nil {
-		if _, _, err := b.cfg.Env.Blob.Stat(b.cfg.JournalBucket, journalKey(id)); err == nil {
-			return nil, fmt.Errorf("broker: journal for %s already exists (restarted without Recover?)", id)
+		if _, _, err := b.cfg.Env.Blob.Stat(b.cfg.JournalBucket, journalKey(j.ID)); err == nil {
+			return nil, fmt.Errorf("broker: journal for %s already exists (restarted without Recover?)", j.ID)
 		}
 	}
-	j.cc = classiccloud.NewClient(j.env, j.ccCfg)
-	if err = j.cc.Setup(); err == nil {
-		j.tasks, err = j.cc.SubmitFiles(req.Files)
-	}
-	if err != nil {
-		// Some of the job's queues and buckets, staged inputs and a
-		// prefix of its task messages exist, and no job will ever own
-		// them: tear them down (the journal is not open yet).
-		b.removeJobResources(j.ccCfg)
+	// From here on a failure leaves some of the job's queues and buckets,
+	// staged inputs, a prefix of its task messages, perhaps a half-open
+	// journal (EvSubmitted landed, EvPlanned failed) that no job will
+	// ever own and a later Recover would adopt as a zombie: tear all of it
+	// down. The one exception is losing the journal create race — the
+	// queues and journal belong to the winner's job, so touch nothing.
+	defer func() {
+		if err != nil && !errors.Is(err, journal.ErrExists) {
+			b.removeJobResources(j)
+		}
+	}()
+	if err := j.cc.Setup(); err != nil {
 		return nil, err
 	}
-	tasks := j.tasks
-
+	tasks, err := j.cc.SubmitFiles(req.Files)
+	if err != nil {
+		return nil, err
+	}
+	for _, t := range tasks {
+		submitted.TaskIDs = append(submitted.TaskIDs, t.ID)
+	}
 	// Make the job durable: stage shared data for executor rebuild, then
 	// open the journal with the submission event. A job only exists once
 	// its journal says so.
 	if j.jl != nil {
 		for name, data := range req.Shared {
-			if err := b.cfg.Env.Blob.Put(b.cfg.JournalBucket, sharedKey(id, name), data); err != nil {
-				b.removeJobResources(j.ccCfg)
-				b.removeJobJournal(id)
+			if err := b.cfg.Env.Blob.Put(b.cfg.JournalBucket, sharedKey(j.ID, name), data); err != nil {
 				return nil, fmt.Errorf("broker: staging shared data for recovery: %w", err)
 			}
 		}
 	}
-	taskIDs := make([]string, len(tasks))
-	for i, t := range tasks {
-		taskIDs[i] = t.ID
-	}
-	j.mu.Lock()
-	err = j.recordLocked(Event{
-		Type: EvSubmitted, Time: time.Now(),
-		App: req.App, Tenant: tenant, TaskIDs: taskIDs,
-		Provider: string(j.itype.Provider), Instance: j.itype.Name,
-		Policy:   &j.policy,
-		TargetNS: int64(req.TargetMakespan),
-	})
-	if err == nil && planned != nil {
-		err = j.recordLocked(Event{
-			Type: EvPlanned, Time: time.Now(),
-			PlannedInstances: planned.instances, PlanMeetsTarget: planned.meets,
-			Provider: string(j.itype.Provider), Instance: j.itype.Name,
-			PlanServiceNS: planned.serviceNS, PlanCap: planned.cap,
-		})
-	}
-	j.mu.Unlock()
-	if err != nil {
-		if errors.Is(err, blob.ErrPreconditionFailed) {
-			// Lost the create race to another broker's journal: the
-			// queues and journal belong to that job now — touch nothing.
-			return nil, err
-		}
-		// The journal may hold a half-open submission (EvSubmitted
-		// landed, EvPlanned failed): delete it along with the queues so
-		// a later Recover does not adopt a zombie job.
-		b.removeJobResources(j.ccCfg)
-		b.removeJobJournal(id)
+	if err := j.open(&submitted, planned); err != nil {
 		return nil, err
 	}
-	j.lastTick = time.Now()
-
-	b.mu.Lock()
-	if b.closed {
-		b.mu.Unlock()
-		// The broker closed while we were staging: tear the job's
-		// queues, buckets, and journal back down so the shared
-		// environment is not left with orphaned task messages no worker
-		// will drain — nor a running-state journal no broker owns,
-		// which Recover would adopt as a phantom job.
-		b.removeJobResources(j.ccCfg)
-		b.removeJobJournal(id)
+	// A broker that closed while we were staging must not be left with
+	// orphaned task messages no worker will drain — nor a running-state
+	// journal no broker owns, which Recover would adopt as a phantom job.
+	if !b.start(j, "initial fleet") {
 		return nil, ErrClosed
 	}
-	b.jobs[id] = j
-	b.order = append(b.order, id)
-	b.wg.Add(1)
-	b.mu.Unlock()
-	b.sched.jobStarted(tenant)
+	return j, nil
+}
 
-	// Launch the floor fleet immediately; the loop grows it from there.
+// open journals a job's opening events (either may be nil).
+func (j *Job) open(events ...*Event) error {
 	j.mu.Lock()
-	j.scaleUpLocked(j.policy.MinInstances, "initial fleet")
-	j.mu.Unlock()
+	defer j.mu.Unlock()
+	for _, ev := range events {
+		if ev != nil {
+			ev.Time = time.Now()
+			if err := j.recordLocked(*ev); err != nil {
+				return err
+			}
+		}
+	}
+	return nil
+}
 
+// start is the tail every running job goes through, submitted or
+// adopted: index it, launch the floor fleet through the fair-share
+// scheduler, and start its control loop, which grows the fleet from
+// there. It reports false, having done nothing, when the broker has
+// closed.
+func (b *Broker) start(j *Job, fleetReason string) bool {
+	if !b.register(j, true) {
+		return false
+	}
+	b.sched.jobStarted(j.Tenant)
+	j.mu.Lock()
+	j.lastTick = time.Now()
+	j.lastDoneCount = len(j.core.Done)
+	j.scaleUpLocked(j.core.policy().MinInstances, fleetReason)
+	j.mu.Unlock()
 	go func() {
 		defer b.wg.Done()
 		j.run()
 	}()
-	return j, nil
+	return true
 }
 
-// perfSelection carries the planned fleet into the journal: the fleet
-// size and target verdict, the pre-clamp instance cap (the re-planner's
-// search space), and the modeled per-task service time on the chosen
-// type (the re-planner's hysteresis baseline).
-type perfSelection struct {
-	instances int
-	meets     bool
-	cap       int
-	serviceNS int64
+// register adds a job to the index and keeps nextID ahead of every
+// adopted ID so new submissions never collide. For a job about to run,
+// registration, the closed re-check, and the WaitGroup reservation are
+// one atomic step: a Close that has already passed its jobs snapshot
+// (and may be inside wg.Wait) must not gain a job it will never stop.
+func (b *Broker) register(j *Job, running bool) bool {
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	if running {
+		if b.closed {
+			return false
+		}
+		b.wg.Add(1)
+	}
+	b.jobs[j.ID] = j
+	b.order = append(b.order, j.ID)
+	var n int
+	if _, err := fmt.Sscanf(j.ID, "job-%d", &n); err == nil && n > b.nextID {
+		b.nextID = n
+	}
+	return true
 }
 
 // Recover replays every journal in the journal bucket and re-adopts the
@@ -506,31 +490,12 @@ func (b *Broker) adoptJob(id string) (bool, error) {
 	if err != nil {
 		return false, err
 	}
-
-	j := &Job{
-		ID:       id,
-		App:      rec.App,
-		Tenant:   rec.Tenant,
-		trace:    telemetry.NewTraceID(),
-		broker:   b,
-		policy:   rec.Policy.withDefaults(),
-		itype:    resolveInstanceType(rec.Provider, rec.Instance, b.cfg.Catalog, b.cfg.DefaultInstance),
-		jl:       b.journalFor(id),
-		stop:     make(chan struct{}),
-		finished: make(chan struct{}),
-		insts:    make(map[int]*classiccloud.Instance),
-		core:     *rec,
-	}
-	j.env = b.traceEnv(j.trace)
-	j.ccCfg = b.ccConfigFor(id)
-	j.ccCfg.InstanceType = j.itype.Key()
-	j.cc = classiccloud.NewClient(j.env, j.ccCfg)
-
+	j := b.newJob(id)
+	j.App, j.Tenant, j.core = rec.App, rec.Tenant, *rec
 	if rec.State != StateRunning {
 		// Terminal: register for queryability; no loops, no fleet.
-		j.tasks = j.ccCfg.TasksFromIDs(rec.TaskIDs)
 		close(j.finished)
-		b.register(j)
+		b.register(j, false)
 		return false, nil
 	}
 
@@ -543,77 +508,29 @@ func (b *Broker) adoptJob(id string) (bool, error) {
 	if err != nil {
 		return false, err
 	}
-	exec, err := factory(shared)
-	if err != nil {
+	if j.exec, err = factory(shared); err != nil {
 		return false, err
 	}
-	j.exec = exec
-
-	// Re-attach to the job's queues: messages keep their receive counts
-	// and leases; nothing is re-uploaded or re-enqueued.
-	tasks, err := j.cc.Reattach(rec.TaskIDs)
-	if err != nil {
+	// Re-attach to the job's queues (Setup is idempotent): messages keep
+	// their receive counts and leases, reports waiting in the monitor
+	// queue are preserved, nothing is re-uploaded or re-enqueued.
+	if err := j.cc.Setup(); err != nil {
 		return false, err
 	}
-	j.tasks = tasks
-
 	// The adoption event is the recovery point: it orphans the dead
 	// process's instances in the ledger (billing them to now) and resets
 	// the cooldown clocks.
-	j.mu.Lock()
-	err = j.recordLocked(Event{Type: EvAdopted, Time: time.Now()})
-	j.mu.Unlock()
-	if err != nil {
+	if err := j.open(&Event{Type: EvAdopted}); err != nil {
 		return false, err
 	}
-	j.lastTick = time.Now()
-	j.lastDoneCount = len(j.core.Done)
-
-	// Registration, the closed re-check, and the WaitGroup reservation
-	// are one atomic step: a Close that has already passed its jobs
-	// snapshot (and may be inside wg.Wait) must not gain a job it will
-	// never stop.
-	b.mu.Lock()
-	if b.closed {
-		// Close raced the adoption: the job stays un-adopted (its
-		// journal is untouched; the next broker recovers it).
-		b.mu.Unlock()
-		return false, nil
-	}
-	b.registerLocked(j)
-	b.wg.Add(1)
-	b.mu.Unlock()
-	b.sched.jobStarted(j.Tenant)
-	j.mu.Lock()
-	j.scaleUpLocked(j.policy.MinInstances, "recovery fleet")
-	j.mu.Unlock()
-	go func() {
-		defer b.wg.Done()
-		j.run()
-	}()
-	return true, nil
-}
-
-// register adds a job to the index and keeps nextID ahead of every
-// adopted ID so new submissions never collide.
-func (b *Broker) register(j *Job) {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	b.registerLocked(j)
-}
-
-func (b *Broker) registerLocked(j *Job) {
-	b.jobs[j.ID] = j
-	b.order = append(b.order, j.ID)
-	var n int
-	if _, err := fmt.Sscanf(j.ID, "job-%d", &n); err == nil && n > b.nextID {
-		b.nextID = n
-	}
+	// When Close raced the adoption the job stays un-adopted: the next
+	// broker recovers it from the journal.
+	return b.start(j, "recovery fleet"), nil
 }
 
 // loadShared reads back a job's staged shared data.
 func (b *Broker) loadShared(jobID string) (map[string][]byte, error) {
-	prefix := journalSharedPrefix + jobID + "/"
+	prefix := sharedKey(jobID, "")
 	keys, err := b.cfg.Env.Blob.List(b.cfg.JournalBucket, prefix)
 	if err != nil {
 		return nil, err
@@ -632,33 +549,26 @@ func (b *Broker) loadShared(jobID string) (map[string][]byte, error) {
 	return shared, nil
 }
 
-// removeJobJournal best-effort deletes a job's journal object and
-// staged shared data — used on Submit failure paths after the journal
-// was opened, so an abandoned submission cannot be adopted later.
-func (b *Broker) removeJobJournal(id string) {
-	if !b.cfg.journalEnabled() {
+// removeJobResources best-effort deletes everything a failed submission
+// may have left in the shared environment: the job's queues and buckets,
+// and its journal object and staged shared data, so the abandoned
+// submission can never be adopted later.
+func (b *Broker) removeJobResources(j *Job) {
+	q, store := b.cfg.Env.Queue, b.cfg.Env.Blob
+	for _, name := range []string{j.ccCfg.TaskQueue(), j.ccCfg.MonitorQueue(), j.ccCfg.DeadLetterQueue} {
+		_ = q.DeleteQueue(name)
+	}
+	_ = store.DeleteBucket(j.ccCfg.InputBucket())
+	_ = store.DeleteBucket(j.ccCfg.OutputBucket())
+	if j.jl == nil {
 		return
 	}
-	store := b.cfg.Env.Blob
-	_ = (journal.Log{Store: store, Bucket: b.cfg.JournalBucket, Key: journalKey(id)}).Delete()
-	if keys, err := store.List(b.cfg.JournalBucket, journalSharedPrefix+id+"/"); err == nil {
+	_ = j.jl.log.Delete()
+	if keys, err := store.List(b.cfg.JournalBucket, sharedKey(j.ID, "")); err == nil {
 		for _, k := range keys {
 			_ = store.Delete(b.cfg.JournalBucket, k)
 		}
 	}
-}
-
-// removeJobResources best-effort deletes a job's queues and buckets
-// from the shared environment.
-func (b *Broker) removeJobResources(ccCfg classiccloud.Config) {
-	q := b.cfg.Env.Queue
-	_ = q.DeleteQueue(ccCfg.TaskQueue())
-	_ = q.DeleteQueue(ccCfg.MonitorQueue())
-	if ccCfg.DeadLetterQueue != "" {
-		_ = q.DeleteQueue(ccCfg.DeadLetterQueue)
-	}
-	_ = b.cfg.Env.Blob.DeleteBucket(ccCfg.InputBucket())
-	_ = b.cfg.Env.Blob.DeleteBucket(ccCfg.OutputBucket())
 }
 
 // Job looks up a job by id.

@@ -401,11 +401,16 @@ func TestSubmitValidation(t *testing.T) {
 
 // faultyQueue is a queue.API double that fails the failSendAt-th send
 // (SendMessage or SendMessageBatch, 1-based) and the failCreateAt-th
-// CreateQueue; 0 never fails. Everything else reaches the real service.
+// CreateQueue (0 never fails), fails every batch receive / batch delete
+// on a monitor queue while failMonitorReceive / failMonitorDelete is
+// set, and calls onCreate before each CreateQueue. Everything else
+// reaches the real service.
 type faultyQueue struct {
 	queue.API
-	failSendAt, failCreateAt int64
-	sends, creates           atomic.Int64
+	failSendAt, failCreateAt              int64
+	sends, creates                        atomic.Int64
+	failMonitorReceive, failMonitorDelete atomic.Bool
+	onCreate                              func(q string)
 }
 
 var errInjected = errors.New("injected queue fault")
@@ -425,10 +430,27 @@ func (f *faultyQueue) SendMessageBatch(q string, bodies [][]byte) ([]string, err
 }
 
 func (f *faultyQueue) CreateQueue(q string) error {
+	if f.onCreate != nil {
+		f.onCreate(q)
+	}
 	if f.creates.Add(1) == f.failCreateAt {
 		return errInjected
 	}
 	return f.API.CreateQueue(q)
+}
+
+func (f *faultyQueue) ReceiveMessageBatch(q string, visibility time.Duration, max int, wait time.Duration) ([]queue.Message, error) {
+	if f.failMonitorReceive.Load() && strings.HasSuffix(q, "/monitor") {
+		return nil, errInjected
+	}
+	return f.API.ReceiveMessageBatch(q, visibility, max, wait)
+}
+
+func (f *faultyQueue) DeleteMessageBatch(q string, receipts []string) ([]error, error) {
+	if f.failMonitorDelete.Load() && strings.HasSuffix(q, "/monitor") {
+		return nil, errInjected
+	}
+	return f.API.DeleteMessageBatch(q, receipts)
 }
 
 // A submission that fails in Setup or part-way through SubmitFiles must
@@ -458,7 +480,7 @@ func TestFailedSubmissionLeavesNoResources(t *testing.T) {
 			if _, err := b.Submit(JobRequest{App: "cap3", Files: cap3Files(t, 25)}); !errors.Is(err, errInjected) {
 				t.Fatalf("Submit error = %v, want the injected fault", err)
 			}
-			failed := b.ccConfigFor("job-0001")
+			failed := b.newJob("job-0001").ccCfg
 			if qs := env.Queue.ListQueues(); len(qs) != 0 {
 				t.Errorf("queues left behind: %v", qs)
 			}

@@ -129,7 +129,7 @@ func TestHTTPJournalAndTenantsEndpoints(t *testing.T) {
 	// Completion is journaled before the fleet retires (durable before
 	// observable), so the final events are the retirement scale-downs;
 	// the fold must still land on completed.
-	rec, err := foldJournal(st.ID, evs)
+	rec, err := foldJournal(st.ID, nil, evs)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -9,6 +9,7 @@ import (
 	"time"
 
 	"repro/internal/blob"
+	"repro/internal/classiccloud"
 	"repro/internal/cloud"
 	"repro/internal/journal"
 )
@@ -17,8 +18,15 @@ import (
 // state lives in cloud storage so any controller can die and be
 // replaced. Every job lifecycle transition is an event appended to a
 // per-job journal object in the blob store, and the in-memory job state
-// is nothing but a fold over that journal — the same fold a recovering
-// brokerd runs at startup.
+// is nothing but a fold over that journal — by construction, not by
+// discipline: a Job keeps no copy of a journaled fact (policy, instance
+// type, task set, settlements, ledger) outside its jobRecord, the live
+// broker mutates that record only through jobRecord.apply, and a
+// recovering brokerd runs the same apply over the same events.
+// TestLiveJobEqualsJournalFold checks it after every step of scripted
+// lifecycles, and that a job recovered from a Halt()ed broker answers
+// Status and CostReport like the one that died. The one deliberate
+// exception is retireLocked's best-effort journaling (see there).
 
 // EventType names one job lifecycle transition.
 type EventType string
@@ -41,16 +49,12 @@ const (
 	// crash between the two redelivers reports that the done-set fold
 	// deduplicates — settlements are never lost and never double-counted.
 	EvCheckpoint EventType = "checkpoint"
-	// EvDeadLettered records tasks parked on the dead-letter queue (a
-	// checkpoint carrying only dead IDs uses EvCheckpoint too; this type
-	// exists for journals written by future executors that dead-letter
-	// outside the monitor path).
-	EvDeadLettered EventType = "dead_lettered"
 	// EvReplanned records a mid-job re-plan: the broker compared the
 	// calibration catalog's observed service times against the plan's
 	// modeled baseline, found a sustained shortfall, and re-ran
 	// selection against the observed curves. The event carries the new
-	// instance type and fleet shape, so recovery replays the switch.
+	// instance type and fleet shape, so recovery replays the switch and
+	// the policy clamp that came with it.
 	EvReplanned EventType = "replanned"
 	// EvCompleted and EvAborted are terminal.
 	EvCompleted EventType = "completed"
@@ -106,7 +110,7 @@ type Event struct {
 	Reason       string `json:"reason,omitempty"`
 	Fleet        int    `json:"fleet,omitempty"`
 
-	// EvCheckpoint / EvDeadLettered.
+	// EvCheckpoint.
 	Done []string `json:"done,omitempty"`
 	Dead []string `json:"dead,omitempty"`
 }
@@ -126,11 +130,8 @@ func sharedKey(jobID, name string) string {
 }
 
 // jobJournal is a job's durable event log: an internal/journal Log plus
-// the compaction policy. The broker used to carry its own append/create
-// implementation over the blob store; that machinery now lives in the
-// shared journal package (queue shards journal through the same code),
-// and what remains here is the broker-specific part — Event encoding
-// and the jobRecord snapshot.
+// the compaction policy and the broker-specific part of the format —
+// Event encoding and the jobRecord snapshot.
 type jobJournal struct {
 	log journal.Log
 	// snapEvery bounds replay: once this many events have been appended
@@ -145,9 +146,13 @@ type jobJournal struct {
 	snapBytes int
 }
 
-// append journals one event. The caller must not act on a state
-// transition whose append failed: the journal is the source of truth.
-func (jl *jobJournal) append(ev Event) error {
+// write journals one event. The caller must not act on a state
+// transition whose write failed: the journal is the source of truth.
+// The opening EvSubmitted is an exclusive (compare-and-swap) create, so
+// two broker processes can never interleave submissions under one job
+// ID: a restarted broker that reuses an ID without having Recover()ed
+// gets journal.ErrExists instead of corrupting the dead broker's log.
+func (jl *jobJournal) write(ev Event) error {
 	if jl == nil {
 		return nil
 	}
@@ -155,31 +160,15 @@ func (jl *jobJournal) append(ev Event) error {
 	if err != nil {
 		return fmt.Errorf("broker: encoding journal event: %w", err)
 	}
-	if err := jl.log.Append(line); err != nil {
+	if ev.Type == EvSubmitted {
+		err = jl.log.Create(line)
+	} else {
+		err = jl.log.Append(line)
+	}
+	if errors.Is(err, journal.ErrExists) {
+		return fmt.Errorf("broker: journal %s already exists (restarted without Recover?): %w", jl.log.Key, err)
+	} else if err != nil {
 		return fmt.Errorf("broker: journaling %s: %w", jl.log.Key, err)
-	}
-	jl.tailBytes += len(line)
-	return nil
-}
-
-// create opens the journal with its first event, using the journal
-// package's compare-and-swap creation so the create is exclusive: a
-// restarted broker that reuses a job ID without having Recover()ed
-// cannot silently append a second submission onto a dead broker's
-// journal and corrupt it.
-func (jl *jobJournal) create(ev Event) error {
-	if jl == nil {
-		return nil
-	}
-	line, err := json.Marshal(ev)
-	if err != nil {
-		return fmt.Errorf("broker: encoding journal event: %w", err)
-	}
-	if err := jl.log.Create(line); err != nil {
-		if errors.Is(err, journal.ErrExists) {
-			return fmt.Errorf("broker: journal %s already exists (restarted without Recover?): %w", jl.log.Key, err)
-		}
-		return fmt.Errorf("broker: opening journal %s: %w", jl.log.Key, err)
 	}
 	jl.tailBytes += len(line)
 	return nil
@@ -195,57 +184,70 @@ func (jl *jobJournal) create(ev Event) error {
 // (snapshot count grows with the log of the events, not linearly),
 // while replay still reads at most one snapshot plus a tail of that
 // snapshot's size plus snapEvery events. Compaction is best-effort: a
-// failure leaves the journal longer but complete, and the counters stay
-// up so the next event retries. Caller holds the owning Job's mutex, so
-// no append can race the truncation CAS.
-func (jl *jobJournal) maybeCompact(rec *jobRecord) {
+// failure (returned for the caller to count) leaves the journal longer
+// but complete, and the counters stay up so the next event retries.
+// Caller holds the owning Job's mutex, so no append can race the
+// truncation CAS.
+func (jl *jobJournal) maybeCompact(rec *jobRecord) error {
 	if jl == nil || jl.snapEvery <= 0 {
-		return
+		return nil
 	}
 	jl.appends++
 	if jl.appends < jl.snapEvery || jl.tailBytes < jl.snapBytes {
-		return
+		return nil
 	}
 	state, err := json.Marshal(rec)
-	if err != nil {
-		return
+	if err == nil {
+		err = jl.log.Snapshot(state)
 	}
-	if err := jl.log.Snapshot(state); err != nil {
-		return
+	if err != nil {
+		return err
 	}
 	jl.appends, jl.tailBytes, jl.snapBytes = 0, 0, len(state)
+	return nil
 }
 
-// readJournal loads and decodes the events currently in one job's
-// journal. For a compacted journal these are only the events since the
-// last snapshot; loadJobRecord is the full-state read.
-func readJournal(store *blob.Store, bucket, jobID string) ([]Event, error) {
+// readJournal loads one job's journal: the snapshot of its current
+// epoch (nil until compaction has run) and the events appended since.
+func readJournal(store *blob.Store, bucket, jobID string) (snapshot []byte, events []Event, err error) {
 	v, err := (journal.Log{Store: store, Bucket: bucket, Key: journalKey(jobID)}).Load()
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
-	return decodeEntries(v.Entries)
+	for i, line := range v.Entries {
+		var ev Event
+		if err := json.Unmarshal(line, &ev); err != nil {
+			return nil, nil, fmt.Errorf("broker: journal event %d: %w", i+1, err)
+		}
+		events = append(events, ev)
+	}
+	return v.Snapshot, events, nil
 }
 
-// loadJobRecord rebuilds one job's full folded state: the snapshot of
-// the journal's current epoch (when compaction has run) plus a replay
-// of every event appended since. Replay cost is bounded by the
-// compaction cadence, not by job length.
+// loadJobRecord rebuilds one job's full folded state from the blob
+// store. Replay cost is bounded by the compaction cadence, not by job
+// length.
 func loadJobRecord(store *blob.Store, bucket, jobID string) (*jobRecord, error) {
-	v, err := (journal.Log{Store: store, Bucket: bucket, Key: journalKey(jobID)}).Load()
+	snapshot, events, err := readJournal(store, bucket, jobID)
 	if err != nil {
 		return nil, err
 	}
-	events, err := decodeEntries(v.Entries)
-	if err != nil {
-		return nil, err
-	}
-	if v.Snapshot == nil {
-		return foldJournal(jobID, events)
-	}
+	return foldJournal(jobID, snapshot, events)
+}
+
+// foldJournal replays a journal into a record: the epoch snapshot (when
+// there is one) plus every event appended since.
+func foldJournal(jobID string, snapshot []byte, events []Event) (*jobRecord, error) {
 	rec := &jobRecord{}
-	if err := json.Unmarshal(v.Snapshot, rec); err != nil {
-		return nil, fmt.Errorf("broker: decoding snapshot for %s: %w", jobID, err)
+	switch {
+	case snapshot != nil:
+		if err := json.Unmarshal(snapshot, rec); err != nil {
+			return nil, fmt.Errorf("broker: decoding snapshot for %s: %w", jobID, err)
+		}
+	case len(events) == 0:
+		return nil, fmt.Errorf("broker: empty journal for %s", jobID)
+	case events[0].Type != EvSubmitted:
+		return nil, fmt.Errorf("broker: journal for %s does not open with %s", jobID, EvSubmitted)
 	}
 	rec.ID = jobID
 	for _, ev := range events {
@@ -254,28 +256,6 @@ func loadJobRecord(store *blob.Store, bucket, jobID string) (*jobRecord, error) 
 		}
 	}
 	return rec, nil
-}
-
-// decodeJournal parses journal bytes: frames of JSON events.
-func decodeJournal(data []byte) ([]Event, error) {
-	entries, err := journal.SplitEntries(data)
-	if err != nil {
-		return nil, fmt.Errorf("broker: %w", err)
-	}
-	return decodeEntries(entries)
-}
-
-// decodeEntries decodes journal records into Events.
-func decodeEntries(entries [][]byte) ([]Event, error) {
-	var events []Event
-	for i, line := range entries {
-		var ev Event
-		if err := json.Unmarshal(line, &ev); err != nil {
-			return nil, fmt.Errorf("broker: journal event %d: %w", i+1, err)
-		}
-		events = append(events, ev)
-	}
-	return events, nil
 }
 
 // SyntheticJournal renders a completed-job journal document — one
@@ -353,9 +333,10 @@ type ledgerEntry struct {
 
 func (le *ledgerEntry) running() bool { return le.Stopped.IsZero() }
 
-// jobRecord is the event-sourced core of a Job: the fold of its journal.
-// Everything in it is reconstructible from the journal alone, which is
-// exactly what recovery does.
+// jobRecord is the event-sourced core of a Job: the fold of its journal,
+// and the only place a job's durable facts live. Everything in it is
+// reconstructible from the journal alone, which is exactly what recovery
+// does. Its JSON is the snapshot format.
 type jobRecord struct {
 	ID       string
 	App      string
@@ -381,9 +362,8 @@ type jobRecord struct {
 	Started    time.Time
 	FinishedAt time.Time
 
-	Done map[string]bool
-	Dead map[string]bool
-	Dups int
+	// Settlement holds the Done/Dead/Dups fold of the monitor reports.
+	classiccloud.Settlement
 
 	Ledger []*ledgerEntry
 	Events []ScalingEvent
@@ -408,31 +388,14 @@ func (rec *jobRecord) apply(ev Event) error {
 		rec.TargetNS = ev.TargetNS
 		rec.State = StateRunning
 		rec.Started = ev.Time
-		if rec.Done == nil {
-			rec.Done = make(map[string]bool)
-		}
-		if rec.Dead == nil {
-			rec.Dead = make(map[string]bool)
-		}
+		rec.Settlement = classiccloud.NewSettlement()
 	case EvPlanned:
-		rec.PlannedInstances = ev.PlannedInstances
-		rec.PlanMeetsTarget = ev.PlanMeetsTarget
-		if ev.PlanServiceNS > 0 {
-			rec.PlanServiceNS = ev.PlanServiceNS
-		}
+		rec.foldPlan(ev)
 		if ev.PlanCap > 0 {
 			rec.PlanCap = ev.PlanCap
 		}
-		if ev.Provider != "" {
-			rec.Provider, rec.Instance = ev.Provider, ev.Instance
-		}
 	case EvReplanned:
-		rec.Provider, rec.Instance = ev.Provider, ev.Instance
-		rec.PlannedInstances = ev.PlannedInstances
-		rec.PlanMeetsTarget = ev.PlanMeetsTarget
-		if ev.PlanServiceNS > 0 {
-			rec.PlanServiceNS = ev.PlanServiceNS
-		}
+		rec.foldPlan(ev)
 		rec.Replans++
 		rec.LastReplan = ev.Time
 		rec.Events = append(rec.Events, ScalingEvent{
@@ -463,16 +426,8 @@ func (rec *jobRecord) apply(ev Event) error {
 		rec.Events = append(rec.Events, ScalingEvent{
 			Time: ev.Time, Action: action, Delta: -1, Fleet: ev.Fleet, Reason: ev.Reason,
 		})
-	case EvCheckpoint, EvDeadLettered:
-		for _, id := range ev.Done {
-			if rec.Done[id] {
-				rec.Dups++
-			}
-			rec.Done[id] = true
-		}
-		for _, id := range ev.Dead {
-			rec.Dead[id] = true
-		}
+	case EvCheckpoint:
+		rec.Settle(ev.Done, ev.Dead)
 	case EvCompleted:
 		rec.State = StateCompleted
 		rec.FinishedAt = ev.Time
@@ -518,37 +473,29 @@ func (rec *jobRecord) fleetSize() int {
 	return n
 }
 
-// deadOnly counts dead-lettered tasks that never completed (completion
-// wins when a task lands in both sets, so counts sum to the task total).
-func (rec *jobRecord) deadOnly() int {
-	n := 0
-	for id := range rec.Dead {
-		if !rec.Done[id] {
-			n++
-		}
+// foldPlan folds a fleet plan (EvPlanned, EvReplanned): the chosen type, the
+// planned size and verdict, the re-planner's hysteresis baseline — and
+// the policy clamp: the plan meets the deadline with n instances, so the
+// fleet is capped there and observed load fills it. The clamp is part of
+// the fold so that a recovered job runs under the cap the plan set, not
+// the one it was submitted with.
+func (rec *jobRecord) foldPlan(ev Event) {
+	if ev.Provider != "" {
+		rec.Provider, rec.Instance = ev.Provider, ev.Instance
 	}
-	return n
+	rec.PlannedInstances, rec.PlanMeetsTarget = ev.PlannedInstances, ev.PlanMeetsTarget
+	if ev.PlanServiceNS > 0 {
+		rec.PlanServiceNS = ev.PlanServiceNS
+	}
+	if n := ev.PlannedInstances; n > 0 {
+		rec.Policy.MaxInstances = n
+		rec.Policy.MinInstances = min(rec.Policy.MinInstances, n)
+	}
 }
 
-// settled counts tasks with a terminal status (done or dead).
-func (rec *jobRecord) settled() int { return len(rec.Done) + rec.deadOnly() }
-
-// foldJournal replays a journal into a record.
-func foldJournal(jobID string, events []Event) (*jobRecord, error) {
-	if len(events) == 0 {
-		return nil, fmt.Errorf("broker: empty journal for %s", jobID)
-	}
-	if events[0].Type != EvSubmitted {
-		return nil, fmt.Errorf("broker: journal for %s does not open with %s", jobID, EvSubmitted)
-	}
-	rec := &jobRecord{ID: jobID}
-	for _, ev := range events {
-		if err := rec.apply(ev); err != nil {
-			return nil, err
-		}
-	}
-	return rec, nil
-}
+// policy is the job's autoscale policy with defaults filled in (a
+// journal written without one, like SyntheticJournal's, folds to zero).
+func (rec *jobRecord) policy() AutoscalePolicy { return rec.Policy.withDefaults() }
 
 // resolveInstanceType maps a journaled provider/name pair back to a
 // catalog entry, falling back to def when the catalog no longer carries

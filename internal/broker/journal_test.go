@@ -33,7 +33,7 @@ func TestFoldJournalBasicLifecycle(t *testing.T) {
 		{Type: EvScaledDown, Time: ts(6), InstanceID: 0, Fleet: 0, Reason: "job complete"},
 		{Type: EvCompleted, Time: ts(6)},
 	}
-	rec, err := foldJournal("job-0001", events)
+	rec, err := foldJournal("job-0001", nil, events)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -43,8 +43,8 @@ func TestFoldJournalBasicLifecycle(t *testing.T) {
 	if rec.App != "cap3" || rec.Tenant != "alice" || len(rec.TaskIDs) != 3 {
 		t.Errorf("identity not folded: %+v", rec)
 	}
-	if len(rec.Done) != 3 || rec.settled() != 3 || rec.Dups != 0 {
-		t.Errorf("done=%d settled=%d dups=%d", len(rec.Done), rec.settled(), rec.Dups)
+	if len(rec.Done) != 3 || rec.Settled() != 3 || rec.Dups != 0 {
+		t.Errorf("done=%d settled=%d dups=%d", len(rec.Done), rec.Settled(), rec.Dups)
 	}
 	if rec.fleetSize() != 0 || len(rec.Ledger) != 2 {
 		t.Errorf("fleet=%d ledger=%d", rec.fleetSize(), len(rec.Ledger))
@@ -71,15 +71,15 @@ func TestFoldCheckpointDeduplicates(t *testing.T) {
 		{Type: EvCheckpoint, Time: ts(2), Done: []string{"b"}, Dead: []string{"c"}},
 		{Type: EvCheckpoint, Time: ts(3), Dead: []string{"c"}},
 	}
-	rec, err := foldJournal("job-0001", events)
+	rec, err := foldJournal("job-0001", nil, events)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(rec.Done) != 2 || rec.Dups != 1 {
 		t.Errorf("done=%d dups=%d, want 2/1", len(rec.Done), rec.Dups)
 	}
-	if rec.deadOnly() != 1 || rec.settled() != 3 {
-		t.Errorf("deadOnly=%d settled=%d, want 1/3", rec.deadOnly(), rec.settled())
+	if rec.DeadOnly() != 1 || rec.Settled() != 3 {
+		t.Errorf("deadOnly=%d settled=%d, want 1/3", rec.DeadOnly(), rec.Settled())
 	}
 }
 
@@ -91,12 +91,12 @@ func TestFoldDeadThenDoneCountsOnce(t *testing.T) {
 		{Type: EvCheckpoint, Time: ts(1), Dead: []string{"a"}},
 		{Type: EvCheckpoint, Time: ts(2), Done: []string{"a"}},
 	}
-	rec, err := foldJournal("job-0001", events)
+	rec, err := foldJournal("job-0001", nil, events)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if rec.deadOnly() != 0 || rec.settled() != 1 {
-		t.Errorf("deadOnly=%d settled=%d, want 0/1", rec.deadOnly(), rec.settled())
+	if rec.DeadOnly() != 0 || rec.Settled() != 1 {
+		t.Errorf("deadOnly=%d settled=%d, want 0/1", rec.DeadOnly(), rec.Settled())
 	}
 }
 
@@ -110,7 +110,7 @@ func TestFoldAdoptionOrphansOpenLedgerEntries(t *testing.T) {
 		{Type: EvScaledDown, Time: ts(3), InstanceID: 1, Fleet: 1, Reason: "idle"},
 		{Type: EvAdopted, Time: ts(10)},
 	}
-	rec, err := foldJournal("job-0001", events)
+	rec, err := foldJournal("job-0001", nil, events)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -133,16 +133,16 @@ func TestFoldAdoptionOrphansOpenLedgerEntries(t *testing.T) {
 }
 
 func TestFoldJournalRejectsCorruption(t *testing.T) {
-	if _, err := foldJournal("j", nil); err == nil {
+	if _, err := foldJournal("j", nil, nil); err == nil {
 		t.Error("empty journal accepted")
 	}
-	if _, err := foldJournal("j", []Event{{Type: EvCompleted, Time: ts(0)}}); err == nil {
+	if _, err := foldJournal("j", nil, []Event{{Type: EvCompleted, Time: ts(0)}}); err == nil {
 		t.Error("journal not opening with submitted accepted")
 	}
-	if _, err := foldJournal("j", []Event{submittedEvent(), {Type: "martian", Time: ts(1)}}); err == nil {
+	if _, err := foldJournal("j", nil, []Event{submittedEvent(), {Type: "martian", Time: ts(1)}}); err == nil {
 		t.Error("unknown event type accepted")
 	}
-	if _, err := foldJournal("j", []Event{submittedEvent(),
+	if _, err := foldJournal("j", nil, []Event{submittedEvent(),
 		{Type: EvScaledDown, Time: ts(1), InstanceID: 7}}); err == nil {
 		t.Error("scale-down of unknown instance accepted")
 	}
@@ -162,11 +162,11 @@ func TestJournalBlobRoundTrip(t *testing.T) {
 		{Type: EvCheckpoint, Time: ts(2), Done: []string{"a"}},
 	}
 	for _, ev := range events {
-		if err := jl.append(ev); err != nil {
+		if err := jl.write(ev); err != nil {
 			t.Fatal(err)
 		}
 	}
-	got, err := readJournal(store, "broker-journal", "job-0042")
+	_, got, err := readJournal(store, "broker-journal", "job-0042")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -182,11 +182,18 @@ func TestJournalBlobRoundTrip(t *testing.T) {
 	if err != nil || len(ids) != 1 || ids[0] != "job-0042" {
 		t.Errorf("listJournaledJobs = %v (err %v)", ids, err)
 	}
-	if _, err := decodeJournal(journal.AppendFrame(nil, []byte("{not json"))); err == nil ||
+	readBack := func(doc []byte) error {
+		if err := store.Put("broker-journal", journalKey("job-0043"), doc); err != nil {
+			t.Fatal(err)
+		}
+		_, _, err := readJournal(store, "broker-journal", "job-0043")
+		return err
+	}
+	if err := readBack(journal.AppendFrame(nil, []byte("{not json"))); err == nil ||
 		!strings.Contains(err.Error(), "journal event 1") {
 		t.Errorf("corrupt event error = %v", err)
 	}
-	if _, err := decodeJournal([]byte("{\"type\":\"submitted\"}\n")); !errors.Is(err, journal.ErrCorrupt) {
+	if err := readBack([]byte("{\"type\":\"submitted\"}\n")); !errors.Is(err, journal.ErrCorrupt) {
 		t.Errorf("JSON-lines journal error = %v, want journal.ErrCorrupt", err)
 	}
 }
@@ -204,14 +211,8 @@ type journalDriver struct {
 
 func (d *journalDriver) record(ev Event) {
 	d.t.Helper()
-	var err error
 	tailBefore := d.jl.tailBytes
-	if ev.Type == EvSubmitted {
-		err = d.jl.create(ev)
-	} else {
-		err = d.jl.append(ev)
-	}
-	if err != nil {
+	if err := d.jl.write(ev); err != nil {
 		d.t.Fatal(err)
 	}
 	if err := d.live.apply(ev); err != nil {
@@ -222,7 +223,9 @@ func (d *journalDriver) record(ev Event) {
 	}
 	// maybeCompact counts this event, so appends is zero only when it
 	// has just snapshotted.
-	if d.jl.maybeCompact(d.live); d.jl.appends == 0 {
+	if err := d.jl.maybeCompact(d.live); err != nil {
+		d.t.Fatal(err)
+	} else if d.jl.appends == 0 {
 		d.snapshots++
 	}
 }

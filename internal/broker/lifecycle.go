@@ -2,6 +2,7 @@ package broker
 
 import (
 	"fmt"
+	"log"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -9,8 +10,6 @@ import (
 
 	"repro/internal/classiccloud"
 	"repro/internal/cloud"
-	"repro/internal/perfmodel"
-	"repro/internal/queue"
 )
 
 // JobState is a job's lifecycle phase.
@@ -25,11 +24,13 @@ const (
 	StateAborted JobState = "aborted"
 )
 
-// Job is one submission's full lifecycle: queues, fleet, ledger. Its
-// durable state — task settlements, the instance ledger, the lifecycle
-// phase — lives in `core`, a fold over the job's journal; everything
-// else is process-local runtime (instance handles, throughput
-// estimates) that a recovering broker rebuilds or restarts from scratch.
+// Job is one submission's full lifecycle: queues, fleet, ledger. Every
+// durable fact about it — task set, policy, instance type, settlements,
+// the instance ledger, the lifecycle phase — lives in `core`, the fold
+// over the job's journal, and is read from there; everything else is a
+// process-local runtime handle (queue client, instance handles,
+// throughput estimates) that a recovering broker rebuilds or restarts
+// from scratch.
 type Job struct {
 	ID     string
 	App    string
@@ -44,18 +45,15 @@ type Job struct {
 	env   classiccloud.Env
 
 	broker *Broker
-	cc     *classiccloud.Client
-	ccCfg  classiccloud.Config
-	exec   classiccloud.Executor
-	policy AutoscalePolicy
-	itype  cloud.InstanceType
-	// plan holds the cost-aware selection when a target makespan was
-	// requested (live submissions only; recovered jobs keep the planned
-	// numbers in core).
-	plan *perfmodel.Selection
-	jl   *jobJournal
+	// ccCfg and cc address the job's queues and buckets. Both are pure
+	// functions of the job ID and the broker config, fixed when the
+	// handle is built; the one per-launch setting, the instance-type
+	// label, is stamped on a copy at launch (scaleUpLocked).
+	ccCfg classiccloud.Config
+	cc    *classiccloud.Client
+	exec  classiccloud.Executor
+	jl    *jobJournal
 
-	tasks       []classiccloud.Task
 	crashBudget atomic.Int64
 
 	stop chan struct{}
@@ -78,25 +76,39 @@ type Job struct {
 }
 
 // recordLocked journals one event, then folds it into the in-memory
-// state. The journal is the source of truth: a transition whose append
-// fails does not happen (the caller retries on a later tick). The
-// opening EvSubmitted is an exclusive create so two broker processes
-// can never interleave submissions under one job ID. Caller holds j.mu.
+// state. The journal is the source of truth: a transition whose write
+// fails does not happen (the caller retries on a later tick). Caller
+// holds j.mu.
 func (j *Job) recordLocked(ev Event) error {
-	var err error
-	if ev.Type == EvSubmitted {
-		err = j.jl.create(ev)
-	} else {
-		err = j.jl.append(ev)
-	}
-	if err != nil {
+	if err := j.jl.write(ev); err != nil {
 		return err
 	}
 	if err := j.core.apply(ev); err != nil {
 		return err
 	}
-	j.jl.maybeCompact(&j.core)
+	if err := j.jl.maybeCompact(&j.core); err != nil {
+		j.swallowed("compaction", err)
+	}
 	return nil
+}
+
+// swallowed accounts for an error a best-effort path drops instead of
+// returning: it is counted in broker_errors_total{site} and logged the
+// first time each site fails, with the job's trace ID so the failing
+// requests can be found in the queue daemons' logs.
+func (j *Job) swallowed(site string, err error) {
+	j.broker.met.inc("error_" + site)
+	if _, logged := j.broker.errLogged.LoadOrStore(site, true); !logged {
+		log.Printf("broker: %s failed for job %s (trace %s): %v; further %s failures are only counted, in broker_errors_total",
+			site, j.ID, j.trace, err, site)
+	}
+}
+
+// instanceTypeLocked resolves the job's journaled instance type against
+// the catalog. Caller holds j.mu.
+func (j *Job) instanceTypeLocked() cloud.InstanceType {
+	cfg := j.broker.cfg
+	return resolveInstanceType(j.core.Provider, j.core.Instance, cfg.Catalog, cfg.DefaultInstance)
 }
 
 // run is the job's control loop: drain the monitor queue, observe the
@@ -119,97 +131,99 @@ func (j *Job) run() {
 	}
 }
 
-// drainMonitor consumes every waiting completion report a batch at a
-// time. The settlement checkpoint is journaled BEFORE the reports are
-// deleted from the monitor queue: if the broker dies between the two,
-// the redelivered reports fold into the done-set idempotently — a
-// settlement can be replayed but never lost and never double-counted.
+// drainMonitor consumes every waiting completion report, a batch at a
+// time, through the Classic Cloud client's one drain primitive (without
+// waiting: the tick is the cadence).
 func (j *Job) drainMonitor() {
-	svc := j.env.Queue
-	qn := j.ccCfg.MonitorQueue()
 	for {
-		msgs, err := svc.ReceiveMessageBatch(qn, j.ccCfg.VisibilityTimeout, queue.MaxBatch, 0)
-		if err != nil || len(msgs) == 0 {
+		n, err := j.cc.DrainMonitor(0, j.checkpoint)
+		if err != nil {
+			// A failed or partial delete only means some reports
+			// redeliver; the fold deduplicates them.
+			site := "monitor_delete"
+			if n == 0 {
+				site = "monitor_receive"
+			}
+			j.swallowed(site, err)
+		}
+		if n == 0 {
 			return
 		}
-		j.mu.Lock()
-		// Reports whose task is already settled are broker-side
-		// redeliveries (a crash between checkpoint and delete, or a
-		// failed delete) — they are dropped, not journaled, so the
-		// Duplicates metric is never inflated by the broker's own
-		// recovery. A repeat WITHIN one batch is a genuine executor
-		// double-report and still counts.
-		seen := make(map[string]bool, len(msgs))
-		var done, dead []string
-		var samples []serviceSample
-		for _, m := range msgs {
-			rep, perr := classiccloud.ParseMonitorReport(m.Body)
-			if perr != nil || rep.TaskID == "" {
-				continue
-			}
-			if rep.Status == classiccloud.StatusDead {
-				if !j.core.Dead[rep.TaskID] {
-					dead = append(dead, rep.TaskID)
-				}
-			} else if !j.core.Done[rep.TaskID] || seen[rep.TaskID] {
-				done = append(done, rep.TaskID)
-				if rep.ServiceTime > 0 {
-					samples = append(samples, serviceSample{d: rep.ServiceTime, itype: rep.InstanceType})
-				}
-			}
-			seen[rep.TaskID] = true
-		}
-		if len(done) > 0 || len(dead) > 0 {
-			err := j.recordLocked(Event{
-				Type: EvCheckpoint, Time: time.Now(), Done: done, Dead: dead,
-			})
-			if err != nil {
-				// Not checkpointed ⇒ not consumed: leave the reports to
-				// reappear after their visibility timeout.
-				j.mu.Unlock()
-				return
-			}
-		}
-		j.mu.Unlock()
-		// Observed only after the checkpoint is durable (reports from a
-		// failed checkpoint redeliver and must not be histogrammed twice)
-		// and outside the job lock: the labeled per-type histogram lookup
-		// takes the registry mutex, which a concurrent render holds while
-		// its gauge funcs take job locks.
-		if len(done) > 0 || len(dead) > 0 {
-			j.broker.met.settled(len(done), len(dead), samples)
-		}
-		// Feed the calibration catalog the same post-checkpoint samples,
-		// grouped by reporting instance type (reports predating the label
-		// carry none and are skipped). Best-effort and outside the job
-		// lock: the catalog journals to the blob store under its own
-		// lock, and losing a batch only delays calibration.
-		if cal := j.broker.cfg.Calibration; cal != nil && len(samples) > 0 {
-			byType := make(map[string][]time.Duration)
-			for _, s := range samples {
-				if s.itype != "" {
-					byType[s.itype] = append(byType[s.itype], s.d)
-				}
-			}
-			for it, ds := range byType {
-				_ = cal.Record(j.App, it, ds)
-			}
-		}
-		receipts := make([]string, len(msgs))
-		for i, m := range msgs {
-			receipts[i] = m.ReceiptHandle
-		}
-		// A failed or partial delete only means some reports redeliver;
-		// the fold deduplicates them.
-		_, _ = svc.DeleteMessageBatch(qn, receipts)
 	}
+}
+
+// checkpoint journals one drained batch's settlements and reports
+// whether the batch may be deleted. The checkpoint is journaled BEFORE
+// the reports leave the monitor queue: if the broker dies between the
+// two, the redelivered reports fold into the done-set idempotently — a
+// settlement can be replayed but never lost and never double-counted.
+func (j *Job) checkpoint(reports []classiccloud.MonitorReport) bool {
+	j.mu.Lock()
+	// Reports whose task is already settled are broker-side
+	// redeliveries (a crash between checkpoint and delete, or a
+	// failed delete) — they are dropped, not journaled, so the
+	// Duplicates metric is never inflated by the broker's own
+	// recovery. A repeat WITHIN one batch is a genuine executor
+	// double-report and still counts.
+	seen := make(map[string]bool, len(reports))
+	var done, dead []string
+	var samples []classiccloud.MonitorReport
+	for _, rep := range reports {
+		if rep.Status == classiccloud.StatusDead {
+			if !j.core.Dead[rep.TaskID] {
+				dead = append(dead, rep.TaskID)
+			}
+		} else if !j.core.Done[rep.TaskID] || seen[rep.TaskID] {
+			done = append(done, rep.TaskID)
+			if rep.ServiceTime > 0 {
+				samples = append(samples, rep)
+			}
+		}
+		seen[rep.TaskID] = true
+	}
+	var err error
+	if len(done) > 0 || len(dead) > 0 {
+		err = j.recordLocked(Event{Type: EvCheckpoint, Time: time.Now(), Done: done, Dead: dead})
+	}
+	j.mu.Unlock()
+	if err != nil {
+		// Not checkpointed ⇒ not consumed: leave the reports to
+		// reappear after their visibility timeout.
+		j.swallowed("checkpoint", err)
+		return false
+	}
+	// Observed only after the checkpoint is durable (reports from a
+	// failed checkpoint redeliver and must not be histogrammed twice)
+	// and outside the job lock: the labeled per-type histogram lookup
+	// takes the registry mutex, which a concurrent render holds while
+	// its gauge funcs take job locks.
+	j.broker.met.settled(len(done), len(dead), samples)
+	// Feed the calibration catalog the same post-checkpoint samples,
+	// grouped by reporting instance type (reports predating the label
+	// carry none and are skipped). Best-effort and outside the job
+	// lock: the catalog journals to the blob store under its own
+	// lock, and losing a batch only delays calibration.
+	if cal := j.broker.cfg.Calibration; cal != nil && len(samples) > 0 {
+		byType := make(map[string][]time.Duration)
+		for _, s := range samples {
+			if s.InstanceType != "" {
+				byType[s.InstanceType] = append(byType[s.InstanceType], s.ServiceTime)
+			}
+		}
+		for it, ds := range byType {
+			if err := cal.Record(j.App, it, ds); err != nil {
+				j.swallowed("calibration_record", err)
+			}
+		}
+	}
+	return true
 }
 
 // maybeComplete finishes the job once every task is settled: journals
 // the completion, retires the fleet, stamps the end time.
 func (j *Job) maybeComplete() bool {
 	j.mu.Lock()
-	if j.halted || j.core.State != StateRunning || j.core.settled() < len(j.tasks) {
+	if j.halted || j.core.State != StateRunning || j.core.Settled() < len(j.core.TaskIDs) {
 		// The state check closes a race with shutdown(): Close can abort
 		// the job while this loop is mid-drain, and completing on top of
 		// the abort would journal a contradiction, double-close finished,
@@ -234,8 +248,7 @@ func (j *Job) maybeComplete() bool {
 // autoscaleTick observes the queues and applies one policy decision,
 // with scale-ups granted by the broker's fair-share scheduler.
 func (j *Job) autoscaleTick() {
-	env := j.env
-	visible, inflight, err := env.Queue.ApproximateCount(j.ccCfg.TaskQueue())
+	visible, inflight, err := j.env.Queue.ApproximateCount(j.ccCfg.TaskQueue())
 	if err != nil {
 		return
 	}
@@ -265,7 +278,7 @@ func (j *Job) autoscaleTick() {
 	j.lastDoneCount = len(j.core.Done)
 	j.lastTick = now
 
-	d := j.policy.Decide(Observation{
+	d := j.core.Policy.Decide(Observation{
 		Now:                   now,
 		Visible:               visible,
 		InFlight:              inflight,
@@ -276,143 +289,142 @@ func (j *Job) autoscaleTick() {
 	})
 	switch {
 	case d.Delta > 0:
-		j.broker.met.decision("up")
+		j.broker.met.inc("decision_up")
 		j.scaleUpLocked(d.Delta, d.Reason)
 	case d.Delta < 0:
-		j.broker.met.decision("down")
+		j.broker.met.inc("decision_down")
 		j.scaleDownToLocked(fleet+d.Delta, d.Reason)
 	default:
-		j.broker.met.decision("hold")
+		j.broker.met.inc("decision_hold")
 	}
 }
 
 // scaleUpLocked asks the fair-share scheduler for up to delta instances
-// and launches what it grants. A denied or trimmed grant is not an
-// error: the next tick asks again, and the cooldown clock only advances
-// when something actually launched. Caller holds j.mu.
+// of the job's current type and launches what it grants. A denied or
+// trimmed grant is not an error: the next tick asks again, and the
+// cooldown clock only advances when something actually launched. Caller
+// holds j.mu.
 func (j *Job) scaleUpLocked(delta int, reason string) {
 	if j.core.State != StateRunning || j.halted {
-		// Shutdown won the race (e.g. Broker.Close between Submit
-		// registering the job and launching its floor fleet): never grow
-		// a retired job's fleet — nothing would ever stop it.
+		// Shutdown won the race (e.g. Broker.Close between the job being
+		// registered and its floor fleet launching): never grow a retired
+		// job's fleet — nothing would ever stop it.
 		return
 	}
+	itype := j.instanceTypeLocked()
+	ccCfg := j.ccCfg
+	ccCfg.InstanceType = itype.Key()
 	granted := j.broker.sched.acquire(j.Tenant, delta)
 	for i := 0; i < granted; i++ {
-		now := time.Now()
 		id := len(j.core.Ledger)
 		if err := j.recordLocked(Event{
-			Type: EvScaledUp, Time: now, InstanceID: id,
-			Provider: string(j.itype.Provider), Instance: j.itype.Name,
+			Type: EvScaledUp, Time: time.Now(), InstanceID: id,
+			Provider: string(itype.Provider), Instance: itype.Name,
 			Fleet: j.core.fleetSize() + 1, Reason: reason,
 		}); err != nil {
 			j.broker.sched.release(j.Tenant, granted-i)
 			return
 		}
-		inst, err := classiccloud.StartInstance(j.env, j.ccCfg, j.exec,
-			j.broker.cfg.WorkersPerInstance)
+		inst, err := classiccloud.StartInstance(j.env, ccCfg, j.exec, j.broker.cfg.WorkersPerInstance)
 		if err != nil {
 			// Compensate the journaled launch so the ledger stays
 			// truthful (factory preload failures already surfaced at
-			// Submit). The fold is applied even if the append fails —
-			// the in-memory fleet must never carry a phantom instance;
-			// a journal missing the compensation self-heals at the next
-			// adoption, which orphans the entry at zero-ish lifetime.
-			down := Event{
-				Type: EvScaledDown, Time: now, InstanceID: id, LaunchFailed: true,
-				Fleet: j.core.fleetSize() - 1, Reason: "launch failed: " + err.Error(),
-			}
-			_ = j.jl.append(down)
-			_ = j.core.apply(down)
-			j.broker.sched.release(j.Tenant, granted-i)
+			// Submit); retireLocked releases this grant, the rest go
+			// back here.
+			j.retireLocked(id, Event{LaunchFailed: true, Reason: "launch failed: " + err.Error()})
+			j.broker.sched.release(j.Tenant, granted-i-1)
 			return
 		}
 		j.insts[id] = inst
-		j.broker.met.scaledUp()
+		j.broker.met.inc("scale_up")
 	}
 }
 
-// scaleDownToLocked retires instances until the running count is n,
-// newest first (LIFO retirement keeps the longest-running instances
-// warm). The journal append is best-effort here, unlike every other
-// transition: a scale-down must actually stop the instance and release
-// its budget even when the journal is unreachable — otherwise
-// Close()/completion would leak running workers forever. A stop event
-// lost to a journal failure self-heals at the next adoption, which
-// orphans the entry (billing it slightly long, never short). Caller
-// holds j.mu.
-func (j *Job) scaleDownToLocked(n int, reason string) {
-	for j.core.fleetSize() > n {
-		le := j.newestRunningLocked()
-		if le == nil {
-			return
+// retireLocked is the one way an instance leaves a live fleet: journal
+// its EvScaledDown (how carries what distinguishes the retirement —
+// Reason, Preempted, LaunchFailed), fold it, give the scheduler its slot
+// back, count it, and stop the instance. The journal write is
+// best-effort here, unlike every other transition: a retirement must
+// actually stop the instance and release its budget even when the
+// journal is unreachable — otherwise Close()/completion would leak
+// running workers forever, and the in-memory fleet must never carry a
+// phantom instance whose launch failed. A stop event lost to a journal
+// failure self-heals at the next adoption, which orphans the entry
+// (billing it slightly long, never short). Only a preemption — a
+// simulated reclaim nothing depends on — is refused instead when it
+// cannot be journaled. Caller holds j.mu.
+func (j *Job) retireLocked(id int, how Event) bool {
+	how.Type, how.Time, how.InstanceID = EvScaledDown, time.Now(), id
+	how.Fleet = j.core.fleetSize() - 1
+	if err := j.recordLocked(how); err != nil {
+		if how.Preempted {
+			return false
 		}
-		ev := Event{
-			Type: EvScaledDown, Time: time.Now(), InstanceID: le.ID,
-			Fleet: j.core.fleetSize() - 1, Reason: reason,
-		}
-		_ = j.jl.append(ev)
-		_ = j.core.apply(ev)
-		j.broker.sched.release(j.Tenant, 1)
-		j.broker.met.scaledDown()
-		if inst := j.insts[le.ID]; inst != nil {
-			j.stopWG.Add(1)
-			go func() {
-				defer j.stopWG.Done()
-				inst.Stop() // graceful: current tasks finish and ack
-			}()
-		}
+		j.swallowed("scale_down_journal", err)
+		_ = j.core.apply(how) // cannot fail: id names a ledger entry
+	}
+	j.broker.sched.release(j.Tenant, 1)
+	stop := (*classiccloud.Instance).Stop // graceful: current tasks finish and ack
+	switch {
+	case how.Preempted:
+		j.broker.met.inc("preempt")
+		stop = (*classiccloud.Instance).Kill // mid-task: un-acked work is abandoned to the visibility timeout
+	case !how.LaunchFailed:
+		j.broker.met.inc("scale_down")
+	}
+	j.stopInstanceLocked(id, stop)
+	return true
+}
+
+// stopInstanceLocked stops one of this process's instances in the
+// background (Stop and Kill both wait for its workers to exit); the
+// paths that end a job wait on stopWG for all of them. An entry without
+// a handle belonged to a previous broker process. Caller holds j.mu.
+func (j *Job) stopInstanceLocked(id int, stop func(*classiccloud.Instance)) {
+	if inst := j.insts[id]; inst != nil {
+		j.stopWG.Add(1)
+		go func() {
+			defer j.stopWG.Done()
+			stop(inst)
+		}()
 	}
 }
 
-// newestRunningLocked returns the most recently launched running ledger
-// entry.
-func (j *Job) newestRunningLocked() *ledgerEntry {
+// retireNewestLocked retires running instances newest first (LIFO
+// retirement keeps the longest-running instances warm) for as long as
+// want says so. Caller holds j.mu.
+func (j *Job) retireNewestLocked(reason string, want func(*ledgerEntry) bool) {
 	for i := len(j.core.Ledger) - 1; i >= 0; i-- {
-		if j.core.Ledger[i].running() {
-			return j.core.Ledger[i]
+		if le := j.core.Ledger[i]; le.running() && want(le) {
+			j.retireLocked(le.ID, Event{Reason: reason})
 		}
 	}
-	return nil
 }
 
-// Preempt simulates a spot-instance reclaim: one running instance is
-// killed mid-task, abandoning un-acknowledged work to the visibility
-// timeout. It reports whether an instance was available to preempt.
+// scaleDownToLocked retires instances until the running count is n.
+// Caller holds j.mu.
+func (j *Job) scaleDownToLocked(n int, reason string) {
+	j.retireNewestLocked(reason, func(*ledgerEntry) bool { return j.core.fleetSize() > n })
+}
+
+// Preempt simulates a spot-instance reclaim: the newest running
+// instance is killed mid-task, abandoning un-acknowledged work to the
+// visibility timeout. It reports whether an instance was available to
+// preempt.
 func (j *Job) Preempt() bool {
 	j.mu.Lock()
+	defer j.mu.Unlock()
 	if j.halted || j.core.State != StateRunning {
 		// A preempt racing Halt must not journal anything: a Halt()ed
 		// broker's journal is promised to look like a kill -9's.
-		j.mu.Unlock()
 		return false
 	}
-	le := j.newestRunningLocked()
-	if le == nil {
-		j.mu.Unlock()
-		return false
+	for i := len(j.core.Ledger) - 1; i >= 0; i-- {
+		if le := j.core.Ledger[i]; le.running() {
+			return j.retireLocked(le.ID, Event{Preempted: true, Reason: "spot reclaim"})
+		}
 	}
-	if err := j.recordLocked(Event{
-		Type: EvScaledDown, Time: time.Now(), InstanceID: le.ID, Preempted: true,
-		Fleet: j.core.fleetSize() - 1, Reason: "spot reclaim",
-	}); err != nil {
-		j.mu.Unlock()
-		return false
-	}
-	inst := j.insts[le.ID]
-	if inst != nil {
-		j.stopWG.Add(1)
-	}
-	j.mu.Unlock()
-	j.broker.met.preempted()
-	j.broker.sched.release(j.Tenant, 1)
-	if inst != nil {
-		go func() {
-			defer j.stopWG.Done()
-			inst.Kill()
-		}()
-	}
-	return true
+	return false
 }
 
 func (j *Job) fleetSize() int {
@@ -421,17 +433,23 @@ func (j *Job) fleetSize() int {
 	return j.core.fleetSize()
 }
 
+// stopLoopLocked tells the control loop to exit; Close and Halt may both
+// reach a job. Caller holds j.mu.
+func (j *Job) stopLoopLocked() {
+	select {
+	case <-j.stop:
+	default:
+		close(j.stop)
+	}
+}
+
 // shutdown stops the control loop and the fleet (used by Broker.Close
 // on jobs that have not completed). The abort is journaled best-effort:
 // even with an unreachable journal the process must still wind down,
 // and an un-journaled abort simply re-adopts as a running job.
 func (j *Job) shutdown() {
 	j.mu.Lock()
-	select {
-	case <-j.stop:
-	default:
-		close(j.stop)
-	}
+	j.stopLoopLocked()
 	ended := false
 	if j.core.State == StateRunning && !j.halted {
 		// Not a completion: tasks may still be unsettled, and callers
@@ -458,29 +476,13 @@ func (j *Job) shutdown() {
 func (j *Job) halt() {
 	j.mu.Lock()
 	j.halted = true
-	select {
-	case <-j.stop:
-	default:
-		close(j.stop)
-	}
-	var victims []*classiccloud.Instance
+	j.stopLoopLocked()
 	for _, le := range j.core.Ledger {
 		if le.running() {
-			if inst := j.insts[le.ID]; inst != nil {
-				victims = append(victims, inst)
-			}
+			j.stopInstanceLocked(le.ID, (*classiccloud.Instance).Kill)
 		}
 	}
 	j.mu.Unlock()
-	var wg sync.WaitGroup
-	for _, inst := range victims {
-		wg.Add(1)
-		go func(inst *classiccloud.Instance) {
-			defer wg.Done()
-			inst.Kill()
-		}(inst)
-	}
-	wg.Wait()
 	j.stopWG.Wait()
 }
 
@@ -499,19 +501,18 @@ func (j *Job) Wait(timeout time.Duration) error {
 		select {
 		case <-j.finished:
 		default:
-			j.mu.Lock()
-			settled, total := j.core.settled(), len(j.tasks)
-			j.mu.Unlock()
-			return fmt.Errorf("broker: job %s timeout with %d/%d tasks settled", j.ID, settled, total)
+			return j.unfinished("timeout")
 		}
 	}
-	j.mu.Lock()
-	state, settled, total := j.core.State, j.core.settled(), len(j.tasks)
-	j.mu.Unlock()
-	if state == StateAborted {
-		return fmt.Errorf("broker: job %s aborted with %d/%d tasks settled", j.ID, settled, total)
+	if j.Status().State == StateAborted {
+		return j.unfinished("aborted")
 	}
 	return nil
+}
+
+func (j *Job) unfinished(how string) error {
+	st := j.Status()
+	return fmt.Errorf("broker: job %s %s with %d/%d tasks settled", j.ID, how, st.Done+st.Dead, st.Total)
 }
 
 // Status is a point-in-time job summary.
@@ -554,10 +555,10 @@ func (j *Job) Status() Status {
 		App:              j.App,
 		Tenant:           j.Tenant,
 		State:            j.core.State,
-		InstanceType:     j.itype.Key(),
-		Total:            len(j.tasks),
+		InstanceType:     j.instanceTypeLocked().Key(),
+		Total:            len(j.core.TaskIDs),
 		Done:             len(j.core.Done),
-		Dead:             j.core.deadOnly(),
+		Dead:             j.core.DeadOnly(),
 		Duplicates:       j.core.Dups,
 		Fleet:            j.core.fleetSize(),
 		Elapsed:          elapsed.Round(time.Millisecond).String(),
@@ -597,7 +598,8 @@ func (j *Job) Journal() ([]Event, error) {
 	if j.jl == nil {
 		return nil, nil
 	}
-	return readJournal(j.jl.log.Store, j.jl.log.Bucket, j.ID)
+	_, events, err := readJournal(j.jl.log.Store, j.jl.log.Bucket, j.ID)
+	return events, err
 }
 
 // CostReport prices the job's fleet in the paper's hour-unit
@@ -640,6 +642,7 @@ func (j *Job) CostReport() CostReport {
 	if end.IsZero() {
 		end = now
 	}
+	itype, fixedFleet := j.instanceTypeLocked(), j.core.policy().MaxInstances
 	var hourUnits, amortized, computeCost float64
 	var busy, allocated time.Duration
 	launches, preempts, orphans := 0, 0, 0
@@ -655,7 +658,7 @@ func (j *Job) CostReport() CostReport {
 			stop = now
 		}
 		life := stop.Sub(le.Launched)
-		it := resolveInstanceType(le.Provider, le.Instance, j.broker.cfg.Catalog, j.itype)
+		it := resolveInstanceType(le.Provider, le.Instance, j.broker.cfg.Catalog, itype)
 		bill := cloud.ComputeBill(it, 1, life)
 		hourUnits += bill.HourUnits
 		amortized += bill.Amortized
@@ -672,7 +675,7 @@ func (j *Job) CostReport() CostReport {
 		}
 	}
 	elapsed := end.Sub(j.core.Started)
-	fixedBill := cloud.ComputeBill(j.itype, j.policy.MaxInstances, elapsed)
+	fixedBill := cloud.ComputeBill(itype, fixedFleet, elapsed)
 	// Bill only this job's queues: the service-wide counter would
 	// cross-charge concurrent jobs' traffic.
 	svc := j.env.Queue
@@ -680,12 +683,12 @@ func (j *Job) CostReport() CostReport {
 		svc.APIRequestsFor(j.ccCfg.MonitorQueue()) +
 		svc.APIRequestsFor(j.ccCfg.DeadLetterQueue)
 	rates := cloud.AWSRates
-	if j.itype.Provider == cloud.Azure {
+	if itype.Provider == cloud.Azure {
 		rates = cloud.AzureRates
 	}
 	queueCost := rates.ServiceCost(int(queueReq), 0, 0, 0)
 	return CostReport{
-		InstanceType:     j.itype.Key(),
+		InstanceType:     itype.Key(),
 		Launches:         launches,
 		Preemptions:      preempts,
 		Orphaned:         orphans,
@@ -697,7 +700,7 @@ func (j *Job) CostReport() CostReport {
 		Elapsed:          elapsed.Round(time.Millisecond).String(),
 		Utilization:      fleetUtilization(busy, allocated),
 		TasksPerUSD:      tasksPerDollar(len(j.core.Done), computeCost+queueCost),
-		FixedFleet:       j.policy.MaxInstances,
+		FixedFleet:       fixedFleet,
 		FixedHourUnits:   fixedBill.HourUnits,
 		FixedComputeCost: fixedBill.ComputeCost,
 	}
@@ -733,12 +736,12 @@ func tasksPerDollar(tasks int, costUSD float64) float64 {
 // CollectOutputs downloads the outputs of completed tasks.
 func (j *Job) CollectOutputs() (map[string][]byte, error) {
 	j.mu.Lock()
-	var completed []classiccloud.Task
-	for _, t := range j.tasks {
-		if j.core.Done[t.ID] {
-			completed = append(completed, t)
+	var completed []string
+	for _, id := range j.core.TaskIDs {
+		if j.core.Done[id] {
+			completed = append(completed, id)
 		}
 	}
 	j.mu.Unlock()
-	return j.cc.CollectOutputs(completed)
+	return j.cc.CollectOutputs(j.ccCfg.TasksFromIDs(completed))
 }

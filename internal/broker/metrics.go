@@ -2,17 +2,22 @@ package broker
 
 import (
 	"sync"
-	"time"
 
+	"repro/internal/classiccloud"
 	"repro/internal/telemetry"
 )
 
-// serviceSample is one worker-measured task service time tagged with
-// the reporting instance's type key (empty for reports predating the
-// instance_type label).
-type serviceSample struct {
-	d     time.Duration
-	itype string
+// errorSites are the places the control plane drops an error instead of
+// returning it (Job.swallowed); each is a broker_errors_total{site}
+// series.
+var errorSites = []string{
+	"monitor_receive", "checkpoint", "monitor_delete",
+	"calibration_record", "scale_down_journal", "compaction",
+}
+
+// errorMetric names the counter of errors swallowed at one site.
+func errorMetric(site string) string {
+	return telemetry.Label("broker_errors_total", "site", site)
 }
 
 // brokerMetrics holds the broker's instruments. All methods are safe on
@@ -26,10 +31,12 @@ type brokerMetrics struct {
 	taskService *telemetry.Histogram
 	tasksDone   *telemetry.Counter
 	tasksDead   *telemetry.Counter
-	scaleUps    *telemetry.Counter
-	scaleDowns  *telemetry.Counter
-	preempts    *telemetry.Counter
-	decisions   map[string]*telemetry.Counter // autoscale verdicts: up, down, hold
+	// counters holds every counter inc bumps, by a short key: scale_up,
+	// scale_down, preempt, decision_<verdict>, error_<site>. They are
+	// registered up front, so bumping one takes no registry mutex and is
+	// safe under a job lock (which a concurrent render's gauge funcs also
+	// take).
+	counters map[string]*telemetry.Counter
 
 	reg *telemetry.Registry
 	mu  sync.Mutex
@@ -49,19 +56,30 @@ func newBrokerMetrics(b *Broker, reg *telemetry.Registry) *brokerMetrics {
 		taskService: reg.Histogram("broker_task_service_ns"),
 		tasksDone:   reg.Counter("broker_tasks_done"),
 		tasksDead:   reg.Counter("broker_tasks_dead"),
-		scaleUps:    reg.Counter("broker_scale_ups"),
-		scaleDowns:  reg.Counter("broker_scale_downs"),
-		preempts:    reg.Counter("broker_preemptions"),
-		decisions:   make(map[string]*telemetry.Counter, 3),
-		reg:         reg,
-		byType:      make(map[string]*telemetry.Histogram),
+		counters: map[string]*telemetry.Counter{
+			"scale_up":   reg.Counter("broker_scale_ups"),
+			"scale_down": reg.Counter("broker_scale_downs"),
+			"preempt":    reg.Counter("broker_preemptions"),
+		},
+		reg:    reg,
+		byType: make(map[string]*telemetry.Histogram),
 	}
 	for _, verdict := range []string{"up", "down", "hold"} {
-		m.decisions[verdict] = reg.Counter(telemetry.Label("broker_autoscale_decisions", "verdict", verdict))
+		m.counters["decision_"+verdict] = reg.Counter(telemetry.Label("broker_autoscale_decisions", "verdict", verdict))
+	}
+	for _, site := range errorSites {
+		m.counters["error_"+site] = reg.Counter(errorMetric(site))
 	}
 	reg.GaugeFunc("broker_fleet", func() int64 { return int64(b.FleetSize()) })
 	reg.GaugeFunc("broker_jobs_running", b.runningJobs)
 	return m
+}
+
+// inc bumps one of the pre-registered counters.
+func (m *brokerMetrics) inc(key string) {
+	if m != nil {
+		m.counters[key].Inc()
+	}
 }
 
 // settled records one checkpointed settlement batch: done/dead counts
@@ -70,16 +88,16 @@ func newBrokerMetrics(b *Broker, reg *telemetry.Registry) *brokerMetrics {
 // type) its instance_type-labeled variant. Called only after the
 // checkpoint is journaled, so a failed checkpoint (whose reports
 // redeliver) is never double-observed.
-func (m *brokerMetrics) settled(done, dead int, samples []serviceSample) {
+func (m *brokerMetrics) settled(done, dead int, samples []classiccloud.MonitorReport) {
 	if m == nil {
 		return
 	}
 	m.tasksDone.Add(int64(done))
 	m.tasksDead.Add(int64(dead))
 	for _, s := range samples {
-		m.taskService.Observe(s.d)
-		if s.itype != "" {
-			m.serviceHist(s.itype).Observe(s.d)
+		m.taskService.Observe(s.ServiceTime)
+		if s.InstanceType != "" {
+			m.serviceHist(s.InstanceType).Observe(s.ServiceTime)
 		}
 	}
 }
@@ -95,37 +113,6 @@ func (m *brokerMetrics) serviceHist(itype string) *telemetry.Histogram {
 		m.byType[itype] = h
 	}
 	return h
-}
-
-// decision counts one autoscale policy verdict.
-func (m *brokerMetrics) decision(verdict string) {
-	if m == nil {
-		return
-	}
-	if c, ok := m.decisions[verdict]; ok {
-		c.Inc()
-	}
-}
-
-func (m *brokerMetrics) scaledUp() {
-	if m == nil {
-		return
-	}
-	m.scaleUps.Inc()
-}
-
-func (m *brokerMetrics) scaledDown() {
-	if m == nil {
-		return
-	}
-	m.scaleDowns.Inc()
-}
-
-func (m *brokerMetrics) preempted() {
-	if m == nil {
-		return
-	}
-	m.preempts.Inc()
 }
 
 // runningJobs counts jobs currently in StateRunning (gauge-func source).

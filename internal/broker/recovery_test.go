@@ -127,13 +127,13 @@ func TestBrokerRecoversHaltedJob(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rec, err := foldJournal(j2.ID, evs)
+	rec, err := foldJournal(j2.ID, nil, evs)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if rec.State != StateCompleted || rec.settled() != total {
+	if rec.State != StateCompleted || rec.Settled() != total {
 		t.Errorf("journal folds to state=%s settled=%d, want completed/%d",
-			rec.State, rec.settled(), total)
+			rec.State, rec.Settled(), total)
 	}
 }
 

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"time"
 
-	"repro/internal/classiccloud"
 	"repro/internal/cloud"
 	"repro/internal/perfmodel"
 )
@@ -83,14 +82,15 @@ func (j *Job) replanTick() {
 		}
 		ok = time.Since(last) >= p.Cooldown
 	}
-	curKey := j.itype.Key()
+	cur := j.instanceTypeLocked()
+	curKey := cur.Key()
 	planNS := j.core.PlanServiceNS
 	target := time.Duration(j.core.TargetNS)
 	planCap := j.core.PlanCap
 	if planCap <= 0 {
-		planCap = j.policy.MaxInstances
+		planCap = j.core.policy().MaxInstances
 	}
-	nTasks := len(j.tasks)
+	nTasks := len(j.core.TaskIDs)
 	j.mu.Unlock()
 	if !ok {
 		return
@@ -132,7 +132,7 @@ func (j *Job) replanTick() {
 	// Re-check under the lock: shutdown, completion, or a concurrent
 	// adopter may have moved the job while the sweep ran.
 	if j.core.State != StateRunning || j.halted ||
-		j.core.Replans >= p.MaxReplans || j.itype.Key() != curKey {
+		j.core.Replans >= p.MaxReplans || j.instanceTypeLocked().Key() != curKey {
 		return
 	}
 	n := sel.Instances()
@@ -141,8 +141,9 @@ func (j *Job) replanTick() {
 		time.Duration(planNS).Round(time.Millisecond),
 		curKey, newType.Key(), n)
 	// The re-plan is durable before it is acted on: recovery replays the
-	// new type and fleet shape from this event. PlanServiceNS resets to
-	// the calibrated expectation on the new type, so the hysteresis only
+	// new type, fleet shape and policy clamp from this event, and the
+	// live job reads them from the same fold. PlanServiceNS resets to the
+	// calibrated expectation on the new type, so the hysteresis only
 	// re-triggers if the new type also underperforms its own calibrated
 	// curve — the anti-flap.
 	if err := j.recordLocked(Event{
@@ -155,54 +156,17 @@ func (j *Job) replanTick() {
 	}); err != nil {
 		return // journal unreachable: the cooldown retries later
 	}
-	oldProvider, oldName := string(j.itype.Provider), j.itype.Name
-	j.itype = newType
-	j.ccCfg.InstanceType = newType.Key()
-	j.cc = classiccloud.NewClient(j.env, j.ccCfg)
-	j.policy.MaxInstances = n
-	if j.policy.MinInstances > n {
-		j.policy.MinInstances = n
-	}
 	// Launch the winner, then LIFO-retire the losers. Old instances stop
 	// gracefully (current tasks finish and ack), so the switch loses no
 	// work; if the scheduler grants nothing (budget exhausted) the old
 	// fleet stays up and keeps draining — the re-plan only changes what
-	// launches next.
+	// launches next. Ledger entries journaled before launches were
+	// type-stamped have an empty Provider and count as the old type.
 	before := j.core.fleetSize()
 	j.scaleUpLocked(n, "re-plan to "+newType.Key())
 	if j.core.fleetSize() > before {
-		j.retireTypeLocked(oldProvider, oldName, "re-plan retire "+curKey)
-	}
-}
-
-// retireTypeLocked LIFO-retires every running instance of the given
-// type. Ledger entries journaled before launches were type-stamped have
-// empty Provider/Instance and count as the retired (pre-re-plan) type.
-// Same best-effort journaling discipline as scaleDownToLocked: the stop
-// must happen even when the journal is unreachable. Caller holds j.mu.
-func (j *Job) retireTypeLocked(provider, name, reason string) {
-	for i := len(j.core.Ledger) - 1; i >= 0; i-- {
-		le := j.core.Ledger[i]
-		if !le.running() {
-			continue
-		}
-		if le.Provider != "" && (le.Provider != provider || le.Instance != name) {
-			continue
-		}
-		ev := Event{
-			Type: EvScaledDown, Time: time.Now(), InstanceID: le.ID,
-			Fleet: j.core.fleetSize() - 1, Reason: reason,
-		}
-		_ = j.jl.append(ev)
-		_ = j.core.apply(ev)
-		j.broker.sched.release(j.Tenant, 1)
-		j.broker.met.scaledDown()
-		if inst := j.insts[le.ID]; inst != nil {
-			j.stopWG.Add(1)
-			go func(inst *classiccloud.Instance) {
-				defer j.stopWG.Done()
-				inst.Stop() // graceful: current tasks finish and ack
-			}(inst)
-		}
+		j.retireNewestLocked("re-plan retire "+curKey, func(le *ledgerEntry) bool {
+			return le.Provider == "" || (le.Provider == string(cur.Provider) && le.Instance == cur.Name)
+		})
 	}
 }

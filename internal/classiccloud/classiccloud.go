@@ -127,51 +127,15 @@ func (c Config) withDefaults() Config {
 	return c
 }
 
-// Queue and bucket names derived from the job name. Queue names use
+// TaskQueue returns the job's scheduling queue name. Queue names use
 // the job name as a placement-group prefix ("job/tasks"), so a sharded
 // queue deployment (internal/queue/shard) co-locates one job's task,
 // monitor, and dead-letter queues on a single shard and its queue
 // traffic never crosses shards.
-func (c Config) taskQueue() string    { return c.JobName + "/tasks" }
-func (c Config) monitorQueue() string { return c.JobName + "/monitor" }
-
-// TaskQueue returns the job's scheduling queue name (for layers, like
-// the elastic broker, that observe queue depth directly).
-func (c Config) TaskQueue() string { return c.taskQueue() }
+func (c Config) TaskQueue() string { return c.JobName + "/tasks" }
 
 // MonitorQueue returns the job's monitoring queue name.
-func (c Config) MonitorQueue() string { return c.monitorQueue() }
-
-// MonitorReport is one decoded monitoring-queue report.
-type MonitorReport struct {
-	TaskID   string
-	WorkerID int
-	Status   string // StatusDone or StatusDead
-	// ServiceTime is the worker-measured duration of the task pipeline
-	// (download → execute → upload), the per-task service time the
-	// paper's variability analysis distributes. Zero for dead-letter
-	// reports and for reports written before the field existed.
-	ServiceTime time.Duration
-	// InstanceType is the reporting instance's type key
-	// ("provider/name"); empty for reports from deployments that did
-	// not set Config.InstanceType.
-	InstanceType string
-}
-
-// ParseMonitorReport decodes one monitoring-queue report.
-func ParseMonitorReport(body []byte) (MonitorReport, error) {
-	var mm monitorMsg
-	if err := json.Unmarshal(body, &mm); err != nil {
-		return MonitorReport{}, fmt.Errorf("classiccloud: bad monitor message: %w", err)
-	}
-	return MonitorReport{
-		TaskID:       mm.TaskID,
-		WorkerID:     mm.WorkerID,
-		Status:       mm.Status,
-		ServiceTime:  time.Duration(mm.ServiceNS),
-		InstanceType: mm.InstanceType,
-	}, nil
-}
+func (c Config) MonitorQueue() string { return c.JobName + "/monitor" }
 
 // InputBucket returns the job's input bucket name.
 func (c Config) InputBucket() string { return c.JobName + "-input" }
@@ -187,18 +151,71 @@ const (
 	StatusDead = "dead"
 )
 
-// monitorMsg is the completion report workers push to the monitor queue.
-type monitorMsg struct {
+// MonitorReport is the completion report workers push to the monitor
+// queue, one JSON document per settled task.
+type MonitorReport struct {
 	TaskID   string `json:"task_id"`
 	WorkerID int    `json:"worker_id"`
 	Status   string `json:"status"` // StatusDone or StatusDead
-	// ServiceNS is the task's measured pipeline duration in nanoseconds
-	// (done reports only).
-	ServiceNS int64 `json:"service_ns,omitempty"`
-	// InstanceType is the reporting instance's type key (omitted when
-	// the deployment does not label itself; old reports parse the same).
+	// ServiceTime is the worker-measured duration of the task pipeline
+	// (download → execute → upload), the per-task service time the
+	// paper's variability analysis distributes. Zero for dead-letter
+	// reports and for reports written before the field existed.
+	ServiceTime time.Duration `json:"service_ns,omitempty"`
+	// InstanceType is the reporting instance's type key
+	// ("provider/name"); omitted by deployments that did not set
+	// Config.InstanceType, and old reports parse the same.
 	InstanceType string `json:"instance_type,omitempty"`
 }
+
+// Settlement is the one piece of coordination state a job has: which
+// tasks the monitoring queue has reported settled. It is a fold over
+// monitor reports, shared by the client that waits on a job in memory
+// (WaitForCompletion) and by the broker, whose journaled job record
+// embeds it (so the exported field names are part of the broker's
+// snapshot format).
+type Settlement struct {
+	Done map[string]bool
+	Dead map[string]bool
+	Dups int // tasks reported done more than once (re-execution)
+}
+
+// NewSettlement returns an empty fold.
+func NewSettlement() Settlement {
+	return Settlement{Done: make(map[string]bool), Dead: make(map[string]bool)}
+}
+
+// Settle folds one batch of reported task IDs. It is idempotent in the
+// set of settled tasks — a replayed report can be counted as a
+// duplicate but never lost and never settles a task twice.
+func (s *Settlement) Settle(done, dead []string) {
+	for _, id := range done {
+		if s.Done[id] {
+			s.Dups++
+		}
+		s.Done[id] = true
+	}
+	for _, id := range dead {
+		s.Dead[id] = true
+	}
+}
+
+// DeadOnly counts dead-lettered tasks that never completed. A task can
+// land in both sets (one delivery burned the receive cap while a slow
+// worker finished anyway); completion wins, so counts sum to the task
+// total.
+func (s *Settlement) DeadOnly() int {
+	n := 0
+	for id := range s.Dead {
+		if !s.Done[id] {
+			n++
+		}
+	}
+	return n
+}
+
+// Settled counts tasks with a terminal status (done or dead).
+func (s *Settlement) Settled() int { return len(s.Done) + s.DeadOnly() }
 
 // Client drives a Classic Cloud job: setup, submission, and completion
 // tracking.
@@ -214,7 +231,7 @@ func NewClient(env Env, cfg Config) *Client {
 
 // Setup creates the job's queues and buckets. It is idempotent.
 func (c *Client) Setup() error {
-	queues := []string{c.cfg.taskQueue(), c.cfg.monitorQueue()}
+	queues := []string{c.cfg.TaskQueue(), c.cfg.MonitorQueue()}
 	if c.cfg.DeadLetterQueue != "" {
 		queues = append(queues, c.cfg.DeadLetterQueue)
 	}
@@ -260,7 +277,7 @@ func (c *Client) SubmitFiles(files map[string][]byte) ([]Task, error) {
 			}
 			bodies = append(bodies, body)
 		}
-		if _, err := c.env.Queue.SendMessageBatch(c.cfg.taskQueue(), bodies); err != nil {
+		if _, err := c.env.Queue.SendMessageBatch(c.cfg.TaskQueue(), bodies); err != nil {
 			return nil, fmt.Errorf("classiccloud: enqueueing %s..%s: %w",
 				batch[0].ID, batch[len(batch)-1].ID, err)
 		}
@@ -268,26 +285,12 @@ func (c *Client) SubmitFiles(files map[string][]byte) ([]Task, error) {
 	return tasks, nil
 }
 
-// Reattach re-adopts a previously submitted job from its task IDs: it
-// recreates any missing queues and buckets (Setup is idempotent) and
-// reconstructs the task set from the deterministic naming convention
-// SubmitFiles uses — WITHOUT re-uploading inputs or re-enqueueing task
-// messages. Messages already in the task queue keep their receive
-// counts and leases, and completion reports waiting in the monitor
-// queue are preserved, so a recovering controller (the journaled
-// broker) resumes monitoring exactly where the dead one stopped.
-func (c *Client) Reattach(taskIDs []string) ([]Task, error) {
-	if err := c.Setup(); err != nil {
-		return nil, err
-	}
-	return c.cfg.TasksFromIDs(taskIDs), nil
-}
-
 // TasksFromIDs reconstructs the task set SubmitFiles created for these
 // IDs from the deterministic naming convention (input key = ID, output
 // key = ID + ".out"). It is the single definition of that convention:
-// SubmitFiles, Reattach, and recovering controllers all agree through
-// it.
+// SubmitFiles and recovering controllers agree through it, so a job is
+// re-adopted from its task IDs alone — Setup is idempotent, and nothing
+// is re-uploaded or re-enqueued.
 func (c Config) TasksFromIDs(taskIDs []string) []Task {
 	tasks := make([]Task, len(taskIDs))
 	for i, id := range taskIDs {
@@ -311,93 +314,88 @@ type Report struct {
 	QueueRequests int64
 }
 
+// DrainMonitor moves one batch of completion reports off the monitoring
+// queue: receive (long-polling up to wait), decode, hand the reports to
+// settle, and — only when settle accepts them — acknowledge the batch
+// with one delete. Settlement strictly precedes deletion, so a consumer
+// that dies (or refuses the batch) between the two sees the reports
+// again after the visibility timeout; Settlement folds the replay
+// idempotently. It returns how many messages were consumed: 0 with a
+// nil error means the queue was empty or settle refused, an error with
+// a positive count means the batch is settled but (part of) its delete
+// failed and will redeliver.
+func (c *Client) DrainMonitor(wait time.Duration, settle func([]MonitorReport) bool) (int, error) {
+	qn := c.cfg.MonitorQueue()
+	msgs, err := c.env.Queue.ReceiveMessageBatch(qn, c.cfg.VisibilityTimeout, queue.MaxBatch, wait)
+	if err != nil || len(msgs) == 0 {
+		return 0, err
+	}
+	// Decode before deleting: a received body is the queue's stored
+	// buffer, which an in-process service recycles on delete.
+	receipts := make([]string, len(msgs))
+	reports := make([]MonitorReport, 0, len(msgs))
+	for i, m := range msgs {
+		receipts[i] = m.ReceiptHandle
+		var rep MonitorReport
+		// A corrupt report is skipped (and deleted) rather than allowed to
+		// abort the valid completions travelling alongside it.
+		if json.Unmarshal(m.Body, &rep) == nil && rep.TaskID != "" {
+			reports = append(reports, rep)
+		}
+	}
+	if !settle(reports) {
+		return 0, nil
+	}
+	_, err = c.env.Queue.DeleteMessageBatch(qn, receipts)
+	return len(msgs), err
+}
+
 // WaitForCompletion drains the monitoring queue until every task has
 // reported a terminal status — done (verifying outputs exist) or dead
 // (parked on the dead-letter queue) — or the timeout expires.
 func (c *Client) WaitForCompletion(tasks []Task, timeout time.Duration) (Report, error) {
 	start := time.Now()
 	deadline := start.Add(timeout)
-	done := make(map[string]bool, len(tasks))
-	dead := make(map[string]bool)
-	dups := 0
-	// deadOnly excludes tasks that were both dead-lettered and completed
-	// (one delivery burned the receive cap while a slow worker finished
-	// anyway); completion wins so counts sum to the task total.
-	deadOnly := func() int {
-		n := 0
-		for id := range dead {
-			if !done[id] {
-				n++
-			}
-		}
-		return n
+	s := NewSettlement()
+	report := func() Report {
+		return Report{Completed: len(s.Done), DeadLettered: s.DeadOnly(), Duplicates: s.Dups, Elapsed: time.Since(start)}
 	}
-	settled := func() int { return len(done) + deadOnly() }
-	for settled() < len(tasks) {
+	for s.Settled() < len(tasks) {
 		if time.Now().After(deadline) {
-			return Report{Completed: len(done), DeadLettered: deadOnly(), Duplicates: dups, Elapsed: time.Since(start)},
-				fmt.Errorf("classiccloud: timeout after %v with %d/%d tasks complete",
-					timeout, settled(), len(tasks))
+			return report(), fmt.Errorf("classiccloud: timeout after %v with %d/%d tasks complete",
+				timeout, s.Settled(), len(tasks))
 		}
-		// Long-poll a batch of completion reports and acknowledge them
-		// with one delete call, instead of one receive + one delete per
-		// report plus an idle sleep loop.
-		msgs, err := c.env.Queue.ReceiveMessageBatch(
-			c.cfg.monitorQueue(), time.Minute, queue.MaxBatch, longPollWait)
+		// An empty long poll has already waited; just re-check the deadline.
+		_, err := c.DrainMonitor(longPollWait, func(reports []MonitorReport) bool {
+			var done, dead []string
+			for _, rep := range reports {
+				if rep.Status == StatusDead {
+					dead = append(dead, rep.TaskID)
+				} else {
+					done = append(done, rep.TaskID)
+				}
+			}
+			s.Settle(done, dead)
+			return true
+		})
 		if err != nil {
 			return Report{}, err
-		}
-		if len(msgs) == 0 {
-			continue // the long poll already waited
-		}
-		// Decode before deleting: a received body is the queue's stored
-		// buffer, which an in-process service recycles on delete.
-		receipts := make([]string, len(msgs))
-		reports := make([]monitorMsg, len(msgs))
-		for i, m := range msgs {
-			receipts[i] = m.ReceiptHandle
-			if err := json.Unmarshal(m.Body, &reports[i]); err != nil {
-				// Corrupt report: skip it rather than abort, which would
-				// discard the valid completions travelling alongside it.
-				reports[i] = monitorMsg{}
-			}
-		}
-		results, err := c.env.Queue.DeleteMessageBatch(c.cfg.monitorQueue(), receipts)
-		if err != nil {
-			return Report{}, err
-		}
-		for i, mm := range reports {
-			if results[i] != nil || mm.TaskID == "" {
-				continue // redelivered (counted once via the map) or corrupt
-			}
-			if mm.Status == StatusDead {
-				dead[mm.TaskID] = true
-				continue
-			}
-			if done[mm.TaskID] {
-				dups++
-			}
-			done[mm.TaskID] = true
 		}
 	}
 	// Verify all completed outputs are present (consistent read: the
 	// client retries until visible in a real deployment). Dead-lettered
 	// tasks produced no output by definition.
 	for _, t := range tasks {
-		if dead[t.ID] && !done[t.ID] {
+		if s.Dead[t.ID] && !s.Done[t.ID] {
 			continue
 		}
 		if ok, err := c.env.Blob.Exists(t.OutputBucket, t.OutputKey); err != nil || !ok {
 			return Report{}, fmt.Errorf("classiccloud: output %s missing after completion", t.OutputKey)
 		}
 	}
-	return Report{
-		Completed:     len(done),
-		DeadLettered:  deadOnly(),
-		Duplicates:    dups,
-		Elapsed:       time.Since(start),
-		QueueRequests: c.env.Queue.APIRequests(),
-	}, nil
+	rep := report()
+	rep.QueueRequests = c.env.Queue.APIRequests()
+	return rep, nil
 }
 
 // CollectOutputs downloads every task output.
@@ -434,6 +432,9 @@ type InstanceStats struct {
 	ExecErrors     atomic.Int64
 	StaleDeletes   atomic.Int64 // task finished by us but lease had expired
 	DownloadRetrys atomic.Int64
+	// ReportErrors counts monitor-queue sends that failed; the tasks they
+	// covered were left unacknowledged to be redelivered and re-reported.
+	ReportErrors atomic.Int64
 	// BusyNanos accumulates wall time workers spent inside the task
 	// pipeline (download → execute → upload), the numerator of fleet
 	// utilization.
@@ -493,7 +494,7 @@ func (inst *Instance) workerLoop(workerID int) {
 		// wakes when a task arrives or a lease expires, instead of
 		// burning a receive request every few milliseconds.
 		msgs, err := inst.env.Queue.ReceiveMessageBatch(
-			inst.cfg.taskQueue(), inst.cfg.VisibilityTimeout,
+			inst.cfg.TaskQueue(), inst.cfg.VisibilityTimeout,
 			receiveBatch, longPollWait)
 		if err != nil {
 			select {
@@ -546,12 +547,11 @@ func (inst *Instance) processBatch(workerID int, msgs []queue.Message) {
 		taskStart := time.Now()
 		if inst.processTask(workerID, task) {
 			ackReceipts = append(ackReceipts, m.ReceiptHandle)
-			mm, _ := json.Marshal(monitorMsg{
+			reports = append(reports, encodeReport(MonitorReport{
 				TaskID: task.ID, WorkerID: workerID, Status: StatusDone,
-				ServiceNS:    int64(time.Since(taskStart)),
+				ServiceTime:  time.Since(taskStart),
 				InstanceType: inst.cfg.InstanceType,
-			})
-			reports = append(reports, mm)
+			}))
 		} else {
 			// The task was not acknowledged (failure, crash injection, or
 			// preemption): stop renewing its lease so the visibility
@@ -560,17 +560,22 @@ func (inst *Instance) processBatch(workerID int, msgs []queue.Message) {
 			renew.remove(m.ReceiptHandle)
 		}
 	}
-	// Report BEFORE deleting: a crash between the two then redelivers
-	// the task — re-executed (idempotent) and re-reported (the broker's
-	// fold drops settled repeats) — instead of silently losing the
-	// settlement of a deleted task, which no retry would ever repair.
+	// Report BEFORE deleting, and delete only what was reported: a crash
+	// or a failed send between the two then redelivers the task —
+	// re-executed (idempotent) and re-reported (the settlement fold
+	// counts the repeat) — instead of silently losing the settlement of
+	// a deleted task, which no retry would ever repair.
 	for start := 0; start < len(reports); start += queue.MaxBatch {
 		end := min(start+queue.MaxBatch, len(reports))
-		_, _ = inst.env.Queue.SendMessageBatch(inst.cfg.monitorQueue(), reports[start:end])
-	}
-	for start := 0; start < len(ackReceipts); start += queue.MaxBatch {
-		end := min(start+queue.MaxBatch, len(ackReceipts))
-		results, err := inst.env.Queue.DeleteMessageBatch(inst.cfg.taskQueue(), ackReceipts[start:end])
+		acks := ackReceipts[start:end]
+		if _, err := inst.env.Queue.SendMessageBatch(inst.cfg.MonitorQueue(), reports[start:end]); err != nil {
+			inst.stats.ReportErrors.Add(1)
+			for _, receipt := range acks {
+				renew.remove(receipt)
+			}
+			continue
+		}
+		results, err := inst.env.Queue.DeleteMessageBatch(inst.cfg.TaskQueue(), acks)
 		if err != nil {
 			continue
 		}
@@ -585,26 +590,37 @@ func (inst *Instance) processBatch(workerID int, msgs []queue.Message) {
 	}
 }
 
-// deadLetter removes a poison message from the task queue, parks its
-// body on the dead-letter queue (when configured), and reports the task
-// dead on the monitor queue so clients stop waiting for it.
+// encodeReport renders one monitor-queue report (a struct of strings
+// and integers: Marshal cannot fail).
+func encodeReport(rep MonitorReport) []byte {
+	body, _ := json.Marshal(rep)
+	return body
+}
+
+// deadLetter parks a poison message's body on the dead-letter queue
+// (when configured), reports the task dead on the monitor queue so
+// clients stop waiting for it, and only then removes the message from
+// the task queue — the same report-before-delete order as processBatch.
+// Any step failing leaves the message to be redelivered and
+// dead-lettered again; the settlement fold absorbs a repeated report.
 func (inst *Instance) deadLetter(workerID int, taskID string, m queue.Message) {
 	if inst.cfg.DeadLetterQueue != "" {
 		if _, err := inst.env.Queue.SendMessage(inst.cfg.DeadLetterQueue, m.Body); err != nil {
-			// Keep the message in the task queue rather than lose it:
-			// it will be redelivered and dead-lettering retried.
 			return
 		}
 	}
-	if err := inst.env.Queue.DeleteMessage(inst.cfg.taskQueue(), m.ReceiptHandle); err != nil {
+	if taskID != "" {
+		dead := encodeReport(MonitorReport{TaskID: taskID, WorkerID: workerID, Status: StatusDead})
+		if _, err := inst.env.Queue.SendMessage(inst.cfg.MonitorQueue(), dead); err != nil {
+			inst.stats.ReportErrors.Add(1)
+			return
+		}
+	}
+	if err := inst.env.Queue.DeleteMessage(inst.cfg.TaskQueue(), m.ReceiptHandle); err != nil {
 		inst.stats.StaleDeletes.Add(1)
 		return
 	}
 	inst.stats.DeadLettered.Add(1)
-	if taskID != "" {
-		mm, _ := json.Marshal(monitorMsg{TaskID: taskID, WorkerID: workerID, Status: StatusDead})
-		_, _ = inst.env.Queue.SendMessage(inst.cfg.monitorQueue(), mm)
-	}
 }
 
 // processTask is the worker pipeline of Figure 1: download → execute →
@@ -695,7 +711,7 @@ func (inst *Instance) startLeaseRenewer(receipts []string, heartbeat time.Durati
 				r.mu.Unlock()
 				for _, receipt := range live {
 					if err := inst.env.Queue.ChangeVisibility(
-						inst.cfg.taskQueue(), receipt, inst.cfg.VisibilityTimeout); err != nil {
+						inst.cfg.TaskQueue(), receipt, inst.cfg.VisibilityTimeout); err != nil {
 						r.mu.Lock()
 						delete(r.receipts, receipt)
 						r.mu.Unlock()

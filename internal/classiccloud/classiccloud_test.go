@@ -2,6 +2,7 @@ package classiccloud
 
 import (
 	"bytes"
+	"encoding/json"
 	"errors"
 	"fmt"
 	"strings"
@@ -395,8 +396,8 @@ func TestMonitorReportCarriesInstanceType(t *testing.T) {
 		}
 	}
 	inst.Stop()
-	rep, err := ParseMonitorReport(msgs[0].Body)
-	if err != nil {
+	var rep MonitorReport
+	if err := json.Unmarshal(msgs[0].Body, &rep); err != nil {
 		t.Fatal(err)
 	}
 	if rep.InstanceType != "aws/Large" {
@@ -408,8 +409,8 @@ func TestMonitorReportCarriesInstanceType(t *testing.T) {
 
 	// Old-format report: no instance_type key at all.
 	old := []byte(`{"task_id":"t1","worker_id":3,"status":"done","service_ns":42}`)
-	rep, err = ParseMonitorReport(old)
-	if err != nil {
+	rep = MonitorReport{}
+	if err := json.Unmarshal(old, &rep); err != nil {
 		t.Fatalf("old report failed to parse: %v", err)
 	}
 	if rep.InstanceType != "" {

@@ -359,13 +359,3 @@ func (m *Model) Interpolate(points []float64, dims int) ([]float64, error) {
 	}
 	return out, nil
 }
-
-// LogLikelihood evaluates the model likelihood of a data set.
-func (m *Model) LogLikelihood(data []float64, dims int) (float64, error) {
-	if dims != m.D {
-		return 0, fmt.Errorf("gtm: dims %d != model dims %d", dims, m.D)
-	}
-	x := &linalg.Matrix{Rows: len(data) / dims, Cols: dims, Data: data}
-	_, logL, err := responsibilities(m, x)
-	return logL, err
-}
