@@ -70,11 +70,11 @@ func main() {
 	}
 	totalContigs := 0
 	for name, out := range res.Outputs {
-		recs, err := fasta.ParseBytes(out)
+		n, err := fasta.CountRecords(out)
 		if err != nil {
 			log.Fatalf("%s: bad output: %v", name, err)
 		}
-		totalContigs += len(recs)
+		totalContigs += n
 	}
 	fmt.Printf("assembled %d contigs across %d files\n", totalContigs, len(res.Outputs))
 }

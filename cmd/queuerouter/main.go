@@ -30,9 +30,10 @@
 //
 //	GET    /admin/shards               data: {"shards":[…],"groups":[…],
 //	                                   "splits":{…},"standbys":[…],
-//	                                   "failovers":N,"autoscale":{…}} —
-//	                                   placement, billing, load, weights,
-//	                                   replication, and policy status
+//	                                   "standby_lag":{…},"failovers":N,
+//	                                   "autoscale":{…}} — placement,
+//	                                   billing, load, weights, replication
+//	                                   (journal bytes behind), policy
 //	PUT    /admin/shards/{id}?url=U    add a shard (migrates ≈1/N of queue groups)
 //	DELETE /admin/shards/{id}          retire a shard (migrates its queues)
 //	POST   /admin/rebalance            retry migrations the ring implies
@@ -116,6 +117,7 @@ import (
 	"sort"
 	"strconv"
 	"strings"
+	"sync"
 	"time"
 
 	"repro/internal/blob"
@@ -195,9 +197,15 @@ type adminHandler struct {
 	// auto is the shard-fleet autoscaler when -autoscale is set; its
 	// status rides along on GET /admin/shards.
 	auto *shard.Autoscaler
+	// followers are the -replicate standbys by shard id; GET /admin/shards
+	// reports how far each still-registered one is behind its primary.
+	followers map[string]*queue.Follower
 	// transferToken authorizes shards added at runtime for
 	// count-preserving transfers.
 	transferToken string
+
+	once sync.Once
+	mux  *http.ServeMux
 }
 
 // adminV versions the admin envelope; bump it only on a breaking
@@ -221,34 +229,25 @@ type adminError struct {
 	Message string `json:"message"`
 }
 
-// adminErrCode maps queue and shard error sentinels onto envelope
-// codes and HTTP statuses. Anything unrecognized is an upstream
-// failure ("internal", 502) — the admin request itself was valid.
-func adminErrCode(err error) (string, int) {
-	switch {
-	case errors.Is(err, queue.ErrNoSuchQueue):
-		return "no_such_queue", http.StatusNotFound
-	case errors.Is(err, shard.ErrNoSuchShard):
-		return "no_such_shard", http.StatusNotFound
-	case errors.Is(err, shard.ErrShardExists):
-		return "shard_exists", http.StatusConflict
-	case errors.Is(err, shard.ErrNoStandby):
-		return "no_standby", http.StatusConflict
-	case errors.Is(err, shard.ErrGroupPinned):
-		return "group_pinned", http.StatusConflict
-	case errors.Is(err, shard.ErrNoShards):
-		return "no_shards", http.StatusConflict
-	case errors.Is(err, shard.ErrBadShardID):
-		return "bad_shard_id", http.StatusBadRequest
-	case errors.Is(err, shard.ErrBadGroup):
-		return "bad_group", http.StatusBadRequest
-	case errors.Is(err, shard.ErrBadSplit):
-		return "bad_split", http.StatusBadRequest
-	case errors.Is(err, queue.ErrHalted):
-		return "shard_halted", http.StatusBadGateway
-	default:
-		return "internal", http.StatusBadGateway
-	}
+// adminErrCodes maps queue and shard error sentinels onto envelope
+// codes and HTTP statuses, first match wins. Anything unrecognized is an
+// upstream failure ("internal", 502) — the admin request itself was
+// valid.
+var adminErrCodes = []struct {
+	err    error
+	code   string
+	status int
+}{
+	{queue.ErrNoSuchQueue, "no_such_queue", http.StatusNotFound},
+	{shard.ErrNoSuchShard, "no_such_shard", http.StatusNotFound},
+	{shard.ErrShardExists, "shard_exists", http.StatusConflict},
+	{shard.ErrNoStandby, "no_standby", http.StatusConflict},
+	{shard.ErrGroupPinned, "group_pinned", http.StatusConflict},
+	{shard.ErrNoShards, "no_shards", http.StatusConflict},
+	{shard.ErrBadShardID, "bad_shard_id", http.StatusBadRequest},
+	{shard.ErrBadGroup, "bad_group", http.StatusBadRequest},
+	{shard.ErrBadSplit, "bad_split", http.StatusBadRequest},
+	{queue.ErrHalted, "shard_halted", http.StatusBadGateway},
 }
 
 // writeAdmin answers the success envelope. A nil data is legal — the
@@ -257,13 +256,6 @@ func writeAdmin(w http.ResponseWriter, status int, data any) {
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(status)
 	_ = json.NewEncoder(w).Encode(adminResponse{V: adminV, OK: true, Data: data})
-}
-
-// writeAdminErr answers the failure envelope for a backend error,
-// mapping it through adminErrCode.
-func writeAdminErr(w http.ResponseWriter, err error) {
-	code, status := adminErrCode(err)
-	writeAdminFail(w, status, code, err.Error())
 }
 
 // writeAdminFail answers the failure envelope with an explicit code,
@@ -277,156 +269,171 @@ func writeAdminFail(w http.ResponseWriter, status int, code, msg string) {
 // adminShardsView is the GET /admin/shards data payload: both
 // placement axes plus replication and live policy state.
 type adminShardsView struct {
-	Shards    []shard.ShardStat      `json:"shards"`
-	Groups    []shard.GroupStat      `json:"groups"`
-	Splits    map[string]int         `json:"splits"`
-	Standbys  []string               `json:"standbys"`
-	Failovers int64                  `json:"failovers"`
-	Autoscale *shard.AutoscaleStatus `json:"autoscale,omitempty"`
+	Shards     []shard.ShardStat      `json:"shards"`
+	Groups     []shard.GroupStat      `json:"groups"`
+	Splits     map[string]int         `json:"splits"`
+	Standbys   []string               `json:"standbys"`
+	StandbyLag map[string]standbyLag  `json:"standby_lag,omitempty"`
+	Failovers  int64                  `json:"failovers"`
+	Autoscale  *shard.AutoscaleStatus `json:"autoscale,omitempty"`
+}
+
+// standbyLag is the journal bytes one standby is behind its primary;
+// Error is its latest catch-up failure (the lag is then not shrinking).
+type standbyLag struct {
+	Bytes int64  `json:"bytes"`
+	Error string `json:"error,omitempty"`
+}
+
+// init builds the admin route table, as queue.HTTPHandler does the queue
+// face's. Each path also gets a method-less twin, less specific than its
+// method patterns, and "/" catches the rest: a wrong method and an unknown
+// path answer the JSON envelope, not the mux's plain text.
+func (h *adminHandler) init() {
+	h.mux = http.NewServeMux()
+	type methods map[string]http.HandlerFunc
+	route := func(path string, serve methods) {
+		for method, fn := range serve {
+			h.mux.HandleFunc(method+" "+path, fn)
+		}
+		h.mux.HandleFunc(path, func(w http.ResponseWriter, _ *http.Request) {
+			writeAdminFail(w, http.StatusMethodNotAllowed, "method_not_allowed", "unsupported method for path")
+		})
+	}
+	route("/admin/rebalance", methods{"POST": h.serveRebalance})
+	route("/admin/failover", methods{"POST": h.serveFailover})
+	route("/admin/regroup", methods{"POST": h.serveRegroup})
+	route("/admin/split", methods{"POST": h.serveSplit})
+	route("/admin/shards", methods{"GET": h.serveShards})
+	route("/admin/shards/{$}", methods{"GET": h.serveShards})
+	route("/admin/shards/{id}", methods{"PUT": h.serveAddShard, "DELETE": h.serveRemoveShard})
+	h.mux.HandleFunc("/", func(w http.ResponseWriter, _ *http.Request) {
+		writeAdminFail(w, http.StatusNotFound, "not_found", "unknown admin endpoint")
+	})
 }
 
 func (h *adminHandler) ServeHTTP(w http.ResponseWriter, r *http.Request) {
-	if r.URL.Path == "/admin/rebalance" {
-		if r.Method != http.MethodPost {
-			writeAdminFail(w, http.StatusMethodNotAllowed, "method_not_allowed", "POST required")
-			return
+	h.once.Do(h.init)
+	h.mux.ServeHTTP(w, r)
+}
+
+// reply finishes a topology operation: the failure envelope for its
+// error, mapped through adminErrCodes, otherwise one log line and the
+// success envelope.
+func reply(w http.ResponseWriter, err error, status int, data any, format string, args ...any) {
+	if err != nil {
+		code, status := "internal", http.StatusBadGateway
+		for _, c := range adminErrCodes {
+			if errors.Is(err, c.err) {
+				code, status = c.code, c.status
+				break
+			}
 		}
-		if err := h.router.Rebalance(); err != nil {
-			writeAdminErr(w, err)
-			return
-		}
-		log.Printf("queuerouter: rebalanced")
-		writeAdmin(w, http.StatusOK, nil)
+		writeAdminFail(w, status, code, err.Error())
 		return
 	}
-	if r.URL.Path == "/admin/failover" {
-		if r.Method != http.MethodPost {
-			writeAdminFail(w, http.StatusMethodNotAllowed, "method_not_allowed", "POST required")
-			return
-		}
-		id := r.URL.Query().Get("shard")
-		if id == "" {
-			writeAdminFail(w, http.StatusBadRequest, "bad_request", "missing shard parameter")
-			return
-		}
-		if err := h.router.Failover(id); err != nil {
-			writeAdminErr(w, err)
-			return
-		}
-		log.Printf("queuerouter: failed over shard %q to its standby", id)
-		writeAdmin(w, http.StatusOK, map[string]string{"shard": id})
+	log.Printf("queuerouter: "+format, args...)
+	writeAdmin(w, status, data)
+}
+
+func (h *adminHandler) serveRebalance(w http.ResponseWriter, _ *http.Request) {
+	reply(w, h.router.Rebalance(), http.StatusOK, nil, "rebalanced")
+}
+
+func (h *adminHandler) serveFailover(w http.ResponseWriter, r *http.Request) {
+	id := r.URL.Query().Get("shard")
+	if id == "" {
+		writeAdminFail(w, http.StatusBadRequest, "bad_request", "missing shard parameter")
 		return
 	}
-	if r.URL.Path == "/admin/regroup" {
-		if r.Method != http.MethodPost {
-			writeAdminFail(w, http.StatusMethodNotAllowed, "method_not_allowed", "POST required")
-			return
-		}
-		queueName := r.URL.Query().Get("queue")
-		prefix := r.URL.Query().Get("prefix")
-		group := r.URL.Query().Get("group")
-		if (queueName == "") == (prefix == "") {
-			writeAdminFail(w, http.StatusBadRequest, "bad_request", "need exactly one of queue= or prefix=")
-			return
-		}
-		if prefix != "" {
-			matched, err := h.router.RegroupPrefix(prefix, group)
-			if err != nil {
-				writeAdminErr(w, err)
-				return
-			}
-			log.Printf("queuerouter: regrouped %d queue(s) with prefix %q into %q", matched, prefix, group)
-			writeAdmin(w, http.StatusOK, map[string]int{"matched": matched})
-			return
-		}
-		if err := h.router.Regroup(queueName, group); err != nil {
-			writeAdminErr(w, err)
-			return
-		}
-		log.Printf("queuerouter: regrouped %q into %q", queueName, group)
-		writeAdmin(w, http.StatusOK, map[string]string{"queue": queueName, "group": group})
+	reply(w, h.router.Failover(id), http.StatusOK, map[string]string{"shard": id}, "failed over shard %q to its standby", id)
+}
+
+func (h *adminHandler) serveRegroup(w http.ResponseWriter, r *http.Request) {
+	q := r.URL.Query()
+	queueName, prefix, group := q.Get("queue"), q.Get("prefix"), q.Get("group")
+	if (queueName == "") == (prefix == "") {
+		writeAdminFail(w, http.StatusBadRequest, "bad_request", "need exactly one of queue= or prefix=")
 		return
 	}
-	if r.URL.Path == "/admin/split" {
-		if r.Method != http.MethodPost {
-			writeAdminFail(w, http.StatusMethodNotAllowed, "method_not_allowed", "POST required")
-			return
-		}
-		group := r.URL.Query().Get("group")
-		if group == "" {
-			writeAdminFail(w, http.StatusBadRequest, "bad_request", "missing group parameter")
-			return
-		}
-		if pinStr := r.URL.Query().Get("pin"); pinStr != "" {
-			pin, err := strconv.ParseBool(pinStr)
-			if err != nil {
-				writeAdminFail(w, http.StatusBadRequest, "bad_request", "bad pin parameter")
-				return
-			}
-			if err := h.router.PinGroup(group, pin); err != nil {
-				writeAdminErr(w, err)
-				return
-			}
-			log.Printf("queuerouter: group %q pinned=%v", group, pin)
-			writeAdmin(w, http.StatusOK, map[string]any{"group": group, "pinned": pin})
-			return
-		}
-		k, err := strconv.Atoi(r.URL.Query().Get("k"))
+	if prefix != "" {
+		matched, err := h.router.RegroupPrefix(prefix, group)
+		reply(w, err, http.StatusOK, map[string]int{"matched": matched},
+			"regrouped %d queue(s) with prefix %q into %q", matched, prefix, group)
+		return
+	}
+	reply(w, h.router.Regroup(queueName, group), http.StatusOK, map[string]string{"queue": queueName, "group": group},
+		"regrouped %q into %q", queueName, group)
+}
+
+func (h *adminHandler) serveSplit(w http.ResponseWriter, r *http.Request) {
+	group := r.URL.Query().Get("group")
+	if group == "" {
+		writeAdminFail(w, http.StatusBadRequest, "bad_request", "missing group parameter")
+		return
+	}
+	if pinStr := r.URL.Query().Get("pin"); pinStr != "" {
+		pin, err := strconv.ParseBool(pinStr)
 		if err != nil {
-			writeAdminFail(w, http.StatusBadRequest, "bad_request", "bad or missing k parameter")
+			writeAdminFail(w, http.StatusBadRequest, "bad_request", "bad pin parameter")
 			return
 		}
-		if err := h.router.SplitGroup(group, k); err != nil {
-			writeAdminErr(w, err)
-			return
-		}
-		log.Printf("queuerouter: group %q split to %d sub-arc(s)", group, k)
-		writeAdmin(w, http.StatusOK, map[string]any{"group": group, "k": k})
+		reply(w, h.router.PinGroup(group, pin), http.StatusOK, map[string]any{"group": group, "pinned": pin},
+			"group %q pinned=%v", group, pin)
 		return
 	}
-	rest, ok := strings.CutPrefix(r.URL.Path, "/admin/shards")
-	if !ok {
-		writeAdminFail(w, http.StatusNotFound, "not_found", "unknown admin endpoint")
+	k, err := strconv.Atoi(r.URL.Query().Get("k"))
+	if err != nil {
+		writeAdminFail(w, http.StatusBadRequest, "bad_request", "bad or missing k parameter")
 		return
 	}
-	rest = strings.TrimPrefix(rest, "/")
-	switch {
-	case rest == "" && r.Method == http.MethodGet:
-		view := adminShardsView{
-			Shards:    h.router.Stats(),
-			Groups:    h.router.GroupStats(),
-			Splits:    h.router.Splits(),
-			Standbys:  h.router.Standbys(),
-			Failovers: h.router.Failovers(),
-		}
-		if h.auto != nil {
-			st := h.auto.Status()
-			view.Autoscale = &st
-		}
-		writeAdmin(w, http.StatusOK, view)
-	case rest != "" && r.Method == http.MethodPut:
-		url := r.URL.Query().Get("url")
-		if url == "" {
-			writeAdminFail(w, http.StatusBadRequest, "bad_request", "missing url parameter")
-			return
-		}
-		backend, desc := dialShard(url, h.transferToken, h.metrics)
-		if err := h.router.AddShard(rest, backend); err != nil {
-			writeAdminErr(w, err)
-			return
-		}
-		log.Printf("queuerouter: added shard %q at %s", rest, desc)
-		writeAdmin(w, http.StatusCreated, map[string]string{"shard": rest, "backend": desc})
-	case rest != "" && r.Method == http.MethodDelete:
-		if err := h.router.RemoveShard(rest); err != nil {
-			writeAdminErr(w, err)
-			return
-		}
-		log.Printf("queuerouter: retired shard %q", rest)
-		writeAdmin(w, http.StatusOK, map[string]string{"shard": rest})
-	default:
-		writeAdminFail(w, http.StatusMethodNotAllowed, "method_not_allowed", "unsupported method for path")
+	reply(w, h.router.SplitGroup(group, k), http.StatusOK, map[string]any{"group": group, "k": k},
+		"group %q split to %d sub-arc(s)", group, k)
+}
+
+// serveShards answers the placement view from one router snapshot: one
+// pass over the routes, one depth probe per queue copy.
+func (h *adminHandler) serveShards(w http.ResponseWriter, _ *http.Request) {
+	snap := h.router.Snapshot()
+	view := adminShardsView{
+		Shards:     snap.Shards,
+		Groups:     snap.Groups,
+		Splits:     h.router.Splits(),
+		Standbys:   h.router.Standbys(),
+		StandbyLag: make(map[string]standbyLag),
+		Failovers:  h.router.Failovers(),
 	}
+	for _, id := range view.Standbys {
+		if f := h.followers[id]; f != nil {
+			lag := standbyLag{}
+			var err error
+			if lag.Bytes, err = f.Lag(); err != nil {
+				lag.Error = err.Error()
+			}
+			view.StandbyLag[id] = lag
+		}
+	}
+	if h.auto != nil {
+		st := h.auto.Status()
+		view.Autoscale = &st
+	}
+	writeAdmin(w, http.StatusOK, view)
+}
+
+func (h *adminHandler) serveAddShard(w http.ResponseWriter, r *http.Request) {
+	id, url := r.PathValue("id"), r.URL.Query().Get("url")
+	if url == "" {
+		writeAdminFail(w, http.StatusBadRequest, "bad_request", "missing url parameter")
+		return
+	}
+	backend, desc := dialShard(url, h.transferToken, h.metrics)
+	reply(w, h.router.AddShard(id, backend), http.StatusCreated, map[string]string{"shard": id, "backend": desc},
+		"added shard %q at %s", id, desc)
+}
+
+func (h *adminHandler) serveRemoveShard(w http.ResponseWriter, r *http.Request) {
+	id := r.PathValue("id")
+	reply(w, h.router.RemoveShard(id), http.StatusOK, map[string]string{"shard": id}, "retired shard %q", id)
 }
 
 func main() {
@@ -507,6 +514,7 @@ func main() {
 	if *durable {
 		journalStore = blob.NewStore(blob.Config{Metrics: reg})
 	}
+	followers := make(map[string]*queue.Follower)
 	for i := 0; i < *local; i++ {
 		id := fmt.Sprintf("local%d", i)
 		cfg := queue.Config{
@@ -548,6 +556,7 @@ func main() {
 			if err := router.SetStandby(id, follower.PromoteAPI); err != nil {
 				log.Fatalf("queuerouter: standby for shard %q: %v", id, err)
 			}
+			followers[id] = follower
 		}
 		switch {
 		case *replicate:
@@ -574,11 +583,13 @@ func main() {
 			log.Fatalf("queuerouter: -autoscale-reserve: %v", err)
 		}
 		var reserve []shard.ReserveShard
-		for _, id := range sortedStringKeys(reserves) {
-			backend, desc := dialShard(reserves[id], presentToken, reg)
+		for id, url := range reserves {
+			backend, desc := dialShard(url, presentToken, reg)
 			reserve = append(reserve, shard.ReserveShard{ID: id, Backend: backend})
 			log.Printf("queuerouter: reserve shard %q -> %s", id, desc)
 		}
+		// Reserve shards join the ring in a stable order across restarts.
+		sort.Slice(reserve, func(i, j int) bool { return reserve[i].ID < reserve[j].ID })
 		var factory shard.ShardFactory
 		if *local > 0 {
 			// Local mode can mint capacity on demand; a remote-only
@@ -614,7 +625,7 @@ func main() {
 		mux.HandleFunc("/debug/pprof/trace", pprof.Trace)
 		log.Printf("queuerouter: pprof enabled on /debug/pprof/")
 	}
-	mux.Handle("/admin/", &adminHandler{router: router, metrics: reg, auto: auto, transferToken: presentToken})
+	mux.Handle("/admin/", &adminHandler{router: router, metrics: reg, auto: auto, followers: followers, transferToken: presentToken})
 	qh := &queue.HTTPHandler{
 		Service:     router,
 		AdminTokens: tokens,
@@ -640,17 +651,6 @@ func main() {
 	if err := http.ListenAndServe(*addr, mux); err != nil {
 		log.Fatal(err)
 	}
-}
-
-// sortedStringKeys orders a map's keys so reserve shards join the ring
-// in a stable order across restarts.
-func sortedStringKeys(m map[string]string) []string {
-	out := make([]string, 0, len(m))
-	for k := range m {
-		out = append(out, k)
-	}
-	sort.Strings(out)
-	return out
 }
 
 // splitTokens decodes the comma-separated -transfer-token list, dropping

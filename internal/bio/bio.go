@@ -138,13 +138,13 @@ func (kc *KmerCoder) EachKmer(seq []byte, fn func(pos int, key uint64)) {
 	var key uint64
 	valid := 0 // number of consecutive valid bases ending at current position
 	for i, c := range seq {
-		code := baseCode[c]
-		if code == 0xFF {
+		next, ok := kc.Roll(key, c)
+		if !ok {
 			valid = 0
 			key = 0
 			continue
 		}
-		key = (key<<2 | uint64(code)) & kc.mask
+		key = next
 		valid++
 		if valid >= kc.K {
 			fn(i-kc.K+1, key)
@@ -212,36 +212,6 @@ func Score62(a, b byte) int {
 		return -1
 	}
 	return int(Blosum62[ia][ib])
-}
-
-// GCContent returns the fraction of G/C bases in a DNA sequence, or 0 for
-// an empty sequence.
-func GCContent(seq []byte) float64 {
-	if len(seq) == 0 {
-		return 0
-	}
-	gc := 0
-	for _, c := range seq {
-		if c == 'G' || c == 'C' || c == 'g' || c == 'c' {
-			gc++
-		}
-	}
-	return float64(gc) / float64(len(seq))
-}
-
-// HammingDistance counts mismatching positions of two equal-length
-// sequences. It panics on length mismatch, which indicates a caller bug.
-func HammingDistance(a, b []byte) int {
-	if len(a) != len(b) {
-		panic(fmt.Sprintf("bio: hamming length mismatch %d vs %d", len(a), len(b)))
-	}
-	d := 0
-	for i := range a {
-		if a[i] != b[i] {
-			d++
-		}
-	}
-	return d
 }
 
 // Upper returns an upper-cased copy of seq.

@@ -200,36 +200,6 @@ func TestIsProtein(t *testing.T) {
 	}
 }
 
-func TestGCContent(t *testing.T) {
-	if got := GCContent([]byte("GGCC")); got != 1.0 {
-		t.Errorf("GCContent(GGCC) = %v, want 1", got)
-	}
-	if got := GCContent([]byte("AATT")); got != 0.0 {
-		t.Errorf("GCContent(AATT) = %v, want 0", got)
-	}
-	if got := GCContent([]byte("ACGT")); got != 0.5 {
-		t.Errorf("GCContent(ACGT) = %v, want 0.5", got)
-	}
-	if got := GCContent(nil); got != 0 {
-		t.Errorf("GCContent(empty) = %v, want 0", got)
-	}
-}
-
-func TestHammingDistance(t *testing.T) {
-	if d := HammingDistance([]byte("ACGT"), []byte("ACGA")); d != 1 {
-		t.Errorf("distance = %d, want 1", d)
-	}
-	if d := HammingDistance(nil, nil); d != 0 {
-		t.Errorf("distance = %d, want 0", d)
-	}
-	defer func() {
-		if recover() == nil {
-			t.Error("length mismatch should panic")
-		}
-	}()
-	HammingDistance([]byte("A"), []byte("AB"))
-}
-
 func TestUpper(t *testing.T) {
 	if got := Upper([]byte("acgT")); string(got) != "ACGT" {
 		t.Errorf("Upper = %q", got)

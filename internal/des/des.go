@@ -110,9 +110,3 @@ func (r *Resource) start(fn func(release func())) {
 	// synchronously (keeps ordering deterministic).
 	r.sim.Schedule(0, func() { fn(release) })
 }
-
-// Busy returns the number of occupied slots.
-func (r *Resource) Busy() int { return r.busy }
-
-// QueueLen returns the number of waiting acquisitions.
-func (r *Resource) QueueLen() int { return len(r.waiting) }

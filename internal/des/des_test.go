@@ -154,6 +154,11 @@ func TestQuickMakespan(t *testing.T) {
 	}
 }
 
+// Busy and QueueLen read a resource's occupied slots and waiting
+// acquisitions.
+func (r *Resource) Busy() int     { return r.busy }
+func (r *Resource) QueueLen() int { return len(r.waiting) }
+
 func TestBusyAndQueueLen(t *testing.T) {
 	s := New()
 	r := NewResource(s, 1)

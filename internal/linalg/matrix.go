@@ -298,28 +298,6 @@ func SolveSPD(a, b *Matrix) (*Matrix, error) {
 	return x, nil
 }
 
-// FrobeniusNorm returns the Frobenius norm of m.
-func FrobeniusNorm(m *Matrix) float64 {
-	var s float64
-	for _, v := range m.Data {
-		s += v * v
-	}
-	return math.Sqrt(s)
-}
-
-// MaxAbsDiff returns the largest absolute element-wise difference.
-func MaxAbsDiff(a, b *Matrix) float64 {
-	mustSameShape(a, b)
-	var max float64
-	for i := range a.Data {
-		d := math.Abs(a.Data[i] - b.Data[i])
-		if d > max {
-			max = d
-		}
-	}
-	return max
-}
-
 // Dot returns the inner product of two equal-length vectors.
 func Dot(a, b []float64) float64 {
 	if len(a) != len(b) {

@@ -9,6 +9,16 @@ import (
 
 func approxEqual(a, b, tol float64) bool { return math.Abs(a-b) <= tol }
 
+// MaxAbsDiff returns the largest absolute element-wise difference.
+func MaxAbsDiff(a, b *Matrix) float64 {
+	mustSameShape(a, b)
+	var max float64
+	for i := range a.Data {
+		max = math.Max(max, math.Abs(a.Data[i]-b.Data[i]))
+	}
+	return max
+}
+
 func randomMatrix(rng *rand.Rand, rows, cols int) *Matrix {
 	m := NewMatrix(rows, cols)
 	for i := range m.Data {
@@ -223,13 +233,6 @@ func TestDotAndSquaredDistance(t *testing.T) {
 	}
 	if SquaredDistance(a, b) != 27 {
 		t.Errorf("SquaredDistance = %v, want 27", SquaredDistance(a, b))
-	}
-}
-
-func TestFrobeniusNorm(t *testing.T) {
-	a := FromRows([][]float64{{3, 4}})
-	if !approxEqual(FrobeniusNorm(a), 5, 1e-12) {
-		t.Errorf("norm = %v, want 5", FrobeniusNorm(a))
 	}
 }
 

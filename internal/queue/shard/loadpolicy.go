@@ -3,6 +3,7 @@ package shard
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"sort"
 	"sync"
 	"time"
@@ -322,7 +323,7 @@ type AutoscaleStatus struct {
 }
 
 // Autoscaler drives an AutoscalePolicy against a live Router: each
-// tick samples Stats/GroupStats, differentiates the cumulative billed
+// tick takes one Snapshot, differentiates the cumulative billed
 // request counts into per-tick rates (the telemetry Rate window is
 // wall-clock 10s — too coarse for policy decisions during fast
 // benches), keeps a sliding window per shard and group, and applies
@@ -337,11 +338,8 @@ type Autoscaler struct {
 	reserve      []ReserveShard
 	spawned      int
 	added        []string // shards this autoscaler added; the only ones it may retire (LIFO)
-	prevShardReq map[string]int64
-	prevGroupReq map[string]int64
-	prevTick     time.Time
-	shardHist    map[string][]float64
-	groupHist    map[string][]float64
+	shardRates   rateWindow
+	groupRates   rateWindow
 	lastUp       time.Time
 	lastDown     time.Time
 	lastSplit    time.Time
@@ -358,16 +356,15 @@ type Autoscaler struct {
 // NewAutoscaler binds a policy to a router. Call Start for the
 // background loop, or Tick directly for deterministic control.
 func NewAutoscaler(r *Router, cfg AutoscalerConfig) *Autoscaler {
+	pol := cfg.Policy.withDefaults()
 	return &Autoscaler{
-		r:            r,
-		cfg:          cfg,
-		pol:          cfg.Policy.withDefaults(),
-		reserve:      append([]ReserveShard(nil), cfg.Reserve...),
-		prevShardReq: make(map[string]int64),
-		prevGroupReq: make(map[string]int64),
-		shardHist:    make(map[string][]float64),
-		groupHist:    make(map[string][]float64),
-		closing:      make(chan struct{}),
+		r:          r,
+		cfg:        cfg,
+		pol:        pol,
+		reserve:    append([]ReserveShard(nil), cfg.Reserve...),
+		shardRates: newRateWindow(pol.Window),
+		groupRates: newRateWindow(pol.Window),
+		closing:    make(chan struct{}),
 	}
 }
 
@@ -409,13 +406,11 @@ func (a *Autoscaler) Close() {
 // Tick observes, decides, and applies one policy round. The first tick
 // only establishes baselines (rates need two cumulative samples).
 func (a *Autoscaler) Tick(now time.Time) FleetDecision {
-	stats := a.r.Stats()
-	gstats := a.r.GroupStats()
+	snap := a.r.Snapshot()
 
 	a.mu.Lock()
-	first := a.prevTick.IsZero()
-	dt := now.Sub(a.prevTick).Seconds()
-	a.prevTick = now
+	first := a.lastTick.IsZero()
+	dt := now.Sub(a.lastTick).Seconds()
 	a.lastTick = now
 	obs := FleetObservation{
 		Now:           now,
@@ -423,62 +418,36 @@ func (a *Autoscaler) Tick(now time.Time) FleetDecision {
 		LastScaleDown: a.lastDown,
 		LastSplit:     a.lastSplit,
 	}
-	liveShards := make(map[string]bool, len(stats))
-	for _, s := range stats {
-		liveShards[s.ID] = true
-		var rate float64
-		if prev, ok := a.prevShardReq[s.ID]; ok && dt > 0 {
-			rate = float64(s.Requests-prev) / dt
-		}
-		a.prevShardReq[s.ID] = s.Requests
-		a.shardHist[s.ID] = pushSample(a.shardHist[s.ID], rate, a.pol.Window)
+	for _, s := range snap.Shards {
+		rate, lo, hi := a.shardRates.push(s.ID, s.Requests, dt)
 		if !s.OnRing {
 			continue // retired: reachable for receipts, not a sizing input
 		}
-		mn, mx := sampleBounds(a.shardHist[s.ID])
 		obs.Shards = append(obs.Shards, ShardLoad{
 			ID:         s.ID,
-			RatePerSec: p95(a.shardHist[s.ID]),
-			MinRate:    mn,
-			MaxRate:    mx,
+			RatePerSec: rate,
+			MinRate:    lo,
+			MaxRate:    hi,
 			Backlog:    s.Backlog,
 			Queues:     s.Queues,
 			Weight:     s.Weight,
 		})
 	}
-	liveGroups := make(map[string]bool, len(gstats))
-	for _, g := range gstats {
-		liveGroups[g.Group] = true
-		var rate float64
-		if prev, ok := a.prevGroupReq[g.Group]; ok && dt > 0 {
-			rate = float64(g.Requests-prev) / dt
-		}
-		a.prevGroupReq[g.Group] = g.Requests
-		a.groupHist[g.Group] = pushSample(a.groupHist[g.Group], rate, a.pol.Window)
-		mn, mx := sampleBounds(a.groupHist[g.Group])
+	for _, g := range snap.Groups {
+		rate, lo, hi := a.groupRates.push(g.Group, g.Requests, dt)
 		obs.Groups = append(obs.Groups, GroupLoad{
 			Group:      g.Group,
-			RatePerSec: p95(a.groupHist[g.Group]),
-			MinRate:    mn,
-			MaxRate:    mx,
+			RatePerSec: rate,
+			MinRate:    lo,
+			MaxRate:    hi,
 			Backlog:    g.Backlog,
 			Queues:     g.Queues,
 			Subgroups:  g.Subgroups,
 			Pinned:     g.Pinned,
 		})
 	}
-	for id := range a.prevShardReq {
-		if !liveShards[id] {
-			delete(a.prevShardReq, id)
-			delete(a.shardHist, id)
-		}
-	}
-	for g := range a.prevGroupReq {
-		if !liveGroups[g] {
-			delete(a.prevGroupReq, g)
-			delete(a.groupHist, g)
-		}
-	}
+	a.shardRates.forgetUnseen()
+	a.groupRates.forgetUnseen()
 	a.mu.Unlock()
 
 	if first {
@@ -494,31 +463,32 @@ func (a *Autoscaler) Tick(now time.Time) FleetDecision {
 
 // apply executes a decision against the router: splits and merges
 // first (they relieve pressure without new capacity), then the fleet
-// delta, then weight nudges with one Rebalance to act on them.
+// delta, then the weight nudges as one topology change.
 func (a *Autoscaler) apply(now time.Time, d FleetDecision) error {
 	var errs []error
 	acted := false
+	// act records one applied action: its verdict counter and the
+	// cooldown it starts.
+	act := func(verdict string, cooldown *time.Time) {
+		a.countDecision(verdict)
+		acted = true
+		a.mu.Lock()
+		*cooldown = now
+		a.mu.Unlock()
+	}
 	for _, g := range sortedKeys(d.Splits) {
 		if err := a.r.SplitGroup(g, d.Splits[g]); err != nil {
 			errs = append(errs, err)
 			continue
 		}
-		a.countDecision("split")
-		acted = true
-		a.mu.Lock()
-		a.lastSplit = now
-		a.mu.Unlock()
+		act("split", &a.lastSplit)
 	}
 	for _, g := range d.Merges {
 		if err := a.r.MergeGroup(g); err != nil {
 			errs = append(errs, err)
 			continue
 		}
-		a.countDecision("merge")
-		acted = true
-		a.mu.Lock()
-		a.lastSplit = now
-		a.mu.Unlock()
+		act("merge", &a.lastSplit)
 	}
 	switch {
 	case d.Delta > 0:
@@ -532,11 +502,9 @@ func (a *Autoscaler) apply(now time.Time, d FleetDecision) error {
 				errs = append(errs, err)
 				break
 			}
-			a.countDecision("up")
-			acted = true
+			act("up", &a.lastUp)
 			a.mu.Lock()
 			a.added = append(a.added, id)
-			a.lastUp = now
 			a.mu.Unlock()
 		}
 	case d.Delta < 0:
@@ -558,28 +526,18 @@ func (a *Autoscaler) apply(now time.Time, d FleetDecision) error {
 				a.mu.Unlock()
 				break
 			}
-			a.countDecision("down")
-			acted = true
-			a.mu.Lock()
-			a.lastDown = now
-			a.mu.Unlock()
+			act("down", &a.lastDown)
 		}
 	}
-	weightsChanged := false
-	for _, id := range sortedKeys(d.Weights) {
-		changed, err := a.r.SetShardWeight(id, d.Weights[id])
+	if len(d.Weights) > 0 {
+		changed, err := a.r.reweigh(d.Weights)
 		if err != nil {
 			errs = append(errs, err)
-			continue
 		}
-		weightsChanged = weightsChanged || changed
-	}
-	if weightsChanged {
-		if err := a.r.Rebalance(); err != nil {
-			errs = append(errs, err)
+		if changed {
+			a.countDecision("weight")
+			acted = true
 		}
-		a.countDecision("weight")
-		acted = true
 	}
 	if !acted {
 		a.countDecision("hold")
@@ -651,13 +609,53 @@ func (a *Autoscaler) Status() AutoscaleStatus {
 	return st
 }
 
-// pushSample appends to a bounded sliding window.
-func pushSample(hist []float64, v float64, window int) []float64 {
-	hist = append(hist, v)
-	if len(hist) > window {
-		hist = hist[len(hist)-window:]
+// rateWindow turns cumulative request counts, sampled once per tick,
+// into a sliding window of per-tick rates per key (a shard id, or a
+// placement group).
+type rateWindow struct {
+	size int
+	last map[string]int64     // cumulative count at the previous tick
+	hist map[string][]float64 // per-tick rates, oldest first, at most size
+	seen map[string]bool      // keys pushed since the last forgetUnseen
+}
+
+func newRateWindow(size int) rateWindow {
+	return rateWindow{
+		size: size,
+		last: make(map[string]int64),
+		hist: make(map[string][]float64),
+		seen: make(map[string]bool),
 	}
-	return hist
+}
+
+// push differentiates key's cumulative count over the dt seconds since
+// the previous tick (a key's first sample reads as rate 0), slides the
+// key's window, and returns the window's P95 — resistant to one quiet
+// tick hiding a hot key — and extremes.
+func (w *rateWindow) push(key string, total int64, dt float64) (rate, lo, hi float64) {
+	if last, ok := w.last[key]; ok && dt > 0 {
+		rate = float64(total-last) / dt
+	}
+	w.last[key] = total
+	w.seen[key] = true
+	h := append(w.hist[key], rate)
+	if len(h) > w.size {
+		h = h[len(h)-w.size:]
+	}
+	w.hist[key] = h
+	return p95(h), slices.Min(h), slices.Max(h)
+}
+
+// forgetUnseen drops every key not pushed since the last call: a
+// retired shard, a group whose last queue was deleted.
+func (w *rateWindow) forgetUnseen() {
+	for key := range w.last {
+		if !w.seen[key] {
+			delete(w.last, key)
+			delete(w.hist, key)
+		}
+	}
+	clear(w.seen)
 }
 
 // p95 is the 95th-percentile sample (0 for an empty window). For the
@@ -674,18 +672,6 @@ func p95(hist []float64) float64 {
 		i = len(s)
 	}
 	return s[i-1]
-}
-
-func sampleBounds(hist []float64) (min, max float64) {
-	for i, v := range hist {
-		if i == 0 || v < min {
-			min = v
-		}
-		if i == 0 || v > max {
-			max = v
-		}
-	}
-	return min, max
 }
 
 func sortedKeys[V any](m map[string]V) []string {

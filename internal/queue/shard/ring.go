@@ -147,8 +147,7 @@ func (r *ring) add(id string) {
 	}
 	r.ids[id] = true
 	r.weights[id] = 1
-	r.appendPoints(id, r.pointCount(1))
-	r.sortPoints()
+	r.appendPoints(id, 0, r.pointCount(1))
 }
 
 // setWeight rescales a shard's arc. The shard's points are the prefix
@@ -177,20 +176,15 @@ func (r *ring) setWeight(id string, w float64) bool {
 		r.points = kept
 		return true
 	}
-	for v := oldN; v < newN; v++ {
-		r.points = append(r.points, ringPoint{hash64(fmt.Sprintf("%s#%d", id, v)), id, v})
-	}
-	r.sortPoints()
+	r.appendPoints(id, oldN, newN)
 	return true
 }
 
-func (r *ring) appendPoints(id string, n int) {
-	for v := 0; v < n; v++ {
+// appendPoints adds the shard's virtual nodes from..to-1 and re-sorts.
+func (r *ring) appendPoints(id string, from, to int) {
+	for v := from; v < to; v++ {
 		r.points = append(r.points, ringPoint{hash64(fmt.Sprintf("%s#%d", id, v)), id, v})
 	}
-}
-
-func (r *ring) sortPoints() {
 	sort.Slice(r.points, func(i, j int) bool {
 		if r.points[i].hash != r.points[j].hash {
 			return r.points[i].hash < r.points[j].hash

@@ -3,6 +3,8 @@ package shard
 import (
 	"errors"
 	"fmt"
+	"maps"
+	"slices"
 	"sort"
 	"strings"
 	"sync"
@@ -167,8 +169,8 @@ type Router struct {
 
 	cfg Config
 
-	// topoMu serializes topology changes (AddShard / RemoveShard) and
-	// the migrations they trigger.
+	// topoMu serializes topology changes (change, Failover) and the
+	// migrations they trigger.
 	topoMu sync.Mutex
 
 	// mu guards ring, shards, routes, splits, pinned, and standbys.
@@ -196,8 +198,13 @@ type Router struct {
 	closeOnce sync.Once
 	fwd       sync.WaitGroup
 
-	// met is non-nil iff Config.Metrics was set.
-	met *routerMetrics
+	// met is non-nil iff Config.Metrics was set, and so are the two rate
+	// axes. Both are marked wherever a routed call resolves a backend —
+	// owner resolution, receipt routing, batch-delete groups — so the
+	// rates count backend hops, including migration retries, and the
+	// split policy sees which GROUP is hot, not just which shard.
+	met                    *routerMetrics
+	shardRates, groupRates *rateSet
 }
 
 // routerOps is the set of routed operations that get their own latency
@@ -214,14 +221,7 @@ var routerOps = []string{
 // routerMetrics is the router's instrument set, created once at
 // NewRouter so the request path never touches the registry lock.
 type routerMetrics struct {
-	reg *telemetry.Registry
 	ops map[string]*telemetry.Histogram
-	// shardRates caches per-shard request-rate instruments
-	// (shard id → *telemetry.Rate).
-	shardRates sync.Map
-	// groupRates caches per-group request-rate instruments
-	// (group key → *telemetry.Rate).
-	groupRates sync.Map
 	// gaugeMu guards seenGroups across concurrent scrapes; the backlog
 	// collector zeroes gauges of groups that vanished (last queue
 	// deleted) so a stale reading never lingers at its final value.
@@ -243,76 +243,35 @@ func (r *Router) opDone(op string, start time.Time) {
 	r.met.ops[op].Observe(time.Since(start))
 }
 
-// markShard bumps a shard's request rate. Called wherever a routed call
-// resolves a backend — owner resolution, receipt routing, batch-delete
-// groups — so the rate counts backend hops, including migration retries.
-func (r *Router) markShard(id string) {
-	if r.met == nil || id == "" {
+// rateSet is one attribution axis of the router's traffic: a request-rate
+// instrument per key (shard_requests{shard=…}, group_requests{group=…}),
+// cached so the request path never touches the registry lock. A nil set
+// — an uninstrumented router — marks nothing and reads 0.
+type rateSet struct {
+	reg          *telemetry.Registry
+	metric, axis string
+	rates        sync.Map // key → *telemetry.Rate
+}
+
+func (s *rateSet) mark(key string) {
+	if s == nil || key == "" {
 		return
 	}
-	v, ok := r.met.shardRates.Load(id)
+	v, ok := s.rates.Load(key)
 	if !ok {
-		v, _ = r.met.shardRates.LoadOrStore(id, r.met.reg.Rate(telemetry.Label("shard_requests", "shard", id)))
+		v, _ = s.rates.LoadOrStore(key, s.reg.Rate(telemetry.Label(s.metric, s.axis, key)))
 	}
 	v.(*telemetry.Rate).Mark(1)
 }
 
-// shardRate reads a shard's current request rate (0 when
-// uninstrumented or never addressed).
-func (r *Router) shardRate(id string) float64 {
-	if r.met == nil {
-		return 0
-	}
-	if v, ok := r.met.shardRates.Load(id); ok {
-		return v.(*telemetry.Rate).PerSecond()
+// perSecond reads a key's current rate (0 when never marked).
+func (s *rateSet) perSecond(key string) float64 {
+	if s != nil {
+		if v, ok := s.rates.Load(key); ok {
+			return v.(*telemetry.Rate).PerSecond()
+		}
 	}
 	return 0
-}
-
-// markGroup bumps a placement group's request rate (group_requests).
-// Called beside markShard wherever a routed call resolves a backend, so
-// the split policy sees which GROUP is hot, not just which shard.
-func (r *Router) markGroup(g string) {
-	if r.met == nil || g == "" {
-		return
-	}
-	v, ok := r.met.groupRates.Load(g)
-	if !ok {
-		v, _ = r.met.groupRates.LoadOrStore(g, r.met.reg.Rate(telemetry.Label("group_requests", "group", g)))
-	}
-	v.(*telemetry.Rate).Mark(1)
-}
-
-// groupRate reads a group's current request rate (0 when
-// uninstrumented or never addressed).
-func (r *Router) groupRate(g string) float64 {
-	if r.met == nil {
-		return 0
-	}
-	if v, ok := r.met.groupRates.Load(g); ok {
-		return v.(*telemetry.Rate).PerSecond()
-	}
-	return 0
-}
-
-// route is one queue's placement.
-type route struct {
-	mu sync.Mutex
-	// shard currently owning the queue.
-	shard string
-	// group is the explicit placement group set by Regroup; empty means
-	// the group is derived from the queue name (DeriveGroup).
-	group string
-	// frozen is non-nil while the queue migrates; operations wait for
-	// it to close (the thaw) and then resolve the new owner.
-	frozen chan struct{}
-	// dead marks a route whose queue was deleted; a pending migration
-	// that has not frozen yet must abort rather than stream a deleted
-	// queue's messages onto the new owner.
-	dead bool
-	// draining holds old shards whose in-flight stragglers a background
-	// forwarder is still moving over.
-	draining map[string]bool
 }
 
 // routerView is the router's data plane with a trace ID bound: it shares
@@ -355,33 +314,34 @@ func NewRouter(cfg Config) *Router {
 	r.routerView.r = r
 	if c.Metrics != nil {
 		r.met = &routerMetrics{
-			reg:        c.Metrics,
 			ops:        make(map[string]*telemetry.Histogram, len(routerOps)),
 			seenGroups: make(map[string]bool),
 		}
+		r.shardRates = &rateSet{reg: c.Metrics, metric: "shard_requests", axis: "shard"}
+		r.groupRates = &rateSet{reg: c.Metrics, metric: "group_requests", axis: "group"}
 		for _, op := range routerOps {
 			r.met.ops[op] = c.Metrics.Histogram(telemetry.Label("router_op_ns", "op", op))
 		}
 		// Backlog gauges are refreshed at scrape time rather than
 		// maintained on the data path: depth is already tracked by each
 		// shard, and a per-send gauge update would put a second write on
-		// every routed call for a number only read by scrapes. One sweep
-		// feeds both attribution axes — per shard and per group.
+		// every routed call for a number only read by scrapes. One
+		// snapshot feeds both attribution axes — per shard and per group.
 		c.Metrics.AddCollector(func(reg *telemetry.Registry) {
-			byShard, byGroup := r.depthSweep()
-			for id, n := range byShard {
-				reg.Gauge(telemetry.Label("shard_backlog", "shard", id)).Set(n)
+			snap := r.Snapshot()
+			for _, st := range snap.Shards {
+				reg.Gauge(telemetry.Label("shard_backlog", "shard", st.ID)).Set(st.Backlog)
 			}
 			r.met.gaugeMu.Lock()
-			for g := range r.met.seenGroups {
-				if _, ok := byGroup[g]; !ok {
-					reg.Gauge(telemetry.Label("group_backlog", "group", g)).Set(0)
-					delete(r.met.seenGroups, g)
-				}
+			gone := r.met.seenGroups
+			r.met.seenGroups = make(map[string]bool, len(snap.Groups))
+			for _, gs := range snap.Groups {
+				delete(gone, gs.Group)
+				r.met.seenGroups[gs.Group] = true
+				reg.Gauge(telemetry.Label("group_backlog", "group", gs.Group)).Set(gs.Backlog)
 			}
-			for g, n := range byGroup {
-				r.met.seenGroups[g] = true
-				reg.Gauge(telemetry.Label("group_backlog", "group", g)).Set(n)
+			for g := range gone {
+				reg.Gauge(telemetry.Label("group_backlog", "group", g)).Set(0)
 			}
 			r.met.gaugeMu.Unlock()
 		})
@@ -407,58 +367,62 @@ func (v *routerView) APIRequests() int64 { return v.r.billing.Total() }
 // APIRequestsFor returns the routed calls addressed to one queue.
 func (v *routerView) APIRequestsFor(queueName string) int64 { return v.r.billing.For(queueName) }
 
-// ownerBackend resolves the queue's owning shard, waiting out any
-// in-progress migration. The returned backend is trace-scoped and the
-// shard's request rate is bumped — every caller represents one backend
-// hop.
-func (v *routerView) ownerBackend(queueName string) (string, queue.API, error) {
-	r := v.r
+// route looks up a queue's route; nil when the queue is not routed.
+func (r *Router) route(name string) *route {
 	r.mu.RLock()
-	rt := r.routes[queueName]
-	r.mu.RUnlock()
-	if rt == nil {
-		return "", nil, queue.ErrNoSuchQueue
-	}
-	for {
-		rt.mu.Lock()
-		if rt.frozen == nil {
-			id, group := rt.shard, rt.group
-			rt.mu.Unlock()
-			r.mu.RLock()
-			b := r.shards[id]
-			r.mu.RUnlock()
-			if b == nil {
-				return "", nil, queue.ErrNoSuchQueue
-			}
-			r.markShard(id)
-			if r.met != nil {
-				r.markGroup(effectiveGroup(group, queueName))
-			}
-			return id, queue.WithTrace(b, v.trace), nil
-		}
-		ch := rt.frozen
-		rt.mu.Unlock()
-		<-ch
-	}
+	defer r.mu.RUnlock()
+	return r.routes[name]
 }
 
-// onOwner runs fn against the queue's owning shard. When the shard
-// answers ErrNoSuchQueue but the route has moved since the call was
-// dispatched (a migration completed underneath it), the call retries on
-// the new owner — the sentinel lets the router tell "wrong shard" from
-// "queue deleted".
+// backend looks up a registered shard — on the ring or retired; nil for
+// an unknown id.
+func (r *Router) backend(id string) queue.API {
+	r.mu.RLock()
+	defer r.mu.RUnlock()
+	return r.shards[id]
+}
+
+// ownerBackend takes the route's lease — the owning shard and the epoch
+// it was installed at — waiting out any in-progress migration. The
+// returned backend is trace-scoped and the shard's request rate is
+// bumped: every caller represents one backend hop.
+func (v *routerView) ownerBackend(queueName string, rt *route) (string, uint64, queue.API, error) {
+	r := v.r
+	id, group, epoch, dead := rt.await()
+	b := r.backend(id)
+	if dead || b == nil {
+		return "", 0, nil, queue.ErrNoSuchQueue
+	}
+	r.shardRates.mark(id)
+	if r.met != nil {
+		r.groupRates.mark(effectiveGroup(group, queueName))
+	}
+	return id, epoch, queue.WithTrace(b, v.trace), nil
+}
+
+// onOwner runs fn against the queue's owning shard. A shard answers
+// ErrNoSuchQueue both for a deleted queue and for one that migrated
+// away underneath the call — a long poll parked on the old owner wakes
+// that way once the residue is deleted. The route tells them apart: the
+// call retries exactly when the route is still live and its epoch moved
+// since dispatch. Comparing shard ids instead would hand a live queue's
+// consumer ErrNoSuchQueue after a move away and back, and there is no
+// attempt cap because every retry needs a completed migration.
 func (v *routerView) onOwner(queueName string, fn func(shardID string, b queue.API) error) error {
-	for attempt := 0; ; attempt++ {
-		id, b, err := v.ownerBackend(queueName)
+	rt := v.r.route(queueName)
+	if rt == nil {
+		return queue.ErrNoSuchQueue
+	}
+	for {
+		id, epoch, b, err := v.ownerBackend(queueName, rt)
 		if err != nil {
 			return err
 		}
 		err = fn(id, b)
-		if err == nil || !errors.Is(err, queue.ErrNoSuchQueue) || attempt >= 2 {
+		if err == nil || !errors.Is(err, queue.ErrNoSuchQueue) {
 			return err
 		}
-		newID, _, rerr := v.ownerBackend(queueName)
-		if rerr != nil || newID == id {
+		if _, _, now, dead := rt.await(); dead || now == epoch {
 			return err
 		}
 	}
@@ -487,13 +451,13 @@ func (v *routerView) CreateQueue(name string) error {
 		r.mu.Unlock()
 		return ErrNoShards
 	}
-	rt := &route{shard: owner, frozen: make(chan struct{}), draining: make(map[string]bool)}
+	rt := newRoute(owner)
 	r.routes[name] = rt
 	b := r.shards[owner]
 	r.mu.Unlock()
-	r.markShard(owner)
+	r.shardRates.mark(owner)
 	if r.met != nil {
-		r.markGroup(DeriveGroup(name))
+		r.groupRates.mark(DeriveGroup(name))
 	}
 	err := queue.WithTrace(b, v.trace).CreateQueue(name)
 	if err != nil && !errors.Is(err, queue.ErrQueueExists) {
@@ -505,18 +469,11 @@ func (v *routerView) CreateQueue(name string) error {
 			delete(r.routes, name)
 		}
 		r.mu.Unlock()
+		rt.kill()
 	} else {
 		err = nil
 	}
-	rt.mu.Lock()
-	if err != nil {
-		rt.dead = true
-	}
-	// Never reset dead: a concurrent DeleteQueue may have marked the
-	// route while we held it frozen.
-	close(rt.frozen)
-	rt.frozen = nil
-	rt.mu.Unlock()
+	rt.thaw(owner)
 	return err
 }
 
@@ -537,40 +494,18 @@ func (v *routerView) DeleteQueue(name string) error {
 	// Mark the route dead (a migration computed before the removal must
 	// not stream this queue's messages anywhere) and wait out any
 	// migration already in flight so the drain isn't racing the
-	// teardown — once it thaws, the snapshot below covers the new owner.
-	var owner string
-	var olds []string
-	for {
-		rt.mu.Lock()
-		rt.dead = true
-		if rt.frozen == nil {
-			owner = rt.shard
-			for id := range rt.draining {
-				olds = append(olds, id)
-			}
-			rt.mu.Unlock()
-			break
-		}
-		ch := rt.frozen
-		rt.mu.Unlock()
-		<-ch
-	}
-	r.mu.RLock()
-	b := r.shards[owner]
-	oldBs := make([]queue.API, 0, len(olds))
-	for _, id := range olds {
-		if ob := r.shards[id]; ob != nil {
-			oldBs = append(oldBs, ob)
-		}
-	}
-	r.mu.RUnlock()
+	// teardown — once it thaws, the lease covers the new owner. A dead
+	// route never moves again, so the residues read next go with it.
+	rt.kill()
+	owner, _, _, _ := rt.await()
+	_, _, _, olds := rt.peek()
 	var err error
-	if b != nil {
-		r.markShard(owner)
+	if b := r.backend(owner); b != nil {
+		r.shardRates.mark(owner)
 		err = queue.WithTrace(b, v.trace).DeleteQueue(name)
 	}
-	for _, ob := range oldBs {
-		_ = queue.WithTrace(ob, v.trace).DeleteQueue(name) // forwarder may have beaten us to it
+	for _, id := range olds {
+		_ = queue.WithTrace(r.backend(id), v.trace).DeleteQueue(name) // forwarder may have beaten us to it
 	}
 	return err
 }
@@ -709,51 +644,42 @@ func (v *routerView) ReceiveMessageBatch(queueName string, visibility time.Durat
 	return msgs, nil
 }
 
-// receiptBackend resolves the shard a receipt was issued by. The queue
+// onReceipt runs fn against the shard a receipt was issued by. The queue
 // must still be routed; a receipt whose shard is gone — or whose shard
 // has since lost the queue to a migration — is stale, not missing: the
 // message was moved and only its next delivery's receipt counts.
-func (v *routerView) receiptBackend(queueName, wrapped string) (queue.API, string, error) {
+func (v *routerView) onReceipt(op, queueName, wrapped string, fn func(b queue.API, raw string) error) error {
 	r := v.r
-	r.mu.RLock()
-	rt := r.routes[queueName]
-	r.mu.RUnlock()
+	defer r.opDone(op, r.opStart())
+	r.count(queueName)
+	rt := r.route(queueName)
 	if rt == nil {
-		return nil, "", queue.ErrNoSuchQueue
+		return queue.ErrNoSuchQueue
 	}
 	id, raw, ok := splitReceipt(wrapped)
 	if !ok {
-		return nil, "", fmt.Errorf("shard: unroutable receipt %q: %w", wrapped, queue.ErrStaleReceipt)
+		return fmt.Errorf("shard: unroutable receipt %q: %w", wrapped, queue.ErrStaleReceipt)
 	}
-	r.mu.RLock()
-	b := r.shards[id]
-	r.mu.RUnlock()
+	b := r.backend(id)
 	if b == nil {
-		return nil, "", fmt.Errorf("shard: receipt from unknown shard %q: %w", id, queue.ErrStaleReceipt)
+		return fmt.Errorf("shard: receipt from unknown shard %q: %w", id, queue.ErrStaleReceipt)
 	}
-	r.markShard(id)
+	r.shardRates.mark(id)
 	if r.met != nil {
-		rt.mu.Lock()
-		group := rt.group
-		rt.mu.Unlock()
-		r.markGroup(effectiveGroup(group, queueName))
+		r.groupRates.mark(rt.key(queueName))
 	}
-	return queue.WithTrace(b, v.trace), raw, nil
-}
-
-// DeleteMessage acknowledges by receipt, routed to the issuing shard.
-func (v *routerView) DeleteMessage(queueName, receiptHandle string) error {
-	defer v.r.opDone("delete", v.r.opStart())
-	v.r.count(queueName)
-	b, raw, err := v.receiptBackend(queueName, receiptHandle)
-	if err != nil {
-		return err
-	}
-	err = b.DeleteMessage(queueName, raw)
+	err := fn(queue.WithTrace(b, v.trace), raw)
 	if errors.Is(err, queue.ErrNoSuchQueue) {
 		return fmt.Errorf("shard: queue %s migrated off the issuing shard: %w", queueName, queue.ErrStaleReceipt)
 	}
 	return err
+}
+
+// DeleteMessage acknowledges by receipt, routed to the issuing shard.
+func (v *routerView) DeleteMessage(queueName, receiptHandle string) error {
+	return v.onReceipt("delete", queueName, receiptHandle, func(b queue.API, raw string) error {
+		return b.DeleteMessage(queueName, raw)
+	})
 }
 
 // DeleteMessageBatch acknowledges a batch, grouping receipts by issuing
@@ -765,17 +691,12 @@ func (v *routerView) DeleteMessageBatch(queueName string, receipts []string) ([]
 	r := v.r
 	defer r.opDone("delete_batch", r.opStart())
 	r.count(queueName)
-	r.mu.RLock()
-	rt := r.routes[queueName]
-	r.mu.RUnlock()
+	rt := r.route(queueName)
 	if rt == nil {
 		return nil, queue.ErrNoSuchQueue
 	}
 	if r.met != nil {
-		rt.mu.Lock()
-		group := rt.group
-		rt.mu.Unlock()
-		r.markGroup(effectiveGroup(group, queueName))
+		r.groupRates.mark(rt.key(queueName))
 	}
 	results := make([]error, len(receipts))
 	type group struct {
@@ -798,16 +719,14 @@ func (v *routerView) DeleteMessageBatch(queueName string, receipts []string) ([]
 		g.raw = append(g.raw, raw)
 	}
 	for id, g := range groups {
-		r.mu.RLock()
-		b := r.shards[id]
-		r.mu.RUnlock()
+		b := r.backend(id)
 		if b == nil {
 			for _, i := range g.idx {
 				results[i] = fmt.Errorf("shard: receipt from unknown shard %q: %w", id, queue.ErrStaleReceipt)
 			}
 			continue
 		}
-		r.markShard(id)
+		r.shardRates.mark(id)
 		res, err := queue.WithTrace(b, v.trace).DeleteMessageBatch(queueName, g.raw)
 		if err != nil {
 			perEntry := err
@@ -828,17 +747,9 @@ func (v *routerView) DeleteMessageBatch(queueName string, receipts []string) ([]
 
 // ChangeVisibility adjusts a lease on the issuing shard.
 func (v *routerView) ChangeVisibility(queueName, receiptHandle string, d time.Duration) error {
-	defer v.r.opDone("change_visibility", v.r.opStart())
-	v.r.count(queueName)
-	b, raw, err := v.receiptBackend(queueName, receiptHandle)
-	if err != nil {
-		return err
-	}
-	err = b.ChangeVisibility(queueName, raw, d)
-	if errors.Is(err, queue.ErrNoSuchQueue) {
-		return fmt.Errorf("shard: queue %s migrated off the issuing shard: %w", queueName, queue.ErrStaleReceipt)
-	}
-	return err
+	return v.onReceipt("change_visibility", queueName, receiptHandle, func(b queue.API, raw string) error {
+		return b.ChangeVisibility(queueName, raw, d)
+	})
 }
 
 // ApproximateCount sums the owner's counts with any old shards still
@@ -880,36 +791,18 @@ func (v *routerView) Purge(queueName string) error {
 }
 
 // drainingBackends snapshots the old shards still forwarding a queue's
-// stragglers. The current owner is excluded even when its forwarder has
-// not exited yet (the queue migrated back onto a watched shard), so
-// callers never count the live copy twice.
+// stragglers (route.peek's residues: never the current owner).
 func (v *routerView) drainingBackends(queueName string) []queue.API {
 	r := v.r
-	r.mu.RLock()
-	rt := r.routes[queueName]
-	r.mu.RUnlock()
+	rt := r.route(queueName)
 	if rt == nil {
 		return nil
 	}
-	rt.mu.Lock()
-	ids := make([]string, 0, len(rt.draining))
-	for id := range rt.draining {
-		if id != rt.shard {
-			ids = append(ids, id)
-		}
-	}
-	rt.mu.Unlock()
-	if len(ids) == 0 {
-		return nil
-	}
-	r.mu.RLock()
-	defer r.mu.RUnlock()
+	_, _, _, ids := rt.peek()
 	out := make([]queue.API, 0, len(ids))
 	for _, id := range ids {
-		if b := r.shards[id]; b != nil {
-			r.markShard(id)
-			out = append(out, queue.WithTrace(b, v.trace))
-		}
+		r.shardRates.mark(id)
+		out = append(out, queue.WithTrace(r.backend(id), v.trace))
 	}
 	return out
 }
@@ -921,19 +814,39 @@ func (r *Router) Shards() []string {
 	return r.ring.members()
 }
 
-// Owners snapshots the queue→shard placement.
-func (r *Router) Owners() map[string]string {
+// placed is one live route as a snapshot read it.
+type placed struct {
+	name, shard, group string
+	// residues are the old shards still draining the queue's stragglers.
+	residues []string
+}
+
+// placements is the one pass over the routes every snapshot is built
+// from. Routes are read without waiting out a freeze — an admin snapshot
+// must not block on a migration — so a queue mid-drain shows its old
+// owner, which is also where its messages still are.
+func (r *Router) placements() []placed {
 	r.mu.RLock()
 	routes := make(map[string]*route, len(r.routes))
 	for n, rt := range r.routes {
 		routes[n] = rt
 	}
 	r.mu.RUnlock()
+	out := make([]placed, 0, len(routes))
+	for name, rt := range routes {
+		if shard, group, dead, residues := rt.peek(); !dead {
+			out = append(out, placed{name, shard, group, residues})
+		}
+	}
+	return out
+}
+
+// Owners snapshots the queue→shard placement.
+func (r *Router) Owners() map[string]string {
+	routes := r.placements()
 	out := make(map[string]string, len(routes))
-	for n, rt := range routes {
-		rt.mu.Lock()
-		out[n] = rt.shard
-		rt.mu.Unlock()
+	for _, p := range routes {
+		out[p.name] = p.shard
 	}
 	return out
 }
@@ -952,7 +865,7 @@ type ShardStat struct {
 	// Backlog is the shard's live message depth: visible plus in-flight,
 	// summed over the queues it currently owns, plus leftover stragglers
 	// it still holds for queues that migrated away. Each message is
-	// attributed to exactly one shard (see depthSweep).
+	// attributed to exactly one shard (see Snapshot).
 	Backlog int64
 	// RatePerSec is the router-observed request rate to this shard,
 	// averaged over the trailing 10s window. Zero when the router has no
@@ -965,55 +878,9 @@ type ShardStat struct {
 
 // Stats aggregates per-shard placement, billing, live depth, and load —
 // the sharded view of the attribution model consumers already use per
-// queue.
-func (r *Router) Stats() []ShardStat {
-	owners := r.Owners()
-	perShard := make(map[string]int)
-	for _, id := range owners {
-		perShard[id]++
-	}
-	r.mu.RLock()
-	ids := make([]string, 0, len(r.shards))
-	for id := range r.shards {
-		ids = append(ids, id)
-	}
-	backends := make(map[string]queue.API, len(r.shards))
-	for id, b := range r.shards {
-		backends[id] = b
-	}
-	onRing := make(map[string]bool, len(r.ring.ids))
-	for id := range r.ring.ids {
-		onRing[id] = true
-	}
-	weights := make(map[string]float64, len(r.ring.weights))
-	for id, w := range r.ring.weights {
-		weights[id] = w
-	}
-	r.mu.RUnlock()
-	sort.Strings(ids)
-	// Read billed request counts BEFORE probing backlogs: depth probes
-	// against remote shards are themselves billed requests, and reading
-	// in the other order would report Requests inflated by this very
-	// Stats call.
-	requests := make(map[string]int64, len(ids))
-	for _, id := range ids {
-		requests[id] = backends[id].APIRequests()
-	}
-	backlog, _ := r.depthSweep()
-	out := make([]ShardStat, 0, len(ids))
-	for _, id := range ids {
-		out = append(out, ShardStat{
-			ID:         id,
-			OnRing:     onRing[id],
-			Queues:     perShard[id],
-			Requests:   requests[id],
-			Backlog:    backlog[id],
-			RatePerSec: r.shardRate(id),
-			Weight:     weights[id],
-		})
-	}
-	return out
-}
+// queue. Sorted by shard id. It is Snapshot's shard axis: a caller that
+// wants both axes takes one Snapshot.
+func (r *Router) Stats() []ShardStat { return r.Snapshot().Shards }
 
 // GroupStat describes one placement group's footprint and traffic.
 type GroupStat struct {
@@ -1040,153 +907,90 @@ type GroupStat struct {
 	RatePerSec float64
 }
 
-// GroupStats aggregates per-group placement, billing, depth, and load —
-// the axis the split policy (and a capacity-planning operator) cares
-// about: WHICH tenant is hot, not just which shard it happens to sit
-// on. Sorted by group.
-func (r *Router) GroupStats() []GroupStat {
-	r.mu.RLock()
-	routes := make(map[string]*route, len(r.routes))
-	for n, rt := range r.routes {
-		routes[n] = rt
-	}
-	splits := make(map[string]int, len(r.splits))
-	for g, k := range r.splits {
-		splits[g] = k
-	}
-	pinned := make(map[string]bool, len(r.pinned))
-	for g := range r.pinned {
-		pinned[g] = true
-	}
-	r.mu.RUnlock()
-	agg := make(map[string]*GroupStat)
-	shardsOf := make(map[string]map[string]bool)
-	for name, rt := range routes {
-		rt.mu.Lock()
-		owner, group, dead := rt.shard, rt.group, rt.dead
-		rt.mu.Unlock()
-		if dead {
-			continue
-		}
-		g := effectiveGroup(group, name)
-		st := agg[g]
-		if st == nil {
-			k := splits[g]
-			if k < 1 {
-				k = 1
-			}
-			st = &GroupStat{Group: g, Subgroups: k, Pinned: pinned[g], RatePerSec: r.groupRate(g)}
-			agg[g] = st
-			shardsOf[g] = make(map[string]bool)
-		}
-		st.Queues++
-		shardsOf[g][owner] = true
-		st.Requests += r.billing.For(name)
-	}
-	_, byGroup := r.depthSweep()
-	out := make([]GroupStat, 0, len(agg))
-	for g, st := range agg {
-		st.Backlog = byGroup[g]
-		for id := range shardsOf[g] {
-			st.Shards = append(st.Shards, id)
-		}
-		sort.Strings(st.Shards)
-		out = append(out, *st)
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Group < out[j].Group })
-	return out
+// Snapshot is one view of the tier along both attribution axes: per
+// shard, and per placement group — the axis the split policy (and a
+// capacity-planning operator) cares about: WHICH tenant is hot, not just
+// which shard it happens to sit on.
+type Snapshot struct {
+	Shards []ShardStat // sorted by ID
+	Groups []GroupStat // sorted by Group
 }
 
-// SetShardWeight rescales a shard's ring arc (1 = a fair share of the
-// key space; clamped to [1/16, 16]). Only the ring re-keys — no data
-// moves until the next Rebalance, so a policy can adjust several
-// weights and pay a single migration sweep. Reports whether the
-// shard's point count actually changed (false means the nudge rounded
-// to the same arc and Rebalance has nothing new to do).
-func (r *Router) SetShardWeight(id string, w float64) (bool, error) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if !r.ring.ids[id] {
-		return false, ErrNoSuchShard
+// Snapshot reads the placement once — one pass over the routes, one
+// depth probe per copy of a queue — and attributes it along both axes;
+// Stats, the backlog gauges, the admin face and the autoscaler all read
+// this.
+//
+// A queue's depth goes, by shard, to the shards actually holding the
+// messages: the owner's count to the owner, and each draining old
+// shard's own leftover count to that shard (never the owner twice: see
+// route.peek). By group it goes to the queue's effective placement
+// group, owner and straggler copies both — the group's messages
+// wherever they sit, which is what the split policy sizes against.
+//
+// Depth is read through the unbilled queue.DepthReporter diagnostic
+// when the backend offers it (a local *queue.Service); remote shards
+// fall back to a billed ApproximateCount probe per queue.
+func (r *Router) Snapshot() Snapshot {
+	r.mu.RLock()
+	backends := make(map[string]queue.API, len(r.shards))
+	shards := make(map[string]*ShardStat, len(r.shards))
+	for id, b := range r.shards {
+		backends[id] = b
+		shards[id] = &ShardStat{ID: id, OnRing: r.ring.ids[id], Weight: r.ring.weights[id]}
 	}
-	return r.ring.setWeight(id, w), nil
+	splits, pinned := maps.Clone(r.splits), maps.Clone(r.pinned)
+	r.mu.RUnlock()
+	// Read billed request counts BEFORE probing backlogs: depth probes
+	// against remote shards are themselves billed requests, and reading
+	// in the other order would report Requests inflated by this very
+	// snapshot.
+	for id, st := range shards {
+		st.Requests = backends[id].APIRequests()
+		st.RatePerSec = r.shardRates.perSecond(id)
+	}
+	groups := make(map[string]*GroupStat)
+	for _, p := range r.placements() {
+		g := effectiveGroup(p.group, p.name)
+		gs := groups[g]
+		if gs == nil {
+			gs = &GroupStat{Group: g, Subgroups: max(splits[g], 1), Pinned: pinned[g], RatePerSec: r.groupRates.perSecond(g)}
+			groups[g] = gs
+		}
+		gs.Queues++
+		gs.Requests += r.billing.For(p.name)
+		if !slices.Contains(gs.Shards, p.shard) {
+			gs.Shards = append(gs.Shards, p.shard)
+		}
+		// A shard registered since the copy above is not in this snapshot.
+		if st := shards[p.shard]; st != nil {
+			st.Queues++
+		}
+		for _, id := range append([]string{p.shard}, p.residues...) {
+			if v, inf, ok := queueDepth(backends[id], p.name); ok {
+				shards[id].Backlog += int64(v + inf)
+				gs.Backlog += int64(v + inf)
+			}
+		}
+	}
+	snap := Snapshot{Shards: make([]ShardStat, 0, len(shards)), Groups: make([]GroupStat, 0, len(groups))}
+	for _, st := range shards {
+		snap.Shards = append(snap.Shards, *st)
+	}
+	sort.Slice(snap.Shards, func(i, j int) bool { return snap.Shards[i].ID < snap.Shards[j].ID })
+	for _, gs := range groups {
+		sort.Strings(gs.Shards)
+		snap.Groups = append(snap.Groups, *gs)
+	}
+	sort.Slice(snap.Groups, func(i, j int) bool { return snap.Groups[i].Group < snap.Groups[j].Group })
+	return snap
 }
 
 // Splits snapshots the sub-arc count of every currently-split group.
 func (r *Router) Splits() map[string]int {
 	r.mu.RLock()
 	defer r.mu.RUnlock()
-	out := make(map[string]int, len(r.splits))
-	for g, k := range r.splits {
-		out[g] = k
-	}
-	return out
-}
-
-// depthSweep probes every routed queue's depth once and attributes it
-// along both axes. By shard: to the shards actually holding the
-// messages — the owner's count to the owner, and each draining old
-// shard's own leftover count to that shard. The current owner is
-// excluded from a route's draining set — the same exclusion
-// drainingBackends applies — so a queue that migrated back onto a
-// still-watched shard is never counted twice. By group: to the queue's
-// effective placement group (owner and straggler copies both — the
-// group's messages wherever they sit, which is what the split policy
-// sizes against). Routes are read without waiting out a freeze (an admin
-// snapshot must not block on a migration), so a queue mid-drain may
-// briefly show its messages split across both shards — which is also
-// where they physically are.
-//
-// Depth is read through the unbilled queue.DepthReporter diagnostic
-// when the backend offers it (a local *queue.Service); remote shards
-// fall back to a billed ApproximateCount probe per queue.
-func (r *Router) depthSweep() (byShard, byGroup map[string]int64) {
-	r.mu.RLock()
-	routes := make(map[string]*route, len(r.routes))
-	for n, rt := range r.routes {
-		routes[n] = rt
-	}
-	backends := make(map[string]queue.API, len(r.shards))
-	for id, b := range r.shards {
-		backends[id] = b
-	}
-	r.mu.RUnlock()
-	byShard = make(map[string]int64, len(backends))
-	byGroup = make(map[string]int64)
-	for id := range backends {
-		byShard[id] = 0
-	}
-	for name, rt := range routes {
-		rt.mu.Lock()
-		owner := rt.shard
-		group := rt.group
-		dead := rt.dead
-		drains := make([]string, 0, len(rt.draining))
-		for id := range rt.draining {
-			if id != owner {
-				drains = append(drains, id)
-			}
-		}
-		rt.mu.Unlock()
-		if dead {
-			continue
-		}
-		g := effectiveGroup(group, name)
-		if _, ok := byGroup[g]; !ok {
-			byGroup[g] = 0
-		}
-		if v, inf, ok := queueDepth(backends[owner], name); ok {
-			byShard[owner] += int64(v) + int64(inf)
-			byGroup[g] += int64(v) + int64(inf)
-		}
-		for _, id := range drains {
-			if v, inf, ok := queueDepth(backends[id], name); ok {
-				byShard[id] += int64(v) + int64(inf)
-				byGroup[g] += int64(v) + int64(inf)
-			}
-		}
-	}
-	return byShard, byGroup
+	return maps.Clone(r.splits)
 }
 
 // queueDepth reads one queue's depth on one backend, preferring the

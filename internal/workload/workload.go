@@ -233,22 +233,7 @@ const PubChemDims = 166
 // of nClusters Gaussians in PubChemDims dimensions. Returned row-major:
 // points[i*PubChemDims : (i+1)*PubChemDims].
 func ChemicalPoints(seed int64, n, nClusters int) []float64 {
-	rng := rand.New(rand.NewSource(seed))
-	centers := make([][]float64, nClusters)
-	for c := range centers {
-		centers[c] = make([]float64, PubChemDims)
-		for d := range centers[c] {
-			centers[c][d] = rng.NormFloat64() * 3
-		}
-	}
-	pts := make([]float64, n*PubChemDims)
-	for i := 0; i < n; i++ {
-		c := centers[rng.Intn(nClusters)]
-		row := pts[i*PubChemDims : (i+1)*PubChemDims]
-		for d := range row {
-			row[d] = c[d] + rng.NormFloat64()*0.8
-		}
-	}
+	pts, _ := ChemicalPointsLabeled(seed, n, nClusters)
 	return pts
 }
 
