@@ -68,3 +68,16 @@ func TestAdminShardsReportsStandbyLag(t *testing.T) {
 		t.Errorf("standby_lag[d] = %+v after the standby was promoted", lag)
 	}
 }
+
+// A shard id is the whole path remainder: the router judges it, not the
+// path grammar, so an id with a slash reaches RemoveShard instead of
+// answering "not_found".
+func TestAdminShardIDIsThePathRemainder(t *testing.T) {
+	r := shard.NewRouter(shard.Config{})
+	defer r.Close()
+	h := &adminHandler{router: r, metrics: telemetry.NewRegistry()}
+	status, resp := do(t, h, http.MethodDelete, "/admin/shards/rack1/node2")
+	if status != http.StatusNotFound || resp.Error == nil || resp.Error.Code != "no_such_shard" {
+		t.Errorf("DELETE of an id with a slash: %d %+v, want 404 no_such_shard", status, resp.Error)
+	}
+}

@@ -286,9 +286,10 @@ type standbyLag struct {
 }
 
 // init builds the admin route table, as queue.HTTPHandler does the queue
-// face's. Each path also gets a method-less twin, less specific than its
-// method patterns, and "/" catches the rest: a wrong method and an unknown
-// path answer the JSON envelope, not the mux's plain text.
+// face's. Each path's method-less twin (less specific than its method
+// patterns) and "/" keep a wrong method and an unknown path inside the
+// JSON envelope; only a mux's own 301 for a non-canonical path ("//",
+// "..") is plain text, as it always was from main's outer mux.
 func (h *adminHandler) init() {
 	h.mux = http.NewServeMux()
 	type methods map[string]http.HandlerFunc
@@ -305,8 +306,8 @@ func (h *adminHandler) init() {
 	route("/admin/regroup", methods{"POST": h.serveRegroup})
 	route("/admin/split", methods{"POST": h.serveSplit})
 	route("/admin/shards", methods{"GET": h.serveShards})
-	route("/admin/shards/{$}", methods{"GET": h.serveShards})
-	route("/admin/shards/{id}", methods{"PUT": h.serveAddShard, "DELETE": h.serveRemoveShard})
+	h.mux.HandleFunc("GET /admin/shards/{$}", h.serveShards)
+	route("/admin/shards/{id...}", methods{"PUT": h.serveAddShard, "DELETE": h.serveRemoveShard})
 	h.mux.HandleFunc("/", func(w http.ResponseWriter, _ *http.Request) {
 		writeAdminFail(w, http.StatusNotFound, "not_found", "unknown admin endpoint")
 	})
@@ -322,14 +323,13 @@ func (h *adminHandler) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 // success envelope.
 func reply(w http.ResponseWriter, err error, status int, data any, format string, args ...any) {
 	if err != nil {
-		code, status := "internal", http.StatusBadGateway
 		for _, c := range adminErrCodes {
 			if errors.Is(err, c.err) {
-				code, status = c.code, c.status
-				break
+				writeAdminFail(w, c.status, c.code, err.Error())
+				return
 			}
 		}
-		writeAdminFail(w, status, code, err.Error())
+		writeAdminFail(w, http.StatusBadGateway, "internal", err.Error())
 		return
 	}
 	log.Printf("queuerouter: "+format, args...)

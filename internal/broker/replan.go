@@ -140,11 +140,6 @@ func (j *Job) replanTick() {
 		time.Duration(st.MeanNS).Round(time.Millisecond),
 		time.Duration(planNS).Round(time.Millisecond),
 		curKey, newType.Key(), n)
-	if !calm.Observed(newType) {
-		// Nothing has run on the winner yet: its curve is the fleet's
-		// mean observed/modelled ratio, which an operator should know.
-		reason += " (speed borrowed from the observed types)"
-	}
 	// The re-plan is durable before it is acted on: recovery replays the
 	// new type, fleet shape and policy clamp from this event, and the
 	// live job reads them from the same fold. PlanServiceNS resets to the

@@ -351,7 +351,6 @@ func (r MapReduceRunner) Run(app Application, files map[string][]byte) (*RunResu
 			"attempts":          fmt.Sprint(res.Stats.Attempts),
 			"data_local":        fmt.Sprint(res.Stats.DataLocalTasks),
 			"locality_fraction": fmt.Sprintf("%.2f", res.Stats.LocalityFraction()),
-			"hdfs_local_reads":  fmt.Sprintf("%.2f", fs.Stats().LocalFraction()),
 			"speculative":       fmt.Sprint(res.Stats.SpeculativeLaunched),
 		},
 	}, nil

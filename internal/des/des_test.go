@@ -154,22 +154,17 @@ func TestQuickMakespan(t *testing.T) {
 	}
 }
 
-// Busy and QueueLen read a resource's occupied slots and waiting
-// acquisitions.
-func (r *Resource) Busy() int     { return r.busy }
-func (r *Resource) QueueLen() int { return len(r.waiting) }
-
 func TestBusyAndQueueLen(t *testing.T) {
 	s := New()
 	r := NewResource(s, 1)
 	r.Acquire(func(release func()) { s.Schedule(10, release) })
 	r.Acquire(func(release func()) { s.Schedule(1, release) })
 	s.Schedule(5, func() {
-		if r.Busy() != 1 {
-			t.Errorf("Busy = %d", r.Busy())
+		if r.busy != 1 {
+			t.Errorf("busy = %d", r.busy)
 		}
-		if r.QueueLen() != 1 {
-			t.Errorf("QueueLen = %d", r.QueueLen())
+		if len(r.waiting) != 1 {
+			t.Errorf("waiting = %d", len(r.waiting))
 		}
 	})
 	s.Run()

@@ -64,15 +64,6 @@ type Stats struct {
 	ReReplicated  int64
 }
 
-// LocalFraction returns the fraction of block reads served node-locally.
-func (s Stats) LocalFraction() float64 {
-	total := s.LocalReads + s.RemoteReads
-	if total == 0 {
-		return 0
-	}
-	return float64(s.LocalReads) / float64(total)
-}
-
 // FS is the simulated filesystem: an in-process namenode plus datanode
 // states.
 type FS struct {

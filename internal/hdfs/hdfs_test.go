@@ -141,9 +141,6 @@ func TestLocalVersusRemoteReadAccounting(t *testing.T) {
 	if s.LocalReads != 1 || s.RemoteReads != 1 {
 		t.Errorf("after remote read: %+v", s)
 	}
-	if got := s.LocalFraction(); got != 0.5 {
-		t.Errorf("LocalFraction = %v", got)
-	}
 }
 
 func TestPreferredNodes(t *testing.T) {

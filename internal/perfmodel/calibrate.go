@@ -82,13 +82,6 @@ func (c CalibratedModel) RatioFor(it cloud.InstanceType) float64 {
 	return 1.0
 }
 
-// Observed reports whether the type has direct observations (as opposed
-// to borrowing the mean ratio).
-func (c CalibratedModel) Observed(it cloud.InstanceType) bool {
-	_, ok := c.ratios[it.Key()]
-	return ok
-}
-
 // AppFor returns the base model scaled so that TaskTime on the given
 // instance type reproduces the observed (or borrowed) ratio. TaskTime
 // is linear in WorkGHzSec and MemTrafficGB, so scaling both by the

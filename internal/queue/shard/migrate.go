@@ -285,14 +285,15 @@ type route struct {
 	// queue's messages onto the new owner.
 	dead bool
 	// draining holds old shards whose in-flight stragglers a background
-	// forwarder is still moving over.
-	draining map[string]bool
+	// forwarder is still moving over, each with the number of watches
+	// asked of that forwarder so far (askWatch, endWatch).
+	draining map[string]uint64
 }
 
 // newRoute returns a route frozen on shard: CreateQueue publishes it
 // before the backend queue exists and thaws it once it does.
 func newRoute(shard string) *route {
-	return &route{shard: shard, frozen: make(chan struct{}), draining: make(map[string]bool)}
+	return &route{shard: shard, frozen: make(chan struct{}), draining: make(map[string]uint64)}
 }
 
 // lockThawed waits out any freeze and returns holding rt.mu.
@@ -389,6 +390,31 @@ func (rt *route) regroup(group string) bool {
 	return true
 }
 
+// askWatch records that a migration left a residue on shard and reports
+// whether no forwarder is there yet.
+func (rt *route) askWatch(shard string) (first bool) {
+	rt.mu.Lock()
+	defer rt.mu.Unlock()
+	rt.draining[shard]++
+	return rt.draining[shard] == 1
+}
+
+// endWatch is a forwarder letting go of shard after its watches answered
+// the first seen requests. When one more came in meanwhile — the queue
+// moved back onto shard and off again, and that migration, finding a
+// forwarder there, started no twin — it owes another watch and stays.
+// Asking and letting go are one critical section each, so no interleaving
+// leaves a residue with neither.
+func (rt *route) endWatch(shard string, seen uint64) (asked uint64, done bool) {
+	rt.mu.Lock()
+	defer rt.mu.Unlock()
+	if asked = rt.draining[shard]; asked == seen {
+		delete(rt.draining, shard)
+		return asked, true
+	}
+	return asked, false
+}
+
 // migrate moves one queue: freeze, stream the visible backlog to the
 // new owner, thaw with the route switched, and leave a forwarder
 // watching the old shard for in-flight messages that expire back into
@@ -465,14 +491,9 @@ func receiptsOf(msgs []queue.Message) []string {
 }
 
 // watch ensures exactly one forwarder watches the queue's residue on
-// shard. One may already be there: the queue moved off the shard, back
-// on, and off again before the first forwarder finished.
+// shard; one still there from an earlier move is asked to look again.
 func (r *Router) watch(name string, rt *route, shard string) {
-	rt.mu.Lock()
-	watched := rt.draining[shard]
-	rt.draining[shard] = true
-	rt.mu.Unlock()
-	if !watched {
+	if rt.askWatch(shard) {
 		r.fwd.Add(1)
 		go r.forward(name, rt, shard, r.backend(shard))
 	}
@@ -484,36 +505,24 @@ func (r *Router) watch(name string, rt *route, shard string) {
 // visible, in which case they are forwarded to the current owner. When
 // the old queue is empty it is deleted; at the lease horizon the
 // forwarder gives up and leaves it, so outstanding receipts stay valid.
-//
-// A forwarder that stops because the queue migrated back onto from (the
-// "old" copy IS the live queue) re-checks as it lets go of the residue:
-// when the queue has moved off again in between, that migration saw
-// draining[from] set and spawned no twin, so the watch starts over
-// instead of stranding whatever is leased on from.
+// Whatever ended a watch, the only way out is endWatch.
 func (r *Router) forward(name string, rt *route, from string, fromB queue.API) {
 	defer r.fwd.Done()
-	for {
-		movedBack := r.drainResidue(name, rt, from, fromB)
-		rt.mu.Lock()
-		if !movedBack || rt.shard == from {
-			delete(rt.draining, from)
-			rt.mu.Unlock()
-			return
-		}
-		rt.mu.Unlock()
+	for seen, done := rt.endWatch(from, 0); !done; seen, done = rt.endWatch(from, seen) {
+		r.drainResidue(name, rt, from, fromB)
 	}
 }
 
-// drainResidue is one watch over from, until the residue is gone, the
-// lease horizon passes, or the router closes; it reports whether it
-// stopped because the queue lives on from again.
+// drainResidue is one watch over from: until the queue lives on from
+// again (the "old" copy IS the live queue), the residue is gone, the
+// lease horizon passes, or the router closes.
 //
 // Idle polls back off exponentially from ForwardInterval to a quarter
 // of drainVisibility: every poll is a billed request (a real HTTP round
 // trip on a remote shard), and consumers holding long heartbeat-renewed
 // leases would otherwise draw a constant poll stream for the whole
 // lease.
-func (r *Router) drainResidue(name string, rt *route, from string, fromB queue.API) (movedBack bool) {
+func (r *Router) drainResidue(name string, rt *route, from string, fromB queue.API) {
 	deadline := time.Now().Add(leaseHorizon)
 	interval := r.cfg.ForwardInterval
 	maxInterval := max(drainVisibility/4, interval)
@@ -523,14 +532,14 @@ func (r *Router) drainResidue(name string, rt *route, from string, fromB queue.A
 		select {
 		case <-timer.C:
 		case <-r.closing:
-			return false
+			return
 		}
 		if owner, _, _, _ := rt.await(); owner == from {
-			return true
+			return
 		}
 		visible, inflight, err := fromB.ApproximateCount(name)
 		if errors.Is(err, queue.ErrNoSuchQueue) {
-			return false // queue gone — deleted or already cleaned up
+			return // queue gone — deleted or already cleaned up
 		}
 		if err == nil && visible > 0 {
 			r.forwardVisible(name, rt, fromB)
@@ -550,7 +559,7 @@ func (r *Router) drainResidue(name string, rt *route, from string, fromB queue.A
 			owner, _, _, _ := rt.await()
 			stop := false
 			if owner == from {
-				stop, movedBack = true, true // live again; leave it alone
+				stop = true // live again; leave it alone
 			} else if v, inf, cerr := fromB.ApproximateCount(name); errors.Is(cerr, queue.ErrNoSuchQueue) {
 				stop = true // already gone
 			} else if cerr == nil && v == 0 && inf == 0 {
@@ -560,7 +569,7 @@ func (r *Router) drainResidue(name string, rt *route, from string, fromB queue.A
 			// A transient count error falls through: keep watching.
 			r.topoMu.Unlock()
 			if stop {
-				return movedBack
+				return
 			}
 			// Refilled while unguarded; keep forwarding eagerly.
 			interval = r.cfg.ForwardInterval
@@ -568,7 +577,7 @@ func (r *Router) drainResidue(name string, rt *route, from string, fromB queue.A
 			continue
 		}
 		if time.Now().After(deadline) {
-			return false
+			return
 		}
 		timer.Reset(interval)
 	}

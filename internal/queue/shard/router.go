@@ -876,12 +876,6 @@ type ShardStat struct {
 	Weight float64
 }
 
-// Stats aggregates per-shard placement, billing, live depth, and load —
-// the sharded view of the attribution model consumers already use per
-// queue. Sorted by shard id. It is Snapshot's shard axis: a caller that
-// wants both axes takes one Snapshot.
-func (r *Router) Stats() []ShardStat { return r.Snapshot().Shards }
-
 // GroupStat describes one placement group's footprint and traffic.
 type GroupStat struct {
 	Group string
@@ -918,8 +912,7 @@ type Snapshot struct {
 
 // Snapshot reads the placement once — one pass over the routes, one
 // depth probe per copy of a queue — and attributes it along both axes;
-// Stats, the backlog gauges, the admin face and the autoscaler all read
-// this.
+// the backlog gauges, the admin face and the autoscaler all read this.
 //
 // A queue's depth goes, by shard, to the shards actually holding the
 // messages: the owner's count to the owner, and each draining old
@@ -931,6 +924,9 @@ type Snapshot struct {
 // Depth is read through the unbilled queue.DepthReporter diagnostic
 // when the backend offers it (a local *queue.Service); remote shards
 // fall back to a billed ApproximateCount probe per queue.
+// One Snapshot therefore costs, against remote shards, an APIRequests
+// round trip per shard and a billed probe per queue copy, and every
+// reader pays both: the /metrics backlog collector on each scrape too.
 func (r *Router) Snapshot() Snapshot {
 	r.mu.RLock()
 	backends := make(map[string]queue.API, len(r.shards))

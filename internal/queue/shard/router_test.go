@@ -198,7 +198,7 @@ func TestRouterBilling(t *testing.T) {
 		t.Errorf("billed %d requests for send/receive/delete, want 3", got)
 	}
 	var shardReq int64
-	for _, st := range r.Stats() {
+	for _, st := range r.Snapshot().Shards {
 		shardReq += st.Requests
 	}
 	if shardReq < 4 {

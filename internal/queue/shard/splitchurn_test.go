@@ -83,8 +83,8 @@ func TestSplitMergeChurnUnderLoad(t *testing.T) {
 	}
 
 	// Topology churn while traffic flows: widen the split step by step,
-	// reweight arcs (each Rebalance inside SetShardWeight-then-Rebalance
-	// can move sub-arcs), and merge back — twice over.
+	// reweight arcs (each reweigh is a change of its own and can move
+	// sub-arcs), and merge back — twice over.
 	for cycle := 0; cycle < 2; cycle++ {
 		for _, k := range []int{2, 4, 8} {
 			if err := r.SplitGroup("churn", k); err != nil {
@@ -93,7 +93,7 @@ func TestSplitMergeChurnUnderLoad(t *testing.T) {
 		}
 		for i := 0; i < 3; i++ {
 			w := 0.5 + float64((cycle+i)%3) // 0.5, 1.5, 2.5 rotating
-			if _, err := r.SetShardWeight(fmt.Sprintf("s%d", i), w); err != nil {
+			if _, err := r.reweigh(map[string]float64{fmt.Sprintf("s%d", i): w}); err != nil {
 				t.Fatalf("set weight s%d: %v", i, err)
 			}
 		}
