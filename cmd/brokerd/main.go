@@ -17,6 +17,17 @@
 //	/jobs/{id}/cost, /jobs/{id}/deadletters, /jobs/{id}/outputs,
 //	/jobs/{id}/journal; POST /jobs/{id}/preempt; GET /fleet, /tenants
 //
+// The POST /jobs body is length-framed, not JSON (internal/codec: a
+// bytes field is a uvarint length followed by that many raw bytes):
+//
+//	bytes    options: {"app","tenant","target_makespan","autoscale",
+//	         "inject_crashes"} — the only JSON in the body
+//	uvarint  file count, then per file: bytes name, bytes data
+//	uvarint  shared-data count, then per item: bytes name, bytes data
+//
+// File bytes travel raw. broker.HTTPClient.Submit builds the body from a
+// broker.JobRequest; every response, and every GET, is JSON as before.
+//
 // Observability:
 //
 //	GET /metrics    whole-stack telemetry — queue op latency histograms,
@@ -85,7 +96,7 @@ func main() {
 	workers := flag.Int("workers", 2, "workers per instance")
 	visibility := flag.Duration("visibility", time.Minute, "task lease length")
 	maxReceives := flag.Int("max-receives", 4, "per-task retry cap before dead-lettering")
-	tick := flag.Duration("tick", 200*time.Millisecond, "autoscaler cadence")
+	tick := flag.Duration("tick", 200*time.Millisecond, "autoscale, re-plan and bulk-drain cadence (completion is noticed between ticks)")
 	targetDrain := flag.Duration("target-drain", 30*time.Second,
 		"size fleets to drain the backlog within this window once throughput is observed (0 = backlog heuristic only)")
 	catalogAddr := flag.String("catalog", ":8090",

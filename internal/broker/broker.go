@@ -73,7 +73,13 @@ type Config struct {
 	// MaxReceives is the per-task retry cap before dead-lettering
 	// (default 4).
 	MaxReceives int
-	// TickInterval is the autoscaler cadence (default 200ms).
+	// TickInterval is the control loop's cadence (default 200ms): once
+	// per tick a job drains its monitor queue in bulk, applies one
+	// autoscale decision with its fair-share grant, and considers a
+	// re-plan. It does not decide when a job is seen complete — the
+	// loop drains again at the job's predicted completion and waits on
+	// the queue from there (Job.run) — but it does bound how long Close
+	// and Halt can wait for a loop parked in that poll.
 	TickInterval time.Duration
 	// Catalog lists the instance types cost-aware selection may pick
 	// from (default: EC2 Table 1 + Azure Table 2).

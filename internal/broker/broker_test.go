@@ -403,14 +403,18 @@ func TestSubmitValidation(t *testing.T) {
 // (SendMessage or SendMessageBatch, 1-based) and the failCreateAt-th
 // CreateQueue (0 never fails), fails every batch receive / batch delete
 // on a monitor queue while failMonitorReceive / failMonitorDelete is
-// set, and calls onCreate before each CreateQueue. Everything else
-// reaches the real service.
+// set, and calls onCreate before each CreateQueue. It counts the batch
+// receives and batch deletes made on monitor queues, and tells parked
+// (when set) of every monitor receive that is willing to wait. Everything
+// else reaches the real service.
 type faultyQueue struct {
 	queue.API
 	failSendAt, failCreateAt              int64
 	sends, creates                        atomic.Int64
 	failMonitorReceive, failMonitorDelete atomic.Bool
+	monitorReceives, monitorDeletes       atomic.Int64
 	onCreate                              func(q string)
+	parked                                chan struct{}
 }
 
 var errInjected = errors.New("injected queue fault")
@@ -440,15 +444,27 @@ func (f *faultyQueue) CreateQueue(q string) error {
 }
 
 func (f *faultyQueue) ReceiveMessageBatch(q string, visibility time.Duration, max int, wait time.Duration) ([]queue.Message, error) {
-	if f.failMonitorReceive.Load() && strings.HasSuffix(q, "/monitor") {
-		return nil, errInjected
+	if strings.HasSuffix(q, "/monitor") {
+		if f.failMonitorReceive.Load() {
+			return nil, errInjected
+		}
+		f.monitorReceives.Add(1)
+		if wait > 0 && f.parked != nil {
+			select {
+			case f.parked <- struct{}{}:
+			default:
+			}
+		}
 	}
 	return f.API.ReceiveMessageBatch(q, visibility, max, wait)
 }
 
 func (f *faultyQueue) DeleteMessageBatch(q string, receipts []string) ([]error, error) {
-	if f.failMonitorDelete.Load() && strings.HasSuffix(q, "/monitor") {
-		return nil, errInjected
+	if strings.HasSuffix(q, "/monitor") {
+		if f.failMonitorDelete.Load() {
+			return nil, errInjected
+		}
+		f.monitorDeletes.Add(1)
 	}
 	return f.API.DeleteMessageBatch(q, receipts)
 }

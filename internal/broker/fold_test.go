@@ -41,7 +41,8 @@ func (e inertExec) Preload(classiccloud.Env) error {
 }
 
 // foldScript drives one job's lifecycle by hand: the control loop's tick
-// is an hour, so nothing happens unless the script calls it.
+// is an hour and the loop itself is stopped (quiesce), so nothing happens
+// unless the script calls it.
 type foldScript struct {
 	t           *testing.T
 	cfg         Config
@@ -81,7 +82,27 @@ func (s *foldScript) submit(req JobRequest) {
 		s.t.Fatal(err)
 	}
 	s.j = j
+	s.quiesce()
 	s.check("submit")
+}
+
+// quiesce ends the job's own control loop, so that the script is the
+// only reader of the monitor queue. A job's loop waits on that queue for
+// its first report — here for the whole hour-long tick — and would
+// settle the script's reports one send at a time. It is told to stop and
+// then woken with a body DrainMonitor deletes without settling anything;
+// the drain afterwards removes that body if the loop left before taking
+// it.
+func (s *foldScript) quiesce() {
+	s.t.Helper()
+	s.j.mu.Lock()
+	s.j.stopLoopLocked()
+	s.j.mu.Unlock()
+	if _, err := s.cfg.Env.Queue.SendMessage(s.j.ccCfg.MonitorQueue(), []byte("wake")); err != nil {
+		s.t.Fatal(err)
+	}
+	s.b.wg.Wait()
+	s.j.drainMonitor(0)
 }
 
 // report puts worker reports on the job's monitor queue and drains them.
@@ -96,7 +117,7 @@ func (s *foldScript) report(step string, reports ...classiccloud.MonitorReport) 
 			s.t.Fatal(err)
 		}
 	}
-	s.j.drainMonitor()
+	s.j.drainMonitor(0)
 	s.check(step)
 }
 
@@ -171,6 +192,7 @@ func (s *foldScript) crashAndRecover() {
 		s.t.Fatalf("%s not adopted", s.j.ID)
 	}
 	s.j = j
+	s.quiesce()
 	s.check("recover")
 	after := viewOf(j)
 	if !reflect.DeepEqual(before, after) {
@@ -407,13 +429,13 @@ func TestSwallowedErrorsAreCounted(t *testing.T) {
 	}
 
 	fq.failMonitorReceive.Store(true)
-	s.j.drainMonitor()
+	s.j.drainMonitor(0)
 	fq.failMonitorReceive.Store(false)
 	expect("monitor_receive", 1)
 
 	send(done("a"))
 	fq.failMonitorDelete.Store(true)
-	s.j.drainMonitor()
+	s.j.drainMonitor(0)
 	fq.failMonitorDelete.Store(false)
 	expect("monitor_delete", 1)
 	if st := s.j.Status(); st.Done != 1 {
@@ -424,7 +446,7 @@ func TestSwallowedErrorsAreCounted(t *testing.T) {
 		t.Fatal(err)
 	}
 	send(timed("b"))
-	s.j.drainMonitor()
+	s.j.drainMonitor(0)
 	expect("calibration_record", 1)
 
 	// A record that cannot be marshalled cannot be snapshotted; the event
@@ -434,7 +456,7 @@ func TestSwallowedErrorsAreCounted(t *testing.T) {
 	s.j.core.LastReplan = time.Date(10000, 1, 1, 0, 0, 0, 0, time.UTC)
 	s.j.mu.Unlock()
 	send(done("c"))
-	s.j.drainMonitor()
+	s.j.drainMonitor(0)
 	expect("compaction", 1)
 	s.j.mu.Lock()
 	s.j.jl.snapEvery, s.j.core.LastReplan = 0, time.Time{}
@@ -449,7 +471,7 @@ func TestSwallowedErrorsAreCounted(t *testing.T) {
 		t.Fatal(err)
 	}
 	send(done("d"))
-	s.j.drainMonitor()
+	s.j.drainMonitor(0)
 	expect("checkpoint", 1)
 	if st := s.j.Status(); st.Done != 3 {
 		t.Fatalf("done = %d: an unjournaled checkpoint was folded", st.Done)

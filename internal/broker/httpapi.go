@@ -2,6 +2,7 @@ package broker
 
 import (
 	"bytes"
+	"encoding/binary"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -10,13 +11,14 @@ import (
 	"strings"
 	"time"
 
+	"repro/internal/codec"
 	"repro/internal/httpx"
 )
 
 // HTTPHandler exposes a Broker through a REST interface, the broker
 // counterpart of queue's HTTP face:
 //
-//	POST /jobs                     submit a job (JSON JobRequest)
+//	POST /jobs                     submit a job (length-framed body, see encodeJobRequest)
 //	GET  /jobs                     list job statuses
 //	GET  /jobs/{id}                one job's status
 //	GET  /jobs/{id}/events         scaling event log
@@ -31,15 +33,139 @@ type HTTPHandler struct {
 	Broker *Broker
 }
 
-// wireJobRequest is JobRequest with a string duration for transport.
+// wireJobRequest is a JobRequest's options — everything but its file
+// bytes — with a string duration for transport: the JSON document that
+// opens a POST /jobs body.
 type wireJobRequest struct {
-	App            string            `json:"app"`
-	Tenant         string            `json:"tenant,omitempty"`
-	Files          map[string][]byte `json:"files"`
-	Shared         map[string][]byte `json:"shared,omitempty"`
-	TargetMakespan string            `json:"target_makespan,omitempty"`
-	Autoscale      *AutoscalePolicy  `json:"autoscale,omitempty"`
-	InjectCrashes  int               `json:"inject_crashes,omitempty"`
+	App            string           `json:"app"`
+	Tenant         string           `json:"tenant,omitempty"`
+	TargetMakespan string           `json:"target_makespan,omitempty"`
+	Autoscale      *AutoscalePolicy `json:"autoscale,omitempty"`
+	InjectCrashes  int              `json:"inject_crashes,omitempty"`
+}
+
+// maxJobRequestBytes bounds a POST /jobs body: the handler holds the
+// whole submission in memory while Broker.Submit stages it.
+const maxJobRequestBytes = 256 << 20
+
+// encodeJobRequest renders the POST /jobs body, internal/codec fields in
+// this order:
+//
+//	bytes    the options, a JSON wireJobRequest (a few hundred bytes)
+//	uvarint  file count, then per file: bytes name, bytes data
+//	uvarint  shared-data count, then per item: bytes name, bytes data
+//
+// File bytes travel as they are — no base64, no escaping — and the
+// buffer is sized once, to an upper bound known from the lengths, so
+// encoding is one copy of the inputs.
+func encodeJobRequest(req JobRequest) ([]byte, error) {
+	wreq := wireJobRequest{
+		App:           req.App,
+		Tenant:        req.Tenant,
+		Autoscale:     req.Autoscale,
+		InjectCrashes: req.InjectCrashes,
+	}
+	if req.TargetMakespan != 0 {
+		wreq.TargetMakespan = req.TargetMakespan.String()
+	}
+	opts, err := json.Marshal(wreq)
+	if err != nil {
+		return nil, err
+	}
+	sets := [2]map[string][]byte{req.Files, req.Shared}
+	size := len(opts) + 3*binary.MaxVarintLen64 // every length prefix at its longest
+	for _, set := range sets {
+		for name, data := range set {
+			size += len(name) + len(data) + 2*binary.MaxVarintLen64
+		}
+	}
+	e := codec.Enc{B: make([]byte, 0, size)}
+	e.Bytes(opts)
+	for _, set := range sets {
+		e.U64(uint64(len(set)))
+		for name, data := range set {
+			e.Str(name)
+			e.Bytes(data)
+		}
+	}
+	return e.B, nil
+}
+
+// decodeJobRequest parses a POST /jobs body. The body is outside input:
+// every length is read by codec.Dec, which refuses one larger than the
+// bytes that remain, and nothing is sized from a declared count. A
+// truncated field, bytes after the last one and a name that appears
+// twice in a set are all framing errors. File data in the result
+// aliases body.
+func decodeJobRequest(body []byte) (JobRequest, error) {
+	d := codec.Dec{B: body}
+	opts := d.Bytes()
+	files := decodeFileSet(&d)
+	shared := decodeFileSet(&d)
+	if d.Err == nil && len(d.B) > 0 {
+		d.Fail() // bytes after the last field
+	}
+	if d.Err != nil {
+		return JobRequest{}, fmt.Errorf("framing: %w", d.Err)
+	}
+	var wreq wireJobRequest
+	if err := json.Unmarshal(opts, &wreq); err != nil {
+		return JobRequest{}, fmt.Errorf("options: %w", err)
+	}
+	req := JobRequest{
+		App:           wreq.App,
+		Tenant:        wreq.Tenant,
+		Files:         files,
+		Shared:        shared,
+		Autoscale:     wreq.Autoscale,
+		InjectCrashes: wreq.InjectCrashes,
+	}
+	if wreq.TargetMakespan != "" {
+		d, err := time.ParseDuration(wreq.TargetMakespan)
+		if err != nil {
+			return JobRequest{}, fmt.Errorf("target_makespan: %w", err)
+		}
+		req.TargetMakespan = d
+	}
+	return req, nil
+}
+
+// decodeFileSet reads one counted name → data set (nil when empty).
+func decodeFileSet(d *codec.Dec) map[string][]byte {
+	var set map[string][]byte
+	for n := d.Len(); n > 0 && d.Err == nil; n-- {
+		name, data := d.Str(), d.Bytes()
+		if _, dup := set[name]; dup {
+			d.Fail()
+		}
+		if set == nil {
+			set = make(map[string][]byte)
+		}
+		set[name] = data
+	}
+	return set
+}
+
+// readBody reads r to its end into one slice. Memory is only ever sized
+// from bytes that have arrived, never from Content-Length: chunks double
+// as they fill, and the result is one copy of them into a slice of the
+// size they add up to (io.ReadAll and bytes.Buffer re-copy and re-clear
+// everything read so far at every doubling, a third of a 10 MB
+// submission's time).
+func readBody(r io.Reader) ([]byte, error) {
+	var chunks [][]byte
+	for size := 64 << 10; ; size *= 2 {
+		chunk := make([]byte, size)
+		n, err := io.ReadFull(r, chunk)
+		chunks = append(chunks, chunk[:n])
+		switch err {
+		case nil:
+		case io.EOF, io.ErrUnexpectedEOF:
+			return bytes.Join(chunks, nil), nil
+		default:
+			return nil, err
+		}
+	}
 }
 
 // ServeHTTP implements http.Handler.
@@ -85,26 +211,22 @@ func (h *HTTPHandler) serveTenants(w http.ResponseWriter, r *http.Request) {
 func (h *HTTPHandler) serveJobs(w http.ResponseWriter, r *http.Request) {
 	switch r.Method {
 	case http.MethodPost:
-		var wreq wireJobRequest
-		if err := json.NewDecoder(r.Body).Decode(&wreq); err != nil {
-			http.Error(w, "broker: bad request: "+err.Error(), http.StatusBadRequest)
+		// The request's file data aliases body; Submit copies what it
+		// keeps (blob.Put), so nothing outlives the request.
+		body, err := readBody(http.MaxBytesReader(w, r.Body, maxJobRequestBytes))
+		if err != nil {
+			status := http.StatusBadRequest
+			var tooLarge *http.MaxBytesError
+			if errors.As(err, &tooLarge) {
+				status = http.StatusRequestEntityTooLarge
+			}
+			http.Error(w, "broker: bad request: "+err.Error(), status)
 			return
 		}
-		req := JobRequest{
-			App:           wreq.App,
-			Tenant:        wreq.Tenant,
-			Files:         wreq.Files,
-			Shared:        wreq.Shared,
-			Autoscale:     wreq.Autoscale,
-			InjectCrashes: wreq.InjectCrashes,
-		}
-		if wreq.TargetMakespan != "" {
-			d, err := time.ParseDuration(wreq.TargetMakespan)
-			if err != nil {
-				http.Error(w, "broker: bad target_makespan: "+err.Error(), http.StatusBadRequest)
-				return
-			}
-			req.TargetMakespan = d
+		req, err := decodeJobRequest(body)
+		if err != nil {
+			http.Error(w, "broker: bad request: "+err.Error(), http.StatusBadRequest)
+			return
 		}
 		j, err := h.Broker.Submit(req)
 		if err != nil {
@@ -193,22 +315,11 @@ func (c *HTTPClient) httpClient() *http.Client {
 
 // Submit posts a job and returns its initial status.
 func (c *HTTPClient) Submit(req JobRequest) (Status, error) {
-	wreq := wireJobRequest{
-		App:           req.App,
-		Tenant:        req.Tenant,
-		Files:         req.Files,
-		Shared:        req.Shared,
-		Autoscale:     req.Autoscale,
-		InjectCrashes: req.InjectCrashes,
-	}
-	if req.TargetMakespan > 0 {
-		wreq.TargetMakespan = req.TargetMakespan.String()
-	}
-	body, err := json.Marshal(wreq)
+	body, err := encodeJobRequest(req)
 	if err != nil {
 		return Status{}, err
 	}
-	resp, err := c.httpClient().Post(c.BaseURL+"/jobs", "application/json", bytes.NewReader(body))
+	resp, err := c.httpClient().Post(c.BaseURL+"/jobs", "application/octet-stream", bytes.NewReader(body))
 	if err != nil {
 		return Status{}, err
 	}

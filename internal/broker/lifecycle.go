@@ -3,6 +3,7 @@ package broker
 import (
 	"fmt"
 	"log"
+	"math"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -10,6 +11,7 @@ import (
 
 	"repro/internal/classiccloud"
 	"repro/internal/cloud"
+	"repro/internal/queue"
 )
 
 // JobState is a job's lifecycle phase.
@@ -71,7 +73,8 @@ type Job struct {
 	halted        bool
 	lastTick      time.Time
 	lastDoneCount int
-	throughput    float64 // tasks/sec/instance, smoothed
+	throughput    float64       // tasks/sec/instance, smoothed
+	serviceTime   time.Duration // worker-measured, per task, smoothed (completionETA)
 	stopWG        sync.WaitGroup
 }
 
@@ -111,32 +114,99 @@ func (j *Job) instanceTypeLocked() cloud.InstanceType {
 	return resolveInstanceType(j.core.Provider, j.core.Instance, cfg.Catalog, cfg.DefaultInstance)
 }
 
-// run is the job's control loop: drain the monitor queue, observe the
-// task queue, autoscale, detect completion.
+// run is the job's control loop. Once per TickInterval it drains the
+// monitor queue in bulk (full batches: the reports of a whole tick),
+// applies one autoscale decision with its fair-share grant, and
+// considers a re-plan. When the job is seen complete is NOT the tick's
+// decision: the next drain is due at the tick or at the job's predicted
+// completion (completionETA), whichever is sooner, and a drain that is
+// due before the tick waits on the queue's long poll for what is left
+// of the tick instead of returning empty. A prediction that was early
+// therefore parks until the next report lands, one that was late costs
+// its error, and a job whose tasks are far from done behaves exactly as
+// it did when the tick was the only cadence. A parked poll is not
+// interruptible, so Close and Halt wait out at most one tick of it.
 func (j *Job) run() {
-	ticker := time.NewTicker(j.broker.cfg.TickInterval)
-	defer ticker.Stop()
+	tick := j.broker.cfg.TickInterval
+	next := time.Now().Add(tick)
 	for {
-		select {
-		case <-j.stop:
+		if !j.sleep(min(time.Until(next), j.completionETA())) {
 			return
-		case <-ticker.C:
 		}
-		j.drainMonitor()
+		left := time.Until(next)
+		drained := j.drainMonitor(left)
 		if j.maybeComplete() {
 			return
 		}
-		j.autoscaleTick()
-		j.replanTick()
+		if left <= 0 {
+			j.autoscaleTick()
+			j.replanTick()
+			// The next boundary on the same grid, skipping any that a long
+			// drain ran past.
+			next = next.Add(tick * (1 + time.Since(next)/tick))
+		} else if drained == 0 && !j.sleep(time.Until(next)) {
+			// Nothing came of waiting — a receive that failed, a checkpoint
+			// the journal refused — so the loop sat out the rest of the tick,
+			// which retries as it always has, and was told to stop meanwhile.
+			return
+		}
 	}
 }
 
-// drainMonitor consumes every waiting completion report, a batch at a
-// time, through the Classic Cloud client's one drain primitive (without
-// waiting: the tick is the cadence).
-func (j *Job) drainMonitor() {
+// sleep waits for d (not at all when d <= 0) and reports false when the
+// job was told to stop instead.
+func (j *Job) sleep(d time.Duration) bool {
+	select {
+	case <-j.stop:
+		return false
+	default:
+	}
+	if d <= 0 {
+		return true
+	}
+	timer := time.NewTimer(d)
+	defer timer.Stop()
+	select {
+	case <-j.stop:
+		return false
+	case <-timer.C:
+		return true
+	}
+}
+
+// completionETA predicts how soon the job can be complete: the tasks
+// still to run times the service time the workers have been reporting,
+// spread over the running workers. A worker reports a batch of
+// classiccloud.ReceiveBatch tasks at a time, so up to a batch per worker
+// may have been executed and not yet reported; the prediction counts
+// those as done, because a guess that is early only parks on the queue
+// while one that is late is lag. Before anything has settled it is zero
+// — the loop waits on the queue for the first report, which is what lets
+// a job shorter than one tick finish before it. Without a basis (reports
+// that carried no service time, no running instance) it is forever, and
+// the tick decides.
+func (j *Job) completionETA() time.Duration {
+	j.mu.Lock()
+	defer j.mu.Unlock()
+	settled, workers := j.core.Settled(), j.core.fleetSize()*j.broker.cfg.WorkersPerInstance
+	switch {
+	case settled == 0:
+		return 0
+	case j.serviceTime == 0 || workers == 0:
+		return math.MaxInt64
+	}
+	toRun := len(j.core.TaskIDs) - settled - workers*classiccloud.ReceiveBatch
+	return j.serviceTime / time.Duration(workers) * time.Duration(max(toRun, 0))
+}
+
+// drainMonitor consumes the waiting completion reports, a batch at a
+// time, through the Classic Cloud client's one drain primitive, and
+// returns how many it took off the queue. Only the first receive waits
+// (up to wait, for a first report to arrive); a batch that comes back
+// short of full emptied the queue.
+func (j *Job) drainMonitor(wait time.Duration) (drained int) {
 	for {
-		n, err := j.cc.DrainMonitor(0, j.checkpoint)
+		n, err := j.cc.DrainMonitor(wait, j.checkpoint)
 		if err != nil {
 			// A failed or partial delete only means some reports
 			// redeliver; the fold deduplicates them.
@@ -146,9 +216,11 @@ func (j *Job) drainMonitor() {
 			}
 			j.swallowed(site, err)
 		}
-		if n == 0 {
-			return
+		drained += n
+		if n < queue.MaxBatch {
+			return drained
 		}
+		wait = 0
 	}
 }
 
@@ -184,6 +256,19 @@ func (j *Job) checkpoint(reports []classiccloud.MonitorReport) bool {
 	var err error
 	if len(done) > 0 || len(dead) > 0 {
 		err = j.recordLocked(Event{Type: EvCheckpoint, Time: time.Now(), Done: done, Dead: dead})
+	}
+	if err == nil && len(samples) > 0 {
+		// Smoothed per drained batch, like throughput per tick: the tasks
+		// still to run resemble the latest ones more than the first.
+		var sum time.Duration
+		for _, s := range samples {
+			sum += s.ServiceTime
+		}
+		mean := sum / time.Duration(len(samples))
+		if j.serviceTime != 0 {
+			mean = (mean + j.serviceTime) / 2
+		}
+		j.serviceTime = mean
 	}
 	j.mu.Unlock()
 	if err != nil {

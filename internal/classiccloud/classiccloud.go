@@ -59,16 +59,20 @@ type Preloader interface {
 	Preload(env Env) error
 }
 
-// A worker's queue discipline is the same in every deployment.
+// ReceiveBatch is how many tasks a worker pulls per receive call. Task
+// acknowledgements and monitor reports are batched the same way, so a
+// worker costs 3 requests per ReceiveBatch tasks instead of 3 per task —
+// and a task can be up to a batch's execution old before the monitor
+// queue says so, which a controller predicting completion allows for.
+// With SubmitFiles sending and WaitForCompletion draining
+// queue.MaxBatch messages per request, a task's whole queue bill is
+// about 1/MaxBatch + 3/ReceiveBatch + 2/MaxBatch requests:
+// 0.1 + 0.75 + 0.2 = 1.05.
+const ReceiveBatch = 4
+
+// The rest of a worker's queue discipline is the same in every
+// deployment too.
 const (
-	// receiveBatch is how many tasks a worker pulls per receive call.
-	// Task acknowledgements and monitor reports are batched the same
-	// way, so a worker costs 3 requests per receiveBatch tasks instead
-	// of 3 per task. With SubmitFiles sending and WaitForCompletion
-	// draining queue.MaxBatch messages per request, a task's whole
-	// queue bill is about 1/MaxBatch + 3/receiveBatch + 2/MaxBatch
-	// requests: 0.1 + 0.75 + 0.2 = 1.05.
-	receiveBatch = 4
 	// longPollWait is how long an idle worker (or a client waiting for
 	// completion reports) blocks inside the queue's long-poll receive
 	// before re-checking its stop signal: idle workers park on the
@@ -495,7 +499,7 @@ func (inst *Instance) workerLoop(workerID int) {
 		// burning a receive request every few milliseconds.
 		msgs, err := inst.env.Queue.ReceiveMessageBatch(
 			inst.cfg.TaskQueue(), inst.cfg.VisibilityTimeout,
-			receiveBatch, longPollWait)
+			ReceiveBatch, longPollWait)
 		if err != nil {
 			select {
 			case <-inst.stop:

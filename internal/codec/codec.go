@@ -1,7 +1,7 @@
-// Package codec is the one binary field codec of the queue tier: the
-// wire transport's frame payloads and the durable shard's journal
-// records and snapshots are both built from these primitives, so there
-// is a single place where a length is read off untrusted bytes.
+// Package codec is the one binary field codec: the wire transport's
+// frame payloads, the durable shard's journal records and snapshots and
+// the broker's job-submission body are all built from these primitives,
+// so there is a single place where a length is read off untrusted bytes.
 //
 // Enc is append-style: every method appends to B and nothing else, so a
 // caller can hand it a pooled buffer and take the grown slice back. Dec
