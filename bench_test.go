@@ -13,6 +13,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/apps"
 	"repro/internal/blast"
 	"repro/internal/broker"
 	"repro/internal/cap3"
@@ -127,7 +128,7 @@ func BenchmarkFig9BlastAzure(b *testing.B) {
 			best = r
 		}
 	}
-	b.Logf("best Azure config: %s (%v)", best.Label(), best.Time)
+	b.Logf("best Azure config: %s %dx%d (%v)", best.InstanceType, best.Workers, best.Threads, best.Time)
 }
 
 func BenchmarkFig10BlastEfficiency(b *testing.B) {
@@ -212,14 +213,12 @@ func BenchmarkRealCap3ClassicCloud(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	app := core.FuncApp{AppName: "cap3", Fn: func(name string, in []byte) ([]byte, error) {
-		return cap3.Run(in, cap3.Options{})
-	}}
+	app := apps.Cap3(cap3.Options{})
 	runner := core.ClassicCloudRunner{Instances: 2, WorkersPerInstance: 2}
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := runner.Run(app, files); err != nil {
+		if _, err := runner.Run(app, files, nil); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -246,19 +245,20 @@ func BenchmarkRealCap3Assembler(b *testing.B) {
 
 func BenchmarkRealBlastMapReduce(b *testing.B) {
 	dbRecs, motifs := workload.ProteinDatabase(3, 150, 200, 300, 4, 25)
-	db := blast.NewDatabase(dbRecs)
+	nr, err := fasta.MarshalRecords(dbRecs)
+	if err != nil {
+		b.Fatal(err)
+	}
 	files, err := workload.BlastQueryFileSet(4, 3, 20, motifs, 60)
 	if err != nil {
 		b.Fatal(err)
 	}
-	app := core.FuncApp{AppName: "blast", Fn: func(name string, in []byte) ([]byte, error) {
-		return blast.Run(in, db, blast.Options{Threads: 1})
-	}}
+	app, shared := apps.Blast(blast.Options{Threads: 1}), map[string][]byte{"nr.fsa": nr}
 	runner := core.MapReduceRunner{Nodes: 3, SlotsPerNode: 2}
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := runner.Run(app, files); err != nil {
+		if _, err := runner.Run(app, files, shared); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -281,14 +281,16 @@ func BenchmarkRealGTMDryad(b *testing.B) {
 		}
 		files[fmt.Sprintf("s%d", i)] = enc
 	}
-	app := core.FuncApp{AppName: "gtm", Fn: func(name string, in []byte) ([]byte, error) {
-		return gtm.Run(model, in)
-	}}
+	blob, err := model.Marshal()
+	if err != nil {
+		b.Fatal(err)
+	}
+	app, shared := apps.GTM(), map[string][]byte{"model": blob}
 	runner := core.DryadRunner{Nodes: 2, SlotsPerNode: 2}
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := runner.Run(app, files); err != nil {
+		if _, err := runner.Run(app, files, shared); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -325,7 +327,7 @@ func BenchmarkAblationSpeculation(b *testing.B) {
 					Name: "straggle", Input: inputs,
 					Speculative: speculative, SpeculativeAfter: 5 * time.Millisecond,
 					Map: func(ctx *mapreduce.TaskContext, k string, v []byte, emit func(string, []byte)) error {
-						if k == "/in/f00" && first && ctx.Attempt == 1 {
+						if k == "f00" && first && ctx.Attempt == 1 {
 							first = false
 							time.Sleep(40 * time.Millisecond)
 						}

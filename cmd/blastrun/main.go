@@ -1,6 +1,8 @@
 // Command blastrun searches protein query files against a synthetic
-// NR-like database with the BLAST-style engine, optionally distributing
-// query files over one of the three execution frameworks.
+// NR-like database with the BLAST-style engine (apps.Blast), distributing
+// the query files over one of the three execution frameworks. The
+// database is the job's shared data: one FASTA document, staged the
+// chosen framework's way and indexed once when the application opens.
 //
 // Usage:
 //
@@ -11,52 +13,15 @@ import (
 	"flag"
 	"fmt"
 	"log"
+	"os"
 	"strings"
-	"sync"
 
+	"repro/internal/apps"
 	"repro/internal/blast"
 	"repro/internal/core"
+	"repro/internal/fasta"
 	"repro/internal/workload"
 )
-
-// blastApp is the framework-facing BLAST application: the database is
-// shared reference data preloaded to every worker.
-type blastApp struct {
-	dbBlob []byte
-
-	mu sync.Mutex
-	db *blast.Database
-}
-
-func (a *blastApp) Name() string { return "blast" }
-
-func (a *blastApp) SharedData() map[string][]byte {
-	return map[string][]byte{"nr.gz": a.dbBlob}
-}
-
-func (a *blastApp) LoadShared(files map[string][]byte) error {
-	a.mu.Lock()
-	defer a.mu.Unlock()
-	if a.db != nil {
-		return nil // already extracted on this "instance"
-	}
-	db, err := blast.UnmarshalCompressed(files["nr.gz"])
-	if err != nil {
-		return err
-	}
-	a.db = db
-	return nil
-}
-
-func (a *blastApp) Process(name string, input []byte) ([]byte, error) {
-	a.mu.Lock()
-	db := a.db
-	a.mu.Unlock()
-	if db == nil {
-		return nil, fmt.Errorf("database not loaded")
-	}
-	return blast.Run(input, db, blast.Options{Threads: 1})
-}
 
 func main() {
 	log.SetFlags(0)
@@ -70,30 +35,21 @@ func main() {
 	flag.Parse()
 
 	dbRecs, motifs := workload.ProteinDatabase(*seed, *dbSize, 200, 400, 8, 30)
-	db := blast.NewDatabase(dbRecs)
-	dbBlob, err := db.MarshalCompressed()
+	nr, err := fasta.MarshalRecords(dbRecs)
 	if err != nil {
 		log.Fatal(err)
 	}
-	fmt.Printf("database: %d sequences, %d residues, %d KB compressed\n",
-		len(db.Seqs), db.TotalLen, len(dbBlob)/1024)
+	fmt.Printf("database: %d sequences, %d KB of FASTA staged to every worker\n", len(dbRecs), len(nr)/1024)
 
 	files, err := workload.BlastQueryFileSet(*seed+1, *nQueries, 100, motifs, 80)
 	if err != nil {
 		log.Fatal(err)
 	}
-	var runner core.Runner
-	switch *backend {
-	case "classic-cloud":
-		runner = core.ClassicCloudRunner{Instances: 2, WorkersPerInstance: 2}
-	case "hadoop-mapreduce":
-		runner = core.MapReduceRunner{Nodes: 2, SlotsPerNode: 2}
-	case "dryadlinq":
-		runner = core.DryadRunner{Nodes: 2, SlotsPerNode: 2}
-	default:
-		log.Fatalf("unknown backend %q", *backend)
+	runner, err := core.NewRunner(*backend, 4)
+	if err != nil {
+		log.Fatal(err)
 	}
-	res, err := runner.Run(&blastApp{dbBlob: dbBlob}, files)
+	res, err := runner.Run(apps.Blast(blast.Options{Threads: 1}), files, map[string][]byte{"nr.fsa": nr})
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -102,7 +58,5 @@ func main() {
 		hits += strings.Count(string(out), "\n")
 	}
 	fmt.Printf("backend=%s files=%d hits=%d elapsed=%v\n", res.Backend, len(files), hits, res.Elapsed)
-	for k, v := range res.Detail {
-		fmt.Printf("  %s=%s\n", k, v)
-	}
+	res.WriteDetail(os.Stdout)
 }

@@ -1,6 +1,6 @@
 // Command cap3run assembles FASTA fragment files with the Cap3-style
-// assembler, optionally distributing the files over one of the three
-// execution frameworks.
+// assembler (apps.Cap3), distributing the files over one of the three
+// execution frameworks (core.NewRunner), or assembles one file in place.
 //
 // Usage:
 //
@@ -14,6 +14,7 @@ import (
 	"log"
 	"os"
 
+	"repro/internal/apps"
 	"repro/internal/cap3"
 	"repro/internal/core"
 	"repro/internal/fasta"
@@ -50,24 +51,16 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	app := core.FuncApp{
-		AppName: "cap3",
-		Fn: func(name string, input []byte) ([]byte, error) {
-			return cap3.Run(input, cap3.Options{})
-		},
-	}
-	runner, err := pickRunner(*backend, *workers)
+	runner, err := core.NewRunner(*backend, *workers)
 	if err != nil {
 		log.Fatal(err)
 	}
-	res, err := runner.Run(app, files)
+	res, err := runner.Run(apps.Cap3(cap3.Options{}), files, nil)
 	if err != nil {
 		log.Fatal(err)
 	}
 	fmt.Printf("backend=%s files=%d elapsed=%v\n", res.Backend, len(files), res.Elapsed)
-	for k, v := range res.Detail {
-		fmt.Printf("  %s=%s\n", k, v)
-	}
+	res.WriteDetail(os.Stdout)
 	totalContigs := 0
 	for name, out := range res.Outputs {
 		n, err := fasta.CountRecords(out)
@@ -77,16 +70,4 @@ func main() {
 		totalContigs += n
 	}
 	fmt.Printf("assembled %d contigs across %d files\n", totalContigs, len(res.Outputs))
-}
-
-func pickRunner(backend string, workers int) (core.Runner, error) {
-	switch backend {
-	case "classic-cloud":
-		return core.ClassicCloudRunner{Instances: 2, WorkersPerInstance: (workers + 1) / 2}, nil
-	case "hadoop-mapreduce":
-		return core.MapReduceRunner{Nodes: 2, SlotsPerNode: (workers + 1) / 2}, nil
-	case "dryadlinq":
-		return core.DryadRunner{Nodes: 2, SlotsPerNode: (workers + 1) / 2}, nil
-	}
-	return nil, fmt.Errorf("unknown backend %q", backend)
 }

@@ -1,6 +1,7 @@
 // Command gtmrun trains a GTM on a sample of synthetic PubChem-like
-// chemical descriptors and interpolates out-of-sample shards through one
-// of the three execution frameworks.
+// chemical descriptors and interpolates out-of-sample shards (apps.GTM)
+// through one of the three execution frameworks; the trained model is
+// the job's shared data.
 //
 // Usage:
 //
@@ -11,50 +12,13 @@ import (
 	"flag"
 	"fmt"
 	"log"
-	"sync"
+	"os"
 
+	"repro/internal/apps"
 	"repro/internal/core"
 	"repro/internal/gtm"
 	"repro/internal/workload"
 )
-
-// gtmApp distributes a trained model to workers and interpolates shards.
-type gtmApp struct {
-	modelBlob []byte
-
-	mu    sync.Mutex
-	model *gtm.Model
-}
-
-func (a *gtmApp) Name() string { return "gtm" }
-
-func (a *gtmApp) SharedData() map[string][]byte {
-	return map[string][]byte{"model.gtm": a.modelBlob}
-}
-
-func (a *gtmApp) LoadShared(files map[string][]byte) error {
-	a.mu.Lock()
-	defer a.mu.Unlock()
-	if a.model != nil {
-		return nil
-	}
-	m, err := gtm.UnmarshalModel(files["model.gtm"])
-	if err != nil {
-		return err
-	}
-	a.model = m
-	return nil
-}
-
-func (a *gtmApp) Process(name string, input []byte) ([]byte, error) {
-	a.mu.Lock()
-	m := a.model
-	a.mu.Unlock()
-	if m == nil {
-		return nil, fmt.Errorf("model not loaded")
-	}
-	return gtm.Run(m, input)
-}
 
 func main() {
 	log.SetFlags(0)
@@ -94,18 +58,11 @@ func main() {
 		files[fmt.Sprintf("shard%03d.bin", i)] = shard
 	}
 
-	var runner core.Runner
-	switch *backend {
-	case "classic-cloud":
-		runner = core.ClassicCloudRunner{Instances: 2, WorkersPerInstance: 2}
-	case "hadoop-mapreduce":
-		runner = core.MapReduceRunner{Nodes: 2, SlotsPerNode: 2}
-	case "dryadlinq":
-		runner = core.DryadRunner{Nodes: 2, SlotsPerNode: 2}
-	default:
-		log.Fatalf("unknown backend %q", *backend)
+	runner, err := core.NewRunner(*backend, 4)
+	if err != nil {
+		log.Fatal(err)
 	}
-	res, err := runner.Run(&gtmApp{modelBlob: blob}, files)
+	res, err := runner.Run(apps.GTM(), files, map[string][]byte{"model.gtm": blob})
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -119,7 +76,5 @@ func main() {
 	}
 	fmt.Printf("backend=%s shards=%d points embedded=%d elapsed=%v\n",
 		res.Backend, len(files), embedded, res.Elapsed)
-	for k, v := range res.Detail {
-		fmt.Printf("  %s=%s\n", k, v)
-	}
+	res.WriteDetail(os.Stdout)
 }

@@ -1,10 +1,11 @@
 // Chemical-structure visualization: the paper's GTM Interpolation
 // workload end to end on the DryadLINQ substrate. A GTM is trained on a
 // small sample of 166-dimensional chemical descriptors (the PubChem
-// stand-in); the trained model is manually distributed to the node-local
-// shared directories; out-of-sample shards are interpolated through the
-// Select operator; finally the example renders a coarse ASCII density
-// map of the 2-D embedding.
+// stand-in); the trained model — the shared data of apps.GTM — is
+// manually distributed to the node-local shared directories;
+// out-of-sample shards are interpolated through the Select operator;
+// finally the example renders a coarse ASCII density map of the 2-D
+// embedding.
 //
 //	go run ./examples/chemvisualization
 package main
@@ -12,42 +13,12 @@ package main
 import (
 	"fmt"
 	"log"
-	"sync"
 
+	"repro/internal/apps"
 	"repro/internal/core"
 	"repro/internal/gtm"
 	"repro/internal/workload"
 )
-
-type interpApp struct {
-	modelBlob []byte
-	mu        sync.Mutex
-	model     *gtm.Model
-}
-
-func (a *interpApp) Name() string                  { return "gtm" }
-func (a *interpApp) SharedData() map[string][]byte { return map[string][]byte{"model": a.modelBlob} }
-
-func (a *interpApp) LoadShared(f map[string][]byte) error {
-	a.mu.Lock()
-	defer a.mu.Unlock()
-	if a.model != nil {
-		return nil
-	}
-	m, err := gtm.UnmarshalModel(f["model"])
-	if err != nil {
-		return err
-	}
-	a.model = m
-	return nil
-}
-
-func (a *interpApp) Process(name string, input []byte) ([]byte, error) {
-	a.mu.Lock()
-	m := a.model
-	a.mu.Unlock()
-	return gtm.Run(m, input)
-}
 
 func main() {
 	log.SetFlags(0)
@@ -81,7 +52,7 @@ func main() {
 	}
 
 	runner := core.DryadRunner{Nodes: 4, SlotsPerNode: 2}
-	res, err := runner.Run(&interpApp{modelBlob: blob}, files)
+	res, err := runner.Run(apps.GTM(), files, map[string][]byte{"model": blob})
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -1,8 +1,9 @@
 // Genome assembly: the paper's Cap3 workload end to end. A synthetic
 // genome is shredded into noisy shotgun reads split across FASTA files;
 // the Classic Cloud framework distributes the files to queue-fed
-// workers, each of which runs the Cap3-style assembler; the example then
-// verifies the assembled contigs against the reference genome.
+// workers, each of which runs the Cap3-style assembler (apps.Cap3); the
+// example then verifies the assembled contigs against the reference
+// genome.
 //
 //	go run ./examples/genomeassembly
 package main
@@ -11,6 +12,7 @@ import (
 	"fmt"
 	"log"
 
+	"repro/internal/apps"
 	"repro/internal/cap3"
 	"repro/internal/core"
 	"repro/internal/fasta"
@@ -41,14 +43,8 @@ func main() {
 		genomes[name] = genome
 	}
 
-	app := core.FuncApp{
-		AppName: "cap3",
-		Fn: func(name string, input []byte) ([]byte, error) {
-			return cap3.Run(input, cap3.Options{})
-		},
-	}
 	runner := core.ClassicCloudRunner{Instances: 3, WorkersPerInstance: 2}
-	res, err := runner.Run(app, files)
+	res, err := runner.Run(apps.Cap3(cap3.Options{}), files, nil)
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -16,6 +16,7 @@ import (
 	"math"
 
 	"repro/internal/align"
+	"repro/internal/apps"
 	"repro/internal/bio"
 	"repro/internal/core"
 	"repro/internal/fasta"
@@ -69,9 +70,8 @@ func main() {
 	fmt.Printf("distance matrix: %d sequences → %d block tasks\n", nSeqs, len(blocks))
 
 	sc := align.DefaultScoring()
-	app := core.FuncApp{
-		AppName: "swg-distance",
-		Fn: func(name string, input []byte) ([]byte, error) {
+	app := apps.App{Name: "swg-distance", Open: func(map[string][]byte) (apps.Process, error) {
+		return func(name string, input []byte) ([]byte, error) {
 			var blk align.Block
 			if err := json.Unmarshal(input, &blk); err != nil {
 				return nil, err
@@ -85,10 +85,10 @@ func main() {
 				binary.LittleEndian.PutUint64(out[i*8:], math.Float64bits(v))
 			}
 			return out, nil
-		},
-	}
+		}, nil
+	}}
 	runner := core.MapReduceRunner{Nodes: 4, SlotsPerNode: 2}
-	res, err := runner.Run(app, files)
+	res, err := runner.Run(app, files, nil)
 	if err != nil {
 		log.Fatal(err)
 	}

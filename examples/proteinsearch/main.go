@@ -1,8 +1,9 @@
 // Protein search: the paper's BLAST workload end to end on the Hadoop
-// substrate. An NR-like protein database is built, compressed, and
-// distributed to every node through the distributed cache (the paper's
-// Hadoop-BLAST design); query files are independent map tasks whose
-// results are tabular hit lists.
+// substrate. An NR-like protein database is built, written out as one
+// FASTA document, and distributed to every node through the distributed
+// cache (the paper's Hadoop-BLAST design), where the first map task
+// indexes it; query files are independent map tasks whose results are
+// tabular hit lists.
 //
 //	go run ./examples/proteinsearch
 package main
@@ -11,42 +12,13 @@ import (
 	"fmt"
 	"log"
 	"strings"
-	"sync"
 
+	"repro/internal/apps"
 	"repro/internal/blast"
 	"repro/internal/core"
+	"repro/internal/fasta"
 	"repro/internal/workload"
 )
-
-// searchApp carries the shared database, mirroring cmd/blastrun.
-type searchApp struct {
-	dbBlob []byte
-	mu     sync.Mutex
-	db     *blast.Database
-}
-
-func (a *searchApp) Name() string                  { return "blast" }
-func (a *searchApp) SharedData() map[string][]byte { return map[string][]byte{"nr.gz": a.dbBlob} }
-func (a *searchApp) LoadShared(f map[string][]byte) error {
-	a.mu.Lock()
-	defer a.mu.Unlock()
-	if a.db != nil {
-		return nil
-	}
-	db, err := blast.UnmarshalCompressed(f["nr.gz"])
-	if err != nil {
-		return err
-	}
-	a.db = db
-	return nil
-}
-
-func (a *searchApp) Process(name string, input []byte) ([]byte, error) {
-	a.mu.Lock()
-	db := a.db
-	a.mu.Unlock()
-	return blast.Run(input, db, blast.Options{Threads: 2, MaxEValue: 1e-3})
-}
 
 func main() {
 	log.SetFlags(0)
@@ -54,13 +26,12 @@ func main() {
 	// Build the reference database with embedded motifs so some queries
 	// have genuine homologs.
 	dbRecs, motifs := workload.ProteinDatabase(1, 300, 200, 400, 6, 30)
-	db := blast.NewDatabase(dbRecs)
-	blob, err := db.MarshalCompressed()
+	nr, err := fasta.MarshalRecords(dbRecs)
 	if err != nil {
 		log.Fatal(err)
 	}
-	fmt.Printf("database: %d sequences, %d residues (%d KB compressed, extracted on each node)\n",
-		len(db.Seqs), db.TotalLen, len(blob)/1024)
+	fmt.Printf("database: %d sequences (%d KB of FASTA in the distributed cache, indexed once per job)\n",
+		len(dbRecs), len(nr)/1024)
 
 	// Query files, 50 queries each (coarse granularity, as in the paper).
 	files, err := workload.BlastQueryFileSet(2, 4, 50, motifs, 80)
@@ -69,7 +40,8 @@ func main() {
 	}
 
 	runner := core.MapReduceRunner{Nodes: 4, SlotsPerNode: 2, Speculative: true}
-	res, err := runner.Run(&searchApp{dbBlob: blob}, files)
+	res, err := runner.Run(apps.Blast(blast.Options{Threads: 2, MaxEValue: 1e-3}), files,
+		map[string][]byte{"nr.fsa": nr})
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -10,6 +10,7 @@ import (
 	"fmt"
 	"log"
 
+	"repro/internal/apps"
 	"repro/internal/core"
 )
 
@@ -17,18 +18,18 @@ func main() {
 	log.SetFlags(0)
 
 	// The "executable": reverse each input file. Any function of
-	// (file name, file bytes) → file bytes works; the real biomedical
-	// applications plug in exactly the same way.
-	app := core.FuncApp{
-		AppName: "reverse",
-		Fn: func(name string, input []byte) ([]byte, error) {
+	// (file name, file bytes) → file bytes works; Open hands it over once
+	// the job's shared data (none here) is staged. The real biomedical
+	// applications (internal/apps) plug in exactly the same way.
+	app := apps.App{Name: "reverse", Open: func(map[string][]byte) (apps.Process, error) {
+		return func(name string, input []byte) ([]byte, error) {
 			out := make([]byte, len(input))
 			for i, b := range input {
 				out[len(input)-1-i] = b
 			}
 			return out, nil
-		},
-	}
+		}, nil
+	}}
 
 	// One input file per task, as in the paper's applications.
 	files := map[string][]byte{}
@@ -45,7 +46,7 @@ func main() {
 
 	var reference map[string][]byte
 	for _, r := range runners {
-		res, err := r.Run(app, files)
+		res, err := r.Run(app, files, nil)
 		if err != nil {
 			log.Fatalf("%s: %v", r.Backend(), err)
 		}

@@ -1,62 +1,211 @@
 // Integration tests: every real biomedical application on every
-// execution substrate, verifying scientific correctness of the outputs
-// (not just plumbing). These are the functional-layer counterparts of
-// the paper's evaluation matrix.
+// execution substrate — the three runners of internal/core and the
+// elastic broker — fed the same apps.App value, input files and shared
+// data. One table test pins the comparison surface (every runtime's
+// output for every file is byte-identical to calling the kernel
+// directly); the per-application tests below it verify the scientific
+// correctness of those outputs, not just plumbing. These are the
+// functional-layer counterparts of the paper's evaluation matrix.
 package repro
 
 import (
 	"bytes"
 	"fmt"
 	"strings"
-	"sync"
 	"testing"
+	"time"
 
+	"repro/internal/apps"
 	"repro/internal/bio"
 	"repro/internal/blast"
+	"repro/internal/blob"
+	"repro/internal/broker"
 	"repro/internal/cap3"
+	"repro/internal/classiccloud"
 	"repro/internal/core"
 	"repro/internal/fasta"
 	"repro/internal/gtm"
+	"repro/internal/queue"
 	"repro/internal/workload"
 )
 
-func runnersUnderTest() []core.Runner {
-	return []core.Runner{
+// runtime is one of the four ways the repository runs an application
+// over a file set.
+type runtime struct {
+	name string
+	run  func(app apps.App, files, shared map[string][]byte) (map[string][]byte, error)
+}
+
+func runtimesUnderTest() []runtime {
+	var out []runtime
+	for _, r := range []core.Runner{
 		core.ClassicCloudRunner{Instances: 2, WorkersPerInstance: 2},
 		core.MapReduceRunner{Nodes: 3, SlotsPerNode: 2},
 		core.DryadRunner{Nodes: 3, SlotsPerNode: 2},
+	} {
+		out = append(out, runtime{r.Backend(), func(app apps.App, files, shared map[string][]byte) (map[string][]byte, error) {
+			res, err := r.Run(app, files, shared)
+			if err != nil {
+				return nil, err
+			}
+			return res.Outputs, core.Verify(files, res)
+		}})
+	}
+	return append(out, runtime{"broker", runOnBroker})
+}
+
+// runOnBroker submits the job to a broker serving just this application,
+// with a fixed fleet of two instances over in-process cloud services.
+func runOnBroker(app apps.App, files, shared map[string][]byte) (map[string][]byte, error) {
+	b := broker.New(broker.Config{
+		Env: classiccloud.Env{
+			Blob:  blob.NewStore(blob.Config{}),
+			Queue: queue.NewService(queue.Config{}),
+		},
+		Registry:           broker.RegistryOf(app),
+		WorkersPerInstance: 2,
+		TickInterval:       20 * time.Millisecond,
+		Autoscale:          broker.AutoscalePolicy{MinInstances: 2, MaxInstances: 2},
+	})
+	defer b.Close()
+	job, err := b.Submit(broker.JobRequest{App: app.Name, Files: files, Shared: shared})
+	if err != nil {
+		return nil, err
+	}
+	if err := job.Wait(2 * time.Minute); err != nil {
+		return nil, err
+	}
+	if st := job.Status(); st.Done != len(files) {
+		return nil, fmt.Errorf("%d of %d tasks done, %d dead", st.Done, len(files), st.Dead)
+	}
+	return job.CollectOutputs()
+}
+
+// workloadUnderTest is one application with seeded inputs and the direct
+// kernel call its outputs must equal.
+type workloadUnderTest struct {
+	app    apps.App
+	files  map[string][]byte
+	shared map[string][]byte
+	direct func(input []byte) ([]byte, error)
+}
+
+// cap3Workload: reads of known genomes, one region per file.
+func cap3Workload(t *testing.T) (w workloadUnderTest, genomes map[string][]byte) {
+	const nFiles = 4
+	w = workloadUnderTest{
+		app:    apps.Cap3(cap3.Options{}),
+		files:  make(map[string][]byte, nFiles),
+		direct: func(in []byte) ([]byte, error) { return cap3.Run(in, cap3.Options{}) },
+	}
+	genomes = make(map[string][]byte, nFiles)
+	for i := 0; i < nFiles; i++ {
+		name := fmt.Sprintf("region%d.fsa", i)
+		genome := workload.Genome(int64(300+i), 3000)
+		cfg := workload.DefaultShotgun()
+		cfg.ErrorRate = 0.002
+		doc, err := fasta.MarshalRecords(workload.ShotgunReads(int64(400+i), genome, 120, cfg))
+		if err != nil {
+			t.Fatal(err)
+		}
+		w.files[name] = doc
+		genomes[name] = genome
+	}
+	return w, genomes
+}
+
+// blastWorkload: motif-bearing queries against a database shipped as two
+// FASTA documents, which every runtime must join in name order.
+func blastWorkload(t *testing.T) workloadUnderTest {
+	opt := blast.Options{Threads: 1, MaxEValue: 1e-3}
+	dbRecs, motifs := workload.ProteinDatabase(21, 120, 150, 300, 4, 28)
+	files, err := workload.BlastQueryFileSet(22, 3, 20, motifs, 70)
+	if err != nil {
+		t.Fatal(err)
+	}
+	shared := map[string][]byte{}
+	for i, part := range [][]*fasta.Record{dbRecs[:70], dbRecs[70:]} {
+		if shared[fmt.Sprintf("nr.%d.fsa", i)], err = fasta.MarshalRecords(part); err != nil {
+			t.Fatal(err)
+		}
+	}
+	db := blast.NewDatabase(dbRecs)
+	return workloadUnderTest{
+		app: apps.Blast(opt), files: files, shared: shared,
+		direct: func(in []byte) ([]byte, error) { return blast.Run(in, db, opt) },
+	}
+}
+
+// gtmWorkload: shards of 300 points interpolated through a small model.
+func gtmWorkload(t *testing.T) workloadUnderTest {
+	model, err := gtm.Train(workload.ChemicalPoints(31, 250, 3), workload.PubChemDims, gtm.Config{
+		LatentGridSize: 6, BasisGridSize: 3, MaxIter: 10, Seed: 31,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	blob, err := model.Marshal()
+	if err != nil {
+		t.Fatal(err)
+	}
+	files := map[string][]byte{}
+	for i := 0; i < 4; i++ {
+		files[fmt.Sprintf("shard%d", i)], err = gtm.EncodeShard(workload.ChemicalPoints(int64(40+i), 300, 3), workload.PubChemDims)
+		if err != nil {
+			t.Fatal(err)
+		}
+	}
+	return workloadUnderTest{
+		app: apps.GTM(), files: files, shared: map[string][]byte{"model": blob},
+		direct: func(in []byte) ([]byte, error) { return gtm.Run(model, in) },
+	}
+}
+
+// TestEveryApplicationOnEveryRuntime pins the comparison surface: three
+// applications × four runtimes, every output byte-identical to the
+// kernel called directly with the same options on the same input.
+func TestEveryApplicationOnEveryRuntime(t *testing.T) {
+	cap3W, _ := cap3Workload(t)
+	for _, w := range []workloadUnderTest{cap3W, blastWorkload(t), gtmWorkload(t)} {
+		want := make(map[string][]byte, len(w.files))
+		for name, in := range w.files {
+			out, err := w.direct(in)
+			if err != nil {
+				t.Fatalf("%s: direct run of %s: %v", w.app.Name, name, err)
+			}
+			want[name] = out
+		}
+		for _, rt := range runtimesUnderTest() {
+			t.Run(w.app.Name+"/"+rt.name, func(t *testing.T) {
+				got, err := rt.run(w.app, w.files, w.shared)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if len(got) != len(want) {
+					t.Errorf("%d outputs for %d inputs", len(got), len(want))
+				}
+				for name := range want {
+					if !bytes.Equal(got[name], want[name]) {
+						t.Errorf("%s: output differs from the direct kernel call (%d bytes, want %d)",
+							name, len(got[name]), len(want[name]))
+					}
+				}
+			})
+		}
 	}
 }
 
 // TestCap3OnAllFrameworks assembles reads of known genomes on each
 // substrate and verifies the contigs reconstruct the genomes.
 func TestCap3OnAllFrameworks(t *testing.T) {
-	const nFiles = 4
-	files := make(map[string][]byte, nFiles)
-	genomes := make(map[string][]byte, nFiles)
-	for i := 0; i < nFiles; i++ {
-		name := fmt.Sprintf("region%d.fsa", i)
-		genome := workload.Genome(int64(300+i), 3000)
-		cfg := workload.DefaultShotgun()
-		cfg.ErrorRate = 0.002
-		reads := workload.ShotgunReads(int64(400+i), genome, 120, cfg)
-		doc, err := fasta.MarshalRecords(reads)
-		if err != nil {
-			t.Fatal(err)
-		}
-		files[name] = doc
-		genomes[name] = genome
-	}
-	app := core.FuncApp{AppName: "cap3", Fn: func(name string, in []byte) ([]byte, error) {
-		return cap3.Run(in, cap3.Options{})
-	}}
-	for _, r := range runnersUnderTest() {
-		t.Run(r.Backend(), func(t *testing.T) {
-			res, err := r.Run(app, files)
+	w, genomes := cap3Workload(t)
+	for _, rt := range runtimesUnderTest() {
+		t.Run(rt.name, func(t *testing.T) {
+			outputs, err := rt.run(w.app, w.files, w.shared)
 			if err != nil {
 				t.Fatal(err)
 			}
-			for name, out := range res.Outputs {
+			for name, out := range outputs {
 				contigs, err := fasta.ParseBytes(out)
 				if err != nil {
 					t.Fatalf("%s: %v", name, err)
@@ -88,59 +237,19 @@ func TestCap3OnAllFrameworks(t *testing.T) {
 	}
 }
 
-// blastSharedApp is the SharedDataApplication used across frameworks.
-type blastSharedApp struct {
-	blob []byte
-	mu   sync.Mutex
-	db   *blast.Database
-}
-
-func (a *blastSharedApp) Name() string                  { return "blast" }
-func (a *blastSharedApp) SharedData() map[string][]byte { return map[string][]byte{"nr": a.blob} }
-
-func (a *blastSharedApp) LoadShared(f map[string][]byte) error {
-	a.mu.Lock()
-	defer a.mu.Unlock()
-	if a.db != nil {
-		return nil
-	}
-	db, err := blast.UnmarshalCompressed(f["nr"])
-	if err != nil {
-		return err
-	}
-	a.db = db
-	return nil
-}
-
-func (a *blastSharedApp) Process(name string, in []byte) ([]byte, error) {
-	a.mu.Lock()
-	db := a.db
-	a.mu.Unlock()
-	return blast.Run(in, db, blast.Options{Threads: 1, MaxEValue: 1e-3})
-}
-
 // TestBlastOnAllFrameworks searches motif-bearing queries on each
 // substrate and requires consistent hit counts everywhere.
 func TestBlastOnAllFrameworks(t *testing.T) {
-	dbRecs, motifs := workload.ProteinDatabase(21, 120, 150, 300, 4, 28)
-	db := blast.NewDatabase(dbRecs)
-	blob, err := db.MarshalCompressed()
-	if err != nil {
-		t.Fatal(err)
-	}
-	files, err := workload.BlastQueryFileSet(22, 3, 20, motifs, 70)
-	if err != nil {
-		t.Fatal(err)
-	}
+	w := blastWorkload(t)
 	var wantHits int
-	for i, r := range runnersUnderTest() {
-		t.Run(r.Backend(), func(t *testing.T) {
-			res, err := r.Run(&blastSharedApp{blob: blob}, files)
+	for i, rt := range runtimesUnderTest() {
+		t.Run(rt.name, func(t *testing.T) {
+			outputs, err := rt.run(w.app, w.files, w.shared)
 			if err != nil {
 				t.Fatal(err)
 			}
 			hits := 0
-			for _, out := range res.Outputs {
+			for _, out := range outputs {
 				hits += strings.Count(string(out), "\n")
 			}
 			if hits == 0 {
@@ -157,68 +266,18 @@ func TestBlastOnAllFrameworks(t *testing.T) {
 	}
 }
 
-// gtmSharedApp distributes a trained model.
-type gtmSharedApp struct {
-	blob []byte
-	mu   sync.Mutex
-	m    *gtm.Model
-}
-
-func (a *gtmSharedApp) Name() string                  { return "gtm" }
-func (a *gtmSharedApp) SharedData() map[string][]byte { return map[string][]byte{"model": a.blob} }
-
-func (a *gtmSharedApp) LoadShared(f map[string][]byte) error {
-	a.mu.Lock()
-	defer a.mu.Unlock()
-	if a.m != nil {
-		return nil
-	}
-	m, err := gtm.UnmarshalModel(f["model"])
-	if err != nil {
-		return err
-	}
-	a.m = m
-	return nil
-}
-
-func (a *gtmSharedApp) Process(name string, in []byte) ([]byte, error) {
-	a.mu.Lock()
-	m := a.m
-	a.mu.Unlock()
-	return gtm.Run(m, in)
-}
-
 // TestGTMOnAllFrameworks interpolates identical shards on each substrate
 // and requires bit-identical embeddings.
 func TestGTMOnAllFrameworks(t *testing.T) {
-	train := workload.ChemicalPoints(31, 250, 3)
-	model, err := gtm.Train(train, workload.PubChemDims, gtm.Config{
-		LatentGridSize: 6, BasisGridSize: 3, MaxIter: 10, Seed: 31,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	blob, err := model.Marshal()
-	if err != nil {
-		t.Fatal(err)
-	}
-	files := map[string][]byte{}
-	for i := 0; i < 4; i++ {
-		pts := workload.ChemicalPoints(int64(40+i), 300, 3)
-		enc, err := gtm.EncodeShard(pts, workload.PubChemDims)
-		if err != nil {
-			t.Fatal(err)
-		}
-		files[fmt.Sprintf("shard%d", i)] = enc
-	}
+	w := gtmWorkload(t)
 	var reference map[string][]byte
-	for _, r := range runnersUnderTest() {
-		t.Run(r.Backend(), func(t *testing.T) {
-			res, err := r.Run(&gtmSharedApp{blob: blob}, files)
+	for _, rt := range runtimesUnderTest() {
+		t.Run(rt.name, func(t *testing.T) {
+			outputs, err := rt.run(w.app, w.files, w.shared)
 			if err != nil {
 				t.Fatal(err)
 			}
-			for name, out := range res.Outputs {
+			for name, out := range outputs {
 				coords, err := gtm.DecodeEmbedding(out)
 				if err != nil {
 					t.Fatalf("%s: %v", name, err)
@@ -233,11 +292,11 @@ func TestGTMOnAllFrameworks(t *testing.T) {
 				}
 			}
 			if reference == nil {
-				reference = res.Outputs
+				reference = outputs
 				return
 			}
 			for name, want := range reference {
-				if !bytes.Equal(res.Outputs[name], want) {
+				if !bytes.Equal(outputs[name], want) {
 					t.Errorf("%s: embeddings differ across backends", name)
 				}
 			}

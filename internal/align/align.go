@@ -116,67 +116,6 @@ func Global(a, b []byte, sc Scoring) *Result {
 	return res
 }
 
-// Local computes a Smith–Waterman alignment with affine gaps.
-func Local(a, b []byte, sc Scoring) *Result {
-	n, m := len(a), len(b)
-	const negInf = -1 << 30
-	h := make([][]int, n+1)
-	e := make([][]int, n+1)
-	f := make([][]int, n+1)
-	tb := make([][]uint8, n+1)
-	for i := range h {
-		h[i] = make([]int, m+1)
-		e[i] = make([]int, m+1)
-		f[i] = make([]int, m+1)
-		tb[i] = make([]uint8, m+1)
-		for j := range e[i] {
-			e[i][j], f[i][j] = negInf, negInf
-		}
-	}
-	bestScore, bi, bj := 0, 0, 0
-	for i := 1; i <= n; i++ {
-		for j := 1; j <= m; j++ {
-			sub := sc.Mismatch
-			if a[i-1] == b[j-1] {
-				sub = sc.Match
-			}
-			diag := h[i-1][j-1] + sub
-			e[i][j] = max(h[i][j-1]+sc.GapOpen, e[i][j-1]+sc.GapExtend)
-			f[i][j] = max(h[i-1][j]+sc.GapOpen, f[i-1][j]+sc.GapExtend)
-			best, dir := 0, uint8(trStop)
-			if diag > best {
-				best, dir = diag, trDiag
-			}
-			if e[i][j] > best {
-				best, dir = e[i][j], trLeft
-			}
-			if f[i][j] > best {
-				best, dir = f[i][j], trUp
-			}
-			h[i][j] = best
-			tb[i][j] = dir
-			if best > bestScore {
-				bestScore, bi, bj = best, i, j
-			}
-		}
-	}
-	res := traceback(a, b, tb, bi, bj, true, bestScore)
-	res.AEnd, res.BEnd = bi, bj
-	res.AStart = bi - countNonGap(res.AlignedA)
-	res.BStart = bj - countNonGap(res.AlignedB)
-	return res
-}
-
-func countNonGap(s []byte) int {
-	n := 0
-	for _, c := range s {
-		if c != '-' {
-			n++
-		}
-	}
-	return n
-}
-
 func traceback(a, b []byte, tb [][]uint8, i, j int, local bool, score int) *Result {
 	var ra, rb []byte
 	for i > 0 || j > 0 {

@@ -85,39 +85,6 @@ func TestQuickGlobalProperties(t *testing.T) {
 	}
 }
 
-func TestLocalFindsEmbeddedMatch(t *testing.T) {
-	sc := DefaultScoring()
-	core := []byte("GATTACAGATTACA")
-	a := append(append(workload.Genome(1, 30), core...), workload.Genome(2, 30)...)
-	b := append(append(workload.Genome(3, 20), core...), workload.Genome(4, 20)...)
-	res := Local(a, b, sc)
-	if res.Score < len(core)*sc.Match {
-		t.Errorf("score = %d, want ≥ %d", res.Score, len(core)*sc.Match)
-	}
-	if res.AEnd-res.AStart < len(core) {
-		t.Errorf("aligned span [%d,%d) shorter than the embedded core", res.AStart, res.AEnd)
-	}
-	// The aligned region of a must contain the core.
-	if !bytes.Contains(a[res.AStart:res.AEnd], core) {
-		t.Error("local alignment missed the embedded core")
-	}
-}
-
-func TestLocalUnrelatedSequencesScoreLow(t *testing.T) {
-	sc := DefaultScoring()
-	a := workload.Genome(11, 80)
-	b := workload.Genome(12, 80)
-	res := Local(a, b, sc)
-	// Random 4-letter sequences can chain gapped matches, but the score
-	// must stay far below a genuine full-length match (80 × 5 = 400).
-	if res.Score > 200 {
-		t.Errorf("random sequences scored %d; expected well below 200", res.Score)
-	}
-	if res.Score < 0 {
-		t.Errorf("local score must be non-negative, got %d", res.Score)
-	}
-}
-
 func TestDistanceProperties(t *testing.T) {
 	sc := DefaultScoring()
 	a := workload.Genome(21, 100)

@@ -42,19 +42,6 @@ func ReverseComplement(seq []byte) []byte {
 	return out
 }
 
-// IsDNA reports whether every byte of seq is an unambiguous upper-case
-// nucleotide.
-func IsDNA(seq []byte) bool {
-	for _, c := range seq {
-		switch c {
-		case 'A', 'C', 'G', 'T':
-		default:
-			return false
-		}
-	}
-	return true
-}
-
 // baseCode maps A,C,G,T to 0..3; every other byte maps to 0xFF.
 var baseCode [256]byte
 
@@ -109,16 +96,6 @@ func (kc *KmerCoder) Encode(seq []byte) (uint64, bool) {
 	return key, true
 }
 
-// Decode unpacks a key into its k-mer string.
-func (kc *KmerCoder) Decode(key uint64) string {
-	buf := make([]byte, kc.K)
-	for i := kc.K - 1; i >= 0; i-- {
-		buf[i] = BaseFromCode(uint8(key & 3))
-		key >>= 2
-	}
-	return string(buf)
-}
-
 // Roll shifts a previous key left by one base, appending c. The second
 // return is false if c is not a nucleotide.
 func (kc *KmerCoder) Roll(prev uint64, c byte) (uint64, bool) {
@@ -168,16 +145,6 @@ func init() {
 // AAIndex returns the substitution-matrix row of an amino acid, or -1 for
 // characters outside the 20-letter alphabet.
 func AAIndex(c byte) int { return int(aaIndex[c]) }
-
-// IsProtein reports whether every byte of seq is a standard amino acid.
-func IsProtein(seq []byte) bool {
-	for _, c := range seq {
-		if aaIndex[c] < 0 {
-			return false
-		}
-	}
-	return true
-}
 
 // Blosum62 is the standard BLOSUM62 substitution matrix indexed by
 // AAIndex order (ARNDCQEGHILKMFPSTWYV).

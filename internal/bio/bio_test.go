@@ -40,21 +40,6 @@ func TestReverseComplementInvolution(t *testing.T) {
 	}
 }
 
-func TestIsDNA(t *testing.T) {
-	if !IsDNA([]byte("ACGTACGT")) {
-		t.Error("ACGTACGT should be DNA")
-	}
-	if IsDNA([]byte("ACGN")) {
-		t.Error("ACGN should not be unambiguous DNA")
-	}
-	if IsDNA([]byte("acgt")) {
-		t.Error("lower case is not canonical DNA")
-	}
-	if !IsDNA(nil) {
-		t.Error("empty sequence is trivially DNA")
-	}
-}
-
 func TestBaseCodeRoundTrip(t *testing.T) {
 	for i := 0; i < 4; i++ {
 		c := DNAAlphabet[i]
@@ -77,8 +62,8 @@ func TestKmerEncodeDecode(t *testing.T) {
 	if !ok {
 		t.Fatal("Encode failed")
 	}
-	if kc.Decode(key) != "ACGTA" {
-		t.Errorf("Decode = %q, want ACGTA", kc.Decode(key))
+	if key != 0b00_01_10_11_00 { // two bits a base, first base highest
+		t.Errorf("Encode(ACGTA) = %#b", key)
 	}
 	if _, ok := kc.Encode([]byte("ACGN!")); ok {
 		t.Error("Encode should fail on non-ACGT")
@@ -188,15 +173,6 @@ func TestAAIndex(t *testing.T) {
 	}
 	if AAIndex('Z') != -1 {
 		t.Error("AAIndex(Z) should be -1")
-	}
-}
-
-func TestIsProtein(t *testing.T) {
-	if !IsProtein([]byte("ARNDCQEGHILKMFPSTWYV")) {
-		t.Error("full alphabet should be protein")
-	}
-	if IsProtein([]byte("ABZ")) {
-		t.Error("B and Z are not standard amino acids here")
 	}
 }
 

@@ -5,11 +5,12 @@
 // threshold, the two-hit diagonal heuristic, ungapped X-drop extension,
 // banded gapped extension, and Karlin–Altschul E-value statistics.
 //
-// Like the paper's setup, the database is built once, serialized
-// compressed (the "2.9 GB compressed / 8.7 GB extracted NR database"),
-// preloaded by each worker, and then searched by many independent query
-// files — optionally with multiple threads per worker, reproducing the
-// workers-versus-threads trade-off of Figure 9.
+// Like the paper's setup, the database is staged to every worker before
+// its first query file — as FASTA documents, indexed (the paper's
+// "extracted") when the application opens (internal/apps) — and then
+// searched by many independent query files, optionally with multiple
+// threads per worker, reproducing the workers-versus-threads trade-off
+// of Figure 9.
 package blast
 
 import (
@@ -144,9 +145,6 @@ func NewDatabaseWordSize(seqs []*fasta.Record, w int) *Database {
 	}
 	return db
 }
-
-// WordSize returns the index word size.
-func (db *Database) WordSize() int { return db.wordSize }
 
 // encodeWord packs w residues into a base-20 key.
 func encodeWord(seq []byte, w int) (int32, bool) {

@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"math/rand"
 	"os"
+	"reflect"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -252,17 +253,20 @@ func TestRunRejectsGarbage(t *testing.T) {
 	}
 }
 
+// The database travels to workers as a FASTA document (internal/apps):
+// a database rebuilt from the document must search like the original.
 func TestDatabaseSerializationRoundTrip(t *testing.T) {
 	dbRecs, motifs := workload.ProteinDatabase(11, 25, 100, 200, 2, 20)
 	db := NewDatabase(dbRecs)
-	blob, err := db.MarshalCompressed()
+	doc, err := fasta.MarshalRecords(dbRecs)
 	if err != nil {
 		t.Fatal(err)
 	}
-	back, err := UnmarshalCompressed(blob)
+	parsed, err := fasta.ParseBytes(doc)
 	if err != nil {
 		t.Fatal(err)
 	}
+	back := NewDatabase(parsed)
 	if len(back.Seqs) != len(db.Seqs) || back.TotalLen != db.TotalLen {
 		t.Fatalf("restored %d seqs / %d len, want %d / %d",
 			len(back.Seqs), back.TotalLen, len(db.Seqs), db.TotalLen)
@@ -273,31 +277,9 @@ func TestDatabaseSerializationRoundTrip(t *testing.T) {
 	for _, q := range queries {
 		a := db.Search(q, Options{})
 		b := back.Search(q, Options{})
-		if len(a) != len(b) {
+		if !reflect.DeepEqual(a, b) {
 			t.Errorf("query %s: %d hits vs %d after round trip", q.ID, len(a), len(b))
 		}
-	}
-}
-
-func TestUnmarshalCorruptData(t *testing.T) {
-	if _, err := UnmarshalCompressed([]byte("not gzip at all")); err == nil {
-		t.Error("corrupt data should error")
-	}
-}
-
-func TestCompressionActuallyShrinks(t *testing.T) {
-	dbRecs, _ := workload.ProteinDatabase(13, 50, 300, 400, 0, 0)
-	db := NewDatabase(dbRecs)
-	blob, err := db.MarshalCompressed()
-	if err != nil {
-		t.Fatal(err)
-	}
-	raw := 0
-	for _, r := range db.Seqs {
-		raw += r.Len()
-	}
-	if len(blob) >= raw {
-		t.Errorf("compressed %d ≥ raw %d; protein text should compress", len(blob), raw)
 	}
 }
 

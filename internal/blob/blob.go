@@ -7,7 +7,6 @@
 package blob
 
 import (
-	"bytes"
 	"errors"
 	"fmt"
 	"sort"
@@ -489,11 +488,4 @@ func (s *Store) Exists(bucketName, key string) (bool, error) {
 	}
 	_, exists := b.objects[key]
 	return exists, nil
-}
-
-// Equal reports whether the stored object equals data (test helper with
-// consistent view, no accounting side effects beyond one GET).
-func (s *Store) Equal(bucketName, key string, data []byte) bool {
-	got, err := s.GetConsistent(bucketName, key)
-	return err == nil && bytes.Equal(got, data)
 }

@@ -303,21 +303,6 @@ func TestConcurrentAccess(t *testing.T) {
 	}
 }
 
-func TestEqualHelper(t *testing.T) {
-	s := NewStore(Config{})
-	s.CreateBucket("b")
-	s.Put("b", "k", []byte("v"))
-	if !s.Equal("b", "k", []byte("v")) {
-		t.Error("Equal should be true")
-	}
-	if s.Equal("b", "k", []byte("other")) {
-		t.Error("Equal should be false")
-	}
-	if s.Equal("b", "missing", nil) {
-		t.Error("Equal on missing key should be false")
-	}
-}
-
 // Stat reports the consistent size and the write count of a key after
 // each kind of write, bills one GET, and transfers nothing.
 func TestStat(t *testing.T) {
@@ -413,7 +398,7 @@ func TestGetRange(t *testing.T) {
 	// The result is the caller's: scribbling on it leaves the object alone.
 	data, _, _ := s.GetRange("b", "k", 0, -1)
 	data[0] = 'X'
-	if !s.Equal("b", "k", []byte("0123456789")) {
+	if got, _ := s.GetConsistent("b", "k"); string(got) != "0123456789" {
 		t.Error("GetRange returned a slice of the stored object")
 	}
 	// A tailing reader sees growth through size, and the new tail at its offset.

@@ -1,16 +1,13 @@
 package broker
 
 import (
-	"fmt"
-	"sort"
 	"time"
 
+	"repro/internal/apps"
 	"repro/internal/blast"
 	"repro/internal/cap3"
 	"repro/internal/classiccloud"
 	"repro/internal/cloud"
-	"repro/internal/fasta"
-	"repro/internal/gtm"
 	"repro/internal/perfmodel"
 )
 
@@ -20,7 +17,9 @@ import (
 // instance the autoscaler launches.
 type ExecutorFactory func(shared map[string][]byte) (classiccloud.Executor, error)
 
-// DefaultRegistry maps the paper's three applications to factories:
+// DefaultRegistry maps the paper's three applications, each at its
+// kernel's default options, to factories (internal/apps defines their
+// input, output and shared-data formats):
 //
 //	cap3   — FASTA shotgun reads in, assembled contigs out; no shared data
 //	blast  — query files in, hit reports out; shared data is the
@@ -28,61 +27,33 @@ type ExecutorFactory func(shared map[string][]byte) (classiccloud.Executor, erro
 //	gtm    — encoded point shards in, embedded coordinates out; shared
 //	         data is one Marshal()ed trained model
 func DefaultRegistry() map[string]ExecutorFactory {
-	return map[string]ExecutorFactory{
-		"cap3": func(map[string][]byte) (classiccloud.Executor, error) {
-			return classiccloud.FuncExecutor{
-				AppName: "cap3",
-				Fn: func(_ classiccloud.Task, input []byte) ([]byte, error) {
-					return cap3.Run(input, cap3.Options{})
-				},
-			}, nil
-		},
-		"blast": func(shared map[string][]byte) (classiccloud.Executor, error) {
-			var seqs []*fasta.Record
-			for _, name := range sortedKeys(shared) {
-				recs, err := fasta.ParseBytes(shared[name])
-				if err != nil {
-					return nil, fmt.Errorf("broker: blast database %s: %w", name, err)
-				}
-				seqs = append(seqs, recs...)
-			}
-			if len(seqs) == 0 {
-				return nil, fmt.Errorf("broker: blast job needs a shared FASTA database")
-			}
-			db := blast.NewDatabase(seqs)
-			return classiccloud.FuncExecutor{
-				AppName: "blast",
-				Fn: func(_ classiccloud.Task, input []byte) ([]byte, error) {
-					return blast.Run(input, db, blast.Options{})
-				},
-			}, nil
-		},
-		"gtm": func(shared map[string][]byte) (classiccloud.Executor, error) {
-			keys := sortedKeys(shared)
-			if len(keys) != 1 {
-				return nil, fmt.Errorf("broker: gtm job needs exactly one shared model, got %d", len(keys))
-			}
-			model, err := gtm.UnmarshalModel(shared[keys[0]])
-			if err != nil {
-				return nil, fmt.Errorf("broker: gtm model: %w", err)
-			}
-			return classiccloud.FuncExecutor{
-				AppName: "gtm",
-				Fn: func(_ classiccloud.Task, input []byte) ([]byte, error) {
-					return gtm.Run(model, input)
-				},
-			}, nil
-		},
-	}
+	return RegistryOf(
+		apps.Cap3(cap3.Options{}),
+		apps.Blast(blast.Options{}),
+		apps.GTM(),
+	)
 }
 
-func sortedKeys(m map[string][]byte) []string {
-	keys := make([]string, 0, len(m))
-	for k := range m {
-		keys = append(keys, k)
+// RegistryOf builds the registry serving the given applications by
+// name. A factory opens its application on the job's shared data as the
+// broker received it with the submission (or re-read it on recovery).
+func RegistryOf(list ...apps.App) map[string]ExecutorFactory {
+	reg := make(map[string]ExecutorFactory, len(list))
+	for _, app := range list {
+		reg[app.Name] = func(shared map[string][]byte) (classiccloud.Executor, error) {
+			process, err := app.Open(shared)
+			if err != nil {
+				return nil, err
+			}
+			return classiccloud.FuncExecutor{
+				AppName: app.Name,
+				Fn: func(task classiccloud.Task, input []byte) ([]byte, error) {
+					return process(task.ID, input)
+				},
+			}, nil
+		}
 	}
-	sort.Strings(keys)
-	return keys
+	return reg
 }
 
 // planningModel returns the calibrated paper workload model used for

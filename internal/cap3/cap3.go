@@ -112,29 +112,6 @@ type Result struct {
 	Stats      Stats
 }
 
-// N50 returns the N50 contig length of the assembly: the largest length L
-// such that contigs of length ≥ L cover at least half the assembled bases.
-func (r *Result) N50() int {
-	lens := make([]int, 0, len(r.Contigs))
-	total := 0
-	for _, c := range r.Contigs {
-		lens = append(lens, len(c.Consensus))
-		total += len(c.Consensus)
-	}
-	if total == 0 {
-		return 0
-	}
-	sort.Sort(sort.Reverse(sort.IntSlice(lens)))
-	run := 0
-	for _, l := range lens {
-		run += l
-		if run*2 >= total {
-			return l
-		}
-	}
-	return 0
-}
-
 // trimPoorRegions clips low-complexity windows from both read ends,
 // standing in for CAP3's quality-based clipping.
 func trimPoorRegions(seq []byte, opt Options) (trimmed []byte, clipped int) {

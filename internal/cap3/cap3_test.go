@@ -249,22 +249,6 @@ func TestAssembleDropsShortReads(t *testing.T) {
 	}
 }
 
-func TestN50(t *testing.T) {
-	r := &Result{Contigs: []*Contig{
-		{Consensus: make([]byte, 100)},
-		{Consensus: make([]byte, 300)},
-		{Consensus: make([]byte, 600)},
-	}}
-	// total 1000; contigs ≥ 600 cover 600 ≥ 500 → N50 = 600.
-	if got := r.N50(); got != 600 {
-		t.Errorf("N50 = %d, want 600", got)
-	}
-	empty := &Result{}
-	if empty.N50() != 0 {
-		t.Error("empty N50 should be 0")
-	}
-}
-
 func TestRunProducesFasta(t *testing.T) {
 	doc, err := workload.Cap3File(55, 80, 3000)
 	if err != nil {

@@ -334,8 +334,6 @@ func (c *Client) DrainMonitor(wait time.Duration, settle func([]MonitorReport) b
 	if err != nil || len(msgs) == 0 {
 		return 0, err
 	}
-	// Decode before deleting: a received body is the queue's stored
-	// buffer, which an in-process service recycles on delete.
 	receipts := make([]string, len(msgs))
 	reports := make([]MonitorReport, 0, len(msgs))
 	for i, m := range msgs {

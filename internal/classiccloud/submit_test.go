@@ -82,7 +82,7 @@ func TestSubmitFilesSendsInBatches(t *testing.T) {
 				if got[task.ID] != task {
 					t.Errorf("task %s round-tripped as %+v, want %+v", task.ID, got[task.ID], task)
 				}
-				if !env.Blob.Equal(task.InputBucket, task.InputKey, files[task.ID]) {
+				if staged, _ := env.Blob.GetConsistent(task.InputBucket, task.InputKey); !bytes.Equal(staged, files[task.ID]) {
 					t.Errorf("input %s not staged", task.InputKey)
 				}
 			}

@@ -116,22 +116,6 @@ func AzureCatalog() []InstanceType {
 	return []InstanceType{AzureSmall, AzureMedium, AzureLarge, AzureExtraLarge}
 }
 
-// PerCoreHourCost returns the hourly price per assigned core.
-func (it InstanceType) PerCoreHourCost() float64 {
-	if it.Cores == 0 {
-		return 0
-	}
-	return it.CostPerHour / float64(it.Cores)
-}
-
-// MemoryPerCoreGB returns GB of RAM per assigned core.
-func (it InstanceType) MemoryPerCoreGB() float64 {
-	if it.Cores == 0 {
-		return 0
-	}
-	return it.MemoryGB / float64(it.Cores)
-}
-
 // Key returns the "provider/name" identifier used wherever an instance
 // type crosses a serialization boundary (journal events, monitor
 // reports, calibration catalog keys). Resolving a key back to a catalog

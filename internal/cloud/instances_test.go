@@ -55,19 +55,6 @@ func TestTable2Catalog(t *testing.T) {
 	}
 }
 
-func TestPerCoreDerivedValues(t *testing.T) {
-	if got := EC2HCXL.PerCoreHourCost(); math.Abs(got-0.085) > 1e-9 {
-		t.Errorf("HCXL per-core cost %.4f, want 0.085", got)
-	}
-	if got := EC2HCXL.MemoryPerCoreGB(); math.Abs(got-0.875) > 1e-9 {
-		t.Errorf("HCXL memory per core %.3f, want 0.875", got)
-	}
-	var zero InstanceType
-	if zero.PerCoreHourCost() != 0 || zero.MemoryPerCoreGB() != 0 {
-		t.Error("zero-core instance should not divide by zero")
-	}
-}
-
 func TestComputeBillHourUnits(t *testing.T) {
 	// 90 minutes on 16 HCXL: 2 hour-units each → 32 units → $21.76.
 	b := ComputeBill(EC2HCXL, 16, 90*time.Minute)

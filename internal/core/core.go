@@ -2,22 +2,27 @@
 // application framework that runs "an executable over a set of input
 // files" on interchangeable execution substrates — the Classic Cloud
 // model (queue + blob storage + independent workers), Hadoop-style
-// MapReduce, and DryadLINQ-style static partitions. Applications are
-// written once against the Application interface and submitted through a
-// Runner; every backend provides the same contract (each input file is
-// processed at least once, outputs are collected by input name) with its
-// own scheduling and fault-tolerance strategy, which is exactly the
-// comparison surface of the paper.
+// MapReduce, and DryadLINQ-style static partitions. An application is
+// written once as an apps.App and submitted, with its input files and
+// its shared reference data, through a Runner; every backend provides
+// the same contract (the shared data is staged to the workers and the
+// application opened once, each input file is then processed at least
+// once, outputs are collected by input name) with its own staging,
+// scheduling and fault-tolerance strategy, which is exactly the
+// comparison surface of the paper. The broker's registry opens the same
+// apps.App values, so one workload can be fed to all four runtimes.
 package core
 
 import (
 	"errors"
 	"fmt"
-	"path"
+	"io"
+	"sort"
 	"strings"
 	"sync"
 	"time"
 
+	"repro/internal/apps"
 	"repro/internal/blob"
 	"repro/internal/classiccloud"
 	"repro/internal/dryad"
@@ -25,41 +30,6 @@ import (
 	"repro/internal/mapreduce"
 	"repro/internal/queue"
 )
-
-// Application is the unit the framework distributes: the paper's
-// "executable program that takes input in the form of a file".
-// Process must be safe for concurrent calls and idempotent — backends
-// may execute a file more than once.
-type Application interface {
-	// Name identifies the application in queue/bucket/path names.
-	Name() string
-	// Process transforms one input file into one output file.
-	Process(name string, input []byte) ([]byte, error)
-}
-
-// SharedDataApplication additionally requires reference data staged to
-// every worker before processing begins — the BLAST database pattern.
-type SharedDataApplication interface {
-	Application
-	// SharedData returns named reference blobs to distribute.
-	SharedData() map[string][]byte
-	// LoadShared is invoked with the staged blobs before any Process
-	// call. Backends guarantee at-least-once; implementations must make
-	// it idempotent.
-	LoadShared(files map[string][]byte) error
-}
-
-// FuncApp adapts a function to Application.
-type FuncApp struct {
-	AppName string
-	Fn      func(name string, input []byte) ([]byte, error)
-}
-
-// Name implements Application.
-func (a FuncApp) Name() string { return a.AppName }
-
-// Process implements Application.
-func (a FuncApp) Process(name string, input []byte) ([]byte, error) { return a.Fn(name, input) }
 
 // RunResult is the common result shape of every backend.
 type RunResult struct {
@@ -69,38 +39,96 @@ type RunResult struct {
 	Detail  map[string]string // backend-specific counters for reporting
 }
 
+// WriteDetail prints the backend's counters, one "  name=value" line
+// each, in name order.
+func (r *RunResult) WriteDetail(w io.Writer) {
+	for _, k := range sortedNames(r.Detail) {
+		fmt.Fprintf(w, "  %s=%s\n", k, r.Detail[k])
+	}
+}
+
 // Runner executes an application over a file set on one substrate.
+// shared is the application's reference data (the BLAST database, the
+// trained GTM model), nil for an application that needs none.
 type Runner interface {
 	Backend() string
-	Run(app Application, files map[string][]byte) (*RunResult, error)
+	Run(app apps.App, files, shared map[string][]byte) (*RunResult, error)
+}
+
+// NewRunner returns the runner a -backend flag names, with workers
+// spread over two instances or nodes.
+func NewRunner(backend string, workers int) (Runner, error) {
+	perNode := (workers + 1) / 2
+	for _, r := range []Runner{
+		ClassicCloudRunner{Instances: 2, WorkersPerInstance: perNode},
+		MapReduceRunner{Nodes: 2, SlotsPerNode: perNode},
+		DryadRunner{Nodes: 2, SlotsPerNode: perNode},
+	} {
+		if r.Backend() == backend {
+			return r, nil
+		}
+	}
+	return nil, fmt.Errorf("core: unknown backend %q (classic-cloud | hadoop-mapreduce | dryadlinq)", backend)
 }
 
 // ErrNoInput is returned when a run has no files.
 var ErrNoInput = errors.New("core: no input files")
 
+// sortedNames returns a map's keys in order. Every runner stages inputs
+// and shared data in this order, so two runs of one job place, schedule
+// and report identically.
+func sortedNames[V any](m map[string]V) []string {
+	names := make([]string, 0, len(m))
+	for name := range m {
+		names = append(names, name)
+	}
+	sort.Strings(names)
+	return names
+}
+
+// opener opens a job's application exactly once, from the shared data
+// as the first worker to need it finds it staged; every later worker
+// gets the same per-file function, or the same error.
+type opener struct {
+	app     apps.App
+	once    sync.Once
+	process apps.Process
+	err     error
+}
+
+func (o *opener) open(staged func() (map[string][]byte, error)) (apps.Process, error) {
+	o.once.Do(func() {
+		shared, err := staged()
+		if err != nil {
+			o.err = err
+			return
+		}
+		o.process, o.err = o.app.Open(shared)
+	})
+	return o.process, o.err
+}
+
 // ---------------------------------------------------------------------------
 // Classic Cloud backend
 // ---------------------------------------------------------------------------
 
-// ClassicCloudRunner runs jobs on the queue/blob Classic Cloud model.
+// ClassicCloudRunner runs jobs on the queue/blob Classic Cloud model,
+// over fresh in-process cloud services.
 type ClassicCloudRunner struct {
 	// Instances is the number of simulated VMs; WorkersPerInstance the
 	// worker processes each runs (the paper's "Instances × Workers").
 	Instances          int
 	WorkersPerInstance int
-	// Env supplies the cloud services; nil builds fresh in-process ones.
-	Env *classiccloud.Env
-	// Timeout bounds the whole job (default 2 minutes).
-	Timeout time.Duration
-	// VisibilityTimeout for task leases (default from classiccloud).
-	VisibilityTimeout time.Duration
 }
+
+// classicCloudTimeout bounds a whole Classic Cloud job.
+const classicCloudTimeout = 2 * time.Minute
 
 // Backend implements Runner.
 func (r ClassicCloudRunner) Backend() string { return "classic-cloud" }
 
 // Run implements Runner.
-func (r ClassicCloudRunner) Run(app Application, files map[string][]byte) (*RunResult, error) {
+func (r ClassicCloudRunner) Run(app apps.App, files, shared map[string][]byte) (*RunResult, error) {
 	if len(files) == 0 {
 		return nil, ErrNoInput
 	}
@@ -110,29 +138,26 @@ func (r ClassicCloudRunner) Run(app Application, files map[string][]byte) (*RunR
 	if r.WorkersPerInstance <= 0 {
 		r.WorkersPerInstance = 1
 	}
-	if r.Timeout == 0 {
-		r.Timeout = 2 * time.Minute
-	}
-	env := r.Env
-	if env == nil {
-		env = &classiccloud.Env{
-			Blob:  blob.NewStore(blob.Config{}),
-			Queue: queue.NewService(queue.Config{}),
-		}
+	env := classiccloud.Env{
+		Blob:  blob.NewStore(blob.Config{}),
+		Queue: queue.NewService(queue.Config{}),
 	}
 	start := time.Now()
-	cfg := classiccloud.Config{
-		JobName:           app.Name(),
-		VisibilityTimeout: r.VisibilityTimeout,
-	}
-	client := classiccloud.NewClient(*env, cfg)
+	cfg := classiccloud.Config{JobName: app.Name}
+	client := classiccloud.NewClient(env, cfg)
 	if err := client.Setup(); err != nil {
 		return nil, err
 	}
-
-	exec, err := r.buildExecutor(app, env)
-	if err != nil {
+	// Shared data travels through blob storage and is read back by each
+	// instance as it starts.
+	exec := &preloadingExecutor{opener: opener{app: app}, bucket: app.Name + "-shared"}
+	if err := env.Blob.CreateBucket(exec.bucket); err != nil {
 		return nil, err
+	}
+	for _, name := range sortedNames(shared) {
+		if err := env.Blob.Put(exec.bucket, name, shared[name]); err != nil {
+			return nil, err
+		}
 	}
 	tasks, err := client.SubmitFiles(files)
 	if err != nil {
@@ -145,13 +170,13 @@ func (r ClassicCloudRunner) Run(app Application, files map[string][]byte) (*RunR
 		}
 	}()
 	for i := 0; i < r.Instances; i++ {
-		inst, err := classiccloud.StartInstance(*env, cfg, exec, r.WorkersPerInstance)
+		inst, err := classiccloud.StartInstance(env, cfg, exec, r.WorkersPerInstance)
 		if err != nil {
 			return nil, err
 		}
 		instances = append(instances, inst)
 	}
-	report, err := client.WaitForCompletion(tasks, r.Timeout)
+	report, err := client.WaitForCompletion(tasks, classicCloudTimeout)
 	if err != nil {
 		return nil, err
 	}
@@ -177,84 +202,56 @@ func (r ClassicCloudRunner) Run(app Application, files map[string][]byte) (*RunR
 	}, nil
 }
 
-// buildExecutor wraps the application as a Classic Cloud executor,
-// staging shared data through blob storage when required.
-func (r ClassicCloudRunner) buildExecutor(app Application, env *classiccloud.Env) (classiccloud.Executor, error) {
-	sda, needsShared := app.(SharedDataApplication)
-	if !needsShared {
-		return classiccloud.FuncExecutor{
-			AppName: app.Name(),
-			Fn: func(task classiccloud.Task, input []byte) ([]byte, error) {
-				return app.Process(task.ID, input)
-			},
-		}, nil
-	}
-	sharedBucket := app.Name() + "-shared"
-	if err := env.Blob.CreateBucket(sharedBucket); err != nil && !errors.Is(err, blob.ErrBucketExists) {
-		return nil, err
-	}
-	for k, v := range sda.SharedData() {
-		if err := env.Blob.Put(sharedBucket, k, v); err != nil {
-			return nil, err
-		}
-	}
-	return &preloadingExecutor{app: sda, bucket: sharedBucket}, nil
-}
-
 // preloadingExecutor downloads shared data from blob storage at instance
 // startup — the paper's "each worker will download the specified file
 // from the cloud storage at the time of startup".
 type preloadingExecutor struct {
-	app    SharedDataApplication
+	opener
 	bucket string
-	once   sync.Once
-	err    error
 }
 
-func (p *preloadingExecutor) Name() string { return p.app.Name() }
+func (p *preloadingExecutor) Name() string { return p.app.Name }
 
 func (p *preloadingExecutor) Preload(env classiccloud.Env) error {
-	p.once.Do(func() {
+	_, err := p.open(func() (map[string][]byte, error) {
 		keys, err := env.Blob.List(p.bucket, "")
 		if err != nil {
-			p.err = err
-			return
+			return nil, err
 		}
 		staged := make(map[string][]byte, len(keys))
 		for _, k := range keys {
-			data, err := env.Blob.GetConsistent(p.bucket, k)
-			if err != nil {
-				p.err = err
-				return
+			if staged[k], err = env.Blob.GetConsistent(p.bucket, k); err != nil {
+				return nil, err
 			}
-			staged[k] = data
 		}
-		p.err = p.app.LoadShared(staged)
+		return staged, nil
 	})
-	return p.err
+	return err
 }
 
+// Execute runs after Preload has returned without error, so the
+// application is open.
 func (p *preloadingExecutor) Execute(task classiccloud.Task, input []byte) ([]byte, error) {
-	return p.app.Process(task.ID, input)
+	return p.process(task.ID, input)
 }
 
 // ---------------------------------------------------------------------------
 // MapReduce backend
 // ---------------------------------------------------------------------------
 
-// MapReduceRunner runs jobs on the Hadoop-style substrate.
+// MapReduceRunner runs jobs on the Hadoop-style substrate, over a fresh
+// HDFS at its default replication.
 type MapReduceRunner struct {
 	Nodes        int
 	SlotsPerNode int
 	Speculative  bool
-	Replication  int
 }
 
 // Backend implements Runner.
 func (r MapReduceRunner) Backend() string { return "hadoop-mapreduce" }
 
 // Run implements Runner.
-func (r MapReduceRunner) Run(app Application, files map[string][]byte) (*RunResult, error) {
+func (r MapReduceRunner) Run(app apps.App, files, shared map[string][]byte) (*RunResult, error) {
 	if len(files) == 0 {
 		return nil, ErrNoInput
 	}
@@ -269,58 +266,37 @@ func (r MapReduceRunner) Run(app Application, files map[string][]byte) (*RunResu
 	for i := 0; i < r.Nodes; i++ {
 		names = append(names, fmt.Sprintf("node%03d", i))
 	}
-	fs := hdfs.NewFS(names, hdfs.Config{ReplicationFactor: r.Replication})
+	fs := hdfs.NewFS(names, hdfs.Config{})
 	cluster := mapreduce.NewCluster(fs, r.SlotsPerNode)
 
-	inputDir := "/" + app.Name() + "/in"
-	outputDir := "/" + app.Name() + "/out"
-	var inputs []string
-	for name, data := range files {
-		p := inputDir + "/" + name
-		if err := fs.Write(p, data, ""); err != nil {
-			return nil, err
-		}
-		inputs = append(inputs, p)
+	outputDir := "/" + app.Name + "/out/"
+	cfg := mapreduce.JobConfig{Name: app.Name, Speculative: r.Speculative}
+	var err error
+	if cfg.Input, err = stageHDFS(fs, "/"+app.Name+"/in/", files); err != nil {
+		return nil, err
 	}
-
-	cfg := mapreduce.JobConfig{
-		Name:        app.Name(),
-		Input:       inputs,
-		Format:      mapreduce.FileNameInputFormat{},
-		Speculative: r.Speculative,
-	}
-	var shared sync.Once
-	var sharedErr error
-	sda, needsShared := app.(SharedDataApplication)
-	if needsShared {
-		cacheDir := "/" + app.Name() + "/cache"
-		for k, v := range sda.SharedData() {
-			p := cacheDir + "/" + k
-			if err := fs.Write(p, v, ""); err != nil {
-				return nil, err
-			}
-			cfg.CacheFiles = append(cfg.CacheFiles, p)
-		}
+	// Shared data rides the distributed cache: one copy per node.
+	if cfg.CacheFiles, err = stageHDFS(fs, "/"+app.Name+"/cache/", shared); err != nil {
+		return nil, err
 	}
 	// The map function mirrors the paper's Hadoop implementation: copy
 	// the input file out of HDFS, run the executable, store the result
 	// back to HDFS; the emitted pair only records the output location.
+	o := &opener{app: app}
 	cfg.Map = func(ctx *mapreduce.TaskContext, key string, value []byte, emit func(string, []byte)) error {
-		if needsShared {
-			shared.Do(func() { sharedErr = sda.LoadShared(ctx.Cache) })
-			if sharedErr != nil {
-				return sharedErr
-			}
-		}
-		data, err := ctx.FS.Read(string(value), ctx.Node)
+		process, err := o.open(func() (map[string][]byte, error) { return ctx.Cache, nil })
 		if err != nil {
 			return err
 		}
-		out, err := app.Process(key, data)
+		data, err := ctx.FS.Read(string(value))
 		if err != nil {
 			return err
 		}
-		outPath := outputDir + "/" + key
+		out, err := process(key, data)
+		if err != nil {
+			return err
+		}
+		outPath := outputDir + key
 		if !ctx.FS.Exists(outPath) { // idempotent across speculative attempts
 			if err := ctx.FS.Write(outPath, out, ctx.Node); err != nil && !errors.Is(err, hdfs.ErrFileExists) {
 				return err
@@ -335,7 +311,7 @@ func (r MapReduceRunner) Run(app Application, files map[string][]byte) (*RunResu
 	}
 	outputs := make(map[string][]byte, len(files))
 	for name := range files {
-		data, err := fs.Read(outputDir+"/"+name, "")
+		data, err := fs.Read(outputDir + name)
 		if err != nil {
 			return nil, fmt.Errorf("core: collecting %s: %w", name, err)
 		}
@@ -356,6 +332,20 @@ func (r MapReduceRunner) Run(app Application, files map[string][]byte) (*RunResu
 	}, nil
 }
 
+// stageHDFS writes a file set under dir, in name order, and returns the
+// paths. The order is what the filesystem's seeded replica placement and
+// the scheduler's pending queue see, so it must not be a map's.
+func stageHDFS(fs *hdfs.FS, dir string, files map[string][]byte) ([]string, error) {
+	paths := make([]string, 0, len(files))
+	for _, name := range sortedNames(files) {
+		if err := fs.Write(dir+name, files[name], ""); err != nil {
+			return nil, err
+		}
+		paths = append(paths, dir+name)
+	}
+	return paths, nil
+}
+
 // ---------------------------------------------------------------------------
 // DryadLINQ backend
 // ---------------------------------------------------------------------------
@@ -366,11 +356,14 @@ type DryadRunner struct {
 	SlotsPerNode int
 }
 
+// sharedDir prefixes shared data in a Dryad node's local directory.
+const sharedDir = "shared/"
+
 // Backend implements Runner.
 func (r DryadRunner) Backend() string { return "dryadlinq" }
 
 // Run implements Runner.
-func (r DryadRunner) Run(app Application, files map[string][]byte) (*RunResult, error) {
+func (r DryadRunner) Run(app apps.App, files, shared map[string][]byte) (*RunResult, error) {
 	if len(files) == 0 {
 		return nil, ErrNoInput
 	}
@@ -386,52 +379,43 @@ func (r DryadRunner) Run(app Application, files map[string][]byte) (*RunResult, 
 		names = append(names, fmt.Sprintf("hpc%03d", i))
 	}
 	cluster := dryad.NewCluster(names, r.SlotsPerNode)
+	store := cluster.Store()
 
 	// Shared data: manual distribution to every node's local directory,
 	// as the paper did for the BLAST database on Windows shares.
-	var shared sync.Once
-	var sharedErr error
-	sda, needsShared := app.(SharedDataApplication)
-	if needsShared {
-		for _, node := range names {
-			for k, v := range sda.SharedData() {
-				if err := cluster.Store().Put(node, "shared/"+k, v); err != nil {
-					return nil, err
-				}
+	for _, node := range names {
+		for _, name := range sortedNames(shared) {
+			if err := store.Put(node, sharedDir+name, shared[name]); err != nil {
+				return nil, err
 			}
 		}
 	}
-	table, err := cluster.DistributeFiles(app.Name()+"-input", files)
+	table, err := cluster.DistributeFiles(app.Name+"-input", files)
 	if err != nil {
 		return nil, err
 	}
-	out, stats, err := cluster.Select(table, app.Name()+"-output",
+	o := &opener{app: app}
+	out, stats, err := cluster.Select(table, app.Name+"-output",
 		func(ctx *dryad.VertexContext, name string, data []byte) ([]byte, error) {
-			if needsShared {
-				shared.Do(func() {
-					staged := make(map[string][]byte)
-					keys, err := cluster.Store().List(ctx.Node)
-					if err != nil {
-						sharedErr = err
-						return
-					}
-					for _, k := range keys {
-						if strings.HasPrefix(k, "shared/") {
-							v, err := cluster.Store().Get(ctx.Node, k)
-							if err != nil {
-								sharedErr = err
-								return
-							}
-							staged[path.Base(k)] = v
+			process, err := o.open(func() (map[string][]byte, error) {
+				keys, err := store.List(ctx.Node)
+				if err != nil {
+					return nil, err
+				}
+				staged := make(map[string][]byte)
+				for _, k := range keys {
+					if strings.HasPrefix(k, sharedDir) {
+						if staged[strings.TrimPrefix(k, sharedDir)], err = store.Get(ctx.Node, k); err != nil {
+							return nil, err
 						}
 					}
-					sharedErr = sda.LoadShared(staged)
-				})
-				if sharedErr != nil {
-					return nil, sharedErr
 				}
+				return staged, nil
+			})
+			if err != nil {
+				return nil, err
 			}
-			return app.Process(name, data)
+			return process(name, data)
 		}, dryad.SelectOptions{})
 	if err != nil {
 		return nil, err
@@ -442,7 +426,7 @@ func (r DryadRunner) Run(app Application, files map[string][]byte) (*RunResult, 
 	}
 	outputs := make(map[string][]byte, len(files))
 	for name, data := range collected {
-		outputs[strings.TrimSuffix(name, ".out")] = data
+		outputs[strings.TrimSuffix(name, dryad.OutputSuffix)] = data
 	}
 	return &RunResult{
 		Backend: r.Backend(),

@@ -4,16 +4,23 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
-	"sync"
+	"reflect"
+	"sort"
+	"sync/atomic"
 	"testing"
+
+	"repro/internal/apps"
+	"repro/internal/hdfs"
 )
 
-var toUpper = FuncApp{
-	AppName: "upper",
-	Fn: func(name string, input []byte) ([]byte, error) {
-		return bytes.ToUpper(input), nil
-	},
+// stateless wraps a per-file function that needs no shared data.
+func stateless(name string, process apps.Process) apps.App {
+	return apps.App{Name: name, Open: func(map[string][]byte) (apps.Process, error) { return process, nil }}
 }
+
+var toUpper = stateless("upper", func(name string, input []byte) ([]byte, error) {
+	return bytes.ToUpper(input), nil
+})
 
 func inputFiles(n int) map[string][]byte {
 	files := make(map[string][]byte, n)
@@ -40,7 +47,7 @@ func TestAllBackendsProduceIdenticalOutputs(t *testing.T) {
 	}
 	for _, r := range allRunners() {
 		t.Run(r.Backend(), func(t *testing.T) {
-			res, err := r.Run(toUpper, files)
+			res, err := r.Run(toUpper, files, nil)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -64,58 +71,31 @@ func TestAllBackendsProduceIdenticalOutputs(t *testing.T) {
 
 func TestEmptyInputRejectedEverywhere(t *testing.T) {
 	for _, r := range allRunners() {
-		if _, err := r.Run(toUpper, nil); !errors.Is(err, ErrNoInput) {
+		if _, err := r.Run(toUpper, nil, nil); !errors.Is(err, ErrNoInput) {
 			t.Errorf("%s: %v, want ErrNoInput", r.Backend(), err)
 		}
 	}
 }
 
-// sharedApp requires a reference table before processing.
-type sharedApp struct {
-	mu     sync.Mutex
-	loaded map[string][]byte
-}
-
-func (s *sharedApp) Name() string { return "shared-app" }
-
-func (s *sharedApp) SharedData() map[string][]byte {
-	return map[string][]byte{"refdb": []byte("REF")}
-}
-
-func (s *sharedApp) LoadShared(files map[string][]byte) error {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if _, ok := files["refdb"]; !ok {
-		return fmt.Errorf("refdb missing from staged files: %v", keys(files))
+// appendRef requires a reference table before processing: Open fails
+// unless exactly the staged table arrives, and the per-file function
+// appends it to every input.
+var appendRef = apps.App{Name: "shared-app", Open: func(shared map[string][]byte) (apps.Process, error) {
+	ref, ok := shared["refdb"]
+	if !ok || len(shared) != 2 {
+		return nil, fmt.Errorf("staged files %v, want refdb and second", sortedNames(shared))
 	}
-	s.loaded = files
-	return nil
-}
-
-func keys(m map[string][]byte) []string {
-	var out []string
-	for k := range m {
-		out = append(out, k)
-	}
-	return out
-}
-
-func (s *sharedApp) Process(name string, input []byte) ([]byte, error) {
-	s.mu.Lock()
-	ref := s.loaded["refdb"]
-	s.mu.Unlock()
-	if ref == nil {
-		return nil, errors.New("Process called before LoadShared")
-	}
-	return append(append([]byte{}, input...), ref...), nil
-}
+	return func(name string, input []byte) ([]byte, error) {
+		return append(append([]byte{}, input...), ref...), nil
+	}, nil
+}}
 
 func TestSharedDataStagedOnEveryBackend(t *testing.T) {
 	files := inputFiles(6)
+	shared := map[string][]byte{"refdb": []byte("REF"), "second": []byte("2")}
 	for _, r := range allRunners() {
 		t.Run(r.Backend(), func(t *testing.T) {
-			app := &sharedApp{}
-			res, err := r.Run(app, files)
+			res, err := r.Run(appendRef, files, shared)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -125,17 +105,71 @@ func TestSharedDataStagedOnEveryBackend(t *testing.T) {
 					t.Errorf("%s: %q, want %q", name, res.Outputs[name], want)
 				}
 			}
+			// Without the data the application does not open, and no
+			// backend runs a file.
+			if _, err := r.Run(appendRef, files, nil); err == nil {
+				t.Error("ran with no shared data staged")
+			}
 		})
 	}
 }
 
-func TestApplicationErrorSurfacesFromMapReduceAndDryad(t *testing.T) {
-	bad := FuncApp{
-		AppName: "bad",
-		Fn: func(name string, input []byte) ([]byte, error) {
-			return nil, errors.New("application exploded")
-		},
+// Every backend opens an application once per job, however many
+// workers, attempts and nodes it has.
+func TestApplicationOpenedOncePerJob(t *testing.T) {
+	for _, r := range allRunners() {
+		var opens atomic.Int32
+		app := apps.App{Name: "counted", Open: func(map[string][]byte) (apps.Process, error) {
+			opens.Add(1)
+			return func(_ string, in []byte) ([]byte, error) { return in, nil }, nil
+		}}
+		if _, err := r.Run(app, inputFiles(9), nil); err != nil {
+			t.Fatalf("%s: %v", r.Backend(), err)
+		}
+		if n := opens.Load(); n != 1 {
+			t.Errorf("%s opened the application %d times", r.Backend(), n)
+		}
 	}
+}
+
+// Two runs of one job stage their inputs in the same order, so the
+// seeded HDFS places every replica identically and the scheduler's queue
+// starts out the same. (data_local itself also depends on which tracker
+// goroutine asks first once a cluster has more nodes than replicas.)
+func TestMapReduceStagingIsRepeatable(t *testing.T) {
+	files := inputFiles(24)
+	nodes := []string{"n0", "n1", "n2", "n3", "n4", "n5"}
+	var firstPaths []string
+	var firstPlaced [][][]string
+	for run := 0; run < 4; run++ {
+		fs := hdfs.NewFS(nodes, hdfs.Config{})
+		paths, err := stageHDFS(fs, "/in/", files)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var placed [][][]string
+		for _, p := range paths {
+			locs, err := fs.Locations(p)
+			if err != nil {
+				t.Fatal(err)
+			}
+			placed = append(placed, locs)
+		}
+		if run == 0 {
+			firstPaths, firstPlaced = paths, placed
+			if !sort.StringsAreSorted(paths) {
+				t.Errorf("inputs staged out of name order: %v", paths)
+			}
+		} else if !reflect.DeepEqual(paths, firstPaths) || !reflect.DeepEqual(placed, firstPlaced) {
+			t.Fatalf("run %d staged or placed differently from run 0:\n%v\n%v", run, placed, firstPlaced)
+		}
+	}
+}
+
+func TestApplicationErrorSurfacesFromMapReduceAndDryad(t *testing.T) {
+	bad := stateless("bad", func(name string, input []byte) ([]byte, error) {
+		return nil, errors.New("application exploded")
+	})
 	// MapReduce and Dryad retry then fail the job. (Classic Cloud retries
 	// forever via the visibility timeout and would hit its job timeout
 	// instead; covered in the classiccloud package tests.)
@@ -143,7 +177,7 @@ func TestApplicationErrorSurfacesFromMapReduceAndDryad(t *testing.T) {
 		MapReduceRunner{Nodes: 2, SlotsPerNode: 1},
 		DryadRunner{Nodes: 2, SlotsPerNode: 1},
 	} {
-		if _, err := r.Run(bad, inputFiles(3)); err == nil {
+		if _, err := r.Run(bad, inputFiles(3), nil); err == nil {
 			t.Errorf("%s: expected failure", r.Backend())
 		}
 	}
@@ -166,7 +200,7 @@ func TestVerifyDetectsMissingOutputs(t *testing.T) {
 
 func TestMapReduceSpeculativeConfig(t *testing.T) {
 	r := MapReduceRunner{Nodes: 2, SlotsPerNode: 2, Speculative: true}
-	res, err := r.Run(toUpper, inputFiles(8))
+	res, err := r.Run(toUpper, inputFiles(8), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -178,7 +212,7 @@ func TestMapReduceSpeculativeConfig(t *testing.T) {
 func TestRunnersDefaultConfiguration(t *testing.T) {
 	// Zero-valued runners must still work via defaults.
 	for _, r := range []Runner{ClassicCloudRunner{}, MapReduceRunner{}, DryadRunner{}} {
-		res, err := r.Run(toUpper, inputFiles(3))
+		res, err := r.Run(toUpper, inputFiles(3), nil)
 		if err != nil {
 			t.Errorf("%s with defaults: %v", r.Backend(), err)
 			continue
@@ -190,7 +224,7 @@ func TestRunnersDefaultConfiguration(t *testing.T) {
 }
 
 func TestDetailCountersPresent(t *testing.T) {
-	res, err := MapReduceRunner{Nodes: 2, SlotsPerNode: 1}.Run(toUpper, inputFiles(4))
+	res, err := MapReduceRunner{Nodes: 2, SlotsPerNode: 1}.Run(toUpper, inputFiles(4), nil)
 	if err != nil {
 		t.Fatal(err)
 	}

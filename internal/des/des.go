@@ -39,9 +39,6 @@ type Simulation struct {
 // New creates an empty simulation at time 0.
 func New() *Simulation { return &Simulation{} }
 
-// Now returns the current simulation time in seconds.
-func (s *Simulation) Now() float64 { return s.now }
-
 // Schedule runs fn after delay seconds of simulated time. Negative
 // delays panic: they would reorder the past.
 func (s *Simulation) Schedule(delay float64, fn func()) {

@@ -1,6 +1,7 @@
 package des
 
 import (
+	"strings"
 	"testing"
 	"testing/quick"
 )
@@ -39,16 +40,15 @@ func TestSameTimeEventsFIFOBySchedule(t *testing.T) {
 
 func TestNestedScheduling(t *testing.T) {
 	s := New()
-	var times []float64
+	var ran []string
 	s.Schedule(1, func() {
-		times = append(times, s.Now())
-		s.Schedule(2, func() {
-			times = append(times, s.Now())
-		})
+		ran = append(ran, "outer")
+		s.Schedule(2, func() { ran = append(ran, "inner") }) // relative to the outer event: t = 3
+		s.Schedule(1, func() { ran = append(ran, "sibling") })
 	})
 	end := s.Run()
-	if end != 3 || len(times) != 2 || times[0] != 1 || times[1] != 3 {
-		t.Errorf("times = %v end = %v", times, end)
+	if end != 3 || strings.Join(ran, " ") != "outer sibling inner" {
+		t.Errorf("ran = %v end = %v", ran, end)
 	}
 }
 

@@ -36,10 +36,9 @@ func NewNodeStore(nodes []string) *NodeStore {
 
 // Errors returned by the engine.
 var (
-	ErrNoSuchNode  = errors.New("dryad: no such node")
-	ErrNoSuchItem  = errors.New("dryad: no such item")
-	ErrEmptyTable  = errors.New("dryad: empty partitioned table")
-	ErrNodeOffline = errors.New("dryad: node offline")
+	ErrNoSuchNode = errors.New("dryad: no such node")
+	ErrNoSuchItem = errors.New("dryad: no such item")
+	ErrEmptyTable = errors.New("dryad: empty partitioned table")
 )
 
 // Put writes an item into a node's shared directory.
@@ -112,11 +111,9 @@ func (t *PartitionedTable) TotalItems() int {
 
 // Cluster is a set of HPC nodes with per-node execution slots.
 type Cluster struct {
-	mu      sync.Mutex
-	nodes   []string
-	offline map[string]bool
-	slots   int
-	store   *NodeStore
+	nodes []string
+	slots int
+	store *NodeStore
 }
 
 // NewCluster creates a cluster with slotsPerNode concurrent vertices per
@@ -126,37 +123,14 @@ func NewCluster(nodes []string, slotsPerNode int) *Cluster {
 		slotsPerNode = 1
 	}
 	return &Cluster{
-		nodes:   append([]string(nil), nodes...),
-		offline: make(map[string]bool),
-		slots:   slotsPerNode,
-		store:   NewNodeStore(nodes),
+		nodes: append([]string(nil), nodes...),
+		slots: slotsPerNode,
+		store: NewNodeStore(nodes),
 	}
 }
 
 // Store exposes the node-local storage.
 func (c *Cluster) Store() *NodeStore { return c.store }
-
-// Nodes returns the cluster's node names.
-func (c *Cluster) Nodes() []string { return append([]string(nil), c.nodes...) }
-
-// SetOffline marks a node unusable for vertex execution.
-func (c *Cluster) SetOffline(node string, offline bool) error {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	for _, n := range c.nodes {
-		if n == node {
-			c.offline[node] = offline
-			return nil
-		}
-	}
-	return fmt.Errorf("%w: %s", ErrNoSuchNode, node)
-}
-
-func (c *Cluster) isOffline(node string) bool {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.offline[node]
-}
 
 // DistributeFiles stages input files round-robin across nodes and writes
 // the partitioned-table metadata — the manual pre-partitioning step of
@@ -195,16 +169,14 @@ type VertexContext struct {
 // SelectOptions tune a Select execution.
 type SelectOptions struct {
 	MaxAttempts int // per item (default 4)
-	// OutputSuffix names result items (default ".out").
-	OutputSuffix string
 }
+
+// OutputSuffix is appended to an item's name to name its result item.
+const OutputSuffix = ".out"
 
 func (o SelectOptions) withDefaults() SelectOptions {
 	if o.MaxAttempts == 0 {
 		o.MaxAttempts = 4
-	}
-	if o.OutputSuffix == "" {
-		o.OutputSuffix = ".out"
 	}
 	return o
 }
@@ -296,9 +268,6 @@ func (c *Cluster) Select(table *PartitionedTable, outName string, fn ItemFunc, o
 
 // runPartition executes one partition's items with the node's slots.
 func (c *Cluster) runPartition(part Partition, fn ItemFunc, opts SelectOptions) (results []string, attempts, retries int, err error) {
-	if c.isOffline(part.Node) {
-		return nil, 0, 0, fmt.Errorf("%w: %s", ErrNodeOffline, part.Node)
-	}
 	type outcome struct {
 		name     string
 		attempts int
@@ -322,7 +291,7 @@ func (c *Cluster) runPartition(part Partition, fn ItemFunc, opts SelectOptions) 
 				ctx := &VertexContext{Node: part.Node, Attempt: attempt}
 				res, err := fn(ctx, item, data)
 				if err == nil {
-					outName := item + opts.OutputSuffix
+					outName := item + OutputSuffix
 					o.name = outName
 					o.err = c.store.Put(part.Node, outName, res)
 					break

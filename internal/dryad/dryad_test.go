@@ -167,30 +167,6 @@ func TestVertexPermanentFailure(t *testing.T) {
 	}
 }
 
-func TestOfflineNodeFailsItsPartition(t *testing.T) {
-	c := NewCluster(nodeNames(3), 1)
-	table, _ := c.DistributeFiles("in", inputFiles(6))
-	if err := c.SetOffline("hpc01", true); err != nil {
-		t.Fatal(err)
-	}
-	_, _, err := c.Select(table, "out", func(ctx *VertexContext, name string, data []byte) ([]byte, error) {
-		return data, nil
-	}, SelectOptions{})
-	if !errors.Is(err, ErrNodeOffline) {
-		t.Errorf("err = %v, want ErrNodeOffline (static partitions cannot move)", err)
-	}
-	// Bring it back online: job now succeeds.
-	c.SetOffline("hpc01", false)
-	if _, _, err := c.Select(table, "out2", func(ctx *VertexContext, name string, data []byte) ([]byte, error) {
-		return data, nil
-	}, SelectOptions{OutputSuffix: ".o2"}); err != nil {
-		t.Errorf("after revive: %v", err)
-	}
-	if err := c.SetOffline("ghost", true); !errors.Is(err, ErrNoSuchNode) {
-		t.Errorf("offline ghost: %v", err)
-	}
-}
-
 func TestStaticPartitioningImbalance(t *testing.T) {
 	// Two nodes; all the expensive items land on node 0 by construction.
 	// Static partitioning cannot rebalance, so node 0's busy time

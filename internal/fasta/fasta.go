@@ -23,14 +23,6 @@ type Record struct {
 	Seq         []byte
 }
 
-// Header returns the full header line content (without the leading '>').
-func (r *Record) Header() string {
-	if r.Description == "" {
-		return r.ID
-	}
-	return r.ID + " " + r.Description
-}
-
 // Len returns the sequence length.
 func (r *Record) Len() int { return len(r.Seq) }
 
@@ -134,25 +126,12 @@ func ParseBytes(b []byte) ([]*Record, error) {
 	return ReadAll(bytes.NewReader(b))
 }
 
-// Writer emits FASTA records with a configurable line width.
-type Writer struct {
-	w     *bufio.Writer
-	line  []byte // scratch for one rendered record
-	Width int    // sequence line width; <=0 means a single unwrapped line
-}
-
 // defaultWidth is the conventional FASTA sequence line width.
 const defaultWidth = 70
 
-// NewWriter returns a Writer emitting to w with the conventional 70-column
-// sequence wrapping.
-func NewWriter(w io.Writer) *Writer {
-	return &Writer{w: bufio.NewWriter(w), Width: defaultWidth}
-}
-
 // appendRecord appends one record's FASTA rendering to dst: the single
-// definition of the output format, shared by Writer and MarshalRecords.
-func appendRecord(dst []byte, rec *Record, width int) []byte {
+// definition of the output format.
+func appendRecord(dst []byte, rec *Record) []byte {
 	dst = append(dst, '>')
 	dst = append(dst, rec.ID...)
 	if rec.Description != "" {
@@ -161,30 +140,16 @@ func appendRecord(dst []byte, rec *Record, width int) []byte {
 	}
 	dst = append(dst, '\n')
 	seq := rec.Seq
-	if width <= 0 {
-		return append(append(dst, seq...), '\n')
-	}
 	for len(seq) > 0 {
-		n := min(width, len(seq))
+		n := min(defaultWidth, len(seq))
 		dst = append(append(dst, seq[:n]...), '\n')
 		seq = seq[n:]
 	}
 	return dst
 }
 
-// Write emits one record.
-func (w *Writer) Write(rec *Record) error {
-	w.line = appendRecord(w.line[:0], rec, w.Width)
-	_, err := w.w.Write(w.line)
-	return err
-}
-
-// Flush commits buffered output.
-func (w *Writer) Flush() error { return w.w.Flush() }
-
 // MarshalRecords renders records to an in-memory FASTA document (the
-// conventional 70-column wrapping). The document is the buffer, so
-// nothing is staged through a bufio.Writer on the way.
+// conventional 70-column wrapping), sized once.
 func MarshalRecords(recs []*Record) ([]byte, error) {
 	size := 0
 	for _, rec := range recs {
@@ -193,7 +158,7 @@ func MarshalRecords(recs []*Record) ([]byte, error) {
 	}
 	doc := make([]byte, 0, size)
 	for _, rec := range recs {
-		doc = appendRecord(doc, rec, defaultWidth)
+		doc = appendRecord(doc, rec)
 	}
 	return doc, nil
 }

@@ -106,34 +106,25 @@ func TestReaderNextEOF(t *testing.T) {
 }
 
 func TestWriterWrapping(t *testing.T) {
-	var buf bytes.Buffer
-	w := NewWriter(&buf)
-	w.Width = 4
-	if err := w.Write(&Record{ID: "x", Seq: []byte("ACGTACGTAC")}); err != nil {
+	seq := strings.Repeat("ACGTACGTAC", 15) // 150 bases: two full lines and a short one
+	doc, err := MarshalRecords([]*Record{{ID: "x", Seq: []byte(seq)}})
+	if err != nil {
 		t.Fatal(err)
 	}
-	if err := w.Flush(); err != nil {
-		t.Fatal(err)
-	}
-	want := ">x\nACGT\nACGT\nAC\n"
-	if buf.String() != want {
-		t.Errorf("output = %q, want %q", buf.String(), want)
+	want := ">x\n" + seq[:70] + "\n" + seq[70:140] + "\n" + seq[140:] + "\n"
+	if string(doc) != want {
+		t.Errorf("output = %q, want %q", doc, want)
 	}
 }
 
 func TestWriterUnwrapped(t *testing.T) {
-	var buf bytes.Buffer
-	w := NewWriter(&buf)
-	w.Width = 0
-	if err := w.Write(&Record{ID: "x", Description: "d", Seq: []byte("ACGT")}); err != nil {
-		t.Fatal(err)
-	}
-	if err := w.Flush(); err != nil {
+	doc, err := MarshalRecords([]*Record{{ID: "x", Description: "d", Seq: []byte("ACGT")}})
+	if err != nil {
 		t.Fatal(err)
 	}
 	want := ">x d\nACGT\n"
-	if buf.String() != want {
-		t.Errorf("output = %q, want %q", buf.String(), want)
+	if string(doc) != want {
+		t.Errorf("output = %q, want %q", doc, want)
 	}
 }
 
@@ -173,10 +164,10 @@ func TestCountRecords(t *testing.T) {
 }
 
 // Property: Marshal → Parse is the identity on well-formed records,
-// independent of line width.
+// whether a sequence fills no line, part of one, or several.
 func TestQuickRoundTrip(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
-	f := func(nRecs uint8, width uint8) bool {
+	f := func(nRecs uint8) bool {
 		n := int(nRecs%8) + 1
 		recs := make([]*Record, n)
 		for i := range recs {
@@ -186,18 +177,11 @@ func TestQuickRoundTrip(t *testing.T) {
 			}
 			recs[i] = &Record{ID: "id" + string(rune('a'+i)), Seq: seq}
 		}
-		var buf bytes.Buffer
-		w := NewWriter(&buf)
-		w.Width = int(width%80) + 1
-		for _, r := range recs {
-			if err := w.Write(r); err != nil {
-				return false
-			}
-		}
-		if err := w.Flush(); err != nil {
+		doc, err := MarshalRecords(recs)
+		if err != nil {
 			return false
 		}
-		back, err := ParseBytes(buf.Bytes())
+		back, err := ParseBytes(doc)
 		if err != nil || len(back) != n {
 			return false
 		}
@@ -265,32 +249,5 @@ func TestSmallMarshalAllocatesLittle(t *testing.T) {
 	runtime.ReadMemStats(&after)
 	if perCall := (after.TotalAlloc - before.TotalAlloc) / runs; perCall >= 1<<10 {
 		t.Errorf("marshalling a %d-byte document allocates %d bytes, want < 1 KB", len(want), perCall)
-	}
-}
-
-// MarshalRecords and Writer render the same bytes, record for record.
-func TestMarshalMatchesWriter(t *testing.T) {
-	recs := []*Record{
-		{ID: "a", Seq: []byte(strings.Repeat("ACGT", 40))},
-		{ID: "b", Description: "exactly one line", Seq: []byte(strings.Repeat("T", 70))},
-		{ID: "empty"},
-		{ID: "c", Description: "short", Seq: []byte("ACG")},
-	}
-	var buf bytes.Buffer
-	w := NewWriter(&buf)
-	for _, rec := range recs {
-		if err := w.Write(rec); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if err := w.Flush(); err != nil {
-		t.Fatal(err)
-	}
-	doc, err := MarshalRecords(recs)
-	if err != nil || !bytes.Equal(doc, buf.Bytes()) {
-		t.Fatalf("MarshalRecords = %q (err %v), Writer = %q", doc, err, buf.Bytes())
-	}
-	if cap(doc) != len(doc) && cap(doc) > len(doc)+len(recs) {
-		t.Errorf("document sized %d for %d bytes", cap(doc), len(doc))
 	}
 }

@@ -1,9 +1,9 @@
 // Package hdfs simulates the Hadoop Distributed File System as the paper
 // uses it: files split into blocks stored on the local disks of compute
 // nodes, replicated for reliability, with block-location metadata that
-// lets the MapReduce scheduler place computations near their data. Reads
-// from a node holding a replica are "local" (fast, no network); remote
-// reads are counted separately so scheduling quality is measurable.
+// lets the MapReduce scheduler place computations near their data (the
+// scheduler counts how often it managed to). A datanode can be killed;
+// a block is readable while any replica's node lives.
 package hdfs
 
 import (
@@ -56,14 +56,6 @@ type file struct {
 	blocks []*block
 }
 
-// Stats counts filesystem activity for locality studies.
-type Stats struct {
-	LocalReads    int64
-	RemoteReads   int64
-	BlocksWritten int64
-	ReReplicated  int64
-}
-
 // FS is the simulated filesystem: an in-process namenode plus datanode
 // states.
 type FS struct {
@@ -73,7 +65,6 @@ type FS struct {
 	nodes   map[string]bool // node → alive
 	order   []string        // stable node ordering
 	files   map[string]*file
-	stats   Stats
 	blockID int
 }
 
@@ -94,13 +85,6 @@ func NewFS(nodes []string, cfg Config) *FS {
 	return fs
 }
 
-// Nodes returns all datanode names in stable order.
-func (fs *FS) Nodes() []string {
-	fs.mu.Lock()
-	defer fs.mu.Unlock()
-	return append([]string(nil), fs.order...)
-}
-
 // LiveNodes returns the names of live datanodes.
 func (fs *FS) LiveNodes() []string {
 	fs.mu.Lock()
@@ -116,13 +100,6 @@ func (fs *FS) liveNodesLocked() []string {
 		}
 	}
 	return live
-}
-
-// Stats returns a snapshot of activity counters.
-func (fs *FS) Stats() Stats {
-	fs.mu.Lock()
-	defer fs.mu.Unlock()
-	return fs.stats
 }
 
 // Write stores a file, splitting it into blocks and replicating each.
@@ -155,7 +132,6 @@ func (fs *FS) Write(path string, data []byte, writerNode string) error {
 		}
 		fs.placeReplicasLocked(b, live, writerNode)
 		f.blocks = append(f.blocks, b)
-		fs.stats.BlocksWritten++
 		if len(data) == 0 {
 			break
 		}
@@ -183,9 +159,8 @@ func (fs *FS) placeReplicasLocked(b *block, live []string, writerNode string) {
 	}
 }
 
-// Read reassembles a file. readerNode influences accounting only: blocks
-// with a live replica on that node count as local reads.
-func (fs *FS) Read(path, readerNode string) ([]byte, error) {
+// Read reassembles a file from any live replica of each block.
+func (fs *FS) Read(path string) ([]byte, error) {
 	fs.mu.Lock()
 	defer fs.mu.Unlock()
 	f, ok := fs.files[path]
@@ -195,16 +170,10 @@ func (fs *FS) Read(path, readerNode string) ([]byte, error) {
 	out := make([]byte, 0, f.size)
 	for _, b := range f.blocks {
 		served := false
-		if readerNode != "" && b.replicas[readerNode] && fs.nodes[readerNode] {
-			fs.stats.LocalReads++
-			served = true
-		} else {
-			for n := range b.replicas {
-				if fs.nodes[n] {
-					fs.stats.RemoteReads++
-					served = true
-					break
-				}
+		for n := range b.replicas {
+			if fs.nodes[n] {
+				served = true
+				break
 			}
 		}
 		if !served {
@@ -221,17 +190,6 @@ func (fs *FS) Exists(path string) bool {
 	defer fs.mu.Unlock()
 	_, ok := fs.files[path]
 	return ok
-}
-
-// Delete removes a file.
-func (fs *FS) Delete(path string) error {
-	fs.mu.Lock()
-	defer fs.mu.Unlock()
-	if _, ok := fs.files[path]; !ok {
-		return fmt.Errorf("%w: %s", ErrNoSuchFile, path)
-	}
-	delete(fs.files, path)
-	return nil
 }
 
 // List returns stored paths with the given prefix, sorted.
@@ -296,8 +254,9 @@ func (fs *FS) PreferredNodes(path string) ([]string, error) {
 	return nodes, nil
 }
 
-// KillNode marks a datanode dead. Its replicas become unavailable until
-// ReReplicate runs or the node is revived.
+// KillNode marks a datanode dead; its replicas become unavailable. No
+// program kills a node: this is the fault the MapReduce re-execution
+// tests and the locality / speculation ablations inject.
 func (fs *FS) KillNode(name string) error {
 	fs.mu.Lock()
 	defer fs.mu.Unlock()
@@ -310,88 +269,4 @@ func (fs *FS) KillNode(name string) error {
 	}
 	fs.nodes[name] = false
 	return nil
-}
-
-// ReviveNode brings a dead datanode back with its replicas intact.
-func (fs *FS) ReviveNode(name string) error {
-	fs.mu.Lock()
-	defer fs.mu.Unlock()
-	if _, ok := fs.nodes[name]; !ok {
-		return fmt.Errorf("%w: %s", ErrNoSuchNode, name)
-	}
-	fs.nodes[name] = true
-	return nil
-}
-
-// ReReplicate restores the replication factor of under-replicated blocks
-// using live nodes, returning the number of new replicas created. This is
-// the namenode's re-replication pass after a datanode failure.
-func (fs *FS) ReReplicate() (int, error) {
-	fs.mu.Lock()
-	defer fs.mu.Unlock()
-	live := fs.liveNodesLocked()
-	if len(live) == 0 {
-		return 0, ErrClusterEmpty
-	}
-	created := 0
-	for _, f := range fs.files {
-		for _, b := range f.blocks {
-			liveReplicas := 0
-			for n := range b.replicas {
-				if fs.nodes[n] {
-					liveReplicas++
-				}
-			}
-			if liveReplicas == 0 {
-				continue // lost; nothing to copy from
-			}
-			want := fs.cfg.ReplicationFactor
-			if want > len(live) {
-				want = len(live)
-			}
-			if liveReplicas >= want {
-				continue
-			}
-			perm := fs.rng.Perm(len(live))
-			for _, idx := range perm {
-				if liveReplicas >= want {
-					break
-				}
-				n := live[idx]
-				if !b.replicas[n] {
-					b.replicas[n] = true
-					liveReplicas++
-					created++
-					fs.stats.ReReplicated++
-				}
-			}
-		}
-	}
-	return created, nil
-}
-
-// UnderReplicatedBlocks counts blocks below the replication target.
-func (fs *FS) UnderReplicatedBlocks() int {
-	fs.mu.Lock()
-	defer fs.mu.Unlock()
-	live := len(fs.liveNodesLocked())
-	want := fs.cfg.ReplicationFactor
-	if want > live {
-		want = live
-	}
-	n := 0
-	for _, f := range fs.files {
-		for _, b := range f.blocks {
-			alive := 0
-			for node := range b.replicas {
-				if fs.nodes[node] {
-					alive++
-				}
-			}
-			if alive < want {
-				n++
-			}
-		}
-	}
-	return n
 }

@@ -23,7 +23,7 @@ func TestWriteReadRoundTrip(t *testing.T) {
 	if err := fs.Write("/data/a.txt", data, ""); err != nil {
 		t.Fatal(err)
 	}
-	got, err := fs.Read("/data/a.txt", "")
+	got, err := fs.Read("/data/a.txt")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -37,7 +37,7 @@ func TestWriteEmptyFile(t *testing.T) {
 	if err := fs.Write("/empty", nil, ""); err != nil {
 		t.Fatal(err)
 	}
-	got, err := fs.Read("/empty", "")
+	got, err := fs.Read("/empty")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -58,17 +58,11 @@ func TestFileLifecycleErrors(t *testing.T) {
 	if err := fs.Write("/f", []byte("y"), ""); !errors.Is(err, ErrFileExists) {
 		t.Errorf("duplicate write: %v", err)
 	}
-	if _, err := fs.Read("/missing", ""); !errors.Is(err, ErrNoSuchFile) {
+	if _, err := fs.Read("/missing"); !errors.Is(err, ErrNoSuchFile) {
 		t.Errorf("missing read: %v", err)
 	}
-	if err := fs.Delete("/missing"); !errors.Is(err, ErrNoSuchFile) {
-		t.Errorf("missing delete: %v", err)
-	}
-	if err := fs.Delete("/f"); err != nil {
-		t.Fatal(err)
-	}
-	if fs.Exists("/f") {
-		t.Error("file still exists after delete")
+	if !fs.Exists("/f") || fs.Exists("/missing") {
+		t.Error("Exists disagrees with what was written")
 	}
 }
 
@@ -124,25 +118,6 @@ func TestWriterLocality(t *testing.T) {
 	}
 }
 
-func TestLocalVersusRemoteReadAccounting(t *testing.T) {
-	fs := NewFS(nodes(4), Config{ReplicationFactor: 1, Seed: 5})
-	fs.Write("/f", []byte("data"), "node00")
-	if _, err := fs.Read("/f", "node00"); err != nil {
-		t.Fatal(err)
-	}
-	s := fs.Stats()
-	if s.LocalReads != 1 || s.RemoteReads != 0 {
-		t.Errorf("after local read: %+v", s)
-	}
-	if _, err := fs.Read("/f", "node01"); err != nil {
-		t.Fatal(err)
-	}
-	s = fs.Stats()
-	if s.LocalReads != 1 || s.RemoteReads != 1 {
-		t.Errorf("after remote read: %+v", s)
-	}
-}
-
 func TestPreferredNodes(t *testing.T) {
 	fs := NewFS(nodes(5), Config{ReplicationFactor: 2, Seed: 6})
 	fs.Write("/f", []byte("x"), "node02")
@@ -171,7 +146,7 @@ func TestNodeFailureFallbackToReplica(t *testing.T) {
 	if err := fs.KillNode("node00"); err != nil {
 		t.Fatal(err)
 	}
-	got, err := fs.Read("/f", "node00")
+	got, err := fs.Read("/f")
 	if err != nil {
 		t.Fatalf("read after failure: %v", err)
 	}
@@ -185,12 +160,8 @@ func TestBlockLostWhenAllReplicasDead(t *testing.T) {
 	fs.Write("/f", []byte("x"), "")
 	fs.KillNode("node00")
 	fs.KillNode("node01")
-	if _, err := fs.Read("/f", ""); !errors.Is(err, ErrBlockLost) {
+	if _, err := fs.Read("/f"); !errors.Is(err, ErrBlockLost) {
 		t.Errorf("read with all replicas dead: %v", err)
-	}
-	fs.ReviveNode("node00")
-	if _, err := fs.Read("/f", ""); err != nil {
-		t.Errorf("read after revive: %v", err)
 	}
 }
 
@@ -203,28 +174,8 @@ func TestKillReviveErrors(t *testing.T) {
 	if err := fs.KillNode("node00"); !errors.Is(err, ErrNodeDead) {
 		t.Errorf("double kill: %v", err)
 	}
-	if err := fs.ReviveNode("ghost"); !errors.Is(err, ErrNoSuchNode) {
-		t.Errorf("revive ghost: %v", err)
-	}
-}
-
-func TestReReplicationRestoresFactor(t *testing.T) {
-	fs := NewFS(nodes(5), Config{ReplicationFactor: 3, BlockSize: 4, Seed: 10})
-	fs.Write("/f", bytes.Repeat([]byte("y"), 16), "")
-	fs.KillNode("node00")
-	under := fs.UnderReplicatedBlocks()
-	created, err := fs.ReReplicate()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if under > 0 && created == 0 {
-		t.Errorf("under-replicated %d blocks but created 0 replicas", under)
-	}
-	if got := fs.UnderReplicatedBlocks(); got != 0 {
-		t.Errorf("still %d under-replicated blocks", got)
-	}
-	if fs.Stats().ReReplicated != int64(created) {
-		t.Error("stats mismatch")
+	if got := fs.LiveNodes(); len(got) != 1 || got[0] != "node01" {
+		t.Errorf("live nodes after the kill: %v", got)
 	}
 }
 
@@ -260,7 +211,7 @@ func TestQuickRoundTripAnyBlockSize(t *testing.T) {
 		if err := fs.Write("/f", data, "node01"); err != nil {
 			return false
 		}
-		got, err := fs.Read("/f", "node02")
+		got, err := fs.Read("/f")
 		return err == nil && bytes.Equal(got, data)
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 40}); err != nil {
@@ -270,7 +221,7 @@ func TestQuickRoundTripAnyBlockSize(t *testing.T) {
 
 func TestNodesStableOrder(t *testing.T) {
 	fs := NewFS([]string{"b", "a", "b", "c"}, Config{})
-	got := fs.Nodes()
+	got := fs.LiveNodes()
 	want := []string{"b", "a", "c"}
 	if len(got) != 3 {
 		t.Fatalf("Nodes = %v", got)

@@ -42,15 +42,6 @@ func FromRows(rows [][]float64) *Matrix {
 	return m
 }
 
-// Identity returns the n×n identity matrix.
-func Identity(n int) *Matrix {
-	m := NewMatrix(n, n)
-	for i := 0; i < n; i++ {
-		m.Data[i*n+i] = 1
-	}
-	return m
-}
-
 // At returns element (i,j).
 func (m *Matrix) At(i, j int) float64 { return m.Data[i*m.Cols+j] }
 
@@ -79,32 +70,6 @@ func (m *Matrix) Transpose() *Matrix {
 	return out
 }
 
-// Scale multiplies every element by s in place and returns m.
-func (m *Matrix) Scale(s float64) *Matrix {
-	for i := range m.Data {
-		m.Data[i] *= s
-	}
-	return m
-}
-
-// Add accumulates other into m in place. Shapes must match.
-func (m *Matrix) Add(other *Matrix) *Matrix {
-	mustSameShape(m, other)
-	for i, v := range other.Data {
-		m.Data[i] += v
-	}
-	return m
-}
-
-// Sub subtracts other from m in place. Shapes must match.
-func (m *Matrix) Sub(other *Matrix) *Matrix {
-	mustSameShape(m, other)
-	for i, v := range other.Data {
-		m.Data[i] -= v
-	}
-	return m
-}
-
 // AddDiagonal adds v to every diagonal element of a square matrix.
 func (m *Matrix) AddDiagonal(v float64) *Matrix {
 	if m.Rows != m.Cols {
@@ -114,12 +79,6 @@ func (m *Matrix) AddDiagonal(v float64) *Matrix {
 		m.Data[i*m.Cols+i] += v
 	}
 	return m
-}
-
-func mustSameShape(a, b *Matrix) {
-	if a.Rows != b.Rows || a.Cols != b.Cols {
-		panic(fmt.Sprintf("linalg: shape mismatch %dx%d vs %dx%d", a.Rows, a.Cols, b.Rows, b.Cols))
-	}
 }
 
 // blockSize is the tile edge used by the cache-blocked multiply.
@@ -196,23 +155,6 @@ func mulRange(a, b, out *Matrix, lo, hi int) {
 			}
 		}
 	}
-}
-
-// MulVec returns a×x for a column vector x (len == a.Cols).
-func MulVec(a *Matrix, x []float64) []float64 {
-	if len(x) != a.Cols {
-		panic(fmt.Sprintf("linalg: MulVec shape mismatch %dx%d × %d", a.Rows, a.Cols, len(x)))
-	}
-	out := make([]float64, a.Rows)
-	for i := 0; i < a.Rows; i++ {
-		row := a.Row(i)
-		var s float64
-		for j, v := range row {
-			s += v * x[j]
-		}
-		out[i] = s
-	}
-	return out
 }
 
 // ErrNotPositiveDefinite reports a failed Cholesky factorization.

@@ -3,16 +3,20 @@
 // rests on: dynamic scheduling through a global task queue (natural load
 // balancing), data-locality-aware task placement, speculative execution
 // of straggler tasks, re-execution of failed tasks, a distributed cache
-// for shared side data (the BLAST database), and custom input formats —
-// including the paper's custom InputFormat/RecordReader pair that hands
-// the *file name and path* to the map function instead of file contents,
-// so legacy executables can be driven per file.
+// for shared side data (the BLAST database), and the paper's custom
+// InputFormat/RecordReader pair, which hands the *file name and path* to
+// the map function instead of file contents, so legacy executables can
+// be driven per file.
+//
+// Jobs are map-only. The paper's applications are "an executable over a
+// set of input files": each map task writes its own output file and
+// nothing is shuffled or reduced, so the runtime has no reduce phase and
+// no other input format — no program would select either.
 package mapreduce
 
 import (
 	"errors"
 	"fmt"
-	"hash/fnv"
 	"path"
 	"sort"
 	"strings"
@@ -32,9 +36,6 @@ type KV struct {
 // ctx carries the executing node, the filesystem, and cached side files.
 type MapFunc func(ctx *TaskContext, key string, value []byte, emit func(k string, v []byte)) error
 
-// ReduceFunc folds all values of one key.
-type ReduceFunc func(ctx *TaskContext, key string, values [][]byte, emit func(k string, v []byte)) error
-
 // TaskContext is passed to user functions.
 type TaskContext struct {
 	Node    string            // node executing the task
@@ -43,51 +44,20 @@ type TaskContext struct {
 	Cache   map[string][]byte // distributed-cache files, keyed by base name
 }
 
-// Split is one map task input.
-type Split struct {
-	Path      string
-	Key       string
-	Value     []byte
-	Preferred []string // nodes holding the data
+// split is one map task's input: the paper's custom
+// InputFormat/RecordReader hands the map function the file *name* as key
+// and the HDFS *path* as value, while locality metadata is kept for the
+// scheduler. The map task itself copies the file out of HDFS, as the
+// paper's map implementation does.
+type split struct {
+	key       string
+	value     []byte
+	preferred []string // nodes holding the data
 }
 
-// InputFormat produces splits from input paths.
-type InputFormat interface {
-	Splits(fs *hdfs.FS, inputs []string) ([]Split, error)
-}
-
-// WholeFileInputFormat is Hadoop's default shape for this workload: one
-// split per file, key = path, value = file contents (read with no
-// locality at split time; the scheduler still places by replica).
-type WholeFileInputFormat struct{}
-
-// Splits implements InputFormat.
-func (WholeFileInputFormat) Splits(fs *hdfs.FS, inputs []string) ([]Split, error) {
-	var splits []Split
-	for _, p := range inputs {
-		data, err := fs.Read(p, "")
-		if err != nil {
-			return nil, fmt.Errorf("mapreduce: reading input %s: %w", p, err)
-		}
-		pref, err := fs.PreferredNodes(p)
-		if err != nil {
-			return nil, err
-		}
-		splits = append(splits, Split{Path: p, Key: p, Value: data, Preferred: pref})
-	}
-	return splits, nil
-}
-
-// FileNameInputFormat is the paper's custom InputFormat/RecordReader:
-// the map function receives the file *name* as key and the HDFS *path*
-// as value, while locality metadata is preserved for the scheduler. The
-// map task itself copies the file out of HDFS, as the paper's map
-// implementation does.
-type FileNameInputFormat struct{}
-
-// Splits implements InputFormat.
-func (FileNameInputFormat) Splits(fs *hdfs.FS, inputs []string) ([]Split, error) {
-	var splits []Split
+// fileSplits produces one split per input path.
+func fileSplits(fs *hdfs.FS, inputs []string) ([]split, error) {
+	out := make([]split, 0, len(inputs))
 	for _, p := range inputs {
 		if !fs.Exists(p) {
 			return nil, fmt.Errorf("%w: %s", hdfs.ErrNoSuchFile, p)
@@ -96,23 +66,19 @@ func (FileNameInputFormat) Splits(fs *hdfs.FS, inputs []string) ([]Split, error)
 		if err != nil {
 			return nil, err
 		}
-		splits = append(splits, Split{Path: p, Key: path.Base(p), Value: []byte(p), Preferred: pref})
+		out = append(out, split{key: path.Base(p), value: []byte(p), preferred: pref})
 	}
-	return splits, nil
+	return out, nil
 }
 
 // JobConfig describes one job.
 type JobConfig struct {
-	Name         string
-	Input        []string // explicit HDFS paths
-	InputPrefix  string   // alternative: every path under this prefix
-	OutputPrefix string   // part files are written under this prefix
-	Format       InputFormat
-	Map          MapFunc
-	Reduce       ReduceFunc // nil for map-only jobs (the paper's shape)
-	NumReducers  int        // default 1 when Reduce != nil
-	MaxAttempts  int        // per-task attempts before failing the job (default 4)
-	Speculative  bool       // enable speculative duplicates of stragglers
+	Name        string   // the emitted pairs are written to /out/<Name>/part-00000
+	Input       []string // explicit HDFS paths
+	InputPrefix string   // alternative: every path under this prefix
+	Map         MapFunc
+	MaxAttempts int  // per-task attempts before failing the job (default 4)
+	Speculative bool // enable speculative duplicates of stragglers
 	// SpeculativeAfter: a running task becomes a speculation candidate
 	// once it has run this long (default 50ms; tuned for tests).
 	SpeculativeAfter time.Duration
@@ -123,20 +89,11 @@ type JobConfig struct {
 }
 
 func (c JobConfig) withDefaults() JobConfig {
-	if c.Format == nil {
-		c.Format = WholeFileInputFormat{}
-	}
 	if c.MaxAttempts == 0 {
 		c.MaxAttempts = 4
 	}
-	if c.NumReducers == 0 {
-		c.NumReducers = 1
-	}
 	if c.SpeculativeAfter == 0 {
 		c.SpeculativeAfter = 50 * time.Millisecond
-	}
-	if c.OutputPrefix == "" {
-		c.OutputPrefix = "/out/" + c.Name
 	}
 	return c
 }
@@ -144,7 +101,6 @@ func (c JobConfig) withDefaults() JobConfig {
 // Stats aggregates job execution counters.
 type Stats struct {
 	MapTasks            int
-	ReduceTasks         int
 	Attempts            int
 	Retries             int
 	DataLocalTasks      int
@@ -166,7 +122,7 @@ func (s Stats) LocalityFraction() float64 {
 // Result is a completed job.
 type Result struct {
 	Stats   Stats
-	Outputs []string // HDFS paths of part files
+	Output  string // HDFS path of the part file: one "key\tvalue" line per emitted pair, sorted
 	Elapsed time.Duration
 }
 
@@ -185,13 +141,10 @@ func NewCluster(fs *hdfs.FS, slotsPerNode int) *Cluster {
 	return &Cluster{fs: fs, slotsPerNode: slotsPerNode}
 }
 
-// FS returns the cluster filesystem.
-func (c *Cluster) FS() *hdfs.FS { return c.fs }
-
 // taskState tracks one map task through the scheduler.
 type taskState struct {
 	id        int
-	split     Split
+	split     split
 	attempts  int
 	startedAt time.Time // most recent attempt start
 	running   int       // live attempts
@@ -213,7 +166,7 @@ func (c *Cluster) Run(cfg JobConfig) (*Result, error) {
 	if len(inputs) == 0 {
 		return nil, errors.New("mapreduce: job has no inputs")
 	}
-	splits, err := cfg.Format.Splits(c.fs, inputs)
+	splits, err := fileSplits(c.fs, inputs)
 	if err != nil {
 		return nil, err
 	}
@@ -236,22 +189,17 @@ func (c *Cluster) Run(cfg JobConfig) (*Result, error) {
 	}
 	sched.stats.MapTasks = len(splits)
 
-	// Map-phase intermediate collection.
-	intermediate := make([]map[string][][]byte, cfg.NumReducers)
-	for i := range intermediate {
-		intermediate[i] = make(map[string][][]byte)
-	}
-	var interMu sync.Mutex
+	// The pairs of committed attempts; a rival attempt of a committed
+	// task is discarded.
+	var emitted []KV
+	var emitMu sync.Mutex
 	commitMap := func(t *taskState, kvs []KV) bool {
 		if !sched.tryCommit(t) {
 			return false // a rival attempt committed first
 		}
-		interMu.Lock()
-		defer interMu.Unlock()
-		for _, kv := range kvs {
-			p := partition(kv.Key, cfg.NumReducers)
-			intermediate[p][kv.Key] = append(intermediate[p][kv.Key], kv.Value)
-		}
+		emitMu.Lock()
+		defer emitMu.Unlock()
+		emitted = append(emitted, kvs...)
 		return true
 	}
 
@@ -271,39 +219,14 @@ func (c *Cluster) Run(cfg JobConfig) (*Result, error) {
 		return nil, err
 	}
 
-	// Emit outputs. Map-only jobs write one part per reducer partition of
-	// raw map output; with a Reduce function the reducers fold first.
-	res := &Result{Stats: sched.snapshotStats()}
-	for p := 0; p < cfg.NumReducers; p++ {
-		var out strings.Builder
-		keys := make([]string, 0, len(intermediate[p]))
-		for k := range intermediate[p] {
-			keys = append(keys, k)
-		}
-		sort.Strings(keys)
-		if cfg.Reduce != nil {
-			res.Stats.ReduceTasks++
-			ctx := &TaskContext{Node: "", Attempt: 1, FS: c.fs}
-			for _, k := range keys {
-				err := cfg.Reduce(ctx, k, intermediate[p][k], func(k string, v []byte) {
-					fmt.Fprintf(&out, "%s\t%s\n", k, v)
-				})
-				if err != nil {
-					return nil, fmt.Errorf("mapreduce: reduce: %w", err)
-				}
-			}
-		} else {
-			for _, k := range keys {
-				for _, v := range intermediate[p][k] {
-					fmt.Fprintf(&out, "%s\t%s\n", k, v)
-				}
-			}
-		}
-		name := fmt.Sprintf("%s/part-%05d", cfg.OutputPrefix, p)
-		if err := c.fs.Write(name, []byte(out.String()), ""); err != nil {
-			return nil, fmt.Errorf("mapreduce: writing %s: %w", name, err)
-		}
-		res.Outputs = append(res.Outputs, name)
+	sort.SliceStable(emitted, func(i, j int) bool { return emitted[i].Key < emitted[j].Key })
+	var out strings.Builder
+	for _, kv := range emitted {
+		fmt.Fprintf(&out, "%s\t%s\n", kv.Key, kv.Value)
+	}
+	res := &Result{Stats: sched.snapshotStats(), Output: "/out/" + cfg.Name + "/part-00000"}
+	if err := c.fs.Write(res.Output, []byte(out.String()), ""); err != nil {
+		return nil, fmt.Errorf("mapreduce: writing %s: %w", res.Output, err)
 	}
 	res.Elapsed = time.Since(start)
 	return res, nil
@@ -316,7 +239,7 @@ func (c *Cluster) stageCaches(files []string) (map[string]map[string][]byte, err
 	for _, node := range c.fs.LiveNodes() {
 		m := make(map[string][]byte, len(files))
 		for _, f := range files {
-			data, err := c.fs.Read(f, node)
+			data, err := c.fs.Read(f)
 			if err != nil {
 				return nil, fmt.Errorf("mapreduce: staging cache %s on %s: %w", f, node, err)
 			}
@@ -325,12 +248,6 @@ func (c *Cluster) stageCaches(files []string) (map[string]map[string][]byte, err
 		out[node] = m
 	}
 	return out, nil
-}
-
-func partition(key string, n int) int {
-	h := fnv.New32a()
-	h.Write([]byte(key))
-	return int(h.Sum32() % uint32(n))
 }
 
 // scheduler is the global task queue with locality preference and
@@ -369,7 +286,7 @@ func (s *scheduler) next(node string) (t *taskState, attempt int, speculative, a
 	pick := -1
 	if !s.cfg.DisableLocality {
 		for i, t := range s.pending {
-			for _, n := range t.split.Preferred {
+			for _, n := range t.split.preferred {
 				if n == node {
 					pick = i
 					break
@@ -481,7 +398,7 @@ func (c *Cluster) trackerLoop(node string, cfg JobConfig, sched *scheduler,
 		started := time.Now()
 		ctx := &TaskContext{Node: node, Attempt: attempt, FS: c.fs, Cache: cache}
 		var kvs []KV
-		err := cfg.Map(ctx, t.split.Key, t.split.Value, func(k string, v []byte) {
+		err := cfg.Map(ctx, t.split.key, t.split.value, func(k string, v []byte) {
 			kvs = append(kvs, KV{Key: k, Value: append([]byte(nil), v...)})
 		})
 		committed := false

@@ -37,12 +37,16 @@ func writeInputs(t *testing.T, fs *hdfs.FS, n int, prefix string) []string {
 
 func TestMapOnlyJob(t *testing.T) {
 	c := newCluster(t, 4, 2)
-	inputs := writeInputs(t, c.FS(), 12, "/in")
+	inputs := writeInputs(t, c.fs, 12, "/in")
 	res, err := c.Run(JobConfig{
 		Name:  "upper",
 		Input: inputs,
 		Map: func(ctx *TaskContext, key string, value []byte, emit func(string, []byte)) error {
-			emit(key, bytes.ToUpper(value))
+			data, err := ctx.FS.Read(string(value))
+			if err != nil {
+				return err
+			}
+			emit(key, bytes.ToUpper(data))
 			return nil
 		},
 	})
@@ -52,14 +56,11 @@ func TestMapOnlyJob(t *testing.T) {
 	if res.Stats.MapTasks != 12 {
 		t.Errorf("MapTasks = %d", res.Stats.MapTasks)
 	}
-	if len(res.Outputs) != 1 {
-		t.Fatalf("outputs = %v", res.Outputs)
-	}
-	out, err := c.FS().Read(res.Outputs[0], "")
+	out, err := c.fs.Read(res.Output)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !strings.Contains(string(out), "/in/file000\tDATA-0") {
+	if !strings.Contains(string(out), "file000\tDATA-0") {
 		t.Errorf("output missing expected line:\n%s", out)
 	}
 	lines := strings.Count(string(out), "\n")
@@ -70,19 +71,18 @@ func TestMapOnlyJob(t *testing.T) {
 
 func TestFileNameInputFormat(t *testing.T) {
 	c := newCluster(t, 3, 2)
-	inputs := writeInputs(t, c.FS(), 5, "/data")
+	inputs := writeInputs(t, c.fs, 5, "/data")
 	var sawPath atomic.Bool
 	res, err := c.Run(JobConfig{
-		Name:   "paths",
-		Input:  inputs,
-		Format: FileNameInputFormat{},
+		Name:  "paths",
+		Input: inputs,
 		Map: func(ctx *TaskContext, key string, value []byte, emit func(string, []byte)) error {
 			// key = base name, value = HDFS path; the map copies the file
 			// from HDFS itself, like the paper's executable driver.
 			if !strings.HasPrefix(key, "file") {
 				return fmt.Errorf("key %q is not a file name", key)
 			}
-			data, err := ctx.FS.Read(string(value), ctx.Node)
+			data, err := ctx.FS.Read(string(value))
 			if err != nil {
 				return err
 			}
@@ -102,53 +102,11 @@ func TestFileNameInputFormat(t *testing.T) {
 	}
 }
 
-func TestWordCountWithReduce(t *testing.T) {
-	c := newCluster(t, 3, 2)
-	fs := c.FS()
-	fs.Write("/in/a", []byte("the quick brown fox"), "")
-	fs.Write("/in/b", []byte("the lazy dog the end"), "")
-	res, err := c.Run(JobConfig{
-		Name:        "wordcount",
-		InputPrefix: "/in/",
-		NumReducers: 2,
-		Map: func(ctx *TaskContext, key string, value []byte, emit func(string, []byte)) error {
-			for _, w := range strings.Fields(string(value)) {
-				emit(w, []byte("1"))
-			}
-			return nil
-		},
-		Reduce: func(ctx *TaskContext, key string, values [][]byte, emit func(string, []byte)) error {
-			emit(key, []byte(fmt.Sprintf("%d", len(values))))
-			return nil
-		},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(res.Outputs) != 2 {
-		t.Fatalf("outputs = %v", res.Outputs)
-	}
-	var all strings.Builder
-	for _, o := range res.Outputs {
-		data, err := c.FS().Read(o, "")
-		if err != nil {
-			t.Fatal(err)
-		}
-		all.Write(data)
-	}
-	if !strings.Contains(all.String(), "the\t3") {
-		t.Errorf("wordcount missing 'the 3':\n%s", all.String())
-	}
-	if res.Stats.ReduceTasks != 2 {
-		t.Errorf("ReduceTasks = %d", res.Stats.ReduceTasks)
-	}
-}
-
 func TestDataLocalityPreferred(t *testing.T) {
 	// Replication 2 over 4 nodes: with locality-aware pickup most
 	// attempts should be data-local.
 	c := newCluster(t, 4, 2)
-	inputs := writeInputs(t, c.FS(), 40, "/in")
+	inputs := writeInputs(t, c.fs, 40, "/in")
 	res, err := c.Run(JobConfig{
 		Name:  "locality",
 		Input: inputs,
@@ -168,7 +126,7 @@ func TestDataLocalityPreferred(t *testing.T) {
 
 func TestFailedTaskIsRetried(t *testing.T) {
 	c := newCluster(t, 2, 2)
-	inputs := writeInputs(t, c.FS(), 6, "/in")
+	inputs := writeInputs(t, c.fs, 6, "/in")
 	var failures atomic.Int64
 	res, err := c.Run(JobConfig{
 		Name:  "flaky",
@@ -194,7 +152,7 @@ func TestFailedTaskIsRetried(t *testing.T) {
 
 func TestPermanentFailureFailsJob(t *testing.T) {
 	c := newCluster(t, 2, 1)
-	inputs := writeInputs(t, c.FS(), 3, "/in")
+	inputs := writeInputs(t, c.fs, 3, "/in")
 	_, err := c.Run(JobConfig{
 		Name:        "doomed",
 		Input:       inputs,
@@ -217,7 +175,7 @@ func TestPermanentFailureFailsJob(t *testing.T) {
 
 func TestSpeculativeExecutionRescuesStraggler(t *testing.T) {
 	c := newCluster(t, 4, 2)
-	inputs := writeInputs(t, c.FS(), 8, "/in")
+	inputs := writeInputs(t, c.fs, 8, "/in")
 	var stragglerRuns atomic.Int64
 	res, err := c.Run(JobConfig{
 		Name:             "straggler",
@@ -243,7 +201,7 @@ func TestSpeculativeExecutionRescuesStraggler(t *testing.T) {
 		t.Error("no speculative attempt launched")
 	}
 	// All 8 tasks must be in the output exactly once despite duplicates.
-	out, _ := c.FS().Read(res.Outputs[0], "")
+	out, _ := c.fs.Read(res.Output)
 	if n := strings.Count(string(out), "\n"); n != 8 {
 		t.Errorf("%d output lines, want 8 (duplicate commits?)", n)
 	}
@@ -251,7 +209,7 @@ func TestSpeculativeExecutionRescuesStraggler(t *testing.T) {
 
 func TestDistributedCache(t *testing.T) {
 	c := newCluster(t, 3, 1)
-	fs := c.FS()
+	fs := c.fs
 	fs.Write("/cache/refdb", []byte("REFERENCE"), "")
 	inputs := writeInputs(t, fs, 4, "/in")
 	res, err := c.Run(JobConfig{
@@ -263,14 +221,18 @@ func TestDistributedCache(t *testing.T) {
 			if !ok {
 				return errors.New("cache file missing")
 			}
-			emit(key, append(value, ref...))
+			data, err := ctx.FS.Read(string(value))
+			if err != nil {
+				return err
+			}
+			emit(key, append(data, ref...))
 			return nil
 		},
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	out, _ := fs.Read(res.Outputs[0], "")
+	out, _ := fs.Read(res.Output)
 	if !strings.Contains(string(out), "data-0REFERENCE") {
 		t.Errorf("cache content not visible to maps:\n%s", out)
 	}
@@ -278,7 +240,7 @@ func TestDistributedCache(t *testing.T) {
 
 func TestMissingCacheFileFailsJob(t *testing.T) {
 	c := newCluster(t, 2, 1)
-	inputs := writeInputs(t, c.FS(), 2, "/in")
+	inputs := writeInputs(t, c.fs, 2, "/in")
 	_, err := c.Run(JobConfig{
 		Name:       "nocache",
 		Input:      inputs,
@@ -294,8 +256,8 @@ func TestMissingCacheFileFailsJob(t *testing.T) {
 
 func TestInputPrefixSelection(t *testing.T) {
 	c := newCluster(t, 2, 1)
-	writeInputs(t, c.FS(), 7, "/batch")
-	writeInputs(t, c.FS(), 3, "/other")
+	writeInputs(t, c.fs, 7, "/batch")
+	writeInputs(t, c.fs, 3, "/other")
 	res, err := c.Run(JobConfig{
 		Name:        "prefix",
 		InputPrefix: "/batch/",
@@ -336,7 +298,7 @@ func TestLoadBalanceAcrossNodes(t *testing.T) {
 	// Inhomogeneous task durations: dynamic scheduling should still
 	// spread attempts across nodes rather than serializing.
 	c := newCluster(t, 4, 1)
-	inputs := writeInputs(t, c.FS(), 16, "/in")
+	inputs := writeInputs(t, c.fs, 16, "/in")
 	var perNode [4]atomic.Int64
 	_, err := c.Run(JobConfig{
 		Name:  "balance",
@@ -366,7 +328,7 @@ func TestLoadBalanceAcrossNodes(t *testing.T) {
 
 func TestStatsDurationsRecorded(t *testing.T) {
 	c := newCluster(t, 2, 2)
-	inputs := writeInputs(t, c.FS(), 5, "/in")
+	inputs := writeInputs(t, c.fs, 5, "/in")
 	res, err := c.Run(JobConfig{
 		Name:  "durations",
 		Input: inputs,
@@ -391,8 +353,8 @@ func TestJobSurvivesDatanodeFailure(t *testing.T) {
 	// the job starts: every block still has a live replica, so the job
 	// must complete by reading the survivors.
 	c := newCluster(t, 4, 2)
-	inputs := writeInputs(t, c.FS(), 12, "/in")
-	if err := c.FS().KillNode("node01"); err != nil {
+	inputs := writeInputs(t, c.fs, 12, "/in")
+	if err := c.fs.KillNode("node01"); err != nil {
 		t.Fatal(err)
 	}
 	res, err := c.Run(JobConfig{
@@ -412,37 +374,11 @@ func TestJobSurvivesDatanodeFailure(t *testing.T) {
 	if res.Stats.MapTasks != 12 {
 		t.Errorf("MapTasks = %d", res.Stats.MapTasks)
 	}
-	out, err := c.FS().Read(res.Outputs[0], "")
+	out, err := c.fs.Read(res.Output)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if n := strings.Count(string(out), "\n"); n != 12 {
 		t.Errorf("%d output lines, want 12", n)
-	}
-}
-
-func TestReReplicationThenFullLocality(t *testing.T) {
-	// After re-replication restores the factor, a job still runs and
-	// locality stays high.
-	c := newCluster(t, 4, 1)
-	inputs := writeInputs(t, c.FS(), 16, "/in")
-	c.FS().KillNode("node02")
-	if _, err := c.FS().ReReplicate(); err != nil {
-		t.Fatal(err)
-	}
-	res, err := c.Run(JobConfig{
-		Name:  "rereplicated",
-		Input: inputs,
-		Map: func(ctx *TaskContext, key string, value []byte, emit func(string, []byte)) error {
-			time.Sleep(time.Millisecond)
-			emit(key, value)
-			return nil
-		},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if f := res.Stats.LocalityFraction(); f < 0.4 {
-		t.Errorf("locality after re-replication = %.2f", f)
 	}
 }

@@ -109,11 +109,6 @@ type AzureBlastRow struct {
 	Time         time.Duration
 }
 
-// Label renders "W x T" as in the paper's Figure 9 axis.
-func (r AzureBlastRow) Label() string {
-	return r.InstanceType + " " + itoa(r.Workers) + "x" + itoa(r.Threads)
-}
-
 // BlastAzureStudy reproduces Figure 9: 8 query files processed by 8
 // cores' worth of each Azure instance type, decomposing instance cores
 // into worker processes × BLAST threads.

@@ -8,51 +8,35 @@ import (
 	"time"
 )
 
-func TestBodyBucketIndex(t *testing.T) {
-	cases := []struct {
-		n, want int
-	}{
-		{0, 0}, {1, 0}, {64, 0}, {65, 1}, {128, 1}, {129, 2},
-		{1 << 20, bodyBucketCount - 1}, {1<<20 + 1, -1}, {64 << 20, -1},
-	}
-	for _, c := range cases {
-		if got := bodyBucketIndex(c.n); got != c.want {
-			t.Errorf("bodyBucketIndex(%d) = %d, want %d", c.n, got, c.want)
-		}
-	}
-}
-
-func TestBodyGetPutClasses(t *testing.T) {
-	b := bodyGet(100)
-	if len(b) != 100 || cap(b) != 128 {
-		t.Fatalf("bodyGet(100): len=%d cap=%d, want 100/128", len(b), cap(b))
-	}
-	bodyPut(b) // exact class capacity: accepted
-	big := bodyGet(2 << 20)
-	if len(big) != 2<<20 {
-		t.Fatalf("oversized bodyGet: len=%d", len(big))
-	}
-	bodyPut(big)                  // beyond the largest class: silently dropped
-	bodyPut(make([]byte, 0, 100)) // odd capacity: silently dropped
-}
+// A received Message.Body is the service's one stored copy of the body
+// and is the receiver's to read for as long as it likes: nothing the
+// service does later — deleting the message, for this consumer or
+// another, or storing new ones — may change it.
 
 // TestBodyPoolRecyclingPreservesContents churns one queue through
 // many send/receive/delete cycles of varied sizes and verifies every
-// delivered body matches what was sent — the guard against a recycled
-// buffer leaking stale longer contents or being handed out while an
-// earlier message still owns it.
+// delivered body matches what was sent.
 func TestBodyPoolRecyclingPreservesContents(t *testing.T) {
 	s := NewService(Config{})
 	if err := s.CreateQueue("q"); err != nil {
 		t.Fatal(err)
 	}
 	rng := rand.New(rand.NewSource(7))
-	var inFlight []struct {
-		want    []byte
-		receipt string
+	type held struct {
+		sent, got []byte // got is the Body the receive returned, kept as is
+		receipt   string
+	}
+	var inFlight []held
+	intact := func(when string) {
+		t.Helper()
+		for _, h := range inFlight {
+			if !bytes.Equal(h.got, h.sent) {
+				t.Fatalf("%s: a held body reads %q, sent as %q", when, h.got, h.sent)
+			}
+		}
 	}
 	for i := 0; i < 500; i++ {
-		size := 1 << uint(rng.Intn(12)) // 1B .. 2KiB, crossing many classes
+		size := 1 << uint(rng.Intn(12)) // 1B .. 2KiB
 		body := bytes.Repeat([]byte{byte(i)}, size)
 		body = append(body, []byte(fmt.Sprintf("|%d", i))...)
 		if _, err := s.SendMessage("q", body); err != nil {
@@ -62,12 +46,9 @@ func TestBodyPoolRecyclingPreservesContents(t *testing.T) {
 		if err != nil || !ok {
 			t.Fatalf("receive %d: ok=%v err=%v", i, ok, err)
 		}
-		inFlight = append(inFlight, struct {
-			want    []byte
-			receipt string
-		}{append([]byte(nil), m.Body...), m.ReceiptHandle})
+		inFlight = append(inFlight, held{body, m.Body, m.ReceiptHandle})
 		// Ack a random earlier message so deletes interleave with live
-		// receives and the pool keeps cycling buffers of other sizes.
+		// receives.
 		if len(inFlight) > 4 {
 			j := rng.Intn(len(inFlight))
 			if err := s.DeleteMessage("q", inFlight[j].receipt); err != nil {
@@ -75,24 +56,22 @@ func TestBodyPoolRecyclingPreservesContents(t *testing.T) {
 			}
 			inFlight = append(inFlight[:j], inFlight[j+1:]...)
 		}
-		// The bodies of still-live messages must be untouched by any
-		// recycling the deletes above triggered.
+		intact(fmt.Sprintf("cycle %d", i))
 		visible, _, err := s.ApproximateCount("q")
 		if err != nil || visible != 0 {
 			t.Fatalf("cycle %d: %d visible, err=%v", i, visible, err)
 		}
 	}
-	for _, f := range inFlight {
-		if err := s.DeleteMessage("q", f.receipt); err != nil {
+	for _, h := range inFlight {
+		if err := s.DeleteMessage("q", h.receipt); err != nil {
 			t.Fatal(err)
 		}
 	}
 }
 
 // TestBodyPoolDisabledWithDuplicates: with duplicate injection on, a
-// delivery can hand the same stored buffer to two receivers without
-// hiding the message, so delete must NOT recycle — the other receiver
-// still legitimately reads it.
+// delivery hands the same stored buffer to two receivers without hiding
+// the message; one receiver's delete leaves the other's body alone.
 func TestBodyPoolDisabledWithDuplicates(t *testing.T) {
 	s := NewService(Config{DuplicateProb: 1.0})
 	if err := s.CreateQueue("q"); err != nil {
@@ -115,8 +94,8 @@ func TestBodyPoolDisabledWithDuplicates(t *testing.T) {
 	if err := s.DeleteMessage("q", second.ReceiptHandle); err != nil {
 		t.Fatal(err)
 	}
-	// Force pool churn that would reuse a recycled buffer if one had
-	// been freed.
+	// Sends of the same size would land in the buffer, had the delete
+	// freed it for reuse.
 	if err := s.CreateQueue("churn"); err != nil {
 		t.Fatal(err)
 	}
@@ -127,5 +106,42 @@ func TestBodyPoolDisabledWithDuplicates(t *testing.T) {
 	}
 	if !bytes.Equal(first.Body, want) {
 		t.Fatalf("duplicate holder's body corrupted after the other copy was deleted: %q", first.Body)
+	}
+}
+
+// TestBodySurvivesDeleteByAnotherConsumer: a consumer whose lease lapsed
+// still holds the body it received. A second consumer receives and
+// deletes the message, and a thousand same-size sends follow; the first
+// consumer's bytes are unchanged — what a worker relies on when it
+// decodes message k of a batch only after executing message k−1.
+func TestBodySurvivesDeleteByAnotherConsumer(t *testing.T) {
+	clock := NewFakeClock(time.Unix(0, 0))
+	s := NewService(Config{Clock: clock})
+	if err := s.CreateQueue("q"); err != nil {
+		t.Fatal(err)
+	}
+	want := bytes.Repeat([]byte("task"), 10)
+	if _, err := s.SendMessage("q", want); err != nil {
+		t.Fatal(err)
+	}
+	first, ok, err := s.ReceiveMessage("q", time.Second)
+	if err != nil || !ok {
+		t.Fatalf("first receive: ok=%v err=%v", ok, err)
+	}
+	clock.Advance(2 * time.Second) // the first consumer's lease lapses
+	second, ok, err := s.ReceiveMessage("q", time.Minute)
+	if err != nil || !ok {
+		t.Fatalf("second receive: ok=%v err=%v", ok, err)
+	}
+	if err := s.DeleteMessage("q", second.ReceiptHandle); err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 1000; i++ {
+		if _, err := s.SendMessage("q", bytes.Repeat([]byte{byte(i)}, len(want))); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if !bytes.Equal(first.Body, want) {
+		t.Fatalf("the first consumer's body changed under it: %q", first.Body)
 	}
 }

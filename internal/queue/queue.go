@@ -114,13 +114,10 @@ func (c *FakeClock) AdvanceCh() <-chan struct{} {
 //
 // Body aliases the service's stored copy (made once at SendMessage);
 // receivers must treat it as read-only. Mutating it corrupts future
-// redeliveries of the same message. The stored copy lives in a pooled
-// buffer that is recycled when the message is deleted, so Body is
-// valid only while the message is live: a consumer that lost its lease
-// (the visibility timeout passed and another consumer may delete the
-// message) must not touch Body afterwards. Remote consumers are
-// unaffected — the HTTP and wire transports both copy bodies at the
-// protocol boundary.
+// redeliveries of the same message. It stays valid for as long as the
+// receiver holds it, whatever becomes of the message. Remote consumers
+// get their own copy — the HTTP and wire transports both copy bodies at
+// the protocol boundary.
 type Message struct {
 	ID            string
 	Body          []byte
@@ -341,62 +338,6 @@ func (s *Service) opDone(op string, start time.Time) {
 	s.met.ops[op].Observe(time.Since(start))
 }
 
-// bodyBuckets pools message-body buffers in power-of-two size classes
-// (64 B … 1 MiB): the Send-side copy is the queue hot path's dominant
-// allocation, and a steady-state send/receive/delete workload churns
-// one buffer per message without the pool. Buffers are taken at
-// SendMessage and returned at DeleteMessage — the only point where the
-// caller has proven (by presenting the latest receipt) that the
-// message's life is over. Purge and DeleteQueue deliberately leave
-// buffers to the garbage collector: they can race with consumers still
-// holding leases, and a freed-under-the-reader buffer is a correctness
-// bug while an unpooled one is only a missed optimization.
-const (
-	minBodyBucket   = 64
-	bodyBucketCount = 15 // largest class: 64 << 14 = 1 MiB
-)
-
-var bodyBuckets [bodyBucketCount]sync.Pool
-
-// bodyBucketIndex returns the smallest size class holding n bytes, or
-// -1 when n exceeds the largest class (such bodies are not pooled).
-func bodyBucketIndex(n int) int {
-	size := minBodyBucket
-	for i := 0; i < bodyBucketCount; i++ {
-		if n <= size {
-			return i
-		}
-		size <<= 1
-	}
-	return -1
-}
-
-// bodyGet returns an n-byte buffer backed by its size class, or a
-// plain allocation for oversized bodies.
-func bodyGet(n int) []byte {
-	i := bodyBucketIndex(n)
-	if i < 0 {
-		return make([]byte, n)
-	}
-	if v := bodyBuckets[i].Get(); v != nil {
-		return (*v.(*[]byte))[:n]
-	}
-	return make([]byte, n, minBodyBucket<<i)
-}
-
-// bodyPut recycles a buffer whose capacity is exactly one of the size
-// classes; anything else (oversized bodies, buffers from plain append)
-// is left to the garbage collector.
-func bodyPut(b []byte) {
-	c := cap(b)
-	i := bodyBucketIndex(c)
-	if i < 0 || minBodyBucket<<i != c {
-		return
-	}
-	b = b[:c]
-	bodyBuckets[i].Put(&b)
-}
-
 // message is the stored form of one queued item. A live message is in
 // exactly one of the queue's two delivery structures: the visible list
 // (elem != nil) or the in-flight heap (heapIdx >= 0).
@@ -412,12 +353,6 @@ type message struct {
 
 type queueState struct {
 	name string
-	// poolBodies enables recycling of message-body buffers on delete.
-	// It is off when the service injects duplicate deliveries: a
-	// duplicate hands the same stored buffer to two receivers without a
-	// second copy, so the first delete would recycle a buffer the other
-	// receiver legitimately still reads.
-	poolBodies bool
 
 	mu  sync.Mutex
 	rng *rand.Rand
@@ -762,13 +697,12 @@ func queueSeed(seed int64, name string) int64 {
 // newQueueState builds an empty queue, not yet in the namespace.
 func (s *Service) newQueueState(name string) *queueState {
 	return &queueState{
-		name:       name,
-		poolBodies: s.cfg.DuplicateProb == 0,
-		rng:        rand.New(rand.NewSource(queueSeed(s.cfg.Seed, name))),
-		visible:    list.New(),
-		byReceipt:  make(map[string]*message),
-		byID:       make(map[string]*message),
-		notify:     make(chan struct{}),
+		name:      name,
+		rng:       rand.New(rand.NewSource(queueSeed(s.cfg.Seed, name))),
+		visible:   list.New(),
+		byReceipt: make(map[string]*message),
+		byID:      make(map[string]*message),
+		notify:    make(chan struct{}),
 	}
 }
 
@@ -889,17 +823,11 @@ func (s *Service) applyLocked(q *queueState, rec *durRecord) error {
 			if _, ok := q.byID[id]; ok {
 				return fmt.Errorf("send of duplicate message %q", id)
 			}
-			m := &message{id: id, heapIdx: -1}
-			if len(rec.Recvs) != 0 {
-				m.receives = rec.Recvs[i]
-			}
 			// The one copy of the body: callers and journal buffers keep
 			// theirs.
-			if body := rec.Bodies[i]; q.poolBodies {
-				m.body = bodyGet(len(body))
-				copy(m.body, body)
-			} else {
-				m.body = append([]byte(nil), body...)
+			m := &message{id: id, heapIdx: -1, body: append([]byte(nil), rec.Bodies[i]...)}
+			if len(rec.Recvs) != 0 {
+				m.receives = rec.Recvs[i]
 			}
 			m.elem = q.visible.PushBack(m)
 			q.byID[id] = m
@@ -952,8 +880,6 @@ func (s *Service) applyLocked(q *queueState, rec *durRecord) error {
 			q.placeLocked(m, rec.Vis[i], rec.T)
 		}
 	case opPurge:
-		// Body buffers are left to the garbage collector — see bodyBuckets
-		// for why a purge must not recycle buffers consumers may still read.
 		q.visible.Init()
 		q.inflight = nil
 		q.byReceipt = make(map[string]*message)
@@ -996,18 +922,14 @@ func (q *queueState) detachLocked(m *message) {
 	}
 }
 
-// removeLocked removes a live message from every index, recycling its
-// body buffer when pooling is on. Caller holds q.mu.
+// removeLocked removes a live message from every index. Caller holds
+// q.mu.
 func (q *queueState) removeLocked(m *message) {
 	q.detachLocked(m)
 	if m.receipt != "" {
 		delete(q.byReceipt, m.receipt)
 	}
 	delete(q.byID, m.id)
-	if q.poolBodies {
-		bodyPut(m.body)
-		m.body = nil
-	}
 }
 
 // placeLocked moves a message to match a new visibleAt relative to now
