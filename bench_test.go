@@ -1,7 +1,8 @@
 // Package repro's benchmark harness: one bench per paper table and
 // figure (regenerating its data through the performance model), plus
 // end-to-end benches of the real applications on the real substrates and
-// ablation benches for the design choices DESIGN.md calls out.
+// ablation benches of single design choices (speculation, visibility
+// timeout, consistency window).
 //
 // Run everything with:
 //
@@ -296,8 +297,44 @@ func BenchmarkRealGTMDryad(b *testing.B) {
 	}
 }
 
+// BenchmarkMapReduceLocality measures the Hadoop scheduler's
+// data-locality hit rate (8 nodes, 3 replicas: about 3/8 for a scheduler
+// that ignored placement).
+func BenchmarkMapReduceLocality(b *testing.B) {
+	var locality float64
+	for i := 0; i < b.N; i++ {
+		nodes := make([]string, 8)
+		for j := range nodes {
+			nodes[j] = fmt.Sprintf("n%d", j)
+		}
+		fs := hdfs.NewFS(nodes)
+		var inputs []string
+		for j := 0; j < 64; j++ {
+			p := fmt.Sprintf("/in/f%03d", j)
+			if err := fs.Write(p, []byte("x"), ""); err != nil {
+				b.Fatal(err)
+			}
+			inputs = append(inputs, p)
+		}
+		cluster := mapreduce.NewCluster(fs, 1)
+		res, err := cluster.Run(mapreduce.JobConfig{
+			Name: "loc", Input: inputs,
+			Map: func(ctx *mapreduce.TaskContext, k string, v []byte, emit func(string, []byte)) error {
+				time.Sleep(200 * time.Microsecond)
+				emit(k, v)
+				return nil
+			},
+		})
+		if err != nil {
+			b.Fatal(err)
+		}
+		locality = res.Stats.LocalityFraction()
+	}
+	b.ReportMetric(locality, "locality_frac")
+}
+
 // ---------------------------------------------------------------------------
-// Ablations (design choices called out in DESIGN.md)
+// Ablations
 // ---------------------------------------------------------------------------
 
 // BenchmarkAblationSpeculation quantifies speculative execution against a
@@ -312,7 +349,7 @@ func BenchmarkAblationSpeculation(b *testing.B) {
 		b.Run(name, func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				nodes := []string{"n0", "n1", "n2", "n3"}
-				fs := hdfs.NewFS(nodes, hdfs.Config{ReplicationFactor: 2, Seed: 1})
+				fs := hdfs.NewFS(nodes)
 				var inputs []string
 				for j := 0; j < 8; j++ {
 					p := fmt.Sprintf("/in/f%02d", j)
@@ -325,11 +362,11 @@ func BenchmarkAblationSpeculation(b *testing.B) {
 				first := true
 				_, err := cluster.Run(mapreduce.JobConfig{
 					Name: "straggle", Input: inputs,
-					Speculative: speculative, SpeculativeAfter: 5 * time.Millisecond,
+					Speculative: speculative,
 					Map: func(ctx *mapreduce.TaskContext, k string, v []byte, emit func(string, []byte)) error {
 						if k == "f00" && first && ctx.Attempt == 1 {
 							first = false
-							time.Sleep(40 * time.Millisecond)
+							time.Sleep(100 * time.Millisecond) // twice the speculation threshold
 						}
 						emit(k, v)
 						return nil
@@ -339,49 +376,6 @@ func BenchmarkAblationSpeculation(b *testing.B) {
 					b.Fatal(err)
 				}
 			}
-		})
-	}
-}
-
-// BenchmarkAblationLocality measures the scheduler's data-locality hit
-// rate with the preference on and off.
-func BenchmarkAblationLocality(b *testing.B) {
-	for _, disable := range []bool{false, true} {
-		name := "on"
-		if disable {
-			name = "off"
-		}
-		b.Run(name, func(b *testing.B) {
-			var locality float64
-			for i := 0; i < b.N; i++ {
-				nodes := make([]string, 8)
-				for j := range nodes {
-					nodes[j] = fmt.Sprintf("n%d", j)
-				}
-				fs := hdfs.NewFS(nodes, hdfs.Config{ReplicationFactor: 2, Seed: 2})
-				var inputs []string
-				for j := 0; j < 64; j++ {
-					p := fmt.Sprintf("/in/f%03d", j)
-					if err := fs.Write(p, []byte("x"), ""); err != nil {
-						b.Fatal(err)
-					}
-					inputs = append(inputs, p)
-				}
-				cluster := mapreduce.NewCluster(fs, 1)
-				res, err := cluster.Run(mapreduce.JobConfig{
-					Name: "loc", Input: inputs, DisableLocality: disable,
-					Map: func(ctx *mapreduce.TaskContext, k string, v []byte, emit func(string, []byte)) error {
-						time.Sleep(200 * time.Microsecond)
-						emit(k, v)
-						return nil
-					},
-				})
-				if err != nil {
-					b.Fatal(err)
-				}
-				locality = res.Stats.LocalityFraction()
-			}
-			b.ReportMetric(locality, "locality_frac")
 		})
 	}
 }
@@ -431,9 +425,10 @@ func BenchmarkAblationVisibilityTimeout(b *testing.B) {
 }
 
 // BenchmarkAblationConsistencyWindow measures download retries induced by
-// eventual consistency windows of different lengths.
+// eventual consistency windows of different lengths (both inside a
+// worker's 16 ms retry budget).
 func BenchmarkAblationConsistencyWindow(b *testing.B) {
-	for _, window := range []time.Duration{0, 20 * time.Millisecond} {
+	for _, window := range []time.Duration{0, 10 * time.Millisecond} {
 		b.Run(fmt.Sprintf("window=%v", window), func(b *testing.B) {
 			var retries int64
 			for i := 0; i < b.N; i++ {
@@ -441,10 +436,7 @@ func BenchmarkAblationConsistencyWindow(b *testing.B) {
 					Blob:  blobstore.NewStore(blobstore.Config{ConsistencyWindow: window}),
 					Queue: queue.NewService(queue.Config{Seed: 4}),
 				}
-				cfg := classiccloud.Config{
-					JobName:         fmt.Sprintf("cw%d-%d", window, i),
-					DownloadRetries: 50, RetryBackoff: time.Millisecond,
-				}
+				cfg := classiccloud.Config{JobName: fmt.Sprintf("cw%d-%d", window, i)}
 				client := classiccloud.NewClient(env, cfg)
 				if err := client.Setup(); err != nil {
 					b.Fatal(err)
@@ -627,8 +619,7 @@ func BenchmarkBrokerJournalReplay(b *testing.B) {
 func BenchmarkAutoscalerDecide(b *testing.B) {
 	p := broker.AutoscalePolicy{
 		MinInstances: 1, MaxInstances: 32, BacklogPerInstance: 16,
-		TargetDrain: 30 * time.Second, ScaleUpCooldown: time.Second,
-		ScaleDownCooldown: 10 * time.Second,
+		TargetDrain: 30 * time.Second, ScaleDownCooldown: 10 * time.Second,
 	}
 	o := broker.Observation{
 		Now: time.Unix(1000, 0), Visible: 512, InFlight: 64, Fleet: 8,

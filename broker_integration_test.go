@@ -42,7 +42,6 @@ func TestBrokerElasticEndToEnd(t *testing.T) {
 			MinInstances:       1,
 			MaxInstances:       8,
 			BacklogPerInstance: 24,
-			ScaleUpStep:        2,
 			ScaleDownCooldown:  60 * time.Millisecond,
 		},
 	})

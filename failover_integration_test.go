@@ -36,7 +36,7 @@ import (
 func TestJobSurvivesShardKillAndFailover(t *testing.T) {
 	const snapEvery = 16
 	journalStore := blob.NewStore(blob.Config{})
-	router := shard.NewRouter(shard.Config{ForwardInterval: 2 * time.Millisecond})
+	router := shard.NewRouter(shard.Config{})
 	defer router.Close()
 	primaries := make(map[string]*queue.Service)
 	for i := 0; i < 4; i++ {

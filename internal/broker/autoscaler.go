@@ -24,19 +24,17 @@ type AutoscalePolicy struct {
 	// instances to drain the current backlog within this duration
 	// (default 0 = rely on BacklogPerInstance alone).
 	TargetDrain time.Duration
-	// ScaleUpStep caps instances launched per decision (default 2);
-	// growth to a large fleet happens over several ticks, which lets
-	// fresh observations veto over-provisioning.
-	ScaleUpStep int
-	// ScaleUpCooldown suppresses further scale-ups after one fires
-	// (default 0 = every tick may scale up).
-	ScaleUpCooldown time.Duration
 	// ScaleDownCooldown suppresses further scale-downs after any
 	// scaling action (default 1s); hour-unit billing makes churn the
 	// most expensive failure mode, so the down path is deliberately
-	// stickier than the up path.
+	// stickier than the up path, which has no cooldown.
 	ScaleDownCooldown time.Duration
 }
+
+// scaleUpStep caps instances launched per decision: growth to a large
+// fleet happens over several ticks, which lets fresh observations veto
+// over-provisioning.
+const scaleUpStep = 2
 
 func (p AutoscalePolicy) withDefaults() AutoscalePolicy {
 	if p.MinInstances <= 0 {
@@ -50,9 +48,6 @@ func (p AutoscalePolicy) withDefaults() AutoscalePolicy {
 	}
 	if p.BacklogPerInstance <= 0 {
 		p.BacklogPerInstance = 8
-	}
-	if p.ScaleUpStep <= 0 {
-		p.ScaleUpStep = 2
 	}
 	if p.ScaleDownCooldown <= 0 {
 		p.ScaleDownCooldown = time.Second
@@ -103,14 +98,7 @@ func (p AutoscalePolicy) Decide(o Observation) Decision {
 	}
 	switch {
 	case desired > o.Fleet:
-		if p.ScaleUpCooldown > 0 && !o.LastScaleUp.IsZero() &&
-			o.Now.Sub(o.LastScaleUp) < p.ScaleUpCooldown {
-			return Decision{Reason: "scale-up suppressed by cooldown"}
-		}
-		delta := desired - o.Fleet
-		if delta > p.ScaleUpStep {
-			delta = p.ScaleUpStep
-		}
+		delta := min(desired-o.Fleet, scaleUpStep)
 		return Decision{Delta: delta, Reason: fmt.Sprintf("%s %d wants %d instances", basis, backlog, desired)}
 	case desired < o.Fleet:
 		last := o.LastScaleDown

@@ -91,12 +91,6 @@ type Config struct {
 	// journals and the shared data staged for recovery (default
 	// "broker-journal"; DisableJournal turns journaling off).
 	JournalBucket string
-	// JournalSnapshotEvery bounds journal replay: after this many
-	// journaled events the job's folded state is snapshotted and the
-	// journal truncated to it (journal.Log.Snapshot), so a long-running
-	// job's journal no longer grows one checkpoint per drained monitor
-	// batch forever. Default 64 events; negative disables compaction.
-	JournalSnapshotEvery int
 	// TenantQuotas caps each tenant's running instances across all its
 	// jobs. Tenants absent from the map are uncapped but still compete
 	// for FleetBudget with weight 1.
@@ -151,9 +145,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.JournalBucket == "" {
 		c.JournalBucket = "broker-journal"
-	}
-	if c.JournalSnapshotEvery == 0 {
-		c.JournalSnapshotEvery = 64
 	}
 	c.Replan = c.Replan.withDefaults()
 	return c
@@ -260,10 +251,7 @@ func (b *Broker) newJob(id string) *Job {
 		core:     jobRecord{ID: id},
 	}
 	if b.cfg.journalEnabled() {
-		j.jl = &jobJournal{
-			log:       journal.Log{Store: b.cfg.Env.Blob, Bucket: b.cfg.JournalBucket, Key: journalKey(id)},
-			snapEvery: b.cfg.JournalSnapshotEvery,
-		}
+		j.jl = &jobJournal{log: journal.Log{Store: b.cfg.Env.Blob, Bucket: b.cfg.JournalBucket, Key: journalKey(id)}}
 	}
 	// The job's queue client is scoped to its trace ID when the backend
 	// supports it (the HTTP client and the shard router both do; others

@@ -27,8 +27,6 @@ func testPolicy() AutoscalePolicy {
 		MinInstances:       1,
 		MaxInstances:       8,
 		BacklogPerInstance: 10,
-		ScaleUpStep:        2,
-		ScaleUpCooldown:    5 * time.Second,
 		ScaleDownCooldown:  30 * time.Second,
 	}
 }
@@ -38,7 +36,7 @@ func TestPolicyScalesUpOnQueueDepth(t *testing.T) {
 	d := testPolicy().Decide(Observation{
 		Now: clk.Now(), Visible: 95, InFlight: 5, Fleet: 1,
 	})
-	// Backlog 100 wants 10 instances, capped at 8; step limits to +2.
+	// Backlog 100 wants 10 instances, capped at 8; scaleUpStep limits to +2.
 	if d.Delta != 2 {
 		t.Errorf("Delta = %+d (%s), want +2", d.Delta, d.Reason)
 	}
@@ -47,9 +45,10 @@ func TestPolicyScalesUpOnQueueDepth(t *testing.T) {
 func TestPolicyScaleUpRespectsMaxCap(t *testing.T) {
 	clk := queue.NewFakeClock(time.Unix(1000, 0))
 	p := testPolicy()
-	p.ScaleUpStep = 100
-	d := p.Decide(Observation{Now: clk.Now(), Visible: 1000, Fleet: 1})
-	if got := 1 + d.Delta; got != p.MaxInstances {
+	// One short of the cap, a step of two would overshoot it.
+	fleet := p.MaxInstances - 1
+	d := p.Decide(Observation{Now: clk.Now(), Visible: 1000, Fleet: fleet})
+	if got := fleet + d.Delta; got != p.MaxInstances {
 		t.Errorf("fleet after decision = %d, want max %d", got, p.MaxInstances)
 	}
 }
@@ -71,25 +70,6 @@ func TestPolicyHoldsFloorWhenIdle(t *testing.T) {
 	d := testPolicy().Decide(Observation{Now: clk.Now(), Visible: 0, Fleet: 1})
 	if d.Delta != 0 {
 		t.Errorf("Delta = %+d (%s), want 0 at the MinInstances floor", d.Delta, d.Reason)
-	}
-}
-
-func TestPolicyCooldownSuppressesScaleUp(t *testing.T) {
-	clk := queue.NewFakeClock(time.Unix(1000, 0))
-	lastUp := clk.Now()
-	clk.Advance(2 * time.Second) // inside the 5s up cooldown
-	d := testPolicy().Decide(Observation{
-		Now: clk.Now(), Visible: 100, Fleet: 3, LastScaleUp: lastUp,
-	})
-	if d.Delta != 0 {
-		t.Errorf("Delta = %+d (%s), want 0 during cooldown", d.Delta, d.Reason)
-	}
-	clk.Advance(4 * time.Second) // past it
-	d = testPolicy().Decide(Observation{
-		Now: clk.Now(), Visible: 100, Fleet: 3, LastScaleUp: lastUp,
-	})
-	if d.Delta <= 0 {
-		t.Errorf("Delta = %+d (%s), want scale-up after cooldown", d.Delta, d.Reason)
 	}
 }
 
@@ -124,13 +104,12 @@ func TestPolicySizesFromObservedThroughput(t *testing.T) {
 	clk := queue.NewFakeClock(time.Unix(1000, 0))
 	p := testPolicy()
 	p.TargetDrain = 10 * time.Second
-	p.ScaleUpStep = 100
 	// 2 tasks/sec/instance over a 10s drain target → 20 tasks per
-	// instance → backlog 100 wants 5 instances.
+	// instance → backlog 100 wants 5 instances, one step above 3.
 	d := p.Decide(Observation{
-		Now: clk.Now(), Visible: 100, Fleet: 1, ThroughputPerInstance: 2,
+		Now: clk.Now(), Visible: 100, Fleet: 3, ThroughputPerInstance: 2,
 	})
-	if got := 1 + d.Delta; got != 5 {
+	if got := 3 + d.Delta; got != 5 {
 		t.Errorf("fleet after decision = %d (%s), want 5", got, d.Reason)
 	}
 }
@@ -560,6 +539,57 @@ func TestCostReportBillsHourUnits(t *testing.T) {
 	}
 	if cr.Utilization < 0 || cr.Utilization > 1 {
 		t.Errorf("Utilization = %v out of range", cr.Utilization)
+	}
+}
+
+// slowTaskPolls holds every long poll on a task queue for hold before
+// forwarding it, so the poll a worker starts after its last task reaches
+// the queue — and the job's bill — well after the job is seen complete.
+type slowTaskPolls struct {
+	queue.API
+	hold time.Duration
+}
+
+func (s slowTaskPolls) ReceiveMessageBatch(q string, visibility time.Duration, max int, wait time.Duration) ([]queue.Message, error) {
+	if wait > 0 && strings.HasSuffix(q, "/tasks") {
+		time.Sleep(s.hold)
+	}
+	return s.API.ReceiveMessageBatch(q, visibility, max, wait)
+}
+
+// A completed job's bill is final: the queue requests CostReport counts
+// right after Wait are all its queues will ever bill, the retiring
+// workers' last long polls included.
+func TestCostReportIsFinalOnceCompleted(t *testing.T) {
+	env := testEnv()
+	svc := env.Queue
+	env.Queue = slowTaskPolls{API: svc, hold: 30 * time.Millisecond}
+	b := New(Config{
+		Env:          env,
+		TickInterval: 5 * time.Millisecond,
+		Autoscale:    AutoscalePolicy{MinInstances: 1, MaxInstances: 1},
+		Registry: map[string]ExecutorFactory{
+			"echo": func(map[string][]byte) (classiccloud.Executor, error) {
+				return classiccloud.FuncExecutor{AppName: "echo", Fn: func(_ classiccloud.Task, in []byte) ([]byte, error) {
+					return in, nil
+				}}, nil
+			},
+		},
+	})
+	t.Cleanup(b.Close)
+	j, err := b.Submit(JobRequest{App: "echo", Files: numberedFiles(8)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := j.Wait(30 * time.Second); err != nil {
+		t.Fatal(err)
+	}
+	billed := j.CostReport().QueueRequests
+	b.Close()
+	cc := j.ccCfg
+	final := svc.APIRequestsFor(cc.TaskQueue()) + svc.APIRequestsFor(cc.MonitorQueue()) + svc.APIRequestsFor(cc.DeadLetterQueue)
+	if billed != final {
+		t.Errorf("CostReport after Wait billed %d queue requests, the job's queues %d once its workers stopped", billed, final)
 	}
 }
 

@@ -40,10 +40,9 @@ func pacedBroker(t *testing.T, each, tick time.Duration) (*Broker, *pacedExec, *
 	env.Queue = fq
 	exec := &pacedExec{each: each}
 	b := New(Config{
-		Env:                  env,
-		TickInterval:         tick,
-		JournalSnapshotEvery: -1, // the tests count journal events
-		Autoscale:            AutoscalePolicy{MinInstances: 1, MaxInstances: 1},
+		Env:          env,
+		TickInterval: tick,
+		Autoscale:    AutoscalePolicy{MinInstances: 1, MaxInstances: 1},
 		Registry: map[string]ExecutorFactory{
 			"paced": func(map[string][]byte) (classiccloud.Executor, error) { return exec, nil },
 		},
@@ -70,8 +69,15 @@ func numberedFiles(n int) map[string][]byte {
 	return files
 }
 
+// countEvents counts a job's journaled events of one type. The jobs it
+// is asked about stay under journalSnapshotEvery events, so the journal
+// still holds their whole history; one that compacted fails here rather
+// than count only the tail.
 func countEvents(t *testing.T, j *Job, typ EventType) int {
 	t.Helper()
+	if v, err := j.jl.log.Load(); err != nil || v.Seq != 0 {
+		t.Fatalf("journal compacted (epoch %d, %v): the job wrote over %d events", v.Seq, err, journalSnapshotEvery)
+	}
 	events, err := j.Journal()
 	if err != nil {
 		t.Fatal(err)

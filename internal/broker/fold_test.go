@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/json"
 	"errors"
+	"fmt"
 	"os"
 	"reflect"
 	"sync/atomic"
@@ -49,6 +50,10 @@ type foldScript struct {
 	failPreload atomic.Bool
 	b           *Broker
 	j           *Job
+	// natural leaves compaction to journalSnapshotEvery. Otherwise every
+	// check arms one for the next event, so each step of the script is
+	// also folded through a fresh snapshot.
+	natural bool
 }
 
 func newFoldScript(t *testing.T, cfg Config) *foldScript {
@@ -63,18 +68,21 @@ func newFoldScript(t *testing.T, cfg Config) *foldScript {
 	}
 	cfg.TickInterval = time.Hour
 	cfg.VisibilityTimeout = time.Hour
-	cfg.JournalSnapshotEvery = 3 // compact early and often
 	s.cfg = cfg
 	s.b = New(cfg)
 	t.Cleanup(func() { s.b.Halt() })
 	return s
 }
 
-func (s *foldScript) submit(req JobRequest) {
+// submit submits the inert job, by default over tasks a … f.
+func (s *foldScript) submit(req JobRequest, ids ...string) {
 	s.t.Helper()
+	if len(ids) == 0 {
+		ids = []string{"a", "b", "c", "d", "e", "f"}
+	}
 	req.App = "inert"
 	req.Files = make(map[string][]byte)
-	for _, id := range []string{"a", "b", "c", "d", "e", "f"} {
+	for _, id := range ids {
 		req.Files[id] = []byte(id)
 	}
 	j, err := s.b.Submit(req)
@@ -149,6 +157,21 @@ func (s *foldScript) check(step string) {
 	if !bytes.Equal(live, folded) {
 		s.t.Fatalf("after %s the live job is not its journal fold:\n live %s\n fold %s", step, live, folded)
 	}
+	if !s.natural {
+		s.j.mu.Lock()
+		s.j.jl.appends, s.j.jl.snapBytes = journalSnapshotEvery-1, 0
+		s.j.mu.Unlock()
+	}
+}
+
+// epoch is the number of snapshots the job's journal has been through.
+func (s *foldScript) epoch() int64 {
+	s.t.Helper()
+	v, err := s.j.jl.log.Load()
+	if err != nil {
+		s.t.Fatal(err)
+	}
+	return v.Seq
 }
 
 // durableView is what a job says about its durable facts: the same
@@ -206,13 +229,14 @@ func (s *foldScript) crashAndRecover() {
 // TestLiveJobEqualsJournalFold is the control plane's counterpart of the
 // queue shard's TestLiveStateEqualsJournalFold: after every step of a
 // scripted lifecycle the live jobRecord equals loadJobRecord's fold of
-// what is in the blob store (compaction forced every few events), and a
-// job recovered from a Halt()ed broker reports the same policy, instance
-// type, task set, Status and fixed-fleet baseline as the one that died.
+// what is in the blob store (a snapshot taken at each step's first
+// event), and a job recovered from a Halt()ed broker reports the same
+// policy, instance type, task set, Status and fixed-fleet baseline as
+// the one that died.
 func TestLiveJobEqualsJournalFold(t *testing.T) {
 	t.Run("settle scale preempt fail recover complete", func(t *testing.T) {
 		s := newFoldScript(t, Config{
-			Autoscale: AutoscalePolicy{MinInstances: 1, MaxInstances: 3, BacklogPerInstance: 2, ScaleUpStep: 4},
+			Autoscale: AutoscalePolicy{MinInstances: 1, MaxInstances: 3, BacklogPerInstance: 2},
 		})
 		s.submit(JobRequest{})
 		s.j.autoscaleTick() // backlog 6 at 2 per instance: the fleet goes 1 -> 3
@@ -243,6 +267,9 @@ func TestLiveJobEqualsJournalFold(t *testing.T) {
 		}
 		s.j.autoscaleTick()
 		s.check("scale back up")
+		if e := s.epoch(); e < 7 {
+			t.Fatalf("%d snapshots in 7 journaled steps", e)
+		}
 		s.crashAndRecover()
 		if s.j.maybeComplete() {
 			t.Fatal("completed with 3 of 6 tasks settled")
@@ -256,6 +283,36 @@ func TestLiveJobEqualsJournalFold(t *testing.T) {
 		if st := s.j.Status(); st.State != StateCompleted || st.Done != 6 || st.Dead != 0 || st.Fleet != 0 {
 			t.Fatalf("final status = %+v", st)
 		}
+	})
+
+	// Left to itself, compaction waits for journalSnapshotEvery events.
+	// Settling one task per drain journals one checkpoint each, so the
+	// job passes that many: the fold is of a snapshot plus a tail before
+	// and after the compaction, and across a recovery.
+	t.Run("compaction", func(t *testing.T) {
+		ids := make([]string, journalSnapshotEvery+8)
+		for i := range ids {
+			ids[i] = fmt.Sprintf("t%03d", i)
+		}
+		s := newFoldScript(t, Config{})
+		s.natural = true
+		s.submit(JobRequest{}, ids...)
+		last := len(ids) - 1
+		for i, id := range ids[:last] {
+			s.report("settle "+id, done(id))
+			if e := s.epoch(); e != 0 && i < journalSnapshotEvery-8 {
+				t.Fatalf("journal compacted after %d settlements, long before %d events", i+1, journalSnapshotEvery)
+			}
+		}
+		if e := s.epoch(); e < 1 {
+			t.Fatalf("journal not compacted after %d settlements", last)
+		}
+		s.crashAndRecover()
+		s.report("settle "+ids[last], done(ids[last]))
+		if !s.j.maybeComplete() {
+			t.Fatal("not complete with every task done")
+		}
+		s.check("complete")
 	})
 
 	t.Run("abort", func(t *testing.T) {
@@ -450,16 +507,17 @@ func TestSwallowedErrorsAreCounted(t *testing.T) {
 	expect("calibration_record", 1)
 
 	// A record that cannot be marshalled cannot be snapshotted; the event
-	// that tripped the compaction is journaled and folded all the same.
+	// that tripped the compaction (the journal is one event short of it)
+	// is journaled and folded all the same.
 	s.j.mu.Lock()
-	s.j.jl.snapEvery, s.j.jl.snapBytes = 1, 0
+	s.j.jl.appends, s.j.jl.snapBytes = journalSnapshotEvery-1, 0
 	s.j.core.LastReplan = time.Date(10000, 1, 1, 0, 0, 0, 0, time.UTC)
 	s.j.mu.Unlock()
 	send(done("c"))
 	s.j.drainMonitor(0)
 	expect("compaction", 1)
 	s.j.mu.Lock()
-	s.j.jl.snapEvery, s.j.core.LastReplan = 0, time.Time{}
+	s.j.core.LastReplan = time.Time{}
 	s.j.mu.Unlock()
 	if st := s.j.Status(); st.Done != 3 {
 		t.Fatalf("done = %d after a failed compaction, want 3", st.Done)

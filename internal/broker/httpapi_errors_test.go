@@ -114,6 +114,22 @@ func TestHTTPMalformedSubmit(t *testing.T) {
 	}
 }
 
+// ScaleUpStep and ScaleUpCooldown are no longer fields of the policy: a
+// submission that still sends them decodes, and they are ignored.
+func TestSubmittedAutoscaleIgnoresRetiredKeys(t *testing.T) {
+	e := codec.Enc{}
+	e.Bytes([]byte(`{"app":"cap3","autoscale":{"MaxInstances":4,"ScaleUpStep":9,"ScaleUpCooldown":1000000000}}`))
+	e.U64(0) // no files
+	e.U64(0) // no shared data
+	req, err := decodeJobRequest(e.B)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if req.Autoscale == nil || *req.Autoscale != (AutoscalePolicy{MaxInstances: 4}) {
+		t.Errorf("autoscale = %+v, want only MaxInstances 4", req.Autoscale)
+	}
+}
+
 // decodeJobRequest on arbitrary bytes: it returns an error or a request,
 // it never panics, what it returns cannot be bigger than what it was
 // given (no set holds more names than the input has bytes for: nothing
@@ -124,7 +140,7 @@ func FuzzDecodeJobRequest(f *testing.F) {
 		{},
 		{App: "cap3", Files: map[string][]byte{"a": []byte(">r\nACGT\n")}},
 		{App: "blast", Tenant: "t", TargetMakespan: time.Hour, InjectCrashes: 2,
-			Autoscale: &AutoscalePolicy{MinInstances: 1, MaxInstances: 4, ScaleUpCooldown: time.Second},
+			Autoscale: &AutoscalePolicy{MinInstances: 1, MaxInstances: 4, ScaleDownCooldown: time.Second},
 			Files:     map[string][]byte{"q1": {0, 1, 2}, "q2": nil},
 			Shared:    map[string][]byte{"db": []byte("x")}},
 	} {

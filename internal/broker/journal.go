@@ -129,18 +129,21 @@ func sharedKey(jobID, name string) string {
 	return journalSharedPrefix + jobID + "/" + name
 }
 
+// journalSnapshotEvery bounds replay: once this many events have been
+// appended since the last snapshot — and they outweigh it, see
+// maybeCompact — the folded jobRecord is snapshotted and the log
+// truncated, so a long-running job's journal does not grow one
+// checkpoint per drained monitor batch forever.
+const journalSnapshotEvery = 64
+
 // jobJournal is a job's durable event log: an internal/journal Log plus
-// the compaction policy and the broker-specific part of the format —
+// the compaction state and the broker-specific part of the format —
 // Event encoding and the jobRecord snapshot.
 type jobJournal struct {
 	log journal.Log
-	// snapEvery bounds replay: once this many events have been appended
-	// since the last snapshot — and they outweigh it, see maybeCompact —
-	// the folded jobRecord is snapshotted and the log truncated. <= 0
-	// disables compaction. appends and tailBytes count events and their
-	// bytes since the last snapshot, snapBytes is that snapshot's size;
-	// all guarded by the owning Job's mutex.
-	snapEvery int
+	// appends and tailBytes count events and their bytes since the last
+	// snapshot, snapBytes is that snapshot's size; all guarded by the
+	// owning Job's mutex.
 	appends   int
 	tailBytes int
 	snapBytes int
@@ -175,25 +178,25 @@ func (jl *jobJournal) write(ev Event) error {
 }
 
 // maybeCompact snapshots the folded record and truncates the journal
-// once snapEvery events have accumulated AND their bytes have caught up
-// with the previous snapshot's — the fix for journals that grew one
-// checkpoint per drained monitor batch forever, without re-marshalling a
-// record that holds every task of a large job every snapEvery events.
-// The snapshot grows with the job, so waiting for a tail as big as the
-// last one makes the marshalling cost amortised O(1) per event byte
-// (snapshot count grows with the log of the events, not linearly),
-// while replay still reads at most one snapshot plus a tail of that
-// snapshot's size plus snapEvery events. Compaction is best-effort: a
-// failure (returned for the caller to count) leaves the journal longer
-// but complete, and the counters stay up so the next event retries.
-// Caller holds the owning Job's mutex, so no append can race the
-// truncation CAS.
+// once journalSnapshotEvery events have accumulated AND their bytes have
+// caught up with the previous snapshot's — the fix for journals that
+// grew one checkpoint per drained monitor batch forever, without
+// re-marshalling a record that holds every task of a large job every
+// journalSnapshotEvery events. The snapshot grows with the job, so
+// waiting for a tail as big as the last one makes the marshalling cost
+// amortised O(1) per event byte (snapshot count grows with the log of
+// the events, not linearly), while replay still reads at most one
+// snapshot plus a tail of that snapshot's size plus journalSnapshotEvery
+// events. Compaction is best-effort: a failure (returned for the caller
+// to count) leaves the journal longer but complete, and the counters
+// stay up so the next event retries. Caller holds the owning Job's
+// mutex, so no append can race the truncation CAS.
 func (jl *jobJournal) maybeCompact(rec *jobRecord) error {
-	if jl == nil || jl.snapEvery <= 0 {
+	if jl == nil {
 		return nil
 	}
 	jl.appends++
-	if jl.appends < jl.snapEvery || jl.tailBytes < jl.snapBytes {
+	if jl.appends < journalSnapshotEvery || jl.tailBytes < jl.snapBytes {
 		return nil
 	}
 	state, err := json.Marshal(rec)

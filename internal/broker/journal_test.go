@@ -247,7 +247,7 @@ func (d *journalDriver) runJob(nTasks int) {
 	d.record(Event{Type: EvCompleted, Time: ts(3 + nTasks)})
 }
 
-func newJournalDriver(t *testing.T, snapEvery int) *journalDriver {
+func newJournalDriver(t *testing.T) *journalDriver {
 	store := blob.NewStore(blob.Config{})
 	if err := store.CreateBucket("broker-journal"); err != nil {
 		t.Fatal(err)
@@ -255,22 +255,19 @@ func newJournalDriver(t *testing.T, snapEvery int) *journalDriver {
 	return &journalDriver{
 		t:    t,
 		live: &jobRecord{ID: "job-0042"},
-		jl: &jobJournal{
-			log:       journal.Log{Store: store, Bucket: "broker-journal", Key: journalKey("job-0042")},
-			snapEvery: snapEvery,
-		},
+		jl:   &jobJournal{log: journal.Log{Store: store, Bucket: "broker-journal", Key: journalKey("job-0042")}},
 	}
 }
 
-// Compaction: once snapEvery events accumulate and outweigh the last
-// snapshot, the journal is truncated to a snapshot of the folded
-// record; the replay tail stays bounded by that snapshot's size plus
-// snapEvery events no matter how many checkpoints a long job writes,
-// and the recovery fold over snapshot + tail matches a fold over the
-// full history.
+// Compaction: once journalSnapshotEvery events accumulate and outweigh
+// the last snapshot, the journal is truncated to a snapshot of the
+// folded record; the replay tail stays bounded by that snapshot's size
+// plus journalSnapshotEvery events no matter how many checkpoints a long
+// job writes, and the recovery fold over snapshot + tail matches a fold
+// over the full history.
 func TestJournalCompactionBoundsReplay(t *testing.T) {
-	const snapEvery, nTasks = 8, 100
-	d := newJournalDriver(t, snapEvery)
+	const nTasks = 1000
+	d := newJournalDriver(t)
 	d.runJob(nTasks)
 	jl, live, store := d.jl, d.live, d.jl.log.Store
 
@@ -279,15 +276,15 @@ func TestJournalCompactionBoundsReplay(t *testing.T) {
 		t.Fatal(err)
 	}
 	if v.Snapshot == nil {
-		t.Fatal("no snapshot after 100+ events")
+		t.Fatalf("no snapshot after %d events", nTasks+4)
 	}
 	tail := 0
 	for _, e := range v.Entries {
 		tail += len(e)
 	}
-	if bound := len(v.Snapshot) + snapEvery*d.maxEvent; tail > bound {
+	if bound := len(v.Snapshot) + journalSnapshotEvery*d.maxEvent; tail > bound {
 		t.Errorf("replay tail holds %d bytes in %d events, want <= snapshot (%d bytes) + %d events — compaction is not bounding replay",
-			tail, len(v.Entries), len(v.Snapshot), snapEvery)
+			tail, len(v.Entries), len(v.Snapshot), journalSnapshotEvery)
 	}
 	if d.snapshots < 2 {
 		t.Errorf("%d snapshots over %d events, want the journal compacted repeatedly", d.snapshots, nTasks+4)
@@ -309,14 +306,13 @@ func TestJournalCompactionBoundsReplay(t *testing.T) {
 }
 
 // The folded record holds every task of the job, so snapshotting it
-// every snapEvery events costs O(tasks) per snapshot and O(tasks²) per
-// job. Waiting for the tail to outweigh the last snapshot makes the
-// count grow with the logarithm of the events: eight times the tasks
-// buys a handful more snapshots, not eight times as many.
+// every journalSnapshotEvery events costs O(tasks) per snapshot and
+// O(tasks²) per job. Waiting for the tail to outweigh the last snapshot
+// makes the count grow with the logarithm of the events: eight times
+// the tasks buys a handful more snapshots, not eight times as many.
 func TestJournalCompactionCountIsLogarithmic(t *testing.T) {
-	const snapEvery = 64
 	count := func(nTasks int) int {
-		d := newJournalDriver(t, snapEvery)
+		d := newJournalDriver(t)
 		d.runJob(nTasks)
 		if rec, err := loadJobRecord(d.jl.log.Store, "broker-journal", "job-0042"); err != nil ||
 			rec.State != StateCompleted || len(rec.Done) != nTasks {
@@ -328,7 +324,7 @@ func TestJournalCompactionCountIsLogarithmic(t *testing.T) {
 	events := 4096 + 4
 	if limit := 2 * int(math.Log2(float64(events))); large < 1 || large > limit {
 		t.Errorf("%d snapshots over %d events, want between 1 and 2·log2(events) = %d (every %d events would be %d)",
-			large, events, limit, snapEvery, events/snapEvery)
+			large, events, limit, journalSnapshotEvery, events/journalSnapshotEvery)
 	}
 	if large > small+6 {
 		t.Errorf("snapshots grew %d -> %d for 8x the events: linear, not logarithmic", small, large)

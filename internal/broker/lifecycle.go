@@ -720,6 +720,18 @@ type CostReport struct {
 // their allocated time but report no busy time, which understates
 // utilization after a crash — stated, not hidden).
 func (j *Job) CostReport() CostReport {
+	select {
+	case <-j.finished:
+		// The retiring workers' last long polls are still billed to the
+		// job's queues after completion is signalled; the bill is final
+		// once they have stopped. No instance is launched after the job
+		// ends, so this waits for each retiring worker to exit: at most
+		// one long poll, or the execution it is in the middle of (a
+		// duplicate delivery after a lapsed lease). The HTTP /cost handler
+		// and TenantReport accept that wait.
+		j.stopWG.Wait()
+	default:
+	}
 	j.mu.Lock()
 	defer j.mu.Unlock()
 	now := time.Now()

@@ -86,9 +86,9 @@ func TestSchedulerContendedBudgetReservesDeficits(t *testing.T) {
 
 // ---------------------------------------------------------------------------
 // Fair-share convergence under FakeClock: two tenants with quotas 6 and
-// 2 drive real autoscale policy decisions (cooldowns timed by the fake
-// clock) against one scheduler; the fleet split must converge to 3:1,
-// and the tenant at quota must not starve the other's scale-up.
+// 2 drive real autoscale policy decisions (timed by the fake clock)
+// against one scheduler; the fleet split must converge to 3:1, and the
+// tenant at quota must not starve the other's scale-up.
 // ---------------------------------------------------------------------------
 
 func TestFairShareConvergesUnderFakeClock(t *testing.T) {
@@ -97,9 +97,7 @@ func TestFairShareConvergesUnderFakeClock(t *testing.T) {
 	policy := AutoscalePolicy{
 		MinInstances:       1,
 		MaxInstances:       8,
-		BacklogPerInstance: 1, // saturating: backlog always wants max
-		ScaleUpStep:        2,
-		ScaleUpCooldown:    2 * time.Second,
+		BacklogPerInstance: 1,         // saturating: backlog always wants max
 		ScaleDownCooldown:  time.Hour, // never scale down during the test
 	}.withDefaults()
 
@@ -208,7 +206,7 @@ func TestBrokerReclaimsBudgetFromFirstComer(t *testing.T) {
 		FleetBudget:  4, // no quotas: equal weights
 		Autoscale: AutoscalePolicy{
 			MinInstances: 1, MaxInstances: 4, BacklogPerInstance: 1,
-			ScaleUpStep: 4, ScaleDownCooldown: time.Hour,
+			ScaleDownCooldown: time.Hour,
 		},
 	})
 	defer b.Close()
@@ -271,7 +269,6 @@ func TestBrokerFairShareAcrossTenants(t *testing.T) {
 			MinInstances:       1,
 			MaxInstances:       8,
 			BacklogPerInstance: 1, // both jobs want the whole budget
-			ScaleUpStep:        4,
 			ScaleDownCooldown:  time.Hour,
 		},
 	})

@@ -30,35 +30,22 @@ import (
 	"repro/internal/telemetry"
 )
 
-// Config tunes the catalog service. Zero values select defaults.
+// The catalog's journal object, and how many journaled batches it takes
+// before the summaries are snapshotted and the journal truncated.
+const (
+	journalBucket = "calibration"
+	journalKey    = "observations"
+	snapshotEvery = 256
+)
+
+// Config configures the catalog service.
 type Config struct {
 	// Store is the blob store holding the catalog journal (required).
 	Store *blob.Store
-	// Bucket and Key name the journal object (defaults
-	// "calibration" / "observations").
-	Bucket string
-	Key    string
-	// SnapshotEvery bounds replay: after this many journaled batches the
-	// summaries are snapshotted and the journal truncated (default 256;
-	// negative disables compaction).
-	SnapshotEvery int
 	// Prices joins hourly rates into the side-by-side export; entries
 	// are matched by cloud.InstanceType.Key(). Empty leaves the
 	// price-performance columns zero.
 	Prices []cloud.InstanceType
-}
-
-func (c Config) withDefaults() Config {
-	if c.Bucket == "" {
-		c.Bucket = "calibration"
-	}
-	if c.Key == "" {
-		c.Key = "observations"
-	}
-	if c.SnapshotEvery == 0 {
-		c.SnapshotEvery = 256
-	}
-	return c
 }
 
 // Service is the calibration catalog.
@@ -103,16 +90,15 @@ type snapState struct {
 // Open creates (idempotently) the catalog bucket and recovers the
 // catalog from its journal: snapshot first, then a fold of the tail.
 func Open(cfg Config) (*Service, error) {
-	cfg = cfg.withDefaults()
 	if cfg.Store == nil {
 		return nil, errors.New("catalog: Config.Store is required")
 	}
-	if err := cfg.Store.CreateBucket(cfg.Bucket); err != nil && !errors.Is(err, blob.ErrBucketExists) {
+	if err := cfg.Store.CreateBucket(journalBucket); err != nil && !errors.Is(err, blob.ErrBucketExists) {
 		return nil, fmt.Errorf("catalog: creating bucket: %w", err)
 	}
 	s := &Service{
 		cfg:     cfg,
-		log:     journal.Log{Store: cfg.Store, Bucket: cfg.Bucket, Key: cfg.Key},
+		log:     journal.Log{Store: cfg.Store, Bucket: journalBucket, Key: journalKey},
 		entries: make(map[string]*entry),
 	}
 	v, err := s.log.Load()
@@ -191,15 +177,12 @@ func (s *Service) Record(app, instanceType string, samples []time.Duration) erro
 }
 
 // maybeCompactLocked snapshots the summaries and truncates the journal
-// once SnapshotEvery batches have accumulated. Best-effort, like the
+// once snapshotEvery batches have accumulated. Best-effort, like the
 // broker's job-journal compaction: a failure leaves the journal longer
 // but complete, and the counter stays up so the next batch retries.
 func (s *Service) maybeCompactLocked() {
-	if s.cfg.SnapshotEvery <= 0 {
-		return
-	}
 	s.appends++
-	if s.appends < s.cfg.SnapshotEvery {
+	if s.appends < snapshotEvery {
 		return
 	}
 	st := snapState{Entries: make([]snapEntry, 0, len(s.entries))}

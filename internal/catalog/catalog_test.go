@@ -10,12 +10,11 @@ import (
 	"repro/internal/cloud"
 )
 
-func openTest(t *testing.T, store *blob.Store, snapEvery int) *Service {
+func openTest(t *testing.T, store *blob.Store) *Service {
 	t.Helper()
 	s, err := Open(Config{
-		Store:         store,
-		SnapshotEvery: snapEvery,
-		Prices:        append(cloud.EC2Catalog(), cloud.AzureCatalog()...),
+		Store:  store,
+		Prices: append(cloud.EC2Catalog(), cloud.AzureCatalog()...),
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -24,7 +23,7 @@ func openTest(t *testing.T, store *blob.Store, snapEvery int) *Service {
 }
 
 func TestRecordAndStats(t *testing.T) {
-	s := openTest(t, blob.NewStore(blob.Config{}), 0)
+	s := openTest(t, blob.NewStore(blob.Config{}))
 	samples := []time.Duration{
 		100 * time.Millisecond, 200 * time.Millisecond, 300 * time.Millisecond,
 	}
@@ -64,7 +63,7 @@ func TestRecordAndStats(t *testing.T) {
 }
 
 func TestObservedMeansAppliesSampleFloor(t *testing.T) {
-	s := openTest(t, blob.NewStore(blob.Config{}), 0)
+	s := openTest(t, blob.NewStore(blob.Config{}))
 	many := make([]time.Duration, 20)
 	for i := range many {
 		many[i] = time.Second
@@ -82,14 +81,14 @@ func TestObservedMeansAppliesSampleFloor(t *testing.T) {
 
 func TestCatalogRecoversFromJournal(t *testing.T) {
 	store := blob.NewStore(blob.Config{})
-	s := openTest(t, store, 0)
+	s := openTest(t, store)
 	for i := 0; i < 5; i++ {
 		if err := s.Record("blast", "azure/Small", []time.Duration{time.Duration(i+1) * time.Second}); err != nil {
 			t.Fatal(err)
 		}
 	}
 	// A fresh service over the same store must replay the samples.
-	re := openTest(t, store, 0)
+	re := openTest(t, store)
 	st, ok := re.Stats("blast", "azure/Small")
 	if !ok {
 		t.Fatal("recovered catalog lost the key")
@@ -100,39 +99,24 @@ func TestCatalogRecoversFromJournal(t *testing.T) {
 	if got, want := st.Mean(), 3*time.Second; got != want {
 		t.Errorf("recovered Mean = %v, want %v", got, want)
 	}
-
-	// A second catalog in the same store under its own journal object
-	// shares nothing with the first.
-	other, err := Open(Config{Store: store, Bucket: "calibration-b", Key: "runs"})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, ok := other.Stats("blast", "azure/Small"); ok {
-		t.Error("a catalog under another bucket/key replayed the default journal")
-	}
-	if err := other.Record("blast", "azure/Small", []time.Duration{time.Second}); err != nil {
-		t.Fatal(err)
-	}
-	if ok, _ := store.Exists("calibration-b", "runs"); !ok {
-		t.Error("journal not written to the configured bucket/key")
-	}
-	if st, _ := openTest(t, store, 0).Stats("blast", "azure/Small"); st.Count != 5 {
-		t.Errorf("default catalog Count = %d after the other recorded, want 5", st.Count)
-	}
 }
 
 func TestCatalogCompactionPreservesSummaries(t *testing.T) {
+	const batches = 2*snapshotEvery + 11 // two snapshots and a tail
 	store := blob.NewStore(blob.Config{})
-	s := openTest(t, store, 4) // snapshot every 4 batches
-	for i := 0; i < 11; i++ {
+	s := openTest(t, store)
+	for i := 0; i < batches; i++ {
 		if err := s.Record("gtm", "aws/Large", []time.Duration{time.Second}); err != nil {
 			t.Fatal(err)
 		}
 	}
-	re := openTest(t, store, 4)
+	if v, err := s.log.Load(); err != nil || v.Seq < 1 || len(v.Entries) >= snapshotEvery {
+		t.Fatalf("journal after %d batches: %d records in the tail (%v), want it compacted", batches, len(v.Entries), err)
+	}
+	re := openTest(t, store)
 	st, ok := re.Stats("gtm", "aws/Large")
-	if !ok || st.Count != 11 {
-		t.Fatalf("after compaction: Count = %d (ok=%v), want 11", st.Count, ok)
+	if !ok || st.Count != batches {
+		t.Fatalf("after compaction: Count = %d (ok=%v), want %d", st.Count, ok, batches)
 	}
 	if got, want := st.Mean(), time.Second; got != want {
 		t.Errorf("after compaction: Mean = %v, want %v", got, want)
@@ -140,7 +124,7 @@ func TestCatalogCompactionPreservesSummaries(t *testing.T) {
 }
 
 func TestReportOrdersByPricePerformance(t *testing.T) {
-	s := openTest(t, blob.NewStore(blob.Config{}), 0)
+	s := openTest(t, blob.NewStore(blob.Config{}))
 	// Same observed speed; Azure Small is 0.12/h vs EC2 Large 0.34/h, so
 	// the Azure row must sort first on tasks-per-dollar.
 	_ = s.Record("cap3", "aws/Large", []time.Duration{time.Second})
@@ -159,7 +143,7 @@ func TestReportOrdersByPricePerformance(t *testing.T) {
 }
 
 func TestHTTPHandler(t *testing.T) {
-	s := openTest(t, blob.NewStore(blob.Config{}), 0)
+	s := openTest(t, blob.NewStore(blob.Config{}))
 	_ = s.Record("cap3", "aws/Large", []time.Duration{time.Second})
 	h := &Handler{Service: s}
 

@@ -86,14 +86,17 @@ const (
 	// are not spuriously redelivered: the long-running-worker pattern
 	// the queue API exists to support.
 	heartbeatsPerLease = 3
+	// downloadRetries and retryBackoff bound how long a worker waits out
+	// eventual consistency on an input GET (NotFound): 8 tries, 2 ms
+	// apart.
+	downloadRetries = 8
+	retryBackoff    = 2 * time.Millisecond
 )
 
 // Config tunes a deployment.
 type Config struct {
 	JobName           string        // names queues and buckets
 	VisibilityTimeout time.Duration // task lease length (default 1m)
-	DownloadRetries   int           // GET retries for eventual consistency (default 8)
-	RetryBackoff      time.Duration // spacing between download retries (default 2ms)
 	// CrashBeforeDelete is a fault-injection hook: when it returns true
 	// the worker "dies" after executing but before deleting the task, so
 	// the visibility timeout must recover the work.
@@ -121,12 +124,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.VisibilityTimeout == 0 {
 		c.VisibilityTimeout = time.Minute
-	}
-	if c.DownloadRetries == 0 {
-		c.DownloadRetries = 8
-	}
-	if c.RetryBackoff == 0 {
-		c.RetryBackoff = 2 * time.Millisecond
 	}
 	return c
 }
@@ -311,11 +308,10 @@ func (c Config) TasksFromIDs(taskIDs []string) []Task {
 
 // Report summarizes a completed job.
 type Report struct {
-	Completed     int
-	DeadLettered  int // tasks parked on the dead-letter queue
-	Duplicates    int // tasks reported done more than once (re-execution)
-	Elapsed       time.Duration
-	QueueRequests int64
+	Completed    int
+	DeadLettered int // tasks parked on the dead-letter queue
+	Duplicates   int // tasks reported done more than once (re-execution)
+	Elapsed      time.Duration
 }
 
 // DrainMonitor moves one batch of completion reports off the monitoring
@@ -395,9 +391,7 @@ func (c *Client) WaitForCompletion(tasks []Task, timeout time.Duration) (Report,
 			return Report{}, fmt.Errorf("classiccloud: output %s missing after completion", t.OutputKey)
 		}
 	}
-	rep := report()
-	rep.QueueRequests = c.env.Queue.APIRequests()
-	return rep, nil
+	return report(), nil
 }
 
 // CollectOutputs downloads every task output.
@@ -729,7 +723,7 @@ func (inst *Instance) startLeaseRenewer(receipts []string, heartbeat time.Durati
 // retrying, the standard client pattern on S3-era storage.
 func (inst *Instance) downloadWithRetry(bucket, key string) ([]byte, error) {
 	var lastErr error
-	for i := 0; i < inst.cfg.DownloadRetries; i++ {
+	for i := 0; i < downloadRetries; i++ {
 		data, err := inst.env.Blob.Get(bucket, key)
 		if err == nil {
 			return data, nil
@@ -739,7 +733,7 @@ func (inst *Instance) downloadWithRetry(bucket, key string) ([]byte, error) {
 			return nil, err
 		}
 		inst.stats.DownloadRetrys.Add(1)
-		time.Sleep(inst.cfg.RetryBackoff)
+		time.Sleep(retryBackoff)
 	}
 	return nil, fmt.Errorf("classiccloud: download %s/%s: %w", bucket, key, lastErr)
 }

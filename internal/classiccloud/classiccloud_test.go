@@ -170,13 +170,13 @@ func TestVisibilityTimeoutRecoversCrashedWorker(t *testing.T) {
 }
 
 func TestEventualConsistencyRetries(t *testing.T) {
-	// A consistency window shorter than the retry budget: downloads
-	// must succeed via retry.
+	// A consistency window shorter than the retry budget
+	// (downloadRetries × retryBackoff): downloads must succeed via retry.
 	env := Env{
-		Blob:  blob.NewStore(blob.Config{ConsistencyWindow: 20 * time.Millisecond}),
+		Blob:  blob.NewStore(blob.Config{ConsistencyWindow: downloadRetries * retryBackoff / 2}),
 		Queue: queue.NewService(queue.Config{Seed: 2}),
 	}
-	cfg := Config{JobName: "ec", DownloadRetries: 30, RetryBackoff: 5 * time.Millisecond}
+	cfg := Config{JobName: "ec"}
 	client := NewClient(env, cfg)
 	if err := client.Setup(); err != nil {
 		t.Fatal(err)

@@ -164,11 +164,12 @@ func (r ClassicCloudRunner) Run(app apps.App, files, shared map[string][]byte) (
 		return nil, err
 	}
 	instances := make([]*classiccloud.Instance, 0, r.Instances)
-	defer func() {
+	stopAll := func() { // Stop is idempotent
 		for _, inst := range instances {
 			inst.Stop()
 		}
-	}()
+	}
+	defer stopAll()
 	for i := 0; i < r.Instances; i++ {
 		inst, err := classiccloud.StartInstance(env, cfg, exec, r.WorkersPerInstance)
 		if err != nil {
@@ -184,6 +185,9 @@ func (r ClassicCloudRunner) Run(app apps.App, files, shared map[string][]byte) (
 	if err != nil {
 		return nil, err
 	}
+	// The workers' last long polls are still billed after completion: the
+	// request count is final once they have stopped.
+	stopAll()
 	executed := int64(0)
 	for _, inst := range instances {
 		executed += inst.Stats().TasksExecuted.Load()
@@ -197,7 +201,7 @@ func (r ClassicCloudRunner) Run(app apps.App, files, shared map[string][]byte) (
 			"workers":        fmt.Sprint(r.Instances * r.WorkersPerInstance),
 			"tasks_executed": fmt.Sprint(executed),
 			"duplicates":     fmt.Sprint(report.Duplicates),
-			"queue_requests": fmt.Sprint(report.QueueRequests),
+			"queue_requests": fmt.Sprint(env.Queue.APIRequests()),
 		},
 	}, nil
 }
@@ -266,7 +270,7 @@ func (r MapReduceRunner) Run(app apps.App, files, shared map[string][]byte) (*Ru
 	for i := 0; i < r.Nodes; i++ {
 		names = append(names, fmt.Sprintf("node%03d", i))
 	}
-	fs := hdfs.NewFS(names, hdfs.Config{})
+	fs := hdfs.NewFS(names)
 	cluster := mapreduce.NewCluster(fs, r.SlotsPerNode)
 
 	outputDir := "/" + app.Name + "/out/"
@@ -416,7 +420,7 @@ func (r DryadRunner) Run(app apps.App, files, shared map[string][]byte) (*RunRes
 				return nil, err
 			}
 			return process(name, data)
-		}, dryad.SelectOptions{})
+		})
 	if err != nil {
 		return nil, err
 	}

@@ -142,7 +142,7 @@ func TestMapReduceStagingIsRepeatable(t *testing.T) {
 	var firstPaths []string
 	var firstPlaced [][][]string
 	for run := 0; run < 4; run++ {
-		fs := hdfs.NewFS(nodes, hdfs.Config{})
+		fs := hdfs.NewFS(nodes)
 		paths, err := stageHDFS(fs, "/in/", files)
 		if err != nil {
 			t.Fatal(err)

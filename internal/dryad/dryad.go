@@ -166,20 +166,12 @@ type VertexContext struct {
 	Attempt int
 }
 
-// SelectOptions tune a Select execution.
-type SelectOptions struct {
-	MaxAttempts int // per item (default 4)
-}
-
 // OutputSuffix is appended to an item's name to name its result item.
 const OutputSuffix = ".out"
 
-func (o SelectOptions) withDefaults() SelectOptions {
-	if o.MaxAttempts == 0 {
-		o.MaxAttempts = 4
-	}
-	return o
-}
+// maxAttempts is how many times a vertex runs an item before the Select
+// fails.
+const maxAttempts = 4
 
 // Stats reports a Select execution, including the per-node busy time
 // that exposes static-partitioning load imbalance.
@@ -217,8 +209,7 @@ func (s Stats) Imbalance() float64 {
 // the output table. Execution is statically partitioned: a node processes
 // exactly its own partition, however large, with slotsPerNode concurrent
 // vertices.
-func (c *Cluster) Select(table *PartitionedTable, outName string, fn ItemFunc, opts SelectOptions) (*PartitionedTable, *Stats, error) {
-	opts = opts.withDefaults()
+func (c *Cluster) Select(table *PartitionedTable, outName string, fn ItemFunc) (*PartitionedTable, *Stats, error) {
 	if table == nil || table.TotalItems() == 0 {
 		return nil, nil, ErrEmptyTable
 	}
@@ -242,7 +233,7 @@ func (c *Cluster) Select(table *PartitionedTable, outName string, fn ItemFunc, o
 		go func(pi int, part Partition) {
 			defer wg.Done()
 			nodeStart := time.Now()
-			results, attempts, retries, err := c.runPartition(part, fn, opts)
+			results, attempts, retries, err := c.runPartition(part, fn)
 			mu.Lock()
 			defer mu.Unlock()
 			stats.Attempts += attempts
@@ -267,7 +258,7 @@ func (c *Cluster) Select(table *PartitionedTable, outName string, fn ItemFunc, o
 }
 
 // runPartition executes one partition's items with the node's slots.
-func (c *Cluster) runPartition(part Partition, fn ItemFunc, opts SelectOptions) (results []string, attempts, retries int, err error) {
+func (c *Cluster) runPartition(part Partition, fn ItemFunc) (results []string, attempts, retries int, err error) {
 	type outcome struct {
 		name     string
 		attempts int
@@ -281,7 +272,7 @@ func (c *Cluster) runPartition(part Partition, fn ItemFunc, opts SelectOptions) 
 		go func(item string) {
 			defer func() { <-sem }()
 			o := outcome{}
-			for attempt := 1; attempt <= opts.MaxAttempts; attempt++ {
+			for attempt := 1; attempt <= maxAttempts; attempt++ {
 				o.attempts++
 				data, err := c.store.Get(part.Node, item)
 				if err != nil {

@@ -86,7 +86,7 @@ func TestSelectTransformsEveryItem(t *testing.T) {
 	}
 	out, stats, err := c.Select(table, "out", func(ctx *VertexContext, name string, data []byte) ([]byte, error) {
 		return bytes.ToUpper(data), nil
-	}, SelectOptions{})
+	})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -126,7 +126,7 @@ func TestSelectStaysOnHomeNode(t *testing.T) {
 			return nil, fmt.Errorf("item %s ran on %s, home %s", name, ctx.Node, home[name])
 		}
 		return data, nil
-	}, SelectOptions{MaxAttempts: 1})
+	})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -141,7 +141,7 @@ func TestVertexRetryOnTransientFailure(t *testing.T) {
 			return nil, errors.New("transient")
 		}
 		return data, nil
-	}, SelectOptions{})
+	})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -158,7 +158,7 @@ func TestVertexPermanentFailure(t *testing.T) {
 			return nil, errors.New("permanent")
 		}
 		return data, nil
-	}, SelectOptions{MaxAttempts: 3})
+	})
 	if err == nil {
 		t.Fatal("permanent vertex failure should fail the Select")
 	}
@@ -190,7 +190,7 @@ func TestStaticPartitioningImbalance(t *testing.T) {
 			time.Sleep(10 * time.Millisecond)
 		}
 		return data, nil
-	}, SelectOptions{})
+	})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -201,10 +201,10 @@ func TestStaticPartitioningImbalance(t *testing.T) {
 
 func TestSelectEmptyTable(t *testing.T) {
 	c := NewCluster(nodeNames(2), 1)
-	if _, _, err := c.Select(&PartitionedTable{}, "out", nil, SelectOptions{}); !errors.Is(err, ErrEmptyTable) {
+	if _, _, err := c.Select(&PartitionedTable{}, "out", nil); !errors.Is(err, ErrEmptyTable) {
 		t.Errorf("empty table: %v", err)
 	}
-	if _, _, err := c.Select(nil, "out", nil, SelectOptions{}); !errors.Is(err, ErrEmptyTable) {
+	if _, _, err := c.Select(nil, "out", nil); !errors.Is(err, ErrEmptyTable) {
 		t.Errorf("nil table: %v", err)
 	}
 }
@@ -232,7 +232,7 @@ func TestSlotsLimitConcurrency(t *testing.T) {
 		time.Sleep(5 * time.Millisecond)
 		cur.Add(-1)
 		return data, nil
-	}, SelectOptions{})
+	})
 	if err != nil {
 		t.Fatal(err)
 	}

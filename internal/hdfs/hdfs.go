@@ -15,22 +15,13 @@ import (
 	"sync"
 )
 
-// Config tunes the filesystem.
-type Config struct {
-	BlockSize         int   // bytes per block (default 1 MiB; tests use smaller)
-	ReplicationFactor int   // replicas per block (default 3)
-	Seed              int64 // placement randomness
-}
-
-func (c Config) withDefaults() Config {
-	if c.BlockSize == 0 {
-		c.BlockSize = 1 << 20
-	}
-	if c.ReplicationFactor == 0 {
-		c.ReplicationFactor = 3
-	}
-	return c
-}
+// Every filesystem splits files into 1 MiB blocks and keeps three
+// replicas of each (fewer when the cluster is smaller); replica placement
+// draws from a fixed seed, so a run places the same blocks the same way.
+const (
+	blockSize         = 1 << 20
+	replicationFactor = 3
+)
 
 // Errors returned by the filesystem.
 var (
@@ -60,7 +51,6 @@ type file struct {
 // states.
 type FS struct {
 	mu      sync.Mutex
-	cfg     Config
 	rng     *rand.Rand
 	nodes   map[string]bool // node → alive
 	order   []string        // stable node ordering
@@ -69,10 +59,9 @@ type FS struct {
 }
 
 // NewFS creates a filesystem over the named datanodes.
-func NewFS(nodes []string, cfg Config) *FS {
+func NewFS(nodes []string) *FS {
 	fs := &FS{
-		cfg:   cfg.withDefaults(),
-		rng:   rand.New(rand.NewSource(cfg.Seed)),
+		rng:   rand.New(rand.NewSource(0)),
 		nodes: make(map[string]bool, len(nodes)),
 		files: make(map[string]*file),
 	}
@@ -119,8 +108,8 @@ func (fs *FS) Write(path string, data []byte, writerNode string) error {
 		return ErrClusterEmpty
 	}
 	f := &file{path: path, size: len(data)}
-	for off := 0; off == 0 || off < len(data); off += fs.cfg.BlockSize {
-		end := off + fs.cfg.BlockSize
+	for off := 0; off == 0 || off < len(data); off += blockSize {
+		end := off + blockSize
 		if end > len(data) {
 			end = len(data)
 		}
@@ -143,7 +132,7 @@ func (fs *FS) Write(path string, data []byte, writerNode string) error {
 // placeReplicasLocked chooses replica nodes: writer-local first, then
 // random distinct nodes.
 func (fs *FS) placeReplicasLocked(b *block, live []string, writerNode string) {
-	want := fs.cfg.ReplicationFactor
+	want := replicationFactor
 	if want > len(live) {
 		want = len(live)
 	}
@@ -190,20 +179,6 @@ func (fs *FS) Exists(path string) bool {
 	defer fs.mu.Unlock()
 	_, ok := fs.files[path]
 	return ok
-}
-
-// List returns stored paths with the given prefix, sorted.
-func (fs *FS) List(prefix string) []string {
-	fs.mu.Lock()
-	defer fs.mu.Unlock()
-	var out []string
-	for p := range fs.files {
-		if strings.HasPrefix(p, prefix) {
-			out = append(out, p)
-		}
-	}
-	sort.Strings(out)
-	return out
 }
 
 // Locations returns, per block, the live nodes holding replicas — the

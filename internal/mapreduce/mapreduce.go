@@ -74,29 +74,20 @@ func fileSplits(fs *hdfs.FS, inputs []string) ([]split, error) {
 // JobConfig describes one job.
 type JobConfig struct {
 	Name        string   // the emitted pairs are written to /out/<Name>/part-00000
-	Input       []string // explicit HDFS paths
-	InputPrefix string   // alternative: every path under this prefix
+	Input       []string // HDFS paths, one map task each
 	Map         MapFunc
-	MaxAttempts int  // per-task attempts before failing the job (default 4)
-	Speculative bool // enable speculative duplicates of stragglers
-	// SpeculativeAfter: a running task becomes a speculation candidate
-	// once it has run this long (default 50ms; tuned for tests).
-	SpeculativeAfter time.Duration
-	CacheFiles       []string // HDFS paths staged to every node before maps run
-	// DisableLocality turns off data-locality preference in the
-	// scheduler (ablation: quantify what locality-aware pickup buys).
-	DisableLocality bool
+	Speculative bool     // enable speculative duplicates of stragglers
+	CacheFiles  []string // HDFS paths staged to every node before maps run
 }
 
-func (c JobConfig) withDefaults() JobConfig {
-	if c.MaxAttempts == 0 {
-		c.MaxAttempts = 4
-	}
-	if c.SpeculativeAfter == 0 {
-		c.SpeculativeAfter = 50 * time.Millisecond
-	}
-	return c
-}
+const (
+	// maxAttempts is how many attempts a task gets before it fails the
+	// job.
+	maxAttempts = 4
+	// speculativeAfter is how long a task must have run before it is a
+	// speculation candidate.
+	speculativeAfter = 50 * time.Millisecond
+)
 
 // Stats aggregates job execution counters.
 type Stats struct {
@@ -154,19 +145,14 @@ type taskState struct {
 
 // Run executes a job to completion.
 func (c *Cluster) Run(cfg JobConfig) (*Result, error) {
-	cfg = cfg.withDefaults()
 	start := time.Now()
 	if cfg.Map == nil {
 		return nil, errors.New("mapreduce: job has no map function")
 	}
-	inputs := cfg.Input
-	if cfg.InputPrefix != "" {
-		inputs = append(inputs, c.fs.List(cfg.InputPrefix)...)
-	}
-	if len(inputs) == 0 {
+	if len(cfg.Input) == 0 {
 		return nil, errors.New("mapreduce: job has no inputs")
 	}
-	splits, err := fileSplits(c.fs, inputs)
+	splits, err := fileSplits(c.fs, cfg.Input)
 	if err != nil {
 		return nil, err
 	}
@@ -284,17 +270,15 @@ func (s *scheduler) next(node string) (t *taskState, attempt int, speculative, a
 		return nil, 0, false, false
 	}
 	pick := -1
-	if !s.cfg.DisableLocality {
-		for i, t := range s.pending {
-			for _, n := range t.split.preferred {
-				if n == node {
-					pick = i
-					break
-				}
-			}
-			if pick >= 0 {
+	for i, t := range s.pending {
+		for _, n := range t.split.preferred {
+			if n == node {
+				pick = i
 				break
 			}
+		}
+		if pick >= 0 {
+			break
 		}
 	}
 	local := pick >= 0
@@ -322,7 +306,7 @@ func (s *scheduler) next(node string) (t *taskState, attempt int, speculative, a
 			if t.done || t.running == 0 || t.running > 1 {
 				continue
 			}
-			if time.Since(t.startedAt) < s.cfg.SpeculativeAfter {
+			if time.Since(t.startedAt) < speculativeAfter {
 				continue
 			}
 			if candidate == nil || t.startedAt.Before(candidate.startedAt) {
@@ -353,7 +337,7 @@ func (s *scheduler) finish(t *taskState, speculative bool, committed bool, dur t
 	t.running--
 	if err != nil {
 		s.stats.Retries++
-		if t.attempts >= s.cfg.MaxAttempts && !t.done {
+		if t.attempts >= maxAttempts && !t.done {
 			t.failed = err
 			s.failure = fmt.Errorf("mapreduce: task %d failed after %d attempts: %w", t.id, t.attempts, err)
 			return

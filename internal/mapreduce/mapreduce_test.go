@@ -18,7 +18,7 @@ func newCluster(t *testing.T, nNodes, slots int) *Cluster {
 	for i := range names {
 		names[i] = fmt.Sprintf("node%02d", i)
 	}
-	fs := hdfs.NewFS(names, hdfs.Config{ReplicationFactor: 2, Seed: 1})
+	fs := hdfs.NewFS(names)
 	return NewCluster(fs, slots)
 }
 
@@ -103,9 +103,10 @@ func TestFileNameInputFormat(t *testing.T) {
 }
 
 func TestDataLocalityPreferred(t *testing.T) {
-	// Replication 2 over 4 nodes: with locality-aware pickup most
-	// attempts should be data-local.
-	c := newCluster(t, 4, 2)
+	// Three replicas over 12 nodes: a node taking the head task finds its
+	// data about one time in five (measured), with locality-aware pickup
+	// about nine in ten attempts are data-local.
+	c := newCluster(t, 12, 2)
 	inputs := writeInputs(t, c.fs, 40, "/in")
 	res, err := c.Run(JobConfig{
 		Name:  "locality",
@@ -154,9 +155,8 @@ func TestPermanentFailureFailsJob(t *testing.T) {
 	c := newCluster(t, 2, 1)
 	inputs := writeInputs(t, c.fs, 3, "/in")
 	_, err := c.Run(JobConfig{
-		Name:        "doomed",
-		Input:       inputs,
-		MaxAttempts: 3,
+		Name:  "doomed",
+		Input: inputs,
 		Map: func(ctx *TaskContext, key string, value []byte, emit func(string, []byte)) error {
 			if strings.HasSuffix(key, "file001") {
 				return errors.New("permanent failure")
@@ -168,7 +168,7 @@ func TestPermanentFailureFailsJob(t *testing.T) {
 	if err == nil {
 		t.Fatal("job should fail")
 	}
-	if !strings.Contains(err.Error(), "after 3 attempts") {
+	if !strings.Contains(err.Error(), fmt.Sprintf("after %d attempts", maxAttempts)) {
 		t.Errorf("err = %v", err)
 	}
 }
@@ -178,14 +178,14 @@ func TestSpeculativeExecutionRescuesStraggler(t *testing.T) {
 	inputs := writeInputs(t, c.fs, 8, "/in")
 	var stragglerRuns atomic.Int64
 	res, err := c.Run(JobConfig{
-		Name:             "straggler",
-		Input:            inputs,
-		Speculative:      true,
-		SpeculativeAfter: 20 * time.Millisecond,
+		Name:        "straggler",
+		Input:       inputs,
+		Speculative: true,
 		Map: func(ctx *TaskContext, key string, value []byte, emit func(string, []byte)) error {
 			if strings.HasSuffix(key, "file000") {
-				// First attempt is pathologically slow; the speculative
-				// duplicate finishes instantly.
+				// First attempt is pathologically slow (six times
+				// speculativeAfter); the speculative duplicate finishes
+				// instantly.
 				if stragglerRuns.Add(1) == 1 {
 					time.Sleep(300 * time.Millisecond)
 				}
@@ -251,26 +251,6 @@ func TestMissingCacheFileFailsJob(t *testing.T) {
 	})
 	if err == nil {
 		t.Fatal("missing cache file should fail the job")
-	}
-}
-
-func TestInputPrefixSelection(t *testing.T) {
-	c := newCluster(t, 2, 1)
-	writeInputs(t, c.fs, 7, "/batch")
-	writeInputs(t, c.fs, 3, "/other")
-	res, err := c.Run(JobConfig{
-		Name:        "prefix",
-		InputPrefix: "/batch/",
-		Map: func(ctx *TaskContext, key string, value []byte, emit func(string, []byte)) error {
-			emit(key, value)
-			return nil
-		},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Stats.MapTasks != 7 {
-		t.Errorf("MapTasks = %d, want 7", res.Stats.MapTasks)
 	}
 }
 
@@ -349,7 +329,7 @@ func TestStatsDurationsRecorded(t *testing.T) {
 }
 
 func TestJobSurvivesDatanodeFailure(t *testing.T) {
-	// Files are written with replication 2, then one datanode dies before
+	// Files are written with three replicas, then one datanode dies before
 	// the job starts: every block still has a live replica, so the job
 	// must complete by reading the survivors.
 	c := newCluster(t, 4, 2)

@@ -371,7 +371,7 @@ func TestReceiveHandsOutStoredBodyWithoutCopy(t *testing.T) {
 // ---------------------------------------------------------------------------
 
 func TestConcurrentQueuesAllOps(t *testing.T) {
-	s := NewService(Config{Seed: 9, DefaultVisibility: 50 * time.Millisecond})
+	s := NewService(Config{Seed: 9})
 	const queues = 8
 	const perQueue = 120
 	var wg sync.WaitGroup

@@ -23,7 +23,7 @@
 // messages: a delivery-ordered list of visible messages, a min-heap of
 // in-flight messages keyed by the time they become visible again, and a
 // receipt-handle index. DeleteMessage and ChangeVisibility are O(log n)
-// by receipt; ReceiveMessage touches at most ShuffleWindow list nodes;
+// by receipt; ReceiveMessage touches at most shuffleWindow list nodes;
 // ApproximateCount reads the structure sizes. Deleted messages are
 // removed from all three structures immediately (compaction), so memory
 // and per-operation cost track live messages, not messages ever sent.
@@ -128,17 +128,20 @@ type Message struct {
 // MaxBatch is the per-call message cap of the batch APIs, matching SQS.
 const MaxBatch = 10
 
+const (
+	// defaultVisibility applies when a receive passes visibility 0.
+	defaultVisibility = 30 * time.Second
+	// shuffleWindow is how unordered delivery is: a receive picks
+	// uniformly among the first shuffleWindow visible messages, SQS's
+	// weak ordering.
+	shuffleWindow = 4
+)
+
 // Config tunes service behaviour.
 type Config struct {
-	// DefaultVisibility applies when ReceiveMessage passes 0.
-	DefaultVisibility time.Duration
 	// DuplicateProb injects duplicate deliveries (eventual consistency /
 	// at-least-once artifacts). 0 disables.
 	DuplicateProb float64
-	// ShuffleWindow controls how unordered delivery is: a receive picks
-	// uniformly among the first ShuffleWindow visible messages. 1 gives
-	// FIFO; larger values emulate SQS's weak ordering. Default 4.
-	ShuffleWindow int
 	// Seed for the delivery-order randomness. Each queue derives its own
 	// deterministic stream from (Seed, queue name).
 	Seed int64
@@ -180,12 +183,6 @@ type Config struct {
 }
 
 func (c Config) withDefaults() Config {
-	if c.DefaultVisibility == 0 {
-		c.DefaultVisibility = 30 * time.Second
-	}
-	if c.ShuffleWindow == 0 {
-		c.ShuffleWindow = 4
-	}
 	if c.Clock == nil {
 		c.Clock = RealClock{}
 	}
@@ -1073,7 +1070,7 @@ func (s *Service) send(metric, queueName string, bodies [][]byte, recvs []int) (
 
 // planReceives fills a receive record with up to max deliveries and
 // returns the messages the caller will be handed, reproducing receive
-// semantics exactly: each pick is uniform over the first ShuffleWindow
+// semantics exactly: each pick is uniform over the first shuffleWindow
 // still-deliverable visible messages (a non-duplicate pick is hidden
 // from later picks in the same batch, a duplicate stays eligible), and
 // the rng draw sequence matches what sequential single receives would
@@ -1083,10 +1080,10 @@ func (s *Service) planReceives(q *queueState, rec *durRecord, now time.Time, vis
 	var pickBuf [MaxBatch]*message // picks[i] is the message of rec.IDs[i]
 	picks := pickBuf[:0]
 	for len(picks) < max {
-		var window [8]*message
+		var window [shuffleWindow]*message
 		cands := window[:0]
 	scan:
-		for e := q.visible.Front(); e != nil && len(cands) < s.cfg.ShuffleWindow; e = e.Next() {
+		for e := q.visible.Front(); e != nil && len(cands) < shuffleWindow; e = e.Next() {
 			m := e.Value.(*message)
 			for i, p := range picks {
 				if p == m && !rec.Dup[i] {
@@ -1135,7 +1132,7 @@ func (s *Service) planReceives(q *queueState, rec *durRecord, now time.Time, vis
 }
 
 // ReceiveMessage pops a visible message, hiding it for the visibility
-// timeout (DefaultVisibility when 0). It returns ok=false when nothing is
+// timeout (30 s when 0). It returns ok=false when nothing is
 // visible. Delivery order is deliberately not FIFO, and with
 // DuplicateProb > 0 a message may occasionally be delivered to two
 // receivers at once — both SQS behaviours the paper's design tolerates.
@@ -1177,7 +1174,7 @@ func (s *Service) receiveBatchWait(queueName string, visibility time.Duration, m
 		return nil, err
 	}
 	if visibility <= 0 {
-		visibility = s.cfg.DefaultVisibility
+		visibility = defaultVisibility
 	}
 	// The overall timer caps real blocking time even under a FakeClock
 	// whose time never advances, so stopping a worker mid-poll cannot

@@ -163,7 +163,7 @@ func TestPurge(t *testing.T) {
 }
 
 func TestUnorderedDelivery(t *testing.T) {
-	s := NewService(Config{Seed: 42, ShuffleWindow: 8})
+	s := NewService(Config{Seed: 42})
 	s.CreateQueue("q")
 	const n = 64
 	for i := 0; i < n; i++ {
@@ -237,7 +237,7 @@ func TestQuickAtLeastOnce(t *testing.T) {
 }
 
 func TestConcurrentReceiversNoLostNoDoubleDelete(t *testing.T) {
-	s := NewService(Config{Seed: 3, DefaultVisibility: time.Hour})
+	s := NewService(Config{Seed: 3})
 	s.CreateQueue("q")
 	const n = 200
 	for i := 0; i < n; i++ {

@@ -302,7 +302,7 @@ func TestGoldenJournalBytes(t *testing.T) {
 }
 
 // Expiry is not journaled, so where lapsed leases land must not depend on
-// when a service looked. Here the primary releases three leases that
+// when a service looked. Here the primary releases four leases that
 // lapse at the same instant as soon as they do (ApproximateCount), while
 // a fold of its journal still holds them when the next delete reshuffles
 // its heap, and releases them only at the next record that carries a
@@ -312,7 +312,6 @@ func TestLapsedLeasesLandWhereTheJournalSays(t *testing.T) {
 	store := blob.NewStore(blob.Config{})
 	clk := NewFakeClock(time.Unix(1_700_000_000, 0))
 	cfg := durConfig(store, clk, "shard-0")
-	cfg.ShuffleWindow = 1
 	p := NewService(cfg)
 	must := func(err error) {
 		t.Helper()
@@ -329,20 +328,44 @@ func TestLapsedLeasesLandWhereTheJournalSays(t *testing.T) {
 	must(p.ChangeVisibility("q", msgs[0].ReceiptHandle, time.Hour))
 	must(p.ChangeVisibility("q", msgs[5].ReceiptHandle, time.Hour))
 	clk.Advance(4 * time.Second)
-	_, _, err = p.ApproximateCount("q") // the primary releases q-2 … q-5 now
+	_, _, err = p.ApproximateCount("q") // the primary releases msgs[1:5] now
 	must(err)
 	must(p.DeleteMessage("q", msgs[0].ReceiptHandle))
-	_, err = p.ReceiveMessageBatch("q", time.Hour, 1, 0) // a fold releases them here
+	again, err := p.ReceiveMessageBatch("q", time.Hour, 1, 0) // a fold releases them here
 	must(err)
 	want := observed(t, p)
 	p.Halt()
 	r := NewService(cfg)
 	must(r.Recover())
-	if got := observed(t, r); !equalStates(got, want) {
+	got := observed(t, r)
+	if !equalStates(got, want) {
 		t.Fatalf("recovered state differs from the primary's:\n got %+v\nwant %+v", got, want)
 	}
-	// q-2 … q-5 came back in arrival order; the receive took q-2 again.
-	if q := want["q"]; len(q) != 6 || q[1].ID != "q-3" || q[2].ID != "q-4" || q[3].ID != "q-5" {
-		t.Errorf("a batch whose leases lapsed together is not back in arrival order: %+v", q)
+	// The four lapsed leases (msgs[1:5]) came back in arrival order; the
+	// receive leased one of them a second time, so on both sides it is in
+	// flight beside the hour-long lease of msgs[5], and the three left
+	// visible are the other three, still in that order.
+	lapsed := make(map[string]bool)
+	for _, m := range msgs[1:5] {
+		lapsed[m.ID] = true
+	}
+	if len(again) != 1 || !lapsed[again[0].ID] || again[0].Receives != 2 {
+		t.Fatalf("the receive after the lapse took %+v, want one of %v on its second delivery", again, lapsed)
+	}
+	for side, st := range map[string]map[string][]msgState{"primary": want, "recovered": got} {
+		q := st["q"]
+		if len(q) != 6 || q[3].Inflight || !(q[1].ID < q[2].ID && q[2].ID < q[3].ID) {
+			t.Errorf("%s: a batch whose leases lapsed together is not back in arrival order: %+v", side, q)
+			continue
+		}
+		for _, v := range q[1:4] {
+			if !lapsed[v.ID] || v.ID == again[0].ID {
+				t.Errorf("%s: %s is visible, want the lapsed leases but %s: %+v", side, v.ID, again[0].ID, q)
+			}
+		}
+		inflight := map[string]bool{q[4].ID: q[4].Inflight, q[5].ID: q[5].Inflight}
+		if !inflight[again[0].ID] || !inflight[msgs[5].ID] {
+			t.Errorf("%s: in flight %v, want %s and %s", side, q[4:], again[0].ID, msgs[5].ID)
+		}
 	}
 }

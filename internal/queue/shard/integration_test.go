@@ -20,7 +20,7 @@ import (
 )
 
 func TestBrokerJobThroughShardedQueue(t *testing.T) {
-	router := shard.NewRouter(shard.Config{ForwardInterval: 2 * time.Millisecond})
+	router := shard.NewRouter(shard.Config{})
 	defer router.Close()
 	for i := 0; i < 4; i++ {
 		if err := router.AddShard(fmt.Sprintf("s%d", i), queue.NewService(queue.Config{Seed: int64(i + 1)})); err != nil {

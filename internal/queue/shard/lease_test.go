@@ -209,7 +209,7 @@ func TestForwarderExitKeepsAResidueAskedForMeanwhile(t *testing.T) {
 // let go (a → c starts another) or not (it is asked to look again).
 func TestStragglerOfASecondLifeIsForwarded(t *testing.T) {
 	const qn = "twice"
-	r := NewRouter(Config{ForwardInterval: time.Millisecond})
+	r := NewRouter(Config{})
 	defer r.Close()
 	for i, id := range []string{"a", "b", "c"} {
 		if err := r.AddShard(id, queue.NewService(queue.Config{Seed: int64(i + 1)})); err != nil {

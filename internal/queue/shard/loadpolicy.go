@@ -58,6 +58,14 @@ const (
 // autoscaleInterval is the time between ticks of a started Autoscaler.
 const autoscaleInterval = 2 * time.Second
 
+// upCooldown / downCooldown suppress repeat fleet changes. Down is
+// stickier: shrink mistakes cost a migration to undo, and a recent
+// scale-up also resets the down cooldown.
+const (
+	upCooldown   = 10 * time.Second
+	downCooldown = 30 * time.Second
+)
+
 // ShardFactory creates a backend for a shard the autoscaler decided to
 // add — typically an in-process *queue.Service in tests and benches,
 // or a client dialing a freshly provisioned remote node in production.
@@ -81,11 +89,6 @@ type AutoscalePolicy struct {
 	// TargetRatePerShard is the request rate one shard is provisioned
 	// for; fleet utilization is totalRate/(shards·target). Default 1000.
 	TargetRatePerShard float64
-	// UpCooldown / DownCooldown suppress repeat fleet changes (defaults
-	// 10s / 30s). Down is stickier: shrink mistakes cost a migration to
-	// undo, and a recent scale-up also resets the down cooldown.
-	UpCooldown   time.Duration
-	DownCooldown time.Duration
 	// SplitRate is the request rate above which a group is hot
 	// (default TargetRatePerShard/2).
 	SplitRate float64
@@ -110,12 +113,6 @@ func (p AutoscalePolicy) withDefaults() AutoscalePolicy {
 	}
 	if p.TargetRatePerShard <= 0 {
 		p.TargetRatePerShard = 1000
-	}
-	if p.UpCooldown <= 0 {
-		p.UpCooldown = 10 * time.Second
-	}
-	if p.DownCooldown <= 0 {
-		p.DownCooldown = 30 * time.Second
 	}
 	if p.SplitRate <= 0 {
 		p.SplitRate = p.TargetRatePerShard / 2
@@ -247,7 +244,7 @@ func (p AutoscalePolicy) Decide(o FleetObservation) FleetDecision {
 	downCost := migrationWeight / float64(fleet)
 	switch {
 	case fleet < p.MaxShards && upGain > upCost:
-		if !o.LastScaleUp.IsZero() && o.Now.Sub(o.LastScaleUp) < p.UpCooldown {
+		if !o.LastScaleUp.IsZero() && o.Now.Sub(o.LastScaleUp) < upCooldown {
 			break // suppressed by cooldown; splits/merges still apply
 		}
 		d.Delta = 1
@@ -257,7 +254,7 @@ func (p AutoscalePolicy) Decide(o FleetObservation) FleetDecision {
 		if o.LastScaleUp.After(last) {
 			last = o.LastScaleUp // a fresh shard is not retired next tick
 		}
-		if !last.IsZero() && o.Now.Sub(last) < p.DownCooldown {
+		if !last.IsZero() && o.Now.Sub(last) < downCooldown {
 			break
 		}
 		d.Delta = -1

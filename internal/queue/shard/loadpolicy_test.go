@@ -165,11 +165,11 @@ func TestDecideWeightNudges(t *testing.T) {
 }
 
 // TestAutoscalerLifecycle drives the real runner against a live router
-// with deterministic ticks: load grows the fleet through the reserve
-// then the factory, idleness shrinks it back — retiring only shards the
-// autoscaler itself added, newest first.
+// with deterministic ticks, each one cooldown after the last: load grows
+// the fleet through the reserve then the factory, idleness shrinks it
+// back — retiring only shards the autoscaler itself added, newest first.
 func TestAutoscalerLifecycle(t *testing.T) {
-	r := NewRouter(Config{ForwardInterval: time.Millisecond})
+	r := NewRouter(Config{})
 	defer r.Close()
 	if err := r.AddShard("s0", queue.NewService(queue.Config{Seed: 1})); err != nil {
 		t.Fatal(err)
@@ -183,9 +183,7 @@ func TestAutoscalerLifecycle(t *testing.T) {
 		Policy: AutoscalePolicy{
 			MinShards:          1,
 			MaxShards:          3,
-			TargetRatePerShard: 50,
-			UpCooldown:         time.Nanosecond,
-			DownCooldown:       time.Nanosecond,
+			TargetRatePerShard: 5,
 			Window:             1,
 		},
 		Reserve: []ReserveShard{{ID: "warm-0", Backend: queue.NewService(queue.Config{Seed: 2})}},
@@ -207,13 +205,13 @@ func TestAutoscalerLifecycle(t *testing.T) {
 		}
 	}
 
-	// Sustained load: each tick sees ~200 req/s against a 50/s target,
+	// Sustained load: each tick sees ~20 req/s against a 5/s target,
 	// growing one shard per tick — warm reserve first, then the factory —
 	// until MaxShards.
 	fleets := []int{2, 3, 3}
 	for i, want := range fleets {
 		send(200)
-		now = now.Add(time.Second)
+		now = now.Add(upCooldown)
 		a.Tick(now)
 		if got := len(r.Shards()); got != want {
 			t.Fatalf("tick %d: fleet = %d, want %d (decision %q)", i, got, want, a.Status().LastDecision.Reason)
@@ -239,7 +237,7 @@ func TestAutoscalerLifecycle(t *testing.T) {
 		}
 	}
 	for i := 0; i < 4 && len(r.Shards()) > 1; i++ {
-		now = now.Add(time.Second)
+		now = now.Add(downCooldown)
 		a.Tick(now)
 	}
 	if got := r.Shards(); len(got) != 1 || got[0] != "s0" {

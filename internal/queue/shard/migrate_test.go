@@ -95,9 +95,9 @@ func TestMigrationMovesBacklog(t *testing.T) {
 // stays acknowledgeable through its old receipt; an unacknowledged one
 // expires on the old shard and is forwarded to the new owner.
 func TestMigrationInFlightStraggler(t *testing.T) {
-	r := NewRouter(Config{ForwardInterval: time.Millisecond})
+	r := NewRouter(Config{})
 	defer r.Close()
-	s0 := queue.NewService(queue.Config{Seed: 1, DefaultVisibility: 30 * time.Millisecond})
+	s0 := queue.NewService(queue.Config{Seed: 1})
 	if err := r.AddShard("s0", s0); err != nil {
 		t.Fatal(err)
 	}
@@ -181,7 +181,7 @@ func TestMigrationInFlightStraggler(t *testing.T) {
 // the at-least-once contract but deletes must land, so the namespace
 // drains to empty.
 func TestMigrationUnderLoad(t *testing.T) {
-	r := NewRouter(Config{ForwardInterval: time.Millisecond})
+	r := NewRouter(Config{})
 	defer r.Close()
 	if err := r.AddShard("s0", queue.NewService(queue.Config{Seed: 1})); err != nil {
 		t.Fatal(err)
@@ -305,7 +305,7 @@ func TestMigrationUnderLoad(t *testing.T) {
 // draining remnant (double counts) nor delete it once it drains to
 // empty (queue loss).
 func TestMigrateBackDoesNotDeleteLiveQueue(t *testing.T) {
-	r := NewRouter(Config{ForwardInterval: time.Millisecond})
+	r := NewRouter(Config{})
 	defer r.Close()
 	if err := r.AddShard("s0", queue.NewService(queue.Config{Seed: 1})); err != nil {
 		t.Fatal(err)
@@ -364,7 +364,7 @@ func TestMigrateBackDoesNotDeleteLiveQueue(t *testing.T) {
 // wins is followed by a delete on the new owner.
 func TestDeleteQueueDuringRebalance(t *testing.T) {
 	for iter := 0; iter < 20; iter++ {
-		r := NewRouter(Config{ForwardInterval: time.Millisecond})
+		r := NewRouter(Config{})
 		s0 := queue.NewService(queue.Config{Seed: 1})
 		if err := r.AddShard("s0", s0); err != nil {
 			t.Fatal(err)
@@ -440,7 +440,7 @@ func (f *faultyBackend) ReceiveMessageBatch(q string, vis time.Duration, max int
 // messages recoverable; Rebalance converges the namespace once the
 // fault clears, with nothing lost.
 func TestRebalanceRetriesFailedMigration(t *testing.T) {
-	r := NewRouter(Config{ForwardInterval: time.Millisecond})
+	r := NewRouter(Config{})
 	defer r.Close()
 	flaky := &faultyBackend{API: queue.NewService(queue.Config{Seed: 1})}
 	if err := r.AddShard("s0", flaky); err != nil {

@@ -93,7 +93,7 @@ func TestMigrationPreservesReceiveCounts(t *testing.T) {
 // during the migration expires on the old shard and is forwarded by the
 // background forwarder — with its count intact.
 func TestStragglerForwardPreservesReceiveCounts(t *testing.T) {
-	r := NewRouter(Config{ForwardInterval: time.Millisecond})
+	r := NewRouter(Config{})
 	defer r.Close()
 	if err := r.AddShard("s0", queue.NewService(queue.Config{Seed: 1})); err != nil {
 		t.Fatal(err)
@@ -221,7 +221,7 @@ func TestRegroupErrors(t *testing.T) {
 // churn stops the placement must converge: every queue sits on the
 // ring owner of its final group.
 func TestRegroupRebalanceChurn(t *testing.T) {
-	r := NewRouter(Config{ForwardInterval: time.Millisecond})
+	r := NewRouter(Config{})
 	defer r.Close()
 	for i := 0; i < 2; i++ {
 		if err := r.AddShard(fmt.Sprintf("s%d", i), queue.NewService(queue.Config{Seed: int64(i + 1)})); err != nil {
@@ -373,7 +373,7 @@ func TestRemoteShardMigrationPreservesCounts(t *testing.T) {
 	srv := httptest.NewServer(&queue.HTTPHandler{Service: remote, AdminTokens: []string{token}})
 	defer srv.Close()
 
-	r := NewRouter(Config{ForwardInterval: time.Millisecond})
+	r := NewRouter(Config{})
 	defer r.Close()
 	if err := r.AddShard("s0", queue.NewService(queue.Config{Seed: 1})); err != nil {
 		t.Fatal(err)

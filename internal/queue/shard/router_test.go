@@ -13,7 +13,7 @@ import (
 // newTestRouter builds a router over n fresh local services.
 func newTestRouter(t *testing.T, n int) (*Router, []*queue.Service) {
 	t.Helper()
-	r := NewRouter(Config{ForwardInterval: 2 * time.Millisecond})
+	r := NewRouter(Config{})
 	t.Cleanup(r.Close)
 	svcs := make([]*queue.Service, n)
 	for i := range svcs {

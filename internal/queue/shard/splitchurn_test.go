@@ -17,7 +17,7 @@ import (
 )
 
 func TestSplitMergeChurnUnderLoad(t *testing.T) {
-	r := NewRouter(Config{ForwardInterval: time.Millisecond})
+	r := NewRouter(Config{})
 	defer r.Close()
 	for i := 0; i < 3; i++ {
 		if err := r.AddShard(fmt.Sprintf("s%d", i), queue.NewService(queue.Config{Seed: int64(i + 1)})); err != nil {

@@ -53,7 +53,7 @@ func TestMigrationAcrossMixedTransports(t *testing.T) {
 	})
 	defer backendWire.Close()
 
-	router := shard.NewRouter(shard.Config{ForwardInterval: 2 * time.Millisecond})
+	router := shard.NewRouter(shard.Config{})
 	defer router.Close()
 	if err := router.AddShard("http-node", backendHTTP); err != nil {
 		t.Fatal(err)

@@ -26,26 +26,25 @@ const (
 	// the request itself asks for — receives get requestTimeout plus
 	// their wait.
 	requestTimeout = 30 * time.Second
-	// defaultDialTimeout bounds one connect attempt, and the discovery
-	// probe that precedes the first.
-	defaultDialTimeout = 3 * time.Second
+	// dialTimeout bounds one connect attempt, and the discovery probe
+	// that precedes the first.
+	dialTimeout = 3 * time.Second
+	// maxBackoff caps the reconnect backoff after repeated dial failures
+	// (the first retry waits 50ms). While a pool slot is backing off,
+	// calls through it fail fast with ErrUnavailable instead of queueing
+	// behind doomed dials.
+	maxBackoff = 2 * time.Second
 )
 
-// Options tunes a Client. The frame cap (maxFrame) and requestTimeout
-// are fixed, and a trace is scoped with WithTrace, not configured.
+// Options tunes a Client. The frame cap (maxFrame), the timeouts and the
+// reconnect backoff are fixed, and a trace is scoped with WithTrace, not
+// configured.
 type Options struct {
 	// Conns is the connection-pool size (default 4). Pipelining means a
 	// few connections carry many in-flight requests; the pool exists to
 	// spread load across reader/writer goroutine pairs, not to provide
 	// one connection per caller.
 	Conns int
-	// DialTimeout bounds one connect attempt (default 3s).
-	DialTimeout time.Duration
-	// MaxBackoff caps the reconnect backoff after repeated dial
-	// failures (default 2s; the first retry waits 50ms). While a pool
-	// slot is backing off, calls through it fail fast with
-	// ErrUnavailable instead of queueing behind doomed dials.
-	MaxBackoff time.Duration
 	// AdminToken authorizes the privileged transfer opcode, with the
 	// same client-side contract as queue.HTTPClient: empty fails
 	// transfers locally with ErrNotPrivileged.
@@ -63,12 +62,6 @@ type Options struct {
 func (o Options) withDefaults() Options {
 	if o.Conns <= 0 {
 		o.Conns = 4
-	}
-	if o.DialTimeout <= 0 {
-		o.DialTimeout = defaultDialTimeout
-	}
-	if o.MaxBackoff <= 0 {
-		o.MaxBackoff = 2 * time.Second
 	}
 	return o
 }
@@ -195,14 +188,14 @@ func (s *cliConn) get() (*connGen, error) {
 	if now.Before(s.retryAt) {
 		return nil, fmt.Errorf("%w: %s in reconnect backoff", ErrUnavailable, s.p.addr)
 	}
-	nc, err := net.DialTimeout("tcp", s.p.addr, s.p.opt.DialTimeout)
+	nc, err := net.DialTimeout("tcp", s.p.addr, dialTimeout)
 	if err != nil {
 		if s.backoff == 0 {
 			s.backoff = 50 * time.Millisecond
 		} else {
 			s.backoff *= 2
-			if s.backoff > s.p.opt.MaxBackoff {
-				s.backoff = s.p.opt.MaxBackoff
+			if s.backoff > maxBackoff {
+				s.backoff = maxBackoff
 			}
 		}
 		s.retryAt = time.Now().Add(s.backoff)

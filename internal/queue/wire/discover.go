@@ -16,15 +16,15 @@ import (
 // address and true, or false when the node does not advertise one
 // (older node, wire face disabled, or unreachable) — the caller then
 // stays on HTTP, which is exactly the router's fallback contract. The
-// whole probe is bounded by defaultDialTimeout, so a node that accepts
-// and never answers, or a black-holed address, costs a router's
-// start-up or an admin request that long and no longer.
+// whole probe is bounded by dialTimeout, so a node that accepts and
+// never answers, or a black-holed address, costs a router's start-up or
+// an admin request that long and no longer.
 //
 // An advertised address without a host (":8091") is resolved against
 // the HTTP base URL's host, so a node that listens on all interfaces
 // does not need to know its own public name.
 func DiscoverAddr(baseURL string) (string, bool) {
-	probe := http.Client{Transport: httpx.Transport, Timeout: defaultDialTimeout}
+	probe := http.Client{Transport: httpx.Transport, Timeout: dialTimeout}
 	resp, err := probe.Get(strings.TrimSuffix(baseURL, "/") + "/wire")
 	if err != nil {
 		return "", false

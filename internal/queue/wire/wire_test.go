@@ -312,7 +312,7 @@ func TestReconnectWithBackoff(t *testing.T) {
 	srv := &Server{Service: svc}
 	go srv.Serve(ln)
 
-	c := dialTest(t, addr, Options{Conns: 1, MaxBackoff: 20 * time.Millisecond, DialTimeout: 200 * time.Millisecond})
+	c := dialTest(t, addr, Options{Conns: 1})
 	if err := c.CreateQueue("q"); err != nil {
 		t.Fatalf("create before outage: %v", err)
 	}
@@ -370,9 +370,8 @@ func TestFallbackToHTTP(t *testing.T) {
 	dead.Close()
 
 	c := dialTest(t, deadAddr, Options{
-		DialTimeout: 200 * time.Millisecond,
-		AdminToken:  "tok",
-		Fallback:    &queue.HTTPClient{BaseURL: hs.URL, AdminToken: "tok"},
+		AdminToken: "tok",
+		Fallback:   &queue.HTTPClient{BaseURL: hs.URL, AdminToken: "tok"},
 	})
 	if err := c.CreateQueue("q"); err != nil {
 		t.Fatalf("CreateQueue via fallback: %v", err)
@@ -500,8 +499,8 @@ func TestDiscoverAddrGivesUpOnSilentNode(t *testing.T) {
 	if ok || addr != "" {
 		t.Errorf("DiscoverAddr = %q, %v; want \"\", false", addr, ok)
 	}
-	if elapsed := time.Since(start); elapsed < defaultDialTimeout/2 || elapsed > 2*defaultDialTimeout {
-		t.Errorf("probe took %v, want about %v", elapsed, defaultDialTimeout)
+	if elapsed := time.Since(start); elapsed < dialTimeout/2 || elapsed > 2*dialTimeout {
+		t.Errorf("probe took %v, want about %v", elapsed, dialTimeout)
 	}
 	select {
 	case c := <-held:

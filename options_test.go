@@ -1,9 +1,10 @@
 // Guard on the option space of the infrastructure tiers and of the
-// contrast tier (core's runners, HDFS, MapReduce, Dryad): every exported
-// field of the config types below must be set by at least one file in
-// the repository — a daemon, a benchmark, an example or a test. A field
-// nothing sets is a branch nothing runs; it becomes a constant (or gets a
-// setter) before it lands.
+// contrast tier (core's runners, MapReduce): every exported field of the
+// config types below must be set by at least one non-test file in the
+// repository — a daemon, a benchmark, an example, or a package that
+// configures another. A field only tests set is a branch no program
+// runs; it becomes a constant, goes with its branch, or is a named test
+// seam in unsetAllowed.
 package repro
 
 import (
@@ -28,24 +29,30 @@ var configTypes = map[string][]string{
 	"internal/blob":         {"Config"},
 	"internal/catalog":      {"Config"},
 	"internal/core":         {"ClassicCloudRunner", "MapReduceRunner", "DryadRunner"},
-	"internal/hdfs":         {"Config"},
 	"internal/mapreduce":    {"JobConfig"},
-	"internal/dryad":        {"SelectOptions"},
 }
 
-// unsetAllowed exempts fields ("internal/queue.Config.Seed") that may
-// stay without a setter, each with the reason it is kept.
+// unsetAllowed names the test seams: fields no program sets, kept
+// exported because tests reach a path through them that no constant
+// could, each with its reason. An entry whose field is gone, or has
+// found a setter outside the tests, fails the guard too.
 var unsetAllowed = map[string]string{
-	// field: reason
+	"internal/queue.Config.Clock":                 "the fake clock: visibility timeouts and lease lapses without sleeping",
+	"internal/blob.Config.Clock":                  "the fake clock behind the consistency window",
+	"internal/queue.Config.DuplicateProb":         "the at-least-once fault (duplicate delivery) the Classic Cloud model must survive",
+	"internal/blob.Config.ConsistencyWindow":      "the eventual-consistency fault (stale or missing reads) the Classic Cloud model must survive",
+	"internal/queue/shard.Config.ForwardInterval": "set to an hour by the router scripts, so no wall-clock forwarder breaks a seeded script",
+	"internal/blob.Config.RequestLatency":         "storage round-trip model ROADMAP item 1(c)'s benchmark twin is specified to set",
+	"internal/blob.Config.BandwidthBytesPerSec":   "storage round-trip model ROADMAP item 1(c)'s benchmark twin is specified to set",
 }
 
 // optionFields is the size of the guarded option space. It moves only
 // in a change that means to move it.
-const optionFields = 112
+const optionFields = 90
 
 func TestEveryConfigFieldHasASetter(t *testing.T) {
 	fset := token.NewFileSet()
-	files := map[string]*ast.File{} // by slash path relative to the repo root
+	files := map[string]*ast.File{} // non-test files, by slash path relative to the repo root
 	err := filepath.WalkDir(".", func(path string, d fs.DirEntry, err error) error {
 		if err != nil {
 			return err
@@ -56,8 +63,8 @@ func TestEveryConfigFieldHasASetter(t *testing.T) {
 			}
 			return nil
 		}
-		if !strings.HasSuffix(path, ".go") {
-			return nil
+		if !strings.HasSuffix(path, ".go") || strings.HasSuffix(path, "_test.go") {
+			return nil // tests set fields, but a field only tests set is what this guard is for
 		}
 		f, err := parser.ParseFile(fset, path, nil, parser.SkipObjectResolution)
 		if err != nil {
@@ -78,9 +85,6 @@ func TestEveryConfigFieldHasASetter(t *testing.T) {
 		}
 	}
 	for path, f := range files {
-		if strings.HasSuffix(path, "_test.go") {
-			continue
-		}
 		dir := filepath.ToSlash(filepath.Dir(path))
 		ast.Inspect(f, func(n ast.Node) bool {
 			ts, ok := n.(*ast.TypeSpec)
@@ -112,20 +116,33 @@ func TestEveryConfigFieldHasASetter(t *testing.T) {
 	}
 
 	for path, f := range files {
-		markSetters(f, filepath.ToSlash(filepath.Dir(path)), strings.HasSuffix(path, "_test.go"), fields)
+		markSetters(f, filepath.ToSlash(filepath.Dir(path)), fields)
 	}
 
 	var unset []string
 	for typ, set := range fields {
 		for name, has := range set {
-			if _, allowed := unsetAllowed[typ+"."+name]; !has && !allowed {
-				unset = append(unset, typ+"."+name)
+			field := typ + "." + name
+			reason, allowed := unsetAllowed[field]
+			switch {
+			case allowed && has:
+				t.Errorf("unsetAllowed lists %s, which a non-test file now sets: drop the entry", field)
+			case allowed && reason == "":
+				t.Errorf("unsetAllowed lists %s without a reason", field)
+			case !allowed && !has:
+				unset = append(unset, field)
 			}
+		}
+	}
+	for field := range unsetAllowed {
+		dot := strings.LastIndex(field, ".")
+		if _, ok := fields[field[:dot]][field[dot+1:]]; !ok {
+			t.Errorf("unsetAllowed lists %s, which no longer exists: drop the entry", field)
 		}
 	}
 	sort.Strings(unset)
 	if len(unset) > 0 {
-		t.Errorf("%d config fields are set by no file in the repository; make each a constant or give it a caller:\n  %s",
+		t.Errorf("%d config fields are set by no non-test file; make each a constant, delete it with its branch, or name it a seam in unsetAllowed:\n  %s",
 			len(unset), strings.Join(unset, "\n  "))
 	}
 	if total != optionFields {
@@ -137,10 +154,10 @@ func TestEveryConfigFieldHasASetter(t *testing.T) {
 // composite literal whose type resolves, through the file's imports, to
 // a guarded type, and the field of an x.Field = v assignment. The
 // parser alone cannot type x, so an assignment credits every guarded
-// type the file imports that has such a field — and, in a test file,
-// the package's own: a package filling in its own defaults
-// (withDefaults) is not a caller.
-func markSetters(f *ast.File, dir string, isTest bool, fields map[string]map[string]bool) {
+// type the file imports that has such a field, but never the package's
+// own: a package filling in its own defaults (withDefaults) is not a
+// caller.
+func markSetters(f *ast.File, dir string, fields map[string]map[string]bool) {
 	imports := map[string]string{} // local name → package directory
 	for _, im := range f.Imports {
 		p, _ := strconv.Unquote(im.Path.Value)
@@ -166,7 +183,7 @@ func markSetters(f *ast.File, dir string, isTest bool, fields map[string]map[str
 		}
 		return ""
 	}
-	assignable := map[string]bool{dir: isTest} // packages whose fields an assignment here may credit
+	assignable := map[string]bool{} // packages whose fields an assignment here may credit
 	for _, p := range imports {
 		assignable[p] = true
 	}

@@ -60,7 +60,7 @@ func shardStealingGroup(t *testing.T, group string) string {
 }
 
 func TestPoisonTaskSurvivesShardRebalance(t *testing.T) {
-	router := shard.NewRouter(shard.Config{ForwardInterval: 2 * time.Millisecond})
+	router := shard.NewRouter(shard.Config{})
 	defer router.Close()
 	for i := 0; i < 4; i++ {
 		if err := router.AddShard(fmt.Sprintf("s%d", i), queue.NewService(queue.Config{Seed: int64(i + 1)})); err != nil {
@@ -180,7 +180,7 @@ func TestPoisonTaskSurvivesShardRebalance(t *testing.T) {
 // that re-sent messages through the public API would fail this test
 // the same way a count-resetting rebalance fails the one above.
 func TestPoisonTaskSurvivesHotGroupSplit(t *testing.T) {
-	router := shard.NewRouter(shard.Config{ForwardInterval: 2 * time.Millisecond})
+	router := shard.NewRouter(shard.Config{})
 	defer router.Close()
 	for i := 0; i < 4; i++ {
 		if err := router.AddShard(fmt.Sprintf("s%d", i), queue.NewService(queue.Config{Seed: int64(i + 1)})); err != nil {

@@ -25,7 +25,7 @@ import (
 func TestBrokerOverMixedTransports(t *testing.T) {
 	// Two plain HTTP queue nodes behind the router — no wire listener
 	// on either; only the router's front door speaks wire.
-	router := shard.NewRouter(shard.Config{ForwardInterval: 2 * time.Millisecond})
+	router := shard.NewRouter(shard.Config{})
 	defer router.Close()
 	for i := 0; i < 2; i++ {
 		svc := queue.NewService(queue.Config{Seed: int64(i + 1)})
