@@ -46,8 +46,9 @@
 // -replan-error, -replan-cooldown).
 //
 // Each job is assigned a trace ID at submission (reported in its
-// status); every queue request its control loop and workers make carries
-// it as X-Trace-Id. -pprof serves net/http/pprof under /debug/pprof/.
+// status); every queue request its control loop and workers make is
+// scoped to it (queue.WithTrace). -pprof serves net/http/pprof under
+// /debug/pprof/.
 package main
 
 import (

@@ -1,7 +1,7 @@
 // Command paperbench regenerates every table and figure of the paper's
 // evaluation. Each experiment prints the same rows or series the paper
 // reports; absolute values come from the calibrated performance model
-// (see EXPERIMENTS.md for paper-versus-measured).
+// (internal/perfmodel).
 //
 // Usage:
 //
@@ -14,8 +14,6 @@ import (
 	"encoding/json"
 	"flag"
 	"fmt"
-	"net"
-	"net/http/httptest"
 	"os"
 	"sort"
 	"strings"
@@ -31,7 +29,6 @@ import (
 	"repro/internal/perfmodel"
 	"repro/internal/queue"
 	"repro/internal/queue/shard"
-	"repro/internal/queue/wire"
 	"repro/internal/telemetry"
 	"repro/internal/workload"
 )
@@ -115,7 +112,6 @@ func experiments() []experiment {
 		{"queuebench", "Queue core throughput baseline (writes BENCH_queue.json)", queueBench},
 		{"queueshard", "Sharded queue front scaling curve (writes BENCH_shard.json)", queueShard},
 		{"queueskew", "Hot-group splitting on a Zipf-skewed workload (writes BENCH_skew.json)", queueSkew},
-		{"queuewire", "Wire vs HTTP transport on the shard curve (writes BENCH_wire.json)", queueWire},
 		{"brokerrecover", "Broker journal replay and append overhead (writes BENCH_broker.json)", brokerRecover},
 		{"queuedurable", "Durable queue shards: journaling cost, recovery, failover (writes BENCH_durable.json)", queueDurable},
 		{"replan", "Calibration catalog + mid-job re-planning loop (writes BENCH_replan.json)", replanBench},
@@ -1049,179 +1045,6 @@ func queueSkew() {
 		return
 	}
 	fmt.Println("baseline written to BENCH_skew.json")
-}
-
-// wirePoint is one shard count measured over both transports.
-type wirePoint struct {
-	Shards             int     `json:"shards"`
-	HTTPRequestsPerSec float64 `json:"http_requests_per_sec"`
-	WireRequestsPerSec float64 `json:"wire_requests_per_sec"`
-	// Speedup is wire over HTTP requests/s at the same shard count —
-	// the number the wire protocol exists to move.
-	Speedup float64 `json:"wire_vs_http_speedup"`
-}
-
-// wireBenchReport is the BENCH_wire.json schema: the binary wire
-// transport versus the JSON/HTTP face on the sharded contention
-// workload. Unlike BENCH_shard.json the shards here are NOT
-// capacity-throttled (no ServiceTime): the transport is deliberately
-// the bottleneck, so the curve isolates per-request encoding and
-// framing cost rather than modeled service capacity.
-type wireBenchReport struct {
-	Queues          int         `json:"queues"`
-	WorkersPerQueue int         `json:"workers_per_queue"`
-	Curve           []wirePoint `json:"curve"`
-	// Harness-side receive latency at the top (8-shard) point, in
-	// nanoseconds from calling ReceiveMessageWait on the router to its
-	// return — transport round trip plus router routing, the latency a
-	// worker actually experiences.
-	HTTPReceiveP50Ns float64 `json:"http_receive_p50_ns"`
-	HTTPReceiveP99Ns float64 `json:"http_receive_p99_ns"`
-	WireReceiveP50Ns float64 `json:"wire_receive_p50_ns"`
-	WireReceiveP99Ns float64 `json:"wire_receive_p99_ns"`
-}
-
-// queueWire re-runs the shard contention curve with real remote shards
-// — every backend behind a loopback listener — once over the JSON/HTTP
-// client and once over the binary wire client, and reports the
-// throughput ratio. Results go to BENCH_wire.json; CI gates the ratio,
-// so a change that quietly fattens the hot path fails the bench job.
-func queueWire() {
-	rep := wireBenchReport{Queues: 64, WorkersPerQueue: 4}
-	const cyclesPerWorker = 25
-	const token = "bench-transfer"
-
-	// runCurve measures one (shard count, transport) cell: aggregate
-	// billed requests/s through the router and every receive's latency.
-	runCurve := func(nShards int, useWire bool) (rps float64, recvNs []float64, err error) {
-		router := shard.NewRouter(shard.Config{})
-		defer router.Close()
-		var cleanups []func()
-		defer func() {
-			for i := len(cleanups) - 1; i >= 0; i-- {
-				cleanups[i]()
-			}
-		}()
-		for i := 0; i < nShards; i++ {
-			svc := queue.NewService(queue.Config{Seed: int64(i + 1)})
-			hs := httptest.NewServer(&queue.HTTPHandler{Service: svc, AdminTokens: []string{token}})
-			cleanups = append(cleanups, hs.Close)
-			httpc := &queue.HTTPClient{BaseURL: hs.URL, AdminToken: token}
-			backend := queue.API(httpc)
-			if useWire {
-				ln, lerr := net.Listen("tcp", "127.0.0.1:0")
-				if lerr != nil {
-					return 0, nil, lerr
-				}
-				ws := &wire.Server{Service: svc, AdminTokens: []string{token}}
-				go ws.Serve(ln)
-				cleanups = append(cleanups, func() { ws.Close() })
-				wc := wire.Dial(ln.Addr().String(), wire.Options{AdminToken: token, Fallback: httpc})
-				cleanups = append(cleanups, func() { wc.Close() })
-				backend = wc
-			}
-			if err := router.AddShard(fmt.Sprintf("s%d", i), backend); err != nil {
-				return 0, nil, err
-			}
-		}
-		for q := 0; q < rep.Queues; q++ {
-			if err := router.CreateQueue(fmt.Sprintf("q%d", q)); err != nil {
-				return 0, nil, err
-			}
-		}
-		baseReq := router.APIRequests()
-		var mu sync.Mutex
-		var wg sync.WaitGroup
-		start := time.Now()
-		for q := 0; q < rep.Queues; q++ {
-			qn := fmt.Sprintf("q%d", q)
-			for w := 0; w < rep.WorkersPerQueue; w++ {
-				wg.Add(1)
-				go func() {
-					defer wg.Done()
-					lat := make([]float64, 0, cyclesPerWorker)
-					for i := 0; i < cyclesPerWorker; i++ {
-						router.SendMessage(qn, []byte("task-payload-for-the-transport-benchmark"))
-						t0 := time.Now()
-						m, ok, _ := router.ReceiveMessageWait(qn, time.Hour, 50*time.Millisecond)
-						lat = append(lat, float64(time.Since(t0).Nanoseconds()))
-						if ok {
-							router.DeleteMessage(qn, m.ReceiptHandle)
-						}
-					}
-					mu.Lock()
-					recvNs = append(recvNs, lat...)
-					mu.Unlock()
-				}()
-			}
-		}
-		wg.Wait()
-		elapsed := time.Since(start).Seconds()
-		return float64(router.APIRequests()-baseReq) / elapsed, recvNs, nil
-	}
-
-	percentile := func(sorted []float64, p float64) float64 {
-		if len(sorted) == 0 {
-			return 0
-		}
-		return sorted[int(p*float64(len(sorted)-1))]
-	}
-
-	// Best of 2 per cell, as in queueShard: one descheduled run must
-	// not poison a committed baseline or a CI comparison.
-	for _, n := range []int{1, 2, 4, 8} {
-		p := wirePoint{Shards: n}
-		for run := 0; run < 2; run++ {
-			rps, lat, err := runCurve(n, false)
-			if err != nil {
-				fail(err)
-				return
-			}
-			if rps > p.HTTPRequestsPerSec {
-				p.HTTPRequestsPerSec = rps
-				if n == 8 {
-					sort.Float64s(lat)
-					rep.HTTPReceiveP50Ns = percentile(lat, 0.50)
-					rep.HTTPReceiveP99Ns = percentile(lat, 0.99)
-				}
-			}
-			rps, lat, err = runCurve(n, true)
-			if err != nil {
-				fail(err)
-				return
-			}
-			if rps > p.WireRequestsPerSec {
-				p.WireRequestsPerSec = rps
-				if n == 8 {
-					sort.Float64s(lat)
-					rep.WireReceiveP50Ns = percentile(lat, 0.50)
-					rep.WireReceiveP99Ns = percentile(lat, 0.99)
-				}
-			}
-		}
-		p.Speedup = p.WireRequestsPerSec / p.HTTPRequestsPerSec
-		rep.Curve = append(rep.Curve, p)
-	}
-
-	fmt.Printf("workload: %d queues × %d workers, remote shards over loopback\n",
-		rep.Queues, rep.WorkersPerQueue)
-	for _, p := range rep.Curve {
-		fmt.Printf("%2d shard(s): http %8.0f req/s   wire %8.0f req/s   %.2fx\n",
-			p.Shards, p.HTTPRequestsPerSec, p.WireRequestsPerSec, p.Speedup)
-	}
-	fmt.Printf("receive p50/p99 at 8 shards: http %.0f/%.0f ns   wire %.0f/%.0f ns\n",
-		rep.HTTPReceiveP50Ns, rep.HTTPReceiveP99Ns, rep.WireReceiveP50Ns, rep.WireReceiveP99Ns)
-
-	data, err := json.MarshalIndent(rep, "", "  ")
-	if err != nil {
-		fail(err)
-		return
-	}
-	if err := os.WriteFile("BENCH_wire.json", append(data, '\n'), 0o644); err != nil {
-		fail(err)
-		return
-	}
-	fmt.Println("baseline written to BENCH_wire.json")
 }
 
 // brokerRecoverReport is the BENCH_broker.json schema: the durability

@@ -1,25 +1,24 @@
 // Command queuerouter runs the sharded queue front as a daemon: one
-// SQS-shaped HTTP endpoint (the same protocol a single queue service
-// serves) backed by N shards, each either an in-process service or a
-// remote queue node reached over HTTP. Queue names map to shards by
-// consistent hashing; shards can be added and removed at runtime
-// through the admin API, with live queues migrated by drain-and-forward.
+// queue service backed by N shards, each either an in-process service
+// or a remote queue node. Queue names map to shards by consistent
+// hashing; shards can be added and removed at runtime through the admin
+// API, with live queues migrated by drain-and-forward. A -local 1 router
+// is a plain queue node, so routers can front routers.
 //
 // Usage:
 //
 //	queuerouter -addr :8090 -shards a=http://node1:8080,b=http://node2:8080
 //	queuerouter -addr :8090 -local 4     # 4 in-process shards (demo/bench)
-//	queuerouter -addr :8090 -local 4 -wire-addr :8091   # + binary wire listener
+//	queuerouter -addr :8090 -local 4 -wire-addr :8091   # wire listener on a fixed port
 //
-// Queue API: every endpoint of internal/queue.HTTPHandler, unchanged —
-// consumers point their queue.HTTPClient at the router instead of a
-// single node. With -wire-addr the router additionally serves the
-// binary wire protocol (internal/queue/wire) on a second listener and
-// advertises it at GET /wire, so wire.Client consumers skip JSON and
-// HTTP framing on the hot path. The router itself probes each remote
-// shard's GET /wire on registration and speaks wire to shards that
-// advertise it, falling back to HTTP/JSON per request if the wire
-// connection is down.
+// Queue API: the binary wire protocol (internal/queue/wire), served on
+// -wire-addr (default ":0", any free port) and advertised over HTTP at
+// GET /wire; consumers find it with wire.DiscoverAddr and wire.Dial it.
+// The router reaches each remote shard the same way: it reads the
+// shard's GET /wire on registration and refuses a URL that advertises
+// no wire endpoint — at start-up it exits, PUT /admin/shards/{id}
+// answers the "internal" failure naming the URL. The HTTP listener
+// (-addr) carries only /wire, /admin/, /metrics and /debug/pprof/.
 //
 // Admin API — every endpoint answers the same versioned JSON envelope,
 // {"v":1,"ok":true,"data":…} on success and
@@ -78,13 +77,13 @@
 // Observability:
 //
 //	GET /metrics    router telemetry — per-op latency histograms, per-shard
-//	                request rates and backlog gauges, HTTP latency
+//	                request rates and backlog gauges, wire op latency
 //	                (Prometheus text; ?format=json for JSON)
 //
-// -slow logs any request slower than the threshold, keyed by the
-// X-Trace-Id request header (generated when absent, echoed always), so a
-// slow call is attributable across router and shard logs. -pprof
-// additionally serves net/http/pprof under /debug/pprof/.
+// -slow logs any wire request slower than the threshold with its trace
+// ID (the frame's trace field), so a slow call is attributable across
+// router and shard logs. -pprof additionally serves net/http/pprof under
+// /debug/pprof/.
 //
 // Placement groups: the ring hashes the part of a queue name before
 // the first '/' (so "job-7/tasks" and "job-7/monitor" share a shard);
@@ -92,12 +91,12 @@
 // group's shard via the same drain-and-forward machinery.
 //
 // Migration transfers messages with their delivery counts preserved
-// through the privileged transfer endpoint. -transfer-token provisions
-// that endpoint on this router AND authorizes the router against its
+// through the privileged transfer opcode. -transfer-token provisions
+// that opcode on this router AND authorizes the router against its
 // remote shards (which must run with the same token); without it,
 // migration falls back to a count-resetting public re-send. The flag
 // takes a comma-separated list for zero-downtime rotation: every listed
-// token is ACCEPTED on this router's transfer endpoint, and the FIRST is
+// token is ACCEPTED on this router's transfer opcode, and the FIRST is
 // presented to remote shards — provision old+new on the shards, list
 // "new,old" here, then drop the old everywhere.
 package main
@@ -173,21 +172,20 @@ func parseShards(s string) (map[string]string, error) {
 	return out, nil
 }
 
-// dialShard builds the backend for a remote shard: the wire transport
-// when the node advertises one at GET /wire, plain HTTP otherwise. The
-// HTTP client always exists — it is the wire client's per-request
-// fallback, so a wire listener outage degrades to JSON instead of
-// failing traffic.
-func dialShard(url, token string, reg *telemetry.Registry) (queue.API, string) {
-	httpc := &queue.HTTPClient{BaseURL: url, AdminToken: token}
-	if waddr, ok := wire.DiscoverAddr(url); ok {
-		return wire.Dial(waddr, wire.Options{
-			AdminToken: token,
-			Metrics:    reg,
-			Fallback:   httpc,
-		}), fmt.Sprintf("%s (wire %s)", url, waddr)
+// dialShard builds the backend for a remote shard: a wire client for
+// the address the node advertises at GET /wire. A node that advertises
+// none is refused, with the reason.
+func dialShard(url, token string, reg *telemetry.Registry) (*wire.Client, error) {
+	addr, err := wire.DiscoverAddr(url)
+	if err != nil {
+		return nil, err // it names the URL and the reason
 	}
-	return httpc, url + " (http)"
+	return wire.Dial(addr, wire.Options{AdminToken: token, Metrics: reg}), nil
+}
+
+// describe names a dialed shard in logs and admin answers.
+func describe(url string, c *wire.Client) string {
+	return fmt.Sprintf("%s (wire %s)", url, c.Addr())
 }
 
 // adminHandler manages router topology and placement over HTTP.
@@ -285,11 +283,11 @@ type standbyLag struct {
 	Error string `json:"error,omitempty"`
 }
 
-// init builds the admin route table, as queue.HTTPHandler does the queue
-// face's. Each path's method-less twin (less specific than its method
-// patterns) and "/" keep a wrong method and an unknown path inside the
-// JSON envelope; only a mux's own 301 for a non-canonical path ("//",
-// "..") is plain text, as it always was from main's outer mux.
+// init builds the admin route table. Each path's method-less twin (less
+// specific than its method patterns) and "/" keep a wrong method and an
+// unknown path inside the JSON envelope; only a mux's own 301 for a
+// non-canonical path ("//", "..") is plain text, as it always was from
+// main's outer mux.
 func (h *adminHandler) init() {
 	h.mux = http.NewServeMux()
 	type methods map[string]http.HandlerFunc
@@ -426,7 +424,12 @@ func (h *adminHandler) serveAddShard(w http.ResponseWriter, r *http.Request) {
 		writeAdminFail(w, http.StatusBadRequest, "bad_request", "missing url parameter")
 		return
 	}
-	backend, desc := dialShard(url, h.transferToken, h.metrics)
+	backend, err := dialShard(url, h.transferToken, h.metrics)
+	if err != nil {
+		reply(w, err, 0, nil, "") // not a router sentinel: the "internal" envelope
+		return
+	}
+	desc := describe(url, backend)
 	reply(w, h.router.AddShard(id, backend), http.StatusCreated, map[string]string{"shard": id, "backend": desc},
 		"added shard %q at %s", id, desc)
 }
@@ -442,12 +445,12 @@ func main() {
 		"remote shards as id=url pairs, e.g. a=http://node1:8080,b=http://node2:8080")
 	local := flag.Int("local", 0, "run N in-process shards instead of remote ones")
 	vnodes := flag.Int("vnodes", 0, "virtual nodes per shard on the hash ring (default 64)")
-	wireAddr := flag.String("wire-addr", "",
-		"serve the binary wire protocol on this additional listener, advertised at GET /wire (empty disables)")
+	wireAddr := flag.String("wire-addr", ":0",
+		"listen address of the wire protocol, the queue API, advertised at GET /wire (:0 picks a free port)")
 	transferToken := flag.String("transfer-token", "",
-		"admin token(s) for the privileged count-preserving transfer endpoint, comma-separated for rotation: all are accepted by this router, the first is presented to remote shards (empty disables the endpoint; migration then re-sends publicly, resetting delivery counts)")
+		"admin token(s) for the privileged count-preserving transfer opcode, comma-separated for rotation: all are accepted by this router, the first is presented to remote shards (empty disables transfers; migration then re-sends publicly, resetting delivery counts)")
 	slow := flag.Duration("slow", 0,
-		"log requests slower than this, keyed by X-Trace-Id (0 disables)")
+		"log wire requests slower than this with their trace ID (0 disables)")
 	pprofOn := flag.Bool("pprof", false, "serve net/http/pprof under /debug/pprof/")
 	autoscale := flag.Bool("autoscale", false,
 		"enable the shard-fleet autoscaler: split hot groups, weight ring arcs by load, and add/remove shards from the reserve (then in-process spawns with -local)")
@@ -501,11 +504,14 @@ func main() {
 	router := shard.NewRouter(shard.Config{VirtualNodes: *vnodes, Metrics: reg})
 	defer router.Close()
 	for id, url := range remotes {
-		backend, desc := dialShard(url, presentToken, reg)
+		backend, err := dialShard(url, presentToken, reg)
+		if err != nil {
+			log.Fatalf("queuerouter: -shards %s: %v", id, err)
+		}
 		if err := router.AddShard(id, backend); err != nil {
 			log.Fatalf("queuerouter: add shard %q: %v", id, err)
 		}
-		log.Printf("queuerouter: shard %q -> %s", id, desc)
+		log.Printf("queuerouter: shard %q -> %s", id, describe(url, backend))
 	}
 	// Durable mode journals every local shard into one shared blob
 	// store (standing in for the storage web service a real deployment
@@ -584,9 +590,12 @@ func main() {
 		}
 		var reserve []shard.ReserveShard
 		for id, url := range reserves {
-			backend, desc := dialShard(url, presentToken, reg)
+			backend, err := dialShard(url, presentToken, reg)
+			if err != nil {
+				log.Fatalf("queuerouter: -autoscale-reserve %s: %v", id, err)
+			}
 			reserve = append(reserve, shard.ReserveShard{ID: id, Backend: backend})
-			log.Printf("queuerouter: reserve shard %q -> %s", id, desc)
+			log.Printf("queuerouter: reserve shard %q -> %s", id, describe(url, backend))
 		}
 		// Reserve shards join the ring in a stable order across restarts.
 		sort.Slice(reserve, func(i, j int) bool { return reserve[i].ID < reserve[j].ID })
@@ -626,27 +635,18 @@ func main() {
 		log.Printf("queuerouter: pprof enabled on /debug/pprof/")
 	}
 	mux.Handle("/admin/", &adminHandler{router: router, metrics: reg, auto: auto, followers: followers, transferToken: presentToken})
-	qh := &queue.HTTPHandler{
-		Service:     router,
-		AdminTokens: tokens,
-		SlowRequest: *slow,
-		Metrics:     reg,
+	ln, err := net.Listen("tcp", *wireAddr)
+	if err != nil {
+		log.Fatalf("queuerouter: -wire-addr: %v", err)
 	}
-	if *wireAddr != "" {
-		ln, err := net.Listen("tcp", *wireAddr)
-		if err != nil {
-			log.Fatalf("queuerouter: -wire-addr: %v", err)
+	ws := &wire.Server{Service: router, AdminTokens: tokens, SlowRequest: *slow, Metrics: reg}
+	go func() {
+		if err := ws.Serve(ln); err != nil && !errors.Is(err, wire.ErrServerClosed) {
+			log.Fatalf("queuerouter: wire listener: %v", err)
 		}
-		ws := &wire.Server{Service: router, AdminTokens: tokens, Metrics: reg}
-		go func() {
-			if err := ws.Serve(ln); err != nil && !errors.Is(err, wire.ErrServerClosed) {
-				log.Fatalf("queuerouter: wire listener: %v", err)
-			}
-		}()
-		qh.WireAddr = ln.Addr().String()
-		log.Printf("queuerouter: wire protocol on %s", ln.Addr())
-	}
-	mux.Handle("/", qh)
+	}()
+	mux.Handle("GET /wire", wire.Advertise(ln.Addr().String()))
+	log.Printf("queuerouter: wire protocol on %s", ln.Addr())
 	log.Printf("queuerouter: listening on %s with %d shard(s)", *addr, len(router.Shards()))
 	if err := http.ListenAndServe(*addr, mux); err != nil {
 		log.Fatal(err)

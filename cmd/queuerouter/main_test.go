@@ -16,6 +16,7 @@ import (
 	"repro/internal/journal"
 	"repro/internal/queue"
 	"repro/internal/queue/shard"
+	"repro/internal/queue/wire"
 	"repro/internal/telemetry"
 )
 
@@ -60,6 +61,10 @@ func TestAdminEnvelope(t *testing.T) {
 	if err := r.CreateQueue("q1"); err != nil {
 		t.Fatal(err)
 	}
+	// A node advertising a wire address: dialing is lazy, so nothing
+	// need listen there for the router to judge the shard id.
+	node := httptest.NewServer(wire.Advertise("127.0.0.1:9"))
+	defer node.Close()
 
 	status, resp := do(t, h, http.MethodGet, "/admin/shards")
 	if status != http.StatusOK || !resp.OK {
@@ -85,7 +90,7 @@ func TestAdminEnvelope(t *testing.T) {
 		{http.MethodPost, "/admin/regroup?queue=q1&group=a/b", http.StatusBadRequest, "bad_group"},
 		{http.MethodPost, "/admin/split?group=g&k=0", http.StatusBadRequest, "bad_split"},
 		{http.MethodPost, "/admin/split", http.StatusBadRequest, "bad_request"},
-		{http.MethodPut, "/admin/shards/a?url=http://x", http.StatusConflict, "shard_exists"},
+		{http.MethodPut, "/admin/shards/a?url=" + node.URL, http.StatusConflict, "shard_exists"},
 		{http.MethodPut, "/admin/shards/x", http.StatusBadRequest, "bad_request"},
 		{http.MethodPost, "/admin/failover", http.StatusBadRequest, "bad_request"},
 		{http.MethodPost, "/admin/failover?shard=ghost", http.StatusNotFound, "no_such_shard"},
@@ -227,8 +232,8 @@ func TestDumpJournalFlag(t *testing.T) {
 
 // A shard URL whose node accepts and never answers must not stall
 // start-up or PUT /admin/shards/{id}: discovery gives up within the
-// dial timeout and the shard is served over HTTP.
-func TestDialShardFallsBackWhenDiscoveryHangs(t *testing.T) {
+// dial timeout and the shard is refused, with the URL and the reason.
+func TestDialShardRefusesWhenDiscoveryHangs(t *testing.T) {
 	t.Parallel()
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
@@ -243,17 +248,33 @@ func TestDialShardFallsBackWhenDiscoveryHangs(t *testing.T) {
 	}()
 	url := "http://" + ln.Addr().String()
 	start := time.Now()
-	api, desc := dialShard(url, "tok", nil)
+	c, err := dialShard(url, "tok", nil)
 	if elapsed := time.Since(start); elapsed > 6*time.Second {
 		t.Errorf("dialShard took %v against a silent node, want the 3s dial timeout", elapsed)
 	}
-	if c, ok := api.(*queue.HTTPClient); !ok || c.BaseURL != url || desc != url+" (http)" {
-		t.Errorf("dialShard = %T %q, want the HTTP client for %s", api, desc, url)
+	if c != nil || err == nil || !strings.Contains(err.Error(), url) || !strings.Contains(err.Error(), "unreachable") {
+		t.Errorf("dialShard = %v, %v; want a refusal naming %s as unreachable", c, err, url)
 	}
 	select {
 	case c := <-held:
 		c.Close()
 	default:
 		t.Error("discovery never connected")
+	}
+}
+
+// PUT /admin/shards/{id} with the URL of a server that serves no GET
+// /wire answers the failure envelope naming the URL, and the topology
+// is unchanged.
+func TestAddShardRefusesANodeWithoutWire(t *testing.T) {
+	r, h := adminRig(t)
+	plain := httptest.NewServer(http.NotFoundHandler())
+	defer plain.Close()
+	status, resp := do(t, h, http.MethodPut, "/admin/shards/x?url="+plain.URL)
+	if status != http.StatusBadGateway || resp.OK || resp.Error.Code != "internal" || !strings.Contains(resp.Error.Message, plain.URL) {
+		t.Errorf("PUT of a node without wire: %d %+v, want 502 internal naming %s", status, resp.Error, plain.URL)
+	}
+	if got := r.Shards(); len(got) != 2 {
+		t.Errorf("shards after the refusal: %v, want the rig's two", got)
 	}
 }

@@ -254,10 +254,10 @@ func (b *Broker) newJob(id string) *Job {
 		j.jl = &jobJournal{log: journal.Log{Store: b.cfg.Env.Blob, Bucket: b.cfg.JournalBucket, Key: journalKey(id)}}
 	}
 	// The job's queue client is scoped to its trace ID when the backend
-	// supports it (the HTTP client and the shard router both do; others
+	// supports it (the wire client and the shard router both do; others
 	// are used unchanged): every queue request the control loop and the
-	// worker fleet make then carries X-Trace-Id, so one job's traffic can
-	// be followed across the router to the owning shard.
+	// worker fleet make then carries it, so one job's traffic can be
+	// followed across the router to the owning shard.
 	j.env.Queue = queue.WithTrace(j.env.Queue, j.trace)
 	j.cc = classiccloud.NewClient(j.env, j.ccCfg)
 	return j

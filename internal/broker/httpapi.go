@@ -15,8 +15,7 @@ import (
 	"repro/internal/httpx"
 )
 
-// HTTPHandler exposes a Broker through a REST interface, the broker
-// counterpart of queue's HTTP face:
+// HTTPHandler exposes a Broker through a REST interface:
 //
 //	POST /jobs                     submit a job (length-framed body, see encodeJobRequest)
 //	GET  /jobs                     list job statuses

@@ -24,7 +24,7 @@ import (
 
 // Env bundles the cloud infrastructure services a deployment uses —
 // the (S3/Azure Blob, SQS/Azure Queue) pair. Queue is any queue.API:
-// a single in-process service, a remote service over HTTP, or a
+// a single in-process service, a remote service over wire, or a
 // shard.Router fanning the namespace across many services.
 type Env struct {
 	Blob  *blob.Store

@@ -42,9 +42,8 @@ type InstanceType struct {
 
 // EC2 instance types from Table 1. Clock speeds follow the paper's
 // annotations (~2.0, ~2.5, ~3.25 GHz); memory bandwidth values are
-// modelling estimates consistent with the era's hardware (documented in
-// DESIGN.md) chosen so that memory-bound workloads reproduce the paper's
-// ordering.
+// modelling estimates consistent with the era's hardware, chosen so that
+// memory-bound workloads reproduce the paper's ordering.
 var (
 	EC2Large = InstanceType{
 		Name: "Large", Provider: AWS, MemoryGB: 7.5, ComputeUnits: 4, Cores: 2,

@@ -5,7 +5,7 @@
 //  1. Application models — per-task compute demand (GHz·seconds), memory
 //     traffic, shared-data residency, and transfer sizes for Cap3, BLAST
 //     and GTM Interpolation, calibrated against the paper's reported
-//     runtimes and cost table (see EXPERIMENTS.md for the calibration).
+//     runtimes and cost table.
 //  2. Machine models — the instance catalog of internal/cloud: per-core
 //     clock, aggregate memory bandwidth shared by concurrent workers, and
 //     memory capacity for shared data.
@@ -56,7 +56,7 @@ type AppModel struct {
 // Cap3 work calibration: WorkGHzSec = cap3WorkPerRead × reads. The value
 // is fixed by Table 4: 4096 files of 458 reads must finish within one
 // billed hour both on 16 HCXL instances (128 × 2.5 GHz cores) and on 128
-// Azure Small instances (1.6 GHz, Windows) — see EXPERIMENTS.md.
+// Azure Small instances (1.6 GHz, Windows).
 const cap3WorkPerRead = 0.437 // GHz·s per read
 
 // Cap3Model returns the Cap3 model for FASTA files of the given read

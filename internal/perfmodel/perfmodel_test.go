@@ -314,7 +314,7 @@ func TestTable4MatchesPaper(t *testing.T) {
 		t.Errorf("jobs must fit in one billed hour: %v, %v", tbl.EC2Makespan, tbl.AzureMakespan)
 	}
 	// Totals close to the paper's 11.13 / 15.77 (queue-request accounting
-	// differs by cents; see EXPERIMENTS.md).
+	// differs by cents).
 	if math.Abs(tbl.EC2Total-11.13) > 0.05 {
 		t.Errorf("EC2 total = %.2f, want ≈ 11.13", tbl.EC2Total)
 	}

@@ -116,8 +116,8 @@ func (c *FakeClock) AdvanceCh() <-chan struct{} {
 // receivers must treat it as read-only. Mutating it corrupts future
 // redeliveries of the same message. It stays valid for as long as the
 // receiver holds it, whatever becomes of the message. Remote consumers
-// get their own copy — the HTTP and wire transports both copy bodies at
-// the protocol boundary.
+// get their own copy — the wire transport copies bodies at the protocol
+// boundary.
 type Message struct {
 	ID            string
 	Body          []byte
@@ -406,7 +406,7 @@ func (h *inflightHeap) Pop() any {
 }
 
 // Errors returned by the service. Consumers must match them with
-// errors.Is, never by substring: the HTTP client reconstructs them from
+// errors.Is, never by substring: the wire client reconstructs them from
 // status codes with extra context wrapped around the sentinel, and the
 // shard router relies on errors.Is to tell "queue deleted" apart from
 // "message owned by another shard".
@@ -423,8 +423,8 @@ var (
 	// ErrNotPrivileged rejects a message transfer from a caller without
 	// access to the privileged admin surface. Local in-process callers
 	// are always trusted (whoever holds the *Service is the operator);
-	// the sentinel is produced by the HTTP layer, where the transfer
-	// endpoint must be explicitly provisioned with an admin token.
+	// the sentinel is produced by the wire server, where the transfer
+	// opcode must be explicitly provisioned with an admin token.
 	ErrNotPrivileged = errors.New("queue: message transfer requires the privileged admin surface")
 	// ErrBadTransfer rejects a transfer item carrying a negative
 	// delivery count.
@@ -432,7 +432,7 @@ var (
 )
 
 // API is the queue-service surface shared by every implementation: the
-// in-process Service, the HTTPClient speaking to a remote service, and
+// in-process Service, the wire.Client speaking to a remote service, and
 // shard.Router fanning one namespace across many services. Consumers
 // (classiccloud, broker) program against this interface, so a
 // deployment can swap a single service for a sharded front without
@@ -456,10 +456,10 @@ type API interface {
 }
 
 // TraceScoper is optionally implemented by API implementations that can
-// bind a request/trace ID to their outgoing traffic: HTTPClient injects
-// it as the telemetry.TraceHeader on every request, and shard.Router
-// threads it through to whichever backend serves the call. WithTrace
-// returns a scoped view sharing all state with the receiver — the
+// bind a request/trace ID to their outgoing traffic: wire.Client carries
+// it in every frame's trace field, and shard.Router threads it through
+// to whichever backend serves the call. WithTrace returns a scoped view
+// sharing all state with the receiver — the
 // original keeps working untraced, and scoped views are cheap enough to
 // create per job or per request. The in-process Service is a terminal
 // hop and does not implement it.
@@ -486,7 +486,7 @@ func WithTrace(api API, trace string) API {
 // mutating delivery state. Stats scrapers prefer it over
 // ApproximateCount so observing a backlog does not inflate the billing
 // reported next to it; implementations with no unbilled path (a remote
-// HTTPClient, where the probe is a real request) simply don't
+// wire.Client, where the probe is a real request) simply don't
 // implement it.
 type DepthReporter interface {
 	QueueDepth(queueName string) (visible, inflight int, err error)
@@ -498,8 +498,8 @@ type DepthReporter interface {
 // message's next delivery reports Receives+1, exactly as if every
 // prior delivery had happened on the destination queue.
 type TransferItem struct {
-	Body     []byte `json:"body"`
-	Receives int    `json:"receives"`
+	Body     []byte
+	Receives int
 }
 
 // Transferrer is the privileged migration surface, deliberately NOT
@@ -509,7 +509,7 @@ type TransferItem struct {
 // MaxReceives poison-detection progress. Ordinary producers must use
 // SendMessage, which always starts messages at zero deliveries.
 // Implemented by *Service (in-process callers are trusted), by
-// *HTTPClient carrying an admin token, and by the shard router
+// *wire.Client carrying an admin token, and by the shard router
 // (forwarding to the owning shard), so routers can front routers.
 type Transferrer interface {
 	// TransferIn enqueues body with `receives` prior deliveries,

@@ -51,7 +51,7 @@ func (r *Router) change(edit func() error) error {
 }
 
 // AddShard registers a backend — a local *queue.Service or a remote
-// *queue.HTTPClient — under id and rebalances: every queue whose ring
+// *wire.Client — under id and rebalances: every queue whose ring
 // owner changed (≈1/(N+1) of them, all onto the new shard) is migrated
 // by drain-and-forward before AddShard returns. Straggler forwarding
 // for messages in flight on the old owners continues in the background.
@@ -518,7 +518,7 @@ func (r *Router) forward(name string, rt *route, from string, fromB queue.API) {
 // lease horizon passes, or the router closes.
 //
 // Idle polls back off exponentially from ForwardInterval to a quarter
-// of drainVisibility: every poll is a billed request (a real HTTP round
+// of drainVisibility: every poll is a billed request (a real network round
 // trip on a remote shard), and consumers holding long heartbeat-renewed
 // leases would otherwise draw a constant poll stream for the whole
 // lease.

@@ -4,7 +4,6 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
-	"net/http/httptest"
 	"sync"
 	"testing"
 	"time"
@@ -363,16 +362,14 @@ func TestRegroupRebalanceChurn(t *testing.T) {
 }
 
 // TestRemoteShardMigrationPreservesCounts: the count-preserving
-// transfer works over the wire — a queue drains onto a remote
-// (HTTP-backed) shard whose transfer endpoint is provisioned, and the
-// delivery count survives. Without the token the fallback re-send
-// would reset it.
+// transfer works across a wire shard in both directions — a queue drains
+// onto a remote shard whose transfer opcode is provisioned (batched
+// transfer frames) and back off it (batched drain receives over the
+// wire), and its delivery count survives both moves. Without the token
+// the public re-send would reset it.
 func TestRemoteShardMigrationPreservesCounts(t *testing.T) {
 	const token = "migrate-sekrit"
 	remote := queue.NewService(queue.Config{Seed: 7})
-	srv := httptest.NewServer(&queue.HTTPHandler{Service: remote, AdminTokens: []string{token}})
-	defer srv.Close()
-
 	r := NewRouter(Config{})
 	defer r.Close()
 	if err := r.AddShard("s0", queue.NewService(queue.Config{Seed: 1})); err != nil {
@@ -382,18 +379,23 @@ func TestRemoteShardMigrationPreservesCounts(t *testing.T) {
 	if _, err := r.SendMessage(qn, []byte("counted")); err != nil {
 		t.Fatal(err)
 	}
-	// Two deliveries, both released back to visible.
-	for i := 1; i <= 2; i++ {
+	// deliver receives the message, checks its count, and releases it
+	// back to visible.
+	deliver := func(want int, where string) {
+		t.Helper()
 		m, ok, err := r.ReceiveMessage(qn, time.Minute)
-		if err != nil || !ok || m.Receives != i {
-			t.Fatalf("delivery %d: ok=%v err=%v", i, ok, err)
+		if err != nil || !ok || m.Receives != want {
+			t.Fatalf("delivery %d %s: ok=%v err=%v receives=%d", want, where, ok, err, m.Receives)
 		}
 		if err := r.ChangeVisibility(qn, m.ReceiptHandle, 0); err != nil {
 			t.Fatal(err)
 		}
 	}
-	// Force the queue onto the remote shard: retire s0.
-	if err := r.AddShard("remote", &queue.HTTPClient{BaseURL: srv.URL, AdminToken: token}); err != nil {
+	deliver(1, "on s0")
+	deliver(2, "on s0")
+
+	// Onto the remote shard: retire s0 unless the ring already moved it.
+	if err := r.AddShard("remote", remoteShard(t, remote, token)); err != nil {
 		t.Fatal(err)
 	}
 	if r.Owners()[qn] != "remote" {
@@ -404,11 +406,21 @@ func TestRemoteShardMigrationPreservesCounts(t *testing.T) {
 	if got := r.Owners()[qn]; got != "remote" {
 		t.Fatalf("queue on %s, want the remote shard", got)
 	}
-	m, ok, err := r.ReceiveMessage(qn, time.Minute)
-	if err != nil || !ok {
-		t.Fatalf("receive from remote shard: ok=%v err=%v", ok, err)
+	if v, _, err := remote.QueueDepth(qn); err != nil || v != 1 {
+		t.Fatalf("remote service holds %d visible (%v), want the migrated message", v, err)
 	}
-	if m.Receives != 3 {
-		t.Errorf("Receives after wire migration = %d, want 3 — count lost crossing the HTTP boundary", m.Receives)
+	deliver(3, "after moving onto the wire shard")
+
+	// And back off it: retiring the remote shard drains the queue onto a
+	// local one.
+	if err := r.AddShard("s1", queue.NewService(queue.Config{Seed: 2})); err != nil {
+		t.Fatal(err)
 	}
+	if err := r.RemoveShard("remote"); err != nil {
+		t.Fatal(err)
+	}
+	if got := r.Owners()[qn]; got == "remote" {
+		t.Fatal("queue still on the retired remote shard")
+	}
+	deliver(4, "after moving off the wire shard")
 }

@@ -292,9 +292,10 @@ var (
 )
 
 // WithTrace returns a view of the router that carries traceID through to
-// every backend hop (queue.TraceScoper): a remote shard client injects
-// it as the X-Trace-Id header, so one logical request stays correlatable
-// from the caller through the router to the shard that served it.
+// every backend hop (queue.TraceScoper): a remote shard's wire client
+// puts it in each frame's trace field, so one logical request stays
+// correlatable from the caller through the router to the shard that
+// served it.
 func (v *routerView) WithTrace(traceID string) queue.API {
 	return &routerView{r: v.r, trace: traceID}
 }

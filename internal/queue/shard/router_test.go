@@ -3,11 +3,12 @@ package shard
 import (
 	"errors"
 	"fmt"
-	"net/http/httptest"
+	"net"
 	"testing"
 	"time"
 
 	"repro/internal/queue"
+	"repro/internal/queue/wire"
 )
 
 // newTestRouter builds a router over n fresh local services.
@@ -206,20 +207,37 @@ func TestRouterBilling(t *testing.T) {
 	}
 }
 
-// TestRouterRemoteShard: a shard reached through the HTTP client
+// remoteShard serves svc over the wire protocol on a loopback listener,
+// provisioning token for transfers when it is set, and returns a client
+// for it: a remote shard as cmd/queuerouter reaches one.
+func remoteShard(t *testing.T, svc *queue.Service, token string) *wire.Client {
+	t.Helper()
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	srv := &wire.Server{Service: svc}
+	if token != "" {
+		srv.AdminTokens = []string{token}
+	}
+	go srv.Serve(ln)
+	t.Cleanup(func() { srv.Close() })
+	c := wire.Dial(ln.Addr().String(), wire.Options{AdminToken: token})
+	t.Cleanup(func() { c.Close() })
+	return c
+}
+
+// TestRouterRemoteShard: a shard reached through the wire client
 // behaves like a local one — the sentinel mapping keeps the router's
 // wrong-shard/deleted distinction working over the wire.
 func TestRouterRemoteShard(t *testing.T) {
 	remote := queue.NewService(queue.Config{Seed: 7})
-	srv := httptest.NewServer(&queue.HTTPHandler{Service: remote})
-	defer srv.Close()
-
 	r := NewRouter(Config{})
 	defer r.Close()
 	if err := r.AddShard("local", queue.NewService(queue.Config{Seed: 8})); err != nil {
 		t.Fatal(err)
 	}
-	if err := r.AddShard("remote", &queue.HTTPClient{BaseURL: srv.URL}); err != nil {
+	if err := r.AddShard("remote", remoteShard(t, remote, "")); err != nil {
 		t.Fatal(err)
 	}
 	// Create queues until one lands on the remote shard.

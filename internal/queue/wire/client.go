@@ -16,16 +16,17 @@ import (
 
 // ErrUnavailable marks a transport-level failure — dial refused, peer
 // hung up, request timed out, client closed — as opposed to a protocol
-// answer like ErrNoSuchQueue. Calls failing with it are retried on the
-// configured Fallback transport when one is set; protocol errors never
-// are (the remote already answered).
+// answer like ErrNoSuchQueue, which means the remote did answer.
 var ErrUnavailable = errors.New("wire: endpoint unavailable")
 
+// requestTimeout bounds one round trip, excluding any long-poll wait the
+// request itself asks for — receives get requestTimeout plus their wait.
+// A peer that accepts a connection and never answers fails the call
+// after that long instead of hanging it. A variable only so tests can
+// shorten it.
+var requestTimeout = 30 * time.Second
+
 const (
-	// requestTimeout bounds one round trip, excluding any long-poll wait
-	// the request itself asks for — receives get requestTimeout plus
-	// their wait.
-	requestTimeout = 30 * time.Second
 	// dialTimeout bounds one connect attempt, and the discovery probe
 	// that precedes the first.
 	dialTimeout = 3 * time.Second
@@ -45,15 +46,9 @@ type Options struct {
 	// spread load across reader/writer goroutine pairs, not to provide
 	// one connection per caller.
 	Conns int
-	// AdminToken authorizes the privileged transfer opcode, with the
-	// same client-side contract as queue.HTTPClient: empty fails
+	// AdminToken authorizes the privileged transfer opcode: empty fails
 	// transfers locally with ErrNotPrivileged.
 	AdminToken string
-	// Fallback, when set, serves any call that fails at the transport
-	// level (ErrUnavailable) — typically the queue.HTTPClient for the
-	// same node, making "prefer wire, fall back to JSON" a property of
-	// the client rather than every call site.
-	Fallback queue.API
 	// Metrics, when set, registers a wire_client_conns{peer=addr}
 	// open-connection gauge.
 	Metrics *telemetry.Registry
@@ -67,8 +62,8 @@ func (o Options) withDefaults() Options {
 }
 
 // Client speaks the wire protocol to one endpoint and implements
-// queue.API (plus Transferrer and TraceScoper), so it drops in
-// anywhere a queue.HTTPClient does — including as a shard backend
+// queue.API (plus Transferrer and TraceScoper), so a remote queue node
+// drops in anywhere a local Service does — including as a shard backend
 // behind shard.Router.
 type Client struct {
 	p     *pool
@@ -83,8 +78,7 @@ var (
 
 // Dial creates a client for addr ("host:port"). Connections are
 // established lazily on first use, so Dial itself cannot fail; an
-// unreachable endpoint surfaces as ErrUnavailable (or as Fallback
-// traffic) on the first call.
+// unreachable endpoint surfaces as ErrUnavailable on the first call.
 func Dial(addr string, opt Options) *Client {
 	opt = opt.withDefaults()
 	p := &pool{addr: addr, opt: opt}
@@ -113,9 +107,11 @@ func (c *Client) Close() error {
 	return nil
 }
 
+// Addr returns the endpoint ("host:port") the client dials.
+func (c *Client) Addr() string { return c.p.addr }
+
 // WithTrace returns a view whose requests carry traceID in every
-// frame's trace field — the binary equivalent of the X-Trace-Id header —
-// sharing the connection pool with the receiver.
+// frame's trace field, sharing the connection pool with the receiver.
 func (c *Client) WithTrace(traceID string) queue.API {
 	return &Client{p: c.p, trace: traceID}
 }
@@ -409,31 +405,13 @@ func (c *Client) finish(d *codec.Dec, buf *[]byte) error {
 	return nil
 }
 
-// fallback returns the API to retry err on, or nil when the call must
-// not be retried: protocol answers stick, only transport failures move
-// to the fallback. The view is trace-scoped when this client is.
-func (c *Client) fallback(err error) queue.API {
-	fb := c.p.opt.Fallback
-	if fb == nil || !errors.Is(err, ErrUnavailable) {
-		return nil
-	}
-	return queue.WithTrace(fb, c.trace)
-}
-
 // invoke is the one call path of every op: a round trip whose request
 // payload enc writes and whose answer dec reads (nil for an op that
-// answers nothing), and — only when the transport itself failed — the
-// same call on the fallback, which is the one place a fallback is
-// consulted. B is the surface the op needs of the fallback: queue.API
-// for the public ops, queue.Transferrer for a transfer, so a fallback
-// that is not a Transferrer leaves the transport error standing.
-func invoke[B, T any](c *Client, op byte, queueName string, extraWait time.Duration, enc func(*codec.Enc), dec func(*codec.Dec) T, same func(B) (T, error)) (T, error) {
+// answers nothing).
+func invoke[T any](c *Client, op byte, queueName string, extraWait time.Duration, enc func(*codec.Enc), dec func(*codec.Dec) T) (T, error) {
 	var zero T
 	d, buf, err := c.do(op, queueName, extraWait, enc)
 	if err != nil {
-		if fb, ok := c.fallback(err).(B); ok {
-			return same(fb)
-		}
 		return zero, err
 	}
 	v := zero
@@ -447,8 +425,8 @@ func invoke[B, T any](c *Client, op byte, queueName string, extraWait time.Durat
 }
 
 // invokeErr is invoke for the ops that answer with nothing but success.
-func (c *Client) invokeErr(op byte, queueName string, enc func(*codec.Enc), same func(queue.API) error) error {
-	_, err := invoke(c, op, queueName, 0, enc, nil, func(fb queue.API) (struct{}, error) { return struct{}{}, same(fb) })
+func (c *Client) invokeErr(op byte, queueName string, enc func(*codec.Enc)) error {
+	_, err := invoke[struct{}](c, op, queueName, 0, enc, nil)
 	return err
 }
 
@@ -456,19 +434,18 @@ func (c *Client) invokeErr(op byte, queueName string, enc func(*codec.Enc), same
 
 // CreateQueue registers a queue on the remote service.
 func (c *Client) CreateQueue(name string) error {
-	return c.invokeErr(OpCreateQueue, name, nil, func(fb queue.API) error { return fb.CreateQueue(name) })
+	return c.invokeErr(OpCreateQueue, name, nil)
 }
 
 // DeleteQueue removes a queue and its messages.
 func (c *Client) DeleteQueue(name string) error {
-	return c.invokeErr(OpDeleteQueue, name, nil, func(fb queue.API) error { return fb.DeleteQueue(name) })
+	return c.invokeErr(OpDeleteQueue, name, nil)
 }
 
 // ListQueues returns the remote queue names, or nil when the request
 // fails (the interface carries no error return, matching Service).
 func (c *Client) ListQueues() []string {
-	names, _ := invoke(c, OpListQueues, "", 0, nil, readStrings,
-		func(fb queue.API) ([]string, error) { return fb.ListQueues(), nil })
+	names, _ := invoke(c, OpListQueues, "", 0, nil, readStrings)
 	return names
 }
 
@@ -476,8 +453,7 @@ func (c *Client) ListQueues() []string {
 func (c *Client) SendMessage(queueName string, body []byte) (string, error) {
 	return invoke(c, OpSend, queueName, 0,
 		func(e *codec.Enc) { e.B = append(e.B, body...) },
-		(*codec.Dec).Str,
-		func(fb queue.API) (string, error) { return fb.SendMessage(queueName, body) })
+		(*codec.Dec).Str)
 }
 
 // SendMessageBatch enqueues up to queue.MaxBatch bodies in one frame,
@@ -490,8 +466,7 @@ func (c *Client) SendMessageBatch(queueName string, bodies [][]byte) ([]string, 
 				e.Bytes(b)
 			}
 		},
-		readStrings,
-		func(fb queue.API) ([]string, error) { return fb.SendMessageBatch(queueName, bodies) })
+		readStrings)
 }
 
 // ReceiveMessage pops one visible message without waiting.
@@ -518,17 +493,12 @@ func (c *Client) ReceiveMessageBatch(queueName string, visibility time.Duration,
 			e.I64(int64(wait))
 			e.U64(uint64(max))
 		},
-		readMessages,
-		func(fb queue.API) ([]queue.Message, error) {
-			return fb.ReceiveMessageBatch(queueName, visibility, max, wait)
-		})
+		readMessages)
 }
 
 // DeleteMessage acknowledges one message by receipt handle.
 func (c *Client) DeleteMessage(queueName, receiptHandle string) error {
-	return c.invokeErr(OpDelete, queueName,
-		func(e *codec.Enc) { e.Str(receiptHandle) },
-		func(fb queue.API) error { return fb.DeleteMessage(queueName, receiptHandle) })
+	return c.invokeErr(OpDelete, queueName, func(e *codec.Enc) { e.Str(receiptHandle) })
 }
 
 // DeleteMessageBatch acknowledges up to queue.MaxBatch messages in one
@@ -547,8 +517,7 @@ func (c *Client) DeleteMessageBatch(queueName string, receipts []string) ([]erro
 				}
 			}
 			return results
-		},
-		func(fb queue.API) ([]error, error) { return fb.DeleteMessageBatch(queueName, receipts) })
+		})
 }
 
 // ChangeVisibility extends or shrinks an in-flight message's lease.
@@ -557,24 +526,19 @@ func (c *Client) ChangeVisibility(queueName, receiptHandle string, dur time.Dura
 		func(e *codec.Enc) {
 			e.Str(receiptHandle)
 			e.I64(int64(dur))
-		},
-		func(fb queue.API) error { return fb.ChangeVisibility(queueName, receiptHandle, dur) })
+		})
 }
 
 // ApproximateCount reports visible and in-flight message counts.
 func (c *Client) ApproximateCount(queueName string) (visible, inflight int, err error) {
 	n, err := invoke(c, OpCount, queueName, 0, nil,
-		func(d *codec.Dec) [2]int { return [2]int{int(d.U64()), int(d.U64())} },
-		func(fb queue.API) ([2]int, error) {
-			v, i, err := fb.ApproximateCount(queueName)
-			return [2]int{v, i}, err
-		})
+		func(d *codec.Dec) [2]int { return [2]int{int(d.U64()), int(d.U64())} })
 	return n[0], n[1], err
 }
 
 // Purge removes every message from a queue.
 func (c *Client) Purge(queueName string) error {
-	return c.invokeErr(OpPurge, queueName, nil, func(fb queue.API) error { return fb.Purge(queueName) })
+	return c.invokeErr(OpPurge, queueName, nil)
 }
 
 // readCount decodes a billed-request counter.
@@ -583,15 +547,13 @@ func readCount(d *codec.Dec) int64 { return int64(d.U64()) }
 // APIRequests returns the remote billed-request total, 0 on failure
 // (the interface carries no error return, matching Service).
 func (c *Client) APIRequests() int64 {
-	n, _ := invoke(c, OpRequests, "", 0, nil, readCount,
-		func(fb queue.API) (int64, error) { return fb.APIRequests(), nil })
+	n, _ := invoke(c, OpRequests, "", 0, nil, readCount)
 	return n
 }
 
 // APIRequestsFor returns the billed calls addressed to one queue.
 func (c *Client) APIRequestsFor(queueName string) int64 {
-	n, _ := invoke(c, OpRequestsFor, queueName, 0, nil, readCount,
-		func(fb queue.API) (int64, error) { return fb.APIRequestsFor(queueName), nil })
+	n, _ := invoke(c, OpRequestsFor, queueName, 0, nil, readCount)
 	return n
 }
 
@@ -608,8 +570,7 @@ func (c *Client) TransferIn(queueName string, body []byte, receives int) (string
 
 // TransferInBatch streams up to queue.MaxBatch count-preserving items
 // in one frame — the batched transfer path drain-and-forward migration
-// uses instead of per-item HTTP requests. With no AdminToken the call
-// fails locally, mirroring queue.HTTPClient: it cannot possibly
+// uses. With no AdminToken the call fails locally: it cannot possibly
 // succeed, and the migrator probes this once per batch.
 func (c *Client) TransferInBatch(queueName string, items []queue.TransferItem) ([]string, error) {
 	if len(items) == 0 || len(items) > queue.MaxBatch {
@@ -627,6 +588,5 @@ func (c *Client) TransferInBatch(queueName string, items []queue.TransferItem) (
 				e.I64(int64(it.Receives))
 			}
 		},
-		readStrings,
-		func(fb queue.Transferrer) ([]string, error) { return fb.TransferInBatch(queueName, items) })
+		readStrings)
 }

@@ -1,7 +1,8 @@
-// Package wire implements the binary hot-path transport for the queue
-// service: a length-prefixed framing protocol plus a pipelined
-// connection-pool client (Client) and a listener-side server (Server),
-// both speaking the same queue.API the JSON/HTTP face exposes.
+// Package wire implements the queue service's one data transport: a
+// length-prefixed framing protocol plus a pipelined connection-pool
+// client (Client) and a listener-side server (Server), both speaking
+// queue.API. A node advertises its listener over HTTP at GET /wire
+// (Advertise), and DiscoverAddr reads that advertisement.
 //
 // # Frame layout
 //
@@ -13,8 +14,8 @@
 //	str  = uvarint(len) || bytes
 //
 // The correlation id pairs a response with its request so responses may
-// return out of order (pipelining); the trace string carries the same
-// request id the HTTP face moves in the X-Trace-Id header. The payload
+// return out of order (pipelining); the trace string carries the
+// request's trace ID from hop to hop. The payload
 // is op-specific (see protocol.go). Response frames echo the request's
 // op and correlation id and carry a status byte first: 0 for success,
 // otherwise an error code that maps back to the queue package's
@@ -33,16 +34,6 @@
 // pipe, up to maxConcurrent handlers per connection. A call waits
 // requestTimeout for its response, plus whatever long-poll wait the
 // request itself asked for.
-//
-// # When JSON, when wire
-//
-// The HTTP/JSON face stays authoritative for debuggability (curl-able,
-// human-readable, trace headers visible in any proxy log); the wire
-// face exists purely because per-request JSON encoding and HTTP framing
-// dominate the hot path at high shard counts. Components keep
-// programming against queue.API and pick a transport at deployment
-// time; shard.Router prefers a wire endpoint when the shard advertises
-// one and falls back to HTTP otherwise.
 package wire
 
 import (

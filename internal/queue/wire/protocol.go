@@ -13,7 +13,7 @@ import (
 // Response status codes. statusOK is followed by the op-specific result
 // payload; every other code is followed by str(message) and maps back
 // to one of the queue package's sentinel errors so errors.Is keeps
-// working across the wire, exactly as it does across the HTTP face.
+// working across the wire.
 const (
 	statusOK byte = iota
 	statusError
@@ -36,8 +36,7 @@ var statusSentinels = map[byte]error{
 	statusBadTransfer:    queue.ErrBadTransfer,
 }
 
-// statusFor classifies an error for the wire, mirroring the HTTP
-// handler's status-code mapping.
+// statusFor classifies an error for the wire.
 func statusFor(err error) byte {
 	switch {
 	case errors.Is(err, queue.ErrNoSuchQueue):

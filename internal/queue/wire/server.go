@@ -2,7 +2,9 @@ package wire
 
 import (
 	"bufio"
+	"crypto/subtle"
 	"errors"
+	"log"
 	"net"
 	"sync"
 	"time"
@@ -21,15 +23,21 @@ var ErrServerClosed = errors.New("wire: server closed")
 const maxConcurrent = 256
 
 // Server serves the wire protocol over a listener, dispatching every
-// frame to a queue.API — a local Service or a shard router, the same
-// backends HTTPHandler fronts. One Server may serve many listeners.
+// frame to a queue.API — a local Service or a shard router. One Server
+// may serve many listeners.
 type Server struct {
 	Service queue.API
-	// AdminTokens provisions the privileged transfer opcode with the
-	// same semantics as HTTPHandler: requests carry one token, any
-	// provisioned token is accepted (rotation), and no provisioned
-	// tokens means every transfer is rejected.
+	// AdminTokens provisions the privileged transfer opcode: requests
+	// carry one token and any provisioned token is accepted. More than
+	// one entry is the rotation mechanism — provision old+new
+	// everywhere, switch clients to the new one, then drop the old.
+	// Empty rejects every transfer: the privileged surface is opted
+	// into, never open by default.
 	AdminTokens []string
+	// SlowRequest, when > 0, logs every request slower than it with the
+	// frame's trace ID, so one slow call can be followed across the
+	// router's and the shard's logs.
+	SlowRequest time.Duration
 	// Metrics, when set, registers wire_op_ns{op=...} latency
 	// histograms, a wire_conns open-connection gauge, and a
 	// wire_frames counter.
@@ -237,8 +245,9 @@ func (c *srvConn) writer() {
 // encoded.
 func (c *srvConn) handle(f Frame, reqBuf *[]byte) {
 	svc := queue.WithTrace(c.srv.Service, f.Trace)
+	timed := c.srv.met != nil || c.srv.SlowRequest > 0
 	var start time.Time
-	if c.srv.met != nil {
+	if timed {
 		start = time.Now()
 	}
 
@@ -252,8 +261,14 @@ func (c *srvConn) handle(f Frame, reqBuf *[]byte) {
 	codec.PutBuf(reqBuf)
 	*rp = e.B
 
-	if c.srv.met != nil {
-		c.srv.met.ops[f.Op].Observe(time.Since(start))
+	if timed {
+		elapsed := time.Since(start)
+		if c.srv.met != nil {
+			c.srv.met.ops[f.Op].Observe(elapsed)
+		}
+		if slow := c.srv.SlowRequest; slow > 0 && elapsed >= slow {
+			log.Printf("wire: slow request trace=%s op=%s queue=%q %v", f.Trace, opNames[f.Op], f.Queue, elapsed)
+		}
 	}
 	select {
 	case c.writeCh <- rp:
@@ -399,9 +414,10 @@ func (c *srvConn) dispatch(svc queue.API, f Frame, e *codec.Enc) {
 			fail(e, ErrCorruptFrame)
 			return
 		}
-		if !queue.TokenAccepted(c.srv.AdminTokens, token) {
+		if !tokenAccepted(c.srv.AdminTokens, token) {
 			// One answer for "not provisioned", "no token", and "wrong
-			// token", exactly like the HTTP transfer endpoint.
+			// token": the caller learns only that it is not privileged,
+			// not which secret would have worked.
 			fail(e, queue.ErrNotPrivileged)
 			return
 		}
@@ -420,4 +436,19 @@ func (c *srvConn) dispatch(svc queue.API, f Frame, e *codec.Enc) {
 	default:
 		fail(e, ErrCorruptFrame)
 	}
+}
+
+// tokenAccepted reports whether the presented token matches any
+// provisioned admin token. Every candidate is compared in constant time
+// with no early exit, so timing reveals neither a match nor which entry
+// matched. No provisioned tokens means nothing is accepted.
+func tokenAccepted(provisioned []string, token string) bool {
+	match := 0
+	for _, t := range provisioned {
+		if t == "" {
+			continue
+		}
+		match |= subtle.ConstantTimeCompare([]byte(token), []byte(t))
+	}
+	return match == 1
 }

@@ -4,13 +4,17 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
+	"log"
 	"net"
+	"net/http"
 	"net/http/httptest"
+	"strings"
 	"sync"
 	"testing"
 	"time"
 
 	"repro/internal/queue"
+	"repro/internal/queue/shard"
 	"repro/internal/telemetry"
 )
 
@@ -35,103 +39,122 @@ func dialTest(t *testing.T, addr string, opt Options) *Client {
 }
 
 // TestClientServerAPISurface exercises every queue.API operation over
-// a real TCP connection and checks the results match an in-process
-// Service call for call.
+// a real TCP connection and checks the results match an in-process call
+// for call: once against a Service, and once against a shard router with
+// placement-grouped names, so a name with a '/' and the router's wrapped
+// receipts ("s0~job-1/tasks-1#r1") cross the wire through every op.
 func TestClientServerAPISurface(t *testing.T) {
-	svc := queue.NewService(queue.Config{})
-	addr := startServer(t, &Server{Service: svc})
-	c := dialTest(t, addr, Options{})
+	router := shard.NewRouter(shard.Config{})
+	t.Cleanup(router.Close)
+	if err := router.AddShard("s0", queue.NewService(queue.Config{})); err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct {
+		name          string
+		svc           queue.API
+		tasks, other  string
+		receiptPrefix string
+	}{
+		{"service", queue.NewService(queue.Config{}), "tasks", "other", ""},
+		{"router", router, "job-1/tasks", "job-1/other", "s0~job-1/tasks-"},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			svc, tasks, other := tc.svc, tc.tasks, tc.other
+			addr := startServer(t, &Server{Service: svc})
+			c := dialTest(t, addr, Options{})
 
-	if err := c.CreateQueue("tasks"); err != nil {
-		t.Fatalf("CreateQueue: %v", err)
-	}
-	if err := c.CreateQueue("tasks"); !errors.Is(err, queue.ErrQueueExists) {
-		t.Fatalf("duplicate CreateQueue: got %v, want ErrQueueExists", err)
-	}
-	if err := c.CreateQueue(""); !errors.Is(err, queue.ErrEmptyQueueName) {
-		t.Fatalf("empty CreateQueue: got %v, want ErrEmptyQueueName", err)
-	}
-	if err := c.CreateQueue("other"); err != nil {
-		t.Fatalf("CreateQueue other: %v", err)
-	}
-	if names := c.ListQueues(); len(names) != 2 || names[0] != "other" || names[1] != "tasks" {
-		t.Fatalf("ListQueues: %v", names)
-	}
+			if err := c.CreateQueue(tasks); err != nil {
+				t.Fatalf("CreateQueue: %v", err)
+			}
+			if err := c.CreateQueue(tasks); !errors.Is(err, queue.ErrQueueExists) {
+				t.Fatalf("duplicate CreateQueue: got %v, want ErrQueueExists", err)
+			}
+			if err := c.CreateQueue(""); !errors.Is(err, queue.ErrEmptyQueueName) {
+				t.Fatalf("empty CreateQueue: got %v, want ErrEmptyQueueName", err)
+			}
+			if err := c.CreateQueue(other); err != nil {
+				t.Fatalf("CreateQueue other: %v", err)
+			}
+			if names := c.ListQueues(); len(names) != 2 || names[0] != other || names[1] != tasks {
+				t.Fatalf("ListQueues: %v", names)
+			}
 
-	id, err := c.SendMessage("tasks", []byte("one"))
-	if err != nil || id == "" {
-		t.Fatalf("SendMessage: id=%q err=%v", id, err)
-	}
-	ids, err := c.SendMessageBatch("tasks", [][]byte{[]byte("two"), []byte("three")})
-	if err != nil || len(ids) != 2 {
-		t.Fatalf("SendMessageBatch: ids=%v err=%v", ids, err)
-	}
-	if _, err := c.SendMessageBatch("tasks", nil); !errors.Is(err, queue.ErrBatchSize) {
-		t.Fatalf("empty batch: got %v, want ErrBatchSize", err)
-	}
-	if visible, inflight, err := c.ApproximateCount("tasks"); err != nil || visible != 3 || inflight != 0 {
-		t.Fatalf("ApproximateCount: %d/%d err=%v", visible, inflight, err)
-	}
+			id, err := c.SendMessage(tasks, []byte("one"))
+			if err != nil || id == "" {
+				t.Fatalf("SendMessage: id=%q err=%v", id, err)
+			}
+			ids, err := c.SendMessageBatch(tasks, [][]byte{[]byte("two"), []byte("three")})
+			if err != nil || len(ids) != 2 {
+				t.Fatalf("SendMessageBatch: ids=%v err=%v", ids, err)
+			}
+			if _, err := c.SendMessageBatch(tasks, nil); !errors.Is(err, queue.ErrBatchSize) {
+				t.Fatalf("empty batch: got %v, want ErrBatchSize", err)
+			}
+			if visible, inflight, err := c.ApproximateCount(tasks); err != nil || visible != 3 || inflight != 0 {
+				t.Fatalf("ApproximateCount: %d/%d err=%v", visible, inflight, err)
+			}
 
-	seen := map[string]string{} // body -> receipt
-	for i := 0; i < 3; i++ {
-		m, ok, err := c.ReceiveMessage("tasks", time.Minute)
-		if err != nil || !ok {
-			t.Fatalf("ReceiveMessage %d: ok=%v err=%v", i, ok, err)
-		}
-		if m.Receives != 1 || m.ReceiptHandle == "" {
-			t.Fatalf("ReceiveMessage %d: %+v", i, m)
-		}
-		seen[string(m.Body)] = m.ReceiptHandle
-	}
-	if len(seen) != 3 {
-		t.Fatalf("got bodies %v, want 3 distinct", seen)
-	}
-	if _, _, err := c.ReceiveMessage("missing", 0); !errors.Is(err, queue.ErrNoSuchQueue) {
-		t.Fatalf("receive on missing queue: got %v, want ErrNoSuchQueue", err)
-	}
+			seen := map[string]string{} // body -> receipt
+			for i := 0; i < 3; i++ {
+				m, ok, err := c.ReceiveMessage(tasks, time.Minute)
+				if err != nil || !ok {
+					t.Fatalf("ReceiveMessage %d: ok=%v err=%v", i, ok, err)
+				}
+				if m.Receives != 1 || !strings.HasPrefix(m.ReceiptHandle, tc.receiptPrefix) || !strings.Contains(m.ReceiptHandle, "#") {
+					t.Fatalf("ReceiveMessage %d: %+v", i, m)
+				}
+				seen[string(m.Body)] = m.ReceiptHandle
+			}
+			if len(seen) != 3 {
+				t.Fatalf("got bodies %v, want 3 distinct", seen)
+			}
+			if _, _, err := c.ReceiveMessage("missing", 0); !errors.Is(err, queue.ErrNoSuchQueue) {
+				t.Fatalf("receive on missing queue: got %v, want ErrNoSuchQueue", err)
+			}
 
-	if err := c.ChangeVisibility("tasks", seen["one"], time.Hour); err != nil {
-		t.Fatalf("ChangeVisibility: %v", err)
-	}
-	if err := c.ChangeVisibility("tasks", "bogus", time.Hour); !errors.Is(err, queue.ErrStaleReceipt) {
-		t.Fatalf("bogus ChangeVisibility: got %v, want ErrStaleReceipt", err)
-	}
-	if err := c.DeleteMessage("tasks", seen["one"]); err != nil {
-		t.Fatalf("DeleteMessage: %v", err)
-	}
-	verdicts, err := c.DeleteMessageBatch("tasks", []string{seen["two"], "bogus", seen["three"]})
-	if err != nil {
-		t.Fatalf("DeleteMessageBatch: %v", err)
-	}
-	if verdicts[0] != nil || verdicts[2] != nil || !errors.Is(verdicts[1], queue.ErrStaleReceipt) {
-		t.Fatalf("DeleteMessageBatch verdicts: %v", verdicts)
-	}
+			if err := c.ChangeVisibility(tasks, seen["one"], time.Hour); err != nil {
+				t.Fatalf("ChangeVisibility: %v", err)
+			}
+			if err := c.ChangeVisibility(tasks, "bogus", time.Hour); !errors.Is(err, queue.ErrStaleReceipt) {
+				t.Fatalf("bogus ChangeVisibility: got %v, want ErrStaleReceipt", err)
+			}
+			if err := c.DeleteMessage(tasks, seen["one"]); err != nil {
+				t.Fatalf("DeleteMessage: %v", err)
+			}
+			verdicts, err := c.DeleteMessageBatch(tasks, []string{seen["two"], "bogus", seen["three"]})
+			if err != nil {
+				t.Fatalf("DeleteMessageBatch: %v", err)
+			}
+			if verdicts[0] != nil || verdicts[2] != nil || !errors.Is(verdicts[1], queue.ErrStaleReceipt) {
+				t.Fatalf("DeleteMessageBatch verdicts: %v", verdicts)
+			}
 
-	if _, err := c.SendMessage("other", []byte("x")); err != nil {
-		t.Fatalf("send other: %v", err)
-	}
-	if err := c.Purge("other"); err != nil {
-		t.Fatalf("Purge: %v", err)
-	}
-	if visible, inflight, _ := c.ApproximateCount("other"); visible+inflight != 0 {
-		t.Fatalf("purged queue still holds %d/%d", visible, inflight)
-	}
+			if _, err := c.SendMessage(other, []byte("x")); err != nil {
+				t.Fatalf("send other: %v", err)
+			}
+			if err := c.Purge(other); err != nil {
+				t.Fatalf("Purge: %v", err)
+			}
+			if visible, inflight, _ := c.ApproximateCount(other); visible+inflight != 0 {
+				t.Fatalf("purged queue still holds %d/%d", visible, inflight)
+			}
 
-	// Billing flows through untouched: the wire face bills nothing of
-	// its own, so remote and local counts agree exactly.
-	if got, want := c.APIRequests(), svc.APIRequests(); got != want {
-		t.Fatalf("APIRequests over wire %d != local %d", got, want)
-	}
-	if got, want := c.APIRequestsFor("tasks"), svc.APIRequestsFor("tasks"); got != want || got == 0 {
-		t.Fatalf("APIRequestsFor over wire %d != local %d", got, want)
-	}
+			// Billing flows through untouched: the wire face bills nothing of
+			// its own, so remote and local counts agree exactly.
+			if got, want := c.APIRequests(), svc.APIRequests(); got != want {
+				t.Fatalf("APIRequests over wire %d != local %d", got, want)
+			}
+			if got, want := c.APIRequestsFor(tasks), svc.APIRequestsFor(tasks); got != want || got == 0 {
+				t.Fatalf("APIRequestsFor over wire %d != local %d", got, want)
+			}
 
-	if err := c.DeleteQueue("other"); err != nil {
-		t.Fatalf("DeleteQueue: %v", err)
-	}
-	if err := c.DeleteQueue("other"); !errors.Is(err, queue.ErrNoSuchQueue) {
-		t.Fatalf("double DeleteQueue: got %v, want ErrNoSuchQueue", err)
+			if err := c.DeleteQueue(other); err != nil {
+				t.Fatalf("DeleteQueue: %v", err)
+			}
+			if err := c.DeleteQueue(other); !errors.Is(err, queue.ErrNoSuchQueue) {
+				t.Fatalf("double DeleteQueue: got %v, want ErrNoSuchQueue", err)
+			}
+		})
 	}
 }
 
@@ -159,8 +182,12 @@ func TestLargeBodyRoundTrip(t *testing.T) {
 
 // TestPipeliningNoHeadOfLineBlocking proves a long poll parked on one
 // queue does not stall other requests sharing the same single
-// connection — the property the correlation-id demux exists for.
+// connection — the property the correlation-id demux exists for — and
+// that a poll waiting longer than the request bound is not cut off: its
+// wait extends its deadline.
 func TestPipeliningNoHeadOfLineBlocking(t *testing.T) {
+	const wait = 3 * time.Second
+	setRequestTimeout(t, time.Second)
 	svc := queue.NewService(queue.Config{})
 	addr := startServer(t, &Server{Service: svc})
 	c := dialTest(t, addr, Options{Conns: 1})
@@ -173,9 +200,13 @@ func TestPipeliningNoHeadOfLineBlocking(t *testing.T) {
 	pollDone := make(chan error, 1)
 	go func() {
 		// Parks server-side for the full wait: nothing is ever sent.
-		_, ok, err := c.ReceiveMessageWait("empty", time.Minute, 3*time.Second)
-		if ok {
+		start := time.Now()
+		_, ok, err := c.ReceiveMessageWait("empty", time.Minute, wait)
+		switch {
+		case ok:
 			err = errors.New("long poll received a message from an empty queue")
+		case err == nil && time.Since(start) < wait:
+			err = fmt.Errorf("long poll returned after %v, before its %v wait", time.Since(start), wait)
 		}
 		pollDone <- err
 	}()
@@ -263,6 +294,18 @@ func TestConcurrentPipelinedLoad(t *testing.T) {
 	}
 }
 
+// transferFixture serves a Service holding queue "q" with admin token
+// "new" provisioned, and returns the service and a privileged client.
+func transferFixture(t *testing.T) (*queue.Service, *Client) {
+	t.Helper()
+	svc := queue.NewService(queue.Config{})
+	if err := svc.CreateQueue("q"); err != nil {
+		t.Fatal(err)
+	}
+	addr := startServer(t, &Server{Service: svc, AdminTokens: []string{"new"}})
+	return svc, dialTest(t, addr, Options{AdminToken: "new"})
+}
+
 // TestTransferAuth checks the privileged transfer opcode end to end:
 // token rotation, wrong tokens, missing tokens, and delivery-count
 // preservation.
@@ -288,13 +331,78 @@ func TestTransferAuth(t *testing.T) {
 		t.Fatalf("transferred message Receives=%d, want 5 (4 prior + this delivery)", m.Receives)
 	}
 
+	one := []queue.TransferItem{{Body: []byte("x")}}
 	wrong := dialTest(t, addr, Options{AdminToken: "stolen"})
-	if _, err := wrong.TransferInBatch("q", []queue.TransferItem{{Body: []byte("x")}}); !errors.Is(err, queue.ErrNotPrivileged) {
+	if _, err := wrong.TransferInBatch("q", one); !errors.Is(err, queue.ErrNotPrivileged) {
 		t.Fatalf("wrong token: got %v, want ErrNotPrivileged", err)
 	}
 	none := dialTest(t, addr, Options{})
-	if _, err := none.TransferInBatch("q", []queue.TransferItem{{Body: []byte("x")}}); !errors.Is(err, queue.ErrNotPrivileged) {
+	if _, err := none.TransferInBatch("q", one); !errors.Is(err, queue.ErrNotPrivileged) {
 		t.Fatalf("no token: got %v, want ErrNotPrivileged (local fast-fail)", err)
+	}
+	// A server with no provisioned tokens rejects every token.
+	bare := dialTest(t, startServer(t, &Server{Service: svc}), Options{AdminToken: "new"})
+	if _, err := bare.TransferInBatch("q", one); !errors.Is(err, queue.ErrNotPrivileged) {
+		t.Fatalf("unprovisioned server: got %v, want ErrNotPrivileged", err)
+	}
+	// The public path is untouched by the privilege check beside it.
+	if _, err := none.SendMessage("q", []byte("public")); err != nil {
+		t.Fatalf("public send alongside a gated transfer opcode: %v", err)
+	}
+}
+
+// TestTransferBadRequests: a negative receive count, an empty batch and
+// an over-long batch come back as their sentinels and enqueue nothing.
+func TestTransferBadRequests(t *testing.T) {
+	svc, admin := transferFixture(t)
+	for _, tc := range []struct {
+		name  string
+		items []queue.TransferItem
+		want  error
+	}{
+		{"negative receives", []queue.TransferItem{{Body: []byte("x"), Receives: -3}}, queue.ErrBadTransfer},
+		{"empty batch", nil, queue.ErrBatchSize},
+		{"over MaxBatch", make([]queue.TransferItem, queue.MaxBatch+1), queue.ErrBatchSize},
+	} {
+		if _, err := admin.TransferInBatch("q", tc.items); !errors.Is(err, tc.want) {
+			t.Errorf("%s: got %v, want %v", tc.name, err, tc.want)
+		}
+	}
+	if visible, inflight, _ := svc.ApproximateCount("q"); visible != 0 || inflight != 0 {
+		t.Errorf("rejected transfers enqueued messages: %d/%d", visible, inflight)
+	}
+}
+
+// TestTransferUnknownQueue: ErrNoSuchQueue holds for a transfer into a
+// missing queue on both sides of the wire.
+func TestTransferUnknownQueue(t *testing.T) {
+	svc, admin := transferFixture(t)
+	if _, err := svc.TransferIn("ghost", []byte("x"), 1); !errors.Is(err, queue.ErrNoSuchQueue) {
+		t.Fatalf("server side: %v, want ErrNoSuchQueue", err)
+	}
+	if _, err := admin.TransferIn("ghost", []byte("x"), 1); !errors.Is(err, queue.ErrNoSuchQueue) {
+		t.Errorf("client side: %v, want ErrNoSuchQueue across the wire", err)
+	}
+}
+
+// TestTransferBilling: a transfer batch is one billed request to its
+// destination, however many items it carries, and the remote billing
+// read agrees with the service.
+func TestTransferBilling(t *testing.T) {
+	svc, admin := transferFixture(t)
+	base := svc.APIRequestsFor("q")
+	items := make([]queue.TransferItem, 5)
+	for i := range items {
+		items[i] = queue.TransferItem{Body: []byte("m"), Receives: i}
+	}
+	if _, err := admin.TransferInBatch("q", items); err != nil {
+		t.Fatal(err)
+	}
+	if got := svc.APIRequestsFor("q") - base; got != 1 {
+		t.Errorf("5-item transfer billed %d requests to the destination, want exactly 1", got)
+	}
+	if got := admin.APIRequestsFor("q"); got != base+1 {
+		t.Errorf("billing read over wire reports %d, want %d", got, base+1)
 	}
 }
 
@@ -352,55 +460,6 @@ func TestReconnectWithBackoff(t *testing.T) {
 	}
 }
 
-// TestFallbackToHTTP points a wire client at a dead port with a JSON
-// fallback configured: every call must transparently succeed over
-// HTTP, and protocol errors must keep their sentinels.
-func TestFallbackToHTTP(t *testing.T) {
-	svc := queue.NewService(queue.Config{})
-	hs := httptest.NewServer(&queue.HTTPHandler{Service: svc, AdminTokens: []string{"tok"}})
-	t.Cleanup(hs.Close)
-
-	// A listener that is immediately closed yields a port nothing
-	// serves — the wire dial is guaranteed to fail.
-	dead, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	deadAddr := dead.Addr().String()
-	dead.Close()
-
-	c := dialTest(t, deadAddr, Options{
-		AdminToken: "tok",
-		Fallback:   &queue.HTTPClient{BaseURL: hs.URL, AdminToken: "tok"},
-	})
-	if err := c.CreateQueue("q"); err != nil {
-		t.Fatalf("CreateQueue via fallback: %v", err)
-	}
-	if err := c.CreateQueue("q"); !errors.Is(err, queue.ErrQueueExists) {
-		// The HTTP face treats re-create as idempotent success; accept
-		// either contract but never a transport error.
-		if err != nil {
-			t.Fatalf("duplicate create via fallback: %v", err)
-		}
-	}
-	if _, err := c.SendMessage("q", []byte("json-carried")); err != nil {
-		t.Fatalf("SendMessage via fallback: %v", err)
-	}
-	m, ok, err := c.ReceiveMessage("q", time.Minute)
-	if err != nil || !ok || string(m.Body) != "json-carried" {
-		t.Fatalf("ReceiveMessage via fallback: ok=%v err=%v body=%q", ok, err, m.Body)
-	}
-	if err := c.DeleteMessage("q", m.ReceiptHandle); err != nil {
-		t.Fatalf("DeleteMessage via fallback: %v", err)
-	}
-	if _, err := c.TransferInBatch("q", []queue.TransferItem{{Body: []byte("t"), Receives: 2}}); err != nil {
-		t.Fatalf("TransferInBatch via fallback: %v", err)
-	}
-	if _, _, err := c.ReceiveMessage("missing", 0); !errors.Is(err, queue.ErrNoSuchQueue) {
-		t.Fatalf("sentinel lost through fallback: %v", err)
-	}
-}
-
 // traceSvc records every trace ID scoped onto it.
 type traceSvc struct {
 	*queue.Service
@@ -415,11 +474,35 @@ func (t *traceSvc) WithTrace(id string) queue.API {
 	return t.Service
 }
 
+// lockedBuffer collects log lines written by server goroutines.
+type lockedBuffer struct {
+	mu sync.Mutex
+	b  bytes.Buffer
+}
+
+func (l *lockedBuffer) Write(p []byte) (int, error) {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	return l.b.Write(p)
+}
+
+func (l *lockedBuffer) String() string {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	return l.b.String()
+}
+
 // TestTracePropagation checks the frame's trace field reaches the
-// server-side TraceScoper, the binary analogue of X-Trace-Id.
+// server-side TraceScoper, and that a request slower than SlowRequest
+// (here: every request) is logged with it.
 func TestTracePropagation(t *testing.T) {
+	var logged lockedBuffer
+	old := log.Writer()
+	log.SetOutput(&logged)
+	t.Cleanup(func() { log.SetOutput(old) })
+
 	ts := &traceSvc{Service: queue.NewService(queue.Config{})}
-	addr := startServer(t, &Server{Service: ts})
+	addr := startServer(t, &Server{Service: ts, SlowRequest: time.Nanosecond})
 	c := dialTest(t, addr, Options{})
 
 	scoped := c.WithTrace("trace-42")
@@ -443,6 +526,9 @@ func TestTracePropagation(t *testing.T) {
 		if tr != "trace-42" {
 			t.Fatalf("trace %q arrived, want trace-42", tr)
 		}
+	}
+	if out := logged.String(); !strings.Contains(out, `wire: slow request trace=trace-42 op=send queue="q"`) {
+		t.Fatalf("slow send not logged with its trace ID:\n%s", out)
 	}
 }
 
@@ -478,34 +564,127 @@ func TestWireMetrics(t *testing.T) {
 	}
 }
 
-// A node that accepts the connection and never answers is unreachable
-// as far as discovery is concerned: the probe gives up within its bound
-// instead of waiting out the OS, so the caller stays on HTTP.
-func TestDiscoverAddrGivesUpOnSilentNode(t *testing.T) {
-	t.Parallel()
+// setRequestTimeout shortens the per-request bound for one test.
+func setRequestTimeout(t *testing.T, d time.Duration) {
+	old := requestTimeout
+	requestTimeout = d
+	t.Cleanup(func() { requestTimeout = old })
+}
+
+// silentNode listens on loopback, accepts every connection and never
+// answers; it returns the address.
+func silentNode(t *testing.T) string {
+	t.Helper()
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer ln.Close()
-	held := make(chan net.Conn, 1) // the one probe connection
+	var held []net.Conn
+	accepted := make(chan struct{})
 	go func() {
-		if c, err := ln.Accept(); err == nil {
-			held <- c // kept open, never read, never answered
+		defer close(accepted)
+		for {
+			nc, err := ln.Accept()
+			if err != nil {
+				return
+			}
+			held = append(held, nc) // kept open, never read, never answered
 		}
 	}()
+	t.Cleanup(func() {
+		ln.Close()
+		<-accepted
+		for _, nc := range held {
+			nc.Close()
+		}
+	})
+	return ln.Addr().String()
+}
+
+// A node that accepts connections and never answers costs a bounded
+// wait, never a hang: discovery gives up within dialTimeout and says
+// why.
+func TestDiscoverAddrGivesUpOnSilentNode(t *testing.T) {
+	addr := silentNode(t)
 	start := time.Now()
-	addr, ok := DiscoverAddr("http://" + ln.Addr().String())
-	if ok || addr != "" {
-		t.Errorf("DiscoverAddr = %q, %v; want \"\", false", addr, ok)
+	if got, err := DiscoverAddr("http://" + addr); err == nil || !strings.Contains(err.Error(), "unreachable") {
+		t.Errorf("DiscoverAddr = %q, %v; want an unreachable error", got, err)
 	}
 	if elapsed := time.Since(start); elapsed < dialTimeout/2 || elapsed > 2*dialTimeout {
 		t.Errorf("probe took %v, want about %v", elapsed, dialTimeout)
 	}
-	select {
-	case c := <-held:
-		c.Close()
-	default:
-		t.Error("the probe never connected")
+}
+
+// TestClientBoundsEveryRequest: a wire call to a silent node fails with
+// ErrUnavailable once requestTimeout plus the call's own long-poll wait
+// has passed, while a long poll on a live node that waits past
+// requestTimeout is not cut off.
+func TestClientBoundsEveryRequest(t *testing.T) {
+	const bound, wait = 200 * time.Millisecond, 50 * time.Millisecond
+	setRequestTimeout(t, bound)
+	c := dialTest(t, silentNode(t), Options{Conns: 1})
+	for _, tc := range []struct {
+		name string
+		want time.Duration
+		call func() error
+	}{
+		{"count", bound, func() error { _, _, err := c.ApproximateCount("q"); return err }},
+		{"long poll", bound + wait, func() error { _, err := c.ReceiveMessageBatch("q", 0, 1, wait); return err }},
+	} {
+		start := time.Now()
+		err := tc.call()
+		if took := time.Since(start); took < tc.want || took > tc.want+2*time.Second {
+			t.Errorf("%s on a silent node took %v, want about %v", tc.name, took, tc.want)
+		}
+		if !errors.Is(err, ErrUnavailable) {
+			t.Errorf("%s on a silent node: %v, want ErrUnavailable", tc.name, err)
+		}
+	}
+
+	svc := queue.NewService(queue.Config{})
+	if err := svc.CreateQueue("q"); err != nil {
+		t.Fatal(err)
+	}
+	live := dialTest(t, startServer(t, &Server{Service: svc}), Options{Conns: 1})
+	start := time.Now()
+	msgs, err := live.ReceiveMessageBatch("q", 0, 1, bound+wait)
+	if err != nil || len(msgs) != 0 {
+		t.Errorf("long poll of an empty queue: %d messages, err %v", len(msgs), err)
+	}
+	if took := time.Since(start); took < bound+wait {
+		t.Errorf("long poll returned after %v, before its %v wait", took, bound+wait)
+	}
+}
+
+// DiscoverAddr resolves an advertisement without a usable host against
+// the node's URL, and says why a node offers no wire endpoint.
+func TestDiscoverAddr(t *testing.T) {
+	serve := func(h http.Handler) string {
+		srv := httptest.NewServer(h)
+		t.Cleanup(srv.Close)
+		return srv.URL
+	}
+	for _, tc := range []struct {
+		name    string
+		handler http.Handler
+		want    string // the address, or a fragment of the error
+	}{
+		{"port only", Advertise(":9111"), "127.0.0.1:9111"},
+		{"unspecified host", Advertise("[::]:9111"), "127.0.0.1:9111"},
+		{"host given", Advertise("10.1.2.3:9111"), "10.1.2.3:9111"},
+		{"no /wire", http.NotFoundHandler(), "404 Not Found"},
+		{"no address", Advertise(""), "advertises no wire address"},
+	} {
+		url := serve(tc.handler)
+		got, err := DiscoverAddr(url)
+		if err != nil {
+			got = err.Error()
+			if !strings.Contains(got, url) {
+				t.Errorf("%s: error %q does not name %s", tc.name, got, url)
+			}
+		}
+		if !strings.Contains(got, tc.want) {
+			t.Errorf("%s: DiscoverAddr = %q, want %q", tc.name, got, tc.want)
+		}
 	}
 }

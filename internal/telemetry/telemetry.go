@@ -25,11 +25,6 @@ import (
 	"time"
 )
 
-// TraceHeader is the HTTP header carrying a request's trace ID across
-// every hop of the stack: queue client → router → shard, broker → blob.
-// Handlers echo it on responses; clients inject it on requests.
-const TraceHeader = "X-Trace-Id"
-
 // NewTraceID returns a fresh 16-hex-digit trace ID.
 func NewTraceID() string {
 	var b [8]byte

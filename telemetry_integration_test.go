@@ -1,15 +1,13 @@
 // Telemetry integration tests: the observability layer exercised the
 // way a deployment uses it — a trace ID following real traffic across
-// the client → router → shard HTTP chain, and a live registry being
-// rendered while an instrumented broker job runs full tilt. Both are in
-// CI's race-detector matrix: the histogram/rate/gauge internals are
-// lock-free on the write path, and these tests are where that claim is
-// checked against real concurrency, not a synthetic loop.
+// the client → router → shard wire chain, and a live registry being
+// rendered while an instrumented broker job runs full tilt. Both run
+// in CI's race-detector pass over this package: the histogram/rate/gauge
+// internals are lock-free on the write path, and these tests are where
+// that claim is checked against real concurrency, not a synthetic loop.
 package repro
 
 import (
-	"net/http"
-	"net/http/httptest"
 	"sync"
 	"testing"
 	"time"
@@ -23,21 +21,20 @@ import (
 	"repro/internal/workload"
 )
 
-// traceRecorder wraps a shard's HTTP handler and records every
-// X-Trace-Id that reaches it.
+// traceRecorder is a shard that records every trace ID scoped onto it:
+// the wire server scopes each frame's trace ID onto the service it
+// serves.
 type traceRecorder struct {
-	inner http.Handler
-	mu    sync.Mutex
-	seen  map[string]bool
+	*queue.Service
+	mu   sync.Mutex
+	seen map[string]bool
 }
 
-func (tr *traceRecorder) ServeHTTP(w http.ResponseWriter, r *http.Request) {
-	if tid := r.Header.Get(telemetry.TraceHeader); tid != "" {
-		tr.mu.Lock()
-		tr.seen[tid] = true
-		tr.mu.Unlock()
-	}
-	tr.inner.ServeHTTP(w, r)
+func (tr *traceRecorder) WithTrace(tid string) queue.API {
+	tr.mu.Lock()
+	tr.seen[tid] = true
+	tr.mu.Unlock()
+	return tr.Service
 }
 
 func (tr *traceRecorder) sawTrace(tid string) bool {
@@ -46,33 +43,25 @@ func (tr *traceRecorder) sawTrace(tid string) bool {
 	return tr.seen[tid]
 }
 
-// TestTraceIDPropagatesClientRouterShard drives the full two-hop HTTP
-// chain — queue client → sharded router daemon → owning shard node —
-// and verifies the client's trace ID arrives at the shard and is echoed
-// back on the client's response. Then it runs a real broker job over
-// the same chain and verifies the job's own trace ID (minted at
-// submission, reported in its status) shows up at the shard: the
-// property that makes one job's traffic greppable end to end.
+// TestTraceIDPropagatesClientRouterShard drives the full two-hop wire
+// chain — queue client → router behind a wire server → owning shard
+// behind another — and verifies the client's trace ID arrives at the
+// shard. Then it runs a real broker job over the same chain and verifies
+// the job's own trace ID (minted at submission, reported in its status)
+// shows up at the shard: the property that makes one job's traffic
+// greppable end to end.
 func TestTraceIDPropagatesClientRouterShard(t *testing.T) {
-	shardSvc := queue.NewService(queue.Config{Seed: 1})
-	rec := &traceRecorder{
-		inner: &queue.HTTPHandler{Service: shardSvc},
-		seen:  make(map[string]bool),
-	}
-	shardSrv := httptest.NewServer(rec)
-	defer shardSrv.Close()
-
+	rec := &traceRecorder{Service: queue.NewService(queue.Config{Seed: 1}), seen: make(map[string]bool)}
 	router := shard.NewRouter(shard.Config{})
 	defer router.Close()
-	if err := router.AddShard("s0", &queue.HTTPClient{BaseURL: shardSrv.URL}); err != nil {
+	if err := router.AddShard("s0", serveWire(t, rec)); err != nil {
 		t.Fatal(err)
 	}
-	routerSrv := httptest.NewServer(&queue.HTTPHandler{Service: router})
-	defer routerSrv.Close()
+	front := serveWire(t, router)
 
-	// Hop check: a scoped client's ID crosses both hops and comes back.
+	// Hop check: a scoped client's ID crosses both hops.
 	const clientTrace = "trace-client-e2e"
-	qc := (&queue.HTTPClient{BaseURL: routerSrv.URL}).WithTrace(clientTrace)
+	qc := front.WithTrace(clientTrace)
 	if err := qc.CreateQueue("probe/q"); err != nil {
 		t.Fatal(err)
 	}
@@ -80,7 +69,7 @@ func TestTraceIDPropagatesClientRouterShard(t *testing.T) {
 		t.Fatal(err)
 	}
 	if !rec.sawTrace(clientTrace) {
-		t.Fatalf("shard never saw client trace %q; saw %v", clientTrace, rec.seen)
+		t.Fatalf("shard never saw client trace %q", clientTrace)
 	}
 
 	// Broker check: a job's minted trace ID reaches the shard through the
@@ -92,7 +81,7 @@ func TestTraceIDPropagatesClientRouterShard(t *testing.T) {
 	bk := broker.New(broker.Config{
 		Env: classiccloud.Env{
 			Blob:  blob.NewStore(blob.Config{}),
-			Queue: &queue.HTTPClient{BaseURL: routerSrv.URL},
+			Queue: front,
 		},
 		TickInterval: 5 * time.Millisecond,
 		Autoscale:    broker.AutoscalePolicy{MinInstances: 1, MaxInstances: 2},

@@ -1,15 +1,14 @@
-// Integration test for the binary wire transport in a mixed-transport
-// deployment: broker workers speak wire to the router, while the
-// router's shards are plain HTTP/JSON queue nodes. A real CAP3 job must
-// complete with zero task loss, and the billing the broker reads over
-// the wire must equal the router's own numbers exactly — the wire face
-// is a transport, not a different service.
+// Integration test for the wire transport on both hops of a sharded
+// deployment: broker workers speak wire to the router, and the router
+// speaks wire to its two remote shards. A real CAP3 job must complete
+// with zero task loss, and the billing the broker reads over the wire
+// must equal the router's own numbers exactly — the wire face is a
+// transport, not a different service.
 package repro
 
 import (
 	"fmt"
 	"net"
-	"net/http/httptest"
 	"testing"
 	"time"
 
@@ -22,30 +21,33 @@ import (
 	"repro/internal/workload"
 )
 
-func TestBrokerOverMixedTransports(t *testing.T) {
-	// Two plain HTTP queue nodes behind the router — no wire listener
-	// on either; only the router's front door speaks wire.
-	router := shard.NewRouter(shard.Config{})
-	defer router.Close()
-	for i := 0; i < 2; i++ {
-		svc := queue.NewService(queue.Config{Seed: int64(i + 1)})
-		hs := httptest.NewServer(&queue.HTTPHandler{Service: svc})
-		defer hs.Close()
-		if err := router.AddShard(fmt.Sprintf("s%d", i), &queue.HTTPClient{BaseURL: hs.URL}); err != nil {
-			t.Fatal(err)
-		}
-	}
-
+// serveWire serves api over the wire protocol on a loopback listener
+// and returns a client for it: a remote queue node, or a router's front
+// door.
+func serveWire(t *testing.T, api queue.API) *wire.Client {
+	t.Helper()
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
 	}
-	ws := &wire.Server{Service: router}
-	go ws.Serve(ln)
-	defer ws.Close()
+	srv := &wire.Server{Service: api}
+	go srv.Serve(ln)
+	t.Cleanup(func() { srv.Close() })
+	c := wire.Dial(ln.Addr().String(), wire.Options{})
+	t.Cleanup(func() { c.Close() })
+	return c
+}
 
-	wc := wire.Dial(ln.Addr().String(), wire.Options{})
-	defer wc.Close()
+func TestBrokerOverRemoteWireShards(t *testing.T) {
+	router := shard.NewRouter(shard.Config{})
+	defer router.Close()
+	for i := 0; i < 2; i++ {
+		svc := queue.NewService(queue.Config{Seed: int64(i + 1)})
+		if err := router.AddShard(fmt.Sprintf("s%d", i), serveWire(t, svc)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	wc := serveWire(t, router)
 
 	env := classiccloud.Env{
 		Blob:  blob.NewStore(blob.Config{}),
@@ -84,7 +86,7 @@ func TestBrokerOverMixedTransports(t *testing.T) {
 	}
 	st := j.Status()
 	if st.Done != tasks || st.Dead != 0 {
-		t.Fatalf("done=%d dead=%d, want %d/0 — tasks lost crossing transports", st.Done, st.Dead, tasks)
+		t.Fatalf("done=%d dead=%d, want %d/0 — tasks lost crossing the wire hops", st.Done, st.Dead, tasks)
 	}
 
 	// Exact billing: the cost report the broker assembled by asking the
