@@ -28,7 +28,6 @@ import (
 
 // Options configure a search. Zero values select NCBI-like defaults.
 type Options struct {
-	WordSize     int     // seed word length (default 3)
 	Threshold    int     // neighborhood word score threshold T (default 11)
 	TwoHitWindow int     // max diagonal distance between paired hits (default 40)
 	XDrop        int     // ungapped extension X-drop (default 7)
@@ -41,9 +40,6 @@ type Options struct {
 }
 
 func (o Options) withDefaults() Options {
-	if o.WordSize == 0 {
-		o.WordSize = 3
-	}
 	if o.Threshold == 0 {
 		o.Threshold = 11
 	}
@@ -103,6 +99,13 @@ func (h Hit) Identity() float64 {
 	return float64(h.Matches) / float64(h.AlignLen)
 }
 
+// wordSize is the seed word length, NCBI BLASTP's default; numWords is
+// the number of distinct words over the 20-letter alphabet.
+const (
+	wordSize = 3
+	numWords = 20 * 20 * 20
+)
+
 // loc is one database word occurrence.
 type loc struct {
 	seq int32
@@ -117,40 +120,46 @@ type loc struct {
 type Database struct {
 	Seqs     []*fasta.Record
 	TotalLen int
-	wordSize int
-	index    map[int32][]loc
+	// The word index in CSR form: the occurrences of word key are
+	// locs[wordStart[key]:wordStart[key+1]], by subject then position.
+	wordStart []int32
+	locs      []loc
+	start     []int // start[s]: residues in the subjects before s
 }
 
-// NewDatabase indexes the given sequences with the default word size.
+// NewDatabase indexes the given sequences.
 func NewDatabase(seqs []*fasta.Record) *Database {
-	return NewDatabaseWordSize(seqs, 3)
-}
-
-// NewDatabaseWordSize indexes with an explicit word size (2..5).
-func NewDatabaseWordSize(seqs []*fasta.Record, w int) *Database {
-	if w < 2 || w > 5 {
-		panic(fmt.Sprintf("blast: word size %d out of range [2,5]", w))
-	}
-	db := &Database{Seqs: seqs, wordSize: w, index: make(map[int32][]loc)}
+	db := &Database{Seqs: seqs, wordStart: make([]int32, numWords+1), start: make([]int, len(seqs))}
 	for si, rec := range seqs {
+		db.start[si] = db.TotalLen
 		db.TotalLen += rec.Len()
-		seq := rec.Seq
-		for p := 0; p+w <= len(seq); p++ {
-			key, ok := encodeWord(seq[p:p+w], w)
-			if !ok {
-				continue
+		for p := 0; p+wordSize <= len(rec.Seq); p++ {
+			if key, ok := encodeWord(rec.Seq[p:]); ok {
+				db.wordStart[key+1]++
 			}
-			db.index[key] = append(db.index[key], loc{seq: int32(si), pos: int32(p)})
+		}
+	}
+	for k := 1; k <= numWords; k++ {
+		db.wordStart[k] += db.wordStart[k-1]
+	}
+	db.locs = make([]loc, db.wordStart[numWords])
+	next := slices.Clone(db.wordStart[:numWords])
+	for si, rec := range seqs {
+		for p := 0; p+wordSize <= len(rec.Seq); p++ {
+			if key, ok := encodeWord(rec.Seq[p:]); ok {
+				db.locs[next[key]] = loc{seq: int32(si), pos: int32(p)}
+				next[key]++
+			}
 		}
 	}
 	return db
 }
 
-// encodeWord packs w residues into a base-20 key.
-func encodeWord(seq []byte, w int) (int32, bool) {
+// encodeWord packs the first wordSize residues of seq into a base-20 key.
+func encodeWord(seq []byte) (int32, bool) {
 	var key int32
-	for i := 0; i < w; i++ {
-		idx := bio.AAIndex(seq[i])
+	for _, c := range seq[:wordSize] {
+		idx := bio.AAIndex(c)
 		if idx < 0 {
 			return 0, false
 		}
@@ -159,42 +168,40 @@ func encodeWord(seq []byte, w int) (int32, bool) {
 	return key, true
 }
 
-// neighborhood returns all index keys whose word scores at least
-// threshold against the query word, via depth-first enumeration with
-// branch-and-bound pruning.
-func neighborhood(qword []byte, w, threshold int, out []int32) []int32 {
-	// maxTail[i] = max achievable score from positions i..w-1.
-	maxTail := make([]int, w+1)
-	for i := w - 1; i >= 0; i-- {
-		best := math.MinInt32
+// neighborhood appends to out every word key that scores at least
+// threshold against the query word, in increasing key order, pruning a
+// prefix once even the best remaining residues cannot reach threshold.
+func neighborhood(qword []byte, threshold int, out []int32) []int32 {
+	var rows [wordSize]*[20]int8
+	for i := range rows {
 		qi := bio.AAIndex(qword[i])
 		if qi < 0 {
 			return out
 		}
-		for j := 0; j < 20; j++ {
-			if s := int(bio.Blosum62[qi][j]); s > best {
-				best = s
+		rows[i] = &bio.Blosum62[qi]
+	}
+	// tail[i] = best score achievable from positions i..wordSize-1.
+	var tail [wordSize + 1]int
+	for i := wordSize - 1; i >= 0; i-- {
+		tail[i] = tail[i+1] + int(slices.Max(rows[i][:]))
+	}
+	for a, sa := range rows[0] {
+		s1 := int(sa)
+		if s1+tail[1] < threshold {
+			continue
+		}
+		for b, sb := range rows[1] {
+			s2 := s1 + int(sb)
+			if s2+tail[2] < threshold {
+				continue
+			}
+			for c, sc := range rows[2] {
+				if s2+int(sc) >= threshold {
+					out = append(out, int32((a*20+b)*20+c))
+				}
 			}
 		}
-		maxTail[i] = maxTail[i+1] + best
 	}
-	var rec func(pos, score int, key int32)
-	rec = func(pos, score int, key int32) {
-		if pos == w {
-			if score >= threshold {
-				out = append(out, key)
-			}
-			return
-		}
-		if score+maxTail[pos] < threshold {
-			return
-		}
-		qi := bio.AAIndex(qword[pos])
-		for j := 0; j < 20; j++ {
-			rec(pos+1, score+int(bio.Blosum62[qi][j]), key*20+int32(j))
-		}
-	}
-	rec(0, 0, 0)
 	return out
 }
 
@@ -215,64 +222,66 @@ func (db *Database) Search(query *fasta.Record, opt Options) []Hit {
 	return hits
 }
 
-// SearchWithStats is Search plus work counters.
+// diagState is the two-hit bookkeeping of one (subject, diagonal): the
+// query position of the last seed on it plus one (0: none yet), and the
+// query position an extension along it already reached.
+type diagState struct {
+	last, covered int32
+}
+
+// SearchWithStats is Search plus work counters. The two-hit state is one
+// dense slot per (subject, diagonal): subject s owns len(s)+len(q) slots
+// from base(s) = start[s] + s·len(q), and diagonal d = spos − qpos sits at
+// base(s) + d + len(q).
 func (db *Database) SearchWithStats(query *fasta.Record, opt Options) ([]Hit, SearchStats) {
 	opt = opt.withDefaults()
-	if opt.WordSize != db.wordSize {
-		opt.WordSize = db.wordSize
-	}
 	var stats SearchStats
 	q := query.Seq
-	w := db.wordSize
-	if len(q) < w {
+	lq := len(q)
+	if lq < wordSize {
 		return nil, stats
 	}
 
-	type diagKey struct {
-		seq  int32
-		diag int32
-	}
-	lastHit := make(map[diagKey]int32)    // diag → last query pos seeded
-	extendedTo := make(map[diagKey]int32) // diag → query pos already covered by an extension
+	diags := make([]diagState, db.TotalLen+len(db.Seqs)*lq)
 	var hsps []Hit
 	neigh := make([]int32, 0, 64)
 	var gapped []int // gappedExtend's matrices, grown once and shared by every extension of this query
 
-	for qp := 0; qp+w <= len(q); qp++ {
-		neigh = neighborhood(q[qp:qp+w], w, opt.Threshold, neigh[:0])
+	for qp := 0; qp+wordSize <= lq; qp++ {
+		neigh = neighborhood(q[qp:qp+wordSize], opt.Threshold, neigh[:0])
 		for _, key := range neigh {
-			for _, l := range db.index[key] {
+			for _, l := range db.locs[db.wordStart[key]:db.wordStart[key+1]] {
 				stats.SeedHits++
-				dk := diagKey{seq: l.seq, diag: l.pos - int32(qp)}
-				prev, seen := lastHit[dk]
-				if !seen {
-					lastHit[dk] = int32(qp)
+				diag := int(l.pos) - qp
+				st := &diags[db.start[l.seq]+int(l.seq+1)*lq+diag]
+				if st.last == 0 {
+					st.last = int32(qp + 1)
 					continue
 				}
-				dist := int32(qp) - prev
-				if dist < int32(w) {
+				dist := qp + 1 - int(st.last)
+				if dist < wordSize {
 					continue // overlaps the previous hit; keep the earlier anchor
 				}
-				lastHit[dk] = int32(qp)
-				if dist > int32(opt.TwoHitWindow) {
+				st.last = int32(qp + 1)
+				if dist > opt.TwoHitWindow {
 					continue // too far apart to pair; restart from this hit
 				}
-				if covered, ok := extendedTo[dk]; ok && int32(qp) < covered {
+				if qp < int(st.covered) {
 					continue // this diagonal region was already extended
 				}
 				stats.TwoHitTriggers++
 				subj := db.Seqs[l.seq].Seq
 				stats.UngappedExts++
-				score, qs, qe := ungappedExtend(q, subj, qp, int(l.pos), w, opt.XDrop)
-				extendedTo[dk] = int32(qe)
+				score, qs, qe := ungappedExtend(q, subj, qp, int(l.pos), wordSize, opt.XDrop)
+				st.covered = int32(qe)
 				if score < opt.UngappedCut {
 					continue
 				}
 				stats.GappedExts++
-				hit := gappedExtend(q, subj, qs, qs+int(dk.diag), qe-qs, opt, &gapped)
+				hit := gappedExtend(q, subj, qs, qs+diag, qe-qs, opt, &gapped)
 				hit.QueryID = query.ID
 				hit.SubjectID = db.Seqs[l.seq].ID
-				hit.EValue = evalue(hit.Score, len(q), db.TotalLen)
+				hit.EValue = evalue(hit.Score, lq, db.TotalLen)
 				hit.BitScore = bitScore(hit.Score)
 				if hit.EValue <= opt.MaxEValue {
 					stats.HSPs++
@@ -367,8 +376,8 @@ func ungappedExtend(q, s []byte, qp, sp, w, xdrop int) (score, qs, qe int) {
 
 // gappedExtend performs a banded Smith–Waterman alignment of the query
 // window around the seeded region against the subject, anchored on the
-// seed diagonal. Its three score matrices live in *scratch, which it grows
-// as needed and leaves for the next call to overwrite.
+// seed diagonal. Its two stored score matrices live in *scratch, which it
+// grows as needed and leaves for the next call to overwrite.
 func gappedExtend(q, s []byte, qAnchor, sAnchor, anchorLen int, opt Options, scratch *[]int) Hit {
 	// Align a generous window around the anchor.
 	margin := opt.Band * 4
@@ -382,77 +391,64 @@ func gappedExtend(q, s []byte, qAnchor, sAnchor, anchorLen int, opt Options, scr
 
 	n, m := len(qw), len(sw)
 	band := opt.Band
-	// Smith-Waterman with affine gaps restricted to |j - i - diag| ≤ band.
-	negInf := math.MinInt32 / 4
+	// Smith-Waterman with affine gaps restricted to |j - i - diag| ≤ band:
+	// row i stores band column c at i·width + c, for subject column
+	// j = i + diag - band + c. Cell (i-1, j-1) is then column c of the row
+	// above, (i-1, j) column c+1, and (i, j-1) column c-1 of this row. A
+	// cell off the subject holds H = 0, E = -∞ (the gap in the subject,
+	// F, is only ever read from the cell just computed).
 	width := 2*band + 1
 	size := (n + 1) * width
-	*scratch = slices.Grow((*scratch)[:0], 3*size)[:3*size]
+	*scratch = slices.Grow((*scratch)[:0], 2*size)[:2*size]
 	H := (*scratch)[:size]
-	E := (*scratch)[size : 2*size] // gap in query
-	F := (*scratch)[2*size:]       // gap in subject
-	at := func(i, j int) int {     // banded column index for row i
-		return j - (i + diag) + band
-	}
-	for i := range H {
-		H[i], E[i], F[i] = 0, negInf, negInf
-	}
+	E := (*scratch)[size:] // gap in query
+	offSubject(H[:width], E[:width])
+	open, extend := opt.GapOpen, opt.GapExtend
 	bestScore, bi, bj := 0, 0, 0
 	for i := 1; i <= n; i++ {
-		jLo := max(1, i+diag-band)
-		jHi := min(m, i+diag+band)
-		for j := jLo; j <= jHi; j++ {
-			c := at(i, j)
-			if c < 0 || c >= width {
-				continue
+		prev, row := (i-1)*width, i*width
+		Hp, Ep := H[prev:prev+width], E[prev:prev+width]
+		Hr, Er := H[row:row+width], E[row:row+width]
+		j0 := i + diag - band // subject column of band column 0
+		cLo, cHi := max(0, 1-j0), min(width-1, m-j0)
+		if cLo > cHi {
+			offSubject(Hr, Er)
+			continue
+		}
+		offSubject(Hr[:cLo], Er[:cLo])
+		offSubject(Hr[cHi+1:], Er[cHi+1:])
+		leftH, leftF := negInf, negInf
+		if cLo > 0 {
+			leftH = Hr[cLo-1]
+		}
+		scores, sr := &score62[qw[i-1]], sw[j0+cLo-1:j0+cHi]
+		for c := cLo; c <= cHi; c++ {
+			match := Hp[c] + int(scores[sr[c-cLo]])
+			upH, upE := negInf, negInf
+			if c+1 < width {
+				upH, upE = Hp[c+1], Ep[c+1]
 			}
-			var diagH int
-			cd := at(i-1, j-1)
-			if cd >= 0 && cd < width {
-				diagH = H[(i-1)*width+cd]
-			} else {
-				diagH = negInf
-			}
-			match := diagH + bio.Score62(qw[i-1], sw[j-1])
-			var upH, upE int
-			cu := at(i-1, j)
-			if cu >= 0 && cu < width {
-				upH, upE = H[(i-1)*width+cu], E[(i-1)*width+cu]
-			} else {
-				upH, upE = negInf, negInf
-			}
-			e := max(upH-opt.GapOpen, upE-opt.GapExtend)
-			var leftH, leftF int
-			cl := at(i, j-1)
-			if cl >= 0 && cl < width {
-				leftH, leftF = H[i*width+cl], F[i*width+cl]
-			} else {
-				leftH, leftF = negInf, negInf
-			}
-			f := max(leftH-opt.GapOpen, leftF-opt.GapExtend)
+			e := max(upH-open, upE-extend)
+			f := max(leftH-open, leftF-extend)
 			h := max(0, max(match, max(e, f)))
-			H[i*width+c], E[i*width+c], F[i*width+c] = h, e, f
+			Hr[c], Er[c] = h, e
+			leftH, leftF = h, f
 			if h > bestScore {
-				bestScore, bi, bj = h, i, j
+				bestScore, bi, bj = h, i, j0+c
 			}
 		}
 	}
-	// Traceback from (bi,bj) to recover extents and identity.
+	// Traceback from (bi,bj) to recover extents and identity; a step that
+	// leaves the band ends it.
 	matches, alen := 0, 0
 	i, j := bi, bj
 	for i > 0 && j > 0 {
-		c := at(i, j)
+		c := j - (i + diag) + band
 		if c < 0 || c >= width || H[i*width+c] == 0 {
 			break
 		}
 		h := H[i*width+c]
-		var diagH int
-		cd := at(i-1, j-1)
-		if cd >= 0 && cd < width {
-			diagH = H[(i-1)*width+cd]
-		} else {
-			diagH = negInf
-		}
-		if h == diagH+bio.Score62(qw[i-1], sw[j-1]) {
+		if h == H[(i-1)*width+c]+bio.Score62(qw[i-1], sw[j-1]) {
 			if qw[i-1] == sw[j-1] {
 				matches++
 			}
@@ -461,13 +457,12 @@ func gappedExtend(q, s []byte, qAnchor, sAnchor, anchorLen int, opt Options, scr
 			j--
 			continue
 		}
-		if c == at(i, j) && E[i*width+c] == h {
-			alen++
-			i--
-			continue
-		}
 		alen++
-		j--
+		if E[i*width+c] == h {
+			i--
+		} else {
+			j--
+		}
 	}
 	return Hit{
 		Score:    bestScore,
@@ -477,6 +472,30 @@ func gappedExtend(q, s []byte, qAnchor, sAnchor, anchorLen int, opt Options, scr
 		SEnd:     sLo + bj,
 		AlignLen: alen,
 		Matches:  matches,
+	}
+}
+
+// negInf is gappedExtend's −∞: low enough that no path through it wins,
+// high enough that subtracting gap penalties cannot overflow.
+const negInf = math.MinInt32 / 4
+
+// offSubject resets band cells that lie off the subject: H = 0, E = −∞.
+func offSubject(h, e []int) {
+	clear(h)
+	for c := range e {
+		e[c] = negInf
+	}
+}
+
+// score62 is bio.Score62 tabulated by byte pair, for gappedExtend's
+// inner loop.
+var score62 [256][256]int8
+
+func init() {
+	for a := range score62 {
+		for b := range score62[a] {
+			score62[a][b] = int8(bio.Score62(byte(a), byte(b)))
+		}
 	}
 }
 

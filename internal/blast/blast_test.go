@@ -1,12 +1,16 @@
 package blast
 
 import (
+	"bytes"
 	"crypto/sha256"
 	"encoding/json"
 	"fmt"
+	"math"
 	"math/rand"
 	"os"
 	"reflect"
+	"slices"
+	"sort"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -17,15 +21,15 @@ import (
 )
 
 func TestEncodeWord(t *testing.T) {
-	key, ok := encodeWord([]byte("AAA"), 3)
+	key, ok := encodeWord([]byte("AAA"))
 	if !ok || key != 0 {
 		t.Errorf("AAA = %d,%v; want 0,true", key, ok)
 	}
-	key, ok = encodeWord([]byte("AAR"), 3)
+	key, ok = encodeWord([]byte("AAR"))
 	if !ok || key != 1 {
 		t.Errorf("AAR = %d,%v; want 1,true", key, ok)
 	}
-	if _, ok := encodeWord([]byte("AX!"), 3); ok {
+	if _, ok := encodeWord([]byte("AX!")); ok {
 		t.Error("invalid residues should fail")
 	}
 }
@@ -33,19 +37,19 @@ func TestEncodeWord(t *testing.T) {
 func TestNeighborhoodContainsSelfForHighThreshold(t *testing.T) {
 	// The word WWW scores 33 against itself; with threshold 33 the
 	// neighborhood must contain exactly the word itself.
-	out := neighborhood([]byte("WWW"), 3, 33, nil)
+	out := neighborhood([]byte("WWW"), 33, nil)
 	if len(out) != 1 {
 		t.Fatalf("neighborhood size = %d, want 1", len(out))
 	}
-	self, _ := encodeWord([]byte("WWW"), 3)
+	self, _ := encodeWord([]byte("WWW"))
 	if out[0] != self {
 		t.Errorf("neighborhood = %v, want [%d]", out, self)
 	}
 }
 
 func TestNeighborhoodGrowsWithLowerThreshold(t *testing.T) {
-	hi := neighborhood([]byte("ACD"), 3, 13, nil)
-	lo := neighborhood([]byte("ACD"), 3, 9, nil)
+	hi := neighborhood([]byte("ACD"), 13, nil)
+	lo := neighborhood([]byte("ACD"), 9, nil)
 	if len(lo) <= len(hi) {
 		t.Errorf("threshold 9 gives %d words, threshold 13 gives %d; expected growth", len(lo), len(hi))
 	}
@@ -298,15 +302,6 @@ func TestShortQueryNoCrash(t *testing.T) {
 	}
 }
 
-func TestNewDatabaseWordSizePanics(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Error("word size 9 should panic")
-		}
-	}()
-	NewDatabaseWordSize(nil, 9)
-}
-
 func TestSearchStatsCounters(t *testing.T) {
 	rng := rand.New(rand.NewSource(14))
 	seq := workload.Protein(rng, 200)
@@ -411,4 +406,360 @@ func BenchmarkKernelBlast(b *testing.B) {
 		}
 		kernelSink = out
 	}
+}
+
+// mapIndex is the word index as it stood before the dense rewrite: a Go map from
+// word key to its occurrences, by subject then position.
+func mapIndex(db *Database) map[int32][]loc {
+	index := make(map[int32][]loc)
+	for si, rec := range db.Seqs {
+		seq := rec.Seq
+		for p := 0; p+wordSize <= len(seq); p++ {
+			key, ok := encodeWord(seq[p:])
+			if !ok {
+				continue
+			}
+			index[key] = append(index[key], loc{seq: int32(si), pos: int32(p)})
+		}
+	}
+	return index
+}
+
+// searchMap is SearchWithStats as it stood before the dense rewrite, on Go maps for
+// the word index and the per-diagonal two-hit state, with the recursive
+// neighborhood and the range-checked banded extension: the reference the
+// dense kernel must reproduce exactly, hit for hit and counter for counter.
+func searchMap(db *Database, index map[int32][]loc, query *fasta.Record, opt Options) ([]Hit, SearchStats) {
+	opt = opt.withDefaults()
+	var stats SearchStats
+	q := query.Seq
+	w := wordSize
+	if len(q) < w {
+		return nil, stats
+	}
+
+	type diagKey struct {
+		seq  int32
+		diag int32
+	}
+	lastHit := make(map[diagKey]int32)    // diag → last query pos seeded
+	extendedTo := make(map[diagKey]int32) // diag → query pos already covered by an extension
+	var hsps []Hit
+	neigh := make([]int32, 0, 64)
+	var gapped []int
+
+	for qp := 0; qp+w <= len(q); qp++ {
+		neigh = neighborhoodRec(q[qp:qp+w], w, opt.Threshold, neigh[:0])
+		for _, key := range neigh {
+			for _, l := range index[key] {
+				stats.SeedHits++
+				dk := diagKey{seq: l.seq, diag: l.pos - int32(qp)}
+				prev, seen := lastHit[dk]
+				if !seen {
+					lastHit[dk] = int32(qp)
+					continue
+				}
+				dist := int32(qp) - prev
+				if dist < int32(w) {
+					continue // overlaps the previous hit; keep the earlier anchor
+				}
+				lastHit[dk] = int32(qp)
+				if dist > int32(opt.TwoHitWindow) {
+					continue // too far apart to pair; restart from this hit
+				}
+				if covered, ok := extendedTo[dk]; ok && int32(qp) < covered {
+					continue // this diagonal region was already extended
+				}
+				stats.TwoHitTriggers++
+				subj := db.Seqs[l.seq].Seq
+				stats.UngappedExts++
+				score, qs, qe := ungappedExtend(q, subj, qp, int(l.pos), w, opt.XDrop)
+				extendedTo[dk] = int32(qe)
+				if score < opt.UngappedCut {
+					continue
+				}
+				stats.GappedExts++
+				hit := gappedExtendAt(q, subj, qs, qs+int(dk.diag), qe-qs, opt, &gapped)
+				hit.QueryID = query.ID
+				hit.SubjectID = db.Seqs[l.seq].ID
+				hit.EValue = evalue(hit.Score, len(q), db.TotalLen)
+				hit.BitScore = bitScore(hit.Score)
+				if hit.EValue <= opt.MaxEValue {
+					stats.HSPs++
+					hsps = append(hsps, hit)
+				}
+			}
+		}
+	}
+	hsps = dedupeHits(hsps)
+	sort.Slice(hsps, func(i, j int) bool {
+		if hsps[i].EValue != hsps[j].EValue {
+			return hsps[i].EValue < hsps[j].EValue
+		}
+		return hsps[i].SubjectID < hsps[j].SubjectID
+	})
+	return hsps, stats
+}
+
+// neighborhoodRec is neighborhood by depth-first enumeration with
+// branch-and-bound pruning, for any word length w.
+func neighborhoodRec(qword []byte, w, threshold int, out []int32) []int32 {
+	// maxTail[i] = max achievable score from positions i..w-1.
+	maxTail := make([]int, w+1)
+	for i := w - 1; i >= 0; i-- {
+		best := math.MinInt32
+		qi := bio.AAIndex(qword[i])
+		if qi < 0 {
+			return out
+		}
+		for j := 0; j < 20; j++ {
+			if s := int(bio.Blosum62[qi][j]); s > best {
+				best = s
+			}
+		}
+		maxTail[i] = maxTail[i+1] + best
+	}
+	var rec func(pos, score int, key int32)
+	rec = func(pos, score int, key int32) {
+		if pos == w {
+			if score >= threshold {
+				out = append(out, key)
+			}
+			return
+		}
+		if score+maxTail[pos] < threshold {
+			return
+		}
+		qi := bio.AAIndex(qword[pos])
+		for j := 0; j < 20; j++ {
+			rec(pos+1, score+int(bio.Blosum62[qi][j]), key*20+int32(j))
+		}
+	}
+	rec(0, 0, 0)
+	return out
+}
+
+// gappedExtendAt is gappedExtend over all (i, j) of the band with a range
+// check on every neighbour it reads, and F stored beside H and E.
+func gappedExtendAt(q, s []byte, qAnchor, sAnchor, anchorLen int, opt Options, scratch *[]int) Hit {
+	margin := opt.Band * 4
+	qLo := max(0, qAnchor-margin-anchorLen)
+	qHi := min(len(q), qAnchor+anchorLen+margin)
+	sLo := max(0, sAnchor-margin-anchorLen)
+	sHi := min(len(s), sAnchor+anchorLen+margin)
+	qw := q[qLo:qHi]
+	sw := s[sLo:sHi]
+	diag := (sAnchor - sLo) - (qAnchor - qLo)
+
+	n, m := len(qw), len(sw)
+	band := opt.Band
+	width := 2*band + 1
+	size := (n + 1) * width
+	*scratch = slices.Grow((*scratch)[:0], 3*size)[:3*size]
+	H := (*scratch)[:size]
+	E := (*scratch)[size : 2*size]
+	F := (*scratch)[2*size:]
+	at := func(i, j int) int {
+		return j - (i + diag) + band
+	}
+	for i := range H {
+		H[i], E[i], F[i] = 0, negInf, negInf
+	}
+	bestScore, bi, bj := 0, 0, 0
+	for i := 1; i <= n; i++ {
+		jLo := max(1, i+diag-band)
+		jHi := min(m, i+diag+band)
+		for j := jLo; j <= jHi; j++ {
+			c := at(i, j)
+			if c < 0 || c >= width {
+				continue
+			}
+			var diagH int
+			cd := at(i-1, j-1)
+			if cd >= 0 && cd < width {
+				diagH = H[(i-1)*width+cd]
+			} else {
+				diagH = negInf
+			}
+			match := diagH + bio.Score62(qw[i-1], sw[j-1])
+			var upH, upE int
+			cu := at(i-1, j)
+			if cu >= 0 && cu < width {
+				upH, upE = H[(i-1)*width+cu], E[(i-1)*width+cu]
+			} else {
+				upH, upE = negInf, negInf
+			}
+			e := max(upH-opt.GapOpen, upE-opt.GapExtend)
+			var leftH, leftF int
+			cl := at(i, j-1)
+			if cl >= 0 && cl < width {
+				leftH, leftF = H[i*width+cl], F[i*width+cl]
+			} else {
+				leftH, leftF = negInf, negInf
+			}
+			f := max(leftH-opt.GapOpen, leftF-opt.GapExtend)
+			h := max(0, max(match, max(e, f)))
+			H[i*width+c], E[i*width+c], F[i*width+c] = h, e, f
+			if h > bestScore {
+				bestScore, bi, bj = h, i, j
+			}
+		}
+	}
+	matches, alen := 0, 0
+	i, j := bi, bj
+	for i > 0 && j > 0 {
+		c := at(i, j)
+		if c < 0 || c >= width || H[i*width+c] == 0 {
+			break
+		}
+		h := H[i*width+c]
+		var diagH int
+		cd := at(i-1, j-1)
+		if cd >= 0 && cd < width {
+			diagH = H[(i-1)*width+cd]
+		} else {
+			diagH = negInf
+		}
+		if h == diagH+bio.Score62(qw[i-1], sw[j-1]) {
+			if qw[i-1] == sw[j-1] {
+				matches++
+			}
+			alen++
+			i--
+			j--
+			continue
+		}
+		if c == at(i, j) && E[i*width+c] == h {
+			alen++
+			i--
+			continue
+		}
+		alen++
+		j--
+	}
+	return Hit{
+		Score:    bestScore,
+		QStart:   qLo + i,
+		QEnd:     qLo + bi,
+		SStart:   sLo + j,
+		SEnd:     sLo + bj,
+		AlignLen: alen,
+		Matches:  matches,
+	}
+}
+
+// oracleOptions are the settings the oracle comparison runs under: the
+// defaults, a band narrow enough that alignments run into its edges, and
+// loose cut-offs that extend and report nearly every seed pair.
+var oracleOptions = []Options{
+	{},
+	{Band: 1, MaxEValue: 1e6},
+	{UngappedCut: 1, Band: 40, MaxEValue: 1e6},
+}
+
+// checkAgainstOracle fails unless SearchWithStats and searchMap agree on
+// every hit, their order, and every counter, for each query under each of
+// oracleOptions.
+func checkAgainstOracle(t *testing.T, name string, subjects [][]byte, queries ...[]byte) {
+	t.Helper()
+	recs := make([]*fasta.Record, len(subjects))
+	for i, s := range subjects {
+		recs[i] = &fasta.Record{ID: fmt.Sprintf("s%d", i), Seq: s}
+	}
+	db := NewDatabase(recs)
+	index := mapIndex(db)
+	for qi, seq := range queries {
+		query := &fasta.Record{ID: fmt.Sprintf("q%d", qi), Seq: seq}
+		for _, opt := range oracleOptions {
+			got, gotStats := db.SearchWithStats(query, opt)
+			want, wantStats := searchMap(db, index, query, opt)
+			if gotStats != wantStats {
+				t.Errorf("%s, query %d, %+v: stats %+v, oracle %+v", name, qi, opt, gotStats, wantStats)
+			}
+			if !slices.Equal(got, want) {
+				t.Errorf("%s, query %d, %+v:\n got %+v\nwant %+v", name, qi, opt, got, want)
+			}
+		}
+	}
+}
+
+// searchEdgeCases are hand-made (subjects, queries) pairs that reach what
+// the seeded corpus does not: windows clipped at both ends of a subject,
+// residues outside the alphabet, and searches with nothing to find.
+func searchEdgeCases() map[string][2][][]byte {
+	rng := rand.New(rand.NewSource(21))
+	long := workload.Protein(rng, 400)
+	short := [][]byte{long[10:60], long[200:230], workload.Protein(rng, 40)}
+	odd := bytes.Clone(long[100:220])
+	odd[7], odd[30], odd[31], odd[90] = 'X', '*', 'x', 'B'
+	for i := 40; i < 70; i++ {
+		odd[i] += 'a' - 'A'
+	}
+	return map[string][2][][]byte{
+		"query longer than every subject": {short, {long}},
+		"seeds at subject position 0 and at the last word": {
+			{long[:50], long[150:153], long[300:320]},
+			{long[:50], long[:20], long[30:50], long[300:320], long[145:158]},
+		},
+		"X, * and lower case":         {{odd, long[90:250]}, {bytes.ToLower(long[95:215]), odd[20:100], long[100:220]}},
+		"query shorter than the word": {short, {long[:2], long[:1], {}}},
+		"empty database":              {nil, {long[:80]}},
+		"empty and one-word subjects": {{{}, long[5:7], long[5:8], long[:60]}, {long[:60]}},
+		"repeats on many diagonals":   {{bytes.Repeat([]byte("WCWHM"), 30)}, {bytes.Repeat([]byte("WCWHM"), 12), bytes.Repeat([]byte("WCW"), 20)}},
+	}
+}
+
+func TestSearchMatchesOracle(t *testing.T) {
+	for name, c := range searchEdgeCases() {
+		checkAgainstOracle(t, name, c[0], c[1]...)
+	}
+	db, docs := kernelInputs(t, 4)
+	subjects := make([][]byte, len(db.Seqs))
+	for i, rec := range db.Seqs {
+		subjects[i] = rec.Seq
+	}
+	for i, doc := range docs {
+		queries, err := fasta.ParseBytes(doc)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var seqs [][]byte
+		for _, q := range queries {
+			seqs = append(seqs, q.Seq)
+		}
+		checkAgainstOracle(t, fmt.Sprintf("golden corpus file %d", i), subjects, seqs...)
+	}
+}
+
+// fuzzResidues is what FuzzSearch maps arbitrary bytes onto: the 20
+// amino acids, two lower-case ones, and two residues outside the alphabet.
+const fuzzResidues = bio.ProteinAlphabet + "acX*"
+
+// FuzzSearch: arbitrary bytes become a query (the first line) and a
+// database (the rest) over fuzzResidues, and the dense kernel must agree
+// with the map oracle exactly and never panic.
+func FuzzSearch(f *testing.F) {
+	for _, c := range searchEdgeCases() {
+		for _, q := range c[1] {
+			f.Add(bytes.Join(append([][]byte{q}, c[0]...), []byte{'\n'}))
+		}
+	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		if len(data) > 4096 {
+			return
+		}
+		var seqs [][]byte
+		for _, line := range bytes.Split(data, []byte{'\n'}) {
+			seq := make([]byte, len(line))
+			for i, c := range line {
+				if strings.IndexByte(fuzzResidues, c) >= 0 {
+					seq[i] = c
+				} else {
+					seq[i] = fuzzResidues[int(c)%len(fuzzResidues)]
+				}
+			}
+			seqs = append(seqs, seq)
+		}
+		checkAgainstOracle(t, "fuzz", seqs[1:], seqs[0])
+	})
 }

@@ -119,3 +119,31 @@ func BenchmarkKernelGTM(b *testing.B) {
 		kernelSink = coords
 	}
 }
+
+var runSink []byte
+
+// BenchmarkKernelGTMRun times Run on one encoded mixed_tenants shard per
+// op: gunzip, decode and Interpolate, the whole GTM task of bench/e2e,
+// including the half BenchmarkKernelGTM cannot see.
+func BenchmarkKernelGTMRun(b *testing.B) {
+	const seed = 1
+	model := goldenModel(b, seed, 300)
+	shards := make([][]byte, 8)
+	for i := range shards {
+		enc, err := EncodeShard(goldenShard(seed, i, 400), workload.PubChemDims)
+		if err != nil {
+			b.Fatal(err)
+		}
+		shards[i] = enc
+	}
+	b.SetBytes(int64(8 * 400 * workload.PubChemDims))
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		out, err := Run(model, shards[i%len(shards)])
+		if err != nil {
+			b.Fatal(err)
+		}
+		runSink = out
+	}
+}

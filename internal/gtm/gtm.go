@@ -6,6 +6,13 @@
 // out-of-sample points through the trained model, one independent data
 // shard at a time, which is exactly the pleasingly parallel task the
 // frameworks distribute.
+//
+// A GTM task is compute-bound, not memory-bound. On a 2-core amd64 box,
+// one 400 × 166 shard (531 KB of points) against a K = 100 model costs
+// ≈ 3.6 ms of distance arithmetic in Interpolate (≈ 6.6 M multiply-adds,
+// BenchmarkKernelGTM), and the whole of Run ≈ 8.3 ms
+// (BenchmarkKernelGTMRun): inflating the gzip-compressed shard is the
+// larger half. README's kernel table has the measured ns/op.
 package gtm
 
 import (
@@ -62,13 +69,18 @@ type Model struct {
 	Beta   float64        // noise precision
 	D      int            // data dimensionality
 	LogL   []float64      // per-iteration training log-likelihood
+
+	// y is Y = Φ·W, the K×D projections of the latent points into data
+	// space, set once the model is final (end of Train, UnmarshalModel):
+	// every shard Interpolate sees reads the same one.
+	y *linalg.Matrix
 }
 
 // K returns the number of latent points.
 func (m *Model) K() int { return m.Latent.Rows }
 
-// Y returns the K×D projections of latent points into data space.
-func (m *Model) Y() *linalg.Matrix { return linalg.MulParallel(m.Phi, m.W) }
+// project computes Y = Φ·W for the current weights.
+func (m *Model) project() *linalg.Matrix { return linalg.MulParallel(m.Phi, m.W) }
 
 // grid returns n² points covering [-1,1]² row-major.
 func grid(n int) *linalg.Matrix {
@@ -113,7 +125,6 @@ func Train(data []float64, dims int, cfg Config) (*Model, error) {
 		return nil, fmt.Errorf("gtm: data length %d not a multiple of dims %d", len(data), dims)
 	}
 	n := len(data) / dims
-	k := cfg.LatentGridSize * cfg.LatentGridSize
 	if n < 2 {
 		return nil, errors.New("gtm: need at least 2 training points")
 	}
@@ -147,7 +158,7 @@ func Train(data []float64, dims int, cfg Config) (*Model, error) {
 		}
 		prevL = logL
 	}
-	_ = k
+	model.y = model.project()
 	return model, nil
 }
 
@@ -215,7 +226,7 @@ func initWeights(m *Model, x *linalg.Matrix, cfg Config) error {
 	m.W = w
 
 	// β from average reconstruction distance.
-	y := m.Y()
+	y := m.project()
 	sum := 0.0
 	for i := 0; i < n; i++ {
 		bestD := math.Inf(1)
@@ -237,7 +248,7 @@ func initWeights(m *Model, x *linalg.Matrix, cfg Config) error {
 // responsibilities computes the K×N posterior matrix and the data
 // log-likelihood under the current model.
 func responsibilities(m *Model, x *linalg.Matrix) (*linalg.Matrix, float64, error) {
-	y := m.Y()
+	y := m.project()
 	k, n, d := m.K(), x.Rows, m.D
 	r := linalg.NewMatrix(k, n)
 	logPrefactor := 0.5*float64(d)*math.Log(m.Beta/(2*math.Pi)) - math.Log(float64(k))
@@ -300,7 +311,7 @@ func mStep(m *Model, x *linalg.Matrix, r *linalg.Matrix, lambda float64) error {
 	m.W = w
 
 	// β update: 1/β = (1/ND) Σ_kn r_kn ‖y_k − x_n‖².
-	y := m.Y()
+	y := m.project()
 	sum := 0.0
 	for i := 0; i < k; i++ {
 		row := r.Row(i)
@@ -320,11 +331,17 @@ func mStep(m *Model, x *linalg.Matrix, r *linalg.Matrix, lambda float64) error {
 	return nil
 }
 
+// expUnderflow is below the argument under which math.Exp returns
+// exactly 0 (−745.13…), so a term it skips would have added nothing.
+const expUnderflow = -746
+
 // Interpolate projects out-of-sample points (n×dims row-major) into the
 // latent space, returning n×2 row-major posterior-mean coordinates. This
-// is the per-shard computation the frameworks parallelize: it streams
-// over the shard once, touching every byte of the input — the
-// memory-bandwidth-bound profile the paper reports for GTM.
+// is the per-shard computation the frameworks parallelize. Its cost is
+// the K×n squared distances to the model's projections, computed four
+// latent rows per pass over each point; each distance keeps its own
+// left-to-right sum, so the result is bit-for-bit that of one
+// linalg.SquaredDistance per pair.
 func (m *Model) Interpolate(points []float64, dims int) ([]float64, error) {
 	if dims != m.D {
 		return nil, fmt.Errorf("gtm: point dims %d != model dims %d", dims, m.D)
@@ -333,26 +350,47 @@ func (m *Model) Interpolate(points []float64, dims int) ([]float64, error) {
 		return nil, fmt.Errorf("gtm: data length %d not a multiple of dims %d", len(points), dims)
 	}
 	n := len(points) / dims
-	y := m.Y()
 	k := m.K()
+	y, latent := m.y.Data, m.Latent.Data
+	scale := -0.5 * m.Beta
 	out := make([]float64, n*LatentDims)
 	logw := make([]float64, k)
 	for j := 0; j < n; j++ {
 		xj := points[j*dims : (j+1)*dims]
+		i := 0
+		for ; i+4 <= k; i += 4 {
+			y0 := y[i*dims : (i+1)*dims][:len(xj)]
+			y1 := y[(i+1)*dims : (i+2)*dims][:len(xj)]
+			y2 := y[(i+2)*dims : (i+3)*dims][:len(xj)]
+			y3 := y[(i+3)*dims : (i+4)*dims][:len(xj)]
+			var s0, s1, s2, s3 float64
+			for t, x := range xj {
+				d0, d1, d2, d3 := y0[t]-x, y1[t]-x, y2[t]-x, y3[t]-x
+				s0 += d0 * d0
+				s1 += d1 * d1
+				s2 += d2 * d2
+				s3 += d3 * d3
+			}
+			logw[i], logw[i+1], logw[i+2], logw[i+3] = scale*s0, scale*s1, scale*s2, scale*s3
+		}
+		for ; i < k; i++ {
+			logw[i] = scale * linalg.SquaredDistance(y[i*dims:(i+1)*dims], xj)
+		}
 		maxLog := math.Inf(-1)
-		for i := 0; i < k; i++ {
-			logw[i] = -0.5 * m.Beta * linalg.SquaredDistance(y.Row(i), xj)
-			if logw[i] > maxLog {
-				maxLog = logw[i]
+		for _, lw := range logw {
+			if lw > maxLog {
+				maxLog = lw
 			}
 		}
 		var sum, u0, u1 float64
-		for i := 0; i < k; i++ {
-			wgt := math.Exp(logw[i] - maxLog)
+		for i, lw := range logw {
+			if lw-maxLog < expUnderflow {
+				continue
+			}
+			wgt := math.Exp(lw - maxLog)
 			sum += wgt
-			u := m.Latent.Row(i)
-			u0 += wgt * u[0]
-			u1 += wgt * u[1]
+			u0 += wgt * latent[i*LatentDims]
+			u1 += wgt * latent[i*LatentDims+1]
 		}
 		out[j*LatentDims] = u0 / sum
 		out[j*LatentDims+1] = u1 / sum

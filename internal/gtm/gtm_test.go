@@ -1,6 +1,10 @@
 package gtm
 
 import (
+	"bytes"
+	"compress/gzip"
+	"encoding/binary"
+	"encoding/gob"
 	"math"
 	"testing"
 	"testing/quick"
@@ -217,6 +221,30 @@ func TestUnmarshalModelCorrupt(t *testing.T) {
 	if _, err := UnmarshalModel([]byte("junk")); err == nil {
 		t.Error("corrupt model should error")
 	}
+	// A model whose matrices disagree on their shapes must be refused,
+	// not panic projecting Y = Φ·W.
+	model, _, _ := trainSmall(t, 60)
+	for name, corrupt := range map[string]func(*modelWire){
+		"short W":            func(w *modelWire) { w.W = w.W[:len(w.W)-1] },
+		"Φ columns ≠ W rows": func(w *modelWire) { w.PhiCols++ },
+		"W columns ≠ D":      func(w *modelWire) { w.D++ },
+		"3-D latent points":  func(w *modelWire) { w.LatentCols = 3 },
+	} {
+		wire := modelWire{
+			LatentRows: model.Latent.Rows, LatentCols: model.Latent.Cols, Latent: model.Latent.Data,
+			PhiRows: model.Phi.Rows, PhiCols: model.Phi.Cols, Phi: model.Phi.Data,
+			WRows: model.W.Rows, WCols: model.W.Cols, W: model.W.Data,
+			Beta: model.Beta, D: model.D,
+		}
+		corrupt(&wire)
+		var buf bytes.Buffer
+		if err := gob.NewEncoder(&buf).Encode(wire); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := UnmarshalModel(buf.Bytes()); err == nil {
+			t.Errorf("%s: decoded, want an error", name)
+		}
+	}
 }
 
 func TestShardRoundTrip(t *testing.T) {
@@ -245,6 +273,61 @@ func TestShardValidation(t *testing.T) {
 	}
 	if _, _, err := DecodeShard([]byte("definitely not gzip")); err == nil {
 		t.Error("corrupt shard should error")
+	}
+}
+
+// gzipped compresses raw as one gzip member, for shards EncodeShard
+// would never write.
+func gzipped(t *testing.T, raw []byte) []byte {
+	t.Helper()
+	var buf bytes.Buffer
+	zw := gzip.NewWriter(&buf)
+	if _, err := zw.Write(raw); err != nil {
+		t.Fatal(err)
+	}
+	if err := zw.Close(); err != nil {
+		t.Fatal(err)
+	}
+	return buf.Bytes()
+}
+
+// shardBytes is the uncompressed form EncodeShard writes: header, body.
+func shardBytes(magic, dims, n uint32, body []byte) []byte {
+	raw := binary.LittleEndian.AppendUint32(nil, magic)
+	raw = binary.LittleEndian.AppendUint32(raw, dims)
+	raw = binary.LittleEndian.AppendUint32(raw, n)
+	return append(raw, body...)
+}
+
+// DecodeShard reads exactly the body its header announces and then to
+// EOF, so each of these malformed shards must fail rather than decode.
+func TestDecodeShardRejectsMalformed(t *testing.T) {
+	good, err := EncodeShard(workload.ChemicalPoints(9, 4, 2), workload.PubChemDims)
+	if err != nil {
+		t.Fatal(err)
+	}
+	body := make([]byte, 8*4*workload.PubChemDims)
+	flipped := bytes.Clone(good)
+	flipped[len(flipped)-5] ^= 0xff // last byte of the CRC-32 in the gzip trailer
+	cases := map[string][]byte{
+		"truncated body":           gzipped(t, shardBytes(shardMagic, workload.PubChemDims, 4, body[:len(body)-8])),
+		"truncated stream":         good[:len(good)/2],
+		"flipped CRC byte":         flipped,
+		"trailing data":            gzipped(t, shardBytes(shardMagic, workload.PubChemDims, 4, append(bytes.Clone(body), 0))),
+		"trailing gzip member":     append(bytes.Clone(good), gzipped(t, []byte("extra"))...),
+		"trailing garbage":         append(bytes.Clone(good), "garbage"...),
+		"zero dims":                gzipped(t, shardBytes(shardMagic, 0, 4, nil)),
+		"bad magic":                gzipped(t, shardBytes(shardMagic+1, workload.PubChemDims, 4, body)),
+		"short header":             gzipped(t, shardBytes(shardMagic, workload.PubChemDims, 4, nil)[:10]),
+		"header claims 2⁶² values": gzipped(t, shardBytes(shardMagic, 1<<31, 1<<31, nil)),
+	}
+	for name, shard := range cases {
+		if pts, dims, err := DecodeShard(shard); err == nil {
+			t.Errorf("%s: decoded %d values × %d dims, want an error", name, len(pts), dims)
+		}
+	}
+	if _, _, err := DecodeShard(good); err != nil {
+		t.Fatalf("the unmodified shard: %v", err)
 	}
 }
 
@@ -285,6 +368,59 @@ func TestRunEndToEnd(t *testing.T) {
 	}
 	if len(coords) != 60*LatentDims {
 		t.Fatalf("got %d coords, want %d", len(coords), 60*LatentDims)
+	}
+}
+
+// interpolateRef is Interpolate one latent row at a time, with Y computed
+// afresh and every exp taken: the form the blocked kernel must reproduce.
+func interpolateRef(m *Model, points []float64, dims int) []float64 {
+	y := m.project()
+	n, k := len(points)/dims, m.K()
+	out := make([]float64, n*LatentDims)
+	logw := make([]float64, k)
+	for j := 0; j < n; j++ {
+		xj := points[j*dims : (j+1)*dims]
+		maxLog := math.Inf(-1)
+		for i := 0; i < k; i++ {
+			logw[i] = -0.5 * m.Beta * linalg.SquaredDistance(y.Row(i), xj)
+			maxLog = math.Max(maxLog, logw[i])
+		}
+		var sum, u0, u1 float64
+		for i := 0; i < k; i++ {
+			wgt := math.Exp(logw[i] - maxLog)
+			sum += wgt
+			u0 += wgt * m.Latent.Row(i)[0]
+			u1 += wgt * m.Latent.Row(i)[1]
+		}
+		out[j*LatentDims], out[j*LatentDims+1] = u0/sum, u1/sum
+	}
+	return out
+}
+
+// K = 9 and 25 leave one latent row after the blocks of four; the sample
+// includes every projection y_k, so that row dominates some point. A sharp
+// model (large β) makes most exp terms underflow, so the skip is exercised.
+func TestInterpolateMatchesReference(t *testing.T) {
+	pts := workload.ChemicalPoints(3, 120, 3)
+	for _, g := range []int{3, 5} {
+		model, err := Train(pts, workload.PubChemDims, Config{LatentGridSize: g, BasisGridSize: 2, MaxIter: 5, Seed: 5})
+		if err != nil {
+			t.Fatal(err)
+		}
+		sample := append(workload.ChemicalPoints(22, 50, 3), model.project().Data...)
+		for _, beta := range []float64{model.Beta, model.Beta * 1e4} {
+			model.Beta = beta
+			got, err := model.Interpolate(sample, workload.PubChemDims)
+			if err != nil {
+				t.Fatal(err)
+			}
+			want := interpolateRef(model, sample, workload.PubChemDims)
+			for i := range want {
+				if math.Float64bits(got[i]) != math.Float64bits(want[i]) {
+					t.Fatalf("K = %d, β = %g: coordinate %d is %v, reference %v", g*g, beta, i, got[i], want[i])
+				}
+			}
+		}
 	}
 }
 

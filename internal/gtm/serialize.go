@@ -6,6 +6,7 @@ import (
 	"encoding/binary"
 	"encoding/gob"
 	"fmt"
+	"io"
 	"math"
 
 	"repro/internal/linalg"
@@ -46,16 +47,20 @@ func UnmarshalModel(data []byte) (*Model, error) {
 	if err := gob.NewDecoder(bytes.NewReader(data)).Decode(&wire); err != nil {
 		return nil, fmt.Errorf("gtm: decoding model: %w", err)
 	}
-	if wire.LatentRows == 0 || wire.PhiRows == 0 || wire.WRows == 0 {
+	latent := &linalg.Matrix{Rows: wire.LatentRows, Cols: wire.LatentCols, Data: wire.Latent}
+	phi := &linalg.Matrix{Rows: wire.PhiRows, Cols: wire.PhiCols, Data: wire.Phi}
+	w := &linalg.Matrix{Rows: wire.WRows, Cols: wire.WCols, Data: wire.W}
+	if latent.Cols != LatentDims || phi.Rows != latent.Rows || phi.Cols != w.Rows || w.Cols != wire.D ||
+		!wellShaped(latent) || !wellShaped(phi) || !wellShaped(w) {
 		return nil, fmt.Errorf("gtm: corrupt model")
 	}
-	return &Model{
-		Latent: &linalg.Matrix{Rows: wire.LatentRows, Cols: wire.LatentCols, Data: wire.Latent},
-		Phi:    &linalg.Matrix{Rows: wire.PhiRows, Cols: wire.PhiCols, Data: wire.Phi},
-		W:      &linalg.Matrix{Rows: wire.WRows, Cols: wire.WCols, Data: wire.W},
-		Beta:   wire.Beta,
-		D:      wire.D,
-	}, nil
+	m := &Model{Latent: latent, Phi: phi, W: w, Beta: wire.Beta, D: wire.D}
+	m.y = m.project()
+	return m, nil
+}
+
+func wellShaped(m *linalg.Matrix) bool {
+	return m.Rows > 0 && m.Cols > 0 && len(m.Data) == m.Rows*m.Cols
 }
 
 // shardMagic marks encoded data shards.
@@ -90,32 +95,48 @@ func EncodeShard(points []float64, dims int) ([]byte, error) {
 	return buf.Bytes(), nil
 }
 
-// DecodeShard reverses EncodeShard.
+// maxDeflateRatio bounds how far deflate can expand its input (1032:1),
+// so a header claiming more points than the compressed bytes can hold is
+// refused before anything is allocated for them.
+const maxDeflateRatio = 1032
+
+// DecodeShard reverses EncodeShard. It reads the header, then exactly the
+// body the header announces, then on to EOF so gzip verifies its CRC; a
+// body that is short, long or fails the CRC is an error.
 func DecodeShard(data []byte) (points []float64, dims int, err error) {
 	zr, err := gzip.NewReader(bytes.NewReader(data))
 	if err != nil {
 		return nil, 0, fmt.Errorf("gtm: decompressing shard: %w", err)
 	}
 	defer zr.Close()
-	var raw bytes.Buffer
-	if _, err := raw.ReadFrom(zr); err != nil {
-		return nil, 0, fmt.Errorf("gtm: reading shard: %w", err)
-	}
-	b := raw.Bytes()
-	if len(b) < 12 || binary.LittleEndian.Uint32(b[0:]) != shardMagic {
+	var buf [4096]byte
+	if _, err := io.ReadFull(zr, buf[:12]); err != nil || binary.LittleEndian.Uint32(buf[0:]) != shardMagic {
 		return nil, 0, fmt.Errorf("gtm: bad shard header")
 	}
-	dims = int(binary.LittleEndian.Uint32(b[4:]))
-	n := int(binary.LittleEndian.Uint32(b[8:]))
-	body := b[12:]
-	if len(body) != 8*n*dims {
-		return nil, 0, fmt.Errorf("gtm: shard body %d bytes, want %d", len(body), 8*n*dims)
+	dims = int(binary.LittleEndian.Uint32(buf[4:]))
+	n := int(binary.LittleEndian.Uint32(buf[8:]))
+	if dims == 0 || uint64(n)*uint64(dims) > maxDeflateRatio*uint64(len(data))/8 {
+		return nil, 0, fmt.Errorf("gtm: bad shard shape: %d points × %d dims in %d bytes", n, dims, len(data))
 	}
 	points = make([]float64, n*dims)
-	for i := range points {
-		points[i] = math.Float64frombits(binary.LittleEndian.Uint64(body[i*8:]))
+	for i := 0; i < len(points); {
+		chunk := buf[:min(len(buf), 8*(len(points)-i))]
+		if _, err := io.ReadFull(zr, chunk); err != nil {
+			return nil, 0, fmt.Errorf("gtm: reading shard body: %w", err)
+		}
+		for ; len(chunk) >= 8; chunk = chunk[8:] {
+			points[i] = math.Float64frombits(binary.LittleEndian.Uint64(chunk))
+			i++
+		}
 	}
-	return points, dims, nil
+	switch _, err := io.ReadFull(zr, buf[:1]); err {
+	case io.EOF:
+		return points, dims, nil
+	case nil:
+		return nil, 0, fmt.Errorf("gtm: shard longer than its %d × %d header", n, dims)
+	default:
+		return nil, 0, fmt.Errorf("gtm: reading shard: %w", err)
+	}
 }
 
 // EncodeEmbedding packs interpolation output (n×2 latent coordinates).
