@@ -28,7 +28,7 @@ var uncalledAllowed = map[string]string{
 	// References: the plain implementation a test compares the one
 	// programs run against.
 	"internal/linalg.Mul":           "serial reference TestMulParallelMatchesSerial checks MulParallel against",
-	"internal/bio.KmerCoder.Encode": "from-scratch reference TestKmerRollMatchesEncode checks Roll and EachKmer against",
+	"internal/bio.KmerCoder.Encode": "from-scratch reference TestEachKmerMatchesEncode checks both of EachKmer's keys against",
 	"internal/linalg.FromRows":      "literal-matrix constructor the linalg tests state their expected values with",
 
 	// Fault seams: how tests inject what no program does on purpose.

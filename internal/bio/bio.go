@@ -96,35 +96,28 @@ func (kc *KmerCoder) Encode(seq []byte) (uint64, bool) {
 	return key, true
 }
 
-// Roll shifts a previous key left by one base, appending c. The second
-// return is false if c is not a nucleotide.
-func (kc *KmerCoder) Roll(prev uint64, c byte) (uint64, bool) {
-	code := baseCode[c]
-	if code == 0xFF {
-		return 0, false
-	}
-	return (prev<<2 | uint64(code)) & kc.mask, true
-}
-
 // EachKmer calls fn for every valid k-mer window in seq with its start
-// offset. Windows containing non-ACGT bytes are skipped.
-func (kc *KmerCoder) EachKmer(seq []byte, fn func(pos int, key uint64)) {
+// offset, its key (as Encode packs it) and the key of its reverse
+// complement. Windows containing non-ACGT bytes are skipped.
+func (kc *KmerCoder) EachKmer(seq []byte, fn func(pos int, fwd, rc uint64)) {
 	if len(seq) < kc.K {
 		return
 	}
-	var key uint64
+	top := 2 * uint(kc.K-1) // where the complement of the newest base enters rc
+	var fwd, rc uint64
 	valid := 0 // number of consecutive valid bases ending at current position
 	for i, c := range seq {
-		next, ok := kc.Roll(key, c)
-		if !ok {
+		code := baseCode[c]
+		if code == 0xFF {
 			valid = 0
-			key = 0
 			continue
 		}
-		key = next
+		// K valid bases shift every earlier one out of both keys.
+		fwd = (fwd<<2 | uint64(code)) & kc.mask
+		rc = rc>>2 | uint64(3-code)<<top // 3−code: A↔T, C↔G
 		valid++
 		if valid >= kc.K {
-			fn(i-kc.K+1, key)
+			fn(i-kc.K+1, fwd, rc)
 		}
 	}
 }

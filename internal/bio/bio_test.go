@@ -3,6 +3,7 @@ package bio
 import (
 	"bytes"
 	"math/rand"
+	"slices"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -73,19 +74,47 @@ func TestKmerEncodeDecode(t *testing.T) {
 	}
 }
 
-func TestKmerRollMatchesEncode(t *testing.T) {
-	kc := NewKmerCoder(4)
-	seq := []byte("ACGTACGGTTCA")
-	key, _ := kc.Encode(seq)
-	for i := 1; i+kc.K <= len(seq); i++ {
-		var ok bool
-		key, ok = kc.Roll(key, seq[i+kc.K-1])
-		if !ok {
-			t.Fatalf("Roll failed at %d", i)
+// TestEachKmerMatchesEncode: every window EachKmer reports is one Encode
+// accepts, with Encode's key for the window and for its reverse
+// complement, and no window Encode accepts is missed — across lower-case
+// bases, N and other bytes, and k from 1 to 31.
+func TestEachKmerMatchesEncode(t *testing.T) {
+	rng := rand.New(rand.NewSource(3))
+	seqs := [][]byte{
+		[]byte("ACGTACGGTTCA"),
+		[]byte("acgtNNacgGTTcaXtgcaACGT"),
+		[]byte("GAATTCgaattc"), // palindromic windows: both keys equal
+	}
+	for n := 0; n < 20; n++ {
+		seq := make([]byte, 80)
+		for i := range seq {
+			seq[i] = "ACGTacgtN"[rng.Intn(9)]
 		}
-		want, _ := kc.Encode(seq[i:])
-		if key != want {
-			t.Fatalf("Roll at %d = %x, want %x", i, key, want)
+		seqs = append(seqs, seq)
+	}
+	for _, k := range []int{1, 2, 3, 4, 7, 14, 31} {
+		kc := NewKmerCoder(k)
+		for _, seq := range seqs {
+			var want []int
+			for pos := 0; pos+k <= len(seq); pos++ {
+				if _, ok := kc.Encode(seq[pos:]); ok {
+					want = append(want, pos)
+				}
+			}
+			var got []int
+			kc.EachKmer(seq, func(pos int, fwd, rc uint64) {
+				got = append(got, pos)
+				win := seq[pos : pos+k]
+				if key, _ := kc.Encode(win); fwd != key {
+					t.Errorf("k=%d %q at %d: forward key %x, Encode %x", k, seq, pos, fwd, key)
+				}
+				if key, _ := kc.Encode(ReverseComplement(win)); rc != key {
+					t.Errorf("k=%d %q at %d: reverse-complement key %x, Encode %x", k, seq, pos, rc, key)
+				}
+			})
+			if !slices.Equal(got, want) {
+				t.Errorf("k=%d %q: windows %v, Encode accepts %v", k, seq, got, want)
+			}
 		}
 	}
 }
@@ -94,7 +123,7 @@ func TestEachKmerSkipsInvalid(t *testing.T) {
 	kc := NewKmerCoder(3)
 	seq := []byte("ACGNACG")
 	var positions []int
-	kc.EachKmer(seq, func(pos int, key uint64) {
+	kc.EachKmer(seq, func(pos int, _, _ uint64) {
 		positions = append(positions, pos)
 	})
 	// Valid windows: [0..2] then after the N at index 3: [4..6].
@@ -113,7 +142,7 @@ func TestEachKmerCount(t *testing.T) {
 	kc := NewKmerCoder(11)
 	seq := bytes.Repeat([]byte("ACGT"), 25) // 100 bases
 	n := 0
-	kc.EachKmer(seq, func(int, uint64) { n++ })
+	kc.EachKmer(seq, func(int, uint64, uint64) { n++ })
 	if n != 100-11+1 {
 		t.Errorf("kmer count = %d, want %d", n, 100-11+1)
 	}

@@ -13,16 +13,28 @@
 // paper highlights.
 //
 // Seeding is where a file's time goes, and it runs on flat arrays sized
-// from the input, allocating nothing per k-mer. The forward k-mers of all
-// reads go into one open-addressing table whose slots head chains through
-// a single arena of (read, pos) occurrences, newest first, so a lookup for
-// read a stops at the first occurrence in a read ≤ a. The hits of a are
-// counted in one cell per (other read b, orientation of a), first diagonal
-// inline; the rare pair hit on several diagonals gets a count per possible
-// diagonal, so a vote is O(1) on repeats too. Cells in use are bits of a
-// bitmap, and reading it in ascending order is (b, orientation) order:
-// overlaps come out in one fixed order without a sort, which is what makes
-// Run a function of its input and a redelivered task harmless.
+// from the input, allocating nothing per k-mer. Each k-mer occurrence of
+// each read goes once into one open-addressing table, under its canonical
+// key — the smaller of the k-mer and its reverse complement. A slot heads
+// two chains through a single arena of (read, pos) occurrences, newest
+// first, one per strand: the occurrences where the read holds the key
+// itself, and those where it holds its reverse complement. Reads go in
+// last to first, so when an occurrence is added every later read is
+// already there, and it records two entry points: skip, the first
+// same-strand occurrence of its key in another read, and cross, the first
+// opposite-strand one (for a palindromic k-mer, one equal to its own
+// reverse complement, both are its own chain). The table is probed only
+// while it is built. Read a then votes in two passes
+// over its occurrences, walking every chain from skip (a forward against
+// each later read b) and then every chain from cross (a reverse
+// complemented): each step is a hit against a read b > a, so each pair is
+// voted once. The hits of a are counted in one cell per (b, orientation
+// of a), first diagonal inline; the rare pair hit on several diagonals
+// gets a count per possible diagonal, so a vote is O(1) on repeats too.
+// Cells in use are bits of a bitmap, and reading it in ascending order is
+// (b, orientation) order: overlaps come out in one fixed order without a
+// sort, which is what makes Run a function of its input and a redelivered
+// task harmless.
 package cap3
 
 import (
@@ -301,8 +313,10 @@ type overlapStats struct {
 	FalseOverlaps  int
 }
 
-// kmerIndex maps each forward k-mer of a file to its occurrences: an
-// open-addressing table of chain heads over one arena of occurrences.
+// kmerIndex holds every k-mer occurrence of a file once, under its
+// canonical key (the smaller of the k-mer and its reverse complement): an
+// open-addressing table of chain heads, one per strand, over one arena of
+// occurrences.
 type kmerIndex struct {
 	slots []kmerSlot // power-of-two length, at most half in use
 	used  int
@@ -312,47 +326,90 @@ type kmerIndex struct {
 
 type kmerSlot struct {
 	key  uint64
-	head int32 // the k-mer's newest occurrence in locs; 0 marks a free slot
+	head [2]int32 // the key's newest occurrence on each strand in locs; both 0 mark a free slot
 }
 
-type kmerLoc struct{ read, pos, next int32 }
+// kmerLoc is an occurrence of a canonical key at pos in read, on strand 0
+// (the window reads as the key) or 1 (as its reverse complement). next
+// links the chain of its key and strand, newest first; skip and cross are
+// the first occurrences in another read on the same strand and on the
+// opposite one, where the read's two vote walks start.
+type kmerLoc struct{ read, pos, next, skip, cross int32 }
 
 // newKmerIndex sizes the arena for n occurrences, and the table for the
-// n/4 distinct k-mers of reads that overlap: most of the kernel's time is
-// cache misses on this table, and one sized for n distinct k-mers costs
-// the cap3_fat shape a third more (add doubles it when a file needs that).
-func newKmerIndex(n int) *kmerIndex {
+// n/4 distinct keys of reads that overlap (add doubles it when a file
+// needs more).
+func newKmerIndex(n int) kmerIndex {
 	lg := bits.Len(uint(n / 2))
-	return &kmerIndex{slots: make([]kmerSlot, 1<<lg), shift: uint(64 - lg), locs: make([]kmerLoc, 1, n+1)}
+	return kmerIndex{slots: make([]kmerSlot, 1<<lg), shift: uint(64 - lg), locs: make([]kmerLoc, 1, n+1)}
 }
 
 // slot returns key's slot, or the free slot where key belongs.
 func (x *kmerIndex) slot(key uint64) *kmerSlot {
 	mask := uint64(len(x.slots) - 1)
 	for h := key * 0x9E3779B97F4A7C15 >> x.shift; ; h = (h + 1) & mask {
-		if s := &x.slots[h]; s.head == 0 || s.key == key {
+		if s := &x.slots[h]; s.head == [2]int32{} || s.key == key {
 			return s
 		}
 	}
 }
 
-// add records an occurrence of key at the head of key's chain.
-func (x *kmerIndex) add(key uint64, read, pos int) {
+// add records the window at pos in read, whose k-mer is fwd and whose
+// reverse complement is rc, at the head of its canonical key's chain on
+// its strand. Reads must go in last to first: every later read is then
+// already in, and the chains from the new occurrence's skip and cross
+// hold exactly the later reads' occurrences.
+func (x *kmerIndex) add(fwd, rc uint64, read, pos int) {
+	key, st := fwd, 0
+	if rc < fwd {
+		key, st = rc, 1
+	}
 	s := x.slot(key)
-	if s.head == 0 {
+	if s.head == [2]int32{} {
 		if x.used++; 2*x.used > len(x.slots) {
 			old := x.slots
 			x.slots, x.shift = make([]kmerSlot, 2*len(old)), x.shift-1
 			for _, o := range old {
-				if o.head != 0 {
+				if o.head != [2]int32{} {
 					*x.slot(o.key) = o
 				}
 			}
 			s = x.slot(key)
 		}
 	}
-	x.locs = append(x.locs, kmerLoc{read: int32(read), pos: int32(pos), next: s.head})
-	s.key, s.head = key, int32(len(x.locs)-1)
+	l := kmerLoc{read: int32(read), pos: int32(pos), next: s.head[st],
+		skip: x.past(s.head[st], read), cross: x.past(s.head[1-st], read)}
+	if fwd == rc {
+		// A palindromic k-mer is its own reverse complement: both of its
+		// strands are the one chain it is on.
+		l.cross = l.skip
+	}
+	x.locs = append(x.locs, l)
+	s.key, s.head[st] = key, int32(len(x.locs)-1)
+}
+
+// past returns the first occurrence of the chain from head that is not in
+// read: head itself, or, when head is in read too, head's skip.
+func (x *kmerIndex) past(head int32, read int) int32 {
+	if head != 0 && int(x.locs[head].read) == read {
+		return x.locs[head].skip
+	}
+	return head
+}
+
+// indexReads puts every k-mer occurrence of reads into a new index, last
+// read first (see add).
+func indexReads(reads []*read, k int) kmerIndex {
+	kc := bio.NewKmerCoder(k)
+	total := 0
+	for _, r := range reads {
+		total += max(0, len(r.seq)-k+1)
+	}
+	idx := newKmerIndex(total)
+	for i := len(reads) - 1; i >= 0; i-- {
+		kc.EachKmer(reads[i].seq, func(pos int, fwd, rc uint64) { idx.add(fwd, rc, i, pos) })
+	}
+	return idx
 }
 
 // voteCell counts the current read's seed hits against one (read b,
@@ -366,18 +423,7 @@ type voteCell struct {
 func findOverlaps(reads []*read, opt Options) ([]overlap, overlapStats) {
 	var stats overlapStats
 	k := opt.SeedK
-	kc := bio.NewKmerCoder(k)
-
-	// Index forward k-mers of every read, in read order: a chain then runs
-	// from high read numbers to low.
-	total := 0
-	for _, r := range reads {
-		total += max(0, len(r.seq)-k+1)
-	}
-	idx := newKmerIndex(total)
-	for i, r := range reads {
-		kc.EachKmer(r.seq, func(pos int, key uint64) { idx.add(key, i, pos) })
-	}
+	idx := indexReads(reads, k)
 
 	// cells[2b+s] is the pair (b, s), s = 1 for a forward and 0 for a
 	// reverse complemented; live has a bit per cell in use.
@@ -385,16 +431,35 @@ func findOverlaps(reads []*read, opt Options) ([]overlap, overlapStats) {
 	cells := make([]voteCell, 2*len(reads))
 	live := make([]uint64, (len(cells)+63)/64)
 	spill := make([]int32, 1) // spill[0] is unused: voteCell.spill 0 means none
-	for a, r := range reads {
+	locs := idx.locs
+	// The arena holds each read's occurrences in one run, the last read's
+	// first: walking it from the end takes the reads in ascending order.
+	for hi := len(locs); hi > 1; {
+		a := int(locs[hi-1].read)
+		lo := hi - 1
+		for lo > 1 && int(locs[lo-1].read) == a {
+			lo--
+		}
+		occs := locs[lo:hi]
+		hi = lo
 		spill = spill[:1]
 		// The diagonals of a pair are [-(len(b)-k), len(a)-k]; its counts
 		// in spill are in that order.
-		aSpan := len(r.seq) - k + 1
-		collect := func(seq []byte, s int) {
-			kc.EachKmer(seq, func(pos int, key uint64) {
-				// Each unordered pair once; skip self.
-				for l := idx.slot(key).head; l != 0 && int(idx.locs[l].read) > a; l = idx.locs[l].next {
-					b, diag := int(idx.locs[l].read), int32(pos)-idx.locs[l].pos
+		aMax := len(reads[a].seq) - k
+		aSpan := aMax + 1
+		// Pass s = 1 walks each occurrence's skip chain: b's windows equal
+		// to a's. Pass s = 0 walks its cross chain: b's windows equal to
+		// the reverse complement of a's, which starts at aMax − pos in a's
+		// reverse complement. Each chain holds only reads b > a, so each
+		// unordered pair is voted once and never a read with itself.
+		for s := 1; s >= 0; s-- {
+			for _, o := range occs {
+				l, pa := o.skip, o.pos
+				if s == 0 {
+					l, pa = o.cross, int32(aMax)-o.pos
+				}
+				for ; l != 0; l = locs[l].next {
+					b, diag := int(locs[l].read), pa-locs[l].pos
 					ci := 2*b + s
 					c := &cells[ci]
 					switch {
@@ -407,17 +472,20 @@ func findOverlaps(reads []*read, opt Options) ([]overlap, overlapStats) {
 						bMax := len(reads[b].seq) - k
 						if c.spill == 0 {
 							c.spill = len(spill)
-							spill = slices.Grow(spill, bMax+aSpan)[:c.spill+bMax+aSpan]
+							if n := c.spill + bMax + aSpan; n > cap(spill) {
+								// Doubling, not append's steps of 1.25–1.5×:
+								// a repeat-rich file spills every pair.
+								spill = slices.Grow(spill, max(n, 2*cap(spill))-c.spill)
+							}
+							spill = spill[:c.spill+bMax+aSpan]
 							clear(spill[c.spill:])
 							spill[c.spill+bMax+int(c.diag)] = c.votes
 						}
 						spill[c.spill+bMax+int(diag)]++
 					}
 				}
-			})
+			}
 		}
-		collect(r.seq, 1)
-		collect(r.rc, 0)
 
 		// Verify the best-voted diagonal of each pair, equal votes going to
 		// the lower offset. Ascending cell order is (b, sign) order, so

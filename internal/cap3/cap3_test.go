@@ -358,7 +358,7 @@ func findOverlapsMap(reads []*read, opt Options) ([]overlap, overlapStats) {
 	}
 	index := make(map[uint64][]loc)
 	for i, r := range reads {
-		kc.EachKmer(r.seq, func(pos int, key uint64) {
+		kc.EachKmer(r.seq, func(pos int, key, _ uint64) {
 			index[key] = append(index[key], loc{read: int32(i), pos: int32(pos)})
 		})
 	}
@@ -368,7 +368,7 @@ func findOverlapsMap(reads []*read, opt Options) ([]overlap, overlapStats) {
 	for a, r := range reads {
 		clear(votes)
 		collect := func(seq []byte, sign int8) {
-			kc.EachKmer(seq, func(pos int, key uint64) {
+			kc.EachKmer(seq, func(pos int, key, _ uint64) {
 				for _, l := range index[key] {
 					if int(l.read) <= a { // each unordered pair once; skip self
 						continue
@@ -450,14 +450,29 @@ func firstDiff(a, b []overlap) int {
 
 // overlapEdgeCases are hand-made read sets that reach what the seeded
 // corpus does not: the spill path, ties across hundreds of diagonals,
-// reads with no k-mer at all.
+// reads with no k-mer at all, and the strand corners of canonical keys —
+// k-mers equal to their own reverse complement, and reads of one window.
 func overlapEdgeCases() map[string][][]byte {
 	g := workload.Genome(77, 400)
 	unit := []byte("ACGGTCATTGC")
 	palindrome := append(append([]byte{}, g[:60]...), bio.ReverseComplement(g[:60])...)
 	withN := append([]byte{}, g[100:300]...)
 	withN[50], withN[51], withN[120] = 'N', 'n', 'X'
+	// pal14 is a 7-mer followed by its reverse complement: a palindromic
+	// 14-mer, found on both strands of every read that holds it.
+	pal14 := append(append([]byte{}, g[310:317]...), bio.ReverseComplement(g[310:317])...)
+	join := func(parts ...[]byte) []byte { return bytes.Join(parts, nil) }
+	palRead := join(g[:40], pal14, g[40:80])
 	cases := map[string][][]byte{
+		"palindromic 14-mer in three reads": {
+			palRead, bio.ReverseComplement(palRead[10:]), join(g[200:230], pal14, g[230:300]),
+		},
+		// Every even-length window of (AT)ⁿ or (GC)ⁿ is palindromic.
+		"only palindromic windows": {
+			bytes.Repeat([]byte("AT"), 60), bytes.Repeat([]byte("TA"), 45), g[:100],
+			join(bytes.Repeat([]byte("GC"), 20), g[100:160]), bytes.Repeat([]byte("AT"), 30),
+		},
+		"exactly k bases": {g[300:314], g[250:400], bio.ReverseComplement(g[300:314]), g[300:314]},
 		"none":            nil,
 		"one":             {g[:200]},
 		"shorter than k":  {g[:5], g[:13], g[:200], g[100:300], []byte{}},
@@ -491,17 +506,95 @@ func TestFindOverlapsMatchesOracle(t *testing.T) {
 	}
 	cases, docs := goldenCorpus(t)
 	for i, c := range cases {
-		recs, err := fasta.ParseBytes(docs[i])
-		if err != nil {
-			t.Fatal(err)
+		checkAgainstOracle(t, fmt.Sprintf("seed %d, %d reads of %d bp", c.Seed, c.Reads, c.Genome), corpusReads(t, docs[i], opt), opt)
+	}
+}
+
+// corpusReads parses a golden corpus file into the reads Assemble hands
+// findOverlaps.
+func corpusReads(t *testing.T, doc []byte, opt Options) []*read {
+	t.Helper()
+	recs, err := fasta.ParseBytes(doc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var seqs [][]byte
+	for _, rec := range recs {
+		if seq, _ := trimPoorRegions(bio.Upper(rec.Seq), opt); len(seq) >= opt.MinReadLen {
+			seqs = append(seqs, seq)
 		}
-		var seqs [][]byte
-		for _, rec := range recs {
-			if seq, _ := trimPoorRegions(bio.Upper(rec.Seq), opt); len(seq) >= opt.MinReadLen {
-				seqs = append(seqs, seq)
+	}
+	return rawReads(seqs...)
+}
+
+// TestKmerIndexEntryPoints checks the index by brute force: for every
+// occurrence, the chain from skip must be exactly the occurrences of its
+// canonical key on its own strand in later reads, newest first, and the
+// chain from cross the same on the opposite strand — on its own strand
+// again for a palindromic k-mer. That is what lets the vote walks run
+// without a probe or a read check.
+func TestKmerIndexEntryPoints(t *testing.T) {
+	opt := Options{}.withDefaults()
+	check := func(name string, reads []*read, k int) {
+		t.Helper()
+		idx := indexReads(reads, k)
+		kc := bio.NewKmerCoder(k)
+		type canon struct {
+			key    uint64
+			strand int
+			pal    bool
+		}
+		of := make([]canon, len(idx.locs))
+		byKey := map[uint64][]int32{} // arena indices, ascending
+		for l := 1; l < len(idx.locs); l++ {
+			o := idx.locs[l]
+			win := reads[o.read].seq[o.pos : int(o.pos)+k]
+			fwd, ok1 := kc.Encode(win)
+			rc, ok2 := kc.Encode(bio.ReverseComplement(win))
+			if !ok1 || !ok2 {
+				t.Fatalf("%s: occurrence %d (read %d, pos %d) is not a k-mer: %q", name, l, o.read, o.pos, win)
+			}
+			c := canon{key: min(fwd, rc), pal: fwd == rc}
+			if rc < fwd {
+				c.strand = 1
+			}
+			of[l] = c
+			byKey[c.key] = append(byKey[c.key], int32(l))
+		}
+		for l := 1; l < len(idx.locs); l++ {
+			o, c := idx.locs[l], of[l]
+			for _, entry := range []struct {
+				name   string
+				head   int32
+				strand int
+			}{{"skip", o.skip, c.strand}, {"cross", o.cross, 1 - c.strand}} {
+				if c.pal {
+					entry.strand = c.strand
+				}
+				var want []int32 // newest first, as chains run
+				for _, m := range byKey[c.key] {
+					if of[m].strand == entry.strand && idx.locs[m].read > o.read {
+						want = append(want, m)
+					}
+				}
+				slices.Reverse(want)
+				var got []int32
+				for m := entry.head; m != 0; m = idx.locs[m].next {
+					got = append(got, m)
+				}
+				if !slices.Equal(got, want) {
+					t.Fatalf("%s: occurrence %d (read %d, pos %d): chain from %s %v, want %v", name, l, o.read, o.pos, entry.name, got, want)
+				}
 			}
 		}
-		checkAgainstOracle(t, fmt.Sprintf("seed %d, %d reads of %d bp", c.Seed, c.Reads, c.Genome), rawReads(seqs...), opt)
+	}
+	for name, seqs := range overlapEdgeCases() {
+		check(name, rawReads(seqs...), opt.SeedK)
+		check(name+" (k=4)", rawReads(seqs...), 4)
+	}
+	cases, docs := goldenCorpus(t)
+	for i, c := range cases {
+		check(fmt.Sprintf("seed %d, %d reads of %d bp", c.Seed, c.Reads, c.Genome), corpusReads(t, docs[i], opt), opt.SeedK)
 	}
 }
 

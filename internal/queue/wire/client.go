@@ -424,6 +424,20 @@ func invoke[T any](c *Client, op byte, queueName string, extraWait time.Duration
 	return v, nil
 }
 
+// readIDs decodes a batch answer of n message ids. A batch answer is
+// positional and callers index it by their own request, so one without
+// exactly an item per request item fails the call as a corrupt payload
+// (DeleteMessageBatch checks its verdicts the same way).
+func readIDs(n int) func(*codec.Dec) []string {
+	return func(d *codec.Dec) []string {
+		ids := readStrings(d)
+		if len(ids) != n {
+			d.Fail()
+		}
+		return ids
+	}
+}
+
 // invokeErr is invoke for the ops that answer with nothing but success.
 func (c *Client) invokeErr(op byte, queueName string, enc func(*codec.Enc)) error {
 	_, err := invoke[struct{}](c, op, queueName, 0, enc, nil)
@@ -466,7 +480,7 @@ func (c *Client) SendMessageBatch(queueName string, bodies [][]byte) ([]string, 
 				e.Bytes(b)
 			}
 		},
-		readStrings)
+		readIDs(len(bodies)))
 }
 
 // ReceiveMessage pops one visible message without waiting.
@@ -508,6 +522,9 @@ func (c *Client) DeleteMessageBatch(queueName string, receipts []string) ([]erro
 		func(e *codec.Enc) { appendStrings(e, receipts) },
 		func(d *codec.Dec) []error {
 			n := d.Len()
+			if n != len(receipts) {
+				d.Fail()
+			}
 			results := make([]error, 0, n)
 			for i := 0; i < n && d.Err == nil; i++ {
 				if code := d.Byte(); code == statusOK {
@@ -559,7 +576,8 @@ func (c *Client) APIRequestsFor(queueName string) int64 {
 
 // --- queue.Transferrer ---
 
-// TransferIn enqueues one body with prior deliveries preserved.
+// TransferIn enqueues one body with prior deliveries preserved: a
+// one-item TransferInBatch, whose answer carries exactly one id or fails.
 func (c *Client) TransferIn(queueName string, body []byte, receives int) (string, error) {
 	ids, err := c.TransferInBatch(queueName, []queue.TransferItem{{Body: body, Receives: receives}})
 	if err != nil {
@@ -588,5 +606,5 @@ func (c *Client) TransferInBatch(queueName string, items []queue.TransferItem) (
 				e.I64(int64(it.Receives))
 			}
 		},
-		readStrings)
+		readIDs(len(items)))
 }

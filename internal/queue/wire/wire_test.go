@@ -688,3 +688,66 @@ func TestDiscoverAddr(t *testing.T) {
 		}
 	}
 }
+
+// skewedSvc is a malformed peer: every batch answer it gives has skew
+// more items than the request (one too few at −1).
+type skewedSvc struct {
+	*queue.Service
+	skew int
+}
+
+func skewed[T any](v []T, skew int) []T {
+	if skew < 0 {
+		return v[:max(0, len(v)+skew)]
+	}
+	var extra T
+	return append(v, extra)
+}
+
+func (s *skewedSvc) SendMessageBatch(q string, bodies [][]byte) ([]string, error) {
+	ids, err := s.Service.SendMessageBatch(q, bodies)
+	return skewed(ids, s.skew), err
+}
+
+func (s *skewedSvc) TransferInBatch(q string, items []queue.TransferItem) ([]string, error) {
+	ids, err := s.Service.TransferInBatch(q, items)
+	return skewed(ids, s.skew), err
+}
+
+func (s *skewedSvc) DeleteMessageBatch(q string, receipts []string) ([]error, error) {
+	results, err := s.Service.DeleteMessageBatch(q, receipts)
+	return skewed(results, s.skew), err
+}
+
+// TestBatchAnswerCountMismatch: a batch answer is positional, so one
+// with an item too few or too many fails the call as a corrupt payload
+// instead of reaching a caller that indexes it by its request (TransferIn
+// used to panic on an empty answer).
+func TestBatchAnswerCountMismatch(t *testing.T) {
+	for _, skew := range []int{-1, 1} {
+		svc := &skewedSvc{Service: queue.NewService(queue.Config{}), skew: skew}
+		c := dialTest(t, startServer(t, &Server{Service: svc, AdminTokens: []string{"tok"}}), Options{AdminToken: "tok"})
+		if err := c.CreateQueue("q"); err != nil {
+			t.Fatal(err)
+		}
+		for _, tc := range []struct {
+			name string
+			call func() error
+		}{
+			{"SendMessageBatch", func() error {
+				_, err := c.SendMessageBatch("q", [][]byte{[]byte("a"), []byte("b")})
+				return err
+			}},
+			{"TransferInBatch", func() error {
+				_, err := c.TransferInBatch("q", []queue.TransferItem{{Body: []byte("c"), Receives: 1}, {Body: []byte("d")}})
+				return err
+			}},
+			{"TransferIn", func() error { _, err := c.TransferIn("q", []byte("e"), 2); return err }},
+			{"DeleteMessageBatch", func() error { _, err := c.DeleteMessageBatch("q", []string{"r1", "r2"}); return err }},
+		} {
+			if err := tc.call(); !errors.Is(err, ErrUnavailable) || !strings.Contains(err.Error(), "corrupt response payload") {
+				t.Errorf("skew %+d: %s: %v, want ErrUnavailable for a corrupt response payload", skew, tc.name, err)
+			}
+		}
+	}
+}
