@@ -901,17 +901,13 @@ func queueSkew() {
 
 		// Warmup: drive skewed load and tick the autoscaler until its
 		// policy has fanned the hot group out (or, pinned, until it has
-		// had every chance to misbehave). The fleet is clamped to the 8
-		// shards so this experiment isolates splitting.
-		auto := shard.NewAutoscaler(router, shard.AutoscalerConfig{Policy: shard.AutoscalePolicy{
-			MinShards:          rep.Shards,
-			MaxShards:          rep.Shards,
-			TargetRatePerShard: 50_000,
-			SplitRate:          2000,
-			SplitCooldown:      time.Millisecond,
-			Window:             2,
-		}})
-		defer auto.Close()
+		// had every chance to misbehave). The autoscaler works on the 8
+		// shards it is given, so this experiment isolates splitting.
+		auto := shard.NewAutoscaler(router, shard.AutoscalePolicy{
+			SplitRate:     2000,
+			SplitCooldown: time.Millisecond,
+			Window:        2,
+		})
 		for round := 0; round < 8; round++ {
 			var wg sync.WaitGroup
 			for q := 0; q < rep.HotQueues; q++ {

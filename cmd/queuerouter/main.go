@@ -7,9 +7,10 @@
 //
 // Usage:
 //
-//	queuerouter -addr :8090 -shards a=http://node1:8080,b=http://node2:8080
-//	queuerouter -addr :8090 -local 4     # 4 in-process shards (demo/bench)
-//	queuerouter -addr :8090 -local 4 -wire-addr :8091   # wire listener on a fixed port
+//	queuerouter -addr :9101 -local 1 -wire-addr :9111   # a plain queue node, wire on a fixed port
+//	queuerouter -addr :9100 -shards a=http://localhost:9101,b=http://localhost:9102
+//	queuerouter -addr :9100 -local 4 -durable -replicate -health-interval 250ms
+//	queuerouter -dump-journal queue-journal/shard-local2
 //
 // Queue API: the binary wire protocol (internal/queue/wire), served on
 // -wire-addr (default ":0", any free port) and advertised over HTTP at
@@ -29,10 +30,9 @@
 //
 //	GET    /admin/shards               data: {"shards":[…],"groups":[…],
 //	                                   "splits":{…},"standbys":[…],
-//	                                   "standby_lag":{…},"failovers":N,
-//	                                   "autoscale":{…}} — placement,
-//	                                   billing, load, weights, replication
-//	                                   (journal bytes behind), policy
+//	                                   "standby_lag":{…},"failovers":N}
+//	                                   — placement, billing, load, weights,
+//	                                   replication (journal bytes behind)
 //	PUT    /admin/shards/{id}?url=U    add a shard (migrates ≈1/N of queue groups)
 //	DELETE /admin/shards/{id}          retire a shard (migrates its queues)
 //	POST   /admin/rebalance            retry migrations the ring implies
@@ -51,10 +51,10 @@
 // Durability & replication: -durable journals every in-process shard's
 // accepted mutations write-ahead to a shared blob store, so a crashed
 // shard's exact state — depths, delivery counts, live receipts — is
-// recoverable; -snapshot-every bounds replay. -replicate additionally
-// runs a warm follower per durable shard, registered as its failover
-// standby; -health-interval starts the router's probe loop, which
-// fails a dead shard over to its caught-up follower automatically
+// recoverable; a snapshot every 4096 records bounds replay. -replicate
+// additionally runs a warm follower per durable shard, registered as its
+// failover standby; -health-interval starts the router's probe loop,
+// which fails a dead shard over to its caught-up follower automatically
 // (operators can also POST /admin/failover).
 //
 // Journals are binary (internal/queue/durcodec.go). -dump-journal
@@ -66,13 +66,12 @@
 // with it). A damaged journal is printed up to the damage, then the
 // error with its byte offset, and the exit status is 1.
 //
-// Load-aware operation: -autoscale enables the router-side shard-fleet
-// policy (internal/queue/shard.AutoscalePolicy) — it splits hot
-// placement groups across sub-arcs past -split-threshold, weights ring
-// arcs toward equal observed load, and grows/shrinks the fleet between
-// -autoscale-min and -autoscale-max using pre-provisioned
-// -autoscale-reserve shards first, then (with -local) fresh in-process
-// shards.
+// Load-aware operation: POST /admin/split spreads a hot placement group
+// over sub-arcs of the ring and merges it back (k=1). The policy that
+// decides this from observed rates, shard.Autoscaler (split hot groups,
+// merge cooled ones, weight arcs toward equal load, all on the fleet it
+// is given), is driven tick by tick by paperbench -exp queueskew; the
+// daemon runs no policy loop of its own.
 //
 // Observability:
 //
@@ -113,7 +112,6 @@ import (
 	"net/http"
 	"net/http/pprof"
 	"os"
-	"sort"
 	"strconv"
 	"strings"
 	"sync"
@@ -192,9 +190,6 @@ func describe(url string, c *wire.Client) string {
 type adminHandler struct {
 	router  *shard.Router
 	metrics *telemetry.Registry
-	// auto is the shard-fleet autoscaler when -autoscale is set; its
-	// status rides along on GET /admin/shards.
-	auto *shard.Autoscaler
 	// followers are the -replicate standbys by shard id; GET /admin/shards
 	// reports how far each still-registered one is behind its primary.
 	followers map[string]*queue.Follower
@@ -265,15 +260,14 @@ func writeAdminFail(w http.ResponseWriter, status int, code, msg string) {
 }
 
 // adminShardsView is the GET /admin/shards data payload: both
-// placement axes plus replication and live policy state.
+// placement axes plus replication state.
 type adminShardsView struct {
-	Shards     []shard.ShardStat      `json:"shards"`
-	Groups     []shard.GroupStat      `json:"groups"`
-	Splits     map[string]int         `json:"splits"`
-	Standbys   []string               `json:"standbys"`
-	StandbyLag map[string]standbyLag  `json:"standby_lag,omitempty"`
-	Failovers  int64                  `json:"failovers"`
-	Autoscale  *shard.AutoscaleStatus `json:"autoscale,omitempty"`
+	Shards     []shard.ShardStat     `json:"shards"`
+	Groups     []shard.GroupStat     `json:"groups"`
+	Splits     map[string]int        `json:"splits"`
+	Standbys   []string              `json:"standbys"`
+	StandbyLag map[string]standbyLag `json:"standby_lag,omitempty"`
+	Failovers  int64                 `json:"failovers"`
 }
 
 // standbyLag is the journal bytes one standby is behind its primary;
@@ -411,10 +405,6 @@ func (h *adminHandler) serveShards(w http.ResponseWriter, _ *http.Request) {
 			view.StandbyLag[id] = lag
 		}
 	}
-	if h.auto != nil {
-		st := h.auto.Status()
-		view.Autoscale = &st
-	}
 	writeAdmin(w, http.StatusOK, view)
 }
 
@@ -444,7 +434,6 @@ func main() {
 	shardsFlag := flag.String("shards", "",
 		"remote shards as id=url pairs, e.g. a=http://node1:8080,b=http://node2:8080")
 	local := flag.Int("local", 0, "run N in-process shards instead of remote ones")
-	vnodes := flag.Int("vnodes", 0, "virtual nodes per shard on the hash ring (default 64)")
 	wireAddr := flag.String("wire-addr", ":0",
 		"listen address of the wire protocol, the queue API, advertised at GET /wire (:0 picks a free port)")
 	transferToken := flag.String("transfer-token", "",
@@ -452,20 +441,8 @@ func main() {
 	slow := flag.Duration("slow", 0,
 		"log wire requests slower than this with their trace ID (0 disables)")
 	pprofOn := flag.Bool("pprof", false, "serve net/http/pprof under /debug/pprof/")
-	autoscale := flag.Bool("autoscale", false,
-		"enable the shard-fleet autoscaler: split hot groups, weight ring arcs by load, and add/remove shards from the reserve (then in-process spawns with -local)")
-	splitThreshold := flag.Float64("split-threshold", 0,
-		"group request rate (req/s) past which the autoscaler splits it across sub-arcs (0 = policy default)")
-	autoMin := flag.Int("autoscale-min", 0, "autoscaler fleet floor (0 = the starting fleet)")
-	autoMax := flag.Int("autoscale-max", 0, "autoscaler fleet cap (0 = policy default)")
-	autoTarget := flag.Float64("autoscale-target", 0,
-		"request rate one shard is provisioned for, the fleet-utilization denominator (0 = policy default)")
-	autoReserve := flag.String("autoscale-reserve", "",
-		"pre-provisioned shards the autoscaler may bring onto the ring, as id=url pairs (consumed in order before any in-process spawn)")
 	durable := flag.Bool("durable", false,
 		"journal every in-process shard's accepted mutations write-ahead to a shared blob store, so exact shard state (depths, delivery counts, live receipts) survives a crash (requires -local)")
-	snapshotEvery := flag.Int("snapshot-every", 0,
-		"journaled records between snapshots on durable shards, bounding recovery replay (0 = default 4096, negative disables compaction)")
 	replicate := flag.Bool("replicate", false,
 		"run a warm follower per durable in-process shard, continuously replaying its journal, and register it as the shard's failover standby (requires -durable)")
 	healthInterval := flag.Duration("health-interval", 0,
@@ -501,7 +478,7 @@ func main() {
 	}
 
 	reg := telemetry.NewRegistry()
-	router := shard.NewRouter(shard.Config{VirtualNodes: *vnodes, Metrics: reg})
+	router := shard.NewRouter(shard.Config{Metrics: reg})
 	defer router.Close()
 	for id, url := range remotes {
 		backend, err := dialShard(url, presentToken, reg)
@@ -528,10 +505,9 @@ func main() {
 		}
 		if journalStore != nil {
 			cfg.Durability = &queue.Durability{
-				Store:         journalStore,
-				Bucket:        "queue-journal",
-				Key:           "shard-" + id,
-				SnapshotEvery: *snapshotEvery,
+				Store:  journalStore,
+				Bucket: "queue-journal",
+				Key:    "shard-" + id,
 			}
 		}
 		svc := queue.NewService(cfg)
@@ -578,52 +554,6 @@ func main() {
 		log.Printf("queuerouter: health checks every %s", *healthInterval)
 	}
 
-	var auto *shard.Autoscaler
-	if *autoscale {
-		minShards := *autoMin
-		if minShards <= 0 {
-			minShards = len(router.Shards())
-		}
-		reserves, err := parseShards(*autoReserve)
-		if err != nil {
-			log.Fatalf("queuerouter: -autoscale-reserve: %v", err)
-		}
-		var reserve []shard.ReserveShard
-		for id, url := range reserves {
-			backend, err := dialShard(url, presentToken, reg)
-			if err != nil {
-				log.Fatalf("queuerouter: -autoscale-reserve %s: %v", id, err)
-			}
-			reserve = append(reserve, shard.ReserveShard{ID: id, Backend: backend})
-			log.Printf("queuerouter: reserve shard %q -> %s", id, describe(url, backend))
-		}
-		// Reserve shards join the ring in a stable order across restarts.
-		sort.Slice(reserve, func(i, j int) bool { return reserve[i].ID < reserve[j].ID })
-		var factory shard.ShardFactory
-		if *local > 0 {
-			// Local mode can mint capacity on demand; a remote-only
-			// deployment scales within its provisioned reserve.
-			factory = func(id string) (queue.API, error) {
-				return queue.NewService(queue.Config{Metrics: reg, MetricsName: id}), nil
-			}
-		}
-		auto = shard.NewAutoscaler(router, shard.AutoscalerConfig{
-			Policy: shard.AutoscalePolicy{
-				MinShards:          minShards,
-				MaxShards:          *autoMax,
-				TargetRatePerShard: *autoTarget,
-				SplitRate:          *splitThreshold,
-			},
-			Reserve: reserve,
-			Factory: factory,
-			Metrics: reg,
-		})
-		auto.Start()
-		defer auto.Close()
-		log.Printf("queuerouter: autoscaler enabled (min %d, reserve %d, local spawn %v)",
-			minShards, len(reserve), factory != nil)
-	}
-
 	mux := http.NewServeMux()
 	mux.Handle("/metrics", reg.Handler())
 	if *pprofOn {
@@ -634,7 +564,7 @@ func main() {
 		mux.HandleFunc("/debug/pprof/trace", pprof.Trace)
 		log.Printf("queuerouter: pprof enabled on /debug/pprof/")
 	}
-	mux.Handle("/admin/", &adminHandler{router: router, metrics: reg, auto: auto, followers: followers, transferToken: presentToken})
+	mux.Handle("/admin/", &adminHandler{router: router, metrics: reg, followers: followers, transferToken: presentToken})
 	ln, err := net.Listen("tcp", *wireAddr)
 	if err != nil {
 		log.Fatalf("queuerouter: -wire-addr: %v", err)

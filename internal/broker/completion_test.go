@@ -92,11 +92,17 @@ func countEvents(t *testing.T, j *Job, typ EventType) int {
 }
 
 // A job is seen complete when its last report lands, not at the next
-// tick: with a 2 s tick, Wait returns within 100 ms of the last Execute.
+// tick: with a 5 s tick, Wait returns within 1 s of the last Execute.
 // The short case never reaches a tick at all, so it is the wait for the
-// first report that has to find it.
+// first report that has to find it. Both jobs run well under a second,
+// so a loop that completes only on the tick lags by 4 s or more and
+// fails every time, while the bound is twice the worst lag seen on a
+// loaded two-core box under -race (433 ms).
 func TestCompletionDoesNotWaitForTheTick(t *testing.T) {
-	const tick = 2 * time.Second
+	const (
+		tick  = 5 * time.Second
+		bound = time.Second
+	)
 	for _, tc := range []struct {
 		name  string
 		tasks int
@@ -118,8 +124,8 @@ func TestCompletionDoesNotWaitForTheTick(t *testing.T) {
 			finished := j.core.FinishedAt
 			j.mu.Unlock()
 			lag := finished.Sub(time.Unix(0, exec.last.Load()))
-			if lag >= 100*time.Millisecond || lag >= tick/4 {
-				t.Errorf("completed %v after the last execution returned; want under 100 ms, with a %v tick", lag, tick)
+			if lag >= bound {
+				t.Errorf("completed %v after the last execution returned; want under %v, with a %v tick", lag, bound, tick)
 			}
 			if st := j.Status(); st.Done != tc.tasks || st.Duplicates != 0 {
 				t.Errorf("status = %+v, want %d done once each", st, tc.tasks)

@@ -6,8 +6,8 @@ import (
 	"strings"
 )
 
-// Handler exposes the catalog read-only over HTTP (brokerd's -catalog
-// listener):
+// Handler exposes the catalog read-only over HTTP, mounted at /catalog
+// and /catalog/ on brokerd's one listener:
 //
 //	GET /catalog         every app's side-by-side comparison
 //	GET /catalog/{app}   one app's comparison (404 when unobserved)
@@ -26,7 +26,7 @@ func (h *Handler) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 	}
 	path := strings.TrimSuffix(r.URL.Path, "/")
 	switch {
-	case path == "/catalog" || path == "":
+	case path == "/catalog":
 		writeJSON(w, h.Service.Report())
 	default:
 		app, ok := strings.CutPrefix(path, "/catalog/")

@@ -1,12 +1,13 @@
 // Unit tests for the load-aware policy. Decide is a pure function of
 // one observation, so every branch — split doubling, merge hysteresis,
-// scored fleet sizing, cooldowns, weight nudging — is checkable without
-// running a fleet; the Autoscaler lifecycle test then drives the real
-// runner against a live router with deterministic ticks.
+// the cooldown, weight nudging — is checkable without running a fleet;
+// the Autoscaler lifecycle test then drives the real runner against a
+// live router with deterministic ticks.
 package shard
 
 import (
 	"fmt"
+	"sync"
 	"testing"
 	"time"
 
@@ -24,7 +25,7 @@ func loadShards(rates ...float64) []ShardLoad {
 }
 
 func TestDecideSplitDoubling(t *testing.T) {
-	p := AutoscalePolicy{TargetRatePerShard: 1000, SplitRate: 100}
+	p := AutoscalePolicy{SplitRate: 100}
 	cases := []struct {
 		name  string
 		group GroupLoad
@@ -50,7 +51,7 @@ func TestDecideSplitDoubling(t *testing.T) {
 func TestDecideMergeHysteresis(t *testing.T) {
 	// SplitRate 100, SplitBacklog 4096, MergeFraction 0.25: merge only
 	// when rate < 25 AND backlog < 1024.
-	p := AutoscalePolicy{TargetRatePerShard: 1000, SplitRate: 100}
+	p := AutoscalePolicy{SplitRate: 100}
 	cases := []struct {
 		name  string
 		group GroupLoad
@@ -70,7 +71,7 @@ func TestDecideMergeHysteresis(t *testing.T) {
 }
 
 func TestDecideSplitCooldown(t *testing.T) {
-	p := AutoscalePolicy{TargetRatePerShard: 1000, SplitRate: 100, SplitCooldown: 10 * time.Second}
+	p := AutoscalePolicy{SplitRate: 100, SplitCooldown: 10 * time.Second}
 	hot := GroupLoad{Group: "g", RatePerSec: 500, Queues: 16}
 	d := p.Decide(FleetObservation{
 		Now: policyNow, Shards: loadShards(500), Groups: []GroupLoad{hot},
@@ -88,51 +89,8 @@ func TestDecideSplitCooldown(t *testing.T) {
 	}
 }
 
-func TestDecideFleetScaling(t *testing.T) {
-	p := AutoscalePolicy{MinShards: 1, MaxShards: 4, TargetRatePerShard: 100}
-
-	// Utilization 1.0 on 2 shards: upGain (0.2) beats upCost (0.5/3).
-	hot := FleetObservation{Now: policyNow, Shards: loadShards(100, 100)}
-	if d := p.Decide(hot); d.Delta != 1 {
-		t.Errorf("hot fleet: Delta = %d, want 1 (reason %q)", d.Delta, d.Reason)
-	}
-	// Up cooldown suppresses.
-	hot.LastScaleUp = policyNow.Add(-time.Second)
-	if d := p.Decide(hot); d.Delta != 0 {
-		t.Errorf("Delta = %d inside up cooldown", d.Delta)
-	}
-	// At MaxShards nothing grows.
-	capped := FleetObservation{Now: policyNow, Shards: loadShards(100, 100, 100, 100)}
-	if d := p.Decide(capped); d.Delta != 0 {
-		t.Errorf("Delta = %d at MaxShards", d.Delta)
-	}
-
-	// Utilization 0.02 on 2 shards: downGain ((0.3-0.02)·1) beats
-	// downCost (0.5/2).
-	idle := FleetObservation{Now: policyNow, Shards: loadShards(2, 2)}
-	if d := p.Decide(idle); d.Delta != -1 {
-		t.Errorf("idle fleet: Delta = %d, want -1 (reason %q)", d.Delta, d.Reason)
-	}
-	// A recent scale-up resets the down cooldown: fresh capacity is not
-	// retired the next tick.
-	idle.LastScaleUp = policyNow.Add(-time.Second)
-	if d := p.Decide(idle); d.Delta != 0 {
-		t.Errorf("Delta = %d right after a scale-up", d.Delta)
-	}
-	// At MinShards nothing shrinks.
-	floor := FleetObservation{Now: policyNow, Shards: loadShards(0)}
-	if d := p.Decide(floor); d.Delta != 0 {
-		t.Errorf("Delta = %d at MinShards", d.Delta)
-	}
-	// Mid-band utilization holds steady.
-	steady := FleetObservation{Now: policyNow, Shards: loadShards(50, 50)}
-	if d := p.Decide(steady); d.Delta != 0 {
-		t.Errorf("steady fleet: Delta = %d (reason %q)", d.Delta, d.Reason)
-	}
-}
-
 func TestDecideWeightNudges(t *testing.T) {
-	p := AutoscalePolicy{TargetRatePerShard: 1000}
+	var p AutoscalePolicy
 
 	// s0 serves 3x the load of s1: its arc shrinks, s1's grows (bounded
 	// to 2x per tick).
@@ -165,86 +123,115 @@ func TestDecideWeightNudges(t *testing.T) {
 }
 
 // TestAutoscalerLifecycle drives the real runner against a live router
-// with deterministic ticks, each one cooldown after the last: load grows
-// the fleet through the reserve then the factory, idleness shrinks it
-// back — retiring only shards the autoscaler itself added, newest first.
+// on a fixed fleet, the way paperbench's queueskew experiment does:
+// producer/consumer rounds on a hot group, one Tick after each (a
+// synthetic second apart), split the group across sub-arcs; idle ticks
+// merge it back. The shard count never changes, and every message sent
+// is received.
 func TestAutoscalerLifecycle(t *testing.T) {
+	const (
+		shards = 4
+		queues = 8
+	)
 	r := NewRouter(Config{})
 	defer r.Close()
-	if err := r.AddShard("s0", queue.NewService(queue.Config{Seed: 1})); err != nil {
-		t.Fatal(err)
-	}
-	if err := r.CreateQueue("lq"); err != nil {
-		t.Fatal(err)
-	}
-
-	spawned := 0
-	a := NewAutoscaler(r, AutoscalerConfig{
-		Policy: AutoscalePolicy{
-			MinShards:          1,
-			MaxShards:          3,
-			TargetRatePerShard: 5,
-			Window:             1,
-		},
-		Reserve: []ReserveShard{{ID: "warm-0", Backend: queue.NewService(queue.Config{Seed: 2})}},
-		Factory: func(id string) (queue.API, error) {
-			spawned++
-			return queue.NewService(queue.Config{Seed: 10}), nil
-		},
-	})
-
-	now := policyNow
-	if d := a.Tick(now); d.Delta != 0 {
-		t.Fatalf("first tick acted before a baseline existed: %+v", d)
-	}
-	send := func(n int) {
-		for i := 0; i < n; i++ {
-			if _, err := r.SendMessage("lq", []byte("m")); err != nil {
-				t.Fatal(err)
-			}
-		}
-	}
-
-	// Sustained load: each tick sees ~20 req/s against a 5/s target,
-	// growing one shard per tick — warm reserve first, then the factory —
-	// until MaxShards.
-	fleets := []int{2, 3, 3}
-	for i, want := range fleets {
-		send(200)
-		now = now.Add(upCooldown)
-		a.Tick(now)
-		if got := len(r.Shards()); got != want {
-			t.Fatalf("tick %d: fleet = %d, want %d (decision %q)", i, got, want, a.Status().LastDecision.Reason)
-		}
-	}
-	st := a.Status()
-	if st.ReserveLeft != 0 || spawned != 1 {
-		t.Fatalf("reserve-first supply violated: reserveLeft=%d spawned=%d", st.ReserveLeft, spawned)
-	}
-	if len(st.Added) != 2 || st.Added[0] != "warm-0" || st.Added[1] != "auto-0" {
-		t.Fatalf("Added = %v, want [warm-0 auto-0]", st.Added)
-	}
-
-	// Drain the backlog so idleness is real, then idle ticks shrink the
-	// fleet back — newest first, never the operator's s0.
-	for {
-		m, ok, err := r.ReceiveMessage("lq", time.Minute)
-		if err != nil || !ok {
-			break
-		}
-		if err := r.DeleteMessage("lq", m.ReceiptHandle); err != nil {
+	for i := 0; i < shards; i++ {
+		if err := r.AddShard(fmt.Sprintf("s%d", i), queue.NewService(queue.Config{Seed: int64(i + 1)})); err != nil {
 			t.Fatal(err)
 		}
 	}
-	for i := 0; i < 4 && len(r.Shards()) > 1; i++ {
-		now = now.Add(downCooldown)
-		a.Tick(now)
+	for q := 0; q < queues; q++ {
+		if err := r.CreateQueue(fmt.Sprintf("hot/q%d", q)); err != nil {
+			t.Fatal(err)
+		}
 	}
-	if got := r.Shards(); len(got) != 1 || got[0] != "s0" {
-		t.Fatalf("fleet after idle ticks = %v, want [s0]", got)
+	a := NewAutoscaler(r, AutoscalePolicy{SplitRate: 50, SplitCooldown: time.Second, Window: 1})
+
+	var mu sync.Mutex
+	sent, received := map[string]bool{}, map[string]bool{}
+	// round runs one producer/consumer pair per hot queue: each cycle
+	// sends a fresh body, receives one and deletes it.
+	round := func(n int) {
+		var wg sync.WaitGroup
+		for q := 0; q < queues; q++ {
+			wg.Add(1)
+			go func(qn string) {
+				defer wg.Done()
+				for i := 0; i < 10; i++ {
+					body := fmt.Sprintf("%s/%d/%d", qn, n, i)
+					if _, err := r.SendMessage(qn, []byte(body)); err != nil {
+						t.Error(err)
+						return
+					}
+					mu.Lock()
+					sent[body] = true
+					mu.Unlock()
+					m, ok, err := r.ReceiveMessageWait(qn, time.Hour, 50*time.Millisecond)
+					if err != nil || !ok {
+						continue // left for the final drain
+					}
+					mu.Lock()
+					received[string(m.Body)] = true
+					mu.Unlock()
+					if err := r.DeleteMessage(qn, m.ReceiptHandle); err != nil {
+						t.Error(err)
+					}
+				}
+			}(fmt.Sprintf("hot/q%d", q))
+		}
+		wg.Wait()
 	}
-	if st := a.Status(); len(st.Added) != 0 {
-		t.Fatalf("Added after full shrink = %v, want empty", st.Added)
+	now := policyNow
+	tick := func() FleetDecision {
+		t.Helper()
+		d, err := a.Tick(now)
+		if err != nil {
+			t.Fatalf("tick at %v: %v", now, err)
+		}
+		if got := len(r.Shards()); got != shards {
+			t.Fatalf("fleet = %d shards after %q, want %d", got, d.Reason, shards)
+		}
+		now = now.Add(time.Second)
+		return d
 	}
-	a.Close()
+
+	if d := tick(); len(d.Splits)+len(d.Merges)+len(d.Weights) != 0 {
+		t.Fatalf("first tick acted before a baseline existed: %+v", d)
+	}
+	for n := 0; n < 8 && r.Splits()["hot"] < 4; n++ {
+		round(n)
+		tick()
+	}
+	if k := r.Splits()["hot"]; k < 4 {
+		t.Fatalf("hot group split to %d sub-arcs under load, want at least 4 (splits %v)", k, r.Splits())
+	}
+
+	for i := 0; i < 4 && len(r.Splits()) > 0; i++ {
+		tick()
+	}
+	if len(r.Splits()) != 0 {
+		t.Fatalf("idle ticks left splits %v, want the group merged back", r.Splits())
+	}
+
+	for q := 0; q < queues; q++ {
+		qn := fmt.Sprintf("hot/q%d", q)
+		for {
+			m, ok, err := r.ReceiveMessage(qn, time.Hour)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !ok {
+				break
+			}
+			received[string(m.Body)] = true
+		}
+	}
+	for body := range sent {
+		if !received[body] {
+			t.Errorf("message %q was sent and never received", body)
+		}
+	}
+	if len(received) != len(sent) {
+		t.Errorf("received %d distinct bodies, sent %d", len(received), len(sent))
+	}
 }

@@ -5,7 +5,7 @@
 //
 // # Ring
 //
-// Each shard contributes VirtualNodes points to a hash ring; a queue
+// Each shard contributes 64 virtual points to a hash ring; a queue
 // lives on the shard owning the first point at or after the hash of
 // its placement-group key. Virtual nodes keep the split even, and —
 // the property the router's rebalancing depends on — adding a shard to

@@ -126,13 +126,13 @@ const (
 	// left in place so outstanding receipts stay valid, but nothing is
 	// forwarded any more.
 	leaseHorizon = time.Hour
+	// virtualNodes is each shard's point count on the hash ring: enough
+	// to keep the split even, few enough that the ring stays small.
+	virtualNodes = 64
 )
 
 // Config tunes the router.
 type Config struct {
-	// VirtualNodes per shard on the hash ring (default 64). More nodes
-	// spread queues more evenly at the cost of a larger ring.
-	VirtualNodes int
 	// ForwardInterval is how often a straggler forwarder polls the old
 	// shard after a migration (default 10ms).
 	ForwardInterval time.Duration
@@ -144,9 +144,6 @@ type Config struct {
 }
 
 func (c Config) withDefaults() Config {
-	if c.VirtualNodes == 0 {
-		c.VirtualNodes = 64
-	}
 	if c.ForwardInterval == 0 {
 		c.ForwardInterval = 10 * time.Millisecond
 	}
@@ -305,7 +302,7 @@ func NewRouter(cfg Config) *Router {
 	c := cfg.withDefaults()
 	r := &Router{
 		cfg:     c,
-		ring:    newRing(c.VirtualNodes),
+		ring:    newRing(virtualNodes),
 		shards:  make(map[string]queue.API),
 		routes:  make(map[string]*route),
 		splits:  make(map[string]int),

@@ -23,7 +23,7 @@ import (
 var configTypes = map[string][]string{
 	"internal/queue":        {"Config", "Durability"},
 	"internal/queue/wire":   {"Options", "Server"},
-	"internal/queue/shard":  {"Config", "AutoscalePolicy", "AutoscalerConfig"},
+	"internal/queue/shard":  {"Config", "AutoscalePolicy"},
 	"internal/broker":       {"Config", "AutoscalePolicy", "ReplanPolicy"},
 	"internal/classiccloud": {"Config"},
 	"internal/blob":         {"Config"},
@@ -48,7 +48,7 @@ var unsetAllowed = map[string]string{
 
 // optionFields is the size of the guarded option space. It moves only
 // in a change that means to move it.
-const optionFields = 83
+const optionFields = 75
 
 func TestEveryConfigFieldHasASetter(t *testing.T) {
 	fset := token.NewFileSet()
