@@ -117,11 +117,7 @@ func (s *foldScript) quiesce() {
 func (s *foldScript) report(step string, reports ...classiccloud.MonitorReport) {
 	s.t.Helper()
 	for _, rep := range reports {
-		body, err := json.Marshal(rep)
-		if err != nil {
-			s.t.Fatal(err)
-		}
-		if _, err := s.cfg.Env.Queue.SendMessage(s.j.ccCfg.MonitorQueue(), body); err != nil {
+		if _, err := s.cfg.Env.Queue.SendMessage(s.j.ccCfg.MonitorQueue(), rep.Marshal()); err != nil {
 			s.t.Fatal(err)
 		}
 	}
@@ -474,8 +470,7 @@ func TestSwallowedErrorsAreCounted(t *testing.T) {
 	}
 	send := func(rep classiccloud.MonitorReport) {
 		t.Helper()
-		body, _ := json.Marshal(rep)
-		if _, err := fq.API.SendMessage(s.j.ccCfg.MonitorQueue(), body); err != nil {
+		if _, err := fq.API.SendMessage(s.j.ccCfg.MonitorQueue(), rep.Marshal()); err != nil {
 			t.Fatal(err)
 		}
 	}

@@ -284,10 +284,10 @@ func (j *Job) checkpoint(reports []classiccloud.MonitorReport) bool {
 	// its gauge funcs take job locks.
 	j.broker.met.settled(len(done), len(dead), samples)
 	// Feed the calibration catalog the same post-checkpoint samples,
-	// grouped by reporting instance type (reports predating the label
-	// carry none and are skipped). Best-effort and outside the job
-	// lock: the catalog journals to the blob store under its own
-	// lock, and losing a batch only delays calibration.
+	// grouped by reporting instance type (reports without the label are
+	// skipped). Best-effort and outside the job lock: the catalog
+	// journals to the blob store under its own lock, and losing a batch
+	// only delays calibration.
 	if cal := j.broker.cfg.Calibration; cal != nil && len(samples) > 0 {
 		byType := make(map[string][]time.Duration)
 		for _, s := range samples {

@@ -1,16 +1,16 @@
 // Package classiccloud implements the paper's Classic Cloud processing
 // model (Figure 1): a client uploads input files to cloud storage and
-// populates a scheduling queue with one task message per file;
-// independent workers running on cloud instances pull tasks from the
-// queue, download the input, run the configured executable, upload the
-// result, and only then delete the task message. The queue's visibility
-// timeout provides fault tolerance — a task whose worker dies reappears
-// and is re-executed — and task idempotency makes duplicate execution
-// harmless. A monitoring queue reports completions back to the client.
+// populates a scheduling queue with one task message per file, whose
+// body is the task ID; independent workers running on cloud instances
+// pull tasks from the queue, download the input, run the configured
+// executable, upload the result, and only then delete the task message.
+// The queue's visibility timeout provides fault tolerance — a task whose
+// worker dies reappears and is re-executed — and task idempotency makes
+// duplicate execution harmless. A monitoring queue reports completions
+// back to the client, one binary MonitorReport per settled task.
 package classiccloud
 
 import (
-	"encoding/json"
 	"errors"
 	"fmt"
 	"sort"
@@ -19,6 +19,7 @@ import (
 	"time"
 
 	"repro/internal/blob"
+	"repro/internal/codec"
 	"repro/internal/queue"
 )
 
@@ -34,11 +35,11 @@ type Env struct {
 // Task describes one unit of work: a single input file producing a
 // single output file, as in the paper's applications.
 type Task struct {
-	ID           string `json:"id"`
-	InputBucket  string `json:"input_bucket"`
-	InputKey     string `json:"input_key"`
-	OutputBucket string `json:"output_bucket"`
-	OutputKey    string `json:"output_key"`
+	ID           string
+	InputBucket  string
+	InputKey     string
+	OutputBucket string
+	OutputKey    string
 }
 
 // Executor is the "configured executable program" a worker runs on each
@@ -60,7 +61,8 @@ type Preloader interface {
 }
 
 // ReceiveBatch is how many tasks a worker pulls per receive call. Task
-// acknowledgements and monitor reports are batched the same way, so a
+// acknowledgements and monitor reports are batched the same way (it is
+// at most queue.MaxBatch, so a batch's reports fit one send), so a
 // worker costs 3 requests per ReceiveBatch tasks instead of 3 per task —
 // and a task can be up to a batch's execution old before the monitor
 // queue says so, which a controller predicting completion allows for.
@@ -108,13 +110,12 @@ type Config struct {
 	// the cap, preserving the seed's retry-forever behaviour.
 	MaxReceives int
 	// DeadLetterQueue receives poison task messages (over the receive
-	// cap, or undecodable). Empty means poison messages are dropped.
+	// cap, or empty). Empty means poison messages are dropped.
 	DeadLetterQueue string
 	// InstanceType labels this deployment's monitor reports with the
 	// instance type running the workers (cloud.InstanceType.Key() form,
 	// "provider/name"), so per-type service-time calibration can keep a
-	// mixed fleet's samples apart. Empty omits the label (reports from
-	// before the field existed parse the same way).
+	// mixed fleet's samples apart. Empty leaves the label empty.
 	InstanceType string
 }
 
@@ -153,20 +154,43 @@ const (
 )
 
 // MonitorReport is the completion report workers push to the monitor
-// queue, one JSON document per settled task.
+// queue, one message per settled task (Marshal).
 type MonitorReport struct {
-	TaskID   string `json:"task_id"`
-	WorkerID int    `json:"worker_id"`
-	Status   string `json:"status"` // StatusDone or StatusDead
+	TaskID   string
+	WorkerID int
+	Status   string // StatusDone or StatusDead
 	// ServiceTime is the worker-measured duration of the task pipeline
 	// (download → execute → upload), the per-task service time the
-	// paper's variability analysis distributes. Zero for dead-letter
-	// reports and for reports written before the field existed.
-	ServiceTime time.Duration `json:"service_ns,omitempty"`
+	// paper's variability analysis distributes; zero in a dead report.
+	ServiceTime time.Duration
 	// InstanceType is the reporting instance's type key
-	// ("provider/name"); omitted by deployments that did not set
-	// Config.InstanceType, and old reports parse the same.
-	InstanceType string `json:"instance_type,omitempty"`
+	// ("provider/name"); empty when Config.InstanceType is.
+	InstanceType string
+}
+
+// Marshal encodes the report as a monitor-queue body:
+//
+//	str(task ID) || varint(worker ID) || str(status) || varint(service ns) || str(instance type)
+func (r MonitorReport) Marshal() []byte {
+	e := codec.Enc{B: make([]byte, 0, 16+len(r.TaskID)+len(r.Status)+len(r.InstanceType))}
+	e.Str(r.TaskID)
+	e.I64(int64(r.WorkerID))
+	e.Str(r.Status)
+	e.I64(int64(r.ServiceTime))
+	e.Str(r.InstanceType)
+	return e.B
+}
+
+// UnmarshalMonitorReport decodes a Marshal body. Any queue client can
+// write to a monitor queue, so a malformed body is an error, not a panic.
+func UnmarshalMonitorReport(body []byte) (MonitorReport, error) {
+	d := codec.Dec{B: body}
+	r := MonitorReport{TaskID: d.Str(), WorkerID: int(d.I64()), Status: d.Str(),
+		ServiceTime: time.Duration(d.I64()), InstanceType: d.Str()}
+	if len(d.B) != 0 {
+		d.Fail()
+	}
+	return r, d.Err
 }
 
 // Settlement is the one piece of coordination state a job has: which
@@ -254,8 +278,8 @@ func (c *Client) Setup() error {
 // queue.MaxBatch at a time: a job of n tasks costs ⌈n/MaxBatch⌉ queue
 // requests (and as many journal records on a durable queue), not n.
 // Each batch's inputs are staged before its messages become visible.
-// On error, whole earlier batches stay enqueued. Output keys get an
-// ".out" suffix.
+// On error, whole earlier batches stay enqueued. A message's body is its
+// task ID; output keys get an ".out" suffix.
 func (c *Client) SubmitFiles(files map[string][]byte) ([]Task, error) {
 	names := make([]string, 0, len(files))
 	for name := range files {
@@ -272,11 +296,7 @@ func (c *Client) SubmitFiles(files map[string][]byte) ([]Task, error) {
 			if err := c.env.Blob.Put(task.InputBucket, task.InputKey, files[task.ID]); err != nil {
 				return nil, fmt.Errorf("classiccloud: uploading %s: %w", task.ID, err)
 			}
-			body, err := json.Marshal(task)
-			if err != nil {
-				return nil, fmt.Errorf("classiccloud: encoding task: %w", err)
-			}
-			bodies = append(bodies, body)
+			bodies = append(bodies, []byte(task.ID))
 		}
 		if _, err := c.env.Queue.SendMessageBatch(c.cfg.TaskQueue(), bodies); err != nil {
 			return nil, fmt.Errorf("classiccloud: enqueueing %s..%s: %w",
@@ -289,21 +309,19 @@ func (c *Client) SubmitFiles(files map[string][]byte) ([]Task, error) {
 // TasksFromIDs reconstructs the task set SubmitFiles created for these
 // IDs from the deterministic naming convention (input key = ID, output
 // key = ID + ".out"). It is the single definition of that convention:
-// SubmitFiles and recovering controllers agree through it, so a job is
-// re-adopted from its task IDs alone — Setup is idempotent, and nothing
-// is re-uploaded or re-enqueued.
+// SubmitFiles, workers decoding a task message and recovering
+// controllers agree through it, so a job is re-adopted from its task IDs
+// alone — Setup is idempotent, and nothing is re-uploaded or re-enqueued.
 func (c Config) TasksFromIDs(taskIDs []string) []Task {
 	tasks := make([]Task, len(taskIDs))
 	for i, id := range taskIDs {
-		tasks[i] = Task{
-			ID:           id,
-			InputBucket:  c.InputBucket(),
-			InputKey:     id,
-			OutputBucket: c.OutputBucket(),
-			OutputKey:    id + ".out",
-		}
+		tasks[i] = c.task(id)
 	}
 	return tasks
+}
+
+func (c Config) task(id string) Task {
+	return Task{ID: id, InputBucket: c.InputBucket(), InputKey: id, OutputBucket: c.OutputBucket(), OutputKey: id + ".out"}
 }
 
 // Report summarizes a completed job.
@@ -334,10 +352,9 @@ func (c *Client) DrainMonitor(wait time.Duration, settle func([]MonitorReport) b
 	reports := make([]MonitorReport, 0, len(msgs))
 	for i, m := range msgs {
 		receipts[i] = m.ReceiptHandle
-		var rep MonitorReport
 		// A corrupt report is skipped (and deleted) rather than allowed to
 		// abort the valid completions travelling alongside it.
-		if json.Unmarshal(m.Body, &rep) == nil && rep.TaskID != "" {
+		if rep, err := UnmarshalMonitorReport(m.Body); err == nil && rep.TaskID != "" {
 			reports = append(reports, rep)
 		}
 	}
@@ -515,39 +532,30 @@ func (inst *Instance) processBatch(workerID int, msgs []queue.Message) {
 	// slow one must keep their leases alive too.
 	var renew *leaseRenewer
 	if heartbeat := inst.cfg.VisibilityTimeout / heartbeatsPerLease; heartbeat > 0 { // a ticker needs ≥ 1ns
-		receipts := make([]string, len(msgs))
-		for i, m := range msgs {
-			receipts[i] = m.ReceiptHandle
-		}
-		renew = inst.startLeaseRenewer(receipts, heartbeat)
+		renew = inst.startLeaseRenewer(msgs, heartbeat)
 		defer renew.stop()
 	}
 	var ackReceipts []string
 	var reports [][]byte
 	for _, m := range msgs {
-		var task Task
-		if err := json.Unmarshal(m.Body, &task); err != nil {
-			// Undecodable message: park it so it cannot wedge the queue.
-			inst.deadLetter(workerID, "", m)
+		// Poison: an empty body names no task, and a task over the receive
+		// cap has burned through its retry budget (executor failures,
+		// repeated crashes). Take it out of rotation instead of retrying
+		// forever, so it cannot wedge the queue.
+		if len(m.Body) == 0 || inst.cfg.MaxReceives > 0 && m.Receives > inst.cfg.MaxReceives {
+			inst.deadLetter(workerID, m)
 			renew.remove(m.ReceiptHandle)
 			continue
 		}
-		if inst.cfg.MaxReceives > 0 && m.Receives > inst.cfg.MaxReceives {
-			// Poison task: it has burned through its retry budget
-			// (executor failures, repeated crashes) — take it out of
-			// rotation instead of retrying forever.
-			inst.deadLetter(workerID, task.ID, m)
-			renew.remove(m.ReceiptHandle)
-			continue
-		}
+		task := inst.cfg.task(string(m.Body))
 		taskStart := time.Now()
 		if inst.processTask(workerID, task) {
 			ackReceipts = append(ackReceipts, m.ReceiptHandle)
-			reports = append(reports, encodeReport(MonitorReport{
+			reports = append(reports, MonitorReport{
 				TaskID: task.ID, WorkerID: workerID, Status: StatusDone,
 				ServiceTime:  time.Since(taskStart),
 				InstanceType: inst.cfg.InstanceType,
-			}))
+			}.Marshal())
 		} else {
 			// The task was not acknowledged (failure, crash injection, or
 			// preemption): stop renewing its lease so the visibility
@@ -561,36 +569,26 @@ func (inst *Instance) processBatch(workerID int, msgs []queue.Message) {
 	// re-executed (idempotent) and re-reported (the settlement fold
 	// counts the repeat) — instead of silently losing the settlement of
 	// a deleted task, which no retry would ever repair.
-	for start := 0; start < len(reports); start += queue.MaxBatch {
-		end := min(start+queue.MaxBatch, len(reports))
-		acks := ackReceipts[start:end]
-		if _, err := inst.env.Queue.SendMessageBatch(inst.cfg.MonitorQueue(), reports[start:end]); err != nil {
-			inst.stats.ReportErrors.Add(1)
-			for _, receipt := range acks {
-				renew.remove(receipt)
-			}
-			continue
+	if len(reports) == 0 {
+		return
+	}
+	if _, err := inst.env.Queue.SendMessageBatch(inst.cfg.MonitorQueue(), reports); err != nil {
+		inst.stats.ReportErrors.Add(1)
+		for _, receipt := range ackReceipts {
+			renew.remove(receipt)
 		}
-		results, err := inst.env.Queue.DeleteMessageBatch(inst.cfg.TaskQueue(), acks)
-		if err != nil {
-			continue
-		}
-		for _, r := range results {
-			if r != nil {
-				// Our lease expired and the task was re-issued; the result
-				// is already uploaded and tasks are idempotent, so this is
-				// harmless.
-				inst.stats.StaleDeletes.Add(1)
-			}
+		return
+	}
+	// A failed delete only redelivers the tasks, to be re-run and re-reported.
+	results, _ := inst.env.Queue.DeleteMessageBatch(inst.cfg.TaskQueue(), ackReceipts)
+	for _, r := range results {
+		if r != nil {
+			// Our lease expired and the task was re-issued; the result is
+			// already uploaded and tasks are idempotent, so this is
+			// harmless.
+			inst.stats.StaleDeletes.Add(1)
 		}
 	}
-}
-
-// encodeReport renders one monitor-queue report (a struct of strings
-// and integers: Marshal cannot fail).
-func encodeReport(rep MonitorReport) []byte {
-	body, _ := json.Marshal(rep)
-	return body
 }
 
 // deadLetter parks a poison message's body on the dead-letter queue
@@ -598,16 +596,17 @@ func encodeReport(rep MonitorReport) []byte {
 // clients stop waiting for it, and only then removes the message from
 // the task queue — the same report-before-delete order as processBatch.
 // Any step failing leaves the message to be redelivered and
-// dead-lettered again; the settlement fold absorbs a repeated report.
-func (inst *Instance) deadLetter(workerID int, taskID string, m queue.Message) {
+// dead-lettered again; the settlement fold absorbs a repeated report. An
+// empty body names no task, so nobody is told.
+func (inst *Instance) deadLetter(workerID int, m queue.Message) {
 	if inst.cfg.DeadLetterQueue != "" {
 		if _, err := inst.env.Queue.SendMessage(inst.cfg.DeadLetterQueue, m.Body); err != nil {
 			return
 		}
 	}
-	if taskID != "" {
-		dead := encodeReport(MonitorReport{TaskID: taskID, WorkerID: workerID, Status: StatusDead})
-		if _, err := inst.env.Queue.SendMessage(inst.cfg.MonitorQueue(), dead); err != nil {
+	if len(m.Body) != 0 {
+		dead := MonitorReport{TaskID: string(m.Body), WorkerID: workerID, Status: StatusDead}
+		if _, err := inst.env.Queue.SendMessage(inst.cfg.MonitorQueue(), dead.Marshal()); err != nil {
 			inst.stats.ReportErrors.Add(1)
 			return
 		}
@@ -683,10 +682,10 @@ func (r *leaseRenewer) remove(receipt string) {
 	r.mu.Unlock()
 }
 
-func (inst *Instance) startLeaseRenewer(receipts []string, heartbeat time.Duration) *leaseRenewer {
-	r := &leaseRenewer{receipts: make(map[string]bool, len(receipts)), done: make(chan struct{})}
-	for _, receipt := range receipts {
-		r.receipts[receipt] = true
+func (inst *Instance) startLeaseRenewer(msgs []queue.Message, heartbeat time.Duration) *leaseRenewer {
+	r := &leaseRenewer{receipts: make(map[string]bool, len(msgs)), done: make(chan struct{})}
+	for _, m := range msgs {
+		r.receipts[m.ReceiptHandle] = true
 	}
 	go func() {
 		ticker := time.NewTicker(heartbeat)

@@ -2,7 +2,6 @@ package classiccloud
 
 import (
 	"bytes"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"strings"
@@ -303,26 +302,74 @@ func TestWaitTimesOutWithoutWorkers(t *testing.T) {
 	}
 }
 
+// A task message's body is its task ID, so poison comes in two kinds.
+// An empty body names no task: it is dead-lettered on its first receive,
+// with no report, as there is no task to report. A body naming a task
+// whose input was never uploaded is a task like any other whose input is
+// missing: it is executed on each of its MaxReceives deliveries, then
+// dead-lettered and reported dead.
 func TestPoisonMessageDoesNotWedgeWorkers(t *testing.T) {
-	env := testEnv()
-	cfg := Config{JobName: "poison"}
-	client := NewClient(env, cfg)
-	if err := client.Setup(); err != nil {
-		t.Fatal(err)
-	}
-	// Inject garbage directly into the task queue.
-	env.Queue.SendMessage("poison/tasks", []byte("{{{not json"))
-	tasks, err := client.SubmitFiles(makeFiles(5))
-	if err != nil {
-		t.Fatal(err)
-	}
-	inst, err := StartInstance(env, cfg, upperExec, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer inst.Stop()
-	if _, err := client.WaitForCompletion(tasks, 10*time.Second); err != nil {
-		t.Fatalf("poison message wedged the job: %v", err)
+	const maxReceives = 3
+	for _, tc := range []struct {
+		name, body string
+		// visibility is an hour for the empty body: a message not
+		// dead-lettered on its first receive is never received again here.
+		visibility     time.Duration
+		wantExecErrors int64
+	}{
+		{name: "empty body", body: "", visibility: time.Hour},
+		{name: "body names no input", body: "ghost.txt", visibility: 100 * time.Millisecond, wantExecErrors: maxReceives},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			env := testEnv()
+			cfg := Config{JobName: "poison", VisibilityTimeout: tc.visibility,
+				MaxReceives: maxReceives, DeadLetterQueue: "poison/dead"}
+			client := NewClient(env, cfg)
+			if err := client.Setup(); err != nil {
+				t.Fatal(err)
+			}
+			if _, err := env.Queue.SendMessage(cfg.TaskQueue(), []byte(tc.body)); err != nil {
+				t.Fatal(err)
+			}
+			tasks, err := client.SubmitFiles(makeFiles(5))
+			if err != nil {
+				t.Fatal(err)
+			}
+			wantDead := 0
+			if tc.body != "" {
+				tasks = append(tasks, cfg.TasksFromIDs([]string{tc.body})...)
+				wantDead = 1
+			}
+			inst, err := StartInstance(env, cfg, upperExec, 2)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer inst.Stop()
+			rep, err := client.WaitForCompletion(tasks, 10*time.Second)
+			if err != nil {
+				t.Fatalf("poison message wedged the job: %v", err)
+			}
+			if rep.Completed != 5 || rep.DeadLettered != wantDead {
+				t.Errorf("report = %+v, want 5 completed and %d dead", rep, wantDead)
+			}
+			deadline := time.Now().Add(5 * time.Second)
+			for inst.Stats().DeadLettered.Load() == 0 {
+				if time.Now().After(deadline) {
+					t.Fatal("poison message never dead-lettered")
+				}
+				time.Sleep(time.Millisecond)
+			}
+			if got := inst.Stats().ExecErrors.Load(); got != tc.wantExecErrors {
+				t.Errorf("ExecErrors = %d, want %d executions of the poison message", got, tc.wantExecErrors)
+			}
+			parked, ok, err := env.Queue.ReceiveMessage(cfg.DeadLetterQueue, time.Minute)
+			if err != nil || !ok || string(parked.Body) != tc.body {
+				t.Errorf("dead-letter queue holds %q (ok %v, err %v), want the body %q", parked.Body, ok, err, tc.body)
+			}
+			if visible, inflight, err := env.Queue.ApproximateCount(cfg.TaskQueue()); err != nil || visible+inflight != 0 {
+				t.Errorf("task queue still holds %d+%d messages (err %v)", visible, inflight, err)
+			}
+		})
 	}
 }
 
@@ -363,9 +410,7 @@ func TestDuplicateDeliveryIsIdempotent(t *testing.T) {
 }
 
 // Monitor reports carry the reporting instance's type (the calibration
-// catalog's label); reports from deployments that do not label
-// themselves — including every report journaled before the field
-// existed — must still parse with the type empty.
+// catalog's label) and the task's service time.
 func TestMonitorReportCarriesInstanceType(t *testing.T) {
 	env := testEnv()
 	cfg := Config{JobName: "typed", InstanceType: "aws/Large"}
@@ -381,7 +426,6 @@ func TestMonitorReportCarriesInstanceType(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	_ = tasks
 	// Read the raw report off the monitor queue (WaitForCompletion would
 	// consume it).
 	var msgs []queue.Message
@@ -396,28 +440,18 @@ func TestMonitorReportCarriesInstanceType(t *testing.T) {
 		}
 	}
 	inst.Stop()
-	var rep MonitorReport
-	if err := json.Unmarshal(msgs[0].Body, &rep); err != nil {
+	rep, err := UnmarshalMonitorReport(msgs[0].Body)
+	if err != nil {
 		t.Fatal(err)
+	}
+	if rep.TaskID != tasks[0].ID || rep.Status != StatusDone {
+		t.Errorf("report = %+v, want %s done", rep, tasks[0].ID)
 	}
 	if rep.InstanceType != "aws/Large" {
 		t.Errorf("InstanceType = %q, want aws/Large", rep.InstanceType)
 	}
 	if rep.ServiceTime <= 0 {
 		t.Errorf("ServiceTime = %v, want > 0", rep.ServiceTime)
-	}
-
-	// Old-format report: no instance_type key at all.
-	old := []byte(`{"task_id":"t1","worker_id":3,"status":"done","service_ns":42}`)
-	rep = MonitorReport{}
-	if err := json.Unmarshal(old, &rep); err != nil {
-		t.Fatalf("old report failed to parse: %v", err)
-	}
-	if rep.InstanceType != "" {
-		t.Errorf("old report InstanceType = %q, want empty", rep.InstanceType)
-	}
-	if rep.TaskID != "t1" || rep.ServiceTime != 42 {
-		t.Errorf("old report fields = %+v", rep)
 	}
 }
 

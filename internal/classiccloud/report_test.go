@@ -2,6 +2,7 @@ package classiccloud
 
 import (
 	"errors"
+	"math"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -151,4 +152,31 @@ func TestFailedDeadReportDoesNotAckTask(t *testing.T) {
 	if got := inst.Stats().ReportErrors.Load(); got != 1 {
 		t.Errorf("ReportErrors = %d, want 1", got)
 	}
+}
+
+// Any queue client can write to a monitor queue, so UnmarshalMonitorReport
+// reads outside input: arbitrary bytes decode or fail without panicking,
+// and a decoded report's strings are never longer in total than the body
+// they came from. Every report round-trips exactly.
+func FuzzMonitorReport(f *testing.F) {
+	f.Add(MonitorReport{TaskID: "file001.fsa", WorkerID: 3, Status: StatusDone,
+		ServiceTime: 42 * time.Millisecond, InstanceType: "aws/Large"}.Marshal(),
+		"t", int64(0), StatusDead, int64(0), "")
+	f.Add([]byte(`{"task_id":"t1","worker_id":3,"status":"done","service_ns":42}`),
+		"", int64(-1), "", int64(math.MinInt64), "azure/Small")
+	f.Add([]byte{}, "\x00", int64(math.MaxInt64), "done", int64(math.MaxInt64), "\xff")
+	f.Add([]byte{0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0x01}, "a", int64(1), "b", int64(1), "c")
+	f.Fuzz(func(t *testing.T, body []byte, taskID string, worker int64, status string, ns int64, instanceType string) {
+		if rep, err := UnmarshalMonitorReport(body); err == nil {
+			if n := len(rep.TaskID) + len(rep.Status) + len(rep.InstanceType); n > len(body) {
+				t.Fatalf("%d-byte body decoded to %d bytes of strings: %+v", len(body), n, rep)
+			}
+		}
+		want := MonitorReport{TaskID: taskID, WorkerID: int(worker), Status: status,
+			ServiceTime: time.Duration(ns), InstanceType: instanceType}
+		got, err := UnmarshalMonitorReport(want.Marshal())
+		if err != nil || got != want {
+			t.Fatalf("round trip of %+v = %+v, %v", want, got, err)
+		}
+	})
 }

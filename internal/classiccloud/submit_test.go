@@ -15,32 +15,29 @@ import (
 	"repro/internal/queue"
 )
 
-// drainTasks receives every visible task message and returns the
-// decoded tasks keyed by message ID, with each message's receive count.
-func drainTasks(t *testing.T, q queue.API, name string) (map[string]Task, map[string]int) {
+// drainTasks receives every visible task message and returns the bodies
+// keyed by message ID, with each message's receive count.
+func drainTasks(t *testing.T, q queue.API, name string) (map[string]string, map[string]int) {
 	t.Helper()
-	tasks, receives := make(map[string]Task), make(map[string]int)
+	bodies, receives := make(map[string]string), make(map[string]int)
 	for {
 		msgs, err := q.ReceiveMessageBatch(name, time.Hour, queue.MaxBatch, 0)
 		if err != nil {
 			t.Fatal(err)
 		}
 		if len(msgs) == 0 {
-			return tasks, receives
+			return bodies, receives
 		}
 		for _, m := range msgs {
-			var task Task
-			if err := json.Unmarshal(m.Body, &task); err != nil {
-				t.Fatalf("message %s: undecodable task body %q: %v", m.ID, m.Body, err)
-			}
-			tasks[m.ID] = task
+			bodies[m.ID] = string(m.Body)
 			receives[m.ID] = m.Receives
 		}
 	}
 }
 
 // SubmitFiles costs one queue request per MaxBatch tasks, returns the
-// tasks in sorted name order, and enqueues exactly those tasks.
+// tasks in sorted name order, and enqueues exactly those tasks, each
+// message's body being its task ID.
 func TestSubmitFilesSendsInBatches(t *testing.T) {
 	for _, n := range []int{0, 1, 9, 10, 11, 25} {
 		t.Run(fmt.Sprintf("n=%d", n), func(t *testing.T) {
@@ -74,13 +71,13 @@ func TestSubmitFilesSendsInBatches(t *testing.T) {
 			if len(received) != n {
 				t.Fatalf("received %d task messages, want %d", len(received), n)
 			}
-			got := make(map[string]Task, n)
-			for _, task := range received {
-				got[task.ID] = task
+			got := make(map[string]bool, n)
+			for _, body := range received {
+				got[body] = true
 			}
 			for _, task := range tasks {
-				if got[task.ID] != task {
-					t.Errorf("task %s round-tripped as %+v, want %+v", task.ID, got[task.ID], task)
+				if !got[task.ID] {
+					t.Errorf("no message body is task ID %q (bodies %q)", task.ID, received)
 				}
 				if staged, _ := env.Blob.GetConsistent(task.InputBucket, task.InputKey); !bytes.Equal(staged, files[task.ID]) {
 					t.Errorf("input %s not staged", task.InputKey)
@@ -121,7 +118,7 @@ func TestSubmitFilesDurableOneRecordPerBatch(t *testing.T) {
 	}
 	var batchSizes []int
 	var ids []string
-	sent := make(map[string]Task, n) // message ID → journaled task
+	sent := make(map[string]string, n) // message ID → journaled body
 	for _, line := range bytes.Split(bytes.TrimSpace(dump.Bytes()), []byte("\n")) {
 		var rec struct {
 			Op     string   `json:"op"`
@@ -137,12 +134,8 @@ func TestSubmitFilesDurableOneRecordPerBatch(t *testing.T) {
 		}
 		batchSizes = append(batchSizes, len(rec.IDs))
 		for i, id := range rec.IDs {
-			var task Task
-			if err := json.Unmarshal(rec.Bodies[i], &task); err != nil {
-				t.Fatalf("journaled body of %s: %v", id, err)
-			}
 			ids = append(ids, id)
-			sent[id] = task
+			sent[id] = string(rec.Bodies[i])
 		}
 	}
 	if want := []int{10, 10, 5}; !reflect.DeepEqual(batchSizes, want) {
@@ -150,8 +143,8 @@ func TestSubmitFilesDurableOneRecordPerBatch(t *testing.T) {
 	}
 	for i, id := range ids {
 		// Message IDs ascend with the sorted task order.
-		if want := fmt.Sprintf("%s-%d", cfg.TaskQueue(), i+1); id != want || sent[id] != tasks[i] {
-			t.Fatalf("journaled message %d = %s %+v, want %s %+v", i, id, sent[id], want, tasks[i])
+		if want := fmt.Sprintf("%s-%d", cfg.TaskQueue(), i+1); id != want || sent[id] != tasks[i].ID {
+			t.Fatalf("journaled message %d = %s %q, want %s %q", i, id, sent[id], want, tasks[i].ID)
 		}
 	}
 
@@ -167,9 +160,9 @@ func TestSubmitFilesDurableOneRecordPerBatch(t *testing.T) {
 		t.Fatal(err)
 	}
 	clk.Advance(2 * time.Minute) // expire the pre-crash leases
-	gotTasks, gotReceives := drainTasks(t, recovered, cfg.TaskQueue())
-	if !reflect.DeepEqual(gotTasks, sent) {
-		t.Errorf("recovered messages = %+v, want the journaled %+v", gotTasks, sent)
+	gotBodies, gotReceives := drainTasks(t, recovered, cfg.TaskQueue())
+	if !reflect.DeepEqual(gotBodies, sent) {
+		t.Errorf("recovered messages = %q, want the journaled %q", gotBodies, sent)
 	}
 	wantReceives := make(map[string]int, n)
 	for _, id := range ids {

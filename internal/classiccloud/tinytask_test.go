@@ -1,0 +1,71 @@
+package classiccloud
+
+import (
+	"fmt"
+	"net"
+	"testing"
+	"time"
+
+	"repro/internal/blob"
+	"repro/internal/queue"
+	"repro/internal/queue/wire"
+)
+
+// BenchmarkTinyTaskJob runs one whole job of 4096 tiny tasks per op:
+// SubmitFiles, one instance of 2 workers and WaitForCompletion, with
+// every queue call crossing wire.Client → wire.Server → a durable
+// queue.Service over loopback TCP. The executor echoes its input, so
+// what the profile shows is the task path's envelope: message bodies,
+// monitor reports, the wire server's handlers and the queue's ids.
+func BenchmarkTinyTaskJob(b *testing.B) {
+	const n = 4096
+	files := make(map[string][]byte, n)
+	for i := 0; i < n; i++ {
+		files[fmt.Sprintf("file%05d.fsa", i)] = []byte(">read\nACGT\n")
+	}
+	echo := FuncExecutor{AppName: "echo", Fn: func(_ Task, in []byte) ([]byte, error) { return in, nil }}
+	var elapsed time.Duration
+	for i := 0; i < b.N; i++ {
+		b.StopTimer()
+		journals := blob.NewStore(blob.Config{})
+		svc := queue.NewService(queue.Config{Seed: 1,
+			Durability: &queue.Durability{Store: journals, Bucket: "queue-journal", Key: "shard-0"}})
+		if err := svc.Recover(); err != nil {
+			b.Fatal(err)
+		}
+		ln, err := net.Listen("tcp", "127.0.0.1:0")
+		if err != nil {
+			b.Fatal(err)
+		}
+		srv := &wire.Server{Service: svc}
+		go srv.Serve(ln)
+		remote := wire.Dial(ln.Addr().String(), wire.Options{})
+		env := Env{Blob: blob.NewStore(blob.Config{}), Queue: remote}
+		cfg := Config{JobName: "tiny"}
+		client := NewClient(env, cfg)
+		if err := client.Setup(); err != nil {
+			b.Fatal(err)
+		}
+		start := time.Now()
+		b.StartTimer()
+		tasks, err := client.SubmitFiles(files)
+		if err != nil {
+			b.Fatal(err)
+		}
+		inst, err := StartInstance(env, cfg, echo, 2)
+		if err != nil {
+			b.Fatal(err)
+		}
+		rep, err := client.WaitForCompletion(tasks, time.Minute)
+		inst.Stop()
+		b.StopTimer()
+		elapsed += time.Since(start)
+		if err != nil || rep.Completed != n {
+			b.Fatalf("completed %d/%d tasks: %v", rep.Completed, n, err)
+		}
+		remote.Close()
+		srv.Close()
+		svc.Halt()
+	}
+	b.ReportMetric(float64(b.N*n)/elapsed.Seconds(), "tasks/s")
+}

@@ -47,6 +47,7 @@ import (
 	"math/rand"
 	"slices"
 	"sort"
+	"strconv"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -1054,7 +1055,7 @@ func (s *Service) send(metric, queueName string, bodies [][]byte, recvs []int) (
 	err := s.mutate(metric, opSend, queueName, func(q *queueState, rec *durRecord) error {
 		ids = make([]string, len(bodies))
 		for i := range ids {
-			ids[i] = fmt.Sprintf("%s-%d", q.name, q.nextID+i+1)
+			ids[i] = q.name + "-" + strconv.Itoa(q.nextID+i+1)
 			rec.IDs = append(rec.IDs, ids[i])
 		}
 		rec.Bodies = append(rec.Bodies, bodies...)
@@ -1103,7 +1104,7 @@ func (s *Service) planReceives(q *queueState, rec *durRecord, now time.Time, vis
 				recvs++
 			}
 		}
-		receipt := fmt.Sprintf("%s#r%d", m.id, recvs)
+		receipt := m.id + "#r" + strconv.Itoa(recvs)
 		var lease time.Time // zero for a duplicate: it takes no lease
 		if !dup {
 			lease = now.Add(visibility)

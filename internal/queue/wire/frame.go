@@ -29,9 +29,11 @@
 // frames into large writes, and one reader goroutine demultiplexes
 // responses to waiting callers by id. Long polls therefore do not
 // head-of-line block unrelated traffic on the same connection. The
-// server mirrors the pair — one reader spawning a handler per request,
-// one writer serializing responses — so a slow receive never stalls the
-// pipe, up to maxConcurrent handlers per connection. A call waits
+// server mirrors the pair — one reader handing each request to an idle
+// handler of the connection's pool (starting another only when none is
+// idle, up to maxConcurrent), one writer serializing responses — so a
+// slow receive never stalls the pipe, and handlers live as long as the
+// connection rather than one request. A call waits
 // requestTimeout for its response, plus whatever long-poll wait the
 // request itself asked for.
 package wire

@@ -17,9 +17,10 @@ import (
 // ErrServerClosed is returned by Serve after Close.
 var ErrServerClosed = errors.New("wire: server closed")
 
-// maxConcurrent caps in-flight handlers per connection; excess frames
-// wait in the reader, applying backpressure through the transport
-// instead of unbounded goroutine growth.
+// maxConcurrent caps the handler goroutines of one connection; when all
+// of them are busy, the next frame waits in the reader, applying
+// backpressure through the transport instead of unbounded goroutine
+// growth.
 const maxConcurrent = 256
 
 // Server serves the wire protocol over a listener, dispatching every
@@ -106,7 +107,7 @@ func (s *Server) Serve(ln net.Listener) error {
 			bw:      bufio.NewWriterSize(nc, 64<<10),
 			writeCh: make(chan *[]byte, 64),
 			done:    make(chan struct{}),
-			sem:     make(chan struct{}, maxConcurrent),
+			work:    make(chan request),
 		}
 		s.mu.Lock()
 		if s.closed {
@@ -146,9 +147,11 @@ func (s *Server) Close() error {
 	return nil
 }
 
-// srvConn is one accepted connection: a reader loop spawning a handler
-// goroutine per request frame, and a writer goroutine serializing
-// response frames with coalesced flushes.
+// srvConn is one accepted connection: a reader loop handing request
+// frames to a pool of handler goroutines, and a writer goroutine
+// serializing response frames with coalesced flushes. A handler outlives
+// its request and takes the next frame the reader offers, so its grown
+// stack is reused instead of being grown again for every request.
 type srvConn struct {
 	srv       *Server
 	nc        net.Conn
@@ -157,7 +160,14 @@ type srvConn struct {
 	writeCh   chan *[]byte
 	done      chan struct{}
 	closeOnce sync.Once
-	sem       chan struct{}
+	work      chan request // unbuffered: a send succeeds only into an idle handler
+	handlers  int          // handler goroutines started; the reader's alone
+}
+
+// request is one parsed frame and the pooled buffer its fields alias.
+type request struct {
+	f  Frame
+	bp *[]byte
 }
 
 func (c *srvConn) shutdown() {
@@ -194,16 +204,36 @@ func (c *srvConn) serve() {
 		if c.srv.met != nil {
 			c.srv.met.frames.Inc()
 		}
+		req := request{f, bp}
 		select {
-		case c.sem <- struct{}{}:
+		case c.work <- req:
+			continue
+		default:
+		}
+		if c.handlers < maxConcurrent {
+			c.handlers++
+			go c.handler(req)
+			continue
+		}
+		select {
+		case c.work <- req:
 		case <-c.done:
 			codec.PutBuf(bp)
 			return
 		}
-		go func() {
-			defer func() { <-c.sem }()
-			c.handle(f, bp)
-		}()
+	}
+}
+
+// handler serves req, then every frame the reader hands it, until the
+// connection closes.
+func (c *srvConn) handler(req request) {
+	for {
+		c.handle(req.f, req.bp)
+		select {
+		case req = <-c.work:
+		case <-c.done:
+			return
+		}
 	}
 }
 
