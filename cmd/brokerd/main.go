@@ -70,7 +70,8 @@ import (
 	"repro/internal/telemetry"
 )
 
-// parseQuotas decodes "alice=6,bob=2" into a quota map.
+// parseQuotas decodes "alice=6,bob=2" into a quota map. A repeated
+// tenant is an error: keeping either budget would drop the other.
 func parseQuotas(s string) (map[string]int, error) {
 	if s == "" {
 		return nil, nil
@@ -84,6 +85,9 @@ func parseQuotas(s string) (map[string]int, error) {
 		n, err := strconv.Atoi(val)
 		if err != nil || n <= 0 {
 			return nil, fmt.Errorf("bad quota %q: instance budget must be a positive integer", pair)
+		}
+		if _, dup := quotas[name]; dup {
+			return nil, fmt.Errorf("tenant %q given twice", name)
 		}
 		quotas[name] = n
 	}

@@ -3,6 +3,7 @@ package main
 import (
 	"encoding/json"
 	"io"
+	"maps"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -69,5 +70,32 @@ func TestOneListenerServesJobsCatalogAndMetrics(t *testing.T) {
 	}
 	if code, _ := get("/debug/pprof/"); code == http.StatusOK {
 		t.Errorf("GET /debug/pprof/ = 200 without -pprof")
+	}
+}
+
+// -tenant-quotas parses to one budget per tenant; a malformed pair or a
+// repeated tenant is an error naming it, never a silently dropped quota.
+func TestParseQuotas(t *testing.T) {
+	for _, tc := range []struct {
+		in      string
+		want    map[string]int
+		wantErr string
+	}{
+		{"", nil, ""},
+		{"alice=6, bob=2", map[string]int{"alice": 6, "bob": 2}, ""},
+		{"alice=6,bob", nil, `"bob"`},
+		{"alice=0", nil, `"alice=0"`},
+		{"alice=6,alice=2", nil, `"alice" given twice`},
+	} {
+		got, err := parseQuotas(tc.in)
+		if tc.wantErr != "" {
+			if err == nil || !strings.Contains(err.Error(), tc.wantErr) {
+				t.Errorf("parseQuotas(%q) = %v, %v; want an error containing %s", tc.in, got, err, tc.wantErr)
+			}
+			continue
+		}
+		if err != nil || !maps.Equal(got, tc.want) {
+			t.Errorf("parseQuotas(%q) = %v, %v; want %v", tc.in, got, err, tc.want)
+		}
 	}
 }

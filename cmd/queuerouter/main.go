@@ -36,10 +36,6 @@
 //	PUT    /admin/shards/{id}?url=U    add a shard (migrates ≈1/N of queue groups)
 //	DELETE /admin/shards/{id}          retire a shard (migrates its queues)
 //	POST   /admin/rebalance            retry migrations the ring implies
-//	POST   /admin/regroup?queue=Q&group=G  move a queue into placement group G
-//	POST   /admin/regroup?prefix=P&group=G bulk-move every live queue whose
-//	                                       name starts with P (data:
-//	                                       {"matched": N})
 //	POST   /admin/split?group=G&k=N    spread group G over N sub-arcs (k=1
 //	                                   merges it back onto one shard)
 //	POST   /admin/split?group=G&pin=true   opt G out of splitting (strict
@@ -85,9 +81,9 @@
 // /debug/pprof/.
 //
 // Placement groups: the ring hashes the part of a queue name before
-// the first '/' (so "job-7/tasks" and "job-7/monitor" share a shard);
-// /admin/regroup migrates a pre-existing ungrouped queue into its
-// group's shard via the same drain-and-forward machinery.
+// the first '/' (so "job-7/tasks" and "job-7/monitor" share a shard).
+// A queue's group is its name, fixed when it is created; /admin/split
+// is the only endpoint that spreads a group.
 //
 // Migration transfers messages with their delivery counts preserved
 // through the privileged transfer opcode. -transfer-token provisions
@@ -154,7 +150,8 @@ func dumpJournal(w io.Writer, fsys fs.FS, ref string) error {
 	return queue.DumpJournal(w, journal.Log{Store: store, Bucket: bucket, Key: key})
 }
 
-// parseShards decodes "a=http://node1:8080,b=http://node2:8080".
+// parseShards decodes "a=http://node1:8080,b=http://node2:8080". A
+// repeated id is an error: keeping either URL would drop a shard.
 func parseShards(s string) (map[string]string, error) {
 	if s == "" {
 		return nil, nil
@@ -164,6 +161,9 @@ func parseShards(s string) (map[string]string, error) {
 		id, url, ok := strings.Cut(strings.TrimSpace(pair), "=")
 		if !ok || id == "" || url == "" {
 			return nil, fmt.Errorf("bad shard %q (want id=url)", pair)
+		}
+		if _, dup := out[id]; dup {
+			return nil, fmt.Errorf("shard id %q given twice", id)
 		}
 		out[id] = url
 	}
@@ -295,7 +295,6 @@ func (h *adminHandler) init() {
 	}
 	route("/admin/rebalance", methods{"POST": h.serveRebalance})
 	route("/admin/failover", methods{"POST": h.serveFailover})
-	route("/admin/regroup", methods{"POST": h.serveRegroup})
 	route("/admin/split", methods{"POST": h.serveSplit})
 	route("/admin/shards", methods{"GET": h.serveShards})
 	h.mux.HandleFunc("GET /admin/shards/{$}", h.serveShards)
@@ -339,23 +338,6 @@ func (h *adminHandler) serveFailover(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	reply(w, h.router.Failover(id), http.StatusOK, map[string]string{"shard": id}, "failed over shard %q to its standby", id)
-}
-
-func (h *adminHandler) serveRegroup(w http.ResponseWriter, r *http.Request) {
-	q := r.URL.Query()
-	queueName, prefix, group := q.Get("queue"), q.Get("prefix"), q.Get("group")
-	if (queueName == "") == (prefix == "") {
-		writeAdminFail(w, http.StatusBadRequest, "bad_request", "need exactly one of queue= or prefix=")
-		return
-	}
-	if prefix != "" {
-		matched, err := h.router.RegroupPrefix(prefix, group)
-		reply(w, err, http.StatusOK, map[string]int{"matched": matched},
-			"regrouped %d queue(s) with prefix %q into %q", matched, prefix, group)
-		return
-	}
-	reply(w, h.router.Regroup(queueName, group), http.StatusOK, map[string]string{"queue": queueName, "group": group},
-		"regrouped %q into %q", queueName, group)
 }
 
 func (h *adminHandler) serveSplit(w http.ResponseWriter, r *http.Request) {

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/json"
 	"errors"
+	"maps"
 	"net"
 	"net/http"
 	"net/http/httptest"
@@ -85,10 +86,9 @@ func TestAdminEnvelope(t *testing.T) {
 		code           string
 	}{
 		{http.MethodGet, "/admin/rebalance", http.StatusMethodNotAllowed, "method_not_allowed"},
-		{http.MethodPost, "/admin/regroup?group=g", http.StatusBadRequest, "bad_request"},
-		{http.MethodPost, "/admin/regroup?queue=ghost&group=g", http.StatusNotFound, "no_such_queue"},
-		{http.MethodPost, "/admin/regroup?queue=q1&group=a/b", http.StatusBadRequest, "bad_group"},
+		{http.MethodPost, "/admin/regroup", http.StatusNotFound, "not_found"},
 		{http.MethodPost, "/admin/split?group=g&k=0", http.StatusBadRequest, "bad_split"},
+		{http.MethodPost, "/admin/split?group=a/b&k=2", http.StatusBadRequest, "bad_group"},
 		{http.MethodPost, "/admin/split", http.StatusBadRequest, "bad_request"},
 		{http.MethodPut, "/admin/shards/a?url=" + node.URL, http.StatusConflict, "shard_exists"},
 		{http.MethodPut, "/admin/shards/x", http.StatusBadRequest, "bad_request"},
@@ -104,10 +104,6 @@ func TestAdminEnvelope(t *testing.T) {
 		}
 	}
 
-	status, resp = do(t, h, http.MethodPost, "/admin/regroup?queue=q1&group=g")
-	if status != http.StatusOK || !resp.OK {
-		t.Fatalf("regroup: %d %+v", status, resp)
-	}
 	status, resp = do(t, h, http.MethodPost, "/admin/rebalance")
 	if status != http.StatusOK || !resp.OK {
 		t.Fatalf("rebalance: %d %+v", status, resp)
@@ -276,5 +272,32 @@ func TestAddShardRefusesANodeWithoutWire(t *testing.T) {
 	}
 	if got := r.Shards(); len(got) != 2 {
 		t.Errorf("shards after the refusal: %v, want the rig's two", got)
+	}
+}
+
+// -shards parses to one URL per id; a malformed pair or a repeated id
+// is an error naming it, never a silently dropped shard.
+func TestParseShards(t *testing.T) {
+	for _, tc := range []struct {
+		in      string
+		want    map[string]string
+		wantErr string
+	}{
+		{"", nil, ""},
+		{"a=http://n1:1, b=http://n2:2", map[string]string{"a": "http://n1:1", "b": "http://n2:2"}, ""},
+		{"a=http://n1:1,b", nil, `"b"`},
+		{"=http://n1:1", nil, `"=http://n1:1"`},
+		{"a=http://n1:1,a=http://n2:2", nil, `"a" given twice`},
+	} {
+		got, err := parseShards(tc.in)
+		if tc.wantErr != "" {
+			if err == nil || !strings.Contains(err.Error(), tc.wantErr) {
+				t.Errorf("parseShards(%q) = %v, %v; want an error containing %s", tc.in, got, err, tc.wantErr)
+			}
+			continue
+		}
+		if err != nil || !maps.Equal(got, tc.want) {
+			t.Errorf("parseShards(%q) = %v, %v; want %v", tc.in, got, err, tc.want)
+		}
 	}
 }

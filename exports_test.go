@@ -40,8 +40,6 @@ var uncalledAllowed = map[string]string{
 	// that tests drive and ROADMAP items build on.
 	"internal/queue.Follower.Err":     "readiness input of ROADMAP's /readyz item; today read by the follower tests",
 	"internal/queue.Follower.Service": "standby inspection: how the replication tests compare a follower with its primary",
-	"internal/queue/wire.EncodeFrame": "subject of FuzzWireFrame, the frame format's fuzz target",
-	"internal/queue/wire.DecodeFrame": "subject of FuzzWireFrame, the frame format's fuzz target",
 
 	// broker.HTTPClient is the Go client of brokerd's HTTP API: each
 	// method is the client half of a route brokerd serves, driven by the

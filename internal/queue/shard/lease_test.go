@@ -10,11 +10,11 @@ import (
 )
 
 // parkingShard is a queue.API double in front of one shard. A receive it
-// was armed to hold parks as a long poll would and, once released,
-// answers ErrNoSuchQueue — what a real shard answers a poll that was
-// parked on a queue when the queue migrated away and its residue was
-// deleted. Everything else, and every receive past the armed ones, goes
-// to the real shard.
+// was armed to hold (the router sends every receive as a batch) parks as
+// a long poll would and, once released, answers ErrNoSuchQueue — what a
+// real shard answers a poll that was parked on a queue when the queue
+// migrated away and its residue was deleted. Everything else, and every
+// receive past the armed ones, goes to the real shard.
 type parkingShard struct {
 	queue.API
 	holds   atomic.Int32  // receives still to hold
@@ -30,28 +30,37 @@ func newParkingShard(seed int64) *parkingShard {
 	}
 }
 
-func (p *parkingShard) ReceiveMessageWait(q string, vis, wait time.Duration) (queue.Message, bool, error) {
+func (p *parkingShard) ReceiveMessageBatch(q string, vis time.Duration, max int, wait time.Duration) ([]queue.Message, error) {
 	if p.holds.Add(-1) < 0 {
-		return p.API.ReceiveMessageWait(q, vis, wait)
+		return p.API.ReceiveMessageBatch(q, vis, max, wait)
 	}
 	p.parked <- struct{}{}
 	<-p.release
-	return queue.Message{}, false, queue.ErrNoSuchQueue
+	return nil, queue.ErrNoSuchQueue
 }
 
-// homeGroups finds, for each of the router's n ring shards, a placement
-// group homed on it, so a test moves a queue where it wants by Regroup.
-func homeGroups(r *Router, n int) map[string]string {
-	r.mu.RLock()
-	defer r.mu.RUnlock()
-	home := map[string]string{}
-	for i := 0; len(home) < n; i++ {
-		group := fmt.Sprintf("g%d", i)
-		if owner, _ := r.ring.owner(group); home[owner] == "" {
-			home[owner] = group
+// moveTo migrates queue q onto shard id by splitting q's group over the
+// smallest k whose sub-arc for q is id (k = 1 merges it home).
+// ring.successor reaches every shard, so some k within maxSubgroups does.
+func moveTo(t testing.TB, r *Router, q, id string) {
+	t.Helper()
+	g := DeriveGroup(q)
+	for k := 1; k <= maxSubgroups; k++ {
+		r.mu.RLock()
+		owner, _ := r.ring.successor(g, subgroupIndex(q, k))
+		r.mu.RUnlock()
+		if owner != id {
+			continue
 		}
+		if err := r.SplitGroup(g, k); err != nil {
+			t.Fatal(err)
+		}
+		if got := r.Owners()[q]; got != id {
+			t.Fatalf("owner %s after a %d-way split, want %s", got, k, id)
+		}
+		return
 	}
-	return home
+	t.Fatalf("no split of %s places it on %s", q, id)
 }
 
 // TestParkedReceiveSurvivesMoveAwayAndBack: a live queue's consumer
@@ -70,19 +79,13 @@ func TestParkedReceiveSurvivesMoveAwayAndBack(t *testing.T) {
 		t      *testing.T
 		r      *Router
 		shards map[string]*parkingShard
-		home   map[string]string // shard id → a placement group homed on it
 	}
 	arm := func(g *rig, id string) { g.shards[id].holds.Store(1) }
 	parked := func(g *rig, id string) { <-g.shards[id].parked }
 	release := func(g *rig, id string) { g.shards[id].release <- struct{}{} }
 	move := func(g *rig, to string) {
 		g.t.Helper()
-		if err := g.r.Regroup(qn, g.home[to]); err != nil {
-			g.t.Fatal(err)
-		}
-		if got := g.r.Owners()[qn]; got != to {
-			g.t.Fatalf("owner %s after regroup, want %s", got, to)
-		}
+		moveTo(g.t, g.r, qn, to)
 	}
 	for _, tc := range []struct {
 		name   string
@@ -117,7 +120,6 @@ func TestParkedReceiveSurvivesMoveAwayAndBack(t *testing.T) {
 					t.Fatal(err)
 				}
 			}
-			g.home = homeGroups(g.r, 2)
 			if err := g.r.CreateQueue(qn); err != nil {
 				t.Fatal(err)
 			}
@@ -154,7 +156,7 @@ func TestParkedReceiveSurvivesMoveAwayAndBack(t *testing.T) {
 // can hold a real forwarder there; the lease steps are migrate's and
 // forward's, in that order.
 func TestForwarderExitKeepsAResidueAskedForMeanwhile(t *testing.T) {
-	residues := func(rt *route) []string { _, _, _, res := rt.peek(); return res }
+	residues := func(rt *route) []string { _, _, res := rt.peek(); return res }
 	rt := newRoute("a")
 	rt.thaw("a")
 
@@ -216,15 +218,9 @@ func TestStragglerOfASecondLifeIsForwarded(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	home := homeGroups(r, 3)
 	move := func(to string) {
 		t.Helper()
-		if err := r.Regroup(qn, home[to]); err != nil {
-			t.Fatal(err)
-		}
-		if got := r.Owners()[qn]; got != to {
-			t.Fatalf("owner %s after regroup, want %s", got, to)
-		}
+		moveTo(t, r, qn, to)
 	}
 	if err := r.CreateQueue(qn); err != nil {
 		t.Fatal(err)

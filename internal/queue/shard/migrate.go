@@ -15,10 +15,10 @@ import (
 // rules hold by construction:
 //
 //  1. Every topology change is Router.change(edit): edit the ring /
-//     shards / splits / pins / route groups under r.mu, diff every live
-//     route against the edited ring once, run the moves. The exported
-//     operations are only their edit closures, so each of them also
-//     retries moves an earlier change failed.
+//     shards / splits / pins under r.mu, diff every live route against
+//     the edited ring once, run the moves. The exported operations are
+//     only their edit closures, so each of them also retries moves an
+//     earlier change failed.
 //  2. A route's owner changes only in route.thaw, which bumps the
 //     route's epoch when it does. Everything that needs the owner takes
 //     it from route.await, which waits out a freeze first.
@@ -170,62 +170,6 @@ func (r *Router) PinGroup(group string, pin bool) error {
 	})
 }
 
-// Regroup assigns a queue to an explicit placement group and migrates
-// it onto the group's ring owner through the same drain-and-forward
-// machinery topology changes use — the migration story for namespaces
-// created before placement groups existed: an operator regroups a
-// job's queues one by one and their traffic converges onto one shard.
-// An empty group reverts to the name-derived key.
-//
-// Racing a Regroup against a Rebalance of the same queue is safe:
-// whichever change runs second re-evaluates the route and the placement
-// converges on the last group set. Neither call errors on the race.
-func (r *Router) Regroup(queueName, group string) error {
-	if strings.Contains(group, groupSep) {
-		// "job-7/tasks" as a group would hash the literal string while
-		// sibling queues hash "job-7" — reject instead of silently
-		// placing the queue away from the group it was meant to join.
-		return fmt.Errorf("%w: %q", ErrBadGroup, group)
-	}
-	return r.change(func() error {
-		if rt := r.routes[queueName]; rt == nil || !rt.regroup(group) {
-			return queue.ErrNoSuchQueue
-		}
-		return nil
-	})
-}
-
-// RegroupPrefix assigns every queue whose name starts with prefix to
-// the placement group as one topology change, so no Rebalance or other
-// change can interleave between two of the prefix's queues and observe
-// the group half-applied. Returns how many queues matched the prefix;
-// migrations that fail leave their queue routed to its old shard (fully
-// usable, converging on the next change), with the errors joined.
-//
-// The prefix must be non-empty: regrouping the entire namespace is
-// almost certainly an operator mistyping, and an explicit per-queue
-// Regroup loop is the honest way to spell it.
-//
-// An empty group reverts matched queues to their name-derived keys.
-func (r *Router) RegroupPrefix(prefix, group string) (int, error) {
-	if prefix == "" {
-		return 0, errors.New("shard: regroup prefix must be non-empty")
-	}
-	if strings.Contains(group, groupSep) {
-		return 0, fmt.Errorf("%w: %q", ErrBadGroup, group)
-	}
-	matched := 0
-	err := r.change(func() error {
-		for name, rt := range r.routes {
-			if strings.HasPrefix(name, prefix) && rt.regroup(group) {
-				matched++
-			}
-		}
-		return nil
-	})
-	return matched, err
-}
-
 // pendingMove is one queue whose route disagrees with the ring.
 type pendingMove struct {
 	name     string
@@ -239,8 +183,8 @@ type pendingMove struct {
 func (r *Router) pendingMovesLocked() []pendingMove {
 	var moves []pendingMove
 	for name, rt := range r.routes {
-		cur, group, _, _ := rt.peek()
-		owner, ok := r.ringOwnerLocked(group, name)
+		cur, _, _ := rt.peek()
+		owner, ok := r.ringOwnerLocked(name)
 		if ok && owner != cur {
 			moves = append(moves, pendingMove{name: name, rt: rt, from: cur, to: owner})
 		}
@@ -273,9 +217,6 @@ type route struct {
 	shard string
 	// epoch counts the thaws that changed shard.
 	epoch uint64
-	// group is the explicit placement group set by Regroup; empty means
-	// the group is derived from the queue name (DeriveGroup).
-	group string
 	// frozen is non-nil while the queue is created or migrates;
 	// operations wait for it to close (the thaw) and then resolve the
 	// owner.
@@ -310,11 +251,11 @@ func (rt *route) lockThawed() {
 }
 
 // await waits out any freeze and reads the lease in one critical
-// section: the owner, the group, the epoch the owner was installed at,
-// and whether the queue has been deleted.
-func (rt *route) await() (shard, group string, epoch uint64, dead bool) {
+// section: the owner, the epoch the owner was installed at, and whether
+// the queue has been deleted.
+func (rt *route) await() (shard string, epoch uint64, dead bool) {
 	rt.lockThawed()
-	shard, group, epoch, dead = rt.shard, rt.group, rt.epoch, rt.dead
+	shard, epoch, dead = rt.shard, rt.epoch, rt.dead
 	rt.mu.Unlock()
 	return
 }
@@ -325,7 +266,7 @@ func (rt *route) await() (shard, group string, epoch uint64, dead bool) {
 // from them even when its forwarder has not exited yet (the queue
 // migrated back onto a watched shard), so no reader counts the live copy
 // twice.
-func (rt *route) peek() (shard, group string, dead bool, residues []string) {
+func (rt *route) peek() (shard string, dead bool, residues []string) {
 	rt.mu.Lock()
 	defer rt.mu.Unlock()
 	for id := range rt.draining {
@@ -333,7 +274,7 @@ func (rt *route) peek() (shard, group string, dead bool, residues []string) {
 			residues = append(residues, id)
 		}
 	}
-	return rt.shard, rt.group, rt.dead, residues
+	return rt.shard, rt.dead, residues
 }
 
 // freeze waits out any freeze in progress — overwriting its channel
@@ -365,29 +306,11 @@ func (rt *route) thaw(shard string) {
 	rt.mu.Unlock()
 }
 
-// key is the queue's ring key (effectiveGroup), for the group rate axis.
-func (rt *route) key(name string) string {
-	rt.mu.Lock()
-	defer rt.mu.Unlock()
-	return effectiveGroup(rt.group, name)
-}
-
 // kill marks the route's queue deleted.
 func (rt *route) kill() {
 	rt.mu.Lock()
 	rt.dead = true
 	rt.mu.Unlock()
-}
-
-// regroup sets the explicit placement group of a live route.
-func (rt *route) regroup(group string) bool {
-	rt.mu.Lock()
-	defer rt.mu.Unlock()
-	if rt.dead {
-		return false
-	}
-	rt.group = group
-	return true
 }
 
 // askWatch records that a migration left a residue on shard and reports
@@ -534,7 +457,7 @@ func (r *Router) drainResidue(name string, rt *route, from string, fromB queue.A
 		case <-r.closing:
 			return
 		}
-		if owner, _, _, _ := rt.await(); owner == from {
+		if owner, _, _ := rt.await(); owner == from {
 			return
 		}
 		visible, inflight, err := fromB.ApproximateCount(name)
@@ -556,7 +479,7 @@ func (r *Router) drainResidue(name string, rt *route, from string, fromB queue.A
 			// back on this shard between the emptiness check and the
 			// delete; both are re-verified once topology is pinned.
 			r.topoMu.Lock()
-			owner, _, _, _ := rt.await()
+			owner, _, _ := rt.await()
 			stop := false
 			if owner == from {
 				stop = true // live again; leave it alone

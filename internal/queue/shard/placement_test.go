@@ -132,94 +132,14 @@ func TestStragglerForwardPreservesReceiveCounts(t *testing.T) {
 	}
 }
 
-// TestRegroupMovesQueueToGroupShard: Regroup migrates an ungrouped
-// legacy queue onto its group's shard — the migration story for
-// namespaces that predate placement groups — and an empty group
-// reverts to name-derived placement.
-func TestRegroupMovesQueueToGroupShard(t *testing.T) {
-	r, _ := newTestRouter(t, 4)
-	// The group's home shard is wherever a grouped sibling lands.
-	if err := r.CreateQueue("g7/anchor"); err != nil {
-		t.Fatal(err)
-	}
-	home := r.Owners()["g7/anchor"]
-
-	// A legacy queue with backlog, initially placed by its own name.
-	if err := r.CreateQueue("legacy-tasks"); err != nil {
-		t.Fatal(err)
-	}
-	for k := 0; k < 15; k++ {
-		if _, err := r.SendMessage("legacy-tasks", []byte(fmt.Sprintf("m%d", k))); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if err := r.Regroup("legacy-tasks", "g7"); err != nil {
-		t.Fatal(err)
-	}
-	if got := r.Owners()["legacy-tasks"]; got != home {
-		t.Fatalf("after Regroup owner = %s, want the group home %s", got, home)
-	}
-	// Backlog survived the regroup migration.
-	got := map[string]bool{}
-	for len(got) < 15 {
-		m, ok, err := r.ReceiveMessage("legacy-tasks", time.Minute)
-		if err != nil || !ok {
-			t.Fatalf("drained early after regroup: %d/15 (%v)", len(got), err)
-		}
-		got[string(m.Body)] = true
-		if err := r.DeleteMessage("legacy-tasks", m.ReceiptHandle); err != nil {
-			t.Fatal(err)
-		}
-	}
-	// The explicit group sticks across topology changes: add shards and
-	// confirm the legacy queue follows its group, not its name.
-	addUntilMoved(t, r, "g7/anchor")
-	if err := r.Rebalance(); err != nil {
-		t.Fatal(err)
-	}
-	owners := r.Owners()
-	if owners["legacy-tasks"] != owners["g7/anchor"] {
-		t.Errorf("after topology change legacy-tasks on %s, group home %s — explicit group did not stick",
-			owners["legacy-tasks"], owners["g7/anchor"])
-	}
-	// Reverting to the name-derived key works the same way.
-	if err := r.Regroup("legacy-tasks", ""); err != nil {
-		t.Fatal(err)
-	}
-	r.mu.RLock()
-	want, _ := r.ring.owner(DeriveGroup("legacy-tasks"))
-	r.mu.RUnlock()
-	if got := r.Owners()["legacy-tasks"]; got != want {
-		t.Errorf("after reverting group owner = %s, want name-derived %s", got, want)
-	}
-}
-
-// TestRegroupErrors: unknown queues and malformed groups are
-// sentinel-reported.
-func TestRegroupErrors(t *testing.T) {
-	r, _ := newTestRouter(t, 2)
-	if err := r.Regroup("ghost", "g"); !errors.Is(err, queue.ErrNoSuchQueue) {
-		t.Errorf("regroup unknown queue: %v, want ErrNoSuchQueue", err)
-	}
-	if err := r.Regroup("ghost", "job-7/tasks"); !errors.Is(err, ErrBadGroup) {
-		t.Errorf("regroup with separator in group: %v, want ErrBadGroup", err)
-	}
-	// Regrouping onto the current owner is a no-op, not an error.
-	if err := r.CreateQueue("steady/q"); err != nil {
-		t.Fatal(err)
-	}
-	if err := r.Regroup("steady/q", "steady"); err != nil {
-		t.Errorf("no-op regroup: %v", err)
-	}
-}
-
-// TestRegroupRebalanceChurn is the serialization stress test: topology
-// churn (AddShard/RemoveShard/Rebalance) races regroup churn on the
-// same queues while producers and consumers run. Nothing may error
+// TestSplitRebalanceChurn is the serialization stress test: topology
+// churn (AddShard/RemoveShard/Rebalance) races split churn on the same
+// queues while producers and consumers run. Each churn-N queue is its
+// own placement group, so a split moves it alone. Nothing may error
 // beyond the expected sentinels, nothing may be lost, and once the
-// churn stops the placement must converge: every queue sits on the
-// ring owner of its final group.
-func TestRegroupRebalanceChurn(t *testing.T) {
+// churn stops the placement must converge: every queue sits on its ring
+// owner under its group's final split.
+func TestSplitRebalanceChurn(t *testing.T) {
 	r := NewRouter(Config{})
 	defer r.Close()
 	for i := 0; i < 2; i++ {
@@ -285,26 +205,26 @@ func TestRegroupRebalanceChurn(t *testing.T) {
 		}()
 	}
 
-	// Regroup churn: every queue's group flips between 4 keys.
-	var regroup sync.WaitGroup
+	// Split churn: every queue's sub-arc count flips between 1 and 4.
+	var movers sync.WaitGroup
 	for w := 0; w < 3; w++ {
-		regroup.Add(1)
+		movers.Add(1)
 		go func(seed int64) {
-			defer regroup.Done()
+			defer movers.Done()
 			rng := rand.New(rand.NewSource(seed))
 			for n := 0; n < 30; n++ {
 				qn := fmt.Sprintf("churn-%d", rng.Intn(queues))
-				group := fmt.Sprintf("flock-%d", rng.Intn(4))
-				if err := r.Regroup(qn, group); err != nil {
-					t.Errorf("regroup %s -> %s: %v", qn, group, err)
+				k := 1 + rng.Intn(4)
+				if err := r.SplitGroup(qn, k); err != nil {
+					t.Errorf("split %s over %d: %v", qn, k, err)
 				}
 			}
 		}(int64(w + 1))
 	}
-	// Topology churn racing the regroups.
-	regroup.Add(1)
+	// Topology churn racing the splits.
+	movers.Add(1)
 	go func() {
-		defer regroup.Done()
+		defer movers.Done()
 		for i := 2; i < 6; i++ {
 			if err := r.AddShard(fmt.Sprintf("s%d", i), queue.NewService(queue.Config{Seed: int64(i + 1)})); err != nil {
 				t.Errorf("add s%d: %v", i, err)
@@ -319,10 +239,10 @@ func TestRegroupRebalanceChurn(t *testing.T) {
 	}()
 
 	prod.Wait()
-	regroup.Wait()
+	movers.Wait()
 
-	// Convergence: after a final rebalance every queue sits on the ring
-	// owner of its final group.
+	// Convergence: after a final rebalance every queue sits on its ring
+	// owner under its group's final split.
 	if err := r.Rebalance(); err != nil {
 		t.Fatal(err)
 	}
@@ -330,16 +250,11 @@ func TestRegroupRebalanceChurn(t *testing.T) {
 	for i := 0; i < queues; i++ {
 		qn := fmt.Sprintf("churn-%d", i)
 		r.mu.RLock()
-		rt := r.routes[qn]
-		r.mu.RUnlock()
-		rt.mu.Lock()
-		group := rt.group
-		rt.mu.Unlock()
-		r.mu.RLock()
-		want, _ := r.ring.owner(effectiveGroup(group, qn))
+		want, _ := r.ringOwnerLocked(qn)
+		k := r.splits[qn]
 		r.mu.RUnlock()
 		if owners[qn] != want {
-			t.Errorf("%s (group %q) on %s, ring owner %s — placement did not converge", qn, group, owners[qn], want)
+			t.Errorf("%s (split %d) on %s, ring owner %s — placement did not converge", qn, k, owners[qn], want)
 		}
 	}
 

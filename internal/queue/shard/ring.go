@@ -25,9 +25,9 @@
 // The ring hashes DeriveGroup(name) — the prefix before the first '/',
 // or the whole name — rather than the raw queue name, so "job-7/tasks",
 // "job-7/monitor", and "job-7/dead" co-locate on one shard and a job's
-// queue traffic never crosses shards. Router.Regroup assigns an
-// explicit group to a queue whose name predates the convention and
-// migrates it onto the group's shard.
+// queue traffic never crosses shards. A queue's group is its name, so
+// it is fixed when the queue is created; only a split (Router.SplitGroup)
+// spreads a group's queues over more than one shard.
 //
 // # Migration
 //

@@ -23,10 +23,9 @@ var (
 	ErrShardExists = errors.New("shard: shard id already registered")
 	ErrNoSuchShard = errors.New("shard: no such shard")
 	ErrBadShardID  = errors.New("shard: shard id must be non-empty and must not contain '~'")
-	// ErrBadGroup rejects an explicit placement group containing the
-	// group separator: "job-7/tasks" as a group would hash the literal
-	// string while the group's own queues hash "job-7", silently
-	// breaking the co-location the caller asked for.
+	// ErrBadGroup rejects a group argument containing the group
+	// separator: DeriveGroup never yields one, so "job-7/tasks" as a group
+	// would name no queue's group and split or pin nothing.
 	ErrBadGroup = errors.New("shard: placement group must not contain '/'")
 	// ErrGroupPinned rejects a split of a group that opted into strict
 	// co-location (PinGroup): jobs whose correctness depends on all
@@ -58,23 +57,12 @@ const groupSep = "/"
 // name. The ring hashes this key instead of the full name, so every
 // queue of one group — a job's task, monitor, and dead-letter queues —
 // lands on the same shard and the job's queue traffic never crosses
-// shards. An explicit group set with Router.Regroup overrides the
-// derived one.
+// shards.
 func DeriveGroup(name string) string {
 	if i := strings.Index(name, groupSep); i > 0 {
 		return name[:i]
 	}
 	return name
-}
-
-// effectiveGroup is the single definition of a queue's ring key: the
-// route's explicit group when set, else the name-derived one. Every
-// placement computation must agree on this rule.
-func effectiveGroup(group, name string) string {
-	if group != "" {
-		return group
-	}
-	return DeriveGroup(name)
 }
 
 // subgroupIndex deterministically assigns a queue to one of k sub-arcs
@@ -90,7 +78,7 @@ func subgroupIndex(name string, k int) int {
 }
 
 // ringOwnerLocked is the single definition of where a queue lives:
-// the owner of its effective placement group, re-derived across k
+// the owner of its placement group (DeriveGroup), re-derived across k
 // sub-arcs while the group is split — sub-arc i is the i-th distinct
 // shard after the group's hash in ring order (ring.successor), so a
 // k-way split is guaranteed to reach min(k, shards) different shards.
@@ -98,8 +86,8 @@ func subgroupIndex(name string, k int) int {
 // its receipts, and its in-flight messages) still maps to exactly one
 // sub-arc, only the group's queues fan out over k of them. Caller
 // holds r.mu.
-func (r *Router) ringOwnerLocked(group, name string) (string, bool) {
-	g := effectiveGroup(group, name)
+func (r *Router) ringOwnerLocked(name string) (string, bool) {
+	g := DeriveGroup(name)
 	if k := r.splits[g]; k > 1 {
 		return r.ring.successor(g, subgroupIndex(name, k))
 	}
@@ -152,12 +140,11 @@ func (c Config) withDefaults() Config {
 
 // Router fronts N queue services with one queue.API. Queue names map to
 // shards through a consistent-hash ring over their placement-group key
-// (DeriveGroup, or an explicit group set with Regroup), so one group's
-// queues co-locate; every data-plane call is forwarded to the owning
-// shard, receipts route back to the shard that issued them, and shards
-// can be added or removed at runtime with drain-and-forward queue
-// migration that preserves delivery counts through the privileged
-// transfer API.
+// (DeriveGroup), so one group's queues co-locate; every data-plane call
+// is forwarded to the owning shard, receipts route back to the shard
+// that issued them, and shards can be added or removed at runtime with
+// drain-and-forward queue migration that preserves delivery counts
+// through the privileged transfer API.
 type Router struct {
 	// routerView with an empty trace is the router's own data plane: every
 	// queue.API / Transferrer method of *Router is the view's, promoted,
@@ -386,14 +373,14 @@ func (r *Router) backend(id string) queue.API {
 // bumped: every caller represents one backend hop.
 func (v *routerView) ownerBackend(queueName string, rt *route) (string, uint64, queue.API, error) {
 	r := v.r
-	id, group, epoch, dead := rt.await()
+	id, epoch, dead := rt.await()
 	b := r.backend(id)
 	if dead || b == nil {
 		return "", 0, nil, queue.ErrNoSuchQueue
 	}
 	r.shardRates.mark(id)
 	if r.met != nil {
-		r.groupRates.mark(effectiveGroup(group, queueName))
+		r.groupRates.mark(DeriveGroup(queueName))
 	}
 	return id, epoch, queue.WithTrace(b, v.trace), nil
 }
@@ -420,7 +407,7 @@ func (v *routerView) onOwner(queueName string, fn func(shardID string, b queue.A
 		if err == nil || !errors.Is(err, queue.ErrNoSuchQueue) {
 			return err
 		}
-		if _, _, now, dead := rt.await(); dead || now == epoch {
+		if _, now, dead := rt.await(); dead || now == epoch {
 			return err
 		}
 	}
@@ -444,7 +431,7 @@ func (v *routerView) CreateQueue(name string) error {
 		r.mu.Unlock()
 		return queue.ErrQueueExists
 	}
-	owner, ok := r.ringOwnerLocked("", name)
+	owner, ok := r.ringOwnerLocked(name)
 	if !ok {
 		r.mu.Unlock()
 		return ErrNoShards
@@ -495,8 +482,8 @@ func (v *routerView) DeleteQueue(name string) error {
 	// teardown — once it thaws, the lease covers the new owner. A dead
 	// route never moves again, so the residues read next go with it.
 	rt.kill()
-	owner, _, _, _ := rt.await()
-	_, _, _, olds := rt.peek()
+	owner, _, _ := rt.await()
+	_, _, olds := rt.peek()
 	var err error
 	if b := r.backend(owner); b != nil {
 		r.shardRates.mark(owner)
@@ -599,28 +586,18 @@ func (v *routerView) ReceiveMessage(queueName string, visibility time.Duration) 
 	return v.ReceiveMessageWait(queueName, visibility, 0)
 }
 
-// ReceiveMessageWait long-polls the owning shard; the wait happens on
-// the shard so a send through the router wakes the receiver there.
+// ReceiveMessageWait pops one message, long-polling up to wait.
 func (v *routerView) ReceiveMessageWait(queueName string, visibility, wait time.Duration) (queue.Message, bool, error) {
-	defer v.r.opDone("receive", v.r.opStart())
-	v.r.count(queueName)
-	var m queue.Message
-	var ok bool
-	err := v.onOwner(queueName, func(id string, b queue.API) error {
-		var err error
-		m, ok, err = b.ReceiveMessageWait(queueName, visibility, wait)
-		if ok {
-			m.ReceiptHandle = wrapReceipt(id, m.ReceiptHandle)
-		}
-		return err
-	})
-	if err != nil {
+	msgs, err := v.ReceiveMessageBatch(queueName, visibility, 1, wait)
+	if err != nil || len(msgs) == 0 {
 		return queue.Message{}, false, err
 	}
-	return m, ok, nil
+	return msgs[0], true, nil
 }
 
-// ReceiveMessageBatch receives up to max messages from the owning shard.
+// ReceiveMessageBatch receives up to max messages from the owning shard;
+// the wait happens on the shard so a send through the router wakes the
+// receiver there.
 func (v *routerView) ReceiveMessageBatch(queueName string, visibility time.Duration, max int, wait time.Duration) ([]queue.Message, error) {
 	if max <= 0 || max > queue.MaxBatch {
 		return nil, queue.ErrBatchSize
@@ -664,7 +641,7 @@ func (v *routerView) onReceipt(op, queueName, wrapped string, fn func(b queue.AP
 	}
 	r.shardRates.mark(id)
 	if r.met != nil {
-		r.groupRates.mark(rt.key(queueName))
+		r.groupRates.mark(DeriveGroup(queueName))
 	}
 	err := fn(queue.WithTrace(b, v.trace), raw)
 	if errors.Is(err, queue.ErrNoSuchQueue) {
@@ -694,7 +671,7 @@ func (v *routerView) DeleteMessageBatch(queueName string, receipts []string) ([]
 		return nil, queue.ErrNoSuchQueue
 	}
 	if r.met != nil {
-		r.groupRates.mark(rt.key(queueName))
+		r.groupRates.mark(DeriveGroup(queueName))
 	}
 	results := make([]error, len(receipts))
 	type group struct {
@@ -796,7 +773,7 @@ func (v *routerView) drainingBackends(queueName string) []queue.API {
 	if rt == nil {
 		return nil
 	}
-	_, _, _, ids := rt.peek()
+	_, _, ids := rt.peek()
 	out := make([]queue.API, 0, len(ids))
 	for _, id := range ids {
 		r.shardRates.mark(id)
@@ -814,7 +791,7 @@ func (r *Router) Shards() []string {
 
 // placed is one live route as a snapshot read it.
 type placed struct {
-	name, shard, group string
+	name, shard string
 	// residues are the old shards still draining the queue's stragglers.
 	residues []string
 }
@@ -832,8 +809,8 @@ func (r *Router) placements() []placed {
 	r.mu.RUnlock()
 	out := make([]placed, 0, len(routes))
 	for name, rt := range routes {
-		if shard, group, dead, residues := rt.peek(); !dead {
-			out = append(out, placed{name, shard, group, residues})
+		if shard, dead, residues := rt.peek(); !dead {
+			out = append(out, placed{name, shard, residues})
 		}
 	}
 	return out
@@ -915,9 +892,9 @@ type Snapshot struct {
 // A queue's depth goes, by shard, to the shards actually holding the
 // messages: the owner's count to the owner, and each draining old
 // shard's own leftover count to that shard (never the owner twice: see
-// route.peek). By group it goes to the queue's effective placement
-// group, owner and straggler copies both — the group's messages
-// wherever they sit, which is what the split policy sizes against.
+// route.peek). By group it goes to the queue's placement group, owner
+// and straggler copies both — the group's messages wherever they sit,
+// which is what the split policy sizes against.
 //
 // Depth is read through the unbilled queue.DepthReporter diagnostic
 // when the backend offers it (a local *queue.Service); remote shards
@@ -945,7 +922,7 @@ func (r *Router) Snapshot() Snapshot {
 	}
 	groups := make(map[string]*GroupStat)
 	for _, p := range r.placements() {
-		g := effectiveGroup(p.group, p.name)
+		g := DeriveGroup(p.name)
 		gs := groups[g]
 		if gs == nil {
 			gs = &GroupStat{Group: g, Subgroups: max(splits[g], 1), Pinned: pinned[g], RatePerSec: r.groupRates.perSecond(g)}

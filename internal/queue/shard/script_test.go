@@ -89,7 +89,7 @@ func runRouterScript(t *testing.T, seed int64, steps int) {
 		addShard()
 	}
 	queues := []string{"job/tasks", "job/monitor", "job/dead", "job/extra", "solo", "other/x"}
-	groups := []string{"", "job", "flock-0", "flock-1", "flock-2"}
+	groups := []string{"job", "solo", "other"} // the queues' DeriveGroup keys
 	for _, q := range queues {
 		if err := r.CreateQueue(q); err != nil {
 			t.Fatal(err)
@@ -126,7 +126,7 @@ func runRouterScript(t *testing.T, seed int64, steps int) {
 
 	for step := 0; step < steps; step++ {
 		q := queues[rng.Intn(len(queues))]
-		group := groups[1+rng.Intn(len(groups)-1)]
+		group := groups[rng.Intn(len(groups))]
 		var err error
 		switch op := rng.Intn(100); {
 		case op < 30:
@@ -160,7 +160,7 @@ func runRouterScript(t *testing.T, seed int64, steps int) {
 			if ids := r.Shards(); len(ids) > 2 {
 				err = r.RemoveShard(ids[rng.Intn(len(ids))])
 			}
-		case op < 80:
+		case op < 84:
 			err = r.SplitGroup(group, 2+rng.Intn(3))
 			if pinned[group] != errors.Is(err, ErrGroupPinned) {
 				t.Fatalf("step %d: split of %s (pinned %v): %v", step, group, pinned[group], err)
@@ -168,15 +168,11 @@ func runRouterScript(t *testing.T, seed int64, steps int) {
 			if pinned[group] {
 				err = nil
 			}
-		case op < 83:
+		case op < 90:
 			err = r.MergeGroup(group)
-		case op < 86:
+		case op < 94:
 			pinned[group] = rng.Intn(2) == 0
 			err = r.PinGroup(group, pinned[group])
-		case op < 93:
-			err = r.Regroup(q, groups[rng.Intn(len(groups))])
-		case op < 96:
-			_, err = r.RegroupPrefix([]string{"job/", "job/d", "so", "o"}[rng.Intn(4)], groups[rng.Intn(len(groups))])
 		default:
 			err = r.Rebalance()
 		}
@@ -190,12 +186,11 @@ func runRouterScript(t *testing.T, seed int64, steps int) {
 	}
 	owners := r.Owners()
 	for _, q := range queues {
-		_, group, _, _ := r.route(q).peek()
 		r.mu.RLock()
-		want, _ := r.ringOwnerLocked(group, q)
+		want, _ := r.ringOwnerLocked(q)
 		r.mu.RUnlock()
 		if owners[q] != want {
-			t.Errorf("%s (group %q) on %s, its ring owner is %s", q, group, owners[q], want)
+			t.Errorf("%s on %s, its ring owner is %s", q, owners[q], want)
 		}
 	}
 	// A full drain through the router yields exactly sent − deleted, each

@@ -149,9 +149,9 @@ func TestEveryOpOnRouterAndViews(t *testing.T) {
 				_, err := api.SendMessageBatch(q, [][]byte{[]byte("a"), []byte("b")})
 				return err
 			}},
-		{name: "ReceiveMessage", backend: "ReceiveMessageWait",
+		{name: "ReceiveMessage", backend: "ReceiveMessageBatch",
 			run: func(api queue.API, _ string) error { _, _, err := api.ReceiveMessage(q, time.Minute); return err }},
-		{name: "ReceiveMessageWait", backend: "ReceiveMessageWait",
+		{name: "ReceiveMessageWait", backend: "ReceiveMessageBatch",
 			run: func(api queue.API, _ string) error {
 				_, _, err := api.ReceiveMessageWait(q, time.Minute, time.Millisecond)
 				return err

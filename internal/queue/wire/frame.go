@@ -39,7 +39,6 @@
 package wire
 
 import (
-	"encoding/binary"
 	"errors"
 	"fmt"
 
@@ -84,17 +83,15 @@ var opNames = map[byte]string{
 	OpTransfer:         "transfer",
 }
 
-// maxFrame caps one frame's body, on every reader: client, server and
-// DecodeFrame. Queue bodies are task descriptors, not blobs, so 16 MiB
-// leaves two orders of magnitude of headroom while bounding what a
-// corrupt or hostile peer can make the reader allocate.
+// maxFrame caps one frame's body on every reader (readFrameBody, which
+// client and server share). Queue bodies are task descriptors, not
+// blobs, so 16 MiB leaves two orders of magnitude of headroom while
+// bounding what a corrupt or hostile peer can make the reader allocate.
 const maxFrame = 16 << 20
 
-// Framing errors. ErrShortFrame reports a frame that declares more
-// bytes than are present — for a stream reader that simply means "read
-// more", for DecodeFrame on a finite buffer it is corruption.
+// Framing errors. A stream that ends inside a frame reads as
+// io.ErrUnexpectedEOF.
 var (
-	ErrShortFrame   = errors.New("wire: truncated frame")
 	ErrFrameTooBig  = fmt.Errorf("wire: frame exceeds %d bytes", maxFrame)
 	ErrCorruptFrame = errors.New("wire: corrupt frame")
 )
@@ -106,55 +103,6 @@ type Frame struct {
 	Queue   string
 	Trace   string
 	Payload []byte
-}
-
-// AppendFrame appends f's wire encoding (length prefix included) to dst
-// and returns the extended slice.
-func AppendFrame(dst []byte, f *Frame) []byte {
-	// Body is assembled after a reserved gap for the length prefix so
-	// encoding stays single-pass: write a maximal-width prefix, encode,
-	// then re-encode the true length over the gap... varints are not
-	// fixed width, so instead encode the body into the scratch region
-	// past len(dst) and prefix it explicitly.
-	body := encodeBody(nil, f)
-	dst = binary.AppendUvarint(dst, uint64(len(body)))
-	return append(dst, body...)
-}
-
-func encodeBody(dst []byte, f *Frame) []byte {
-	e := codec.Enc{B: dst}
-	e.Byte(f.Op)
-	e.U64(f.CorrID)
-	e.Str(f.Queue)
-	e.Str(f.Trace)
-	e.B = append(e.B, f.Payload...)
-	return e.B
-}
-
-// EncodeFrame returns f's full wire encoding.
-func EncodeFrame(f Frame) []byte { return AppendFrame(nil, &f) }
-
-// DecodeFrame decodes one frame from the front of data, returning the
-// frame and the number of bytes consumed. Queue and Trace are copied
-// out; Payload aliases data and is only valid while data is. Truncated,
-// oversized, or garbage input returns an error without panicking and
-// without reading past len(data).
-func DecodeFrame(data []byte) (Frame, int, error) {
-	n, used := binary.Uvarint(data)
-	if used <= 0 {
-		return Frame{}, 0, ErrShortFrame
-	}
-	if n > maxFrame {
-		return Frame{}, 0, ErrFrameTooBig
-	}
-	if uint64(len(data)-used) < n {
-		return Frame{}, 0, ErrShortFrame
-	}
-	f, err := parseBody(data[used : used+int(n)])
-	if err != nil {
-		return Frame{}, 0, err
-	}
-	return f, used + int(n), nil
 }
 
 // parseBody decodes a frame body (everything after the length prefix).

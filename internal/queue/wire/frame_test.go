@@ -1,15 +1,56 @@
 package wire
 
 import (
+	"bufio"
 	"bytes"
 	"encoding/binary"
 	"errors"
+	"io"
 	"testing"
+
+	"repro/internal/codec"
 )
 
 func framesEqual(a, b Frame) bool {
 	return a.Op == b.Op && a.CorrID == b.CorrID && a.Queue == b.Queue &&
 		a.Trace == b.Trace && bytes.Equal(a.Payload, b.Payload)
+}
+
+// encodeFrame writes f as the client writes a request: encodeRequest
+// builds the body and writeFrame prefixes its length.
+func encodeFrame(t testing.TB, f Frame) []byte {
+	t.Helper()
+	bp := encodeRequest(f.Op, f.CorrID, f.Queue, f.Trace, func(e *codec.Enc) { e.B = append(e.B, f.Payload...) })
+	defer codec.PutBuf(bp)
+	var out bytes.Buffer
+	bw := bufio.NewWriter(&out)
+	if err := writeFrame(bw, *bp); err != nil {
+		t.Fatal(err)
+	}
+	if err := bw.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	return out.Bytes()
+}
+
+// decodeFrame reads one frame off the front of data as client and server
+// read theirs — readFrameBody, then parseBody — and reports how many
+// bytes of data the read took. Payload is copied out of the pooled
+// buffer before it goes back.
+func decodeFrame(data []byte) (Frame, int, error) {
+	src := bytes.NewReader(data)
+	br := bufio.NewReader(src)
+	bp, err := readFrameBody(br)
+	if err != nil {
+		return Frame{}, 0, err
+	}
+	defer codec.PutBuf(bp)
+	f, err := parseBody(*bp)
+	if err != nil {
+		return Frame{}, 0, err
+	}
+	f.Payload = bytes.Clone(f.Payload)
+	return f, len(data) - src.Len() - br.Buffered(), nil
 }
 
 func TestFrameRoundTrip(t *testing.T) {
@@ -20,8 +61,8 @@ func TestFrameRoundTrip(t *testing.T) {
 		{Op: OpTransfer, CorrID: 7, Queue: string(bytes.Repeat([]byte("q"), 300)), Payload: bytes.Repeat([]byte{0xff, 0x00}, 4096)},
 	}
 	for _, f := range cases {
-		enc := EncodeFrame(f)
-		got, n, err := DecodeFrame(enc)
+		enc := encodeFrame(t, f)
+		got, n, err := decodeFrame(enc)
 		if err != nil {
 			t.Fatalf("decode(%+v): %v", f, err)
 		}
@@ -34,18 +75,23 @@ func TestFrameRoundTrip(t *testing.T) {
 	}
 }
 
+// A stream that ends inside a frame is io.ErrUnexpectedEOF; one that
+// ends before it is a clean io.EOF.
 func TestDecodeFrameTruncated(t *testing.T) {
-	full := EncodeFrame(Frame{Op: OpSend, CorrID: 42, Queue: "q", Trace: "t", Payload: []byte("payload")})
-	for i := 0; i < len(full); i++ {
-		if _, _, err := DecodeFrame(full[:i]); err == nil {
-			t.Fatalf("truncation at %d/%d bytes decoded without error", i, len(full))
+	full := encodeFrame(t, Frame{Op: OpSend, CorrID: 42, Queue: "q", Trace: "t", Payload: []byte("payload")})
+	if _, _, err := decodeFrame(nil); err != io.EOF {
+		t.Fatalf("empty stream: got %v, want io.EOF", err)
+	}
+	for i := 1; i < len(full); i++ {
+		if _, _, err := decodeFrame(full[:i]); !errors.Is(err, io.ErrUnexpectedEOF) {
+			t.Fatalf("truncation at %d/%d bytes: got %v, want io.ErrUnexpectedEOF", i, len(full), err)
 		}
 	}
 }
 
 func TestDecodeFrameOversized(t *testing.T) {
 	data := binary.AppendUvarint(nil, maxFrame+1)
-	if _, _, err := DecodeFrame(data); !errors.Is(err, ErrFrameTooBig) {
+	if _, _, err := decodeFrame(data); !errors.Is(err, ErrFrameTooBig) {
 		t.Fatalf("oversized declared length: got %v, want ErrFrameTooBig", err)
 	}
 }
@@ -59,7 +105,7 @@ func TestDecodeFrameGarbage(t *testing.T) {
 		{0x05, byte(OpSend), 0x01, 0xff, 0xff, 0xff}, // queue length runs past body
 	}
 	for _, data := range cases {
-		if _, _, err := DecodeFrame(data); err == nil {
+		if _, _, err := decodeFrame(data); err == nil {
 			t.Fatalf("garbage %x decoded without error", data)
 		}
 	}
