@@ -509,27 +509,24 @@ func bitScore(score int) float64 {
 
 // SearchAll searches many queries concurrently with opt.Threads workers,
 // reproducing the "multiple BLAST threads per worker" configuration of
-// the paper's Azure study. Results are keyed by query ID.
-func (db *Database) SearchAll(queries []*fasta.Record, opt Options) map[string][]Hit {
+// the paper's Azure study. Its i-th result is the hits of queries[i], so
+// two queries that share an ID keep their own hits.
+func (db *Database) SearchAll(queries []*fasta.Record, opt Options) [][]Hit {
 	opt = opt.withDefaults()
-	results := make(map[string][]Hit, len(queries))
-	var mu sync.Mutex
+	results := make([][]Hit, len(queries))
 	var wg sync.WaitGroup
-	work := make(chan *fasta.Record)
+	work := make(chan int)
 	for t := 0; t < opt.Threads; t++ {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			for rec := range work {
-				hits := db.Search(rec, opt)
-				mu.Lock()
-				results[rec.ID] = hits
-				mu.Unlock()
+			for i := range work {
+				results[i] = db.Search(queries[i], opt)
 			}
 		}()
 	}
-	for _, rec := range queries {
-		work <- rec
+	for i := range queries {
+		work <- i
 	}
 	close(work)
 	wg.Wait()
@@ -545,10 +542,9 @@ func Run(queryFile []byte, db *Database, opt Options) ([]byte, error) {
 	if err != nil {
 		return nil, fmt.Errorf("blast: parsing queries: %w", err)
 	}
-	results := db.SearchAll(queries, opt)
 	var b strings.Builder
-	for _, q := range queries {
-		for _, h := range results[q.ID] {
+	for _, hits := range db.SearchAll(queries, opt) {
+		for _, h := range hits {
 			fmt.Fprintf(&b, "%s\t%s\t%.1f\t%d\t%.1f\t%.2g\n",
 				h.QueryID, h.SubjectID, 100*h.Identity(), h.AlignLen, h.BitScore, h.EValue)
 		}

@@ -213,17 +213,54 @@ func TestSearchAllMatchesSequentialSearch(t *testing.T) {
 	}
 	queries, _ := fasta.ParseBytes(qDoc)
 	db := NewDatabase(dbRecs)
-	seq := map[string]int{}
-	for _, q := range queries {
-		seq[q.ID] = len(db.Search(q, Options{}))
-	}
 	par := db.SearchAll(queries, Options{Threads: 4})
 	if len(par) != len(queries) {
 		t.Fatalf("SearchAll returned %d entries, want %d", len(par), len(queries))
 	}
-	for id, hits := range par {
-		if len(hits) != seq[id] {
-			t.Errorf("query %s: parallel %d hits vs sequential %d", id, len(hits), seq[id])
+	for i, q := range queries {
+		if seq := len(db.Search(q, Options{})); len(par[i]) != seq {
+			t.Errorf("query %s: parallel %d hits vs sequential %d", q.ID, len(par[i]), seq)
+		}
+	}
+}
+
+// Two different queries under one ID each keep their own hits: Run's
+// output is the two single-query outputs in file order, every time.
+func TestRunSharedQueryID(t *testing.T) {
+	dbRecs, motifs := workload.ProteinDatabase(7, 30, 150, 250, 3, 25)
+	db := NewDatabase(dbRecs)
+	qDoc, err := workload.BlastQueryFile(8, 2, motifs, 60)
+	if err != nil {
+		t.Fatal(err)
+	}
+	queries, err := fasta.ParseBytes(qDoc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var want []byte
+	docs := make([][]byte, len(queries))
+	for i, q := range queries {
+		docs[i] = []byte(">q\n" + string(q.Seq) + "\n")
+		out, err := Run(docs[i], db, Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(out) == 0 {
+			t.Fatalf("query %d alone has no hits", i)
+		}
+		want = append(want, out...)
+	}
+	if bytes.Equal(docs[0], docs[1]) {
+		t.Fatal("the two queries are the same sequence")
+	}
+	both := append(bytes.Clone(docs[0]), docs[1]...)
+	for run := range 20 {
+		got, err := Run(both, db, Options{Threads: 2})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(got, want) {
+			t.Fatalf("run %d: %d bytes, want the two single-query outputs (%d bytes):\n%s", run, len(got), len(want), got)
 		}
 	}
 }

@@ -122,12 +122,8 @@ func BenchmarkKernelGTM(b *testing.B) {
 
 var runSink []byte
 
-// BenchmarkKernelGTMRun times Run on one encoded mixed_tenants shard per
-// op: gunzip, decode and Interpolate, the whole GTM task of bench/e2e,
-// including the half BenchmarkKernelGTM cannot see.
-func BenchmarkKernelGTMRun(b *testing.B) {
-	const seed = 1
-	model := goldenModel(b, seed, 300)
+// encodedShards are BenchmarkKernelGTM's shards as a GTM task receives them.
+func encodedShards(b *testing.B, seed int64) [][]byte {
 	shards := make([][]byte, 8)
 	for i := range shards {
 		enc, err := EncodeShard(goldenShard(seed, i, 400), workload.PubChemDims)
@@ -136,6 +132,16 @@ func BenchmarkKernelGTMRun(b *testing.B) {
 		}
 		shards[i] = enc
 	}
+	return shards
+}
+
+// BenchmarkKernelGTMRun times Run on one encoded mixed_tenants shard per
+// op: gunzip, decode and Interpolate, the whole GTM task of bench/e2e,
+// including the half BenchmarkKernelGTM cannot see.
+func BenchmarkKernelGTMRun(b *testing.B) {
+	const seed = 1
+	model := goldenModel(b, seed, 300)
+	shards := encodedShards(b, seed)
 	b.SetBytes(int64(8 * 400 * workload.PubChemDims))
 	b.ReportAllocs()
 	b.ResetTimer()
@@ -145,5 +151,21 @@ func BenchmarkKernelGTMRun(b *testing.B) {
 			b.Fatal(err)
 		}
 		runSink = out
+	}
+}
+
+// BenchmarkKernelGTMDecode times DecodeShard alone on the same shards:
+// the half of BenchmarkKernelGTMRun that is not Interpolate.
+func BenchmarkKernelGTMDecode(b *testing.B) {
+	shards := encodedShards(b, 1)
+	b.SetBytes(int64(8 * 400 * workload.PubChemDims))
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		points, _, err := DecodeShard(shards[i%len(shards)])
+		if err != nil {
+			b.Fatal(err)
+		}
+		kernelSink = points
 	}
 }

@@ -10,9 +10,12 @@
 // A GTM task is compute-bound, not memory-bound. On a 2-core amd64 box,
 // one 400 × 166 shard (531 KB of points) against a K = 100 model costs
 // ≈ 3.6 ms of distance arithmetic in Interpolate (≈ 6.6 M multiply-adds,
-// BenchmarkKernelGTM), and the whole of Run ≈ 8.3 ms
-// (BenchmarkKernelGTMRun): inflating the gzip-compressed shard is the
-// larger half. README's kernel table has the measured ns/op.
+// BenchmarkKernelGTM), and inflating the gzip-compressed shard in
+// DecodeShard (BenchmarkKernelGTMDecode) is the smaller half of Run
+// (BenchmarkKernelGTMRun): the package inflates a shard with its own
+// one-pass decoder over the whole byte slice (inflate.go) rather than
+// the standard library's stream reader, which took more than half. README's
+// kernel table has the measured ns/op.
 package gtm
 
 import (

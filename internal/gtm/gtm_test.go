@@ -274,6 +274,13 @@ func TestShardValidation(t *testing.T) {
 	if _, _, err := DecodeShard([]byte("definitely not gzip")); err == nil {
 		t.Error("corrupt shard should error")
 	}
+	// The header holds both as 32 bits: beyond that, a shard would
+	// decode to some other shape, or not at all.
+	for _, dims := range []int{1<<32 + 166, 1 << 32} {
+		if _, err := EncodeShard(nil, dims); err == nil {
+			t.Errorf("EncodeShard(nil, %d) encoded a shard, want an error", dims)
+		}
+	}
 }
 
 // gzipped compresses raw as one gzip member, for shards EncodeShard
@@ -309,6 +316,13 @@ func TestDecodeShardRejectsMalformed(t *testing.T) {
 	body := make([]byte, 8*4*workload.PubChemDims)
 	flipped := bytes.Clone(good)
 	flipped[len(flipped)-5] ^= 0xff // last byte of the CRC-32 in the gzip trailer
+	raw := shardBytes(shardMagic, workload.PubChemDims, 4, body)
+	badNLEN := gzipMember(t, raw, gzip.NoCompression, nil)
+	badNLEN[13] ^= 1 // the stored block's NLEN, after the 10-byte header, block type and LEN
+	// The second member's stream refers into the first member's output,
+	// which its own window does not hold.
+	pastWindow := append(gzipMember(t, raw[:len(raw)/2], gzip.DefaultCompression, nil),
+		gzipMember(t, raw[len(raw)/2:], gzip.DefaultCompression, raw[:len(raw)/2])...)
 	cases := map[string][]byte{
 		"truncated body":           gzipped(t, shardBytes(shardMagic, workload.PubChemDims, 4, body[:len(body)-8])),
 		"truncated stream":         good[:len(good)/2],
@@ -320,6 +334,8 @@ func TestDecodeShardRejectsMalformed(t *testing.T) {
 		"bad magic":                gzipped(t, shardBytes(shardMagic+1, workload.PubChemDims, 4, body)),
 		"short header":             gzipped(t, shardBytes(shardMagic, workload.PubChemDims, 4, nil)[:10]),
 		"header claims 2⁶² values": gzipped(t, shardBytes(shardMagic, 1<<31, 1<<31, nil)),
+		"stored block, bad NLEN":   badNLEN,
+		"distance past the window": pastWindow,
 	}
 	for name, shard := range cases {
 		if pts, dims, err := DecodeShard(shard); err == nil {

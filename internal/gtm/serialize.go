@@ -8,6 +8,7 @@ import (
 	"fmt"
 	"io"
 	"math"
+	"sync"
 
 	"repro/internal/linalg"
 )
@@ -70,7 +71,7 @@ const shardMagic = 0x47544d31 // "GTM1"
 // format, mirroring the paper's "compressed data splits, which were
 // unzipped before handing over to the executable".
 func EncodeShard(points []float64, dims int) ([]byte, error) {
-	if dims <= 0 || len(points)%dims != 0 {
+	if dims <= 0 || len(points)%dims != 0 || uint64(dims) > math.MaxUint32 || uint64(len(points)/dims) > math.MaxUint32 {
 		return nil, fmt.Errorf("gtm: bad shard shape: %d values, %d dims", len(points), dims)
 	}
 	var buf bytes.Buffer
@@ -97,46 +98,58 @@ func EncodeShard(points []float64, dims int) ([]byte, error) {
 
 // maxDeflateRatio bounds how far deflate can expand its input (1032:1),
 // so a header claiming more points than the compressed bytes can hold is
-// refused before anything is allocated for them.
+// refused before anything is allocated for them, and inflating past
+// that many bytes is an error.
 const maxDeflateRatio = 1032
 
-// DecodeShard reverses EncodeShard. It reads the header, then exactly the
-// body the header announces, then on to EOF so gzip verifies its CRC; a
-// body that is short, long or fails the CRC is an error.
+// trustedRatio caps how far DecodeShard believes a shard's ISIZE before
+// inflating it: a truncated shard ends in arbitrary bytes, which must
+// not buy an allocation of 1032 times its length. A shard that does
+// expand further grows its buffer as it inflates.
+const trustedRatio = 16
+
+// inflaters holds DecodeShard's decoders: the points are copied out of
+// the inflated bytes, so the buffer that holds them can serve the next
+// shard.
+var inflaters = sync.Pool{New: func() any { return new(inflater) }}
+
+// DecodeShard reverses EncodeShard. It inflates the whole gzip stream in
+// one pass into one buffer, sized from the last member's ISIZE, checking
+// every member's CRC-32 and size; then it reads the header and exactly
+// the body the header announces. A stream the standard gzip reader
+// would refuse, or a body that is short or long, is an error.
 func DecodeShard(data []byte) (points []float64, dims int, err error) {
-	zr, err := gzip.NewReader(bytes.NewReader(data))
+	f := inflaters.Get().(*inflater)
+	defer inflaters.Put(f)
+	limit := maxDeflateRatio * len(data)
+	size := 0
+	if len(data) >= 4 {
+		size = min(int(binary.LittleEndian.Uint32(data[len(data)-4:])), trustedRatio*len(data))
+	}
+	raw, err := f.gunzip(data, size, limit)
 	if err != nil {
 		return nil, 0, fmt.Errorf("gtm: decompressing shard: %w", err)
 	}
-	defer zr.Close()
-	var buf [4096]byte
-	if _, err := io.ReadFull(zr, buf[:12]); err != nil || binary.LittleEndian.Uint32(buf[0:]) != shardMagic {
+	if len(raw) < 12 || binary.LittleEndian.Uint32(raw) != shardMagic {
 		return nil, 0, fmt.Errorf("gtm: bad shard header")
 	}
-	dims = int(binary.LittleEndian.Uint32(buf[4:]))
-	n := int(binary.LittleEndian.Uint32(buf[8:]))
+	dims = int(binary.LittleEndian.Uint32(raw[4:]))
+	n := int(binary.LittleEndian.Uint32(raw[8:]))
 	if dims == 0 || uint64(n)*uint64(dims) > maxDeflateRatio*uint64(len(data))/8 {
 		return nil, 0, fmt.Errorf("gtm: bad shard shape: %d points × %d dims in %d bytes", n, dims, len(data))
 	}
-	points = make([]float64, n*dims)
-	for i := 0; i < len(points); {
-		chunk := buf[:min(len(buf), 8*(len(points)-i))]
-		if _, err := io.ReadFull(zr, chunk); err != nil {
-			return nil, 0, fmt.Errorf("gtm: reading shard body: %w", err)
-		}
-		for ; len(chunk) >= 8; chunk = chunk[8:] {
-			points[i] = math.Float64frombits(binary.LittleEndian.Uint64(chunk))
-			i++
-		}
-	}
-	switch _, err := io.ReadFull(zr, buf[:1]); err {
-	case io.EOF:
-		return points, dims, nil
-	case nil:
+	body := raw[12:]
+	switch {
+	case len(body) < 8*n*dims:
+		return nil, 0, fmt.Errorf("gtm: reading shard body: %w", io.ErrUnexpectedEOF)
+	case len(body) > 8*n*dims:
 		return nil, 0, fmt.Errorf("gtm: shard longer than its %d × %d header", n, dims)
-	default:
-		return nil, 0, fmt.Errorf("gtm: reading shard: %w", err)
 	}
+	points = make([]float64, n*dims)
+	for i := range points {
+		points[i] = math.Float64frombits(binary.LittleEndian.Uint64(body[8*i:]))
+	}
+	return points, dims, nil
 }
 
 // EncodeEmbedding packs interpolation output (n×2 latent coordinates).
