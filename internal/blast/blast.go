@@ -245,7 +245,7 @@ func (db *Database) SearchWithStats(query *fasta.Record, opt Options) ([]Hit, Se
 	diags := make([]diagState, db.TotalLen+len(db.Seqs)*lq)
 	var hsps []Hit
 	neigh := make([]int32, 0, 64)
-	var gapped []int // gappedExtend's matrices, grown once and shared by every extension of this query
+	var gapped []bandCell // gappedExtend's matrix, grown once and shared by every extension of this query
 
 	for qp := 0; qp+wordSize <= lq; qp++ {
 		neigh = neighborhood(q[qp:qp+wordSize], opt.Threshold, neigh[:0])
@@ -376,9 +376,9 @@ func ungappedExtend(q, s []byte, qp, sp, w, xdrop int) (score, qs, qe int) {
 
 // gappedExtend performs a banded Smith–Waterman alignment of the query
 // window around the seeded region against the subject, anchored on the
-// seed diagonal. Its two stored score matrices live in *scratch, which it
-// grows as needed and leaves for the next call to overwrite.
-func gappedExtend(q, s []byte, qAnchor, sAnchor, anchorLen int, opt Options, scratch *[]int) Hit {
+// seed diagonal. Its score matrix lives in *scratch, which it grows as
+// needed and leaves for the next call to overwrite.
+func gappedExtend(q, s []byte, qAnchor, sAnchor, anchorLen int, opt Options, scratch *[]bandCell) Hit {
 	// Align a generous window around the anchor.
 	margin := opt.Band * 4
 	qLo := max(0, qAnchor-margin-anchorLen)
@@ -392,50 +392,37 @@ func gappedExtend(q, s []byte, qAnchor, sAnchor, anchorLen int, opt Options, scr
 	n, m := len(qw), len(sw)
 	band := opt.Band
 	// Smith-Waterman with affine gaps restricted to |j - i - diag| ≤ band:
-	// row i stores band column c at i·width + c, for subject column
-	// j = i + diag - band + c. Cell (i-1, j-1) is then column c of the row
-	// above, (i-1, j) column c+1, and (i, j-1) column c-1 of this row. A
-	// cell off the subject holds H = 0, E = -∞ (the gap in the subject,
-	// F, is only ever read from the cell just computed).
+	// row i stores band column c at i·stride + c, for subject column
+	// j = i + diag - band + c, and ends in a sentinel column c = width
+	// holding H = E = -∞, the cells right of the band. Cell (i-1, j-1) is
+	// then column c of the row above, (i-1, j) column c+1, and (i, j-1)
+	// column c-1 of this row. A cell off the subject holds H = 0, E = -∞
+	// (the gap in the subject, F, is only ever read from the cell just
+	// computed); bandRow computes the cells on it.
 	width := 2*band + 1
-	size := (n + 1) * width
-	*scratch = slices.Grow((*scratch)[:0], 2*size)[:2*size]
-	H := (*scratch)[:size]
-	E := (*scratch)[size:] // gap in query
-	offSubject(H[:width], E[:width])
-	open, extend := opt.GapOpen, opt.GapExtend
-	bestScore, bi, bj := 0, 0, 0
+	stride := width + 1
+	size := (n + 1) * stride
+	*scratch = slices.Grow((*scratch)[:0], size)[:size]
+	cells := *scratch
+	offSubject(cells[:width])
+	cells[width] = bandCell{negInf, negInf}
+	open, extend := int32(opt.GapOpen), int32(opt.GapExtend)
+	var bestScore int32
+	bi, bj := 0, 0
 	for i := 1; i <= n; i++ {
-		prev, row := (i-1)*width, i*width
-		Hp, Ep := H[prev:prev+width], E[prev:prev+width]
-		Hr, Er := H[row:row+width], E[row:row+width]
+		up, row := cells[(i-1)*stride:i*stride], cells[i*stride:(i+1)*stride]
+		row[width] = bandCell{negInf, negInf}
 		j0 := i + diag - band // subject column of band column 0
 		cLo, cHi := max(0, 1-j0), min(width-1, m-j0)
 		if cLo > cHi {
-			offSubject(Hr, Er)
+			offSubject(row[:width])
 			continue
 		}
-		offSubject(Hr[:cLo], Er[:cLo])
-		offSubject(Hr[cHi+1:], Er[cHi+1:])
-		leftH, leftF := negInf, negInf
-		if cLo > 0 {
-			leftH = Hr[cLo-1]
-		}
-		scores, sr := &score62[qw[i-1]], sw[j0+cLo-1:j0+cHi]
-		for c := cLo; c <= cHi; c++ {
-			match := Hp[c] + int(scores[sr[c-cLo]])
-			upH, upE := negInf, negInf
-			if c+1 < width {
-				upH, upE = Hp[c+1], Ep[c+1]
-			}
-			e := max(upH-open, upE-extend)
-			f := max(leftH-open, leftF-extend)
-			h := max(0, max(match, max(e, f)))
-			Hr[c], Er[c] = h, e
-			leftH, leftF = h, f
-			if h > bestScore {
-				bestScore, bi, bj = h, i, j0+c
-			}
+		offSubject(row[:cLo])
+		offSubject(row[cHi+1 : width])
+		best, k := bandRow(row[:cHi+1], up[:cHi+2], cLo, sw[j0+cLo-1:j0+cHi], &score62[qw[i-1]], open, extend)
+		if best > bestScore {
+			bestScore, bi, bj = best, i, j0+cLo+k
 		}
 	}
 	// Traceback from (bi,bj) to recover extents and identity; a step that
@@ -444,11 +431,11 @@ func gappedExtend(q, s []byte, qAnchor, sAnchor, anchorLen int, opt Options, scr
 	i, j := bi, bj
 	for i > 0 && j > 0 {
 		c := j - (i + diag) + band
-		if c < 0 || c >= width || H[i*width+c] == 0 {
+		if c < 0 || c >= width || cells[i*stride+c].h == 0 {
 			break
 		}
-		h := H[i*width+c]
-		if h == H[(i-1)*width+c]+bio.Score62(qw[i-1], sw[j-1]) {
+		h := cells[i*stride+c].h
+		if h == cells[(i-1)*stride+c].h+int32(bio.Score62(qw[i-1], sw[j-1])) {
 			if qw[i-1] == sw[j-1] {
 				matches++
 			}
@@ -458,14 +445,14 @@ func gappedExtend(q, s []byte, qAnchor, sAnchor, anchorLen int, opt Options, scr
 			continue
 		}
 		alen++
-		if E[i*width+c] == h {
+		if cells[i*stride+c].e == h {
 			i--
 		} else {
 			j--
 		}
 	}
 	return Hit{
-		Score:    bestScore,
+		Score:    int(bestScore),
 		QStart:   qLo + i,
 		QEnd:     qLo + bi,
 		SStart:   sLo + j,
@@ -475,15 +462,55 @@ func gappedExtend(q, s []byte, qAnchor, sAnchor, anchorLen int, opt Options, scr
 	}
 }
 
+// bandRow computes band columns cLo onward of one row, row[cLo:], from
+// the row above, up (column c+1 of up is the cell above column c of row,
+// column c the one diagonally up-left), and the subject residues sr under
+// them, scored with the query residue's row of score62. A row takes two
+// passes: max(0, match, E), which reads only the row above, and then the
+// F recurrence along the row, starting from the H left of column cLo
+// (−∞ at the band's edge). It returns the row's best H and the first
+// column, counted from cLo, that holds it.
+func bandRow(row, up []bandCell, cLo int, sr []byte, scores *[256]int8, open, extend int32) (best int32, at int) {
+	leftH := int32(negInf)
+	if cLo > 0 {
+		leftH = row[cLo-1].h
+	}
+	r := row[cLo:]
+	up, sr = up[cLo:cLo+len(r)+1], sr[:len(r)]
+	diagH := up[0].h
+	above := up[1:]
+	for k := range r {
+		a := above[k]
+		e := max(a.h-open, a.e-extend)
+		r[k] = bandCell{max(0, diagH+int32(scores[sr[k]]), e), e}
+		diagH = a.h
+	}
+	best, leftF := int32(-1), int32(negInf)
+	for k := range r {
+		f := max(leftH-open, leftF-extend)
+		h := max(r[k].h, f)
+		r[k].h = h
+		leftH, leftF = h, f
+		if h > best {
+			best, at = h, k
+		}
+	}
+	return best, at
+}
+
+// bandCell is one cell of gappedExtend's banded matrix: the best score
+// of an alignment ending there (H) and of one ending in a gap in the
+// query (E).
+type bandCell struct{ h, e int32 }
+
 // negInf is gappedExtend's −∞: low enough that no path through it wins,
-// high enough that subtracting gap penalties cannot overflow.
+// high enough that subtracting gap penalties cannot overflow an int32.
 const negInf = math.MinInt32 / 4
 
 // offSubject resets band cells that lie off the subject: H = 0, E = −∞.
-func offSubject(h, e []int) {
-	clear(h)
-	for c := range e {
-		e[c] = negInf
+func offSubject(cells []bandCell) {
+	for c := range cells {
+		cells[c] = bandCell{0, negInf}
 	}
 }
 

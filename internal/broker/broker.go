@@ -36,6 +36,8 @@ package broker
 import (
 	"errors"
 	"fmt"
+	"slices"
+	"sort"
 	"strings"
 	"sync"
 	"time"
@@ -263,26 +265,60 @@ func (b *Broker) newJob(id string) *Job {
 	return j
 }
 
-// Submit accepts a job: plans the fleet, stages inputs, journals the
-// submission, and hands the job to the same start tail an adoption
-// ends in.
-func (b *Broker) Submit(req JobRequest) (_ *Job, err error) {
+// Submit accepts a job and returns once every input is in the store and
+// every task message is enqueued, but the job runs from its first staged
+// batch on, the way the paper's workers start the moment a message
+// lands. In order:
+//
+//  1. build the executor, refuse an ID another broker's journal owns,
+//     and create the job's queues and buckets (classiccloud Setup);
+//  2. stage the shared data a recovering broker rebuilds the executor
+//     from;
+//  3. journal EvSubmitted, marked staging, with the whole task set (the
+//     sorted file names), and EvPlanned;
+//  4. start the job (start): register it, launch its floor fleet, start
+//     its control loop;
+//  5. upload the inputs and enqueue the task messages a batch at a time
+//     (stage), so the fleet drains batch 1 while batch 2 uploads;
+//  6. journal EvStaged.
+//
+// A failure removes everything the submission made, after step 4 by
+// withdrawing the running job first. A Close during step 5 aborts the
+// job and Submit returns ErrClosed. A crash before step 3 leaves queues,
+// buckets and shared data that no journal names, so nothing adopts them;
+// one between steps 3 and 6 leaves a journal still staging, whose job the
+// client never heard of, and Recover removes it with everything else it
+// made; one after step 6 leaves a job Recover adopts.
+func (b *Broker) Submit(req JobRequest) (*Job, error) {
+	j, tasks, err := b.admit(req)
+	if err != nil {
+		return nil, err
+	}
+	if err := b.stage(j, tasks, req.Files); err != nil {
+		return nil, err
+	}
+	return j, nil
+}
+
+// admit is Submit's steps 1 to 4: it returns a started job whose tasks
+// are still to be staged.
+func (b *Broker) admit(req JobRequest) (_ *Job, _ []classiccloud.Task, err error) {
 	if len(req.Files) == 0 {
-		return nil, ErrNoFiles
+		return nil, nil, ErrNoFiles
 	}
 	factory, ok := b.cfg.Registry[req.App]
 	if !ok {
-		return nil, fmt.Errorf("%w: %q", ErrUnknownApp, req.App)
+		return nil, nil, fmt.Errorf("%w: %q", ErrUnknownApp, req.App)
 	}
 	exec, err := factory(req.Shared)
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
 
 	b.mu.Lock()
 	if b.closed {
 		b.mu.Unlock()
-		return nil, ErrClosed
+		return nil, nil, ErrClosed
 	}
 	b.nextID++
 	j := b.newJob(fmt.Sprintf("job-%04d", b.nextID))
@@ -321,8 +357,13 @@ func (b *Broker) Submit(req JobRequest) (_ *Job, err error) {
 			}
 		}
 	}
+	ids := make([]string, 0, len(req.Files))
+	for name := range req.Files {
+		ids = append(ids, name)
+	}
+	sort.Strings(ids)
 	submitted := Event{
-		Type: EvSubmitted, App: j.App, Tenant: j.Tenant,
+		Type: EvSubmitted, App: j.App, Tenant: j.Tenant, TaskIDs: ids, Staging: true,
 		Provider: string(itype.Provider), Instance: itype.Name,
 		Policy: &policy, TargetNS: int64(req.TargetMakespan),
 	}
@@ -333,29 +374,22 @@ func (b *Broker) Submit(req JobRequest) (_ *Job, err error) {
 	// exclusive journal create below closes the remaining race window.
 	if j.jl != nil {
 		if _, _, err := b.cfg.Env.Blob.Stat(b.cfg.JournalBucket, journalKey(j.ID)); err == nil {
-			return nil, fmt.Errorf("broker: journal for %s already exists (restarted without Recover?)", j.ID)
+			return nil, nil, fmt.Errorf("broker: journal for %s already exists (restarted without Recover?)", j.ID)
 		}
 	}
 	// From here on a failure leaves some of the job's queues and buckets,
-	// staged inputs, a prefix of its task messages, perhaps a half-open
-	// journal (EvSubmitted landed, EvPlanned failed) that no job will
-	// ever own and a later Recover would adopt as a zombie: tear all of it
-	// down. The one exception is losing the journal create race — the
-	// queues and journal belong to the winner's job, so touch nothing.
+	// staged shared data, perhaps a half-open journal (EvSubmitted landed,
+	// EvPlanned failed) that no job will ever own and a later Recover
+	// would remove: tear all of it down. The one exception is losing the
+	// journal create race — the queues and journal belong to the winner's
+	// job, so touch nothing.
 	defer func() {
 		if err != nil && !errors.Is(err, journal.ErrExists) {
 			b.removeJobResources(j)
 		}
 	}()
 	if err := j.cc.Setup(); err != nil {
-		return nil, err
-	}
-	tasks, err := j.cc.SubmitFiles(req.Files)
-	if err != nil {
-		return nil, err
-	}
-	for _, t := range tasks {
-		submitted.TaskIDs = append(submitted.TaskIDs, t.ID)
+		return nil, nil, err
 	}
 	// Make the job durable: stage shared data for executor rebuild, then
 	// open the journal with the submission event. A job only exists once
@@ -363,20 +397,96 @@ func (b *Broker) Submit(req JobRequest) (_ *Job, err error) {
 	if j.jl != nil {
 		for name, data := range req.Shared {
 			if err := b.cfg.Env.Blob.Put(b.cfg.JournalBucket, sharedKey(j.ID, name), data); err != nil {
-				return nil, fmt.Errorf("broker: staging shared data for recovery: %w", err)
+				return nil, nil, fmt.Errorf("broker: staging shared data for recovery: %w", err)
 			}
 		}
 	}
 	if err := j.open(&submitted, planned); err != nil {
-		return nil, err
+		return nil, nil, err
 	}
-	// A broker that closed while we were staging must not be left with
-	// orphaned task messages no worker will drain — nor a running-state
-	// journal no broker owns, which Recover would adopt as a phantom job.
+	// Nothing is enqueued yet: the autoscaler counts every task as backlog
+	// until stage has sent it.
+	j.unstaged = len(ids)
+	// A broker that closed meanwhile must not be left with a running-state
+	// journal no broker owns.
 	if !b.start(j, "initial fleet") {
-		return nil, ErrClosed
+		return nil, nil, ErrClosed
 	}
-	return j, nil
+	return j, j.ccCfg.TasksFromIDs(ids), nil
+}
+
+// stage is Submit's steps 5 and 6 on a started job: inputs and task
+// messages a batch at a time, then EvStaged. It stops at the first batch
+// boundary after a Close (which has aborted the job) or a Halt (whose
+// journal must stay as a crash leaves it) and reports ErrClosed, and it
+// withdraws the job when a batch or the EvStaged write fails.
+func (b *Broker) stage(j *Job, tasks []classiccloud.Task, files map[string][]byte) error {
+	for start := 0; start < len(tasks); start += queue.MaxBatch {
+		batch := tasks[start:min(start+queue.MaxBatch, len(tasks))]
+		if err := j.cc.SubmitBatch(batch, files); err != nil {
+			return b.withdraw(j, err)
+		}
+		j.mu.Lock()
+		j.unstaged -= len(batch)
+		stopped := j.halted || j.core.State == StateAborted
+		j.mu.Unlock()
+		if stopped {
+			return ErrClosed
+		}
+	}
+	j.mu.Lock()
+	if j.halted || j.core.State != StateRunning {
+		// Stopped by Close or Halt after the last batch, or — every task
+		// having run — completed already, which needs no EvStaged.
+		closed := j.core.State != StateCompleted
+		j.mu.Unlock()
+		if closed {
+			return ErrClosed
+		}
+		return nil
+	}
+	err := j.recordLocked(Event{Type: EvStaged, Time: time.Now()})
+	j.mu.Unlock()
+	if err != nil {
+		return b.withdraw(j, err)
+	}
+	return nil
+}
+
+// withdraw undoes start for a job whose staging failed, so that the
+// failed submission leaves nothing even though its workers were running:
+// its fleet and control loop halt, it leaves the index, the scheduler gets
+// its instances and tenant slot back, and removeJobResources deletes what
+// it made. It returns cause — unless a Close or Halt stopped the job
+// first and it stays as they left it (ErrClosed), or the job completed
+// meanwhile, having run every task and so staged every input (nil).
+func (b *Broker) withdraw(j *Job, cause error) error {
+	j.mu.Lock()
+	if j.halted || j.core.State != StateRunning {
+		completed := j.core.State == StateCompleted
+		j.mu.Unlock()
+		if completed {
+			return nil
+		}
+		return ErrClosed
+	}
+	j.halted = true
+	j.stopLoopLocked()
+	for _, le := range j.core.Ledger {
+		if le.running() {
+			b.sched.release(j.Tenant, 1)
+			j.stopInstanceLocked(le.ID, (*classiccloud.Instance).Kill)
+		}
+	}
+	j.mu.Unlock()
+	j.stopWG.Wait()
+	b.mu.Lock()
+	delete(b.jobs, j.ID)
+	b.order = slices.DeleteFunc(b.order, func(id string) bool { return id == j.ID })
+	b.mu.Unlock()
+	b.sched.jobEnded(j.Tenant)
+	b.removeJobResources(j)
+	return cause
 }
 
 // open journals a job's opening events (either may be nil).
@@ -490,6 +600,13 @@ func (b *Broker) adoptJob(id string) (bool, error) {
 		// Terminal: register for queryability; no loops, no fleet.
 		close(j.finished)
 		b.register(j, false)
+		return false, nil
+	}
+	if rec.Staging {
+		// The broker died before its Submit returned: the client never got
+		// the job, so it is neither adopted nor registered, and what it
+		// made goes, as for any failed submission.
+		b.removeJobResources(j)
 		return false, nil
 	}
 

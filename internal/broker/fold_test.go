@@ -311,6 +311,76 @@ func TestLiveJobEqualsJournalFold(t *testing.T) {
 		s.check("complete")
 	})
 
+	// A job runs while it stages: a tick taken before any task message is
+	// enqueued sizes the fleet for the whole task set. A crash before
+	// EvStaged leaves a journal that Recover removes, with everything else
+	// the submission made; a submission staged to the end folds EvStaged
+	// live as in replay. Compaction is left alone so that every check
+	// replays EvStaged itself, not a snapshot taken after it.
+	t.Run("staging crash staged", func(t *testing.T) {
+		env := testEnv()
+		held := newHeldTaskSend(env.Queue, 1)
+		env.Queue = held
+		s := newFoldScript(t, Config{Env: env,
+			Autoscale: AutoscalePolicy{MinInstances: 1, MaxInstances: 3, BacklogPerInstance: 2}})
+		s.natural = true
+		submitted := make(chan error, 1)
+		go func() {
+			files := map[string][]byte{}
+			for _, id := range []string{"a", "b", "c", "d", "e", "f"} {
+				files[id] = []byte(id)
+			}
+			_, err := s.b.Submit(JobRequest{App: "inert", Files: files})
+			submitted <- err
+		}()
+		<-held.held
+		j, ok := s.b.Job("job-0001")
+		if !ok {
+			t.Fatal("the staging job is not registered")
+		}
+		s.j = j
+		s.quiesce()
+		s.check("submitted, staging")
+		s.j.autoscaleTick() // 6 tasks, none enqueued, at 2 per instance: the fleet goes 1 -> 3
+		s.check("scale up while staging")
+		if st := s.j.Status(); st.Fleet != 3 {
+			t.Fatalf("fleet = %d after a tick while staging, want 3", st.Fleet)
+		}
+		s.b.Halt()
+		close(held.release)
+		if err := <-submitted; !errors.Is(err, ErrClosed) {
+			t.Fatalf("Submit = %v after a crash while staging, want ErrClosed", err)
+		}
+		s.check("crash while staging") // a Halt journals nothing
+		failed := s.j.ccCfg
+		s.b = New(s.cfg)
+		t.Cleanup(s.b.Halt)
+		if n, err := s.b.Recover(); err != nil || n != 0 {
+			t.Fatalf("Recover = %d, %v; want no job adopted", n, err)
+		}
+		if n := len(s.b.Jobs()); n != 0 {
+			t.Fatalf("%d jobs registered from a journal still staging", n)
+		}
+		if qs := env.Queue.ListQueues(); len(qs) != 0 {
+			t.Errorf("queues left behind: %v", qs)
+		}
+		for _, bucket := range []string{failed.InputBucket(), failed.OutputBucket()} {
+			if _, err := env.Blob.List(bucket, ""); !errors.Is(err, blob.ErrNoSuchBucket) {
+				t.Errorf("bucket %s left behind (List error %v)", bucket, err)
+			}
+		}
+		if keys, err := env.Blob.List(s.b.cfg.JournalBucket, ""); err != nil || len(keys) != 0 {
+			t.Errorf("journal bucket holds %v (err %v), want nothing", keys, err)
+		}
+		s.submit(JobRequest{})
+		s.j.mu.Lock()
+		staging := s.j.core.Staging
+		s.j.mu.Unlock()
+		if staging {
+			t.Fatal("a submission that returned is still staging")
+		}
+	})
+
 	t.Run("abort", func(t *testing.T) {
 		s := newFoldScript(t, Config{})
 		s.submit(JobRequest{})

@@ -34,8 +34,16 @@ type EventType string
 // Journal event types.
 const (
 	// EvSubmitted opens a journal: the job's identity, tenant, task set,
-	// policy, and instance type.
+	// policy, and instance type. Staging marks a submission whose inputs
+	// and task messages are still being staged (Broker.Submit); a journal
+	// written before staging was journaled carries no mark and folds as
+	// staged.
 	EvSubmitted EventType = "submitted"
+	// EvStaged records that every input is stored and every task message
+	// enqueued: Submit's last event before it answers. A running record
+	// still staging is a submission the broker died in, which Recover
+	// removes; a terminal record cannot be staged.
+	EvStaged EventType = "staged"
 	// EvPlanned records the cost-aware fleet plan when the submission
 	// carried a target makespan.
 	EvPlanned EventType = "planned"
@@ -75,6 +83,7 @@ type Event struct {
 	App      string           `json:"app,omitempty"`
 	Tenant   string           `json:"tenant,omitempty"`
 	TaskIDs  []string         `json:"task_ids,omitempty"`
+	Staging  bool             `json:"staging,omitempty"`
 	Provider string           `json:"provider,omitempty"`
 	Instance string           `json:"instance,omitempty"`
 	Policy   *AutoscalePolicy `json:"policy,omitempty"`
@@ -364,6 +373,8 @@ type jobRecord struct {
 	State      JobState
 	Started    time.Time
 	FinishedAt time.Time
+	// Staging is set from a staging EvSubmitted until EvStaged.
+	Staging bool `json:",omitempty"`
 
 	// Settlement holds the Done/Dead/Dups fold of the monitor reports.
 	classiccloud.Settlement
@@ -389,6 +400,7 @@ func (rec *jobRecord) apply(ev Event) error {
 		}
 		rec.Provider, rec.Instance = ev.Provider, ev.Instance
 		rec.TargetNS = ev.TargetNS
+		rec.Staging = ev.Staging
 		rec.State = StateRunning
 		rec.Started = ev.Time
 		rec.Settlement = classiccloud.NewSettlement()
@@ -429,6 +441,11 @@ func (rec *jobRecord) apply(ev Event) error {
 		rec.Events = append(rec.Events, ScalingEvent{
 			Time: ev.Time, Action: action, Delta: -1, Fleet: ev.Fleet, Reason: ev.Reason,
 		})
+	case EvStaged:
+		if rec.State != StateRunning {
+			return fmt.Errorf("broker: journal stages a %s job", rec.State)
+		}
+		rec.Staging = false
 	case EvCheckpoint:
 		rec.Settle(ev.Done, ev.Dead)
 	case EvCompleted:

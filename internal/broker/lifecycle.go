@@ -76,6 +76,9 @@ type Job struct {
 	throughput    float64       // tasks/sec/instance, smoothed
 	serviceTime   time.Duration // worker-measured, per task, smoothed (completionETA)
 	stopWG        sync.WaitGroup
+	// unstaged counts the tasks Submit has not enqueued yet; the
+	// autoscaler sees them as visible backlog.
+	unstaged int
 }
 
 // recordLocked journals one event, then folds it into the in-memory
@@ -365,7 +368,7 @@ func (j *Job) autoscaleTick() {
 
 	d := j.core.Policy.Decide(Observation{
 		Now:                   now,
-		Visible:               visible,
+		Visible:               visible + j.unstaged,
 		InFlight:              inflight,
 		Fleet:                 fleet,
 		ThroughputPerInstance: j.throughput,

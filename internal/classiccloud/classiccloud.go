@@ -63,9 +63,12 @@ type Preloader interface {
 // ReceiveBatch is how many tasks a worker pulls per receive call. Task
 // acknowledgements and monitor reports are batched the same way (it is
 // at most queue.MaxBatch, so a batch's reports fit one send), so a
-// worker costs 3 requests per ReceiveBatch tasks instead of 3 per task —
-// and a task can be up to a batch's execution old before the monitor
-// queue says so, which a controller predicting completion allows for.
+// worker costs 3 requests per ReceiveBatch tasks instead of 3 per task.
+// A batch's report is sent, and then its delete, once its last task has
+// run, in the background while the worker receives and runs the next
+// batch; so a task can be up to a batch's execution old before the
+// monitor queue says so, which a controller predicting completion allows
+// for.
 // With SubmitFiles sending and WaitForCompletion draining
 // queue.MaxBatch messages per request, a task's whole queue bill is
 // about 1/MaxBatch + 3/ReceiveBatch + 2/MaxBatch requests:
@@ -274,12 +277,10 @@ func (c *Client) Setup() error {
 }
 
 // SubmitFiles uploads each named input file to the input bucket and
-// enqueues one task message per file, in sorted name order, sent
-// queue.MaxBatch at a time: a job of n tasks costs ⌈n/MaxBatch⌉ queue
-// requests (and as many journal records on a durable queue), not n.
-// Each batch's inputs are staged before its messages become visible.
-// On error, whole earlier batches stay enqueued. A message's body is its
-// task ID; output keys get an ".out" suffix.
+// enqueues one task message per file, in sorted name order, one
+// SubmitBatch of queue.MaxBatch tasks at a time: a job of n tasks costs
+// ⌈n/MaxBatch⌉ queue requests (and as many journal records on a durable
+// queue), not n. On error, whole earlier batches stay enqueued.
 func (c *Client) SubmitFiles(files map[string][]byte) ([]Task, error) {
 	names := make([]string, 0, len(files))
 	for name := range files {
@@ -288,22 +289,31 @@ func (c *Client) SubmitFiles(files map[string][]byte) ([]Task, error) {
 	// Deterministic submission order simplifies reproducibility.
 	sort.Strings(names)
 	tasks := c.cfg.TasksFromIDs(names)
-	bodies := make([][]byte, 0, queue.MaxBatch)
 	for start := 0; start < len(tasks); start += queue.MaxBatch {
-		batch := tasks[start:min(start+queue.MaxBatch, len(tasks))]
-		bodies = bodies[:0]
-		for _, task := range batch {
-			if err := c.env.Blob.Put(task.InputBucket, task.InputKey, files[task.ID]); err != nil {
-				return nil, fmt.Errorf("classiccloud: uploading %s: %w", task.ID, err)
-			}
-			bodies = append(bodies, []byte(task.ID))
-		}
-		if _, err := c.env.Queue.SendMessageBatch(c.cfg.TaskQueue(), bodies); err != nil {
-			return nil, fmt.Errorf("classiccloud: enqueueing %s..%s: %w",
-				batch[0].ID, batch[len(batch)-1].ID, err)
+		if err := c.SubmitBatch(tasks[start:min(start+queue.MaxBatch, len(tasks))], files); err != nil {
+			return nil, err
 		}
 	}
 	return tasks, nil
+}
+
+// SubmitBatch stages one batch of at most queue.MaxBatch tasks: it
+// uploads each task's input, files[task.ID], and then enqueues the
+// batch's messages with one send, so no message becomes visible before
+// its input is stored. A message's body is its task ID.
+func (c *Client) SubmitBatch(batch []Task, files map[string][]byte) error {
+	bodies := make([][]byte, len(batch))
+	for i, task := range batch {
+		if err := c.env.Blob.Put(task.InputBucket, task.InputKey, files[task.ID]); err != nil {
+			return fmt.Errorf("classiccloud: uploading %s: %w", task.ID, err)
+		}
+		bodies[i] = []byte(task.ID)
+	}
+	if _, err := c.env.Queue.SendMessageBatch(c.cfg.TaskQueue(), bodies); err != nil {
+		return fmt.Errorf("classiccloud: enqueueing %s..%s: %w",
+			batch[0].ID, batch[len(batch)-1].ID, err)
+	}
+	return nil
 }
 
 // TasksFromIDs reconstructs the task set SubmitFiles created for these
@@ -473,8 +483,9 @@ func StartInstance(env Env, cfg Config, exec Executor, workersPerInstance int) (
 }
 
 // Stop shuts the instance down and waits for workers to exit. Workers
-// finish (and acknowledge) their current task first — the graceful
-// drain of a planned scale-down.
+// finish their current batch first, and Stop returns only once every
+// batch's acknowledgement (report, then delete) has finished — the
+// graceful drain of a planned scale-down.
 func (inst *Instance) Stop() {
 	if inst.stopped.CompareAndSwap(false, true) {
 		close(inst.stop)
@@ -486,7 +497,8 @@ func (inst *Instance) Stop() {
 // abandon whatever task they are processing without acknowledging or
 // uploading it, so the queue's visibility timeout must recover the
 // work on another instance — the paper's fault-tolerance story
-// exercised for real.
+// exercised for real. An acknowledgement already in flight, of tasks
+// that finished before the kill, still completes before Kill returns.
 func (inst *Instance) Kill() {
 	inst.killed.Store(true)
 	inst.Stop()
@@ -497,6 +509,22 @@ func (inst *Instance) Stats() *InstanceStats { return &inst.stats }
 
 func (inst *Instance) workerLoop(workerID int) {
 	defer inst.wg.Done()
+	// One lease renewer and one acknowledger serve every batch this worker
+	// takes. The acknowledger holds at most one batch's acknowledgement:
+	// handing it the next waits until the previous one has finished. It
+	// outlives the worker until the last one has (Stop and Kill wait for
+	// it too), and only then stops the renewer.
+	renew := inst.startLeaseRenewer()
+	acks := make(chan batchAck)
+	defer close(acks)
+	inst.wg.Add(1)
+	go func() {
+		defer inst.wg.Done()
+		defer renew.stop()
+		for a := range acks {
+			inst.acknowledge(a, renew)
+		}
+	}()
 	for {
 		select {
 		case <-inst.stop:
@@ -520,23 +548,28 @@ func (inst *Instance) workerLoop(workerID int) {
 		if len(msgs) == 0 {
 			continue // the long poll already waited; just re-check stop
 		}
-		inst.processBatch(workerID, msgs)
+		if a := inst.processBatch(workerID, msgs, renew); len(a.reports) > 0 {
+			acks <- a
+		}
 	}
 }
 
-// processBatch runs every task of one receive batch, then reports the
-// completed ones with a single batch send and acknowledges them with a
-// single batch delete — 3 queue requests per batch on the happy path.
-func (inst *Instance) processBatch(workerID int, msgs []queue.Message) {
-	// One lease renewer covers the whole batch: tasks queued behind a
-	// slow one must keep their leases alive too.
-	var renew *leaseRenewer
-	if heartbeat := inst.cfg.VisibilityTimeout / heartbeatsPerLease; heartbeat > 0 { // a ticker needs ≥ 1ns
-		renew = inst.startLeaseRenewer(msgs, heartbeat)
-		defer renew.stop()
-	}
-	var ackReceipts []string
-	var reports [][]byte
+// batchAck is one batch's acknowledgement: the reports of its completed
+// tasks and, in the same order, their receipts.
+type batchAck struct {
+	receipts []string
+	reports  [][]byte
+}
+
+// processBatch runs every task of one receive batch, in order, and
+// returns the batch's acknowledgement, which the worker's acknowledger
+// sends (acknowledge) while the worker receives and runs the next batch
+// — 3 queue requests per batch on the happy path, and the monitor queue
+// hears of a task at most one batch's execution after it finished. The
+// batch's leases are renewed from now until its acknowledgement is done.
+func (inst *Instance) processBatch(workerID int, msgs []queue.Message, renew *leaseRenewer) batchAck {
+	renew.add(msgs)
+	var a batchAck
 	for _, m := range msgs {
 		// Poison: an empty body names no task, and a task over the receive
 		// cap has burned through its retry budget (executor failures,
@@ -550,8 +583,8 @@ func (inst *Instance) processBatch(workerID int, msgs []queue.Message) {
 		task := inst.cfg.task(string(m.Body))
 		taskStart := time.Now()
 		if inst.processTask(workerID, task) {
-			ackReceipts = append(ackReceipts, m.ReceiptHandle)
-			reports = append(reports, MonitorReport{
+			a.receipts = append(a.receipts, m.ReceiptHandle)
+			a.reports = append(a.reports, MonitorReport{
 				TaskID: task.ID, WorkerID: workerID, Status: StatusDone,
 				ServiceTime:  time.Since(taskStart),
 				InstanceType: inst.cfg.InstanceType,
@@ -564,23 +597,24 @@ func (inst *Instance) processBatch(workerID int, msgs []queue.Message) {
 			renew.remove(m.ReceiptHandle)
 		}
 	}
-	// Report BEFORE deleting, and delete only what was reported: a crash
-	// or a failed send between the two then redelivers the task —
-	// re-executed (idempotent) and re-reported (the settlement fold
-	// counts the repeat) — instead of silently losing the settlement of
-	// a deleted task, which no retry would ever repair.
-	if len(reports) == 0 {
-		return
-	}
-	if _, err := inst.env.Queue.SendMessageBatch(inst.cfg.MonitorQueue(), reports); err != nil {
+	return a
+}
+
+// acknowledge reports a batch's completed tasks with a single batch send
+// and then deletes them with a single batch delete. Report BEFORE
+// deleting, and delete only what was reported: a crash or a failed send
+// between the two then redelivers the task — re-executed (idempotent) and
+// re-reported (the settlement fold counts the repeat) — instead of
+// silently losing the settlement of a deleted task, which no retry would
+// ever repair.
+func (inst *Instance) acknowledge(a batchAck, renew *leaseRenewer) {
+	defer renew.remove(a.receipts...)
+	if _, err := inst.env.Queue.SendMessageBatch(inst.cfg.MonitorQueue(), a.reports); err != nil {
 		inst.stats.ReportErrors.Add(1)
-		for _, receipt := range ackReceipts {
-			renew.remove(receipt)
-		}
 		return
 	}
 	// A failed delete only redelivers the tasks, to be re-run and re-reported.
-	results, _ := inst.env.Queue.DeleteMessageBatch(inst.cfg.TaskQueue(), ackReceipts)
+	results, _ := inst.env.Queue.DeleteMessageBatch(inst.cfg.TaskQueue(), a.receipts)
 	for _, r := range results {
 		if r != nil {
 			// Our lease expired and the task was re-issued; the result is
@@ -594,7 +628,7 @@ func (inst *Instance) processBatch(workerID int, msgs []queue.Message) {
 // deadLetter parks a poison message's body on the dead-letter queue
 // (when configured), reports the task dead on the monitor queue so
 // clients stop waiting for it, and only then removes the message from
-// the task queue — the same report-before-delete order as processBatch.
+// the task queue — the same report-before-delete order as acknowledge.
 // Any step failing leaves the message to be redelivered and
 // dead-lettered again; the settlement fold absorbs a repeated report. An
 // empty body names no task, so nobody is told.
@@ -655,41 +689,35 @@ func (inst *Instance) processTask(workerID int, task Task) bool {
 	return true
 }
 
-// leaseRenewer extends the visibility timeout of a batch's receipts
-// every heartbeat so long-running tasks — and tasks queued behind them
-// in the same batch — keep their leases. A receipt drops out of renewal
-// when it goes stale (deleted, or the lease was lost to another
-// worker); renewal stops entirely when the batch finishes or the
-// instance is killed (preempted work must reappear promptly).
+// leaseRenewer extends the visibility timeout of a worker's leased
+// receipts every VisibilityTimeout / heartbeatsPerLease, so long-running
+// tasks — and tasks queued behind them, and a finished batch whose
+// acknowledgement is in flight — keep their leases. Each worker has one
+// for its whole life: a batch's receipts join the set when it is
+// received and leave it when the batch's acknowledgement is done, or
+// when a task settles without one. A receipt also drops out when its
+// renewal fails (deleted, or the lease was lost to another worker).
+// Renewal stops when the worker exits or the instance is killed
+// (preempted work must reappear promptly). A nil renewer (a visibility
+// timeout too short for a heartbeat) renews nothing.
 type leaseRenewer struct {
 	mu       sync.Mutex
-	receipts map[string]bool
+	receipts map[string]struct{}
 	done     chan struct{}
 }
 
-func (r *leaseRenewer) stop() { close(r.done) }
-
-// remove drops one receipt from renewal — called when its task settles
-// without an acknowledgement (failure, crash, preemption), so the lease
-// expires on schedule and redelivery is not delayed by the rest of the
-// batch still processing.
-func (r *leaseRenewer) remove(receipt string) {
-	if r == nil {
-		return
+// startLeaseRenewer starts a worker's renewer; nil when the heartbeat
+// would be under 1ns, which no ticker can keep.
+func (inst *Instance) startLeaseRenewer() *leaseRenewer {
+	heartbeat := inst.cfg.VisibilityTimeout / heartbeatsPerLease
+	if heartbeat <= 0 {
+		return nil
 	}
-	r.mu.Lock()
-	delete(r.receipts, receipt)
-	r.mu.Unlock()
-}
-
-func (inst *Instance) startLeaseRenewer(msgs []queue.Message, heartbeat time.Duration) *leaseRenewer {
-	r := &leaseRenewer{receipts: make(map[string]bool, len(msgs)), done: make(chan struct{})}
-	for _, m := range msgs {
-		r.receipts[m.ReceiptHandle] = true
-	}
+	r := &leaseRenewer{receipts: make(map[string]struct{}, 2*ReceiveBatch), done: make(chan struct{})}
 	go func() {
 		ticker := time.NewTicker(heartbeat)
 		defer ticker.Stop()
+		var live []string
 		for {
 			select {
 			case <-r.done:
@@ -698,8 +726,8 @@ func (inst *Instance) startLeaseRenewer(msgs []queue.Message, heartbeat time.Dur
 				if inst.killed.Load() {
 					return
 				}
+				live = live[:0]
 				r.mu.Lock()
-				live := make([]string, 0, len(r.receipts))
 				for receipt := range r.receipts {
 					live = append(live, receipt)
 				}
@@ -707,15 +735,46 @@ func (inst *Instance) startLeaseRenewer(msgs []queue.Message, heartbeat time.Dur
 				for _, receipt := range live {
 					if err := inst.env.Queue.ChangeVisibility(
 						inst.cfg.TaskQueue(), receipt, inst.cfg.VisibilityTimeout); err != nil {
-						r.mu.Lock()
-						delete(r.receipts, receipt)
-						r.mu.Unlock()
+						r.remove(receipt)
 					}
 				}
 			}
 		}
 	}()
 	return r
+}
+
+func (r *leaseRenewer) stop() {
+	if r != nil {
+		close(r.done)
+	}
+}
+
+// add starts renewing a received batch's leases.
+func (r *leaseRenewer) add(msgs []queue.Message) {
+	if r == nil {
+		return
+	}
+	r.mu.Lock()
+	for _, m := range msgs {
+		r.receipts[m.ReceiptHandle] = struct{}{}
+	}
+	r.mu.Unlock()
+}
+
+// remove stops renewing receipts: their batch's acknowledgement is done,
+// or their task settled without one (failure, crash, preemption), so the
+// lease expires on schedule and redelivery is not delayed by the rest of
+// the batch still processing.
+func (r *leaseRenewer) remove(receipts ...string) {
+	if r == nil {
+		return
+	}
+	r.mu.Lock()
+	for _, receipt := range receipts {
+		delete(r.receipts, receipt)
+	}
+	r.mu.Unlock()
 }
 
 // downloadWithRetry tolerates eventual-consistency NotFound responses by
