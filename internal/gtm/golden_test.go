@@ -53,7 +53,9 @@ func goldenShard(seed int64, i, points int) []float64 {
 // it; this test can. A digest mismatch whose AbsSum still agrees to 1e-9
 // is a reordered floating-point sum (or a fused multiply-add on another
 // architecture), which is a decision to take knowingly; one whose AbsSum
-// moved is a different answer.
+// moved is a different answer. Both distance kernels must hit the
+// digests: the one package init chose, and the portable one, which
+// training then uses too.
 func TestGoldenInterpolate(t *testing.T) {
 	raw, err := os.ReadFile("testdata/golden.json")
 	if err != nil {
@@ -63,6 +65,15 @@ func TestGoldenInterpolate(t *testing.T) {
 	if err := json.Unmarshal(raw, &want); err != nil {
 		t.Fatal(err)
 	}
+	t.Run("dispatched", func(t *testing.T) { checkGolden(t, want) })
+	t.Run("portable", func(t *testing.T) {
+		defer func(kernel func(dst, group, x []float64)) { distKernel = kernel }(distKernel)
+		distKernel = sqDist16Go
+		checkGolden(t, want)
+	})
+}
+
+func checkGolden(t *testing.T, want []goldenCase) {
 	const seed = 1
 	var got []goldenCase
 	for _, shape := range goldenShapes {

@@ -8,14 +8,19 @@
 // frameworks distribute.
 //
 // A GTM task is compute-bound, not memory-bound. On a 2-core amd64 box,
-// one 400 × 166 shard (531 KB of points) against a K = 100 model costs
-// ≈ 3.6 ms of distance arithmetic in Interpolate (≈ 6.6 M multiply-adds,
-// BenchmarkKernelGTM), and inflating the gzip-compressed shard in
-// DecodeShard (BenchmarkKernelGTMDecode) is the smaller half of Run
-// (BenchmarkKernelGTMRun): the package inflates a shard with its own
-// one-pass decoder over the whole byte slice (inflate.go) rather than
-// the standard library's stream reader, which took more than half. README's
-// kernel table has the measured ns/op.
+// one 400 × 166 shard (531 KB of points) against a K = 100 model is
+// ≈ 6.6 M squared differences in Interpolate. The distance kernel
+// (dist.go) computes them sixteen latent rows per pass over a point,
+// four 4-wide AVX accumulators where the CPU has AVX and four scalar
+// ones per block of four rows elsewhere, with no fused multiply-add, so
+// either path gives the bits one linalg.SquaredDistance per pair would.
+// With AVX that is about half of Interpolate's ≈ 2 ms (BenchmarkKernelGTM);
+// most of the rest is one math.Exp per latent row and point. Inflating the
+// gzip-compressed shard in DecodeShard (BenchmarkKernelGTMDecode) is now
+// the larger half of Run (BenchmarkKernelGTMRun): the package inflates
+// a shard with its own one-pass decoder over the whole byte slice
+// (inflate.go) rather than the standard library's stream reader, which
+// took more than half. README's kernel table has the measured ns/op.
 package gtm
 
 import (
@@ -73,10 +78,11 @@ type Model struct {
 	D      int            // data dimensionality
 	LogL   []float64      // per-iteration training log-likelihood
 
-	// y is Y = Φ·W, the K×D projections of the latent points into data
-	// space, set once the model is final (end of Train, UnmarshalModel):
-	// every shard Interpolate sees reads the same one.
-	y *linalg.Matrix
+	// yk is Y = Φ·W, the K×D projections of the latent points into data
+	// space, in the distance kernel's layout (dist.go). It is set once the
+	// model is final (end of Train, UnmarshalModel): every shard
+	// Interpolate sees reads the same one.
+	yk []float64
 }
 
 // K returns the number of latent points.
@@ -161,7 +167,7 @@ func Train(data []float64, dims int, cfg Config) (*Model, error) {
 		}
 		prevL = logL
 	}
-	model.y = model.project()
+	model.yk = kernelLayout(model.project())
 	return model, nil
 }
 
@@ -251,21 +257,14 @@ func initWeights(m *Model, x *linalg.Matrix, cfg Config) error {
 // responsibilities computes the K×N posterior matrix and the data
 // log-likelihood under the current model.
 func responsibilities(m *Model, x *linalg.Matrix) (*linalg.Matrix, float64, error) {
-	y := m.project()
+	yk := kernelLayout(m.project())
 	k, n, d := m.K(), x.Rows, m.D
 	r := linalg.NewMatrix(k, n)
 	logPrefactor := 0.5*float64(d)*math.Log(m.Beta/(2*math.Pi)) - math.Log(float64(k))
 	logL := 0.0
-	col := make([]float64, k)
+	col := make([]float64, len(yk)/d)
 	for j := 0; j < n; j++ {
-		xj := x.Row(j)
-		maxLog := math.Inf(-1)
-		for i := 0; i < k; i++ {
-			col[i] = -0.5 * m.Beta * linalg.SquaredDistance(y.Row(i), xj)
-			if col[i] > maxLog {
-				maxLog = col[i]
-			}
-		}
+		maxLog := logWeights(col, yk, x.Row(j), -0.5*m.Beta, k)
 		sum := 0.0
 		for i := 0; i < k; i++ {
 			col[i] = math.Exp(col[i] - maxLog)
@@ -341,10 +340,14 @@ const expUnderflow = -746
 // Interpolate projects out-of-sample points (n×dims row-major) into the
 // latent space, returning n×2 row-major posterior-mean coordinates. This
 // is the per-shard computation the frameworks parallelize. Its cost is
-// the K×n squared distances to the model's projections, computed four
-// latent rows per pass over each point; each distance keeps its own
-// left-to-right sum, so the result is bit-for-bit that of one
-// linalg.SquaredDistance per pair.
+// the K×n squared distances to the model's projections, which the
+// distance kernel (dist.go) computes sixteen latent rows per pass over
+// each point: with AVX where the CPU has it, chosen once at package
+// init, else in portable Go. Neither fuses a multiply-add, and each
+// distance keeps its own left-to-right sum, so the result is bit for bit
+// that of one linalg.SquaredDistance per pair. A point at no finite
+// distance from any projection (a NaN or infinite coordinate, or one so
+// large its squares overflow) is an error.
 func (m *Model) Interpolate(points []float64, dims int) ([]float64, error) {
 	if dims != m.D {
 		return nil, fmt.Errorf("gtm: point dims %d != model dims %d", dims, m.D)
@@ -354,39 +357,19 @@ func (m *Model) Interpolate(points []float64, dims int) ([]float64, error) {
 	}
 	n := len(points) / dims
 	k := m.K()
-	y, latent := m.y.Data, m.Latent.Data
+	latent := m.Latent.Data
 	scale := -0.5 * m.Beta
 	out := make([]float64, n*LatentDims)
-	logw := make([]float64, k)
+	logw := make([]float64, len(m.yk)/dims)
 	for j := 0; j < n; j++ {
-		xj := points[j*dims : (j+1)*dims]
-		i := 0
-		for ; i+4 <= k; i += 4 {
-			y0 := y[i*dims : (i+1)*dims][:len(xj)]
-			y1 := y[(i+1)*dims : (i+2)*dims][:len(xj)]
-			y2 := y[(i+2)*dims : (i+3)*dims][:len(xj)]
-			y3 := y[(i+3)*dims : (i+4)*dims][:len(xj)]
-			var s0, s1, s2, s3 float64
-			for t, x := range xj {
-				d0, d1, d2, d3 := y0[t]-x, y1[t]-x, y2[t]-x, y3[t]-x
-				s0 += d0 * d0
-				s1 += d1 * d1
-				s2 += d2 * d2
-				s3 += d3 * d3
-			}
-			logw[i], logw[i+1], logw[i+2], logw[i+3] = scale*s0, scale*s1, scale*s2, scale*s3
-		}
-		for ; i < k; i++ {
-			logw[i] = scale * linalg.SquaredDistance(y[i*dims:(i+1)*dims], xj)
-		}
-		maxLog := math.Inf(-1)
-		for _, lw := range logw {
-			if lw > maxLog {
-				maxLog = lw
-			}
+		maxLog := logWeights(logw, m.yk, points[j*dims:(j+1)*dims], scale, k)
+		// β > 0 keeps every log-weight at or below 0 and a NaN one is
+		// never the largest, so −∞ is how a non-finite maximum shows.
+		if math.IsInf(maxLog, -1) {
+			return nil, fmt.Errorf("gtm: point %d is at no finite distance from the model", j)
 		}
 		var sum, u0, u1 float64
-		for i, lw := range logw {
+		for i, lw := range logw[:k] {
 			if lw-maxLog < expUnderflow {
 				continue
 			}

@@ -6,6 +6,7 @@ import (
 	"encoding/binary"
 	"encoding/gob"
 	"math"
+	"strings"
 	"testing"
 	"testing/quick"
 
@@ -229,6 +230,11 @@ func TestUnmarshalModelCorrupt(t *testing.T) {
 		"Φ columns ≠ W rows": func(w *modelWire) { w.PhiCols++ },
 		"W columns ≠ D":      func(w *modelWire) { w.D++ },
 		"3-D latent points":  func(w *modelWire) { w.LatentCols = 3 },
+		// Train never writes these; Interpolate would weight far points
+		// over near ones, or return NaN.
+		"β = 0":   func(w *modelWire) { w.Beta = 0 },
+		"β < 0":   func(w *modelWire) { w.Beta = -w.Beta },
+		"β = NaN": func(w *modelWire) { w.Beta = math.NaN() },
 	} {
 		wire := modelWire{
 			LatentRows: model.Latent.Rows, LatentCols: model.Latent.Cols, Latent: model.Latent.Data,
@@ -243,6 +249,30 @@ func TestUnmarshalModelCorrupt(t *testing.T) {
 		}
 		if _, err := UnmarshalModel(buf.Bytes()); err == nil {
 			t.Errorf("%s: decoded, want an error", name)
+		}
+	}
+}
+
+// A point no projection is at a finite distance from has no posterior
+// mean: every log-weight is −∞ (or NaN), and the normalisation would
+// make its coordinates NaN.
+func TestInterpolateRefusesPointsAtNoFiniteDistance(t *testing.T) {
+	model, _, _ := trainSmall(t, 60)
+	for name, v := range map[string]float64{
+		"NaN coordinate":           math.NaN(),
+		"+Inf coordinate":          math.Inf(1),
+		"-Inf coordinate":          math.Inf(-1),
+		"squares overflow (1e200)": 1e200,
+	} {
+		pts := workload.ChemicalPoints(4, 3, 3)
+		pts[2*workload.PubChemDims+7] = v
+		coords, err := model.Interpolate(pts, workload.PubChemDims)
+		if err == nil {
+			t.Errorf("%s: got %v, want an error", name, coords[4:])
+			continue
+		}
+		if !strings.Contains(err.Error(), "point 2 ") {
+			t.Errorf("%s: error %q does not name point 2", name, err)
 		}
 	}
 }
@@ -413,9 +443,11 @@ func interpolateRef(m *Model, points []float64, dims int) []float64 {
 	return out
 }
 
-// K = 9 and 25 leave one latent row after the blocks of four; the sample
-// includes every projection y_k, so that row dominates some point. A sharp
-// model (large β) makes most exp terms underflow, so the skip is exercised.
+// K = 9 and 25 fill one and two distance-kernel groups only in part, so
+// zero padding rows sit beside the real ones; the sample includes every
+// projection y_k, so each row, the last included, dominates some point. A
+// sharp model (large β) makes most exp terms underflow, so the skip is
+// exercised.
 func TestInterpolateMatchesReference(t *testing.T) {
 	pts := workload.ChemicalPoints(3, 120, 3)
 	for _, g := range []int{3, 5} {

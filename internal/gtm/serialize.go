@@ -55,8 +55,14 @@ func UnmarshalModel(data []byte) (*Model, error) {
 		!wellShaped(latent) || !wellShaped(phi) || !wellShaped(w) {
 		return nil, fmt.Errorf("gtm: corrupt model")
 	}
+	// Train only ever sets β to the inverse of a positive variance. A β
+	// of zero or below would weight far latent points over near ones,
+	// and a NaN one would make every interpolated coordinate NaN.
+	if !(wire.Beta > 0 && wire.Beta <= math.MaxFloat64) {
+		return nil, fmt.Errorf("gtm: corrupt model: noise precision β = %v", wire.Beta)
+	}
 	m := &Model{Latent: latent, Phi: phi, W: w, Beta: wire.Beta, D: wire.D}
-	m.y = m.project()
+	m.yk = kernelLayout(m.project())
 	return m, nil
 }
 
