@@ -23,10 +23,14 @@
 //
 //	bytes    options: {"app","tenant","target_makespan","autoscale",
 //	         "inject_crashes"} — the only JSON in the body
-//	uvarint  file count, then per file: bytes name, bytes data
 //	uvarint  shared-data count, then per item: bytes name, bytes data
+//	uvarint  file count, then per file: bytes name (names strictly
+//	         increasing)
+//	bytes    per file, in that order: its data
 //
-// File bytes travel raw. broker.HTTPClient.Submit builds the body from a
+// File bytes travel raw, and the broker reads them as they arrive: the
+// job starts once the names are in, and each batch of files is staged as
+// soon as it has arrived. broker.HTTPClient.Submit builds the body from a
 // broker.JobRequest; every response, and every GET, is JSON as before.
 //
 // Observability:

@@ -290,29 +290,56 @@ func (b *Broker) newJob(id string) *Job {
 // client never heard of, and Recover removes it with everything else it
 // made; one after step 6 leaves a job Recover adopts.
 func (b *Broker) Submit(req JobRequest) (*Job, error) {
-	j, tasks, err := b.admit(req)
+	return b.submit(req, taskIDs(req.Files), func([]classiccloud.Task) (map[string][]byte, error) { return req.Files, nil })
+}
+
+// taskIDs is the names of a file set in the order a job's tasks take
+// them, sorted: the order of EvSubmitted.TaskIDs and of a POST /jobs
+// manifest.
+func taskIDs(files map[string][]byte) []string {
+	ids := make([]string, 0, len(files))
+	for name := range files {
+		ids = append(ids, name)
+	}
+	sort.Strings(ids)
+	return ids
+}
+
+// submit is Submit over the job's task IDs, sorted, whose input files
+// next supplies a batch at a time, once that batch is due to be staged:
+// from req.Files for Submit, and from the POST /jobs body as it arrives
+// for the HTTP handler. req.Files is not read.
+func (b *Broker) submit(req JobRequest, ids []string, next func(batch []classiccloud.Task) (map[string][]byte, error)) (*Job, error) {
+	j, tasks, err := b.admit(req, ids)
 	if err != nil {
 		return nil, err
 	}
-	if err := b.stage(j, tasks, req.Files); err != nil {
+	if err := b.stage(j, tasks, next); err != nil {
 		return nil, err
 	}
 	return j, nil
 }
 
+// badRequest marks a submission refused for its content, not for a fault
+// of the broker's: HTTPHandler answers it 400 (413 for a body that is too
+// large), where any other error but ErrClosed is a 500.
+type badRequest struct{ error }
+
+func (e badRequest) Unwrap() error { return e.error }
+
 // admit is Submit's steps 1 to 4: it returns a started job whose tasks
 // are still to be staged.
-func (b *Broker) admit(req JobRequest) (_ *Job, _ []classiccloud.Task, err error) {
-	if len(req.Files) == 0 {
-		return nil, nil, ErrNoFiles
+func (b *Broker) admit(req JobRequest, ids []string) (_ *Job, _ []classiccloud.Task, err error) {
+	if len(ids) == 0 {
+		return nil, nil, badRequest{ErrNoFiles}
 	}
 	factory, ok := b.cfg.Registry[req.App]
 	if !ok {
-		return nil, nil, fmt.Errorf("%w: %q", ErrUnknownApp, req.App)
+		return nil, nil, badRequest{fmt.Errorf("%w: %q", ErrUnknownApp, req.App)}
 	}
 	exec, err := factory(req.Shared)
 	if err != nil {
-		return nil, nil, err
+		return nil, nil, badRequest{err}
 	}
 
 	b.mu.Lock()
@@ -347,7 +374,7 @@ func (b *Broker) admit(req JobRequest) (_ *Job, _ []classiccloud.Task, err error
 	itype := b.cfg.DefaultInstance
 	var planned *Event
 	if model, ok := b.planningModelFor(req.App); ok && req.TargetMakespan > 0 {
-		if sel, ok := PlanFleet(model, len(req.Files), req.TargetMakespan, b.cfg.Catalog, policy.MaxInstances); ok {
+		if sel, ok := PlanFleet(model, len(ids), req.TargetMakespan, b.cfg.Catalog, policy.MaxInstances); ok {
 			itype = sel.InstanceType()
 			planned = &Event{
 				Type: EvPlanned, PlannedInstances: sel.Instances(), PlanMeetsTarget: sel.MeetsTarget,
@@ -357,11 +384,6 @@ func (b *Broker) admit(req JobRequest) (_ *Job, _ []classiccloud.Task, err error
 			}
 		}
 	}
-	ids := make([]string, 0, len(req.Files))
-	for name := range req.Files {
-		ids = append(ids, name)
-	}
-	sort.Strings(ids)
 	submitted := Event{
 		Type: EvSubmitted, App: j.App, Tenant: j.Tenant, TaskIDs: ids, Staging: true,
 		Provider: string(itype.Provider), Instance: itype.Name,
@@ -416,14 +438,19 @@ func (b *Broker) admit(req JobRequest) (_ *Job, _ []classiccloud.Task, err error
 }
 
 // stage is Submit's steps 5 and 6 on a started job: inputs and task
-// messages a batch at a time, then EvStaged. It stops at the first batch
-// boundary after a Close (which has aborted the job) or a Halt (whose
-// journal must stay as a crash leaves it) and reports ErrClosed, and it
-// withdraws the job when a batch or the EvStaged write fails.
-func (b *Broker) stage(j *Job, tasks []classiccloud.Task, files map[string][]byte) error {
+// messages a batch at a time, each batch's files taken from next, then
+// EvStaged. It stops at the first batch boundary after a Close (which has
+// aborted the job) or a Halt (whose journal must stay as a crash leaves
+// it) and reports ErrClosed, and it withdraws the job when next, a batch
+// or the EvStaged write fails.
+func (b *Broker) stage(j *Job, tasks []classiccloud.Task, next func([]classiccloud.Task) (map[string][]byte, error)) error {
 	for start := 0; start < len(tasks); start += queue.MaxBatch {
 		batch := tasks[start:min(start+queue.MaxBatch, len(tasks))]
-		if err := j.cc.SubmitBatch(batch, files); err != nil {
+		files, err := next(batch)
+		if err == nil {
+			err = j.cc.SubmitBatch(batch, files)
+		}
+		if err != nil {
 			return b.withdraw(j, err)
 		}
 		j.mu.Lock()

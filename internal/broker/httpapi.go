@@ -1,23 +1,28 @@
 package broker
 
 import (
-	"bytes"
+	"bufio"
+	"cmp"
 	"encoding/binary"
 	"encoding/json"
 	"errors"
 	"fmt"
 	"io"
+	"net"
 	"net/http"
+	"slices"
 	"strings"
+	"sync"
 	"time"
 
+	"repro/internal/classiccloud"
 	"repro/internal/codec"
 	"repro/internal/httpx"
 )
 
 // HTTPHandler exposes a Broker through a REST interface:
 //
-//	POST /jobs                     submit a job (length-framed body, see encodeJobRequest)
+//	POST /jobs                     submit a job (length-framed body, see jobBody)
 //	GET  /jobs                     list job statuses
 //	GET  /jobs/{id}                one job's status
 //	GET  /jobs/{id}/events         scaling event log
@@ -28,6 +33,14 @@ import (
 //	POST /jobs/{id}/preempt        kill one instance (spot reclaim)
 //	GET  /fleet                    broker-wide fleet size
 //	GET  /tenants                  per-tenant fleet/billing attribution
+//
+// A POST /jobs body is decoded as it arrives, never held whole: the job
+// is admitted once the manifest is in, each batch is staged as soon as
+// its files are, and the 201 follows the last. A submission refused for
+// its content is a 400 (a job admitted before the damage arrived is
+// withdrawn with all it made), a body over maxJobRequestBytes a 413, one
+// to a closed broker a 503, and one that failed on the broker's own
+// queue, blob store or journal a 500.
 type HTTPHandler struct {
 	Broker *Broker
 }
@@ -43,21 +56,28 @@ type wireJobRequest struct {
 	InjectCrashes  int              `json:"inject_crashes,omitempty"`
 }
 
-// maxJobRequestBytes bounds a POST /jobs body: the handler holds the
-// whole submission in memory while Broker.Submit stages it.
+// maxJobRequestBytes bounds a POST /jobs body. The handler never holds
+// the body whole: it holds the header (options, shared data, manifest)
+// and the file data of one batch at a time (bodyDecoder).
 const maxJobRequestBytes = 256 << 20
 
-// encodeJobRequest renders the POST /jobs body, internal/codec fields in
-// this order:
+// jobBody renders the POST /jobs body, internal/codec fields in this
+// order:
 //
 //	bytes    the options, a JSON wireJobRequest (a few hundred bytes)
-//	uvarint  file count, then per file: bytes name, bytes data
 //	uvarint  shared-data count, then per item: bytes name, bytes data
+//	uvarint  file count, then per file: bytes name — the manifest, its
+//	         names strictly increasing
+//	bytes    per file, in manifest order: its data
 //
-// File bytes travel as they are — no base64, no escaping — and the
-// buffer is sized once, to an upper bound known from the lengths, so
-// encoding is one copy of the inputs.
-func encodeJobRequest(req JobRequest) ([]byte, error) {
+// Shared data comes first because the broker builds the job's executor
+// from it, and the manifest before any file because it is the job's task
+// set: once both have arrived the broker admits the job, and its workers
+// start on the first batch while later files are still on the way. The
+// body is the encoded header and length prefixes interleaved with the
+// caller's own data slices, so no file byte is copied to encode it; size
+// is its length.
+func jobBody(req JobRequest) (body net.Buffers, size int64, err error) {
 	wreq := wireJobRequest{
 		App:           req.App,
 		Tenant:        req.Tenant,
@@ -69,101 +89,290 @@ func encodeJobRequest(req JobRequest) ([]byte, error) {
 	}
 	opts, err := json.Marshal(wreq)
 	if err != nil {
-		return nil, err
+		return nil, 0, err
 	}
-	sets := [2]map[string][]byte{req.Files, req.Shared}
-	size := len(opts) + 3*binary.MaxVarintLen64 // every length prefix at its longest
-	for _, set := range sets {
-		for name, data := range set {
-			size += len(name) + len(data) + 2*binary.MaxVarintLen64
-		}
+	names := taskIDs(req.Files)
+
+	// e holds every byte of the body but the data fields; each data field
+	// is cut in after the length prefix that ends at its mark.
+	var e codec.Enc
+	type cut struct {
+		mark int
+		data []byte
 	}
-	e := codec.Enc{B: make([]byte, 0, size)}
+	cuts := make([]cut, 0, len(req.Shared)+len(names))
+	data := func(p []byte) {
+		e.U64(uint64(len(p)))
+		cuts = append(cuts, cut{len(e.B), p})
+	}
 	e.Bytes(opts)
-	for _, set := range sets {
-		e.U64(uint64(len(set)))
-		for name, data := range set {
-			e.Str(name)
-			e.Bytes(data)
-		}
+	e.U64(uint64(len(req.Shared)))
+	for name, p := range req.Shared {
+		e.Str(name)
+		data(p)
 	}
-	return e.B, nil
+	e.U64(uint64(len(names)))
+	for _, name := range names {
+		e.Str(name)
+	}
+	for _, name := range names {
+		data(req.Files[name])
+	}
+	body = make(net.Buffers, 0, 2*len(cuts)+1)
+	size = int64(len(e.B))
+	from := 0
+	for _, c := range cuts {
+		body = append(body, e.B[from:c.mark], c.data)
+		size += int64(len(c.data))
+		from = c.mark
+	}
+	return append(body, e.B[from:]), size, nil
 }
 
-// decodeJobRequest parses a POST /jobs body. The body is outside input:
-// every length is read by codec.Dec, which refuses one larger than the
-// bytes that remain, and nothing is sized from a declared count. A
-// truncated field, bytes after the last one and a name that appears
-// twice in a set are all framing errors. File data in the result
-// aliases body.
-func decodeJobRequest(body []byte) (JobRequest, error) {
-	d := codec.Dec{B: body}
-	opts := d.Bytes()
-	files := decodeFileSet(&d)
-	shared := decodeFileSet(&d)
-	if d.Err == nil && len(d.B) > 0 {
-		d.Fail() // bytes after the last field
+// bodyDecoder reads a POST /jobs body (jobBody) field by field as it
+// arrives. The body is outside input, and nothing is sized from a
+// declared length or count: a count only bounds a loop, and a length
+// buys memory as the bytes behind it arrive (fill). A truncated field,
+// bytes after the last one, a shared name that appears twice and a
+// manifest whose names do not strictly increase are all framing errors.
+// Like codec.Dec it latches its first error in err, and every later read
+// returns zero values.
+type bodyDecoder struct {
+	r       *bufio.Reader
+	arrived int64 // body bytes read off the connection so far
+	err     error
+	left    int // manifest files whose data is still to be read
+	name    []byte
+	files   map[string][]byte // the batch last read; its data is in bufs
+	bufs    [][]byte          // file data by position in a batch, reused
+}
+
+// lead is how far a declared length may run ahead of the bytes that have
+// arrived when fill sizes a buffer for it: enough that a file of up to a
+// mebibyte is read into one array, not a chain of doublings.
+const lead = 1 << 20
+
+// decoders recycles bodyDecoders between submissions, and with them a
+// batch's worth of file buffers: nothing keeps a batch's data once it is
+// staged (blob.Put copies), so the next body is read into the same
+// arrays. release drops a buffer above lead, so the pool holds at most
+// a few mebibytes per decoder.
+var decoders = sync.Pool{New: func() any {
+	return &bodyDecoder{r: bufio.NewReaderSize(nil, 64<<10), files: make(map[string][]byte)}
+}}
+
+// arrivals counts the body bytes read off the connection.
+type arrivals struct {
+	r io.Reader
+	n *int64
+}
+
+func (a arrivals) Read(p []byte) (int, error) {
+	n, err := a.r.Read(p)
+	*a.n += int64(n)
+	return n, err
+}
+
+func newBodyDecoder(r io.Reader) *bodyDecoder {
+	d := decoders.Get().(*bodyDecoder)
+	d.arrived, d.err, d.left = 0, nil, 0
+	d.r.Reset(arrivals{r, &d.arrived})
+	return d
+}
+
+func (d *bodyDecoder) release() {
+	d.r.Reset(nil)
+	clear(d.files)
+	for i, buf := range d.bufs {
+		if cap(buf) > lead {
+			d.bufs[i] = nil
+		}
 	}
-	if d.Err != nil {
-		return JobRequest{}, fmt.Errorf("framing: %w", d.Err)
+	if cap(d.name) > lead {
+		d.name = nil
+	}
+	decoders.Put(d)
+}
+
+// fail latches err, marked as the request's fault. A body that ends
+// inside a field is a framing error like any other.
+func (d *bodyDecoder) fail(err error) {
+	if d.err != nil {
+		return
+	}
+	if errors.Is(err, io.EOF) || errors.Is(err, io.ErrUnexpectedEOF) || errors.Is(err, codec.ErrCorrupt) {
+		err = fmt.Errorf("framing: %w", codec.ErrCorrupt)
+	}
+	d.err = badRequest{fmt.Errorf("broker: bad request: %w", err)}
+}
+
+func (d *bodyDecoder) u64() uint64 {
+	if d.err != nil {
+		return 0
+	}
+	v, err := binary.ReadUvarint(d.r)
+	if err != nil {
+		d.fail(err)
+	}
+	return v
+}
+
+// count reads a collection count.
+func (d *bodyDecoder) count() int {
+	n := d.u64()
+	if n > maxJobRequestBytes { // each element takes at least a byte
+		d.tooLong()
+		return 0
+	}
+	return int(n)
+}
+
+// tooLong fails a count or length that no accepted body has room for.
+// Reading on, without keeping anything, tells whether the body is indeed
+// too large (413) or ends first, a framing error (400).
+func (d *bodyDecoder) tooLong() {
+	_, err := io.Copy(io.Discard, d.r)
+	d.fail(cmp.Or(err, codec.ErrCorrupt))
+}
+
+// fill reads the next bytes field into buf's array when it is big enough.
+// Otherwise it grows a new one as the field arrives, never to more than
+// twice what buf held or lead past the bytes the body has delivered,
+// so a declared length cannot buy memory the client has not sent. A new
+// array gets a thirty-second to spare, for a slightly larger file in the
+// same batch position next time.
+func (d *bodyDecoder) fill(buf []byte) []byte {
+	size := d.u64()
+	if size > maxJobRequestBytes {
+		d.tooLong()
+	}
+	if d.err != nil {
+		return nil
+	}
+	n := int(size)
+	if n <= cap(buf) {
+		d.read(buf[:n])
+		return buf[:n]
+	}
+	buf = buf[:0]
+	for len(buf) < n && d.err == nil {
+		if len(buf) == cap(buf) {
+			grown := min(n+n/32, max(2*cap(buf), int(d.arrived)+lead))
+			buf = append(make([]byte, 0, grown), buf...)
+		}
+		m := min(n, cap(buf))
+		d.read(buf[len(buf):m])
+		buf = buf[:m]
+	}
+	return buf
+}
+
+func (d *bodyDecoder) read(p []byte) {
+	if _, err := io.ReadFull(d.r, p); err != nil {
+		d.fail(err)
+	}
+}
+
+func (d *bodyDecoder) str() string {
+	d.name = d.fill(d.name)
+	return string(d.name)
+}
+
+// end requires the body to end here.
+func (d *bodyDecoder) end() {
+	if d.err != nil {
+		return
+	}
+	switch _, err := d.r.ReadByte(); err {
+	case io.EOF:
+	case nil:
+		d.fail(codec.ErrCorrupt) // bytes after the last field
+	default:
+		d.fail(err)
+	}
+}
+
+// header reads the options, the shared data and the manifest: the job
+// request without its files, and its task IDs. A body without files
+// ends there.
+func (d *bodyDecoder) header() (JobRequest, []string, error) {
+	opts := d.fill(nil)
+	var req JobRequest
+	for n := d.count(); n > 0 && d.err == nil; n-- {
+		name, data := d.str(), d.fill(nil)
+		if _, dup := req.Shared[name]; dup {
+			d.fail(codec.ErrCorrupt)
+		}
+		if req.Shared == nil {
+			req.Shared = make(map[string][]byte)
+		}
+		req.Shared[name] = data
+	}
+	var ids []string
+	for n := d.count(); n > 0 && d.err == nil; n-- {
+		name := d.str()
+		if len(ids) > 0 && name <= ids[len(ids)-1] {
+			d.fail(codec.ErrCorrupt)
+		}
+		ids = append(ids, name)
+	}
+	if d.left = len(ids); d.left == 0 {
+		d.end()
+	}
+	if d.err != nil {
+		return JobRequest{}, nil, d.err
 	}
 	var wreq wireJobRequest
 	if err := json.Unmarshal(opts, &wreq); err != nil {
-		return JobRequest{}, fmt.Errorf("options: %w", err)
+		d.fail(fmt.Errorf("options: %w", err))
+		return JobRequest{}, nil, d.err
 	}
-	req := JobRequest{
-		App:           wreq.App,
-		Tenant:        wreq.Tenant,
-		Files:         files,
-		Shared:        shared,
-		Autoscale:     wreq.Autoscale,
-		InjectCrashes: wreq.InjectCrashes,
-	}
+	req.App, req.Tenant = wreq.App, wreq.Tenant
+	req.Autoscale, req.InjectCrashes = wreq.Autoscale, wreq.InjectCrashes
 	if wreq.TargetMakespan != "" {
-		d, err := time.ParseDuration(wreq.TargetMakespan)
+		t, err := time.ParseDuration(wreq.TargetMakespan)
 		if err != nil {
-			return JobRequest{}, fmt.Errorf("target_makespan: %w", err)
+			d.fail(fmt.Errorf("target_makespan: %w", err))
+			return JobRequest{}, nil, d.err
 		}
-		req.TargetMakespan = d
+		req.TargetMakespan = t
 	}
-	return req, nil
+	return req, ids, nil
 }
 
-// decodeFileSet reads one counted name → data set (nil when empty).
-func decodeFileSet(d *codec.Dec) map[string][]byte {
-	var set map[string][]byte
-	for n := d.Len(); n > 0 && d.Err == nil; n-- {
-		name, data := d.Str(), d.Bytes()
-		if _, dup := set[name]; dup {
-			d.Fail()
+// batch reads the data of the batch's files, the next manifest names in
+// order, into arrays it reuses from batch to batch: the map and the data
+// it returns are valid until the next call. After the manifest's last
+// file it requires the body to end, so a body that is malformed anywhere
+// fails before its last batch is staged.
+func (d *bodyDecoder) batch(tasks []classiccloud.Task) (map[string][]byte, error) {
+	clear(d.files)
+	for i, t := range tasks {
+		if i == len(d.bufs) {
+			d.bufs = append(d.bufs, nil)
 		}
-		if set == nil {
-			set = make(map[string][]byte)
-		}
-		set[name] = data
+		d.bufs[i] = d.fill(d.bufs[i])
+		d.files[t.ID] = d.bufs[i]
 	}
-	return set
+	if d.left -= len(tasks); d.left == 0 {
+		d.end()
+	}
+	return d.files, d.err
 }
 
-// readBody reads r to its end into one slice. Memory is only ever sized
-// from bytes that have arrived, never from Content-Length: chunks double
-// as they fill, and the result is one copy of them into a slice of the
-// size they add up to (io.ReadAll and bytes.Buffer re-copy and re-clear
-// everything read so far at every doubling, a third of a 10 MB
-// submission's time).
-func readBody(r io.Reader) ([]byte, error) {
-	var chunks [][]byte
-	for size := 64 << 10; ; size *= 2 {
-		chunk := make([]byte, size)
-		n, err := io.ReadFull(r, chunk)
-		chunks = append(chunks, chunk[:n])
-		switch err {
-		case nil:
-		case io.EOF, io.ErrUnexpectedEOF:
-			return bytes.Join(chunks, nil), nil
-		default:
-			return nil, err
-		}
+// submitStatus is the HTTP status of a failed POST /jobs.
+func submitStatus(err error) int {
+	var tooLarge *http.MaxBytesError
+	var bad badRequest
+	switch {
+	case errors.As(err, &tooLarge):
+		return http.StatusRequestEntityTooLarge
+	case errors.As(err, &bad):
+		return http.StatusBadRequest
+	case errors.Is(err, ErrClosed):
+		return http.StatusServiceUnavailable
+	default:
+		return http.StatusInternalServerError
 	}
 }
 
@@ -210,30 +419,17 @@ func (h *HTTPHandler) serveTenants(w http.ResponseWriter, r *http.Request) {
 func (h *HTTPHandler) serveJobs(w http.ResponseWriter, r *http.Request) {
 	switch r.Method {
 	case http.MethodPost:
-		// The request's file data aliases body; Submit copies what it
-		// keeps (blob.Put), so nothing outlives the request.
-		body, err := readBody(http.MaxBytesReader(w, r.Body, maxJobRequestBytes))
-		if err != nil {
-			status := http.StatusBadRequest
-			var tooLarge *http.MaxBytesError
-			if errors.As(err, &tooLarge) {
-				status = http.StatusRequestEntityTooLarge
-			}
-			http.Error(w, "broker: bad request: "+err.Error(), status)
-			return
+		// The job is admitted once the body's header has arrived, and each
+		// batch staged as soon as its files have.
+		d := newBodyDecoder(http.MaxBytesReader(w, r.Body, maxJobRequestBytes))
+		defer d.release()
+		req, ids, err := d.header()
+		var j *Job
+		if err == nil {
+			j, err = h.Broker.submit(req, ids, d.batch)
 		}
-		req, err := decodeJobRequest(body)
 		if err != nil {
-			http.Error(w, "broker: bad request: "+err.Error(), http.StatusBadRequest)
-			return
-		}
-		j, err := h.Broker.Submit(req)
-		if err != nil {
-			status := http.StatusBadRequest
-			if errors.Is(err, ErrClosed) {
-				status = http.StatusServiceUnavailable
-			}
-			http.Error(w, err.Error(), status)
+			http.Error(w, err.Error(), submitStatus(err))
 			return
 		}
 		w.WriteHeader(http.StatusCreated)
@@ -314,11 +510,24 @@ func (c *HTTPClient) httpClient() *http.Client {
 
 // Submit posts a job and returns its initial status.
 func (c *HTTPClient) Submit(req JobRequest) (Status, error) {
-	body, err := encodeJobRequest(req)
+	body, size, err := jobBody(req)
 	if err != nil {
 		return Status{}, err
 	}
-	resp, err := c.httpClient().Post(c.BaseURL+"/jobs", "application/octet-stream", bytes.NewReader(body))
+	hreq, err := http.NewRequest(http.MethodPost, c.BaseURL+"/jobs", nil)
+	if err != nil {
+		return Status{}, err
+	}
+	hreq.Header.Set("Content-Type", "application/octet-stream")
+	hreq.ContentLength = size
+	// A fresh reader over the same slices each time, so the transport can
+	// resend the body on a new connection.
+	hreq.GetBody = func() (io.ReadCloser, error) {
+		bufs := slices.Clone(body)
+		return io.NopCloser(&bufs), nil
+	}
+	hreq.Body, _ = hreq.GetBody()
+	resp, err := c.httpClient().Do(hreq)
 	if err != nil {
 		return Status{}, err
 	}

@@ -4,14 +4,19 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
+	"io"
 	"net/http"
 	"net/http/httptest"
 	"reflect"
+	"runtime"
 	"strings"
 	"testing"
 	"time"
 
+	"repro/internal/blob"
+	"repro/internal/classiccloud"
 	"repro/internal/codec"
+	"repro/internal/queue"
 )
 
 // ---------------------------------------------------------------------------
@@ -47,9 +52,12 @@ func TestHTTPUnknownJobAllSubresources(t *testing.T) {
 
 // The POST /jobs body is outside input. One well-formed submission is
 // accepted; every way of damaging it is a 400 that says "bad request",
-// never a panic, a hang or a job.
+// never a panic, a hang or a job. The damage past the manifest is found
+// after the job was admitted and its first batch staged, and the job
+// must go with everything it made.
 func TestHTTPMalformedSubmit(t *testing.T) {
-	b := New(Config{Env: testEnv(), TickInterval: 5 * time.Millisecond})
+	env := testEnv()
+	b := New(Config{Env: env, TickInterval: 5 * time.Millisecond})
 	t.Cleanup(b.Close)
 	h := &HTTPHandler{Broker: b}
 	post := func(body []byte) *httptest.ResponseRecorder {
@@ -60,40 +68,54 @@ func TestHTTPMalformedSubmit(t *testing.T) {
 	// body frames a submission by hand, so that a case can lie about any
 	// field.
 	type set = [][2]string
-	body := func(opts string, files, shared set) []byte {
+	body := func(opts string, shared, files set) []byte {
 		var e codec.Enc
 		e.Str(opts)
-		for _, s := range []set{files, shared} {
-			e.U64(uint64(len(s)))
-			for _, kv := range s {
-				e.Str(kv[0])
-				e.Str(kv[1])
-			}
+		e.U64(uint64(len(shared)))
+		for _, kv := range shared {
+			e.Str(kv[0])
+			e.Str(kv[1])
+		}
+		e.U64(uint64(len(files)))
+		for _, kv := range files {
+			e.Str(kv[0])
+		}
+		for _, kv := range files {
+			e.Str(kv[1])
 		}
 		return e.B
 	}
 	const opts = `{"app":"cap3","tenant":"t","target_makespan":"1h"}`
-	files := set{{"a.fsa", ">r\nACGT\n"}, {"b.fsa", ">r\nTTGA\n"}}
-	good := body(opts, files, set{{"db", "x"}})
+	var files set // twelve files: two batches
+	for i := range 12 {
+		files = append(files, [2]string{fmt.Sprintf("f%02d.fsa", i), ">r\nACGT\n"})
+	}
+	good := body(opts, set{{"db", "x"}}, files)
 	if rec := post(good); rec.Code != http.StatusCreated {
 		t.Fatalf("well-formed submit = %d %s, want 201", rec.Code, rec.Body)
 	}
+	header := len(good) - 12*len(">r\nACGT\n") - 12 // up to the first file's data
 
 	bomb := func(prefix []byte) []byte { // a length of 2^62 with nothing behind it
 		return append(prefix, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0x3f)
 	}
+	noFiles := body(opts, nil, nil)
 	cases := map[string][]byte{
 		"empty body":                nil,
 		"trailing garbage":          append(append([]byte(nil), good...), 'x'),
 		"options length bomb":       bomb(nil),
-		"file count bomb":           bomb(body(opts, nil, nil)[:len(opts)+1]),
-		"file data length bomb":     bomb(append(body(opts, nil, nil)[:len(opts)+1], 1, 1, 'a')),
-		"bad options JSON":          body(`{"app": "cap3", NOT-JSON`, files, nil),
-		"options not an object":     body(`[]`, files, nil),
-		"bad target_makespan":       body(`{"app":"cap3","target_makespan":"soon"}`, files, nil),
-		"repeated file name":        body(opts, set{{"a", "1"}, {"b", "2"}, {"a", "3"}}, nil),
-		"repeated shared name":      body(opts, files, set{{"db", "1"}, {"db", "2"}}),
-		"no files":                  body(opts, nil, set{{"db", "x"}}),
+		"shared count bomb":         bomb(noFiles[:len(opts)+1]),
+		"file count bomb":           bomb(noFiles[:len(opts)+2]),
+		"file data length bomb":     bomb(append(noFiles[:len(opts)+2:len(opts)+2], 1, 1, 'a')),
+		"bad options JSON":          body(`{"app": "cap3", NOT-JSON`, nil, files),
+		"options not an object":     body(`[]`, nil, files),
+		"bad target_makespan":       body(`{"app":"cap3","target_makespan":"soon"}`, nil, files),
+		"repeated file name":        body(opts, nil, set{{"a", "1"}, {"b", "2"}, {"b", "3"}}),
+		"file names out of order":   body(opts, nil, set{{"a", "1"}, {"c", "2"}, {"b", "3"}}),
+		"repeated shared name":      body(opts, set{{"db", "1"}, {"db", "2"}}, files),
+		"no files":                  noFiles,
+		"cut after the manifest":    good[:header],
+		"cut inside the last file":  good[:len(good)-3],
 		"the JSON body of old":      []byte(`{"app":"cap3","files":{"a":"eA=="}}`),
 		"the JSON body of old, big": []byte(`{"app":"cap3","files":{"a":"` + strings.Repeat("eA==", 64) + `"}}`),
 	}
@@ -112,6 +134,121 @@ func TestHTTPMalformedSubmit(t *testing.T) {
 	if n := len(b.Jobs()); n != 1 {
 		t.Errorf("%d jobs registered, want the well-formed one only", n)
 	}
+	if b.nextID < 2 {
+		t.Fatal("no damaged submission was admitted: the cuts past the manifest test nothing")
+	}
+	onlyJobLeft(t, b, env, "job-0001")
+}
+
+// onlyJobLeft fails t if env holds a queue, bucket or journal object of
+// a job of b's other than keep.
+func onlyJobLeft(t *testing.T, b *Broker, env classiccloud.Env, keep string) {
+	t.Helper()
+	for _, q := range env.Queue.ListQueues() {
+		if !strings.HasPrefix(q, keep+"/") {
+			t.Errorf("queue %s left behind", q)
+		}
+	}
+	keys, err := env.Blob.List(b.cfg.JournalBucket, "")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, k := range keys {
+		if !strings.Contains(k, keep) {
+			t.Errorf("journal bucket object %s left behind", k)
+		}
+	}
+	for n := 1; n <= b.nextID; n++ {
+		cfg := b.newJob(fmt.Sprintf("job-%04d", n)).ccCfg
+		if cfg.JobName == keep {
+			continue
+		}
+		for _, bucket := range []string{cfg.InputBucket(), cfg.OutputBucket()} {
+			if _, err := env.Blob.List(bucket, ""); !errors.Is(err, blob.ErrNoSuchBucket) {
+				t.Errorf("bucket %s left behind (List error %v)", bucket, err)
+			}
+		}
+	}
+}
+
+// A body that declares a file far larger than what it sends buys memory
+// for the bytes that arrived, not for the length it declared.
+func TestSubmitBodyAllocatesWhatArrives(t *testing.T) {
+	b := New(Config{Env: testEnv(), TickInterval: 5 * time.Millisecond, Registry: inertRegistry()})
+	t.Cleanup(b.Close)
+	var e codec.Enc
+	e.Str(`{"app":"inert"}`)
+	e.U64(0) // no shared data
+	e.U64(1) // one file…
+	e.Str("big")
+	e.U64(200 << 20) // …of 200 MB, of which ten bytes follow
+	e.B = append(e.B, "0123456789"...)
+	h := &HTTPHandler{Broker: b}
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	rec := httptest.NewRecorder()
+	h.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/jobs", bytes.NewReader(e.B)))
+	runtime.ReadMemStats(&after)
+	if rec.Code != http.StatusBadRequest {
+		t.Errorf("truncated 200 MB file = %d %s, want 400", rec.Code, rec.Body)
+	}
+	if grew := after.TotalAlloc - before.TotalAlloc; grew >= 8<<20 {
+		t.Errorf("a 200 MB declaration with 10 bytes behind it allocated %d bytes", grew)
+	}
+}
+
+// A body over maxJobRequestBytes is a 413, found by reading it, not by
+// holding it: here one file, declared and sent at 300 MB, after the job
+// was admitted, which then goes.
+func TestHTTPSubmitTooLarge(t *testing.T) {
+	b := New(Config{Env: testEnv(), TickInterval: 5 * time.Millisecond, Registry: inertRegistry()})
+	t.Cleanup(b.Close)
+	var e codec.Enc
+	e.Str(`{"app":"inert"}`)
+	e.U64(0) // no shared data
+	e.U64(1) // one file
+	e.Str("big")
+	e.U64(300 << 20)
+	body := io.MultiReader(bytes.NewReader(e.B), io.LimitReader(zeros{}, 300<<20))
+	rec := httptest.NewRecorder()
+	(&HTTPHandler{Broker: b}).ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/jobs", body))
+	if rec.Code != http.StatusRequestEntityTooLarge {
+		t.Errorf("300 MB body = %d %s, want 413", rec.Code, rec.Body)
+	}
+	if n := len(b.Jobs()); n != 0 {
+		t.Errorf("%d jobs registered after a body that was too large", n)
+	}
+}
+
+type zeros struct{}
+
+func (zeros) Read(p []byte) (int, error) {
+	clear(p)
+	return len(p), nil
+}
+
+// A submission that fails on the broker's own queue is the broker's
+// fault, not the client's: a 500, where a request the broker cannot run
+// stays a 400.
+func TestHTTPSubmitBrokerFaultIs500(t *testing.T) {
+	env := testEnv()
+	env.Queue = &faultyQueue{API: env.Queue, failSendAt: 1}
+	b := New(Config{Env: env, TickInterval: 5 * time.Millisecond, Registry: inertRegistry()})
+	t.Cleanup(b.Close)
+	srv := httptest.NewServer(&HTTPHandler{Broker: b})
+	t.Cleanup(srv.Close)
+	client := &HTTPClient{BaseURL: srv.URL}
+	_, err := client.Submit(JobRequest{App: "inert", Files: numberedFiles(3)})
+	if err == nil || !strings.Contains(err.Error(), "500") || !strings.Contains(err.Error(), errInjected.Error()) {
+		t.Errorf("queue outage during staging: %v, want a 500 naming the fault", err)
+	}
+	_, err = client.Submit(JobRequest{App: "nope", Files: numberedFiles(3)})
+	if err == nil || !strings.Contains(err.Error(), "400") {
+		t.Errorf("unknown app: %v, want 400", err)
+	}
+	if n := len(b.Jobs()); n != 0 {
+		t.Errorf("%d jobs registered after failed submissions", n)
+	}
 }
 
 // ScaleUpStep and ScaleUpCooldown are no longer fields of the policy: a
@@ -119,9 +256,9 @@ func TestHTTPMalformedSubmit(t *testing.T) {
 func TestSubmittedAutoscaleIgnoresRetiredKeys(t *testing.T) {
 	e := codec.Enc{}
 	e.Bytes([]byte(`{"app":"cap3","autoscale":{"MaxInstances":4,"ScaleUpStep":9,"ScaleUpCooldown":1000000000}}`))
-	e.U64(0) // no files
 	e.U64(0) // no shared data
-	req, err := decodeJobRequest(e.B)
+	e.U64(0) // no files
+	req, _, err := newBodyDecoder(bytes.NewReader(e.B)).header()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -130,11 +267,49 @@ func TestSubmittedAutoscaleIgnoresRetiredKeys(t *testing.T) {
 	}
 }
 
-// decodeJobRequest on arbitrary bytes: it returns an error or a request,
-// it never panics, what it returns cannot be bigger than what it was
-// given (no set holds more names than the input has bytes for: nothing
-// is sized from a declared count), and a request that decoded survives
-// the encoder and back.
+// decodeBody decodes a whole POST /jobs body as the handler does, the
+// header and then a batch at a time, keeping a copy of each file.
+func decodeBody(body []byte) (JobRequest, error) {
+	d := newBodyDecoder(bytes.NewReader(body))
+	req, ids, err := d.header()
+	if err != nil {
+		return JobRequest{}, err
+	}
+	tasks := classiccloud.Config{}.TasksFromIDs(ids)
+	for start := 0; start < len(tasks); start += queue.MaxBatch {
+		files, err := d.batch(tasks[start:min(start+queue.MaxBatch, len(tasks))])
+		if err != nil {
+			return JobRequest{}, err
+		}
+		if req.Files == nil {
+			req.Files = make(map[string][]byte)
+		}
+		for name, data := range files {
+			req.Files[name] = bytes.Clone(data)
+		}
+	}
+	return req, nil
+}
+
+// encodeBody is the POST /jobs body HTTPClient.Submit sends, in one
+// slice.
+func encodeBody(t testing.TB, req JobRequest) []byte {
+	body, size, err := jobBody(req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	flat := bytes.Join(body, nil)
+	if int64(len(flat)) != size {
+		t.Fatalf("body of %d bytes declared as %d", len(flat), size)
+	}
+	return flat
+}
+
+// The streaming decoder on arbitrary bytes: it returns an error or a
+// request, it never panics, what it returns cannot be bigger than what
+// it was given (no set holds more names than the input has bytes for:
+// nothing is sized from a declared count), and a request that decoded
+// survives the encoder and back.
 func FuzzDecodeJobRequest(f *testing.F) {
 	for _, req := range []JobRequest{
 		{},
@@ -144,28 +319,21 @@ func FuzzDecodeJobRequest(f *testing.F) {
 			Files:     map[string][]byte{"q1": {0, 1, 2}, "q2": nil},
 			Shared:    map[string][]byte{"db": []byte("x")}},
 	} {
-		body, err := encodeJobRequest(req)
-		if err != nil {
-			f.Fatal(err)
-		}
+		body := encodeBody(f, req)
 		f.Add(body)
 		f.Add(body[:len(body)/2])
 	}
 	f.Add([]byte{0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0x01})
 	f.Add([]byte(`{"app":"cap3","files":{"a":"eA=="}}`))
 	f.Fuzz(func(t *testing.T, data []byte) {
-		req, err := decodeJobRequest(data)
+		req, err := decodeBody(data)
 		if err != nil {
 			return // malformed input must only error, which it did
 		}
 		if names := len(req.Files) + len(req.Shared); 2*names > len(data) {
 			t.Fatalf("%d names decoded from %d bytes", names, len(data))
 		}
-		body, err := encodeJobRequest(req)
-		if err != nil {
-			t.Fatalf("re-encoding a decoded request: %v", err)
-		}
-		again, err := decodeJobRequest(body)
+		again, err := decodeBody(encodeBody(t, req))
 		if err != nil {
 			t.Fatalf("re-decoding a re-encoded request: %v", err)
 		}
@@ -175,13 +343,20 @@ func FuzzDecodeJobRequest(f *testing.F) {
 	})
 }
 
+// A closed broker refuses a submission as soon as its header has
+// arrived; a client still sending megabytes of files over a real
+// connection must be told 503, not see a broken pipe.
 func TestHTTPSubmitAfterClose(t *testing.T) {
 	b := New(Config{Env: testEnv(), TickInterval: 5 * time.Millisecond})
 	srv := httptest.NewServer(&HTTPHandler{Broker: b})
 	t.Cleanup(srv.Close)
 	client := &HTTPClient{BaseURL: srv.URL}
 	b.Close()
-	_, err := client.Submit(JobRequest{App: "cap3", Files: map[string][]byte{"a": []byte("x")}})
+	files := make(map[string][]byte, 64)
+	for i := range 64 {
+		files[fmt.Sprintf("f%02d", i)] = bytes.Repeat([]byte{byte(i)}, 128<<10)
+	}
+	_, err := client.Submit(JobRequest{App: "cap3", Files: files})
 	if err == nil {
 		t.Fatal("submit after Close succeeded")
 	}
@@ -258,19 +433,5 @@ func TestHTTPJournalAndTenantsEndpoints(t *testing.T) {
 	}
 	if tenants[0].Done != final.Done || tenants[0].HourUnits < 1 {
 		t.Errorf("alice attribution = %+v, want done=%d hour units ≥ 1", tenants[0], final.Done)
-	}
-}
-
-// The encoder sizes its buffer once: what it returns never outgrew the
-// bound it allocated (a regrown slice would have spare capacity far
-// beyond the length prefixes' slack).
-func TestEncodeJobRequestSizesItsBufferOnce(t *testing.T) {
-	files := numberedFiles(300)
-	body, err := encodeJobRequest(JobRequest{App: "cap3", Files: files, Shared: map[string][]byte{"db": make([]byte, 1<<16)}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if slack, bound := cap(body)-len(body), 10*(2*(len(files)+1)+3); slack > bound {
-		t.Errorf("%d-byte body in a %d-byte buffer: it was regrown", len(body), cap(body))
 	}
 }

@@ -1,7 +1,11 @@
 package broker
 
 import (
+	"bytes"
 	"errors"
+	"io"
+	"net/http"
+	"net/http/httptest"
 	"strings"
 	"sync/atomic"
 	"testing"
@@ -85,6 +89,82 @@ func TestJobStartsOnItsFirstStagedBatch(t *testing.T) {
 	}
 	if n := countEvents(t, j, EvStaged); n != 1 {
 		t.Errorf("%d staged events journaled, want 1", n)
+	}
+}
+
+// POST /jobs is staged as it arrives: with the body's sender stopped
+// after the first batch's files, a task executes, and once the rest is
+// written the submission is answered 201 and the job completes.
+func TestSubmitStagesBeforeBodyEnds(t *testing.T) {
+	executed := make(chan struct{}, 1)
+	b := New(Config{
+		Env:          testEnv(),
+		TickInterval: 5 * time.Millisecond,
+		Autoscale:    AutoscalePolicy{MinInstances: 1, MaxInstances: 1},
+		Registry: map[string]ExecutorFactory{
+			"echo": func(map[string][]byte) (classiccloud.Executor, error) {
+				return classiccloud.FuncExecutor{AppName: "echo", Fn: func(_ classiccloud.Task, in []byte) ([]byte, error) {
+					select {
+					case executed <- struct{}{}:
+					default:
+					}
+					return in, nil
+				}}, nil
+			},
+		},
+	})
+	t.Cleanup(b.Close)
+	files := make(map[string][]byte, 25) // each file's own bytes, so a reused buffer shows
+	for name := range numberedFiles(25) {
+		files[name] = []byte(strings.Repeat(name, 3))
+	}
+	body, _, err := jobBody(JobRequest{App: "echo", Files: files})
+	if err != nil {
+		t.Fatal(err)
+	}
+	flat := bytes.Join(body, nil)
+	// The header, then a length prefix and the data of each file: the
+	// first batch ends after its last file's data, part 2·MaxBatch−1.
+	firstBatch := len(bytes.Join(body[:2*queue.MaxBatch], nil))
+	pr, pw := io.Pipe()
+	ranFirst := make(chan bool, 1)
+	go func() {
+		_, _ = pw.Write(flat[:firstBatch])
+		select {
+		case <-executed:
+			ranFirst <- true
+		case <-time.After(10 * time.Second):
+			ranFirst <- false
+		}
+		_, _ = pw.Write(flat[firstBatch:])
+		pw.Close()
+	}()
+	rec := httptest.NewRecorder()
+	(&HTTPHandler{Broker: b}).ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/jobs", pr))
+	if !<-ranFirst {
+		t.Fatal("no task ran while the body's later files were still to be sent")
+	}
+	if rec.Code != http.StatusCreated {
+		t.Fatalf("submit = %d %s, want 201", rec.Code, rec.Body)
+	}
+	j, ok := b.Job("job-0001")
+	if !ok {
+		t.Fatal("the submitted job is not registered")
+	}
+	if err := j.Wait(30 * time.Second); err != nil {
+		t.Fatal(err)
+	}
+	if st := j.Status(); st.Done != 25 {
+		t.Fatalf("done = %d, want 25", st.Done)
+	}
+	outs, err := j.CollectOutputs()
+	if err != nil {
+		t.Fatal(err)
+	}
+	for name, data := range files {
+		if !bytes.Equal(outs[name], data) {
+			t.Errorf("%s echoed %q, want %q", name, outs[name], data)
+		}
 	}
 }
 

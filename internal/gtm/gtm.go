@@ -16,7 +16,7 @@
 // either path gives the bits one linalg.SquaredDistance per pair would.
 // With AVX that is about half of Interpolate's ≈ 2 ms (BenchmarkKernelGTM);
 // most of the rest is one math.Exp per latent row and point. Inflating the
-// gzip-compressed shard in DecodeShard (BenchmarkKernelGTMDecode) is now
+// gzip-compressed shard in decodeShard (BenchmarkKernelGTMDecode) is now
 // the larger half of Run (BenchmarkKernelGTMRun): the package inflates
 // a shard with its own one-pass decoder over the whole byte slice
 // (inflate.go) rather than the standard library's stream reader, which

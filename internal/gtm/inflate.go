@@ -9,7 +9,7 @@ import (
 	"math/bits"
 )
 
-// This file is the gzip + deflate decoder behind DecodeShard (RFC 1952,
+// This file is the gzip + deflate decoder behind decodeShard (RFC 1952,
 // RFC 1951). It inflates a whole shard held in memory into one flat
 // buffer, so a back-reference copies from the output itself and no byte
 // passes through an interface call or a ring. It accepts exactly what
@@ -196,7 +196,7 @@ func (t *table) entry(b uint64) uint32 {
 }
 
 // inflater is one shard's decoding state: the flat output and the
-// tables of the block being decoded. DecodeShard keeps them in a pool.
+// tables of the block being decoded. decodeShard keeps them in a pool.
 type inflater struct {
 	out  []byte
 	lit  table

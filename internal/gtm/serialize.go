@@ -108,23 +108,24 @@ func EncodeShard(points []float64, dims int) ([]byte, error) {
 // that many bytes is an error.
 const maxDeflateRatio = 1032
 
-// trustedRatio caps how far DecodeShard believes a shard's ISIZE before
+// trustedRatio caps how far decodeShard believes a shard's ISIZE before
 // inflating it: a truncated shard ends in arbitrary bytes, which must
 // not buy an allocation of 1032 times its length. A shard that does
 // expand further grows its buffer as it inflates.
 const trustedRatio = 16
 
-// inflaters holds DecodeShard's decoders: the points are copied out of
+// inflaters holds decodeShard's decoders: the points are copied out of
 // the inflated bytes, so the buffer that holds them can serve the next
 // shard.
 var inflaters = sync.Pool{New: func() any { return new(inflater) }}
 
-// DecodeShard reverses EncodeShard. It inflates the whole gzip stream in
-// one pass into one buffer, sized from the last member's ISIZE, checking
-// every member's CRC-32 and size; then it reads the header and exactly
-// the body the header announces. A stream the standard gzip reader
-// would refuse, or a body that is short or long, is an error.
-func DecodeShard(data []byte) (points []float64, dims int, err error) {
+// decodeShard reverses EncodeShard, decoding into dst's array when it is
+// big enough. It inflates the whole gzip stream in one pass into one
+// buffer, sized from the last member's ISIZE, checking every member's
+// CRC-32 and size; then it reads the header and exactly the body the
+// header announces. A stream the standard gzip reader would refuse, or a
+// body that is short or long, is an error.
+func decodeShard(dst []float64, data []byte) (points []float64, dims int, err error) {
 	f := inflaters.Get().(*inflater)
 	defer inflaters.Put(f)
 	limit := maxDeflateRatio * len(data)
@@ -151,7 +152,10 @@ func DecodeShard(data []byte) (points []float64, dims int, err error) {
 	case len(body) > 8*n*dims:
 		return nil, 0, fmt.Errorf("gtm: shard longer than its %d × %d header", n, dims)
 	}
-	points = make([]float64, n*dims)
+	if points = dst; cap(points) < n*dims {
+		points = make([]float64, n*dims)
+	}
+	points = points[:n*dims]
 	for i := range points {
 		points[i] = math.Float64frombits(binary.LittleEndian.Uint64(body[8*i:]))
 	}
@@ -179,13 +183,20 @@ func DecodeEmbedding(data []byte) ([]float64, error) {
 	return coords, nil
 }
 
+// pointBufs holds Run's decoded points: Interpolate keeps none of them,
+// so the array one shard was decoded into serves the next.
+var pointBufs = sync.Pool{New: func() any { return new([]float64) }}
+
 // Run is the executable-style entry point used by the execution
 // frameworks: a compressed shard of points in, packed 2-D embeddings out.
 func Run(model *Model, shard []byte) ([]byte, error) {
-	points, dims, err := DecodeShard(shard)
+	buf := pointBufs.Get().(*[]float64)
+	defer pointBufs.Put(buf)
+	points, dims, err := decodeShard(*buf, shard)
 	if err != nil {
 		return nil, err
 	}
+	*buf = points
 	coords, err := model.Interpolate(points, dims)
 	if err != nil {
 		return nil, err
