@@ -102,8 +102,8 @@ type Store struct {
 	cfg     Config
 	buckets map[string]*bucket
 	usage   Usage
-	// met is non-nil iff Config.Metrics was set.
-	met map[string]*telemetry.Histogram
+	// ops is nil, and free, when Config.Metrics is unset.
+	ops *telemetry.Ops
 }
 
 // storeOps is the set of operations that get their own latency
@@ -116,10 +116,7 @@ var storeOps = []string{"put", "put_if", "append", "get", "delete", "list"}
 func NewStore(cfg Config) *Store {
 	s := &Store{cfg: cfg.withDefaults(), buckets: make(map[string]*bucket)}
 	if reg := s.cfg.Metrics; reg != nil {
-		s.met = make(map[string]*telemetry.Histogram, len(storeOps))
-		for _, op := range storeOps {
-			s.met[op] = reg.Histogram(telemetry.Label("blob_op_ns", "op", op))
-		}
+		s.ops = telemetry.NewOps(reg, "blob_op_ns", storeOps...)
 		// The accounting counters already exist under s.mu; expose them
 		// as render-time gauges instead of maintaining parallel counters
 		// on the data path.
@@ -129,23 +126,6 @@ func NewStore(cfg Config) *Store {
 		reg.GaugeFunc("blob_requests", func() int64 { return s.Usage().Requests() })
 	}
 	return s
-}
-
-// opStart stamps the beginning of an instrumented operation; the zero
-// time when the store is uninstrumented (no clock read on that path).
-func (s *Store) opStart() time.Time {
-	if s.met == nil {
-		return time.Time{}
-	}
-	return time.Now()
-}
-
-// opDone records one operation's latency (paired with opStart via defer).
-func (s *Store) opDone(op string, start time.Time) {
-	if s.met == nil {
-		return
-	}
-	s.met[op].Observe(time.Since(start))
 }
 
 // Usage returns a snapshot of accounting counters.
@@ -212,7 +192,7 @@ func (s *Store) DeleteBucket(name string) error {
 // Ingress bytes are counted only for accepted writes: a PUT against a
 // missing bucket bills the request but transfers nothing.
 func (s *Store) Put(bucketName, key string, data []byte) error {
-	defer s.opDone("put", s.opStart())
+	defer s.ops.Done("put", s.ops.Start())
 	s.simulateTransfer(len(data))
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -254,7 +234,7 @@ func (s *Store) putLocked(b *bucket, key string, data []byte) int64 {
 // holds (the service had to evaluate it), but ingress bytes only count
 // for accepted writes.
 func (s *Store) PutIf(bucketName, key string, data []byte, ifVersion int64) (int64, error) {
-	defer s.opDone("put_if", s.opStart())
+	defer s.ops.Done("put_if", s.ops.Start())
 	s.simulateTransfer(len(data))
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -281,7 +261,7 @@ func (s *Store) PutIf(bucketName, key string, data []byte, ifVersion int64) (int
 // view would violate read-your-writes); each append is one billed PUT.
 // It returns the object's new version.
 func (s *Store) Append(bucketName, key string, data []byte) (int64, error) {
-	defer s.opDone("append", s.opStart())
+	defer s.ops.Done("append", s.ops.Start())
 	s.simulateTransfer(len(data))
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -312,7 +292,7 @@ func (s *Store) Append(bucketName, key string, data []byte) (int64, error) {
 // (consistent view, billed as one GET like Exists). Like any metadata
 // request it still pays the simulated HTTP round trip.
 func (s *Store) Stat(bucketName, key string) (size, version int64, err error) {
-	defer s.opDone("get", s.opStart())
+	defer s.ops.Done("get", s.ops.Start())
 	s.simulateTransfer(0)
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -333,7 +313,7 @@ func (s *Store) Stat(bucketName, key string) (size, version int64, err error) {
 // the previous bytes for an overwrite — S3's classic eventual-consistency
 // anomalies.
 func (s *Store) Get(bucketName, key string) ([]byte, error) {
-	defer s.opDone("get", s.opStart())
+	defer s.ops.Done("get", s.ops.Start())
 	s.mu.Lock()
 	b, ok := s.buckets[bucketName]
 	if !ok {
@@ -372,7 +352,7 @@ func (s *Store) Get(bucketName, key string) ([]byte, error) {
 // GetConsistent reads the latest version regardless of the consistency
 // window (the moral equivalent of retrying until the write is visible).
 func (s *Store) GetConsistent(bucketName, key string) ([]byte, error) {
-	defer s.opDone("get", s.opStart())
+	defer s.ops.Done("get", s.ops.Start())
 	s.mu.Lock()
 	b, ok := s.buckets[bucketName]
 	if !ok {
@@ -402,7 +382,7 @@ func (s *Store) GetConsistent(bucketName, key string) ([]byte, error) {
 // it. An offset at or past the end returns no data and no error. Billed
 // as one GET; egress counts only the bytes actually returned.
 func (s *Store) GetRange(bucketName, key string, off, n int64) (data []byte, size int64, err error) {
-	defer s.opDone("get", s.opStart())
+	defer s.ops.Done("get", s.ops.Start())
 	if off < 0 {
 		return nil, 0, fmt.Errorf("blob: negative range offset %d", off)
 	}
@@ -437,7 +417,7 @@ func (s *Store) GetRange(bucketName, key string, off, n int64) (data []byte, siz
 // Delete removes an object. Deleting a missing key is not an error,
 // matching S3.
 func (s *Store) Delete(bucketName, key string) error {
-	defer s.opDone("delete", s.opStart())
+	defer s.ops.Done("delete", s.ops.Start())
 	s.simulateTransfer(0)
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -455,7 +435,7 @@ func (s *Store) Delete(bucketName, key string) error {
 
 // List returns keys in a bucket with the given prefix, sorted.
 func (s *Store) List(bucketName, prefix string) ([]string, error) {
-	defer s.opDone("list", s.opStart())
+	defer s.ops.Done("list", s.ops.Start())
 	s.simulateTransfer(0)
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -477,7 +457,7 @@ func (s *Store) List(bucketName, prefix string) ([]string, error) {
 // Exists reports whether a key currently exists (consistent view). It
 // pays the simulated round trip like every other request.
 func (s *Store) Exists(bucketName, key string) (bool, error) {
-	defer s.opDone("get", s.opStart())
+	defer s.ops.Done("get", s.ops.Start())
 	s.simulateTransfer(0)
 	s.mu.Lock()
 	defer s.mu.Unlock()

@@ -1,8 +1,6 @@
 package broker
 
 import (
-	"sync"
-
 	"repro/internal/classiccloud"
 	"repro/internal/telemetry"
 )
@@ -39,10 +37,6 @@ type brokerMetrics struct {
 	counters map[string]*telemetry.Counter
 
 	reg *telemetry.Registry
-	mu  sync.Mutex
-	// byType caches the instance_type-labeled variants of taskService,
-	// one per reporting type seen.
-	byType map[string]*telemetry.Histogram
 }
 
 // newBrokerMetrics registers the broker's instruments on reg, including
@@ -61,8 +55,7 @@ func newBrokerMetrics(b *Broker, reg *telemetry.Registry) *brokerMetrics {
 			"scale_down": reg.Counter("broker_scale_downs"),
 			"preempt":    reg.Counter("broker_preemptions"),
 		},
-		reg:    reg,
-		byType: make(map[string]*telemetry.Histogram),
+		reg: reg,
 	}
 	for _, verdict := range []string{"up", "down", "hold"} {
 		m.counters["decision_"+verdict] = reg.Counter(telemetry.Label("broker_autoscale_decisions", "verdict", verdict))
@@ -85,9 +78,10 @@ func (m *brokerMetrics) inc(key string) {
 // settled records one checkpointed settlement batch: done/dead counts
 // plus the worker-reported service times of the newly done tasks, each
 // observed into the unlabeled histogram and (when the report carried a
-// type) its instance_type-labeled variant. Called only after the
-// checkpoint is journaled, so a failed checkpoint (whose reports
-// redeliver) is never double-observed.
+// type) its instance_type-labeled variant, looked up in the registry.
+// Called only after the checkpoint is journaled, so a failed checkpoint
+// (whose reports redeliver) is never double-observed, and outside any
+// job lock, since the lookup takes the registry mutex.
 func (m *brokerMetrics) settled(done, dead int, samples []classiccloud.MonitorReport) {
 	if m == nil {
 		return
@@ -97,22 +91,9 @@ func (m *brokerMetrics) settled(done, dead int, samples []classiccloud.MonitorRe
 	for _, s := range samples {
 		m.taskService.Observe(s.ServiceTime)
 		if s.InstanceType != "" {
-			m.serviceHist(s.InstanceType).Observe(s.ServiceTime)
+			m.reg.Histogram(telemetry.Label("broker_task_service_ns", "instance_type", s.InstanceType)).Observe(s.ServiceTime)
 		}
 	}
-}
-
-// serviceHist returns (caching it) the labeled per-type service-time
-// histogram for one instance type key.
-func (m *brokerMetrics) serviceHist(itype string) *telemetry.Histogram {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	h := m.byType[itype]
-	if h == nil {
-		h = m.reg.Histogram(telemetry.Label("broker_task_service_ns", "instance_type", itype))
-		m.byType[itype] = h
-	}
-	return h
 }
 
 // runningJobs counts jobs currently in StateRunning (gauge-func source).

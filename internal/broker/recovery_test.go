@@ -2,9 +2,11 @@ package broker
 
 import (
 	"fmt"
+	"sync/atomic"
 	"testing"
 	"time"
 
+	"repro/internal/classiccloud"
 	"repro/internal/fasta"
 	"repro/internal/workload"
 )
@@ -38,14 +40,42 @@ func blastQueries(t *testing.T, motifs [][]byte, n int) map[string][]byte {
 // hard-stops the broker as a crash would.
 func haltMidJob(t *testing.T, b *Broker, j *Job, atLeastDone int) {
 	t.Helper()
+	awaitDone(t, j, atLeastDone)
+	b.Halt()
+}
+
+// awaitDone waits until at least n of the job's tasks have settled.
+func awaitDone(t *testing.T, j *Job, n int) {
+	t.Helper()
 	deadline := time.Now().Add(30 * time.Second)
-	for j.Status().Done < atLeastDone {
+	for j.Status().Done < n {
 		if time.Now().After(deadline) {
 			t.Fatalf("job stuck before halt: %+v", j.Status())
 		}
 		time.Sleep(2 * time.Millisecond)
 	}
-	b.Halt()
+}
+
+// gatedRegistry serves the default apps, except that every execution
+// after the first ran waits until gate is closed.
+func gatedRegistry(ran int32, gate <-chan struct{}) map[string]ExecutorFactory {
+	var runs atomic.Int32
+	reg := DefaultRegistry()
+	for name, open := range reg {
+		reg[name] = func(shared map[string][]byte) (classiccloud.Executor, error) {
+			exec, err := open(shared)
+			if err != nil {
+				return nil, err
+			}
+			return classiccloud.FuncExecutor{AppName: exec.Name(), Fn: func(task classiccloud.Task, in []byte) ([]byte, error) {
+				if runs.Add(1) > ran {
+					<-gate
+				}
+				return exec.Execute(task, in)
+			}}, nil
+		}
+	}
+	return reg
 }
 
 func TestBrokerRecoversHaltedJob(t *testing.T) {
@@ -60,13 +90,25 @@ func TestBrokerRecoversHaltedJob(t *testing.T) {
 			ScaleDownCooldown: time.Hour,
 		},
 	}
-	b1 := New(cfg)
+	// b1's executions wait on a gate once ran have started, so the job
+	// cannot finish before the halt. Done moves by whole acknowledged
+	// batches, and each of the fleet's 2×2 workers can hold a part-run
+	// batch, so ran executions still settle the 5 tasks awaited. The
+	// gate opens just before the halt: Halt kills the fleet, and a kill
+	// waits for every worker to leave Execute.
+	const ran = 5 + 2*2*(classiccloud.ReceiveBatch-1)
+	gate := make(chan struct{})
+	cfg1 := cfg
+	cfg1.Registry = gatedRegistry(ran, gate)
+	b1 := New(cfg1)
 	const total = 40
 	j1, err := b1.Submit(JobRequest{App: "cap3", Files: cap3Files(t, total)})
 	if err != nil {
 		t.Fatal(err)
 	}
-	haltMidJob(t, b1, j1, 5)
+	awaitDone(t, j1, 5)
+	close(gate)
+	b1.Halt()
 	preDone := j1.Status().Done
 	if preDone >= total {
 		t.Fatalf("job finished before halt (done=%d); nothing to recover", preDone)

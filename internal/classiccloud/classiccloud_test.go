@@ -366,6 +366,10 @@ func TestPoisonMessageDoesNotWedgeWorkers(t *testing.T) {
 			if err != nil || !ok || string(parked.Body) != tc.body {
 				t.Errorf("dead-letter queue holds %q (ok %v, err %v), want the body %q", parked.Body, ok, err, tc.body)
 			}
+			// WaitForCompletion returns on the reports, but a task's
+			// delete belongs to its worker's acknowledger; Stop returns
+			// only after every acknowledgement.
+			inst.Stop()
 			if visible, inflight, err := env.Queue.ApproximateCount(cfg.TaskQueue()); err != nil || visible+inflight != 0 {
 				t.Errorf("task queue still holds %d+%d messages (err %v)", visible, inflight, err)
 			}

@@ -254,10 +254,10 @@ type Service struct {
 	// requests of cfg.ServiceTime each; nil when the capacity simulation
 	// is off.
 	slots chan struct{}
-	// met holds this service's telemetry instruments; nil when
-	// cfg.Metrics is unset, and every instrumentation site checks that
-	// first so the uninstrumented path pays one branch, not a clock read.
-	met *serviceMetrics
+	// ops times the message-path calls and rates marks each billed call
+	// per queue; both are nil, and free, when cfg.Metrics is unset.
+	ops   *telemetry.Ops
+	rates *telemetry.Rates
 	// dur is the journaling state behind Config.Durability; nil for
 	// ephemeral services.
 	dur *durableState
@@ -274,66 +274,6 @@ type Service struct {
 var serviceOps = []string{
 	"send", "send_batch", "receive", "delete", "delete_batch",
 	"change_visibility", "transfer", "count", "purge",
-}
-
-// serviceMetrics is a Service's instrument set, created once at
-// NewService so the request path never touches the registry lock.
-type serviceMetrics struct {
-	reg  *telemetry.Registry
-	name string // svc label, may be empty
-	ops  map[string]*telemetry.Histogram
-	// rates caches per-queue request-rate instruments (name → *Rate),
-	// mirroring RequestCounter's per-queue index.
-	rates sync.Map
-}
-
-func newServiceMetrics(reg *telemetry.Registry, svc string) *serviceMetrics {
-	m := &serviceMetrics{reg: reg, name: svc, ops: make(map[string]*telemetry.Histogram, len(serviceOps))}
-	for _, op := range serviceOps {
-		m.ops[op] = reg.Histogram(m.series("queue_op_ns", "op", op))
-	}
-	return m
-}
-
-// series builds an instrument name, folding in the svc label when set.
-func (m *serviceMetrics) series(base, key, value string) string {
-	if m.name != "" {
-		if key == "" {
-			return fmt.Sprintf("%s{svc=%q}", base, m.name)
-		}
-		return fmt.Sprintf("%s{svc=%q,%s=%q}", base, m.name, key, value)
-	}
-	if key == "" {
-		return base
-	}
-	return telemetry.Label(base, key, value)
-}
-
-// markQueue bumps the per-queue request rate.
-func (m *serviceMetrics) markQueue(queueName string) {
-	v, ok := m.rates.Load(queueName)
-	if !ok {
-		v, _ = m.rates.LoadOrStore(queueName, m.reg.Rate(m.series("queue_requests", "queue", queueName)))
-	}
-	v.(*telemetry.Rate).Mark(1)
-}
-
-// opStart stamps the beginning of an instrumented operation; the zero
-// time when the service is uninstrumented.
-func (s *Service) opStart() time.Time {
-	if s.met == nil {
-		return time.Time{}
-	}
-	return time.Now()
-}
-
-// opDone records one operation's latency (paired with opStart, usually
-// via defer so the args are stamped on entry).
-func (s *Service) opDone(op string, start time.Time) {
-	if s.met == nil {
-		return
-	}
-	s.met.ops[op].Observe(time.Since(start))
 }
 
 // message is the stored form of one queued item. A live message is in
@@ -592,13 +532,20 @@ func NewService(cfg Config) *Service {
 	if s.cfg.ServiceTime > 0 {
 		s.slots = make(chan struct{}, s.cfg.ServiceConcurrency)
 	}
-	if s.cfg.Metrics != nil {
-		s.met = newServiceMetrics(s.cfg.Metrics, s.cfg.MetricsName)
-		s.cfg.Metrics.GaugeFunc(s.met.series("queue_backlog_visible", "", ""), func() int64 {
+	if reg := s.cfg.Metrics; reg != nil {
+		series := func(base string) string {
+			if s.cfg.MetricsName == "" {
+				return base
+			}
+			return telemetry.Label(base, "svc", s.cfg.MetricsName)
+		}
+		s.ops = telemetry.NewOps(reg, series("queue_op_ns"), serviceOps...)
+		s.rates = telemetry.NewRates(reg, series("queue_requests"), "queue")
+		reg.GaugeFunc(series("queue_backlog_visible"), func() int64 {
 			v, _ := s.backlog()
 			return v
 		})
-		s.cfg.Metrics.GaugeFunc(s.met.series("queue_backlog_inflight", "", ""), func() int64 {
+		reg.GaugeFunc(series("queue_backlog_inflight"), func() int64 {
 			_, i := s.backlog()
 			return i
 		})
@@ -662,9 +609,7 @@ func (s *Service) admit(queueName string) error {
 		return ErrHalted
 	}
 	s.billing.Count(queueName)
-	if s.met != nil {
-		s.met.markQueue(queueName)
-	}
+	s.rates.Mark(queueName)
 	if s.slots != nil {
 		s.slots <- struct{}{}
 		time.Sleep(s.cfg.ServiceTime)
@@ -791,7 +736,7 @@ func (s *Service) commit(op durOp, queueName string, plan planFunc) error {
 // mutate is a whole message-path call: latency histogram, admission,
 // commit.
 func (s *Service) mutate(metric string, op durOp, queueName string, plan planFunc) error {
-	defer s.opDone(metric, s.opStart())
+	defer s.ops.Done(metric, s.ops.Start())
 	if err := s.admit(queueName); err != nil {
 		return err
 	}
@@ -1170,7 +1115,7 @@ func (s *Service) ReceiveMessageBatch(queueName string, visibility time.Duration
 // its own commit, so a durable service records the batch before any
 // caller can observe it and an empty attempt records nothing.
 func (s *Service) receiveBatchWait(queueName string, visibility time.Duration, max int, wait time.Duration) ([]Message, error) {
-	defer s.opDone("receive", s.opStart())
+	defer s.ops.Done("receive", s.ops.Start())
 	if err := s.admit(queueName); err != nil {
 		return nil, err
 	}
@@ -1317,7 +1262,7 @@ func (s *Service) ChangeVisibility(queueName, receiptHandle string, d time.Durat
 // sizes are read after releasing newly expired leases, with no scan over
 // the message history.
 func (s *Service) ApproximateCount(queueName string) (visible, inflight int, err error) {
-	defer s.opDone("count", s.opStart())
+	defer s.ops.Done("count", s.ops.Start())
 	if err := s.admit(queueName); err != nil {
 		return 0, 0, err
 	}

@@ -125,9 +125,10 @@ type Config struct {
 	// shard after a migration (default 10ms).
 	ForwardInterval time.Duration
 	// Metrics, when set, receives the router's instruments: per-op
-	// latency histograms (router_op_ns), per-shard request rates
-	// (shard_requests) and live backlog gauges (shard_backlog). Nil
-	// leaves the data path uninstrumented — not even a clock read.
+	// latency histograms (router_op_ns), per-shard and per-group request
+	// rates (shard_requests, group_requests) and live backlog gauges
+	// (shard_backlog, group_backlog). Nil leaves the data path
+	// uninstrumented — not even a clock read.
 	Metrics *telemetry.Registry
 }
 
@@ -182,13 +183,13 @@ type Router struct {
 	closeOnce sync.Once
 	fwd       sync.WaitGroup
 
-	// met is non-nil iff Config.Metrics was set, and so are the two rate
-	// axes. Both are marked wherever a routed call resolves a backend —
-	// owner resolution, receipt routing, batch-delete groups — so the
-	// rates count backend hops, including migration retries, and the
+	// ops and the two rate axes are nil, and free, unless Config.Metrics
+	// is set. The rates are marked wherever a routed call resolves a
+	// backend — owner resolution, receipt routing, batch-delete groups —
+	// so they count backend hops, including migration retries, and the
 	// split policy sees which GROUP is hot, not just which shard.
-	met                    *routerMetrics
-	shardRates, groupRates *rateSet
+	ops                    *telemetry.Ops
+	shardRates, groupRates *telemetry.Rates
 }
 
 // routerOps is the set of routed operations that get their own latency
@@ -200,62 +201,6 @@ var routerOps = []string{
 	"create_queue", "delete_queue", "send", "send_batch", "receive",
 	"delete", "delete_batch", "change_visibility", "transfer", "count",
 	"purge",
-}
-
-// routerMetrics is the router's instrument set, created once at
-// NewRouter so the request path never touches the registry lock.
-type routerMetrics struct {
-	ops map[string]*telemetry.Histogram
-	// gaugeMu guards seenGroups across concurrent scrapes; the backlog
-	// collector zeroes gauges of groups that vanished (last queue
-	// deleted) so a stale reading never lingers at its final value.
-	gaugeMu    sync.Mutex
-	seenGroups map[string]bool
-}
-
-func (r *Router) opStart() time.Time {
-	if r.met == nil {
-		return time.Time{}
-	}
-	return time.Now()
-}
-
-func (r *Router) opDone(op string, start time.Time) {
-	if r.met == nil {
-		return
-	}
-	r.met.ops[op].Observe(time.Since(start))
-}
-
-// rateSet is one attribution axis of the router's traffic: a request-rate
-// instrument per key (shard_requests{shard=…}, group_requests{group=…}),
-// cached so the request path never touches the registry lock. A nil set
-// — an uninstrumented router — marks nothing and reads 0.
-type rateSet struct {
-	reg          *telemetry.Registry
-	metric, axis string
-	rates        sync.Map // key → *telemetry.Rate
-}
-
-func (s *rateSet) mark(key string) {
-	if s == nil || key == "" {
-		return
-	}
-	v, ok := s.rates.Load(key)
-	if !ok {
-		v, _ = s.rates.LoadOrStore(key, s.reg.Rate(telemetry.Label(s.metric, s.axis, key)))
-	}
-	v.(*telemetry.Rate).Mark(1)
-}
-
-// perSecond reads a key's current rate (0 when never marked).
-func (s *rateSet) perSecond(key string) float64 {
-	if s != nil {
-		if v, ok := s.rates.Load(key); ok {
-			return v.(*telemetry.Rate).PerSecond()
-		}
-	}
-	return 0
 }
 
 // routerView is the router's data plane with a trace ID bound: it shares
@@ -298,37 +243,36 @@ func NewRouter(cfg Config) *Router {
 	}
 	r.routerView.r = r
 	if c.Metrics != nil {
-		r.met = &routerMetrics{
-			ops:        make(map[string]*telemetry.Histogram, len(routerOps)),
-			seenGroups: make(map[string]bool),
-		}
-		r.shardRates = &rateSet{reg: c.Metrics, metric: "shard_requests", axis: "shard"}
-		r.groupRates = &rateSet{reg: c.Metrics, metric: "group_requests", axis: "group"}
-		for _, op := range routerOps {
-			r.met.ops[op] = c.Metrics.Histogram(telemetry.Label("router_op_ns", "op", op))
-		}
+		r.ops = telemetry.NewOps(c.Metrics, "router_op_ns", routerOps...)
+		r.shardRates = telemetry.NewRates(c.Metrics, "shard_requests", "shard")
+		r.groupRates = telemetry.NewRates(c.Metrics, "group_requests", "group")
 		// Backlog gauges are refreshed at scrape time rather than
 		// maintained on the data path: depth is already tracked by each
 		// shard, and a per-send gauge update would put a second write on
 		// every routed call for a number only read by scrapes. One
 		// snapshot feeds both attribution axes — per shard and per group.
+		// The gauges of groups that vanished (last queue deleted) are
+		// zeroed so a stale reading never lingers at its final value;
+		// gaugeMu guards seenGroups across concurrent scrapes.
+		var gaugeMu sync.Mutex
+		seenGroups := make(map[string]bool)
 		c.Metrics.AddCollector(func(reg *telemetry.Registry) {
 			snap := r.Snapshot()
 			for _, st := range snap.Shards {
 				reg.Gauge(telemetry.Label("shard_backlog", "shard", st.ID)).Set(st.Backlog)
 			}
-			r.met.gaugeMu.Lock()
-			gone := r.met.seenGroups
-			r.met.seenGroups = make(map[string]bool, len(snap.Groups))
+			gaugeMu.Lock()
+			gone := seenGroups
+			seenGroups = make(map[string]bool, len(snap.Groups))
 			for _, gs := range snap.Groups {
 				delete(gone, gs.Group)
-				r.met.seenGroups[gs.Group] = true
+				seenGroups[gs.Group] = true
 				reg.Gauge(telemetry.Label("group_backlog", "group", gs.Group)).Set(gs.Backlog)
 			}
 			for g := range gone {
 				reg.Gauge(telemetry.Label("group_backlog", "group", g)).Set(0)
 			}
-			r.met.gaugeMu.Unlock()
+			gaugeMu.Unlock()
 		})
 	}
 	return r
@@ -378,10 +322,8 @@ func (v *routerView) ownerBackend(queueName string, rt *route) (string, uint64, 
 	if dead || b == nil {
 		return "", 0, nil, queue.ErrNoSuchQueue
 	}
-	r.shardRates.mark(id)
-	if r.met != nil {
-		r.groupRates.mark(DeriveGroup(queueName))
-	}
+	r.shardRates.Mark(id)
+	r.groupRates.Mark(DeriveGroup(queueName))
 	return id, epoch, queue.WithTrace(b, v.trace), nil
 }
 
@@ -424,7 +366,7 @@ func (v *routerView) CreateQueue(name string) error {
 		return queue.ErrEmptyQueueName
 	}
 	r := v.r
-	defer r.opDone("create_queue", r.opStart())
+	defer r.ops.Done("create_queue", r.ops.Start())
 	r.count(name)
 	r.mu.Lock()
 	if _, ok := r.routes[name]; ok {
@@ -440,10 +382,8 @@ func (v *routerView) CreateQueue(name string) error {
 	r.routes[name] = rt
 	b := r.shards[owner]
 	r.mu.Unlock()
-	r.shardRates.mark(owner)
-	if r.met != nil {
-		r.groupRates.mark(DeriveGroup(name))
-	}
+	r.shardRates.Mark(owner)
+	r.groupRates.Mark(DeriveGroup(name))
 	err := queue.WithTrace(b, v.trace).CreateQueue(name)
 	if err != nil && !errors.Is(err, queue.ErrQueueExists) {
 		r.mu.Lock()
@@ -466,7 +406,7 @@ func (v *routerView) CreateQueue(name string) error {
 // still draining stragglers.
 func (v *routerView) DeleteQueue(name string) error {
 	r := v.r
-	defer r.opDone("delete_queue", r.opStart())
+	defer r.ops.Done("delete_queue", r.ops.Start())
 	r.count(name)
 	r.mu.Lock()
 	rt := r.routes[name]
@@ -486,7 +426,7 @@ func (v *routerView) DeleteQueue(name string) error {
 	_, _, olds := rt.peek()
 	var err error
 	if b := r.backend(owner); b != nil {
-		r.shardRates.mark(owner)
+		r.shardRates.Mark(owner)
 		err = queue.WithTrace(b, v.trace).DeleteQueue(name)
 	}
 	for _, id := range olds {
@@ -511,7 +451,7 @@ func (v *routerView) ListQueues() []string {
 
 // SendMessage enqueues on the owning shard.
 func (v *routerView) SendMessage(queueName string, body []byte) (string, error) {
-	defer v.r.opDone("send", v.r.opStart())
+	defer v.r.ops.Done("send", v.r.ops.Start())
 	v.r.count(queueName)
 	var id string
 	err := v.onOwner(queueName, func(_ string, b queue.API) error {
@@ -527,7 +467,7 @@ func (v *routerView) SendMessageBatch(queueName string, bodies [][]byte) ([]stri
 	if len(bodies) == 0 || len(bodies) > queue.MaxBatch {
 		return nil, queue.ErrBatchSize
 	}
-	defer v.r.opDone("send_batch", v.r.opStart())
+	defer v.r.ops.Done("send_batch", v.r.ops.Start())
 	v.r.count(queueName)
 	var ids []string
 	err := v.onOwner(queueName, func(_ string, b queue.API) error {
@@ -566,7 +506,7 @@ func (v *routerView) TransferInBatch(queueName string, items []queue.TransferIte
 			return nil, fmt.Errorf("%w: %d", queue.ErrBadTransfer, it.Receives)
 		}
 	}
-	defer v.r.opDone("transfer", v.r.opStart())
+	defer v.r.ops.Done("transfer", v.r.ops.Start())
 	v.r.count(queueName)
 	var ids []string
 	err := v.onOwner(queueName, func(id string, b queue.API) error {
@@ -602,7 +542,7 @@ func (v *routerView) ReceiveMessageBatch(queueName string, visibility time.Durat
 	if max <= 0 || max > queue.MaxBatch {
 		return nil, queue.ErrBatchSize
 	}
-	defer v.r.opDone("receive", v.r.opStart())
+	defer v.r.ops.Done("receive", v.r.ops.Start())
 	v.r.count(queueName)
 	var msgs []queue.Message
 	err := v.onOwner(queueName, func(id string, b queue.API) error {
@@ -625,7 +565,7 @@ func (v *routerView) ReceiveMessageBatch(queueName string, visibility time.Durat
 // message was moved and only its next delivery's receipt counts.
 func (v *routerView) onReceipt(op, queueName, wrapped string, fn func(b queue.API, raw string) error) error {
 	r := v.r
-	defer r.opDone(op, r.opStart())
+	defer r.ops.Done(op, r.ops.Start())
 	r.count(queueName)
 	rt := r.route(queueName)
 	if rt == nil {
@@ -639,10 +579,8 @@ func (v *routerView) onReceipt(op, queueName, wrapped string, fn func(b queue.AP
 	if b == nil {
 		return fmt.Errorf("shard: receipt from unknown shard %q: %w", id, queue.ErrStaleReceipt)
 	}
-	r.shardRates.mark(id)
-	if r.met != nil {
-		r.groupRates.mark(DeriveGroup(queueName))
-	}
+	r.shardRates.Mark(id)
+	r.groupRates.Mark(DeriveGroup(queueName))
 	err := fn(queue.WithTrace(b, v.trace), raw)
 	if errors.Is(err, queue.ErrNoSuchQueue) {
 		return fmt.Errorf("shard: queue %s migrated off the issuing shard: %w", queueName, queue.ErrStaleReceipt)
@@ -664,15 +602,13 @@ func (v *routerView) DeleteMessageBatch(queueName string, receipts []string) ([]
 		return nil, queue.ErrBatchSize
 	}
 	r := v.r
-	defer r.opDone("delete_batch", r.opStart())
+	defer r.ops.Done("delete_batch", r.ops.Start())
 	r.count(queueName)
 	rt := r.route(queueName)
 	if rt == nil {
 		return nil, queue.ErrNoSuchQueue
 	}
-	if r.met != nil {
-		r.groupRates.mark(DeriveGroup(queueName))
-	}
+	r.groupRates.Mark(DeriveGroup(queueName))
 	results := make([]error, len(receipts))
 	type group struct {
 		idx []int
@@ -701,7 +637,7 @@ func (v *routerView) DeleteMessageBatch(queueName string, receipts []string) ([]
 			}
 			continue
 		}
-		r.shardRates.mark(id)
+		r.shardRates.Mark(id)
 		res, err := queue.WithTrace(b, v.trace).DeleteMessageBatch(queueName, g.raw)
 		if err != nil {
 			perEntry := err
@@ -730,7 +666,7 @@ func (v *routerView) ChangeVisibility(queueName, receiptHandle string, d time.Du
 // ApproximateCount sums the owner's counts with any old shards still
 // holding in-flight stragglers, so totals stay truthful mid-migration.
 func (v *routerView) ApproximateCount(queueName string) (visible, inflight int, err error) {
-	defer v.r.opDone("count", v.r.opStart())
+	defer v.r.ops.Done("count", v.r.ops.Start())
 	v.r.count(queueName)
 	err = v.onOwner(queueName, func(_ string, b queue.API) error {
 		var err error
@@ -751,7 +687,7 @@ func (v *routerView) ApproximateCount(queueName string) (visible, inflight int, 
 
 // Purge clears the queue on its owner and on any draining old shards.
 func (v *routerView) Purge(queueName string) error {
-	defer v.r.opDone("purge", v.r.opStart())
+	defer v.r.ops.Done("purge", v.r.ops.Start())
 	v.r.count(queueName)
 	err := v.onOwner(queueName, func(_ string, b queue.API) error {
 		return b.Purge(queueName)
@@ -776,7 +712,7 @@ func (v *routerView) drainingBackends(queueName string) []queue.API {
 	_, _, ids := rt.peek()
 	out := make([]queue.API, 0, len(ids))
 	for _, id := range ids {
-		r.shardRates.mark(id)
+		r.shardRates.Mark(id)
 		out = append(out, queue.WithTrace(r.backend(id), v.trace))
 	}
 	return out
@@ -918,14 +854,14 @@ func (r *Router) Snapshot() Snapshot {
 	// snapshot.
 	for id, st := range shards {
 		st.Requests = backends[id].APIRequests()
-		st.RatePerSec = r.shardRates.perSecond(id)
+		st.RatePerSec = r.shardRates.PerSecond(id)
 	}
 	groups := make(map[string]*GroupStat)
 	for _, p := range r.placements() {
 		g := DeriveGroup(p.name)
 		gs := groups[g]
 		if gs == nil {
-			gs = &GroupStat{Group: g, Subgroups: max(splits[g], 1), Pinned: pinned[g], RatePerSec: r.groupRates.perSecond(g)}
+			gs = &GroupStat{Group: g, Subgroups: max(splits[g], 1), Pinned: pinned[g], RatePerSec: r.groupRates.PerSecond(g)}
 			groups[g] = gs
 		}
 		gs.Queues++

@@ -65,8 +65,9 @@ const (
 	opMax // one past the last valid opcode
 )
 
-// opNames label per-op telemetry series and error messages.
-var opNames = map[byte]string{
+// opNames label per-op telemetry series and error messages, indexed by
+// opcode; opNames[0] is unused.
+var opNames = [opMax]string{
 	OpCreateQueue:      "create_queue",
 	OpDeleteQueue:      "delete_queue",
 	OpListQueues:       "list_queues",

@@ -45,6 +45,7 @@ type Server struct {
 	Metrics *telemetry.Registry
 
 	initOnce sync.Once
+	ops      *telemetry.Ops // nil, and free, without Metrics
 	met      *serverMetrics
 
 	mu     sync.Mutex
@@ -54,7 +55,6 @@ type Server struct {
 }
 
 type serverMetrics struct {
-	ops    map[byte]*telemetry.Histogram
 	conns  *telemetry.Gauge
 	frames *telemetry.Counter
 }
@@ -64,15 +64,11 @@ func (s *Server) init() {
 		s.lns = make(map[net.Listener]struct{})
 		s.conns = make(map[*srvConn]struct{})
 		if s.Metrics != nil {
-			m := &serverMetrics{
-				ops:    make(map[byte]*telemetry.Histogram, len(opNames)),
+			s.ops = telemetry.NewOps(s.Metrics, "wire_op_ns", opNames[OpCreateQueue:]...)
+			s.met = &serverMetrics{
 				conns:  s.Metrics.Gauge("wire_conns"),
 				frames: s.Metrics.Counter("wire_frames"),
 			}
-			for op, name := range opNames {
-				m.ops[op] = s.Metrics.Histogram(telemetry.Label("wire_op_ns", "op", name))
-			}
-			s.met = m
 		}
 	})
 }
@@ -275,7 +271,7 @@ func (c *srvConn) writer() {
 // encoded.
 func (c *srvConn) handle(f Frame, reqBuf *[]byte) {
 	svc := queue.WithTrace(c.srv.Service, f.Trace)
-	timed := c.srv.met != nil || c.srv.SlowRequest > 0
+	timed := c.srv.ops != nil || c.srv.SlowRequest > 0
 	var start time.Time
 	if timed {
 		start = time.Now()
@@ -293,9 +289,7 @@ func (c *srvConn) handle(f Frame, reqBuf *[]byte) {
 
 	if timed {
 		elapsed := time.Since(start)
-		if c.srv.met != nil {
-			c.srv.met.ops[f.Op].Observe(elapsed)
-		}
+		c.srv.ops.Observe(opNames[f.Op], elapsed)
 		if slow := c.srv.SlowRequest; slow > 0 && elapsed >= slow {
 			log.Printf("wire: slow request trace=%s op=%s queue=%q %v", f.Trace, opNames[f.Op], f.Queue, elapsed)
 		}

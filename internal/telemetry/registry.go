@@ -44,40 +44,39 @@ func NewRegistry() *Registry {
 	}
 }
 
-// Label builds a name with one inline label: Label("x_ns", "op", "send")
-// is `x_ns{op="send"}`.
-func Label(base, key, value string) string {
-	return fmt.Sprintf("%s{%s=%q}", base, key, value)
+// Label adds one inline label to a name, after any it already carries:
+// Label("x_ns", "op", "send") is `x_ns{op="send"}`, and
+// Label(`x_ns{svc="a"}`, "op", "send") is `x_ns{svc="a",op="send"}`.
+func Label(name, key, value string) string {
+	return withLabel(name, fmt.Sprintf("%s=%q", key, value))
+}
+
+// getOrCreate returns the instrument registered under name in the map
+// pick selects, creating it if needed. Every instrument's zero value is
+// ready to use, so a nil registry hands out a fresh unregistered one.
+func getOrCreate[T any](r *Registry, name string, pick func(*Registry) map[string]*T) *T {
+	if r == nil {
+		return new(T)
+	}
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	m := pick(r)
+	v, ok := m[name]
+	if !ok {
+		v = new(T)
+		m[name] = v
+	}
+	return v
 }
 
 // Counter returns the named counter, creating it if needed.
 func (r *Registry) Counter(name string) *Counter {
-	if r == nil {
-		return &Counter{}
-	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	c, ok := r.counters[name]
-	if !ok {
-		c = &Counter{}
-		r.counters[name] = c
-	}
-	return c
+	return getOrCreate(r, name, func(r *Registry) map[string]*Counter { return r.counters })
 }
 
 // Gauge returns the named gauge, creating it if needed.
 func (r *Registry) Gauge(name string) *Gauge {
-	if r == nil {
-		return &Gauge{}
-	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	g, ok := r.gauges[name]
-	if !ok {
-		g = &Gauge{}
-		r.gauges[name] = g
-	}
-	return g
+	return getOrCreate(r, name, func(r *Registry) map[string]*Gauge { return r.gauges })
 }
 
 // GaugeFunc registers (or replaces) a gauge computed at render time.
@@ -93,32 +92,12 @@ func (r *Registry) GaugeFunc(name string, fn func() int64) {
 
 // Histogram returns the named histogram, creating it if needed.
 func (r *Registry) Histogram(name string) *Histogram {
-	if r == nil {
-		return NewHistogram()
-	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	h, ok := r.hists[name]
-	if !ok {
-		h = NewHistogram()
-		r.hists[name] = h
-	}
-	return h
+	return getOrCreate(r, name, func(r *Registry) map[string]*Histogram { return r.hists })
 }
 
 // Rate returns the named rate, creating it if needed.
 func (r *Registry) Rate(name string) *Rate {
-	if r == nil {
-		return NewRate()
-	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	rt, ok := r.rates[name]
-	if !ok {
-		rt = NewRate()
-		r.rates[name] = rt
-	}
-	return rt
+	return getOrCreate(r, name, func(r *Registry) map[string]*Rate { return r.rates })
 }
 
 // AddCollector registers a hook run at the start of every Snapshot or

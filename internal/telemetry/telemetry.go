@@ -15,6 +15,16 @@
 // usable, they are just not registered anywhere. That lets every
 // component instrument itself unconditionally — the caller decides
 // whether the numbers are observable by wiring a registry in.
+//
+// A layer instruments itself the same way whichever it is (queue
+// service, blob store, shard router, wire server): one Ops for its
+// per-op latency histograms, timed with defer ops.Done(op, ops.Start()),
+// and one Rates per run-time axis its traffic is attributed along (per
+// queue, per shard, per group). A layer that shares a registry with its
+// peers names itself with a label on the base name, and Label composes
+// the op or axis label after it: `queue_op_ns{svc="local0",op="send"}`.
+// Both are nil for a nil registry, so an uninstrumented layer reads no
+// clock and registers nothing.
 package telemetry
 
 import (
@@ -220,9 +230,6 @@ type Rate struct {
 	// now is overridable for tests; nil means time.Now.
 	now func() time.Time
 }
-
-// NewRate returns an unregistered rate (see Registry.Rate).
-func NewRate() *Rate { return &Rate{} }
 
 func (r *Rate) clock() time.Time {
 	if r.now != nil {

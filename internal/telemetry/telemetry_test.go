@@ -79,7 +79,7 @@ func TestHistogramBucketBounds(t *testing.T) {
 }
 
 func TestRateWindow(t *testing.T) {
-	r := NewRate()
+	r := &Rate{}
 	now := time.Unix(1000, 0)
 	r.now = func() time.Time { return now }
 	// 50 events/sec for 10 full seconds.
