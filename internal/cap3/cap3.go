@@ -44,6 +44,7 @@ import (
 	"math/bits"
 	"slices"
 	"sort"
+	"sync"
 
 	"repro/internal/bio"
 	"repro/internal/fasta"
@@ -316,12 +317,15 @@ type overlapStats struct {
 // kmerIndex holds every k-mer occurrence of a file once, under its
 // canonical key (the smaller of the k-mer and its reverse complement): an
 // open-addressing table of chain heads, one per strand, over one arena of
-// occurrences.
+// occurrences. Indexes are pooled (indexPool): a file takes one in
+// newKmerIndex and findOverlaps puts it back, so a worker running file
+// after file reuses the same table, arena and spare table.
 type kmerIndex struct {
 	slots []kmerSlot // power-of-two length, at most half in use
 	used  int
-	shift uint      // 64 − log2(len(slots))
-	locs  []kmerLoc // locs[0] is unused: link 0 ends a chain
+	shift uint       // 64 − log2(len(slots))
+	locs  []kmerLoc  // locs[0] is unused: link 0 ends a chain
+	spare []kmerSlot // the table add grows into: the one before the last growth
 }
 
 type kmerSlot struct {
@@ -336,12 +340,34 @@ type kmerSlot struct {
 // opposite one, where the read's two vote walks start.
 type kmerLoc struct{ read, pos, next, skip, cross int32 }
 
-// newKmerIndex sizes the arena for n occurrences, and the table for the
-// n/4 distinct keys of reads that overlap (add doubles it when a file
-// needs more).
-func newKmerIndex(n int) kmerIndex {
+var indexPool = sync.Pool{New: func() any { return new(kmerIndex) }}
+
+// newKmerIndex takes a pooled index and sizes its arena for n
+// occurrences, and its table for the n/4 distinct keys of reads that
+// overlap (add doubles it when a file needs more). Every field that
+// steers hashing is set afresh, and only the table's new length is
+// cleared: a tiny file after a fat one clears a few slots, not the fat
+// file's table.
+func newKmerIndex(n int) *kmerIndex {
+	x := indexPool.Get().(*kmerIndex)
 	lg := bits.Len(uint(n / 2))
-	return kmerIndex{slots: make([]kmerSlot, 1<<lg), shift: uint(64 - lg), locs: make([]kmerLoc, 1, n+1)}
+	x.slots, x.used, x.shift = clearedSlots(x.slots, 1<<lg), 0, uint(64-lg)
+	if cap(x.locs) <= n {
+		x.locs = make([]kmerLoc, 1, n+1)
+	}
+	x.locs = x.locs[:1]
+	return x
+}
+
+// clearedSlots returns a free table of n slots: buf's first n, cleared,
+// when buf holds that many, and a new table otherwise.
+func clearedSlots(buf []kmerSlot, n int) []kmerSlot {
+	if cap(buf) < n {
+		return make([]kmerSlot, n)
+	}
+	buf = buf[:n]
+	clear(buf)
+	return buf
 }
 
 // slot returns key's slot, or the free slot where key belongs.
@@ -368,7 +394,7 @@ func (x *kmerIndex) add(fwd, rc uint64, read, pos int) {
 	if s.head == [2]int32{} {
 		if x.used++; 2*x.used > len(x.slots) {
 			old := x.slots
-			x.slots, x.shift = make([]kmerSlot, 2*len(old)), x.shift-1
+			x.slots, x.spare, x.shift = clearedSlots(x.spare, 2*len(old)), old, x.shift-1
 			for _, o := range old {
 				if o.head != [2]int32{} {
 					*x.slot(o.key) = o
@@ -399,7 +425,7 @@ func (x *kmerIndex) past(head int32, read int) int32 {
 
 // indexReads puts every k-mer occurrence of reads into a new index, last
 // read first (see add).
-func indexReads(reads []*read, k int) kmerIndex {
+func indexReads(reads []*read, k int) *kmerIndex {
 	kc := bio.NewKmerCoder(k)
 	total := 0
 	for _, r := range reads {
@@ -521,6 +547,7 @@ func findOverlaps(reads []*read, opt Options) ([]overlap, overlapStats) {
 			live[w] = 0
 		}
 	}
+	indexPool.Put(idx)
 	return overlaps, stats
 }
 

@@ -148,6 +148,14 @@ func (c Config) InputBucket() string { return c.JobName + "-input" }
 // OutputBucket returns the job's output bucket name.
 func (c Config) OutputBucket() string { return c.JobName + "-output" }
 
+// jobNames are a job's queue and bucket names, built once: an Instance
+// keeps them for its life, so no task or request concatenates them.
+type jobNames struct{ taskQueue, monitorQueue, inputBucket, outputBucket string }
+
+func (c Config) names() jobNames {
+	return jobNames{c.TaskQueue(), c.MonitorQueue(), c.InputBucket(), c.OutputBucket()}
+}
+
 // Task terminal statuses reported on the monitor queue.
 const (
 	StatusDone = "done"
@@ -323,15 +331,16 @@ func (c *Client) SubmitBatch(batch []Task, files map[string][]byte) error {
 // controllers agree through it, so a job is re-adopted from its task IDs
 // alone — Setup is idempotent, and nothing is re-uploaded or re-enqueued.
 func (c Config) TasksFromIDs(taskIDs []string) []Task {
+	names := c.names()
 	tasks := make([]Task, len(taskIDs))
 	for i, id := range taskIDs {
-		tasks[i] = c.task(id)
+		tasks[i] = names.task(id)
 	}
 	return tasks
 }
 
-func (c Config) task(id string) Task {
-	return Task{ID: id, InputBucket: c.InputBucket(), InputKey: id, OutputBucket: c.OutputBucket(), OutputKey: id + ".out"}
+func (n jobNames) task(id string) Task {
+	return Task{ID: id, InputBucket: n.inputBucket, InputKey: id, OutputBucket: n.outputBucket, OutputKey: id + ".out"}
 }
 
 // Report summarizes a completed job.
@@ -439,6 +448,7 @@ func (c *Client) CollectOutputs(tasks []Task) (map[string][]byte, error) {
 type Instance struct {
 	env     Env
 	cfg     Config
+	names   jobNames
 	exec    Executor
 	stop    chan struct{}
 	wg      sync.WaitGroup
@@ -469,7 +479,7 @@ type InstanceStats struct {
 // paper's database staging.
 func StartInstance(env Env, cfg Config, exec Executor, workersPerInstance int) (*Instance, error) {
 	cfg = cfg.withDefaults()
-	inst := &Instance{env: env, cfg: cfg, exec: exec, stop: make(chan struct{})}
+	inst := &Instance{env: env, cfg: cfg, names: cfg.names(), exec: exec, stop: make(chan struct{})}
 	if p, ok := exec.(Preloader); ok {
 		if err := p.Preload(env); err != nil {
 			return nil, fmt.Errorf("classiccloud: preload: %w", err)
@@ -535,7 +545,7 @@ func (inst *Instance) workerLoop(workerID int) {
 		// wakes when a task arrives or a lease expires, instead of
 		// burning a receive request every few milliseconds.
 		msgs, err := inst.env.Queue.ReceiveMessageBatch(
-			inst.cfg.TaskQueue(), inst.cfg.VisibilityTimeout,
+			inst.names.taskQueue, inst.cfg.VisibilityTimeout,
 			ReceiveBatch, longPollWait)
 		if err != nil {
 			select {
@@ -580,7 +590,7 @@ func (inst *Instance) processBatch(workerID int, msgs []queue.Message, renew *le
 			renew.remove(m.ReceiptHandle)
 			continue
 		}
-		task := inst.cfg.task(string(m.Body))
+		task := inst.names.task(string(m.Body))
 		taskStart := time.Now()
 		if inst.processTask(workerID, task) {
 			a.receipts = append(a.receipts, m.ReceiptHandle)
@@ -609,12 +619,12 @@ func (inst *Instance) processBatch(workerID int, msgs []queue.Message, renew *le
 // ever repair.
 func (inst *Instance) acknowledge(a batchAck, renew *leaseRenewer) {
 	defer renew.remove(a.receipts...)
-	if _, err := inst.env.Queue.SendMessageBatch(inst.cfg.MonitorQueue(), a.reports); err != nil {
+	if _, err := inst.env.Queue.SendMessageBatch(inst.names.monitorQueue, a.reports); err != nil {
 		inst.stats.ReportErrors.Add(1)
 		return
 	}
 	// A failed delete only redelivers the tasks, to be re-run and re-reported.
-	results, _ := inst.env.Queue.DeleteMessageBatch(inst.cfg.TaskQueue(), a.receipts)
+	results, _ := inst.env.Queue.DeleteMessageBatch(inst.names.taskQueue, a.receipts)
 	for _, r := range results {
 		if r != nil {
 			// Our lease expired and the task was re-issued; the result is
@@ -640,12 +650,12 @@ func (inst *Instance) deadLetter(workerID int, m queue.Message) {
 	}
 	if len(m.Body) != 0 {
 		dead := MonitorReport{TaskID: string(m.Body), WorkerID: workerID, Status: StatusDead}
-		if _, err := inst.env.Queue.SendMessage(inst.cfg.MonitorQueue(), dead.Marshal()); err != nil {
+		if _, err := inst.env.Queue.SendMessage(inst.names.monitorQueue, dead.Marshal()); err != nil {
 			inst.stats.ReportErrors.Add(1)
 			return
 		}
 	}
-	if err := inst.env.Queue.DeleteMessage(inst.cfg.TaskQueue(), m.ReceiptHandle); err != nil {
+	if err := inst.env.Queue.DeleteMessage(inst.names.taskQueue, m.ReceiptHandle); err != nil {
 		inst.stats.StaleDeletes.Add(1)
 		return
 	}
@@ -734,7 +744,7 @@ func (inst *Instance) startLeaseRenewer() *leaseRenewer {
 				r.mu.Unlock()
 				for _, receipt := range live {
 					if err := inst.env.Queue.ChangeVisibility(
-						inst.cfg.TaskQueue(), receipt, inst.cfg.VisibilityTimeout); err != nil {
+						inst.names.taskQueue, receipt, inst.cfg.VisibilityTimeout); err != nil {
 						r.remove(receipt)
 					}
 				}

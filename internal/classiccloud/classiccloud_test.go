@@ -521,6 +521,10 @@ func TestDeadLetterAfterReceiveCap(t *testing.T) {
 	if rep.DeadLettered != 1 {
 		t.Errorf("DeadLettered = %d, want 1", rep.DeadLettered)
 	}
+	// The worker counts a dead letter after its report and its delete, so
+	// WaitForCompletion can return first: read the count once Stop has
+	// waited for the workers.
+	inst.Stop()
 	if got := inst.Stats().DeadLettered.Load(); got != 1 {
 		t.Errorf("instance DeadLettered = %d, want 1", got)
 	}

@@ -3,15 +3,15 @@
 // The FASTA format stores named biological sequences: each record starts
 // with a header line beginning with '>', followed by one or more sequence
 // lines. This package supports multi-record files, arbitrary line widths,
-// and round-trips records byte-for-byte up to line-wrapping.
+// and round-trips records byte-for-byte up to line-wrapping. There is one
+// parser, ParseBytes, which reads a document in memory in place and so has
+// no line-length limit: an unwrapped chromosome is one line.
 package fasta
 
 import (
-	"bufio"
 	"bytes"
 	"errors"
 	"fmt"
-	"io"
 	"strings"
 )
 
@@ -29,70 +29,51 @@ func (r *Record) Len() int { return len(r.Seq) }
 // ErrNoHeader is returned when sequence data appears before any '>' header.
 var ErrNoHeader = errors.New("fasta: sequence data before first header")
 
-// Reader parses FASTA records from an underlying io.Reader.
-type Reader struct {
-	s       *bufio.Scanner
-	pending string // next header line, already consumed from the scanner
-	started bool
-	err     error
-}
-
-// NewReader returns a Reader consuming from r.
-func NewReader(r io.Reader) *Reader {
-	s := bufio.NewScanner(r)
-	// No up-front buffer: bufio starts at 4 KB and grows on demand, so
-	// parsing a few-hundred-byte task input allocates little, while
-	// single lines up to 16 MB still parse.
-	s.Buffer(nil, 16*1024*1024)
-	return &Reader{s: s}
-}
-
-// Next returns the next record, or io.EOF when the input is exhausted.
-func (r *Reader) Next() (*Record, error) {
-	if r.err != nil {
-		return nil, r.err
-	}
-	header := r.pending
-	r.pending = ""
-	for header == "" {
-		if !r.s.Scan() {
-			if err := r.s.Err(); err != nil {
-				r.err = err
-			} else {
-				r.err = io.EOF
+// ParseBytes parses every record from an in-memory FASTA document. It
+// walks the document in place, one line at a time, so a line may be of
+// any length; it allocates the records, one string per header (ID and
+// Description share it) and one sequence per record, sized before it is
+// filled.
+func ParseBytes(b []byte) ([]*Record, error) {
+	var recs []*Record
+	for len(b) > 0 {
+		var line []byte
+		if line, b = cutLine(b); len(line) == 0 {
+			continue
+		}
+		if line[0] != '>' {
+			return nil, fmt.Errorf("%w: %q", ErrNoHeader, line)
+		}
+		rec := parseHeader(string(line))
+		// The sequence is every non-blank line up to the next header.
+		n, end := 0, b
+		for len(end) > 0 {
+			l, rest := cutLine(end)
+			if len(l) > 0 && l[0] == '>' {
+				break
 			}
-			return nil, r.err
+			n, end = n+len(l), rest
 		}
-		line := strings.TrimSpace(r.s.Text())
-		if line == "" {
-			continue
+		if n > 0 {
+			rec.Seq = make([]byte, 0, n)
+			for len(b) > len(end) {
+				line, b = cutLine(b)
+				rec.Seq = append(rec.Seq, line...)
+			}
 		}
-		if !strings.HasPrefix(line, ">") {
-			r.err = fmt.Errorf("%w: %q", ErrNoHeader, line)
-			return nil, r.err
-		}
-		header = line
+		b = end
+		recs = append(recs, rec)
 	}
-	rec := parseHeader(header)
-	var seq bytes.Buffer
-	for r.s.Scan() {
-		line := strings.TrimSpace(r.s.Text())
-		if line == "" {
-			continue
-		}
-		if strings.HasPrefix(line, ">") {
-			r.pending = line
-			break
-		}
-		seq.WriteString(line)
+	return recs, nil
+}
+
+// cutLine splits b after its first line and returns that line with
+// surrounding white space (a CR before the LF too) trimmed.
+func cutLine(b []byte) (line, rest []byte) {
+	if i := bytes.IndexByte(b, '\n'); i >= 0 {
+		return bytes.TrimSpace(b[:i]), b[i+1:]
 	}
-	if err := r.s.Err(); err != nil {
-		r.err = err
-		return nil, err
-	}
-	rec.Seq = seq.Bytes()
-	r.started = true
-	return rec, nil
+	return bytes.TrimSpace(b), nil
 }
 
 func parseHeader(line string) *Record {
@@ -103,27 +84,6 @@ func parseHeader(line string) *Record {
 		rec.Description = strings.TrimSpace(desc)
 	}
 	return rec
-}
-
-// ReadAll parses every record from r.
-func ReadAll(r io.Reader) ([]*Record, error) {
-	fr := NewReader(r)
-	var recs []*Record
-	for {
-		rec, err := fr.Next()
-		if err == io.EOF {
-			return recs, nil
-		}
-		if err != nil {
-			return nil, err
-		}
-		recs = append(recs, rec)
-	}
-}
-
-// ParseBytes parses every record from an in-memory FASTA document.
-func ParseBytes(b []byte) ([]*Record, error) {
-	return ReadAll(bytes.NewReader(b))
 }
 
 // defaultWidth is the conventional FASTA sequence line width.
@@ -163,18 +123,21 @@ func MarshalRecords(recs []*Record) ([]byte, error) {
 	return doc, nil
 }
 
-// CountRecords counts records in a FASTA document without retaining them.
+// CountRecords counts records in a FASTA document without retaining
+// them: the headers ParseBytes would find, after checking that no
+// sequence data comes before the first.
 func CountRecords(b []byte) (int, error) {
-	fr := NewReader(bytes.NewReader(b))
 	n := 0
-	for {
-		_, err := fr.Next()
-		if err == io.EOF {
-			return n, nil
+	for len(b) > 0 {
+		var line []byte
+		if line, b = cutLine(b); len(line) == 0 {
+			continue
 		}
-		if err != nil {
-			return n, err
+		if line[0] == '>' {
+			n++
+		} else if n == 0 {
+			return 0, fmt.Errorf("%w: %q", ErrNoHeader, line)
 		}
-		n++
 	}
+	return n, nil
 }

@@ -1124,12 +1124,15 @@ func (s *Service) receiveBatchWait(queueName string, visibility time.Duration, m
 	}
 	// The overall timer caps real blocking time even under a FakeClock
 	// whose time never advances, so stopping a worker mid-poll cannot
-	// deadlock.
-	var overallC <-chan time.Time
+	// deadlock. It is armed when the poll first parks, with what is left
+	// of wait since the call began: a receive that finds messages makes
+	// no timer.
+	var (
+		begin    time.Time
+		overallC <-chan time.Time
+	)
 	if wait > 0 {
-		overall := time.NewTimer(wait)
-		defer overall.Stop()
-		overallC = overall.C
+		begin = time.Now()
 	}
 	deadline := s.cfg.Clock.Now().Add(wait)
 	for {
@@ -1166,6 +1169,15 @@ func (s *Service) receiveBatchWait(queueName string, visibility time.Duration, m
 		}
 		if len(out) > 0 || wait <= 0 || !now.Before(deadline) {
 			return out, nil
+		}
+		if overallC == nil {
+			left := wait - time.Since(begin)
+			if left <= 0 {
+				return out, nil
+			}
+			overall := time.NewTimer(left)
+			defer overall.Stop()
+			overallC = overall.C
 		}
 		if woke, err := s.park(notify, advC, expiryIn, overallC); !woke {
 			return nil, err

@@ -152,7 +152,12 @@ type connGen struct {
 	dead    bool
 }
 
-type call struct{ ch chan callRes }
+// call is one request's pooled handle: where its response is delivered,
+// and the timer that bounds the wait for it, Reset per call.
+type call struct {
+	ch    chan callRes
+	timer *time.Timer
+}
 
 type callRes struct {
 	f   Frame
@@ -163,7 +168,8 @@ type callRes struct {
 // callPool recycles call handles. The ownership protocol makes reuse
 // safe: a call is delivered to at most once (pending lookup+delete is
 // atomic under connGen.mu), and the handle returns to the pool only
-// after its single delivery was consumed or provably never claimed.
+// after its single delivery was consumed or provably never claimed, and
+// with its timer stopped and its channel empty.
 var callPool = sync.Pool{New: func() any { return &call{ch: make(chan callRes, 1)} }}
 
 // get returns the slot's live generation, dialing a fresh connection
@@ -343,13 +349,22 @@ func (p *pool) roundTrip(op byte, queueName, trace string, extraWait time.Durati
 	if extraWait > 0 {
 		timeout += extraWait
 	}
-	timer := time.NewTimer(timeout)
+	if cl.timer == nil {
+		cl.timer = time.NewTimer(timeout)
+	} else {
+		cl.timer.Reset(timeout)
+	}
 	select {
 	case res := <-cl.ch:
-		timer.Stop()
+		if !cl.timer.Stop() {
+			// It fired as the response came in. Under go.mod's go 1.22
+			// timer semantics the tick stays buffered in C: drain it, or
+			// the handle's next call would time out at once.
+			<-cl.timer.C
+		}
 		callPool.Put(cl)
 		return res, res.err
-	case <-timer.C:
+	case <-cl.timer.C:
 		g.mu.Lock()
 		_, still := g.pending[id]
 		if still {

@@ -96,24 +96,40 @@ func appendMessages(e *codec.Enc, msgs []queue.Message) {
 	}
 }
 
-// readMessages decodes a received-message list. Bodies are copied out of
-// the frame buffer because the buffer returns to the pool as soon as
-// the caller finishes decoding, while queue.Message.Body may be held
-// for the whole task execution.
+// readMessages decodes a received-message list. The frame buffer returns
+// to the pool as soon as the caller finishes decoding, while a message
+// may be held for a whole task execution, so what is left of the payload
+// is copied once, as one string backing every id and receipt and one
+// byte slice backing every body. A body is capped at its own end: an
+// append to it reallocates instead of running into the next one.
 func readMessages(d *codec.Dec) []queue.Message {
 	n := d.Len()
 	if d.Err != nil || n == 0 {
 		return nil
 	}
+	strs, raw := string(d.B), append([]byte(nil), d.B...)
 	msgs := make([]queue.Message, 0, n)
 	for i := 0; i < n && d.Err == nil; i++ {
-		m := queue.Message{ID: d.Str()}
-		m.Body = append([]byte(nil), d.Bytes()...)
-		m.ReceiptHandle = d.Str()
+		var m queue.Message
+		lo, hi := field(d, len(raw))
+		m.ID = strs[lo:hi]
+		if lo, hi = field(d, len(raw)); hi > lo {
+			m.Body = raw[lo:hi:hi]
+		}
+		lo, hi = field(d, len(raw))
+		m.ReceiptHandle = strs[lo:hi]
 		m.Receives = int(d.U64())
 		msgs = append(msgs, m)
 	}
 	return msgs
+}
+
+// field reads d's next length-prefixed field and returns where it lies
+// in the arenas copied when d had size bytes left.
+func field(d *codec.Dec, size int) (lo, hi int) {
+	p := d.Bytes()
+	hi = size - len(d.B)
+	return hi - len(p), hi
 }
 
 // appendStrings encodes a string list (message ids, queue names).
@@ -124,14 +140,18 @@ func appendStrings(e *codec.Enc, ss []string) {
 	}
 }
 
+// readStrings decodes a string list, every string a slice of one copy of
+// what is left of the payload.
 func readStrings(d *codec.Dec) []string {
 	n := d.Len()
 	if d.Err != nil || n == 0 {
 		return nil
 	}
+	strs := string(d.B)
 	ss := make([]string, 0, n)
 	for i := 0; i < n && d.Err == nil; i++ {
-		ss = append(ss, d.Str())
+		lo, hi := field(d, len(strs))
+		ss = append(ss, strs[lo:hi])
 	}
 	return ss
 }
