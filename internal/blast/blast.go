@@ -11,6 +11,21 @@
 // searched by many independent query files, optionally with multiple
 // threads per worker, reproducing the workers-versus-threads trade-off
 // of Figure 9.
+//
+// A task's largest cost is the banded gapped extension, one band row at a
+// time. Where the CPU and OS support AVX2 (internal/cpuid), and for a band
+// of at most 15 and gap costs with 0 ≤ extend ≤ open ≤ 2^20 — every
+// setting the programs use: band 12, gaps 11/1 — an assembly kernel
+// computes a row's 32 lanes, eight to a register (band_amd64.s).
+// Elsewhere, and for any other band or gap costs, the portable Go row
+// (bandRow) does. Both fill the same matrix cell for cell, so the hits and
+// the output bytes do not depend on the machine. The vector row takes the
+// in-row gap term F as a prefix maximum instead of a recurrence along the
+// row. Following Farrar's SIMD Smith–Waterman (Bioinformatics 23(2),
+// 2007), that gives the same integers whenever opening a gap costs at
+// least as much as extending one. FuzzBandRow holds the two rows to the
+// same matrices and hits, and TestGoldenRunPortableRow keeps the portable
+// row golden on machines that run the vector one.
 package blast
 
 import (
@@ -245,7 +260,7 @@ func (db *Database) SearchWithStats(query *fasta.Record, opt Options) ([]Hit, Se
 	diags := make([]diagState, db.TotalLen+len(db.Seqs)*lq)
 	var hsps []Hit
 	neigh := make([]int32, 0, 64)
-	var gapped []bandCell // gappedExtend's matrix, grown once and shared by every extension of this query
+	var gapped []int32 // gappedExtend's matrix, grown once and shared by every extension of this query
 
 	for qp := 0; qp+wordSize <= lq; qp++ {
 		neigh = neighborhood(q[qp:qp+wordSize], opt.Threshold, neigh[:0])
@@ -321,64 +336,74 @@ func dedupeHits(hits []Hit) []Hit {
 // stopping when the running score drops more than xdrop below the best.
 // It returns the best score and the query extent [qs, qe).
 func ungappedExtend(q, s []byte, qp, sp, w, xdrop int) (score, qs, qe int) {
-	// Seed score.
-	best := 0
+	seed := 0
 	for i := 0; i < w; i++ {
-		best += bio.Score62(q[qp+i], s[sp+i])
+		seed += bio.Score62(q[qp+i], s[sp+i])
 	}
-	cur := best
-	// Right extension.
-	bestRight := 0
-	run := 0
+	bestRight, bestRightLen, run := 0, 0, 0
 	for i := w; qp+i < len(q) && sp+i < len(s); i++ {
 		run += bio.Score62(q[qp+i], s[sp+i])
 		if run > bestRight {
-			bestRight = run
+			bestRight, bestRightLen = run, i-w+1
 		}
 		if bestRight-run > xdrop {
 			break
 		}
 	}
-	// Left extension.
-	bestLeft := 0
+	bestLeft, bestLeftLen := 0, 0
 	run = 0
-	leftLen := 0
-	bestLeftLen := 0
 	for i := 1; qp-i >= 0 && sp-i >= 0; i++ {
 		run += bio.Score62(q[qp-i], s[sp-i])
-		leftLen = i
 		if run > bestLeft {
-			bestLeft = run
-			bestLeftLen = leftLen
+			bestLeft, bestLeftLen = run, i
 		}
 		if bestLeft-run > xdrop {
 			break
 		}
 	}
-	cur = best + bestRight + bestLeft
-	qs = qp - bestLeftLen
-	// Right best length: recompute to get extent.
-	run, bestRight = 0, 0
-	bestRightLen := 0
-	for i := w; qp+i < len(q) && sp+i < len(s); i++ {
-		run += bio.Score62(q[qp+i], s[sp+i])
-		if run > bestRight {
-			bestRight = run
-			bestRightLen = i - w + 1
-		}
-		if bestRight-run > xdrop {
-			break
-		}
-	}
-	qe = qp + w + bestRightLen
-	return cur, qs, qe
+	return seed + bestRight + bestLeft, qp - bestLeftLen, qp + w + bestRightLen
+}
+
+// The banded matrix: a row holds stride H lanes, then stride E lanes,
+// where lane c of query row i is band column c, subject column j = i +
+// diag − band + c. Lane width = 2·band+1 lies right of the band and
+// holds H = E = −∞; a lane off the subject holds H = 0, E = −∞; no lane
+// past width is read as a cell. Cell (i-1, j-1) is then lane c of the
+// row above, (i-1, j) lane c+1, and (i, j-1) lane c-1 of this row. The
+// vector row computes vectorLanes lanes and reads one more of the row
+// above, so its rows are vectorStride lanes, and the band it fits is
+// vectorBand at most.
+const (
+	vectorLanes  = 32
+	vectorStride = 40
+	vectorBand   = (vectorLanes - 2) / 2
+	vectorMaxGap = 1 << 20
+)
+
+// vectorRow is the AVX2 row kernel where band_amd64.go's init finds the
+// CPU and OS support AVX2, and nil elsewhere. It computes what bandRow
+// does for the row at row (the row above ends just before it) in
+// vectorLanes lanes at once, reading lane c's subject residue from res[c]
+// as an int32 and its score from scores, and writes every lane of the
+// row. It returns the row's best H and its first lane.
+var vectorRow func(row, res *int32, scores *[256]int32, cLo, cHi, width int, open, extend int32) (best int32, at int)
+
+// vectorFits reports whether the vector row computes a band and gap
+// costs exactly: the band and its sentinel lane must fit in vectorLanes,
+// and its F scan is the scalar recurrence only when 0 ≤ extend ≤ open,
+// both small enough that no lane wraps.
+func vectorFits(band, open, extend int) bool {
+	return 0 <= band && band <= vectorBand && 0 <= extend && extend <= open && open <= vectorMaxGap
 }
 
 // gappedExtend performs a banded Smith–Waterman alignment of the query
 // window around the seeded region against the subject, anchored on the
-// seed diagonal. Its score matrix lives in *scratch, which it grows as
-// needed and leaves for the next call to overwrite.
-func gappedExtend(q, s []byte, qAnchor, sAnchor, anchorLen int, opt Options, scratch *[]bandCell) Hit {
+// seed diagonal. The anchor is a position of q and of s, so the subject
+// window is empty only when the query window is. Its score matrix lives
+// in *scratch, which it grows as needed and leaves for the next call to
+// overwrite. Each row is computed by vectorRow when there is one and it
+// fits opt, and by bandRow otherwise; both fill lanes 0 to width alike.
+func gappedExtend(q, s []byte, qAnchor, sAnchor, anchorLen int, opt Options, scratch *[]int32) Hit {
 	// Align a generous window around the anchor.
 	margin := opt.Band * 4
 	qLo := max(0, qAnchor-margin-anchorLen)
@@ -389,53 +414,70 @@ func gappedExtend(q, s []byte, qAnchor, sAnchor, anchorLen int, opt Options, scr
 	sw := s[sLo:sHi]
 	diag := (sAnchor - sLo) - (qAnchor - qLo)
 
+	// Smith-Waterman with affine gaps restricted to |j - i - diag| ≤ band,
+	// in the banded matrix above. Only rows first to last reach the
+	// subject; the matrix holds them after the blank row above first, its
+	// row 0, which neither the best cell nor the traceback passes. The
+	// vector row reads the subject window as int32 residues after the
+	// matrix, vectorLanes zeros each side, so that lanes off the subject
+	// load in bounds.
 	n, m := len(qw), len(sw)
 	band := opt.Band
-	// Smith-Waterman with affine gaps restricted to |j - i - diag| ≤ band:
-	// row i stores band column c at i·stride + c, for subject column
-	// j = i + diag - band + c, and ends in a sentinel column c = width
-	// holding H = E = -∞, the cells right of the band. Cell (i-1, j-1) is
-	// then column c of the row above, (i-1, j) column c+1, and (i, j-1)
-	// column c-1 of this row. A cell off the subject holds H = 0, E = -∞
-	// (the gap in the subject, F, is only ever read from the cell just
-	// computed); bandRow computes the cells on it.
 	width := 2*band + 1
-	stride := width + 1
-	size := (n + 1) * stride
-	*scratch = slices.Grow((*scratch)[:0], size)[:size]
-	cells := *scratch
-	offSubject(cells[:width])
-	cells[width] = bandCell{negInf, negInf}
+	first, last := max(1, 1-diag-band), min(n, m-diag+band)
+	stride := max(vectorStride, width+1)
+	rowLen := 2 * stride
+	size := (max(0, last-first+1) + 1) * rowLen
+	vector := vectorRow != nil && vectorFits(band, opt.GapOpen, opt.GapExtend)
+	need := size
+	if vector {
+		need += m + 2*vectorLanes
+	}
+	*scratch = slices.Grow((*scratch)[:0], need)[:need]
+	cells, res := (*scratch)[:size], (*scratch)[size:]
+	if vector {
+		clear(res[:vectorLanes])
+		for k, c := range sw {
+			res[vectorLanes+k] = int32(c)
+		}
+		clear(res[vectorLanes+m:])
+	}
+	offSubject(cells[:width], cells[stride:stride+width])
+	cells[width], cells[stride+width] = negInf, negInf
 	open, extend := int32(opt.GapOpen), int32(opt.GapExtend)
 	var bestScore int32
 	bi, bj := 0, 0
-	for i := 1; i <= n; i++ {
-		up, row := cells[(i-1)*stride:i*stride], cells[i*stride:(i+1)*stride]
-		row[width] = bandCell{negInf, negInf}
-		j0 := i + diag - band // subject column of band column 0
+	for i := first; i <= last; i++ {
+		r := i - first + 1
+		row := cells[r*rowLen : (r+1)*rowLen]
+		j0 := i + diag - band // subject column of band lane 0
 		cLo, cHi := max(0, 1-j0), min(width-1, m-j0)
-		if cLo > cHi {
-			offSubject(row[:width])
-			continue
+		var best int32
+		var c int
+		if vector {
+			best, c = vectorRow(&row[0], &res[vectorLanes+j0-1], &score62[qw[i-1]], cLo, cHi, width, open, extend)
+		} else {
+			best, c = bandRow(row, cells[(r-1)*rowLen:r*rowLen], sw[j0-1+cLo:j0+cHi], &score62[qw[i-1]], cLo, cHi, width, open, extend)
 		}
-		offSubject(row[:cLo])
-		offSubject(row[cHi+1 : width])
-		best, k := bandRow(row[:cHi+1], up[:cHi+2], cLo, sw[j0+cLo-1:j0+cHi], &score62[qw[i-1]], open, extend)
 		if best > bestScore {
-			bestScore, bi, bj = best, i, j0+cLo+k
+			bestScore, bi, bj = best, i, j0+c
 		}
 	}
 	// Traceback from (bi,bj) to recover extents and identity; a step that
-	// leaves the band ends it.
+	// leaves the band, or reaches a cell holding 0, ends it.
 	matches, alen := 0, 0
 	i, j := bi, bj
-	for i > 0 && j > 0 {
+	for i >= first && j > 0 {
 		c := j - (i + diag) + band
-		if c < 0 || c >= width || cells[i*stride+c].h == 0 {
+		if c < 0 || c >= width {
 			break
 		}
-		h := cells[i*stride+c].h
-		if h == cells[(i-1)*stride+c].h+int32(bio.Score62(qw[i-1], sw[j-1])) {
+		at := (i-first+1)*rowLen + c
+		h := cells[at]
+		if h == 0 {
+			break
+		}
+		if h == cells[at-rowLen]+score62[qw[i-1]][sw[j-1]] {
 			if qw[i-1] == sw[j-1] {
 				matches++
 			}
@@ -445,7 +487,7 @@ func gappedExtend(q, s []byte, qAnchor, sAnchor, anchorLen int, opt Options, scr
 			continue
 		}
 		alen++
-		if cells[i*stride+c].e == h {
+		if cells[at+stride] == h {
 			i--
 		} else {
 			j--
@@ -462,66 +504,69 @@ func gappedExtend(q, s []byte, qAnchor, sAnchor, anchorLen int, opt Options, scr
 	}
 }
 
-// bandRow computes band columns cLo onward of one row, row[cLo:], from
-// the row above, up (column c+1 of up is the cell above column c of row,
-// column c the one diagonally up-left), and the subject residues sr under
-// them, scored with the query residue's row of score62. A row takes two
+// bandRow is the portable row kernel and the oracle the vector row is
+// tested against. It computes lanes cLo to cHi of one matrix row from the
+// row above, up (lane c+1 of up is the cell above lane c, lane c the one
+// diagonally up-left), and the subject residues sr under them, scored
+// with the query residue's row of score62. It marks the row's other lanes
+// up to width off the subject or right of the band. A row takes two
 // passes: max(0, match, E), which reads only the row above, and then the
-// F recurrence along the row, starting from the H left of column cLo
-// (−∞ at the band's edge). It returns the row's best H and the first
-// column, counted from cLo, that holds it.
-func bandRow(row, up []bandCell, cLo int, sr []byte, scores *[256]int8, open, extend int32) (best int32, at int) {
-	leftH := int32(negInf)
-	if cLo > 0 {
-		leftH = row[cLo-1].h
+// F recurrence along the row, starting from the H left of lane cLo (−∞
+// at the band's edge). It returns the row's best H and the first lane
+// that holds it.
+func bandRow(row, up []int32, sr []byte, scores *[256]int32, cLo, cHi, width int, open, extend int32) (best int32, at int) {
+	stride := len(row) / 2
+	h, e, upH, upE := row[:stride], row[stride:], up[:stride], up[stride:]
+	leftH := int32(0)
+	if cLo == 0 {
+		leftH = negInf
 	}
-	r := row[cLo:]
-	up, sr = up[cLo:cLo+len(r)+1], sr[:len(r)]
-	diagH := up[0].h
-	above := up[1:]
-	for k := range r {
-		a := above[k]
-		e := max(a.h-open, a.e-extend)
-		r[k] = bandCell{max(0, diagH+int32(scores[sr[k]]), e), e}
-		diagH = a.h
+	offSubject(h[:cLo], e[:cLo])
+	offSubject(h[cHi+1:width], e[cHi+1:width])
+	h[width], e[width] = negInf, negInf
+	hr := h[cLo : cHi+1]
+	n := len(hr)
+	er, sr := e[cLo:cLo+n], sr[:n]
+	diagH, aboveH, aboveE := upH[cLo], upH[cLo+1:cLo+1+n], upE[cLo+1:cLo+1+n]
+	for k := range hr {
+		ek := max(aboveH[k]-open, aboveE[k]-extend)
+		hr[k] = max(0, diagH+scores[sr[k]], ek)
+		er[k] = ek
+		diagH = aboveH[k]
 	}
 	best, leftF := int32(-1), int32(negInf)
-	for k := range r {
+	for k, hk := range hr {
 		f := max(leftH-open, leftF-extend)
-		h := max(r[k].h, f)
-		r[k].h = h
-		leftH, leftF = h, f
-		if h > best {
-			best, at = h, k
+		hk = max(hk, f)
+		hr[k] = hk
+		leftH, leftF = hk, f
+		if hk > best {
+			best, at = hk, k
 		}
 	}
-	return best, at
+	return best, cLo + at
 }
-
-// bandCell is one cell of gappedExtend's banded matrix: the best score
-// of an alignment ending there (H) and of one ending in a gap in the
-// query (E).
-type bandCell struct{ h, e int32 }
 
 // negInf is gappedExtend's −∞: low enough that no path through it wins,
 // high enough that subtracting gap penalties cannot overflow an int32.
 const negInf = math.MinInt32 / 4
 
-// offSubject resets band cells that lie off the subject: H = 0, E = −∞.
-func offSubject(cells []bandCell) {
-	for c := range cells {
-		cells[c] = bandCell{0, negInf}
+// offSubject sets lanes that lie off the subject to H = 0, E = −∞.
+func offSubject(h, e []int32) {
+	clear(h)
+	for c := range e {
+		e[c] = negInf
 	}
 }
 
 // score62 is bio.Score62 tabulated by byte pair, for gappedExtend's
-// inner loop.
-var score62 [256][256]int8
+// rows and traceback.
+var score62 [256][256]int32
 
 func init() {
 	for a := range score62 {
 		for b := range score62[a] {
-			score62[a][b] = int8(bio.Score62(byte(a), byte(b)))
+			score62[a][b] = int32(bio.Score62(byte(a), byte(b)))
 		}
 	}
 }

@@ -800,3 +800,232 @@ func FuzzSearch(f *testing.F) {
 		checkAgainstOracle(t, "fuzz", seqs[1:], seqs[0])
 	})
 }
+
+// ungappedExtendTwoPass is ungappedExtend as it stood before it kept the
+// right extension's length in its one walk: it walked right once for
+// the score and again for the extent.
+func ungappedExtendTwoPass(q, s []byte, qp, sp, w, xdrop int) (score, qs, qe int) {
+	best := 0
+	for i := 0; i < w; i++ {
+		best += bio.Score62(q[qp+i], s[sp+i])
+	}
+	bestRight := 0
+	run := 0
+	for i := w; qp+i < len(q) && sp+i < len(s); i++ {
+		run += bio.Score62(q[qp+i], s[sp+i])
+		if run > bestRight {
+			bestRight = run
+		}
+		if bestRight-run > xdrop {
+			break
+		}
+	}
+	bestLeft := 0
+	run = 0
+	bestLeftLen := 0
+	for i := 1; qp-i >= 0 && sp-i >= 0; i++ {
+		run += bio.Score62(q[qp-i], s[sp-i])
+		if run > bestLeft {
+			bestLeft = run
+			bestLeftLen = i
+		}
+		if bestLeft-run > xdrop {
+			break
+		}
+	}
+	cur := best + bestRight + bestLeft
+	qs = qp - bestLeftLen
+	run, bestRight = 0, 0
+	bestRightLen := 0
+	for i := w; qp+i < len(q) && sp+i < len(s); i++ {
+		run += bio.Score62(q[qp+i], s[sp+i])
+		if run > bestRight {
+			bestRight = run
+			bestRightLen = i - w + 1
+		}
+		if bestRight-run > xdrop {
+			break
+		}
+	}
+	qe = qp + w + bestRightLen
+	return cur, qs, qe
+}
+
+// The one-walk ungappedExtend returns what the two-walk one did, on
+// random sequences (related, so that extensions run long, or not), word
+// hits and X-drops.
+func TestUngappedExtendMatchesTwoPass(t *testing.T) {
+	f := func(seed int64, qLen, sLen, w, xdrop uint8, related bool) bool {
+		rng := rand.New(rand.NewSource(seed))
+		lq, ls, ww := 1+int(qLen)%200, 1+int(sLen)%200, 1+int(w)%4
+		if ww > min(lq, ls) {
+			return true
+		}
+		q := workload.Protein(rng, lq)
+		s := workload.Protein(rng, ls)
+		if related {
+			for i := range min(lq, ls) {
+				if rng.Intn(5) > 0 {
+					s[i] = q[i]
+				}
+			}
+		}
+		qp, sp := rng.Intn(lq-ww+1), rng.Intn(ls-ww+1)
+		if related {
+			sp = min(qp, ls-ww)
+		}
+		a1, a2, a3 := ungappedExtend(q, s, qp, sp, ww, int(xdrop)%30)
+		b1, b2, b3 := ungappedExtendTwoPass(q, s, qp, sp, ww, int(xdrop)%30)
+		if a1 != b1 || a2 != b2 || a3 != b3 {
+			t.Logf("seed %d, qp %d, sp %d, w %d, xdrop %d: (%d, %d, %d), two walks (%d, %d, %d)",
+				seed, qp, sp, ww, int(xdrop)%30, a1, a2, a3, b1, b2, b3)
+			return false
+		}
+		return true
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 5000}); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestGoldenRunPortableRow runs TestGoldenRun under the portable row, so
+// that it stays golden on CPUs that run the vector row by default.
+func TestGoldenRunPortableRow(t *testing.T) {
+	saved := vectorRow
+	defer func() { vectorRow = saved }()
+	vectorRow = nil
+	TestGoldenRun(t)
+}
+
+// checkRows runs gappedExtend with the row kernel that opt dispatches to
+// and with the portable row alone, and fails unless both fill lanes 0 to
+// width of every row of the matrix alike, H and E, and return the same
+// Hit.
+func checkRows(t *testing.T, q, s []byte, qAnchor, sAnchor, anchorLen int, opt Options) {
+	t.Helper()
+	var vec, port []int32
+	got := gappedExtend(q, s, qAnchor, sAnchor, anchorLen, opt, &vec)
+	saved := vectorRow
+	defer func() { vectorRow = saved }()
+	vectorRow = nil
+	want := gappedExtend(q, s, qAnchor, sAnchor, anchorLen, opt, &port)
+	width := 2*opt.Band + 1
+	stride := max(vectorStride, width+1)
+	for r := 0; r*2*stride < len(port); r++ {
+		for _, lanes := range []struct {
+			name string
+			at   int
+		}{{"H", r * 2 * stride}, {"E", r*2*stride + stride}} {
+			for c := range width + 1 {
+				if a, b := vec[lanes.at+c], port[lanes.at+c]; a != b {
+					t.Fatalf("band %d, gaps %d/%d, matrix row %d: %s lane %d = %d, portable row %d",
+						opt.Band, opt.GapOpen, opt.GapExtend, r, lanes.name, c, a, b)
+				}
+			}
+		}
+	}
+	if got != want {
+		t.Fatalf("band %d, gaps %d/%d: %+v, portable row %+v", opt.Band, opt.GapOpen, opt.GapExtend, got, want)
+	}
+}
+
+// mutate returns a copy of seq with point substitutions, insertions and
+// deletions, each at rate p: a sequence gappedExtend aligns with gaps.
+func mutate(rng *rand.Rand, seq []byte, p float64) []byte {
+	var out []byte
+	for _, c := range seq {
+		switch r := rng.Float64(); {
+		case r < p:
+			out = append(out, bio.ProteinAlphabet[rng.Intn(20)])
+		case r < 2*p:
+			out = append(out, c, bio.ProteinAlphabet[rng.Intn(20)])
+		case r < 3*p:
+		default:
+			out = append(out, c)
+		}
+	}
+	return out
+}
+
+// On related sequences, anchored where gappedExtend is in production,
+// the vector row fills the matrices the portable row does, for every
+// band and gap costs it accepts and some it does not.
+func TestVectorRowMatchesPortable(t *testing.T) {
+	if vectorRow == nil {
+		t.Skip("this CPU runs the portable row only")
+	}
+	rng := rand.New(rand.NewSource(38))
+	gaps := [][2]int{{11, 1}, {5, 2}, {3, 3}, {8, 0}, {0, 0}, {1, 4}, {-2, 1}, {vectorMaxGap + 1, 1}}
+	for range 3000 {
+		s := workload.Protein(rng, 1+rng.Intn(300))
+		q := mutate(rng, s[rng.Intn(len(s)):], 0.05*rng.Float64())
+		if len(q) == 0 {
+			continue
+		}
+		qAnchor := rng.Intn(len(q))
+		sAnchor := min(len(s)-1, max(0, qAnchor+rng.Intn(9)-4))
+		g := gaps[rng.Intn(len(gaps))]
+		opt := Options{Band: rng.Intn(17), GapOpen: g[0], GapExtend: g[1]}
+		checkRows(t, q, s, qAnchor, sAnchor, rng.Intn(len(q)-qAnchor+1), opt)
+	}
+}
+
+func TestVectorFits(t *testing.T) {
+	for _, c := range []struct {
+		band, open, extend int
+		want               bool
+	}{
+		{12, 11, 1, true}, {15, 11, 1, true}, {0, 0, 0, true}, {15, vectorMaxGap, vectorMaxGap, true},
+		{16, 11, 1, false}, {-1, 11, 1, false}, {12, 1, 2, false}, {12, 11, -1, false},
+		{12, -1, -2, false}, {12, vectorMaxGap + 1, 1, false}, {12, 1 << 40, 1 << 39, false},
+	} {
+		if got := vectorFits(c.band, c.open, c.extend); got != c.want {
+			t.Errorf("vectorFits(band %d, gaps %d/%d) = %v, want %v", c.band, c.open, c.extend, got, c.want)
+		}
+	}
+}
+
+// FuzzBandRow: arbitrary bytes become a query and a subject (split at
+// the first newline, over fuzzResidues), with an anchor, a band of 0–16
+// and any gap costs, and gappedExtend must fill the same matrix and find
+// the same Hit under the row kernel it dispatches to as under the
+// portable row. Gap costs the vector row cannot compute exactly must
+// fall back to the portable row, so they agree too.
+func FuzzBandRow(f *testing.F) {
+	rng := rand.New(rand.NewSource(38))
+	s := workload.Protein(rng, 120)
+	related := append(append(bytes.Clone(s[:50]), "GGW"...), s[50:100]...)
+	pair := func(q, s []byte) []byte { return append(append(bytes.Clone(q), '\n'), s...) }
+	// The insertion and deletion cases make rows whose H comes from F;
+	// "W" against "WW" is a row whose best H sits in two lanes.
+	f.Add(pair(related, s), uint16(60), uint16(60), uint8(20), uint8(12), int64(11), int64(1))
+	f.Add(pair(s, related), uint16(30), uint16(30), uint8(10), uint8(12), int64(11), int64(1))
+	f.Add(pair(related, s), uint16(60), uint16(57), uint8(20), uint8(15), int64(5), int64(2))
+	f.Add(pair(related, s), uint16(0), uint16(0), uint8(0), uint8(0), int64(11), int64(1))
+	f.Add(pair(s, related), uint16(100), uint16(2), uint8(3), uint8(16), int64(11), int64(1))
+	f.Add([]byte("W\nWW"), uint16(0), uint16(0), uint8(1), uint8(12), int64(11), int64(1))
+	f.Add(pair(bytes.Repeat([]byte("WCWHM"), 8), bytes.Repeat([]byte("WCWHM"), 12)), uint16(5), uint16(10), uint8(5), uint8(12), int64(11), int64(1))
+	f.Add(pair(s, related), uint16(40), uint16(40), uint8(8), uint8(12), int64(1), int64(3))
+	f.Add(pair(s, related), uint16(40), uint16(40), uint8(8), uint8(12), int64(-4), int64(1))
+	f.Add(pair(s, related), uint16(40), uint16(40), uint8(8), uint8(12), int64(1)<<31, int64(1)<<30)
+	f.Add(pair(s, related), uint16(40), uint16(40), uint8(8), uint8(12), int64(3), int64(0))
+	f.Fuzz(func(t *testing.T, data []byte, qa, sa uint16, alen, band uint8, open, extend int64) {
+		if vectorRow == nil {
+			t.Skip("this CPU runs the portable row only")
+		}
+		q, s, ok := bytes.Cut(data, []byte{'\n'})
+		if !ok || len(q) == 0 || len(s) == 0 || len(data) > 2048 {
+			return
+		}
+		for _, seq := range [][]byte{q, s} {
+			for i, c := range seq {
+				if strings.IndexByte(fuzzResidues, c) < 0 {
+					seq[i] = fuzzResidues[int(c)%len(fuzzResidues)]
+				}
+			}
+		}
+		qAnchor, sAnchor := int(qa)%len(q), int(sa)%len(s)
+		anchorLen := int(alen) % (len(q) - qAnchor + 1)
+		checkRows(t, q, s, qAnchor, sAnchor, anchorLen, Options{Band: int(band % 17), GapOpen: int(open), GapExtend: int(extend)})
+	})
+}

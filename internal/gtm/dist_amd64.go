@@ -1,15 +1,12 @@
 package gtm
 
+import "repro/internal/cpuid"
+
 func init() {
-	if cpuHasAVX() {
+	if cpuid.HasAVX() {
 		distKernel = sqDist16AVX
 	}
 }
-
-// cpuHasAVX reports whether the CPU has AVX (CPUID leaf 1 ECX bit 28)
-// and the OS saves the YMM registers (ECX bit 27 OSXSAVE, then XCR0
-// bits 1 and 2).
-func cpuHasAVX() bool
 
 // sqDist16AVX is sqDist16Go in four 4-wide AVX accumulators, one per
 // block: per dimension it broadcasts x[t], loads the block rows, and

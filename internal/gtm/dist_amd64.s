@@ -1,25 +1,5 @@
 #include "textflag.h"
 
-// func cpuHasAVX() bool
-TEXT ·cpuHasAVX(SB), NOSPLIT, $0-1
-	MOVL $1, AX
-	XORL CX, CX
-	CPUID
-	ANDL $0x18000000, CX // OSXSAVE and AVX
-	CMPL CX, $0x18000000
-	JNE  no
-	XORL CX, CX
-	XGETBV               // XCR0 into DX:AX
-	ANDL $6, AX          // XMM and YMM state enabled
-	CMPL AX, $6
-	JNE  no
-	MOVB $1, ret+0(FP)
-	RET
-
-no:
-	MOVB $0, ret+0(FP)
-	RET
-
 // func sqDist16AVX(dst, group, x []float64)
 //
 // Y0–Y3 accumulate the four blocks' lanes; block b of the group starts
