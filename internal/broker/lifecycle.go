@@ -179,15 +179,18 @@ func (j *Job) sleep(d time.Duration) bool {
 
 // completionETA predicts how soon the job can be complete: the tasks
 // still to run times the service time the workers have been reporting,
-// spread over the running workers. A worker reports a batch of
-// classiccloud.ReceiveBatch tasks at a time, so up to a batch per worker
-// may have been executed and not yet reported; the prediction counts
-// those as done, because a guess that is early only parks on the queue
-// while one that is late is lag. Before anything has settled it is zero
-// — the loop waits on the queue for the first report, which is what lets
-// a job shorter than one tick finish before it. Without a basis (reports
-// that carried no service time, no running instance) it is forever, and
-// the tick decides.
+// spread over the running workers. A worker reports a batch at a time,
+// so up to a batch per worker may have been executed and not yet
+// reported; the prediction counts classiccloud.ReceiveBatch of them per
+// worker as done, because a guess that is early only parks on the queue
+// while one that is late is lag. A worker whose tasks are quicker than
+// its receives takes queue.MaxBatch at a time, but each task beyond
+// ReceiveBatch then runs in less than a receive, so counting them too
+// would move the prediction by a few round trips at most. Before
+// anything has settled it is zero — the loop waits on the queue for the
+// first report, which is what lets a job shorter than one tick finish
+// before it. Without a basis (reports that carried no service time, no
+// running instance) it is forever, and the tick decides.
 func (j *Job) completionETA() time.Duration {
 	j.mu.Lock()
 	defer j.mu.Unlock()

@@ -8,6 +8,7 @@ import (
 
 	"repro/internal/classiccloud"
 	"repro/internal/fasta"
+	"repro/internal/queue"
 	"repro/internal/workload"
 )
 
@@ -93,15 +94,18 @@ func TestBrokerRecoversHaltedJob(t *testing.T) {
 	// b1's executions wait on a gate once ran have started, so the job
 	// cannot finish before the halt. Done moves by whole acknowledged
 	// batches, and each of the fleet's 2×2 workers can hold a part-run
-	// batch, so ran executions still settle the 5 tasks awaited. The
-	// gate opens just before the halt: Halt kills the fleet, and a kill
-	// waits for every worker to leave Execute.
-	const ran = 5 + 2*2*(classiccloud.ReceiveBatch-1)
+	// batch of up to queue.MaxBatch tasks (a worker whose tasks are
+	// quicker than its receives takes that many), so ran executions still
+	// settle the 5 tasks awaited. The job has 40 tasks more than ran,
+	// which no execution reaches before the gate opens. The gate opens
+	// just before the halt: Halt kills the fleet, and a kill waits for
+	// every worker to leave Execute.
+	const ran = 5 + 2*2*(queue.MaxBatch-1)
 	gate := make(chan struct{})
 	cfg1 := cfg
 	cfg1.Registry = gatedRegistry(ran, gate)
 	b1 := New(cfg1)
-	const total = 40
+	const total = ran + 40
 	j1, err := b1.Submit(JobRequest{App: "cap3", Files: cap3Files(t, total)})
 	if err != nil {
 		t.Fatal(err)

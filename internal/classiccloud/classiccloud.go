@@ -7,12 +7,15 @@
 // The queue's visibility timeout provides fault tolerance — a task whose
 // worker dies reappears and is re-executed — and task idempotency makes
 // duplicate execution harmless. A monitoring queue reports completions
-// back to the client, one binary MonitorReport per settled task.
+// back to the client: each acknowledged batch is one message carrying
+// its tasks' binary MonitorReports back to back.
 package classiccloud
 
 import (
 	"errors"
 	"fmt"
+	"math"
+	"slices"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -60,19 +63,26 @@ type Preloader interface {
 	Preload(env Env) error
 }
 
-// ReceiveBatch is how many tasks a worker pulls per receive call. Task
-// acknowledgements and monitor reports are batched the same way (it is
-// at most queue.MaxBatch, so a batch's reports fit one send), so a
-// worker costs 3 requests per ReceiveBatch tasks instead of 3 per task.
+// ReceiveBatch is how many tasks a worker pulls per receive call while
+// its tasks take longer than a receive. A worker whose last batch's
+// tasks ran, on average, in less time each than its fastest receive
+// that returned tasks (the queue's round trip) pulls queue.MaxBatch
+// instead: ten such tasks are less work in hand than a few round trips,
+// and the receive was the larger cost. A worker's first receive asks
+// for ReceiveBatch.
+//
+// Each batch is acknowledged with one monitor message carrying all its
+// reports, then one delete: 3 requests per batch instead of 3 per task.
 // A batch's report is sent, and then its delete, once its last task has
 // run, in the background while the worker receives and runs the next
 // batch; so a task can be up to a batch's execution old before the
 // monitor queue says so, which a controller predicting completion allows
-// for.
-// With SubmitFiles sending and WaitForCompletion draining
-// queue.MaxBatch messages per request, a task's whole queue bill is
-// about 1/MaxBatch + 3/ReceiveBatch + 2/MaxBatch requests:
-// 0.1 + 0.75 + 0.2 = 1.05.
+// for. With SubmitFiles sending queue.MaxBatch tasks per request, and
+// DrainMonitor receiving and deleting up to queue.MaxBatch monitor
+// messages per request, a long task's whole queue bill is about
+// 1/MaxBatch + 3/ReceiveBatch + 2/(MaxBatch·ReceiveBatch) requests,
+// 0.1 + 0.75 + 0.05, and a short task's about
+// 1/MaxBatch + 3/MaxBatch + 2/(MaxBatch·MaxBatch), 0.1 + 0.3 + 0.02.
 const ReceiveBatch = 4
 
 // The rest of a worker's queue discipline is the same in every
@@ -83,6 +93,9 @@ const (
 	// before re-checking its stop signal: idle workers park on the
 	// queue's wait list and wake the moment a task arrives.
 	longPollWait = 50 * time.Millisecond
+	// drainPause is how long WaitForCompletion lets reports gather after
+	// a drain that emptied the monitor queue.
+	drainPause = time.Millisecond
 	// receiveBackoff spaces a worker's retries after a failed receive.
 	receiveBackoff = 2 * time.Millisecond
 	// heartbeatsPerLease sets how often a worker renews its task leases
@@ -165,7 +178,9 @@ const (
 )
 
 // MonitorReport is the completion report workers push to the monitor
-// queue, one message per settled task (Marshal).
+// queue for each settled task. A monitor message carries one or more
+// reports: a worker sends each acknowledged batch's reports as one
+// message, a dead-lettered task's report alone (Marshal).
 type MonitorReport struct {
 	TaskID   string
 	WorkerID int
@@ -179,11 +194,18 @@ type MonitorReport struct {
 	InstanceType string
 }
 
-// Marshal encodes the report as a monitor-queue body:
+// Marshal encodes the report as a monitor-queue body of one report:
 //
 //	str(task ID) || varint(worker ID) || str(status) || varint(service ns) || str(instance type)
+//
+// A body of several reports is their encodings back to back.
 func (r MonitorReport) Marshal() []byte {
-	e := codec.Enc{B: make([]byte, 0, 16+len(r.TaskID)+len(r.Status)+len(r.InstanceType))}
+	return r.appendTo(make([]byte, 0, 16+len(r.TaskID)+len(r.Status)+len(r.InstanceType)))
+}
+
+// appendTo appends the report's encoding to b.
+func (r MonitorReport) appendTo(b []byte) []byte {
+	e := codec.Enc{B: b}
 	e.Str(r.TaskID)
 	e.I64(int64(r.WorkerID))
 	e.Str(r.Status)
@@ -192,16 +214,22 @@ func (r MonitorReport) Marshal() []byte {
 	return e.B
 }
 
-// UnmarshalMonitorReport decodes a Marshal body. Any queue client can
-// write to a monitor queue, so a malformed body is an error, not a panic.
-func UnmarshalMonitorReport(body []byte) (MonitorReport, error) {
+// UnmarshalMonitorReports decodes a monitor-queue body, one or more
+// report encodings back to back, appending each report to dst. Any queue
+// client can write to a monitor queue, so a malformed body is an error,
+// not a panic; the reports decoded before a malformed tail are returned
+// with it.
+func UnmarshalMonitorReports(dst []MonitorReport, body []byte) ([]MonitorReport, error) {
 	d := codec.Dec{B: body}
-	r := MonitorReport{TaskID: d.Str(), WorkerID: int(d.I64()), Status: d.Str(),
-		ServiceTime: time.Duration(d.I64()), InstanceType: d.Str()}
-	if len(d.B) != 0 {
-		d.Fail()
+	for len(d.B) > 0 {
+		r := MonitorReport{TaskID: d.Str(), WorkerID: int(d.I64()), Status: d.Str(),
+			ServiceTime: time.Duration(d.I64()), InstanceType: d.Str()}
+		if d.Err != nil {
+			return dst, d.Err
+		}
+		dst = append(dst, r)
 	}
-	return r, d.Err
+	return dst, nil
 }
 
 // Settlement is the one piece of coordination state a job has: which
@@ -352,12 +380,15 @@ type Report struct {
 }
 
 // DrainMonitor moves one batch of completion reports off the monitoring
-// queue: receive (long-polling up to wait), decode, hand the reports to
+// queue: receive up to queue.MaxBatch messages (long-polling up to
+// wait), decode every report each one carries, hand the reports to
 // settle, and — only when settle accepts them — acknowledge the batch
-// with one delete. Settlement strictly precedes deletion, so a consumer
-// that dies (or refuses the batch) between the two sees the reports
-// again after the visibility timeout; Settlement folds the replay
-// idempotently. It returns how many messages were consumed: 0 with a
+// with one delete. A message whose body is malformed from some byte on
+// contributes the reports decoded before that byte and is deleted with
+// the rest: redelivering it could never decode more. Settlement strictly
+// precedes deletion, so a consumer that dies (or refuses the batch)
+// between the two sees the reports again after the visibility timeout;
+// Settlement folds the replay idempotently. It returns how many messages were consumed: 0 with a
 // nil error means the queue was empty or settle refused, an error with
 // a positive count means the batch is settled but (part of) its delete
 // failed and will redeliver.
@@ -368,15 +399,15 @@ func (c *Client) DrainMonitor(wait time.Duration, settle func([]MonitorReport) b
 		return 0, err
 	}
 	receipts := make([]string, len(msgs))
-	reports := make([]MonitorReport, 0, len(msgs))
+	reports := make([]MonitorReport, 0, len(msgs)*queue.MaxBatch)
 	for i, m := range msgs {
 		receipts[i] = m.ReceiptHandle
-		// A corrupt report is skipped (and deleted) rather than allowed to
+		// A corrupt tail is dropped (and deleted) rather than allowed to
 		// abort the valid completions travelling alongside it.
-		if rep, err := UnmarshalMonitorReport(m.Body); err == nil && rep.TaskID != "" {
-			reports = append(reports, rep)
-		}
+		reports, _ = UnmarshalMonitorReports(reports, m.Body)
 	}
+	// A report that names no task settles nothing.
+	reports = slices.DeleteFunc(reports, func(r MonitorReport) bool { return r.TaskID == "" })
 	if !settle(reports) {
 		return 0, nil
 	}
@@ -400,7 +431,7 @@ func (c *Client) WaitForCompletion(tasks []Task, timeout time.Duration) (Report,
 				timeout, s.Settled(), len(tasks))
 		}
 		// An empty long poll has already waited; just re-check the deadline.
-		_, err := c.DrainMonitor(longPollWait, func(reports []MonitorReport) bool {
+		n, err := c.DrainMonitor(longPollWait, func(reports []MonitorReport) bool {
 			var done, dead []string
 			for _, rep := range reports {
 				if rep.Status == StatusDead {
@@ -414,6 +445,12 @@ func (c *Client) WaitForCompletion(tasks []Task, timeout time.Duration) (Report,
 		})
 		if err != nil {
 			return Report{}, err
+		}
+		// A drain short of a full receive emptied the queue. Pausing lets
+		// the next receive take several batches' reports at once rather
+		// than pay a receive and a delete for each one.
+		if n > 0 && n < queue.MaxBatch && s.Settled() < len(tasks) {
+			time.Sleep(drainPause)
 		}
 	}
 	// Verify all completed outputs are present (consistent read: the
@@ -535,6 +572,10 @@ func (inst *Instance) workerLoop(workerID int) {
 			inst.acknowledge(a, renew)
 		}
 	}()
+	// want is the next receive's size (ReceiveBatch's comment), fastest
+	// the quickest receive so far that returned tasks: one that waited in
+	// the long poll is slower, so the minimum is the round trip.
+	want, fastest := ReceiveBatch, time.Duration(math.MaxInt64)
 	for {
 		select {
 		case <-inst.stop:
@@ -544,9 +585,10 @@ func (inst *Instance) workerLoop(workerID int) {
 		// Long poll: an idle worker parks on the queue's wait list and
 		// wakes when a task arrives or a lease expires, instead of
 		// burning a receive request every few milliseconds.
+		start := time.Now()
 		msgs, err := inst.env.Queue.ReceiveMessageBatch(
 			inst.names.taskQueue, inst.cfg.VisibilityTimeout,
-			ReceiveBatch, longPollWait)
+			want, longPollWait)
 		if err != nil {
 			select {
 			case <-inst.stop:
@@ -558,17 +600,26 @@ func (inst *Instance) workerLoop(workerID int) {
 		if len(msgs) == 0 {
 			continue // the long poll already waited; just re-check stop
 		}
-		if a := inst.processBatch(workerID, msgs, renew); len(a.reports) > 0 {
+		fastest = min(fastest, time.Since(start))
+		a, busy, ran := inst.processBatch(workerID, msgs, renew)
+		if len(a.receipts) > 0 {
 			acks <- a
+		}
+		if ran > 0 {
+			want = ReceiveBatch
+			if busy < fastest*time.Duration(ran) {
+				want = queue.MaxBatch
+			}
 		}
 	}
 }
 
-// batchAck is one batch's acknowledgement: the reports of its completed
-// tasks and, in the same order, their receipts.
+// batchAck is one batch's acknowledgement: the receipts of its completed
+// tasks and one monitor-queue body holding their reports, in the same
+// order.
 type batchAck struct {
 	receipts []string
-	reports  [][]byte
+	reports  []byte
 }
 
 // processBatch runs every task of one receive batch, in order, and
@@ -576,29 +627,33 @@ type batchAck struct {
 // sends (acknowledge) while the worker receives and runs the next batch
 // — 3 queue requests per batch on the happy path, and the monitor queue
 // hears of a task at most one batch's execution after it finished. The
-// batch's leases are renewed from now until its acknowledgement is done.
-func (inst *Instance) processBatch(workerID int, msgs []queue.Message, renew *leaseRenewer) batchAck {
+// batch's leases are renewed from now until its report has been sent.
+// It also returns how many of the batch's tasks ran and their summed
+// service time.
+func (inst *Instance) processBatch(workerID int, msgs []queue.Message, renew *leaseRenewer) (a batchAck, busy time.Duration, ran int) {
 	renew.add(msgs)
-	var a batchAck
 	for _, m := range msgs {
 		// Poison: an empty body names no task, and a task over the receive
 		// cap has burned through its retry budget (executor failures,
 		// repeated crashes). Take it out of rotation instead of retrying
 		// forever, so it cannot wedge the queue.
 		if len(m.Body) == 0 || inst.cfg.MaxReceives > 0 && m.Receives > inst.cfg.MaxReceives {
+			renew.release(m.ReceiptHandle)
 			inst.deadLetter(workerID, m)
-			renew.remove(m.ReceiptHandle)
 			continue
 		}
 		task := inst.names.task(string(m.Body))
 		taskStart := time.Now()
-		if inst.processTask(workerID, task) {
+		ok := inst.processTask(workerID, task)
+		took := time.Since(taskStart)
+		busy += took
+		ran++
+		if ok {
 			a.receipts = append(a.receipts, m.ReceiptHandle)
-			a.reports = append(a.reports, MonitorReport{
+			a.reports = MonitorReport{
 				TaskID: task.ID, WorkerID: workerID, Status: StatusDone,
-				ServiceTime:  time.Since(taskStart),
-				InstanceType: inst.cfg.InstanceType,
-			}.Marshal())
+				ServiceTime: took, InstanceType: inst.cfg.InstanceType,
+			}.appendTo(a.reports)
 		} else {
 			// The task was not acknowledged (failure, crash injection, or
 			// preemption): stop renewing its lease so the visibility
@@ -607,10 +662,10 @@ func (inst *Instance) processBatch(workerID int, msgs []queue.Message, renew *le
 			renew.remove(m.ReceiptHandle)
 		}
 	}
-	return a
+	return a, busy, ran
 }
 
-// acknowledge reports a batch's completed tasks with a single batch send
+// acknowledge reports a batch's completed tasks with one monitor message
 // and then deletes them with a single batch delete. Report BEFORE
 // deleting, and delete only what was reported: a crash or a failed send
 // between the two then redelivers the task — re-executed (idempotent) and
@@ -618,8 +673,11 @@ func (inst *Instance) processBatch(workerID int, msgs []queue.Message, renew *le
 // silently losing the settlement of a deleted task, which no retry would
 // ever repair.
 func (inst *Instance) acknowledge(a batchAck, renew *leaseRenewer) {
-	defer renew.remove(a.receipts...)
-	if _, err := inst.env.Queue.SendMessageBatch(inst.names.monitorQueue, a.reports); err != nil {
+	_, err := inst.env.Queue.SendMessageBatch(inst.names.monitorQueue, [][]byte{a.reports})
+	// Reported or not, the batch's leases are done with: its tasks are
+	// deleted next, or left to expire and redeliver.
+	renew.release(a.receipts...)
+	if err != nil {
 		inst.stats.ReportErrors.Add(1)
 		return
 	}
@@ -702,15 +760,19 @@ func (inst *Instance) processTask(workerID int, task Task) bool {
 // leaseRenewer extends the visibility timeout of a worker's leased
 // receipts every VisibilityTimeout / heartbeatsPerLease, so long-running
 // tasks — and tasks queued behind them, and a finished batch whose
-// acknowledgement is in flight — keep their leases. Each worker has one
+// report is being sent — keep their leases. Each worker has one
 // for its whole life: a batch's receipts join the set when it is
-// received and leave it when the batch's acknowledgement is done, or
-// when a task settles without one. A receipt also drops out when its
-// renewal fails (deleted, or the lease was lost to another worker).
-// Renewal stops when the worker exits or the instance is killed
+// received and leave it once the batch's report has been sent, just
+// before its delete (release: a renewal after the delete would be
+// refused as stale), or when a task settles without one. A receipt also
+// drops out when its renewal fails (the lease was lost to another
+// worker). Renewal stops when the worker exits or the instance is killed
 // (preempted work must reappear promptly). A nil renewer (a visibility
 // timeout too short for a heartbeat) renews nothing.
 type leaseRenewer struct {
+	// pass is held through each renewal pass, from the snapshot of the
+	// receipts to the last renewal.
+	pass     sync.Mutex
 	mu       sync.Mutex
 	receipts map[string]struct{}
 	done     chan struct{}
@@ -736,6 +798,7 @@ func (inst *Instance) startLeaseRenewer() *leaseRenewer {
 				if inst.killed.Load() {
 					return
 				}
+				r.pass.Lock()
 				live = live[:0]
 				r.mu.Lock()
 				for receipt := range r.receipts {
@@ -748,6 +811,7 @@ func (inst *Instance) startLeaseRenewer() *leaseRenewer {
 						r.remove(receipt)
 					}
 				}
+				r.pass.Unlock()
 			}
 		}
 	}()
@@ -772,10 +836,21 @@ func (r *leaseRenewer) add(msgs []queue.Message) {
 	r.mu.Unlock()
 }
 
-// remove stops renewing receipts: their batch's acknowledgement is done,
-// or their task settled without one (failure, crash, preemption), so the
-// lease expires on schedule and redelivery is not delayed by the rest of
-// the batch still processing.
+// release stops renewing receipts that are about to be deleted. It
+// waits out a renewal pass in progress, which may hold them already.
+func (r *leaseRenewer) release(receipts ...string) {
+	if r == nil {
+		return
+	}
+	r.pass.Lock()
+	r.remove(receipts...)
+	r.pass.Unlock()
+}
+
+// remove stops renewing receipts: their task settled without an
+// acknowledgement (failure, crash, preemption), so the lease expires on
+// schedule and redelivery is not delayed by the rest of the batch still
+// processing.
 func (r *leaseRenewer) remove(receipts ...string) {
 	if r == nil {
 		return

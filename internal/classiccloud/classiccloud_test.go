@@ -444,10 +444,11 @@ func TestMonitorReportCarriesInstanceType(t *testing.T) {
 		}
 	}
 	inst.Stop()
-	rep, err := UnmarshalMonitorReport(msgs[0].Body)
-	if err != nil {
-		t.Fatal(err)
+	reps, err := UnmarshalMonitorReports(nil, msgs[0].Body)
+	if err != nil || len(reps) != 1 {
+		t.Fatalf("monitor body holds %d reports (%v), want 1", len(reps), err)
 	}
+	rep := reps[0]
 	if rep.TaskID != tasks[0].ID || rep.Status != StatusDone {
 		t.Errorf("report = %+v, want %s done", rep, tasks[0].ID)
 	}

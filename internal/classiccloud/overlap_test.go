@@ -1,9 +1,11 @@
 package classiccloud
 
 import (
+	"errors"
 	"fmt"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -161,5 +163,66 @@ func TestWorkerAcknowledgesWhileItRunsTheNextBatch(t *testing.T) {
 	}
 	if visible, inflight, err := env.Queue.ApproximateCount(cfg.TaskQueue()); err != nil || visible+inflight != 0 {
 		t.Errorf("task queue holds %d visible + %d in flight (%v), want every task deleted", visible, inflight, err)
+	}
+}
+
+// slowDeleteQueue is a queue.API double that answers each task delete
+// only hold after it has landed, and counts task lease renewals the
+// queue refuses as stale.
+type slowDeleteQueue struct {
+	queue.API
+	hold  time.Duration
+	stale atomic.Int64
+}
+
+func (q *slowDeleteQueue) DeleteMessageBatch(name string, receipts []string) ([]error, error) {
+	res, err := q.API.DeleteMessageBatch(name, receipts)
+	if strings.HasSuffix(name, "/tasks") {
+		time.Sleep(q.hold)
+	}
+	return res, err
+}
+
+func (q *slowDeleteQueue) ChangeVisibility(name, receipt string, d time.Duration) error {
+	err := q.API.ChangeVisibility(name, receipt, d)
+	if errors.Is(err, queue.ErrStaleReceipt) {
+		q.stale.Add(1)
+	}
+	return err
+}
+
+// A worker stops renewing a batch's leases before it deletes the batch,
+// so no renewal reaches the queue after the delete: the queue would
+// refuse it as stale, and a stale renewal reads as a lost lease. Each
+// delete here answers more than a heartbeat after it landed, so a
+// renewer that still held the deleted receipts would renew them in that
+// time; the 300 ms lease is renewed every 100 ms, so none is lost.
+func TestNoLeaseRenewalFollowsItsDelete(t *testing.T) {
+	env := testEnv()
+	cfg := Config{JobName: "renew", VisibilityTimeout: 300 * time.Millisecond}
+	sq := &slowDeleteQueue{API: env.Queue, hold: cfg.VisibilityTimeout/heartbeatsPerLease + 20*time.Millisecond}
+	env.Queue = sq
+	client := NewClient(env, cfg)
+	if err := client.Setup(); err != nil {
+		t.Fatal(err)
+	}
+	tasks, err := client.SubmitFiles(makeFiles(2 * ReceiveBatch))
+	if err != nil {
+		t.Fatal(err)
+	}
+	inst, err := StartInstance(env, cfg, upperExec, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, err = client.WaitForCompletion(tasks, 10*time.Second)
+	inst.Stop()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if n := sq.stale.Load(); n != 0 {
+		t.Errorf("%d lease renewals were refused as stale: the renewer renewed receipts after their delete", n)
+	}
+	if n := inst.Stats().StaleDeletes.Load(); n != 0 {
+		t.Errorf("%d deletes were stale: a lease lapsed", n)
 	}
 }

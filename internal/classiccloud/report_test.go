@@ -3,6 +3,8 @@ package classiccloud
 import (
 	"errors"
 	"math"
+	"slices"
+	"strconv"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -154,29 +156,51 @@ func TestFailedDeadReportDoesNotAckTask(t *testing.T) {
 	}
 }
 
-// Any queue client can write to a monitor queue, so UnmarshalMonitorReport
-// reads outside input: arbitrary bytes decode or fail without panicking,
-// and a decoded report's strings are never longer in total than the body
-// they came from. Every report round-trips exactly.
+// Any queue client can write to a monitor queue, so
+// UnmarshalMonitorReports reads outside input: arbitrary bytes decode or
+// fail without panicking, and decoded reports' strings are never longer
+// in total than the body they came from. k reports round-trip exactly
+// through one body, a body of one report (Marshal) decodes as a batch of
+// one, and whatever bytes follow whole reports, those reports are
+// decoded ahead of what the bytes alone decode to, with the same error.
 func FuzzMonitorReport(f *testing.F) {
 	f.Add(MonitorReport{TaskID: "file001.fsa", WorkerID: 3, Status: StatusDone,
 		ServiceTime: 42 * time.Millisecond, InstanceType: "aws/Large"}.Marshal(),
-		"t", int64(0), StatusDead, int64(0), "")
+		"t", int64(0), StatusDead, int64(0), "", uint8(1))
 	f.Add([]byte(`{"task_id":"t1","worker_id":3,"status":"done","service_ns":42}`),
-		"", int64(-1), "", int64(math.MinInt64), "azure/Small")
-	f.Add([]byte{}, "\x00", int64(math.MaxInt64), "done", int64(math.MaxInt64), "\xff")
-	f.Add([]byte{0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0x01}, "a", int64(1), "b", int64(1), "c")
-	f.Fuzz(func(t *testing.T, body []byte, taskID string, worker int64, status string, ns int64, instanceType string) {
-		if rep, err := UnmarshalMonitorReport(body); err == nil {
-			if n := len(rep.TaskID) + len(rep.Status) + len(rep.InstanceType); n > len(body) {
-				t.Fatalf("%d-byte body decoded to %d bytes of strings: %+v", len(body), n, rep)
-			}
+		"", int64(-1), "", int64(math.MinInt64), "azure/Small", uint8(10))
+	f.Add([]byte{}, "\x00", int64(math.MaxInt64), "done", int64(math.MaxInt64), "\xff", uint8(0))
+	f.Add([]byte{0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0x01}, "a", int64(1), "b", int64(1), "c", uint8(3))
+	f.Add([]byte{0x01, 'x', 0x02, 0x00}, "a", int64(1), "b", int64(1), "c", uint8(2))
+	f.Fuzz(func(t *testing.T, body []byte, taskID string, worker int64, status string, ns int64, instanceType string, k uint8) {
+		tail, tailErr := UnmarshalMonitorReports(nil, body)
+		n := 0
+		for _, rep := range tail {
+			n += len(rep.TaskID) + len(rep.Status) + len(rep.InstanceType)
 		}
-		want := MonitorReport{TaskID: taskID, WorkerID: int(worker), Status: status,
-			ServiceTime: time.Duration(ns), InstanceType: instanceType}
-		got, err := UnmarshalMonitorReport(want.Marshal())
-		if err != nil || got != want {
-			t.Fatalf("round trip of %+v = %+v, %v", want, got, err)
+		if n > len(body) {
+			t.Fatalf("%d-byte body decoded to %d bytes of strings: %+v", len(body), n, tail)
+		}
+
+		want := make([]MonitorReport, int(k)%(queue.MaxBatch+1))
+		var batch []byte
+		for i := range want {
+			want[i] = MonitorReport{TaskID: taskID + strconv.Itoa(i), WorkerID: int(worker) + i, Status: status,
+				ServiceTime: time.Duration(ns) - time.Duration(i), InstanceType: instanceType}
+			one := want[i].Marshal()
+			if got, err := UnmarshalMonitorReports(nil, one); err != nil || len(got) != 1 || got[0] != want[i] {
+				t.Fatalf("one-report body of %+v decoded to %+v, %v", want[i], got, err)
+			}
+			batch = append(batch, one...)
+		}
+		got, err := UnmarshalMonitorReports(nil, batch)
+		if err != nil || !slices.Equal(got, want) {
+			t.Fatalf("round trip of %d reports = %+v, %v; want %+v", len(want), got, err, want)
+		}
+		got, err = UnmarshalMonitorReports(nil, append(batch, body...))
+		if err != tailErr || !slices.Equal(got, append(want, tail...)) {
+			t.Fatalf("%d reports then %q decoded to %+v, %v; want %+v then %+v, %v",
+				len(want), body, got, err, want, tail, tailErr)
 		}
 	})
 }

@@ -16,7 +16,10 @@ import (
 // every queue call crossing wire.Client → wire.Server → a durable
 // queue.Service over loopback TCP. The executor echoes its input, so
 // what the profile shows is the task path's envelope: message bodies,
-// monitor reports, the wire server's handlers and the queue's ids.
+// monitor reports, the wire server's handlers and the queue's ids. It
+// also reports the job's billed queue requests per task, read from the
+// service's counter from the first submission until the instance has
+// stopped.
 func BenchmarkTinyTaskJob(b *testing.B) {
 	const n = 4096
 	files := make(map[string][]byte, n)
@@ -25,6 +28,7 @@ func BenchmarkTinyTaskJob(b *testing.B) {
 	}
 	echo := FuncExecutor{AppName: "echo", Fn: func(_ Task, in []byte) ([]byte, error) { return in, nil }}
 	var elapsed time.Duration
+	var requests int64
 	for i := 0; i < b.N; i++ {
 		b.StopTimer()
 		journals := blob.NewStore(blob.Config{})
@@ -46,7 +50,7 @@ func BenchmarkTinyTaskJob(b *testing.B) {
 		if err := client.Setup(); err != nil {
 			b.Fatal(err)
 		}
-		start := time.Now()
+		start, billed := time.Now(), svc.APIRequests()
 		b.StartTimer()
 		tasks, err := client.SubmitFiles(files)
 		if err != nil {
@@ -60,6 +64,7 @@ func BenchmarkTinyTaskJob(b *testing.B) {
 		inst.Stop()
 		b.StopTimer()
 		elapsed += time.Since(start)
+		requests += svc.APIRequests() - billed
 		if err != nil || rep.Completed != n {
 			b.Fatalf("completed %d/%d tasks: %v", rep.Completed, n, err)
 		}
@@ -68,4 +73,5 @@ func BenchmarkTinyTaskJob(b *testing.B) {
 		svc.Halt()
 	}
 	b.ReportMetric(float64(b.N*n)/elapsed.Seconds(), "tasks/s")
+	b.ReportMetric(float64(requests)/float64(b.N*n), "queue-req/task")
 }
