@@ -379,7 +379,9 @@ func TestSubmitValidation(t *testing.T) {
 }
 
 // faultyQueue is a queue.API double that fails the failSendAt-th send
-// (SendMessage or SendMessageBatch, 1-based) and the failCreateAt-th
+// to a task queue (SendMessage or SendMessageBatch to a queue named
+// "…/tasks", 1-based; a job's workers report on its monitor queue while
+// it stages, and those sends are not counted) and the failCreateAt-th
 // CreateQueue (0 never fails), fails every batch receive / batch delete
 // on a monitor queue while failMonitorReceive / failMonitorDelete is
 // set, and calls onCreate before each CreateQueue. It counts the batch
@@ -398,15 +400,20 @@ type faultyQueue struct {
 
 var errInjected = errors.New("injected queue fault")
 
+// failsSend counts a send and reports whether it is the one to fail.
+func (f *faultyQueue) failsSend(q string) bool {
+	return strings.HasSuffix(q, "/tasks") && f.sends.Add(1) == f.failSendAt
+}
+
 func (f *faultyQueue) SendMessage(q string, body []byte) (string, error) {
-	if f.sends.Add(1) == f.failSendAt {
+	if f.failsSend(q) {
 		return "", errInjected
 	}
 	return f.API.SendMessage(q, body)
 }
 
 func (f *faultyQueue) SendMessageBatch(q string, bodies [][]byte) ([]string, error) {
-	if f.sends.Add(1) == f.failSendAt {
+	if f.failsSend(q) {
 		return nil, errInjected
 	}
 	return f.API.SendMessageBatch(q, bodies)

@@ -117,7 +117,7 @@ func (s *foldScript) quiesce() {
 func (s *foldScript) report(step string, reports ...classiccloud.MonitorReport) {
 	s.t.Helper()
 	for _, rep := range reports {
-		if _, err := s.cfg.Env.Queue.SendMessage(s.j.ccCfg.MonitorQueue(), rep.Marshal()); err != nil {
+		if _, err := s.cfg.Env.Queue.SendMessage(s.j.ccCfg.MonitorQueue(), rep.AppendTo(nil)); err != nil {
 			s.t.Fatal(err)
 		}
 	}
@@ -540,7 +540,7 @@ func TestSwallowedErrorsAreCounted(t *testing.T) {
 	}
 	send := func(rep classiccloud.MonitorReport) {
 		t.Helper()
-		if _, err := fq.API.SendMessage(s.j.ccCfg.MonitorQueue(), rep.Marshal()); err != nil {
+		if _, err := fq.API.SendMessage(s.j.ccCfg.MonitorQueue(), rep.AppendTo(nil)); err != nil {
 			t.Fatal(err)
 		}
 	}

@@ -72,7 +72,8 @@ type Preloader interface {
 // for ReceiveBatch.
 //
 // Each batch is acknowledged with one monitor message carrying all its
-// reports, then one delete: 3 requests per batch instead of 3 per task.
+// reports, a poison message's dead report among them, then one delete:
+// 3 requests per batch instead of 3 per task.
 // A batch's report is sent, and then its delete, once its last task has
 // run, in the background while the worker receives and runs the next
 // batch; so a task can be up to a batch's execution old before the
@@ -179,8 +180,8 @@ const (
 
 // MonitorReport is the completion report workers push to the monitor
 // queue for each settled task. A monitor message carries one or more
-// reports: a worker sends each acknowledged batch's reports as one
-// message, a dead-lettered task's report alone (Marshal).
+// reports: a worker sends each acknowledged batch's reports, done and
+// dead alike, as one message.
 type MonitorReport struct {
 	TaskID   string
 	WorkerID int
@@ -194,17 +195,12 @@ type MonitorReport struct {
 	InstanceType string
 }
 
-// Marshal encodes the report as a monitor-queue body of one report:
+// AppendTo appends the report's encoding to b:
 //
 //	str(task ID) || varint(worker ID) || str(status) || varint(service ns) || str(instance type)
 //
-// A body of several reports is their encodings back to back.
-func (r MonitorReport) Marshal() []byte {
-	return r.appendTo(make([]byte, 0, 16+len(r.TaskID)+len(r.Status)+len(r.InstanceType)))
-}
-
-// appendTo appends the report's encoding to b.
-func (r MonitorReport) appendTo(b []byte) []byte {
+// A monitor-queue body is one or more encodings back to back.
+func (r MonitorReport) AppendTo(b []byte) []byte {
 	e := codec.Enc{B: b}
 	e.Str(r.TaskID)
 	e.I64(int64(r.WorkerID))
@@ -556,22 +552,14 @@ func (inst *Instance) Stats() *InstanceStats { return &inst.stats }
 
 func (inst *Instance) workerLoop(workerID int) {
 	defer inst.wg.Done()
-	// One lease renewer and one acknowledger serve every batch this worker
-	// takes. The acknowledger holds at most one batch's acknowledgement:
-	// handing it the next waits until the previous one has finished. It
-	// outlives the worker until the last one has (Stop and Kill wait for
-	// it too), and only then stops the renewer.
-	renew := inst.startLeaseRenewer()
+	// One acknowledger serves every batch this worker takes and renews
+	// their leases. It holds at most one acknowledgement: handing it the
+	// next waits for the previous. Stop and Kill wait for it too.
+	leases := &leaseSet{receipts: make(map[string]struct{}, 2*ReceiveBatch)}
 	acks := make(chan batchAck)
 	defer close(acks)
 	inst.wg.Add(1)
-	go func() {
-		defer inst.wg.Done()
-		defer renew.stop()
-		for a := range acks {
-			inst.acknowledge(a, renew)
-		}
-	}()
+	go inst.acknowledger(acks, leases)
 	// want is the next receive's size (ReceiveBatch's comment), fastest
 	// the quickest receive so far that returned tasks: one that waited in
 	// the long poll is slower, so the minimum is the round trip.
@@ -601,8 +589,8 @@ func (inst *Instance) workerLoop(workerID int) {
 			continue // the long poll already waited; just re-check stop
 		}
 		fastest = min(fastest, time.Since(start))
-		a, busy, ran := inst.processBatch(workerID, msgs, renew)
-		if len(a.receipts) > 0 {
+		a, busy, ran := inst.processBatch(workerID, msgs, leases)
+		if len(a.receipts)+len(a.dead) > 0 {
 			acks <- a
 		}
 		if ran > 0 {
@@ -615,31 +603,41 @@ func (inst *Instance) workerLoop(workerID int) {
 }
 
 // batchAck is one batch's acknowledgement: the receipts of its completed
-// tasks and one monitor-queue body holding their reports, in the same
-// order.
+// tasks, those of its poison messages (parked on the dead-letter queue
+// when one is configured), and one monitor-queue body holding the
+// reports of both, done and dead (an empty body names no task and has
+// none).
 type batchAck struct {
-	receipts []string
-	reports  []byte
+	receipts, dead []string
+	reports        []byte
 }
 
 // processBatch runs every task of one receive batch, in order, and
 // returns the batch's acknowledgement, which the worker's acknowledger
-// sends (acknowledge) while the worker receives and runs the next batch
-// — 3 queue requests per batch on the happy path, and the monitor queue
-// hears of a task at most one batch's execution after it finished. The
-// batch's leases are renewed from now until its report has been sent.
-// It also returns how many of the batch's tasks ran and their summed
-// service time.
-func (inst *Instance) processBatch(workerID int, msgs []queue.Message, renew *leaseRenewer) (a batchAck, busy time.Duration, ran int) {
-	renew.add(msgs)
+// makes while the worker receives and runs the next batch — 3 queue
+// requests per batch on the happy path, and the monitor queue hears of a
+// task at most one batch's execution after it finished. The batch's
+// leases are renewed from now until its acknowledgement. It also returns
+// how many of the batch's tasks ran and their summed service time.
+func (inst *Instance) processBatch(workerID int, msgs []queue.Message, leases *leaseSet) (a batchAck, busy time.Duration, ran int) {
+	leases.add(msgs)
 	for _, m := range msgs {
 		// Poison: an empty body names no task, and a task over the receive
 		// cap has burned through its retry budget (executor failures,
-		// repeated crashes). Take it out of rotation instead of retrying
-		// forever, so it cannot wedge the queue.
+		// repeated crashes). Park it on the dead-letter queue (when
+		// configured), then report it dead and delete it with the batch,
+		// so it cannot wedge the queue. A failed park redelivers it.
 		if len(m.Body) == 0 || inst.cfg.MaxReceives > 0 && m.Receives > inst.cfg.MaxReceives {
-			renew.release(m.ReceiptHandle)
-			inst.deadLetter(workerID, m)
+			if inst.cfg.DeadLetterQueue != "" {
+				if _, err := inst.env.Queue.SendMessage(inst.cfg.DeadLetterQueue, m.Body); err != nil {
+					leases.remove(m.ReceiptHandle)
+					continue
+				}
+			}
+			a.dead = append(a.dead, m.ReceiptHandle)
+			if len(m.Body) != 0 {
+				a.reports = MonitorReport{TaskID: string(m.Body), WorkerID: workerID, Status: StatusDead}.AppendTo(a.reports)
+			}
 			continue
 		}
 		task := inst.names.task(string(m.Body))
@@ -653,71 +651,137 @@ func (inst *Instance) processBatch(workerID int, msgs []queue.Message, renew *le
 			a.reports = MonitorReport{
 				TaskID: task.ID, WorkerID: workerID, Status: StatusDone,
 				ServiceTime: took, InstanceType: inst.cfg.InstanceType,
-			}.appendTo(a.reports)
+			}.AppendTo(a.reports)
 		} else {
 			// The task was not acknowledged (failure, crash injection, or
 			// preemption): stop renewing its lease so the visibility
 			// timeout re-exposes it on schedule, not after the rest of
 			// this batch finishes.
-			renew.remove(m.ReceiptHandle)
+			leases.remove(m.ReceiptHandle)
 		}
 	}
 	return a, busy, ran
 }
 
-// acknowledge reports a batch's completed tasks with one monitor message
-// and then deletes them with a single batch delete. Report BEFORE
-// deleting, and delete only what was reported: a crash or a failed send
-// between the two then redelivers the task — re-executed (idempotent) and
-// re-reported (the settlement fold counts the repeat) — instead of
-// silently losing the settlement of a deleted task, which no retry would
-// ever repair.
-func (inst *Instance) acknowledge(a batchAck, renew *leaseRenewer) {
-	_, err := inst.env.Queue.SendMessageBatch(inst.names.monitorQueue, [][]byte{a.reports})
+// acknowledger is a worker's one helper goroutine: it makes every queue
+// call a received batch needs once its tasks have run, the report and
+// the delete (acknowledge), and every VisibilityTimeout /
+// heartbeatsPerLease renews each lease still in the worker's set, so
+// long tasks, the tasks queued behind them and a batch awaiting its
+// acknowledgement keep their leases. A failed renewal (the lease was lost)
+// drops its receipt; a killed instance renews nothing, so preempted work
+// reappears promptly. As one goroutine makes both calls, no renewal can
+// follow its own delete, which the queue would refuse as stale.
+//
+// So a renewal can wait behind one acknowledgement, and an
+// acknowledgement behind one renewal pass: a few round trips, against a
+// heartbeat of a third of a lease. A delete that hangs for over two
+// thirds of a lease (a wire call times out after 30 s; the default lease
+// is 1 min) lets the next batch's leases lapse, and that batch is
+// redelivered, within the at-least-once contract. It returns once the
+// worker closes acks.
+func (inst *Instance) acknowledger(acks <-chan batchAck, leases *leaseSet) {
+	defer inst.wg.Done()
+	var tick <-chan time.Time // nil, never ready, when no ticker can keep the heartbeat or once killed
+	if heartbeat := inst.cfg.VisibilityTimeout / heartbeatsPerLease; heartbeat > 0 {
+		ticker := time.NewTicker(heartbeat)
+		defer ticker.Stop()
+		tick = ticker.C
+	}
+	var live []string
+	for {
+		select {
+		case a, ok := <-acks:
+			if !ok {
+				return
+			}
+			inst.acknowledge(a, leases)
+		case <-tick:
+			if inst.killed.Load() {
+				tick = nil
+				continue
+			}
+			live = leases.snapshot(live[:0])
+			for _, receipt := range live {
+				if err := inst.env.Queue.ChangeVisibility(
+					inst.names.taskQueue, receipt, inst.cfg.VisibilityTimeout); err != nil {
+					leases.remove(receipt)
+				}
+			}
+		}
+	}
+}
+
+// acknowledge reports a batch's settled tasks with one monitor message
+// and then deletes them, poison messages included, with a single batch
+// delete. Report BEFORE deleting, and delete only what was reported: a
+// crash or a failed send between the two then redelivers the task —
+// re-executed (idempotent) or dead-lettered again, and re-reported (the
+// settlement fold counts the repeat) — instead of silently losing the
+// settlement of a deleted task, which no retry would ever repair.
+func (inst *Instance) acknowledge(a batchAck, leases *leaseSet) {
+	receipts := append(a.receipts, a.dead...)
+	var err error
+	if len(a.reports) > 0 {
+		_, err = inst.env.Queue.SendMessageBatch(inst.names.monitorQueue, [][]byte{a.reports})
+	}
 	// Reported or not, the batch's leases are done with: its tasks are
 	// deleted next, or left to expire and redeliver.
-	renew.release(a.receipts...)
+	leases.remove(receipts...)
 	if err != nil {
 		inst.stats.ReportErrors.Add(1)
 		return
 	}
 	// A failed delete only redelivers the tasks, to be re-run and re-reported.
-	results, _ := inst.env.Queue.DeleteMessageBatch(inst.names.taskQueue, a.receipts)
-	for _, r := range results {
-		if r != nil {
+	results, _ := inst.env.Queue.DeleteMessageBatch(inst.names.taskQueue, receipts)
+	for i, r := range results {
+		switch {
+		case r != nil:
 			// Our lease expired and the task was re-issued; the result is
 			// already uploaded and tasks are idempotent, so this is
 			// harmless.
 			inst.stats.StaleDeletes.Add(1)
+		case i >= len(a.receipts):
+			inst.stats.DeadLettered.Add(1)
 		}
 	}
 }
 
-// deadLetter parks a poison message's body on the dead-letter queue
-// (when configured), reports the task dead on the monitor queue so
-// clients stop waiting for it, and only then removes the message from
-// the task queue — the same report-before-delete order as acknowledge.
-// Any step failing leaves the message to be redelivered and
-// dead-lettered again; the settlement fold absorbs a repeated report. An
-// empty body names no task, so nobody is told.
-func (inst *Instance) deadLetter(workerID int, m queue.Message) {
-	if inst.cfg.DeadLetterQueue != "" {
-		if _, err := inst.env.Queue.SendMessage(inst.cfg.DeadLetterQueue, m.Body); err != nil {
-			return
-		}
+// leaseSet holds the receipts whose leases a worker's acknowledger
+// renews. A batch's receipts join when it is received and leave when it
+// is acknowledged, or earlier: when a task settles without an
+// acknowledgement (failure, crash, preemption) so its lease expires on
+// schedule, when a poison message cannot be parked, or when a renewal
+// fails. The worker and the acknowledger both change it, hence the mutex.
+type leaseSet struct {
+	mu       sync.Mutex
+	receipts map[string]struct{}
+}
+
+func (s *leaseSet) add(msgs []queue.Message) {
+	s.mu.Lock()
+	for _, m := range msgs {
+		s.receipts[m.ReceiptHandle] = struct{}{}
 	}
-	if len(m.Body) != 0 {
-		dead := MonitorReport{TaskID: string(m.Body), WorkerID: workerID, Status: StatusDead}
-		if _, err := inst.env.Queue.SendMessage(inst.names.monitorQueue, dead.Marshal()); err != nil {
-			inst.stats.ReportErrors.Add(1)
-			return
-		}
+	s.mu.Unlock()
+}
+
+func (s *leaseSet) remove(receipts ...string) {
+	s.mu.Lock()
+	for _, receipt := range receipts {
+		delete(s.receipts, receipt)
 	}
-	if err := inst.env.Queue.DeleteMessage(inst.names.taskQueue, m.ReceiptHandle); err != nil {
-		inst.stats.StaleDeletes.Add(1)
-		return
+	s.mu.Unlock()
+}
+
+// snapshot appends the set's receipts to dst.
+func (s *leaseSet) snapshot(dst []string) []string {
+	s.mu.Lock()
+	for receipt := range s.receipts {
+		dst = append(dst, receipt)
 	}
-	inst.stats.DeadLettered.Add(1)
+	s.mu.Unlock()
+	return dst
 }
 
 // processTask is the worker pipeline of Figure 1: download → execute →
@@ -755,111 +819,6 @@ func (inst *Instance) processTask(workerID int, task Task) bool {
 	}
 	inst.stats.TasksExecuted.Add(1)
 	return true
-}
-
-// leaseRenewer extends the visibility timeout of a worker's leased
-// receipts every VisibilityTimeout / heartbeatsPerLease, so long-running
-// tasks — and tasks queued behind them, and a finished batch whose
-// report is being sent — keep their leases. Each worker has one
-// for its whole life: a batch's receipts join the set when it is
-// received and leave it once the batch's report has been sent, just
-// before its delete (release: a renewal after the delete would be
-// refused as stale), or when a task settles without one. A receipt also
-// drops out when its renewal fails (the lease was lost to another
-// worker). Renewal stops when the worker exits or the instance is killed
-// (preempted work must reappear promptly). A nil renewer (a visibility
-// timeout too short for a heartbeat) renews nothing.
-type leaseRenewer struct {
-	// pass is held through each renewal pass, from the snapshot of the
-	// receipts to the last renewal.
-	pass     sync.Mutex
-	mu       sync.Mutex
-	receipts map[string]struct{}
-	done     chan struct{}
-}
-
-// startLeaseRenewer starts a worker's renewer; nil when the heartbeat
-// would be under 1ns, which no ticker can keep.
-func (inst *Instance) startLeaseRenewer() *leaseRenewer {
-	heartbeat := inst.cfg.VisibilityTimeout / heartbeatsPerLease
-	if heartbeat <= 0 {
-		return nil
-	}
-	r := &leaseRenewer{receipts: make(map[string]struct{}, 2*ReceiveBatch), done: make(chan struct{})}
-	go func() {
-		ticker := time.NewTicker(heartbeat)
-		defer ticker.Stop()
-		var live []string
-		for {
-			select {
-			case <-r.done:
-				return
-			case <-ticker.C:
-				if inst.killed.Load() {
-					return
-				}
-				r.pass.Lock()
-				live = live[:0]
-				r.mu.Lock()
-				for receipt := range r.receipts {
-					live = append(live, receipt)
-				}
-				r.mu.Unlock()
-				for _, receipt := range live {
-					if err := inst.env.Queue.ChangeVisibility(
-						inst.names.taskQueue, receipt, inst.cfg.VisibilityTimeout); err != nil {
-						r.remove(receipt)
-					}
-				}
-				r.pass.Unlock()
-			}
-		}
-	}()
-	return r
-}
-
-func (r *leaseRenewer) stop() {
-	if r != nil {
-		close(r.done)
-	}
-}
-
-// add starts renewing a received batch's leases.
-func (r *leaseRenewer) add(msgs []queue.Message) {
-	if r == nil {
-		return
-	}
-	r.mu.Lock()
-	for _, m := range msgs {
-		r.receipts[m.ReceiptHandle] = struct{}{}
-	}
-	r.mu.Unlock()
-}
-
-// release stops renewing receipts that are about to be deleted. It
-// waits out a renewal pass in progress, which may hold them already.
-func (r *leaseRenewer) release(receipts ...string) {
-	if r == nil {
-		return
-	}
-	r.pass.Lock()
-	r.remove(receipts...)
-	r.pass.Unlock()
-}
-
-// remove stops renewing receipts: their task settled without an
-// acknowledgement (failure, crash, preemption), so the lease expires on
-// schedule and redelivery is not delayed by the rest of the batch still
-// processing.
-func (r *leaseRenewer) remove(receipts ...string) {
-	if r == nil {
-		return
-	}
-	r.mu.Lock()
-	for _, receipt := range receipts {
-		delete(r.receipts, receipt)
-	}
-	r.mu.Unlock()
 }
 
 // downloadWithRetry tolerates eventual-consistency NotFound responses by

@@ -160,12 +160,13 @@ func TestFailedDeadReportDoesNotAckTask(t *testing.T) {
 // UnmarshalMonitorReports reads outside input: arbitrary bytes decode or
 // fail without panicking, and decoded reports' strings are never longer
 // in total than the body they came from. k reports round-trip exactly
-// through one body, a body of one report (Marshal) decodes as a batch of
-// one, and whatever bytes follow whole reports, those reports are
-// decoded ahead of what the bytes alone decode to, with the same error.
+// through one body, a body of one report (AppendTo(nil)) decodes as a
+// batch of one, and whatever bytes follow whole reports, those reports
+// are decoded ahead of what the bytes alone decode to, with the same
+// error.
 func FuzzMonitorReport(f *testing.F) {
 	f.Add(MonitorReport{TaskID: "file001.fsa", WorkerID: 3, Status: StatusDone,
-		ServiceTime: 42 * time.Millisecond, InstanceType: "aws/Large"}.Marshal(),
+		ServiceTime: 42 * time.Millisecond, InstanceType: "aws/Large"}.AppendTo(nil),
 		"t", int64(0), StatusDead, int64(0), "", uint8(1))
 	f.Add([]byte(`{"task_id":"t1","worker_id":3,"status":"done","service_ns":42}`),
 		"", int64(-1), "", int64(math.MinInt64), "azure/Small", uint8(10))
@@ -187,7 +188,7 @@ func FuzzMonitorReport(f *testing.F) {
 		for i := range want {
 			want[i] = MonitorReport{TaskID: taskID + strconv.Itoa(i), WorkerID: int(worker) + i, Status: status,
 				ServiceTime: time.Duration(ns) - time.Duration(i), InstanceType: instanceType}
-			one := want[i].Marshal()
+			one := want[i].AppendTo(nil)
 			if got, err := UnmarshalMonitorReports(nil, one); err != nil || len(got) != 1 || got[0] != want[i] {
 				t.Fatalf("one-report body of %+v decoded to %+v, %v", want[i], got, err)
 			}
