@@ -30,8 +30,8 @@
 //
 // Costs: the record is encoded into a pooled buffer and appended under
 // the per-queue lock, so durable throughput is bounded by encoding plus
-// the blob store's append path, and a record is its ids, receipts and
-// raw bodies plus a few bytes of framing; the `queuedurable` paperbench
+// the blob store's append path, and a record is its ids and raw bodies
+// plus a few bytes of framing; the `queuedurable` paperbench
 // experiment measures the gap to an ephemeral service. Snapshots (every
 // SnapshotEvery records) briefly quiesce all journaled operations via an
 // RWMutex writer acquisition. A record or snapshot that does not decode
@@ -91,19 +91,18 @@ type durRecord struct {
 	T time.Time `json:"t,omitempty"`
 
 	// opSend: assigned message IDs, bodies, prior delivery counts
-	// (transfers; empty for ordinary sends), and the queue's nextID after
-	// the batch.
+	// (transfers; empty for ordinary sends), and the service's id
+	// sequence after the batch. Other ops name their messages in IDs.
 	IDs    []string `json:"ids,omitempty"`
 	Bodies [][]byte `json:"bodies,omitempty"`
 	Recvs  []int    `json:"recvs,omitempty"`
 	NextID int      `json:"next,omitempty"`
 
-	// opReceive: per delivery — target message ID (in IDs), the new
-	// receipt handle, the lease expiry, and whether this was a
-	// duplicate delivery (message stays visible).
-	Receipts []string    `json:"receipts,omitempty"`
-	Vis      []time.Time `json:"vis,omitempty"`
-	Dup      []bool      `json:"dup,omitempty"`
+	// opReceive: per delivery — target message ID (in IDs), the lease
+	// expiry, and whether this was a duplicate delivery (message stays
+	// visible). The receipt is the ID and the count the fold reaches.
+	Vis []time.Time `json:"vis,omitempty"`
+	Dup []bool      `json:"dup,omitempty"`
 }
 
 // reset empties r for a record of kind op on queue q, keeping its
@@ -113,7 +112,7 @@ type durRecord struct {
 func (r *durRecord) reset(op durOp, q string) {
 	r.Op, r.Q, r.T, r.NextID = op, q, time.Time{}, 0
 	r.IDs, r.Bodies, r.Recvs = r.IDs[:0], r.Bodies[:0], r.Recvs[:0]
-	r.Receipts, r.Vis, r.Dup = r.Receipts[:0], r.Vis[:0], r.Dup[:0]
+	r.Vis, r.Dup = r.Vis[:0], r.Dup[:0]
 }
 
 // identity reports a record that would change nothing — a receive that
@@ -201,12 +200,12 @@ func (s *Service) snapshot() {
 // --- Snapshot format --------------------------------------------------
 
 type durSnapshot struct {
+	LastID int        `json:"last_id"` // the id sequence, live queues or none
 	Queues []durQueue `json:"queues"`
 }
 
 type durQueue struct {
-	Name   string `json:"name"`
-	NextID int    `json:"next_id"`
+	Name string `json:"name"`
 	// Visible is in delivery order, front first; Inflight is in heap
 	// order (re-heapified on install).
 	Visible  []durMsg `json:"visible,omitempty"`
@@ -214,15 +213,15 @@ type durQueue struct {
 }
 
 type durMsg struct {
-	ID       string    `json:"id"`
-	Body     []byte    `json:"body"`
-	Receives int       `json:"receives,omitempty"`
-	Receipt  string    `json:"receipt,omitempty"`
-	VisAt    time.Time `json:"vis_at,omitempty"`
+	ID        string    `json:"id"`
+	Body      []byte    `json:"body"`
+	Receives  int       `json:"receives,omitempty"`
+	Delivered bool      `json:"delivered,omitempty"`
+	VisAt     time.Time `json:"vis_at,omitempty"`
 }
 
 func encodeMsg(m *message) durMsg {
-	return durMsg{ID: m.id, Body: m.body, Receives: m.receives, Receipt: m.receipt, VisAt: m.visibleAt}
+	return durMsg{ID: m.id, Body: m.body, Receives: m.receives, Delivered: m.delivered, VisAt: m.visibleAt}
 }
 
 // captureState renders the full service state. Caller holds dur.mu
@@ -236,14 +235,14 @@ func (s *Service) captureState() *durSnapshot {
 	}
 	s.mu.RUnlock()
 	sort.Strings(names)
-	snap := &durSnapshot{Queues: make([]durQueue, 0, len(names))}
+	snap := &durSnapshot{LastID: int(s.lastID.Load()), Queues: make([]durQueue, 0, len(names))}
 	for _, name := range names {
 		q, err := s.getQueue(name)
 		if err != nil {
 			continue
 		}
 		q.mu.Lock()
-		dq := durQueue{Name: name, NextID: q.nextID}
+		dq := durQueue{Name: name}
 		for e := q.visible.Front(); e != nil; e = e.Next() {
 			dq.Visible = append(dq.Visible, encodeMsg(e.Value.(*message)))
 		}
@@ -305,6 +304,7 @@ func (s *Service) installView(v *journal.View) error {
 	s.mu.Lock()
 	s.queues = make(map[string]*queueState)
 	s.mu.Unlock()
+	s.lastID.Store(0)
 	if v.Snapshot != nil {
 		snap, err := decodeSnapshot(v.Snapshot)
 		if err != nil {
@@ -342,6 +342,7 @@ func (s *Service) foldEntries(entries [][]byte) error {
 }
 
 func (s *Service) installSnapshot(snap *durSnapshot) error {
+	s.lastID.Store(int64(snap.LastID))
 	for _, dq := range snap.Queues {
 		s.mu.Lock()
 		if _, ok := s.queues[dq.Name]; ok {
@@ -352,7 +353,6 @@ func (s *Service) installSnapshot(snap *durSnapshot) error {
 		s.queues[dq.Name] = q
 		s.mu.Unlock()
 		q.mu.Lock()
-		q.nextID = dq.NextID
 		for i := range dq.Visible {
 			installMsgLocked(q, &dq.Visible[i], false)
 		}
@@ -372,7 +372,7 @@ func installMsgLocked(q *queueState, dm *durMsg, inflight bool) {
 		id:        dm.ID,
 		body:      append([]byte(nil), dm.Body...),
 		receives:  dm.Receives,
-		receipt:   dm.Receipt,
+		delivered: dm.Delivered,
 		visibleAt: dm.VisAt,
 		heapIdx:   -1,
 	}
@@ -381,9 +381,6 @@ func installMsgLocked(q *queueState, dm *durMsg, inflight bool) {
 		q.inflight = append(q.inflight, m)
 	} else {
 		m.elem = q.visible.PushBack(m)
-	}
-	if m.receipt != "" {
-		q.byReceipt[m.receipt] = m
 	}
 	q.byID[m.id] = m
 }

@@ -3,6 +3,8 @@ package queue
 import (
 	"errors"
 	"fmt"
+	"strings"
+	"sync"
 	"testing"
 	"time"
 
@@ -488,5 +490,106 @@ func TestCapabilitiesDiscovery(t *testing.T) {
 	}
 	if c.Trace != nil {
 		t.Error("Service claims TraceScoper; it is a terminal hop")
+	}
+}
+
+// The id sequence outlives every queue. With SnapshotEvery 1 the last
+// snapshot is taken after the only queue was deleted, so it holds no
+// queue at all; a service recovered or promoted from it must still mint
+// ids the first life never used, and refuse that life's receipts.
+func TestRecoveredSequenceOutlivesDeletedQueues(t *testing.T) {
+	for _, how := range []string{"Recover", "Promote"} {
+		t.Run(how, func(t *testing.T) {
+			store := blob.NewStore(blob.Config{})
+			cfg := durConfig(store, NewFakeClock(time.Unix(1000, 0)), "shard-0")
+			cfg.Durability.SnapshotEvery = 1
+			p := NewService(cfg)
+			if err := p.Recover(); err != nil {
+				t.Fatal(err)
+			}
+			f, err := NewFollower(cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			first := lifeOf(t, p, "q", "first")
+			if err := p.DeleteQueue("q"); err != nil {
+				t.Fatal(err)
+			}
+			v, err := p.dur.log.Load()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if snap, err := decodeSnapshot(v.Snapshot); err != nil || len(snap.Queues) != 0 || len(v.Entries) != 0 {
+				t.Fatalf("fixture: the journal is not one snapshot of no queue: %+v, %d records (err %v)", snap, len(v.Entries), err)
+			}
+			p.Halt()
+			s := NewService(cfg)
+			if how == "Recover" {
+				err = s.Recover()
+			} else {
+				s, err = f.Promote()
+			}
+			if err != nil {
+				t.Fatal(err)
+			}
+			second := lifeOf(t, s, "q", "second")
+			refusesFirstLife(t, s, "q", first, second)
+		})
+	}
+}
+
+// Sends on different queues mint from one sequence at once and may be
+// journaled in another order than they minted; every id is still
+// distinct, and the fold ends at the same sequence as the live service.
+func TestConcurrentSendsShareOneSequence(t *testing.T) {
+	store := blob.NewStore(blob.Config{})
+	cfg := durConfig(store, NewFakeClock(time.Unix(1000, 0)), "shard-0")
+	p := NewService(cfg)
+	if err := p.Recover(); err != nil {
+		t.Fatal(err)
+	}
+	const queues, batches = 4, 50
+	ids := make([][]string, queues)
+	var wg sync.WaitGroup
+	for i := range ids {
+		q := fmt.Sprintf("q%d", i)
+		if err := p.CreateQueue(q); err != nil {
+			t.Fatal(err)
+		}
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for b := 0; b < batches; b++ {
+				got, err := p.SendMessageBatch(q, make([][]byte, 1+(b+i)%MaxBatch))
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				ids[i] = append(ids[i], got...)
+			}
+		}()
+	}
+	wg.Wait()
+	seen := make(map[string]bool)
+	for _, list := range ids {
+		for _, id := range list {
+			n := id[strings.IndexByte(id, '-')+1:]
+			if seen[n] {
+				t.Fatalf("sequence number of %s minted twice", id)
+			}
+			seen[n] = true
+		}
+	}
+	want := stateOf(p)
+	if want[""][0].ID != fmt.Sprintf("last=%d", len(seen)) {
+		t.Errorf("sequence at %s after minting %d ids", want[""][0].ID, len(seen))
+	}
+	p.Halt()
+	r := NewService(cfg)
+	if err := r.Recover(); err != nil {
+		t.Fatal(err)
+	}
+	if got := stateOf(r); !equalStates(got, want) {
+		t.Errorf("recovered state differs from the primary's:\n got %v\nwant %v", got[""], want[""])
 	}
 }

@@ -12,33 +12,32 @@
 //	 2   IDs       uvarint(n) || n × after       send, recv, del, vis
 //	 3   Bodies    uvarint(n) || n × bytes       send
 //	 4   Recvs     uvarint(n) || n × uvarint     send (transfers only)
-//	 5   Receipts  uvarint(n) || n × after       recv
+//	 5   (retired: receipts, which the fold computes; a record setting it is corrupt)
 //	 6   Vis       uvarint(n) || n × time        recv, vis
 //	 7   Dup       uvarint(n) || n × (0|1)       recv
 //
 //	after = uvarint(k) || str(rest)    the string is prev[:k] + rest
 //
 // A field is present iff it is non-zero / non-empty — what omitempty did
-// for the JSON records this replaced — and bodies are raw bytes. Ids and
-// receipts are front-coded ("after"): an id against the id before it
-// (the first against the queue name), a receipt against the id at its
-// index. A message id is its queue's name plus a counter and a receipt
-// is its id plus a delivery count, so a few bytes of suffix stand for the
-// whole name; strings that share nothing cost one byte more than str.
-// op is one of the durOp values; an op this build does not know (a
-// record from a newer writer) is refused like any other damage.
+// for the JSON records this replaced — and bodies are raw bytes. Ids are
+// front-coded ("after") against the id before them, the first against
+// the queue name. A message id is its queue's name plus a sequence
+// number, so a few bytes of suffix stand for the whole name; strings that
+// share nothing cost one byte more than str. op is one of the durOp
+// values; an op this build does not know (a record from a newer writer)
+// is refused like any other damage.
 //
-//	snapshot = version(1) || uvarint(n) || n × queue
-//	queue    = str(name) || uvarint(nextID) || msgs(visible) || msgs(inflight)
+//	snapshot = version(1)=2 || uvarint(lastID) || uvarint(n) || n × queue
+//	queue    = str(name) || msgs(visible) || msgs(inflight)
 //	msgs     = uvarint(n) || n × msg
-//	msg      = after(id) || bytes(body) || uvarint(receives) || after(receipt) || time(visAt)
+//	msg      = after(id) || bytes(body) || uvarint(receives) || delivered(0|1) || time(visAt)
 //
 // In a snapshot an id is coded against the id before it in its list (the
-// first against the queue name) and a receipt against its own id.
+// first against the queue name). lastID is the service's id sequence.
 //
-// Decoding is strict — bytes left over after the last field, a Dup that
-// is neither 0 nor 1, an unknown op or snapshot version are all corrupt
-// — and decoded bodies alias the input: the fold copies what it keeps.
+// Decoding is strict — leftover bytes, a flag byte neither 0 nor 1, an
+// unknown op or snapshot version are all corrupt — and decoded bodies
+// alias the input: the fold copies what it keeps.
 package queue
 
 import (
@@ -86,13 +85,13 @@ const (
 	hasIDs
 	hasBodies
 	hasRecvs
-	hasReceipts
+	hasRetired
 	hasVis
 	hasDup
 )
 
 // snapVersion is the first byte of every snapshot object.
-const snapVersion = 1
+const snapVersion = 2
 
 // appendAfter appends s front-coded against prev: the length of their
 // common prefix, then the rest of s.
@@ -154,13 +153,6 @@ func (r *durRecord) AppendTo(dst []byte) []byte {
 			e.U64(uint64(n))
 		}
 	}
-	if len(r.Receipts) > 0 {
-		has |= hasReceipts
-		e.U64(uint64(len(r.Receipts)))
-		for i, h := range r.Receipts {
-			appendAfter(&e, r.idAt(i), h)
-		}
-	}
 	if len(r.Vis) > 0 {
 		has |= hasVis
 		e.U64(uint64(len(r.Vis)))
@@ -172,23 +164,28 @@ func (r *durRecord) AppendTo(dst []byte) []byte {
 		has |= hasDup
 		e.U64(uint64(len(r.Dup)))
 		for _, dup := range r.Dup {
-			var c byte
-			if dup {
-				c = 1
-			}
-			e.Byte(c)
+			appendBool(&e, dup)
 		}
 	}
 	e.B[fields] = has
 	return e.B
 }
 
-// idAt is the id a receipt at index i is coded against.
-func (r *durRecord) idAt(i int) string {
-	if i < len(r.IDs) {
-		return r.IDs[i]
+// appendBool and readBool code a flag as one byte, 0 or 1.
+func appendBool(e *codec.Enc, b bool) {
+	var c byte
+	if b {
+		c = 1
 	}
-	return ""
+	e.Byte(c)
+}
+
+func readBool(d *codec.Dec) bool {
+	c := d.Byte()
+	if c > 1 {
+		d.Fail()
+	}
+	return c == 1
 }
 
 // corrupt wraps a payload that is well framed but does not decode, so
@@ -210,13 +207,16 @@ func count(d *codec.Dec, size int) int {
 }
 
 // decode replaces r's contents with the record in b, reusing r's slices
-// so a fold over many records allocates only what it keeps (the id and
-// receipt strings). Absent lists come back empty, not nil.
+// so a fold over many records allocates only what it keeps (the id
+// strings). Absent lists come back empty, not nil.
 func (r *durRecord) decode(b []byte) error {
 	d := codec.Dec{B: b}
 	op, q := durOp(d.Byte()), d.Str()
 	r.reset(op, q)
 	has := d.Byte()
+	if has&hasRetired != 0 {
+		return fmt.Errorf("retired field bit 5 (receipts) set")
+	}
 	if has&hasT != 0 {
 		r.T = d.Time()
 	}
@@ -240,11 +240,6 @@ func (r *durRecord) decode(b []byte) error {
 			r.Recvs = append(r.Recvs, int(d.U64()))
 		}
 	}
-	if has&hasReceipts != 0 {
-		for n := count(&d, 2); n > 0; n-- {
-			r.Receipts = append(r.Receipts, readAfter(&d, r.idAt(len(r.Receipts))))
-		}
-	}
 	if has&hasVis != 0 {
 		for n := count(&d, 8); n > 0; n-- {
 			r.Vis = append(r.Vis, d.Time())
@@ -252,11 +247,7 @@ func (r *durRecord) decode(b []byte) error {
 	}
 	if has&hasDup != 0 {
 		for n := count(&d, 1); n > 0; n-- {
-			c := d.Byte()
-			if c > 1 {
-				d.Fail()
-			}
-			r.Dup = append(r.Dup, c == 1)
+			r.Dup = append(r.Dup, readBool(&d))
 		}
 	}
 	if d.Err != nil {
@@ -280,15 +271,15 @@ func appendMsgs(e *codec.Enc, queue string, msgs []durMsg) {
 		appendAfter(e, prev, m.ID)
 		e.Bytes(m.Body)
 		e.U64(uint64(m.Receives))
-		appendAfter(e, m.ID, m.Receipt)
+		appendBool(e, m.Delivered)
 		e.Time(m.VisAt)
 		prev = m.ID
 	}
 }
 
-// msgMinBytes is the shortest encoded msg: two empty front-coded
-// strings, an empty body, a one-byte count, and a time.
-const msgMinBytes = 2 + 2 + 1 + 1 + 8
+// msgMinBytes is the shortest encoded msg: an empty front-coded id, an
+// empty body, a one-byte count, the delivered byte, and a time.
+const msgMinBytes = 2 + 1 + 1 + 1 + 8
 
 func readMsgs(d *codec.Dec, queue string) []durMsg {
 	n := count(d, msgMinBytes)
@@ -299,7 +290,7 @@ func readMsgs(d *codec.Dec, queue string) []durMsg {
 	prev := queue
 	for ; n > 0 && d.Err == nil; n-- {
 		m := durMsg{ID: readAfter(d, prev), Body: d.Bytes(), Receives: int(d.U64())}
-		m.Receipt, m.VisAt = readAfter(d, m.ID), d.Time()
+		m.Delivered, m.VisAt = readBool(d), d.Time()
 		msgs = append(msgs, m)
 		prev = m.ID
 	}
@@ -310,11 +301,11 @@ func readMsgs(d *codec.Dec, queue string) []durMsg {
 func (s *durSnapshot) appendTo(dst []byte) []byte {
 	e := codec.Enc{B: dst}
 	e.Byte(snapVersion)
+	e.U64(uint64(s.LastID))
 	e.U64(uint64(len(s.Queues)))
 	for i := range s.Queues {
 		q := &s.Queues[i]
 		e.Str(q.Name)
-		e.U64(uint64(q.NextID))
 		appendMsgs(&e, q.Name, q.Visible)
 		appendMsgs(&e, q.Name, q.Inflight)
 	}
@@ -326,10 +317,10 @@ func decodeSnapshot(b []byte) (*durSnapshot, error) {
 	if v := d.Byte(); d.Err == nil && v != snapVersion {
 		return nil, fmt.Errorf("snapshot version %d, this build reads %d", v, snapVersion)
 	}
-	s := &durSnapshot{}
-	// The shortest queue is an empty name, a nextID, and two empty lists.
-	for n := count(&d, 4); n > 0 && d.Err == nil; n-- {
-		q := durQueue{Name: d.Str(), NextID: int(d.U64())}
+	s := &durSnapshot{LastID: int(d.U64())}
+	// The shortest queue is an empty name and two empty lists.
+	for n := count(&d, 3); n > 0 && d.Err == nil; n-- {
+		q := durQueue{Name: d.Str()}
 		q.Visible, q.Inflight = readMsgs(&d, q.Name), readMsgs(&d, q.Name)
 		s.Queues = append(s.Queues, q)
 	}

@@ -24,7 +24,7 @@ func timesEqual(a, b time.Time) bool { return a.Equal(b) && a.IsZero() == b.IsZe
 func recordsEqual(a, b *durRecord) bool {
 	return a.Op == b.Op && a.Q == b.Q && timesEqual(a.T, b.T) && a.NextID == b.NextID &&
 		slices.Equal(a.IDs, b.IDs) && slices.EqualFunc(a.Bodies, b.Bodies, bytes.Equal) &&
-		slices.Equal(a.Recvs, b.Recvs) && slices.Equal(a.Receipts, b.Receipts) &&
+		slices.Equal(a.Recvs, b.Recvs) &&
 		slices.EqualFunc(a.Vis, b.Vis, timesEqual) && slices.Equal(a.Dup, b.Dup)
 }
 
@@ -40,7 +40,7 @@ func sampleRecords() []*durRecord {
 			Bodies: [][]byte{[]byte("plain"), {}, []byte("\n"), []byte("!{\"seq\":3}\n")}},
 		{Op: opSend, Q: "q", IDs: []string{"q-5", "q-6"}, NextID: 6,
 			Bodies: [][]byte{{0x01, 0x00}, []byte("moved")}, Recvs: []int{0, 7}},
-		{Op: opReceive, Q: "q", T: at, IDs: []string{"q-1", "q-2"}, Receipts: []string{"q-1#r1", "q-2#r3"},
+		{Op: opReceive, Q: "q", T: at, IDs: []string{"q-1", "q-2"},
 			Vis: []time.Time{at.Add(time.Minute), {}}, Dup: []bool{false, true}},
 		{Op: opDelete, Q: "q", IDs: []string{"q-1"}},
 		{Op: opVisibility, Q: "q", T: at, IDs: []string{"q-2"}, Vis: []time.Time{at.Add(time.Nanosecond)}},
@@ -70,9 +70,10 @@ func TestDurRecordRoundTrip(t *testing.T) {
 		}
 	}
 	for _, bad := range [][]byte{
-		{0, 0, 0},                          // op 0
-		{byte(opEnd), 0, 0},                // an op this build does not know
-		{byte(opReceive), 0, hasDup, 1, 2}, // a Dup that is neither 0 nor 1
+		{0, 0, 0},                                               // op 0
+		{byte(opEnd), 0, 0},                                     // an op this build does not know
+		{byte(opReceive), 0, hasDup, 1, 2},                      // a Dup that is neither 0 nor 1
+		{byte(opReceive), 0, hasRetired, 1, 0, 0},               // a receipt list, retired field bit 5
 		{byte(opSend), 0, hasIDs, 0xff, 0xff, 0xff, 0xff, 0x0f}, // length bomb
 		{byte(opReceive), 0, hasVis, 3, 0, 0, 0, 0, 0, 0, 0, 0}, // 3 times claimed, bytes for 1
 	} {
@@ -92,10 +93,11 @@ func FuzzDurRecord(f *testing.F) {
 	}
 	f.Add([]byte{}, byte(opSend), "q", int64(1_700_000_000_000_000_000), []byte("\n"), 0)
 	f.Add([]byte{byte(opReceive), 0, 0xff}, byte(opReceive), "", int64(-1), []byte("!"), 3)
+	f.Add([]byte{byte(opReceive), 0, hasRetired | hasIDs, 1, 1, 1, '1', 1, 0, 1, '#', 'r', '1'}, byte(opReceive), "q", int64(1), []byte{}, 1)
 	f.Fuzz(func(t *testing.T, raw []byte, op byte, q string, ns int64, body []byte, n int) {
 		var got durRecord
 		if err := got.decode(raw); err == nil {
-			if len(got.IDs)+len(got.Bodies)+len(got.Recvs)+len(got.Receipts)+len(got.Vis)+len(got.Dup) > len(raw) {
+			if len(got.IDs)+len(got.Bodies)+len(got.Recvs)+len(got.Vis)+len(got.Dup) > len(raw) {
 				t.Fatalf("decode(%x) built lists longer than its input", raw)
 			}
 			var again durRecord
@@ -117,7 +119,6 @@ func FuzzDurRecord(f *testing.F) {
 			want.IDs = append(want.IDs, fmt.Sprintf("%s-%d", q, i))
 			want.Bodies = append(want.Bodies, body[:len(body)*i/n])
 			want.Recvs = append(want.Recvs, i)
-			want.Receipts = append(want.Receipts, fmt.Sprintf("%s-%d#r%d", q, i, i))
 			vis := time.Time{}
 			if i%3 != 0 {
 				vis = base.Add(time.Duration(i))
@@ -132,34 +133,98 @@ func FuzzDurRecord(f *testing.F) {
 	})
 }
 
-func TestDurSnapshotRoundTrip(t *testing.T) {
+// sampleSnapshot holds an empty queue, a transferred-in message never
+// delivered here, and visible and in-flight messages that were.
+func sampleSnapshot() *durSnapshot {
 	at := time.Unix(1_700_000_000, 999)
-	want := &durSnapshot{Queues: []durQueue{
-		{Name: "empty", NextID: 0},
-		{Name: "q", NextID: 9,
-			Visible:  []durMsg{{ID: "q-1", Body: []byte("a\nb")}, {ID: "q-2", Body: []byte{}, Receives: 3, Receipt: "q-2#r3"}},
-			Inflight: []durMsg{{ID: "q-9", Body: []byte("!"), Receives: 1, Receipt: "q-9#r1", VisAt: at}}},
+	return &durSnapshot{LastID: 12, Queues: []durQueue{
+		{Name: "empty"},
+		{Name: "q",
+			Visible: []durMsg{{ID: "q-1", Body: []byte("a\nb")}, {ID: "q-2", Body: []byte{}, Receives: 3, Delivered: true},
+				{ID: "q-10", Body: []byte("moved"), Receives: 4}},
+			Inflight: []durMsg{{ID: "q-9", Body: []byte("!"), Receives: 1, Delivered: true, VisAt: at}}},
 	}}
+}
+
+func TestDurSnapshotRoundTrip(t *testing.T) {
+	want := sampleSnapshot()
+	at := want.Queues[1].Inflight[0].VisAt
 	enc := want.appendTo(nil)
 	got, err := decodeSnapshot(enc)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !bytes.Equal(got.appendTo(nil), enc) || len(got.Queues) != 2 ||
-		!timesEqual(got.Queues[1].Inflight[0].VisAt, at) || !got.Queues[1].Visible[0].VisAt.IsZero() {
+	if !bytes.Equal(got.appendTo(nil), enc) || len(got.Queues) != 2 || got.LastID != 12 ||
+		!timesEqual(got.Queues[1].Inflight[0].VisAt, at) || !got.Queues[1].Visible[0].VisAt.IsZero() ||
+		!got.Queues[1].Visible[1].Delivered || got.Queues[1].Visible[2].Delivered {
 		t.Errorf("decode(encode(snapshot)) = %+v", got)
 	}
+	// The last byte before the in-flight message's time is its delivered flag.
+	badFlag := slices.Clone(enc)
+	badFlag[len(enc)-9] = 2
 	for name, bad := range map[string][]byte{
 		"empty":           {},
 		"unknown version": append([]byte{snapVersion + 1}, enc[1:]...),
+		"older version":   append([]byte{snapVersion - 1}, enc[1:]...),
 		"truncated":       enc[:len(enc)-3],
 		"trailing byte":   append(enc[:len(enc):len(enc)], 0),
-		"queue bomb":      {snapVersion, 0xff, 0xff, 0xff, 0x0f},
+		"queue bomb":      {snapVersion, 0, 0xff, 0xff, 0xff, 0x0f},
+		"delivered 2":     badFlag,
 	} {
 		if _, err := decodeSnapshot(bad); err == nil {
 			t.Errorf("%s snapshot decoded", name)
 		}
 	}
+}
+
+// FuzzDurSnapshot: arbitrary bytes never panic and never decode to
+// lists longer than the input that has to back them, what does decode
+// re-encodes to bytes that decode to the same encoding, and a snapshot
+// built from fuzzed contents round-trips byte for byte.
+func FuzzDurSnapshot(f *testing.F) {
+	sample := sampleSnapshot().appendTo(nil)
+	f.Add(sample, "q", 4, int64(0), []byte("body"), 9)
+	f.Add(append([]byte{snapVersion - 1}, sample[1:]...), "", 0, int64(-1), []byte{}, 0)
+	f.Add([]byte{snapVersion, 0, 1, 0, 1, 1, 0, 0, 0, 2}, "job-1/tasks", 2*MaxBatch, int64(1_700_000_000_000_000_000), []byte("\n"), 1<<40)
+	f.Fuzz(func(t *testing.T, raw []byte, name string, n int, ns int64, body []byte, last int) {
+		if snap, err := decodeSnapshot(raw); err == nil {
+			lists := len(snap.Queues)
+			for _, q := range snap.Queues {
+				lists += len(q.Visible) + len(q.Inflight)
+			}
+			if lists > len(raw) {
+				t.Fatalf("decodeSnapshot(%x) built lists longer than its input", raw)
+			}
+			enc := snap.appendTo(nil)
+			again, err := decodeSnapshot(enc)
+			if err != nil || !bytes.Equal(again.appendTo(nil), enc) {
+				t.Fatalf("decodeSnapshot(%x) = %+v does not survive re-encoding (err %v)", raw, snap, err)
+			}
+		}
+
+		// A well-shaped snapshot with fuzzed contents: every other message
+		// in flight with a lease around the fuzzed instant (halved, so the
+		// offsets below stay inside UnixNano's range), every third one
+		// never delivered here.
+		n = min(max(n, 0), 2*MaxBatch)
+		want := &durSnapshot{LastID: max(last, 0), Queues: []durQueue{{Name: name}, {Name: name + "/next"}}}
+		q := &want.Queues[0]
+		for i := 0; i < n; i++ {
+			m := durMsg{ID: fmt.Sprintf("%s-%d", name, i+1), Body: body[:len(body)*i/n], Receives: i, Delivered: i%3 != 0}
+			if i%2 == 1 {
+				m.VisAt = time.Unix(0, ns/2).Add(time.Duration(i))
+				q.Inflight = append(q.Inflight, m)
+			} else {
+				q.Visible = append(q.Visible, m)
+			}
+		}
+		enc := want.appendTo(nil)
+		got, err := decodeSnapshot(enc)
+		if err != nil || !bytes.Equal(got.appendTo(nil), enc) || len(got.Queues) != 2 || got.LastID != want.LastID ||
+			len(got.Queues[0].Visible) != len(q.Visible) || len(got.Queues[0].Inflight) != len(q.Inflight) {
+			t.Fatalf("decodeSnapshot(encode(%+v)) = %+v (err %v)", *want, got, err)
+		}
+	})
 }
 
 // msgState is everything the queue contract can observe about one
@@ -171,17 +236,22 @@ type msgState struct {
 	Inflight          bool
 }
 
-// stateOf renders a service's full state: per queue the ID counter, the
-// visible messages in delivery order, then the in-flight ones by ID
-// (heap order is an implementation detail).
+// stateOf renders a service's full state: the id sequence (under the
+// empty name, which no queue can have), then per queue the visible
+// messages in delivery order and the in-flight ones by ID (heap order is
+// an implementation detail). A message delivered here shows the receipt
+// that names it.
 func stateOf(s *Service) map[string][]msgState {
-	out := make(map[string][]msgState)
-	for _, q := range s.captureState().Queues {
-		msgs := []msgState{{ID: fmt.Sprintf("next=%d", q.NextID)}}
+	snap := s.captureState()
+	out := map[string][]msgState{"": {{ID: fmt.Sprintf("last=%d", snap.LastID)}}}
+	for _, q := range snap.Queues {
 		render := func(list []durMsg, inflight bool) []msgState {
 			var ms []msgState
 			for _, m := range list {
-				st := msgState{ID: m.ID, Body: string(m.Body), Receipt: m.Receipt, Receives: m.Receives, Inflight: inflight}
+				st := msgState{ID: m.ID, Body: string(m.Body), Receives: m.Receives, Inflight: inflight}
+				if m.Delivered {
+					st.Receipt = receipt(m.ID, m.Receives)
+				}
 				if !m.VisAt.IsZero() {
 					st.VisAt = m.VisAt.UnixNano()
 				}
@@ -191,7 +261,7 @@ func stateOf(s *Service) map[string][]msgState {
 		}
 		inflight := render(q.Inflight, true)
 		sort.Slice(inflight, func(i, j int) bool { return inflight[i].ID < inflight[j].ID })
-		out[q.Name] = append(append(msgs, render(q.Visible, false)...), inflight...)
+		out[q.Name] = append(render(q.Visible, false), inflight...)
 	}
 	return out
 }
@@ -404,7 +474,7 @@ func TestDumpJournalRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 	log := journal.Log{Store: store, Bucket: "j", Key: "shard-x"}
-	snap := &durSnapshot{Queues: []durQueue{{Name: "q", NextID: 2, Visible: []durMsg{{ID: "q-2", Body: []byte("kept")}}}}}
+	snap := &durSnapshot{LastID: 2, Queues: []durQueue{{Name: "q", Visible: []durMsg{{ID: "q-2", Body: []byte("kept")}}}}}
 	if err := log.Create([]byte("placeholder")); err != nil {
 		t.Fatal(err)
 	}

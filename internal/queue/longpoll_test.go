@@ -317,12 +317,12 @@ func TestDeleteCompactsAllIndexes(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	v, f, r, err := s.storeSizes("q")
+	v, f, ids, err := s.storeSizes("q")
 	if err != nil {
 		t.Fatal(err)
 	}
-	if v != 0 || f != 0 || r != 0 {
-		t.Errorf("indexes after deleting everything = visible %d, inflight %d, receipts %d; want 0,0,0", v, f, r)
+	if v != 0 || f != 0 || ids != 0 {
+		t.Errorf("indexes after deleting everything = visible %d, inflight %d, ids %d; want 0,0,0", v, f, ids)
 	}
 	// Counts and billing stay exact after heavy churn.
 	if vis, inf, _ := s.ApproximateCount("q"); vis != 0 || inf != 0 {

@@ -21,9 +21,11 @@
 //
 // Each queue keeps three structures, all bounded by its live (undeleted)
 // messages: a delivery-ordered list of visible messages, a min-heap of
-// in-flight messages keyed by the time they become visible again, and a
-// receipt-handle index. DeleteMessage and ChangeVisibility are O(log n)
-// by receipt; ReceiveMessage touches at most shuffleWindow list nodes;
+// in-flight messages keyed by the time they become visible again, and an
+// id index. Ids come from one sequence per service, never repeated, and a
+// receipt handle is an id and a delivery count, computed rather than
+// kept. DeleteMessage and ChangeVisibility are O(log n) by receipt;
+// ReceiveMessage touches at most shuffleWindow list nodes;
 // ApproximateCount reads the structure sizes. Deleted messages are
 // removed from all three structures immediately (compaction), so memory
 // and per-operation cost track live messages, not messages ever sent.
@@ -48,6 +50,7 @@ import (
 	"slices"
 	"sort"
 	"strconv"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -248,6 +251,9 @@ type Service struct {
 	// per-queue lock instead.
 	mu     sync.RWMutex
 	queues map[string]*queueState
+	// lastID is the last message id minted: one sequence for every queue
+	// and every life of one, so no id is ever minted twice.
+	lastID atomic.Int64
 	// billing counts every service call for the pricing model.
 	billing RequestCounter
 	// slots throttles billed calls to cfg.ServiceConcurrency concurrent
@@ -284,7 +290,9 @@ type message struct {
 	body      []byte
 	visibleAt time.Time
 	receives  int
-	receipt   string
+	// delivered is set by the first delivery from this service: until then
+	// no receipt names the message, even one transferred in.
+	delivered bool
 	elem      *list.Element // position in queueState.visible, nil if in flight
 	heapIdx   int           // position in queueState.inflight, -1 if visible
 }
@@ -301,14 +309,9 @@ type queueState struct {
 	// inflight orders leased messages by the time they become visible
 	// again, so expiry processing pops only what actually expired.
 	inflight inflightHeap
-	// byReceipt indexes live messages by their latest receipt handle for
-	// O(log n) DeleteMessage / ChangeVisibility.
-	byReceipt map[string]*message
-	// byID indexes live messages by message ID — the stable name
-	// journal records refer to across restarts, where receipt handles
-	// rotate per delivery.
-	byID   map[string]*message
-	nextID int
+	// byID indexes live messages by message ID — the name journal records
+	// refer to, and the half of a receipt handle that finds its message.
+	byID map[string]*message
 	// notify is closed and replaced to broadcast "a message may have
 	// become visible" to long-poll waiters.
 	notify chan struct{}
@@ -324,7 +327,8 @@ type queueState struct {
 // taken by one batch expire together, so ties are broken by id — later
 // ids first, which hands a batch back to the front of the visible list
 // in its original order — making the order total: what pops next never
-// depends on how the heap happens to be laid out.
+// depends on how the heap happens to be laid out. Ids in one queue share
+// a prefix, so ordering them by length, then bytes, orders their numbers.
 type inflightHeap []*message
 
 func (h inflightHeap) Len() int { return len(h) }
@@ -332,7 +336,8 @@ func (h inflightHeap) Less(i, j int) bool {
 	if c := h[i].visibleAt.Compare(h[j].visibleAt); c != 0 {
 		return c < 0
 	}
-	return h[i].id > h[j].id
+	a, b := h[i].id, h[j].id
+	return len(a) > len(b) || len(a) == len(b) && a > b
 }
 func (h inflightHeap) Swap(i, j int) { h[i], h[j] = h[j], h[i]; h[i].heapIdx = i; h[j].heapIdx = j }
 func (h *inflightHeap) Push(x any)   { m := x.(*message); m.heapIdx = len(*h); *h = append(*h, m) }
@@ -640,12 +645,11 @@ func queueSeed(seed int64, name string) int64 {
 // newQueueState builds an empty queue, not yet in the namespace.
 func (s *Service) newQueueState(name string) *queueState {
 	return &queueState{
-		name:      name,
-		rng:       rand.New(rand.NewSource(queueSeed(s.cfg.Seed, name))),
-		visible:   list.New(),
-		byReceipt: make(map[string]*message),
-		byID:      make(map[string]*message),
-		notify:    make(chan struct{}),
+		name:    name,
+		rng:     rand.New(rand.NewSource(queueSeed(s.cfg.Seed, name))),
+		visible: list.New(),
+		byID:    make(map[string]*message),
+		notify:  make(chan struct{}),
 	}
 }
 
@@ -683,10 +687,10 @@ func (s *Service) withQueue(op durOp, name string, fn func(q *queueState) error)
 }
 
 // A planFunc is one op's decision: it reads the locked queue and fills
-// rec with what the op will do — ids, receipts, lease times — and fails
-// the call if it cannot be done. It changes nothing a record describes:
-// the only state it may touch is the rng and leases that have already
-// lapsed (expireLocked), neither of which is journaled. Results the
+// rec with what the op will do — ids, lease times — and fails the call
+// if it cannot be done. Beyond the id sequence a send mints from, it
+// changes nothing a record describes: the only state it may touch is the
+// rng and leases that have already lapsed (expireLocked). Results the
 // caller returns are taken here too, since everything they hold is known
 // once the record is.
 type planFunc func(q *queueState, rec *durRecord) error
@@ -775,13 +779,14 @@ func (s *Service) applyLocked(q *queueState, rec *durRecord) error {
 			m.elem = q.visible.PushBack(m)
 			q.byID[id] = m
 		}
-		q.nextID = rec.NextID
+		if int64(rec.NextID) > s.lastID.Load() {
+			s.lastID.Store(int64(rec.NextID)) // a fold: the live plan minted up to it
+		}
 		q.broadcastLocked()
 	case opReceive:
 		n := len(rec.IDs)
-		if len(rec.Receipts) != n || len(rec.Vis) != n || len(rec.Dup) != n {
-			return fmt.Errorf("receive record shape: %d ids, %d receipts, %d vis, %d dup",
-				n, len(rec.Receipts), len(rec.Vis), len(rec.Dup))
+		if len(rec.Vis) != n || len(rec.Dup) != n {
+			return fmt.Errorf("receive record shape: %d ids, %d vis, %d dup", n, len(rec.Vis), len(rec.Dup))
 		}
 		q.expireLocked(rec.T)
 		for i, id := range rec.IDs {
@@ -790,11 +795,7 @@ func (s *Service) applyLocked(q *queueState, rec *durRecord) error {
 				return fmt.Errorf("receive of unknown message %q", id)
 			}
 			m.receives++
-			if m.receipt != "" {
-				delete(q.byReceipt, m.receipt)
-			}
-			m.receipt = rec.Receipts[i]
-			q.byReceipt[m.receipt] = m
+			m.delivered = true
 			if rec.Dup[i] {
 				continue // a duplicate delivery leaves the message visible
 			}
@@ -825,12 +826,23 @@ func (s *Service) applyLocked(q *queueState, rec *durRecord) error {
 	case opPurge:
 		q.visible.Init()
 		q.inflight = nil
-		q.byReceipt = make(map[string]*message)
 		q.byID = make(map[string]*message)
 	default:
 		return fmt.Errorf("unknown op %v", rec.Op)
 	}
 	return nil
+}
+
+// receipt renders a message's receipt handle; messageOf reads it back.
+func receipt(id string, receives int) string { return id + "#r" + strconv.Itoa(receives) }
+
+// messageOf resolves a receipt handle to the live message it names: one
+// delivered here whose latest delivery the handle counts; caller holds q.mu.
+func (q *queueState) messageOf(handle string) (*message, bool) {
+	i := strings.LastIndex(handle, "#r")
+	m, ok := q.byID[handle[:max(i, 0)]]
+	var count [20]byte
+	return m, ok && m.delivered && string(strconv.AppendInt(count[:0], int64(m.receives), 10)) == handle[i+2:]
 }
 
 // broadcastLocked wakes every long-poll waiter on the queue. Caller
@@ -869,9 +881,6 @@ func (q *queueState) detachLocked(m *message) {
 // q.mu.
 func (q *queueState) removeLocked(m *message) {
 	q.detachLocked(m)
-	if m.receipt != "" {
-		delete(q.byReceipt, m.receipt)
-	}
 	delete(q.byID, m.id)
 }
 
@@ -993,19 +1002,21 @@ func (s *Service) TransferInBatch(queueName string, items []TransferItem) ([]str
 }
 
 // send enqueues bodies with prior delivery counts (nil recvs: none — an
-// ordinary send) and returns the ids they were given: the queue's next
-// counter values, named in the record so a fold assigns the same ones.
+// ordinary send) and returns the ids they were given: the service's next
+// sequence values, named in the record so a fold assigns the same ones.
 func (s *Service) send(metric, queueName string, bodies [][]byte, recvs []int) ([]string, error) {
 	var ids []string
 	err := s.mutate(metric, opSend, queueName, func(q *queueState, rec *durRecord) error {
-		ids = make([]string, len(bodies))
+		n := int64(len(bodies))
+		last := s.lastID.Add(n)
+		ids = make([]string, n)
 		for i := range ids {
-			ids[i] = q.name + "-" + strconv.Itoa(q.nextID+i+1)
+			ids[i] = q.name + "-" + strconv.FormatInt(last-n+int64(i)+1, 10)
 			rec.IDs = append(rec.IDs, ids[i])
 		}
 		rec.Bodies = append(rec.Bodies, bodies...)
 		rec.Recvs = append(rec.Recvs, recvs...)
-		rec.NextID = q.nextID + len(ids)
+		rec.NextID = int(last)
 		return nil
 	})
 	if err != nil {
@@ -1049,14 +1060,13 @@ func (s *Service) planReceives(q *queueState, rec *durRecord, now time.Time, vis
 				recvs++
 			}
 		}
-		receipt := m.id + "#r" + strconv.Itoa(recvs)
+		handle := receipt(m.id, recvs)
 		var lease time.Time // zero for a duplicate: it takes no lease
 		if !dup {
 			lease = now.Add(visibility)
 		}
 		picks = append(picks, m)
 		rec.IDs = append(rec.IDs, m.id)
-		rec.Receipts = append(rec.Receipts, receipt)
 		rec.Vis = append(rec.Vis, lease)
 		rec.Dup = append(rec.Dup, dup)
 		if out == nil {
@@ -1069,7 +1079,7 @@ func (s *Service) planReceives(q *queueState, rec *durRecord, now time.Time, vis
 		out = append(out, Message{
 			ID:            m.id,
 			Body:          m.body, // stored copy; read-only contract
-			ReceiptHandle: receipt,
+			ReceiptHandle: handle,
 			Receives:      recvs,
 		})
 	}
@@ -1215,7 +1225,7 @@ func (s *Service) park(notify <-chan struct{}, advC <-chan struct{}, expiryIn ti
 // so deleted messages occupy no memory and slow no later operation.
 func (s *Service) DeleteMessage(queueName, receiptHandle string) error {
 	return s.mutate("delete", opDelete, queueName, func(q *queueState, rec *durRecord) error {
-		m, ok := q.byReceipt[receiptHandle]
+		m, ok := q.messageOf(receiptHandle)
 		if !ok {
 			return ErrStaleReceipt
 		}
@@ -1237,7 +1247,7 @@ func (s *Service) DeleteMessageBatch(queueName string, receipts []string) ([]err
 		for i, r := range receipts {
 			// A receipt repeated within the batch fails its second entry,
 			// exactly like sequential deletes would.
-			if m, ok := q.byReceipt[r]; ok && !slices.Contains(rec.IDs, m.id) {
+			if m, ok := q.messageOf(r); ok && !slices.Contains(rec.IDs, m.id) {
 				rec.IDs = append(rec.IDs, m.id)
 			} else {
 				results[i] = ErrStaleReceipt
@@ -1256,7 +1266,7 @@ func (s *Service) DeleteMessageBatch(queueName string, receipts []string) ([]err
 // keep ownership of a task. O(log n) by receipt handle.
 func (s *Service) ChangeVisibility(queueName, receiptHandle string, d time.Duration) error {
 	return s.mutate("change_visibility", opVisibility, queueName, func(q *queueState, rec *durRecord) error {
-		m, ok := q.byReceipt[receiptHandle]
+		m, ok := q.messageOf(receiptHandle)
 		if !ok {
 			return ErrStaleReceipt
 		}

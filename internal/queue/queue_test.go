@@ -1,7 +1,9 @@
 package queue
 
 import (
+	"errors"
 	"fmt"
+	"slices"
 	"sync"
 	"testing"
 	"testing/quick"
@@ -366,5 +368,93 @@ func TestAPIRequestsAttributedPerQueue(t *testing.T) {
 	}
 	if got := s.APIRequests(); got != 5 {
 		t.Errorf("APIRequests = %d, want 5", got)
+	}
+}
+
+// lifeOf creates q, sends body and receives it: one life of a queue,
+// up to a delivery whose receipt the caller holds.
+func lifeOf(t *testing.T, s *Service, q, body string) Message {
+	t.Helper()
+	if err := s.CreateQueue(q); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := s.SendMessage(q, []byte(body)); err != nil {
+		t.Fatal(err)
+	}
+	m, ok, err := s.ReceiveMessage(q, time.Hour)
+	if err != nil || !ok || string(m.Body) != body {
+		t.Fatalf("receive in the %s life: %+v ok=%v err=%v", body, m, ok, err)
+	}
+	return m
+}
+
+// refusesFirstLife checks that a receipt from a queue's first life
+// neither deletes nor re-leases anything in its second, whose one
+// message is still there.
+func refusesFirstLife(t *testing.T, s *Service, q string, first, second Message) {
+	t.Helper()
+	if first.ID == second.ID || first.ReceiptHandle == second.ReceiptHandle {
+		t.Errorf("both lives minted %s / %s", second.ID, second.ReceiptHandle)
+	}
+	if err := s.ChangeVisibility(q, first.ReceiptHandle, 0); !errors.Is(err, ErrStaleReceipt) {
+		t.Errorf("first life's receipt %s re-leased a second-life message: %v", first.ReceiptHandle, err)
+	}
+	if err := s.DeleteMessage(q, first.ReceiptHandle); !errors.Is(err, ErrStaleReceipt) {
+		t.Errorf("first life's receipt %s deleted a second-life message: %v", first.ReceiptHandle, err)
+	}
+	if vis, inf, err := s.ApproximateCount(q); err != nil || vis != 0 || inf != 1 {
+		t.Errorf("second life holds %d visible / %d in flight (err %v), want its one leased message", vis, inf, err)
+	}
+	if err := s.DeleteMessage(q, second.ReceiptHandle); err != nil {
+		t.Errorf("second life's own receipt refused: %v", err)
+	}
+}
+
+// A receipt names one message for good: a queue deleted and recreated
+// under its old name mints ids its first life never used, so a receipt
+// the first life handed out is stale in the second.
+func TestRecreatedQueueRefusesFirstLifeReceipts(t *testing.T) {
+	s := newTestService(nil)
+	first := lifeOf(t, s, "q", "first")
+	if err := s.DeleteQueue("q"); err != nil {
+		t.Fatal(err)
+	}
+	second := lifeOf(t, s, "q", "second")
+	refusesFirstLife(t, s, "q", first, second)
+}
+
+// Leases taken together lapse together and come back in id order, the
+// order their messages arrived in — also where ids cross a power of ten.
+func TestLapsedBatchReturnsInIDOrder(t *testing.T) {
+	clk := NewFakeClock(time.Unix(1_700_000_000, 0))
+	s := newTestService(clk)
+	if err := s.CreateQueue("q"); err != nil {
+		t.Fatal(err)
+	}
+	var sent []string
+	for _, n := range []int{MaxBatch, 1} {
+		ids, err := s.SendMessageBatch("q", make([][]byte, n))
+		if err != nil {
+			t.Fatal(err)
+		}
+		sent = append(sent, ids...)
+	}
+	for leased := 0; leased < len(sent); {
+		msgs, err := s.ReceiveMessageBatch("q", time.Minute, MaxBatch, 0)
+		if err != nil || len(msgs) == 0 {
+			t.Fatalf("leased %d of %d, then %d (err %v)", leased, len(sent), len(msgs), err)
+		}
+		leased += len(msgs)
+	}
+	clk.Advance(time.Minute)
+	if vis, _, err := s.ApproximateCount("q"); err != nil || vis != len(sent) {
+		t.Fatalf("%d visible after the leases lapsed (err %v), want %d", vis, err, len(sent))
+	}
+	var got []string
+	for _, m := range s.captureState().Queues[0].Visible {
+		got = append(got, m.ID)
+	}
+	if !slices.Equal(got, sent) {
+		t.Errorf("lapsed leases came back as %v, want %v", got, sent)
 	}
 }

@@ -223,13 +223,15 @@ func TestLiveStateEqualsJournalFold(t *testing.T) {
 	}
 }
 
-// The journal a fixed script writes is byte-for-byte the journal the
-// commit before the plan → journal → apply refactor wrote for it (the
-// hash was computed there): the state machine changed shape, the records
-// did not. The script touches every record kind, duplicate deliveries, a
+// The journal a fixed script writes is byte-for-byte the journal it
+// wrote when the layout last changed, the hash being computed then:
+// receive records stopped carrying receipts, which the fold computes, and
+// ids came from one sequence per service instead of one per queue. The
+// layout before that had held since before the plan → journal → apply
+// refactor. The script touches every record kind, duplicate deliveries, a
 // redelivery after a lapsed lease, and stale and repeated receipts.
 func TestGoldenJournalBytes(t *testing.T) {
-	const golden = "7a55ba145e73c4672bb3d049d2e12c9d6030f98b3b58bd95c03be9323979155d"
+	const golden = "fd5255d944a06f72f23c864ebe730e153a847daed3f1dfd0f34f8c30e045ae52"
 	store := blob.NewStore(blob.Config{})
 	clk := NewFakeClock(time.Unix(1_700_000_000, 123_456_789))
 	cfg := durConfig(store, clk, "golden")
@@ -354,18 +356,18 @@ func TestLapsedLeasesLandWhereTheJournalSays(t *testing.T) {
 	}
 	for side, st := range map[string]map[string][]msgState{"primary": want, "recovered": got} {
 		q := st["q"]
-		if len(q) != 6 || q[3].Inflight || !(q[1].ID < q[2].ID && q[2].ID < q[3].ID) {
+		if len(q) != 5 || q[2].Inflight || !(q[0].ID < q[1].ID && q[1].ID < q[2].ID) {
 			t.Errorf("%s: a batch whose leases lapsed together is not back in arrival order: %+v", side, q)
 			continue
 		}
-		for _, v := range q[1:4] {
+		for _, v := range q[:3] {
 			if !lapsed[v.ID] || v.ID == again[0].ID {
 				t.Errorf("%s: %s is visible, want the lapsed leases but %s: %+v", side, v.ID, again[0].ID, q)
 			}
 		}
-		inflight := map[string]bool{q[4].ID: q[4].Inflight, q[5].ID: q[5].Inflight}
+		inflight := map[string]bool{q[3].ID: q[3].Inflight, q[4].ID: q[4].Inflight}
 		if !inflight[again[0].ID] || !inflight[msgs[5].ID] {
-			t.Errorf("%s: in flight %v, want %s and %s", side, q[4:], again[0].ID, msgs[5].ID)
+			t.Errorf("%s: in flight %v, want %s and %s", side, q[3:], again[0].ID, msgs[5].ID)
 		}
 	}
 }

@@ -271,3 +271,75 @@ func TestRouterRemoteShard(t *testing.T) {
 		t.Errorf("stale delete over the wire: %v", err)
 	}
 }
+
+// A receipt names one message for good through every second life a
+// queue can have on one shard: deleted and recreated through the
+// router, or moved away — the forwarder deleting its empty residue —
+// and back. A spent first-life receipt is refused there, and the second
+// life's message stays.
+func TestRouterRecreatedQueueRefusesFirstLifeReceipts(t *testing.T) {
+	for _, how := range []string{"delete and recreate", "move away and back"} {
+		t.Run(how, func(t *testing.T) {
+			const qn = "twice"
+			r := NewRouter(Config{ForwardInterval: time.Millisecond})
+			defer r.Close()
+			a := queue.NewService(queue.Config{Seed: 1})
+			for id, svc := range map[string]*queue.Service{"a": a, "b": queue.NewService(queue.Config{Seed: 2})} {
+				if err := r.AddShard(id, svc); err != nil {
+					t.Fatal(err)
+				}
+			}
+			life := func(body string) queue.Message {
+				t.Helper()
+				if _, err := r.SendMessage(qn, []byte(body)); err != nil {
+					t.Fatal(err)
+				}
+				m, ok, err := r.ReceiveMessage(qn, time.Hour)
+				if err != nil || !ok || string(m.Body) != body {
+					t.Fatalf("receive in the %s life: %+v ok=%v err=%v", body, m, ok, err)
+				}
+				return m
+			}
+			if err := r.CreateQueue(qn); err != nil {
+				t.Fatal(err)
+			}
+			moveTo(t, r, qn, "a")
+			first := life("first")
+			if err := r.DeleteMessage(qn, first.ReceiptHandle); err != nil {
+				t.Fatal(err)
+			}
+			if how == "delete and recreate" {
+				if err := r.DeleteQueue(qn); err != nil {
+					t.Fatal(err)
+				}
+				if err := r.CreateQueue(qn); err != nil {
+					t.Fatal(err)
+				}
+			} else {
+				moveTo(t, r, qn, "b")
+				for deadline := time.Now().Add(5 * time.Second); ; time.Sleep(time.Millisecond) {
+					if _, _, err := a.QueueDepth(qn); errors.Is(err, queue.ErrNoSuchQueue) {
+						break
+					}
+					if time.Now().After(deadline) {
+						t.Fatal("the forwarder never deleted the empty residue on a")
+					}
+				}
+				moveTo(t, r, qn, "a")
+			}
+			if owner := r.Owners()[qn]; owner != "a" {
+				t.Fatalf("second life on %s, the case wants it on a", owner)
+			}
+			second := life("second")
+			if err := r.ChangeVisibility(qn, second.ReceiptHandle, 0); err != nil {
+				t.Fatal(err)
+			}
+			if err := r.DeleteMessage(qn, first.ReceiptHandle); !errors.Is(err, queue.ErrStaleReceipt) {
+				t.Errorf("spent first-life receipt %s deleted a second-life message: %v", first.ReceiptHandle, err)
+			}
+			if m, ok, err := r.ReceiveMessage(qn, time.Hour); err != nil || !ok || string(m.Body) != "second" {
+				t.Errorf("second life's message gone: %+v ok=%v err=%v", m, ok, err)
+			}
+		})
+	}
+}

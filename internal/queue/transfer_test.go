@@ -9,14 +9,23 @@ import (
 
 // TestTransferInPreservesCount: a transferred message resumes its
 // delivery count — the property queue migration needs so MaxReceives
-// poison detection does not lose progress when a queue moves.
+// poison detection does not lose progress when a queue moves. Until it
+// is delivered here no receipt names it, not even the one its count
+// would render.
 func TestTransferInPreservesCount(t *testing.T) {
 	s := NewService(Config{Seed: 1})
 	if err := s.CreateQueue("q"); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := s.TransferIn("q", []byte("moved"), 3); err != nil {
+	id, err := s.TransferIn("q", []byte("moved"), 3)
+	if err != nil {
 		t.Fatal(err)
+	}
+	if err := s.ChangeVisibility("q", receipt(id, 3), time.Hour); !errors.Is(err, ErrStaleReceipt) {
+		t.Errorf("never-delivered transfer leased by %s: %v", receipt(id, 3), err)
+	}
+	if err := s.DeleteMessage("q", receipt(id, 3)); !errors.Is(err, ErrStaleReceipt) {
+		t.Errorf("never-delivered transfer deleted by %s: %v", receipt(id, 3), err)
 	}
 	m, ok, err := s.ReceiveMessage("q", time.Minute)
 	if err != nil || !ok {
