@@ -81,7 +81,8 @@ type Config struct {
 	// re-plan. It does not decide when a job is seen complete — the
 	// loop drains again at the job's predicted completion and waits on
 	// the queue from there (Job.run) — but it does bound how long Close
-	// and Halt can wait for a loop parked in that poll.
+	// and Halt, or the withdrawal of a failed submission, can wait for a
+	// loop parked in that poll.
 	TickInterval time.Duration
 	// Catalog lists the instance types cost-aware selection may pick
 	// from (default: EC2 Table 1 + Azure Table 2).
@@ -439,10 +440,10 @@ func (b *Broker) admit(req JobRequest, ids []string) (_ *Job, _ []classiccloud.T
 
 // stage is Submit's steps 5 and 6 on a started job: inputs and task
 // messages a batch at a time, each batch's files taken from next, then
-// EvStaged. It stops at the first batch boundary after a Close (which has
-// aborted the job) or a Halt (whose journal must stay as a crash leaves
-// it) and reports ErrClosed, and it withdraws the job when next, a batch
-// or the EvStaged write fails.
+// EvStaged. It withdraws the job when next, a batch or the EvStaged
+// write fails, and stops at the first batch boundary after the job ended
+// (by a Close, a Halt or, at the last batch, its completion), whose
+// EvStaged is refused: withdraw answers for an ended job too.
 func (b *Broker) stage(j *Job, tasks []classiccloud.Task, next func([]classiccloud.Task) (map[string][]byte, error)) error {
 	for start := 0; start < len(tasks); start += queue.MaxBatch {
 		batch := tasks[start:min(start+queue.MaxBatch, len(tasks))]
@@ -455,23 +456,13 @@ func (b *Broker) stage(j *Job, tasks []classiccloud.Task, next func([]classicclo
 		}
 		j.mu.Lock()
 		j.unstaged -= len(batch)
-		stopped := j.halted || j.core.State == StateAborted
+		ended := j.ended != notEnded
 		j.mu.Unlock()
-		if stopped {
-			return ErrClosed
+		if ended {
+			break
 		}
 	}
 	j.mu.Lock()
-	if j.halted || j.core.State != StateRunning {
-		// Stopped by Close or Halt after the last batch, or — every task
-		// having run — completed already, which needs no EvStaged.
-		closed := j.core.State != StateCompleted
-		j.mu.Unlock()
-		if closed {
-			return ErrClosed
-		}
-		return nil
-	}
 	err := j.recordLocked(Event{Type: EvStaged, Time: time.Now()})
 	j.mu.Unlock()
 	if err != nil {
@@ -482,38 +473,26 @@ func (b *Broker) stage(j *Job, tasks []classiccloud.Task, next func([]classicclo
 
 // withdraw undoes start for a job whose staging failed, so that the
 // failed submission leaves nothing even though its workers were running:
-// its fleet and control loop halt, it leaves the index, the scheduler gets
-// its instances and tenant slot back, and removeJobResources deletes what
-// it made. It returns cause — unless a Close or Halt stopped the job
-// first and it stays as they left it (ErrClosed), or the job completed
-// meanwhile, having run every task and so staged every input (nil).
+// the job ends (endWithdraw: fleet killed, loop exited, the scheduler's
+// instances and tenant slot given back), leaves the index, and
+// removeJobResources deletes what it made. It returns cause — unless the
+// job had ended first: then it stays as it is, and withdraw returns nil
+// for one that completed (having run every task, it staged every input)
+// and ErrClosed for one a Close or Halt stopped.
 func (b *Broker) withdraw(j *Job, cause error) error {
-	j.mu.Lock()
-	if j.halted || j.core.State != StateRunning {
-		completed := j.core.State == StateCompleted
-		j.mu.Unlock()
-		if completed {
-			return nil
-		}
+	switch j.end(endWithdraw) {
+	case endWithdraw:
+		b.mu.Lock()
+		delete(b.jobs, j.ID)
+		b.order = slices.DeleteFunc(b.order, func(id string) bool { return id == j.ID })
+		b.mu.Unlock()
+		b.removeJobResources(j)
+		return cause
+	case endComplete:
+		return nil
+	default:
 		return ErrClosed
 	}
-	j.halted = true
-	j.stopLoopLocked()
-	for _, le := range j.core.Ledger {
-		if le.running() {
-			b.sched.release(j.Tenant, 1)
-			j.stopInstanceLocked(le.ID, (*classiccloud.Instance).Kill)
-		}
-	}
-	j.mu.Unlock()
-	j.stopWG.Wait()
-	b.mu.Lock()
-	delete(b.jobs, j.ID)
-	b.order = slices.DeleteFunc(b.order, func(id string) bool { return id == j.ID })
-	b.mu.Unlock()
-	b.sched.jobEnded(j.Tenant)
-	b.removeJobResources(j)
-	return cause
 }
 
 // open journals a job's opening events (either may be nil).
@@ -548,6 +527,7 @@ func (b *Broker) start(j *Job, fleetReason string) bool {
 	j.mu.Unlock()
 	go func() {
 		defer b.wg.Done()
+		defer j.loop.Done()
 		j.run()
 	}()
 	return true
@@ -555,9 +535,9 @@ func (b *Broker) start(j *Job, fleetReason string) bool {
 
 // register adds a job to the index and keeps nextID ahead of every
 // adopted ID so new submissions never collide. For a job about to run,
-// registration, the closed re-check, and the WaitGroup reservation are
-// one atomic step: a Close that has already passed its jobs snapshot
-// (and may be inside wg.Wait) must not gain a job it will never stop.
+// registration, the closed re-check, and the reservation of its control
+// loop (b.wg, j.loop) are one atomic step: a Close that has already taken
+// its jobs snapshot must not gain a job it will never stop.
 func (b *Broker) register(j *Job, running bool) bool {
 	b.mu.Lock()
 	defer b.mu.Unlock()
@@ -566,6 +546,7 @@ func (b *Broker) register(j *Job, running bool) bool {
 			return false
 		}
 		b.wg.Add(1)
+		j.loop.Add(1)
 	}
 	b.jobs[j.ID] = j
 	b.order = append(b.order, j.ID)
@@ -625,6 +606,10 @@ func (b *Broker) adoptJob(id string) (bool, error) {
 	j.App, j.Tenant, j.core = rec.App, rec.Tenant, *rec
 	if rec.State != StateRunning {
 		// Terminal: register for queryability; no loops, no fleet.
+		j.ended = endComplete
+		if rec.State == StateAborted {
+			j.ended = endAbort
+		}
 		close(j.finished)
 		b.register(j, false)
 		return false, nil
@@ -737,16 +722,12 @@ func (b *Broker) FleetSize() int {
 	return n
 }
 
-// stopAll marks the broker closed, applies stop to every job, and
-// waits for all control loops to exit — the shared teardown of Close
-// and Halt.
-func (b *Broker) stopAll(stop func(*Job)) {
+// stopAll marks the broker closed, ends every job how (a job that has
+// ended stays as it is), and waits for every control loop to exit, that
+// of a job a concurrent Submit is withdrawing too — the shared teardown
+// of Close and Halt.
+func (b *Broker) stopAll(how ending) {
 	b.mu.Lock()
-	if b.closed {
-		b.mu.Unlock()
-		b.wg.Wait()
-		return
-	}
 	b.closed = true
 	jobs := make([]*Job, 0, len(b.jobs))
 	for _, j := range b.jobs {
@@ -754,14 +735,14 @@ func (b *Broker) stopAll(stop func(*Job)) {
 	}
 	b.mu.Unlock()
 	for _, j := range jobs {
-		stop(j)
+		j.end(how)
 	}
 	b.wg.Wait()
 }
 
 // Close stops every job's autoscaler loop and fleet, and rejects
 // further submissions. Unfinished jobs are journaled as aborted.
-func (b *Broker) Close() { b.stopAll((*Job).shutdown) }
+func (b *Broker) Close() { b.stopAll(endAbort) }
 
 // Halt hard-stops the broker the way a crash would: control loops stop,
 // fleets are killed mid-task (their leases expire via the visibility
@@ -770,4 +751,4 @@ func (b *Broker) Close() { b.stopAll((*Job).shutdown) }
 // indistinguishable from a kill -9's, which is exactly what crash
 // recovery tests need. A fresh Broker over the same environment can
 // Recover() everything.
-func (b *Broker) Halt() { b.stopAll((*Job).halt) }
+func (b *Broker) Halt() { b.stopAll(endHalt) }

@@ -385,9 +385,11 @@ func TestSubmitValidation(t *testing.T) {
 // CreateQueue (0 never fails), fails every batch receive / batch delete
 // on a monitor queue while failMonitorReceive / failMonitorDelete is
 // set, and calls onCreate before each CreateQueue. It counts the batch
-// receives and batch deletes made on monitor queues, and tells parked
-// (when set) of every monitor receive that is willing to wait. Everything
-// else reaches the real service.
+// receives and batch deletes made on monitor queues, tells parked (when
+// set) of every monitor receive that is willing to wait, and, while
+// holdMonitor (when set) is open, holds such a receive for its wait
+// before it reaches the service without one: a poll that parked and
+// found nothing. Everything else reaches the real service.
 type faultyQueue struct {
 	queue.API
 	failSendAt, failCreateAt              int64
@@ -395,7 +397,7 @@ type faultyQueue struct {
 	failMonitorReceive, failMonitorDelete atomic.Bool
 	monitorReceives, monitorDeletes       atomic.Int64
 	onCreate                              func(q string)
-	parked                                chan struct{}
+	parked, holdMonitor                   chan struct{}
 }
 
 var errInjected = errors.New("injected queue fault")
@@ -440,6 +442,13 @@ func (f *faultyQueue) ReceiveMessageBatch(q string, visibility time.Duration, ma
 			case f.parked <- struct{}{}:
 			default:
 			}
+		}
+		if wait > 0 && f.holdMonitor != nil {
+			select {
+			case <-f.holdMonitor:
+			case <-time.After(wait):
+			}
+			wait = 0
 		}
 	}
 	return f.API.ReceiveMessageBatch(q, visibility, max, wait)

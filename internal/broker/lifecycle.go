@@ -1,6 +1,7 @@
 package broker
 
 import (
+	"errors"
 	"fmt"
 	"log"
 	"math"
@@ -69,23 +70,35 @@ type Job struct {
 	// insts maps ledger-entry IDs to the instances this process
 	// launched. Ledger entries without a handle belong to a previous
 	// (crashed) broker process.
-	insts         map[int]*classiccloud.Instance
-	halted        bool
+	insts map[int]*classiccloud.Instance
+	// ended is how the job ended (end), set once; from then on no record
+	// reaches its journal.
+	ended         ending
 	lastTick      time.Time
 	lastDoneCount int
 	throughput    float64       // tasks/sec/instance, smoothed
 	serviceTime   time.Duration // worker-measured, per task, smoothed (completionETA)
 	stopWG        sync.WaitGroup
+	// loop counts the control loop (run) from the job's registration on,
+	// so that an ending from outside it can wait for it to exit.
+	loop sync.WaitGroup
 	// unstaged counts the tasks Submit has not enqueued yet; the
 	// autoscaler sees them as visible backlog.
 	unstaged int
 }
 
+// errEnded is recordLocked's refusal once the job has ended.
+var errEnded = errors.New("broker: job has ended")
+
 // recordLocked journals one event, then folds it into the in-memory
 // state. The journal is the source of truth: a transition whose write
-// fails does not happen (the caller retries on a later tick). Caller
-// holds j.mu.
+// fails does not happen (the caller retries on a later tick). Once the
+// job has ended nothing is written: its journal stays as the ending left
+// it. Caller holds j.mu.
 func (j *Job) recordLocked(ev Event) error {
+	if j.ended != notEnded {
+		return errEnded
+	}
 	if err := j.jl.write(ev); err != nil {
 		return err
 	}
@@ -127,8 +140,10 @@ func (j *Job) instanceTypeLocked() cloud.InstanceType {
 // of the tick instead of returning empty. A prediction that was early
 // therefore parks until the next report lands, one that was late costs
 // its error, and a job whose tasks are far from done behaves exactly as
-// it did when the tick was the only cadence. A parked poll is not
-// interruptible, so Close and Halt wait out at most one tick of it.
+// it did when the tick was the only cadence. The loop exits once the job
+// has ended, however it ended. A parked poll is not interruptible, so an
+// ending from outside the loop (Close, Halt, a withdrawal) waits out at
+// most one tick of it.
 func (j *Job) run() {
 	tick := j.broker.cfg.TickInterval
 	next := time.Now().Add(tick)
@@ -279,8 +294,11 @@ func (j *Job) checkpoint(reports []classiccloud.MonitorReport) bool {
 	j.mu.Unlock()
 	if err != nil {
 		// Not checkpointed ⇒ not consumed: leave the reports to
-		// reappear after their visibility timeout.
-		j.swallowed("checkpoint", err)
+		// reappear after their visibility timeout. An ended job settles
+		// nothing, which is no fault.
+		if !errors.Is(err, errEnded) {
+			j.swallowed("checkpoint", err)
+		}
 		return false
 	}
 	// Observed only after the checkpoint is durable (reports from a
@@ -310,31 +328,10 @@ func (j *Job) checkpoint(reports []classiccloud.MonitorReport) bool {
 	return true
 }
 
-// maybeComplete finishes the job once every task is settled: journals
-// the completion, retires the fleet, stamps the end time.
-func (j *Job) maybeComplete() bool {
-	j.mu.Lock()
-	if j.halted || j.core.State != StateRunning || j.core.Settled() < len(j.core.TaskIDs) {
-		// The state check closes a race with shutdown(): Close can abort
-		// the job while this loop is mid-drain, and completing on top of
-		// the abort would journal a contradiction, double-close finished,
-		// and double-decrement the tenant's active-job count.
-		j.mu.Unlock()
-		return false
-	}
-	if err := j.recordLocked(Event{Type: EvCompleted, Time: time.Now()}); err != nil {
-		// Retry next tick; completion must be durable before it is
-		// observable.
-		j.mu.Unlock()
-		return false
-	}
-	j.scaleDownToLocked(0, "job complete")
-	close(j.finished)
-	j.mu.Unlock()
-	j.broker.sched.jobEnded(j.Tenant)
-	j.stopWG.Wait()
-	return true
-}
+// maybeComplete completes the job once every task has settled and
+// reports whether the job has ended, by this or any other ending: the
+// loop's cue to exit.
+func (j *Job) maybeComplete() bool { return j.end(endComplete) != notEnded }
 
 // autoscaleTick observes the queues and applies one policy decision,
 // with scale-ups granted by the broker's fair-share scheduler.
@@ -346,10 +343,6 @@ func (j *Job) autoscaleTick() {
 	now := time.Now()
 	j.mu.Lock()
 	defer j.mu.Unlock()
-	if j.core.State != StateRunning || j.halted {
-		// Shutdown raced with this tick; never grow a retired fleet.
-		return
-	}
 	fleet := j.core.fleetSize()
 	// Fair-share reclaim: while another tenant is starved below its
 	// share and ours is above its own, surrender one instance per tick
@@ -393,15 +386,10 @@ func (j *Job) autoscaleTick() {
 // scaleUpLocked asks the fair-share scheduler for up to delta instances
 // of the job's current type and launches what it grants. A denied or
 // trimmed grant is not an error: the next tick asks again, and the
-// cooldown clock only advances when something actually launched. Caller
-// holds j.mu.
+// cooldown clock only advances when something actually launched. An
+// ended job launches nothing, its EvScaledUp being refused. Caller holds
+// j.mu.
 func (j *Job) scaleUpLocked(delta int, reason string) {
-	if j.core.State != StateRunning || j.halted {
-		// Shutdown won the race (e.g. Broker.Close between the job being
-		// registered and its floor fleet launching): never grow a retired
-		// job's fleet — nothing would ever stop it.
-		return
-	}
 	itype := j.instanceTypeLocked()
 	ccCfg := j.ccCfg
 	ccCfg.InstanceType = itype.Key()
@@ -441,14 +429,15 @@ func (j *Job) scaleUpLocked(delta int, reason string) {
 // running workers forever, and the in-memory fleet must never carry a
 // phantom instance whose launch failed. A stop event lost to a journal
 // failure self-heals at the next adoption, which orphans the entry
-// (billing it slightly long, never short). Only a preemption — a
-// simulated reclaim nothing depends on — is refused instead when it
-// cannot be journaled. Caller holds j.mu.
+// (billing it slightly long, never short). A preemption — a simulated
+// reclaim nothing depends on — is refused instead when it cannot be
+// journaled, and so is any retirement once the job has ended: its fleet
+// is then the ending's to stop. Caller holds j.mu.
 func (j *Job) retireLocked(id int, how Event) bool {
 	how.Type, how.Time, how.InstanceID = EvScaledDown, time.Now(), id
 	how.Fleet = j.core.fleetSize() - 1
 	if err := j.recordLocked(how); err != nil {
-		if how.Preempted {
+		if how.Preempted || errors.Is(err, errEnded) {
 			return false
 		}
 		j.swallowed("scale_down_journal", err)
@@ -468,9 +457,9 @@ func (j *Job) retireLocked(id int, how Event) bool {
 }
 
 // stopInstanceLocked stops one of this process's instances in the
-// background (Stop and Kill both wait for its workers to exit); the
-// paths that end a job wait on stopWG for all of them. An entry without
-// a handle belonged to a previous broker process. Caller holds j.mu.
+// background (Stop and Kill both wait for its workers to exit); end
+// waits on stopWG for all of them. An entry without a handle belonged to
+// a previous broker process. Caller holds j.mu.
 func (j *Job) stopInstanceLocked(id int, stop func(*classiccloud.Instance)) {
 	if inst := j.insts[id]; inst != nil {
 		j.stopWG.Add(1)
@@ -501,15 +490,10 @@ func (j *Job) scaleDownToLocked(n int, reason string) {
 // Preempt simulates a spot-instance reclaim: the newest running
 // instance is killed mid-task, abandoning un-acknowledged work to the
 // visibility timeout. It reports whether an instance was available to
-// preempt.
+// preempt; an ended job has none.
 func (j *Job) Preempt() bool {
 	j.mu.Lock()
 	defer j.mu.Unlock()
-	if j.halted || j.core.State != StateRunning {
-		// A preempt racing Halt must not journal anything: a Halt()ed
-		// broker's journal is promised to look like a kill -9's.
-		return false
-	}
 	for i := len(j.core.Ledger) - 1; i >= 0; i-- {
 		if le := j.core.Ledger[i]; le.running() {
 			return j.retireLocked(le.ID, Event{Preempted: true, Reason: "spot reclaim"})
@@ -524,8 +508,7 @@ func (j *Job) fleetSize() int {
 	return j.core.fleetSize()
 }
 
-// stopLoopLocked tells the control loop to exit; Close and Halt may both
-// reach a job. Caller holds j.mu.
+// stopLoopLocked tells the control loop to exit. Caller holds j.mu.
 func (j *Job) stopLoopLocked() {
 	select {
 	case <-j.stop:
@@ -534,47 +517,77 @@ func (j *Job) stopLoopLocked() {
 	}
 }
 
-// shutdown stops the control loop and the fleet (used by Broker.Close
-// on jobs that have not completed). The abort is journaled best-effort:
-// even with an unreachable journal the process must still wind down,
-// and an un-journaled abort simply re-adopts as a running job.
-func (j *Job) shutdown() {
+// ending is how a job ended; the zero value is a job that has not.
+type ending uint8
+
+const (
+	notEnded    ending = iota
+	endComplete        // every task settled: the job's own loop (maybeComplete)
+	endAbort           // Broker.Close before every task settled
+	endHalt            // Broker.Halt: a crash, as far as the journal can tell
+	endWithdraw        // a failed submission's staging (Broker.withdraw)
+)
+
+// end is the one way a job ends, how saying which, and returns how it
+// ended: the first ending wins. It returns notEnded only for a
+// completion not yet due, or whose EvCompleted the journal refused (the
+// loop retries on its next drain). A completion or an abort journals its
+// terminal event, retires the fleet (an EvScaledDown each, after the
+// terminal event, as the fold expects) and closes finished; an abort the
+// journal refuses still happens in memory, so the broker can wind down.
+// A halt or a withdrawal journals nothing and kills the fleet, as a
+// crash would. Every ending stops the loop and hands the scheduler back
+// the job's instances and tenant slot, and from then on no record
+// reaches the journal (recordLocked). end returns once the fleet has
+// stopped and, unless it runs on the loop (a completion), the loop has
+// exited — at most one parked monitor poll, one TickInterval, later — so
+// a withdrawal can remove the job's queues and journal with nothing left
+// to use or recreate them.
+func (j *Job) end(how ending) ending {
 	j.mu.Lock()
-	j.stopLoopLocked()
-	ended := false
-	if j.core.State == StateRunning && !j.halted {
-		// Not a completion: tasks may still be unsettled, and callers
-		// waiting on the job must see the abort, not a success.
+	first := j.ended == notEnded && j.endLocked(how)
+	ended := j.ended
+	j.mu.Unlock()
+	if ended == notEnded {
+		return notEnded
+	}
+	if first {
+		j.broker.sched.jobEnded(j.Tenant)
+	}
+	if how != endComplete {
+		j.loop.Wait()
+	}
+	j.stopWG.Wait()
+	return ended
+}
+
+// endLocked is end's work on a job that has not ended; it reports
+// whether the job ended. Caller holds j.mu.
+func (j *Job) endLocked(how ending) bool {
+	switch how {
+	case endComplete:
+		if j.core.Settled() < len(j.core.TaskIDs) || j.recordLocked(Event{Type: EvCompleted, Time: time.Now()}) != nil {
+			return false
+		}
+		j.scaleDownToLocked(0, "job complete")
+		close(j.finished)
+	case endAbort:
 		if err := j.recordLocked(Event{Type: EvAborted, Time: time.Now()}); err != nil {
-			j.core.State = StateAborted
-			j.core.FinishedAt = time.Now()
+			j.core.State, j.core.FinishedAt = StateAborted, time.Now()
 		}
 		j.scaleDownToLocked(0, "broker shutdown")
 		close(j.finished)
-		ended = true
-	}
-	j.mu.Unlock()
-	if ended {
-		j.broker.sched.jobEnded(j.Tenant)
-	}
-	j.stopWG.Wait()
-}
-
-// halt hard-stops the job as a crash would: the control loop stops and
-// every instance is killed mid-task, but nothing is journaled and no
-// state transitions — the journal afterwards looks exactly like a
-// kill -9's.
-func (j *Job) halt() {
-	j.mu.Lock()
-	j.halted = true
-	j.stopLoopLocked()
-	for _, le := range j.core.Ledger {
-		if le.running() {
-			j.stopInstanceLocked(le.ID, (*classiccloud.Instance).Kill)
+	default:
+		for _, le := range j.core.Ledger {
+			if le.running() {
+				j.broker.sched.release(j.Tenant, 1)
+				j.stopInstanceLocked(le.ID, (*classiccloud.Instance).Kill)
+			}
 		}
 	}
-	j.mu.Unlock()
-	j.stopWG.Wait()
+	j.ended = how
+	j.stopLoopLocked()
+	return true
 }
 
 // Wait blocks until the job completes or the timeout expires. An

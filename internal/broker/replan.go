@@ -63,7 +63,9 @@ func modeledServiceNS(model perfmodel.AppModel, it cloud.InstanceType, workers i
 // replanTick runs one re-plan evaluation: cheap guard checks under the
 // job lock, catalog reads and the calibrated selection sweep outside
 // it, then — only when a different type wins at observed speeds — the
-// journaled switch. Called from the job's control loop each tick.
+// journaled switch. Called from the job's control loop each tick; on a
+// job that has ended meanwhile the EvReplanned is refused and nothing
+// switches.
 func (j *Job) replanTick() {
 	b := j.broker
 	cal := b.cfg.Calibration
@@ -72,8 +74,7 @@ func (j *Job) replanTick() {
 		return
 	}
 	j.mu.Lock()
-	ok := j.core.State == StateRunning && !j.halted &&
-		j.core.PlanServiceNS > 0 && j.core.TargetNS > 0 &&
+	ok := j.core.PlanServiceNS > 0 && j.core.TargetNS > 0 &&
 		j.core.Replans < p.MaxReplans
 	if ok {
 		last := j.core.LastReplan
@@ -129,10 +130,9 @@ func (j *Job) replanTick() {
 
 	j.mu.Lock()
 	defer j.mu.Unlock()
-	// Re-check under the lock: shutdown, completion, or a concurrent
-	// adopter may have moved the job while the sweep ran.
-	if j.core.State != StateRunning || j.halted ||
-		j.core.Replans >= p.MaxReplans || j.instanceTypeLocked().Key() != curKey {
+	// Re-check under the lock: another re-plan may have moved the job
+	// while the sweep ran.
+	if j.core.Replans >= p.MaxReplans || j.instanceTypeLocked().Key() != curKey {
 		return
 	}
 	n := sel.Instances()

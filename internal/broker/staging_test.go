@@ -13,6 +13,7 @@ import (
 
 	"repro/internal/classiccloud"
 	"repro/internal/queue"
+	"repro/internal/telemetry"
 )
 
 // heldTaskSend is a queue.API double that holds the at-th batch send to a
@@ -206,6 +207,43 @@ func TestCloseDuringStaging(t *testing.T) {
 	}
 	if err := j.Wait(time.Second); err == nil {
 		t.Error("Wait on the aborted job reported success")
+	}
+}
+
+// A failed submission is withdrawn only once the job's control loop has
+// exited: with the loop parked on the monitor queue while the second
+// staging send fails, nothing it does after Submit has answered may use
+// the queues the withdrawal removed, or recreate the journal.
+func TestWithdrawalWaitsForTheLoop(t *testing.T) {
+	env := testEnv()
+	fq := &faultyQueue{API: env.Queue, failSendAt: 2, parked: make(chan struct{}, 1), holdMonitor: make(chan struct{})}
+	held := newHeldTaskSend(fq, 2) // the failing send, held until the loop has parked
+	env.Queue = held
+	reg := telemetry.NewRegistry()
+	b := New(Config{
+		Env:               env,
+		TickInterval:      500 * time.Millisecond,
+		VisibilityTimeout: time.Hour,
+		Metrics:           reg,
+		Registry:          inertRegistry(),
+	})
+	go func() {
+		<-held.held
+		<-fq.parked
+		close(held.release)
+	}()
+	if _, err := b.Submit(JobRequest{App: "inert", Files: numberedFiles(25)}); !errors.Is(err, errInjected) {
+		t.Fatalf("Submit = %v, want the injected fault", err)
+	}
+	close(fq.holdMonitor)
+	b.Close() // waits for every control loop, the withdrawn job's too
+	if keys, err := env.Blob.List(b.cfg.JournalBucket, ""); err != nil || len(keys) != 0 {
+		t.Errorf("journal bucket holds %v (err %v), want nothing", keys, err)
+	}
+	for _, site := range []string{"monitor_receive", "monitor_delete"} {
+		if n := reg.Counter(errorMetric(site)).Value(); n != 0 {
+			t.Errorf("broker_errors_total{site=%q} = %d after the withdrawal, want 0", site, n)
+		}
 	}
 }
 

@@ -185,9 +185,13 @@ func (r ClassicCloudRunner) Run(app apps.App, files, shared map[string][]byte) (
 	if err != nil {
 		return nil, err
 	}
-	// The workers' last long polls are still billed after completion: the
-	// request count is final once they have stopped.
+	// The job is done once its outputs are in, as for the other runners.
+	// Stopping the workers waits out their parked long polls, which are
+	// still billed: the request count is final once they have stopped,
+	// and the wait is reported on its own.
+	elapsed := time.Since(start)
 	stopAll()
+	shutdown := time.Since(start) - elapsed
 	executed := int64(0)
 	for _, inst := range instances {
 		executed += inst.Stats().TasksExecuted.Load()
@@ -195,13 +199,14 @@ func (r ClassicCloudRunner) Run(app apps.App, files, shared map[string][]byte) (
 	return &RunResult{
 		Backend: r.Backend(),
 		Outputs: outputs,
-		Elapsed: time.Since(start),
+		Elapsed: elapsed,
 		Detail: map[string]string{
 			"instances":      fmt.Sprint(r.Instances),
 			"workers":        fmt.Sprint(r.Instances * r.WorkersPerInstance),
 			"tasks_executed": fmt.Sprint(executed),
 			"duplicates":     fmt.Sprint(report.Duplicates),
 			"queue_requests": fmt.Sprint(env.Queue.APIRequests()),
+			"shutdown_ms":    fmt.Sprintf("%.3f", float64(shutdown)/float64(time.Millisecond)),
 		},
 	}, nil
 }

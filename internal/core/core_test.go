@@ -6,8 +6,10 @@ import (
 	"fmt"
 	"reflect"
 	"sort"
+	"strconv"
 	"sync/atomic"
 	"testing"
+	"time"
 
 	"repro/internal/apps"
 	"repro/internal/hdfs"
@@ -220,6 +222,28 @@ func TestRunnersDefaultConfiguration(t *testing.T) {
 		if len(res.Outputs) != 3 {
 			t.Errorf("%s: %d outputs", r.Backend(), len(res.Outputs))
 		}
+	}
+}
+
+// A Classic Cloud run ends once its outputs are in, as the other
+// runners' do: stopping the workers, which waits out their parked long
+// polls, is reported as the shutdown_ms detail and is not in Elapsed.
+func TestClassicCloudElapsedExcludesShutdown(t *testing.T) {
+	begin := time.Now()
+	res, err := ClassicCloudRunner{Instances: 2, WorkersPerInstance: 2}.Run(toUpper, inputFiles(8), nil)
+	wall := time.Since(begin)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ms, err := strconv.ParseFloat(res.Detail["shutdown_ms"], 64)
+	if err != nil || ms <= 0 {
+		t.Fatalf("shutdown_ms detail %q (%v), want the time the workers took to stop", res.Detail["shutdown_ms"], err)
+	}
+	// The detail is printed to the microsecond.
+	shutdown := time.Duration(ms * float64(time.Millisecond))
+	if res.Elapsed+shutdown > wall+time.Microsecond {
+		t.Errorf("Elapsed %v and shutdown %v add up to more than the whole Run, %v: Elapsed includes the shutdown",
+			res.Elapsed, shutdown, wall)
 	}
 }
 

@@ -4,6 +4,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"time"
 
 	"repro/internal/journal"
 )
@@ -57,7 +58,16 @@ func DumpJournal(w io.Writer, log journal.Log) error {
 			fail(corrupt(fmt.Sprintf("queue: journal record %d", i+1), err))
 			continue
 		}
-		emit(&rec)
+		// omitempty cannot drop a zero time.Time, a struct, whatever the
+		// Go version: a pointer that is nil for one can.
+		line := struct {
+			*durRecord
+			T *time.Time `json:"t,omitempty"`
+		}{durRecord: &rec}
+		if !rec.T.IsZero() {
+			line.T = &rec.T
+		}
+		emit(line)
 	}
 	if loadErr != nil {
 		fail(loadErr)

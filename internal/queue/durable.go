@@ -87,8 +87,9 @@ type durRecord struct {
 	Op durOp  `json:"op"`
 	Q  string `json:"q,omitempty"`
 	// T is the service clock at the operation, the fold's time base for
-	// lease placement (opReceive, opVisibility).
-	T time.Time `json:"t,omitempty"`
+	// lease placement (opReceive, opVisibility); zero on other ops, where
+	// DumpJournal leaves it out.
+	T time.Time `json:"t"`
 
 	// opSend: assigned message IDs, bodies, prior delivery counts
 	// (transfers; empty for ordinary sends), and the service's id

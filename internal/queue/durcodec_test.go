@@ -519,6 +519,14 @@ func TestDumpJournalRoundTrip(t *testing.T) {
 		if got.Op != r.Op.String() || !recordsEqual(&got.durRecord, r) {
 			t.Errorf("line %d = %s, want %+v", 3+i, lines[2+i], *r)
 		}
+		// A record without a time prints none, not Go's zero time.
+		var keys map[string]json.RawMessage
+		if err := json.Unmarshal([]byte(lines[2+i]), &keys); err != nil {
+			t.Fatal(err)
+		}
+		if _, has := keys["t"]; has != !r.T.IsZero() {
+			t.Errorf("line %d = %s: has a \"t\" key %v, want %v", 3+i, lines[2+i], has, !r.T.IsZero())
+		}
 	}
 
 	// One undecodable record and a torn final frame: everything readable
