@@ -35,16 +35,30 @@
 // (b, orientation) order: overlaps come out in one fixed order without a
 // sort, which is what makes Run a function of its input and a redelivered
 // task harmless.
+//
+// Around seeding and alignment a file pays for little else. The layout
+// takes overlaps best score first through one unstable sort of
+// precomputed keys, (score descending, place in findOverlaps' order),
+// which is exactly the order a stable sort by score gives: the union-find
+// sees the same sequence. A file's working memory — the index, the vote
+// cells, the overlaps and their ranking, read views over one arena of
+// upper-cased bases and their reverse complements, and the consensus
+// counts — is a scratch taken from a free list and given back, so a
+// worker running file after file allocates little beyond parsing its
+// input and writing its output. A GC that finds no scratch taken since
+// the GC before empties the free list, so a worker that has stopped
+// assembling keeps none of it.
 package cap3
 
 import (
-	"bytes"
 	"cmp"
 	"fmt"
+	"math"
 	"math/bits"
+	"runtime"
 	"slices"
-	"sort"
-	"sync"
+	"sync/atomic"
+	"unicode/utf8"
 
 	"repro/internal/bio"
 	"repro/internal/fasta"
@@ -157,8 +171,166 @@ func trimPoorRegions(seq []byte, opt Options) (trimmed []byte, clipped int) {
 // read is the assembler's working view of an input fragment.
 type read struct {
 	id  string
-	seq []byte // trimmed forward sequence
-	rc  []byte // cached reverse complement
+	seq []byte // trimmed forward sequence, upper case
+	rc  []byte // its reverse complement
+}
+
+// scratch is the working memory of one file: everything Assemble builds
+// and does not return. A file takes one from scratches and gives it
+// back, so a worker running file after file reuses the same k-mer index,
+// vote cells, overlaps and their ranking, read views over one arena of
+// bases, and consensus counts.
+type scratch struct {
+	idx      kmerIndex
+	views    []read
+	reads    []*read    // &views[i], the reads every stage indexes
+	bases    []byte     // each kept read's upper-cased bases, then its reverse complement
+	cells    []voteCell // all zero between files, as live: verification clears what it reads
+	live     []uint64
+	spill    []int32
+	overlaps []overlap
+	ranks    []overlapRank
+	roots    []int // each read's component
+	order    []int // the reads by component
+	placed   []placed
+	counts   [][4]int32 // all zero between contigs: buildConsensus clears what it reads
+}
+
+// scratches holds the scratch of files not running now, oldest first, so
+// each one held is reused in turn. One slot per P, since more files than
+// Ps run at once only while the scheduler has preempted one; a scratch
+// given back to a full channel is dropped. It is not a sync.Pool: a pool
+// keeps what a P gives back in that P's private slot, where a file on
+// another P cannot take it. In a 10 s cap3_fat run on 2 CPUs a pool made
+// 35 scratches and this channel 14, 12 of those after sweeps in the
+// pauses between repetitions.
+var scratches = make(chan *scratch, runtime.GOMAXPROCS(0))
+
+// scratchTaken records that a file has taken a scratch since the last
+// sweepScratches.
+var scratchTaken atomic.Bool
+
+func takeScratch() *scratch {
+	scratchTaken.Store(true)
+	select {
+	case sc := <-scratches:
+		return sc
+	default:
+		return new(scratch)
+	}
+}
+
+func (sc *scratch) release() {
+	select {
+	case scratches <- sc:
+	default:
+	}
+}
+
+// gcTick is an object only its finalizer keeps: every GC finds it
+// unreachable and runs sweepScratches, which sets the finalizer again.
+type gcTick struct{ _ *byte }
+
+func init() { runtime.SetFinalizer(new(gcTick), sweepScratches) }
+
+// sweepScratches runs after every GC. When no file has taken a scratch
+// since the GC before, it drops the scratches held, and the next GC
+// reclaims them: a worker that has stopped assembling, or runs only other
+// apps, keeps none of its files' memory.
+func sweepScratches(t *gcTick) {
+	if !scratchTaken.Swap(false) {
+	drain:
+		for {
+			select {
+			case <-scratches:
+			default:
+				break drain
+			}
+		}
+	}
+	runtime.SetFinalizer(t, sweepScratches)
+}
+
+// grown returns buf resized to n: buf's own array, contents kept, when
+// that holds n, and otherwise a new zeroed one with a quarter more room,
+// so that a file a little larger than the largest before does not grow
+// the arrays again. On a skewed set of 1 000 files (read counts ±50 %)
+// the arena grows once, where exact sizes grow it 7 times.
+func grown[T any](buf []T, n int) []T {
+	if cap(buf) < n {
+		return make([]T, n, n+n/4)
+	}
+	return buf[:n]
+}
+
+// readViews trims every record's upper-cased sequence into sc's arena and
+// returns the reads long enough to assemble, counting the bases trimmed
+// and the reads dropped in st.
+func (sc *scratch) readViews(records []*fasta.Record, opt Options, st *Stats) []*read {
+	n := 0
+	for _, rec := range records {
+		n += len(rec.Seq)
+	}
+	// Room for each sequence and its reverse complement: appends reallocate
+	// only for non-ASCII input, which upper-cases longer, and a view taken
+	// before that keeps the old array, whose bytes stay as they were.
+	sc.bases = grown(sc.bases, 2*n)[:0]
+	sc.views = sc.views[:0]
+	for _, rec := range records {
+		start := len(sc.bases)
+		sc.bases = appendUpper(sc.bases, rec.Seq)
+		seq, clipped := trimPoorRegions(sc.bases[start:], opt)
+		st.TrimmedBases += clipped
+		if len(seq) < opt.MinReadLen {
+			st.DroppedReads++
+			sc.bases = sc.bases[:start]
+			continue
+		}
+		sc.bases = appendReverseComplement(sc.bases, seq)
+		sc.views = append(sc.views, read{id: rec.ID, seq: seq, rc: sc.bases[len(sc.bases)-len(seq):]})
+	}
+	sc.reads = grown(sc.reads, len(sc.views))
+	for i := range sc.views {
+		sc.reads[i] = &sc.views[i]
+	}
+	return sc.reads
+}
+
+// appendUpper appends seq upper-cased, as bio.Upper returns it. It and
+// appendReverseComplement restate bio.Upper and bio.ReverseComplement in
+// append form, so that a file's read views cost no allocation: an append
+// form in internal/bio would add exported symbols to the module.
+// TestReadViewsMatchBio holds them to bio's.
+func appendUpper(dst, seq []byte) []byte {
+	n := len(dst)
+	dst = slices.Grow(dst, len(seq))[:n+len(seq)]
+	for i, c := range seq {
+		if c >= utf8.RuneSelf {
+			// bio.Upper maps non-ASCII bytes rune by rune.
+			return append(dst[:n], bio.Upper(seq)...)
+		}
+		if 'a' <= c && c <= 'z' {
+			c -= 'a' - 'A'
+		}
+		dst[n+i] = c
+	}
+	return dst
+}
+
+// appendReverseComplement appends the reverse complement of seq, which is
+// upper case, as bio.ReverseComplement returns it.
+func appendReverseComplement(dst, seq []byte) []byte {
+	n := len(dst)
+	dst = slices.Grow(dst, len(seq))[:n+len(seq)]
+	out := dst[n:]
+	for i, c := range seq {
+		code, ok := bio.BaseCode(c)
+		if c = 'N'; ok {
+			c = bio.BaseFromCode(3 - code)
+		}
+		out[len(seq)-1-i] = c
+	}
+	return dst
 }
 
 // transform maps read-local coordinates into component coordinates:
@@ -242,26 +414,44 @@ type overlap struct {
 
 func (o overlap) score() float64 { return float64(o.length) * o.ident }
 
+// overlapRank is an overlap's place in the layout order: key is its
+// score's bits inverted, so ascending keys are descending scores (a score
+// is never negative or NaN: an overlap spans a shared k-mer), and i is its
+// index in findOverlaps' order.
+type overlapRank struct {
+	key uint64
+	i   int32
+}
+
+// rankOverlaps returns, in ranks' array, the indices of overlaps best
+// score first and equal scores in findOverlaps' order: the order a stable
+// sort by score gives, from one unstable sort of 16-byte keys.
+func rankOverlaps(ranks []overlapRank, overlaps []overlap) []overlapRank {
+	ranks = grown(ranks, len(overlaps))
+	for i, ov := range overlaps {
+		ranks[i] = overlapRank{key: ^math.Float64bits(ov.score()), i: int32(i)}
+	}
+	slices.SortFunc(ranks, func(x, y overlapRank) int {
+		if x.key != y.key {
+			return cmp.Compare(x.key, y.key)
+		}
+		return cmp.Compare(x.i, y.i)
+	})
+	return ranks
+}
+
 // Assemble runs the full pipeline over a set of reads.
 func Assemble(records []*fasta.Record, opt Options) *Result {
 	opt = opt.withDefaults()
 	res := &Result{}
 	res.Stats.InputReads = len(records)
+	sc := takeScratch()
 
 	// Stage 1: poor-region trimming.
-	reads := make([]*read, 0, len(records))
-	for _, rec := range records {
-		seq, clipped := trimPoorRegions(bio.Upper(rec.Seq), opt)
-		res.Stats.TrimmedBases += clipped
-		if len(seq) < opt.MinReadLen {
-			res.Stats.DroppedReads++
-			continue
-		}
-		reads = append(reads, &read{id: rec.ID, seq: seq, rc: bio.ReverseComplement(seq)})
-	}
+	reads := sc.readViews(records, opt, &res.Stats)
 
 	// Stage 2: overlap detection.
-	overlaps, stats := findOverlaps(reads, opt)
+	overlaps, stats := sc.findOverlaps(reads, opt)
 	res.Stats.SeedCandidates = stats.SeedCandidates
 	res.Stats.OverlapsTested = stats.OverlapsTested
 	res.Stats.FalseOverlaps = stats.FalseOverlaps
@@ -269,41 +459,54 @@ func Assemble(records []*fasta.Record, opt Options) *Result {
 
 	// Stage 3+4: layout via union-find, best overlaps first; inconsistent
 	// (false) overlaps are rejected at this stage, as CAP3 rejects
-	// overlaps that contradict the growing layout.
-	// Stable, so equal scores keep findOverlaps' fixed (a, b, sign) order.
-	slices.SortStableFunc(overlaps, func(x, y overlap) int { return cmp.Compare(y.score(), x.score()) })
+	// overlaps that contradict the growing layout. One keyed sort ranks
+	// them, equal scores in findOverlaps' fixed (a, b, sign) order: the
+	// order a stable sort by score gives.
+	sc.ranks = rankOverlaps(sc.ranks, overlaps)
 	lay := newLayout(len(reads))
-	for _, ov := range overlaps {
+	for _, r := range sc.ranks {
+		ov := &overlaps[r.i]
 		if !lay.union(ov.a, ov.b, ov.t) {
 			res.Stats.FalseOverlaps++
 		}
 	}
 
-	// Stage 5: consensus per component.
-	components := map[int][]int{}
+	// Stage 5: consensus per component, components in ascending order of
+	// root and each one's members in ascending order.
+	roots, order := grown(sc.roots, len(reads)), grown(sc.order, len(reads))
 	for i := range reads {
-		root, _ := lay.find(i)
-		components[root] = append(components[root], i)
+		roots[i], _ = lay.find(i)
+		order[i] = i
 	}
-	roots := make([]int, 0, len(components))
-	for r := range components {
-		roots = append(roots, r)
-	}
-	sort.Ints(roots)
+	slices.SortFunc(order, func(x, y int) int {
+		if roots[x] != roots[y] {
+			return cmp.Compare(roots[x], roots[y])
+		}
+		return cmp.Compare(x, y)
+	})
 	contigN := 0
-	for _, root := range roots {
-		members := components[root]
+	for lo := 0; lo < len(order); {
+		hi := lo + 1
+		for hi < len(order) && roots[order[hi]] == roots[order[lo]] {
+			hi++
+		}
+		members := order[lo:hi]
+		lo = hi
 		if len(members) == 1 {
 			res.Singletons = append(res.Singletons, reads[members[0]].id)
 			res.Stats.Singletons++
 			continue
 		}
 		contigN++
-		contig := buildConsensus(fmt.Sprintf("Contig%d", contigN), reads, members, lay)
+		contig := sc.buildConsensus(fmt.Sprintf("Contig%d", contigN), reads, members, lay)
 		res.Stats.ConsensusBases += len(contig.Consensus)
 		res.Contigs = append(res.Contigs, contig)
 	}
 	res.Stats.Contigs = len(res.Contigs)
+	// Nothing in res points into sc. A file that panics never gives its
+	// scratch back, whose counts may then not be zero.
+	sc.roots, sc.order = roots, order
+	sc.release()
 	return res
 }
 
@@ -317,8 +520,7 @@ type overlapStats struct {
 // kmerIndex holds every k-mer occurrence of a file once, under its
 // canonical key (the smaller of the k-mer and its reverse complement): an
 // open-addressing table of chain heads, one per strand, over one arena of
-// occurrences. Indexes are pooled (indexPool): a file takes one in
-// newKmerIndex and findOverlaps puts it back, so a worker running file
+// occurrences. It lives in a file's scratch, so a worker running file
 // after file reuses the same table, arena and spare table.
 type kmerIndex struct {
 	slots []kmerSlot // power-of-two length, at most half in use
@@ -339,25 +541,6 @@ type kmerSlot struct {
 // the first occurrences in another read on the same strand and on the
 // opposite one, where the read's two vote walks start.
 type kmerLoc struct{ read, pos, next, skip, cross int32 }
-
-var indexPool = sync.Pool{New: func() any { return new(kmerIndex) }}
-
-// newKmerIndex takes a pooled index and sizes its arena for n
-// occurrences, and its table for the n/4 distinct keys of reads that
-// overlap (add doubles it when a file needs more). Every field that
-// steers hashing is set afresh, and only the table's new length is
-// cleared: a tiny file after a fat one clears a few slots, not the fat
-// file's table.
-func newKmerIndex(n int) *kmerIndex {
-	x := indexPool.Get().(*kmerIndex)
-	lg := bits.Len(uint(n / 2))
-	x.slots, x.used, x.shift = clearedSlots(x.slots, 1<<lg), 0, uint(64-lg)
-	if cap(x.locs) <= n {
-		x.locs = make([]kmerLoc, 1, n+1)
-	}
-	x.locs = x.locs[:1]
-	return x
-}
 
 // clearedSlots returns a free table of n slots: buf's first n, cleared,
 // when buf holds that many, and a new table otherwise.
@@ -423,19 +606,24 @@ func (x *kmerIndex) past(head int32, read int) int32 {
 	return head
 }
 
-// indexReads puts every k-mer occurrence of reads into a new index, last
-// read first (see add).
-func indexReads(reads []*read, k int) *kmerIndex {
+// build indexes every k-mer occurrence of reads, last read first (see
+// add). The arena is sized for them, and the table for the n/4 distinct
+// keys of n occurrences in reads that overlap (add doubles it when a file
+// needs more). Every field that steers hashing is set afresh, and only
+// the table's new length is cleared: a tiny file after a fat one clears a
+// few slots, not the fat file's table.
+func (x *kmerIndex) build(reads []*read, k int) {
 	kc := bio.NewKmerCoder(k)
-	total := 0
+	n := 0
 	for _, r := range reads {
-		total += max(0, len(r.seq)-k+1)
+		n += max(0, len(r.seq)-k+1)
 	}
-	idx := newKmerIndex(total)
+	lg := bits.Len(uint(n / 2))
+	x.slots, x.used, x.shift = clearedSlots(x.slots, 1<<lg), 0, uint(64-lg)
+	x.locs = grown(x.locs, n+1)[:1]
 	for i := len(reads) - 1; i >= 0; i-- {
-		kc.EachKmer(reads[i].seq, func(pos int, fwd, rc uint64) { idx.add(fwd, rc, i, pos) })
+		kc.EachKmer(reads[i].seq, func(pos int, fwd, rc uint64) { x.add(fwd, rc, i, pos) })
 	}
-	return idx
 }
 
 // voteCell counts the current read's seed hits against one (read b,
@@ -446,18 +634,19 @@ type voteCell struct {
 	spill int   // once a second diagonal is hit: where the pair's count per diagonal starts in spill
 }
 
-func findOverlaps(reads []*read, opt Options) ([]overlap, overlapStats) {
+// findOverlaps returns the verified overlaps of reads, in sc's array.
+func (sc *scratch) findOverlaps(reads []*read, opt Options) ([]overlap, overlapStats) {
 	var stats overlapStats
 	k := opt.SeedK
-	idx := indexReads(reads, k)
+	sc.idx.build(reads, k)
 
 	// cells[2b+s] is the pair (b, s), s = 1 for a forward and 0 for a
 	// reverse complemented; live has a bit per cell in use.
-	var overlaps []overlap
-	cells := make([]voteCell, 2*len(reads))
-	live := make([]uint64, (len(cells)+63)/64)
-	spill := make([]int32, 1) // spill[0] is unused: voteCell.spill 0 means none
-	locs := idx.locs
+	overlaps := sc.overlaps[:0]
+	cells := grown(sc.cells, 2*len(reads))
+	live := grown(sc.live, (len(cells)+63)/64)
+	spill := grown(sc.spill, 1) // spill[0] is unused: voteCell.spill 0 means none
+	locs := sc.idx.locs
 	// The arena holds each read's occurrences in one run, the last read's
 	// first: walking it from the end takes the reads in ascending order.
 	for hi := len(locs); hi > 1; {
@@ -547,7 +736,7 @@ func findOverlaps(reads []*read, opt Options) ([]overlap, overlapStats) {
 			live[w] = 0
 		}
 	}
-	indexPool.Put(idx)
+	sc.cells, sc.live, sc.spill, sc.overlaps = cells, live, spill, overlaps
 	return overlaps, stats
 }
 
@@ -596,77 +785,69 @@ func verifyOverlap(reads []*read, a, b, sign, offset int, opt Options) (overlap,
 	return overlap{a: a, b: b, t: t, length: length, ident: ident}, true
 }
 
+// placed is a member read laid into its contig: its first base lands in
+// column start, as its reverse complement when rev.
+type placed struct {
+	idx, start int
+	rev        bool
+}
+
 // buildConsensus lays member reads into root coordinates and majority-votes
-// each column.
-func buildConsensus(id string, reads []*read, members []int, lay *layout) *Contig {
-	type placed struct {
-		idx int
-		t   transform
-	}
-	ps := make([]placed, len(members))
+// each column, in one pass over sc's counts that leaves them zero again.
+func (sc *scratch) buildConsensus(id string, reads []*read, members []int, lay *layout) *Contig {
+	ps := grown(sc.placed, len(members))
 	minPos := int(^uint(0) >> 1)
 	maxPos := -minPos
 	for i, m := range members {
 		_, t := lay.find(m)
-		ps[i] = placed{idx: m, t: t}
-		lo, hi := placedExtent(reads[m], t)
-		if lo < minPos {
-			minPos = lo
+		p := placed{idx: m, start: t.shift, rev: t.sign < 0}
+		if p.rev {
+			p.start -= len(reads[m].seq) - 1
 		}
-		if hi > maxPos {
-			maxPos = hi
-		}
+		ps[i] = p
+		minPos = min(minPos, p.start)
+		maxPos = max(maxPos, p.start+len(reads[m].seq)-1)
 	}
 	width := maxPos - minPos + 1
-	counts := make([][4]int32, width)
-	contig := &Contig{ID: id}
-	for _, p := range ps {
+	counts := grown(sc.counts, width)
+	for i := range ps {
+		p := &ps[i]
+		p.start -= minPos
 		r := reads[p.idx]
-		rev := p.t.sign < 0
-		start := p.t.shift - minPos
-		if rev {
-			start = p.t.shift - (len(r.seq) - 1) - minPos
-		}
-		contig.Reads = append(contig.Reads, Placement{ReadID: r.id, Offset: start, Reversed: rev})
 		src := r.seq
-		if rev {
+		if p.rev {
 			src = r.rc
 		}
+		col := counts[p.start:][:len(src)]
 		for k, c := range src {
 			if code, ok := bio.BaseCode(c); ok {
-				counts[start+k][code]++
+				col[k][code]++
 			}
 		}
 	}
-	sort.Slice(contig.Reads, func(i, j int) bool { return contig.Reads[i].Offset < contig.Reads[j].Offset })
+	// By offset, equal offsets in member order.
+	slices.SortFunc(ps, func(x, y placed) int { return cmp.Or(cmp.Compare(x.start, y.start), cmp.Compare(x.idx, y.idx)) })
+	contig := &Contig{ID: id, Reads: make([]Placement, len(ps))}
+	for i, p := range ps {
+		contig.Reads[i] = Placement{ReadID: reads[p.idx].id, Offset: p.start, Reversed: p.rev}
+	}
 	consensus := make([]byte, 0, width)
-	for _, col := range counts {
-		bestCode, bestN := 0, int32(0)
-		total := int32(0)
-		for code, n := range col {
-			total += n
-			if n > bestN {
-				bestN, bestCode = n, code
+	for i, col := range counts {
+		counts[i] = [4]int32{}
+		best := 0 // the first most frequent base
+		for code := 1; code < 4; code++ {
+			if col[code] > col[best] {
+				best = code
 			}
 		}
-		if total == 0 {
+		if col[best] == 0 {
 			continue // uncovered column (cannot happen within one component)
 		}
-		consensus = append(consensus, bio.BaseFromCode(uint8(bestCode)))
+		consensus = append(consensus, bio.BaseFromCode(uint8(best)))
 	}
 	contig.Consensus = consensus
+	sc.placed, sc.counts = ps, counts
 	return contig
-}
-
-// placedExtent returns the inclusive component-coordinate range covered by
-// read r under transform t.
-func placedExtent(r *read, t transform) (lo, hi int) {
-	p0 := t.sign*0 + t.shift
-	p1 := t.sign*(len(r.seq)-1) + t.shift
-	if p0 > p1 {
-		p0, p1 = p1, p0
-	}
-	return p0, p1
 }
 
 // Run is the executable-style entry point used by the execution
@@ -679,7 +860,7 @@ func Run(input []byte, opt Options) ([]byte, error) {
 		return nil, fmt.Errorf("cap3: parsing input: %w", err)
 	}
 	res := Assemble(records, opt)
-	var out []*fasta.Record
+	out := make([]*fasta.Record, 0, len(res.Contigs))
 	for _, c := range res.Contigs {
 		out = append(out, &fasta.Record{
 			ID:          c.ID,
@@ -691,10 +872,8 @@ func Run(input []byte, opt Options) ([]byte, error) {
 	if err != nil {
 		return nil, fmt.Errorf("cap3: writing contigs: %w", err)
 	}
-	var buf bytes.Buffer
-	buf.Write(doc)
 	if len(res.Singletons) > 0 {
-		fmt.Fprintf(&buf, "; %d singletons\n", len(res.Singletons))
+		doc = fmt.Appendf(doc, "; %d singletons\n", len(res.Singletons))
 	}
-	return buf.Bytes(), nil
+	return doc, nil
 }

@@ -14,6 +14,7 @@ import (
 	"sync"
 	"testing"
 	"testing/quick"
+	"time"
 
 	"repro/internal/bio"
 	"repro/internal/fasta"
@@ -431,7 +432,7 @@ func rawReads(seqs ...[]byte) []*read {
 // on every overlap, their order, and every counter.
 func checkAgainstOracle(t *testing.T, name string, reads []*read, opt Options) {
 	t.Helper()
-	got, gotStats := findOverlaps(reads, opt)
+	got, gotStats := new(scratch).findOverlaps(reads, opt)
 	want, wantStats := findOverlapsMap(reads, opt)
 	if gotStats != wantStats {
 		t.Errorf("%s: stats %+v, oracle %+v", name, gotStats, wantStats)
@@ -529,6 +530,13 @@ func corpusReads(t *testing.T, doc []byte, opt Options) []*read {
 	return rawReads(seqs...)
 }
 
+// indexReads indexes reads in a new index.
+func indexReads(reads []*read, k int) *kmerIndex {
+	x := new(kmerIndex)
+	x.build(reads, k)
+	return x
+}
+
 // TestKmerIndexEntryPoints checks the index by brute force: for every
 // occurrence, the chain from skip must be exactly the occurrences of its
 // canonical key on its own strand in later reads, newest first, and the
@@ -600,6 +608,104 @@ func TestKmerIndexEntryPoints(t *testing.T) {
 	}
 }
 
+// TestOverlapRankMatchesStableSort holds the layout order to the stable
+// sort by score it replaced: best score first and equal scores in
+// findOverlaps' order, element for element. The random sets are heavy
+// with equal scores reached from different (length, identity) pairs; the
+// golden corpus gives the overlap sets real files have.
+func TestOverlapRankMatchesStableSort(t *testing.T) {
+	check := func(name string, overlaps []overlap) {
+		t.Helper()
+		want := slices.Clone(overlaps)
+		slices.SortStableFunc(want, func(x, y overlap) int { return cmp.Compare(y.score(), x.score()) })
+		var got []overlap
+		for _, r := range rankOverlaps(nil, overlaps) {
+			got = append(got, overlaps[r.i])
+		}
+		if !slices.Equal(got, want) {
+			t.Errorf("%s: ranked order of %d overlaps differs from the stable sort's at %d", name, len(want), firstDiff(got, want))
+		}
+	}
+	rng := rand.New(rand.NewSource(1))
+	ties := 0
+	for _, n := range []int{0, 1, 2, 12, 13, 50, 552, 3000} {
+		for round := range 4 {
+			overlaps := make([]overlap, n)
+			byScore := map[float64]int{} // a length reaching each score
+			for i := range overlaps {
+				// Identity as verifyOverlap computes it: a score lands on
+				// its match count or an ulp from it, so overlaps with one
+				// match count and different lengths tie or nearly tie.
+				length := 40 + rng.Intn(12)
+				ov := overlap{a: i, b: n + i, length: length, ident: float64(length-rng.Intn(6)) / float64(length)}
+				if l, ok := byScore[ov.score()]; ok && l != length {
+					ties++
+				}
+				byScore[ov.score()] = length
+				overlaps[i] = ov
+			}
+			check(fmt.Sprintf("%d random overlaps, round %d", n, round), overlaps)
+		}
+	}
+	if ties == 0 {
+		t.Fatal("no two random overlaps tie from different lengths")
+	}
+	opt := Options{}.withDefaults()
+	cases, docs := goldenCorpus(t)
+	for i, c := range cases {
+		overlaps, _ := new(scratch).findOverlaps(corpusReads(t, docs[i], opt), opt)
+		check(fmt.Sprintf("seed %d, %d reads of %d bp", c.Seed, c.Reads, c.Genome), overlaps)
+	}
+}
+
+// TestReadViewsMatchBio: the read views Assemble builds in its arena are
+// what trimming bio.Upper's copy and bio.ReverseComplement give, for
+// mixed case, ambiguity codes, non-ASCII text and invalid UTF-8 (which
+// upper-cases longer than it was), with one scratch reused throughout.
+func TestReadViewsMatchBio(t *testing.T) {
+	opt := Options{MinReadLen: 12}.withDefaults()
+	alphabet := [][]byte{[]byte("A"), []byte("C"), []byte("G"), []byte("T"), []byte("a"), []byte("c"),
+		[]byte("g"), []byte("t"), []byte("N"), []byte("n"), []byte("AAAAAAAA"), []byte("é"), {0xff}}
+	rng := rand.New(rand.NewSource(1))
+	s := new(scratch)
+	for round := range 200 {
+		recs := make([]*fasta.Record, rng.Intn(12))
+		for i := range recs {
+			var seq []byte
+			for range rng.Intn(60) {
+				// Mostly bases: one record in four draws from every symbol.
+				pick := alphabet[rng.Intn(4)]
+				if i%4 == 0 {
+					pick = alphabet[rng.Intn(len(alphabet))]
+				}
+				seq = append(seq, pick...)
+			}
+			recs[i] = &fasta.Record{ID: fmt.Sprintf("r%d", i), Seq: seq}
+		}
+		var want []read
+		var wantStats Stats
+		for _, rec := range recs {
+			seq, clipped := trimPoorRegions(bio.Upper(rec.Seq), opt)
+			wantStats.TrimmedBases += clipped
+			if len(seq) < opt.MinReadLen {
+				wantStats.DroppedReads++
+				continue
+			}
+			want = append(want, read{id: rec.ID, seq: seq, rc: bio.ReverseComplement(seq)})
+		}
+		var gotStats Stats
+		got := s.readViews(recs, opt, &gotStats)
+		if gotStats != wantStats || len(got) != len(want) {
+			t.Fatalf("round %d: %d reads, stats %+v; want %d, %+v", round, len(got), gotStats, len(want), wantStats)
+		}
+		for i, r := range got {
+			if r.id != want[i].id || !bytes.Equal(r.seq, want[i].seq) || !bytes.Equal(r.rc, want[i].rc) {
+				t.Fatalf("round %d, read %d: %s %q / %q, want %s %q / %q", round, i, r.id, r.seq, r.rc, want[i].id, want[i].seq, want[i].rc)
+			}
+		}
+	}
+}
+
 // FuzzFindOverlaps: arbitrary bytes become a handful of reads over ACGTN
 // (two bits of the first byte pick k), and the flat kernel must agree
 // with the map oracle exactly and never panic.
@@ -634,11 +740,11 @@ func FuzzFindOverlaps(f *testing.F) {
 // bench/workloads' tiny_durable pays 16 384 times a repetition: the map
 // kernel spent 141 allocations on a one-read file, and before the k-mer
 // index was pooled and FASTA parsed in place a Run still took 30
-// allocations and 16 KB. What is left is what Run returns and the
-// per-read views Assemble builds.
+// allocations and 16 KB. What is left is parsing the input and what Run
+// returns: the file's scratch is reused.
 func TestRunAllocsOnOneRead(t *testing.T) {
 	if raceEnabled {
-		t.Skip("sync.Pool drops pooled indexes at random under -race")
+		t.Skip("sync.Pool drops fmt's printers at random under -race")
 	}
 	doc, err := workload.Cap3File(1, 1, 120)
 	if err != nil {
@@ -665,10 +771,75 @@ func TestRunAllocsOnOneRead(t *testing.T) {
 	}
 }
 
-// TestRunIndependentOfPriorRuns: Run takes its k-mer index from a pool,
-// so a file may get the table and arena a bigger or a repeat-rich file
-// left behind. Whatever ran before, and however many files run at once,
-// every golden file must still give its recorded digest, and every
+// TestRunAllocsOnFatFile guards what a cap3_fat-shaped file costs beside
+// its alignment, in steady state: with the file's scratch reused, what is
+// left is parsing the input (about three allocations a record) and what
+// Run returns. Before the scratch a Run took 806 allocations and 577 KB.
+func TestRunAllocsOnFatFile(t *testing.T) {
+	if raceEnabled {
+		t.Skip("sync.Pool drops fmt's printers at random under -race")
+	}
+	doc, err := workload.Cap3File(1, 120, 6000)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const runs = 50
+	run := func() {
+		if _, err := Run(doc, Options{}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	run() // warm-up: the scratch grows to the file
+	allocs := testing.AllocsPerRun(runs, run)
+	if allocs > 420 {
+		t.Errorf("Run on a fat file: %.0f allocations, want ≤ 420", allocs)
+	}
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 0; i < runs; i++ {
+		run()
+	}
+	runtime.ReadMemStats(&after)
+	if perRun := (after.TotalAlloc - before.TotalAlloc) / runs; perRun > 160<<10 {
+		t.Errorf("Run on a fat file allocates %d bytes, want ≤ 160 KB", perRun)
+	}
+}
+
+// TestIdleScratchIsReclaimed: when no file follows a large one, the GC
+// reclaims the large file's scratch, so a worker that idles or turns to
+// other apps keeps none of it. The scratch holds over 30 bytes an input
+// base; the heap may keep no more than the input's own size of it.
+func TestIdleScratchIsReclaimed(t *testing.T) {
+	doc, err := workload.Cap3File(1, 1000, 50000)
+	if err != nil {
+		t.Fatal(err)
+	}
+	live := func() uint64 {
+		runtime.GC()
+		var m runtime.MemStats
+		runtime.ReadMemStats(&m)
+		return m.HeapAlloc
+	}
+	base := live()
+	if _, err := Run(doc, Options{}); err != nil {
+		t.Fatal(err)
+	}
+	for gcs := 1; ; gcs++ {
+		heap := live()
+		if heap <= base+uint64(len(doc)) {
+			break
+		}
+		if gcs == 20 {
+			t.Fatalf("after %d GCs with no file running, the heap holds %d bytes more than before a %d-byte file", gcs, heap-base, len(doc))
+		}
+		time.Sleep(time.Millisecond) // the sweep runs on the finalizer goroutine
+	}
+}
+
+// TestRunIndependentOfPriorRuns: Run takes its scratch from a free list,
+// so a file may get the table, arenas and counts a bigger or a
+// repeat-rich file left behind. Whatever ran before, and however many files run at
+// once, every golden file must still give its recorded digest, and every
 // repeat-rich file the digest of its first run.
 func TestRunIndependentOfPriorRuns(t *testing.T) {
 	raw, err := os.ReadFile("testdata/golden.json")
