@@ -559,13 +559,14 @@ func BenchmarkBrokerElasticCap3(b *testing.B) {
 }
 
 // BenchmarkBrokerInstanceSelection measures the cost-aware planning
-// sweep across the full EC2+Azure catalog.
+// sweep across the EC2 catalog.
 func BenchmarkBrokerInstanceSelection(b *testing.B) {
 	app := perfmodel.Cap3Model(458)
 	catalog := cloud.EC2Catalog()
+	static := perfmodel.Calibrate(app, 1, nil, catalog)
 	var sel perfmodel.Selection
 	for i := 0; i < b.N; i++ {
-		sel = perfmodel.PickCheapest(app, perfmodel.ClassicEC2, 512, time.Hour, catalog, 16)
+		sel, _ = static.Plan(512, time.Hour, catalog, 16)
 	}
 	if !sel.MeetsTarget {
 		b.Fatal("no selection meets target")

@@ -281,7 +281,7 @@ func brokerPlan() {
 	fmt.Printf("%-20s %8s  %-28s %6s %10s %10s %8s\n",
 		"Workload", "Target", "Chosen instance", "Fleet", "Makespan", "Cost", "Meets?")
 	for _, a := range apps {
-		best, ok := broker.PlanFleet(a.model, a.files, a.target, catalog, 64)
+		best, ok := perfmodel.Calibrate(a.model, 1, nil, catalog).Plan(a.files, a.target, catalog, 64)
 		if !ok {
 			continue
 		}
@@ -1692,7 +1692,8 @@ func replanBench() {
 		cat := append(cloud.EC2Catalog(), cloud.AzureCatalog()...)
 		app := perfmodel.Cap3Model(458)
 		const deadline = time.Hour
-		static, ok := broker.PlanFleet(app, 4096, deadline, cat, 64)
+		uncal := perfmodel.Calibrate(app, 1, nil, cat)
+		static, ok := uncal.Plan(4096, deadline, cat, 64)
 		if !ok || !static.MeetsTarget {
 			fail(fmt.Errorf("what-if: static plan failed (ok=%v meets=%v)", ok, static.MeetsTarget))
 			return
@@ -1703,11 +1704,10 @@ func replanBench() {
 			if it.Key() == static.InstanceType().Key() {
 				ratio = 3.0
 			}
-			modeled := app.TaskTime(it, 1, 1, it.Provider == cloud.Azure)
-			observed[it.Key()] = time.Duration(ratio * modeled * float64(time.Second))
+			observed[it.Key()] = time.Duration(ratio * float64(uncal.ExpectedTaskTime(it)))
 		}
 		calm := perfmodel.Calibrate(app, 1, observed, cat)
-		replanned, ok := broker.PlanFleetCalibrated(calm, 4096, deadline, cat, 64)
+		replanned, ok := calm.Plan(4096, deadline, cat, 64)
 		if !ok {
 			fail(fmt.Errorf("what-if: calibrated plan found no candidate"))
 			return

@@ -20,9 +20,11 @@
 //     cooldowns and a max-fleet cap (AutoscalePolicy); scale-ups are
 //     granted from a broker-wide instance budget by deficit-weighted
 //     fair share across tenants (scheduler.go).
-//   - Instance selection is cost-aware: the broker consults the
-//     internal/cloud price catalog and the calibrated perfmodel to
-//     pick the cheapest instance type meeting a target makespan.
+//   - Instance selection is cost-aware: one sweep of the internal/cloud
+//     price catalog through perfmodel's CalibratedModel.Plan picks the
+//     cheapest (type, fleet) meeting a target makespan — at admission
+//     on the static model (no observations), at a mid-job re-plan on
+//     the calibration catalog's observed means (replan.go).
 //   - Fleet time is billed in per-hour increments exactly as the paper
 //     prices its runs, from the journaled ledger, so billing survives
 //     broker restarts; every job closes with a cost report comparing
@@ -362,11 +364,11 @@ func (b *Broker) admit(req JobRequest, ids []string) (_ *Job, _ []classiccloud.T
 		}
 	}
 
-	// The opening events. Cost-aware instance selection against the
-	// calibrated model rides on EvPlanned, whose fold also clamps the
-	// policy to the planned fleet; PlanCap keeps the pre-clamp cap (the
-	// re-planner's search space) and PlanServiceNS the modeled per-task
-	// service time on the chosen type (its hysteresis baseline).
+	// The opening events. The static plan (no observations yet) rides
+	// on EvPlanned, whose fold also clamps the policy to the planned
+	// fleet; PlanCap keeps the pre-clamp cap (the re-planner's search
+	// space) and PlanServiceNS the modeled per-task service time on the
+	// chosen type (its hysteresis baseline).
 	policy := b.cfg.Autoscale
 	if req.Autoscale != nil {
 		policy = *req.Autoscale
@@ -374,13 +376,13 @@ func (b *Broker) admit(req JobRequest, ids []string) (_ *Job, _ []classiccloud.T
 	policy = policy.withDefaults()
 	itype := b.cfg.DefaultInstance
 	var planned *Event
-	if model, ok := b.planningModelFor(req.App); ok && req.TargetMakespan > 0 {
-		if sel, ok := PlanFleet(model, len(ids), req.TargetMakespan, b.cfg.Catalog, policy.MaxInstances); ok {
+	if req.TargetMakespan > 0 {
+		if sel, expected, ok := b.plan(req.App, nil, len(ids), req.TargetMakespan, policy.MaxInstances); ok {
 			itype = sel.InstanceType()
 			planned = &Event{
 				Type: EvPlanned, PlannedInstances: sel.Instances(), PlanMeetsTarget: sel.MeetsTarget,
 				Provider: string(itype.Provider), Instance: itype.Name,
-				PlanServiceNS: modeledServiceNS(model, itype, b.cfg.WorkersPerInstance),
+				PlanServiceNS: int64(expected),
 				PlanCap:       policy.MaxInstances,
 			}
 		}

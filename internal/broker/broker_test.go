@@ -3,6 +3,7 @@ package broker
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"strings"
 	"sync/atomic"
 	"testing"
@@ -151,7 +152,7 @@ func TestPolicyBasisSwitchesWithObservedThroughput(t *testing.T) {
 func TestPlanFleetPicksCheapestMeetingTarget(t *testing.T) {
 	app := perfmodel.Cap3Model(458)
 	catalog := append(cloud.EC2Catalog(), cloud.AzureCatalog()...)
-	sel, ok := PlanFleet(app, 256, time.Hour, catalog, 16)
+	sel, ok := perfmodel.Calibrate(app, 2, nil, catalog).Plan(256, time.Hour, catalog, 16)
 	if !ok {
 		t.Fatal("no selection")
 	}
@@ -189,7 +190,7 @@ func TestPlanFleetFallsBackToFastest(t *testing.T) {
 	app := perfmodel.Cap3Model(458)
 	// An impossible 1ms target: the planner must still return the
 	// fastest achievable configuration, flagged as missing the target.
-	sel, ok := PlanFleet(app, 64, time.Millisecond, cloud.EC2Catalog(), 4)
+	sel, ok := perfmodel.Calibrate(app, 2, nil, cloud.EC2Catalog()).Plan(64, time.Millisecond, cloud.EC2Catalog(), 4)
 	if !ok {
 		t.Fatal("no selection")
 	}
@@ -206,7 +207,7 @@ func TestPlanFleetCrossProviderFallbackPrefersFaster(t *testing.T) {
 	// Neither provider can meet 1ms; the cross-provider fallback must
 	// be the fastest configuration scanned, not the cheapest.
 	catalog := append(cloud.EC2Catalog(), cloud.AzureCatalog()...)
-	sel, ok := PlanFleet(app, 64, time.Millisecond, catalog, 4)
+	sel, ok := perfmodel.Calibrate(app, 2, nil, catalog).Plan(64, time.Millisecond, catalog, 4)
 	if !ok {
 		t.Fatal("no selection")
 	}
@@ -232,6 +233,40 @@ func TestPlanFleetCrossProviderFallbackPrefersFaster(t *testing.T) {
 				}
 			}
 		}
+	}
+}
+
+// A job's journaled PlanServiceNS is the static plan's expectation on
+// the planned type — the uncalibrated model's ExpectedTaskTime, the
+// baseline re-planning compares observed means against.
+func TestPlannedServiceTimeIsTheStaticExpectation(t *testing.T) {
+	b := New(Config{Env: testEnv(), TickInterval: 5 * time.Millisecond})
+	defer b.Close()
+	j, err := b.Submit(JobRequest{App: "cap3", Files: cap3Files(t, 4), TargetMakespan: time.Hour})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := j.Wait(30 * time.Second); err != nil {
+		t.Fatal(err)
+	}
+	events, err := j.Journal()
+	if err != nil {
+		t.Fatal(err)
+	}
+	i := slices.IndexFunc(events, func(ev Event) bool { return ev.Type == EvPlanned })
+	if i < 0 {
+		t.Fatal("no planned event")
+	}
+	ev := events[i]
+	k := slices.IndexFunc(b.cfg.Catalog, func(it cloud.InstanceType) bool {
+		return string(it.Provider) == ev.Provider && it.Name == ev.Instance
+	})
+	if k < 0 {
+		t.Fatalf("planned type %s/%s is not in the catalog", ev.Provider, ev.Instance)
+	}
+	static := perfmodel.Calibrate(perfmodel.Cap3Model(458), b.cfg.WorkersPerInstance, nil, b.cfg.Catalog)
+	if want := static.ExpectedTaskTime(b.cfg.Catalog[k]); ev.PlanServiceNS != int64(want) {
+		t.Errorf("PlanServiceNS = %d, want the static expectation %d", ev.PlanServiceNS, want)
 	}
 }
 

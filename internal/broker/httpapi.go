@@ -43,6 +43,9 @@ import (
 // queue, blob store or journal a 500.
 type HTTPHandler struct {
 	Broker *Broker
+
+	once sync.Once
+	mux  *http.ServeMux // built on first use (init)
 }
 
 // wireJobRequest is a JobRequest's options — everything but its file
@@ -378,116 +381,85 @@ func submitStatus(err error) int {
 
 // ServeHTTP implements http.Handler.
 func (h *HTTPHandler) ServeHTTP(w http.ResponseWriter, r *http.Request) {
-	switch {
-	case r.URL.Path == "/fleet":
-		h.serveFleet(w, r)
-	case r.URL.Path == "/tenants":
-		h.serveTenants(w, r)
-	case r.URL.Path == "/jobs":
-		h.serveJobs(w, r)
-	default:
-		rest, ok := strings.CutPrefix(r.URL.Path, "/jobs/")
-		if !ok || rest == "" {
-			http.NotFound(w, r)
-			return
-		}
-		parts := strings.SplitN(rest, "/", 2)
-		sub := ""
-		if len(parts) == 2 {
-			sub = parts[1]
-		}
-		h.serveJob(w, r, parts[0], sub)
-	}
+	h.once.Do(h.init)
+	h.mux.ServeHTTP(w, r)
 }
 
-func (h *HTTPHandler) serveFleet(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodGet {
-		http.Error(w, "method not allowed", http.StatusMethodNotAllowed)
-		return
-	}
-	writeJSON(w, map[string]int{"fleet": h.Broker.FleetSize()})
-}
-
-func (h *HTTPHandler) serveTenants(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodGet {
-		http.Error(w, "method not allowed", http.StatusMethodNotAllowed)
-		return
-	}
-	writeJSON(w, h.Broker.TenantReport())
-}
-
-func (h *HTTPHandler) serveJobs(w http.ResponseWriter, r *http.Request) {
-	switch r.Method {
-	case http.MethodPost:
-		// The job is admitted once the body's header has arrived, and each
-		// batch staged as soon as its files have.
-		d := newBodyDecoder(http.MaxBytesReader(w, r.Body, maxJobRequestBytes))
-		defer d.release()
-		req, ids, err := d.header()
-		var j *Job
-		if err == nil {
-			j, err = h.Broker.submit(req, ids, d.batch)
-		}
-		if err != nil {
-			http.Error(w, err.Error(), submitStatus(err))
-			return
-		}
-		w.WriteHeader(http.StatusCreated)
-		writeJSON(w, j.Status())
-	case http.MethodGet:
+// init routes the API by method pattern: a known path with the wrong verb
+// is the mux's 405, an unknown path its 404, and an unknown job a 404
+// with ErrNoSuchJob's text, which HTTPClient maps back to it.
+func (h *HTTPHandler) init() {
+	h.mux = http.NewServeMux()
+	h.mux.HandleFunc("GET /fleet", func(w http.ResponseWriter, _ *http.Request) {
+		writeJSON(w, map[string]int{"fleet": h.Broker.FleetSize()})
+	})
+	h.mux.HandleFunc("GET /tenants", func(w http.ResponseWriter, _ *http.Request) {
+		writeJSON(w, h.Broker.TenantReport())
+	})
+	h.mux.HandleFunc("GET /jobs", func(w http.ResponseWriter, _ *http.Request) {
 		jobs := h.Broker.Jobs()
 		out := make([]Status, 0, len(jobs))
 		for _, j := range jobs {
 			out = append(out, j.Status())
 		}
 		writeJSON(w, out)
-	default:
-		http.Error(w, "method not allowed", http.StatusMethodNotAllowed)
+	})
+	h.mux.HandleFunc("POST /jobs", h.submit)
+	job := func(pattern string, serve func(http.ResponseWriter, *Job)) {
+		h.mux.HandleFunc(pattern, func(w http.ResponseWriter, r *http.Request) {
+			j, ok := h.Broker.Job(r.PathValue("id"))
+			if !ok {
+				http.Error(w, ErrNoSuchJob.Error(), http.StatusNotFound)
+				return
+			}
+			serve(w, j)
+		})
 	}
-}
-
-func (h *HTTPHandler) serveJob(w http.ResponseWriter, r *http.Request, id, sub string) {
-	j, ok := h.Broker.Job(id)
-	if !ok {
-		http.Error(w, ErrNoSuchJob.Error(), http.StatusNotFound)
-		return
-	}
-	switch {
-	case sub == "" && r.Method == http.MethodGet:
-		writeJSON(w, j.Status())
-	case sub == "events" && r.Method == http.MethodGet:
-		writeJSON(w, j.Events())
-	case sub == "cost" && r.Method == http.MethodGet:
-		writeJSON(w, j.CostReport())
-	case sub == "deadletters" && r.Method == http.MethodGet:
-		writeJSON(w, j.DeadLetters())
-	case sub == "outputs" && r.Method == http.MethodGet:
+	job("GET /jobs/{id}", func(w http.ResponseWriter, j *Job) { writeJSON(w, j.Status()) })
+	job("GET /jobs/{id}/events", func(w http.ResponseWriter, j *Job) { writeJSON(w, j.Events()) })
+	job("GET /jobs/{id}/cost", func(w http.ResponseWriter, j *Job) { writeJSON(w, j.CostReport()) })
+	job("GET /jobs/{id}/deadletters", func(w http.ResponseWriter, j *Job) { writeJSON(w, j.DeadLetters()) })
+	job("GET /jobs/{id}/outputs", func(w http.ResponseWriter, j *Job) {
 		outs, err := j.CollectOutputs()
 		if err != nil {
 			http.Error(w, err.Error(), http.StatusInternalServerError)
 			return
 		}
 		writeJSON(w, outs)
-	case sub == "journal" && r.Method == http.MethodGet:
+	})
+	job("GET /jobs/{id}/journal", func(w http.ResponseWriter, j *Job) {
 		events, err := j.Journal()
 		if err != nil {
 			http.Error(w, err.Error(), http.StatusInternalServerError)
 			return
 		}
 		writeJSON(w, events)
-	case sub == "preempt" && r.Method == http.MethodPost:
+	})
+	job("POST /jobs/{id}/preempt", func(w http.ResponseWriter, j *Job) {
 		if !j.Preempt() {
 			http.Error(w, "broker: no running instance to preempt", http.StatusConflict)
 			return
 		}
 		w.WriteHeader(http.StatusAccepted)
-	case sub == "" || sub == "events" || sub == "cost" || sub == "deadletters" ||
-		sub == "outputs" || sub == "journal" || sub == "preempt":
-		// Known subresource, wrong verb.
-		http.Error(w, "method not allowed", http.StatusMethodNotAllowed)
-	default:
-		http.NotFound(w, r)
+	})
+}
+
+// submit serves POST /jobs. The job is admitted once the body's header
+// has arrived, and each batch staged as soon as its files have.
+func (h *HTTPHandler) submit(w http.ResponseWriter, r *http.Request) {
+	d := newBodyDecoder(http.MaxBytesReader(w, r.Body, maxJobRequestBytes))
+	defer d.release()
+	req, ids, err := d.header()
+	var j *Job
+	if err == nil {
+		j, err = h.Broker.submit(req, ids, d.batch)
 	}
+	if err != nil {
+		http.Error(w, err.Error(), submitStatus(err))
+		return
+	}
+	w.WriteHeader(http.StatusCreated)
+	writeJSON(w, j.Status())
 }
 
 func writeJSON(w http.ResponseWriter, v any) {

@@ -369,12 +369,21 @@ func TestHTTPMethodNotAllowed(t *testing.T) {
 	b := New(Config{Env: testEnv(), TickInterval: 5 * time.Millisecond})
 	t.Cleanup(b.Close)
 	h := &HTTPHandler{Broker: b}
+	// A real job: a known subresource with the wrong verb is a 405, not
+	// the unknown job's 404.
+	j, err := b.Submit(JobRequest{App: "cap3", Files: cap3Files(t, 2)})
+	if err != nil {
+		t.Fatal(err)
+	}
 	for _, c := range []struct {
 		method, path string
 	}{
 		{http.MethodDelete, "/jobs"},
 		{http.MethodPost, "/fleet"},
 		{http.MethodPost, "/tenants"},
+		{http.MethodDelete, "/jobs/" + j.ID},
+		{http.MethodPost, "/jobs/" + j.ID + "/cost"},
+		{http.MethodGet, "/jobs/" + j.ID + "/preempt"},
 	} {
 		rec := httptest.NewRecorder()
 		h.ServeHTTP(rec, httptest.NewRequest(c.method, c.path, nil))

@@ -7,7 +7,6 @@ import (
 	"repro/internal/blast"
 	"repro/internal/cap3"
 	"repro/internal/classiccloud"
-	"repro/internal/cloud"
 	"repro/internal/perfmodel"
 )
 
@@ -75,89 +74,21 @@ func planningModel(app string) (perfmodel.AppModel, bool) {
 	return perfmodel.AppModel{}, false
 }
 
-// planningModelFor resolves an app's planning model, preferring a
-// Config.PlanningModels override over the built-in paper calibrations.
-func (b *Broker) planningModelFor(app string) (perfmodel.AppModel, bool) {
-	if m, ok := b.cfg.PlanningModels[app]; ok {
-		return m, true
-	}
-	return planningModel(app)
-}
-
-// PlanFleet picks the cheapest (instance type, fleet size) meeting the
-// target makespan across the catalog, simulating Azure types under the
-// Azure Classic Cloud framework and everything else under EC2's
-// (bare-metal entries with no hourly price are not purchasable and are
-// skipped). When no configuration qualifies it returns the fastest one
-// found with MeetsTarget=false; ok is false only for an empty catalog.
-func PlanFleet(app perfmodel.AppModel, nFiles int, target time.Duration,
-	catalog []cloud.InstanceType, maxInstances int) (perfmodel.Selection, bool) {
-	return planFleet(func(f perfmodel.Framework, types []cloud.InstanceType) perfmodel.Selection {
-		return perfmodel.PickCheapest(app, f, nFiles, target, types, maxInstances)
-	}, catalog)
-}
-
-// PlanFleetCalibrated is PlanFleet against a calibration overlay: the
-// same provider-grouped sweep, with every candidate simulated under its
-// observation-corrected curves. It is the selection the broker's
-// mid-job re-planner runs once the calibration catalog has enough
-// samples to distrust the static model.
-func PlanFleetCalibrated(cal perfmodel.CalibratedModel, nFiles int, target time.Duration,
-	catalog []cloud.InstanceType, maxInstances int) (perfmodel.Selection, bool) {
-	return planFleet(func(f perfmodel.Framework, types []cloud.InstanceType) perfmodel.Selection {
-		return cal.PickCheapest(f, nFiles, target, types, maxInstances)
-	}, catalog)
-}
-
-// planFleet runs one provider-grouped sweep and merges the group
-// winners: a selection meeting the target beats one that does not;
-// among qualifiers the cheaper wins; among non-qualifiers the faster.
-func planFleet(pick func(perfmodel.Framework, []cloud.InstanceType) perfmodel.Selection,
-	catalog []cloud.InstanceType) (perfmodel.Selection, bool) {
-	var azure, ec2 []cloud.InstanceType
-	for _, it := range catalog {
-		if it.CostPerHour <= 0 {
-			continue
-		}
-		if it.Provider == cloud.Azure {
-			azure = append(azure, it)
-		} else {
-			ec2 = append(ec2, it)
+// plan runs cost-aware selection for an app with a planning model (a
+// Config.PlanningModels override, else the built-in paper calibration):
+// the cheapest (type, fleet) predicted to finish nFiles tasks within
+// target, on the model calibrated by observed mean service times — none
+// at admission, where every ratio is 1 and the plan is the static one —
+// and the per-task service time that plan expects on the chosen type.
+func (b *Broker) plan(app string, observed map[string]time.Duration, nFiles int,
+	target time.Duration, maxInstances int) (perfmodel.Selection, time.Duration, bool) {
+	model, ok := b.cfg.PlanningModels[app]
+	if !ok {
+		if model, ok = planningModel(app); !ok {
+			return perfmodel.Selection{}, 0, false
 		}
 	}
-	groups := []struct {
-		framework perfmodel.Framework
-		types     []cloud.InstanceType
-	}{
-		{perfmodel.ClassicEC2, ec2},
-		{perfmodel.ClassicAzure, azure},
-	}
-	var best perfmodel.Selection
-	have := false
-	for _, group := range groups {
-		if len(group.types) == 0 {
-			continue
-		}
-		sel := pick(group.framework, group.types)
-		if !have {
-			best, have = sel, true
-			continue
-		}
-		switch {
-		case sel.MeetsTarget && !best.MeetsTarget:
-			best = sel
-		case !sel.MeetsTarget && best.MeetsTarget:
-			// keep best
-		case sel.MeetsTarget:
-			if sel.Outcome.Bill.ComputeCost < best.Outcome.Bill.ComputeCost {
-				best = sel
-			}
-		default:
-			// Neither meets the target: fall back to the faster one.
-			if sel.Outcome.Makespan < best.Outcome.Makespan {
-				best = sel
-			}
-		}
-	}
-	return best, have
+	cal := perfmodel.Calibrate(model, b.cfg.WorkersPerInstance, observed, b.cfg.Catalog)
+	sel, ok := cal.Plan(nFiles, target, b.cfg.Catalog, maxInstances)
+	return sel, cal.ExpectedTaskTime(sel.InstanceType()), ok
 }

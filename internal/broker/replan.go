@@ -3,9 +3,6 @@ package broker
 import (
 	"fmt"
 	"time"
-
-	"repro/internal/cloud"
-	"repro/internal/perfmodel"
 )
 
 // ReplanPolicy tunes mid-job re-planning: the broker compares each
@@ -48,16 +45,6 @@ func (p ReplanPolicy) withDefaults() ReplanPolicy {
 		p.MaxReplans = 3
 	}
 	return p
-}
-
-// modeledServiceNS is the planning model's per-task service-time
-// expectation on an instance type under the broker's worker density —
-// the baseline the re-planner's hysteresis compares observed means
-// against. It is journaled at plan time (EvPlanned) and reset at each
-// re-plan (EvReplanned) so a completed switch stops re-triggering.
-func modeledServiceNS(model perfmodel.AppModel, it cloud.InstanceType, workers int) int64 {
-	t := model.TaskTime(it, workers, 1, it.Provider == cloud.Azure)
-	return int64(t * float64(time.Second))
 }
 
 // replanTick runs one re-plan evaluation: cheap guard checks under the
@@ -107,16 +94,10 @@ func (j *Job) replanTick() {
 	if float64(st.MeanNS) < float64(planNS)*(1+p.MinRelError) {
 		return
 	}
-	model, found := b.planningModelFor(j.App)
-	if !found {
-		return
-	}
 	// Re-run selection against observed curves, searching the plan's
 	// original (pre-clamp) fleet cap: the re-plan may need a bigger
 	// fleet of a faster type than the stale plan settled on.
-	calm := perfmodel.Calibrate(model, b.cfg.WorkersPerInstance,
-		cal.ObservedMeans(j.App, p.MinSamples), b.cfg.Catalog)
-	sel, found := PlanFleetCalibrated(calm, nTasks, target, b.cfg.Catalog, planCap)
+	sel, expected, found := b.plan(j.App, cal.ObservedMeans(j.App, p.MinSamples), nTasks, target, planCap)
 	if !found {
 		return
 	}
@@ -150,7 +131,7 @@ func (j *Job) replanTick() {
 		Type: EvReplanned, Time: time.Now(),
 		Provider: string(newType.Provider), Instance: newType.Name,
 		PlannedInstances: n, PlanMeetsTarget: sel.MeetsTarget,
-		PlanServiceNS: int64(calm.ExpectedTaskTime(newType)),
+		PlanServiceNS: int64(expected),
 		ObservedNS:    st.MeanNS,
 		Reason:        reason,
 	}); err != nil {

@@ -9,8 +9,10 @@ import (
 // CalibratedModel overlays live observations onto a static AppModel.
 // The static curves answer "what should this instance type deliver?";
 // the calibration catalog answers "what did it actually deliver?"; the
-// overlay reconciles the two so a re-planning broker can re-run the
-// same cheapest-configuration sweep against observed throughput.
+// overlay reconciles the two, and Plan runs the cheapest-configuration
+// sweep against it. With no observations every ratio is 1 and the
+// overlay is the static model, so admission and re-planning are the
+// same sweep.
 //
 // The overlay is multiplicative: for an instance type with observed
 // mean service time o and modeled task time m, every candidate fleet of
@@ -99,17 +101,10 @@ func (c CalibratedModel) AppFor(it cloud.InstanceType) AppModel {
 
 // ExpectedTaskTime returns the calibrated per-task service time on an
 // instance type under the measurement context (Workers concurrent
-// workers, one thread, platform by provider).
+// workers, one thread, platform by provider): what a plan on this
+// overlay expects each task to take, the baseline the broker's
+// re-planner compares observed means against.
 func (c CalibratedModel) ExpectedTaskTime(it cloud.InstanceType) time.Duration {
 	t := c.AppFor(it).TaskTime(it, c.Workers, 1, it.Provider == cloud.Azure)
 	return time.Duration(t * float64(time.Second))
-}
-
-// PickCheapest runs the cheapest-configuration sweep against the
-// calibrated curves: same search as the package-level PickCheapest,
-// with each candidate type simulated under its observation-corrected
-// model.
-func (c CalibratedModel) PickCheapest(f Framework, nFiles int, target time.Duration,
-	catalog []cloud.InstanceType, maxInstances int) Selection {
-	return pickCheapest(c.AppFor, f, nFiles, target, catalog, maxInstances)
 }

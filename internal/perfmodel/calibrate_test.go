@@ -54,7 +54,7 @@ func TestCalibratedPickCheapestSwitchesTypes(t *testing.T) {
 	app := Cap3Model(458)
 	const workers, nFiles, maxN = 2, 64, 8
 	catalog := []cloud.InstanceType{cloud.EC2HCXL, cloud.EC2Large}
-	static := PickCheapest(app, ClassicEC2, nFiles, 2*time.Hour, catalog, maxN)
+	static := staticPlan(t, app, nFiles, 2*time.Hour, catalog, maxN)
 	if !static.MeetsTarget {
 		t.Fatal("static plan misses a 2h target")
 	}
@@ -69,7 +69,7 @@ func TestCalibratedPickCheapestSwitchesTypes(t *testing.T) {
 		}
 	}
 	cal := Calibrate(app, workers, observed, catalog)
-	re := cal.PickCheapest(ClassicEC2, nFiles, 2*time.Hour, catalog, maxN)
+	re, _ := cal.Plan(nFiles, 2*time.Hour, catalog, maxN)
 	if re.InstanceType().Key() == static.InstanceType().Key() && re.Instances() == static.Instances() {
 		t.Errorf("calibrated sweep kept %s x%d despite 3x observed slowdown",
 			re.InstanceType().Key(), re.Instances())

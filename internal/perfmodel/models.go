@@ -14,6 +14,9 @@
 //     their scheduling policies (dynamic global queue versus static
 //     partitions).
 //
+// CalibratedModel.Plan inverts the price tables for the elastic broker:
+// the cheapest (instance type, fleet size) meeting a deadline.
+//
 // Absolute times are model outputs, not measurements of this machine;
 // the reproduction targets are the *shapes* the paper reports: which
 // instance type wins, which is most economical, how efficiency scales,

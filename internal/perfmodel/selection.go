@@ -29,58 +29,48 @@ func (s Selection) Instances() int { return s.Spec.Instances }
 // InstanceType returns the selected instance type.
 func (s Selection) InstanceType() cloud.InstanceType { return s.Spec.Instance }
 
-// PickCheapest searches catalog × fleet-size (1..maxInstances) for the
-// configuration with the lowest hour-unit compute cost whose simulated
-// makespan is at most target. Ties break toward fewer instances, then
-// the shorter makespan. When no configuration meets the target it
-// returns the fastest one found with MeetsTarget=false; makespan-tied
-// fallbacks break toward the cheaper, then the smaller fleet, so the
-// result never depends on catalog order.
-func PickCheapest(app AppModel, f Framework, nFiles int, target time.Duration,
-	catalog []cloud.InstanceType, maxInstances int) Selection {
-	return pickCheapest(func(cloud.InstanceType) AppModel { return app },
-		f, nFiles, target, catalog, maxInstances)
-}
-
-// pickCheapest is the sweep behind PickCheapest, parameterized on a
-// per-type application model so calibrated overlays (CalibratedModel)
-// can reuse the search with observation-corrected curves.
-func pickCheapest(appFor func(cloud.InstanceType) AppModel, f Framework,
-	nFiles int, target time.Duration,
-	catalog []cloud.InstanceType, maxInstances int) Selection {
-	if maxInstances <= 0 {
-		maxInstances = 1
-	}
+// Plan sweeps catalog × fleet size (1..maxInstances) once, each priced
+// type under its calibrated curve and its provider's Classic Cloud
+// framework (Azure's for Azure, EC2's otherwise), for the lowest
+// hour-unit cost whose makespan is at most target; cheaper breaks ties.
+// When nothing qualifies it returns the fastest configuration with
+// MeetsTarget=false, makespan ties going to the cheaper, so the result
+// never depends on catalog order. ok is false only when no entry has a
+// price (bare metal is not purchasable).
+func (c CalibratedModel) Plan(nFiles int, target time.Duration,
+	catalog []cloud.InstanceType, maxInstances int) (Selection, bool) {
+	maxInstances = max(maxInstances, 1)
 	var best, fastest Selection
 	haveBest, haveFastest := false, false
 	for _, it := range catalog {
-		app := appFor(it)
-		for n := 1; n <= maxInstances; n++ {
-			spec := RunSpec{
-				App: app, Framework: f, Instance: it, Instances: n,
-				NFiles: nFiles,
-			}
+		if it.CostPerHour <= 0 {
+			continue
+		}
+		f := ClassicEC2
+		if it.Provider == cloud.Azure {
+			f = ClassicAzure
+		}
+		spec := RunSpec{App: c.AppFor(it), Framework: f, Instance: it, NFiles: nFiles}
+		for spec.Instances = 1; spec.Instances <= maxInstances; spec.Instances++ {
 			out := Simulate(spec)
 			cand := Selection{Spec: spec, Outcome: out, MeetsTarget: out.Makespan <= target}
+			// Larger fleets are scanned past the first that qualifies:
+			// hour-unit billing means a bigger fleet that finishes just
+			// under an hour boundary can bill fewer hour units than a
+			// smaller, slower one.
+			if cand.MeetsTarget && (!haveBest || cheaper(cand, best)) {
+				best, haveBest = cand, true
+			}
 			if !haveFastest || out.Makespan < fastest.Outcome.Makespan ||
 				(out.Makespan == fastest.Outcome.Makespan && cheaper(cand, fastest)) {
 				fastest, haveFastest = cand, true
 			}
-			if !cand.MeetsTarget {
-				continue
-			}
-			if !haveBest || cheaper(cand, best) {
-				best, haveBest = cand, true
-			}
-			// Keep scanning larger fleets: hour-unit billing means a
-			// bigger fleet that finishes just under an hour boundary can
-			// bill fewer hour units than a smaller, slower one.
 		}
 	}
 	if haveBest {
-		return best
+		return best, true
 	}
-	return fastest
+	return fastest, haveFastest
 }
 
 // cheaper orders selections by hour-unit cost, then fleet size, then

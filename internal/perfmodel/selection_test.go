@@ -1,15 +1,28 @@
 package perfmodel
 
 import (
+	"slices"
 	"testing"
 	"time"
 
 	"repro/internal/cloud"
 )
 
+// staticPlan is Plan on the uncalibrated model, as the broker plans a
+// job at admission.
+func staticPlan(t *testing.T, app AppModel, nFiles int, target time.Duration,
+	catalog []cloud.InstanceType, maxInstances int) Selection {
+	t.Helper()
+	sel, ok := Calibrate(app, 1, nil, catalog).Plan(nFiles, target, catalog, maxInstances)
+	if !ok {
+		t.Fatal("no priced instance type in the catalog")
+	}
+	return sel
+}
+
 func TestPickCheapestMeetsTarget(t *testing.T) {
 	app := Cap3Model(458)
-	sel := PickCheapest(app, ClassicEC2, 128, time.Hour, cloud.EC2Catalog(), 16)
+	sel := staticPlan(t, app, 128, time.Hour, cloud.EC2Catalog(), 16)
 	if !sel.MeetsTarget {
 		t.Fatalf("no EC2 config meets 1h for 128 files (fastest %v)", sel.Outcome.Makespan)
 	}
@@ -25,7 +38,7 @@ func TestPickCheapestIsMinimal(t *testing.T) {
 	app := Cap3Model(458)
 	const nFiles, maxN = 96, 8
 	target := time.Hour
-	sel := PickCheapest(app, ClassicEC2, nFiles, target, cloud.EC2Catalog(), maxN)
+	sel := staticPlan(t, app, nFiles, target, cloud.EC2Catalog(), maxN)
 	if !sel.MeetsTarget {
 		t.Fatal("expected a qualifying selection")
 	}
@@ -42,7 +55,7 @@ func TestPickCheapestIsMinimal(t *testing.T) {
 
 func TestPickCheapestImpossibleTargetFallsBackToFastest(t *testing.T) {
 	app := Cap3Model(458)
-	sel := PickCheapest(app, ClassicEC2, 64, time.Nanosecond, cloud.EC2Catalog(), 4)
+	sel := staticPlan(t, app, 64, time.Nanosecond, cloud.EC2Catalog(), 4)
 	if sel.MeetsTarget {
 		t.Error("MeetsTarget for a nanosecond deadline")
 	}
@@ -72,7 +85,7 @@ func TestPickCheapestFallbackBreaksTiesTowardCheaper(t *testing.T) {
 	pricey.Name = "tie-pricey"
 	pricey.CostPerHour = 0.60
 	// Pricey twin first: an order-dependent fallback picks it.
-	sel := PickCheapest(app, ClassicEC2, 32, time.Nanosecond,
+	sel := staticPlan(t, app, 32, time.Nanosecond,
 		[]cloud.InstanceType{pricey, cheap}, 4)
 	if sel.MeetsTarget {
 		t.Fatal("MeetsTarget for a nanosecond deadline")
@@ -88,7 +101,7 @@ func TestPickCheapestFallbackBreaksTiesTowardCheaper(t *testing.T) {
 // fleet size ties).
 func TestPickCheapestFallbackBreaksTiesTowardSmallerFleet(t *testing.T) {
 	app := Cap3Model(458)
-	sel := PickCheapest(app, ClassicEC2, 1, time.Nanosecond, cloud.EC2Catalog(), 8)
+	sel := staticPlan(t, app, 1, time.Nanosecond, cloud.EC2Catalog(), 8)
 	if sel.MeetsTarget {
 		t.Fatal("MeetsTarget for a nanosecond deadline")
 	}
@@ -101,11 +114,116 @@ func TestPickCheapestTinyWorkloadPrefersSmallFleet(t *testing.T) {
 	// One file cannot use a second instance: the planner must not pay
 	// for one.
 	app := Cap3Model(458)
-	sel := PickCheapest(app, ClassicEC2, 1, time.Hour, cloud.EC2Catalog(), 16)
+	sel := staticPlan(t, app, 1, time.Hour, cloud.EC2Catalog(), 16)
 	if !sel.MeetsTarget {
 		t.Fatal("one file should fit in an hour")
 	}
 	if sel.Instances() != 1 {
 		t.Errorf("instances = %d for a single file, want 1", sel.Instances())
+	}
+}
+
+// TestPlanTable pins the planner's choices on the default catalog (EC2
+// Table 1 + Azure Table 2) for the three paper workloads. The rows were
+// recorded from the planner that swept EC2 and Azure separately and
+// merged the two winners; the one sweep picks the same type, fleet and
+// verdict in every case, and in every catalog order.
+func TestPlanTable(t *testing.T) {
+	models := map[string]AppModel{
+		"cap3":  Cap3Model(458),
+		"blast": BlastModel(100),
+		"gtm":   GTMModel(100000),
+	}
+	cases := []struct {
+		app    string
+		files  int
+		target time.Duration
+		cap    int
+		key    string
+		fleet  int
+		meets  bool
+	}{
+		{"cap3", 1, time.Millisecond, 4, "aws/High Memory 4XL", 1, false},
+		{"cap3", 1, time.Millisecond, 16, "aws/High Memory 4XL", 1, false},
+		{"cap3", 1, 30 * time.Minute, 4, "azure/Small", 1, true},
+		{"cap3", 1, 30 * time.Minute, 16, "azure/Small", 1, true},
+		{"cap3", 1, 2 * time.Hour, 4, "azure/Small", 1, true},
+		{"cap3", 1, 2 * time.Hour, 16, "azure/Small", 1, true},
+		{"cap3", 64, time.Millisecond, 4, "aws/High Memory 4XL", 4, false},
+		{"cap3", 64, time.Millisecond, 16, "aws/High Memory 4XL", 8, false},
+		{"cap3", 64, 30 * time.Minute, 4, "azure/Large", 1, true},
+		{"cap3", 64, 30 * time.Minute, 16, "azure/Large", 1, true},
+		{"cap3", 64, 2 * time.Hour, 4, "azure/Medium", 1, true},
+		{"cap3", 64, 2 * time.Hour, 16, "azure/Medium", 1, true},
+		{"cap3", 256, time.Millisecond, 4, "aws/High Memory 4XL", 4, false},
+		{"cap3", 256, time.Millisecond, 16, "aws/High Memory 4XL", 16, false},
+		{"cap3", 256, 30 * time.Minute, 4, "aws/High CPU Extra Large", 2, true},
+		{"cap3", 256, 30 * time.Minute, 16, "aws/High CPU Extra Large", 2, true},
+		{"cap3", 256, 2 * time.Hour, 4, "aws/High CPU Extra Large", 1, true},
+		{"cap3", 256, 2 * time.Hour, 16, "aws/High CPU Extra Large", 1, true},
+		{"blast", 1, time.Millisecond, 4, "aws/High Memory 4XL", 1, false},
+		{"blast", 1, time.Millisecond, 16, "aws/High Memory 4XL", 1, false},
+		{"blast", 1, 30 * time.Minute, 4, "azure/Small", 1, true},
+		{"blast", 1, 30 * time.Minute, 16, "azure/Small", 1, true},
+		{"blast", 1, 2 * time.Hour, 4, "azure/Small", 1, true},
+		{"blast", 1, 2 * time.Hour, 16, "azure/Small", 1, true},
+		{"blast", 64, time.Millisecond, 4, "aws/High Memory 4XL", 4, false},
+		{"blast", 64, time.Millisecond, 16, "aws/High Memory 4XL", 8, false},
+		{"blast", 64, 30 * time.Minute, 4, "aws/High CPU Extra Large", 1, true},
+		{"blast", 64, 30 * time.Minute, 16, "aws/High CPU Extra Large", 1, true},
+		{"blast", 64, 2 * time.Hour, 4, "aws/High CPU Extra Large", 1, true},
+		{"blast", 64, 2 * time.Hour, 16, "aws/High CPU Extra Large", 1, true},
+		{"blast", 256, time.Millisecond, 4, "aws/High Memory 4XL", 4, false},
+		{"blast", 256, time.Millisecond, 16, "aws/High Memory 4XL", 16, false},
+		{"blast", 256, 30 * time.Minute, 4, "aws/High CPU Extra Large", 4, true},
+		{"blast", 256, 30 * time.Minute, 16, "aws/High CPU Extra Large", 4, true},
+		{"blast", 256, 2 * time.Hour, 4, "aws/High CPU Extra Large", 1, true},
+		{"blast", 256, 2 * time.Hour, 16, "aws/High CPU Extra Large", 1, true},
+		{"gtm", 1, time.Millisecond, 4, "aws/Large", 1, false},
+		{"gtm", 1, time.Millisecond, 16, "aws/Large", 1, false},
+		{"gtm", 1, 30 * time.Minute, 4, "azure/Small", 1, true},
+		{"gtm", 1, 30 * time.Minute, 16, "azure/Small", 1, true},
+		{"gtm", 1, 2 * time.Hour, 4, "azure/Small", 1, true},
+		{"gtm", 1, 2 * time.Hour, 16, "azure/Small", 1, true},
+		{"gtm", 64, time.Millisecond, 4, "aws/High Memory 4XL", 4, false},
+		{"gtm", 64, time.Millisecond, 16, "aws/Extra Large", 16, false},
+		{"gtm", 64, 30 * time.Minute, 4, "azure/Small", 1, true},
+		{"gtm", 64, 30 * time.Minute, 16, "azure/Small", 1, true},
+		{"gtm", 64, 2 * time.Hour, 4, "azure/Small", 1, true},
+		{"gtm", 64, 2 * time.Hour, 16, "azure/Small", 1, true},
+		{"gtm", 256, time.Millisecond, 4, "aws/High Memory 4XL", 4, false},
+		{"gtm", 256, time.Millisecond, 16, "aws/High Memory 4XL", 16, false},
+		{"gtm", 256, 30 * time.Minute, 4, "azure/Large", 1, true},
+		{"gtm", 256, 30 * time.Minute, 16, "azure/Large", 1, true},
+		{"gtm", 256, 2 * time.Hour, 4, "azure/Medium", 1, true},
+		{"gtm", 256, 2 * time.Hour, 16, "azure/Medium", 1, true},
+	}
+	ec2, azure := cloud.EC2Catalog(), cloud.AzureCatalog()
+	defaultOrder := append(append([]cloud.InstanceType{}, ec2...), azure...)
+	reversed := slices.Clone(defaultOrder)
+	slices.Reverse(reversed)
+	var interleaved []cloud.InstanceType
+	for i := range ec2 {
+		interleaved = append(interleaved, ec2[i], azure[i])
+	}
+	for _, order := range []struct {
+		name    string
+		catalog []cloud.InstanceType
+	}{
+		{"default", defaultOrder},
+		{"reversed", reversed},
+		{"interleaved", interleaved},
+	} {
+		t.Run(order.name, func(t *testing.T) {
+			t.Parallel()
+			for _, c := range cases {
+				sel, ok := Calibrate(models[c.app], 2, nil, order.catalog).Plan(c.files, c.target, order.catalog, c.cap)
+				if !ok || sel.InstanceType().Key() != c.key || sel.Instances() != c.fleet || sel.MeetsTarget != c.meets {
+					t.Errorf("%s %d files, %v, cap %d: planned %s x%d meets=%v (ok=%v), want %s x%d meets=%v",
+						c.app, c.files, c.target, c.cap, sel.InstanceType().Key(), sel.Instances(), sel.MeetsTarget, ok,
+						c.key, c.fleet, c.meets)
+				}
+			}
+		})
 	}
 }

@@ -74,7 +74,7 @@ func replanTarget(t *testing.T) time.Duration {
 		t.Fatalf("geometry broken: fast calibrated best %v !< slow %v", fastBest, slowBest)
 	}
 	target := (slowBest + fastBest) / 2
-	sel, ok := broker.PlanFleet(replanModel, replanNFiles, target, replanCatalog, replanMaxFleet)
+	sel, ok := perfmodel.Calibrate(replanModel, 1, nil, replanCatalog).Plan(replanNFiles, target, replanCatalog, replanMaxFleet)
 	if !ok || !sel.MeetsTarget || sel.InstanceType().Name != replanSlowCheap.Name {
 		t.Fatalf("geometry broken: static plan = %s meets=%v", sel.InstanceType().Name, sel.MeetsTarget)
 	}
