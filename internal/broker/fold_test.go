@@ -447,6 +447,69 @@ func TestLiveJobEqualsJournalFold(t *testing.T) {
 	})
 }
 
+// TestReplanPlansTheWholeJobAtItsTarget pins what a re-plan plans: every
+// task of the job against the target it was submitted with, not the
+// tasks still open against the time still left. Half the job has
+// settled when the tick runs, and the two readings pick different
+// fleets here; the journaled EvReplanned carries the whole-job plan.
+func TestReplanPlansTheWholeJobAtItsTarget(t *testing.T) {
+	slow := cloud.InstanceType{Name: "slow-cheap", Provider: cloud.AWS, MemoryGB: 4, Cores: 1,
+		CostPerHour: 0.10, SixtyFourBit: true, ClockGHz: 1.0, MemBandwidthGBs: 10}
+	fast := cloud.InstanceType{Name: "fast-pricey", Provider: cloud.AWS, MemoryGB: 4, Cores: 1,
+		CostPerHour: 0.50, SixtyFourBit: true, ClockGHz: 4.0, MemBandwidthGBs: 10}
+	types := []cloud.InstanceType{slow, fast}
+	model := perfmodel.AppModel{Name: "inert", WorkGHzSec: 1}
+	const target, planCap = 10 * time.Second, 4
+	env := testEnv()
+	cal, err := catalog.Open(catalog.Config{Store: env.Blob})
+	if err != nil {
+		t.Fatal(err)
+	}
+	s := newFoldScript(t, Config{
+		Env:                env,
+		Catalog:            types,
+		DefaultInstance:    slow,
+		WorkersPerInstance: 1,
+		PlanningModels:     map[string]perfmodel.AppModel{"inert": model},
+		Autoscale:          AutoscalePolicy{MinInstances: 1, MaxInstances: planCap},
+		Calibration:        cal,
+		Replan:             ReplanPolicy{Enabled: true, MinSamples: 2, Cooldown: time.Nanosecond},
+	})
+	s.natural = true // the journal keeps every event, EvReplanned among them
+	s.submit(JobRequest{TargetMakespan: target})
+	observed := func(id string) classiccloud.MonitorReport {
+		rep := done(id)
+		rep.ServiceTime, rep.InstanceType = 5*time.Second, slow.Key()
+		return rep
+	}
+	s.report("half the job settles", observed("a"), observed("b"), observed("c"))
+	s.j.replanTick()
+	s.check("replan")
+
+	overlay := perfmodel.Calibrate(model, 1, cal.ObservedMeans("inert", 2), types)
+	whole, _ := overlay.Plan(6, target, types, planCap)
+	if open, _ := overlay.Plan(3, target, types, planCap); open.Instances() == whole.Instances() {
+		t.Fatalf("both readings plan %s x%d: the script cannot tell them apart", whole.InstanceType().Key(), whole.Instances())
+	}
+	events, err := s.j.Journal()
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, ev := range events {
+		if ev.Type != EvReplanned {
+			continue
+		}
+		if ev.Instance != whole.InstanceType().Name || ev.PlannedInstances != whole.Instances() ||
+			ev.PlanMeetsTarget != whole.MeetsTarget {
+			t.Fatalf("re-planned %s x%d (meets %v), want the whole job's plan %s x%d (meets %v)",
+				ev.Instance, ev.PlannedInstances, ev.PlanMeetsTarget,
+				whole.InstanceType().Name, whole.Instances(), whole.MeetsTarget)
+		}
+		return
+	}
+	t.Fatal("no EvReplanned journaled")
+}
+
 // The JSON of every journal event and of the jobRecord snapshot is a
 // stored format. testdata/journal_golden.json holds, recorded at the
 // commit before the record began embedding classiccloud.Settlement: a

@@ -1,6 +1,7 @@
 package broker
 
 import (
+	"net/http"
 	"net/http/httptest"
 	"strings"
 	"testing"
@@ -168,5 +169,30 @@ func TestHTTPEventsAndCostEndpoints(t *testing.T) {
 	}
 	if cost.HourUnits < 1 || cost.InstanceType == "" {
 		t.Errorf("degenerate cost report: %+v", cost)
+	}
+}
+
+// TestHTTPSubmitPlansPastAHugeFleetCap: admission plans inside POST /jobs,
+// before the 201, over every fleet up to the client's autoscale cap. A
+// cap of 2^30 on a one-file job must plan what a small cap does, well
+// inside a short client timeout.
+func TestHTTPSubmitPlansPastAHugeFleetCap(t *testing.T) {
+	client, _ := testServer(t)
+	client.Client = &http.Client{Timeout: 5 * time.Second}
+	submit := func(maxInstances int) Status {
+		t.Helper()
+		st, err := client.Submit(JobRequest{App: "cap3", Files: cap3Files(t, 1), TargetMakespan: time.Hour,
+			Autoscale: &AutoscalePolicy{MinInstances: 1, MaxInstances: maxInstances}})
+		if err != nil {
+			t.Fatalf("cap %d: %v", maxInstances, err)
+		}
+		return st
+	}
+	small, huge := submit(4), submit(1<<30)
+	if small.PlannedInstances == 0 || huge.InstanceType != small.InstanceType ||
+		huge.PlannedInstances != small.PlannedInstances || huge.PlanMeetsTarget != small.PlanMeetsTarget {
+		t.Fatalf("cap 2^30 planned %s x%d (meets %v), cap 4 %s x%d (meets %v)",
+			huge.InstanceType, huge.PlannedInstances, huge.PlanMeetsTarget,
+			small.InstanceType, small.PlannedInstances, small.PlanMeetsTarget)
 	}
 }

@@ -50,9 +50,12 @@ func (p ReplanPolicy) withDefaults() ReplanPolicy {
 // replanTick runs one re-plan evaluation: cheap guard checks under the
 // job lock, catalog reads and the calibrated selection sweep outside
 // it, then — only when a different type wins at observed speeds — the
-// journaled switch. Called from the job's control loop each tick; on a
-// job that has ended meanwhile the EvReplanned is refused and nothing
-// switches.
+// journaled switch. The sweep plans the whole job, every task it was
+// submitted with, against its original target — not the tasks still
+// open against the time still left — so a re-plan is the admission plan
+// run again at observed speeds. Called from the job's control loop each
+// tick; on a job that has ended meanwhile the EvReplanned is refused and
+// nothing switches.
 func (j *Job) replanTick() {
 	b := j.broker
 	cal := b.cfg.Calibration

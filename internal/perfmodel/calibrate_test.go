@@ -50,7 +50,7 @@ func TestCalibrateEmptyIsIdentity(t *testing.T) {
 // A type observed 3× slower than modeled must lose a calibrated sweep it
 // wins under the static model, when a rival's observations confirm the
 // static curve.
-func TestCalibratedPickCheapestSwitchesTypes(t *testing.T) {
+func TestPlanCalibratedSwitchesTypes(t *testing.T) {
 	app := Cap3Model(458)
 	const workers, nFiles, maxN = 2, 64, 8
 	catalog := []cloud.InstanceType{cloud.EC2HCXL, cloud.EC2Large}

@@ -8,7 +8,6 @@ import (
 	"time"
 
 	"repro/internal/cloud"
-	"repro/internal/des"
 )
 
 // Framework identifies an execution style in the simulator.
@@ -131,7 +130,11 @@ type Outcome struct {
 	TransferredGB float64
 }
 
-// Simulate runs the spec through the discrete-event simulator.
+// Simulate runs the spec through a list scheduler: each task, in input
+// order, goes to the worker that frees first. Under a dynamic queue
+// every worker of the fleet pulls from one list; under static
+// partitioning (DryadLINQ) each instance runs only its own contiguous
+// block of the list.
 func Simulate(spec RunSpec) Outcome {
 	if spec.Instances <= 0 {
 		spec.Instances = 1
@@ -140,18 +143,20 @@ func Simulate(spec RunSpec) Outcome {
 		spec.NFiles = 1
 	}
 	ov := overheadsFor(spec.Framework)
-	rng := rand.New(rand.NewSource(spec.Seed))
 	workersPerInstance := spec.workers()
 	windows := spec.Framework.Windows()
 
 	// Per-task content multipliers (file-content-dependent runtimes).
 	mult := make([]float64, spec.NFiles)
-	for i := range mult {
-		m := 1.0
-		if spec.Heterogeneity > 0 {
-			m = math.Max(0.1, 1+rng.NormFloat64()*spec.Heterogeneity)
+	if spec.Heterogeneity > 0 {
+		rng := rand.New(rand.NewSource(spec.Seed))
+		for i := range mult {
+			mult[i] = math.Max(0.1, 1+rng.NormFloat64()*spec.Heterogeneity)
 		}
-		mult[i] = m
+	} else {
+		for i := range mult {
+			mult[i] = 1
+		}
 	}
 	if spec.SortedSkew {
 		sort.Float64s(mult)
@@ -171,43 +176,6 @@ func Simulate(spec RunSpec) Outcome {
 		upload = outMB / ov.localDiskMBps
 	}
 
-	sim := des.New()
-	totalWorkers := spec.Instances * workersPerInstance
-
-	var makespan float64
-	if ov.static {
-		// DryadLINQ: the partitioning tool slices the input list into
-		// contiguous per-node blocks ahead of time; each instance
-		// processes only its own partition, however expensive it is.
-		perInstance := make([][]int, spec.Instances)
-		block := (spec.NFiles + spec.Instances - 1) / spec.Instances
-		for i := 0; i < spec.NFiles; i++ {
-			perInstance[i/block] = append(perInstance[i/block], i)
-		}
-		for inst := 0; inst < spec.Instances; inst++ {
-			res := des.NewResource(sim, workersPerInstance)
-			for _, fileIdx := range perInstance[inst] {
-				idx := fileIdx
-				res.Acquire(func(release func()) {
-					d := ov.taskDispatch + fetch + baseTask*mult[idx] + upload
-					sim.Schedule(d, release)
-				})
-			}
-		}
-		makespan = sim.Run() + ov.jobStartup
-	} else {
-		// Dynamic global queue: every worker pulls the next task.
-		res := des.NewResource(sim, totalWorkers)
-		for i := 0; i < spec.NFiles; i++ {
-			idx := i
-			res.Acquire(func(release func()) {
-				d := ov.taskDispatch + ov.queueOps + fetch + baseTask*mult[idx] + upload
-				sim.Schedule(d, release)
-			})
-		}
-		makespan = sim.Run() + ov.jobStartup
-	}
-
 	// Sequential baseline: every file on one idle core of the same
 	// platform, local input (no transfers, no queue) — the paper's T1.
 	seqTask := spec.App.SequentialTaskTime(spec.Instance, windows)
@@ -215,6 +183,32 @@ func Simulate(spec RunSpec) Outcome {
 	for _, m := range mult {
 		seq += seqTask * m
 	}
+
+	// Each task's time on its worker: dispatch, queue operations
+	// (classic only), fetch, compute and upload. It overwrites the
+	// task's multiplier, which the baseline above read last.
+	tasks := mult
+	for i, m := range mult {
+		tasks[i] = ov.taskDispatch + ov.queueOps + fetch + baseTask*m + upload
+	}
+
+	var makespan float64
+	if ov.static {
+		// DryadLINQ: the partitioning tool slices the input list into
+		// contiguous per-node blocks ahead of time; each instance
+		// processes only its own partition, however expensive it is.
+		block := (spec.NFiles + spec.Instances - 1) / spec.Instances
+		free := make([]float64, min(workersPerInstance, block))
+		for lo := 0; lo < spec.NFiles; lo += block {
+			makespan = max(makespan, listSchedule(free, tasks[lo:min(lo+block, spec.NFiles)]))
+		}
+	} else {
+		// Dynamic global queue: every worker pulls the next task. A
+		// worker past the task count would never get one.
+		free := make([]float64, min(spec.Instances*workersPerInstance, spec.NFiles))
+		makespan = listSchedule(free, tasks)
+	}
+	makespan += ov.jobStartup
 
 	out := Outcome{
 		Spec:       spec,
@@ -233,6 +227,36 @@ func Simulate(spec RunSpec) Outcome {
 		out.TransferredGB = float64(spec.NFiles) * (inMB + outMB) / 1024
 	}
 	return out
+}
+
+// listSchedule hands each task in turn to the worker that frees first
+// and returns when the last one finishes. free holds each worker's free
+// time as a min-heap, all reset to 0 here: its root is the worker that
+// frees first, which takes the task and sinks to its new place.
+func listSchedule(free, tasks []float64) float64 {
+	clear(free)
+	for _, d := range tasks {
+		free[0] += d
+		for i := 0; ; {
+			c := 2*i + 1
+			if c >= len(free) {
+				break
+			}
+			if c+1 < len(free) && free[c+1] < free[c] {
+				c++
+			}
+			if free[i] <= free[c] {
+				break
+			}
+			free[i], free[c] = free[c], free[i]
+			i = c
+		}
+	}
+	end := 0.0
+	for _, t := range free {
+		end = max(end, t)
+	}
+	return end
 }
 
 func secs(s float64) time.Duration {

@@ -1,6 +1,7 @@
 // Package perfmodel reproduces the paper's performance and cost figures
-// at full scale using the discrete-event simulator. It combines three
-// calibrated ingredients:
+// at full scale with a list scheduler: each task, in input order, goes
+// to the worker that frees first. It combines three calibrated
+// ingredients:
 //
 //  1. Application models — per-task compute demand (GHz·seconds), memory
 //     traffic, shared-data residency, and transfer sizes for Cap3, BLAST

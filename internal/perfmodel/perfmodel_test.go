@@ -2,6 +2,8 @@ package perfmodel
 
 import (
 	"math"
+	"math/rand"
+	"sort"
 	"testing"
 	"time"
 
@@ -103,6 +105,105 @@ func TestSimulateDeterministic(t *testing.T) {
 	b := Simulate(spec)
 	if a.Makespan != b.Makespan || a.Efficiency != b.Efficiency {
 		t.Error("simulation not deterministic for equal seeds")
+	}
+}
+
+// naiveMakespan is the oracle for Simulate's scheduler: the same task
+// times, each task in input order on the first of the workers that
+// frees first, found by scanning every worker of its instance (all of
+// the fleet under a dynamic queue, its own contiguous block under
+// DryadLINQ's static partitions).
+func naiveMakespan(spec RunSpec) time.Duration {
+	ov := overheadsFor(spec.Framework)
+	w := spec.workers()
+	rng := rand.New(rand.NewSource(spec.Seed))
+	mult := make([]float64, spec.NFiles)
+	for i := range mult {
+		mult[i] = 1
+		if spec.Heterogeneity > 0 {
+			mult[i] = math.Max(0.1, 1+rng.NormFloat64()*spec.Heterogeneity)
+		}
+	}
+	if spec.SortedSkew {
+		sort.Float64s(mult)
+	}
+	base := spec.App.TaskTime(spec.Instance, w, spec.ThreadsPerWorker, spec.Framework.Windows())
+	fetch, upload := 0.0, 0.0
+	if ov.storageMBps > 0 {
+		fetch = ov.storageLatency + spec.App.InputMB/ov.storageMBps
+		upload = ov.storageLatency + spec.App.OutputMB/ov.storageMBps
+	} else if ov.localDiskMBps > 0 {
+		fetch = spec.App.InputMB / ov.localDiskMBps
+		upload = spec.App.OutputMB / ov.localDiskMBps
+	}
+	pools, block := 1, spec.NFiles
+	if ov.static {
+		pools, block = spec.Instances, (spec.NFiles+spec.Instances-1)/spec.Instances
+	} else {
+		w *= spec.Instances
+	}
+	free := make([][]float64, pools)
+	for p := range free {
+		free[p] = make([]float64, w)
+	}
+	end := 0.0
+	for i, m := range mult {
+		pool := free[i/block]
+		first := 0
+		for k := range pool {
+			if pool[k] < pool[first] {
+				first = k
+			}
+		}
+		pool[first] += ov.taskDispatch + ov.queueOps + fetch + base*m + upload
+		end = max(end, pool[first])
+	}
+	return secs(end + ov.jobStartup)
+}
+
+// TestSimulateMatchesNaiveScheduler holds Simulate's heap of free times
+// to the oracle over every app, catalog type (and the bare-metal
+// cluster node), framework, file count, fleet, heterogeneity and skew:
+// the makespans agree to the nanosecond.
+func TestSimulateMatchesNaiveScheduler(t *testing.T) {
+	types := append(append(cloud.EC2Catalog(), cloud.AzureCatalog()...), cloud.ClusterNode32x8)
+	n := 0
+	for _, app := range []AppModel{Cap3Model(458), BlastModel(100), GTMModel(100000)} {
+		for _, it := range types {
+			for _, f := range []Framework{ClassicEC2, ClassicAzure, HadoopBareMetal, DryadLINQ} {
+				for _, files := range []int{1, 7, 64, 255, 1024} {
+					for _, fleet := range []int{1, 2, 3, 5, 8, 16, 33} {
+						for _, het := range []float64{0, 0.3, 0.6} {
+							for _, skew := range []bool{false, true} {
+								spec := RunSpec{App: app, Framework: f, Instance: it, Instances: fleet,
+									NFiles: files, Heterogeneity: het, SortedSkew: skew, Seed: int64(files + fleet)}
+								if got, want := Simulate(spec).Makespan, naiveMakespan(spec); got != want {
+									t.Fatalf("%s on %s %s x%d, %d files, heterogeneity %.1f, skew %v: makespan %v, oracle %v",
+										app.Name, f, it.Key(), fleet, files, het, skew, got, want)
+								}
+								n++
+							}
+						}
+					}
+				}
+			}
+		}
+	}
+	if n != 22680 {
+		t.Fatalf("%d specs, want the 22 680 of the grid", n)
+	}
+}
+
+// TestSimulateAllocationsDoNotGrowWithTasks: a run allocates its task
+// list and its workers' free times, not a record per task.
+func TestSimulateAllocationsDoNotGrowWithTasks(t *testing.T) {
+	allocs := func(files int) float64 {
+		spec := RunSpec{App: Cap3Model(458), Framework: ClassicEC2, Instance: cloud.EC2HCXL,
+			Instances: 16, NFiles: files}
+		return testing.AllocsPerRun(20, func() { Simulate(spec) })
+	}
+	if small, large := allocs(64), allocs(4096); small != large {
+		t.Fatalf("Simulate allocates %.0f times for 64 homogeneous files and %.0f for 4096", small, large)
 	}
 }
 

@@ -29,10 +29,11 @@ func (s Selection) Instances() int { return s.Spec.Instances }
 // InstanceType returns the selected instance type.
 func (s Selection) InstanceType() cloud.InstanceType { return s.Spec.Instance }
 
-// Plan sweeps catalog × fleet size (1..maxInstances) once, each priced
-// type under its calibrated curve and its provider's Classic Cloud
-// framework (Azure's for Azure, EC2's otherwise), for the lowest
-// hour-unit cost whose makespan is at most target; cheaper breaks ties.
+// Plan sweeps catalog × fleet size (1..maxInstances, and no further
+// than one worker per task) once, each priced type under its calibrated
+// curve and its provider's Classic Cloud framework (Azure's for Azure,
+// EC2's otherwise), for the lowest hour-unit cost whose makespan is at
+// most target; cheaper breaks ties.
 // When nothing qualifies it returns the fastest configuration with
 // MeetsTarget=false, makespan ties going to the cheaper, so the result
 // never depends on catalog order. ok is false only when no entry has a
@@ -51,7 +52,10 @@ func (c CalibratedModel) Plan(nFiles int, target time.Duration,
 			f = ClassicAzure
 		}
 		spec := RunSpec{App: c.AppFor(it), Framework: f, Instance: it, NFiles: nFiles}
-		for spec.Instances = 1; spec.Instances <= maxInstances; spec.Instances++ {
+		// From one worker per task on, every task starts at once: the
+		// makespan holds while the bill grows, so no larger fleet wins.
+		top := min(maxInstances, max(1, (nFiles+spec.workers()-1)/spec.workers()))
+		for spec.Instances = 1; spec.Instances <= top; spec.Instances++ {
 			out := Simulate(spec)
 			cand := Selection{Spec: spec, Outcome: out, MeetsTarget: out.Makespan <= target}
 			// Larger fleets are scanned past the first that qualifies:

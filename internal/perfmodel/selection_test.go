@@ -20,7 +20,7 @@ func staticPlan(t *testing.T, app AppModel, nFiles int, target time.Duration,
 	return sel
 }
 
-func TestPickCheapestMeetsTarget(t *testing.T) {
+func TestPlanMeetsTarget(t *testing.T) {
 	app := Cap3Model(458)
 	sel := staticPlan(t, app, 128, time.Hour, cloud.EC2Catalog(), 16)
 	if !sel.MeetsTarget {
@@ -34,7 +34,7 @@ func TestPickCheapestMeetsTarget(t *testing.T) {
 	}
 }
 
-func TestPickCheapestIsMinimal(t *testing.T) {
+func TestPlanIsMinimal(t *testing.T) {
 	app := Cap3Model(458)
 	const nFiles, maxN = 96, 8
 	target := time.Hour
@@ -53,7 +53,7 @@ func TestPickCheapestIsMinimal(t *testing.T) {
 	}
 }
 
-func TestPickCheapestImpossibleTargetFallsBackToFastest(t *testing.T) {
+func TestPlanImpossibleTargetFallsBackToFastest(t *testing.T) {
 	app := Cap3Model(458)
 	sel := staticPlan(t, app, 64, time.Nanosecond, cloud.EC2Catalog(), 4)
 	if sel.MeetsTarget {
@@ -75,7 +75,7 @@ func TestPickCheapestImpossibleTargetFallsBackToFastest(t *testing.T) {
 // strict "<", so among makespan-tied configurations whichever the
 // catalog listed first won — including an identically-specced instance
 // type at twice the hourly price. Fails against the unfixed sweep.
-func TestPickCheapestFallbackBreaksTiesTowardCheaper(t *testing.T) {
+func TestPlanFallbackBreaksTiesTowardCheaper(t *testing.T) {
 	app := Cap3Model(458)
 	cheap := cloud.InstanceType{
 		Name: "tie-cheap", Provider: cloud.AWS, MemoryGB: 7.5, Cores: 2,
@@ -99,7 +99,7 @@ func TestPickCheapestFallbackBreaksTiesTowardCheaper(t *testing.T) {
 // The second tie-break: among equally cheap, makespan-tied fallbacks the
 // smaller fleet wins (one file cannot use a second instance, so every
 // fleet size ties).
-func TestPickCheapestFallbackBreaksTiesTowardSmallerFleet(t *testing.T) {
+func TestPlanFallbackBreaksTiesTowardSmallerFleet(t *testing.T) {
 	app := Cap3Model(458)
 	sel := staticPlan(t, app, 1, time.Nanosecond, cloud.EC2Catalog(), 8)
 	if sel.MeetsTarget {
@@ -110,7 +110,7 @@ func TestPickCheapestFallbackBreaksTiesTowardSmallerFleet(t *testing.T) {
 	}
 }
 
-func TestPickCheapestTinyWorkloadPrefersSmallFleet(t *testing.T) {
+func TestPlanTinyWorkloadPrefersSmallFleet(t *testing.T) {
 	// One file cannot use a second instance: the planner must not pay
 	// for one.
 	app := Cap3Model(458)
@@ -225,5 +225,39 @@ func TestPlanTable(t *testing.T) {
 				}
 			}
 		})
+	}
+}
+
+// TestPlanSweepsNoFleetPastOneWorkerPerTask: a client's cap of 2^30
+// plans what cap 64 does, and returns at once. Past ⌈files / workers⌉
+// a fleet only bills more, so the sweep stops there; TestPlanTable's
+// rows, recorded before it did, hold the choices it makes.
+func TestPlanSweepsNoFleetPastOneWorkerPerTask(t *testing.T) {
+	catalog := append(cloud.EC2Catalog(), cloud.AzureCatalog()...)
+	for _, app := range []AppModel{Cap3Model(458), BlastModel(100), GTMModel(100000)} {
+		for _, files := range []int{1, 7, 64} {
+			for _, target := range []time.Duration{time.Millisecond, 30 * time.Minute} {
+				want := staticPlan(t, app, files, target, catalog, 64)
+				if got := staticPlan(t, app, files, target, catalog, 1<<30); got != want {
+					t.Errorf("%s, %d files, %v: cap 2^30 planned %s x%d (%v), cap 64 %s x%d (%v)",
+						app.Name, files, target, got.InstanceType().Key(), got.Instances(), got.Outcome.Makespan,
+						want.InstanceType().Key(), want.Instances(), want.Outcome.Makespan)
+				}
+			}
+		}
+	}
+}
+
+// BenchmarkPlan is the sweep admission runs before a job's 201: 4 096
+// CAP3 files against a 30-minute target, fleets up to 64 of each of
+// the 8 priced types of the default catalog (512 simulated fleets).
+func BenchmarkPlan(b *testing.B) {
+	catalog := append(cloud.EC2Catalog(), cloud.AzureCatalog()...)
+	cal := Calibrate(Cap3Model(458), 1, nil, catalog)
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, ok := cal.Plan(4096, 30*time.Minute, catalog, 64); !ok {
+			b.Fatal("no plan")
+		}
 	}
 }
