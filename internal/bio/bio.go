@@ -7,6 +7,8 @@ package bio
 import (
 	"bytes"
 	"fmt"
+	"slices"
+	"unicode/utf8"
 )
 
 // DNAAlphabet is the canonical nucleotide alphabet.
@@ -34,12 +36,37 @@ func init() {
 
 // ReverseComplement returns the reverse complement of a DNA sequence as a
 // new slice. Unknown characters map to 'N'.
-func ReverseComplement(seq []byte) []byte {
-	out := make([]byte, len(seq))
+func ReverseComplement(seq []byte) []byte { return AppendReverseComplement(nil, seq) }
+
+// AppendReverseComplement appends the reverse complement of seq to dst
+// and returns the extended slice. Unknown characters map to 'N'.
+func AppendReverseComplement(dst, seq []byte) []byte {
+	n := len(dst)
+	dst = slices.Grow(dst, len(seq))[:n+len(seq)]
+	out := dst[n:]
 	for i, c := range seq {
 		out[len(seq)-1-i] = complement[c]
 	}
-	return out
+	return dst
+}
+
+// AppendUpper appends seq upper-cased to dst, as bytes.ToUpper returns it,
+// and returns the extended slice. ASCII input is upper-cased straight into
+// dst's room; anything else goes through bytes.ToUpper, which maps
+// non-ASCII text rune by rune and may return more bytes than it was given.
+func AppendUpper(dst, seq []byte) []byte {
+	n := len(dst)
+	dst = slices.Grow(dst, len(seq))[:n+len(seq)]
+	for i, c := range seq {
+		if c >= utf8.RuneSelf {
+			return append(dst[:n], bytes.ToUpper(seq)...)
+		}
+		if 'a' <= c && c <= 'z' {
+			c -= 'a' - 'A'
+		}
+		dst[n+i] = c
+	}
+	return dst
 }
 
 // baseCode maps A,C,G,T to 0..3; every other byte maps to 0xFF.
@@ -172,9 +199,4 @@ func Score62(a, b byte) int {
 		return -1
 	}
 	return int(Blosum62[ia][ib])
-}
-
-// Upper returns an upper-cased copy of seq.
-func Upper(seq []byte) []byte {
-	return bytes.ToUpper(seq)
 }

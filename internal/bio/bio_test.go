@@ -206,18 +206,68 @@ func TestAAIndex(t *testing.T) {
 }
 
 func TestUpper(t *testing.T) {
-	if got := Upper([]byte("acgT")); string(got) != "ACGT" {
-		t.Errorf("Upper = %q", got)
+	if got := AppendUpper(nil, []byte("acgT")); string(got) != "ACGT" {
+		t.Errorf("AppendUpper = %q", got)
 	}
-	// Upper went through strings.ToUpper until PR 20; kernels' outputs are
-	// pinned byte for byte, so the two must agree off the ASCII path too.
+	// Upper-casing went through strings.ToUpper until PR 20; kernels'
+	// outputs are pinned byte for byte, so the two must agree off the
+	// ASCII path too.
 	for _, in := range []string{"", "acgtn-*", "ac\xffgt", "stra\u00dfe \u00e9\u01c6", "\xe2\x82"} {
 		src := []byte(in)
-		if got := Upper(src); string(got) != strings.ToUpper(in) {
-			t.Errorf("Upper(%q) = %q, strings.ToUpper gives %q", in, got, strings.ToUpper(in))
+		if got := AppendUpper(nil, src); string(got) != strings.ToUpper(in) {
+			t.Errorf("AppendUpper(nil, %q) = %q, strings.ToUpper gives %q", in, got, strings.ToUpper(in))
 		}
 		if string(src) != in {
-			t.Errorf("Upper(%q) changed its argument to %q", in, src)
+			t.Errorf("AppendUpper(nil, %q) changed its argument to %q", in, src)
+		}
+	}
+}
+
+// TestAppendFormsMatchReferences: AppendUpper and AppendReverseComplement
+// append exactly bytes.ToUpper(seq) and seq's byte-wise complement,
+// reversed, after a non-empty dst whose bytes they leave as they were, on
+// mixed case, N, IUPAC codes, non-ASCII text and invalid UTF-8 (which
+// upper-cases longer than it was, so the output outgrows the room made
+// for it), and on nil input.
+func TestAppendFormsMatchReferences(t *testing.T) {
+	symbols := []string{"A", "C", "G", "T", "a", "c", "g", "t", "N", "n",
+		"R", "y", "K", "m", "S", "w", "B", "d", "H", "v", "-", "*",
+		"\u00e9", "\u00df", "\u0131", "\u01c6", "\xff", "\xe2\x82"}
+	// Every byte not listed here complements to 'N'.
+	complementOf := map[byte]byte{'A': 'T', 'C': 'G', 'G': 'C', 'T': 'A', 'a': 't', 'c': 'g', 'g': 'c', 't': 'a', 'n': 'n'}
+	rng := rand.New(rand.NewSource(1))
+	for round := range 500 {
+		var seq []byte // nil in the first round
+		for n := rng.Intn(40); round > 0 && len(seq) < n; {
+			seq = append(seq, symbols[rng.Intn(len(symbols))]...)
+		}
+		prefix := []byte("prefix:")[:1+rng.Intn(7)]
+		wantRC := make([]byte, len(seq))
+		for i, c := range seq {
+			wantRC[len(seq)-1-i] = 'N'
+			if comp, ok := complementOf[c]; ok {
+				wantRC[len(seq)-1-i] = comp
+			}
+		}
+		for _, f := range []struct {
+			name   string
+			append func(dst, seq []byte) []byte
+			want   []byte
+		}{
+			{"AppendUpper", AppendUpper, bytes.ToUpper(seq)},
+			{"AppendReverseComplement", AppendReverseComplement, wantRC},
+		} {
+			// Room to spare, as in a reused arena, and none at all.
+			for _, dst := range [][]byte{slices.Grow(slices.Clone(prefix), 2*len(seq)), slices.Clip(slices.Clone(prefix))} {
+				in := slices.Clone(seq)
+				got := f.append(dst, in)
+				if !bytes.Equal(got[:len(prefix)], prefix) || !bytes.Equal(got[len(prefix):], f.want) {
+					t.Fatalf("%s(%q, %q) = %q, want %q%q", f.name, prefix, seq, got, prefix, f.want)
+				}
+				if !bytes.Equal(in, seq) {
+					t.Fatalf("%s changed its argument %q to %q", f.name, seq, in)
+				}
+			}
 		}
 	}
 }

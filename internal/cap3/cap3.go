@@ -43,10 +43,10 @@
 // sees the same sequence. A file's working memory — the index, the vote
 // cells, the overlaps and their ranking, read views over one arena of
 // upper-cased bases and their reverse complements, and the consensus
-// counts — is a scratch taken from a free list and given back, so a
+// counts — is a scratch taken from a sync.Pool and given back, so a
 // worker running file after file allocates little beyond parsing its
-// input and writing its output. A GC that finds no scratch taken since
-// the GC before empties the free list, so a worker that has stopped
+// input and writing its output. The pool lets the GC reclaim a scratch
+// no file has taken for two cycles, so a worker that has stopped
 // assembling keeps none of it.
 package cap3
 
@@ -55,10 +55,8 @@ import (
 	"fmt"
 	"math"
 	"math/bits"
-	"runtime"
 	"slices"
-	"sync/atomic"
-	"unicode/utf8"
+	"sync"
 
 	"repro/internal/bio"
 	"repro/internal/fasta"
@@ -176,10 +174,10 @@ type read struct {
 }
 
 // scratch is the working memory of one file: everything Assemble builds
-// and does not return. A file takes one from scratches and gives it
-// back, so a worker running file after file reuses the same k-mer index,
-// vote cells, overlaps and their ranking, read views over one arena of
-// bases, and consensus counts.
+// and does not return. A file takes one from scratches and puts it back,
+// so a worker running file after file reuses the same k-mer index, vote
+// cells, overlaps and their ranking, read views over one arena of bases,
+// and consensus counts.
 type scratch struct {
 	idx      kmerIndex
 	views    []read
@@ -196,60 +194,10 @@ type scratch struct {
 	counts   [][4]int32 // all zero between contigs: buildConsensus clears what it reads
 }
 
-// scratches holds the scratch of files not running now, oldest first, so
-// each one held is reused in turn. One slot per P, since more files than
-// Ps run at once only while the scheduler has preempted one; a scratch
-// given back to a full channel is dropped. It is not a sync.Pool: a pool
-// keeps what a P gives back in that P's private slot, where a file on
-// another P cannot take it. In a 10 s cap3_fat run on 2 CPUs a pool made
-// 35 scratches and this channel 14, 12 of those after sweeps in the
-// pauses between repetitions.
-var scratches = make(chan *scratch, runtime.GOMAXPROCS(0))
-
-// scratchTaken records that a file has taken a scratch since the last
-// sweepScratches.
-var scratchTaken atomic.Bool
-
-func takeScratch() *scratch {
-	scratchTaken.Store(true)
-	select {
-	case sc := <-scratches:
-		return sc
-	default:
-		return new(scratch)
-	}
-}
-
-func (sc *scratch) release() {
-	select {
-	case scratches <- sc:
-	default:
-	}
-}
-
-// gcTick is an object only its finalizer keeps: every GC finds it
-// unreachable and runs sweepScratches, which sets the finalizer again.
-type gcTick struct{ _ *byte }
-
-func init() { runtime.SetFinalizer(new(gcTick), sweepScratches) }
-
-// sweepScratches runs after every GC. When no file has taken a scratch
-// since the GC before, it drops the scratches held, and the next GC
-// reclaims them: a worker that has stopped assembling, or runs only other
-// apps, keeps none of its files' memory.
-func sweepScratches(t *gcTick) {
-	if !scratchTaken.Swap(false) {
-	drain:
-		for {
-			select {
-			case <-scratches:
-			default:
-				break drain
-			}
-		}
-	}
-	runtime.SetFinalizer(t, sweepScratches)
-}
+// scratches holds the scratch of files not running now. A scratch no file
+// takes during two GC cycles is dropped, so a worker that has stopped
+// assembling, or runs only other apps, keeps none of its files' memory.
+var scratches = sync.Pool{New: func() any { return new(scratch) }}
 
 // grown returns buf resized to n: buf's own array, contents kept, when
 // that holds n, and otherwise a new zeroed one with a quarter more room,
@@ -278,7 +226,7 @@ func (sc *scratch) readViews(records []*fasta.Record, opt Options, st *Stats) []
 	sc.views = sc.views[:0]
 	for _, rec := range records {
 		start := len(sc.bases)
-		sc.bases = appendUpper(sc.bases, rec.Seq)
+		sc.bases = bio.AppendUpper(sc.bases, rec.Seq)
 		seq, clipped := trimPoorRegions(sc.bases[start:], opt)
 		st.TrimmedBases += clipped
 		if len(seq) < opt.MinReadLen {
@@ -286,7 +234,7 @@ func (sc *scratch) readViews(records []*fasta.Record, opt Options, st *Stats) []
 			sc.bases = sc.bases[:start]
 			continue
 		}
-		sc.bases = appendReverseComplement(sc.bases, seq)
+		sc.bases = bio.AppendReverseComplement(sc.bases, seq)
 		sc.views = append(sc.views, read{id: rec.ID, seq: seq, rc: sc.bases[len(sc.bases)-len(seq):]})
 	}
 	sc.reads = grown(sc.reads, len(sc.views))
@@ -294,43 +242,6 @@ func (sc *scratch) readViews(records []*fasta.Record, opt Options, st *Stats) []
 		sc.reads[i] = &sc.views[i]
 	}
 	return sc.reads
-}
-
-// appendUpper appends seq upper-cased, as bio.Upper returns it. It and
-// appendReverseComplement restate bio.Upper and bio.ReverseComplement in
-// append form, so that a file's read views cost no allocation: an append
-// form in internal/bio would add exported symbols to the module.
-// TestReadViewsMatchBio holds them to bio's.
-func appendUpper(dst, seq []byte) []byte {
-	n := len(dst)
-	dst = slices.Grow(dst, len(seq))[:n+len(seq)]
-	for i, c := range seq {
-		if c >= utf8.RuneSelf {
-			// bio.Upper maps non-ASCII bytes rune by rune.
-			return append(dst[:n], bio.Upper(seq)...)
-		}
-		if 'a' <= c && c <= 'z' {
-			c -= 'a' - 'A'
-		}
-		dst[n+i] = c
-	}
-	return dst
-}
-
-// appendReverseComplement appends the reverse complement of seq, which is
-// upper case, as bio.ReverseComplement returns it.
-func appendReverseComplement(dst, seq []byte) []byte {
-	n := len(dst)
-	dst = slices.Grow(dst, len(seq))[:n+len(seq)]
-	out := dst[n:]
-	for i, c := range seq {
-		code, ok := bio.BaseCode(c)
-		if c = 'N'; ok {
-			c = bio.BaseFromCode(3 - code)
-		}
-		out[len(seq)-1-i] = c
-	}
-	return dst
 }
 
 // transform maps read-local coordinates into component coordinates:
@@ -445,7 +356,7 @@ func Assemble(records []*fasta.Record, opt Options) *Result {
 	opt = opt.withDefaults()
 	res := &Result{}
 	res.Stats.InputReads = len(records)
-	sc := takeScratch()
+	sc := scratches.Get().(*scratch)
 
 	// Stage 1: poor-region trimming.
 	reads := sc.readViews(records, opt, &res.Stats)
@@ -506,7 +417,7 @@ func Assemble(records []*fasta.Record, opt Options) *Result {
 	// Nothing in res points into sc. A file that panics never gives its
 	// scratch back, whose counts may then not be zero.
 	sc.roots, sc.order = roots, order
-	sc.release()
+	scratches.Put(sc)
 	return res
 }
 
@@ -835,8 +746,8 @@ func (sc *scratch) buildConsensus(id string, reads []*read, members []int, lay *
 	for i, col := range counts {
 		counts[i] = [4]int32{}
 		best := 0 // the first most frequent base
-		for code := 1; code < 4; code++ {
-			if col[code] > col[best] {
+		for code, n := range col {
+			if n > col[best] {
 				best = code
 			}
 		}

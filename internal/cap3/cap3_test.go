@@ -14,7 +14,6 @@ import (
 	"sync"
 	"testing"
 	"testing/quick"
-	"time"
 
 	"repro/internal/bio"
 	"repro/internal/fasta"
@@ -523,7 +522,7 @@ func corpusReads(t *testing.T, doc []byte, opt Options) []*read {
 	}
 	var seqs [][]byte
 	for _, rec := range recs {
-		if seq, _ := trimPoorRegions(bio.Upper(rec.Seq), opt); len(seq) >= opt.MinReadLen {
+		if seq, _ := trimPoorRegions(bytes.ToUpper(rec.Seq), opt); len(seq) >= opt.MinReadLen {
 			seqs = append(seqs, seq)
 		}
 	}
@@ -659,7 +658,7 @@ func TestOverlapRankMatchesStableSort(t *testing.T) {
 }
 
 // TestReadViewsMatchBio: the read views Assemble builds in its arena are
-// what trimming bio.Upper's copy and bio.ReverseComplement give, for
+// what trimming bytes.ToUpper's copy and bio.ReverseComplement give, for
 // mixed case, ambiguity codes, non-ASCII text and invalid UTF-8 (which
 // upper-cases longer than it was), with one scratch reused throughout.
 func TestReadViewsMatchBio(t *testing.T) {
@@ -685,7 +684,7 @@ func TestReadViewsMatchBio(t *testing.T) {
 		var want []read
 		var wantStats Stats
 		for _, rec := range recs {
-			seq, clipped := trimPoorRegions(bio.Upper(rec.Seq), opt)
+			seq, clipped := trimPoorRegions(bytes.ToUpper(rec.Seq), opt)
 			wantStats.TrimmedBases += clipped
 			if len(seq) < opt.MinReadLen {
 				wantStats.DroppedReads++
@@ -744,7 +743,7 @@ func FuzzFindOverlaps(f *testing.F) {
 // returns: the file's scratch is reused.
 func TestRunAllocsOnOneRead(t *testing.T) {
 	if raceEnabled {
-		t.Skip("sync.Pool drops fmt's printers at random under -race")
+		t.Skip("sync.Pool drops the scratch and fmt's printers at random under -race")
 	}
 	doc, err := workload.Cap3File(1, 1, 120)
 	if err != nil {
@@ -777,7 +776,7 @@ func TestRunAllocsOnOneRead(t *testing.T) {
 // Run returns. Before the scratch a Run took 806 allocations and 577 KB.
 func TestRunAllocsOnFatFile(t *testing.T) {
 	if raceEnabled {
-		t.Skip("sync.Pool drops fmt's printers at random under -race")
+		t.Skip("sync.Pool drops the scratch and fmt's printers at random under -race")
 	}
 	doc, err := workload.Cap3File(1, 120, 6000)
 	if err != nil {
@@ -832,11 +831,10 @@ func TestIdleScratchIsReclaimed(t *testing.T) {
 		if gcs == 20 {
 			t.Fatalf("after %d GCs with no file running, the heap holds %d bytes more than before a %d-byte file", gcs, heap-base, len(doc))
 		}
-		time.Sleep(time.Millisecond) // the sweep runs on the finalizer goroutine
 	}
 }
 
-// TestRunIndependentOfPriorRuns: Run takes its scratch from a free list,
+// TestRunIndependentOfPriorRuns: Run takes its scratch from a pool,
 // so a file may get the table, arenas and counts a bigger or a
 // repeat-rich file left behind. Whatever ran before, and however many files run at
 // once, every golden file must still give its recorded digest, and every

@@ -5,6 +5,7 @@ import (
 	"bytes"
 	"encoding/binary"
 	"errors"
+	"fmt"
 	"io"
 	"testing"
 
@@ -112,12 +113,16 @@ func TestDecodeFrameGarbage(t *testing.T) {
 }
 
 func TestStatusErrMapping(t *testing.T) {
-	for code, sentinel := range statusSentinels {
+	for _, s := range statusSentinels {
+		code, sentinel := s.code, s.err
 		if err := statusErr(code, "remote detail: "+sentinel.Error()); !errors.Is(err, sentinel) {
 			t.Fatalf("status %d does not unwrap to %v", code, sentinel)
 		}
 		if err := statusErr(code, ""); !errors.Is(err, sentinel) {
 			t.Fatalf("status %d with empty message does not unwrap to %v", code, sentinel)
+		}
+		if got := statusFor(fmt.Errorf("remote detail: %w", sentinel)); got != code {
+			t.Fatalf("an error wrapping %v is sent as status %d, want %d", sentinel, got, code)
 		}
 	}
 	if err := statusErr(statusError, "boom"); err == nil || err.Error() != "boom" {

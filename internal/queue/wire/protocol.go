@@ -26,36 +26,30 @@ const (
 	statusBadTransfer
 )
 
-var statusSentinels = map[byte]error{
-	statusNoSuchQueue:    queue.ErrNoSuchQueue,
-	statusQueueExists:    queue.ErrQueueExists,
-	statusStaleReceipt:   queue.ErrStaleReceipt,
-	statusEmptyQueueName: queue.ErrEmptyQueueName,
-	statusBatchSize:      queue.ErrBatchSize,
-	statusNotPrivileged:  queue.ErrNotPrivileged,
-	statusBadTransfer:    queue.ErrBadTransfer,
+// statusSentinels pairs each sentinel error with its status code. Encoding
+// takes the first sentinel an error matches, in this order; decoding maps
+// a code back to its sentinel.
+var statusSentinels = []struct {
+	code byte
+	err  error
+}{
+	{statusNoSuchQueue, queue.ErrNoSuchQueue},
+	{statusQueueExists, queue.ErrQueueExists},
+	{statusStaleReceipt, queue.ErrStaleReceipt},
+	{statusEmptyQueueName, queue.ErrEmptyQueueName},
+	{statusBatchSize, queue.ErrBatchSize},
+	{statusNotPrivileged, queue.ErrNotPrivileged},
+	{statusBadTransfer, queue.ErrBadTransfer},
 }
 
 // statusFor classifies an error for the wire.
 func statusFor(err error) byte {
-	switch {
-	case errors.Is(err, queue.ErrNoSuchQueue):
-		return statusNoSuchQueue
-	case errors.Is(err, queue.ErrQueueExists):
-		return statusQueueExists
-	case errors.Is(err, queue.ErrStaleReceipt):
-		return statusStaleReceipt
-	case errors.Is(err, queue.ErrEmptyQueueName):
-		return statusEmptyQueueName
-	case errors.Is(err, queue.ErrBatchSize):
-		return statusBatchSize
-	case errors.Is(err, queue.ErrNotPrivileged):
-		return statusNotPrivileged
-	case errors.Is(err, queue.ErrBadTransfer):
-		return statusBadTransfer
-	default:
-		return statusError
+	for _, s := range statusSentinels {
+		if errors.Is(err, s.err) {
+			return s.code
+		}
 	}
+	return statusError
 }
 
 // wireError carries a remote error message while unwrapping to the
@@ -72,17 +66,19 @@ func (e *wireError) Unwrap() error { return e.sentinel }
 // statusErr reconstructs an error from a non-OK status code and its
 // message.
 func statusErr(code byte, msg string) error {
-	s, ok := statusSentinels[code]
-	if !ok {
-		if msg == "" {
-			msg = "wire: remote error"
+	for _, s := range statusSentinels {
+		if s.code != code {
+			continue
 		}
-		return errors.New(msg)
+		if msg == "" || msg == s.err.Error() {
+			return s.err
+		}
+		return &wireError{msg: msg, sentinel: s.err}
 	}
-	if msg == "" || msg == s.Error() {
-		return s
+	if msg == "" {
+		msg = "wire: remote error"
 	}
-	return &wireError{msg: msg, sentinel: s}
+	return errors.New(msg)
 }
 
 // appendMessages encodes a received-message list.
