@@ -147,7 +147,7 @@ func encodedShards(b *testing.B, seed int64) [][]byte {
 }
 
 // BenchmarkKernelGTMRun times Run on one encoded mixed_tenants shard per
-// op: gunzip, decode and Interpolate, the whole GTM task of bench/e2e,
+// op: decode and Interpolate, the whole GTM task of bench/e2e,
 // including the half BenchmarkKernelGTM cannot see.
 func BenchmarkKernelGTMRun(b *testing.B) {
 	const seed = 1

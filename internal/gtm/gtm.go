@@ -15,12 +15,12 @@
 // ones per block of four rows elsewhere, with no fused multiply-add, so
 // either path gives the bits one linalg.SquaredDistance per pair would.
 // With AVX that is about half of Interpolate's ≈ 2 ms (BenchmarkKernelGTM);
-// most of the rest is one math.Exp per latent row and point. Inflating the
-// gzip-compressed shard in decodeShard (BenchmarkKernelGTMDecode) is now
-// the larger half of Run (BenchmarkKernelGTMRun): the package inflates
-// a shard with its own one-pass decoder over the whole byte slice
-// (inflate.go) rather than the standard library's stream reader, which
-// took more than half. README's kernel table has the measured ns/op.
+// most of the rest is one math.Exp per latent row and point. A shard is
+// stored raw (EncodeShard), not gzipped as the paper's splits were: the
+// Gaussian coordinates compress only to 96.9 % of their size, and
+// inflating them took more than half of Run (BenchmarkKernelGTMRun).
+// Decoding a raw shard (BenchmarkKernelGTMDecode) is one copy of its
+// values. README's kernel table has the measured ns/op.
 package gtm
 
 import (

@@ -2,9 +2,9 @@ package gtm
 
 import (
 	"bytes"
-	"compress/gzip"
 	"encoding/binary"
 	"encoding/gob"
+	"hash/crc32"
 	"math"
 	"strings"
 	"testing"
@@ -295,13 +295,31 @@ func TestShardRoundTrip(t *testing.T) {
 			t.Fatal("shard values differ")
 		}
 	}
+	// The format, byte for byte: magic "GTM1", dims, points, each a
+	// little-endian uint32, then every value's little-endian float64 bits.
+	small, err := EncodeShard([]float64{1, -2, 0.5, 3, 0, -0.25}, 3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := []byte{
+		0x31, 0x4d, 0x54, 0x47, 3, 0, 0, 0, 2, 0, 0, 0,
+		0, 0, 0, 0, 0, 0, 0xf0, 0x3f, // 1
+		0, 0, 0, 0, 0, 0, 0x00, 0xc0, // -2
+		0, 0, 0, 0, 0, 0, 0xe0, 0x3f, // 0.5
+		0, 0, 0, 0, 0, 0, 0x08, 0x40, // 3
+		0, 0, 0, 0, 0, 0, 0x00, 0x00, // 0
+		0, 0, 0, 0, 0, 0, 0xd0, 0xbf, // -0.25
+	}
+	if !bytes.Equal(small, want) {
+		t.Fatalf("EncodeShard wrote\n% x\nwant\n% x", small, want)
+	}
 }
 
 func TestShardValidation(t *testing.T) {
 	if _, err := EncodeShard(make([]float64, 5), 2); err == nil {
 		t.Error("ragged shard should error")
 	}
-	if _, _, err := DecodeShard([]byte("definitely not gzip")); err == nil {
+	if _, _, err := DecodeShard([]byte("definitely not a shard")); err == nil {
 		t.Error("corrupt shard should error")
 	}
 	// The header holds both as 32 bits: beyond that, a shard would
@@ -313,22 +331,7 @@ func TestShardValidation(t *testing.T) {
 	}
 }
 
-// gzipped compresses raw as one gzip member, for shards EncodeShard
-// would never write.
-func gzipped(t *testing.T, raw []byte) []byte {
-	t.Helper()
-	var buf bytes.Buffer
-	zw := gzip.NewWriter(&buf)
-	if _, err := zw.Write(raw); err != nil {
-		t.Fatal(err)
-	}
-	if err := zw.Close(); err != nil {
-		t.Fatal(err)
-	}
-	return buf.Bytes()
-}
-
-// shardBytes is the uncompressed form EncodeShard writes: header, body.
+// shardBytes is a shard as EncodeShard lays it out: header, body.
 func shardBytes(magic, dims, n uint32, body []byte) []byte {
 	raw := binary.LittleEndian.AppendUint32(nil, magic)
 	raw = binary.LittleEndian.AppendUint32(raw, dims)
@@ -336,38 +339,43 @@ func shardBytes(magic, dims, n uint32, body []byte) []byte {
 	return append(raw, body...)
 }
 
-// DecodeShard reads exactly the body its header announces and then to
-// EOF, so each of these malformed shards must fail rather than decode.
-func TestDecodeShardRejectsMalformed(t *testing.T) {
+// gzipStored wraps raw in one gzip member holding one stored deflate
+// block: the form shards had when they were gzipped, spelt by hand.
+func gzipStored(raw []byte) []byte {
+	out := []byte{0x1f, 0x8b, 8, 0, 0, 0, 0, 0, 0, 0xff, 1}
+	out = binary.LittleEndian.AppendUint16(out, uint16(len(raw)))
+	out = binary.LittleEndian.AppendUint16(out, ^uint16(len(raw)))
+	out = append(out, raw...)
+	out = binary.LittleEndian.AppendUint32(out, crc32.ChecksumIEEE(raw))
+	return binary.LittleEndian.AppendUint32(out, uint32(len(raw)))
+}
+
+// malformedShards are shards DecodeShard must refuse, and good is one it
+// must decode: 4 points × 166 dims.
+func malformedShards(t testing.TB) (good []byte, bad map[string][]byte) {
 	good, err := EncodeShard(workload.ChemicalPoints(9, 4, 2), workload.PubChemDims)
 	if err != nil {
 		t.Fatal(err)
 	}
-	body := make([]byte, 8*4*workload.PubChemDims)
-	flipped := bytes.Clone(good)
-	flipped[len(flipped)-5] ^= 0xff // last byte of the CRC-32 in the gzip trailer
-	raw := shardBytes(shardMagic, workload.PubChemDims, 4, body)
-	badNLEN := gzipMember(t, raw, gzip.NoCompression, nil)
-	badNLEN[13] ^= 1 // the stored block's NLEN, after the 10-byte header, block type and LEN
-	// The second member's stream refers into the first member's output,
-	// which its own window does not hold.
-	pastWindow := append(gzipMember(t, raw[:len(raw)/2], gzip.DefaultCompression, nil),
-		gzipMember(t, raw[len(raw)/2:], gzip.DefaultCompression, raw[:len(raw)/2])...)
-	cases := map[string][]byte{
-		"truncated body":           gzipped(t, shardBytes(shardMagic, workload.PubChemDims, 4, body[:len(body)-8])),
-		"truncated stream":         good[:len(good)/2],
-		"flipped CRC byte":         flipped,
-		"trailing data":            gzipped(t, shardBytes(shardMagic, workload.PubChemDims, 4, append(bytes.Clone(body), 0))),
-		"trailing gzip member":     append(bytes.Clone(good), gzipped(t, []byte("extra"))...),
-		"trailing garbage":         append(bytes.Clone(good), "garbage"...),
-		"zero dims":                gzipped(t, shardBytes(shardMagic, 0, 4, nil)),
-		"bad magic":                gzipped(t, shardBytes(shardMagic+1, workload.PubChemDims, 4, body)),
-		"short header":             gzipped(t, shardBytes(shardMagic, workload.PubChemDims, 4, nil)[:10]),
-		"header claims 2⁶² values": gzipped(t, shardBytes(shardMagic, 1<<31, 1<<31, nil)),
-		"stored block, bad NLEN":   badNLEN,
-		"distance past the window": pastWindow,
+	body := good[12:]
+	return good, map[string][]byte{
+		"truncated body":             shardBytes(shardMagic, workload.PubChemDims, 4, body[:len(body)-8]),
+		"trailing data":              append(bytes.Clone(good), make([]byte, 8)...),
+		"body not a multiple of 8":   shardBytes(shardMagic, workload.PubChemDims, 4, append(bytes.Clone(body), 0, 0, 0)),
+		"cut in half":                good[:len(good)/2],
+		"zero dims":                  shardBytes(shardMagic, 0, 4, nil),
+		"bad magic":                  shardBytes(shardMagic+1, workload.PubChemDims, 4, body),
+		"short header":               shardBytes(shardMagic, workload.PubChemDims, 4, nil)[:10],
+		"header claims 2⁶² values":   shardBytes(shardMagic, 1<<31, 1<<31, nil),
+		"gzipped, the parent format": gzipStored(good[:12+8*workload.PubChemDims]),
 	}
-	for name, shard := range cases {
+}
+
+// DecodeShard reads exactly the body its header announces, so each of
+// these malformed shards must fail rather than decode.
+func TestDecodeShardRejectsMalformed(t *testing.T) {
+	good, bad := malformedShards(t)
+	for name, shard := range bad {
 		if pts, dims, err := DecodeShard(shard); err == nil {
 			t.Errorf("%s: decoded %d values × %d dims, want an error", name, len(pts), dims)
 		}
@@ -375,6 +383,37 @@ func TestDecodeShardRejectsMalformed(t *testing.T) {
 	if _, _, err := DecodeShard(good); err != nil {
 		t.Fatalf("the unmodified shard: %v", err)
 	}
+}
+
+// On arbitrary bytes DecodeShard errors or decodes, never panics, and
+// whatever it decodes EncodeShard writes back as exactly those bytes.
+// The seeds are the malformed shards and every prefix of a small one.
+func FuzzDecodeShard(f *testing.F) {
+	good, bad := malformedShards(f)
+	f.Add(good)
+	for _, shard := range bad {
+		f.Add(shard)
+	}
+	small, err := EncodeShard([]float64{1, -2, 0.5, 3, 0, -0.25}, 3)
+	if err != nil {
+		f.Fatal(err)
+	}
+	for n := range len(small) + 1 {
+		f.Add(small[:n])
+	}
+	f.Fuzz(func(t *testing.T, shard []byte) {
+		points, dims, err := DecodeShard(shard)
+		if err != nil {
+			return
+		}
+		back, err := EncodeShard(points, dims)
+		if err != nil {
+			t.Fatalf("decoded %d values × %d dims, which do not encode: %v", len(points), dims, err)
+		}
+		if !bytes.Equal(back, shard) {
+			t.Fatalf("decoded %d values × %d dims, which encode to\n% x\nnot\n% x", len(points), dims, back, shard)
+		}
+	})
 }
 
 // Property: embedding round trip is exact for arbitrary float vectors.
