@@ -36,6 +36,12 @@
 // sort, which is what makes Run a function of its input and a redelivered
 // task harmless.
 //
+// A file with fewer than two reads left after trimming and the MinReadLen
+// drop has no pair to overlap: it is all singletons, and Assemble returns
+// them before seeding, with the bytes and Stats the full pipeline would
+// give. A one-read file, the paper's smallest task, so pays for parsing
+// and its output, not for a k-mer index.
+//
 // Around seeding and alignment a file pays for little else. The layout
 // takes overlaps best score first through one unstable sort of
 // precomputed keys, (score descending, place in findOverlaps' order),
@@ -360,6 +366,16 @@ func Assemble(records []*fasta.Record, opt Options) *Result {
 
 	// Stage 1: poor-region trimming.
 	reads := sc.readViews(records, opt, &res.Stats)
+	if len(reads) < 2 {
+		// No pair, so no overlap: what is kept is all singletons, and a
+		// one-read file never builds a k-mer index.
+		for _, r := range reads {
+			res.Singletons = append(res.Singletons, r.id)
+		}
+		res.Stats.Singletons = len(reads)
+		scratches.Put(sc)
+		return res
+	}
 
 	// Stage 2: overlap detection.
 	overlaps, stats := sc.findOverlaps(reads, opt)

@@ -31,40 +31,62 @@ var ErrNoHeader = errors.New("fasta: sequence data before first header")
 
 // ParseBytes parses every record from an in-memory FASTA document. It
 // walks the document in place, one line at a time, so a line may be of
-// any length; it allocates the records, one string per header (ID and
-// Description share it) and one sequence per record, sized before it is
-// filled.
+// any length. A first walk measures the records, so that however many
+// there are the second fills four allocations: the records, their
+// pointers, one string of all headers (each record's ID and Description
+// are in it) and one slab of all bases. Each Seq's capacity ends where it
+// does, so an append to one record never writes into the next; a record
+// kept alone keeps the whole slab reachable.
 func ParseBytes(b []byte) ([]*Record, error) {
-	var recs []*Record
+	n, headers, bases, err := measure(b)
+	if err != nil || n == 0 {
+		return nil, err
+	}
+	recs, ptrs := make([]Record, n), make([]*Record, n)
+	var hs strings.Builder
+	hs.Grow(headers)
+	slab := make([]byte, 0, bases)
+	rec, lo := -1, 0
 	for len(b) > 0 {
 		var line []byte
 		if line, b = cutLine(b); len(line) == 0 {
 			continue
 		}
-		if line[0] != '>' {
-			return nil, fmt.Errorf("%w: %q", ErrNoHeader, line)
+		if line[0] == '>' {
+			rec, lo = rec+1, len(slab)
+			start := hs.Len()
+			hs.Write(line[1:])
+			// The builder only appends, so what it holds so far is
+			// never written again: a header may be cut from it.
+			parseHeader(&recs[rec], hs.String()[start:])
+			ptrs[rec] = &recs[rec]
+			continue
 		}
-		rec := parseHeader(string(line))
-		// The sequence is every non-blank line up to the next header.
-		n, end := 0, b
-		for len(end) > 0 {
-			l, rest := cutLine(end)
-			if len(l) > 0 && l[0] == '>' {
-				break
-			}
-			n, end = n+len(l), rest
-		}
-		if n > 0 {
-			rec.Seq = make([]byte, 0, n)
-			for len(b) > len(end) {
-				line, b = cutLine(b)
-				rec.Seq = append(rec.Seq, line...)
-			}
-		}
-		b = end
-		recs = append(recs, rec)
+		slab = append(slab, line...)
+		recs[rec].Seq = slab[lo:len(slab):len(slab)]
 	}
-	return recs, nil
+	return ptrs, nil
+}
+
+// measure returns a document's count of records and the bytes of their
+// headers (without the '>') and of their bases, or an error when sequence
+// data comes before the first header.
+func measure(b []byte) (n, headers, bases int, err error) {
+	for len(b) > 0 {
+		var line []byte
+		if line, b = cutLine(b); len(line) == 0 {
+			continue
+		}
+		switch {
+		case line[0] == '>':
+			n, headers = n+1, headers+len(line)-1
+		case n == 0:
+			return 0, 0, 0, fmt.Errorf("%w: %q", ErrNoHeader, line)
+		default:
+			bases += len(line)
+		}
+	}
+	return n, headers, bases, nil
 }
 
 // cutLine splits b after its first line and returns that line with
@@ -76,14 +98,14 @@ func cutLine(b []byte) (line, rest []byte) {
 	return bytes.TrimSpace(b), nil
 }
 
-func parseHeader(line string) *Record {
-	line = strings.TrimPrefix(line, ">")
+// parseHeader fills rec's ID and Description from a header line without
+// its '>'.
+func parseHeader(rec *Record, line string) {
 	id, desc, found := strings.Cut(line, " ")
-	rec := &Record{ID: id}
+	rec.ID = id
 	if found {
 		rec.Description = strings.TrimSpace(desc)
 	}
-	return rec
 }
 
 // defaultWidth is the conventional FASTA sequence line width.
@@ -127,17 +149,6 @@ func MarshalRecords(recs []*Record) ([]byte, error) {
 // them: the headers ParseBytes would find, after checking that no
 // sequence data comes before the first.
 func CountRecords(b []byte) (int, error) {
-	n := 0
-	for len(b) > 0 {
-		var line []byte
-		if line, b = cutLine(b); len(line) == 0 {
-			continue
-		}
-		if line[0] == '>' {
-			n++
-		} else if n == 0 {
-			return 0, fmt.Errorf("%w: %q", ErrNoHeader, line)
-		}
-	}
-	return n, nil
+	n, _, _, err := measure(b)
+	return n, err
 }

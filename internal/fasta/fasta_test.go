@@ -53,7 +53,8 @@ func (r *scanReader) Next() (*Record, error) {
 		}
 		header = line
 	}
-	rec := parseHeader(header)
+	rec := new(Record)
+	parseHeader(rec, header[1:])
 	var seq bytes.Buffer
 	for r.s.Scan() {
 		line := strings.TrimSpace(r.s.Text())
@@ -294,10 +295,10 @@ func TestLongSequenceLine(t *testing.T) {
 	}
 }
 
-// Parsing a small document costs about the document: its record, its
-// header string and its sequence, and no scanner buffer (a 64 KB one
-// per parse was once 59% of all bytes allocated on the small-task
-// benchmark workload, and bufio's 4 KB default later 16.5%).
+// Parsing a small document costs about the document: its record and
+// pointer, its header string and its sequence, and no scanner buffer (a
+// 64 KB one per parse was once 59% of all bytes allocated on the
+// small-task benchmark workload, and bufio's 4 KB default later 16.5%).
 func TestSmallParseAllocatesLittle(t *testing.T) {
 	doc := []byte(">read0 a 200-byte document\n" + strings.Repeat("ACGT", 43) + "\n")
 	const runs = 100
@@ -311,6 +312,54 @@ func TestSmallParseAllocatesLittle(t *testing.T) {
 	runtime.ReadMemStats(&after)
 	if perParse := (after.TotalAlloc - before.TotalAlloc) / runs; perParse >= 1<<10 {
 		t.Errorf("parsing a %d-byte document allocates %d bytes, want < 1 KB", len(doc), perParse)
+	}
+}
+
+// A record's sequence is a window of one slab of all bases, and its
+// capacity ends where the record does: appending to it moves it to an
+// array of its own and leaves the next record's bases as they were.
+func TestAppendToSeqLeavesNextRecord(t *testing.T) {
+	recs, err := ParseBytes([]byte(">a\nAC\nGT\n>b\nTTTT\n>c\n>d\nGG\n"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(recs) != 4 {
+		t.Fatalf("got %d records, want 4", len(recs))
+	}
+	for i, want := range []string{"ACGT", "TTTT", "", "GG"} {
+		if got := recs[i].Seq; string(got) != want || cap(got) != len(got) {
+			t.Errorf("record %d: Seq %q with capacity %d, want %q with capacity %d", i, got, cap(got), want, len(want))
+		}
+	}
+	recs[0].Seq = append(recs[0].Seq, "CCCC"...)
+	recs[2].Seq = append(recs[2].Seq, 'A')
+	if string(recs[0].Seq) != "ACGTCCCC" || string(recs[1].Seq) != "TTTT" || string(recs[3].Seq) != "GG" {
+		t.Errorf("after appends: %q %q %q %q", recs[0].Seq, recs[1].Seq, recs[2].Seq, recs[3].Seq)
+	}
+}
+
+// Parsing costs four allocations however many records a document has:
+// the records, their pointers, one string of headers and one slab of
+// bases. It was three a record (the record, its header string and its
+// sequence) plus the growing pointer slice.
+func TestParseAllocationsPerDocument(t *testing.T) {
+	var doc strings.Builder
+	for i := 0; i < 120; i++ {
+		fmt.Fprintf(&doc, ">read%d pos=%d\n%s\n%s\n", i, 17*i, strings.Repeat("ACGT", 17), strings.Repeat("TGCA", 3))
+	}
+	for _, d := range [][]byte{[]byte(doc.String()), []byte(">read0\nACGT\n")} {
+		allocs := testing.AllocsPerRun(50, func() {
+			if _, err := ParseBytes(d); err != nil {
+				t.Fatal(err)
+			}
+		})
+		if n, _ := CountRecords(d); allocs > 4 {
+			t.Errorf("parsing %d records: %.0f allocations, want ≤ 4", n, allocs)
+		}
+	}
+	blank := []byte("\n\n")
+	if allocs := testing.AllocsPerRun(50, func() { ParseBytes(blank) }); allocs != 0 {
+		t.Errorf("parsing a blank document: %.0f allocations, want 0", allocs)
 	}
 }
 

@@ -7,6 +7,7 @@ import (
 	"fmt"
 	"slices"
 	"sort"
+	"strconv"
 	"strings"
 	"testing"
 	"time"
@@ -185,7 +186,11 @@ func FuzzDurSnapshot(f *testing.F) {
 	sample := sampleSnapshot().appendTo(nil)
 	f.Add(sample, "q", 4, int64(0), []byte("body"), 9)
 	f.Add(append([]byte{snapVersion - 1}, sample[1:]...), "", 0, int64(-1), []byte{}, 0)
-	f.Add([]byte{snapVersion, 0, 1, 0, 1, 1, 0, 0, 0, 2}, "job-1/tasks", 2*MaxBatch, int64(1_700_000_000_000_000_000), []byte("\n"), 1<<40)
+	if strconv.IntSize == 64 {
+		// A last id past 32 bits, which a 32-bit int cannot hold.
+		wide := int64(1) << 40
+		f.Add([]byte{snapVersion, 0, 1, 0, 1, 1, 0, 0, 0, 2}, "job-1/tasks", 2*MaxBatch, int64(1_700_000_000_000_000_000), []byte("\n"), int(wide))
+	}
 	f.Fuzz(func(t *testing.T, raw []byte, name string, n int, ns int64, body []byte, last int) {
 		if snap, err := decodeSnapshot(raw); err == nil {
 			lists := len(snap.Queues)
