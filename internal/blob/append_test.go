@@ -52,7 +52,7 @@ func TestAppendIsReadYourWrites(t *testing.T) {
 	}
 	// An ordinary Get inside the consistency window must still see the
 	// appended tail: journals are read back immediately on recovery.
-	got, err := s.Get("j", "log")
+	got, err := s.Get("j", "log", 0, -1)
 	if err != nil {
 		t.Fatalf("append hidden by consistency window: %v", err)
 	}
@@ -66,7 +66,7 @@ func TestAppendIsReadYourWrites(t *testing.T) {
 	if _, err := s.Append("j", "mixed", []byte("+tail")); err != nil {
 		t.Fatal(err)
 	}
-	got, err = s.Get("j", "mixed")
+	got, err = s.Get("j", "mixed", 0, -1)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -107,7 +107,7 @@ type Store struct {
 }
 
 // storeOps is the set of operations that get their own latency
-// histogram. "get" covers Get, GetConsistent, Stat, and Exists — all
+// histogram. "get" covers Get, GetConsistent, GetRange and Stat — all
 // billed GETs; latency includes the simulated transfer sleep, so the
 // histograms show what callers actually waited.
 var storeOps = []string{"put", "put_if", "append", "get", "delete", "list"}
@@ -187,13 +187,24 @@ func (s *Store) DeleteBucket(name string) error {
 	return nil
 }
 
-// Put writes an object, replacing any existing version. The replaced
-// version remains visible to reads inside the consistency window.
-// Ingress bytes are counted only for accepted writes: a PUT against a
-// missing bucket bills the request but transfers nothing.
-func (s *Store) Put(bucketName, key string, data []byte) error {
+// Put writes an object, the concatenation of parts, replacing any
+// existing version: a caller whose object is several buffers (a batch of
+// files, a header and its records) hands them over as they are, and the
+// store's own copy is the one copy made. The replaced version remains
+// visible to reads inside the consistency window. Ingress bytes are
+// counted only for accepted writes: a PUT against a missing bucket bills
+// the request but transfers nothing.
+func (s *Store) Put(bucketName, key string, parts ...[]byte) error {
 	defer s.ops.Done("put", s.ops.Start())
-	s.simulateTransfer(len(data))
+	size := 0
+	for _, p := range parts {
+		size += len(p)
+	}
+	data := make([]byte, 0, size)
+	for _, p := range parts {
+		data = append(data, p...)
+	}
+	s.simulateTransfer(size)
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	s.usage.PutRequests++
@@ -201,28 +212,27 @@ func (s *Store) Put(bucketName, key string, data []byte) error {
 	if !ok {
 		return ErrNoSuchBucket
 	}
-	s.usage.BytesIn += int64(len(data))
-	s.putLocked(b, key, data)
+	s.usage.BytesIn += int64(size)
+	s.putLocked(b, key, b.objects[key], data)
 	return nil
 }
 
-// putLocked installs a new version of bucket b's key. Caller holds s.mu
-// and has billed the request.
-func (s *Store) putLocked(b *bucket, key string, data []byte) int64 {
+// putLocked installs data, which the store owns, as the new version of
+// bucket b's key, whose current object is o (nil when there is none).
+// An overwrite updates o in place: one map lookup, the caller's, and no
+// allocation. Caller holds s.mu and has billed the request.
+func (s *Store) putLocked(b *bucket, key string, o *object, data []byte) int64 {
 	now := s.cfg.Clock.Now()
-	next := int64(1)
-	if old, exists := b.objects[key]; exists {
-		s.usage.BytesStored -= int64(len(old.data))
-		next = old.version + 1
-		b.objects[key] = &object{
-			data: append([]byte(nil), data...), writtenAt: now,
-			prev: old.data, hadPrev: true, version: next,
-		}
-	} else {
-		b.objects[key] = &object{data: append([]byte(nil), data...), writtenAt: now, version: next}
-	}
 	s.usage.BytesStored += int64(len(data))
-	return next
+	if o == nil {
+		b.objects[key] = &object{data: data, writtenAt: now, version: 1}
+		return 1
+	}
+	s.usage.BytesStored -= int64(len(o.data))
+	o.prev, o.hadPrev = o.data, true
+	o.data, o.writtenAt = data, now
+	o.version++
+	return o.version
 }
 
 // PutIf is a compare-and-swap Put: the write succeeds only when the
@@ -244,7 +254,8 @@ func (s *Store) PutIf(bucketName, key string, data []byte, ifVersion int64) (int
 		return 0, ErrNoSuchBucket
 	}
 	cur := int64(0)
-	if o, exists := b.objects[key]; exists {
+	o := b.objects[key]
+	if o != nil {
 		cur = o.version
 	}
 	if cur != ifVersion {
@@ -252,7 +263,7 @@ func (s *Store) PutIf(bucketName, key string, data []byte, ifVersion int64) (int
 			ErrPreconditionFailed, bucketName, key, cur, ifVersion)
 	}
 	s.usage.BytesIn += int64(len(data))
-	return s.putLocked(b, key, data), nil
+	return s.putLocked(b, key, o, append([]byte(nil), data...)), nil
 }
 
 // Append atomically appends data to an object, creating it when absent —
@@ -308,69 +319,21 @@ func (s *Store) Stat(bucketName, key string) (size, version int64, err error) {
 	return int64(len(o.data)), o.version, nil
 }
 
-// Get reads an object. Inside the consistency window after a Put, the
-// read may observe the pre-Put state: ErrNoSuchKey for a fresh object or
-// the previous bytes for an overwrite — S3's classic eventual-consistency
-// anomalies.
-func (s *Store) Get(bucketName, key string) ([]byte, error) {
-	defer s.ops.Done("get", s.ops.Start())
-	s.mu.Lock()
-	b, ok := s.buckets[bucketName]
-	if !ok {
-		s.usage.GetRequests++
-		s.mu.Unlock()
-		s.simulateTransfer(0)
-		return nil, ErrNoSuchBucket
-	}
-	s.usage.GetRequests++
-	o, exists := b.objects[key]
-	if !exists {
-		s.mu.Unlock()
-		s.simulateTransfer(0)
-		return nil, fmt.Errorf("%w: %s/%s", ErrNoSuchKey, bucketName, key)
-	}
-	var out []byte
-	if s.cfg.ConsistencyWindow > 0 && s.cfg.Clock.Now().Sub(o.writtenAt) < s.cfg.ConsistencyWindow {
-		// Stale view.
-		if !o.hadPrev {
-			s.usage.NotFoundReads++
-			s.mu.Unlock()
-			s.simulateTransfer(0)
-			return nil, fmt.Errorf("%w: %s/%s (eventual consistency)", ErrNoSuchKey, bucketName, key)
-		}
-		s.usage.StaleReads++
-		out = append([]byte(nil), o.prev...)
-	} else {
-		out = append([]byte(nil), o.data...)
-	}
-	s.usage.BytesOut += int64(len(out))
-	s.mu.Unlock()
-	s.simulateTransfer(len(out))
-	return out, nil
+// Get reads up to n bytes of an object starting at byte offset off (n <
+// 0 reads to the end): a worker reads the run of a staged batch its tasks
+// need. Inside the consistency window after a Put, the read may observe
+// the pre-Put state: ErrNoSuchKey for a fresh object or the previous
+// bytes for an overwrite — S3's classic eventual-consistency anomalies.
+func (s *Store) Get(bucketName, key string, off, n int64) ([]byte, error) {
+	data, _, err := s.read(bucketName, key, off, n, false)
+	return data, err
 }
 
 // GetConsistent reads the latest version regardless of the consistency
 // window (the moral equivalent of retrying until the write is visible).
 func (s *Store) GetConsistent(bucketName, key string) ([]byte, error) {
-	defer s.ops.Done("get", s.ops.Start())
-	s.mu.Lock()
-	b, ok := s.buckets[bucketName]
-	if !ok {
-		s.usage.GetRequests++
-		s.mu.Unlock()
-		return nil, ErrNoSuchBucket
-	}
-	s.usage.GetRequests++
-	o, exists := b.objects[key]
-	if !exists {
-		s.mu.Unlock()
-		return nil, fmt.Errorf("%w: %s/%s", ErrNoSuchKey, bucketName, key)
-	}
-	out := append([]byte(nil), o.data...)
-	s.usage.BytesOut += int64(len(out))
-	s.mu.Unlock()
-	s.simulateTransfer(len(out))
-	return out, nil
+	data, _, err := s.read(bucketName, key, 0, -1, true)
+	return data, err
 }
 
 // GetRange reads up to n bytes of an object starting at byte offset off
@@ -379,9 +342,19 @@ func (s *Store) GetConsistent(bucketName, key string) ([]byte, error) {
 // reads to the end. It returns the requested slice plus the object's
 // current total size, so a tailing reader can detect truncation: a size
 // below its consumed offset means the object was rewritten underneath
-// it. An offset at or past the end returns no data and no error. Billed
-// as one GET; egress counts only the bytes actually returned.
+// it.
 func (s *Store) GetRange(bucketName, key string, off, n int64) (data []byte, size int64, err error) {
+	return s.read(bucketName, key, off, n, true)
+}
+
+// read is every GET that transfers an object's bytes: up to n bytes from
+// off (n < 0: to the end) of the version the reader sees — the latest when
+// consistent, else the one the consistency window shows — and that
+// version's size. An offset at or past the end returns no data and no
+// error. A negative offset is refused before billing; anything else is
+// one billed GET, whose egress counts only the bytes returned, and pays
+// the simulated round trip.
+func (s *Store) read(bucketName, key string, off, n int64, consistent bool) (data []byte, size int64, err error) {
 	defer s.ops.Done("get", s.ops.Start())
 	if off < 0 {
 		return nil, 0, fmt.Errorf("blob: negative range offset %d", off)
@@ -389,29 +362,39 @@ func (s *Store) GetRange(bucketName, key string, off, n int64) (data []byte, siz
 	s.mu.Lock()
 	s.usage.GetRequests++
 	b, ok := s.buckets[bucketName]
-	if !ok {
-		s.mu.Unlock()
-		s.simulateTransfer(0)
-		return nil, 0, ErrNoSuchBucket
+	var o *object
+	if ok {
+		o = b.objects[key]
 	}
-	o, exists := b.objects[key]
-	if !exists {
-		s.mu.Unlock()
-		s.simulateTransfer(0)
-		return nil, 0, fmt.Errorf("%w: %s/%s", ErrNoSuchKey, bucketName, key)
+	var version []byte
+	switch {
+	case !ok:
+		err = ErrNoSuchBucket
+	case o == nil:
+		err = fmt.Errorf("%w: %s/%s", ErrNoSuchKey, bucketName, key)
+	case consistent || s.cfg.ConsistencyWindow <= 0 || s.cfg.Clock.Now().Sub(o.writtenAt) >= s.cfg.ConsistencyWindow:
+		version = o.data
+	case !o.hadPrev:
+		s.usage.NotFoundReads++
+		err = fmt.Errorf("%w: %s/%s (eventual consistency)", ErrNoSuchKey, bucketName, key)
+	default:
+		s.usage.StaleReads++
+		version = o.prev
 	}
-	size = int64(len(o.data))
-	if off < size {
-		end := size
-		if n >= 0 && off+n < end {
-			end = off + n
+	if err == nil {
+		size = int64(len(version))
+		if off < size {
+			end := size
+			if n >= 0 && n < end-off {
+				end = off + n
+			}
+			data = append([]byte(nil), version[off:end]...)
 		}
-		data = append([]byte(nil), o.data[off:end]...)
+		s.usage.BytesOut += int64(len(data))
 	}
-	s.usage.BytesOut += int64(len(data))
 	s.mu.Unlock()
 	s.simulateTransfer(len(data))
-	return data, size, nil
+	return data, size, err
 }
 
 // Delete removes an object. Deleting a missing key is not an error,
@@ -452,20 +435,4 @@ func (s *Store) List(bucketName, prefix string) ([]string, error) {
 	}
 	sort.Strings(keys)
 	return keys, nil
-}
-
-// Exists reports whether a key currently exists (consistent view). It
-// pays the simulated round trip like every other request.
-func (s *Store) Exists(bucketName, key string) (bool, error) {
-	defer s.ops.Done("get", s.ops.Start())
-	s.simulateTransfer(0)
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.usage.GetRequests++
-	b, ok := s.buckets[bucketName]
-	if !ok {
-		return false, ErrNoSuchBucket
-	}
-	_, exists := b.objects[key]
-	return exists, nil
 }

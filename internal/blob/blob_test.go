@@ -36,7 +36,7 @@ func TestPutGetDelete(t *testing.T) {
 	if err := s.Put("in", "a.txt", []byte("data")); err != nil {
 		t.Fatal(err)
 	}
-	got, err := s.Get("in", "a.txt")
+	got, err := s.Get("in", "a.txt", 0, -1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -46,7 +46,7 @@ func TestPutGetDelete(t *testing.T) {
 	if err := s.Delete("in", "a.txt"); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := s.Get("in", "a.txt"); !errors.Is(err, ErrNoSuchKey) {
+	if _, err := s.Get("in", "a.txt", 0, -1); !errors.Is(err, ErrNoSuchKey) {
 		t.Errorf("after delete: %v", err)
 	}
 	// Deleting again is fine (S3 semantics).
@@ -69,7 +69,7 @@ func TestBucketErrors(t *testing.T) {
 	if err := s.Put("missing", "k", nil); err != ErrNoSuchBucket {
 		t.Errorf("put to missing bucket: %v", err)
 	}
-	if _, err := s.Get("missing", "k"); err != ErrNoSuchBucket {
+	if _, err := s.Get("missing", "k", 0, -1); err != ErrNoSuchBucket {
 		t.Errorf("get from missing bucket: %v", err)
 	}
 	if _, err := s.List("missing", ""); err != ErrNoSuchBucket {
@@ -89,7 +89,7 @@ func TestEventualConsistencyFreshObject(t *testing.T) {
 	s.CreateBucket("b")
 	s.Put("b", "new", []byte("v1"))
 	// Inside the window a fresh object may be invisible.
-	if _, err := s.Get("b", "new"); !errors.Is(err, ErrNoSuchKey) {
+	if _, err := s.Get("b", "new", 0, -1); !errors.Is(err, ErrNoSuchKey) {
 		t.Errorf("inside window: err = %v, want ErrNoSuchKey", err)
 	}
 	// GetConsistent bypasses the anomaly.
@@ -97,7 +97,7 @@ func TestEventualConsistencyFreshObject(t *testing.T) {
 		t.Errorf("GetConsistent = %q, %v", got, err)
 	}
 	clock.advance(6 * time.Second)
-	if got, err := s.Get("b", "new"); err != nil || string(got) != "v1" {
+	if got, err := s.Get("b", "new", 0, -1); err != nil || string(got) != "v1" {
 		t.Errorf("after window: %q, %v", got, err)
 	}
 	u := s.Usage()
@@ -114,7 +114,7 @@ func TestEventualConsistencyOverwrite(t *testing.T) {
 	clock.advance(10 * time.Second)
 	s.Put("b", "k", []byte("new"))
 	// Inside the window the overwrite shows the previous version.
-	got, err := s.Get("b", "k")
+	got, err := s.Get("b", "k", 0, -1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -122,7 +122,7 @@ func TestEventualConsistencyOverwrite(t *testing.T) {
 		t.Errorf("stale read = %q, want old", got)
 	}
 	clock.advance(6 * time.Second)
-	got, _ = s.Get("b", "k")
+	got, _ = s.Get("b", "k", 0, -1)
 	if string(got) != "new" {
 		t.Errorf("converged read = %q, want new", got)
 	}
@@ -131,11 +131,66 @@ func TestEventualConsistencyOverwrite(t *testing.T) {
 	}
 }
 
+// Get's range is taken from the version the reader sees: inside the
+// window after an overwrite, the previous one.
+func TestGetRangeInsideTheWindow(t *testing.T) {
+	clock := &fakeClock{now: time.Unix(100, 0)}
+	s := NewStore(Config{ConsistencyWindow: 5 * time.Second, Clock: clock})
+	s.CreateBucket("b")
+	s.Put("b", "k", []byte("0123456789"))
+	if _, err := s.Get("b", "k", 2, 3); !errors.Is(err, ErrNoSuchKey) {
+		t.Errorf("ranged read of a fresh object inside the window: %v, want ErrNoSuchKey", err)
+	}
+	clock.advance(10 * time.Second)
+	s.Put("b", "k", []byte("abcdefghij"))
+	if got, err := s.Get("b", "k", 2, 3); err != nil || string(got) != "234" {
+		t.Errorf("ranged read inside the overwrite's window = %q, %v; want 234", got, err)
+	}
+	clock.advance(6 * time.Second)
+	if got, err := s.Get("b", "k", 8, 5); err != nil || string(got) != "ij" {
+		t.Errorf("ranged read past the end = %q, %v; want ij", got, err)
+	}
+	if _, err := s.Get("b", "k", -1, 1); err == nil {
+		t.Error("a negative offset was accepted")
+	}
+	if u := s.Usage(); u.NotFoundReads != 1 || u.StaleReads != 1 || u.BytesOut != 5 || u.GetRequests != 3 {
+		t.Errorf("usage = %+v, want 1 not-found and 1 stale of 3 billed reads, 5 bytes out", u)
+	}
+}
+
+// Put stores its parts end to end as one object, and bills the request
+// and the bytes once.
+func TestPutConcatenatesParts(t *testing.T) {
+	s := NewStore(Config{})
+	s.CreateBucket("b")
+	if err := s.Put("b", "k", []byte("ab"), nil, []byte("cde")); err != nil {
+		t.Fatal(err)
+	}
+	if got, _ := s.GetConsistent("b", "k"); string(got) != "abcde" {
+		t.Errorf("object = %q, want abcde", got)
+	}
+	if u := s.Usage(); u.PutRequests != 2 || u.BytesIn != 5 || u.BytesStored != 5 {
+		t.Errorf("usage = %+v, want 2 PUTs (bucket, object), 5 bytes in and stored", u)
+	}
+}
+
+// An overwrite updates the key's object in place: the store's copy of the
+// bytes is its one allocation.
+func TestOverwriteAllocatesOnlyTheCopy(t *testing.T) {
+	s := NewStore(Config{})
+	s.CreateBucket("b")
+	data := []byte("payload")
+	s.Put("b", "k", data)
+	if n := testing.AllocsPerRun(100, func() { s.Put("b", "k", data) }); n != 1 {
+		t.Errorf("an overwrite makes %v allocations, want 1", n)
+	}
+}
+
 func TestStrongConsistencyByDefault(t *testing.T) {
 	s := NewStore(Config{})
 	s.CreateBucket("b")
 	s.Put("b", "k", []byte("x"))
-	if got, err := s.Get("b", "k"); err != nil || string(got) != "x" {
+	if got, err := s.Get("b", "k", 0, -1); err != nil || string(got) != "x" {
 		t.Errorf("default config should be strongly consistent: %q, %v", got, err)
 	}
 }
@@ -164,7 +219,7 @@ func TestUsageAccounting(t *testing.T) {
 	s.CreateBucket("b") // 1 put request
 	payload := bytes.Repeat([]byte("x"), 1000)
 	s.Put("b", "k", payload) // 1 put, 1000 in, 1000 stored
-	s.Get("b", "k")          // 1 get, 1000 out
+	s.Get("b", "k", 0, -1)   // 1 get, 1000 out
 	s.List("b", "")          // 1 list
 	s.Delete("b", "k")       // 1 delete, -1000 stored
 	u := s.Usage()
@@ -220,9 +275,9 @@ func TestGetReturnsCopy(t *testing.T) {
 	s := NewStore(Config{})
 	s.CreateBucket("b")
 	s.Put("b", "k", []byte("abc"))
-	got, _ := s.Get("b", "k")
+	got, _ := s.Get("b", "k", 0, -1)
 	got[0] = 'X'
-	again, _ := s.Get("b", "k")
+	again, _ := s.Get("b", "k", 0, -1)
 	if string(again) != "abc" {
 		t.Error("mutating a returned slice must not affect the store")
 	}
@@ -234,24 +289,9 @@ func TestPutCopiesInput(t *testing.T) {
 	data := []byte("abc")
 	s.Put("b", "k", data)
 	data[0] = 'X'
-	got, _ := s.Get("b", "k")
+	got, _ := s.Get("b", "k", 0, -1)
 	if string(got) != "abc" {
 		t.Error("mutating the input slice must not affect the store")
-	}
-}
-
-func TestExists(t *testing.T) {
-	s := NewStore(Config{ConsistencyWindow: time.Hour, Clock: &fakeClock{now: time.Unix(0, 0)}})
-	s.CreateBucket("b")
-	if ok, _ := s.Exists("b", "k"); ok {
-		t.Error("missing key should not exist")
-	}
-	s.Put("b", "k", []byte("x"))
-	if ok, _ := s.Exists("b", "k"); !ok {
-		t.Error("Exists should see writes immediately (consistent view)")
-	}
-	if _, err := s.Exists("nope", "k"); err != ErrNoSuchBucket {
-		t.Errorf("Exists on missing bucket: %v", err)
 	}
 }
 
@@ -289,7 +329,7 @@ func TestConcurrentAccess(t *testing.T) {
 				if err := s.Put("b", key, []byte(key)); err != nil {
 					t.Error(err)
 				}
-				got, err := s.Get("b", key)
+				got, err := s.Get("b", key, 0, -1)
 				if err != nil || string(got) != key {
 					t.Errorf("get %s: %q, %v", key, got, err)
 				}

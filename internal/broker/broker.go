@@ -293,7 +293,14 @@ func (b *Broker) newJob(id string) *Job {
 // client never heard of, and Recover removes it with everything else it
 // made; one after step 6 leaves a job Recover adopts.
 func (b *Broker) Submit(req JobRequest) (*Job, error) {
-	return b.submit(req, taskIDs(req.Files), func([]classiccloud.Task) (map[string][]byte, error) { return req.Files, nil })
+	var inputs [][]byte
+	return b.submit(req, taskIDs(req.Files), func(batch []classiccloud.Task) ([][]byte, error) {
+		inputs = inputs[:0]
+		for _, t := range batch {
+			inputs = append(inputs, req.Files[t.ID])
+		}
+		return inputs, nil
+	})
 }
 
 // taskIDs is the names of a file set in the order a job's tasks take
@@ -309,10 +316,10 @@ func taskIDs(files map[string][]byte) []string {
 }
 
 // submit is Submit over the job's task IDs, sorted, whose input files
-// next supplies a batch at a time, once that batch is due to be staged:
-// from req.Files for Submit, and from the POST /jobs body as it arrives
-// for the HTTP handler. req.Files is not read.
-func (b *Broker) submit(req JobRequest, ids []string, next func(batch []classiccloud.Task) (map[string][]byte, error)) (*Job, error) {
+// next supplies a batch at a time, in the batch's order, once that batch
+// is due to be staged: from req.Files for Submit, and from the POST /jobs
+// body as it arrives for the HTTP handler. req.Files is not read.
+func (b *Broker) submit(req JobRequest, ids []string, next func(batch []classiccloud.Task) ([][]byte, error)) (*Job, error) {
 	j, tasks, err := b.admit(req, ids)
 	if err != nil {
 		return nil, err
@@ -446,12 +453,12 @@ func (b *Broker) admit(req JobRequest, ids []string) (_ *Job, _ []classiccloud.T
 // write fails, and stops at the first batch boundary after the job ended
 // (by a Close, a Halt or, at the last batch, its completion), whose
 // EvStaged is refused: withdraw answers for an ended job too.
-func (b *Broker) stage(j *Job, tasks []classiccloud.Task, next func([]classiccloud.Task) (map[string][]byte, error)) error {
+func (b *Broker) stage(j *Job, tasks []classiccloud.Task, next func([]classiccloud.Task) ([][]byte, error)) error {
 	for start := 0; start < len(tasks); start += queue.MaxBatch {
 		batch := tasks[start:min(start+queue.MaxBatch, len(tasks))]
-		files, err := next(batch)
+		inputs, err := next(batch)
 		if err == nil {
-			err = j.cc.SubmitBatch(batch, files)
+			err = j.cc.SubmitBatch(batch, inputs)
 		}
 		if err != nil {
 			return b.withdraw(j, err)

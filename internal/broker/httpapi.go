@@ -146,8 +146,7 @@ type bodyDecoder struct {
 	err     error
 	left    int // manifest files whose data is still to be read
 	name    []byte
-	files   map[string][]byte // the batch last read; its data is in bufs
-	bufs    [][]byte          // file data by position in a batch, reused
+	bufs    [][]byte // file data by position in a batch, reused
 }
 
 // lead is how far a declared length may run ahead of the bytes that have
@@ -157,11 +156,11 @@ const lead = 1 << 20
 
 // decoders recycles bodyDecoders between submissions, and with them a
 // batch's worth of file buffers: nothing keeps a batch's data once it is
-// staged (blob.Put copies), so the next body is read into the same
-// arrays. release drops a buffer above lead, so the pool holds at most
+// staged (blob.Put copies a batch's files into one object, the one copy
+// made), so the next body is read into the same arrays. release drops a buffer above lead, so the pool holds at most
 // a few mebibytes per decoder.
 var decoders = sync.Pool{New: func() any {
-	return &bodyDecoder{r: bufio.NewReaderSize(nil, 64<<10), files: make(map[string][]byte)}
+	return &bodyDecoder{r: bufio.NewReaderSize(nil, 64<<10)}
 }}
 
 // arrivals counts the body bytes read off the connection.
@@ -185,7 +184,6 @@ func newBodyDecoder(r io.Reader) *bodyDecoder {
 
 func (d *bodyDecoder) release() {
 	d.r.Reset(nil)
-	clear(d.files)
 	for i, buf := range d.bufs {
 		if cap(buf) > lead {
 			d.bufs[i] = nil
@@ -344,23 +342,22 @@ func (d *bodyDecoder) header() (JobRequest, []string, error) {
 }
 
 // batch reads the data of the batch's files, the next manifest names in
-// order, into arrays it reuses from batch to batch: the map and the data
-// it returns are valid until the next call. After the manifest's last
-// file it requires the body to end, so a body that is malformed anywhere
-// fails before its last batch is staged.
-func (d *bodyDecoder) batch(tasks []classiccloud.Task) (map[string][]byte, error) {
-	clear(d.files)
-	for i, t := range tasks {
-		if i == len(d.bufs) {
-			d.bufs = append(d.bufs, nil)
-		}
+// order, into arrays it reuses from batch to batch, and returns them in
+// the batch's order: they are valid until the next call. It stops at a
+// malformed file, leaving the arrays past it to the next body. After the
+// manifest's last file it requires the body to end, so a body that is
+// malformed anywhere fails before its last batch is staged.
+func (d *bodyDecoder) batch(tasks []classiccloud.Task) ([][]byte, error) {
+	for len(d.bufs) < len(tasks) {
+		d.bufs = append(d.bufs, nil)
+	}
+	for i := 0; i < len(tasks) && d.err == nil; i++ {
 		d.bufs[i] = d.fill(d.bufs[i])
-		d.files[t.ID] = d.bufs[i]
 	}
 	if d.left -= len(tasks); d.left == 0 {
 		d.end()
 	}
-	return d.files, d.err
+	return d.bufs[:len(tasks)], d.err
 }
 
 // submitStatus is the HTTP status of a failed POST /jobs.

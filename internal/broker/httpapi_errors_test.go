@@ -277,15 +277,16 @@ func decodeBody(body []byte) (JobRequest, error) {
 	}
 	tasks := classiccloud.Config{}.TasksFromIDs(ids)
 	for start := 0; start < len(tasks); start += queue.MaxBatch {
-		files, err := d.batch(tasks[start:min(start+queue.MaxBatch, len(tasks))])
+		batch := tasks[start:min(start+queue.MaxBatch, len(tasks))]
+		files, err := d.batch(batch)
 		if err != nil {
 			return JobRequest{}, err
 		}
 		if req.Files == nil {
 			req.Files = make(map[string][]byte)
 		}
-		for name, data := range files {
-			req.Files[name] = bytes.Clone(data)
+		for i, data := range files {
+			req.Files[batch[i].ID] = bytes.Clone(data)
 		}
 	}
 	return req, nil

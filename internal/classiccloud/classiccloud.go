@@ -1,22 +1,40 @@
 // Package classiccloud implements the paper's Classic Cloud processing
 // model (Figure 1): a client uploads input files to cloud storage and
-// populates a scheduling queue with one task message per file, whose
-// body is the task ID; independent workers running on cloud instances
-// pull tasks from the queue, download the input, run the configured
-// executable, upload the result, and only then delete the task message.
-// The queue's visibility timeout provides fault tolerance — a task whose
-// worker dies reappears and is re-executed — and task idempotency makes
-// duplicate execution harmless. A monitoring queue reports completions
-// back to the client: each acknowledged batch is one message carrying
-// its tasks' binary MonitorReports back to back.
+// populates a scheduling queue with one task message per file;
+// independent workers running on cloud instances pull tasks from the
+// queue, download the input, run the configured executable, upload the
+// result, and only then delete the task message. The queue's visibility
+// timeout provides fault tolerance — a task whose worker dies reappears
+// and is re-executed — and task idempotency makes duplicate execution
+// harmless. A monitoring queue reports completions back to the client:
+// each acknowledged batch is one message carrying its tasks' binary
+// MonitorReports back to back.
+//
+// Storage is batched the way the queue is. Each staged batch of up to
+// queue.MaxBatch files is one input object, its files end to end, and a
+// task message's body names the task, the object and the file's offset
+// and length (taskMessage). A worker reads each contiguous run of a
+// receive's files with one ranged GET, and writes each acknowledged
+// batch's outputs as one self-describing output object (outputHeader),
+// before it reports them. Collection lists the output bucket once and
+// reads each object once. So where the paper's task costs three blob
+// requests (a PUT at submission, a GET and a PUT in the worker), a short
+// task here costs a tenth of a PUT each way and a share of its receive's
+// reads: about 0.6 in all, as the queue leaves a few holes in the runs of
+// every receive. The performance model (internal/perfmodel) keeps the
+// paper's per-file transfers.
 package classiccloud
 
 import (
+	"cmp"
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"math"
 	"slices"
 	"sort"
+	"strconv"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -36,13 +54,14 @@ type Env struct {
 }
 
 // Task describes one unit of work: a single input file producing a
-// single output file, as in the paper's applications.
+// single output file, as in the paper's applications. Its bytes travel
+// batched: the input is a range of a staged batch object in InputBucket,
+// which the task's message names, and the output one entry of a batch
+// output object in OutputBucket, whose header names it.
 type Task struct {
 	ID           string
 	InputBucket  string
-	InputKey     string
 	OutputBucket string
-	OutputKey    string
 }
 
 // Executor is the "configured executable program" a worker runs on each
@@ -280,13 +299,15 @@ func (s *Settlement) Settled() int { return len(s.Done) + s.DeadOnly() }
 // Client drives a Classic Cloud job: setup, submission, and completion
 // tracking.
 type Client struct {
-	env Env
-	cfg Config
+	env   Env
+	cfg   Config
+	names jobNames
 }
 
 // NewClient returns a client for the given environment.
 func NewClient(env Env, cfg Config) *Client {
-	return &Client{env: env, cfg: cfg.withDefaults()}
+	cfg = cfg.withDefaults()
+	return &Client{env: env, cfg: cfg, names: cfg.names()}
 }
 
 // Setup creates the job's queues and buckets. It is idempotent.
@@ -308,11 +329,11 @@ func (c *Client) Setup() error {
 	return nil
 }
 
-// SubmitFiles uploads each named input file to the input bucket and
-// enqueues one task message per file, in sorted name order, one
-// SubmitBatch of queue.MaxBatch tasks at a time: a job of n tasks costs
-// ⌈n/MaxBatch⌉ queue requests (and as many journal records on a durable
-// queue), not n. On error, whole earlier batches stay enqueued.
+// SubmitFiles stages the named input files and enqueues one task message
+// per file, in sorted name order, one SubmitBatch of queue.MaxBatch tasks
+// at a time: a job of n tasks costs ⌈n/MaxBatch⌉ blob PUTs and as many
+// queue requests (and journal records on a durable queue), not n of
+// each. On error, whole earlier batches stay enqueued.
 func (c *Client) SubmitFiles(files map[string][]byte) ([]Task, error) {
 	names := make([]string, 0, len(files))
 	for name := range files {
@@ -321,39 +342,100 @@ func (c *Client) SubmitFiles(files map[string][]byte) ([]Task, error) {
 	// Deterministic submission order simplifies reproducibility.
 	sort.Strings(names)
 	tasks := c.cfg.TasksFromIDs(names)
+	inputs := make([][]byte, len(names))
+	for i, name := range names {
+		inputs[i] = files[name]
+	}
 	for start := 0; start < len(tasks); start += queue.MaxBatch {
-		if err := c.SubmitBatch(tasks[start:min(start+queue.MaxBatch, len(tasks))], files); err != nil {
+		end := min(start+queue.MaxBatch, len(tasks))
+		if err := c.SubmitBatch(tasks[start:end], inputs[start:end]); err != nil {
 			return nil, err
 		}
 	}
 	return tasks, nil
 }
 
-// SubmitBatch stages one batch of at most queue.MaxBatch tasks: it
-// uploads each task's input, files[task.ID], and then enqueues the
-// batch's messages with one send, so no message becomes visible before
-// its input is stored. A message's body is its task ID.
-func (c *Client) SubmitBatch(batch []Task, files map[string][]byte) error {
-	bodies := make([][]byte, len(batch))
-	for i, task := range batch {
-		if err := c.env.Blob.Put(task.InputBucket, task.InputKey, files[task.ID]); err != nil {
-			return fmt.Errorf("classiccloud: uploading %s: %w", task.ID, err)
-		}
-		bodies[i] = []byte(task.ID)
+// SubmitBatch stages one batch of at most queue.MaxBatch tasks, whose
+// inputs are inputs[i] for batch[i]. It stores them end to end as one
+// object of the input bucket, keyed by the batch's first task ID, and
+// then enqueues the batch's messages with one send, each naming its
+// file's range of that object (taskMessage), so no message becomes
+// visible before its input is stored.
+func (c *Client) SubmitBatch(batch []Task, inputs [][]byte) error {
+	if len(batch) == 0 {
+		return nil
 	}
-	if _, err := c.env.Queue.SendMessageBatch(c.cfg.TaskQueue(), bodies); err != nil {
+	object := batch[0].ID
+	if err := c.env.Blob.Put(c.names.inputBucket, object, inputs...); err != nil {
+		return fmt.Errorf("classiccloud: uploading %s..%s: %w", object, batch[len(batch)-1].ID, err)
+	}
+	// The bodies share one array, each capped at its own end.
+	bodies := make([][]byte, len(batch))
+	buf := make([]byte, 0, len(batch)*(2*len(object)+8))
+	var off int64
+	for i, task := range batch {
+		n := len(buf)
+		buf = taskMessage{ID: task.ID, Object: object, Off: off, Len: int64(len(inputs[i]))}.appendTo(buf)
+		bodies[i] = buf[n:len(buf):len(buf)]
+		off += int64(len(inputs[i]))
+	}
+	if _, err := c.env.Queue.SendMessageBatch(c.names.taskQueue, bodies); err != nil {
 		return fmt.Errorf("classiccloud: enqueueing %s..%s: %w",
 			batch[0].ID, batch[len(batch)-1].ID, err)
 	}
 	return nil
 }
 
+// taskMessage is a task message's body: the task's ID and where its input
+// lies, Len bytes at Off in the staged batch object Object of the job's
+// input bucket:
+//
+//	str(task ID) || str(object) || uvarint(offset) || uvarint(length)
+type taskMessage struct {
+	ID, Object string
+	Off, Len   int64
+}
+
+func (m taskMessage) appendTo(b []byte) []byte {
+	e := codec.Enc{B: b}
+	e.Str(m.ID)
+	e.Str(m.Object)
+	e.U64(uint64(m.Off))
+	e.U64(uint64(m.Len))
+	return e.B
+}
+
+// parseTaskMessage decodes a task message's body. Any queue client can
+// write to a task queue, so it accepts exactly what appendTo writes and
+// nothing else: a body with no task ID, a field cut short, bytes after
+// the last field, a varint longer than it needs to be, or a range that
+// ends past 2^63−1 is poison, returned as ok = false and no task ID.
+func parseTaskMessage(body []byte) (m taskMessage, ok bool) {
+	d := codec.Dec{B: body}
+	id, object := d.Bytes(), d.Bytes()
+	off, n := d.U64(), d.U64()
+	if d.Err != nil || len(d.B) != 0 || len(id) == 0 || n > math.MaxInt64 || off > math.MaxInt64-n ||
+		uvarintLen(uint64(len(id)))+len(id)+uvarintLen(uint64(len(object)))+len(object)+
+			uvarintLen(off)+uvarintLen(n) != len(body) {
+		return taskMessage{}, false
+	}
+	return taskMessage{ID: string(id), Object: string(object), Off: int64(off), Len: int64(n)}, true
+}
+
+// uvarintLen is the length of v's (minimal) uvarint encoding.
+func uvarintLen(v uint64) int {
+	var buf [binary.MaxVarintLen64]byte
+	return binary.PutUvarint(buf[:], v)
+}
+
 // TasksFromIDs reconstructs the task set SubmitFiles created for these
-// IDs from the deterministic naming convention (input key = ID, output
-// key = ID + ".out"). It is the single definition of that convention:
-// SubmitFiles, workers decoding a task message and recovering
-// controllers agree through it, so a job is re-adopted from its task IDs
-// alone — Setup is idempotent, and nothing is re-uploaded or re-enqueued.
+// IDs: a task is its ID and the job's buckets, for where its bytes lie is
+// written down beside them — the input's range in its task message, the
+// output's in the header of the batch output object that holds it. It is
+// the single definition of that convention: SubmitFiles, workers
+// decoding a task message and recovering controllers agree through it,
+// so a job is re-adopted from its task IDs alone — Setup is idempotent,
+// and nothing is re-uploaded or re-enqueued.
 func (c Config) TasksFromIDs(taskIDs []string) []Task {
 	names := c.names()
 	tasks := make([]Task, len(taskIDs))
@@ -364,7 +446,7 @@ func (c Config) TasksFromIDs(taskIDs []string) []Task {
 }
 
 func (n jobNames) task(id string) Task {
-	return Task{ID: id, InputBucket: n.inputBucket, InputKey: id, OutputBucket: n.outputBucket, OutputKey: id + ".out"}
+	return Task{ID: id, InputBucket: n.inputBucket, OutputBucket: n.outputBucket}
 }
 
 // Report summarizes a completed job.
@@ -452,28 +534,111 @@ func (c *Client) WaitForCompletion(tasks []Task, timeout time.Duration) (Report,
 	// Verify all completed outputs are present (consistent read: the
 	// client retries until visible in a real deployment). Dead-lettered
 	// tasks produced no output by definition.
-	for _, t := range tasks {
-		if s.Dead[t.ID] && !s.Done[t.ID] {
-			continue
+	if len(s.Done) > 0 {
+		present := make(map[string]bool, len(s.Done))
+		if err := c.readOutputs(func(id string, _ []byte) { present[id] = true }); err != nil {
+			return Report{}, err
 		}
-		if ok, err := c.env.Blob.Exists(t.OutputBucket, t.OutputKey); err != nil || !ok {
-			return Report{}, fmt.Errorf("classiccloud: output %s missing after completion", t.OutputKey)
+		for _, t := range tasks {
+			if s.Done[t.ID] && !present[t.ID] {
+				return Report{}, fmt.Errorf("classiccloud: output of %s missing after completion", t.ID)
+			}
 		}
 	}
 	return report(), nil
 }
 
-// CollectOutputs downloads every task output.
+// CollectOutputs downloads every task output: one List of the output
+// bucket, then one GET of each batch output object. A task held by more
+// than one object (redelivered after its output was written, and written
+// again) takes its copy from the first object in key order; a
+// deterministic executor wrote the same bytes to each.
 func (c *Client) CollectOutputs(tasks []Task) (map[string][]byte, error) {
-	out := make(map[string][]byte, len(tasks))
+	want := make(map[string]bool, len(tasks))
 	for _, t := range tasks {
-		data, err := c.env.Blob.GetConsistent(t.OutputBucket, t.OutputKey)
-		if err != nil {
-			return nil, fmt.Errorf("classiccloud: collecting %s: %w", t.OutputKey, err)
+		want[t.ID] = true
+	}
+	out := make(map[string][]byte, len(tasks))
+	err := c.readOutputs(func(id string, output []byte) {
+		if _, dup := out[id]; want[id] && !dup {
+			out[id] = output
 		}
-		out[t.ID] = data
+	})
+	if err != nil {
+		return nil, err
+	}
+	for _, t := range tasks {
+		if _, ok := out[t.ID]; !ok {
+			return nil, fmt.Errorf("classiccloud: collecting %s: no output object holds it", t.ID)
+		}
 	}
 	return out, nil
+}
+
+// readOutputs lists the output bucket once, reads each output object once
+// (consistent view), and hands visit every entry of each, objects in key
+// order.
+func (c *Client) readOutputs(visit func(id string, output []byte)) error {
+	keys, err := c.env.Blob.List(c.names.outputBucket, "")
+	if err != nil {
+		return fmt.Errorf("classiccloud: listing outputs: %w", err)
+	}
+	for _, key := range keys {
+		obj, err := c.env.Blob.GetConsistent(c.names.outputBucket, key)
+		if err == nil {
+			err = parseOutputs(obj, visit)
+		}
+		if err != nil {
+			return fmt.Errorf("classiccloud: output object %s: %w", key, err)
+		}
+	}
+	return nil
+}
+
+// outputHeader is the header of an acknowledged batch's output object,
+// whose outputs follow it end to end in done's order:
+//
+//	uvarint(count) || count × (str(task ID) || uvarint(offset) || uvarint(length))
+//
+// each offset counting from the header's end.
+func outputHeader(done []doneTask) []byte {
+	e := codec.Enc{}
+	e.U64(uint64(len(done)))
+	off := 0
+	for _, t := range done {
+		e.Str(t.id)
+		e.U64(uint64(off))
+		e.U64(uint64(len(t.output)))
+		off += len(t.output)
+	}
+	return e.B
+}
+
+// parseOutputs hands visit each entry of an output object (outputHeader):
+// its task ID and its output, a capped slice of obj. A malformed object
+// is an error, and an entry before the damage may have been visited.
+func parseOutputs(obj []byte, visit func(id string, output []byte)) error {
+	d := codec.Dec{B: obj}
+	n := d.Len()
+	for range n {
+		d.Bytes()
+		d.U64()
+		d.U64()
+	}
+	if d.Err != nil {
+		return d.Err
+	}
+	body := d.B
+	d = codec.Dec{B: obj}
+	d.Len()
+	for range n {
+		id, off, size := d.Bytes(), d.U64(), d.U64()
+		if off > uint64(len(body)) || size > uint64(len(body))-off {
+			return codec.ErrCorrupt
+		}
+		visit(string(id), body[off:off+size:off+size])
+	}
+	return nil
 }
 
 // Instance models one cloud VM running a pool of worker processes, the
@@ -502,8 +667,9 @@ type InstanceStats struct {
 	// covered were left unacknowledged to be redelivered and re-reported.
 	ReportErrors atomic.Int64
 	// BusyNanos accumulates wall time workers spent inside the task
-	// pipeline (download → execute → upload), the numerator of fleet
-	// utilization.
+	// pipeline (download → execute → upload: the batch's ranged reads,
+	// its executions and its output object's write), the numerator of
+	// fleet utilization.
 	BusyNanos atomic.Int64
 }
 
@@ -590,7 +756,7 @@ func (inst *Instance) workerLoop(workerID int) {
 		}
 		fastest = min(fastest, time.Since(start))
 		a, busy, ran := inst.processBatch(workerID, msgs, leases)
-		if len(a.receipts)+len(a.dead) > 0 {
+		if len(a.done)+len(a.dead) > 0 {
 			acks <- a
 		}
 		if ran > 0 {
@@ -602,65 +768,136 @@ func (inst *Instance) workerLoop(workerID int) {
 	}
 }
 
-// batchAck is one batch's acknowledgement: the receipts of its completed
-// tasks, those of its poison messages (parked on the dead-letter queue
-// when one is configured), and one monitor-queue body holding the
-// reports of both, done and dead (an empty body names no task and has
-// none).
+// batchAck is one batch's acknowledgement: the worker that ran it, its
+// completed tasks, the receipts of its poison messages (parked on the
+// dead-letter queue when one is configured), and the poison messages'
+// dead reports (a body that names no task has none). The acknowledger
+// writes the completed tasks' outputs as one object under key, reports
+// them with the dead, and deletes them all.
 type batchAck struct {
-	receipts, dead []string
-	reports        []byte
+	worker  int
+	key     string
+	done    []doneTask
+	dead    []string
+	reports []byte
 }
 
-// processBatch runs every task of one receive batch, in order, and
-// returns the batch's acknowledgement, which the worker's acknowledger
-// makes while the worker receives and runs the next batch — 3 queue
-// requests per batch on the happy path, and the monitor queue hears of a
-// task at most one batch's execution after it finished. The batch's
-// leases are renewed from now until its acknowledgement. It also returns
-// how many of the batch's tasks ran and their summed service time.
+// doneTask is a task that ran and awaits its acknowledgement: its output,
+// and its service time so far (its execution and its share of its run's
+// read), to which its share of the output object's write is added.
+type doneTask struct {
+	receipt, id string
+	output      []byte
+	service     time.Duration
+}
+
+// delivery is a received task message's decoded body, receipt and
+// receive count.
+type delivery struct {
+	taskMessage
+	receipt  string
+	receives int
+}
+
+// processBatch runs every task of one receive batch and returns the
+// batch's acknowledgement, which the worker's acknowledger makes while
+// the worker receives and runs the next batch — 3 queue requests and one
+// blob PUT per batch on the happy path, and the monitor queue hears of a
+// task at most one batch's execution after it finished. The tasks run in
+// (object, offset) order, and each run of them whose files follow on from
+// each other in one staged object is read with one ranged GET. The
+// batch's leases are renewed from now until its acknowledgement. It also
+// returns how many of the batch's tasks ran and their summed service
+// time.
 func (inst *Instance) processBatch(workerID int, msgs []queue.Message, leases *leaseSet) (a batchAck, busy time.Duration, ran int) {
 	leases.add(msgs)
+	a.worker = workerID
+	live := make([]delivery, 0, len(msgs))
 	for _, m := range msgs {
-		// Poison: an empty body names no task, and a task over the receive
-		// cap has burned through its retry budget (executor failures,
-		// repeated crashes). Park it on the dead-letter queue (when
-		// configured), then report it dead and delete it with the batch,
-		// so it cannot wedge the queue. A failed park redelivers it.
-		if len(m.Body) == 0 || inst.cfg.MaxReceives > 0 && m.Receives > inst.cfg.MaxReceives {
-			if inst.cfg.DeadLetterQueue != "" {
-				if _, err := inst.env.Queue.SendMessage(inst.cfg.DeadLetterQueue, m.Body); err != nil {
-					leases.remove(m.ReceiptHandle)
-					continue
-				}
-			}
-			a.dead = append(a.dead, m.ReceiptHandle)
-			if len(m.Body) != 0 {
-				a.reports = MonitorReport{TaskID: string(m.Body), WorkerID: workerID, Status: StatusDead}.AppendTo(a.reports)
-			}
+		// Poison: a body that names no task (empty or malformed), and a
+		// task over the receive cap that has burned through its retry
+		// budget (executor failures, repeated crashes). Park it on the
+		// dead-letter queue (when configured), then report it dead and
+		// delete it with the batch, so it cannot wedge the queue. A failed
+		// park redelivers it.
+		tm, ok := parseTaskMessage(m.Body)
+		if ok && (inst.cfg.MaxReceives == 0 || m.Receives <= inst.cfg.MaxReceives) {
+			live = append(live, delivery{tm, m.ReceiptHandle, m.Receives})
 			continue
 		}
-		task := inst.names.task(string(m.Body))
-		taskStart := time.Now()
-		ok := inst.processTask(workerID, task)
-		took := time.Since(taskStart)
-		busy += took
-		ran++
+		if inst.cfg.DeadLetterQueue != "" {
+			if _, err := inst.env.Queue.SendMessage(inst.cfg.DeadLetterQueue, m.Body); err != nil {
+				leases.remove(m.ReceiptHandle)
+				continue
+			}
+		}
+		a.dead = append(a.dead, m.ReceiptHandle)
 		if ok {
-			a.receipts = append(a.receipts, m.ReceiptHandle)
-			a.reports = MonitorReport{
-				TaskID: task.ID, WorkerID: workerID, Status: StatusDone,
-				ServiceTime: took, InstanceType: inst.cfg.InstanceType,
-			}.AppendTo(a.reports)
+			a.reports = MonitorReport{TaskID: tm.ID, WorkerID: workerID, Status: StatusDead}.AppendTo(a.reports)
+		}
+	}
+	slices.SortFunc(live, func(x, y delivery) int {
+		return cmp.Or(strings.Compare(x.Object, y.Object), cmp.Compare(x.Off, y.Off))
+	})
+	for i := 0; i < len(live); {
+		j, end := i+1, live[i].Off+live[i].Len
+		for ; j < len(live) && live[j].Object == live[i].Object && live[j].Off <= end; j++ {
+			end = max(end, live[j].Off+live[j].Len)
+		}
+		busy += inst.processRun(workerID, live[i:j], end, &a, leases)
+		ran += j - i
+		i = j
+	}
+	return a, busy, ran
+}
+
+// processRun is the worker pipeline of Figure 1, download → execute, for
+// one run of a batch's tasks: one ranged read of the bytes from the
+// run's first offset to end, then each task on its own range. A task
+// that succeeds joins a's completed tasks, to be uploaded and
+// acknowledged by the acknowledger; one that does not is left to
+// redeliver. It returns the run's summed service time, each task's being
+// its execution plus an equal share of the read.
+func (inst *Instance) processRun(workerID int, run []delivery, end int64, a *batchAck, leases *leaseSet) (busy time.Duration) {
+	start := time.Now()
+	first := run[0].Off
+	data, err := inst.downloadWithRetry(run[0].Object, first, end-first)
+	read := time.Since(start)
+	inst.stats.BusyNanos.Add(int64(read))
+	share := read / time.Duration(len(run))
+	for _, d := range run {
+		taskStart := time.Now()
+		// A range past what the read returned names bytes its object does
+		// not have: the message lies about its input.
+		lo := d.Off - first
+		var output []byte
+		ok := err == nil && lo+d.Len <= int64(len(data))
+		if ok {
+			output, ok = inst.processTask(workerID, inst.names.task(d.ID), data[lo:lo+d.Len:lo+d.Len])
 		} else {
+			// Leave the message undeleted; it will reappear and be retried.
+			inst.stats.ExecErrors.Add(1)
+		}
+		took := time.Since(taskStart)
+		inst.stats.BusyNanos.Add(int64(took))
+		took += share
+		busy += took
+		if !ok {
 			// The task was not acknowledged (failure, crash injection, or
 			// preemption): stop renewing its lease so the visibility
 			// timeout re-exposes it on schedule, not after the rest of
 			// this batch finishes.
-			leases.remove(m.ReceiptHandle)
+			leases.remove(d.receipt)
+			continue
 		}
+		if a.key == "" {
+			// Unique per delivery: no other delivery of this task has this
+			// receive count.
+			a.key = d.ID + "." + strconv.Itoa(d.receives)
+		}
+		a.done = append(a.done, doneTask{receipt: d.receipt, id: d.ID, output: output, service: took})
 	}
-	return a, busy, ran
+	return busy
 }
 
 // acknowledger is a worker's one helper goroutine: it makes every queue
@@ -712,24 +949,48 @@ func (inst *Instance) acknowledger(acks <-chan batchAck, leases *leaseSet) {
 	}
 }
 
-// acknowledge reports a batch's settled tasks with one monitor message
-// and then deletes them, poison messages included, with a single batch
-// delete. Report BEFORE deleting, and delete only what was reported: a
-// crash or a failed send between the two then redelivers the task —
-// re-executed (idempotent) or dead-lettered again, and re-reported (the
-// settlement fold counts the repeat) — instead of silently losing the
-// settlement of a deleted task, which no retry would ever repair.
+// acknowledge writes a batch's outputs as one object, reports its
+// settled tasks with one monitor message and then deletes them, poison
+// messages included, with a single batch delete. Write before reporting,
+// so a task reported done has its output stored; report BEFORE deleting,
+// and delete only what was reported: a crash or a failed send between
+// the two then redelivers the task — re-executed (idempotent) or
+// dead-lettered again, and re-reported (the settlement fold counts the
+// repeat) — instead of silently losing the settlement of a deleted task,
+// which no retry would ever repair. A failed write leaves the completed
+// tasks to redeliver in the same way.
 func (inst *Instance) acknowledge(a batchAck, leases *leaseSet) {
-	receipts := append(a.receipts, a.dead...)
+	reports := a.reports
+	receipts := make([]string, 0, len(a.done)+len(a.dead))
+	if len(a.done) > 0 {
+		if share, ok := inst.writeOutputs(a); ok {
+			for _, t := range a.done {
+				reports = MonitorReport{
+					TaskID: t.id, WorkerID: a.worker, Status: StatusDone,
+					ServiceTime: t.service + share, InstanceType: inst.cfg.InstanceType,
+				}.AppendTo(reports)
+				receipts = append(receipts, t.receipt)
+			}
+		} else {
+			for _, t := range a.done {
+				leases.remove(t.receipt)
+			}
+		}
+	}
+	stored := len(receipts)
+	receipts = append(receipts, a.dead...)
 	var err error
-	if len(a.reports) > 0 {
-		_, err = inst.env.Queue.SendMessageBatch(inst.names.monitorQueue, [][]byte{a.reports})
+	if len(reports) > 0 {
+		_, err = inst.env.Queue.SendMessageBatch(inst.names.monitorQueue, [][]byte{reports})
 	}
 	// Reported or not, the batch's leases are done with: its tasks are
 	// deleted next, or left to expire and redeliver.
 	leases.remove(receipts...)
 	if err != nil {
 		inst.stats.ReportErrors.Add(1)
+		return
+	}
+	if len(receipts) == 0 {
 		return
 	}
 	// A failed delete only redelivers the tasks, to be re-run and re-reported.
@@ -741,10 +1002,31 @@ func (inst *Instance) acknowledge(a batchAck, leases *leaseSet) {
 			// already uploaded and tasks are idempotent, so this is
 			// harmless.
 			inst.stats.StaleDeletes.Add(1)
-		case i >= len(a.receipts):
+		case i >= stored:
 			inst.stats.DeadLettered.Add(1)
 		}
 	}
+}
+
+// writeOutputs puts a batch's outputs as one output object, its header
+// (outputHeader) then the outputs, under a.key. It returns each task's
+// equal share of the write's time, and whether the write succeeded.
+func (inst *Instance) writeOutputs(a batchAck) (time.Duration, bool) {
+	start := time.Now()
+	parts := make([][]byte, 0, len(a.done)+1)
+	parts = append(parts, outputHeader(a.done))
+	for _, t := range a.done {
+		parts = append(parts, t.output)
+	}
+	err := inst.env.Blob.Put(inst.names.outputBucket, a.key, parts...)
+	took := time.Since(start)
+	inst.stats.BusyNanos.Add(int64(took))
+	if err != nil {
+		inst.stats.ExecErrors.Add(int64(len(a.done)))
+		return 0, false
+	}
+	inst.stats.TasksExecuted.Add(int64(len(a.done)))
+	return took / time.Duration(len(a.done)), true
 }
 
 // leaseSet holds the receipts whose leases a worker's acknowledger
@@ -784,49 +1066,37 @@ func (s *leaseSet) snapshot(dst []string) []string {
 	return dst
 }
 
-// processTask is the worker pipeline of Figure 1: download → execute →
-// upload. It reports whether the task succeeded and should be
-// acknowledged (batch-deleted) and reported done by the caller.
-func (inst *Instance) processTask(workerID int, task Task) bool {
-	start := time.Now()
-	defer func() { inst.stats.BusyNanos.Add(int64(time.Since(start))) }()
-	input, err := inst.downloadWithRetry(task.InputBucket, task.InputKey)
-	if err != nil {
-		// Leave the message undeleted; it will reappear and be retried.
-		inst.stats.ExecErrors.Add(1)
-		return false
-	}
+// processTask executes one task on its input. It returns the output and
+// whether the task succeeded and should be uploaded, reported done and
+// acknowledged (batch-deleted) by the caller.
+func (inst *Instance) processTask(workerID int, task Task, input []byte) ([]byte, bool) {
 	output, err := inst.exec.Execute(task, input)
 	if err != nil {
 		inst.stats.ExecErrors.Add(1)
-		return false // visibility timeout will re-expose the task
+		return nil, false // visibility timeout will re-expose the task
 	}
 	if inst.killed.Load() {
 		// The instance was preempted mid-task: abandon without
 		// acknowledging so the visibility timeout re-exposes the work.
 		inst.stats.TasksAbandoned.Add(1)
-		return false
+		return nil, false
 	}
 	if inst.cfg.CrashBeforeDelete != nil && inst.cfg.CrashBeforeDelete(workerID, task) {
 		// Simulated worker death after doing the work but before the
 		// acknowledgement: the canonical at-least-once failure.
 		inst.stats.TasksAbandoned.Add(1)
-		return false
+		return nil, false
 	}
-	if err := inst.env.Blob.Put(task.OutputBucket, task.OutputKey, output); err != nil {
-		inst.stats.ExecErrors.Add(1)
-		return false
-	}
-	inst.stats.TasksExecuted.Add(1)
-	return true
+	return output, true
 }
 
-// downloadWithRetry tolerates eventual-consistency NotFound responses by
-// retrying, the standard client pattern on S3-era storage.
-func (inst *Instance) downloadWithRetry(bucket, key string) ([]byte, error) {
+// downloadWithRetry reads n bytes at off of a staged input object,
+// tolerating eventual-consistency NotFound responses by retrying, the
+// standard client pattern on S3-era storage.
+func (inst *Instance) downloadWithRetry(object string, off, n int64) ([]byte, error) {
 	var lastErr error
 	for i := 0; i < downloadRetries; i++ {
-		data, err := inst.env.Blob.Get(bucket, key)
+		data, err := inst.env.Blob.Get(inst.names.inputBucket, object, off, n)
 		if err == nil {
 			return data, nil
 		}
@@ -837,7 +1107,7 @@ func (inst *Instance) downloadWithRetry(bucket, key string) ([]byte, error) {
 		inst.stats.DownloadRetrys.Add(1)
 		time.Sleep(retryBackoff)
 	}
-	return nil, fmt.Errorf("classiccloud: download %s/%s: %w", bucket, key, lastErr)
+	return nil, fmt.Errorf("classiccloud: download %s/%s: %w", inst.names.inputBucket, object, lastErr)
 }
 
 // FuncExecutor adapts a function to the Executor interface.

@@ -168,11 +168,26 @@ func TestVisibilityTimeoutRecoversCrashedWorker(t *testing.T) {
 	}
 }
 
+// steppingClock advances by step each time it is read.
+type steppingClock struct {
+	step time.Duration
+	n    atomic.Int64
+}
+
+func (c *steppingClock) Now() time.Time {
+	return time.Unix(0, 0).Add(time.Duration(c.n.Add(1)) * c.step)
+}
+
+// Inside the consistency window a staged object reads as missing, and a
+// worker retries its read until the object shows. The store's clock
+// advances a third of the window at each read of it (and at the one
+// PUT that stages the job), so the first read of the staged object sees
+// it a third of a window old, and every run retries: at least once, and
+// within downloadRetries.
 func TestEventualConsistencyRetries(t *testing.T) {
-	// A consistency window shorter than the retry budget
-	// (downloadRetries × retryBackoff): downloads must succeed via retry.
+	const window = time.Second
 	env := Env{
-		Blob:  blob.NewStore(blob.Config{ConsistencyWindow: downloadRetries * retryBackoff / 2}),
+		Blob:  blob.NewStore(blob.Config{ConsistencyWindow: window, Clock: &steppingClock{step: window / 3}}),
 		Queue: queue.NewService(queue.Config{Seed: 2}),
 	}
 	cfg := Config{JobName: "ec"}
@@ -193,7 +208,10 @@ func TestEventualConsistencyRetries(t *testing.T) {
 		t.Fatal(err)
 	}
 	if inst.Stats().DownloadRetrys.Load() == 0 {
-		t.Log("note: no retries observed (tasks started after the window); acceptable")
+		t.Error("no read of the staged object was retried")
+	}
+	if n := env.Blob.Usage().NotFoundReads; n == 0 {
+		t.Errorf("%d reads inside the consistency window, want at least one", n)
 	}
 }
 
@@ -302,23 +320,28 @@ func TestWaitTimesOutWithoutWorkers(t *testing.T) {
 	}
 }
 
-// A task message's body is its task ID, so poison comes in two kinds.
-// An empty body names no task: it is dead-lettered on its first receive,
-// with no report, as there is no task to report. A body naming a task
-// whose input was never uploaded is a task like any other whose input is
-// missing: it is executed on each of its MaxReceives deliveries, then
-// dead-lettered and reported dead.
+// A task message's body names its task and its input's range, so poison
+// comes in two kinds. A body that names no task, empty or malformed, is
+// dead-lettered on its first receive, with no report, as there is no
+// task to report. A body naming a task whose input was never uploaded is
+// a task like any other whose input is missing: it is executed on each
+// of its MaxReceives deliveries, then dead-lettered and reported dead.
 func TestPoisonMessageDoesNotWedgeWorkers(t *testing.T) {
 	const maxReceives = 3
 	for _, tc := range []struct {
 		name, body string
-		// visibility is an hour for the empty body: a message not
-		// dead-lettered on its first receive is never received again here.
+		task       string // the task the body names; none when empty
+		// visibility is an hour for a body that names no task: a message
+		// not dead-lettered on its first receive is never received again
+		// here.
 		visibility     time.Duration
 		wantExecErrors int64
 	}{
 		{name: "empty body", body: "", visibility: time.Hour},
-		{name: "body names no input", body: "ghost.txt", visibility: 100 * time.Millisecond, wantExecErrors: maxReceives},
+		{name: "malformed body", body: "ghost.txt", visibility: time.Hour},
+		{name: "body names no input", task: "ghost.txt",
+			body:       string(taskMessage{ID: "ghost.txt", Object: "ghost.txt", Len: 5}.appendTo(nil)),
+			visibility: 100 * time.Millisecond, wantExecErrors: maxReceives},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			env := testEnv()
@@ -336,8 +359,8 @@ func TestPoisonMessageDoesNotWedgeWorkers(t *testing.T) {
 				t.Fatal(err)
 			}
 			wantDead := 0
-			if tc.body != "" {
-				tasks = append(tasks, cfg.TasksFromIDs([]string{tc.body})...)
+			if tc.task != "" {
+				tasks = append(tasks, cfg.TasksFromIDs([]string{tc.task})...)
 				wantDead = 1
 			}
 			inst, err := StartInstance(env, cfg, upperExec, 2)

@@ -35,9 +35,10 @@ func drainTasks(t *testing.T, q queue.API, name string) (map[string]string, map[
 	}
 }
 
-// SubmitFiles costs one queue request per MaxBatch tasks, returns the
-// tasks in sorted name order, and enqueues exactly those tasks, each
-// message's body being its task ID.
+// SubmitFiles costs one queue request and one blob PUT per MaxBatch
+// tasks, returns the tasks in sorted name order, and enqueues exactly
+// those tasks, each message's body naming its task and the range of a
+// staged object that holds its input.
 func TestSubmitFilesSendsInBatches(t *testing.T) {
 	for _, n := range []int{0, 1, 9, 10, 11, 25} {
 		t.Run(fmt.Sprintf("n=%d", n), func(t *testing.T) {
@@ -54,14 +55,15 @@ func TestSubmitFilesSendsInBatches(t *testing.T) {
 			}
 			sort.Strings(names)
 
-			before := env.Queue.APIRequestsFor(cfg.TaskQueue())
+			before, puts := env.Queue.APIRequestsFor(cfg.TaskQueue()), env.Blob.Usage().PutRequests
 			tasks, err := client.SubmitFiles(files)
 			if err != nil {
 				t.Fatal(err)
 			}
 			sends := env.Queue.APIRequestsFor(cfg.TaskQueue()) - before
-			if want := int64((n + queue.MaxBatch - 1) / queue.MaxBatch); sends != want {
-				t.Errorf("%d tasks cost %d send requests, want %d", n, sends, want)
+			puts = env.Blob.Usage().PutRequests - puts
+			if want := int64((n + queue.MaxBatch - 1) / queue.MaxBatch); sends != want || puts != want {
+				t.Errorf("%d tasks cost %d send requests and %d blob PUTs, want %d of each", n, sends, puts, want)
 			}
 			if want := cfg.withDefaults().TasksFromIDs(names); !reflect.DeepEqual(tasks, want) {
 				t.Errorf("tasks = %+v, want TasksFromIDs(sorted names) = %+v", tasks, want)
@@ -73,14 +75,21 @@ func TestSubmitFilesSendsInBatches(t *testing.T) {
 			}
 			got := make(map[string]bool, n)
 			for _, body := range received {
-				got[body] = true
+				m, ok := parseTaskMessage([]byte(body))
+				if !ok {
+					t.Errorf("task message body %q does not parse", body)
+					continue
+				}
+				got[m.ID] = true
+				staged, _, err := env.Blob.GetRange(cfg.withDefaults().InputBucket(), m.Object, m.Off, m.Len)
+				if err != nil || !bytes.Equal(staged, files[m.ID]) || m.Len != int64(len(files[m.ID])) {
+					t.Errorf("message of %s names %s[%d:+%d] = %q (%v), want its input %q",
+						m.ID, m.Object, m.Off, m.Len, staged, err, files[m.ID])
+				}
 			}
 			for _, task := range tasks {
 				if !got[task.ID] {
-					t.Errorf("no message body is task ID %q (bodies %q)", task.ID, received)
-				}
-				if staged, _ := env.Blob.GetConsistent(task.InputBucket, task.InputKey); !bytes.Equal(staged, files[task.ID]) {
-					t.Errorf("input %s not staged", task.InputKey)
+					t.Errorf("no message names task %q (bodies %q)", task.ID, received)
 				}
 			}
 		})
@@ -143,8 +152,9 @@ func TestSubmitFilesDurableOneRecordPerBatch(t *testing.T) {
 	}
 	for i, id := range ids {
 		// Message IDs ascend with the sorted task order.
-		if want := fmt.Sprintf("%s-%d", cfg.TaskQueue(), i+1); id != want || sent[id] != tasks[i].ID {
-			t.Fatalf("journaled message %d = %s %q, want %s %q", i, id, sent[id], want, tasks[i].ID)
+		m, _ := parseTaskMessage([]byte(sent[id]))
+		if want := fmt.Sprintf("%s-%d", cfg.TaskQueue(), i+1); id != want || m.ID != tasks[i].ID {
+			t.Fatalf("journaled message %d = %s naming %q, want %s naming %q", i, id, m.ID, want, tasks[i].ID)
 		}
 	}
 

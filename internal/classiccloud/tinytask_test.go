@@ -19,7 +19,9 @@ import (
 // monitor reports, the wire server's handlers and the queue's ids. It
 // also reports the job's billed queue requests per task, read from the
 // service's counter from the first submission until the instance has
-// stopped.
+// stopped, and the job store's billed blob requests per task over the
+// same span: staging, the workers' reads and writes, and the completion
+// check's reads of the output objects.
 func BenchmarkTinyTaskJob(b *testing.B) {
 	const n = 4096
 	files := make(map[string][]byte, n)
@@ -28,7 +30,7 @@ func BenchmarkTinyTaskJob(b *testing.B) {
 	}
 	echo := FuncExecutor{AppName: "echo", Fn: func(_ Task, in []byte) ([]byte, error) { return in, nil }}
 	var elapsed time.Duration
-	var requests int64
+	var requests, blobRequests int64
 	for i := 0; i < b.N; i++ {
 		b.StopTimer()
 		journals := blob.NewStore(blob.Config{})
@@ -44,13 +46,14 @@ func BenchmarkTinyTaskJob(b *testing.B) {
 		srv := &wire.Server{Service: svc}
 		go srv.Serve(ln)
 		remote := wire.Dial(ln.Addr().String(), wire.Options{})
-		env := Env{Blob: blob.NewStore(blob.Config{}), Queue: remote}
+		store := blob.NewStore(blob.Config{})
+		env := Env{Blob: store, Queue: remote}
 		cfg := Config{JobName: "tiny"}
 		client := NewClient(env, cfg)
 		if err := client.Setup(); err != nil {
 			b.Fatal(err)
 		}
-		start, billed := time.Now(), svc.APIRequests()
+		start, billed, blobBilled := time.Now(), svc.APIRequests(), store.Usage().Requests()
 		b.StartTimer()
 		tasks, err := client.SubmitFiles(files)
 		if err != nil {
@@ -65,6 +68,7 @@ func BenchmarkTinyTaskJob(b *testing.B) {
 		b.StopTimer()
 		elapsed += time.Since(start)
 		requests += svc.APIRequests() - billed
+		blobRequests += store.Usage().Requests() - blobBilled
 		if err != nil || rep.Completed != n {
 			b.Fatalf("completed %d/%d tasks: %v", rep.Completed, n, err)
 		}
@@ -74,4 +78,5 @@ func BenchmarkTinyTaskJob(b *testing.B) {
 	}
 	b.ReportMetric(float64(b.N*n)/elapsed.Seconds(), "tasks/s")
 	b.ReportMetric(float64(requests)/float64(b.N*n), "queue-req/task")
+	b.ReportMetric(float64(blobRequests)/float64(b.N*n), "blob_req/task")
 }

@@ -18,6 +18,13 @@
 // CalibratedModel.Plan inverts the price tables for the elastic broker:
 // the cheapest (instance type, fleet size) meeting a deadline.
 //
+// The Classic Cloud model keeps the paper's per-file storage transfers:
+// a GET and a PUT per task, each paying its own round trip. The system
+// itself (internal/classiccloud) batches them, one object per staged
+// batch of files each way, so its measured blob request count is about a
+// tenth of the model's; the model stays the paper's, because its figures
+// are what it reproduces.
+//
 // Absolute times are model outputs, not measurements of this machine;
 // the reproduction targets are the *shapes* the paper reports: which
 // instance type wins, which is most economical, how efficiency scales,

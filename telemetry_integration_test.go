@@ -219,7 +219,7 @@ func TestMetricSeriesNames(t *testing.T) {
 	must(err)
 	_, err = store.Append("probe", "log", []byte("v"))
 	must(err)
-	_, err = store.Get("probe", "k")
+	_, err = store.Get("probe", "k", 0, -1)
 	must(err)
 	_, err = store.List("probe", "")
 	must(err)
