@@ -88,8 +88,8 @@
 // Migration transfers messages with their delivery counts preserved
 // through the privileged transfer opcode. -transfer-token provisions
 // that opcode on this router AND authorizes the router against its
-// remote shards (which must run with the same token); without it,
-// migration falls back to a count-resetting public re-send. The flag
+// remote shards (which must run with the same token); without it, a
+// move onto a remote shard is refused and its queue stays put. The flag
 // takes a comma-separated list for zero-downtime rotation: every listed
 // token is ACCEPTED on this router's transfer opcode, and the FIRST is
 // presented to remote shards — provision old+new on the shards, list
@@ -419,7 +419,7 @@ func main() {
 	wireAddr := flag.String("wire-addr", ":0",
 		"listen address of the wire protocol, the queue API, advertised at GET /wire (:0 picks a free port)")
 	transferToken := flag.String("transfer-token", "",
-		"admin token(s) for the privileged count-preserving transfer opcode, comma-separated for rotation: all are accepted by this router, the first is presented to remote shards (empty disables transfers; migration then re-sends publicly, resetting delivery counts)")
+		"admin token(s) for the privileged count-preserving transfer opcode, comma-separated for rotation: all are accepted by this router, the first is presented to remote shards (empty disables transfers: a move onto a remote shard is then refused)")
 	slow := flag.Duration("slow", 0,
 		"log wire requests slower than this with their trace ID (0 disables)")
 	pprofOn := flag.Bool("pprof", false, "serve net/http/pprof under /debug/pprof/")

@@ -294,10 +294,10 @@ func (b *Broker) newJob(id string) *Job {
 // made; one after step 6 leaves a job Recover adopts.
 func (b *Broker) Submit(req JobRequest) (*Job, error) {
 	var inputs [][]byte
-	return b.submit(req, taskIDs(req.Files), func(batch []classiccloud.Task) ([][]byte, error) {
+	return b.submit(req, taskIDs(req.Files), func(batch []string) ([][]byte, error) {
 		inputs = inputs[:0]
-		for _, t := range batch {
-			inputs = append(inputs, req.Files[t.ID])
+		for _, id := range batch {
+			inputs = append(inputs, req.Files[id])
 		}
 		return inputs, nil
 	})
@@ -319,12 +319,12 @@ func taskIDs(files map[string][]byte) []string {
 // next supplies a batch at a time, in the batch's order, once that batch
 // is due to be staged: from req.Files for Submit, and from the POST /jobs
 // body as it arrives for the HTTP handler. req.Files is not read.
-func (b *Broker) submit(req JobRequest, ids []string, next func(batch []classiccloud.Task) ([][]byte, error)) (*Job, error) {
-	j, tasks, err := b.admit(req, ids)
+func (b *Broker) submit(req JobRequest, ids []string, next func(batch []string) ([][]byte, error)) (*Job, error) {
+	j, err := b.admit(req, ids)
 	if err != nil {
 		return nil, err
 	}
-	if err := b.stage(j, tasks, next); err != nil {
+	if err := b.stage(j, ids, next); err != nil {
 		return nil, err
 	}
 	return j, nil
@@ -337,25 +337,25 @@ type badRequest struct{ error }
 
 func (e badRequest) Unwrap() error { return e.error }
 
-// admit is Submit's steps 1 to 4: it returns a started job whose tasks
-// are still to be staged.
-func (b *Broker) admit(req JobRequest, ids []string) (_ *Job, _ []classiccloud.Task, err error) {
+// admit is Submit's steps 1 to 4: it returns a started job whose tasks,
+// ids, are still to be staged.
+func (b *Broker) admit(req JobRequest, ids []string) (_ *Job, err error) {
 	if len(ids) == 0 {
-		return nil, nil, badRequest{ErrNoFiles}
+		return nil, badRequest{ErrNoFiles}
 	}
 	factory, ok := b.cfg.Registry[req.App]
 	if !ok {
-		return nil, nil, badRequest{fmt.Errorf("%w: %q", ErrUnknownApp, req.App)}
+		return nil, badRequest{fmt.Errorf("%w: %q", ErrUnknownApp, req.App)}
 	}
 	exec, err := factory(req.Shared)
 	if err != nil {
-		return nil, nil, badRequest{err}
+		return nil, badRequest{err}
 	}
 
 	b.mu.Lock()
 	if b.closed {
 		b.mu.Unlock()
-		return nil, nil, ErrClosed
+		return nil, ErrClosed
 	}
 	b.nextID++
 	j := b.newJob(fmt.Sprintf("job-%04d", b.nextID))
@@ -366,7 +366,7 @@ func (b *Broker) admit(req JobRequest, ids []string) (_ *Job, _ []classiccloud.T
 	}
 	if req.InjectCrashes > 0 {
 		j.crashBudget.Store(int64(req.InjectCrashes))
-		j.ccCfg.CrashBeforeDelete = func(int, classiccloud.Task) bool {
+		j.ccCfg.CrashBeforeDelete = func(int, string) bool {
 			return j.crashBudget.Add(-1) >= 0
 		}
 	}
@@ -406,7 +406,7 @@ func (b *Broker) admit(req JobRequest, ids []string) (_ *Job, _ []classiccloud.T
 	// exclusive journal create below closes the remaining race window.
 	if j.jl != nil {
 		if _, _, err := b.cfg.Env.Blob.Stat(b.cfg.JournalBucket, journalKey(j.ID)); err == nil {
-			return nil, nil, fmt.Errorf("broker: journal for %s already exists (restarted without Recover?)", j.ID)
+			return nil, fmt.Errorf("broker: journal for %s already exists (restarted without Recover?)", j.ID)
 		}
 	}
 	// From here on a failure leaves some of the job's queues and buckets,
@@ -421,7 +421,7 @@ func (b *Broker) admit(req JobRequest, ids []string) (_ *Job, _ []classiccloud.T
 		}
 	}()
 	if err := j.cc.Setup(); err != nil {
-		return nil, nil, err
+		return nil, err
 	}
 	// Make the job durable: stage shared data for executor rebuild, then
 	// open the journal with the submission event. A job only exists once
@@ -429,12 +429,12 @@ func (b *Broker) admit(req JobRequest, ids []string) (_ *Job, _ []classiccloud.T
 	if j.jl != nil {
 		for name, data := range req.Shared {
 			if err := b.cfg.Env.Blob.Put(b.cfg.JournalBucket, sharedKey(j.ID, name), data); err != nil {
-				return nil, nil, fmt.Errorf("broker: staging shared data for recovery: %w", err)
+				return nil, fmt.Errorf("broker: staging shared data for recovery: %w", err)
 			}
 		}
 	}
 	if err := j.open(&submitted, planned); err != nil {
-		return nil, nil, err
+		return nil, err
 	}
 	// Nothing is enqueued yet: the autoscaler counts every task as backlog
 	// until stage has sent it.
@@ -442,9 +442,9 @@ func (b *Broker) admit(req JobRequest, ids []string) (_ *Job, _ []classiccloud.T
 	// A broker that closed meanwhile must not be left with a running-state
 	// journal no broker owns.
 	if !b.start(j, "initial fleet") {
-		return nil, nil, ErrClosed
+		return nil, ErrClosed
 	}
-	return j, j.ccCfg.TasksFromIDs(ids), nil
+	return j, nil
 }
 
 // stage is Submit's steps 5 and 6 on a started job: inputs and task
@@ -453,9 +453,9 @@ func (b *Broker) admit(req JobRequest, ids []string) (_ *Job, _ []classiccloud.T
 // write fails, and stops at the first batch boundary after the job ended
 // (by a Close, a Halt or, at the last batch, its completion), whose
 // EvStaged is refused: withdraw answers for an ended job too.
-func (b *Broker) stage(j *Job, tasks []classiccloud.Task, next func([]classiccloud.Task) ([][]byte, error)) error {
-	for start := 0; start < len(tasks); start += queue.MaxBatch {
-		batch := tasks[start:min(start+queue.MaxBatch, len(tasks))]
+func (b *Broker) stage(j *Job, ids []string, next func(batch []string) ([][]byte, error)) error {
+	for start := 0; start < len(ids); start += queue.MaxBatch {
+		batch := ids[start:min(start+queue.MaxBatch, len(ids))]
 		inputs, err := next(batch)
 		if err == nil {
 			err = j.cc.SubmitBatch(batch, inputs)

@@ -15,6 +15,7 @@ import (
 	"repro/internal/catalog"
 	"repro/internal/classiccloud"
 	"repro/internal/cloud"
+	"repro/internal/codec"
 	"repro/internal/journal"
 	"repro/internal/perfmodel"
 	"repro/internal/telemetry"
@@ -117,7 +118,7 @@ func (s *foldScript) quiesce() {
 func (s *foldScript) report(step string, reports ...classiccloud.MonitorReport) {
 	s.t.Helper()
 	for _, rep := range reports {
-		if _, err := s.cfg.Env.Queue.SendMessage(s.j.ccCfg.MonitorQueue(), rep.AppendTo(nil)); err != nil {
+		if _, err := s.cfg.Env.Queue.SendMessage(s.j.ccCfg.MonitorQueue(), monitorBody(rep)); err != nil {
 			s.t.Fatal(err)
 		}
 	}
@@ -126,11 +127,26 @@ func (s *foldScript) report(step string, reports ...classiccloud.MonitorReport) 
 }
 
 func done(id string) classiccloud.MonitorReport {
-	return classiccloud.MonitorReport{TaskID: id, Status: classiccloud.StatusDone}
+	return classiccloud.MonitorReport{TaskID: id}
 }
 
 func dead(id string) classiccloud.MonitorReport {
-	return classiccloud.MonitorReport{TaskID: id, Status: classiccloud.StatusDead}
+	return classiccloud.MonitorReport{TaskID: id, Dead: true}
+}
+
+// monitorBody is a monitor message reporting rep alone, as a worker of
+// rep's instance type writes it (classiccloud.MonitorReport's layout).
+func monitorBody(rep classiccloud.MonitorReport) []byte {
+	e := codec.Enc{}
+	e.Str(rep.InstanceType)
+	e.Str(rep.TaskID)
+	if rep.Dead {
+		e.Byte(1)
+	} else {
+		e.Byte(0)
+	}
+	e.U64(uint64(rep.ServiceTime))
+	return e.B
 }
 
 // check is the invariant: the live record IS the fold of the journal.
@@ -603,7 +619,7 @@ func TestSwallowedErrorsAreCounted(t *testing.T) {
 	}
 	send := func(rep classiccloud.MonitorReport) {
 		t.Helper()
-		if _, err := fq.API.SendMessage(s.j.ccCfg.MonitorQueue(), rep.AppendTo(nil)); err != nil {
+		if _, err := fq.API.SendMessage(s.j.ccCfg.MonitorQueue(), monitorBody(rep)); err != nil {
 			t.Fatal(err)
 		}
 	}

@@ -15,7 +15,6 @@ import (
 	"sync"
 	"time"
 
-	"repro/internal/classiccloud"
 	"repro/internal/codec"
 	"repro/internal/httpx"
 )
@@ -342,22 +341,22 @@ func (d *bodyDecoder) header() (JobRequest, []string, error) {
 }
 
 // batch reads the data of the batch's files, the next manifest names in
-// order, into arrays it reuses from batch to batch, and returns them in
-// the batch's order: they are valid until the next call. It stops at a
+// order (ids), into arrays it reuses from batch to batch, and returns them
+// in the batch's order: they are valid until the next call. It stops at a
 // malformed file, leaving the arrays past it to the next body. After the
 // manifest's last file it requires the body to end, so a body that is
 // malformed anywhere fails before its last batch is staged.
-func (d *bodyDecoder) batch(tasks []classiccloud.Task) ([][]byte, error) {
-	for len(d.bufs) < len(tasks) {
+func (d *bodyDecoder) batch(ids []string) ([][]byte, error) {
+	for len(d.bufs) < len(ids) {
 		d.bufs = append(d.bufs, nil)
 	}
-	for i := 0; i < len(tasks) && d.err == nil; i++ {
+	for i := 0; i < len(ids) && d.err == nil; i++ {
 		d.bufs[i] = d.fill(d.bufs[i])
 	}
-	if d.left -= len(tasks); d.left == 0 {
+	if d.left -= len(ids); d.left == 0 {
 		d.end()
 	}
-	return d.bufs[:len(tasks)], d.err
+	return d.bufs[:len(ids)], d.err
 }
 
 // submitStatus is the HTTP status of a failed POST /jobs.

@@ -275,9 +275,8 @@ func decodeBody(body []byte) (JobRequest, error) {
 	if err != nil {
 		return JobRequest{}, err
 	}
-	tasks := classiccloud.Config{}.TasksFromIDs(ids)
-	for start := 0; start < len(tasks); start += queue.MaxBatch {
-		batch := tasks[start:min(start+queue.MaxBatch, len(tasks))]
+	for start := 0; start < len(ids); start += queue.MaxBatch {
+		batch := ids[start:min(start+queue.MaxBatch, len(ids))]
 		files, err := d.batch(batch)
 		if err != nil {
 			return JobRequest{}, err
@@ -286,7 +285,7 @@ func decodeBody(body []byte) (JobRequest, error) {
 			req.Files = make(map[string][]byte)
 		}
 		for i, data := range files {
-			req.Files[batch[i].ID] = bytes.Clone(data)
+			req.Files[batch[i]] = bytes.Clone(data)
 		}
 	}
 	return req, nil

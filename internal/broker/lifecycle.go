@@ -262,7 +262,7 @@ func (j *Job) checkpoint(reports []classiccloud.MonitorReport) bool {
 	var done, dead []string
 	var samples []classiccloud.MonitorReport
 	for _, rep := range reports {
-		if rep.Status == classiccloud.StatusDead {
+		if rep.Dead {
 			if !j.core.Dead[rep.TaskID] {
 				dead = append(dead, rep.TaskID)
 			}
@@ -852,12 +852,12 @@ func tasksPerDollar(tasks int, costUSD float64) float64 {
 // CollectOutputs downloads the outputs of completed tasks.
 func (j *Job) CollectOutputs() (map[string][]byte, error) {
 	j.mu.Lock()
-	var completed []string
+	completed := make([]string, 0, len(j.core.Done))
 	for _, id := range j.core.TaskIDs {
 		if j.core.Done[id] {
 			completed = append(completed, id)
 		}
 	}
 	j.mu.Unlock()
-	return j.cc.CollectOutputs(j.ccCfg.TasksFromIDs(completed))
+	return j.cc.CollectOutputs(completed)
 }

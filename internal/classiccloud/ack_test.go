@@ -150,23 +150,22 @@ func TestDeadLetterRidesTheBatch(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	status := map[string]string{}
+	dead := map[string]bool{}
 	for _, r := range reports {
-		status[r.TaskID] = r.Status
+		dead[r.TaskID] = r.Dead
 	}
-	dead := 0
-	for _, task := range tasks {
-		switch status[task.ID] {
-		case StatusDead:
-			dead++
-		case StatusDone:
-		default:
-			t.Errorf("the batch's monitor message has no report of %s: %+v", task.ID, reports)
+	nDead := 0
+	for _, id := range tasks {
+		switch isDead, reported := dead[id]; {
+		case !reported:
+			t.Errorf("the batch's monitor message has no report of %s: %+v", id, reports)
+		case isDead:
+			nDead++
 		}
 	}
-	if len(reports) != len(tasks) || dead != 1 {
+	if len(reports) != len(tasks) || nDead != 1 {
 		t.Errorf("the batch's monitor message holds %d reports, %d dead; want %d, 1 dead: %+v",
-			len(reports), dead, len(tasks), reports)
+			len(reports), nDead, len(tasks), reports)
 	}
 }
 

@@ -6,9 +6,10 @@
 // result, and only then delete the task message. The queue's visibility
 // timeout provides fault tolerance — a task whose worker dies reappears
 // and is re-executed — and task idempotency makes duplicate execution
-// harmless. A monitoring queue reports completions back to the client:
-// each acknowledged batch is one message carrying its tasks' binary
-// MonitorReports back to back.
+// harmless. A monitoring queue reports settled tasks back to the client,
+// one message per acknowledged batch (MonitorReport):
+//
+//	str(instance type) || one or more × (str(task ID) || byte(0 done | 1 dead) || uvarint(service ns))
 //
 // Storage is batched the way the queue is. Each staged batch of up to
 // queue.MaxBatch files is one input object, its files end to end, and a
@@ -26,6 +27,7 @@
 package classiccloud
 
 import (
+	"bytes"
 	"cmp"
 	"encoding/binary"
 	"errors"
@@ -34,7 +36,6 @@ import (
 	"slices"
 	"sort"
 	"strconv"
-	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -54,7 +55,8 @@ type Env struct {
 }
 
 // Task describes one unit of work: a single input file producing a
-// single output file, as in the paper's applications. Its bytes travel
+// single output file, as in the paper's applications. The client names
+// tasks by ID; a Task hands an Executor the task it runs. Its bytes travel
 // batched: the input is a range of a staged batch object in InputBucket,
 // which the task's message names, and the output one entry of a batch
 // output object in OutputBucket, whose header names it.
@@ -138,15 +140,16 @@ type Config struct {
 	// CrashBeforeDelete is a fault-injection hook: when it returns true
 	// the worker "dies" after executing but before deleting the task, so
 	// the visibility timeout must recover the work.
-	CrashBeforeDelete func(workerID int, task Task) bool
+	CrashBeforeDelete func(workerID int, taskID string) bool
 	// MaxReceives caps deliveries per task message. A message received
 	// more than MaxReceives times is treated as poison: it is removed
 	// from the task queue and, when DeadLetterQueue is set, parked there
 	// for offline inspection (the SQS redrive-policy pattern). 0 disables
 	// the cap, preserving the seed's retry-forever behaviour.
 	MaxReceives int
-	// DeadLetterQueue receives poison task messages (over the receive
-	// cap, or empty). Empty means poison messages are dropped.
+	// DeadLetterQueue receives poison task messages: those over the
+	// receive cap, and those whose body does not parse (parseTaskMessage),
+	// the empty one included. Empty means poison messages are dropped.
 	DeadLetterQueue string
 	// InstanceType labels this deployment's monitor reports with the
 	// instance type running the workers (cloud.InstanceType.Key() form,
@@ -189,22 +192,15 @@ func (c Config) names() jobNames {
 	return jobNames{c.TaskQueue(), c.MonitorQueue(), c.InputBucket(), c.OutputBucket()}
 }
 
-// Task terminal statuses reported on the monitor queue.
-const (
-	StatusDone = "done"
-	// StatusDead marks a task that exhausted its receive cap and was
-	// parked on the dead-letter queue instead of completing.
-	StatusDead = "dead"
-)
-
-// MonitorReport is the completion report workers push to the monitor
-// queue for each settled task. A monitor message carries one or more
-// reports: a worker sends each acknowledged batch's reports, done and
-// dead alike, as one message.
+// MonitorReport is one settled task as the monitor queue reports it. A
+// worker reports each acknowledged batch, done and dead tasks alike, as
+// one message that names its instance type once, then each task, a dead
+// one with 0 ns:
+//
+//	str(instance type) || one or more × (str(task ID) || byte(0 done | 1 dead) || uvarint(service ns))
 type MonitorReport struct {
-	TaskID   string
-	WorkerID int
-	Status   string // StatusDone or StatusDead
+	TaskID string
+	Dead   bool // poison: dead-lettered (or dropped) instead of completing
 	// ServiceTime is the worker-measured duration of the task pipeline
 	// (download → execute → upload), the per-task service time the
 	// paper's variability analysis distributes; zero in a dead report.
@@ -214,35 +210,26 @@ type MonitorReport struct {
 	InstanceType string
 }
 
-// AppendTo appends the report's encoding to b:
-//
-//	str(task ID) || varint(worker ID) || str(status) || varint(service ns) || str(instance type)
-//
-// A monitor-queue body is one or more encodings back to back.
-func (r MonitorReport) AppendTo(b []byte) []byte {
-	e := codec.Enc{B: b}
-	e.Str(r.TaskID)
-	e.I64(int64(r.WorkerID))
-	e.Str(r.Status)
-	e.I64(int64(r.ServiceTime))
-	e.Str(r.InstanceType)
-	return e.B
-}
-
-// UnmarshalMonitorReports decodes a monitor-queue body, one or more
-// report encodings back to back, appending each report to dst. Any queue
-// client can write to a monitor queue, so a malformed body is an error,
-// not a panic; the reports decoded before a malformed tail are returned
-// with it.
+// UnmarshalMonitorReports appends a monitor-queue body's reports to dst.
+// Any queue client can write to a monitor queue, so it accepts exactly
+// what a worker writes: no entry, an empty task ID, a status byte other
+// than 0 or 1, a field cut short or an overlong varint is an error, and
+// the reports decoded before the damage are returned with it.
 func UnmarshalMonitorReports(dst []MonitorReport, body []byte) ([]MonitorReport, error) {
 	d := codec.Dec{B: body}
+	header := d.Bytes()
+	if d.Err != nil || strLen(len(header)) != len(body)-len(d.B) || len(d.B) == 0 {
+		return dst, codec.ErrCorrupt
+	}
+	instanceType := string(header)
 	for len(d.B) > 0 {
-		r := MonitorReport{TaskID: d.Str(), WorkerID: int(d.I64()), Status: d.Str(),
-			ServiceTime: time.Duration(d.I64()), InstanceType: d.Str()}
-		if d.Err != nil {
-			return dst, d.Err
+		rest := len(d.B)
+		id, status, ns := d.Bytes(), d.Byte(), d.U64()
+		if d.Err != nil || len(id) == 0 || status > 1 || strLen(len(id))+1+uvarintLen(ns) != rest-len(d.B) {
+			return dst, codec.ErrCorrupt
 		}
-		dst = append(dst, r)
+		dst = append(dst, MonitorReport{TaskID: string(id), Dead: status == 1,
+			ServiceTime: time.Duration(ns), InstanceType: instanceType})
 	}
 	return dst, nil
 }
@@ -330,58 +317,59 @@ func (c *Client) Setup() error {
 }
 
 // SubmitFiles stages the named input files and enqueues one task message
-// per file, in sorted name order, one SubmitBatch of queue.MaxBatch tasks
-// at a time: a job of n tasks costs ⌈n/MaxBatch⌉ blob PUTs and as many
-// queue requests (and journal records on a durable queue), not n of
-// each. On error, whole earlier batches stay enqueued.
-func (c *Client) SubmitFiles(files map[string][]byte) ([]Task, error) {
-	names := make([]string, 0, len(files))
+// per file, and returns the task IDs: the file names, sorted. It submits
+// one SubmitBatch of queue.MaxBatch tasks at a time in that order: a job
+// of n tasks costs ⌈n/MaxBatch⌉ blob PUTs and as many queue requests
+// (and journal records on a durable queue), not n of each. On error,
+// whole earlier batches stay enqueued.
+func (c *Client) SubmitFiles(files map[string][]byte) ([]string, error) {
+	ids := make([]string, 0, len(files))
 	for name := range files {
-		names = append(names, name)
+		ids = append(ids, name)
 	}
 	// Deterministic submission order simplifies reproducibility.
-	sort.Strings(names)
-	tasks := c.cfg.TasksFromIDs(names)
-	inputs := make([][]byte, len(names))
-	for i, name := range names {
-		inputs[i] = files[name]
+	sort.Strings(ids)
+	inputs := make([][]byte, len(ids))
+	for i, id := range ids {
+		inputs[i] = files[id]
 	}
-	for start := 0; start < len(tasks); start += queue.MaxBatch {
-		end := min(start+queue.MaxBatch, len(tasks))
-		if err := c.SubmitBatch(tasks[start:end], inputs[start:end]); err != nil {
+	for start := 0; start < len(ids); start += queue.MaxBatch {
+		end := min(start+queue.MaxBatch, len(ids))
+		if err := c.SubmitBatch(ids[start:end], inputs[start:end]); err != nil {
 			return nil, err
 		}
 	}
-	return tasks, nil
+	return ids, nil
 }
 
 // SubmitBatch stages one batch of at most queue.MaxBatch tasks, whose
-// inputs are inputs[i] for batch[i]. It stores them end to end as one
+// inputs are inputs[i] for task ids[i]. It stores them end to end as one
 // object of the input bucket, keyed by the batch's first task ID, and
 // then enqueues the batch's messages with one send, each naming its
 // file's range of that object (taskMessage), so no message becomes
-// visible before its input is stored.
-func (c *Client) SubmitBatch(batch []Task, inputs [][]byte) error {
-	if len(batch) == 0 {
+// visible before its input is stored, and a job is re-adopted from its
+// task IDs alone.
+func (c *Client) SubmitBatch(ids []string, inputs [][]byte) error {
+	if len(ids) == 0 {
 		return nil
 	}
-	object := batch[0].ID
+	object, last := ids[0], ids[len(ids)-1]
 	if err := c.env.Blob.Put(c.names.inputBucket, object, inputs...); err != nil {
-		return fmt.Errorf("classiccloud: uploading %s..%s: %w", object, batch[len(batch)-1].ID, err)
+		return fmt.Errorf("classiccloud: uploading %s..%s: %w", object, last, err)
 	}
 	// The bodies share one array, each capped at its own end.
-	bodies := make([][]byte, len(batch))
-	buf := make([]byte, 0, len(batch)*(2*len(object)+8))
-	var off int64
-	for i, task := range batch {
+	bodies := make([][]byte, len(ids))
+	buf := make([]byte, 0, len(ids)*(2*len(object)+8))
+	m := taskMessage{Object: []byte(object)}
+	for i, id := range ids {
 		n := len(buf)
-		buf = taskMessage{ID: task.ID, Object: object, Off: off, Len: int64(len(inputs[i]))}.appendTo(buf)
+		m.ID, m.Len = id, int64(len(inputs[i]))
+		buf = m.appendTo(buf)
 		bodies[i] = buf[n:len(buf):len(buf)]
-		off += int64(len(inputs[i]))
+		m.Off += m.Len
 	}
 	if _, err := c.env.Queue.SendMessageBatch(c.names.taskQueue, bodies); err != nil {
-		return fmt.Errorf("classiccloud: enqueueing %s..%s: %w",
-			batch[0].ID, batch[len(batch)-1].ID, err)
+		return fmt.Errorf("classiccloud: enqueueing %s..%s: %w", object, last, err)
 	}
 	return nil
 }
@@ -391,15 +379,18 @@ func (c *Client) SubmitBatch(batch []Task, inputs [][]byte) error {
 // input bucket:
 //
 //	str(task ID) || str(object) || uvarint(offset) || uvarint(length)
+//
+// A parsed Object is a slice of the body, valid while its delivery is.
 type taskMessage struct {
-	ID, Object string
-	Off, Len   int64
+	ID       string
+	Object   []byte
+	Off, Len int64
 }
 
 func (m taskMessage) appendTo(b []byte) []byte {
 	e := codec.Enc{B: b}
 	e.Str(m.ID)
-	e.Str(m.Object)
+	e.Bytes(m.Object)
 	e.U64(uint64(m.Off))
 	e.U64(uint64(m.Len))
 	return e.B
@@ -415,11 +406,10 @@ func parseTaskMessage(body []byte) (m taskMessage, ok bool) {
 	id, object := d.Bytes(), d.Bytes()
 	off, n := d.U64(), d.U64()
 	if d.Err != nil || len(d.B) != 0 || len(id) == 0 || n > math.MaxInt64 || off > math.MaxInt64-n ||
-		uvarintLen(uint64(len(id)))+len(id)+uvarintLen(uint64(len(object)))+len(object)+
-			uvarintLen(off)+uvarintLen(n) != len(body) {
+		strLen(len(id))+strLen(len(object))+uvarintLen(off)+uvarintLen(n) != len(body) {
 		return taskMessage{}, false
 	}
-	return taskMessage{ID: string(id), Object: string(object), Off: int64(off), Len: int64(n)}, true
+	return taskMessage{ID: string(id), Object: object, Off: int64(off), Len: int64(n)}, true
 }
 
 // uvarintLen is the length of v's (minimal) uvarint encoding.
@@ -428,26 +418,8 @@ func uvarintLen(v uint64) int {
 	return binary.PutUvarint(buf[:], v)
 }
 
-// TasksFromIDs reconstructs the task set SubmitFiles created for these
-// IDs: a task is its ID and the job's buckets, for where its bytes lie is
-// written down beside them — the input's range in its task message, the
-// output's in the header of the batch output object that holds it. It is
-// the single definition of that convention: SubmitFiles, workers
-// decoding a task message and recovering controllers agree through it,
-// so a job is re-adopted from its task IDs alone — Setup is idempotent,
-// and nothing is re-uploaded or re-enqueued.
-func (c Config) TasksFromIDs(taskIDs []string) []Task {
-	names := c.names()
-	tasks := make([]Task, len(taskIDs))
-	for i, id := range taskIDs {
-		tasks[i] = names.task(id)
-	}
-	return tasks
-}
-
-func (n jobNames) task(id string) Task {
-	return Task{ID: id, InputBucket: n.inputBucket, OutputBucket: n.outputBucket}
-}
+// strLen is the length of the (minimal) str encoding of n bytes.
+func strLen(n int) int { return uvarintLen(uint64(n)) + n }
 
 // Report summarizes a completed job.
 type Report struct {
@@ -484,8 +456,6 @@ func (c *Client) DrainMonitor(wait time.Duration, settle func([]MonitorReport) b
 		// abort the valid completions travelling alongside it.
 		reports, _ = UnmarshalMonitorReports(reports, m.Body)
 	}
-	// A report that names no task settles nothing.
-	reports = slices.DeleteFunc(reports, func(r MonitorReport) bool { return r.TaskID == "" })
 	if !settle(reports) {
 		return 0, nil
 	}
@@ -493,26 +463,26 @@ func (c *Client) DrainMonitor(wait time.Duration, settle func([]MonitorReport) b
 	return len(msgs), err
 }
 
-// WaitForCompletion drains the monitoring queue until every task has
-// reported a terminal status — done (verifying outputs exist) or dead
+// WaitForCompletion drains the monitoring queue until every task of ids
+// has reported a terminal status — done (verifying outputs exist) or dead
 // (parked on the dead-letter queue) — or the timeout expires.
-func (c *Client) WaitForCompletion(tasks []Task, timeout time.Duration) (Report, error) {
+func (c *Client) WaitForCompletion(ids []string, timeout time.Duration) (Report, error) {
 	start := time.Now()
 	deadline := start.Add(timeout)
 	s := NewSettlement()
 	report := func() Report {
 		return Report{Completed: len(s.Done), DeadLettered: s.DeadOnly(), Duplicates: s.Dups, Elapsed: time.Since(start)}
 	}
-	for s.Settled() < len(tasks) {
+	for s.Settled() < len(ids) {
 		if time.Now().After(deadline) {
 			return report(), fmt.Errorf("classiccloud: timeout after %v with %d/%d tasks complete",
-				timeout, s.Settled(), len(tasks))
+				timeout, s.Settled(), len(ids))
 		}
 		// An empty long poll has already waited; just re-check the deadline.
 		n, err := c.DrainMonitor(longPollWait, func(reports []MonitorReport) bool {
 			var done, dead []string
 			for _, rep := range reports {
-				if rep.Status == StatusDead {
+				if rep.Dead {
 					dead = append(dead, rep.TaskID)
 				} else {
 					done = append(done, rep.TaskID)
@@ -527,7 +497,7 @@ func (c *Client) WaitForCompletion(tasks []Task, timeout time.Duration) (Report,
 		// A drain short of a full receive emptied the queue. Pausing lets
 		// the next receive take several batches' reports at once rather
 		// than pay a receive and a delete for each one.
-		if n > 0 && n < queue.MaxBatch && s.Settled() < len(tasks) {
+		if n > 0 && n < queue.MaxBatch && s.Settled() < len(ids) {
 			time.Sleep(drainPause)
 		}
 	}
@@ -539,26 +509,26 @@ func (c *Client) WaitForCompletion(tasks []Task, timeout time.Duration) (Report,
 		if err := c.readOutputs(func(id string, _ []byte) { present[id] = true }); err != nil {
 			return Report{}, err
 		}
-		for _, t := range tasks {
-			if s.Done[t.ID] && !present[t.ID] {
-				return Report{}, fmt.Errorf("classiccloud: output of %s missing after completion", t.ID)
+		for _, id := range ids {
+			if s.Done[id] && !present[id] {
+				return Report{}, fmt.Errorf("classiccloud: output of %s missing after completion", id)
 			}
 		}
 	}
 	return report(), nil
 }
 
-// CollectOutputs downloads every task output: one List of the output
-// bucket, then one GET of each batch output object. A task held by more
-// than one object (redelivered after its output was written, and written
-// again) takes its copy from the first object in key order; a
-// deterministic executor wrote the same bytes to each.
-func (c *Client) CollectOutputs(tasks []Task) (map[string][]byte, error) {
-	want := make(map[string]bool, len(tasks))
-	for _, t := range tasks {
-		want[t.ID] = true
+// CollectOutputs downloads the outputs of tasks ids, keyed by ID: one
+// List of the output bucket, then one GET of each batch output object. A
+// task held by more than one object (redelivered after its output was
+// written, and written again) takes its copy from the first object in
+// key order; a deterministic executor wrote the same bytes to each.
+func (c *Client) CollectOutputs(ids []string) (map[string][]byte, error) {
+	want := make(map[string]bool, len(ids))
+	for _, id := range ids {
+		want[id] = true
 	}
-	out := make(map[string][]byte, len(tasks))
+	out := make(map[string][]byte, len(ids))
 	err := c.readOutputs(func(id string, output []byte) {
 		if _, dup := out[id]; want[id] && !dup {
 			out[id] = output
@@ -567,9 +537,9 @@ func (c *Client) CollectOutputs(tasks []Task) (map[string][]byte, error) {
 	if err != nil {
 		return nil, err
 	}
-	for _, t := range tasks {
-		if _, ok := out[t.ID]; !ok {
-			return nil, fmt.Errorf("classiccloud: collecting %s: no output object holds it", t.ID)
+	for _, id := range ids {
+		if _, ok := out[id]; !ok {
+			return nil, fmt.Errorf("classiccloud: collecting %s: no output object holds it", id)
 		}
 	}
 	return out, nil
@@ -768,18 +738,16 @@ func (inst *Instance) workerLoop(workerID int) {
 	}
 }
 
-// batchAck is one batch's acknowledgement: the worker that ran it, its
-// completed tasks, the receipts of its poison messages (parked on the
-// dead-letter queue when one is configured), and the poison messages'
-// dead reports (a body that names no task has none). The acknowledger
-// writes the completed tasks' outputs as one object under key, reports
-// them with the dead, and deletes them all.
+// batchAck is one batch's acknowledgement: its completed tasks, the
+// receipts of its poison messages (parked on the dead-letter queue when
+// one is configured) and the task IDs those name (a body that does not
+// parse names none). The acknowledger writes the completed tasks' outputs
+// as one object under key, reports them with the dead, and deletes all.
 type batchAck struct {
-	worker  int
 	key     string
 	done    []doneTask
 	dead    []string
-	reports []byte
+	deadIDs []string
 }
 
 // doneTask is a task that ran and awaits its acknowledgement: its output,
@@ -811,7 +779,6 @@ type delivery struct {
 // time.
 func (inst *Instance) processBatch(workerID int, msgs []queue.Message, leases *leaseSet) (a batchAck, busy time.Duration, ran int) {
 	leases.add(msgs)
-	a.worker = workerID
 	live := make([]delivery, 0, len(msgs))
 	for _, m := range msgs {
 		// Poison: a body that names no task (empty or malformed), and a
@@ -833,15 +800,15 @@ func (inst *Instance) processBatch(workerID int, msgs []queue.Message, leases *l
 		}
 		a.dead = append(a.dead, m.ReceiptHandle)
 		if ok {
-			a.reports = MonitorReport{TaskID: tm.ID, WorkerID: workerID, Status: StatusDead}.AppendTo(a.reports)
+			a.deadIDs = append(a.deadIDs, tm.ID)
 		}
 	}
 	slices.SortFunc(live, func(x, y delivery) int {
-		return cmp.Or(strings.Compare(x.Object, y.Object), cmp.Compare(x.Off, y.Off))
+		return cmp.Or(bytes.Compare(x.Object, y.Object), cmp.Compare(x.Off, y.Off))
 	})
 	for i := 0; i < len(live); {
 		j, end := i+1, live[i].Off+live[i].Len
-		for ; j < len(live) && live[j].Object == live[i].Object && live[j].Off <= end; j++ {
+		for ; j < len(live) && bytes.Equal(live[j].Object, live[i].Object) && live[j].Off <= end; j++ {
 			end = max(end, live[j].Off+live[j].Len)
 		}
 		busy += inst.processRun(workerID, live[i:j], end, &a, leases)
@@ -861,7 +828,7 @@ func (inst *Instance) processBatch(workerID int, msgs []queue.Message, leases *l
 func (inst *Instance) processRun(workerID int, run []delivery, end int64, a *batchAck, leases *leaseSet) (busy time.Duration) {
 	start := time.Now()
 	first := run[0].Off
-	data, err := inst.downloadWithRetry(run[0].Object, first, end-first)
+	data, err := inst.downloadWithRetry(string(run[0].Object), first, end-first)
 	read := time.Since(start)
 	inst.stats.BusyNanos.Add(int64(read))
 	share := read / time.Duration(len(run))
@@ -873,7 +840,8 @@ func (inst *Instance) processRun(workerID int, run []delivery, end int64, a *bat
 		var output []byte
 		ok := err == nil && lo+d.Len <= int64(len(data))
 		if ok {
-			output, ok = inst.processTask(workerID, inst.names.task(d.ID), data[lo:lo+d.Len:lo+d.Len])
+			task := Task{ID: d.ID, InputBucket: inst.names.inputBucket, OutputBucket: inst.names.outputBucket}
+			output, ok = inst.processTask(workerID, task, data[lo:lo+d.Len:lo+d.Len])
 		} else {
 			// Leave the message undeleted; it will reappear and be retried.
 			inst.stats.ExecErrors.Add(1)
@@ -960,28 +928,21 @@ func (inst *Instance) acknowledger(acks <-chan batchAck, leases *leaseSet) {
 // which no retry would ever repair. A failed write leaves the completed
 // tasks to redeliver in the same way.
 func (inst *Instance) acknowledge(a batchAck, leases *leaseSet) {
-	reports := a.reports
-	receipts := make([]string, 0, len(a.done)+len(a.dead))
-	if len(a.done) > 0 {
-		if share, ok := inst.writeOutputs(a); ok {
-			for _, t := range a.done {
-				reports = MonitorReport{
-					TaskID: t.id, WorkerID: a.worker, Status: StatusDone,
-					ServiceTime: t.service + share, InstanceType: inst.cfg.InstanceType,
-				}.AppendTo(reports)
-				receipts = append(receipts, t.receipt)
-			}
-		} else {
-			for _, t := range a.done {
-				leases.remove(t.receipt)
-			}
+	if len(a.done) > 0 && !inst.writeOutputs(a) {
+		for _, t := range a.done {
+			leases.remove(t.receipt)
 		}
+		a.done = nil
+	}
+	receipts := make([]string, 0, len(a.done)+len(a.dead))
+	for _, t := range a.done {
+		receipts = append(receipts, t.receipt)
 	}
 	stored := len(receipts)
 	receipts = append(receipts, a.dead...)
 	var err error
-	if len(reports) > 0 {
-		_, err = inst.env.Queue.SendMessageBatch(inst.names.monitorQueue, [][]byte{reports})
+	if len(a.done)+len(a.deadIDs) > 0 {
+		_, err = inst.env.Queue.SendMessageBatch(inst.names.monitorQueue, [][]byte{inst.monitorBody(a)})
 	}
 	// Reported or not, the batch's leases are done with: its tasks are
 	// deleted next, or left to expire and redeliver.
@@ -1008,10 +969,36 @@ func (inst *Instance) acknowledge(a batchAck, leases *leaseSet) {
 	}
 }
 
+// monitorBody encodes a batch's one monitor message (MonitorReport), its
+// done tasks then its dead ones, into a buffer sized for them up front.
+func (inst *Instance) monitorBody(a batchAck) []byte {
+	size := strLen(len(inst.cfg.InstanceType))
+	for _, t := range a.done {
+		size += strLen(len(t.id)) + 1 + uvarintLen(uint64(t.service))
+	}
+	for _, id := range a.deadIDs {
+		size += strLen(len(id)) + 2
+	}
+	e := codec.Enc{B: make([]byte, 0, size)}
+	e.Str(inst.cfg.InstanceType)
+	for _, t := range a.done {
+		e.Str(t.id)
+		e.Byte(0)
+		e.U64(uint64(t.service))
+	}
+	for _, id := range a.deadIDs {
+		e.Str(id)
+		e.Byte(1)
+		e.U64(0)
+	}
+	return e.B
+}
+
 // writeOutputs puts a batch's outputs as one output object, its header
-// (outputHeader) then the outputs, under a.key. It returns each task's
-// equal share of the write's time, and whether the write succeeded.
-func (inst *Instance) writeOutputs(a batchAck) (time.Duration, bool) {
+// (outputHeader) then the outputs, under a.key. It reports whether the
+// write succeeded, and adds each task's equal share of its time to the
+// task's service time.
+func (inst *Instance) writeOutputs(a batchAck) bool {
 	start := time.Now()
 	parts := make([][]byte, 0, len(a.done)+1)
 	parts = append(parts, outputHeader(a.done))
@@ -1023,10 +1010,13 @@ func (inst *Instance) writeOutputs(a batchAck) (time.Duration, bool) {
 	inst.stats.BusyNanos.Add(int64(took))
 	if err != nil {
 		inst.stats.ExecErrors.Add(int64(len(a.done)))
-		return 0, false
+		return false
 	}
 	inst.stats.TasksExecuted.Add(int64(len(a.done)))
-	return took / time.Duration(len(a.done)), true
+	for i := range a.done {
+		a.done[i].service += took / time.Duration(len(a.done))
+	}
+	return true
 }
 
 // leaseSet holds the receipts whose leases a worker's acknowledger
@@ -1081,7 +1071,7 @@ func (inst *Instance) processTask(workerID int, task Task, input []byte) ([]byte
 		inst.stats.TasksAbandoned.Add(1)
 		return nil, false
 	}
-	if inst.cfg.CrashBeforeDelete != nil && inst.cfg.CrashBeforeDelete(workerID, task) {
+	if inst.cfg.CrashBeforeDelete != nil && inst.cfg.CrashBeforeDelete(workerID, task.ID) {
 		// Simulated worker death after doing the work but before the
 		// acknowledgement: the canonical at-least-once failure.
 		inst.stats.TasksAbandoned.Add(1)

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
+	"slices"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -139,7 +140,7 @@ func TestVisibilityTimeoutRecoversCrashedWorker(t *testing.T) {
 		VisibilityTimeout: 150 * time.Millisecond,
 		// First three tasks observed by worker 0 are abandoned after
 		// execution, before deletion.
-		CrashBeforeDelete: func(workerID int, task Task) bool {
+		CrashBeforeDelete: func(workerID int, _ string) bool {
 			return workerID == 0 && crashes.Add(1) <= 3
 		},
 	}
@@ -340,7 +341,7 @@ func TestPoisonMessageDoesNotWedgeWorkers(t *testing.T) {
 		{name: "empty body", body: "", visibility: time.Hour},
 		{name: "malformed body", body: "ghost.txt", visibility: time.Hour},
 		{name: "body names no input", task: "ghost.txt",
-			body:       string(taskMessage{ID: "ghost.txt", Object: "ghost.txt", Len: 5}.appendTo(nil)),
+			body:       string(taskMessage{ID: "ghost.txt", Object: []byte("ghost.txt"), Len: 5}.appendTo(nil)),
 			visibility: 100 * time.Millisecond, wantExecErrors: maxReceives},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
@@ -360,7 +361,7 @@ func TestPoisonMessageDoesNotWedgeWorkers(t *testing.T) {
 			}
 			wantDead := 0
 			if tc.task != "" {
-				tasks = append(tasks, cfg.TasksFromIDs([]string{tc.task})...)
+				tasks = append(tasks, tc.task)
 				wantDead = 1
 			}
 			inst, err := StartInstance(env, cfg, upperExec, 2)
@@ -437,7 +438,8 @@ func TestDuplicateDeliveryIsIdempotent(t *testing.T) {
 }
 
 // Monitor reports carry the reporting instance's type (the calibration
-// catalog's label) and the task's service time.
+// catalog's label), named once in each message's header, on every entry,
+// and each done task's service time.
 func TestMonitorReportCarriesInstanceType(t *testing.T) {
 	env := testEnv()
 	cfg := Config{JobName: "typed", InstanceType: "aws/Large"}
@@ -445,41 +447,48 @@ func TestMonitorReportCarriesInstanceType(t *testing.T) {
 	if err := client.Setup(); err != nil {
 		t.Fatal(err)
 	}
-	tasks, err := client.SubmitFiles(map[string][]byte{"a.txt": []byte("hi")})
+	tasks, err := client.SubmitFiles(makeFiles(3 * ReceiveBatch))
 	if err != nil {
 		t.Fatal(err)
 	}
-	inst, err := StartInstance(env, cfg, upperExec, 1)
+	inst, err := StartInstance(env, cfg, upperExec, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Read the raw report off the monitor queue (WaitForCompletion would
-	// consume it).
-	var msgs []queue.Message
+	// Read the raw reports off the monitor queue (WaitForCompletion would
+	// consume them).
+	var reps []MonitorReport
 	deadline := time.Now().Add(5 * time.Second)
-	for len(msgs) == 0 {
+	for len(reps) < len(tasks) {
 		if time.Now().After(deadline) {
-			t.Fatal("no monitor report within 5s")
+			t.Fatalf("%d of %d monitor reports within 5s", len(reps), len(tasks))
 		}
-		msgs, err = env.Queue.ReceiveMessageBatch(cfg.MonitorQueue(), time.Minute, 10, 50*time.Millisecond)
+		msgs, err := env.Queue.ReceiveMessageBatch(cfg.MonitorQueue(), time.Minute, 10, 50*time.Millisecond)
 		if err != nil {
 			t.Fatal(err)
 		}
+		for _, m := range msgs {
+			if reps, err = UnmarshalMonitorReports(reps, m.Body); err != nil {
+				t.Fatal(err)
+			}
+		}
 	}
 	inst.Stop()
-	reps, err := UnmarshalMonitorReports(nil, msgs[0].Body)
-	if err != nil || len(reps) != 1 {
-		t.Fatalf("monitor body holds %d reports (%v), want 1", len(reps), err)
+	ids := make([]string, len(reps))
+	for i, rep := range reps {
+		ids[i] = rep.TaskID
+		if rep.Dead {
+			t.Errorf("report = %+v, want done", rep)
+		}
+		if rep.InstanceType != "aws/Large" {
+			t.Errorf("%s: InstanceType = %q, want aws/Large", rep.TaskID, rep.InstanceType)
+		}
+		if rep.ServiceTime <= 0 {
+			t.Errorf("%s: ServiceTime = %v, want > 0", rep.TaskID, rep.ServiceTime)
+		}
 	}
-	rep := reps[0]
-	if rep.TaskID != tasks[0].ID || rep.Status != StatusDone {
-		t.Errorf("report = %+v, want %s done", rep, tasks[0].ID)
-	}
-	if rep.InstanceType != "aws/Large" {
-		t.Errorf("InstanceType = %q, want aws/Large", rep.InstanceType)
-	}
-	if rep.ServiceTime <= 0 {
-		t.Errorf("ServiceTime = %v, want > 0", rep.ServiceTime)
+	if slices.Sort(ids); !slices.Equal(ids, tasks) {
+		t.Errorf("reports name %q, want each task once: %q", ids, tasks)
 	}
 }
 

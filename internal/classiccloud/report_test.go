@@ -1,6 +1,7 @@
 package classiccloud
 
 import (
+	"bytes"
 	"errors"
 	"math"
 	"slices"
@@ -9,6 +10,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/codec"
 	"repro/internal/queue"
 )
 
@@ -156,52 +158,85 @@ func TestFailedDeadReportDoesNotAckTask(t *testing.T) {
 	}
 }
 
+// encodeReports is the monitor body a worker of reps[0]'s instance type
+// writes for reps, spelt from MonitorReport's layout; reps must not be
+// empty.
+func encodeReports(reps []MonitorReport) []byte {
+	e := codec.Enc{}
+	e.Str(reps[0].InstanceType)
+	for _, r := range reps {
+		e.Str(r.TaskID)
+		if r.Dead {
+			e.Byte(1)
+		} else {
+			e.Byte(0)
+		}
+		e.U64(uint64(r.ServiceTime))
+	}
+	return e.B
+}
+
+// A monitor body is refused from its first damaged byte on, and the
+// entries before the damage are kept.
+func TestMalformedMonitorBodies(t *testing.T) {
+	kept := []MonitorReport{{TaskID: "t1", ServiceTime: 7 * time.Millisecond, InstanceType: "aws/Large"}}
+	one := encodeReports(kept)
+	damaged := func(tail ...byte) []byte { return slices.Concat(one, tail) }
+	for _, tc := range []struct {
+		name string
+		body []byte
+		kept []MonitorReport
+	}{
+		{"empty body", nil, nil},
+		{"header cut short", []byte{9, 'a', 'w', 's'}, nil},
+		{"header only", one[:1+len("aws/Large")], nil},
+		{"empty task ID", damaged(0, 0, 0), kept},
+		{"status byte 2", damaged(2, 't', '2', 2, 0), kept},
+		{"entry cut short", damaged(2, 't', '2'), kept},
+		{"truncated uvarint", damaged(2, 't', '2', 0, 0x80), kept},
+		{"overlong uvarint", damaged(2, 't', '2', 0, 0x80, 0x00), kept},
+	} {
+		got, err := UnmarshalMonitorReports(nil, tc.body)
+		if !errors.Is(err, codec.ErrCorrupt) || !slices.Equal(got, tc.kept) {
+			t.Errorf("%s: %q decoded to %+v, %v; want %+v and %v", tc.name, tc.body, got, err, tc.kept, codec.ErrCorrupt)
+		}
+	}
+}
+
 // Any queue client can write to a monitor queue, so
 // UnmarshalMonitorReports reads outside input: arbitrary bytes decode or
-// fail without panicking, and decoded reports' strings are never longer
-// in total than the body they came from. k reports round-trip exactly
-// through one body, a body of one report (AppendTo(nil)) decodes as a
-// batch of one, and whatever bytes follow whole reports, those reports
-// are decoded ahead of what the bytes alone decode to, with the same
-// error.
+// fail without panicking, whatever decodes re-encodes to exactly the
+// body, and the reports decoded before an error re-encode to a prefix of
+// it. Up to MaxBatch reports built from the fuzzed fields round-trip
+// exactly through one body.
 func FuzzMonitorReport(f *testing.F) {
-	f.Add(MonitorReport{TaskID: "file001.fsa", WorkerID: 3, Status: StatusDone,
-		ServiceTime: 42 * time.Millisecond, InstanceType: "aws/Large"}.AppendTo(nil),
-		"t", int64(0), StatusDead, int64(0), "", uint8(1))
+	f.Add(encodeReports([]MonitorReport{{TaskID: "file001.fsa", ServiceTime: 42 * time.Millisecond, InstanceType: "aws/Large"},
+		{TaskID: "file002.fsa", Dead: true}}),
+		"aws/Large", "t", false, uint64(42), uint8(1))
 	f.Add([]byte(`{"task_id":"t1","worker_id":3,"status":"done","service_ns":42}`),
-		"", int64(-1), "", int64(math.MinInt64), "azure/Small", uint8(10))
-	f.Add([]byte{}, "\x00", int64(math.MaxInt64), "done", int64(math.MaxInt64), "\xff", uint8(0))
-	f.Add([]byte{0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0x01}, "a", int64(1), "b", int64(1), "c", uint8(3))
-	f.Add([]byte{0x01, 'x', 0x02, 0x00}, "a", int64(1), "b", int64(1), "c", uint8(2))
-	f.Fuzz(func(t *testing.T, body []byte, taskID string, worker int64, status string, ns int64, instanceType string, k uint8) {
-		tail, tailErr := UnmarshalMonitorReports(nil, body)
-		n := 0
-		for _, rep := range tail {
-			n += len(rep.TaskID) + len(rep.Status) + len(rep.InstanceType)
-		}
-		if n > len(body) {
-			t.Fatalf("%d-byte body decoded to %d bytes of strings: %+v", len(body), n, tail)
+		"", "", true, uint64(0), uint8(10))
+	f.Add([]byte{}, "\xff", "\x00", false, uint64(math.MaxUint64), uint8(0))
+	f.Add([]byte{0}, "a", "b", true, uint64(1), uint8(3))
+	f.Add([]byte{0, 1, 'x', 2, 0}, "a", "b", false, uint64(1), uint8(2))
+	f.Add([]byte{0, 1, 'x', 0, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0x01}, "a", "b", false, uint64(1<<63), uint8(1))
+	f.Add([]byte{0, 1, 'x', 1, 0x80, 0x00}, "a", "b", true, uint64(0), uint8(1))
+	f.Fuzz(func(t *testing.T, body []byte, instanceType, taskID string, dead bool, ns uint64, k uint8) {
+		got, err := UnmarshalMonitorReports(nil, body)
+		switch {
+		case err == nil && (len(got) == 0 || !bytes.Equal(encodeReports(got), body)):
+			t.Fatalf("body %q decoded to %+v, which encodes as %q", body, got, encodeReports(got))
+		case err != nil && len(got) > 0 && !bytes.HasPrefix(body, encodeReports(got)):
+			t.Fatalf("body %q decoded to %+v before %v, which encode as %q", body, got, err, encodeReports(got))
 		}
 
-		want := make([]MonitorReport, int(k)%(queue.MaxBatch+1))
-		var batch []byte
+		want := make([]MonitorReport, 1+int(k)%queue.MaxBatch)
 		for i := range want {
-			want[i] = MonitorReport{TaskID: taskID + strconv.Itoa(i), WorkerID: int(worker) + i, Status: status,
-				ServiceTime: time.Duration(ns) - time.Duration(i), InstanceType: instanceType}
-			one := want[i].AppendTo(nil)
-			if got, err := UnmarshalMonitorReports(nil, one); err != nil || len(got) != 1 || got[0] != want[i] {
-				t.Fatalf("one-report body of %+v decoded to %+v, %v", want[i], got, err)
-			}
-			batch = append(batch, one...)
+			want[i] = MonitorReport{TaskID: taskID + strconv.Itoa(i), Dead: dead != (i%2 == 1),
+				ServiceTime: time.Duration(ns - uint64(i)), InstanceType: instanceType}
 		}
-		got, err := UnmarshalMonitorReports(nil, batch)
+		got, err = UnmarshalMonitorReports(nil, encodeReports(want))
 		if err != nil || !slices.Equal(got, want) {
 			t.Fatalf("round trip of %d reports = %+v, %v; want %+v", len(want), got, err, want)
-		}
-		got, err = UnmarshalMonitorReports(nil, append(batch, body...))
-		if err != tailErr || !slices.Equal(got, append(want, tail...)) {
-			t.Fatalf("%d reports then %q decoded to %+v, %v; want %+v then %+v, %v",
-				len(want), body, got, err, want, tail, tailErr)
 		}
 	})
 }

@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"reflect"
 	"runtime"
+	"slices"
 	"sort"
 	"testing"
 	"time"
@@ -65,8 +66,8 @@ func TestSubmitFilesSendsInBatches(t *testing.T) {
 			if want := int64((n + queue.MaxBatch - 1) / queue.MaxBatch); sends != want || puts != want {
 				t.Errorf("%d tasks cost %d send requests and %d blob PUTs, want %d of each", n, sends, puts, want)
 			}
-			if want := cfg.withDefaults().TasksFromIDs(names); !reflect.DeepEqual(tasks, want) {
-				t.Errorf("tasks = %+v, want TasksFromIDs(sorted names) = %+v", tasks, want)
+			if !slices.Equal(tasks, names) {
+				t.Errorf("task IDs = %q, want the sorted names %q", tasks, names)
 			}
 
 			received, _ := drainTasks(t, env.Queue, cfg.TaskQueue())
@@ -81,15 +82,15 @@ func TestSubmitFilesSendsInBatches(t *testing.T) {
 					continue
 				}
 				got[m.ID] = true
-				staged, _, err := env.Blob.GetRange(cfg.withDefaults().InputBucket(), m.Object, m.Off, m.Len)
+				staged, _, err := env.Blob.GetRange(cfg.withDefaults().InputBucket(), string(m.Object), m.Off, m.Len)
 				if err != nil || !bytes.Equal(staged, files[m.ID]) || m.Len != int64(len(files[m.ID])) {
 					t.Errorf("message of %s names %s[%d:+%d] = %q (%v), want its input %q",
 						m.ID, m.Object, m.Off, m.Len, staged, err, files[m.ID])
 				}
 			}
-			for _, task := range tasks {
-				if !got[task.ID] {
-					t.Errorf("no message names task %q (bodies %q)", task.ID, received)
+			for _, id := range tasks {
+				if !got[id] {
+					t.Errorf("no message names task %q (bodies %q)", id, received)
 				}
 			}
 		})
@@ -153,8 +154,8 @@ func TestSubmitFilesDurableOneRecordPerBatch(t *testing.T) {
 	for i, id := range ids {
 		// Message IDs ascend with the sorted task order.
 		m, _ := parseTaskMessage([]byte(sent[id]))
-		if want := fmt.Sprintf("%s-%d", cfg.TaskQueue(), i+1); id != want || m.ID != tasks[i].ID {
-			t.Fatalf("journaled message %d = %s naming %q, want %s naming %q", i, id, m.ID, want, tasks[i].ID)
+		if want := fmt.Sprintf("%s-%d", cfg.TaskQueue(), i+1); id != want || m.ID != tasks[i] {
+			t.Fatalf("journaled message %d = %s naming %q, want %s naming %q", i, id, m.ID, want, tasks[i])
 		}
 	}
 

@@ -39,6 +39,17 @@ func (p *parkingShard) ReceiveMessageBatch(q string, vis time.Duration, max int,
 	return nil, queue.ErrNoSuchQueue
 }
 
+// TransferIn and TransferInBatch go to the real shard: moves land queues
+// on a parkingShard, and a move takes only a destination that keeps
+// delivery counts.
+func (p *parkingShard) TransferIn(q string, body []byte, receives int) (string, error) {
+	return p.API.(queue.Transferrer).TransferIn(q, body, receives)
+}
+
+func (p *parkingShard) TransferInBatch(q string, items []queue.TransferItem) ([]string, error) {
+	return p.API.(queue.Transferrer).TransferInBatch(q, items)
+}
+
 // moveTo migrates queue q onto shard id by splitting q's group over the
 // smallest k whose sub-arc for q is id (k = 1 merges it home).
 // ring.successor reaches every shard, so some k within maxSubgroups does.

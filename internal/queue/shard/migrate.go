@@ -377,8 +377,12 @@ func (r *Router) migrate(m pendingMove) error {
 // another and reports whether anything reached the destination.
 // Receivers that raced the freeze hold leases on the old shard; those
 // messages are not visible and are handled by their receipts or the
-// forwarder.
+// forwarder. A destination that cannot take transfers refuses the move
+// before anything is received, leaving the backlog and its counts.
 func stream(name string, fromB, toB queue.API) (bool, error) {
+	if err := admitsTransfers(toB, name); err != nil {
+		return false, err
+	}
 	if err := toB.CreateQueue(name); err != nil && !errors.Is(err, queue.ErrQueueExists) {
 		return false, err
 	}
@@ -534,25 +538,29 @@ func (r *Router) forwardVisible(name string, rt *route, fromB queue.API) {
 // the transfer fails and the source redelivers, the failed attempt's
 // receive stays in the count — at most one budget unit per failed
 // attempt, erring toward earlier dead-lettering; see the package doc.)
-// When dst cannot take transfers — a foreign queue.API implementation,
-// or a remote shard whose admin token is not provisioned — it falls
-// back to a public re-send, which keeps the migration safe but
-// restarts counts (the pre-transfer behaviour).
+// It is the only way a message moves: a dst that cannot take transfers
+// (no queue.Transferrer, or a remote shard without its admin token) fails
+// with queue.ErrNotPrivileged.
 func transferBatch(dst queue.API, name string, msgs []queue.Message) error {
-	if tr, ok := dst.(queue.Transferrer); ok {
-		items := make([]queue.TransferItem, len(msgs))
-		for i, msg := range msgs {
-			items[i] = queue.TransferItem{Body: msg.Body, Receives: msg.Receives - 1}
-		}
-		_, err := tr.TransferInBatch(name, items)
-		if err == nil || !errors.Is(err, queue.ErrNotPrivileged) {
-			return err
-		}
+	tr, ok := dst.(queue.Transferrer)
+	if !ok {
+		return fmt.Errorf("shard: destination of %s cannot accept transfers: %w", name, queue.ErrNotPrivileged)
 	}
-	bodies := make([][]byte, len(msgs))
+	items := make([]queue.TransferItem, len(msgs))
 	for i, msg := range msgs {
-		bodies[i] = msg.Body
+		items[i] = queue.TransferItem{Body: msg.Body, Receives: msg.Receives - 1}
 	}
-	_, err := dst.SendMessageBatch(name, bodies)
+	_, err := tr.TransferInBatch(name, items)
 	return err
+}
+
+// admitsTransfers asks dst whether it takes transfers into name, enqueueing
+// and billing nothing: a message never delivered transfers with count -1,
+// which a destination that would take it refuses as queue.ErrBadTransfer
+// and one that would not as queue.ErrNotPrivileged (token checked first).
+func admitsTransfers(dst queue.API, name string) error {
+	if err := transferBatch(dst, name, []queue.Message{{}}); !errors.Is(err, queue.ErrBadTransfer) {
+		return err
+	}
+	return nil
 }

@@ -281,7 +281,7 @@ func TestSplitRebalanceChurn(t *testing.T) {
 // onto a remote shard whose transfer opcode is provisioned (batched
 // transfer frames) and back off it (batched drain receives over the
 // wire), and its delivery count survives both moves. Without the token
-// the public re-send would reset it.
+// the move is refused (TestMoveOntoTokenlessShardIsRefused).
 func TestRemoteShardMigrationPreservesCounts(t *testing.T) {
 	const token = "migrate-sekrit"
 	remote := queue.NewService(queue.Config{Seed: 7})
@@ -338,4 +338,51 @@ func TestRemoteShardMigrationPreservesCounts(t *testing.T) {
 		t.Fatal("queue still on the retired remote shard")
 	}
 	deliver(4, "after moving off the wire shard")
+}
+
+// TestMoveOntoTokenlessShardIsRefused: migration has one path, the
+// count-preserving transfer. A wire shard whose admin token is not
+// provisioned cannot take it, so a move onto one fails with
+// queue.ErrNotPrivileged before anything is received: the queue stays on
+// its old shard, the new one holds nothing, and the message's delivery
+// count goes on from where it was.
+func TestMoveOntoTokenlessShardIsRefused(t *testing.T) {
+	remote := queue.NewService(queue.Config{Seed: 7})
+	r := NewRouter(Config{})
+	defer r.Close()
+	if err := r.AddShard("s0", queue.NewService(queue.Config{Seed: 1})); err != nil {
+		t.Fatal(err)
+	}
+	qn := queueOwnedBy(t, r, "s0", 16)
+	if _, err := r.SendMessage(qn, []byte("counted")); err != nil {
+		t.Fatal(err)
+	}
+	deliver := func(want int, where string) {
+		t.Helper()
+		m, ok, err := r.ReceiveMessage(qn, time.Minute)
+		if err != nil || !ok || m.Receives != want {
+			t.Fatalf("delivery %d %s: ok=%v err=%v receives=%d", want, where, ok, err, m.Receives)
+		}
+		if err := r.ChangeVisibility(qn, m.ReceiptHandle, 0); err != nil {
+			t.Fatal(err)
+		}
+	}
+	deliver(1, "on s0")
+	deliver(2, "on s0")
+
+	// Onto the tokenless shard: retire s0 unless the ring already moves it.
+	err := r.AddShard("remote", remoteShard(t, remote, ""))
+	if err == nil && r.Owners()[qn] == "s0" {
+		err = r.RemoveShard("s0")
+	}
+	if !errors.Is(err, queue.ErrNotPrivileged) {
+		t.Fatalf("move onto the tokenless shard: %v, want %v", err, queue.ErrNotPrivileged)
+	}
+	if got := r.Owners()[qn]; got != "s0" {
+		t.Fatalf("queue on %s after the refused move, want s0", got)
+	}
+	if queues := remote.ListQueues(); len(queues) != 0 {
+		t.Fatalf("the tokenless shard holds queues %v after the refused move", queues)
+	}
+	deliver(3, "after the refused move")
 }

@@ -52,10 +52,9 @@
 // abort) leaves those messages' counts advanced by that one receive —
 // each failed attempt can consume at most one unit of retry budget,
 // erring toward earlier dead-lettering, never toward retrying forever.
-// And when a destination cannot take transfers at all — a remote shard
-// without its admin token provisioned — the migrator falls back to a
-// public re-send, which restarts the count like an SQS queue-to-queue
-// move.
+// And a transfer is the only way a message moves: a destination that
+// cannot take one — a remote shard without its admin token — refuses the
+// move before anything is received, and the queue stays where it was.
 package shard
 
 import (

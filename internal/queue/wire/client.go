@@ -604,7 +604,7 @@ func (c *Client) TransferIn(queueName string, body []byte, receives int) (string
 // TransferInBatch streams up to queue.MaxBatch count-preserving items
 // in one frame — the batched transfer path drain-and-forward migration
 // uses. With no AdminToken the call fails locally: it cannot possibly
-// succeed, and the migrator probes this once per batch.
+// succeed, and the migrator probes this before it moves a queue.
 func (c *Client) TransferInBatch(queueName string, items []queue.TransferItem) ([]string, error) {
 	if len(items) == 0 || len(items) > queue.MaxBatch {
 		return nil, queue.ErrBatchSize
