@@ -803,6 +803,7 @@ func (inst *Instance) processBatch(workerID int, msgs []queue.Message, leases *l
 			a.deadIDs = append(a.deadIDs, tm.ID)
 		}
 	}
+	a.done = make([]doneTask, 0, len(live))
 	slices.SortFunc(live, func(x, y delivery) int {
 		return cmp.Or(bytes.Compare(x.Object, y.Object), cmp.Compare(x.Off, y.Off))
 	})
@@ -812,10 +813,9 @@ func (inst *Instance) processBatch(workerID int, msgs []queue.Message, leases *l
 			end = max(end, live[j].Off+live[j].Len)
 		}
 		busy += inst.processRun(workerID, live[i:j], end, &a, leases)
-		ran += j - i
 		i = j
 	}
-	return a, busy, ran
+	return a, busy, len(live)
 }
 
 // processRun is the worker pipeline of Figure 1, download → execute, for

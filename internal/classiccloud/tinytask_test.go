@@ -3,6 +3,9 @@ package classiccloud
 import (
 	"fmt"
 	"net"
+	"os"
+	"strconv"
+	"strings"
 	"testing"
 	"time"
 
@@ -21,7 +24,10 @@ import (
 // service's counter from the first submission until the instance has
 // stopped, and the job store's billed blob requests per task over the
 // same span: staging, the workers' reads and writes, and the completion
-// check's reads of the output objects.
+// check's reads of the output objects. On Linux it reports the write
+// syscalls the process made over the same span per billed queue request
+// (writes/req): a request costs one write each way when every frame is
+// flushed alone, and less when the wire's writers share their writes.
 func BenchmarkTinyTaskJob(b *testing.B) {
 	const n = 4096
 	files := make(map[string][]byte, n)
@@ -30,7 +36,8 @@ func BenchmarkTinyTaskJob(b *testing.B) {
 	}
 	echo := FuncExecutor{AppName: "echo", Fn: func(_ Task, in []byte) ([]byte, error) { return in, nil }}
 	var elapsed time.Duration
-	var requests, blobRequests int64
+	var requests, blobRequests, writes int64
+	_, countWrites := writeSyscalls()
 	for i := 0; i < b.N; i++ {
 		b.StopTimer()
 		journals := blob.NewStore(blob.Config{})
@@ -54,6 +61,7 @@ func BenchmarkTinyTaskJob(b *testing.B) {
 			b.Fatal(err)
 		}
 		start, billed, blobBilled := time.Now(), svc.APIRequests(), store.Usage().Requests()
+		written, _ := writeSyscalls()
 		b.StartTimer()
 		tasks, err := client.SubmitFiles(files)
 		if err != nil {
@@ -67,6 +75,8 @@ func BenchmarkTinyTaskJob(b *testing.B) {
 		inst.Stop()
 		b.StopTimer()
 		elapsed += time.Since(start)
+		nowWritten, _ := writeSyscalls()
+		writes += nowWritten - written
 		requests += svc.APIRequests() - billed
 		blobRequests += store.Usage().Requests() - blobBilled
 		if err != nil || rep.Completed != n {
@@ -79,4 +89,23 @@ func BenchmarkTinyTaskJob(b *testing.B) {
 	b.ReportMetric(float64(b.N*n)/elapsed.Seconds(), "tasks/s")
 	b.ReportMetric(float64(requests)/float64(b.N*n), "queue-req/task")
 	b.ReportMetric(float64(blobRequests)/float64(b.N*n), "blob_req/task")
+	if countWrites {
+		b.ReportMetric(float64(writes)/float64(requests), "writes/req")
+	}
+}
+
+// writeSyscalls reads the write syscalls this process has made so far
+// (syscw in /proc/self/io), and false where there is no such file.
+func writeSyscalls() (int64, bool) {
+	stat, err := os.ReadFile("/proc/self/io")
+	if err != nil {
+		return 0, false
+	}
+	for _, line := range strings.Split(string(stat), "\n") {
+		if v, found := strings.CutPrefix(line, "syscw: "); found {
+			n, err := strconv.ParseInt(v, 10, 64)
+			return n, err == nil
+		}
+	}
+	return 0, false
 }

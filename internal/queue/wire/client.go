@@ -35,16 +35,23 @@ const (
 	// calls through it fail fast with ErrUnavailable instead of queueing
 	// behind doomed dials.
 	maxBackoff = 2 * time.Second
+	// writeQueue is how many frames a connection's writer holds queued,
+	// client and server side: room for a burst of pipelined calls while
+	// the writer is in a write. A client call that finds the queue full
+	// goes out on the next connection; on the last one, and on a server
+	// connection, the sender waits.
+	writeQueue = 64
 )
 
 // Options tunes a Client. The frame cap (maxFrame), the timeouts and the
 // reconnect backoff are fixed, and a trace is scoped with WithTrace, not
 // configured.
 type Options struct {
-	// Conns is the connection-pool size (default 4). Pipelining means a
-	// few connections carry many in-flight requests; the pool exists to
-	// spread load across reader/writer goroutine pairs, not to provide
-	// one connection per caller.
+	// Conns is the most connections the client opens (default 4). A
+	// call goes out on the first connection, and on the next only when
+	// every one before it has a full write queue; a connection is dialled
+	// when a call first needs it. Pipelining means one connection carries
+	// many in-flight requests, and calls that share it share its writes.
 	Conns int
 	// AdminToken authorizes the privileged transfer opcode: empty fails
 	// transfers locally with ErrNotPrivileged.
@@ -120,7 +127,6 @@ func (c *Client) WithTrace(traceID string) queue.API {
 type pool struct {
 	addr      string
 	opt       Options
-	next      atomic.Uint64
 	conns     []*cliConn
 	closed    atomic.Bool
 	connGauge *telemetry.Gauge
@@ -207,7 +213,7 @@ func (s *cliConn) get() (*connGen, error) {
 	g := &connGen{
 		p:       s.p,
 		nc:      nc,
-		writeCh: make(chan *[]byte, 64),
+		writeCh: make(chan *[]byte, writeQueue),
 		done:    make(chan struct{}),
 		pending: make(map[uint64]*call),
 	}
@@ -243,35 +249,11 @@ func (g *connGen) fail(err error) {
 	})
 }
 
-// writer drains request frames, coalescing queued frames into one
-// flush — many pipelined requests per syscall.
+// writer sends request frames, many pipelined requests per write (see
+// writeLoop), until the generation dies.
 func (g *connGen) writer() {
-	bw := bufio.NewWriterSize(g.nc, 64<<10)
-	for {
-		select {
-		case bp := <-g.writeCh:
-			err := writeFrame(bw, *bp)
-			codec.PutBuf(bp)
-			for err == nil {
-				select {
-				case bp := <-g.writeCh:
-					err = writeFrame(bw, *bp)
-					codec.PutBuf(bp)
-					continue
-				default:
-				}
-				break
-			}
-			if err == nil {
-				err = bw.Flush()
-			}
-			if err != nil {
-				g.fail(err)
-				return
-			}
-		case <-g.done:
-			return
-		}
+	if err := writeLoop(bufio.NewWriterSize(g.nc, 64<<10), g.writeCh, g.done); err != nil {
+		g.fail(err)
 	}
 }
 
@@ -306,6 +288,23 @@ func (g *connGen) reader() {
 	}
 }
 
+// pick returns the connection a call goes out on: the first slot's,
+// unless its write queue is full, and then the next slot's, dialled if
+// need be. Calls that share a connection share its writer's writes, so
+// filling the first connection before opening another is what puts
+// concurrent calls in one syscall. A slot that fails (in reconnect
+// backoff, or a refused dial) fails the call.
+func (p *pool) pick() (*connGen, error) {
+	last := len(p.conns) - 1
+	for _, s := range p.conns[:last] {
+		g, err := s.get()
+		if err != nil || len(g.writeCh) < writeQueue {
+			return g, err
+		}
+	}
+	return p.conns[last].get()
+}
+
 // roundTrip sends one request over the pool and waits for its
 // response. extraWait extends the request timeout by any long-poll
 // time the request itself asks the server to block for.
@@ -313,8 +312,7 @@ func (p *pool) roundTrip(op byte, queueName, trace string, extraWait time.Durati
 	if p.closed.Load() {
 		return callRes{}, fmt.Errorf("%w: client closed", ErrUnavailable)
 	}
-	slot := p.conns[p.next.Add(1)%uint64(len(p.conns))]
-	g, err := slot.get()
+	g, err := p.pick()
 	if err != nil {
 		return callRes{}, err
 	}

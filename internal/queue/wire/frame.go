@@ -36,6 +36,18 @@
 // connection rather than one request. A call waits
 // requestTimeout for its response, plus whatever long-poll wait the
 // request itself asked for.
+//
+// # Shared writes
+//
+// A client's calls go out on its first connection, and on the next one
+// only when the first one's write queue is full, so concurrent calls
+// share one writer. Each writer, client and server side, buffers every
+// frame queued, yields the processor once, buffers what was queued
+// meanwhile and then flushes: the callers and handlers that the last
+// responses made runnable put their frames into the same write. There
+// is no timer and no size threshold, so a lone call waits for nothing.
+// In a job of tiny tasks (classiccloud's BenchmarkTinyTaskJob) a billed
+// queue request costs about 1.25 write syscalls over both ends, not 2.
 package wire
 
 import (

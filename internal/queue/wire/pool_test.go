@@ -2,6 +2,7 @@ package wire
 
 import (
 	"bytes"
+	"errors"
 	"net"
 	"runtime"
 	"sync"
@@ -10,6 +11,7 @@ import (
 	"time"
 
 	"repro/internal/queue"
+	"repro/internal/telemetry"
 )
 
 // handlerGoroutines counts the live goroutines running a connection's
@@ -153,4 +155,70 @@ func TestCloseEndsEveryHandler(t *testing.T) {
 	}
 	srv.Close()
 	waitFor(t, "every handler to exit", func() bool { return handlerGoroutines() == 0 })
+}
+
+// Concurrent callers share the first connection: sixteen callers have at
+// most sixteen frames queued, never a full write queue, so a client
+// allowed four connections opens one.
+func TestConcurrentCallsShareOneConnection(t *testing.T) {
+	reg := telemetry.NewRegistry()
+	addr := startServer(t, &Server{Service: queue.NewService(queue.Config{})})
+	c := dialTest(t, addr, Options{Conns: 4, Metrics: reg})
+	if err := c.CreateQueue("q"); err != nil {
+		t.Fatal(err)
+	}
+	const callers, calls = 16, 50
+	var wg sync.WaitGroup
+	for i := 0; i < callers; i++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for j := 0; j < calls; j++ {
+				if _, err := c.SendMessage("q", []byte("x")); err != nil {
+					t.Error(err)
+					return
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	if n := reg.Gauge(telemetry.Label("wire_client_conns", "peer", addr)).Value(); n != 1 {
+		t.Errorf("wire_client_conns = %d after %d callers × %d calls, want 1", n, callers, calls)
+	}
+}
+
+// When the first connection's write queue is full — its peer reads
+// nothing, so its writer blocks once the socket's buffers are full —
+// the next call goes out on a second connection, dialled for it, and no
+// third is opened.
+func TestFullWriteQueueSpillsOntoTheNextConnection(t *testing.T) {
+	setRequestTimeout(t, 500*time.Millisecond)
+	reg := telemetry.NewRegistry()
+	addr := silentNode(t)
+	c := dialTest(t, addr, Options{Conns: 4, Metrics: reg})
+	conns := reg.Gauge(telemetry.Label("wire_client_conns", "peer", addr))
+	body := make([]byte, 64<<10)
+	errs := make(chan error, 512)
+	started := 0
+	for ; started < cap(errs) && conns.Value() < 2; started++ {
+		go func() {
+			_, err := c.SendMessage("q", body)
+			errs <- err
+		}()
+		time.Sleep(time.Millisecond)
+	}
+	t.Logf("%d callers of %d KiB started before a second connection opened", started, len(body)>>10)
+	waitFor(t, "a second connection", func() bool { return conns.Value() >= 2 })
+	if started <= writeQueue {
+		t.Errorf("a second connection opened after %d calls, before the first queue of %d could fill", started, writeQueue)
+	}
+	if n := conns.Value(); n != 2 {
+		t.Errorf("wire_client_conns = %d once the first queue filled, want 2", n)
+	}
+	c.Close()
+	for i := 0; i < started; i++ {
+		if err := <-errs; !errors.Is(err, ErrUnavailable) {
+			t.Fatalf("call to a silent node: %v, want ErrUnavailable", err)
+		}
+	}
 }

@@ -5,6 +5,7 @@ import (
 	"encoding/binary"
 	"errors"
 	"io"
+	"runtime"
 
 	"repro/internal/codec"
 	"repro/internal/queue"
@@ -190,6 +191,57 @@ func writeFrame(bw *bufio.Writer, body []byte) error {
 	}
 	_, err := bw.Write(body)
 	return err
+}
+
+// writeLoop is a connection's one writer, client and server side alike:
+// it takes the frames queued on frames, each a pooled buffer it releases,
+// and sends them until done closes, returning nil then, or the first
+// write error. A flush carries every frame queued by then. Before it
+// flushes, the writer yields once: on a busy process the callers (or
+// handlers) that the last responses made runnable queue their frames
+// into the same write, and on an idle one the yield returns at once.
+// There is no timer and no size threshold, so a lone frame waits for
+// nothing.
+func writeLoop(bw *bufio.Writer, frames <-chan *[]byte, done <-chan struct{}) error {
+	for {
+		select {
+		case bp := <-frames:
+			err := writeFrame(bw, *bp)
+			codec.PutBuf(bp)
+			if err == nil {
+				err = writeQueued(bw, frames)
+			}
+			if err == nil {
+				runtime.Gosched()
+				err = writeQueued(bw, frames)
+			}
+			if err == nil {
+				err = bw.Flush()
+			}
+			if err != nil {
+				return err
+			}
+		case <-done:
+			return nil
+		}
+	}
+}
+
+// writeQueued buffers every frame already queued on frames, without
+// waiting for more.
+func writeQueued(bw *bufio.Writer, frames <-chan *[]byte) error {
+	for {
+		select {
+		case bp := <-frames:
+			err := writeFrame(bw, *bp)
+			codec.PutBuf(bp)
+			if err != nil {
+				return err
+			}
+		default:
+			return nil
+		}
+	}
 }
 
 // encodeRequest assembles a request frame body into a pooled buffer.

@@ -101,7 +101,7 @@ func (s *Server) Serve(ln net.Listener) error {
 			nc:      nc,
 			br:      bufio.NewReaderSize(nc, 64<<10),
 			bw:      bufio.NewWriterSize(nc, 64<<10),
-			writeCh: make(chan *[]byte, 64),
+			writeCh: make(chan *[]byte, writeQueue),
 			done:    make(chan struct{}),
 			work:    make(chan request),
 		}
@@ -233,35 +233,11 @@ func (c *srvConn) handler(req request) {
 	}
 }
 
-// writer drains response frames, coalescing every frame already queued
-// into one flush — under pipelining this batches many small responses
-// per syscall.
+// writer sends response frames, many handlers' answers per write (see
+// writeLoop), until the connection closes.
 func (c *srvConn) writer() {
-	for {
-		select {
-		case bp := <-c.writeCh:
-			err := writeFrame(c.bw, *bp)
-			codec.PutBuf(bp)
-			for err == nil {
-				select {
-				case bp := <-c.writeCh:
-					err = writeFrame(c.bw, *bp)
-					codec.PutBuf(bp)
-					continue
-				default:
-				}
-				break
-			}
-			if err == nil {
-				err = c.bw.Flush()
-			}
-			if err != nil {
-				c.shutdown()
-				return
-			}
-		case <-c.done:
-			return
-		}
+	if writeLoop(c.bw, c.writeCh, c.done) != nil {
+		c.shutdown()
 	}
 }
 

@@ -751,3 +751,29 @@ func TestBatchAnswerCountMismatch(t *testing.T) {
 		}
 	}
 }
+
+// BenchmarkWireRoundTrip is one caller's SendMessage over loopback: a
+// call with nothing to share a write with, so its time is the round trip
+// itself, which the writers' one yield before a flush must not lengthen.
+func BenchmarkWireRoundTrip(b *testing.B) {
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		b.Fatal(err)
+	}
+	srv := &Server{Service: queue.NewService(queue.Config{})}
+	go srv.Serve(ln)
+	defer srv.Close()
+	c := Dial(ln.Addr().String(), Options{})
+	defer c.Close()
+	if err := c.CreateQueue("q"); err != nil {
+		b.Fatal(err)
+	}
+	body := []byte("task payload")
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := c.SendMessage("q", body); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
